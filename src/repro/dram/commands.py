@@ -29,7 +29,7 @@ class CommandType(enum.Enum):
 
     @property
     def is_column(self) -> bool:
-        return self in (CommandType.RD, CommandType.WR)
+        return self is CommandType.RD or self is CommandType.WR
 
 
 @dataclass

@@ -23,14 +23,13 @@ from __future__ import annotations
 import enum
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bank import TimingViolation
 from .commands import Command, CommandType
-from .pseudochannel import PseudoChannel
+from .pseudochannel import BANKS_PER_GROUP, BANKS_PER_PCH, PseudoChannel
 
 __all__ = ["MemOp", "Request", "SchedulerPolicy", "ScheduleResult", "MemoryController"]
 
@@ -48,9 +47,14 @@ class SchedulerPolicy(enum.Enum):
     SHUFFLE = "shuffle"
 
 
-@dataclass
+@dataclass(eq=False)
 class Request:
-    """One 32-byte read or write transaction to a decoded DRAM address."""
+    """One 32-byte read or write transaction to a decoded DRAM address.
+
+    Requests compare by identity: two transactions to the same address are
+    still two transactions (and ``data`` is an array, which has no scalar
+    truth value to compare with).
+    """
 
     op: MemOp
     bg: int
@@ -58,8 +62,8 @@ class Request:
     row: int
     col: int
     data: Optional[np.ndarray] = None
-    tag: Any = field(default=None, compare=False)
-    epoch: int = field(default=0, compare=False)
+    tag: Any = None
+    epoch: int = 0
 
     def __repr__(self) -> str:
         return (
@@ -129,9 +133,9 @@ class MemoryController:
         self._epoch = 0
         self._cycle = start_cycle
         self._next_ca = start_cycle  # CA bus: one command per tCK
-        # Controller-side shadow of open rows (an unmodified controller does
-        # not peek into the device).
-        self._open_rows: Dict[Tuple[int, int], Optional[int]] = {}
+        # Controller-side shadow of open rows by flat bank index (an
+        # unmodified controller does not peek into the device).
+        self._open_rows: List[Optional[int]] = [None] * BANKS_PER_PCH
         self.row_hits = 0
         self.row_misses = 0
         # Observability hook (repro.obs): when a Tracer is attached each
@@ -168,107 +172,106 @@ class MemoryController:
     def current_cycle(self) -> int:
         return self._cycle
 
-    # -- shadow row state -------------------------------------------------------
-
-    def _shadow_row(self, bg: int, ba: int) -> Optional[int]:
-        return self._open_rows.get((bg, ba))
-
     # -- scheduling ---------------------------------------------------------------
+    #
+    # The reorder window holds one entry ``(cls, row, request)`` per request,
+    # ``cls = 2 * flat_bank + is_write``.  A column command's earliest issue
+    # cycle depends only on ``cls`` — never on row, column or data — so a
+    # pick asks the channel once per class, not once per candidate.
 
-    def _window_requests(self) -> List[Request]:
-        """Oldest-epoch requests, limited to the reorder window."""
-        if not self._queue:
-            return []
-        active_epoch = self._queue[0].epoch
-        window: List[Request] = []
-        for request in self._queue:
-            if request.epoch != active_epoch:
-                break
-            window.append(request)
-            if len(window) >= self.window:
-                break
-        return window
+    @staticmethod
+    def _entry(request: Request) -> Tuple[int, int, Request]:
+        bank = request.bg * BANKS_PER_GROUP + request.ba
+        return 2 * bank + (request.op is MemOp.WRITE), request.row, request
 
-    def _pick(self, window: List[Request]) -> Request:
+    def _pick(self, window: List[Tuple[int, int, Request]]) -> Tuple[int, Optional[int]]:
+        """Window index of the next request, and its column command's
+        earliest cycle when that was worked out and is still current."""
         if self.policy is SchedulerPolicy.FCFS:
-            return window[0]
+            return 0, None
         if self.policy is SchedulerPolicy.SHUFFLE:
-            return self._rng.choice(window)
+            return self._rng.randrange(len(window)), None
         # FR-FCFS: among row hits, the first *ready* one (earliest legal
         # column issue — this is what lets hits to other bank groups slip in
-        # at tCCD_S); with no hits, the oldest request.
-        best: Optional[Request] = None
-        best_cycle = 0
-        for request in window:
-            if self._shadow_row(request.bg, request.ba) != request.row:
-                continue
-            cmd_type = CommandType.RD if request.op is MemOp.READ else CommandType.WR
-            probe = Command(
-                cmd_type, request.bg, request.ba, row=request.row, col=request.col,
-                data=request.data,
-            )
-            cycle = self.channel.earliest_issue(probe)
-            if best is None or cycle < best_cycle:
-                best = request
-                best_cycle = cycle
-        if best is not None:
-            return best
-        return window[0]
+        # at tCCD_S); with no hits, the oldest request.  Ties go to the
+        # older request, so only the first hit of each class can win.
+        open_rows = self._open_rows
+        earliest_col = self.channel.earliest_col
+        seen = set()
+        misses = []
+        best, bound = 0, None
+        for index, entry in enumerate(window):
+            cls, row, request = entry
+            if open_rows[cls >> 1] != row:
+                misses.append(entry)
+            elif cls not in seen:
+                seen.add(cls)
+                cycle = earliest_col(request.bg, request.ba, cls & 1)
+                if bound is None or cycle < bound:
+                    best, bound = index, cycle
+        if misses:
+            cls, _, request = window[best]
+            if bound is None:
+                bound = earliest_col(request.bg, request.ba, cls & 1)
+            # Slack before the picked column: use it on the misses' rows.
+            if bound > self._next_ca and self._opportunistic_activate(
+                window, misses, cls >> 1, bound
+            ):
+                bound = None  # commands went out since the query
+        return best, bound
 
-    def _opportunistic_activate(self, window: List[Request], picked: Request) -> None:
-        """Open another request's row while the picked column waits.
+    def _opportunistic_activate(
+        self,
+        window: List[Tuple[int, int, Request]],
+        misses: List[Tuple[int, int, Request]],
+        picked_bank: int,
+        col_cycle: int,
+    ) -> bool:
+        """Open other requests' rows while the picked column waits.
 
         Real FR-FCFS controllers interleave ACTs to idle banks with the
         column stream; without this, a multi-bank stream degenerates to one
-        bank at a time.
+        bank at a time.  ``misses`` are the windowed requests whose row is
+        not open, ``col_cycle`` the cycle the picked column goes out;
+        returns whether any command was issued.
         """
-        cmd_type = CommandType.RD if picked.op is MemOp.READ else CommandType.WR
-        probe = Command(
-            cmd_type, picked.bg, picked.ba, row=picked.row, col=picked.col,
-            data=picked.data,
-        )
-        col_cycle = max(self._next_ca, self.channel.earliest_issue(probe))
-        if col_cycle <= self._next_ca:
-            return  # no slack: the column goes out right now
-        touched = set()
-        for other in window:
-            if other is picked:
+        channel = self.channel
+        open_rows = self._open_rows
+        touched = {picked_bank}
+        for cls, row, other in misses:
+            bank = cls >> 1
+            if bank in touched:
                 continue
-            key = (other.bg, other.ba)
-            if key in touched or key == (picked.bg, picked.ba):
-                continue
-            shadow = self._shadow_row(*key)
-            if shadow == other.row:
-                continue  # already open on the right row
+            shadow = open_rows[bank]
             if shadow is not None:
                 # Conflict: close the stale row early, unless a windowed
                 # request still wants it.
-                if any(
-                    r.bg == other.bg and r.ba == other.ba and r.row == shadow
-                    for r in window
-                ):
+                if any(c >> 1 == bank and r == shadow for c, r, _ in window):
                     continue
-                pre = Command(CommandType.PRE, other.bg, other.ba)
-                pre_cycle = max(self._next_ca, self.channel.earliest_issue(pre))
-                if pre_cycle >= col_cycle:
+                cycle = max(self._next_ca, channel.earliest_pre(other.bg, other.ba))
+                if cycle >= col_cycle:
                     continue
-                self.channel.issue(pre, pre_cycle)
-                self._next_ca = pre_cycle + 1
-                self._open_rows[key] = None
-                touched.add(key)
-                continue
-            act = Command(CommandType.ACT, other.bg, other.ba, row=other.row)
-            act_cycle = max(self._next_ca, self.channel.earliest_issue(act))
-            if act_cycle >= col_cycle:
-                continue
-            self.channel.issue(act, act_cycle)
-            self._next_ca = act_cycle + 1
-            self._open_rows[key] = other.row
-            self.row_misses += 1
-            touched.add(key)
+                channel.issue(Command(CommandType.PRE, other.bg, other.ba), cycle)
+                open_rows[bank] = None
+            else:
+                cycle = max(self._next_ca, channel.earliest_act(other.bg, other.ba))
+                if cycle >= col_cycle:
+                    continue
+                channel.issue(
+                    Command(CommandType.ACT, other.bg, other.ba, row=row), cycle
+                )
+                open_rows[bank] = row
+                self.row_misses += 1
+            self._next_ca = cycle + 1
+            touched.add(bank)
+        return len(touched) > 1
 
-    def _issue(self, cmd: Command) -> Optional[np.ndarray]:
-        cycle = max(self._next_ca, self.channel.earliest_issue(cmd))
+    def _issue(self, cmd: Command, bound: Optional[int] = None) -> Optional[np.ndarray]:
+        """Issue ``cmd`` at its earliest cycle (``bound``, when the caller
+        holds a current answer to ``channel.earliest_issue(cmd)``)."""
+        if bound is None:
+            bound = self.channel.earliest_issue(cmd)
+        cycle = max(self._next_ca, bound)
         data = self.channel.issue(cmd, cycle)
         self._next_ca = cycle + 1
         self._cycle = cycle
@@ -280,52 +283,64 @@ class MemoryController:
         read_data: Dict[Any, np.ndarray] = {}
         start_counts = dict(self.channel.cmd_counts)
         entry_cycle = self._cycle
-        active_epoch: Optional[int] = None
-        while self._queue:
-            head_epoch = self._queue[0].epoch
-            if active_epoch is not None and head_epoch != active_epoch:
-                # Crossing a fence: the barrier stalls the request stream.
-                self._next_ca += self.fence_penalty
-            active_epoch = head_epoch
+        queue = self._queue
+        # Entries for queue[:len(window)]: the oldest epoch's requests, up
+        # to the reorder window, kept current as requests leave and enter.
+        window: List[Tuple[int, int, Request]] = []
+        epoch: Optional[int] = None
+        while queue:
+            if not window:
+                if epoch is not None and queue[0].epoch != epoch:
+                    # Crossing a fence: the barrier stalls the request stream.
+                    self._next_ca += self.fence_penalty
+                epoch = queue[0].epoch
+                for request in queue:
+                    if request.epoch != epoch:
+                        break
+                    window.append(self._entry(request))
+                    if len(window) >= self.window:
+                        break
             if self.refresh and self._cycle >= self._next_refresh:
                 self._do_refresh()
-            window = self._window_requests()
-            request = self._pick(window)
-            if self.policy is SchedulerPolicy.FRFCFS:
-                self._opportunistic_activate(window, request)
-            open_row = self._shadow_row(request.bg, request.ba)
-            if open_row is not None and open_row != request.row:
+            index, bound = self._pick(window)
+            cls, row, request = window[index]
+            bank = cls >> 1
+            open_row = self._open_rows[bank]
+            if open_row is not None and open_row != row:
                 # Row conflict: only close a row no windowed request still
                 # wants (FR-FCFS open-page policy).  The picked request
                 # needs it closed regardless.
                 self._issue(Command(CommandType.PRE, request.bg, request.ba))
-                self._open_rows[(request.bg, request.ba)] = None
-                open_row = None
+                self._open_rows[bank] = open_row = None
             if open_row is None:
-                self._issue(
-                    Command(CommandType.ACT, request.bg, request.ba, row=request.row)
-                )
-                self._open_rows[(request.bg, request.ba)] = request.row
+                self._issue(Command(CommandType.ACT, request.bg, request.ba, row=row))
+                self._open_rows[bank] = row
                 self.row_misses += 1
+                bound = None
             else:
                 self.row_hits += 1
-            cmd_type = (
-                CommandType.RD if request.op is MemOp.READ else CommandType.WR
+            is_write = cls & 1
+            data = self._issue(
+                Command(
+                    CommandType.WR if is_write else CommandType.RD,
+                    request.bg,
+                    request.ba,
+                    row=row,
+                    col=request.col,
+                    data=request.data,
+                    tag=request.tag,
+                ),
+                bound,
             )
-            cmd = Command(
-                cmd_type,
-                request.bg,
-                request.ba,
-                row=request.row,
-                col=request.col,
-                data=request.data,
-                tag=request.tag,
-            )
-            data = self._issue(cmd)
-            if request.op is MemOp.READ and request.tag is not None and data is not None:
+            if not is_write and request.tag is not None and data is not None:
                 read_data[request.tag] = data
             issue_order.append((self._cycle, request))
-            self._queue.remove(request)
+            del queue[index]
+            del window[index]
+            if len(window) < min(self.window, len(queue)):
+                request = queue[len(window)]
+                if request.epoch == epoch:
+                    window.append(self._entry(request))
         self.busy_cycles += self._cycle - entry_cycle
         counts = {
             ct: self.channel.cmd_counts[ct] - start_counts.get(ct, 0)
@@ -352,12 +367,8 @@ class MemoryController:
 
     def _do_refresh(self) -> None:
         """Close every row and issue REF; rows re-open on demand."""
-        bound = max(bank.earliest_pre() for bank in self.channel.banks)
-        self._next_ca = max(self._next_ca, bound)
-        self._issue(Command(CommandType.PREA))
+        self.precharge_all()
         self._issue(Command(CommandType.REF))
-        for key in list(self._open_rows):
-            self._open_rows[key] = None
         self._next_refresh += self.channel.timing.trefi
         self.refresh_count += 1
 
@@ -374,7 +385,7 @@ class MemoryController:
             raise RuntimeError("drain the request queue before a mode transition")
         self._issue(Command(CommandType.ACT, bg, ba, row=row))
         self._issue(Command(CommandType.PRE, bg, ba))
-        self._open_rows[(bg, ba)] = None
+        self._open_rows[bg * BANKS_PER_GROUP + ba] = None
 
     def reset_channel(self) -> None:
         """Abandon pending work and return the channel to a clean state.
@@ -389,7 +400,7 @@ class MemoryController:
         advances past every per-bank bound so the next command is legal.
         """
         self._queue.clear()
-        self._open_rows.clear()
+        self._open_rows = [None] * BANKS_PER_PCH
         bound = self._cycle
         for bank in self.channel.banks:
             bound = max(
@@ -401,12 +412,5 @@ class MemoryController:
 
     def precharge_all(self) -> None:
         """Issue PREA (used before SB<->AB mode transitions)."""
-        try:
-            self._issue(Command(CommandType.PREA))
-        except TimingViolation:
-            # Wait for the latest per-bank bound, then retry.
-            bound = max(bank.earliest_pre() for bank in self.channel.banks)
-            self._next_ca = max(self._next_ca, bound)
-            self._issue(Command(CommandType.PREA))
-        for key in list(self._open_rows):
-            self._open_rows[key] = None
+        self._issue(Command(CommandType.PREA))
+        self._open_rows = [None] * BANKS_PER_PCH

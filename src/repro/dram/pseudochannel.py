@@ -49,6 +49,13 @@ class PseudoChannel:
         self._last_act_cycle: Optional[int] = None
         self._last_act_bg: Optional[int] = None
         self._act_window: Deque[int] = deque(maxlen=4)  # for tFAW
+        # Running maxima over the banks of next_act/pre/rd/wr.  The per-bank
+        # bounds only ever grow, so absorbing a bank after each mutation
+        # keeps every maximum equal to max() over the 16 banks.
+        self._max_act = 0
+        self._max_pre = 0
+        self._max_rd = 0
+        self._max_wr = 0
         # Statistics.
         self.cmd_counts = {ct: 0 for ct in CommandType}
 
@@ -67,32 +74,39 @@ class PseudoChannel:
         """
         for bank in self.banks:
             bank.force_precharge(cycle)
+            self._absorb(bank)
 
-    def _col_bus_bound(self, cmd: Command) -> int:
+    def _absorb(self, bank: Bank) -> None:
+        """Fold ``bank``'s bounds into the channel maxima after a mutation."""
+        if bank.next_act > self._max_act:
+            self._max_act = bank.next_act
+        if bank.next_pre > self._max_pre:
+            self._max_pre = bank.next_pre
+        if bank.next_rd > self._max_rd:
+            self._max_rd = bank.next_rd
+        if bank.next_wr > self._max_wr:
+            self._max_wr = bank.next_wr
+
+    def _col_bus_bound(self, bg: int, is_write: bool) -> int:
         """Earliest cycle for a column command given shared-bus history."""
+        last = self._last_col_cycle
+        if last is None:
+            return 0
         t = self.timing
-        bound = 0
-        if self._last_col_cycle is not None:
-            same_bg = self._last_col_bg == cmd.bg
-            ccd = t.tccd_l if same_bg else t.tccd_s
-            bound = self._last_col_cycle + ccd
-            is_write = cmd.cmd is CommandType.WR
-            if self._last_col_was_write and not is_write:
-                # End of write burst to read command.
-                bound = max(
-                    bound,
-                    self._last_col_cycle + t.cwl + t.burst_cycles + t.twtr,
-                )
-            elif not self._last_col_was_write and is_write:
-                bound = max(bound, self._last_col_cycle + t.trtw)
+        bound = last + (t.tccd_l if self._last_col_bg == bg else t.tccd_s)
+        if self._last_col_was_write and not is_write:
+            # End of write burst to read command.
+            bound = max(bound, last + t.cwl + t.burst_cycles + t.twtr)
+        elif not self._last_col_was_write and is_write:
+            bound = max(bound, last + t.trtw)
         return bound
 
-    def _act_bus_bound(self, cmd: Command) -> int:
+    def _act_bus_bound(self, bg: int) -> int:
         """Earliest cycle for an ACT given tRRD and tFAW history."""
         t = self.timing
         bound = 0
         if self._last_act_cycle is not None:
-            same_bg = self._last_act_bg == cmd.bg
+            same_bg = self._last_act_bg == bg
             bound = self._last_act_cycle + (t.trrd_l if same_bg else t.trrd_s)
         if len(self._act_window) == self._act_window.maxlen:
             bound = max(bound, self._act_window[0] + t.tfaw)
@@ -100,56 +114,85 @@ class PseudoChannel:
 
     # -- command interface ----------------------------------------------------
 
+    def earliest_act(self, bg: int, ba: int) -> int:
+        """Earliest legal cycle for an ACT to bank (``bg``, ``ba``)."""
+        return max(self.bank(bg, ba).next_act, self._act_bus_bound(bg))
+
+    def earliest_pre(self, bg: int, ba: int) -> int:
+        """Earliest legal cycle for a PRE to bank (``bg``, ``ba``)."""
+        return self.bank(bg, ba).next_pre
+
+    def earliest_col(self, bg: int, ba: int, is_write: bool) -> int:
+        """Earliest legal cycle for a RD/WR to bank (``bg``, ``ba``).
+
+        The probe-free form of :meth:`earliest_issue` the controller's
+        scheduler uses: the bound depends only on the bank and the
+        direction, never on the row, column or data of the request.
+        """
+        bank = self.bank(bg, ba)
+        return max(
+            bank.next_wr if is_write else bank.next_rd,
+            self._col_bus_bound(bg, is_write),
+        )
+
     def earliest_issue(self, cmd: Command) -> int:
         """Earliest legal issue cycle for ``cmd`` (bank + shared bounds)."""
-        if cmd.cmd is CommandType.ACT:
-            bank_bound = self.bank(cmd.bg, cmd.ba).earliest_act()
-            return max(bank_bound, self._act_bus_bound(cmd))
-        if cmd.cmd is CommandType.PRE:
-            return self.bank(cmd.bg, cmd.ba).earliest_pre()
-        if cmd.cmd is CommandType.PREA:
-            return max(bank.earliest_pre() for bank in self.banks)
-        if cmd.cmd.is_column:
-            is_write = cmd.cmd is CommandType.WR
-            bank_bound = self.bank(cmd.bg, cmd.ba).earliest_col(is_write)
-            return max(bank_bound, self._col_bus_bound(cmd))
-        if cmd.cmd is CommandType.REF:
-            return max(bank.earliest_act() for bank in self.banks)
-        raise ValueError(f"unhandled command {cmd.cmd}")
+        kind = cmd.cmd
+        if kind is CommandType.RD or kind is CommandType.WR:
+            return self.earliest_col(cmd.bg, cmd.ba, kind is CommandType.WR)
+        if kind is CommandType.ACT:
+            return self.earliest_act(cmd.bg, cmd.ba)
+        if kind is CommandType.PRE:
+            return self.earliest_pre(cmd.bg, cmd.ba)
+        if kind is CommandType.PREA:
+            return self._max_pre
+        if kind is CommandType.REF:
+            return self._max_act
+        raise ValueError(f"unhandled command {kind}")
 
     def issue(self, cmd: Command, cycle: int) -> Optional[np.ndarray]:
         """Issue ``cmd`` at ``cycle``; returns read data for RD commands."""
-        if cycle < self.earliest_issue(cmd):
-            raise TimingViolation(
-                f"{cmd!r} at {cycle} before bound {self.earliest_issue(cmd)}"
-            )
-        self.cmd_counts[cmd.cmd] += 1
-        if cmd.cmd is CommandType.ACT:
-            self.bank(cmd.bg, cmd.ba).activate(cmd.row, cycle)
-            self._record_act(cmd.bg, cycle)
-            return None
-        if cmd.cmd is CommandType.PRE:
-            self.bank(cmd.bg, cmd.ba).precharge(cycle)
-            return None
-        if cmd.cmd is CommandType.PREA:
+        bound = self.earliest_issue(cmd)
+        if cycle < bound:
+            raise TimingViolation(f"{cmd!r} at {cycle} before bound {bound}")
+        kind = cmd.cmd
+        self.cmd_counts[kind] += 1
+        if kind is CommandType.PREA:
             for bank in self.banks:
                 bank.precharge(cycle)
+                self._absorb(bank)
             return None
-        if cmd.cmd is CommandType.RD:
-            data = self.bank(cmd.bg, cmd.ba).read(cmd.row, cmd.col, cycle)
-            self._record_col(cmd.bg, cycle, is_write=False)
-            return data
-        if cmd.cmd is CommandType.WR:
-            if cmd.data is None:
-                raise ValueError("WR command without data")
-            self.bank(cmd.bg, cmd.ba).write(cmd.row, cmd.col, cmd.data, cycle)
-            self._record_col(cmd.bg, cycle, is_write=True)
+        if kind is CommandType.REF:
+            self._refresh_banks(cycle)
             return None
-        if cmd.cmd is CommandType.REF:
-            for bank in self.banks:
-                bank.next_act = max(bank.next_act, cycle + self.timing.trfc)
-            return None
-        raise ValueError(f"unhandled command {cmd.cmd}")
+        bank = self.bank(cmd.bg, cmd.ba)
+        data = None
+        try:
+            if kind is CommandType.ACT:
+                bank.activate(cmd.row, cycle)
+                self._record_act(cmd.bg, cycle)
+            elif kind is CommandType.PRE:
+                bank.precharge(cycle)
+            elif kind is CommandType.RD:
+                data = bank.read(cmd.row, cmd.col, cycle)
+                self._record_col(cmd.bg, cycle, is_write=False)
+            else:
+                if cmd.data is None:
+                    raise ValueError("WR command without data")
+                bank.write(cmd.row, cmd.col, cmd.data, cycle)
+                self._record_col(cmd.bg, cycle, is_write=True)
+        finally:
+            # Also when the data path raises (PimChannelError): the bank
+            # moved its bounds before touching the row array.
+            self._absorb(bank)
+        return data
+
+    def _refresh_banks(self, cycle: int) -> None:
+        """REF: every bank's next ACT waits out tRFC."""
+        bound = cycle + self.timing.trfc
+        for bank in self.banks:
+            bank.next_act = max(bank.next_act, bound)
+        self._max_act = max(self._max_act, bound)
 
     def _record_act(self, bg: int, cycle: int) -> None:
         self._last_act_cycle = cycle

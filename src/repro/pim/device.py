@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..dram.bank import BankConfig
+from ..dram.bank import BankConfig, TimingViolation
 from ..dram.commands import Command, CommandType
 from ..dram.device import DeviceConfig, HbmDevice
 from ..dram.pseudochannel import BANKS_PER_PCH, PseudoChannel
@@ -88,29 +88,35 @@ class PimPseudoChannel(PseudoChannel):
         self.lockstep.abort_pending()
         self.lockstep.stop_all()
 
-    # -- timing: AB modes serialise columns at tCCD_L ---------------------------
+    # -- timing ------------------------------------------------------------------
 
-    def _col_bus_bound(self, cmd: Command) -> int:
-        bound = super()._col_bus_bound(cmd)
-        if self.mode_ctrl.all_bank and self._last_col_cycle is not None:
+    # All-bank modes bound over every bank: the channel maxima, in O(1).
+
+    def earliest_act(self, bg: int, ba: int) -> int:
+        """Earliest legal ACT cycle; all-bank modes wait for every bank."""
+        if not self.mode_ctrl.all_bank:
+            return super().earliest_act(bg, ba)
+        return max(self._max_act, self._act_bus_bound(bg))
+
+    def earliest_pre(self, bg: int, ba: int) -> int:
+        """Earliest legal PRE cycle; all-bank modes wait for every bank."""
+        if not self.mode_ctrl.all_bank:
+            return super().earliest_pre(bg, ba)
+        return self._max_pre
+
+    def earliest_col(self, bg: int, ba: int, is_write: bool) -> int:
+        """Earliest legal RD/WR cycle; all-bank modes wait for every bank
+        and serialise columns at tCCD_L."""
+        if not self.mode_ctrl.all_bank:
+            return super().earliest_col(bg, ba, is_write)
+        bound = max(
+            self._max_wr if is_write else self._max_rd,
+            self._col_bus_bound(bg, is_write),
+        )
+        if self._last_col_cycle is not None:
             # Every bank group participates, so the same-group delay governs.
             bound = max(bound, self._last_col_cycle + self.timing.tccd_l)
         return bound
-
-    def earliest_issue(self, cmd: Command) -> int:
-        """Earliest legal cycle; all-bank modes bound over every bank."""
-        if not self.mode_ctrl.all_bank:
-            return super().earliest_issue(cmd)
-        if cmd.cmd is CommandType.ACT:
-            bank_bound = max(bank.earliest_act() for bank in self.banks)
-            return max(bank_bound, self._act_bus_bound(cmd))
-        if cmd.cmd in (CommandType.PRE, CommandType.PREA):
-            return max(bank.earliest_pre() for bank in self.banks)
-        if cmd.cmd.is_column:
-            is_write = cmd.cmd is CommandType.WR
-            bank_bound = max(bank.earliest_col(is_write) for bank in self.banks)
-            return max(bank_bound, self._col_bus_bound(cmd))
-        return super().earliest_issue(cmd)
 
     # -- command execution --------------------------------------------------------
 
@@ -159,59 +165,66 @@ class PimPseudoChannel(PseudoChannel):
     def _issue_all_bank(self, cmd: Command, cycle: int) -> Optional[np.ndarray]:
         bound = self.earliest_issue(cmd)
         if cycle < bound:
-            from ..dram.bank import TimingViolation
-
             raise TimingViolation(f"{cmd!r} at {cycle} before bound {bound}")
-        self.cmd_counts[cmd.cmd] += 1
-        if cmd.cmd is CommandType.ACT:
-            self.mode_ctrl.observe_act(cmd.row)
-            for bank in self.banks:
-                bank.activate(cmd.row, cycle)
-            self._record_act(cmd.bg, cycle)
+        kind = cmd.cmd
+        self.cmd_counts[kind] += 1
+        if kind is CommandType.REF:
+            self._refresh_banks(cycle)
             return None
-        if cmd.cmd in (CommandType.PRE, CommandType.PREA):
-            for bank in self.banks:
-                bank.precharge(cycle)
-            self.mode_ctrl.observe_pre()
-            return None
-        if cmd.cmd.is_column:
-            return self._all_bank_column(cmd, cycle)
-        if cmd.cmd is CommandType.REF:
-            for bank in self.banks:
-                bank.next_act = max(bank.next_act, cycle + self.timing.trfc)
-            return None
-        raise ValueError(f"unhandled command {cmd.cmd}")
-
-    def _all_bank_column(self, cmd: Command, cycle: int) -> Optional[np.ndarray]:
-        is_write = cmd.cmd is CommandType.WR
-        if self.memory_map.is_register_row(cmd.row):
+        if kind.is_column and self.memory_map.is_register_row(cmd.row):
             # Register rows are decoded ahead of the banks: broadcast writes
             # program every unit identically; reads return the addressed
             # unit's copy.  Bank state is untouched (no row needs to be open
             # in a register row).
-            self._record_col(cmd.bg, cycle, is_write)
+            self._record_col(cmd.bg, cycle, kind is CommandType.WR)
             return self._register_access(cmd, self.units)
-        for bank in self.banks:
-            if self.mode_ctrl.pim_executing:
-                bank.touch_column(cmd.row, cycle, is_write)
-            elif is_write:
-                bank.write(cmd.row, cmd.col, cmd.data, cycle)
-            else:
-                bank.read(cmd.row, cmd.col, cycle)
-        self._record_col(cmd.bg, cycle, is_write)
+        # Broadcast.  Banks in an all-bank mode share one (state, open_row)
+        # and every bank receives the same bound update, so absorbing bank 0
+        # — also when a failed bank's data path raises mid-loop — keeps the
+        # channel maxima exact.
+        try:
+            if kind is CommandType.ACT:
+                self.mode_ctrl.observe_act(cmd.row)
+                for bank in self.banks:
+                    bank.activate(cmd.row, cycle)
+                self._record_act(cmd.bg, cycle)
+                return None
+            if kind is CommandType.PRE or kind is CommandType.PREA:
+                for bank in self.banks:
+                    bank.precharge(cycle)
+                self.mode_ctrl.observe_pre()
+                return None
+            return self._all_bank_column(cmd, cycle, kind is CommandType.WR)
+        finally:
+            self._absorb(self.banks[0])
+
+    def _all_bank_column(
+        self, cmd: Command, cycle: int, is_write: bool
+    ) -> Optional[np.ndarray]:
+        row = cmd.row
         if self.mode_ctrl.pim_executing:
+            for bank in self.banks:
+                bank.touch_column(row, cycle, is_write)
+            self._record_col(cmd.bg, cycle, is_write)
             self.pim_triggered_columns += 1
             trig = ColumnTrigger(
-                is_write=is_write, row=cmd.row, col=cmd.col, host_data=cmd.data
+                is_write=is_write, row=row, col=cmd.col, host_data=cmd.data
             )
             self.lockstep.trigger_all(trig)
             # AB-PIM column commands do not drive data to the external I/O.
             return None
+        if is_write:
+            for bank in self.banks:
+                bank.write(row, cmd.col, cmd.data, cycle)
+        else:
+            for bank in self.banks:
+                bank.read(row, cmd.col, cycle)
+        self._record_col(cmd.bg, cycle, is_write)
         self.ab_broadcast_columns += 1
         if is_write:
             return None
         # AB (non-PIM) read: the addressed bank's data reaches the I/O.
-        return self.banks[cmd.bank_index].peek(cmd.row, cmd.col)
+        return self.banks[cmd.bank_index].peek(row, cmd.col)
 
     # -- register-mapped access -----------------------------------------------------
 

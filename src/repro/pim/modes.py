@@ -113,7 +113,7 @@ class ModeController:
 
     @property
     def all_bank(self) -> bool:
-        return self.mode in (PimMode.AB, PimMode.AB_PIM)
+        return self.mode is not PimMode.SB
 
     @property
     def pim_executing(self) -> bool:

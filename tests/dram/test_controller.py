@@ -97,6 +97,38 @@ class TestRowHitFirstScheduling:
         assert order(1) != list(range(8)) or order(2) != list(range(8))
 
 
+class TestRequestIdentity:
+    """Requests are transactions, not values: dequeue is by identity.
+
+    ``Request`` used to be a field-comparing dataclass, so removing a
+    picked request from the queue compared ``data`` arrays (ambiguous
+    truth value) and could drop an address-equal twin instead.
+    """
+
+    def test_shuffle_with_address_equal_writes(self):
+        mc, ch = make_controller(policy=SchedulerPolicy.SHUFFLE, seed=0)
+        for i in range(6):
+            mc.write(0, 0, 3, 5, np.full(32, i, np.uint8), tag=i)
+        order = [req.tag for _, req in mc.drain().issue_order]
+        assert sorted(order) == list(range(6)) and order != list(range(6))
+        # The last write issued is the one the cells hold.
+        assert np.array_equal(ch.bank(0, 0).peek(3, 5), _data(order[-1]))
+
+    def test_address_equal_reads_dequeue_the_picked_object(self):
+        mc, _ = make_controller(policy=SchedulerPolicy.SHUFFLE, seed=3)
+        requests = [Request(MemOp.READ, 0, 0, 3, 5, tag=i) for i in range(6)]
+        for request in requests:
+            mc.enqueue(request)
+        issued = [req for _, req in mc.drain().issue_order]
+        assert [req.tag for req in issued] != list(range(6))
+        assert sorted(map(id, issued)) == sorted(map(id, requests))
+
+    def test_requests_compare_by_identity(self):
+        a = Request(MemOp.WRITE, 0, 0, 3, 5, data=_data(1))
+        b = Request(MemOp.WRITE, 0, 0, 3, 5, data=_data(1))
+        assert a != b and a == a
+
+
 class TestFences:
     def test_fence_blocks_reordering(self):
         mc, _ = make_controller(policy=SchedulerPolicy.SHUFFLE, seed=0)
