@@ -637,9 +637,10 @@ def _serve_bench(argv=None) -> int:
     )
     parser.add_argument(
         "--exec-mode", default=None, choices=("lockstep", "scalar", "fused"),
-        help="how column triggers execute: the lock-step SIMD interpreter "
-             "(default), the per-unit scalar oracle, or the trace-compiled "
-             "fused executor (see docs/ARCHITECTURE.md)",
+        help="how column triggers execute: the trace-compiled fused "
+             "executor (default), or one of its differential oracles — "
+             "the lock-step SIMD interpreter, the per-unit scalar loop "
+             "(see docs/ARCHITECTURE.md)",
     )
     args = parser.parse_args(argv or [])
     fault_seed = args.seed if args.fault_seed is None else args.fault_seed

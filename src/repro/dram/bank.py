@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -122,10 +122,9 @@ class Bank:
         Python-level loop of single-column peeks.  Like :meth:`peek` it has
         no state or timing effect and returns a fresh copy.
         """
-        grid = self._row_array(row).reshape(
-            self.config.cols_per_row, self.config.col_bytes
-        )
-        return grid[cols].copy() if isinstance(cols, np.ndarray) else grid[list(cols)].copy()
+        grid = self._row_array(row).reshape(-1, self.config.col_bytes)
+        # An index array (never a slice): the gather is already a copy.
+        return grid[cols if isinstance(cols, np.ndarray) else list(cols)]
 
     def poke_columns(self, row: int, cols: np.ndarray, data: np.ndarray) -> None:
         """Write several columns of one row at once (bulk :meth:`poke`).
@@ -203,6 +202,39 @@ class Bank:
         self.state = BankState.IDLE
         self.open_row = None
         self.next_act = max(self.next_act, cycle + t.trp)
+
+    def merge_broadcast(
+        self,
+        open_row: Optional[int],
+        bounds: Tuple[int, int, int, int],
+        counts: Tuple[int, int, int],
+    ) -> None:
+        """Materialise a deferred all-bank update into this bank.
+
+        In the all-bank modes one command drives every bank of the
+        pseudo-channel identically, so the channel advances one shared
+        copy of the row-buffer state and applies it here only when
+        per-bank state can be observed.  ``open_row`` is the shared row
+        buffer (None: idle); ``bounds`` are lower bounds on
+        ``(next_act, next_pre, next_rd, next_wr)`` — the per-command
+        updates are all ``max(own, cycle + t)``, so their running maximum
+        is all a bank has to absorb; ``counts`` are the ACT/RD/WR commands
+        broadcast since the last merge.
+        """
+        self.state = BankState.IDLE if open_row is None else BankState.ACTIVE
+        self.open_row = open_row
+        act, pre, rd, wr = bounds
+        if act > self.next_act:
+            self.next_act = act
+        if pre > self.next_pre:
+            self.next_pre = pre
+        if rd > self.next_rd:
+            self.next_rd = rd
+        if wr > self.next_wr:
+            self.next_wr = wr
+        self.act_count += counts[0]
+        self.rd_count += counts[1]
+        self.wr_count += counts[2]
 
     def force_precharge(self, cycle: int) -> None:
         """Close the bank unconditionally (channel-recovery path).

@@ -27,6 +27,11 @@ class CommandType(enum.Enum):
     WR = "WR"
     REF = "REF"
 
+    # Members are singletons compared by identity; the identity hash keeps
+    # the per-command ``cmd_counts[kind]`` lookups out of Python-level
+    # ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
     @property
     def is_column(self) -> bool:
         return self is CommandType.RD or self is CommandType.WR

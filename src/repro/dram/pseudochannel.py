@@ -39,7 +39,7 @@ class PseudoChannel:
     ):
         self.timing = timing
         self.bank_config = bank_config or BankConfig()
-        self.banks: List[Bank] = [
+        self._banks: List[Bank] = [
             bank_cls(self.bank_config, timing) for _ in range(BANKS_PER_PCH)
         ]
         # Shared-resource history.
@@ -61,6 +61,17 @@ class PseudoChannel:
 
     # -- helpers ------------------------------------------------------------
 
+    @property
+    def banks(self) -> List[Bank]:
+        """The 16 banks, flat (``bg * 4 + ba``).
+
+        The per-bank query point: a subclass that defers bank updates
+        (:class:`repro.pim.device.PimPseudoChannel` in the all-bank modes)
+        brings the banks up to date here; the channel's own command paths
+        use ``_banks``.
+        """
+        return self._banks
+
     def bank(self, bg: int, ba: int) -> Bank:
         """The bank addressed by (bank group, bank)."""
         return self.banks[bg * BANKS_PER_GROUP + ba]
@@ -72,7 +83,7 @@ class PseudoChannel:
         worst-case wait followed by PREA.  Timing legality is not
         re-checked; each bank's next ACT is pushed past ``cycle + tRP``.
         """
-        for bank in self.banks:
+        for bank in self._banks:
             bank.force_precharge(cycle)
             self._absorb(bank)
 
@@ -116,11 +127,12 @@ class PseudoChannel:
 
     def earliest_act(self, bg: int, ba: int) -> int:
         """Earliest legal cycle for an ACT to bank (``bg``, ``ba``)."""
-        return max(self.bank(bg, ba).next_act, self._act_bus_bound(bg))
+        bank = self._banks[bg * BANKS_PER_GROUP + ba]
+        return max(bank.next_act, self._act_bus_bound(bg))
 
     def earliest_pre(self, bg: int, ba: int) -> int:
         """Earliest legal cycle for a PRE to bank (``bg``, ``ba``)."""
-        return self.bank(bg, ba).next_pre
+        return self._banks[bg * BANKS_PER_GROUP + ba].next_pre
 
     def earliest_col(self, bg: int, ba: int, is_write: bool) -> int:
         """Earliest legal cycle for a RD/WR to bank (``bg``, ``ba``).
@@ -129,7 +141,7 @@ class PseudoChannel:
         scheduler uses: the bound depends only on the bank and the
         direction, never on the row, column or data of the request.
         """
-        bank = self.bank(bg, ba)
+        bank = self._banks[bg * BANKS_PER_GROUP + ba]
         return max(
             bank.next_wr if is_write else bank.next_rd,
             self._col_bus_bound(bg, is_write),
@@ -158,14 +170,14 @@ class PseudoChannel:
         kind = cmd.cmd
         self.cmd_counts[kind] += 1
         if kind is CommandType.PREA:
-            for bank in self.banks:
+            for bank in self._banks:
                 bank.precharge(cycle)
                 self._absorb(bank)
             return None
         if kind is CommandType.REF:
             self._refresh_banks(cycle)
             return None
-        bank = self.bank(cmd.bg, cmd.ba)
+        bank = self._banks[cmd.bg * BANKS_PER_GROUP + cmd.ba]
         data = None
         try:
             if kind is CommandType.ACT:
@@ -190,7 +202,7 @@ class PseudoChannel:
     def _refresh_banks(self, cycle: int) -> None:
         """REF: every bank's next ACT waits out tRFC."""
         bound = cycle + self.timing.trfc
-        for bank in self.banks:
+        for bank in self._banks:
             bank.next_act = max(bank.next_act, bound)
         self._max_act = max(self._max_act, bound)
 

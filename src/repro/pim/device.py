@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..dram.bank import BankConfig, TimingViolation
+from ..dram.bank import Bank, BankConfig, TimingViolation
 from ..dram.commands import Command, CommandType
 from ..dram.device import DeviceConfig, HbmDevice
 from ..dram.pseudochannel import BANKS_PER_PCH, PseudoChannel
@@ -42,13 +42,12 @@ class PimPseudoChannel(PseudoChannel):
         bank_cls=None,
         lane_format=None,
     ):
-        from ..dram.bank import Bank
         from ..common.fp16 import FP16
 
         super().__init__(timing, bank_config, bank_cls=bank_cls or Bank)
         self.units: List[PimExecutionUnit] = [
             PimExecutionUnit(
-                u, self.banks[2 * u], self.banks[2 * u + 1],
+                u, self._banks[2 * u], self._banks[2 * u + 1],
                 lane_format=lane_format or FP16,
             )
             for u in range(UNITS_PER_PCH)
@@ -57,8 +56,22 @@ class PimPseudoChannel(PseudoChannel):
         # GRF/SRF into one stacked array, so build it before any register
         # state is written.
         self.lockstep = LockstepGroup(self.units)
-        self.memory_map = PimMemoryMap(self.bank_config.num_rows)
+        self.memory_map = m = PimMemoryMap(self.bank_config.num_rows)
+        self._register_rows = frozenset(
+            row for row in range(m.first_reserved_row, m.num_rows)
+            if m.is_register_row(row)
+        )
         self.mode_ctrl = ModeController(self.memory_map)
+        # Column-to-precharge distances: tRTP, and write recovery.
+        self._rd_to_pre = timing.trtp
+        self._wr_to_pre = timing.cwl + timing.burst_cycles + timing.twr
+        # The shared all-bank state (see ``_sync_banks``): the row open in
+        # every bank, lower bounds on next_act/pre/rd/wr and ACT/RD/WR
+        # counts the banks have yet to absorb.
+        self._ab_row: Optional[int] = None
+        self._ab_act = self._ab_pre = self._ab_rd = self._ab_wr = 0
+        self._ab_acts = self._ab_rds = self._ab_wrs = 0
+        self._ab_stale = False
         self.pim_op_mode = 0
         # Column commands executed in AB-PIM mode never drive the off-chip
         # I/O PHY; the energy model keys off this counter.
@@ -80,6 +93,7 @@ class PimPseudoChannel(PseudoChannel):
         runtime's microkernel cache tracks what is loaded, and a retried
         kernel reprograms whatever it needs before executing.
         """
+        self._sync_banks()
         super().hard_reset(cycle)
         self.mode_ctrl.reset()
         self.pim_op_mode = 0
@@ -109,6 +123,9 @@ class PimPseudoChannel(PseudoChannel):
         and serialise columns at tCCD_L."""
         if not self.mode_ctrl.all_bank:
             return super().earliest_col(bg, ba, is_write)
+        return self._all_bank_col_bound(bg, is_write)
+
+    def _all_bank_col_bound(self, bg: int, is_write: bool) -> int:
         bound = max(
             self._max_wr if is_write else self._max_rd,
             self._col_bus_bound(bg, is_write),
@@ -149,10 +166,15 @@ class PimPseudoChannel(PseudoChannel):
         if cmd.cmd in (CommandType.PRE, CommandType.PREA):
             result = super().issue(cmd, cycle)
             self.mode_ctrl.observe_pre()
-            if self.mode_ctrl.all_bank and not self.all_banks_idle:
-                raise RuntimeError(
-                    "entered AB mode with open rows; precharge all banks first"
-                )
+            if self.mode_ctrl.all_bank:
+                # The shared all-bank view starts idle.  With rows left
+                # open (a driver bug) it no longer describes the banks;
+                # their row state is undefined until ``hard_reset``.
+                self._ab_row = None
+                if not self.all_banks_idle:
+                    raise RuntimeError(
+                        "entered AB mode with open rows; precharge all banks first"
+                    )
             return result
         if cmd.cmd.is_column and self.memory_map.is_register_row(cmd.row):
             # Register access in SB mode targets the unit of the addressed
@@ -163,48 +185,68 @@ class PimPseudoChannel(PseudoChannel):
         return super().issue(cmd, cycle)
 
     def _issue_all_bank(self, cmd: Command, cycle: int) -> Optional[np.ndarray]:
-        bound = self.earliest_issue(cmd)
+        kind = cmd.cmd
+        if kind is CommandType.RD or kind is CommandType.WR:
+            return self._all_bank_column(cmd, cycle, kind is CommandType.WR)
+        if kind is CommandType.ACT:
+            bound = max(self._max_act, self._act_bus_bound(cmd.bg))
+        elif kind is CommandType.REF:
+            bound = self._max_act
+        else:  # PRE and PREA both close every bank
+            bound = self._max_pre
         if cycle < bound:
             raise TimingViolation(f"{cmd!r} at {cycle} before bound {bound}")
-        kind = cmd.cmd
         self.cmd_counts[kind] += 1
-        if kind is CommandType.REF:
+        t = self.timing
+        if kind is CommandType.ACT:
+            self.mode_ctrl.observe_act(cmd.row)
+            if self._ab_row is not None:
+                raise TimingViolation("ACT to a bank with an open row")
+            self._ab_row = cmd.row
+            self._ab_acts += 1
+            self._ab_stale = True
+            self._raise_col_bounds(cycle + t.trcd)
+            self._raise_pre_bound(cycle + t.tras)
+            self._raise_act_bound(cycle + t.trc)
+            self._record_act(cmd.bg, cycle)
+        elif kind is CommandType.REF:
             self._refresh_banks(cycle)
-            return None
-        if kind.is_column and self.memory_map.is_register_row(cmd.row):
-            # Register rows are decoded ahead of the banks: broadcast writes
-            # program every unit identically; reads return the addressed
-            # unit's copy.  Bank state is untouched (no row needs to be open
-            # in a register row).
-            self._record_col(cmd.bg, cycle, kind is CommandType.WR)
-            return self._register_access(cmd, self.units)
-        # Broadcast.  Banks in an all-bank mode share one (state, open_row)
-        # and every bank receives the same bound update, so absorbing bank 0
-        # — also when a failed bank's data path raises mid-loop — keeps the
-        # channel maxima exact.
-        try:
-            if kind is CommandType.ACT:
-                self.mode_ctrl.observe_act(cmd.row)
-                for bank in self.banks:
-                    bank.activate(cmd.row, cycle)
-                self._record_act(cmd.bg, cycle)
-                return None
-            if kind is CommandType.PRE or kind is CommandType.PREA:
-                for bank in self.banks:
-                    bank.precharge(cycle)
-                self.mode_ctrl.observe_pre()
-                return None
-            return self._all_bank_column(cmd, cycle, kind is CommandType.WR)
-        finally:
-            self._absorb(self.banks[0])
+        else:
+            if self._ab_row is not None:  # PRE to idle banks is a NOP
+                self._ab_row = None
+                self._ab_stale = True
+                self._raise_act_bound(cycle + t.trp)
+            self.mode_ctrl.observe_pre()
+            if not self.mode_ctrl.all_bank:
+                self._sync_banks()
+        return None
 
     def _all_bank_column(
         self, cmd: Command, cycle: int, is_write: bool
     ) -> Optional[np.ndarray]:
+        bound = self._all_bank_col_bound(cmd.bg, is_write)
+        if cycle < bound:
+            raise TimingViolation(f"{cmd!r} at {cycle} before bound {bound}")
+        self.cmd_counts[cmd.cmd] += 1
         row = cmd.row
+        if row in self._register_rows:
+            # Register rows are decoded ahead of the banks: broadcast writes
+            # program every unit identically; reads return the addressed
+            # unit's copy.  Bank state is untouched (no row needs to be open
+            # in a register row).
+            self._record_col(cmd.bg, cycle, is_write)
+            return self._register_access(cmd, self.units)
+        open_row = self._ab_row
+        if open_row is None:
+            raise TimingViolation("column command to a bank with no open row")
+        if open_row != row:
+            raise TimingViolation(
+                f"column command to row {row} but row {open_row} is open"
+            )
+        pre_bound = cycle + (self._wr_to_pre if is_write else self._rd_to_pre)
         if self.mode_ctrl.pim_executing:
-            for bank in self.banks:
-                bank.touch_column(row, cycle, is_write)
+            self._ab_stale = True
+            self._raise_pre_bound(pre_bound)
             self._record_col(cmd.bg, cycle, is_write)
             self.pim_triggered_columns += 1
             trig = ColumnTrigger(
@@ -213,18 +255,93 @@ class PimPseudoChannel(PseudoChannel):
             self.lockstep.trigger_all(trig)
             # AB-PIM column commands do not drive data to the external I/O.
             return None
+        # AB (non-PIM): the burst moves through every bank's data path, one
+        # bank at a time, so SEC-DED checks and failed-channel errors fire
+        # per bank.
+        col, data = cmd.col, cmd.data
+        reached = 0
+        try:
+            for bank in self._banks:
+                reached += 1
+                if is_write:
+                    bank.poke(row, col, data)
+                else:
+                    bank.peek(row, col)
+        except BaseException:
+            # A bank's bounds and counts move before its data path runs:
+            # when bank ``reached - 1`` raises, it and the banks before it
+            # have taken the command and the banks after it have not.
+            counts = (0, 0, 1) if is_write else (0, 1, 0)
+            for bank in self._banks[:reached]:
+                bank.merge_broadcast(row, (0, pre_bound, 0, 0), counts)
+            if pre_bound > self._max_pre:
+                self._max_pre = pre_bound
+            raise
+        self._ab_stale = True
+        self._raise_pre_bound(pre_bound)
         if is_write:
-            for bank in self.banks:
-                bank.write(row, cmd.col, cmd.data, cycle)
+            self._ab_wrs += 1
         else:
-            for bank in self.banks:
-                bank.read(row, cmd.col, cycle)
+            self._ab_rds += 1
         self._record_col(cmd.bg, cycle, is_write)
         self.ab_broadcast_columns += 1
         if is_write:
             return None
         # AB (non-PIM) read: the addressed bank's data reaches the I/O.
-        return self.banks[cmd.bank_index].peek(row, cmd.col)
+        return self._banks[cmd.bank_index].peek(row, col)
+
+    # -- the shared all-bank state ----------------------------------------------------
+    #
+    # Every bank of an all-bank mode holds the same (state, open_row) and
+    # takes the same ``max(own, cycle + t)`` bound update from each
+    # command, so a broadcast checks and advances one shared copy — the
+    # open row, the running maximum of each kind of update, the command
+    # counts — and the 16 ``Bank`` objects are brought up to date only
+    # where per-bank state can be observed: the exit to SB, ``hard_reset``,
+    # and any access through ``banks`` / ``bank()`` (tests, the fault
+    # injector, ``reset_channel``).  The channel maxima are kept current on
+    # every command.  ``tests/pim/reference_device.py`` holds the 16-bank
+    # loop this replaced, as the differential oracle.
+
+    @property
+    def banks(self) -> List[Bank]:
+        if self._ab_stale:
+            self._sync_banks()
+        return self._banks
+
+    def _sync_banks(self) -> None:
+        """Materialise the deferred all-bank update into every bank."""
+        if not self._ab_stale:
+            return
+        self._ab_stale = False
+        bounds = (self._ab_act, self._ab_pre, self._ab_rd, self._ab_wr)
+        counts = (self._ab_acts, self._ab_rds, self._ab_wrs)
+        for bank in self._banks:
+            bank.merge_broadcast(self._ab_row, bounds, counts)
+        self._ab_act = self._ab_pre = self._ab_rd = self._ab_wr = 0
+        self._ab_acts = self._ab_rds = self._ab_wrs = 0
+
+    def _raise_act_bound(self, bound: int) -> None:
+        if bound > self._ab_act:
+            self._ab_act = bound
+        if bound > self._max_act:
+            self._max_act = bound
+
+    def _raise_pre_bound(self, bound: int) -> None:
+        if bound > self._ab_pre:
+            self._ab_pre = bound
+        if bound > self._max_pre:
+            self._max_pre = bound
+
+    def _raise_col_bounds(self, bound: int) -> None:
+        if bound > self._ab_rd:
+            self._ab_rd = bound
+        if bound > self._ab_wr:
+            self._ab_wr = bound
+        if bound > self._max_rd:
+            self._max_rd = bound
+        if bound > self._max_wr:
+            self._max_wr = bound
 
     # -- register-mapped access -----------------------------------------------------
 

@@ -29,7 +29,8 @@ interpretation layer by *trace compilation*:
 
 **Cache keys are content signatures**, not identities: the channel id,
 the uniform sequencer entry state, every CRF word of the program, and
-the per-trigger ``(is_write, row, col, has_host)`` pattern.  A CRF fault
+the per-trigger ``(is_write, row, col, has_host)`` pattern — the last two
+packed into exact ``bytes`` (no digest), a few KB per entry.  A CRF fault
 upset therefore *cannot* replay a stale program — the flipped word
 changes the key — and the fault injector additionally calls
 :meth:`TraceCache.invalidate_channel` (modelling the driver dropping its
@@ -59,6 +60,7 @@ self-healing layer discards before retrying.
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -306,13 +308,16 @@ class FusedLockstepGroup(LockstepGroup):
             if unit.regs.crf != crf:
                 self._interpret(tape)
                 return
-        sig = tuple(
-            (t.is_write, t.row, t.col, t.host_data is not None) for t in tape
-        )
-        key = (self.channel_id, entry_state, tuple(crf), sig)
+        try:
+            key = (self.channel_id, entry_state, *_pack_signature(crf, tape))
+        except OverflowError:
+            # A word, row or column beyond the packed widths: nothing the
+            # kernels emit; the interpreter raises whatever it always did.
+            self._interpret(tape)
+            return
         entry = self.cache.get(key)
         if entry is None:
-            entry = self._compile(sig, entry_state)
+            entry = self._compile(tape, entry_state)
             self.cache.put(key, entry)
         if entry.poisoned or any(
             self._any_failed(space) for space in entry.bank_spaces
@@ -353,18 +358,18 @@ class FusedLockstepGroup(LockstepGroup):
         ``k * words_per_col`` on either path.
         """
         if all(type(b) is EccBank and b.use_vectorized for b in banks):
-            raw = np.stack([Bank.peek_columns(b, row, cols) for b in banks])
+            raw = np.array([Bank.peek_columns(b, row, cols) for b in banks])
             words = raw.view("<u8")  # (units, k, words_per_col)
             config = banks[0].config
             wpc = config.col_bytes // 8
             idx = (np.asarray(cols)[:, None] * wpc + np.arange(wpc)).ravel()
-            checks = np.stack([b._check_array(row)[idx] for b in banks])
+            checks = np.array([b._check_array(row)[idx] for b in banks])
             if check_words(words.ravel(), checks.ravel()).all():
                 per_bank = words[0].size
                 for b in banks:
                     b.ecc_stats.words_checked += per_bank
                 return raw
-        return np.stack([b.peek_columns(row, cols) for b in banks])
+        return np.array([b.peek_columns(row, cols) for b in banks])
 
     def _exec_group(self, group: _GroupStep, tape: List[ColumnTrigger]) -> None:
         units = self.units
@@ -377,9 +382,9 @@ class FusedLockstepGroup(LockstepGroup):
                 stacked = self._gather_bank(banks, row, cols)
                 values.append(stacked.view(np.float16))  # (units, k, 16)
             elif kind == "host":
-                positions = plan[1]
+                bursts = np.array([tape[i].host_data for i in plan[1]])
                 values.append(
-                    np.stack([tape[i].host_fp16() for i in positions])[None]
+                    np.ascontiguousarray(bursts, dtype=np.uint8).view(np.float16)[None]
                 )  # (1, k, 16) broadcast over units
             elif kind == "grf":
                 values.append(self.stacked.grf(plan[1])[:, plan[2], :])
@@ -413,14 +418,18 @@ class FusedLockstepGroup(LockstepGroup):
 
     # -- compilation -------------------------------------------------------------
 
-    def _compile(self, sig: tuple, entry_state: tuple) -> CompiledTrace:
+    def _compile(
+        self, tape: List[ColumnTrigger], entry_state: tuple
+    ) -> CompiledTrace:
         crf = self.units[0].regs.crf
         ppc, exited, nop_remaining, jump_items = entry_state
         jump: Dict[int, int] = dict(jump_items)
         poisoned = CompiledTrace(poisoned=True)
         steps: List[_Step] = []
         triggers = instructions = flops = bank_reads = bank_writes = ignored = 0
-        for pos, (is_write, row, col, has_host) in enumerate(sig):
+        for pos, trig in enumerate(tape):
+            is_write, row, col = trig.is_write, trig.row, trig.col
+            has_host = trig.host_data is not None
             triggers += 1
             if exited:
                 # The interpreter requires *every* unit exited for the
@@ -467,10 +476,27 @@ class FusedLockstepGroup(LockstepGroup):
             stat_deltas=(
                 triggers, instructions, flops, bank_reads, bank_writes, ignored,
             ),
-            batched_triggers=len(sig),
+            batched_triggers=len(tape),
             end_state=(ppc, exited, nop_remaining, tuple(sorted(jump.items()))),
             bank_spaces=tuple(spaces),
         )
+
+
+def _pack_signature(
+    crf: Sequence[int], tape: List[ColumnTrigger]
+) -> Tuple[bytes, bytes]:
+    """The CRF program and the tape's command pattern as exact ``bytes``.
+
+    Every CRF word is packed as a u32; the tape as its rows followed by
+    one ``col << 2 | is_write << 1 | has_host`` word per trigger, i32
+    each — fixed-width fields of a known count, so equal bytes mean equal
+    content.  Raises :class:`OverflowError` for a value that does not fit.
+    """
+    words = [t.row for t in tape]
+    words.extend(
+        t.col << 2 | t.is_write << 1 | (t.host_data is not None) for t in tape
+    )
+    return array("I", crf).tobytes(), array("i", words).tobytes()
 
 
 def _plan_step(
@@ -578,10 +604,10 @@ class _GroupBuilder:
         self.cols.add(step.col)
         self.reg_writes |= step.reg_writes
 
-    def finish(self) -> _GroupStep:
+    def finish(self, index_array) -> _GroupStep:
         steps = self.steps
         first = steps[0]
-        cols = np.array([s.col for s in steps])
+        cols = index_array(s.col for s in steps)
         positions = [s.pos for s in steps]
         reads = []
         for j, plan in enumerate(first.reads):
@@ -592,12 +618,12 @@ class _GroupBuilder:
                 reads.append(("host", positions))
             else:  # grf / srf
                 reads.append(
-                    (kind, plan[1], np.array([s.reads[j][2] for s in steps]))
+                    (kind, plan[1], index_array(s.reads[j][2] for s in steps))
                 )
         if first.dst[0] == "bank":
             dst = ("bank", first.dst[1], first.row, cols)
         else:
-            dst = ("grf", first.dst[1], np.array([s.dst[2] for s in steps]))
+            dst = ("grf", first.dst[1], index_array(s.dst[2] for s in steps))
         return _GroupStep(
             opcode=first.instr.opcode,
             relu=first.instr.relu,
@@ -615,4 +641,16 @@ def _fuse_steps(steps: List[_Step]) -> List[_GroupStep]:
             builders[-1].add(step)
         else:
             builders.append(_GroupBuilder(step))
-    return [b.finish() for b in builders]
+    # A trace's groups repeat a handful of index patterns (columns 0..7,
+    # registers 0..7): one read-only array per distinct pattern.
+    pool: Dict[tuple, np.ndarray] = {}
+
+    def index_array(values) -> np.ndarray:
+        key = tuple(values)
+        indices = pool.get(key)
+        if indices is None:
+            indices = pool[key] = np.array(key)
+            indices.setflags(write=False)
+        return indices
+
+    return [b.finish(index_array) for b in builders]

@@ -24,6 +24,7 @@ constructor still works through a thin shim that emits a
 from __future__ import annotations
 
 import warnings
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
@@ -109,13 +110,14 @@ class SystemConfig:
     #   "scalar"   — the per-unit loop plus per-word scalar SEC-DED
     #                everywhere (the historical path; differential oracle).
     #   "lockstep" — one stacked SIMD op per broadcast column command
-    #                (the PR 5 default; also an oracle for "fused").
+    #                (differential oracle for "fused").
     #   "fused"    — trace-compile whole AB-PIM trigger windows into
     #                grouped array ops, cached by content signature
     #                (repro.pim.fused).  Falls back to lockstep/scalar
     #                for anything irregular, so all three are bit-exact.
-    # None means "lockstep".  The historical ``scalar_exec`` bool is a
-    # deprecated alias (see docs/MIGRATION.md); mixing both is an error.
+    # None means "fused": the one production path.  The historical
+    # ``scalar_exec`` bool is a deprecated alias (see docs/MIGRATION.md);
+    # mixing both is an error.
     exec_mode: Optional[str] = None
     scalar_exec: Optional[bool] = None
     # LRU bound of the fused executor's compiled-trace cache.
@@ -148,8 +150,8 @@ class SystemConfig:
 
     @property
     def execution_mode(self) -> str:
-        """The resolved execution mode ("lockstep" when unset)."""
-        return self.exec_mode or "lockstep"
+        """The resolved execution mode ("fused" when unset)."""
+        return self.exec_mode or "fused"
 
     def replace(self, **overrides) -> "SystemConfig":
         """A copy with ``overrides`` applied (dataclasses.replace)."""
@@ -320,7 +322,11 @@ class PimExecutor:
         gemv_cache_size: int = 32,
         elementwise_cache_size: int = 64,
     ):
-        self.sys = system
+        # A proxy, handed on to every kernel the executor builds: the
+        # system owns its executor, and a strong reference back would keep
+        # a dropped system — banks, weights, compiled traces — alive until
+        # a full garbage collection instead of freeing it on the spot.
+        self.sys = weakref.proxy(system)
         self.gemv_cache_size = gemv_cache_size
         self.elementwise_cache_size = elementwise_cache_size
         self._gemv_cache: "OrderedDict[Tuple, GemvKernel]" = OrderedDict()

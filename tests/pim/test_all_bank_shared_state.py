@@ -1,0 +1,341 @@
+"""Differential oracle: one shared all-bank update vs the 16-bank loop.
+
+``PimPseudoChannel`` advances one shared copy of the bank state per AB /
+AB-PIM command and brings the ``Bank`` objects up to date only where
+per-bank state can be observed.  ``ReferencePimPseudoChannel`` is the
+per-bank loop it replaced.  Twin channels take the same random command
+streams — legal and illegal, through every mode — and must agree on
+everything: return data, exception type and text, channel maxima,
+shared-bus history, counters, and (at every observation point) each
+bank's ``(state, open_row, next_act/pre/rd/wr, act/rd/wr_count)``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.dram.bank import BankConfig, TimingViolation
+from repro.dram.commands import Command, CommandType
+from repro.dram.ecc import EccBank, UncorrectableError
+from repro.dram.timing import HBM2_1GHZ
+from repro.errors import PimChannelError
+from repro.pim.assembler import assemble_words
+from repro.pim.device import PimPseudoChannel
+from repro.pim.modes import PimMode
+
+from .reference_device import ReferencePimPseudoChannel
+
+NUM_ROWS = 64
+BAD_ENTRY = "entered AB mode with open rows; precharge all banks first"
+# Reads the even bank on RD triggers (so a failed bank is felt inside a
+# window), rejects WR triggers, and runs out after eight.
+PROGRAM = "FILL GRF_A[A], EVEN_BANK\nJUMP -1, 7\nEXIT"
+
+
+def bank_state(channel):
+    return [
+        (
+            b.state, b.open_row, b.next_act, b.next_pre, b.next_rd, b.next_wr,
+            b.act_count, b.rd_count, b.wr_count, b.is_failed,
+        )
+        for b in channel.banks
+    ]
+
+
+def channel_state(channel):
+    """Everything but the banks: read without touching ``banks``."""
+    return (
+        channel.mode,
+        (channel._max_act, channel._max_pre, channel._max_rd, channel._max_wr),
+        (channel._last_col_cycle, channel._last_col_bg, channel._last_col_was_write),
+        (channel._last_act_cycle, channel._last_act_bg, tuple(channel._act_window)),
+        dict(channel.cmd_counts),
+        (channel.pim_triggered_columns, channel.ab_broadcast_columns),
+        channel.pim_op_mode,
+        [unit.stats for unit in channel.units],
+    )
+
+
+def bank_data(channel):
+    return [
+        {row: bank._rows[row].tobytes() for row in bank.materialized_rows()}
+        for bank in channel._banks
+    ]
+
+
+class Twins:
+    """The channel under test and the oracle, driven in lock-step."""
+
+    def __init__(self, bank_cls=None):
+        config = BankConfig(num_rows=NUM_ROWS)
+        self.new = PimPseudoChannel(HBM2_1GHZ, config, bank_cls=bank_cls)
+        self.ref = ReferencePimPseudoChannel(HBM2_1GHZ, config, bank_cls=bank_cls)
+        self.map = self.new.memory_map
+        self.clock = 0
+
+    def both(self, action):
+        """Run ``action(channel)`` on each side; the outcomes must match."""
+        outcomes = []
+        for channel in (self.new, self.ref):
+            try:
+                result = action(channel)
+                outcomes.append(
+                    ("ok", None if result is None else np.asarray(result).tobytes())
+                )
+            except Exception as exc:  # compared, not swallowed
+                outcomes.append(("raised", type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        assert channel_state(self.new) == channel_state(self.ref)
+        return outcomes[0]
+
+    def observe(self):
+        assert bank_state(self.new) == bank_state(self.ref)
+        assert bank_data(self.new) == bank_data(self.ref)
+        new = self.new
+        assert new._max_act == max(b.next_act for b in new.banks)
+        assert new._max_pre == max(b.next_pre for b in new.banks)
+        assert new._max_rd == max(b.next_rd for b in new.banks)
+        assert new._max_wr == max(b.next_wr for b in new.banks)
+
+    def issue(self, kind, bank=0, row=0, col=0, value=None, early=False, slack=0):
+        """Issue one command at its earliest cycle plus ``slack`` — or, with
+        ``early``, one cycle too soon."""
+        data = None if value is None else np.full(32, value, dtype=np.uint8)
+        cmd = Command(kind, bank // 4, bank % 4, row=row, col=col, data=data)
+        bound = self.new.earliest_issue(cmd)
+        assert bound == self.ref.earliest_issue(cmd)
+        if early and bound > 0:
+            cycle = bound - 1
+        else:
+            cycle = self.clock = max(self.clock + 1, bound) + slack
+        outcome = self.both(lambda channel: channel.issue(cmd, cycle))
+        if outcome[0] == "raised" and outcome[2] == BAD_ENTRY:
+            # The banks no longer share one row state: undefined until the
+            # driver's recovery sequence has run.
+            self.reset()
+        return outcome
+
+    def reset(self):
+        self.clock += 50
+        self.both(lambda channel: channel.hard_reset(self.clock))
+
+    def enter_ab(self):
+        self.issue(CommandType.PREA)
+        self.issue(CommandType.ACT, row=self.map.abmr_row)
+        self.issue(CommandType.PRE)
+
+    def exit_ab(self):
+        self.issue(CommandType.ACT, row=self.map.sbmr_row)
+        self.issue(CommandType.PRE)
+
+    def program(self):
+        words = np.array(assemble_words(PROGRAM)[:8], dtype="<u4").view(np.uint8)
+        for channel in (self.new, self.ref):
+            for unit in channel.units:
+                unit.regs.write_crf_column(0, words)
+
+    def set_pim(self, on):
+        data = np.zeros(32, dtype=np.uint8)
+        data[0] = on
+        cmd = Command(
+            CommandType.WR, 0, 0, row=self.map.conf_row,
+            col=self.map.PIM_OP_MODE_COL, data=data,
+        )
+        bound = self.new.earliest_issue(cmd)
+        self.clock = max(self.clock + 1, bound)
+        self.both(lambda channel: channel.issue(cmd, self.clock))
+
+
+# Rows: three data rows, every reserved row (mode registers, PIM_CONF,
+# GRF, SRF) by name, and — often, or legal columns would be rare — the row
+# the addressed bank has open.
+ROW = st.sampled_from(
+    [0, 1, 2, "open", "open", "open", "abmr", "sbmr", "conf", "grf", "srf"]
+)
+COMMAND = st.tuples(
+    st.sampled_from(
+        [CommandType.ACT, CommandType.RD, CommandType.WR, CommandType.RD,
+         CommandType.WR, CommandType.PRE, CommandType.PREA, CommandType.REF]
+    ),
+    st.integers(0, 15),  # bank
+    ROW,
+    st.integers(0, 9),  # col (8, 9: out of range for the SRF)
+    st.integers(0, 255),  # write value
+    st.sampled_from([False, False, False, True]),  # one cycle early
+    st.sampled_from([0, 0, 3, 40]),  # slack
+)
+STEP = st.one_of(
+    COMMAND, COMMAND, COMMAND, COMMAND, COMMAND,
+    st.sampled_from(
+        ["enter_ab", "enter_ab", "exit_ab", "pim_on", "pim_on", "pim_off",
+         "observe", "observe", "observe", "reset"]
+    ),
+    st.sampled_from(
+        ["enter_ab", "enter_ab", "exit_ab", "pim_on", "pim_on", "pim_off",
+         "observe", "observe", "observe", ("fail", 0), ("fail", 9), ("fail", 15)]
+    ),
+)
+# Where a stream starts: most of the interesting state is two mode
+# transitions and an ACT away from power-up.
+START = st.sampled_from([PimMode.SB, PimMode.AB, PimMode.AB, PimMode.AB_PIM, PimMode.AB_PIM])
+
+
+def resolve_row(twins, row, bank):
+    if isinstance(row, int):
+        return row
+    if row == "open":
+        return twins.ref._banks[bank].open_row or 0
+    return getattr(twins.map, f"{row}_row")
+
+
+@settings(max_examples=300, deadline=None)
+@given(START, st.lists(STEP, min_size=1, max_size=60))
+def test_random_streams_agree_with_the_per_bank_loop(start, steps):
+    twins = Twins()
+    twins.program()
+    # Uneven per-bank bounds and counts before the first broadcast.
+    twins.issue(CommandType.ACT, bank=5, row=1)
+    twins.issue(CommandType.WR, bank=5, row=1, col=2, value=9)
+    twins.issue(CommandType.ACT, bank=9, row=2, slack=7)
+    if start is not PimMode.SB:
+        twins.enter_ab()
+        twins.issue(CommandType.ACT, row=1)
+        if start is PimMode.AB_PIM:
+            twins.set_pim(1)
+    for step in steps:
+        if step == "observe":
+            twins.observe()
+        elif step == "reset":
+            twins.reset()
+        elif step == "enter_ab":
+            twins.enter_ab()
+        elif step == "exit_ab":
+            twins.exit_ab()
+        elif step == "pim_on":
+            twins.set_pim(1)
+        elif step == "pim_off":
+            twins.set_pim(0)
+        elif step[0] == "fail":
+            # Through ``banks``: fault injection is an observation point.
+            for channel in (twins.new, twins.ref):
+                channel.banks[step[1]].fail(0)
+        else:
+            kind, bank, row, col, value, early, slack = step
+            twins.issue(
+                kind, bank, resolve_row(twins, row, bank), col,
+                value if kind is CommandType.WR else None, early, slack,
+            )
+    twins.observe()
+
+
+def test_the_stream_strategy_reaches_every_mode_and_error():
+    """A fixed walk through what the random streams are meant to reach —
+    so a change to the strategy that stops covering a case fails here."""
+    twins = Twins()
+    twins.program()
+    # Uneven per-bank history before the first broadcast.
+    twins.issue(CommandType.ACT, bank=5, row=1)
+    twins.issue(CommandType.WR, bank=5, row=1, col=2, value=9)
+    twins.issue(CommandType.ACT, bank=9, row=2)
+    twins.enter_ab()
+    assert twins.new.mode is PimMode.AB
+    assert twins.issue(CommandType.RD, row=1)[:2] == ("raised", TimingViolation)
+    twins.issue(CommandType.ACT, row=1)
+    assert twins.issue(CommandType.ACT, row=2) == (
+        "raised", TimingViolation, "ACT to a bank with an open row"
+    )
+    assert twins.issue(CommandType.RD, row=2) == (
+        "raised", TimingViolation, "column command to row 2 but row 1 is open"
+    )
+    assert twins.issue(CommandType.RD, row=1, early=True)[:2] == (
+        "raised", TimingViolation
+    )
+    twins.issue(CommandType.WR, row=1, col=3, value=7)
+    assert twins.issue(CommandType.RD, bank=6, row=1, col=3)[0] == "ok"
+    twins.issue(CommandType.WR, row=twins.map.grf_row, col=1, value=3)
+    twins.set_pim(1)
+    assert twins.new.mode is PimMode.AB_PIM
+    for col in range(10):  # eight executed, two ignored after EXIT
+        twins.issue(CommandType.RD, row=1, col=col % 8)
+    twins.issue(CommandType.REF)
+    twins.observe()
+    twins.issue(CommandType.PREA)
+    assert twins.issue(CommandType.WR, row=1, value=1) == (
+        "raised", TimingViolation, "column command to a bank with no open row"
+    )
+    twins.set_pim(0)
+    twins.exit_ab()
+    assert twins.new.mode is PimMode.SB
+    twins.observe()
+    twins.issue(CommandType.ACT, bank=3, row=0)
+    twins.issue(CommandType.RD, bank=3, row=0, col=1)
+    twins.observe()
+
+
+@pytest.mark.parametrize("mode", [PimMode.AB, PimMode.AB_PIM])
+def test_deferred_state_lands_before_a_mid_window_reset(mode):
+    twins = Twins()
+    twins.program()
+    twins.enter_ab()
+    twins.issue(CommandType.ACT, row=2)
+    if mode is PimMode.AB_PIM:
+        twins.set_pim(1)
+    for col in range(4):
+        twins.issue(CommandType.RD, row=2, col=col)
+    twins.reset()
+    assert twins.new.mode is PimMode.SB
+    twins.observe()
+    assert all(bank.open_row is None for bank in twins.new.banks)
+
+
+@pytest.mark.parametrize("failed", [0, 6, 15])
+@pytest.mark.parametrize("kind", [CommandType.RD, CommandType.WR])
+def test_a_failed_bank_unwinds_the_broadcast_where_the_loop_did(failed, kind):
+    twins = Twins()
+    twins.enter_ab()
+    twins.issue(CommandType.ACT, row=1)
+    twins.issue(CommandType.WR, row=1, col=0, value=5)
+    for channel in (twins.new, twins.ref):
+        channel.banks[failed].fail(0)
+    outcome = twins.issue(kind, row=1, col=1, value=6 if kind is CommandType.WR else None)
+    assert outcome[:2] == ("raised", PimChannelError)
+    twins.observe()
+    taken = [b.rd_count + b.wr_count == 2 for b in twins.new.banks]
+    assert taken == [index <= failed for index in range(16)]
+    # Still in AB mode, banks no longer alike: further broadcasts keep
+    # matching the loop.
+    twins.issue(CommandType.PREA)
+    twins.issue(CommandType.ACT, row=2)
+    twins.observe()
+
+
+def test_an_uncorrectable_word_unwinds_the_broadcast_where_the_loop_did():
+    twins = Twins(bank_cls=EccBank)
+    twins.enter_ab()
+    twins.issue(CommandType.ACT, row=1)
+    twins.issue(CommandType.WR, row=1, col=0, value=5)
+    for channel in (twins.new, twins.ref):
+        for bit in (3, 17):
+            channel.banks[4].inject_error(1, 0, bit)
+    assert twins.issue(CommandType.RD, row=1, col=0)[:2] == (
+        "raised", UncorrectableError
+    )
+    twins.observe()
+    assert [b.rd_count for b in twins.new.banks] == [1] * 5 + [0] * 11
+    assert [b.ecc_stats for b in twins.new.banks] == [
+        b.ecc_stats for b in twins.ref.banks
+    ]
+
+
+def test_entering_ab_with_open_rows_still_raises_and_recovers():
+    twins = Twins()
+    twins.issue(CommandType.ACT, bank=7, row=1)
+    twins.issue(CommandType.ACT, bank=0, row=twins.map.abmr_row)
+    outcome = twins.issue(CommandType.PRE, bank=0)  # resets both on the error
+    assert outcome == ("raised", RuntimeError, BAD_ENTRY)
+    assert twins.new.mode is PimMode.SB
+    twins.observe()
+    twins.enter_ab()
+    twins.issue(CommandType.ACT, row=0)
+    twins.observe()

@@ -132,15 +132,34 @@ class TestSystemKnob:
         assert system._trace_cache.limit == 4
         assert system.driver.trace_cache is system._trace_cache
 
-    def test_non_fused_modes_build_no_cache(self):
+    def test_default_builds_fused_groups_and_one_cache(self):
         from repro.stack.runtime import PimSystem, SystemConfig
 
-        for mode in (None, "lockstep", "scalar"):
+        assert SystemConfig().execution_mode == "fused"
+        for config in (
+            SystemConfig(num_pchs=2, num_rows=64),
+            SystemConfig(num_pchs=2, num_rows=64, exec_mode="fused"),
+        ):
+            system = PimSystem(config)
+            assert system._trace_cache is not None
+            assert system.driver.trace_cache is system._trace_cache
+            for channel in system.device.pchs:
+                assert type(channel.lockstep) is FusedLockstepGroup
+                assert channel.lockstep.cache is system._trace_cache
+
+    def test_non_fused_modes_build_no_cache(self):
+        """The oracles are explicit: neither wires a compiled-trace path."""
+        from repro.pim.lockstep import LockstepGroup
+        from repro.stack.runtime import PimSystem, SystemConfig
+
+        for mode in ("lockstep", "scalar"):
             system = PimSystem(
                 SystemConfig(num_pchs=2, num_rows=64, exec_mode=mode)
             )
             assert system._trace_cache is None
             assert system.driver.trace_cache is None
+            for channel in system.device.pchs:
+                assert type(channel.lockstep) is LockstepGroup
 
 
 class TestReplicaIndependence:

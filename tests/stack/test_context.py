@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.stack.api import Request, ServerConfig
 from repro.stack.blas import PimBlas, gemv_reference
 from repro.stack.context import PimContext
 from repro.stack.profiler import Profiler, RequestStats, ServingProfile
@@ -134,6 +135,31 @@ class TestPimContext:
             system = ctx.system
             assert len(system.driver.channels_free) == 0
         assert len(system.driver.channels_free) == system.num_pchs
+
+    def test_dropped_context_is_freed_without_a_garbage_collection(self):
+        """The executor and its kernels refer back to the system weakly, so
+        nothing waits for a full collection to release the device."""
+        import gc
+        import weakref
+
+        w = rand((32, 48), 0)
+        gc.disable()
+        try:
+            ctx = PimContext(SystemConfig.fast_functional())
+            ctx.blas.gemv(w, rand(48, 1))
+            ctx.blas.add(rand(64, 2), rand(64, 3))
+            with ctx.server(ServerConfig(lanes=2)) as server:
+                server.submit(Request("gemv", weights=w, a=rand(48, 4)))
+                server.run()
+            system, device = weakref.ref(ctx.system), weakref.ref(ctx.system.device)
+            operator = ctx.system.executor.gemv_operator(w)
+            ctx.close()
+            del ctx, server
+            assert system() is None and device() is None
+            with pytest.raises(ReferenceError):
+                operator.sys.num_pchs
+        finally:
+            gc.enable()
 
     def test_attach_mode_context(self):
         ctx = PimContext(SystemConfig.fast_functional(), reports="attach")
