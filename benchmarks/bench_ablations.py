@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.perf.latency import PIM_HBM, Calibration, LatencyModel
-from repro.stack.runtime import PimSystem
+from repro.stack.runtime import PimSystem, SystemConfig
 from repro.stack.kernels import GemvKernel
 
 
@@ -80,7 +80,7 @@ def test_ablation_mode_switch_overhead(benchmark):
     the paper's argument against privileged mode-register writes."""
 
     def measure():
-        system = PimSystem(num_pchs=1, num_rows=64)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=64))
         mc = system.controller(0)
         mm = system.device.pch(0).memory_map
         start = mc.current_cycle
@@ -100,7 +100,7 @@ def test_ablation_aam_window_equals_grf_depth(benchmark):
     fencing every 8 commands is sufficient for correctness under FR-FCFS."""
 
     def run():
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         rng = np.random.default_rng(0)
         w = (rng.standard_normal((128, 64)) * 0.2).astype(np.float16)
         x = (rng.standard_normal(64) * 0.2).astype(np.float16)

@@ -56,10 +56,10 @@ def test_collaborative_speedup_at_crossover(benchmark):
 def test_optimal_split_functional_check(benchmark):
     """The chosen split computes the right answer on the simulator."""
     import numpy as np
-    from repro.stack.runtime import PimSystem
+    from repro.stack.runtime import PimSystem, SystemConfig
 
     def run():
-        system = PimSystem(num_pchs=2, num_rows=256)
+        system = PimSystem(SystemConfig(num_pchs=2, num_rows=256))
         m, n = 512, 128
         rng = np.random.default_rng(0)
         w = (rng.standard_normal((m, n)) * 0.1).astype(np.float16)

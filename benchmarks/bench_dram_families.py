@@ -15,11 +15,11 @@ import pytest
 from repro.dram.timing import DRAM_FAMILIES
 from repro.stack.blas import gemv_reference
 from repro.stack.kernels import GemvKernel
-from repro.stack.runtime import PimSystem
+from repro.stack.runtime import PimSystem, SystemConfig
 
 
 def _run_family(timing):
-    system = PimSystem(num_pchs=1, num_rows=128, timing=timing)
+    system = PimSystem(SystemConfig(num_pchs=1, num_rows=128, timing=timing))
     rng = np.random.default_rng(0)
     w = (rng.standard_normal((128, 128)) * 0.1).astype(np.float16)
     x = (rng.standard_normal(128) * 0.1).astype(np.float16)

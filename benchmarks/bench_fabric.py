@@ -210,9 +210,7 @@ def main(argv=None) -> int:
     # (num_rows=256); more would overflow the 1-worker baseline's driver
     # allocation and collapse it onto the host path.
     distinct = 8
-    config = SystemConfig(
-        num_pchs=4, num_rows=256, simulate_pchs=1, server_seed=args.seed
-    )
+    config = SystemConfig(num_pchs=4, num_rows=256, simulate_pchs=1)
     items = _workload(count, distinct, args.seed)
 
     workloads = {}

@@ -81,9 +81,7 @@ def _serve_once(config, requests, journal_dir=None) -> float:
 
 def bench_replay(seed: int, count: int, reps: int) -> dict:
     """Journal overhead + recovery cost at one workload size."""
-    config = SystemConfig(
-        num_pchs=4, num_rows=256, simulate_pchs=1, server_seed=seed
-    )
+    config = SystemConfig(num_pchs=4, num_rows=256, simulate_pchs=1)
     requests = _requests(seed, count)
     root = tempfile.mkdtemp(prefix="repro-bench-replay-")
     try:

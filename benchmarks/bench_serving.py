@@ -74,7 +74,6 @@ def run_server(workload, lanes=2, max_batch=8, config=CONFIG, **server_knobs):
     server_config = ServerConfig(
         lanes=lanes,
         max_batch=max_batch,
-        simulate_pchs=config.simulate_pchs,
         **server_knobs,
     )
     with PimServer(system, server_config) as server:
@@ -92,7 +91,6 @@ def run_bounded_server(workload, queue_depth=8, admission="shed"):
     server_config = ServerConfig(
         lanes=2,
         max_batch=8,
-        simulate_pchs=CONFIG.simulate_pchs,
         queue_depth=queue_depth,
         admission=admission,
     )
@@ -106,13 +104,12 @@ def run_bounded_server(workload, queue_depth=8, admission="shed"):
 
 
 def faulty_config(rate: float) -> SystemConfig:
-    """The benchmark platform hardened with ECC, scrub, and bit flips."""
+    """The benchmark platform hardened with ECC and bit flips.
+
+    Serve it with ``scrub_interval=2`` (a ``ServerConfig`` knob).
+    """
     faults = FaultConfig(bit_flip_rate=rate, check_flip_rate=rate, seed=7)
-    return CONFIG.replace(
-        ecc=True,
-        faults=faults if faults.active else None,
-        scrub_interval=2,
-    )
+    return CONFIG.replace(ecc=True, faults=faults if faults.active else None)
 
 
 def test_serving_bit_exact_and_speedup(benchmark):
@@ -238,7 +235,9 @@ def test_throughput_vs_fault_rate(benchmark):
     def sweep():
         rows = []
         for rate in FAULT_RATES:
-            results, profile = run_server(workload, config=faulty_config(rate))
+            results, profile = run_server(
+                workload, config=faulty_config(rate), scrub_interval=2
+            )
             rows.append((rate, results, profile))
         return rows
 
@@ -293,7 +292,9 @@ def main():
     baseline = None
     print("  flip rate     req/s   retries   fallbacks   scrub fixed")
     for rate in FAULT_RATES:
-        results, profile = run_server(workload, config=faulty_config(rate))
+        results, profile = run_server(
+            workload, config=faulty_config(rate), scrub_interval=2
+        )
         if baseline is None:
             baseline = results
         assert all(

@@ -23,11 +23,11 @@ from repro.host.kernels import HostKernels
 from repro.host.processor import HostSystem
 from repro.perf.latency import Calibration
 from repro.stack.kernels import GemvKernel
-from repro.stack.runtime import PimSystem
+from repro.stack.runtime import PimSystem, SystemConfig
 
 
 def _measure(m, n):
-    pim_sys = PimSystem(num_pchs=1, num_rows=256, fence_penalty_cycles=22)
+    pim_sys = PimSystem(SystemConfig(num_pchs=1, num_rows=256, fence_penalty_cycles=22))
     kernel = GemvKernel(pim_sys, m, n)
     rng = np.random.default_rng(0)
     kernel.load_weights((rng.standard_normal((m, n)) * 0.1).astype(np.float16))
@@ -66,7 +66,9 @@ def test_gemv_mechanism_decomposition(benchmark):
 
 def test_add_mechanism_decomposition(benchmark):
     def measure():
-        pim_sys = PimSystem(num_pchs=1, num_rows=256, fence_penalty_cycles=22)
+        pim_sys = PimSystem(
+            SystemConfig(num_pchs=1, num_rows=256, fence_penalty_cycles=22)
+        )
         from repro.stack.kernels import ElementwiseKernel
 
         n = 64 * 1024

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from repro.stack.blas import PimBlas, add_reference, gemv_reference
-from repro.stack.runtime import PimSystem
+from repro.stack.runtime import PimSystem, SystemConfig
 
 
 @pytest.fixture(scope="module")
 def system():
-    return PimSystem(num_pchs=16, num_rows=256)
+    return PimSystem(SystemConfig(num_pchs=16, num_rows=256))
 
 
 def test_gemv1_simulated(benchmark, system):

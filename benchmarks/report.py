@@ -164,14 +164,14 @@ def observability():
 
     print("\n## Observability — traced serving session (span timeline)")
     config = SystemConfig(
-        num_pchs=4, num_rows=256, simulate_pchs=1, server_seed=7, trace=True
+        num_pchs=4, num_rows=256, simulate_pchs=1, trace=True
     )
     rng = np.random.default_rng(7)
     m, n, length = 64, 96, 256
     weights = (rng.standard_normal((m, n)) * 0.25).astype(np.float16)
     arrivals = np.cumsum(rng.exponential(2000.0, size=12))
     with PimContext(config) as ctx:
-        with ctx.server(ServerConfig(lanes=2, max_batch=8)) as srv:
+        with ctx.server(ServerConfig(lanes=2, max_batch=8, seed=7)) as srv:
             for i, arrival in enumerate(arrivals):
                 if i % 3 == 2:
                     srv.submit(Request(

@@ -20,7 +20,13 @@ from repro.dram.device import DeviceConfig
 from repro.dram.ecc import EccBank
 from repro.dram.timing import DRAM_FAMILIES, HBM2_1GHZ
 from repro.pim.device import PimHbmDevice
-from repro.stack import CollaborativeGemv, GemvKernel, PimSystem, gemv_reference
+from repro.stack import (
+    CollaborativeGemv,
+    GemvKernel,
+    PimSystem,
+    SystemConfig,
+    gemv_reference,
+)
 
 
 def rand(shape, seed, scale=0.15):
@@ -65,7 +71,9 @@ def ecc_demo():
 def refresh_demo():
     print("== 2. Auto-refresh during a PIM kernel ==")
     timing = replace(HBM2_1GHZ, trefi=400, trfc=120)
-    system = PimSystem(num_pchs=1, num_rows=128, refresh=True, timing=timing)
+    system = PimSystem(
+        SystemConfig(num_pchs=1, num_rows=128, refresh=True, timing=timing)
+    )
     w, x = rand((128, 128), 2), rand(128, 3)
     kernel = GemvKernel(system, 128, 128)
     kernel.load_weights(w)
@@ -109,7 +117,7 @@ def collaborative_demo():
 def families_demo():
     print("== 5. The same microkernel on every JEDEC DRAM family ==")
     for name, timing in DRAM_FAMILIES.items():
-        system = PimSystem(num_pchs=1, num_rows=128, timing=timing)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128, timing=timing))
         w, x = rand((128, 64), 4), rand(64, 5)
         kernel = GemvKernel(system, 128, 64)
         kernel.load_weights(w)

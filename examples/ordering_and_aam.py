@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.dram import SchedulerPolicy
 from repro.pim.exec_unit import PimProgramError
-from repro.stack import GemvKernel, PimSystem, gemv_reference
+from repro.stack import GemvKernel, PimSystem, SystemConfig, gemv_reference
 
 NON_AAM = "\n".join(
     [f"MOV GRF_A[{i}], HOST" for i in range(8)]
@@ -29,10 +29,10 @@ NON_AAM = "\n".join(
 
 
 def run(policy, seed=None, microkernel=None, fences=True):
-    system = PimSystem(
+    system = PimSystem(SystemConfig(
         num_pchs=1, num_rows=128, policy=policy,
         scheduler_seed=seed, fence_penalty_cycles=0,
-    )
+    ))
     if not fences:
         for mc in system.controllers:
             mc.fence = lambda: None

@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import PimContext, SystemConfig
+from repro import PimContext, Request, ServerConfig, SystemConfig
 
 
 def main():
@@ -48,15 +48,17 @@ def main():
         print("ADD/ReLU/BN on 20k elements: bit-exact elementwise kernels")
 
         # --- Serving: batch + pipeline concurrent requests --------------
-        with ctx.server(lanes=2, max_batch=8) as server:
+        with ctx.server(ServerConfig(lanes=2, max_batch=8)) as server:
             for i in range(16):
                 if i % 2 == 0:
                     xi = (rng.standard_normal(n) * 0.1).astype(np.float16)
-                    server.submit("gemv", weights=w, a=xi, arrival_ns=i * 500.0)
+                    server.submit(Request(
+                        "gemv", weights=w, a=xi, arrival_ns=i * 500.0
+                    ))
                 else:
                     ai = (rng.standard_normal(4096) * 0.5).astype(np.float16)
                     bi = (rng.standard_normal(4096) * 0.5).astype(np.float16)
-                    server.submit("add", a=ai, b=bi, arrival_ns=i * 500.0)
+                    server.submit(Request("add", a=ai, b=bi, arrival_ns=i * 500.0))
             serving = server.run()
         print(f"\nServed {serving.num_requests} mixed requests in "
               f"{serving.batches} batches "

@@ -11,7 +11,7 @@ Run:  python examples/speech_lstm.py
 import numpy as np
 
 from repro import GraphBuilder as G
-from repro import GraphExecutor, PimSystem
+from repro import GraphExecutor, PimSystem, SystemConfig
 
 
 def build_speech_model(rng, input_dim=40, hidden=64, classes=12):
@@ -43,7 +43,7 @@ def main():
     print(f"  ops on host: {len(host_report.host_nodes)}, offloaded: 0")
 
     # --- PIM backend: same graph, zero source changes --------------------
-    system = PimSystem(num_pchs=2, num_rows=256)
+    system = PimSystem(SystemConfig(num_pchs=2, num_rows=256))
     pim_out, pim_report = GraphExecutor(
         [logits], backend="pim", system=system, min_elements=128,
         simulate_pchs=1,

@@ -146,15 +146,15 @@ def _trace(argv=None) -> int:
     args = parser.parse_args(argv)
 
     config = SystemConfig(
-        num_pchs=4, num_rows=256, simulate_pchs=1,
-        server_seed=args.seed, trace=True,
+        num_pchs=4, num_rows=256, simulate_pchs=1, trace=True,
     )
     m, n, length = 64, 96, 256
     rng = np.random.default_rng(args.seed)
     w = (rng.standard_normal((m, n)) * 0.25).astype(np.float16)
     arrivals = np.cumsum(rng.exponential(args.gap_ns, size=args.requests))
     system = PimSystem(config)
-    with PimServer(system, ServerConfig(lanes=2, max_batch=8)) as server:
+    server_config = ServerConfig(lanes=2, max_batch=8, seed=args.seed)
+    with PimServer(system, server_config) as server:
         for i, arrival in enumerate(arrivals):
             if i % 2 == 0:
                 server.submit(Request(
@@ -272,7 +272,9 @@ def _overload_smoke(config, w, m, n, length, seed, trace_path=None) -> int:
 
     def serve(items, **server_knobs):
         system = PimSystem(config)
-        server_config = ServerConfig(lanes=2, max_batch=8, **server_knobs)
+        server_config = ServerConfig(
+            lanes=2, max_batch=8, seed=seed, **server_knobs
+        )
         with PimServer(system, server_config) as srv:
             handles = [srv.submit(request) for request in items]
             profile = srv.run()
@@ -385,7 +387,7 @@ def _fabric_smoke(config, args) -> int:
         for i in range(count)
     ]
     server_config = ServerConfig(
-        lanes=2, max_batch=8, transport=args.transport
+        lanes=2, max_batch=8, seed=args.seed, transport=args.transport
     )
     segments_before = live_segments()
 
@@ -646,7 +648,7 @@ def _serve_bench(argv=None) -> int:
     fault_seed = args.seed if args.fault_seed is None else args.fault_seed
 
     config = SystemConfig(
-        num_pchs=4, num_rows=256, simulate_pchs=1, server_seed=args.seed,
+        num_pchs=4, num_rows=256, simulate_pchs=1,
         trace=args.trace is not None, exec_mode=args.exec_mode,
     )
     m, n, length = 64, 96, 256
@@ -679,7 +681,6 @@ def _serve_bench(argv=None) -> int:
                 failed_channels=failed,
                 seed=fault_seed,
             ),
-            scrub_interval=args.scrub_interval,
         )
         print(
             f"Fault smoke: channels {failed} dead, bit flips at "
@@ -689,7 +690,11 @@ def _serve_bench(argv=None) -> int:
         arrivals = np.cumsum(rng.exponential(2000.0, size=24))
         system = PimSystem(config)
         requests = []
-        with PimServer(system, ServerConfig(lanes=2, max_batch=8)) as server:
+        server_config = ServerConfig(
+            lanes=2, max_batch=8, seed=args.seed,
+            scrub_interval=args.scrub_interval,
+        )
+        with PimServer(system, server_config) as server:
             for i, arrival in enumerate(arrivals):
                 if i % 2 == 0:
                     x = (rng.standard_normal(n) * 0.25).astype(np.float16)
@@ -745,7 +750,7 @@ def _serve_bench(argv=None) -> int:
     for gap_ns in (8000.0, 2000.0, 500.0):
         arrivals = np.cumsum(rng.exponential(gap_ns, size=32))
         system = PimSystem(config)
-        server_config = ServerConfig(lanes=2, max_batch=8)
+        server_config = ServerConfig(lanes=2, max_batch=8, seed=args.seed)
         if args.journal is not None:
             # One WAL per gap session: each session's request ids restart
             # at zero, and a journal's rids must be unique.
@@ -834,9 +839,8 @@ def _replay_smoke(config, w, m, n, length, args) -> int:
             ))
     try:
         system = PimSystem(config)
-        recorded_config = ServerConfig(
-            lanes=2, max_batch=8, journal_dir=journal_dir
-        )
+        server_config = ServerConfig(lanes=2, max_batch=8, seed=args.seed)
+        recorded_config = server_config.replace(journal_dir=journal_dir)
         with PimServer(system, recorded_config) as server:
             recorded = [server.submit(request) for request in requests]
             recorded_profile = server.run()
@@ -847,7 +851,7 @@ def _replay_smoke(config, w, m, n, length, args) -> int:
             key=lambda r: r["rid"],
         )
         replay_system = PimSystem(config)
-        with PimServer(replay_system, ServerConfig(lanes=2, max_batch=8)) as server:
+        with PimServer(replay_system, server_config) as server:
             replayed = [server.submit(r["request"]) for r in accepted]
             replayed_profile = server.run()
         replayed_tracer = replay_system.tracer

@@ -61,8 +61,8 @@ SLOW_DELAY_S = 1.5
 WEDGE_DELAY_S = 8.0
 
 
-def _chaos_server_config(transport: str = "pipe") -> ServerConfig:
-    """The resilience knobs the harness runs under.
+def _chaos_server_config(seed: int, transport: str = "pipe") -> ServerConfig:
+    """The serving and resilience knobs the harness runs under.
 
     Wall-clock bounds are compressed from the production defaults so a
     scripted wedge is detected in seconds, with wide margins between the
@@ -81,6 +81,8 @@ def _chaos_server_config(transport: str = "pipe") -> ServerConfig:
     ``corrupt_shm`` kind would never find a frame to strike.
     """
     return ServerConfig(
+        seed=seed,
+        scrub_interval=4,
         reply_timeout_s=3.0,
         heartbeat_timeout_s=3.0,
         close_timeout_s=5.0,
@@ -90,7 +92,6 @@ def _chaos_server_config(transport: str = "pipe") -> ServerConfig:
         hedge_quantile=0.95,
         hedge_factor=4.0,
         hedge_min_s=0.5,
-        pipe_checksum=True,
         transport=transport,
         shm_inline_bytes=0,
     )
@@ -366,12 +367,10 @@ def run_chaos(
         num_pchs=2,
         num_rows=256,
         simulate_pchs=1,
-        server_seed=seed,
         ecc=True,
-        scrub_interval=4,
         trace=True,
     )
-    server_config = _chaos_server_config(transport)
+    server_config = _chaos_server_config(seed, transport)
     if gates:
         (_, base_total, base_waves, _, _, _, base_tracer) = _execute(
             seed, workers, num_waves, per_wave, {}, config, server_config

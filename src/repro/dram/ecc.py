@@ -48,7 +48,7 @@ class EccBank(Bank):
     only words flagged dirty fall back to the per-word scalar decoder.
     Setting ``use_vectorized = False`` forces the historical per-word
     loops everywhere — the differential oracle the vectorized paths are
-    tested against (``SystemConfig(scalar_exec=True)`` arms it
+    tested against (``SystemConfig(exec_mode="scalar")`` arms it
     device-wide).
     """
 

@@ -137,7 +137,7 @@ def recover(
     # restart at zero and would collide with the journaled ones.  The
     # outcome records recovery owes the journal are appended below,
     # under the original rids.
-    server_config = server_config.resolve(config).replace(
+    server_config = server_config.replace(
         journal_dir=None, journal_sync=False
     )
 

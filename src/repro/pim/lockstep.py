@@ -58,7 +58,7 @@ class LockstepGroup:
     def __init__(self, units: Sequence[PimExecutionUnit], enabled: bool = True):
         self.units: List[PimExecutionUnit] = list(units)
         #: Set False to force the per-unit scalar path
-        #: (``SystemConfig(scalar_exec=True)`` does this device-wide).
+        #: (``SystemConfig(exec_mode="scalar")`` does this device-wide).
         self.enabled = enabled
         self._fp16_ok = len(self.units) > 1 and all(
             u.lane_format is FP16 for u in self.units

@@ -1,23 +1,17 @@
-"""The redesigned submission and configuration surface of the serving tier.
+"""The submission and configuration surface of the serving tier.
 
-Two frozen dataclasses replace the keyword soup that had accreted onto the
-serving engine since PR 1:
+Two frozen dataclasses are the one way in:
 
-* :class:`Request` — one self-describing, picklable unit of work.  The
-  historical ``submit(op, a=..., weights=..., arrival_ns=..., ...)``
-  signature grew a parameter per PR; a ``Request`` carries the operation,
-  its operands, and its scheduling class (priority, deadline, trace id) in
-  one immutable value that can cross a process boundary unchanged — the
-  property the sharded fabric (:mod:`repro.stack.fabric`) depends on.
+* :class:`Request` — one self-describing, picklable unit of work.  It
+  carries the operation, its operands, and its scheduling class
+  (priority, deadline, trace id) in one immutable value that can cross a
+  process boundary unchanged — the property the sharded fabric
+  (:mod:`repro.stack.fabric`) depends on.
 * :class:`ServerConfig` — every serving knob (lanes, batching, retry
-  budget, breaker, admission policy, ...) in one place.  Knobs left at
-  ``None`` inherit the platform's :class:`~repro.stack.runtime.SystemConfig`
-  defaults via :meth:`ServerConfig.resolve`, exactly like the historical
-  per-kwarg fallback chain.
-
-The old call forms (``submit(op, ...)``, ``PimServer(system, lanes=...)``,
-``ctx.server(lanes=...)``) keep working behind ``DeprecationWarning``
-shims — see ``docs/MIGRATION.md`` for the old-to-new mapping.
+  budget, breaker, admission policy, ...) in one place, each with its
+  concrete default.  Platform knobs (device shape, ECC, exec mode,
+  ``simulate_pchs`` sampling) live on
+  :class:`~repro.stack.runtime.SystemConfig`; no knob lives on both.
 """
 
 from __future__ import annotations
@@ -64,8 +58,7 @@ class Request:
     """One self-describing, picklable operation for the serving tier.
 
     ``op`` is ``"gemv"`` or one of the elementwise operators
-    (``add``/``mul``/``relu``/``bn``); the operand fields mirror the
-    historical ``submit`` keywords.  ``priority`` dispatches higher
+    (``add``/``mul``/``relu``/``bn``).  ``priority`` dispatches higher
     classes first (aging prevents starvation), ``deadline_ns`` is an
     absolute simulated-clock bound on *dispatch*, and ``trace_id`` is an
     opaque caller-supplied correlation id stamped onto every span the
@@ -93,8 +86,7 @@ class Request:
         """Check op/operand consistency; returns ``self``.
 
         Raises :class:`~repro.errors.PimProgramError` (a ``ValueError``
-        subclass) on an unknown operator or missing operand — the same
-        errors the historical ``submit`` raised.
+        subclass) on an unknown operator or missing operand.
         """
         from .kernels import ELEMENTWISE_OPS  # local: avoid import cycle
 
@@ -116,14 +108,12 @@ class Request:
     def weight_digest(self) -> Optional[str]:
         """sha1 hex digest of the weight bytes, computed once per instance.
 
-        ``request_signature`` historically re-hashed ``weights.tobytes()``
-        on every ``.signature`` access — O(weight bytes) per call on the
-        router hot path, which touches the signature at submit,
-        placement, *and* batching.  The digest is immutable for an
-        immutable request, so it is memoised on first access (stashed
-        via ``object.__setattr__`` — the dataclass is frozen, its
-        ``__dict__`` is not).  The fabric's shm transport also keys
-        shard-resident weight staging on this digest.
+        Hashing is O(weight bytes) and the serving hot path touches the
+        signature at submit, placement, *and* batching.  The digest is
+        immutable for an immutable request, so it is memoised on first
+        access (stashed via ``object.__setattr__`` — the dataclass is
+        frozen, its ``__dict__`` is not).  The fabric's shm transport
+        also keys shard-resident weight staging on this digest.
         """
         if self.weights is None:
             return None
@@ -152,76 +142,51 @@ class Request:
         return replace(self, **overrides)
 
 
-#: ServerConfig fields that inherit their default from SystemConfig when
-#: left at None, mapped to the SystemConfig attribute that supplies it.
-_INHERITED = {
-    "simulate_pchs": "simulate_pchs",
-    "scrub_interval": "scrub_interval",
-    "queue_depth": "queue_depth",
-    "admission": "admission",
-    "aging_ns": "aging_ns",
-    "retry_budget": "retry_budget",
-    "retry_refill": "retry_refill",
-    "backoff_base_ns": "backoff_base_ns",
-    "backoff_jitter": "backoff_jitter",
-    "breaker_threshold": "breaker_threshold",
-    "breaker_cooldown_ns": "breaker_cooldown_ns",
-    "seed": "server_seed",
-}
-
-#: Fallbacks used when no SystemConfig is available to inherit from
-#: (mirrors the historical per-kwarg defaults of PimServer.__init__).
-_FALLBACKS = {
-    "simulate_pchs": None,
-    "scrub_interval": 0,
-    "queue_depth": None,
-    "admission": "block",
-    "aging_ns": 50_000.0,
-    "retry_budget": 8.0,
-    "retry_refill": 0.5,
-    "backoff_base_ns": 2_000.0,
-    "backoff_jitter": 0.5,
-    "breaker_threshold": 3,
-    "breaker_cooldown_ns": 100_000.0,
-    "seed": 0,
-}
-
-
 @dataclass(frozen=True)
 class ServerConfig:
     """Every serving-engine knob in one immutable, picklable value.
 
-    Absorbs the overload/retry/breaker parameters that had accreted onto
-    ``PimServer.__init__`` (and their defaults on ``SystemConfig``).  A
-    knob left at ``None`` inherits the platform's
-    :class:`~repro.stack.runtime.SystemConfig` value at server
-    construction (see :meth:`resolve`); ``queue_depth=0`` still forces
-    the historical unbounded queue even when the system config bounds it.
-
     Being frozen and picklable, one ``ServerConfig`` configures every
     worker of a :class:`~repro.stack.fabric.PimFabric` identically.  The
     fabric-tier resilience knobs (reply/heartbeat/join timeouts, respawn
-    budget, straggler hedging, pipe checksums) live here too: they are
-    plain defaults, never inherited from :class:`SystemConfig`, because
-    they bound *wall-clock process* behaviour rather than simulated
-    device behaviour.
+    budget, straggler hedging) live here too: they bound *wall-clock
+    process* behaviour rather than simulated device behaviour.
     """
 
     lanes: int = 2
     max_batch: int = 8
     max_retries: int = 2
-    simulate_pchs: Optional[int] = None
-    scrub_interval: Optional[int] = None
+    # Background ECC scrub cadence: run driver.scrub() every N batches
+    # (0 disables scrubbing).
+    scrub_interval: int = 0
+    # -- overload protection (docs/ARCHITECTURE.md) ---------------------
+    # Bound of each serving lane's queue (None or 0 = unbounded).
     queue_depth: Optional[int] = None
-    admission: Optional[str] = None
-    aging_ns: Optional[float] = None
-    retry_budget: Optional[float] = None
-    retry_refill: Optional[float] = None
-    backoff_base_ns: Optional[float] = None
-    backoff_jitter: Optional[float] = None
-    breaker_threshold: Optional[int] = None
-    breaker_cooldown_ns: Optional[float] = None
-    seed: Optional[int] = None
+    # What happens to an arrival that finds its lane queue full:
+    # "block" — submit() raises PimOverloadError (backpressure to the
+    # producer); "shed" — the request is dropped with outcome "rejected";
+    # "degrade" — it completes immediately on the bit-exact host path.
+    admission: str = "block"
+    # Simulated-time quantum after which a waiting request gains one
+    # effective priority level (anti-starvation aging; 0 disables).
+    aging_ns: float = 50_000.0
+    # Server-wide retry token bucket: capacity, and tokens returned per
+    # successful device batch.  Each fault retry spends one token; a dry
+    # bucket routes the batch straight to the host path so a flapping
+    # channel cannot amplify load.
+    retry_budget: float = 8.0
+    retry_refill: float = 0.5
+    # Deterministic exponential backoff before each retry:
+    # base * 2^attempt, jittered by up to +/- backoff_jitter (seeded).
+    backoff_base_ns: float = 2_000.0
+    backoff_jitter: float = 0.5
+    # Per-lane circuit breaker: open after N consecutive device batch
+    # failures (0 disables), stay open for the cooldown, then half-open
+    # probe one batch on the device.
+    breaker_threshold: int = 3
+    breaker_cooldown_ns: float = 100_000.0
+    # Seed of the server's (non-fault) randomness, i.e. retry jitter.
+    seed: int = 0
     # -- fabric resilience (PimFabric; docs/ARCHITECTURE.md, "Fabric
     #    resilience & chaos").  All wall-clock bounds are in real seconds
     #    because they guard against wedged *processes*, not simulated
@@ -249,9 +214,6 @@ class ServerConfig:
     hedge_quantile: float = 0.95
     hedge_factor: float = 3.0
     hedge_min_s: float = 0.25
-    # CRC32-checksum worker<->router serve/result pipe payloads; a
-    # corrupt payload is a PimWorkerError and replays on the survivors.
-    pipe_checksum: bool = True
     # -- fabric transport (repro.stack.shm; docs/ARCHITECTURE.md,
     #    "Fabric transport").  "pipe" pickles full request payloads
     #    through the worker pipe — simple, and the always-available
@@ -288,21 +250,3 @@ class ServerConfig:
     def replace(self, **overrides) -> "ServerConfig":
         """A copy with ``overrides`` applied (dataclasses.replace)."""
         return replace(self, **overrides)
-
-    def resolve(self, system_config=None) -> "ServerConfig":
-        """A copy with every ``None`` knob filled in.
-
-        Inherited knobs come from ``system_config`` (a
-        :class:`~repro.stack.runtime.SystemConfig`) when one is given,
-        else from the historical built-in defaults — the same fallback
-        chain the per-kwarg ``PimServer.__init__`` implemented.
-        """
-        values = {}
-        for field_name, config_attr in _INHERITED.items():
-            if getattr(self, field_name) is not None:
-                continue
-            if system_config is not None:
-                values[field_name] = getattr(system_config, config_attr)
-            else:
-                values[field_name] = _FALLBACKS[field_name]
-        return self.replace(**values) if values else self

@@ -1,22 +1,21 @@
 """One-object entry point to the whole software stack.
 
-The historical way to stand up the evaluation platform was to assemble
-``PimSystem`` + ``PimBlas`` + ``Profiler`` by hand and thread nine keyword
-arguments through.  :class:`PimContext` replaces that with a single
-context-managed object configured by one :class:`~repro.stack.runtime.SystemConfig`::
+:class:`PimContext` assembles ``PimSystem`` + ``PimBlas`` + ``Profiler``
+as a single context-managed object configured by one
+:class:`~repro.stack.runtime.SystemConfig`::
 
-    from repro.stack import PimContext, SystemConfig
+    from repro.stack import PimContext, ServerConfig, SystemConfig
 
     with PimContext(SystemConfig.fast_functional()) as ctx:
         y = ctx.blas.gemv(w, x)           # reports="profile": result only
-        with ctx.server(lanes=2) as srv:  # serving engine on the same device
+        with ctx.server(ServerConfig(lanes=2)) as srv:  # same device
             ...
         print("\\n".join(ctx.report()))
 
 Inside the context the BLAS runs in ``reports="profile"`` mode: calls
 return plain results and every execution report is folded into the
-context's profiler.  Pass ``reports="attach"`` to keep the historical
-``(result, report)`` tuples while still using the new assembly.
+context's profiler.  Pass ``reports="attach"`` to get
+``(result, report)`` tuples instead.
 """
 
 from __future__ import annotations
@@ -72,23 +71,16 @@ class PimContext:
 
     # -- factories ----------------------------------------------------------------
 
-    def server(self, config: Optional[ServerConfig] = None, **legacy) -> PimServer:
+    def server(self, config: Optional[ServerConfig] = None) -> PimServer:
         """A serving engine over this context's device and profiler.
 
         Configure with one :class:`~repro.stack.api.ServerConfig`
-        (``ctx.server(ServerConfig(lanes=2, max_batch=4))``); knobs left
-        at ``None`` inherit this context's config.  The server's
-        per-request statistics and batch reports land in the context's
-        profiler; its channel leases are released when the server (or the
-        context) closes.
-
-        The historical keyword form ``ctx.server(lanes=2, queue_depth=8,
-        ...)`` still works behind one consolidated ``DeprecationWarning``
-        (see ``docs/MIGRATION.md``).
+        (``ctx.server(ServerConfig(lanes=2, max_batch=4))``).  The
+        server's per-request statistics and batch reports land in the
+        context's profiler; its channel leases are released when the
+        server (or the context) closes.
         """
-        server = PimServer(
-            self.system, config, profiler=self.profiler, **legacy
-        )
+        server = PimServer(self.system, config, profiler=self.profiler)
         self._servers.append(server)
         return server
 

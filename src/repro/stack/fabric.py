@@ -202,13 +202,12 @@ class PimFabric:
 
     Construct directly (``PimFabric(SystemConfig(...), workers=4)``) or —
     the blessed path — via :meth:`repro.stack.context.PimContext.fabric`,
-    which wires the context's profiler/tracer/metrics through.  The
-    submit surface is the new-API one only: :meth:`submit` takes a
-    :class:`~repro.stack.api.Request`; there is no legacy op-string form
-    to deprecate because the fabric never had one.
+    which wires the context's profiler/tracer/metrics through.
+    :meth:`submit` takes a :class:`~repro.stack.api.Request`, like
+    :meth:`PimServer.submit <repro.stack.server.PimServer.submit>`.
 
     Every wall-clock bound of the lifecycle manager (reply watchdog,
-    heartbeat, close/join, hedge thresholds) comes from the resolved
+    heartbeat, close/join, hedge thresholds) comes from the
     :class:`~repro.stack.api.ServerConfig` — nothing is hard-coded, so
     tests run the wedge path in milliseconds and operators tune it for
     their deployment.
@@ -228,9 +227,7 @@ class PimFabric:
         if workers < 1:
             raise ValueError("need at least one worker")
         self.config = config or SystemConfig()
-        self.server_config = (server_config or ServerConfig()).resolve(
-            self.config
-        )
+        self.server_config = server_config or ServerConfig()
         if self.server_config.transport not in ("pipe", "shm"):
             raise ValueError(
                 f"unknown transport {self.server_config.transport!r} "
@@ -617,17 +614,16 @@ class PimFabric:
     def submit(self, request: Request) -> FabricHandle:
         """Queue one :class:`~repro.stack.api.Request`; returns its handle.
 
-        The fabric speaks the redesigned surface only — pass a
-        ``Request``, not the deprecated op-string form (build one with
-        ``Request("gemv", weights=w, a=x, ...)``).
+        Anything that is not a ``Request`` raises ``TypeError`` up front,
+        exactly as :meth:`PimServer.submit
+        <repro.stack.server.PimServer.submit>` does.
         """
         if self._closed:
             raise PimProgramError("fabric is closed")
         if not isinstance(request, Request):
-            raise PimProgramError(
-                "PimFabric.submit takes a Request; the legacy "
-                "submit(op, a=..., ...) form exists only on PimServer "
-                "(see docs/MIGRATION.md)"
+            raise TypeError(
+                "PimFabric.submit takes a Request, got "
+                f"{type(request).__name__}"
             )
         request.validate()
         handle = FabricHandle(self._next_rid, request)
@@ -723,9 +719,9 @@ class PimFabric:
     def _dispatch(self, link: _WorkerLink, items: List[FabricHandle]) -> bool:
         """Put one serve round on a shard's pipe; False when the send fails.
 
-        With ``pipe_checksum`` the items are pickled once here and framed
-        with a CRC32 of the bytes, so the worker detects a dispatch
-        corrupted in transit instead of serving garbage.  The framed
+        The items are pickled once here and framed with a CRC32 of the
+        bytes, so the worker detects a dispatch corrupted in transit
+        instead of serving garbage.  The framed
         control bytes count under ``bytes_tx`` (the bench's
         bytes-on-wire); tensor bytes staged through the arena count
         separately under ``shm_tx``.
@@ -737,13 +733,10 @@ class PimFabric:
                 delta = self._arena.bytes_written - staged
                 self.shm_tx += delta
                 self._count("fabric.shm_tx", delta)
-            if self.server_config.pipe_checksum:
-                blob = pickle.dumps(wire, protocol=pickle.HIGHEST_PROTOCOL)
-                self.bytes_tx += len(blob)
-                self._count("fabric.bytes_tx", len(blob))
-                link.conn.send(("serve", zlib.crc32(blob), blob))
-            else:
-                link.conn.send(("serve", wire))
+            blob = pickle.dumps(wire, protocol=pickle.HIGHEST_PROTOCOL)
+            self.bytes_tx += len(blob)
+            self._count("fabric.bytes_tx", len(blob))
+            link.conn.send(("serve", zlib.crc32(blob), blob))
             return True
         except (OSError, BrokenPipeError, ValueError):
             return False
@@ -751,7 +744,7 @@ class PimFabric:
     def _decode_reply(
         self, message: Tuple, shard: Optional[int] = None
     ) -> Dict[str, Any]:
-        """The payload of one result message, CRC-verified when framed.
+        """The CRC-verified payload of one result message.
 
         Raises :class:`~repro.errors.PimWorkerError` on an ``error``
         reply or a checksum mismatch — both route the round through the
@@ -770,19 +763,15 @@ class PimFabric:
             raise PimWorkerError(
                 f"worker replied {kind!r}: {message[1] if len(message) > 1 else ''}"
             )
-        if len(message) == 3:
-            _, crc, blob = message
-            if zlib.crc32(blob) != crc:
-                raise PimWorkerError(
-                    "result payload failed its CRC32 check (corrupted in "
-                    "transit); replaying the round"
-                )
-            self.bytes_rx += len(blob)
-            self._count("fabric.bytes_rx", len(blob))
-            payload = pickle.loads(blob)
-        else:
-            payload = message[1]
-        return self._materialise(payload, shard)
+        _, crc, blob = message
+        if zlib.crc32(blob) != crc:
+            raise PimWorkerError(
+                "result payload failed its CRC32 check (corrupted in "
+                "transit); replaying the round"
+            )
+        self.bytes_rx += len(blob)
+        self._count("fabric.bytes_rx", len(blob))
+        return self._materialise(pickle.loads(blob), shard)
 
     def _materialise(
         self, payload: Dict[str, Any], shard: Optional[int]

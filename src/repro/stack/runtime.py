@@ -16,17 +16,15 @@ The runtime owns three user-level modules:
 :class:`SystemConfig` is the single configuration surface: one dataclass
 (with ``fast_functional`` / ``paper_scale`` presets) assembles the whole
 evaluation platform — a PIM-HBM device behind per-channel JEDEC
-controllers with a host model.  The legacy kwarg-soup ``PimSystem(...)``
-constructor still works through a thin shim that emits a
-``DeprecationWarning``.
+controllers with a host model.  Serving-engine knobs (queues, retries,
+breakers, scrub cadence) live on :class:`~repro.stack.api.ServerConfig`.
 """
 
 from __future__ import annotations
 
-import warnings
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,9 +46,8 @@ __all__ = ["SystemConfig", "PimSystem", "PimExecutor"]
 class SystemConfig:
     """Everything needed to assemble one PIM evaluation platform.
 
-    Replaces the nine keyword arguments of the historical
-    ``PimSystem.__init__``; pass it to :class:`PimSystem` (or, preferably,
-    to :class:`repro.stack.context.PimContext`).
+    Pass it to :class:`PimSystem` (or, preferably, to
+    :class:`repro.stack.context.PimContext`).
     """
 
     num_pchs: int = 4
@@ -70,38 +67,6 @@ class SystemConfig:
     elementwise_cache_size: int = 64
     # Fault model (see repro.faults): None disables injection entirely.
     faults: Optional[FaultConfig] = None
-    # Background ECC scrub cadence for the serving engine: run
-    # driver.scrub() every N batches (0 disables scrubbing).
-    scrub_interval: int = 0
-    # -- overload protection (PimServer; docs/ARCHITECTURE.md) ----------
-    # Bound of each serving lane's queue (None = unbounded, the
-    # historical behaviour).
-    queue_depth: Optional[int] = None
-    # What happens to an arrival that finds its lane queue full:
-    # "block" — submit() raises PimOverloadError (backpressure to the
-    # producer); "shed" — the request is dropped with outcome "rejected";
-    # "degrade" — it completes immediately on the bit-exact host path.
-    admission: str = "block"
-    # Simulated-time quantum after which a waiting request gains one
-    # effective priority level (anti-starvation aging; 0 disables).
-    aging_ns: float = 50_000.0
-    # Server-wide retry token bucket: capacity, and tokens returned per
-    # successful device batch.  Each fault retry spends one token; a dry
-    # bucket routes the batch straight to the host path so a flapping
-    # channel cannot amplify load.
-    retry_budget: float = 8.0
-    retry_refill: float = 0.5
-    # Deterministic exponential backoff before each retry:
-    # base * 2^attempt, jittered by up to +/- backoff_jitter (seeded).
-    backoff_base_ns: float = 2_000.0
-    backoff_jitter: float = 0.5
-    # Per-lane circuit breaker: open after N consecutive device batch
-    # failures (0 disables), stay open for the cooldown, then half-open
-    # probe one batch on the device.
-    breaker_threshold: int = 3
-    breaker_cooldown_ns: float = 100_000.0
-    # Seed of the server's (non-fault) randomness, i.e. retry jitter.
-    server_seed: int = 0
     # Observability (repro.obs): build a Tracer + MetricsRegistry and
     # thread them through every layer.  Off by default — with trace=False
     # the only cost anywhere is one attribute test per hook site.
@@ -115,33 +80,12 @@ class SystemConfig:
     #                grouped array ops, cached by content signature
     #                (repro.pim.fused).  Falls back to lockstep/scalar
     #                for anything irregular, so all three are bit-exact.
-    # None means "fused": the one production path.  The historical
-    # ``scalar_exec`` bool is a deprecated alias (see docs/MIGRATION.md);
-    # mixing both is an error.
+    # None means "fused": the one production path.
     exec_mode: Optional[str] = None
-    scalar_exec: Optional[bool] = None
     # LRU bound of the fused executor's compiled-trace cache.
     trace_cache_size: int = 128
 
     def __post_init__(self) -> None:
-        if self.scalar_exec is not None:
-            if self.exec_mode is not None:
-                raise TypeError(
-                    "SystemConfig(scalar_exec=...) and exec_mode=... are "
-                    "mutually exclusive; scalar_exec is deprecated — use "
-                    'exec_mode="scalar"/"lockstep" (docs/MIGRATION.md)'
-                )
-            warnings.warn(
-                "SystemConfig(scalar_exec=...) is deprecated; use "
-                'exec_mode="scalar" (or "lockstep") instead — see '
-                "docs/MIGRATION.md",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            object.__setattr__(
-                self, "exec_mode", "scalar" if self.scalar_exec else "lockstep"
-            )
-            object.__setattr__(self, "scalar_exec", None)
         if self.exec_mode not in (None, "lockstep", "scalar", "fused"):
             raise ValueError(
                 f"unknown exec_mode {self.exec_mode!r}: expected "
@@ -174,39 +118,6 @@ class SystemConfig:
         base = cls(num_pchs=16, num_rows=8192, simulate_pchs=1)
         return base.replace(**overrides) if overrides else base
 
-    @classmethod
-    def overload_hardened(cls, **overrides) -> "SystemConfig":
-        """The serving shape with every protection layer armed.
-
-        Bounded lane queues that shed excess load, ECC with background
-        scrubbing, and the default retry budget / circuit breaker — the
-        configuration ``serve-bench --overload`` and the goodput sweep in
-        ``benchmarks/bench_serving.py`` exercise.
-        """
-        base = cls(
-            num_pchs=4,
-            num_rows=256,
-            simulate_pchs=1,
-            ecc=True,
-            scrub_interval=4,
-            queue_depth=16,
-            admission="shed",
-        )
-        return base.replace(**overrides) if overrides else base
-
-
-_LEGACY_KWARGS = (
-    "num_pchs",
-    "num_rows",
-    "timing",
-    "host",
-    "policy",
-    "fence_penalty_cycles",
-    "scheduler_seed",
-    "refresh",
-    "ecc",
-)
-
 
 class PimSystem(HostSystem):
     """A host with PIM-HBM devices, the device driver, and the runtime.
@@ -214,31 +125,10 @@ class PimSystem(HostSystem):
     Configure with one :class:`SystemConfig`::
 
         system = PimSystem(SystemConfig.fast_functional())
-
-    The historical keyword form ``PimSystem(num_pchs=4, num_rows=256, ...)``
-    still works but is deprecated.
     """
 
-    def __init__(self, config: Optional[SystemConfig] = None, **legacy):
-        if isinstance(config, int):
-            # Historical positional form: PimSystem(4, 256, ...).
-            legacy["num_pchs"] = config
-            config = None
-        if legacy:
-            unknown = set(legacy) - set(_LEGACY_KWARGS)
-            if unknown:
-                raise TypeError(f"unexpected arguments: {sorted(unknown)}")
-            if config is not None:
-                raise TypeError("pass either a SystemConfig or legacy kwargs, not both")
-            warnings.warn(
-                "PimSystem(num_pchs=..., ...) is deprecated; pass a "
-                "SystemConfig (or use PimContext) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = SystemConfig(**legacy)
-        elif config is None:
-            config = SystemConfig()
+    def __init__(self, config: Optional[SystemConfig] = None):
+        config = config or SystemConfig()
         self.config = config
         device_config = DeviceConfig(
             timing=config.timing,

@@ -22,8 +22,8 @@ module models that serving layer:
   aggregate throughput and per-channel occupancy land in a
   :class:`~repro.stack.profiler.ServingProfile`.
 
-The arrival process is externally supplied (``submit`` takes an
-``arrival_ns``), so offered load is entirely under the caller's control —
+The arrival process is externally supplied (every ``Request`` carries
+its ``arrival_ns``), so offered load is entirely under the caller's control —
 see ``benchmarks/bench_serving.py``.
 
 **Self-healing** — a batch that hits a fault is not lost (see the "Fault
@@ -49,7 +49,7 @@ the server never grows backlog silently (see "Overload protection" in
   (backpressure to the producer), ``"shed"`` drops the arrival with a
   terminal ``rejected`` outcome, ``"degrade"`` completes it immediately
   on the bit-exact host path (``degraded_host``).
-* *deadlines and priorities* — ``submit(..., deadline_ns=...,
+* *deadlines and priorities* — ``Request(..., deadline_ns=...,
   priority=...)``.  A request whose deadline passes before its batch
   dispatches is dropped *before* it consumes any device cycles
   (``expired``); higher ``priority`` dispatches first, and waiting
@@ -70,11 +70,10 @@ Every submitted request ends in exactly one terminal
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -85,7 +84,7 @@ from ..errors import (
     PimOverloadError,
     PimProgramError,
 )
-from .api import Request, ServerConfig, request_signature
+from .api import Request, ServerConfig
 from .blas import (
     add_reference,
     bn_reference,
@@ -168,6 +167,9 @@ class PimRequest:
     # Caller-supplied correlation id, stamped on every span this request
     # produces (the key that reassembles a request across fabric shards).
     trace_id: Optional[str] = None
+    # Batching/lane-affinity key: the submitted Request's ``signature``
+    # (requests with equal signatures may share one fused launch).
+    signature: Tuple = ()
     # Filled in by the server.
     result: Optional[np.ndarray] = None
     report: object = None
@@ -185,26 +187,6 @@ class PimRequest:
     # overload error attached to a shed request.
     outcome: Optional[RequestOutcome] = None
     error: Optional[Exception] = None
-    _signature: Optional[Tuple] = field(
-        default=None, repr=False, compare=False
-    )
-
-    @property
-    def signature(self) -> Tuple:
-        """Requests with equal signatures may share one fused launch.
-
-        GEMV requests key on weight *content* (shape, dtype, and a digest
-        of the bytes), never on object identity: a freed array's ``id()``
-        can be reused by a later allocation, and the resident kernel only
-        holds a padded copy — an identity key would silently serve the
-        stale weights.  Equal-content matrices share one resident kernel,
-        which keeps results bit-exact by construction.
-        """
-        if self._signature is None:
-            self._signature = request_signature(
-                self.op, a=self.a, weights=self.weights, scalars=self.scalars
-            )
-        return self._signature
 
     @property
     def wait_ns(self) -> float:
@@ -268,27 +250,6 @@ class _Lane:
     breaker_open_until_ns: float = 0.0
 
 
-#: Legacy keyword arguments of the pre-ServerConfig PimServer.__init__,
-#: mapped 1:1 onto ServerConfig fields by the deprecation shim.
-_LEGACY_SERVER_KWARGS = (
-    "lanes",
-    "max_batch",
-    "simulate_pchs",
-    "max_retries",
-    "scrub_interval",
-    "queue_depth",
-    "admission",
-    "aging_ns",
-    "retry_budget",
-    "retry_refill",
-    "backoff_base_ns",
-    "backoff_jitter",
-    "breaker_threshold",
-    "breaker_cooldown_ns",
-    "seed",
-)
-
-
 class PimServer:
     """Serves concurrent PIM requests with batching and lane pipelining.
 
@@ -307,13 +268,10 @@ class PimServer:
     independent operators pipeline across channel sets instead of
     serialising behind a global drain.
 
-    Configuration is one :class:`~repro.stack.api.ServerConfig`; knobs
-    left at ``None`` inherit the system config's values (see the module
-    docstring and ``docs/API.md`` for their semantics, and
-    ``docs/MIGRATION.md`` for the old-to-new mapping).  ``queue_depth=0``
-    forces an unbounded queue even when the config bounds it.  The
-    historical keyword form ``PimServer(system, lanes=2, queue_depth=8,
-    ...)`` still works behind a ``DeprecationWarning``.
+    Configuration is one :class:`~repro.stack.api.ServerConfig` (see the
+    module docstring and ``docs/API.md`` for the knobs' semantics).
+    Per-call channel sampling follows the system's
+    ``SystemConfig.simulate_pchs``.
     """
 
     def __init__(
@@ -322,29 +280,11 @@ class PimServer:
         config: Optional[ServerConfig] = None,
         *,
         profiler: Optional[Profiler] = None,
-        **legacy,
     ):
         driver = getattr(system, "driver", None)
         if driver is None:
             raise TypeError("PimServer needs a PimSystem with a device driver")
-        if legacy:
-            unknown = set(legacy) - set(_LEGACY_SERVER_KWARGS)
-            if unknown:
-                raise TypeError(f"unexpected arguments: {sorted(unknown)}")
-            if config is not None:
-                raise TypeError(
-                    "pass either a ServerConfig or legacy kwargs, not both"
-                )
-            warnings.warn(
-                "PimServer(lanes=..., max_batch=..., ...) is deprecated; "
-                "pass a ServerConfig (see docs/MIGRATION.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = ServerConfig(**legacy)
-        elif config is None:
-            config = ServerConfig()
-        config = config.resolve(getattr(system, "config", None))
+        config = config or ServerConfig()
         if config.lanes < 1:
             raise ValueError("need at least one lane")
         free = len(driver.channels_free)
@@ -363,16 +303,16 @@ class PimServer:
                 f"got {config.admission!r}"
             )
         self.sys = system
-        #: The fully-resolved serving configuration of this server.
+        #: The serving configuration of this server.
         self.server_config = config
         lanes = config.lanes
         self.max_batch = config.max_batch
         self.max_retries = config.max_retries
-        self.simulate_pchs = config.simulate_pchs
+        self.simulate_pchs = system.config.simulate_pchs
         self.scrub_interval = config.scrub_interval
         queue_depth = config.queue_depth
         if queue_depth is not None and queue_depth <= 0:
-            queue_depth = None  # 0 forces the unbounded historical mode
+            queue_depth = None  # 0 means unbounded, like None
         self.queue_depth = queue_depth
         self.admission = config.admission
         self.aging_ns = float(config.aging_ns)
@@ -421,7 +361,7 @@ class PimServer:
             self._journal = JournalWriter(
                 config.journal_dir, sync=config.journal_sync
             )
-            self._journal.append_meta(getattr(system, "config", None), config)
+            self._journal.append_meta(system.config, config)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -470,27 +410,10 @@ class PimServer:
 
     # -- submission ---------------------------------------------------------------
 
-    def submit(
-        self,
-        request: Union[Request, str],
-        a: Optional[np.ndarray] = None,
-        b: Optional[np.ndarray] = None,
-        weights: Optional[np.ndarray] = None,
-        scalars: Optional[Tuple[float, float]] = None,
-        arrival_ns: float = 0.0,
-        priority: int = 0,
-        deadline_ns: Optional[float] = None,
-        trace_id: Optional[str] = None,
-    ) -> PimRequest:
-        """Queue one request; returns the (not yet served) request handle.
-
-        The blessed form takes one :class:`~repro.stack.api.Request`::
+    def submit(self, request: Request) -> PimRequest:
+        """Queue one :class:`~repro.stack.api.Request`; returns its handle::
 
             server.submit(Request("gemv", weights=w, a=x, priority=1))
-
-        The historical form ``submit("gemv", weights=w, a=x, ...)`` with
-        a bare op string and operand keywords still works behind a
-        ``DeprecationWarning`` (see ``docs/MIGRATION.md``).
 
         ``priority`` dispatches higher classes first (aging prevents
         starvation); ``deadline_ns`` is an absolute simulated-clock bound
@@ -500,35 +423,19 @@ class PimServer:
         With a bounded queue (``queue_depth``) in ``"block"`` mode this
         raises :class:`~repro.errors.PimOverloadError` once the target
         lane's backlog is full — synchronous backpressure to the
-        producer.  Misuse raises :class:`~repro.errors.PimProgramError`
-        (a ``ValueError``/``RuntimeError`` subclass, so historical
-        ``except`` clauses keep working).
+        producer.  A malformed request raises
+        :class:`~repro.errors.PimProgramError` (a
+        ``ValueError``/``RuntimeError`` subclass), anything that is not a
+        ``Request`` a ``TypeError``.
         """
         if self._closed:
             raise PimProgramError("server is closed")
-        if isinstance(request, Request):
-            req = request
-        else:
-            warnings.warn(
-                "submit(op, a=..., weights=..., ...) is deprecated; pass a "
-                "Request (see docs/MIGRATION.md)",
-                DeprecationWarning,
-                stacklevel=2,
+        if not isinstance(request, Request):
+            raise TypeError(
+                "PimServer.submit takes a Request, got "
+                f"{type(request).__name__}"
             )
-            req = Request(
-                op=request,
-                a=a,
-                b=b,
-                weights=weights,
-                scalars=scalars,
-                arrival_ns=float(arrival_ns),
-                priority=int(priority),
-                deadline_ns=(
-                    None if deadline_ns is None else float(deadline_ns)
-                ),
-                trace_id=trace_id,
-            )
-        req.validate()
+        req = request.validate()
         request = PimRequest(
             request_id=self._next_id,
             op=req.op,
@@ -542,6 +449,7 @@ class PimServer:
                 None if req.deadline_ns is None else float(req.deadline_ns)
             ),
             trace_id=req.trace_id,
+            signature=req.signature,
         )
         lane = self._lane_for(request.signature)
         if (

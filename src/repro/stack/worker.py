@@ -15,11 +15,9 @@ The wire protocol is deliberately tiny — picklable tuples over one
 * ``("serve", crc32, blob)`` → ``("result", crc32, blob)`` — the blobs
   are pickled payloads guarded by a CRC32 of their bytes, so a payload
   corrupted in transit is *detected* (and replayed) instead of silently
-  decoding into wrong results.  With ``ServerConfig.pipe_checksum``
-  off, the historical unchecked forms ``("serve", [(rid, Request),
-  ...])`` → ``("result", payload)`` are spoken instead; the worker
-  answers in whichever dialect the dispatch arrived in.  The payload
-  carries per-rid results and outcomes, the round's
+  decoding into wrong results.  The serve blob unpickles to
+  ``[(rid, Request), ...]``; the result payload carries per-rid
+  results and outcomes, the round's
   :class:`~repro.stack.profiler.ServingProfile` (request ids rewritten to
   fabric rids, channels/transitions rewritten to the shard's global ids),
   and the round's trace spans/events (rids rewritten likewise).  A serve
@@ -240,20 +238,18 @@ def apply_chaos(ctx, state: _ChaosState, spec: Dict[str, Any]) -> None:
 
 
 def _decode_serve(message: Tuple) -> List[Tuple[int, "Request"]]:
-    """The (rid, Request) items of one dispatch, CRC-verified when framed.
+    """The CRC-verified (rid, Request) items of one dispatch.
 
     Raises ``ValueError`` on a checksum mismatch — the caller reports it
     as an ``("error", ...)`` reply and the router replays the round.
     """
-    if len(message) == 3:
-        _, crc, blob = message
-        if zlib.crc32(blob) != crc:
-            raise ValueError(
-                "serve dispatch failed its CRC32 check (payload corrupted "
-                "in transit)"
-            )
-        return pickle.loads(blob)
-    return message[1]
+    _, crc, blob = message
+    if zlib.crc32(blob) != crc:
+        raise ValueError(
+            "serve dispatch failed its CRC32 check (payload corrupted "
+            "in transit)"
+        )
+    return pickle.loads(blob)
 
 
 def run_worker(
@@ -350,39 +346,36 @@ def run_worker(
                 except Exception as err:  # noqa: BLE001 - shipped to router
                     conn.send(("error", f"{type(err).__name__}: {err}"))
                 else:
-                    if len(message) == 3:
-                        blob = pickle.dumps(
-                            payload, protocol=pickle.HIGHEST_PROTOCOL
-                        )
-                        crc = zlib.crc32(blob)
-                        if chaos.corrupt_next_reply or chaos.corrupt_next_shm:
-                            from ..faults import FaultConfig, FaultInjector
+                    blob = pickle.dumps(
+                        payload, protocol=pickle.HIGHEST_PROTOCOL
+                    )
+                    crc = zlib.crc32(blob)
+                    if chaos.corrupt_next_reply or chaos.corrupt_next_shm:
+                        from ..faults import FaultConfig, FaultInjector
 
-                            if chaos.injector is None:
-                                chaos.injector = FaultInjector(
-                                    ctx.system, FaultConfig(seed=shard)
-                                )
-                        if chaos.corrupt_next_shm:
-                            # Strike the shared-memory frames, not the
-                            # control blob: its CRC stays valid, so only
-                            # the router's per-descriptor check can
-                            # catch this.  Degrades to blob corruption
-                            # when no frame was written (pipe transport,
-                            # or an all-inline round).
-                            chaos.corrupt_next_shm = False
-                            if writer is None or not writer.corrupt_last_round(
-                                chaos.injector
-                            ):
-                                blob = chaos.injector.corrupt_blob(blob)
-                        if chaos.corrupt_next_reply:
-                            chaos.corrupt_next_reply = False
-                            # CRC was computed on the good bytes; the blob
-                            # is corrupted after, modelling the transit
-                            # fault the router's check must catch.
+                        if chaos.injector is None:
+                            chaos.injector = FaultInjector(
+                                ctx.system, FaultConfig(seed=shard)
+                            )
+                    if chaos.corrupt_next_shm:
+                        # Strike the shared-memory frames, not the
+                        # control blob: its CRC stays valid, so only
+                        # the router's per-descriptor check can
+                        # catch this.  Degrades to blob corruption
+                        # when no frame was written (pipe transport,
+                        # or an all-inline round).
+                        chaos.corrupt_next_shm = False
+                        if writer is None or not writer.corrupt_last_round(
+                            chaos.injector
+                        ):
                             blob = chaos.injector.corrupt_blob(blob)
-                        conn.send(("result", crc, blob))
-                    else:
-                        conn.send(("result", payload))
+                    if chaos.corrupt_next_reply:
+                        chaos.corrupt_next_reply = False
+                        # CRC was computed on the good bytes; the blob
+                        # is corrupted after, modelling the transit
+                        # fault the router's check must catch.
+                        blob = chaos.injector.corrupt_blob(blob)
+                    conn.send(("result", crc, blob))
             elif kind == "ping":
                 conn.send(("pong", shard))
             elif kind == "chaos":

@@ -26,6 +26,13 @@ from repro.common.fp16 import (
 
 f16_bits = st.integers(min_value=0, max_value=0xFFFF)
 
+# These tests sweep every FP16 bit pattern, infinities and NaNs included,
+# and compare against NumPy — which announces each overflow/NaN it is
+# asked to produce.  The values are the point; the announcements are not.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:(overflow|invalid value) encountered:RuntimeWarning"
+)
+
 
 class TestFormatProperties:
     def test_fp16_geometry(self):

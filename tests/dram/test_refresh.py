@@ -72,12 +72,12 @@ class TestRefreshDuringPimKernels:
         result is unchanged — JEDEC compliance in action."""
         from repro.stack.blas import gemv_reference
         from repro.stack.kernels import GemvKernel
-        from repro.stack.runtime import PimSystem
+        from repro.stack.runtime import PimSystem, SystemConfig
 
-        system = PimSystem(
+        system = PimSystem(SystemConfig(
             num_pchs=1, num_rows=128, refresh=True,
             timing=replace(HBM2_1GHZ, trefi=400, trfc=120),
-        )
+        ))
         rng = np.random.default_rng(0)
         w = (rng.standard_normal((128, 128)) * 0.1).astype(np.float16)
         x = (rng.standard_normal(128) * 0.1).astype(np.float16)
@@ -90,12 +90,12 @@ class TestRefreshDuringPimKernels:
     def test_elementwise_bit_exact_under_refresh(self):
         from repro.stack.blas import add_reference
         from repro.stack.kernels import ElementwiseKernel
-        from repro.stack.runtime import PimSystem
+        from repro.stack.runtime import PimSystem, SystemConfig
 
-        system = PimSystem(
+        system = PimSystem(SystemConfig(
             num_pchs=1, num_rows=128, refresh=True,
             timing=replace(HBM2_1GHZ, trefi=300, trfc=100),
-        )
+        ))
         rng = np.random.default_rng(1)
         a = rng.standard_normal(8000).astype(np.float16)
         b = rng.standard_normal(8000).astype(np.float16)

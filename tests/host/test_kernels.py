@@ -66,10 +66,12 @@ class TestMechanisticComparison:
         the rest of the paper's 11.2x is host-library inefficiency."""
         import numpy as np
         from repro.stack.kernels import GemvKernel
-        from repro.stack.runtime import PimSystem
+        from repro.stack.runtime import PimSystem, SystemConfig
 
         m, n = 256, 256
-        pim_sys = PimSystem(num_pchs=1, num_rows=256, fence_penalty_cycles=22)
+        pim_sys = PimSystem(
+            SystemConfig(num_pchs=1, num_rows=256, fence_penalty_cycles=22)
+        )
         kernel = GemvKernel(pim_sys, m, n)
         rng = np.random.default_rng(0)
         kernel.load_weights((rng.standard_normal((m, n)) * 0.1).astype(np.float16))

@@ -16,6 +16,7 @@ import pytest
 
 from repro.faults import FaultConfig
 from repro.obs import diff_span_trees
+from repro.stack.api import Request, ServerConfig
 from repro.stack.runtime import PimSystem, SystemConfig
 from repro.stack.server import PimServer
 
@@ -32,16 +33,20 @@ def serve_once(seed):
         num_pchs=4,
         num_rows=256,
         simulate_pchs=1,
-        server_seed=seed,
         trace=True,
         ecc=True,
-        scrub_interval=2,
         faults=FaultConfig(
             bit_flip_rate=1e-4,
             check_flip_rate=1e-4,
             failed_channels=(0,),
             seed=seed,
         ),
+    )
+    server_config = ServerConfig(
+        lanes=2,
+        max_batch=4,
+        seed=seed,
+        scrub_interval=2,
         queue_depth=4,
         admission="shed",
     )
@@ -50,18 +55,18 @@ def serve_once(seed):
     arrivals = np.cumsum(rng.exponential(900.0, size=16))
     system = PimSystem(config)
     handles = []
-    with PimServer(system, lanes=2, max_batch=4) as server:
+    with PimServer(system, server_config) as server:
         for i, arrival in enumerate(arrivals):
             if i % 2 == 0:
                 handles.append(
-                    server.submit("gemv", weights=w, a=rand(80, seed + i),
-                                  arrival_ns=float(arrival))
+                    server.submit(Request("gemv", weights=w, a=rand(80, seed + i),
+                                          arrival_ns=float(arrival)))
                 )
             else:
                 handles.append(
-                    server.submit("add", a=rand(160, seed + i),
-                                  b=rand(160, seed + 700 + i),
-                                  arrival_ns=float(arrival))
+                    server.submit(Request("add", a=rand(160, seed + i),
+                                          b=rand(160, seed + 700 + i),
+                                          arrival_ns=float(arrival)))
                 )
         profile = server.run()
     return system, handles, profile

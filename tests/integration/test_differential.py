@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultConfig
+from repro.stack.api import Request, ServerConfig
 from repro.stack.blas import (
     PimBlas,
     _sigmoid,
@@ -61,7 +62,7 @@ class TestBlasDifferential:
     )
     @settings(max_examples=10, deadline=None)
     def test_gemv(self, m, n, pchs, seed):
-        system = PimSystem(num_pchs=pchs, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=pchs, num_rows=128))
         blas = PimBlas(system)
         w, x = rand((m, n), seed), rand(n, seed + 1)
         y, _ = blas.gemv(w, x)
@@ -74,7 +75,7 @@ class TestBlasDifferential:
     )
     @settings(max_examples=10, deadline=None)
     def test_binary_elementwise(self, length, op, seed):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         blas = PimBlas(system)
         a, b = rand(length, seed), rand(length, seed + 1)
         out, _ = getattr(blas, op)(a, b)
@@ -84,7 +85,7 @@ class TestBlasDifferential:
     @given(length=st.integers(1, 3000), seed=st.integers(0, 2**16))
     @settings(max_examples=8, deadline=None)
     def test_relu(self, length, seed):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         out, _ = PimBlas(system).relu(rand(length, seed))
         assert np.array_equal(out, relu_reference(rand(length, seed)))
 
@@ -96,7 +97,7 @@ class TestBlasDifferential:
     )
     @settings(max_examples=8, deadline=None)
     def test_bn(self, length, gamma, beta, seed):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         a = rand(length, seed)
         out, _ = PimBlas(system).bn(a, gamma, beta)
         assert np.array_equal(out, bn_reference(a, gamma, beta))
@@ -108,7 +109,7 @@ class TestBlasDifferential:
     )
     @settings(max_examples=6, deadline=None)
     def test_lstm_cell(self, d, h, seed):
-        system = PimSystem(num_pchs=2, num_rows=256)
+        system = PimSystem(SystemConfig(num_pchs=2, num_rows=256))
         blas = PimBlas(system)
         w_ih, w_hh = rand((4 * h, d), seed), rand((4 * h, h), seed + 1)
         bias = rand(4 * h, seed + 2).astype(np.float32)
@@ -150,15 +151,19 @@ class TestServingDifferential:
             num_pchs=4,
             num_rows=256,
             simulate_pchs=1,
-            server_seed=seed,
             ecc=True,
-            scrub_interval=2,
             faults=FaultConfig(
                 bit_flip_rate=1e-4,
                 check_flip_rate=1e-4,
                 failed_channels=(0,),
                 seed=seed,
             ),
+        )
+        server_config = ServerConfig(
+            lanes=2,
+            max_batch=4,
+            seed=seed,
+            scrub_interval=2,
             queue_depth=4,
             admission="shed",
         )
@@ -168,28 +173,28 @@ class TestServingDifferential:
         arrivals = np.cumsum(rng.exponential(800.0, size=15))
         system = PimSystem(config)
         handles = []
-        with PimServer(system, lanes=2, max_batch=4) as server:
+        with PimServer(system, server_config) as server:
             for i, arrival in enumerate(arrivals):
                 op = ops[i % len(ops)]
                 kwargs = dict(arrival_ns=float(arrival))
                 if op == "gemv":
                     handles.append(
-                        server.submit("gemv", weights=w,
-                                      a=rand(80, seed + i), **kwargs)
+                        server.submit(Request("gemv", weights=w,
+                                              a=rand(80, seed + i), **kwargs))
                     )
                 elif op in ("add", "mul"):
                     handles.append(
-                        server.submit(op, a=rand(160, seed + i),
-                                      b=rand(160, seed + 900 + i), **kwargs)
+                        server.submit(Request(op, a=rand(160, seed + i),
+                                              b=rand(160, seed + 900 + i), **kwargs))
                     )
                 elif op == "relu":
                     handles.append(
-                        server.submit("relu", a=rand(160, seed + i), **kwargs)
+                        server.submit(Request("relu", a=rand(160, seed + i), **kwargs))
                     )
                 else:
                     handles.append(
-                        server.submit("bn", a=rand(160, seed + i),
-                                      scalars=(1.25, -0.5), **kwargs)
+                        server.submit(Request("bn", a=rand(160, seed + i),
+                                              scalars=(1.25, -0.5), **kwargs))
                     )
             profile = server.run()
 
@@ -220,16 +225,18 @@ class TestServingDifferential:
         w = rand((48, 80), 1)
         system = PimSystem(config)
         handles = []
-        with PimServer(system, lanes=2, max_batch=4, max_retries=1) as server:
+        with PimServer(
+            system, ServerConfig(lanes=2, max_batch=4, max_retries=1)
+        ) as server:
             for i in range(12):
                 if i % 2 == 0:
                     handles.append(
-                        server.submit("gemv", weights=w, a=rand(80, 10 + i))
+                        server.submit(Request("gemv", weights=w, a=rand(80, 10 + i)))
                     )
                 else:
                     handles.append(
-                        server.submit("mul", a=rand(160, 10 + i),
-                                      b=rand(160, 40 + i))
+                        server.submit(Request("mul", a=rand(160, 10 + i),
+                                              b=rand(160, 40 + i)))
                     )
             profile = server.run()
         assert profile.fallbacks > 0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import GraphBuilder as G
-from repro import GraphExecutor, PimBlas, PimSystem
+from repro import GraphExecutor, PimBlas, PimSystem, SystemConfig
 from repro.dram.commands import CommandType
 from repro.pim.modes import PimMode
 
@@ -22,7 +22,7 @@ def rand(shape, seed, scale=0.1):
 
 class TestMlpInference:
     def test_two_layer_mlp_host_vs_pim(self):
-        system = PimSystem(num_pchs=2, num_rows=256)
+        system = PimSystem(SystemConfig(num_pchs=2, num_rows=256))
         w1, w2 = rand((256, 96), 0), rand((64, 256), 1)
         x = G.placeholder("x")
         logits = G.matvec(w2, G.relu(G.matvec(w1, x)))
@@ -37,7 +37,7 @@ class TestMlpInference:
         assert np.abs(host_y - pim_y.astype(np.float32)).max() < 3e-3
 
     def test_residual_block(self):
-        system = PimSystem(num_pchs=2, num_rows=256)
+        system = PimSystem(SystemConfig(num_pchs=2, num_rows=256))
         x, skip = G.placeholder("x"), G.placeholder("skip")
         out = G.relu(G.add(G.batch_norm(x, 1.1, 0.1), skip))
         feed = {"x": rand(4096, 3), "skip": rand(4096, 4)}
@@ -51,7 +51,7 @@ class TestMlpInference:
 
 class TestLstmSequence:
     def test_short_speech_like_sequence(self):
-        system = PimSystem(num_pchs=2, num_rows=256)
+        system = PimSystem(SystemConfig(num_pchs=2, num_rows=256))
         T, D, H = 4, 40, 64
         w_ih, w_hh = rand((4 * H, D), 5), rand((4 * H, H), 6)
         bias = rand(4 * H, 7).astype(np.float32)
@@ -69,14 +69,14 @@ class TestLstmSequence:
 
 class TestDeviceStateDiscipline:
     def test_system_returns_to_sb_mode(self):
-        system = PimSystem(num_pchs=2, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=2, num_rows=128))
         blas = PimBlas(system)
         blas.gemv(rand((128, 64), 9), rand(64, 10))
         for i in range(system.num_pchs):
             assert system.device.pch(i).mode is PimMode.SB
 
     def test_interleaved_kernels_share_device(self):
-        system = PimSystem(num_pchs=2, num_rows=256)
+        system = PimSystem(SystemConfig(num_pchs=2, num_rows=256))
         blas = PimBlas(system)
         w = rand((128, 64), 11)
         gemv_y1, _ = blas.gemv(w, rand(64, 12))
@@ -89,7 +89,7 @@ class TestDeviceStateDiscipline:
     def test_only_standard_commands_cross_the_interface(self):
         """The drop-in-replacement property: every host/device interaction
         is a JEDEC command type."""
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         blas = PimBlas(system)
         blas.gemv(rand((128, 64), 15), rand(64, 16))
         counts = system.device.pch(0).cmd_counts
@@ -97,7 +97,7 @@ class TestDeviceStateDiscipline:
         assert set(counts) == set(CommandType)
 
     def test_mode_transition_count(self):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         blas = PimBlas(system)
         blas.gemv(rand((128, 64), 17), rand(64, 18))
         # SB -> AB, per-tile AB<->AB-PIM toggles, AB -> SB.
@@ -106,7 +106,7 @@ class TestDeviceStateDiscipline:
 
 class TestScalability:
     def test_four_channel_system(self):
-        system = PimSystem(num_pchs=4, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=4, num_rows=128))
         blas = PimBlas(system)
         w, x = rand((256, 160), 19), rand(160, 20)
         y, report = blas.gemv(w, x)
@@ -115,7 +115,7 @@ class TestScalability:
         assert report.total_pchs == 4
 
     def test_uneven_dimensions(self):
-        system = PimSystem(num_pchs=3, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=3, num_rows=128))
         blas = PimBlas(system)
         w, x = rand((130, 50), 21), rand(50, 22)
         y, _ = blas.gemv(w, x)
@@ -123,7 +123,7 @@ class TestScalability:
         assert np.abs(y - gold).max() < 2e-3
 
     def test_wide_vector_spans_rows(self):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         blas = PimBlas(system)
         a, b = rand(50000, 23), rand(50000, 24)
         out, report = blas.add(a, b)

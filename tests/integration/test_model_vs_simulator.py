@@ -13,7 +13,7 @@ import pytest
 from repro.perf.latency import PIM_HBM, LatencyModel
 from repro.stack.kernels import ElementwiseKernel, GemvKernel
 from repro.stack.lstm import LstmLayerOperator
-from repro.stack.runtime import PimSystem
+from repro.stack.runtime import PimSystem, SystemConfig
 
 
 def _analytic(num_pchs):
@@ -28,7 +28,9 @@ def rand(shape, seed, scale=0.1):
 class TestGemvAgreement:
     @pytest.mark.parametrize("m,n", [(128, 64), (256, 128), (384, 96)])
     def test_cycles_within_band(self, m, n):
-        system = PimSystem(num_pchs=2, num_rows=256, fence_penalty_cycles=22)
+        system = PimSystem(
+            SystemConfig(num_pchs=2, num_rows=256, fence_penalty_cycles=22)
+        )
         kernel = GemvKernel(system, m, n)
         kernel.load_weights(rand((m, n), 0))
         _, report = kernel(rand(n, 1))
@@ -39,7 +41,9 @@ class TestGemvAgreement:
 class TestElementwiseAgreement:
     @pytest.mark.parametrize("elements", [16 * 1024, 64 * 1024])
     def test_add_cycles_within_band(self, elements):
-        system = PimSystem(num_pchs=2, num_rows=256, fence_penalty_cycles=22)
+        system = PimSystem(
+            SystemConfig(num_pchs=2, num_rows=256, fence_penalty_cycles=22)
+        )
         a, b = rand(elements, 2), rand(elements, 3)
         _, report = ElementwiseKernel(system, "add", elements)(a, b)
         analytic = _analytic(2).pim_elementwise_cycles(elements, 24, 3)
@@ -47,7 +51,9 @@ class TestElementwiseAgreement:
 
     def test_bn_cheaper_than_add_in_both(self):
         elements = 32 * 1024
-        system = PimSystem(num_pchs=2, num_rows=256, fence_penalty_cycles=22)
+        system = PimSystem(
+            SystemConfig(num_pchs=2, num_rows=256, fence_penalty_cycles=22)
+        )
         a, b = rand(elements, 4), rand(elements, 5)
         _, add_rep = ElementwiseKernel(system, "add", elements)(a, b)
         _, bn_rep = ElementwiseKernel(system, "bn", elements)(a, scalars=(1.0, 0.0))
@@ -59,7 +65,9 @@ class TestElementwiseAgreement:
 
 class TestLstmAgreement:
     def test_fused_layer_tracks_two_gemvs_per_step(self):
-        system = PimSystem(num_pchs=2, num_rows=256, fence_penalty_cycles=22)
+        system = PimSystem(
+            SystemConfig(num_pchs=2, num_rows=256, fence_penalty_cycles=22)
+        )
         d, h, steps = 64, 64, 3
         op = LstmLayerOperator(system, d, h)
         op.load_weights(rand((4 * h, d), 6), rand((4 * h, h), 7),

@@ -13,7 +13,7 @@ import pytest
 from repro.dram.commands import Command, CommandType
 from repro.pim.assembler import assemble_words
 from repro.pim.modes import PimMode
-from repro.stack.runtime import PimSystem
+from repro.stack.runtime import PimSystem, SystemConfig
 
 
 def rand(shape, seed, scale=0.2):
@@ -25,7 +25,7 @@ class TestChannelIndependence:
     def test_different_microkernels_per_channel(self):
         """Channel 0 runs an ADD microkernel while channel 1 runs MUL —
         each tenant programs its own CRF through its own controller."""
-        system = PimSystem(num_pchs=2, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=2, num_rows=128))
         mm = system.device.memory_map
 
         programs = {
@@ -90,7 +90,7 @@ class TestChannelIndependence:
     def test_one_channel_in_pim_mode_other_in_sb(self):
         """A tenant doing ordinary DRAM traffic is unaffected by a
         neighbouring channel in AB-PIM mode."""
-        system = PimSystem(num_pchs=2, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=2, num_rows=128))
         mm = system.device.memory_map
 
         # Channel 0 enters AB mode.
@@ -113,7 +113,7 @@ class TestChannelIndependence:
     def test_blas_calls_isolate_by_construction(self):
         """Two tenants' operators share a device but never touch each
         other's rows (driver-allocated disjoint row sets)."""
-        system = PimSystem(num_pchs=2, num_rows=256)
+        system = PimSystem(SystemConfig(num_pchs=2, num_rows=256))
         wa, xa = rand((128, 64), 1), rand(64, 2)
         wb, xb = rand((128, 64), 3), rand(64, 4)
         op_a = system.executor.gemv_operator(wa)

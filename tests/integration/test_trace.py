@@ -6,7 +6,7 @@ import pytest
 
 from repro.dram.commands import CommandType
 from repro.stack.blas import PimBlas
-from repro.stack.runtime import PimSystem
+from repro.stack.runtime import PimSystem, SystemConfig
 from repro.tools import trace_channel
 
 
@@ -17,7 +17,7 @@ def rand(shape, seed):
 
 class TestTracer:
     def test_records_commands(self):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         blas = PimBlas(system)
         with trace_channel(system.device.pch(0)) as trace:
             blas.gemv(rand((128, 64), 0), rand(64, 1))
@@ -28,7 +28,7 @@ class TestTracer:
         assert counts[CommandType.ACT] > 0
 
     def test_mode_transition_sequence(self):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         blas = PimBlas(system)
         with trace_channel(system.device.pch(0)) as trace:
             blas.gemv(rand((128, 64), 2), rand(64, 3))
@@ -39,14 +39,14 @@ class TestTracer:
         assert modes[-1] == "single-bank"
 
     def test_pim_columns_happen_in_pim_mode(self):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         blas = PimBlas(system)
         with trace_channel(system.device.pch(0)) as trace:
             blas.add(rand(3000, 4), rand(3000, 5))
         assert trace.columns_in_mode("all-bank-pim") > 0
 
     def test_detach_restores_channel(self):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         channel = system.device.pch(0)
         original = channel.issue
         with trace_channel(channel):
@@ -56,7 +56,7 @@ class TestTracer:
         assert "issue" not in vars(channel)
 
     def test_summary_renders(self):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         blas = PimBlas(system)
         with trace_channel(system.device.pch(0)) as trace:
             blas.relu(rand(2000, 6))
@@ -66,7 +66,7 @@ class TestTracer:
         assert trace.lines()
 
     def test_filter_by_type(self):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         blas = PimBlas(system)
         with trace_channel(system.device.pch(0)) as trace:
             blas.gemv(rand((128, 64), 7), rand(64, 8))

@@ -27,7 +27,7 @@ WORKERS = 2
 
 def _config(trace=False):
     return SystemConfig(
-        num_pchs=2, num_rows=256, simulate_pchs=1, server_seed=5, trace=trace
+        num_pchs=2, num_rows=256, simulate_pchs=1, trace=trace
     )
 
 

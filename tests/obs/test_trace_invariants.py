@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.faults import FaultConfig
 from repro.obs import span_children
+from repro.stack.api import Request, ServerConfig
 from repro.stack.runtime import PimSystem, SystemConfig
 from repro.stack.server import PimServer
 
@@ -44,11 +45,12 @@ def traced_session(
 ):
     """One served session under the given pressure; returns
     ``(system, handles, profile)``."""
-    config = BASE.replace(server_seed=seed)
+    config = BASE
+    server_config = ServerConfig(lanes=2, max_batch=4, seed=seed)
     if faults:
+        server_config = server_config.replace(scrub_interval=2)
         config = config.replace(
             ecc=True,
-            scrub_interval=2,
             faults=FaultConfig(
                 bit_flip_rate=5e-4,
                 check_flip_rate=5e-4,
@@ -57,13 +59,13 @@ def traced_session(
             ),
         )
     if overload:
-        config = config.replace(queue_depth=3, admission="shed")
+        server_config = server_config.replace(queue_depth=3, admission="shed")
     rng = np.random.default_rng(seed)
     w = rand((48, 80), seed)
     arrivals = np.cumsum(rng.exponential(gap_ns, size=requests))
     system = PimSystem(config)
     handles = []
-    with PimServer(system, lanes=2, max_batch=4) as server:
+    with PimServer(system, server_config) as server:
         for i, arrival in enumerate(arrivals):
             kwargs = dict(
                 arrival_ns=float(arrival),
@@ -72,17 +74,17 @@ def traced_session(
             )
             if i % 3 == 0:
                 handles.append(
-                    server.submit("gemv", weights=w, a=rand(80, seed + i),
-                                  **kwargs)
+                    server.submit(Request("gemv", weights=w, a=rand(80, seed + i),
+                                          **kwargs))
                 )
             elif i % 3 == 1:
                 handles.append(
-                    server.submit("add", a=rand(192, seed + i),
-                                  b=rand(192, seed + 500 + i), **kwargs)
+                    server.submit(Request("add", a=rand(192, seed + i),
+                                          b=rand(192, seed + 500 + i), **kwargs))
                 )
             else:
                 handles.append(
-                    server.submit("relu", a=rand(192, seed + i), **kwargs)
+                    server.submit(Request("relu", a=rand(192, seed + i), **kwargs))
                 )
         profile = server.run()
     return system, handles, profile

@@ -14,7 +14,7 @@ from repro.host.processor import HostSystem
 from repro.perf.activity import ActivityEnergyModel, ActivityEnergyParams
 from repro.perf.energy import DevicePowerModel
 from repro.stack.kernels import ElementwiseKernel
-from repro.stack.runtime import PimSystem
+from repro.stack.runtime import PimSystem, SystemConfig
 
 
 def _host_channels_with_stream(nbytes):
@@ -27,7 +27,7 @@ def _host_channels_with_stream(nbytes):
 
 
 def _pim_channels_with_add(elements):
-    system = PimSystem(num_pchs=1, num_rows=256)
+    system = PimSystem(SystemConfig(num_pchs=1, num_rows=256))
     rng = np.random.default_rng(0)
     a = rng.standard_normal(elements).astype(np.float16)
     b = rng.standard_normal(elements).astype(np.float16)

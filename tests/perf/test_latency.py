@@ -168,11 +168,13 @@ class TestAnalyticVsSimulator:
         import numpy as np
         from dataclasses import replace
         from repro.stack.kernels import GemvKernel
-        from repro.stack.runtime import PimSystem
+        from repro.stack.runtime import PimSystem, SystemConfig
         from repro.perf.latency import SystemPerf
 
         m, n, pchs = 256, 128, 2
-        system = PimSystem(num_pchs=pchs, num_rows=128, fence_penalty_cycles=22)
+        system = PimSystem(
+            SystemConfig(num_pchs=pchs, num_rows=128, fence_penalty_cycles=22)
+        )
         kernel = GemvKernel(system, m, n)
         rng = np.random.default_rng(0)
         kernel.load_weights((rng.standard_normal((m, n)) * 0.1).astype(np.float16))

@@ -425,26 +425,6 @@ class TestEndToEndThreeWay:
         assert fused[1] == base[1], "results diverged under shed overload"
         assert base[2] > 0 and fused[2] == base[2]  # shed path engaged
 
-    def test_mixed_scalar_exec_and_exec_mode_raises(self):
-        from repro.stack.runtime import SystemConfig
-
-        import pytest
-
-        with pytest.raises(TypeError, match="MIGRATION"):
-            SystemConfig(scalar_exec=True, exec_mode="fused")
-
-    def test_scalar_exec_shim_maps_and_warns(self):
-        from repro.stack.runtime import SystemConfig
-
-        import pytest
-
-        with pytest.warns(DeprecationWarning, match="scalar_exec"):
-            cfg = SystemConfig(scalar_exec=True)
-        assert cfg.execution_mode == "scalar"
-        with pytest.warns(DeprecationWarning):
-            cfg = SystemConfig(scalar_exec=False)
-        assert cfg.execution_mode == "lockstep"
-
     def test_unknown_exec_mode_rejected(self):
         from repro.stack.runtime import SystemConfig
 

@@ -171,8 +171,7 @@ class TestReplicaIndependence:
 
         def run(mode):
             config = SystemConfig(
-                num_pchs=2, num_rows=256, simulate_pchs=1, server_seed=7,
-                exec_mode=mode,
+                num_pchs=2, num_rows=256, simulate_pchs=1, exec_mode=mode,
             )
             rng = np.random.default_rng(7)
             weights = [

@@ -1,13 +1,21 @@
-"""Tests for the redesigned submit/config surface (Request, ServerConfig)."""
+"""Tests for the submit/config surface (Request, ServerConfig, SystemConfig)."""
 
 import pickle
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from repro.errors import PimProgramError
-from repro.stack import Request, ServerConfig, request_signature
-from repro.stack.runtime import SystemConfig
+from repro.stack import (
+    PimFabric,
+    PimServer,
+    PimSystem,
+    Request,
+    ServerConfig,
+    SystemConfig,
+    request_signature,
+)
 
 
 def rand(shape, seed, scale=0.25):
@@ -126,37 +134,86 @@ class TestServerConfig:
             config.lanes = 8
         assert pickle.loads(pickle.dumps(config)) == config
 
-    def test_resolve_inherits_from_system_config(self):
-        system_config = SystemConfig(
-            queue_depth=32, admission="shed", server_seed=99,
-            retry_budget=3.0,
-        )
-        resolved = ServerConfig().resolve(system_config)
-        assert resolved.queue_depth == 32
-        assert resolved.admission == "shed"
-        assert resolved.seed == 99
-        assert resolved.retry_budget == 3.0
-
-    def test_explicit_knob_beats_inheritance(self):
-        system_config = SystemConfig(queue_depth=32, admission="shed")
-        resolved = ServerConfig(queue_depth=4, admission="degrade").resolve(
-            system_config
-        )
-        assert resolved.queue_depth == 4
-        assert resolved.admission == "degrade"
-
-    def test_resolve_without_system_uses_historical_defaults(self):
-        resolved = ServerConfig().resolve()
-        assert resolved.admission == "block"
-        assert resolved.retry_budget == 8.0
-        assert resolved.breaker_threshold == 3
-        assert resolved.seed == 0
-
-    def test_resolve_is_idempotent(self):
-        resolved = ServerConfig().resolve(SystemConfig())
-        assert resolved.resolve(SystemConfig()) == resolved
-
     def test_replace_builds_modified_copy(self):
         config = ServerConfig(lanes=2)
         assert config.replace(lanes=6).lanes == 6
         assert config.lanes == 2
+
+
+#: Every ServerConfig default, spelled out: a default that moves changes
+#: every seeded digest (the ledger's ``sim_digest``, the chaos and replay
+#: byte-comparisons), so moving one has to be a deliberate edit here too.
+SERVER_DEFAULTS = {
+    "lanes": 2,
+    "max_batch": 8,
+    "max_retries": 2,
+    "scrub_interval": 0,
+    "queue_depth": None,
+    "admission": "block",
+    "aging_ns": 50_000.0,
+    "retry_budget": 8.0,
+    "retry_refill": 0.5,
+    "backoff_base_ns": 2_000.0,
+    "backoff_jitter": 0.5,
+    "breaker_threshold": 3,
+    "breaker_cooldown_ns": 100_000.0,
+    "seed": 0,
+    "reply_timeout_s": 600.0,
+    "heartbeat_timeout_s": 30.0,
+    "heartbeat": True,
+    "close_timeout_s": 10.0,
+    "join_timeout_s": 30.0,
+    "max_respawns": 1,
+    "hedge": True,
+    "hedge_quantile": 0.95,
+    "hedge_factor": 3.0,
+    "hedge_min_s": 0.25,
+    "transport": "pipe",
+    "weight_store_mb": 64.0,
+    "shm_inline_bytes": 1024,
+    "journal_dir": None,
+    "journal_sync": False,
+}
+
+
+class TestConfigSurface:
+    """One home per knob: the two configs never overlap or grow unseen."""
+
+    def test_field_sets_are_disjoint_and_sized(self):
+        system = {f.name for f in fields(SystemConfig)}
+        server = {f.name for f in fields(ServerConfig)}
+        assert system & server == set()
+        assert (len(system), len(server)) == (16, 29)
+
+    def test_server_defaults_are_concrete_and_pinned(self):
+        assert asdict(ServerConfig()) == SERVER_DEFAULTS
+
+    def test_server_runs_the_config_it_was_given(self):
+        config = ServerConfig(lanes=1, queue_depth=3, admission="shed", seed=9)
+        system = PimSystem(SystemConfig(num_pchs=2, simulate_pchs=1))
+        with PimServer(system, config) as server:
+            assert server.server_config is config
+            assert len(server.lanes) == 1
+            assert (server.queue_depth, server.admission) == (3, "shed")
+            # Channel sampling is a platform knob: read from the system.
+            assert server.simulate_pchs == 1
+
+    def test_system_config_pickles_like_server_config(self):
+        """Workers receive both by pickle (ServerConfig's round trip is
+        ``TestServerConfig.test_frozen_and_picklable``)."""
+        config = SystemConfig(num_pchs=2, ecc=True, exec_mode="lockstep")
+        assert pickle.loads(pickle.dumps(config)) == config
+
+
+@pytest.mark.parametrize("tier", ["server", "fabric"])
+def test_submit_rejects_non_request(tier):
+    """Both tiers take a Request and nothing else, and say so up front."""
+    config = SystemConfig(num_pchs=2, num_rows=256, simulate_pchs=1)
+    if tier == "server":
+        target = PimServer(PimSystem(config))
+    else:
+        target = PimFabric(config, workers=1)
+    with target:
+        for bad in ("gemv", None, ("gemv", rand(8, 0))):
+            with pytest.raises(TypeError, match="takes a Request"):
+                target.submit(bad)

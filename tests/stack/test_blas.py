@@ -11,12 +11,12 @@ from repro.stack.blas import (
     mul_reference,
     relu_reference,
 )
-from repro.stack.runtime import PimSystem
+from repro.stack.runtime import PimSystem, SystemConfig
 
 
 @pytest.fixture(scope="module")
 def system():
-    return PimSystem(num_pchs=2, num_rows=256)
+    return PimSystem(SystemConfig(num_pchs=2, num_rows=256))
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,4 @@
-"""The PimContext API surface: config presets, report modes, shims, caches."""
-
-import warnings
+"""The PimContext API surface: config presets, report modes, caches."""
 
 import numpy as np
 import pytest
@@ -38,42 +36,6 @@ class TestSystemConfig:
         # 8192 rows/bank are backed sparsely; assembly must be instant.
         system = PimSystem(SystemConfig.paper_scale())
         assert system.num_pchs == 16
-
-
-class TestDeprecationShim:
-    def test_legacy_kwargs_still_work_with_warning(self):
-        with pytest.warns(DeprecationWarning):
-            system = PimSystem(num_pchs=2, num_rows=128)
-        assert system.num_pchs == 2
-        assert system.config.num_rows == 128
-
-    def test_legacy_positional_channel_count(self):
-        with pytest.warns(DeprecationWarning):
-            system = PimSystem(2)
-        assert system.num_pchs == 2
-
-    def test_config_form_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            system = PimSystem(SystemConfig(num_pchs=2, num_rows=128))
-        assert system.num_pchs == 2
-
-    def test_mixing_forms_rejected(self):
-        with pytest.raises(TypeError):
-            PimSystem(SystemConfig(), num_pchs=2)
-
-    def test_unknown_kwargs_rejected(self):
-        with pytest.raises(TypeError):
-            PimSystem(channels=2)
-
-    def test_legacy_and_config_build_identical_systems(self):
-        w, x = rand((32, 48), 0), rand(48, 1)
-        with pytest.warns(DeprecationWarning):
-            legacy = PimSystem(num_pchs=2, num_rows=128)
-        modern = PimSystem(SystemConfig(num_pchs=2, num_rows=128))
-        y_legacy, _ = PimBlas(legacy, simulate_pchs=1).gemv(w, x)
-        y_modern, _ = PimBlas(modern, simulate_pchs=1).gemv(w, x)
-        assert np.array_equal(y_legacy, y_modern)
 
 
 class TestReportModes:
@@ -120,9 +82,9 @@ class TestPimContext:
         with PimContext(SystemConfig.fast_functional()) as ctx:
             y = ctx.blas.gemv(w, rand(48, 1))
             assert isinstance(y, np.ndarray)
-            with ctx.server(lanes=2, max_batch=4) as server:
+            with ctx.server(ServerConfig(lanes=2, max_batch=4)) as server:
                 for i in range(4):
-                    server.submit("gemv", weights=w, a=rand(48, i + 2))
+                    server.submit(Request("gemv", weights=w, a=rand(48, i + 2)))
                 profile = server.run()
             assert profile.num_requests == 4
             lines = ctx.report()
@@ -131,7 +93,7 @@ class TestPimContext:
 
     def test_context_releases_server_lanes_on_exit(self):
         with PimContext(SystemConfig.fast_functional()) as ctx:
-            ctx.server(lanes=2)
+            ctx.server(ServerConfig(lanes=2))
             system = ctx.system
             assert len(system.driver.channels_free) == 0
         assert len(system.driver.channels_free) == system.num_pchs

@@ -1,4 +1,4 @@
-"""Tests for the sharded serving fabric and the serving-tier shims.
+"""Tests for the sharded serving fabric.
 
 The worker-kill conservation test is the load-bearing one: a 4-worker
 fabric loses a worker to SIGKILL mid-round (after dispatch, before
@@ -6,8 +6,6 @@ collection — the most adversarial deterministic instant) and every
 submitted request must still end in exactly one terminal outcome with a
 bit-exact result, with the dead shard reported as quarantined.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -17,15 +15,13 @@ from repro.obs.export import SHARD_PID_BASE, chrome_trace, validate_chrome_trace
 from repro.stack import (
     PimContext,
     PimFabric,
-    PimServer,
-    PimSystem,
     Request,
     ServerConfig,
     SystemConfig,
     gemv_reference,
 )
 
-CONFIG = SystemConfig(num_pchs=2, num_rows=256, simulate_pchs=1, server_seed=7)
+CONFIG = SystemConfig(num_pchs=2, num_rows=256, simulate_pchs=1)
 # Pin the pre-self-healing semantics for the conservation tests: a killed
 # shard stays quarantined (no respawn) so replays land on survivors only.
 NO_RESPAWN = ServerConfig(max_respawns=0)
@@ -81,11 +77,6 @@ class TestFabricServing:
                 handle.shard
             )
         assert all(len(shards) == 1 for shards in by_signature.values())
-
-    def test_submit_rejects_legacy_op_string(self):
-        with PimFabric(CONFIG, workers=1) as fabric:
-            with pytest.raises(PimProgramError, match="takes a Request"):
-                fabric.submit("gemv")
 
     def test_submit_after_close_rejected(self):
         fabric = PimFabric(CONFIG, workers=1)
@@ -233,81 +224,6 @@ class TestFabricTraceMerge:
         assert any(
             event.name == "quarantine:shard" for event in fabric.tracer.events
         )
-
-
-class TestServingDeprecationShims:
-    """Satellite: the old serving call forms warn once and keep working."""
-
-    def test_server_legacy_kwargs_warn_and_work(self):
-        system = PimSystem(CONFIG)
-        with pytest.warns(DeprecationWarning, match="MIGRATION"):
-            server = PimServer(system, lanes=2, max_batch=4)
-        assert server.server_config.lanes == 2
-        assert server.server_config.max_batch == 4
-        server.close()
-
-    def test_server_config_form_does_not_warn(self):
-        system = PimSystem(CONFIG)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            server = PimServer(system, ServerConfig(lanes=2))
-        server.close()
-
-    def test_server_mixing_forms_rejected(self):
-        system = PimSystem(CONFIG)
-        with pytest.raises(TypeError, match="not both"):
-            PimServer(system, ServerConfig(), lanes=2)
-
-    def test_server_unknown_kwargs_rejected(self):
-        system = PimSystem(CONFIG)
-        with pytest.raises(TypeError):
-            PimServer(system, turbo=True)
-
-    def test_submit_legacy_op_string_warns_and_matches_request_form(self):
-        w, x = rand((16, 8), 0), rand(8, 1)
-        system = PimSystem(CONFIG)
-        with PimServer(system, ServerConfig(lanes=2)) as server:
-            with pytest.warns(DeprecationWarning, match="pass a Request"):
-                legacy = server.submit("gemv", weights=w, a=x)
-            modern = server.submit(Request("gemv", weights=w, a=x))
-            server.run()
-        assert np.array_equal(legacy.result, modern.result)
-
-    def test_submit_request_form_does_not_warn(self):
-        system = PimSystem(CONFIG)
-        with PimServer(system, ServerConfig(lanes=2)) as server:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                server.submit(Request("relu", a=rand(8, 0)))
-            server.run()
-
-    def test_ctx_server_legacy_kwargs_warn(self):
-        with PimContext(CONFIG) as ctx:
-            with pytest.warns(DeprecationWarning, match="ServerConfig"):
-                server = ctx.server(lanes=2)
-            assert server.server_config.lanes == 2
-
-    def test_legacy_and_modern_servers_serve_identically(self):
-        w = rand((16, 8), 0)
-        xs = [rand(8, i + 1) for i in range(4)]
-
-        def serve(build):
-            system = PimSystem(CONFIG)
-            with build(system) as server:
-                handles = [
-                    server.submit(Request("gemv", weights=w, a=x))
-                    for x in xs
-                ]
-                server.run()
-            return [h.result for h in handles]
-
-        with pytest.warns(DeprecationWarning):
-            legacy = serve(lambda s: PimServer(s, lanes=2, max_batch=4))
-        modern = serve(
-            lambda s: PimServer(s, ServerConfig(lanes=2, max_batch=4))
-        )
-        for left, right in zip(legacy, modern):
-            assert np.array_equal(left, right)
 
 
 class TestSelfHealing:
@@ -473,15 +389,6 @@ class TestSelfHealing:
         assert 0 in profile.quarantined_shards
         assert profile.replays > 0
         assert any("CRC32" in str(e) for e in fabric.worker_errors)
-
-    def test_pipe_checksum_off_speaks_legacy_dialect(self):
-        items = gemv_stream(8, 2)
-        config = ServerConfig(pipe_checksum=False)
-        with PimFabric(CONFIG, workers=2, server_config=config) as fabric:
-            handles = [fabric.submit(r) for r in items]
-            profile = fabric.run()
-        assert_bit_exact(handles)
-        assert sum(profile.outcomes().values()) == len(handles)
 
     def test_timeouts_thread_through_server_config(self):
         """Satellite: the historical hard-coded poll/join constants are

@@ -10,12 +10,12 @@ from repro.stack.graph import (
     GraphExecutor,
     Node,
 )
-from repro.stack.runtime import PimSystem
+from repro.stack.runtime import PimSystem, SystemConfig
 
 
 @pytest.fixture(scope="module")
 def system():
-    return PimSystem(num_pchs=2, num_rows=256)
+    return PimSystem(SystemConfig(num_pchs=2, num_rows=256))
 
 
 def rand(shape, seed, scale=0.1):

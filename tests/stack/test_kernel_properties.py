@@ -19,7 +19,7 @@ from repro.stack.blas import (
     relu_reference,
 )
 from repro.stack.kernels import ElementwiseKernel, GemvKernel
-from repro.stack.runtime import PimSystem
+from repro.stack.runtime import PimSystem, SystemConfig
 
 
 def rand(shape, seed, scale=0.2):
@@ -35,7 +35,7 @@ class TestGemvShapeProperty:
     )
     @settings(max_examples=12, deadline=None)
     def test_arbitrary_shapes_bit_exact(self, m, n, seed):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         w, x = rand((m, n), seed), rand(n, seed + 1)
         kernel = GemvKernel(system, m, n)
         kernel.load_weights(w)
@@ -50,7 +50,7 @@ class TestGemvShapeProperty:
     )
     @settings(max_examples=8, deadline=None)
     def test_channel_count_irrelevant_to_result(self, m, n, pchs, seed):
-        system = PimSystem(num_pchs=pchs, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=pchs, num_rows=128))
         w, x = rand((m, n), seed), rand(n, seed + 1)
         kernel = GemvKernel(system, m, n)
         kernel.load_weights(w)
@@ -71,7 +71,7 @@ class TestElementwiseLengthProperty:
     )
     @settings(max_examples=12, deadline=None)
     def test_binary_ops_exact(self, length, op, seed):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         a, b = rand(length, seed), rand(length, seed + 1)
         out, _ = ElementwiseKernel(system, op, length)(a, b)
         ref = add_reference(a, b) if op == "add" else mul_reference(a, b)
@@ -80,7 +80,7 @@ class TestElementwiseLengthProperty:
     @given(length=st.integers(1, 4000), seed=st.integers(0, 2**16))
     @settings(max_examples=8, deadline=None)
     def test_relu_exact(self, length, seed):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         a = rand(length, seed, scale=2.0)
         out, _ = ElementwiseKernel(system, "relu", length)(a)
         assert np.array_equal(out, relu_reference(a))
@@ -93,7 +93,7 @@ class TestElementwiseLengthProperty:
     )
     @settings(max_examples=8, deadline=None)
     def test_bn_exact(self, length, gamma, beta, seed):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         a = rand(length, seed)
         out, _ = ElementwiseKernel(system, "bn", length)(a, scalars=(gamma, beta))
         assert np.array_equal(out, bn_reference(a, gamma, beta))
@@ -104,11 +104,11 @@ class TestSchedulingSeedProperty:
     @settings(max_examples=10, deadline=None)
     def test_aam_immune_to_any_shuffle_seed(self, seed):
         """AAM + fences: correctness holds for every scheduler permutation."""
-        system = PimSystem(
+        system = PimSystem(SystemConfig(
             num_pchs=1, num_rows=128,
             policy=SchedulerPolicy.SHUFFLE, scheduler_seed=seed,
             fence_penalty_cycles=0,
-        )
+        ))
         w, x = rand((128, 64), 7), rand(64, 8)
         kernel = GemvKernel(system, 128, 64)
         kernel.load_weights(w)

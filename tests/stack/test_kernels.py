@@ -5,12 +5,12 @@ import pytest
 
 from repro.stack.blas import add_reference, gemv_reference
 from repro.stack.kernels import ElementwiseKernel, GemvKernel
-from repro.stack.runtime import PimSystem
+from repro.stack.runtime import PimSystem, SystemConfig
 
 
 @pytest.fixture
 def system():
-    return PimSystem(num_pchs=2, num_rows=128)
+    return PimSystem(SystemConfig(num_pchs=2, num_rows=128))
 
 
 def rand(shape, seed, scale=0.1):

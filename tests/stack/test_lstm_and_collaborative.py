@@ -5,7 +5,7 @@ import pytest
 
 from repro.stack.collaborative import CollaborativeGemv, optimal_split
 from repro.stack.lstm import LstmLayerOperator
-from repro.stack.runtime import PimSystem
+from repro.stack.runtime import PimSystem, SystemConfig
 
 
 def rand(shape, seed, scale=0.1):
@@ -15,7 +15,7 @@ def rand(shape, seed, scale=0.1):
 
 @pytest.fixture(scope="module")
 def system():
-    return PimSystem(num_pchs=2, num_rows=256)
+    return PimSystem(SystemConfig(num_pchs=2, num_rows=256))
 
 
 class TestLstmLayerOperator:

@@ -31,9 +31,9 @@ class TestMicrokernelCache:
     def test_session_skips_reprogramming(self):
         """Repeated invocations of the same operator send no CRF writes."""
         from repro.stack.kernels import GemvKernel
-        from repro.stack.runtime import PimSystem
+        from repro.stack.runtime import PimSystem, SystemConfig
 
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         rng = np.random.default_rng(0)
         w = (rng.standard_normal((128, 64)) * 0.1).astype(np.float16)
         kernel = GemvKernel(system, 128, 64)
@@ -47,10 +47,10 @@ class TestMicrokernelCache:
         assert system._microkernel_cache.hits >= 1
 
     def test_different_kernels_reprogram(self):
-        from repro.stack.runtime import PimSystem
+        from repro.stack.runtime import PimSystem, SystemConfig
         from repro.stack.blas import PimBlas
 
-        system = PimSystem(num_pchs=1, num_rows=256)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=256))
         blas = PimBlas(system)
         rng = np.random.default_rng(1)
         a, b = [(rng.standard_normal(2000) * 0.1).astype(np.float16) for _ in range(2)]

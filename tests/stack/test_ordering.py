@@ -15,14 +15,14 @@ import pytest
 from repro.dram.controller import SchedulerPolicy
 from repro.stack.blas import gemv_reference
 from repro.stack.kernels import GemvKernel
-from repro.stack.runtime import PimSystem
+from repro.stack.runtime import PimSystem, SystemConfig
 
 
 def _run_gemv(policy, seed=None, microkernel=None, fences=True):
-    system = PimSystem(
+    system = PimSystem(SystemConfig(
         num_pchs=1, num_rows=128, policy=policy,
         scheduler_seed=seed, fence_penalty_cycles=0,
-    )
+    ))
     rng = np.random.default_rng(42)
     m, n = 128, 64
     w = (rng.standard_normal((m, n)) * 0.25).astype(np.float16)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.errors import PimDataError, PimOverloadError, PimProgramError
 from repro.faults import FaultConfig
+from repro.stack.api import Request, ServerConfig
 from repro.stack.blas import add_reference, gemv_reference, mul_reference
 from repro.stack.context import PimContext
 from repro.stack.runtime import PimSystem, SystemConfig
@@ -49,38 +50,38 @@ class TestAdmissionBlock:
     def test_block_raises_once_lane_is_full(self):
         system = PimSystem(PLAIN)
         with PimServer(
-            system, lanes=1, queue_depth=2, admission="block"
+            system, ServerConfig(lanes=1, queue_depth=2, admission="block")
         ) as server:
             a, b = rand(128, 0), rand(128, 1)
-            server.submit("add", a=a, b=b)
-            server.submit("add", a=a, b=b)
+            server.submit(Request("add", a=a, b=b))
+            server.submit(Request("add", a=a, b=b))
             with pytest.raises(PimOverloadError) as excinfo:
-                server.submit("add", a=a, b=b)
+                server.submit(Request("add", a=a, b=b))
             assert excinfo.value.lane == 0
 
     def test_block_rejection_reserves_no_request_id(self):
         system = PimSystem(PLAIN)
         with PimServer(
-            system, lanes=1, queue_depth=1, admission="block"
+            system, ServerConfig(lanes=1, queue_depth=1, admission="block")
         ) as server:
             a, b = rand(128, 0), rand(128, 1)
-            first = server.submit("add", a=a, b=b)
+            first = server.submit(Request("add", a=a, b=b))
             with pytest.raises(PimOverloadError):
-                server.submit("add", a=a, b=b)
+                server.submit(Request("add", a=a, b=b))
             retry = None
             profile = server.run()
             # run() drained the lane: the producer can resubmit now.
-            retry = server.submit("add", a=a, b=b)
+            retry = server.submit(Request("add", a=a, b=b))
             profile = server.run()
         assert retry.request_id == first.request_id + 1
         assert retry.outcome is RequestOutcome.COMPLETED
 
     def test_zero_queue_depth_means_unbounded(self):
-        config = PLAIN.replace(queue_depth=2, admission="block")
-        system = PimSystem(config)
-        with PimServer(system, lanes=1, queue_depth=0) as server:
+        system = PimSystem(PLAIN)
+        config = ServerConfig(lanes=1, queue_depth=0, admission="block")
+        with PimServer(system, config) as server:
             a, b = rand(128, 0), rand(128, 1)
-            handles = [server.submit("add", a=a, b=b) for _ in range(16)]
+            handles = [server.submit(Request("add", a=a, b=b)) for _ in range(16)]
             profile = server.run()
         _assert_conserved(handles, profile)
         assert profile.rejected == 0
@@ -88,7 +89,7 @@ class TestAdmissionBlock:
     def test_invalid_admission_policy_rejected(self):
         system = PimSystem(PLAIN)
         with pytest.raises(PimProgramError):
-            PimServer(system, admission="drop-everything")
+            PimServer(system, ServerConfig(admission="drop-everything"))
         assert "drop-everything" not in ADMISSION_POLICIES
 
 
@@ -96,11 +97,11 @@ class TestAdmissionShed:
     def test_excess_arrivals_shed_with_error_attached(self):
         system = PimSystem(PLAIN)
         with PimServer(
-            system, lanes=1, max_batch=4, queue_depth=2, admission="shed"
+            system, ServerConfig(lanes=1, max_batch=4, queue_depth=2, admission="shed")
         ) as server:
             a, b = rand(128, 0), rand(128, 1)
             handles = [
-                server.submit("add", a=a, b=b, arrival_ns=0.0)
+                server.submit(Request("add", a=a, b=b, arrival_ns=0.0))
                 for _ in range(6)
             ]
             profile = server.run()
@@ -120,11 +121,11 @@ class TestAdmissionShed:
     def test_under_capacity_load_sheds_nothing(self):
         system = PimSystem(PLAIN)
         with PimServer(
-            system, lanes=1, queue_depth=8, admission="shed"
+            system, ServerConfig(lanes=1, queue_depth=8, admission="shed")
         ) as server:
             a, b = rand(128, 0), rand(128, 1)
             handles = [
-                server.submit("add", a=a, b=b, arrival_ns=i * 50_000.0)
+                server.submit(Request("add", a=a, b=b, arrival_ns=i * 50_000.0))
                 for i in range(6)
             ]
             profile = server.run()
@@ -136,13 +137,14 @@ class TestAdmissionShed:
 class TestAdmissionDegrade:
     def test_excess_arrivals_complete_bit_exactly_on_host(self):
         system = PimSystem(PLAIN)
-        with PimServer(
-            system, lanes=1, max_batch=4, queue_depth=1, admission="degrade"
-        ) as server:
+        config = ServerConfig(
+            lanes=1, max_batch=4, queue_depth=1, admission="degrade"
+        )
+        with PimServer(system, config) as server:
             w = rand((48, 80), 2)
             xs = [rand(80, 10 + i) for i in range(4)]
             handles = [
-                server.submit("gemv", weights=w, a=x, arrival_ns=0.0)
+                server.submit(Request("gemv", weights=w, a=x, arrival_ns=0.0))
                 for x in xs
             ]
             profile = server.run()
@@ -164,12 +166,12 @@ class TestAdmissionDegrade:
 class TestDeadlines:
     def test_dead_on_arrival_expires_at_admission(self):
         system = PimSystem(PLAIN)
-        with PimServer(system, lanes=1) as server:
+        with PimServer(system, ServerConfig(lanes=1)) as server:
             a, b = rand(128, 0), rand(128, 1)
             late = server.submit(
-                "add", a=a, b=b, arrival_ns=5_000.0, deadline_ns=1_000.0
+                Request("add", a=a, b=b, arrival_ns=5_000.0, deadline_ns=1_000.0)
             )
-            ok = server.submit("add", a=a, b=b, arrival_ns=0.0)
+            ok = server.submit(Request("add", a=a, b=b, arrival_ns=0.0))
             profile = server.run()
         assert late.outcome is RequestOutcome.EXPIRED
         _assert_zero_device_time(late)
@@ -178,13 +180,13 @@ class TestDeadlines:
 
     def test_deadline_passing_in_queue_expires_before_dispatch(self):
         system = PimSystem(PLAIN)
-        with PimServer(system, lanes=1, max_batch=1) as server:
+        with PimServer(system, ServerConfig(lanes=1, max_batch=1)) as server:
             w = rand((48, 80), 2)
-            first = server.submit("gemv", weights=w, a=rand(80, 3))
+            first = server.submit(Request("gemv", weights=w, a=rand(80, 3)))
             # Same lane (lanes=1), different signature: must wait for the
             # GEMV, but its deadline passes long before that finishes.
             doomed = server.submit(
-                "add", a=rand(128, 4), b=rand(128, 5), deadline_ns=1.0
+                Request("add", a=rand(128, 4), b=rand(128, 5), deadline_ns=1.0)
             )
             profile = server.run()
         assert first.outcome is RequestOutcome.COMPLETED
@@ -197,9 +199,9 @@ class TestDeadlines:
 
     def test_met_deadline_completes(self):
         system = PimSystem(PLAIN)
-        with PimServer(system, lanes=1) as server:
+        with PimServer(system, ServerConfig(lanes=1)) as server:
             a, b = rand(128, 0), rand(128, 1)
-            handle = server.submit("add", a=a, b=b, deadline_ns=1e9)
+            handle = server.submit(Request("add", a=a, b=b, deadline_ns=1e9))
             server.run()
         assert handle.outcome is RequestOutcome.COMPLETED
         assert np.array_equal(handle.result, add_reference(a, b))
@@ -209,23 +211,25 @@ class TestPriorities:
     def _two_class_workload(self, server, highs=4):
         """One low-priority add at t=0 plus ``highs`` high-priority muls."""
         low = server.submit(
-            "add", a=rand(128, 0), b=rand(128, 1), arrival_ns=0.0, priority=0
+            Request("add", a=rand(128, 0), b=rand(128, 1), arrival_ns=0.0, priority=0)
         )
         high = [
-            server.submit(
+            server.submit(Request(
                 "mul",
                 a=rand(128, 10 + i),
                 b=rand(128, 20 + i),
                 arrival_ns=0.0,
                 priority=10,
-            )
+            ))
             for i in range(highs)
         ]
         return low, high
 
     def test_higher_priority_dispatches_first(self):
         system = PimSystem(PLAIN)
-        with PimServer(system, lanes=1, max_batch=1, aging_ns=0.0) as server:
+        with PimServer(
+            system, ServerConfig(lanes=1, max_batch=1, aging_ns=0.0)
+        ) as server:
             low, high = self._two_class_workload(server)
             server.run()
         # With aging disabled, strict priority: every high-priority
@@ -247,23 +251,23 @@ class TestPriorities:
         def serve(aging_ns):
             system = PimSystem(PLAIN)
             with PimServer(
-                system, lanes=1, max_batch=1, aging_ns=aging_ns
+                system, ServerConfig(lanes=1, max_batch=1, aging_ns=aging_ns)
             ) as server:
-                low = server.submit(
+                low = server.submit(Request(
                     "add",
                     a=rand(128, 0),
                     b=rand(128, 1),
                     arrival_ns=50.0,
                     priority=0,
-                )
+                ))
                 high = [
-                    server.submit(
+                    server.submit(Request(
                         "mul",
                         a=rand(128, 10 + i),
                         b=rand(128, 20 + i),
                         arrival_ns=i * 100.0,
                         priority=3,
-                    )
+                    ))
                     for i in range(10)
                 ]
                 server.run()
@@ -285,15 +289,17 @@ class TestPriorities:
         """Order (and results) match the historical FIFO server exactly."""
         def serve(**knobs):
             system = PimSystem(PLAIN)
-            with PimServer(system, lanes=2, max_batch=4, **knobs) as server:
+            with PimServer(
+                system, ServerConfig(lanes=2, max_batch=4, **knobs)
+            ) as server:
                 w = rand((48, 80), 2)
                 handles = [
-                    server.submit(
+                    server.submit(Request(
                         "gemv",
                         weights=w,
                         a=rand(80, 30 + i),
                         arrival_ns=i * 700.0,
-                    )
+                    ))
                     for i in range(8)
                 ]
                 server.run()
@@ -309,12 +315,13 @@ class TestRetryBudget:
             faults=FaultConfig(failed_channels=(0,), seed=11),
         )
         system = PimSystem(config)
-        with PimServer(
-            system, lanes=2, max_batch=4, retry_budget=0.0, retry_refill=0.0
-        ) as server:
+        server_config = ServerConfig(
+            lanes=2, max_batch=4, retry_budget=0.0, retry_refill=0.0
+        )
+        with PimServer(system, server_config) as server:
             w = rand((48, 80), 2)
             handles = [
-                server.submit("gemv", weights=w, a=rand(80, 40 + i))
+                server.submit(Request("gemv", weights=w, a=rand(80, 40 + i)))
                 for i in range(4)
             ]
             profile = server.run()
@@ -330,9 +337,10 @@ class TestRetryBudget:
     def test_backoff_is_exponential_and_seed_deterministic(self):
         def delays(seed):
             system = PimSystem(PLAIN)
-            with PimServer(
-                system, seed=seed, backoff_base_ns=1000.0, backoff_jitter=0.5
-            ) as server:
+            config = ServerConfig(
+                seed=seed, backoff_base_ns=1000.0, backoff_jitter=0.5
+            )
+            with PimServer(system, config) as server:
                 return [server._backoff_ns(k) for k in (1, 2, 3)]
 
         a, b, c = delays(7), delays(7), delays(8)
@@ -346,7 +354,7 @@ class TestRetryBudget:
     def test_zero_jitter_is_a_pure_exponential_ladder(self):
         system = PimSystem(PLAIN)
         with PimServer(
-            system, backoff_base_ns=500.0, backoff_jitter=0.0
+            system, ServerConfig(backoff_base_ns=500.0, backoff_jitter=0.0)
         ) as server:
             assert [server._backoff_ns(k) for k in (1, 2, 3)] == [
                 500.0,
@@ -375,12 +383,14 @@ class TestCircuitBreaker:
         system = PimSystem(PLAIN)
         server = PimServer(
             system,
-            lanes=1,
-            max_batch=1,
-            max_retries=0,
-            breaker_threshold=2,
-            breaker_cooldown_ns=1e6,
-            **knobs,
+            ServerConfig(
+                lanes=1,
+                max_batch=1,
+                max_retries=0,
+                breaker_threshold=2,
+                breaker_cooldown_ns=1e6,
+                **knobs,
+            ),
         )
         flaky = _FlakyDevice(server)
         server._execute = flaky
@@ -388,7 +398,7 @@ class TestCircuitBreaker:
 
     def _one(self, server, arrival_ns=0.0, seed=0):
         a, b = rand(128, seed), rand(128, seed + 100)
-        handle = server.submit("add", a=a, b=b, arrival_ns=arrival_ns)
+        handle = server.submit(Request("add", a=a, b=b, arrival_ns=arrival_ns))
         profile = server.run()
         return handle, profile
 
@@ -444,7 +454,10 @@ class TestCircuitBreaker:
     def test_threshold_zero_disables_the_breaker(self):
         system = PimSystem(PLAIN)
         server = PimServer(
-            system, lanes=1, max_batch=1, max_retries=0, breaker_threshold=0
+            system,
+            ServerConfig(
+                lanes=1, max_batch=1, max_retries=0, breaker_threshold=0
+            ),
         )
         flaky = _FlakyDevice(server)
         server._execute = flaky
@@ -468,17 +481,17 @@ class TestDroppedWorkCostsNothing:
     def test_all_expired_run_leaves_no_device_trace(self, count, gap_ns, seed):
         system = PimSystem(PLAIN)
         busy_before = [mc.busy_cycles for mc in system.controllers]
-        with PimServer(system, lanes=2) as server:
+        with PimServer(system, ServerConfig(lanes=2)) as server:
             a, b = rand(128, seed), rand(128, seed + 1)
             handles = [
-                server.submit(
+                server.submit(Request(
                     "add",
                     a=a,
                     b=b,
                     arrival_ns=1_000.0 + i * gap_ns,
                     # Dead on arrival: the deadline already passed.
                     deadline_ns=500.0,
-                )
+                ))
                 for i in range(count)
             ]
             profile = server.run()
@@ -501,11 +514,11 @@ class TestDroppedWorkCostsNothing:
     def test_shed_requests_cost_zero_service_time(self, extra, seed):
         system = PimSystem(PLAIN)
         with PimServer(
-            system, lanes=1, max_batch=2, queue_depth=2, admission="shed"
+            system, ServerConfig(lanes=1, max_batch=2, queue_depth=2, admission="shed")
         ) as server:
             a, b = rand(128, seed), rand(128, seed + 1)
             handles = [
-                server.submit("add", a=a, b=b, arrival_ns=0.0)
+                server.submit(Request("add", a=a, b=b, arrival_ns=0.0))
                 for _ in range(2 + extra)
             ]
             profile = server.run()
@@ -522,22 +535,14 @@ class TestDroppedWorkCostsNothing:
 
 
 class TestPresetAndContext:
-    def test_overload_hardened_preset(self):
-        config = SystemConfig.overload_hardened()
-        assert config.queue_depth == 16
-        assert config.admission == "shed"
-        assert config.ecc is True
-        override = SystemConfig.overload_hardened(queue_depth=4)
-        assert override.queue_depth == 4
-
     def test_context_server_passes_overload_knobs(self):
         with PimContext(PLAIN) as ctx:
             with ctx.server(
-                lanes=1, max_batch=4, queue_depth=1, admission="shed"
+                ServerConfig(lanes=1, max_batch=4, queue_depth=1, admission="shed")
             ) as server:
                 a, b = rand(128, 0), rand(128, 1)
                 handles = [
-                    server.submit("add", a=a, b=b, arrival_ns=0.0)
+                    server.submit(Request("add", a=a, b=b, arrival_ns=0.0))
                     for _ in range(3)
                 ]
                 profile = server.run()
@@ -555,7 +560,6 @@ class TestAcceptance:
         """
         config = PLAIN.replace(
             ecc=True,
-            scrub_interval=4,
             faults=FaultConfig(
                 bit_flip_rate=1e-4,
                 check_flip_rate=1e-4,
@@ -566,11 +570,14 @@ class TestAcceptance:
         system = PimSystem(config)
         server = PimServer(
             system,
-            lanes=2,
-            max_batch=4,
-            queue_depth=4,
-            admission="shed",
-            seed=7,
+            ServerConfig(
+                lanes=2,
+                max_batch=4,
+                scrub_interval=4,
+                queue_depth=4,
+                admission="shed",
+                seed=7,
+            ),
         )
         rng = np.random.default_rng(9)
         w = rand((48, 80), 2)
@@ -582,36 +589,36 @@ class TestAcceptance:
                 priority = int(rng.integers(0, 3))
                 if i % 3 == 0:
                     x = rand(80, 100 + i)
-                    handle = server.submit(
+                    handle = server.submit(Request(
                         "gemv",
                         weights=w,
                         a=x,
                         arrival_ns=arrival,
                         priority=priority,
                         deadline_ns=deadline,
-                    )
+                    ))
                     gold = gemv_reference(w, x, system.num_pchs)
                 elif i % 3 == 1:
                     a, b = rand(192, 100 + i), rand(192, 200 + i)
-                    handle = server.submit(
+                    handle = server.submit(Request(
                         "add",
                         a=a,
                         b=b,
                         arrival_ns=arrival,
                         priority=priority,
                         deadline_ns=deadline,
-                    )
+                    ))
                     gold = add_reference(a, b)
                 else:
                     a, b = rand(192, 100 + i), rand(192, 200 + i)
-                    handle = server.submit(
+                    handle = server.submit(Request(
                         "mul",
                         a=a,
                         b=b,
                         arrival_ns=arrival,
                         priority=priority,
                         deadline_ns=deadline,
-                    )
+                    ))
                     gold = mul_reference(a, b)
                 pairs.append((handle, gold))
             profile = server.run()

@@ -14,7 +14,7 @@ from repro.stack.profiler import (
     SessionProfile,
     _percentile,
 )
-from repro.stack.runtime import PimSystem
+from repro.stack.runtime import PimSystem, SystemConfig
 
 
 def rand(shape, seed, scale=0.1):
@@ -24,7 +24,7 @@ def rand(shape, seed, scale=0.1):
 
 @pytest.fixture()
 def profiled():
-    system = PimSystem(num_pchs=1, num_rows=256)
+    system = PimSystem(SystemConfig(num_pchs=1, num_rows=256))
     return Profiler(PimBlas(system))
 
 

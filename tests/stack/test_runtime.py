@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dram.controller import SchedulerPolicy
-from repro.stack.runtime import PimSystem
+from repro.stack.runtime import PimSystem, SystemConfig
 
 
 def rand(shape, seed):
@@ -16,21 +16,23 @@ class TestSystemAssembly:
     def test_device_is_pim(self):
         from repro.pim.device import PimPseudoChannel
 
-        system = PimSystem(num_pchs=2, num_rows=64)
+        system = PimSystem(SystemConfig(num_pchs=2, num_rows=64))
         assert isinstance(system.device.pch(0), PimPseudoChannel)
 
     def test_driver_attached(self):
-        system = PimSystem(num_pchs=2, num_rows=64)
+        system = PimSystem(SystemConfig(num_pchs=2, num_rows=64))
         assert system.driver.rows_total == 64 - 6
 
     def test_policy_configurable(self):
-        system = PimSystem(num_pchs=1, num_rows=64, policy=SchedulerPolicy.FCFS)
+        system = PimSystem(
+            SystemConfig(num_pchs=1, num_rows=64, policy=SchedulerPolicy.FCFS)
+        )
         assert system.controllers[0].policy is SchedulerPolicy.FCFS
 
 
 class TestOperatorCache:
     def test_gemv_operator_cached_by_weights(self):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         w = rand((128, 64), 0)
         op1 = system.executor.gemv_operator(w)
         op1.load_weights(w)
@@ -38,7 +40,7 @@ class TestOperatorCache:
         assert op1 is op2
 
     def test_different_weights_different_operators(self):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         a, b = rand((128, 64), 1), rand((128, 64), 2)
         assert system.executor.gemv_operator(a) is not system.executor.gemv_operator(b)
 
@@ -47,27 +49,27 @@ class TestOperatorCache:
         cached kernel keeps the caller's array alive: a dropped array's
         id could be recycled by a same-shape allocation and silently hit
         the stale entry."""
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         w = rand((128, 64), 7)
         op = system.executor.gemv_operator(w)
         assert op.source_weights is w
 
     def test_elementwise_cached_by_op_and_length(self):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         k1 = system.executor.elementwise_operator("add", 1000)
         k2 = system.executor.elementwise_operator("add", 1000)
         k3 = system.executor.elementwise_operator("add", 2000)
         assert k1 is k2 and k1 is not k3
 
     def test_launch_counter(self):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         a, b = rand(1000, 3), rand(1000, 4)
         system.executor.elementwise("add", a, b)
         system.executor.elementwise("mul", a, b)
         assert system.executor.launch_count == 2
 
     def test_gemv_invocation_through_executor(self):
-        system = PimSystem(num_pchs=1, num_rows=128)
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         w, x = rand((128, 64), 5), rand(64, 6)
         y, report = system.executor.gemv(w, x)
         gold = w.astype(np.float32) @ x.astype(np.float32)

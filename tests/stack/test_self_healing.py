@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import PimChannelError, PimError
 from repro.faults import FaultConfig
+from repro.stack.api import Request, ServerConfig
 from repro.stack.blas import (
     add_reference,
     gemv_reference,
@@ -35,15 +36,15 @@ def _submit_mixed(server, w, count=12, seed=3):
         kind = i % 3
         if kind == 0:
             x = rand(w.shape[1], seed + 10 + i)
-            handle = server.submit("gemv", weights=w, a=x)
+            handle = server.submit(Request("gemv", weights=w, a=x))
             gold = gemv_reference(w, x, server.sys.num_pchs)
         elif kind == 1:
             a, b = rand(192, seed + 10 + i), rand(192, seed + 40 + i)
-            handle = server.submit("add", a=a, b=b)
+            handle = server.submit(Request("add", a=a, b=b))
             gold = add_reference(a, b)
         else:
             a, b = rand(192, seed + 10 + i), rand(192, seed + 40 + i)
-            handle = server.submit("mul", a=a, b=b)
+            handle = server.submit(Request("mul", a=a, b=b))
             gold = mul_reference(a, b)
         pairs.append((handle, gold))
     return pairs
@@ -59,10 +60,11 @@ class TestAcceptance:
                 failed_channels=(0,),
                 seed=7,
             ),
-            scrub_interval=1,
         )
         system = PimSystem(config)
-        server = PimServer(system, lanes=2, max_batch=4)
+        server = PimServer(
+            system, ServerConfig(lanes=2, max_batch=4, scrub_interval=1)
+        )
         pairs = _submit_mixed(server, rand((48, 80), 3))
         profile = server.run()
         server.close()
@@ -83,7 +85,9 @@ class TestAcceptance:
             faults=FaultConfig(failed_channels=(0, 1), seed=7)
         )
         system = PimSystem(config)
-        with PimServer(system, lanes=2, max_batch=4, max_retries=1) as server:
+        with PimServer(
+            system, ServerConfig(lanes=2, max_batch=4, max_retries=1)
+        ) as server:
             pairs = _submit_mixed(server, rand((48, 80), 3))
             profile = server.run()
         assert profile.fallbacks > 0
@@ -98,10 +102,11 @@ class TestAcceptance:
             faults=FaultConfig(
                 bit_flip_rate=2e-3, check_flip_rate=2e-3, seed=11
             ),
-            scrub_interval=0,
         )
         system = PimSystem(config)
-        with PimServer(system, lanes=2, max_batch=4) as server:
+        with PimServer(
+            system, ServerConfig(lanes=2, max_batch=4, scrub_interval=0)
+        ) as server:
             pairs = _submit_mixed(server, rand((48, 80), 3), count=15)
             profile = server.run()
         assert profile.retries + profile.fallbacks > 0
@@ -113,7 +118,7 @@ class TestClose:
     def test_close_releases_everything_after_midbatch_crash(self):
         """A non-PIM error escapes run(); close() still frees all leases."""
         system = PimSystem(BASE)
-        server = PimServer(system, lanes=2, max_batch=4)
+        server = PimServer(system, ServerConfig(lanes=2, max_batch=4))
         _submit_mixed(server, rand((48, 80), 3))
 
         def boom(lane, batch):
@@ -132,7 +137,7 @@ class TestClose:
             faults=FaultConfig(failed_channels=(2,), seed=1)
         )
         system = PimSystem(config)
-        with PimServer(system, lanes=2, max_batch=4) as server:
+        with PimServer(system, ServerConfig(lanes=2, max_batch=4)) as server:
             pairs = _submit_mixed(server, rand((48, 80), 3), count=6)
             server.run()
         assert not system.driver.channels_leased
@@ -142,20 +147,21 @@ class TestClose:
 
     def test_submit_after_close_raises(self):
         system = PimSystem(BASE)
-        server = PimServer(system, lanes=1, max_batch=2)
+        server = PimServer(system, ServerConfig(lanes=1, max_batch=2))
         server.close()
         with pytest.raises(PimError):
-            server.submit("add", a=rand(64, 0), b=rand(64, 1))
+            server.submit(Request("add", a=rand(64, 0), b=rand(64, 1)))
 
 
 class TestScrubbing:
     def test_scrub_between_batches_repairs_flips(self):
         config = BASE.replace(
             faults=FaultConfig(bit_flip_rate=5e-5, seed=13),
-            scrub_interval=1,
         )
         system = PimSystem(config)
-        with PimServer(system, lanes=2, max_batch=4) as server:
+        with PimServer(
+            system, ServerConfig(lanes=2, max_batch=4, scrub_interval=1)
+        ) as server:
             pairs = _submit_mixed(server, rand((48, 80), 3), count=12)
             profile = server.run()
         assert profile.scrubs >= 1

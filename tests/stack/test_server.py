@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dram.controller import SchedulerPolicy
+from repro.stack.api import Request, ServerConfig
 from repro.stack.blas import PimBlas
 from repro.stack.kernels import ElementwiseKernel, GemvKernel
 from repro.stack.runtime import PimSystem, SystemConfig
-from repro.stack.server import PimRequest, PimServer
+from repro.stack.server import PimServer
 
 PLAIN = SystemConfig(num_pchs=4, num_rows=256, simulate_pchs=1)
 HARDENED = PLAIN.replace(refresh=True, ecc=True)
@@ -70,8 +71,8 @@ class TestServingBitExact:
         workload = _mixed_workload()
         expected = _sequential_results(config, workload)
         system = PimSystem(config)
-        with PimServer(system, lanes=2, max_batch=4) as server:
-            handles = [server.submit(op, **kw) for op, kw in workload]
+        with PimServer(system, ServerConfig(lanes=2, max_batch=4)) as server:
+            handles = [server.submit(Request(op, **kw)) for op, kw in workload]
             profile = server.run()
         assert profile.num_requests == len(workload)
         # Batching actually happened (all arrivals at t=0).
@@ -127,9 +128,9 @@ class TestServingBitExact:
                 seq_ns += blas.add(kw["a"], kw["b"])[1].ns
             else:
                 seq_ns += blas.mul(kw["a"], kw["b"])[1].ns
-        with PimServer(system, lanes=2, max_batch=8) as server:
+        with PimServer(system, ServerConfig(lanes=2, max_batch=8)) as server:
             for op, kw in workload:
-                server.submit(op, **kw)
+                server.submit(Request(op, **kw))
             profile = server.run()
         assert profile.mean_batch_size() >= 4
         assert seq_ns / profile.makespan_ns >= 1.5
@@ -138,7 +139,7 @@ class TestServingBitExact:
 class TestServerMechanics:
     def test_lanes_lease_disjoint_channel_sets(self):
         system = PimSystem(PLAIN)
-        server = PimServer(system, lanes=2)
+        server = PimServer(system, ServerConfig(lanes=2))
         chans = [set(lane.channels) for lane in server.lanes]
         assert chans[0].isdisjoint(chans[1])
         server.close()
@@ -149,10 +150,12 @@ class TestServerMechanics:
         """Waits and turnarounds follow from arrivals and lane clocks."""
         system = PimSystem(PLAIN)
         w = rand((48, 80), 0)
-        with PimServer(system, lanes=1, max_batch=2) as server:
-            first = server.submit("gemv", weights=w, a=rand(80, 1), arrival_ns=0.0)
+        with PimServer(system, ServerConfig(lanes=1, max_batch=2)) as server:
+            first = server.submit(
+                Request("gemv", weights=w, a=rand(80, 1), arrival_ns=0.0)
+            )
             late = server.submit(
-                "gemv", weights=w, a=rand(80, 2), arrival_ns=1e9
+                Request("gemv", weights=w, a=rand(80, 2), arrival_ns=1e9)
             )
             profile = server.run()
         assert first.wait_ns == 0.0
@@ -172,9 +175,9 @@ class TestServerMechanics:
         would serve stale weights once a freed array's id is reused.
         """
         w = rand((16, 32), 0)
-        same = PimRequest(0, "gemv", weights=w, a=rand(32, 1))
-        copy = PimRequest(1, "gemv", weights=w.copy(), a=rand(32, 2))
-        other = PimRequest(2, "gemv", weights=rand((16, 32), 9), a=rand(32, 3))
+        same = Request("gemv", weights=w, a=rand(32, 1))
+        copy = Request("gemv", weights=w.copy(), a=rand(32, 2))
+        other = Request("gemv", weights=rand((16, 32), 9), a=rand(32, 3))
         assert same.signature == copy.signature
         assert same.signature != other.signature
 
@@ -183,23 +186,23 @@ class TestServerMechanics:
         dropped, so its id may be recycled) must use the new weights."""
         system = PimSystem(PLAIN)
         ref = PimBlas(PimSystem(PLAIN), simulate_pchs=1)
-        with PimServer(system, lanes=1, max_batch=2) as server:
+        with PimServer(system, ServerConfig(lanes=1, max_batch=2)) as server:
             w1 = rand((48, 80), 21)
             x1 = rand(80, 22)
-            first = server.submit("gemv", weights=w1, a=x1)
+            first = server.submit(Request("gemv", weights=w1, a=x1))
             server.run()
             want1 = ref.gemv(w1, x1)[0]
             del w1  # allow id reuse by the next allocation
             w2 = rand((48, 80), 23)
             x2 = rand(80, 24)
-            second = server.submit("gemv", weights=w2, a=x2)
+            second = server.submit(Request("gemv", weights=w2, a=x2))
             server.run()
             assert np.array_equal(first.result, want1)
             assert np.array_equal(second.result, ref.gemv(w2, x2)[0])
             # Distinct contents got distinct resident kernels; a
             # byte-identical resubmission reuses rather than reloads.
             assert len(server.lanes[0].gemv_kernels) == 2
-            third = server.submit("gemv", weights=w2.copy(), a=rand(80, 25))
+            third = server.submit(Request("gemv", weights=w2.copy(), a=rand(80, 25)))
             server.run()
             assert len(server.lanes[0].gemv_kernels) == 2
             assert third.result is not None
@@ -207,7 +210,7 @@ class TestServerMechanics:
     def test_uneven_lane_split_leases_every_channel(self):
         """3 lanes on 4 channels -> 2+1+1, no channel left permanently idle."""
         system = PimSystem(PLAIN)
-        server = PimServer(system, lanes=3)
+        server = PimServer(system, ServerConfig(lanes=3))
         sizes = sorted(len(lane.channels) for lane in server.lanes)
         assert sizes == [1, 1, 2]
         leased = set()
@@ -222,11 +225,11 @@ class TestServerMechanics:
         system = PimSystem(PLAIN)
         with PimServer(system) as server:
             with pytest.raises(ValueError):
-                server.submit("gemv", a=rand(8, 0))  # no weights
+                server.submit(Request("gemv", a=rand(8, 0)))  # no weights
             with pytest.raises(ValueError):
-                server.submit("add", a=rand(8, 0))  # no second operand
+                server.submit(Request("add", a=rand(8, 0)))  # no second operand
             with pytest.raises(ValueError):
-                server.submit("transpose", a=rand(8, 0))
+                server.submit(Request("transpose", a=rand(8, 0)))
 
 
 class TestChannelSetFences:

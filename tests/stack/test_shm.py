@@ -33,7 +33,7 @@ from repro.stack.shm import (
     live_segments,
 )
 
-CONFIG = SystemConfig(num_pchs=2, num_rows=256, simulate_pchs=1, server_seed=7)
+CONFIG = SystemConfig(num_pchs=2, num_rows=256, simulate_pchs=1)
 SHM = ServerConfig(transport="shm", hedge=False)
 
 

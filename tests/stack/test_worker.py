@@ -7,7 +7,9 @@ a child process, but visible to the coverage tracer and debuggable.
 """
 
 import multiprocessing
+import pickle
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -24,6 +26,20 @@ def rand(shape, seed, scale=0.25):
 
 CONFIG = SystemConfig(num_pchs=2, num_rows=256, simulate_pchs=1)
 SERVER_CONFIG = ServerConfig(lanes=2, max_batch=4)
+
+
+def wire(items):
+    """The CRC32-framed serve message the router sends for ``items``."""
+    blob = pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
+    return ("serve", zlib.crc32(blob), blob)
+
+
+def recv_payload(conn):
+    """Receive one framed result message; returns its verified payload."""
+    kind, crc, blob = conn.recv()
+    assert kind == "result"
+    assert zlib.crc32(blob) == crc
+    return pickle.loads(blob)
 
 
 @pytest.fixture()
@@ -58,9 +74,8 @@ class TestWorkerProtocol:
             (rid, Request("gemv", weights=w, a=rand(8, rid + 1)))
             for rid in (10, 11, 12)
         ]
-        worker.send(("serve", items))
-        kind, payload = worker.recv()
-        assert kind == "result"
+        worker.send(wire(items))
+        payload = recv_payload(worker)
         assert payload["shard"] == 3
         assert set(payload["results"]) == {10, 11, 12}
         assert payload["submit_errors"] == {}
@@ -72,8 +87,8 @@ class TestWorkerProtocol:
     def test_profile_speaks_fabric_ids(self, worker):
         """Request ids and channels come back in the fabric's id spaces."""
         w = rand((16, 8), 0)
-        worker.send(("serve", [(77, Request("gemv", weights=w, a=rand(8, 1)))]))
-        _, payload = worker.recv()
+        worker.send(wire([(77, Request("gemv", weights=w, a=rand(8, 1)))]))
+        payload = recv_payload(worker)
         profile = payload["profile"]
         assert [s.request_id for s in profile.requests] == [77]
         assert all(s.shard == 3 for s in profile.requests)
@@ -88,9 +103,8 @@ class TestWorkerProtocol:
         as a crash — the router owes it a host completion."""
         good = Request("gemv", weights=rand((16, 8), 0), a=rand(8, 1))
         bad = Request("gemv")  # validate() fails: no operands
-        worker.send(("serve", [(0, good), (1, bad)]))
-        kind, payload = worker.recv()
-        assert kind == "result"
+        worker.send(wire([(0, good), (1, bad)]))
+        payload = recv_payload(worker)
         assert 0 in payload["results"]
         assert set(payload["submit_errors"]) == {1}
         assert 1 not in payload["outcomes"]
@@ -147,14 +161,6 @@ class TestWorkerChecksumProtocol:
     """Satellite: CRC32-framed serve/result payloads and chaos control."""
 
     @staticmethod
-    def wire(items):
-        import pickle
-        import zlib
-
-        blob = pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
-        return ("serve", zlib.crc32(blob), blob)
-
-    @staticmethod
     def gemv_items(rids):
         w = rand((16, 8), 0)
         return [
@@ -163,25 +169,14 @@ class TestWorkerChecksumProtocol:
         ]
 
     def test_crc_framed_round_trip_bit_exact(self, worker):
-        import pickle
-        import zlib
-
         items = self.gemv_items((20, 21))
-        worker.send(self.wire(items))
-        message = worker.recv()
-        # CRC dispatch earns a CRC reply (the worker answers in kind).
-        assert message[0] == "result" and len(message) == 3
-        _, crc, blob = message
-        assert zlib.crc32(blob) == crc
-        payload = pickle.loads(blob)
+        worker.send(wire(items))
+        payload = recv_payload(worker)
         for rid, request in items:
             golden = gemv_reference(request.weights, request.a, CONFIG.num_pchs)
             assert np.array_equal(payload["results"][rid], golden)
 
     def test_corrupted_dispatch_detected_not_served(self, worker):
-        import pickle
-        import zlib
-
         items = self.gemv_items((30,))
         blob = pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
         corrupted = bytearray(blob)
@@ -192,11 +187,9 @@ class TestWorkerChecksumProtocol:
         assert "CRC32" in body
 
     def test_chaos_corrupt_reply_fails_router_checksum(self, worker):
-        import zlib
-
         worker.send(("chaos", {"corrupt_reply": True, "seed": 1}))
         assert worker.recv() == ("chaos-ok", 3)
-        worker.send(self.wire(self.gemv_items((40,))))
+        worker.send(wire(self.gemv_items((40,))))
         message = worker.recv()
         assert message[0] == "result" and len(message) == 3
         _, crc, blob = message
@@ -204,7 +197,7 @@ class TestWorkerChecksumProtocol:
         # match, which is exactly what the router's verification catches.
         assert zlib.crc32(blob) != crc
         # One-shot fault: the next round is clean again.
-        worker.send(self.wire(self.gemv_items((41,))))
+        worker.send(wire(self.gemv_items((41,))))
         _, crc, blob = worker.recv()
         assert zlib.crc32(blob) == crc
 
@@ -214,13 +207,12 @@ class TestWorkerChecksumProtocol:
         worker.send(("chaos", {"delay_s": 0.2}))
         assert worker.recv() == ("chaos-ok", 3)
         t0 = time.monotonic()
-        worker.send(("serve", self.gemv_items((50,))))
-        kind, _ = worker.recv()
-        assert kind == "result"
+        worker.send(wire(self.gemv_items((50,))))
+        recv_payload(worker)
         assert time.monotonic() - t0 >= 0.2
         t0 = time.monotonic()
-        worker.send(("serve", self.gemv_items((51,))))
-        worker.recv()
+        worker.send(wire(self.gemv_items((51,))))
+        recv_payload(worker)
         assert time.monotonic() - t0 < 0.2
 
     def test_chaos_bad_spec_reports_error(self, worker):
