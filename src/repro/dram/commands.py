@@ -46,6 +46,12 @@ class Command:
     specifies.  ``data`` carries the 32-byte write burst for WR commands.
     ``tag`` is controller-side metadata (e.g. the originating request) and
     never visible to the device.
+
+    ``count > 1`` makes this a *column burst*: ``count`` RD (or WR) commands
+    to consecutive columns ``col .. col + count - 1`` of one row, issued
+    ``tCCD_L`` apart from the cycle given to ``issue``.  It is shorthand for
+    the ``count`` commands :meth:`single` returns — nothing more: ``data``
+    is then a ``(count, 32)`` block, one write burst per command.
     """
 
     cmd: CommandType
@@ -55,6 +61,7 @@ class Command:
     col: int = 0
     data: Optional[np.ndarray] = None
     tag: Any = field(default=None, compare=False)
+    count: int = 1
 
     def __post_init__(self) -> None:
         if self.cmd is CommandType.WR and self.data is not None:
@@ -65,8 +72,23 @@ class Command:
         """Flat bank index within the pseudo-channel (bg*banks_per_bg+ba)."""
         return self.bg * 4 + self.ba
 
+    def single(self, index: int) -> "Command":
+        """Command ``index`` of this burst, as an ordinary single command."""
+        if self.count == 1:
+            return self
+        data = self.data
+        return Command(
+            self.cmd, self.bg, self.ba, self.row, self.col + index,
+            data=None if data is None else data[index], tag=self.tag,
+        )
+
     def __repr__(self) -> str:  # compact, for debug traces
         if self.cmd.is_column:
+            if self.count > 1:
+                return (
+                    f"{self.cmd.value}x{self.count}(bg={self.bg},ba={self.ba},"
+                    f"row={self.row},col={self.col}..{self.col + self.count - 1})"
+                )
             return (
                 f"{self.cmd.value}(bg={self.bg},ba={self.ba},"
                 f"row={self.row},col={self.col})"

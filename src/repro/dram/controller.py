@@ -16,6 +16,20 @@ Three scheduling policies are provided:
   the order of DRAM commands in PIM mode" study (Section VII-B, no fences).
 * ``shuffle`` — adversarial random order within an epoch window, used by
   tests to show non-AAM microkernels break while AAM ones do not.
+
+The unit of queued work is the **column burst**: ``count`` consecutive
+columns of one (bank, row, direction) as one :class:`Request` — what a PIM
+kernel emits for every fenced 8-command AAM group.  A burst is shorthand
+for its single requests and is scheduled exactly as they would be; the
+controller just does not search for a schedule it can write down.  Alone
+in its fence epoch under an in-order policy, its commands are
+equally-ready row hits of one class — FR-FCFS and FCFS both take them in
+arrival order, ``tCCD_L`` apart — so ``drain`` issues it as one
+:class:`Command` with no reorder window and no pick.  A burst that shares
+its epoch, meets ``shuffle``, or has a refresh fall due inside it is
+expanded in place into single requests and takes the ordinary path.
+Nothing is remembered from one burst to the next, so there is nothing to
+invalidate.
 """
 
 from __future__ import annotations
@@ -54,6 +68,12 @@ class Request:
     Requests compare by identity: two transactions to the same address are
     still two transactions (and ``data`` is an array, which has no scalar
     truth value to compare with).
+
+    ``count > 1`` makes it a *column burst*: ``count`` transactions to
+    columns ``col .. col + count - 1`` of the row, in that order, ``data``
+    a ``(count, 32)`` block — shorthand for the requests :meth:`expand`
+    returns (which share its tag and epoch), and scheduled exactly as they
+    would be.
     """
 
     op: MemOp
@@ -64,17 +84,36 @@ class Request:
     data: Optional[np.ndarray] = None
     tag: Any = None
     epoch: int = 0
+    count: int = 1
+
+    def expand(self) -> List["Request"]:
+        """The single-command requests this burst stands for."""
+        if self.count == 1:
+            return [self]
+        data = self.data
+        return [
+            Request(
+                self.op, self.bg, self.ba, self.row, self.col + index,
+                data=None if data is None else data[index],
+                tag=self.tag, epoch=self.epoch,
+            )
+            for index in range(self.count)
+        ]
 
     def __repr__(self) -> str:
+        op, col = self.op.value, str(self.col)
+        if self.count > 1:
+            op, col = f"{op}x{self.count}", f"{col}..{self.col + self.count - 1}"
         return (
-            f"{self.op.value}(bg={self.bg},ba={self.ba},row={self.row},"
-            f"col={self.col},epoch={self.epoch})"
+            f"{op}(bg={self.bg},ba={self.ba},row={self.row},"
+            f"col={col},epoch={self.epoch})"
         )
 
 
 @dataclass
 class ScheduleResult:
-    """Outcome of draining a controller queue."""
+    """Outcome of one ``drain()``: every count is of that drain alone (the
+    controller keeps the lifetime row hit/miss tallies)."""
 
     cycles: int
     issue_order: List[Tuple[int, Request]]
@@ -151,13 +190,25 @@ class MemoryController:
         request.epoch = self._epoch
         self._queue.append(request)
 
-    def read(self, bg: int, ba: int, row: int, col: int, tag: Any = None) -> None:
-        """Queue a 32-byte read; the result is keyed by ``tag`` in drain()."""
-        self.enqueue(Request(MemOp.READ, bg, ba, row, col, tag=tag))
+    def read(
+        self, bg: int, ba: int, row: int, col: int, tag: Any = None, count: int = 1
+    ) -> None:
+        """Queue a 32-byte read; the result is keyed by ``tag`` in drain().
 
-    def write(self, bg: int, ba: int, row: int, col: int, data: np.ndarray, tag: Any = None) -> None:
-        """Queue a 32-byte write."""
-        self.enqueue(Request(MemOp.WRITE, bg, ba, row, col, data=data, tag=tag))
+        ``count > 1`` queues a column burst: reads of ``count`` consecutive
+        columns from ``col`` as one queue entry.
+        """
+        self.enqueue(Request(MemOp.READ, bg, ba, row, col, tag=tag, count=count))
+
+    def write(
+        self, bg: int, ba: int, row: int, col: int, data: np.ndarray,
+        tag: Any = None, count: int = 1,
+    ) -> None:
+        """Queue a 32-byte write — or, with ``count > 1``, a column burst of
+        ``count`` writes from ``col``, ``data`` their ``(count, 32)`` block."""
+        self.enqueue(
+            Request(MemOp.WRITE, bg, ba, row, col, data=data, tag=tag, count=count)
+        )
 
     def fence(self) -> None:
         """Commands after a fence never issue before commands preceding it."""
@@ -166,7 +217,8 @@ class MemoryController:
 
     @property
     def pending(self) -> int:
-        return len(self._queue)
+        """Bus commands still queued (a burst counts each of its columns)."""
+        return sum(request.count for request in self._queue)
 
     @property
     def current_cycle(self) -> int:
@@ -178,11 +230,35 @@ class MemoryController:
     # ``cls = 2 * flat_bank + is_write``.  A column command's earliest issue
     # cycle depends only on ``cls`` — never on row, column or data — so a
     # pick asks the channel once per class, not once per candidate.
+    #
+    # A column burst (``Request.count > 1``) is scheduled as the single
+    # requests it stands for.  Where that schedule can be written down —
+    # the burst is alone in its fence epoch and the policy keeps arrival
+    # order — ``_drain_burst`` issues it without a window or a pick;
+    # anywhere else it is expanded into those requests as it enters the
+    # window.  Either way the bus sees the same commands at the same cycles.
 
-    @staticmethod
-    def _entry(request: Request) -> Tuple[int, int, Request]:
-        bank = request.bg * BANKS_PER_GROUP + request.ba
-        return 2 * bank + (request.op is MemOp.WRITE), request.row, request
+    def _fill_window(self, window: List[Tuple[int, int, Request]], epoch: int) -> None:
+        """Bring ``window`` up to ``queue[:self.window]`` of ``epoch``."""
+        queue = self._queue
+        position = len(window)
+        while position < self.window and position < len(queue):
+            request = queue[position]
+            if request.epoch != epoch:
+                break
+            if request.count > 1:
+                # Shares the epoch (or the policy shuffles): expanded in
+                # place, its commands compete like any other request.
+                queue.rotate(-position)
+                queue.popleft()
+                queue.extendleft(reversed(request.expand()))
+                queue.rotate(position)
+                request = queue[position]
+            bank = request.bg * BANKS_PER_GROUP + request.ba
+            window.append(
+                (2 * bank + (request.op is MemOp.WRITE), request.row, request)
+            )
+            position += 1
 
     def _pick(self, window: List[Tuple[int, int, Request]]) -> Tuple[int, Optional[int]]:
         """Window index of the next request, and its column command's
@@ -277,48 +353,126 @@ class MemoryController:
         self._cycle = cycle
         return data
 
+    def _open(self, bg: int, ba: int, row: int) -> bool:
+        """Get ``row`` open in bank (``bg``, ``ba``) for the next column
+        command, tallying it a row hit (returned) or miss."""
+        bank = bg * BANKS_PER_GROUP + ba
+        open_row = self._open_rows[bank]
+        if open_row == row:
+            self.row_hits += 1
+            return True
+        if open_row is not None:
+            # Row conflict: only close a row no windowed request still
+            # wants (FR-FCFS open-page policy).  The picked request
+            # needs it closed regardless.
+            self._issue(Command(CommandType.PRE, bg, ba))
+            self._open_rows[bank] = None
+        self._issue(Command(CommandType.ACT, bg, ba, row=row))
+        self._open_rows[bank] = row
+        self.row_misses += 1
+        return False
+
+    def _drain_burst(
+        self,
+        burst: Request,
+        issue_order: List[Tuple[int, Request]],
+        read_data: Dict[Any, np.ndarray],
+    ) -> None:
+        """Issue the column burst at the queue head, alone in its epoch.
+
+        Its commands are equally-ready requests of one (bank, row,
+        direction) class, so FR-FCFS and FCFS both take them in arrival
+        order: the first pays the refresh check and any PRE/ACT, every
+        later one is a row hit ``tCCD_L`` after its predecessor (the bank
+        bounds do not move on a column command, and ``tCCD_L`` covers the
+        CA slot).  The whole run therefore goes to the channel as one
+        command at the first one's cycle.  Only a refresh can fall between
+        two of them: when the run's second-to-last command would issue at
+        or past ``_next_refresh``, just the first command is issued here
+        and the rest re-enter the queue as single requests.
+
+        When the channel raises part way, the controller is left as the
+        per-command loop leaves it: clocks at the last command that
+        completed, hits tallied up to the one that raised, and the burst —
+        still queued — shrunk to the commands from that one on.
+        """
+        queue = self._queue
+        if self.refresh and self._cycle >= self._next_refresh:
+            self._do_refresh()
+        bg, ba = burst.bg, burst.ba
+        is_write = burst.op is MemOp.WRITE
+        self._open(bg, ba, burst.row)
+        channel = self.channel
+        first = max(self._next_ca, channel.earliest_col(bg, ba, is_write))
+        step = channel.timing.tccd_l
+        count = burst.count
+        if self.refresh and first + (count - 2) * step >= self._next_refresh:
+            queue.popleft()
+            queue.extendleft(reversed(burst.expand()))
+            burst, count = queue[0], 1
+        kind = CommandType.WR if is_write else CommandType.RD
+        cmd = Command(
+            kind, bg, ba, row=burst.row, col=burst.col, data=burst.data,
+            tag=burst.tag, count=count,
+        )
+        taken = channel.cmd_counts[kind]
+        try:
+            data = channel.issue(cmd, first)
+        except BaseException:
+            # The channel counts a command before its data path can raise:
+            # all but the last one it counted ran to completion.
+            done = channel.cmd_counts[kind] - taken - 1
+            if done > 0:
+                self._cycle = first + (done - 1) * step
+                self._next_ca = self._cycle + 1
+                self.row_hits += done
+                burst.col += done
+                burst.count -= done
+                if burst.data is not None:
+                    burst.data = burst.data[done:]
+            raise
+        self._cycle = last = first + (count - 1) * step
+        self._next_ca = last + 1
+        self.row_hits += count - 1
+        if not is_write and burst.tag is not None and data is not None:
+            read_data[burst.tag] = data
+        issue_order.extend([(cycle, burst) for cycle in range(first, last + 1, step)])
+        queue.popleft()
+
     def drain(self) -> ScheduleResult:
         """Simulate until the queue is empty; return the schedule outcome."""
         issue_order: List[Tuple[int, Request]] = []
         read_data: Dict[Any, np.ndarray] = {}
         start_counts = dict(self.channel.cmd_counts)
+        start_hits, start_misses = self.row_hits, self.row_misses
         entry_cycle = self._cycle
         queue = self._queue
+        in_order = self.policy is not SchedulerPolicy.SHUFFLE
         # Entries for queue[:len(window)]: the oldest epoch's requests, up
         # to the reorder window, kept current as requests leave and enter.
         window: List[Tuple[int, int, Request]] = []
         epoch: Optional[int] = None
         while queue:
             if not window:
-                if epoch is not None and queue[0].epoch != epoch:
+                head = queue[0]
+                if epoch is not None and head.epoch != epoch:
                     # Crossing a fence: the barrier stalls the request stream.
                     self._next_ca += self.fence_penalty
-                epoch = queue[0].epoch
-                for request in queue:
-                    if request.epoch != epoch:
-                        break
-                    window.append(self._entry(request))
-                    if len(window) >= self.window:
-                        break
+                epoch = head.epoch
+                if (
+                    head.count > 1
+                    and in_order
+                    and (len(queue) == 1 or queue[1].epoch != epoch)
+                ):
+                    self._drain_burst(head, issue_order, read_data)
+                    continue
+                self._fill_window(window, epoch)
             if self.refresh and self._cycle >= self._next_refresh:
                 self._do_refresh()
             index, bound = self._pick(window)
             cls, row, request = window[index]
-            bank = cls >> 1
-            open_row = self._open_rows[bank]
-            if open_row is not None and open_row != row:
-                # Row conflict: only close a row no windowed request still
-                # wants (FR-FCFS open-page policy).  The picked request
-                # needs it closed regardless.
-                self._issue(Command(CommandType.PRE, request.bg, request.ba))
-                self._open_rows[bank] = open_row = None
-            if open_row is None:
-                self._issue(Command(CommandType.ACT, request.bg, request.ba, row=row))
-                self._open_rows[bank] = row
-                self.row_misses += 1
-                bound = None
-            else:
-                self.row_hits += 1
+            if not self._open(request.bg, request.ba, row):
+                bound = None  # commands went out since the pick's query
             is_write = cls & 1
             data = self._issue(
                 Command(
@@ -337,10 +491,7 @@ class MemoryController:
             issue_order.append((self._cycle, request))
             del queue[index]
             del window[index]
-            if len(window) < min(self.window, len(queue)):
-                request = queue[len(window)]
-                if request.epoch == epoch:
-                    window.append(self._entry(request))
+            self._fill_window(window, epoch)
         self.busy_cycles += self._cycle - entry_cycle
         counts = {
             ct: self.channel.cmd_counts[ct] - start_counts.get(ct, 0)
@@ -361,8 +512,8 @@ class MemoryController:
             issue_order=issue_order,
             read_data=read_data,
             command_count=counts,
-            row_hits=self.row_hits,
-            row_misses=self.row_misses,
+            row_hits=self.row_hits - start_hits,
+            row_misses=self.row_misses - start_misses,
         )
 
     def _do_refresh(self) -> None:

@@ -164,6 +164,8 @@ class PseudoChannel:
 
     def issue(self, cmd: Command, cycle: int) -> Optional[np.ndarray]:
         """Issue ``cmd`` at ``cycle``; returns read data for RD commands."""
+        if cmd.count > 1:
+            return self._issue_each(cmd, cycle)
         bound = self.earliest_issue(cmd)
         if cycle < bound:
             raise TimingViolation(f"{cmd!r} at {cycle} before bound {bound}")
@@ -197,6 +199,23 @@ class PseudoChannel:
             # Also when the data path raises (PimChannelError): the bank
             # moved its bounds before touching the row array.
             self._absorb(bank)
+        return data
+
+    def _issue_each(self, cmd: Command, cycle: int) -> Optional[np.ndarray]:
+        """Serve a column burst as its single commands, ``tCCD_L`` apart.
+
+        Consecutive columns of one bank, row and direction are bound by
+        the column cadence alone, so command ``i`` is legal at ``cycle +
+        i * tCCD_L`` whenever the first is legal at ``cycle`` — in every
+        mode, and each still goes through the ordinary per-command checks.
+        When one raises, the commands before it (and whatever of it the
+        per-command path commits) have landed, exactly as if they had been
+        issued one by one.  Returns the last command's read data.
+        """
+        step = self.timing.tccd_l
+        data = None
+        for index in range(cmd.count):
+            data = self.issue(cmd.single(index), cycle + index * step)
         return data
 
     def _refresh_banks(self, cycle: int) -> None:

@@ -9,6 +9,14 @@
 
 Crucially, the *interface* is unchanged — the same :class:`Command` objects
 a JEDEC controller emits — which is the paper's drop-in-replacement claim.
+
+A :class:`Command` with ``count > 1`` is a column burst: ``count`` column
+commands to consecutive columns of one row, ``tCCD_L`` apart.  In AB-PIM
+mode — where execution latency is deterministic and bound to the column
+commands — a trigger burst is *one* update of the shared all-bank state
+and one entry on the exec group's tape (``_issue_burst``); in every other
+situation the channel loops its ordinary single-command ``issue``, so a
+burst can never do anything its commands would not.
 """
 
 from __future__ import annotations
@@ -139,6 +147,8 @@ class PimPseudoChannel(PseudoChannel):
 
     def issue(self, cmd: Command, cycle: int) -> Optional[np.ndarray]:
         """Dispatch by mode: SB delegates, AB modes broadcast/trigger."""
+        if cmd.count > 1:
+            return self._issue_burst(cmd, cycle)
         if self.tracer is None:
             if not self.mode_ctrl.all_bank:
                 return self._issue_single_bank(cmd, cycle)
@@ -289,6 +299,49 @@ class PimPseudoChannel(PseudoChannel):
             return None
         # AB (non-PIM) read: the addressed bank's data reaches the I/O.
         return self._banks[cmd.bank_index].peek(row, col)
+
+    def _issue_burst(self, cmd: Command, cycle: int) -> Optional[np.ndarray]:
+        """A column burst; an AB-PIM trigger run is *one* state update.
+
+        ``count`` triggers to one open row at ``cycle + i * tCCD_L`` move
+        the shared all-bank state exactly as far as the last of them
+        would: the bound and the open row are checked once, the counters
+        advance by ``count``, the precharge bound and the column history
+        come from the last command, and the exec group takes the run as
+        one tape entry.  That holds only while nothing can stop the run
+        half way, so everything else is served command by command
+        (``_issue_each``): SB and AB (non-PIM) bursts and register rows,
+        whose data path runs per command; an eager exec group, whose
+        triggers execute — and can raise — one at a time; and a run whose
+        first command must raise (too early, row not open), which then
+        raises exactly where and how the single command does.
+        """
+        is_write = cmd.cmd is CommandType.WR
+        row = cmd.row
+        if not (
+            self.mode_ctrl.pim_executing
+            and self.lockstep.defers
+            and row == self._ab_row
+            and row not in self._register_rows
+            and cycle >= self._all_bank_col_bound(cmd.bg, is_write)
+        ):
+            return self._issue_each(cmd, cycle)
+        count = cmd.count
+        last = cycle + (count - 1) * self.timing.tccd_l
+        self.cmd_counts[cmd.cmd] += count
+        self._ab_stale = True
+        self._raise_pre_bound(
+            last + (self._wr_to_pre if is_write else self._rd_to_pre)
+        )
+        self._record_col(cmd.bg, last, is_write)
+        self.pim_triggered_columns += count
+        self.lockstep.trigger_all(
+            ColumnTrigger(
+                is_write=is_write, row=row, col=cmd.col, host_data=cmd.data,
+                count=count,
+            )
+        )
+        return None
 
     # -- the shared all-bank state ----------------------------------------------------
     #

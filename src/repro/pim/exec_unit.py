@@ -20,7 +20,7 @@ pre-programmed iteration count; NOP consumes ``imm0`` triggers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
@@ -46,12 +46,30 @@ class ColumnTrigger:
 
     ``row``/``col`` form the implicit bank address of BANK operands and the
     AAM register index; ``host_data`` is the 32-byte WR burst (None for RD).
+
+    ``count > 1`` is a column burst (see :class:`~repro.dram.commands.Command`):
+    the triggers of columns ``col .. col + count - 1``, in that order, with
+    ``host_data`` a ``(count, 32)`` block.  Only the exec groups take one;
+    a unit executes the single triggers :meth:`singles` yields.
     """
 
     is_write: bool
     row: int
     col: int
     host_data: Optional[np.ndarray] = None
+    count: int = 1
+
+    def singles(self) -> Iterator["ColumnTrigger"]:
+        """The single triggers this burst stands for, in issue order."""
+        if self.count == 1:
+            yield self
+            return
+        host = self.host_data
+        for index in range(self.count):
+            yield ColumnTrigger(
+                self.is_write, self.row, self.col + index,
+                None if host is None else host[index],
+            )
 
     def host_fp16(self) -> np.ndarray:
         """The WR burst as 16 FP16 lanes, built once per broadcast.

@@ -63,7 +63,7 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,7 +74,7 @@ from ..dram.ecc import EccBank
 from .exec_unit import ColumnTrigger, PimExecutionUnit
 from .isa import CRF_ENTRIES, GRF_REGS, Instruction, Opcode, OperandSpace, decode
 from .lockstep import LockstepGroup
-from .registers import LANES
+from .registers import GRF_REG_BYTES, LANES
 
 __all__ = ["CompiledTrace", "FusedLockstepGroup", "TraceCache", "TraceCacheStats"]
 
@@ -160,8 +160,8 @@ class _GroupStep:
 
     * ``("bank", space, row, cols)`` — gather/scatter ``cols`` of ``row``
       on every unit's bank for ``space``;
-    * ``("host", tape_positions)`` — gather the WR bursts of the current
-      tape at ``tape_positions``;
+    * ``("host", indices)`` — gather the WR bursts of the current tape,
+      counted over its host-carrying commands only;
     * ``("grf", space, indices)`` / ``("srf", space, indices)`` — fancy
       slices of the stacked register state.
     """
@@ -187,6 +187,8 @@ class CompiledTrace:
     end_state: tuple = (0, True, 0, ())
     #: Bank operand spaces touched (re-checked for failures per replay).
     bank_spaces: Tuple[OperandSpace, ...] = ()
+    #: Whether any group gathers HOST operands from the tape.
+    reads_host: bool = False
     replays: int = 0
 
 
@@ -194,7 +196,7 @@ class CompiledTrace:
 class _Step:
     """One trigger bound to its instruction during compilation."""
 
-    pos: int  # tape position (HOST gather index)
+    pos: int  # ordinal among the tape's host-carrying commands (HOST gather index)
     word: int
     is_write: bool
     row: int
@@ -268,8 +270,14 @@ class FusedLockstepGroup(LockstepGroup):
         """Discard the buffered tape without executing it (hard reset)."""
         self._tape.clear()
 
+    @property
+    def defers(self) -> bool:
+        """Whether triggers are buffered (and ``trigger_all`` cannot raise)."""
+        return self.enabled and self._fp16_ok
+
     def trigger_all(self, trig: ColumnTrigger) -> None:
-        """Buffer one broadcast column command for deferred fused execution.
+        """Buffer one broadcast column command — or one column burst, as a
+        single tape entry — for deferred fused execution.
 
         Equivalent to the eager ``LockstepGroup.trigger_all`` — the device
         flushes the tape at every point deferred state could be observed.
@@ -327,8 +335,17 @@ class FusedLockstepGroup(LockstepGroup):
         self._replay(entry, tape)
 
     def _replay(self, entry: CompiledTrace, tape: List[ColumnTrigger]) -> None:
+        host = None
+        if entry.reads_host:
+            # Every WR burst of the tape, one row per command: a burst
+            # entry brings its ``(count, 32)`` block as the kernel built it.
+            host = np.concatenate([
+                np.asarray(trig.host_data, dtype=np.uint8).reshape(-1, GRF_REG_BYTES)
+                for trig in tape
+                if trig.host_data is not None
+            ])
         for group in entry.groups:
-            self._exec_group(group, tape)
+            self._exec_group(group, host)
         end = entry.end_state
         for unit in self.units:
             unit.install_sequencer_state(*end)
@@ -371,7 +388,7 @@ class FusedLockstepGroup(LockstepGroup):
                 return raw
         return np.array([b.peek_columns(row, cols) for b in banks])
 
-    def _exec_group(self, group: _GroupStep, tape: List[ColumnTrigger]) -> None:
+    def _exec_group(self, group: _GroupStep, host: Optional[np.ndarray]) -> None:
         units = self.units
         values = []
         for plan in group.reads:
@@ -382,10 +399,8 @@ class FusedLockstepGroup(LockstepGroup):
                 stacked = self._gather_bank(banks, row, cols)
                 values.append(stacked.view(np.float16))  # (units, k, 16)
             elif kind == "host":
-                bursts = np.array([tape[i].host_data for i in plan[1]])
-                values.append(
-                    np.ascontiguousarray(bursts, dtype=np.uint8).view(np.float16)[None]
-                )  # (1, k, 16) broadcast over units
+                # (1, k, 16) broadcast over units
+                values.append(host[plan[1]].view(np.float16)[None])
             elif kind == "grf":
                 values.append(self.stacked.grf(plan[1])[:, plan[2], :])
             else:  # srf: (units, k, 1) broadcast over lanes
@@ -427,9 +442,10 @@ class FusedLockstepGroup(LockstepGroup):
         poisoned = CompiledTrace(poisoned=True)
         steps: List[_Step] = []
         triggers = instructions = flops = bank_reads = bank_writes = ignored = 0
-        for pos, trig in enumerate(tape):
-            is_write, row, col = trig.is_write, trig.row, trig.col
-            has_host = trig.host_data is not None
+        hosts = 0  # host-carrying commands so far
+        for is_write, row, col, has_host in _commands(tape):
+            pos = hosts
+            hosts += has_host
             triggers += 1
             if exited:
                 # The interpreter requires *every* unit exited for the
@@ -476,9 +492,10 @@ class FusedLockstepGroup(LockstepGroup):
             stat_deltas=(
                 triggers, instructions, flops, bank_reads, bank_writes, ignored,
             ),
-            batched_triggers=len(tape),
+            batched_triggers=triggers,
             end_state=(ppc, exited, nop_remaining, tuple(sorted(jump.items()))),
             bank_spaces=tuple(spaces),
+            reads_host=any(("host",) in s.reads for s in steps),
         )
 
 
@@ -490,13 +507,27 @@ def _pack_signature(
     Every CRF word is packed as a u32; the tape as its rows followed by
     one ``col << 2 | is_write << 1 | has_host`` word per trigger, i32
     each — fixed-width fields of a known count, so equal bytes mean equal
-    content.  Raises :class:`OverflowError` for a value that does not fit.
+    content.  A burst entry packs as the single triggers it stands for, so
+    the key does not depend on how the commands arrived.  Raises
+    :class:`OverflowError` for a value that does not fit.
     """
-    words = [t.row for t in tape]
-    words.extend(
-        t.col << 2 | t.is_write << 1 | (t.host_data is not None) for t in tape
-    )
-    return array("I", crf).tobytes(), array("i", words).tobytes()
+    rows: List[int] = []
+    words: List[int] = []
+    for t in tape:
+        count = t.count
+        word = t.col << 2 | t.is_write << 1 | (t.host_data is not None)
+        rows.extend([t.row] * count)
+        words.extend(range(word, word + 4 * count, 4))  # col + i, same flags
+    rows.extend(words)
+    return array("I", crf).tobytes(), array("i", rows).tobytes()
+
+
+def _commands(tape: List[ColumnTrigger]) -> Iterator[Tuple[bool, int, int, bool]]:
+    """``(is_write, row, col, has_host)`` of every command of ``tape``."""
+    for t in tape:
+        has_host = t.host_data is not None
+        for col in range(t.col, t.col + t.count):
+            yield t.is_write, t.row, col, has_host
 
 
 def _plan_step(
@@ -608,7 +639,7 @@ class _GroupBuilder:
         steps = self.steps
         first = steps[0]
         cols = index_array(s.col for s in steps)
-        positions = [s.pos for s in steps]
+        positions = index_array(s.pos for s in steps)
         reads = []
         for j, plan in enumerate(first.reads):
             kind = plan[0]

@@ -55,6 +55,11 @@ __all__ = ["LockstepGroup"]
 class LockstepGroup:
     """The lock-stepped execution units of one pseudo-channel."""
 
+    #: Whether ``trigger_all`` buffers triggers for later execution (and so
+    #: cannot raise): False here — every trigger executes, and can raise,
+    #: before ``trigger_all`` returns.
+    defers = False
+
     def __init__(self, units: Sequence[PimExecutionUnit], enabled: bool = True):
         self.units: List[PimExecutionUnit] = list(units)
         #: Set False to force the per-unit scalar path
@@ -106,8 +111,15 @@ class LockstepGroup:
         """Execute one broadcast column command on every unit.
 
         Equivalent to ``for unit in units: unit.trigger(trig)`` — batched
-        when the units are verifiably in lock-step, scalar otherwise.
+        when the units are verifiably in lock-step, scalar otherwise.  A
+        column burst executes as its single triggers, in order.
         """
+        if trig.count > 1:
+            for single in trig.singles():
+                # Not ``self.trigger_all``: a deferring subclass lands
+                # here to *execute* a buffered burst.
+                LockstepGroup.trigger_all(self, single)
+            return
         units = self.units
         if not (self.enabled and self._fp16_ok):
             for unit in units:

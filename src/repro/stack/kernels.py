@@ -24,6 +24,11 @@ documented in DESIGN.md):
 
 Every 8-command run is followed by a fence: address-aligned mode can absorb
 reordering only within the 8-register GRF window (Section IV-C / VII-B).
+Each such run — 8 columns of one row in one direction — is enqueued as one
+*column burst* (``mc.read(..., count=8)`` / ``mc.write(..., block,
+count=8)`` with one ``(8, 32)`` data block), so every fence epoch of a PIM
+window holds exactly one request; the controller and the device then
+schedule and execute the run as a unit, bit-identically to its 8 commands.
 """
 
 from __future__ import annotations
@@ -101,8 +106,19 @@ def _bank_coords(bank_index: int) -> Tuple[int, int]:
     return bank_index // 4, bank_index % 4
 
 
-def _dummy_column() -> np.ndarray:
-    return np.zeros(GRF_REG_BYTES, dtype=np.uint8)
+def _constant(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+# Write data nothing reads for its content: the WR bursts that trigger a
+# GRF -> bank MOV, and the all-zero GRF_B image.  One read-only block per
+# 8-column burst, shared by every kernel.
+_ZERO_BLOCK = _constant(np.zeros((_COL_GROUP, GRF_REG_BYTES), dtype=np.uint8))
+_PIM_OP_MODE = tuple(
+    _constant(np.array([value] + [0] * (GRF_REG_BYTES - 1), dtype=np.uint8))
+    for value in (0, 1)
+)
 
 
 class PimSession:
@@ -151,10 +167,11 @@ class PimSession:
 
     def set_pim_op_mode(self, mc, enable: bool) -> None:
         """Queue the PIM_OP_MODE register write on one controller."""
-        data = _dummy_column()
-        data[0] = 1 if enable else 0
         mc.fence()
-        mc.write(0, 0, self.map.conf_row, self.map.PIM_OP_MODE_COL, data)
+        mc.write(
+            0, 0, self.map.conf_row, self.map.PIM_OP_MODE_COL,
+            _PIM_OP_MODE[bool(enable)],
+        )
         mc.fence()
 
     # -- register programming ----------------------------------------------------
@@ -191,8 +208,7 @@ class PimSession:
 
     def zero_grf_b(self, mc) -> None:
         """Clear the 8 GRF_B accumulators via register-mapped writes."""
-        for col in range(GRF_REGS, 2 * GRF_REGS):
-            mc.write(0, 0, self.map.grf_row, col, _dummy_column())
+        mc.write(0, 0, self.map.grf_row, GRF_REGS, _ZERO_BLOCK, count=GRF_REGS)
         mc.fence()
 
     def write_srf(
@@ -566,22 +582,25 @@ class GemvKernel:
         plan = self.plan
         pch, pass_ = self._slice_channel(s)
         mc = self.sys.controller(pch)
+        # Each x value replicated over the 16 lanes, one (8, 32) WR block
+        # per chunk: every fence epoch below is one column burst.
+        x_slice = x_padded[s * plan.n_slice : (s + 1) * plan.n_slice]
+        staged = (
+            np.repeat(x_slice, LANES)
+            .view(np.uint8)
+            .reshape(plan.chunks, _COL_GROUP, GRF_REG_BYTES)
+        )
         for tile in range(plan.tiles):
             self.session.zero_grf_b(mc)
             self.session.set_pim_op_mode(mc, True)
             for chunk in range(plan.chunks):
                 row, col_base = plan.weight_location(tile, chunk, pass_)
-                for j in range(_COL_GROUP):
-                    value = x_padded[s * plan.n_slice + chunk * _COL_GROUP + j]
-                    burst = np.full(LANES, value, dtype=np.float16).view(np.uint8)
-                    mc.write(0, 0, row, col_base + j, burst)
+                mc.write(0, 0, row, col_base, staged[chunk], count=_COL_GROUP)
                 mc.fence()
-                for j in range(_COL_GROUP):
-                    mc.read(0, 0, row, col_base + j)
+                mc.read(0, 0, row, col_base, count=_COL_GROUP)
                 mc.fence()
             out_row, out_base = plan.out_location(tile, pass_, slot)
-            for j in range(_COL_GROUP):
-                mc.write(0, 0, out_row, out_base + j, _dummy_column())
+            mc.write(0, 0, out_row, out_base, _ZERO_BLOCK, count=_COL_GROUP)
             mc.fence()
             self.session.set_pim_op_mode(mc, False)
             mc.drain()
@@ -607,14 +626,12 @@ class GemvKernel:
                 prod = (wk * xk[np.newaxis, :]).astype(np.float16)
                 acc = (acc + prod).astype(np.float16)
             out_row, out_base = plan.out_location(tile, pass_, slot)
+            cols = np.arange(out_base, out_base + _COL_GROUP)
             for unit in range(UNITS_PER_PCH):
-                for j in range(_COL_GROUP):
-                    column = np.ascontiguousarray(
-                        acc[unit * LANES : (unit + 1) * LANES, j]
-                    )
-                    channel.banks[2 * unit].poke(
-                        out_row, out_base + j, column.view(np.uint8)
-                    )
+                block = np.ascontiguousarray(acc[unit * LANES : (unit + 1) * LANES].T)
+                channel.banks[2 * unit].poke_columns(
+                    out_row, cols, block.view(np.uint8)
+                )
 
     def _read_partials(self, nsim_ch: int, slot: int = 0) -> np.ndarray:
         """Read partial sums back (timed SB-mode reads on simulated pCHs)."""
@@ -648,17 +665,16 @@ class GemvKernel:
                 for tile in range(plan.tiles):
                     out_row, out_base = plan.out_location(tile, pass_, slot)
                     out0 = tile * plan.outputs_per_tile
+                    cols = np.arange(out_base, out_base + _COL_GROUP)
                     for unit in range(UNITS_PER_PCH):
-                        for j in range(_COL_GROUP):
-                            if timed:
+                        lanes = slice(out0 + unit * LANES, out0 + (unit + 1) * LANES)
+                        if timed:
+                            for j in range(_COL_GROUP):
                                 raw = columns[(s, tile, unit, j)]
-                            else:
-                                raw = channel.banks[2 * unit].peek(
-                                    out_row, out_base + j
-                                )
-                            partials[
-                                s, j, out0 + unit * LANES : out0 + (unit + 1) * LANES
-                            ] = raw.view(np.float16)
+                                partials[s, j, lanes] = raw.view(np.float16)
+                        else:
+                            raw = channel.banks[2 * unit].peek_columns(out_row, cols)
+                            partials[s, :, lanes] = raw.view(np.float16)
         return partials
 
     def _simulated_slices(self, nsim_ch: int) -> int:
@@ -1028,15 +1044,14 @@ class ElementwiseKernel:
         for g in range(plan.groups):
             row = plan.base_row + g // groups_per_row
             col_base = (g % groups_per_row) * _COL_GROUP
-            for j in range(_COL_GROUP):
-                mc.read(0, 0, row, col_base + j)
+            mc.read(0, 0, row, col_base, count=_COL_GROUP)
             mc.fence()
             if self.op.uses_second_operand:
-                for j in range(_COL_GROUP):
-                    mc.read(0, 0, row, col_base + j)
+                mc.read(0, 0, row, col_base, count=_COL_GROUP)
                 mc.fence()
-            for j in range(_COL_GROUP):
-                mc.write(0, 0, row, plan.in_cols + col_base + j, _dummy_column())
+            mc.write(
+                0, 0, row, plan.in_cols + col_base, _ZERO_BLOCK, count=_COL_GROUP
+            )
             mc.fence()
         self.session.set_pim_op_mode(mc, False)
         mc.drain()

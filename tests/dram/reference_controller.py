@@ -220,6 +220,7 @@ class ReferenceController:
         issue_order: List[Tuple[int, Request]] = []
         read_data: Dict[Any, np.ndarray] = {}
         start_counts = dict(self.channel.cmd_counts)
+        start_hits, start_misses = self.row_hits, self.row_misses
         entry_cycle = self._cycle
         active_epoch: Optional[int] = None
         while self._queue:
@@ -287,8 +288,8 @@ class ReferenceController:
             issue_order=issue_order,
             read_data=read_data,
             command_count=counts,
-            row_hits=self.row_hits,
-            row_misses=self.row_misses,
+            row_hits=self.row_hits - start_hits,
+            row_misses=self.row_misses - start_misses,
         )
 
     def _do_refresh(self) -> None:

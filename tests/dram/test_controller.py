@@ -241,3 +241,72 @@ class TestBandwidth:
             return mc.drain().cycles
 
         assert run(spread=True) < run(spread=False)
+
+
+class TestColumnBursts:
+    """A burst is shorthand for its single requests — in what the
+    controller reports as much as in what it schedules (the schedule
+    itself is ``test_controller_differential.py``'s)."""
+
+    def test_schedule_result_counts_one_drain(self):
+        """``row_hits``/``row_misses`` are per drain, like ``command_count``
+        beside them; the lifetime tallies stay on the controller."""
+        mc, _ = make_controller()
+        mc.read(0, 0, 0, 0)
+        mc.read(0, 0, 0, 1)
+        first = mc.drain()
+        assert (first.row_hits, first.row_misses) == (1, 1)
+        mc.read(0, 0, 0, 2, count=8)
+        mc.read(0, 0, 1, 0)
+        second = mc.drain()
+        assert (second.row_hits, second.row_misses) == (8, 1)
+        assert second.column_commands == 9
+        assert (mc.row_hits, mc.row_misses) == (9, 2)
+
+    def test_a_read_burst_is_its_columns_tCCD_L_apart(self):
+        mc, ch = make_controller()
+        for col in range(8):
+            ch.bank(1, 2).poke(5, 4 + col, _data(col))
+        mc.fence()
+        mc.read(1, 2, 5, 4, tag="burst", count=8)
+        result = mc.drain()
+        cycles = [cycle for cycle, _ in result.issue_order]
+        assert len(cycles) == 8 and {req.tag for _, req in result.issue_order} == {"burst"}
+        assert np.diff(cycles).tolist() == [HBM2_1GHZ.tccd_l] * 7
+        assert result.cycles == cycles[-1]
+        assert ch.bank(1, 2).rd_count == 8
+        # The commands share the tag: the last one's data is what is kept.
+        assert np.array_equal(result.read_data["burst"], _data(7))
+
+    def test_a_write_burst_lands_one_row_of_its_block_per_column(self):
+        mc, ch = make_controller()
+        block = np.arange(8 * 32, dtype=np.uint8).reshape(8, 32)
+        mc.write(0, 3, 2, 16, block, count=8)
+        mc.drain()
+        assert np.array_equal(ch.bank(0, 3).peek_columns(2, np.arange(16, 24)), block)
+
+    def test_pending_counts_bus_commands(self):
+        mc, _ = make_controller()
+        mc.read(0, 0, 0, 0)
+        mc.read(0, 0, 0, 8, count=8)
+        mc.write(0, 0, 0, 16, np.zeros((4, 32), dtype=np.uint8), count=4)
+        assert mc.pending == 13
+        mc.drain()
+        assert mc.pending == 0
+
+    def test_reprs_speak_in_bus_commands(self):
+        from repro.dram.commands import Command
+
+        mc, _ = make_controller()
+        mc.fence()
+        mc.read(1, 2, 7, 8, count=8)
+        mc.read(1, 2, 7, 3)
+        burst, single = mc._queue
+        assert repr(burst) == "RDx8(bg=1,ba=2,row=7,col=8..15,epoch=1)"
+        assert repr(single) == "RD(bg=1,ba=2,row=7,col=3,epoch=1)"
+        assert [repr(r) for r in burst.expand()][::7] == [
+            "RD(bg=1,ba=2,row=7,col=8,epoch=1)", "RD(bg=1,ba=2,row=7,col=15,epoch=1)"
+        ]
+        cmd = Command(CommandType.WR, 0, 1, row=2, col=4, count=3)
+        assert repr(cmd) == "WRx3(bg=0,ba=1,row=2,col=4..6)"
+        assert repr(cmd.single(2)) == "WR(bg=0,ba=1,row=2,col=6)"

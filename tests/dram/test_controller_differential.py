@@ -8,6 +8,13 @@ are driven through the same random request streams on twin channels and
 must agree on everything observable: issue cycles and order, read data,
 command counts, row hit/miss tallies, busy cycles, refreshes, and every
 bank's final timing state.
+
+The streams also carry *column bursts* (``Request.count > 1``): the
+production controller is handed the burst, the reference its expansion
+into single requests, and the same agreement is required — whether the
+burst took the closed-form path (alone in its fence epoch), was expanded
+in place (sharing an epoch, ``SHUFFLE``, a refresh falling due inside
+it), or raised part way.
 """
 
 from dataclasses import replace
@@ -23,7 +30,9 @@ from repro.dram.controller import MemOp, MemoryController, Request, SchedulerPol
 from repro.dram.pseudochannel import PseudoChannel
 from repro.dram.timing import HBM2_1GHZ
 from repro.pim.assembler import assemble_words
+from repro.errors import PimChannelError
 from repro.pim.device import PimPseudoChannel
+from repro.pim.fused import FusedLockstepGroup
 
 from .reference_controller import ReferenceController
 
@@ -34,15 +43,22 @@ TIMING = replace(HBM2_1GHZ, trefi=150, trfc=40)
 MODES = ("plain", "sb", "ab", "ab-pim")
 
 
-def make_channel(mode):
-    """A fresh channel of the kind ``mode`` names (still in SB mode)."""
+def make_channel(mode, fused=False):
+    """A fresh channel of the kind ``mode`` names (still in SB mode), its
+    exec group the eager interpreter or (``fused``) the deferring one."""
     config = BankConfig(num_rows=NUM_ROWS)
     if mode == "plain":
         return PseudoChannel(TIMING, config)
-    return PimPseudoChannel(TIMING, config)
+    channel = PimPseudoChannel(TIMING, config)
+    if fused:
+        channel.lockstep = FusedLockstepGroup(channel.units)
+    return channel
 
 
-def enter_mode(mc, mode):
+NOP_PROGRAM = "NOP\nJUMP -1, 5\nEXIT"
+
+
+def enter_mode(mc, mode, program=NOP_PROGRAM):
     """Drive ``mc``'s channel into ``mode`` the way the kernels do."""
     if mode in ("plain", "sb"):
         return
@@ -50,10 +66,7 @@ def enter_mode(mc, mode):
     mc.precharge_all()
     mc.closed_page_access(0, 0, memory_map.abmr_row)
     if mode == "ab-pim":
-        words = np.array(
-            assemble_words("NOP\nJUMP -1, 5\nEXIT")[:8],
-            dtype="<u4",
-        )
+        words = np.array(assemble_words(program)[:8], dtype="<u4")
         mc.write(0, 0, memory_map.crf_row, 0, words.view(np.uint8))
         mc.fence()
         on = np.zeros(32, dtype=np.uint8)
@@ -74,40 +87,61 @@ def bank_state(channel):
 
 
 class Side:
-    """One controller on its own channel, fed the shared op stream."""
+    """One controller on its own channel, fed the shared op stream.
 
-    def __init__(self, controller_cls, mode, **kwargs):
-        self.mc = controller_cls(make_channel(mode), **kwargs)
-        enter_mode(self.mc, mode)
-        self.index = {}  # id(request) -> position in the stream
+    Requests are tagged with their stream position; the production
+    controller takes a burst as one request, the reference as the single
+    requests it stands for (which share the tag).
+    """
 
-    def enqueue(self, position, op, bg, ba, row, col, value):
-        data = np.full(32, value, dtype=np.uint8) if op is MemOp.WRITE else None
-        request = Request(op, bg, ba, row, col, data=data, tag=position)
-        self.index[id(request)] = position
-        self.mc.enqueue(request)
+    def __init__(self, controller_cls, mode, fused=False, program=NOP_PROGRAM, **kwargs):
+        self.mc = controller_cls(make_channel(mode, fused), **kwargs)
+        enter_mode(self.mc, mode, program)
+
+    def enqueue(self, position, op, bg, ba, row, col, value, count=1):
+        data = None
+        if op is MemOp.WRITE:
+            # A different value per column, so a mixed-up burst shows.
+            data = ((value + np.arange(count)) % 256).astype(np.uint8)
+            data = np.repeat(data[:, None], 32, axis=1)
+            if count == 1:
+                data = data[0]
+        request = Request(op, bg, ba, row, col, data=data, tag=position, count=count)
+        if count > 1 and isinstance(self.mc, ReferenceController):
+            for single in request.expand():
+                self.mc.enqueue(single)
+        else:
+            self.mc.enqueue(request)
+
+    def state(self):
+        """Controller and device state, as left by a drain or a raise."""
+        mc = self.mc
+        return (
+            (mc.row_hits, mc.row_misses),
+            (mc.busy_cycles, mc.refresh_count, mc.fence_count),
+            (mc.current_cycle, mc._next_ca, mc.pending),
+            dict(mc.channel.cmd_counts),
+            bank_state(mc.channel),
+        )
 
     def drain(self):
         """Drain and return everything the two sides must agree on."""
         try:
             result = self.mc.drain()
         except Exception as exc:  # compared, not swallowed
-            return ("raised", type(exc), str(exc), bank_state(self.mc.channel))
+            return ("raised", type(exc), str(exc), self.state())
         return (
-            [(cycle, self.index[id(req)]) for cycle, req in result.issue_order],
+            [(cycle, req.tag) for cycle, req in result.issue_order],
             {tag: data.tobytes() for tag, data in result.read_data.items()},
             result.command_count,
             (result.row_hits, result.row_misses, result.cycles),
-            (self.mc.busy_cycles, self.mc.refresh_count, self.mc.fence_count),
-            (self.mc.current_cycle, self.mc._next_ca, self.mc.pending),
-            dict(self.mc.channel.cmd_counts),
-            bank_state(self.mc.channel),
+            self.state(),
         )
 
 
-# One stream element: a request (op, bank, row, col, value), a fence or a
-# drain.  Few rows and columns so hits, conflicts and address-equal
-# requests are all common.
+# One stream element: a request (op, bank, row, col, value), a burst (the
+# same plus a count), a fence or a drain.  Few rows and columns so hits,
+# conflicts and address-equal requests are all common.
 REQUEST = st.tuples(
     st.sampled_from([MemOp.READ, MemOp.WRITE]),
     st.integers(0, 15),
@@ -115,10 +149,32 @@ REQUEST = st.tuples(
     st.integers(0, 3),
     st.integers(0, 255),
 )
+# Counts from a pair to longer than the widest window; starting columns
+# that overlap the single requests' (0..3).
+BURST = st.tuples(
+    st.sampled_from([MemOp.READ, MemOp.WRITE]),
+    st.integers(0, 15),
+    st.integers(0, 3),
+    st.sampled_from([0, 2, 8]),
+    st.integers(0, 255),
+    st.sampled_from([2, 3, 8, 8, 20]),
+)
+# Fences on both sides of a burst are what the kernels emit, so "alone in
+# its epoch" must be as common as sharing one.
+FENCED_BURST = BURST.map(lambda burst: ["fence", burst, "fence"])
 STREAM = st.lists(
-    st.one_of(REQUEST, REQUEST, REQUEST, st.just("fence"), st.just("drain")),
+    st.one_of(
+        REQUEST, REQUEST, REQUEST, BURST, FENCED_BURST,
+        st.just("fence"), st.just("drain"),
+    ),
     min_size=1,
     max_size=70,
+).map(
+    lambda elements: [
+        item
+        for element in elements
+        for item in (element if isinstance(element, list) else [element])
+    ]
 )
 POLICY = st.one_of(
     st.tuples(st.just(SchedulerPolicy.FRFCFS), st.none()),
@@ -127,15 +183,18 @@ POLICY = st.one_of(
 )
 
 
-def run_both(mode, policy, seed, refresh, fence_penalty, window, stream, ab_bank):
+def run_both(
+    mode, policy, seed, refresh, fence_penalty, window, stream, ab_bank, fused=False
+):
     kwargs = dict(
         policy=policy, seed=seed, refresh=refresh,
-        fence_penalty=fence_penalty, window=window,
+        fence_penalty=fence_penalty, window=window, fused=fused,
     )
     new = Side(MemoryController, mode, **kwargs)
     ref = Side(ReferenceController, mode, **kwargs)
     # Row 3 of the pool is a register row (GRF): column accesses there take
-    # the register path of the PIM channel, in every mode.
+    # the register path of the PIM channel, in every mode (a burst of up to
+    # 20 columns wraps around its 16 registers).
     rows = [0, 1, 2, NUM_ROWS - 5 if mode != "plain" else 3]
     outcomes = []
     for position, element in enumerate(list(stream) + ["drain"]):
@@ -147,13 +206,18 @@ def run_both(mode, policy, seed, refresh, fence_penalty, window, stream, ab_bank
             assert got == want
             outcomes.append(got)
         else:
-            op, bank, row, col, value = element
+            op, bank, row, col, value, *count = element
             if mode in ("ab", "ab-pim"):
                 # All-bank modes ignore bg/ba; an unmodified controller
                 # still shadows rows per bank, so kernels address one bank.
                 bank = ab_bank
             for side in (new, ref):
-                side.enqueue(position, op, bank // 4, bank % 4, rows[row], col, value)
+                side.enqueue(
+                    position, op, bank // 4, bank % 4, rows[row], col, value, *count
+                )
+    if mode != "plain":
+        for side in (new, ref):
+            side.mc.channel.lockstep.flush_pending()
     return new, ref, outcomes
 
 
@@ -166,12 +230,14 @@ def run_both(mode, policy, seed, refresh, fence_penalty, window, stream, ab_bank
     window=st.sampled_from([1, 4, 16]),
     stream=STREAM,
     ab_bank=st.integers(0, 15),
+    fused=st.booleans(),
 )
 def test_incremental_scheduler_matches_reference(
-    mode, policy, refresh, fence_penalty, window, stream, ab_bank
+    mode, policy, refresh, fence_penalty, window, stream, ab_bank, fused
 ):
     new, ref, outcomes = run_both(
-        mode, policy[0], policy[1], refresh, fence_penalty, window, stream, ab_bank
+        mode, policy[0], policy[1], refresh, fence_penalty, window, stream,
+        ab_bank, fused,
     )
     assert not any(outcome[0] == "raised" for outcome in outcomes)
     if mode != "plain":
@@ -184,22 +250,22 @@ def test_incremental_scheduler_matches_reference(
 @given(
     policy=POLICY,
     window=st.sampled_from([1, 4, 16]),
-    stream=st.lists(REQUEST, min_size=2, max_size=30),
+    stream=st.lists(st.one_of(REQUEST, REQUEST, BURST), min_size=2, max_size=30),
 )
 def test_illegal_all_bank_streams_fail_identically(policy, window, stream):
     """AB-mode requests that spread over banks make the controller ACT a
     bank the broadcast already opened; both schedulers must hit the same
-    TimingViolation at the same point and leave the same bank state."""
+    TimingViolation at the same point and leave the same controller and
+    bank state — ``pending`` counted in bus commands."""
     kwargs = dict(policy=policy[0], seed=policy[1], window=window)
     sides = [
         Side(MemoryController, "ab", **kwargs),
         Side(ReferenceController, "ab", **kwargs),
     ]
-    for position, (op, bank, row, col, value) in enumerate(stream):
+    for position, (op, bank, row, col, value, *count) in enumerate(stream):
         for side in sides:
-            side.enqueue(position, op, bank // 4, bank % 4, row, col, value)
+            side.enqueue(position, op, bank // 4, bank % 4, row, col, value, *count)
     assert sides[0].drain() == sides[1].drain()
-    assert sides[0].mc.pending == sides[1].mc.pending
 
 
 def test_fixed_stream_crosses_refreshes_and_reorders():
@@ -222,23 +288,195 @@ def test_long_seeded_streams_match(seed):
     rng = np.random.default_rng(seed)
     policy = list(SchedulerPolicy)[seed % 3]
     stream = []
+    commands = 0
     for _ in range(400):
-        draw = rng.integers(0, 20)
+        draw = rng.integers(0, 22)
         if draw == 0:
             stream.append("drain")
         elif draw < 3:
             stream.append("fence")
         else:
-            stream.append((
+            request = (
                 MemOp.WRITE if rng.integers(0, 2) else MemOp.READ,
                 int(rng.integers(0, 16)), int(rng.integers(0, 4)),
                 int(rng.integers(0, 4)), int(rng.integers(0, 256)),
-            ))
+            )
+            if draw < 20:
+                commands += 1
+            else:  # a burst, fenced on both sides every other time
+                count = (2, 8, 20)[int(rng.integers(0, 3))]
+                commands += count
+                request += (count,)
+                if rng.integers(0, 2):
+                    stream.append("fence")
+                    stream.append(request)
+                    request = "fence"
+            stream.append(request)
     new, _, outcomes = run_both(
         MODES[seed % 4], policy, seed, bool(seed & 4), [0, 7][seed & 1],
-        [1, 4, 16][(seed // 2) % 3], stream, seed % 16,
+        [1, 4, 16][(seed // 2) % 3], stream, seed % 16, fused=bool(seed & 8),
     )
     assert not any(outcome[0] == "raised" for outcome in outcomes)
-    assert sum(len(outcome[0]) for outcome in outcomes) == sum(
-        element not in ("drain", "fence") for element in stream
+    assert sum(len(outcome[0]) for outcome in outcomes) == commands
+
+
+# -- column bursts: the paths, one by one ---------------------------------------
+
+
+def burst_paths(monkeypatch):
+    """Count how the production controller and device serve bursts."""
+    taken = {"closed-form": 0, "straddle": 0, "expanded": 0, "one-update": 0, "picks": 0}
+    drain_burst = MemoryController._drain_burst
+    fill_window = MemoryController._fill_window
+    pick = MemoryController._pick
+    issue_burst = PimPseudoChannel._issue_burst
+
+    def counted_drain_burst(self, burst, issue_order, read_data):
+        queued = len(self._queue)
+        drain_burst(self, burst, issue_order, read_data)
+        taken["closed-form" if len(self._queue) < queued else "straddle"] += 1
+
+    def counted_fill_window(self, window, epoch):
+        queued = len(self._queue)
+        fill_window(self, window, epoch)
+        taken["expanded"] += len(self._queue) > queued
+
+    def counted_pick(self, window):
+        taken["picks"] += 1
+        return pick(self, window)
+
+    def counted_issue_burst(self, cmd, cycle):
+        triggered = self.pim_triggered_columns
+        calls = []
+        trigger_all = self.lockstep.trigger_all
+        self.lockstep.trigger_all = lambda trig: (calls.append(trig), trigger_all(trig))
+        try:
+            return issue_burst(self, cmd, cycle)
+        finally:
+            del self.lockstep.trigger_all
+            if self.pim_triggered_columns - triggered == cmd.count and len(calls) == 1:
+                taken["one-update"] += 1
+
+    monkeypatch.setattr(MemoryController, "_drain_burst", counted_drain_burst)
+    monkeypatch.setattr(MemoryController, "_fill_window", counted_fill_window)
+    monkeypatch.setattr(MemoryController, "_pick", counted_pick)
+    monkeypatch.setattr(PimPseudoChannel, "_issue_burst", counted_issue_burst)
+    return taken
+
+
+def test_a_burst_alone_in_its_epoch_is_one_queue_entry_one_issue_and_no_pick(
+    monkeypatch,
+):
+    """The kernels' shape — fence, 8 columns of one row, fence — on an
+    AB-PIM channel with the deferring exec group: no pick, one
+    ``channel.issue``, one ``trigger_all`` and one tape entry per burst,
+    and a schedule equal to the reference's, command for command."""
+    taken = burst_paths(monkeypatch)
+    stream = []
+    for group in range(6):
+        op = MemOp.WRITE if group % 3 == 0 else MemOp.READ
+        stream += ["fence", (op, 0, group // 4, 8 * (group % 2), group, 8)]
+    new, _, outcomes = run_both(
+        "ab-pim", SchedulerPolicy.FRFCFS, None, False, 7, 16, stream, 0, fused=True
     )
+    assert taken == {
+        "closed-form": 6, "straddle": 0, "expanded": 0, "one-update": 6,
+        "picks": 2,  # entering AB-PIM: the CRF and the PIM_OP_MODE write
+    }
+    assert [tag for _, tag in outcomes[-1][0]] == [
+        2 * group + 1 for group in range(6) for _ in range(8)
+    ]
+    assert outcomes[-1][2][CommandType.ACT] == 2  # rows 0 and 1, opened once each
+    assert outcomes[-1][3][:2] == (46, 2)  # this drain's hits and misses
+    assert new.mc.channel.pim_triggered_columns == 48
+
+
+@pytest.mark.parametrize(
+    "case, kwargs, stream, expect",
+    [
+        # Two requests in the burst's epoch: its commands compete in the window.
+        (
+            "shares an epoch", {},
+            [(MemOp.READ, 0, 0, 1, 0), (MemOp.READ, 4, 1, 0, 0, 8), (MemOp.READ, 0, 0, 2, 0)],
+            {"expanded": 1, "closed-form": 0},
+        ),
+        ("shuffle", {"policy": SchedulerPolicy.SHUFFLE, "seed": 5},
+         ["fence", (MemOp.READ, 0, 0, 0, 0, 8), "fence"],
+         {"expanded": 1, "closed-form": 0}),
+        ("closed row, then a conflicting row, longer than the window", {"window": 4},
+         ["fence", (MemOp.WRITE, 5, 0, 0, 3, 20), "fence", (MemOp.READ, 5, 1, 2, 0, 20)],
+         {"closed-form": 2, "expanded": 0}),
+    ],
+)
+@pytest.mark.parametrize("mode", MODES)
+def test_each_burst_path_matches_the_reference(
+    monkeypatch, mode, case, kwargs, stream, expect
+):
+    taken = burst_paths(monkeypatch)
+    options = dict(
+        policy=SchedulerPolicy.FRFCFS, seed=None, refresh=False, fence_penalty=7,
+        window=16, ab_bank=5, fused=True,
+    )
+    options.update(kwargs)
+    run_both(mode, stream=stream, **options)  # asserts the two sides agree
+    assert {name: taken[name] for name in expect} == expect, case
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_burst_a_refresh_falls_due_inside_goes_one_by_one(monkeypatch, mode):
+    """tREFI = 150 and runs of 8 columns (28 cycles): most fit between
+    two refreshes, some do not — and then only their first command is
+    issued by the burst path."""
+    taken = burst_paths(monkeypatch)
+    stream = ["fence", (MemOp.READ, 0, 0, 0, 0, 8)] * 12
+    new, _, _ = run_both(
+        mode, SchedulerPolicy.FRFCFS, None, True, 7, 16, stream, 0, fused=True
+    )
+    assert new.mc.refresh_count >= 2
+    assert taken["closed-form"] >= 1 and taken["straddle"] >= 1
+    assert taken["closed-form"] + taken["straddle"] == 12
+
+
+@pytest.mark.parametrize("failing", [0, 3, 7])
+@pytest.mark.parametrize("policy", [SchedulerPolicy.FRFCFS, SchedulerPolicy.FCFS])
+def test_a_burst_whose_kth_command_raises_leaves_what_the_loop_leaves(failing, policy):
+    """A dead channel under the eager (``exec_mode="lockstep"``) executor:
+    the microkernel idles through ``failing`` triggers, then reads the
+    bank.  Controller clocks and tallies, the queue (``pending`` in bus
+    commands), the device's counters and every bank must be where the
+    per-command loop leaves them — and so must the retry after it."""
+    program = "FILL GRF_A[A], EVEN_BANK\nJUMP -1, 7\nEXIT"
+    if failing:
+        program = f"NOP\nJUMP -1, {failing - 1}\n" + program
+    sides = [
+        Side(controller, "ab-pim", program=program, policy=policy, fence_penalty=7)
+        for controller in (MemoryController, ReferenceController)
+    ]
+    for side in sides:
+        side.mc.fence()
+        side.enqueue(0, MemOp.READ, 0, 0, 1, 0, 0, count=8)
+        side.mc.fence()
+        side.enqueue(1, MemOp.READ, 0, 0, 1, 8, 0, count=8)
+        for bank in side.mc.channel.banks:
+            bank.fail(0)
+    got, want = sides[0].drain(), sides[1].drain()
+    assert got[:2] == ("raised", PimChannelError)
+    assert got == want
+    assert sides[0].mc.pending == 16 - failing
+    assert sides[0].mc.channel.pim_triggered_columns == failing + 1
+    assert sides[0].mc.channel.cmd_counts == sides[1].mc.channel.cmd_counts
+    # Drained again, the shrunk burst raises at once, as the loop does.
+    assert sides[0].drain() == sides[1].drain()
+    assert sides[0].mc.pending == 16 - failing
+
+
+def test_a_register_row_burst_raises_mid_run_like_its_single_commands():
+    """SB mode, no exec group involved: the PIM_CONF row takes column 0
+    and rejects column 1, so a burst over it stops at its second command."""
+    sides = [Side(MemoryController, "sb"), Side(ReferenceController, "sb")]
+    for side in sides:
+        conf_row = side.mc.channel.memory_map.conf_row
+        side.enqueue(0, MemOp.WRITE, 0, 0, conf_row, 0, 0, count=4)
+    got, want = sides[0].drain(), sides[1].drain()
+    assert got[:2] == ("raised", ValueError) and got == want
+    assert sides[0].mc.pending == 3

@@ -8,6 +8,11 @@ streams — legal and illegal, through every mode — and must agree on
 everything: return data, exception type and text, channel maxima,
 shared-bus history, counters, and (at every observation point) each
 bank's ``(state, open_row, next_act/pre/rd/wr, act/rd/wr_count)``.
+
+Column bursts ride the same streams: the channel under test takes a
+``Command(count=n)`` at one cycle, the oracle the ``n`` single commands
+``tCCD_L`` apart, and on top of the above the deferred exec tapes must
+hold the same triggers with the same data.
 """
 
 import numpy as np
@@ -22,6 +27,7 @@ from repro.dram.timing import HBM2_1GHZ
 from repro.errors import PimChannelError
 from repro.pim.assembler import assemble_words
 from repro.pim.device import PimPseudoChannel
+from repro.pim.fused import FusedLockstepGroup
 from repro.pim.modes import PimMode
 
 from .reference_device import ReferencePimPseudoChannel
@@ -57,6 +63,18 @@ def channel_state(channel):
     )
 
 
+def exec_tape(channel):
+    """The deferred triggers, one per column command."""
+    return [
+        (
+            trig.is_write, trig.row, trig.col,
+            None if trig.host_data is None else trig.host_data.tobytes(),
+        )
+        for entry in getattr(channel.lockstep, "_tape", [])
+        for trig in entry.singles()
+    ]
+
+
 def bank_data(channel):
     return [
         {row: bank._rows[row].tobytes() for row in bank.materialized_rows()}
@@ -67,10 +85,13 @@ def bank_data(channel):
 class Twins:
     """The channel under test and the oracle, driven in lock-step."""
 
-    def __init__(self, bank_cls=None):
+    def __init__(self, bank_cls=None, fused=False):
         config = BankConfig(num_rows=NUM_ROWS)
         self.new = PimPseudoChannel(HBM2_1GHZ, config, bank_cls=bank_cls)
         self.ref = ReferencePimPseudoChannel(HBM2_1GHZ, config, bank_cls=bank_cls)
+        if fused:  # the deferring exec group: AB-PIM bursts are one update
+            for channel in (self.new, self.ref):
+                channel.lockstep = FusedLockstepGroup(channel.units)
         self.map = self.new.memory_map
         self.clock = 0
 
@@ -87,6 +108,7 @@ class Twins:
                 outcomes.append(("raised", type(exc), str(exc)))
         assert outcomes[0] == outcomes[1]
         assert channel_state(self.new) == channel_state(self.ref)
+        assert exec_tape(self.new) == exec_tape(self.ref)
         return outcomes[0]
 
     def observe(self):
@@ -98,18 +120,37 @@ class Twins:
         assert new._max_rd == max(b.next_rd for b in new.banks)
         assert new._max_wr == max(b.next_wr for b in new.banks)
 
-    def issue(self, kind, bank=0, row=0, col=0, value=None, early=False, slack=0):
+    def issue(
+        self, kind, bank=0, row=0, col=0, value=None, early=False, slack=0, count=1
+    ):
         """Issue one command at its earliest cycle plus ``slack`` — or, with
-        ``early``, one cycle too soon."""
-        data = None if value is None else np.full(32, value, dtype=np.uint8)
-        cmd = Command(kind, bank // 4, bank % 4, row=row, col=col, data=data)
+        ``early``, one cycle too soon.  With ``count > 1`` the channel under
+        test takes a column burst, the oracle its single commands."""
+        data = None
+        if value is not None:
+            data = np.full(32, value, dtype=np.uint8)
+            if count > 1:  # a different burst per column
+                data = (data + np.arange(count, dtype=np.uint8)[:, None]).astype(np.uint8)
+        cmd = Command(kind, bank // 4, bank % 4, row=row, col=col, data=data, count=count)
         bound = self.new.earliest_issue(cmd)
         assert bound == self.ref.earliest_issue(cmd)
         if early and bound > 0:
             cycle = bound - 1
         else:
-            cycle = self.clock = max(self.clock + 1, bound) + slack
-        outcome = self.both(lambda channel: channel.issue(cmd, cycle))
+            cycle = max(self.clock + 1, bound) + slack
+            self.clock = cycle + (count - 1) * HBM2_1GHZ.tccd_l
+
+        def action(channel):
+            if count == 1 or channel is self.new:
+                return channel.issue(cmd, cycle)
+            result = None
+            for index in range(count):
+                result = channel.issue(
+                    cmd.single(index), cycle + index * HBM2_1GHZ.tccd_l
+                )
+            return result
+
+        outcome = self.both(action)
         if outcome[0] == "raised" and outcome[2] == BAD_ENTRY:
             # The banks no longer share one row state: undefined until the
             # driver's recovery sequence has run.
@@ -165,8 +206,20 @@ COMMAND = st.tuples(
     st.sampled_from([False, False, False, True]),  # one cycle early
     st.sampled_from([0, 0, 3, 40]),  # slack
 )
+# A column burst: a column command plus a count (2..8, from columns that
+# keep it inside the GRF's 16 and mostly outside the SRF's 2).
+BURST = st.tuples(
+    st.sampled_from([CommandType.RD, CommandType.WR]),
+    st.integers(0, 15),
+    ROW,
+    st.sampled_from([0, 1, 4, 8]),
+    st.integers(0, 255),
+    st.sampled_from([False, False, False, True]),
+    st.sampled_from([0, 0, 3, 40]),
+    st.sampled_from([2, 5, 8]),
+)
 STEP = st.one_of(
-    COMMAND, COMMAND, COMMAND, COMMAND, COMMAND,
+    COMMAND, COMMAND, COMMAND, COMMAND, COMMAND, BURST, BURST,
     st.sampled_from(
         ["enter_ab", "enter_ab", "exit_ab", "pim_on", "pim_on", "pim_off",
          "observe", "observe", "observe", "reset"]
@@ -190,9 +243,9 @@ def resolve_row(twins, row, bank):
 
 
 @settings(max_examples=300, deadline=None)
-@given(START, st.lists(STEP, min_size=1, max_size=60))
-def test_random_streams_agree_with_the_per_bank_loop(start, steps):
-    twins = Twins()
+@given(START, st.lists(STEP, min_size=1, max_size=60), st.booleans())
+def test_random_streams_agree_with_the_per_bank_loop(start, steps, fused):
+    twins = Twins(fused=fused)
     twins.program()
     # Uneven per-bank bounds and counts before the first broadcast.
     twins.issue(CommandType.ACT, bank=5, row=1)
@@ -221,11 +274,51 @@ def test_random_streams_agree_with_the_per_bank_loop(start, steps):
             for channel in (twins.new, twins.ref):
                 channel.banks[step[1]].fail(0)
         else:
-            kind, bank, row, col, value, early, slack = step
+            kind, bank, row, col, value, early, slack, *count = step
             twins.issue(
                 kind, bank, resolve_row(twins, row, bank), col,
-                value if kind is CommandType.WR else None, early, slack,
+                value if kind is CommandType.WR else None, early, slack, *count,
             )
+    twins.observe()
+
+
+@pytest.mark.parametrize("fused", [False, True], ids=["eager", "deferring"])
+def test_a_trigger_burst_moves_the_shared_state_as_its_commands_do(fused):
+    """AB-PIM, the kernels' shape: runs of 8 RDs / WRs to the open row.
+    With the deferring exec group the run is one shared-state update and
+    one tape entry; either way nothing observable tells it from 8
+    commands."""
+    twins = Twins(fused=fused)
+    twins.program()
+    twins.enter_ab()
+    twins.issue(CommandType.ACT, row=2)
+    twins.issue(CommandType.WR, row=twins.map.grf_row, col=8, value=0, count=8)
+    twins.set_pim(1)
+    before = twins.new.cmd_counts[CommandType.RD]
+    twins.issue(CommandType.RD, row=2, col=0, count=8)
+    twins.issue(CommandType.WR, row=2, col=8, value=7, count=8, slack=3)
+    twins.issue(CommandType.RD, row=2, col=8)  # a single command after bursts
+    assert twins.new.cmd_counts[CommandType.RD] == before + 9
+    assert twins.new.pim_triggered_columns == 17
+    assert twins.new._last_col_cycle == twins.clock
+    if fused:
+        assert [entry.count for entry in twins.new.lockstep._tape] == [8, 8, 1]
+        assert [entry.count for entry in twins.ref.lockstep._tape] == [1] * 17
+    twins.observe()
+    # What stops a run half way stops it where it stops the commands:
+    # too early, the wrong row, no open row.
+    assert twins.issue(CommandType.RD, row=2, count=8, early=True)[:2] == (
+        "raised", TimingViolation
+    )
+    assert twins.issue(CommandType.RD, row=1, count=8) == (
+        "raised", TimingViolation, "column command to row 1 but row 2 is open"
+    )
+    twins.issue(CommandType.PREA)
+    assert twins.issue(CommandType.WR, row=2, value=1, count=8) == (
+        "raised", TimingViolation, "column command to a bank with no open row"
+    )
+    twins.set_pim(0)  # flushes the tape: 17 triggers, identical unit stats
+    twins.exit_ab()
     twins.observe()
 
 

@@ -114,3 +114,113 @@ class TestSchedulingSeedProperty:
         kernel.load_weights(w)
         y, _ = kernel(x)
         assert np.array_equal(y, gemv_reference(w, x, num_pchs=1))
+
+
+# -- column bursts: the unit the kernels emit -----------------------------------
+
+
+def _run_kernel(name, system, seed):
+    """One invocation of the kernel ``name`` on ``system``: (results, cycles)."""
+    if name.startswith("gemv"):
+        w = rand((150, 72), seed)
+        kernel = GemvKernel(system, 150, 72, max_batch=2)
+        kernel.load_weights(w)
+        if name == "gemv":
+            out, report = kernel(rand(72, seed + 1))
+        else:
+            out, report = kernel.batched(
+                rand((3, 72), seed + 1), fused=name == "gemv-batched-fused"
+            )
+        return [out], report.cycles
+    op = name.split("-")[0]
+    length = 3000
+    operands = (rand(length, seed), rand(length, seed + 1))[: 2 if op in ("add", "mul") else 1]
+    kernel = ElementwiseKernel(system, op, length)
+    if name.endswith("-batched"):
+        item = operands if op != "bn" else (operands[0], None, (1.5, -0.25))
+        outs, report = kernel.batched([item, item])
+        return outs, report.cycles
+    if op == "bn":
+        out, report = kernel(operands[0], scalars=(1.5, -0.25))
+    else:
+        out, report = kernel(*operands)
+    return [out], report.cycles
+
+
+KERNELS = [
+    "gemv", "gemv-batched", "gemv-batched-fused",
+    "add", "mul", "relu", "bn", "add-batched", "relu-batched", "bn-batched",
+]
+
+
+class TestEveryAamGroupIsOneBurst:
+    """What the closed-form schedule of the controller rests on."""
+
+    @pytest.mark.parametrize("name", KERNELS)
+    @pytest.mark.parametrize("pchs", [1, 2])
+    def test_every_epoch_of_a_pim_window_is_exactly_one_burst(
+        self, name, pchs, monkeypatch
+    ):
+        """Between ``set_pim_op_mode(True)`` and ``(False)`` every fence
+        epoch holds one request: a burst of 8 columns.  So no burst of the
+        ledger's traffic is ever expanded — ``Request.expand`` is not
+        called once."""
+        from repro.dram.controller import MemoryController, Request
+
+        system = PimSystem(SystemConfig(num_pchs=pchs, num_rows=128))
+        conf_row = system.device.memory_map.conf_row
+        enqueue = MemoryController.enqueue
+        windows = {}  # controller -> epoch -> counts, while PIM_OP_MODE is on
+        closed = []
+
+        def recording_enqueue(self, request):
+            enqueue(self, request)
+            if request.row == conf_row:
+                if request.data[0]:
+                    windows[self] = {}
+                else:
+                    closed.append(windows.pop(self))
+            elif self in windows:
+                windows[self].setdefault(request.epoch, []).append(request.count)
+
+        def no_expansion(self):
+            raise AssertionError(f"{self!r} was expanded")
+
+        monkeypatch.setattr(MemoryController, "enqueue", recording_enqueue)
+        monkeypatch.setattr(Request, "expand", no_expansion)
+        _run_kernel(name, system, seed=3)
+        assert closed and not windows
+        for window in closed:
+            assert window and all(counts == [8] for counts in window.values())
+
+    @pytest.mark.parametrize("name", KERNELS)
+    @pytest.mark.parametrize("exec_mode", ["fused", "lockstep"])
+    def test_results_and_cycles_equal_the_run_with_bursts_expanded(
+        self, name, exec_mode, monkeypatch
+    ):
+        """The same kernel with every burst turned into its single
+        requests as it is enqueued — the per-command stream the kernels
+        used to emit — gives the same results, cycles and bus counts."""
+        from repro.dram.controller import MemoryController
+
+        def run():
+            system = PimSystem(
+                SystemConfig(num_pchs=2, num_rows=128, exec_mode=exec_mode)
+            )
+            outs, cycles = _run_kernel(name, system, seed=5)
+            counts = [dict(mc.channel.cmd_counts) for mc in system.controllers]
+            tallies = [(mc.row_hits, mc.row_misses, mc.busy_cycles) for mc in system.controllers]
+            return [out.tobytes() for out in outs], cycles, counts, tallies
+
+        bursts = run()
+        enqueue = MemoryController.enqueue
+        expanded = []
+
+        def expanding_enqueue(self, request):
+            expanded.append(request.count)
+            for single in request.expand():
+                enqueue(self, single)
+
+        monkeypatch.setattr(MemoryController, "enqueue", expanding_enqueue)
+        assert run() == bursts
+        assert 8 in expanded

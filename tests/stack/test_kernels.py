@@ -81,6 +81,44 @@ class TestGemvExecution:
         assert rep_sampled.simulated_pchs == 1
         assert rep_sampled.scale_factor() == 2.0
 
+    @pytest.mark.parametrize("ecc", [False, True])
+    def test_sampled_channels_move_partials_eight_columns_at_a_time(self, ecc, monkeypatch):
+        """The functional shortcut pokes, and the untimed readback peeks, a
+        tile's 8 partial-sum columns in one bank call; bank bytes, results
+        and the SEC-DED counters equal the column-at-a-time run."""
+
+        def run():
+            system = PimSystem(SystemConfig(num_pchs=4, num_rows=128, ecc=ecc))
+            w, x = rand((200, 96), 1), rand(96, 2)
+            kernel = GemvKernel(system, 200, 96)
+            kernel.load_weights(w)
+            y, _ = kernel(x, simulate_pchs=1)
+            assert np.array_equal(y, gemv_reference(w, x, num_pchs=4))
+            banks = [bank for pch in system.device.pchs for bank in pch.banks]
+            return (
+                y.tobytes(),
+                [{r: bank._rows[r].tobytes() for r in bank.materialized_rows()} for bank in banks],
+                [getattr(bank, "ecc_stats", None) for bank in banks],
+            )
+
+        bulk = run()
+        bank_cls = type(PimSystem(SystemConfig(num_rows=128, ecc=ecc)).device.pchs[0].banks[0])
+        calls = []
+
+        def peek_columns(self, row, cols):
+            calls.append("peek")
+            return np.stack([self.peek(row, int(col)) for col in cols])
+
+        def poke_columns(self, row, cols, data):
+            calls.append("poke")
+            for col, column in zip(cols, data):
+                self.poke(row, int(col), column)
+
+        monkeypatch.setattr(bank_cls, "peek_columns", peek_columns)
+        monkeypatch.setattr(bank_cls, "poke_columns", poke_columns)
+        assert run() == bulk
+        assert {"peek", "poke"} <= set(calls)
+
     def test_repeated_invocations(self, system):
         w = rand((128, 64), 7)
         kernel = GemvKernel(system, 128, 64)
