@@ -44,7 +44,8 @@ def _report() -> None:
         module.main()
     else:
         print("benchmarks/report.py not found (installed without sources); "
-              "run the bench suite instead: pytest benchmarks/ --benchmark-only")
+              "the paper-figure benches and the end-to-end ledger "
+              "(python -m benchmarks.e2e) need a source checkout")
 
 
 def _demo() -> None:
@@ -77,6 +78,66 @@ def _specs() -> None:
         print(f"  {key}: {value}")
 
 
+#: The serving commands' workload: GEMV 64x96 and ADD over 256 elements,
+#: operands N(0, 1/16).
+_GEMV_SHAPE = (64, 96)
+_ADD_LENGTH = 256
+
+
+def _serving_setup(seed, **system_knobs):
+    """What every serving command starts from: the 4-pCH platform config,
+    the 2-lane ``ServerConfig``, the seeded generator and the GEMV weights
+    (the generator's first draw)."""
+    import numpy as np
+
+    from .stack import ServerConfig, SystemConfig
+
+    config = SystemConfig(
+        num_pchs=4, num_rows=256, simulate_pchs=1, **system_knobs
+    )
+    server_config = ServerConfig(lanes=2, max_batch=8, seed=seed)
+    rng = np.random.default_rng(seed)
+    w = (rng.standard_normal(_GEMV_SHAPE) * 0.25).astype(np.float16)
+    return config, server_config, rng, w
+
+
+def _poisson_stream(rng, w, count, gap_ns, trace_prefix=None):
+    """``count`` alternating GEMV / ADD requests at Poisson arrivals.
+
+    Seeded runs are byte-compared, so the draw order is part of the
+    contract: all arrivals first, then per request ``x`` or ``a, b``.
+    """
+    import numpy as np
+
+    from .stack import Request
+
+    def draw(size):
+        return (rng.standard_normal(size) * 0.25).astype(np.float16)
+
+    requests = []
+    for i, arrival in enumerate(np.cumsum(rng.exponential(gap_ns, size=count))):
+        common = dict(
+            arrival_ns=float(arrival),
+            trace_id=None if trace_prefix is None else f"{trace_prefix}-r{i}",
+        )
+        if i % 2 == 0:
+            requests.append(
+                Request("gemv", weights=w, a=draw(w.shape[1]), **common)
+            )
+        else:
+            requests.append(
+                Request("add", a=draw(_ADD_LENGTH), b=draw(_ADD_LENGTH), **common)
+            )
+    return requests
+
+
+def _print_checks(checks) -> int:
+    """One ``[ok]`` / ``[FAIL]`` line per named check; the exit code."""
+    for name, ok in checks.items():
+        print(f"  [{'ok' if ok else 'FAIL'}] {name}")
+    return 0 if all(checks.values()) else 1
+
+
 def _trace(argv=None) -> int:
     """Bare ``trace``: the historical annotated command stream.  With
     ``--out PATH``: run the default serving workload with the observability
@@ -105,15 +166,8 @@ def _trace(argv=None) -> int:
 
     import argparse
 
-    import numpy as np
-
-    from .obs import (
-        render_timeline,
-        validate_chrome_trace,
-        write_chrome_trace,
-        write_span_jsonl,
-    )
-    from .stack import PimServer, PimSystem, Request, ServerConfig, SystemConfig
+    from .obs import render_timeline, validate_chrome_trace, write_span_jsonl
+    from .stack import PimServer, PimSystem
 
     parser = argparse.ArgumentParser(prog="repro trace")
     parser.add_argument(
@@ -145,38 +199,15 @@ def _trace(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    config = SystemConfig(
-        num_pchs=4, num_rows=256, simulate_pchs=1, trace=True,
-    )
-    m, n, length = 64, 96, 256
-    rng = np.random.default_rng(args.seed)
-    w = (rng.standard_normal((m, n)) * 0.25).astype(np.float16)
-    arrivals = np.cumsum(rng.exponential(args.gap_ns, size=args.requests))
+    config, server_config, rng, w = _serving_setup(args.seed, trace=True)
     system = PimSystem(config)
-    server_config = ServerConfig(lanes=2, max_batch=8, seed=args.seed)
     with PimServer(system, server_config) as server:
-        for i, arrival in enumerate(arrivals):
-            if i % 2 == 0:
-                server.submit(Request(
-                    "gemv", weights=w,
-                    a=(rng.standard_normal(n) * 0.25).astype(np.float16),
-                    arrival_ns=float(arrival),
-                ))
-            else:
-                server.submit(Request(
-                    "add",
-                    a=(rng.standard_normal(length) * 0.25).astype(np.float16),
-                    b=(rng.standard_normal(length) * 0.25).astype(np.float16),
-                    arrival_ns=float(arrival),
-                ))
+        for request in _poisson_stream(rng, w, args.requests, args.gap_ns):
+            server.submit(request)
         profile = server.run()
 
     tracer = system.tracer
-    write_chrome_trace(tracer, args.out)
-    print(
-        f"Wrote {len(tracer.spans)} spans and {len(tracer.events)} events "
-        f"to {args.out}"
-    )
+    _write_trace(system, args.out)
     if args.spans is not None:
         lines = write_span_jsonl(tracer, args.spans)
         print(f"Wrote {lines} JSONL lines to {args.spans}")
@@ -232,7 +263,7 @@ def _write_trace(system, path) -> None:
     )
 
 
-def _overload_smoke(config, w, m, n, length, seed, trace_path=None) -> int:
+def _overload_smoke(config, server_config, w, trace_path=None) -> int:
     """Overload-protection smoke: graceful saturation, zero silent losses.
 
     Serves one mixed stream at saturation through an unbounded server
@@ -245,53 +276,26 @@ def _overload_smoke(config, w, m, n, length, seed, trace_path=None) -> int:
     """
     import numpy as np
 
-    from .stack import (
-        PimServer,
-        PimSystem,
-        Request,
-        RequestOutcome,
-        ServerConfig,
-        add_reference,
-        gemv_reference,
-    )
-
-    def workload(count, gap_ns, rng):
-        arrivals = np.cumsum(rng.exponential(gap_ns, size=count))
-        items = []
-        for i, arrival in enumerate(arrivals):
-            if i % 2 == 0:
-                x = (rng.standard_normal(n) * 0.25).astype(np.float16)
-                items.append(
-                    Request("gemv", weights=w, a=x, arrival_ns=float(arrival))
-                )
-            else:
-                a = (rng.standard_normal(length) * 0.25).astype(np.float16)
-                b = (rng.standard_normal(length) * 0.25).astype(np.float16)
-                items.append(Request("add", a=a, b=b, arrival_ns=float(arrival)))
-        return items
+    from .stack import PimServer, PimSystem, RequestOutcome
+    from .stack.arithmetic import golden_reference
 
     def serve(items, **server_knobs):
         system = PimSystem(config)
-        server_config = ServerConfig(
-            lanes=2, max_batch=8, seed=seed, **server_knobs
-        )
-        with PimServer(system, server_config) as srv:
+        with PimServer(system, server_config.replace(**server_knobs)) as srv:
             handles = [srv.submit(request) for request in items]
             profile = srv.run()
         return handles, profile, system
 
-    def golden(request):
-        if request.op == "gemv":
-            return gemv_reference(request.weights, request.a, config.num_pchs)
-        return add_reference(request.a, request.b)
-
+    seed = server_config.seed
     saturation_gap_ns = 500.0
-    base_items = workload(32, saturation_gap_ns, np.random.default_rng(seed))
+    base_items = _poisson_stream(
+        np.random.default_rng(seed), w, 32, saturation_gap_ns
+    )
     _, base_profile, _ = serve(base_items)
     baseline_goodput = base_profile.goodput_rps()
 
-    over_items = workload(
-        64, saturation_gap_ns / 2.0, np.random.default_rng(seed + 1)
+    over_items = _poisson_stream(
+        np.random.default_rng(seed + 1), w, 64, saturation_gap_ns / 2.0
     )
     handles, profile, over_system = serve(
         over_items, queue_depth=8, admission="shed"
@@ -311,7 +315,9 @@ def _overload_smoke(config, w, m, n, length, seed, trace_path=None) -> int:
         for handle, item in zip(handles, over_items)
         if handle.outcome in served
         and handle.result is not None
-        and np.array_equal(handle.result, golden(item))
+        and np.array_equal(
+            handle.result, golden_reference(item, config.num_pchs)
+        )
     )
     num_served = sum(1 for h in handles if h.outcome in served)
     checks = {
@@ -331,13 +337,10 @@ def _overload_smoke(config, w, m, n, length, seed, trace_path=None) -> int:
             profile.goodput_rps() >= 0.9 * baseline_goodput
         ),
     }
-    failed_checks = [name for name, ok in checks.items() if not ok]
-    for name, ok in checks.items():
-        print(f"  [{'ok' if ok else 'FAIL'}] {name}")
-    return 1 if failed_checks else 0
+    return _print_checks(checks)
 
 
-def _fabric_smoke(config, args) -> int:
+def _fabric_smoke(config, server_config, args) -> int:
     """Sharded-fabric smoke: scale-out throughput and kill conservation.
 
     Serves one GEMV-heavy stream (``--distinct-weights`` distinct weight
@@ -363,11 +366,12 @@ def _fabric_smoke(config, args) -> int:
 
     import numpy as np
 
-    from .stack import PimFabric, Request, ServerConfig, gemv_reference
+    from .stack import PimFabric, Request
+    from .stack.arithmetic import golden_reference
     from .stack.profiler import ServingProfile
     from .stack.shm import live_segments
 
-    m, n = 64, 96
+    m, n = _GEMV_SHAPE
     count = 48
     k = max(1, args.distinct_weights)
     rng = np.random.default_rng(args.seed)
@@ -386,9 +390,7 @@ def _fabric_smoke(config, args) -> int:
         )
         for i in range(count)
     ]
-    server_config = ServerConfig(
-        lanes=2, max_batch=8, seed=args.seed, transport=args.transport
-    )
+    server_config = server_config.replace(transport=args.transport)
     segments_before = live_segments()
 
     def serve(workers, kill=False, transport=None, waves=1):
@@ -452,9 +454,7 @@ def _fabric_smoke(config, args) -> int:
         return all(
             h.result is not None
             and np.array_equal(
-                h.result,
-                gemv_reference(h.request.weights, h.request.a,
-                               config.num_pchs),
+                h.result, golden_reference(h.request, config.num_pchs)
             )
             for h in hs
         )
@@ -514,10 +514,7 @@ def _fabric_smoke(config, args) -> int:
         checks["no /dev/shm segment leaked"] = (
             live_segments() == segments_before
         )
-    failed_checks = [name for name, ok in checks.items() if not ok]
-    for name, ok in checks.items():
-        print(f"  [{'ok' if ok else 'FAIL'}] {name}")
-    return 1 if failed_checks else 0
+    return _print_checks(checks)
 
 
 def _serve_bench(argv=None) -> int:
@@ -538,15 +535,8 @@ def _serve_bench(argv=None) -> int:
 
     import numpy as np
 
-    from .stack import (
-        PimServer,
-        PimSystem,
-        Request,
-        ServerConfig,
-        SystemConfig,
-        add_reference,
-        gemv_reference,
-    )
+    from .stack import PimServer, PimSystem
+    from .stack.arithmetic import golden_reference
 
     parser = argparse.ArgumentParser(prog="repro serve-bench")
     parser.add_argument(
@@ -647,24 +637,18 @@ def _serve_bench(argv=None) -> int:
     args = parser.parse_args(argv or [])
     fault_seed = args.seed if args.fault_seed is None else args.fault_seed
 
-    config = SystemConfig(
-        num_pchs=4, num_rows=256, simulate_pchs=1,
-        trace=args.trace is not None, exec_mode=args.exec_mode,
+    config, server_config, rng, w = _serving_setup(
+        args.seed, trace=args.trace is not None, exec_mode=args.exec_mode
     )
-    m, n, length = 64, 96, 256
-    rng = np.random.default_rng(args.seed)
-    w = (rng.standard_normal((m, n)) * 0.25).astype(np.float16)
 
     if args.replay:
-        return _replay_smoke(config, w, m, n, length, args)
+        return _replay_smoke(config, server_config, w, args)
 
     if args.workers is not None:
-        return _fabric_smoke(config, args)
+        return _fabric_smoke(config, server_config, args)
 
     if args.overload:
-        return _overload_smoke(
-            config, w, m, n, length, args.seed, trace_path=args.trace
-        )
+        return _overload_smoke(config, server_config, w, trace_path=args.trace)
 
     if args.faults:
         from .faults import FaultConfig
@@ -687,48 +671,29 @@ def _serve_bench(argv=None) -> int:
             f"{args.fault_rate:g}/bit/epoch, scrub every "
             f"{args.scrub_interval} batches"
         )
-        arrivals = np.cumsum(rng.exponential(2000.0, size=24))
         system = PimSystem(config)
-        requests = []
-        server_config = ServerConfig(
-            lanes=2, max_batch=8, seed=args.seed,
-            scrub_interval=args.scrub_interval,
-        )
-        with PimServer(system, server_config) as server:
-            for i, arrival in enumerate(arrivals):
-                if i % 2 == 0:
-                    x = (rng.standard_normal(n) * 0.25).astype(np.float16)
-                    requests.append(
-                        (server.submit(Request(
-                            "gemv", weights=w, a=x,
-                            arrival_ns=float(arrival))), "gemv")
-                    )
-                else:
-                    a = (rng.standard_normal(length) * 0.25).astype(np.float16)
-                    b = (rng.standard_normal(length) * 0.25).astype(np.float16)
-                    requests.append(
-                        (server.submit(Request(
-                            "add", a=a, b=b,
-                            arrival_ns=float(arrival))), "add")
-                    )
+        faulty = server_config.replace(scrub_interval=args.scrub_interval)
+        with PimServer(system, faulty) as server:
+            requests = [
+                server.submit(request)
+                for request in _poisson_stream(rng, w, 24, 2000.0)
+            ]
             profile = server.run()
         print("\n".join(profile.render()))
         if args.trace is not None:
             _write_trace(system, args.trace)
-        exact = 0
-        for request, op in requests:
-            if request.result is None:
-                continue
-            if op == "gemv":
-                gold = gemv_reference(w, request.a, config.num_pchs)
-            else:
-                gold = add_reference(request.a, request.b)
-            if np.array_equal(request.result, gold):
-                exact += 1
+        exact = sum(
+            1
+            for request in requests
+            if request.result is not None
+            and np.array_equal(
+                request.result, golden_reference(request, config.num_pchs)
+            )
+        )
         corrected = profile.ecc_corrected + profile.scrub_corrected
         checks = {
             "all requests completed": all(
-                r.result is not None for r, _ in requests
+                r.result is not None for r in requests
             ),
             "all results bit-exact": exact == len(requests),
             "nonzero corrected counter": corrected > 0,
@@ -737,48 +702,31 @@ def _serve_bench(argv=None) -> int:
                 set(profile.quarantined_channels)
             ),
         }
-        failed_checks = [name for name, ok in checks.items() if not ok]
-        for name, ok in checks.items():
-            print(f"  [{'ok' if ok else 'FAIL'}] {name}")
-        return 1 if failed_checks else 0
+        return _print_checks(checks)
 
     print("Serving a mixed GEMV+ADD Poisson stream (2 lanes, max_batch=8)")
-    print(f"  device: {config.num_pchs} pCH, gemv {m}x{n}, add[{length}]")
+    print(
+        f"  device: {config.num_pchs} pCH, gemv {w.shape[0]}x{w.shape[1]}, "
+        f"add[{_ADD_LENGTH}]"
+    )
     if args.journal is not None:
         print(f"  journaling every request and outcome under {args.journal}")
     print("  offered gap     req/s   mean batch   mean wait   p95 turnaround")
     for gap_ns in (8000.0, 2000.0, 500.0):
-        arrivals = np.cumsum(rng.exponential(gap_ns, size=32))
-        system = PimSystem(config)
-        server_config = ServerConfig(lanes=2, max_batch=8, seed=args.seed)
+        trace_prefix = None
+        session_config = server_config
         if args.journal is not None:
             # One WAL per gap session: each session's request ids restart
             # at zero, and a journal's rids must be unique.
-            server_config = server_config.replace(
+            trace_prefix = f"bench-s{args.seed}-g{gap_ns:.0f}"
+            session_config = server_config.replace(
                 journal_dir=os.path.join(args.journal, f"gap-{gap_ns:.0f}")
             )
-        with PimServer(system, server_config) as server:
-            for i, arrival in enumerate(arrivals):
-                trace_id = (
-                    f"bench-s{args.seed}-g{gap_ns:.0f}-r{i}"
-                    if args.journal is not None
-                    else None
-                )
-                if i % 2 == 0:
-                    server.submit(Request(
-                        "gemv", weights=w,
-                        a=(rng.standard_normal(n) * 0.25).astype(np.float16),
-                        arrival_ns=float(arrival),
-                        trace_id=trace_id,
-                    ))
-                else:
-                    server.submit(Request(
-                        "add",
-                        a=(rng.standard_normal(length) * 0.25).astype(np.float16),
-                        b=(rng.standard_normal(length) * 0.25).astype(np.float16),
-                        arrival_ns=float(arrival),
-                        trace_id=trace_id,
-                    ))
+        stream = _poisson_stream(rng, w, 32, gap_ns, trace_prefix)
+        system = PimSystem(config)
+        with PimServer(system, session_config) as server:
+            for request in stream:
+                server.submit(request)
             profile = server.run()
         print(
             f"  {gap_ns:8.0f}ns {profile.throughput_rps():9,.0f} "
@@ -791,7 +739,7 @@ def _serve_bench(argv=None) -> int:
     return 0
 
 
-def _replay_smoke(config, w, m, n, length, args) -> int:
+def _replay_smoke(config, server_config, w, args) -> int:
     """Record one session into a journal, replay it, require byte-equality.
 
     Serves a seeded GEMV+ADD stream through a journaling server, then
@@ -810,7 +758,7 @@ def _replay_smoke(config, w, m, n, length, args) -> int:
 
     from .journal.wal import read_records
     from .obs.export import diff_span_trees
-    from .stack import PimServer, PimSystem, Request, ServerConfig
+    from .stack import PimServer, PimSystem
 
     config = config.replace(trace=True)
     scratch = None
@@ -819,27 +767,12 @@ def _replay_smoke(config, w, m, n, length, args) -> int:
         scratch = tempfile.mkdtemp(prefix="repro-replay-")
         journal_root = scratch
     journal_dir = os.path.join(journal_root, "record")
-    rng = np.random.default_rng(args.seed)
-    arrivals = np.cumsum(rng.exponential(2000.0, size=32))
-    requests = []
-    for i, arrival in enumerate(arrivals):
-        trace_id = f"replay-s{args.seed}-r{i}"
-        if i % 2 == 0:
-            requests.append(Request(
-                "gemv", weights=w,
-                a=(rng.standard_normal(n) * 0.25).astype(np.float16),
-                arrival_ns=float(arrival), trace_id=trace_id,
-            ))
-        else:
-            requests.append(Request(
-                "add",
-                a=(rng.standard_normal(length) * 0.25).astype(np.float16),
-                b=(rng.standard_normal(length) * 0.25).astype(np.float16),
-                arrival_ns=float(arrival), trace_id=trace_id,
-            ))
+    requests = _poisson_stream(
+        np.random.default_rng(args.seed), w, 32, 2000.0,
+        trace_prefix=f"replay-s{args.seed}",
+    )
     try:
         system = PimSystem(config)
-        server_config = ServerConfig(lanes=2, max_batch=8, seed=args.seed)
         recorded_config = server_config.replace(journal_dir=journal_dir)
         with PimServer(system, recorded_config) as server:
             recorded = [server.submit(request) for request in requests]
@@ -878,10 +811,7 @@ def _replay_smoke(config, w, m, n, length, args) -> int:
         )
         if diff is not None:
             print(f"  span divergence: {diff}")
-        failed = [name for name, ok in checks.items() if not ok]
-        for name, ok in checks.items():
-            print(f"  [{'ok' if ok else 'FAIL'}] {name}")
-        return 1 if failed else 0
+        return _print_checks(checks)
     finally:
         if scratch is not None:
             shutil.rmtree(scratch, ignore_errors=True)
@@ -1017,10 +947,7 @@ def _crash_smoke(args) -> int:
                 second.replayed == 0
                 and len(second.handles) == len(report.handles)
             )
-        failed = [name for name, ok in checks.items() if not ok]
-        for name, ok in checks.items():
-            print(f"  [{'ok' if ok else 'FAIL'}] {name}")
-        return 1 if failed else 0
+        return _print_checks(checks)
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
@@ -1126,8 +1053,7 @@ def _replay_selftest(args) -> int:
         f"{first.pim_instructions} PIM instructions, "
         f"digest {first.state_digest()[:16]}"
     )
-    print(f"  [{'ok' if ok else 'FAIL'}] emit/parse/execute round-trip")
-    return 0 if ok else 1
+    return _print_checks({"emit/parse/execute round-trip": ok})
 
 
 def _replay_trace(args) -> int:
@@ -1153,13 +1079,15 @@ def _replay_trace(args) -> int:
     print(f"  state digest   : {execution.state_digest()}")
     emitted = emit_trace(ops)
     replayed = execute_trace(parse_trace(emitted), channels=args.channels)
-    ok = replayed.state_digest() == execution.state_digest()
-    print(f"  [{'ok' if ok else 'FAIL'}] emit/parse/execute round-trip")
+    rc = _print_checks({
+        "emit/parse/execute round-trip":
+            replayed.state_digest() == execution.state_digest(),
+    })
     if args.emit is not None:
         with open(args.emit, "w", encoding="utf-8") as handle:
             handle.write(emitted)
         print(f"  wrote canonical emission to {args.emit}")
-    return 0 if ok else 1
+    return rc
 
 
 def _replay_journal(args) -> int:
@@ -1282,10 +1210,11 @@ def _chaos(argv=None) -> int:
                 diff_span_trees(report.tracer, replay.tracer) is None
             ),
         }
-        for name, ok in checks.items():
-            print(f"  [{'ok' if ok else 'FAIL'}] {name}")
-            if not ok:
-                failures.append(f"determinism check failed: {name}")
+        _print_checks(checks)
+        failures.extend(
+            f"determinism check failed: {name}"
+            for name, ok in checks.items() if not ok
+        )
     if failures:
         print(f"chaos smoke FAILED ({len(failures)} violation(s))")
         return 1

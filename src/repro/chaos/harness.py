@@ -89,7 +89,6 @@ def _chaos_server_config(seed: int, transport: str = "pipe") -> ServerConfig:
         join_timeout_s=10.0,
         max_respawns=16,
         hedge=True,
-        hedge_quantile=0.95,
         hedge_factor=4.0,
         hedge_min_s=0.5,
         transport=transport,

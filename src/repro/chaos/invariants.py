@@ -28,13 +28,7 @@ from typing import Dict, List
 import numpy as np
 
 from ..obs.export import chrome_trace, validate_chrome_trace
-from ..stack.blas import (
-    add_reference,
-    bn_reference,
-    gemv_reference,
-    mul_reference,
-    relu_reference,
-)
+from ..stack.arithmetic import golden_reference
 from ..stack.profiler import ServingProfile, _percentile
 
 __all__ = [
@@ -51,25 +45,6 @@ __all__ = [
 _SERVED = ("completed", "degraded_host")
 #: Outcomes for work that never ran on the device.
 _DROPPED = ("rejected", "expired")
-
-
-def golden_reference(request, num_pchs: int) -> np.ndarray:
-    """The host golden result of one request (the bit-exactness oracle).
-
-    ``num_pchs`` must be the *replica* channel count — the FP16 GEMV MAC
-    order depends on it, and bit-exactness is defined against the order
-    the device actually used.
-    """
-    if request.op == "gemv":
-        return gemv_reference(request.weights, request.a, num_pchs)
-    if request.op == "add":
-        return add_reference(request.a, request.b)
-    if request.op == "mul":
-        return mul_reference(request.a, request.b)
-    if request.op == "relu":
-        return relu_reference(request.a)
-    gamma, beta = request.scalars or (1.0, 0.0)
-    return bn_reference(request.a, gamma, beta)
 
 
 def check_conservation(handles, profile: ServingProfile) -> List[str]:

@@ -206,12 +206,11 @@ class ServerConfig:
     # died or wedged (0 disables self-healing respawn entirely).
     max_respawns: int = 1
     # -- straggler hedging: when a shard's round reply takes longer than
-    #    hedge_factor x the hedge_quantile of the round's completed reply
+    #    hedge_factor x the 95th percentile of the round's completed reply
     #    times (never less than hedge_min_s), the router re-dispatches
     #    the group to the least-loaded idle survivor and takes the first
     #    reply; the loser is cancelled (its reply discarded). --
     hedge: bool = True
-    hedge_quantile: float = 0.95
     hedge_factor: float = 3.0
     hedge_min_s: float = 0.25
     # -- fabric transport (repro.stack.shm; docs/ARCHITECTURE.md,
@@ -224,10 +223,6 @@ class ServerConfig:
     #    signature) instead of every round.  Results are bit-exact
     #    either way; pick "shm" for wire bandwidth. --
     transport: str = "pipe"
-    # Per-worker weight-store budget (MiB).  Staged GEMV weights are
-    # LRU-cached up to this many MiB per shard; 0 disables residency
-    # (every round re-ships weights).  Ignored under transport="pipe".
-    weight_store_mb: float = 64.0
     # Tensors at or below this many bytes ride the pickled control
     # message inline instead of crossing as a shared-memory descriptor
     # (the descriptor plus its attach/CRC hops costs more than the bytes

@@ -5,21 +5,23 @@ faithful results computed *by the simulated PIM device* plus an execution
 report.  The BLAS hides everything below it: layouts, microkernels, mode
 transitions, fences.
 
-Reference models (``gemv_reference`` etc.) reproduce the device's exact
-FP16 rounding behaviour in vectorised numpy; tests assert bit-equality
-between the two paths.
+The bit-exact reference models (``gemv_reference`` etc.) live in
+:mod:`repro.stack.arithmetic` and are re-exported here.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from ..common.fp16 import vec_relu
-from ..pim.registers import LANES
-from ..pim.isa import GRF_REGS
-from .kernels import ExecutionReport
+from .arithmetic import (
+    add_reference,
+    bn_reference,
+    gemv_reference,
+    mul_reference,
+    relu_reference,
+)
 from .runtime import PimSystem
 
 __all__ = [
@@ -159,64 +161,3 @@ class PimBlas:
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-v))
-
-
-# ---------------------------------------------------------------------------
-# Bit-equivalent reference models
-# ---------------------------------------------------------------------------
-
-
-def gemv_reference(
-    w: np.ndarray, x: np.ndarray, num_pchs: int, n_slice: Optional[int] = None
-) -> np.ndarray:
-    """The device's exact GEMV result (FP16 MAC order included).
-
-    Each output element accumulates in 8 FP16 sub-accumulators (one per GRF
-    register, fed round-robin by input chunk position) over its pCH slice;
-    sub-accumulators and slices are then reduced in FP32 by the host.
-    """
-    w = np.asarray(w, dtype=np.float16)
-    x = np.asarray(x, dtype=np.float16)
-    m, n = w.shape
-    if n_slice is None:
-        n_slice = -(-n // num_pchs)
-        n_slice = -(-n_slice // GRF_REGS) * GRF_REGS
-    n_padded = num_pchs * n_slice
-    wp = np.zeros((m, n_padded), dtype=np.float16)
-    wp[:, :n] = w
-    xp = np.zeros(n_padded, dtype=np.float16)
-    xp[:n] = x
-    total = np.zeros(m, dtype=np.float32)
-    for p in range(num_pchs):
-        acc = np.zeros((m, GRF_REGS), dtype=np.float16)
-        chunks = n_slice // GRF_REGS
-        for k in range(chunks):
-            base = p * n_slice + k * GRF_REGS
-            wk = wp[:, base : base + GRF_REGS]
-            xk = xp[base : base + GRF_REGS]
-            prod = (wk * xk[np.newaxis, :]).astype(np.float16)
-            acc = (acc + prod).astype(np.float16)
-        total += acc.astype(np.float32).sum(axis=1)
-    return total
-
-
-def add_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bit-exact reference of the PIM elementwise ADD."""
-    return (np.asarray(a, np.float16) + np.asarray(b, np.float16)).astype(np.float16)
-
-
-def mul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bit-exact reference of the PIM elementwise MUL."""
-    return (np.asarray(a, np.float16) * np.asarray(b, np.float16)).astype(np.float16)
-
-
-def relu_reference(a: np.ndarray) -> np.ndarray:
-    """Bit-exact reference of the PIM MOV(ReLU) (sign-bit mux)."""
-    return vec_relu(np.asarray(a, np.float16))
-
-
-def bn_reference(a: np.ndarray, gamma: float, beta: float) -> np.ndarray:
-    """Bit-exact reference of the PIM MAD-based batch norm."""
-    a = np.asarray(a, np.float16)
-    scaled = (a * np.float16(gamma)).astype(np.float16)
-    return (scaled + np.float16(beta)).astype(np.float16)

@@ -77,13 +77,7 @@ import numpy as np
 
 from ..errors import PimProgramError, PimWorkerError
 from .api import Request, ServerConfig
-from .blas import (
-    add_reference,
-    bn_reference,
-    gemv_reference,
-    mul_reference,
-    relu_reference,
-)
+from .arithmetic import golden_reference
 from .profiler import Profiler, RequestStats, ServingProfile, _percentile
 from .runtime import SystemConfig
 from .shm import (
@@ -92,12 +86,16 @@ from .shm import (
     ArrayRef,
     SegmentCache,
     ShmArena,
+    WEIGHT_STORE_MB,
     StagedWeights,
     encode_request,
 )
 from .worker import run_worker
 
 __all__ = ["FabricHandle", "PimFabric"]
+
+#: Completed-reply quantile the straggler-hedge threshold is built from.
+_HEDGE_QUANTILE = 0.95
 
 
 class FabricHandle:
@@ -366,24 +364,8 @@ class PimFabric:
         self._closed = True
         if self._journal is not None:
             self._journal.close()
-        cfg = self.server_config
         for link in self._workers.values():
-            if link.alive:
-                try:
-                    link.conn.send(("close",))
-                    if link.conn.poll(cfg.close_timeout_s):
-                        link.conn.recv()
-                except (OSError, EOFError, BrokenPipeError):
-                    pass
-            try:
-                link.conn.close()
-            except OSError:
-                pass
-            if link.process is not None:
-                link.process.join(timeout=cfg.join_timeout_s)
-                if link.process.is_alive():  # pragma: no cover - stuck child
-                    link.process.kill()
-                    link.process.join(timeout=cfg.join_timeout_s)
+            self._shutdown(link)
             link.alive = False
         self._close_shm()
 
@@ -410,11 +392,51 @@ class PimFabric:
 
     def _reap(self, link: _WorkerLink) -> None:
         """Join (or kill-then-join) one worker process, bounded."""
-        cfg = self.server_config
         if link.process is not None:
             if link.process.is_alive():
                 link.process.kill()
+            link.process.join(timeout=self.server_config.join_timeout_s)
+
+    def _shutdown(self, link: _WorkerLink) -> None:
+        """Take one worker down gracefully: close handshake (when it is
+        still serving), close the pipe, bounded join, then :meth:`_reap`
+        a child that is stuck."""
+        cfg = self.server_config
+        if link.alive:
+            try:
+                link.conn.send(("close",))
+                if link.conn.poll(cfg.close_timeout_s):
+                    link.conn.recv()
+            except (OSError, EOFError, BrokenPipeError):
+                pass
+        try:
+            link.conn.close()
+        except OSError:
+            pass
+        if link.process is not None:
             link.process.join(timeout=cfg.join_timeout_s)
+            if link.process.is_alive():  # pragma: no cover - stuck child
+                self._reap(link)
+
+    def _respawn(self, shard: int, generation: int) -> _WorkerLink:
+        """Spawn a fresh worker into ``shard``'s slot; the slot's served
+        tally carries over and the new link starts ``rejoined``."""
+        fresh = self._spawn(shard)
+        fresh.served = self._workers[shard].served
+        fresh.generation = generation
+        fresh.state = "rejoined"
+        self._workers[shard] = fresh
+        return fresh
+
+    def _recv(self, link: _WorkerLink) -> Optional[Tuple]:
+        """Receive one message from ``link``; None when it was the stale
+        reply of a cancelled hedge (discarded, FIFO — see
+        ``_WorkerLink.pending_discards``)."""
+        message = link.conn.recv()
+        if link.pending_discards > 0 and message[0] in ("result", "error"):
+            link.pending_discards -= 1
+            return None
+        return message
 
     def drain(self, shard: int) -> None:
         """Gracefully recycle ``shard``'s worker: a zero-loss hot restart.
@@ -435,56 +457,30 @@ class PimFabric:
                 f"cannot drain shard {shard}: worker is not serving",
                 shard=shard,
             )
-        cfg = self.server_config
         link.state = "draining"
         if shard in self._in_flight and shard not in self._stashed_replies:
             # Finish the in-flight group before recycling the process.
-            while link.pending_discards > 0 and link.conn.poll(
-                self.reply_timeout_s
-            ):
-                try:
-                    link.conn.recv()
-                except (EOFError, OSError):
-                    break
-                link.pending_discards -= 1
-            if link.conn.poll(self.reply_timeout_s):
+            while link.conn.poll(self.reply_timeout_s):
                 # Decode eagerly: under shm the reply's descriptors
                 # point into the slot's result segment, which the
                 # replacement worker will rewind at its next serve —
                 # materialise them now, while they are still live.
                 try:
+                    message = self._recv(link)
+                    if message is None:
+                        continue
                     self._stashed_replies[shard] = (
-                        "ok", self._decode_reply(link.conn.recv(), shard)
+                        "ok", self._decode_reply(message, shard)
                     )
                 except (EOFError, OSError):
                     pass
                 except PimWorkerError as err:
                     self._stashed_replies[shard] = ("error", str(err))
-        try:
-            link.conn.send(("close",))
-            if link.conn.poll(cfg.close_timeout_s):
-                link.conn.recv()
-        except (OSError, EOFError, BrokenPipeError):
-            pass
-        try:
-            link.conn.close()
-        except OSError:
-            pass
-        if link.process is not None:
-            link.process.join(timeout=cfg.join_timeout_s)
-            if link.process.is_alive():  # pragma: no cover - stuck child
-                link.process.kill()
-                link.process.join(timeout=cfg.join_timeout_s)
-        fresh = self._spawn(shard)
-        fresh.served = link.served
-        fresh.generation = link.generation
-        fresh.state = "rejoined"
-        self._workers[shard] = fresh
+                break
+        self._shutdown(link)
+        self._respawn(shard, link.generation)
         self.drains += 1
-        if self.tracer is not None:
-            self.tracer.event(
-                "drain:shard", at_ns=0.0, category="fabric", shard=shard
-            )
+        self._event("drain:shard", shard=shard)
 
     def heartbeat(
         self, serving: Optional[ServingProfile] = None
@@ -519,13 +515,10 @@ class PimFabric:
                 if remaining <= 0 or not link.conn.poll(remaining):
                     break
                 try:
-                    message = link.conn.recv()
+                    message = self._recv(link)
                 except (EOFError, OSError):
                     break
-                if link.pending_discards > 0 and message[0] in (
-                    "result", "error",
-                ):
-                    link.pending_discards -= 1
+                if message is None:
                     continue
                 if message[0] == "pong":
                     ok = True
@@ -535,11 +528,7 @@ class PimFabric:
         for shard in failed:
             link = self._workers[shard]
             link.state = "suspected"
-            if self.tracer is not None:
-                self.tracer.event(
-                    "heartbeat:miss", at_ns=0.0, category="fabric",
-                    shard=shard,
-                )
+            self._event("heartbeat:miss", shard=shard)
             self.kill_worker(shard)
             self._quarantine(
                 shard, serving,
@@ -567,21 +556,13 @@ class PimFabric:
             if link.alive or link.generation >= cfg.max_respawns:
                 continue
             link.state = "respawning"
-            fresh = self._spawn(shard)
-            fresh.served = link.served
-            fresh.generation = link.generation + 1
-            fresh.state = "rejoined"
-            self._workers[shard] = fresh
+            fresh = self._respawn(shard, link.generation + 1)
             self._ring.add(shard)
             revived.append(shard)
             self._respawns[shard] = self._respawns.get(shard, 0) + 1
             if serving is not None:
                 serving.respawns[shard] = serving.respawns.get(shard, 0) + 1
-            if self.tracer is not None:
-                self.tracer.event(
-                    "respawn:shard", at_ns=0.0, category="fabric",
-                    shard=shard, generation=fresh.generation,
-                )
+            self._event("respawn:shard", shard=shard, generation=fresh.generation)
         return revived
 
     # -- introspection ------------------------------------------------------------
@@ -678,6 +659,11 @@ class PimFabric:
 
     # -- wire protocol ------------------------------------------------------------
 
+    def _event(self, name: str, category: str = "fabric", **attrs) -> None:
+        """Emit one router lifecycle instant (no-op when not tracing)."""
+        if self.tracer is not None:
+            self.tracer.event(name, at_ns=0.0, category=category, **attrs)
+
     def _count(self, name: str, amount: int) -> None:
         """Bump one wire-accounting metric (no-op without a registry)."""
         if amount and self.metrics is not None:
@@ -698,16 +684,13 @@ class PimFabric:
         if self._arena is None:
             return [(h.request_id, h.request) for h in items]
         resident = self._resident.setdefault(shard, set())
-        budget = int(
-            max(0.0, self.server_config.weight_store_mb) * (1 << 20)
-        )
         wire = []
         for handle in items:
             encoded = encode_request(
                 handle.request,
                 self._arena,
                 resident,
-                budget,
+                int(WEIGHT_STORE_MB * (1 << 20)),
                 inline_bytes=self.server_config.shm_inline_bytes,
             )
             wire.append((handle.request_id, encoded))
@@ -968,17 +951,14 @@ class PimFabric:
                 shard = conns[conn]
                 link = self._workers[shard]
                 try:
-                    message = link.conn.recv()
+                    message = self._recv(link)
                 except (EOFError, OSError, ConnectionResetError):
                     if shard in hedge_of:
                         fail_hedge(shard, "hedge worker died mid-round")
                     else:
                         fail_origin(shard, "worker died mid-round")
                     continue
-                if link.pending_discards > 0 and message[0] in (
-                    "result", "error",
-                ):
-                    link.pending_discards -= 1
+                if message is None:
                     continue
                 try:
                     payload = self._decode_reply(message, shard)
@@ -999,11 +979,7 @@ class PimFabric:
                             self._workers[origin].pending_discards += 1
                         resolve(origin, shard, payload)
                         serving.hedge_wins += 1
-                        if self.tracer is not None:
-                            self.tracer.event(
-                                "hedge:win", at_ns=0.0, category="fabric",
-                                shard=shard, origin=origin,
-                            )
+                        self._event("hedge:win", shard=shard, origin=origin)
                 elif shard in waiting:
                     durations.append(now - waiting[shard])
                     hedge = hedged.pop(shard, None)
@@ -1015,11 +991,7 @@ class PimFabric:
                         hedge_start.pop(hedge, None)
                         self._workers[hedge].pending_discards += 1
                         serving.hedge_losses += 1
-                        if self.tracer is not None:
-                            self.tracer.event(
-                                "hedge:loss", at_ns=0.0, category="fabric",
-                                shard=hedge, origin=shard,
-                            )
+                        self._event("hedge:loss", shard=hedge, origin=shard)
                     resolve(shard, shard, payload)
             now = time.monotonic()
             threshold = self._hedge_threshold(durations)
@@ -1031,11 +1003,7 @@ class PimFabric:
                     # Wedged worker: treat like a crash (and make it one).
                     link = self._workers[origin]
                     link.state = "suspected"
-                    if self.tracer is not None:
-                        self.tracer.event(
-                            "wedge:shard", at_ns=0.0, category="fabric",
-                            shard=origin,
-                        )
+                    self._event("wedge:shard", shard=origin)
                     self.kill_worker(origin)
                     fail_origin(
                         origin,
@@ -1063,12 +1031,7 @@ class PimFabric:
                         hedged[origin] = target
                         hedge_start[target] = now
                         serving.hedges += 1
-                        if self.tracer is not None:
-                            self.tracer.event(
-                                "hedge:dispatch", at_ns=0.0,
-                                category="fabric", shard=target,
-                                origin=origin,
-                            )
+                        self._event("hedge:dispatch", shard=target, origin=origin)
             for hedge in list(hedge_of):
                 if now - hedge_start.get(hedge, now) > self.reply_timeout_s:
                     self.kill_worker(hedge)
@@ -1089,7 +1052,7 @@ class PimFabric:
     def _hedge_threshold(self, durations: List[float]) -> Optional[float]:
         """Wall-clock straggler bound from this round's completed replies.
 
-        ``hedge_factor`` times the ``hedge_quantile`` of completed reply
+        ``hedge_factor`` times the ``_HEDGE_QUANTILE`` of completed reply
         times, floored at ``hedge_min_s``; None until a first completion
         exists (a percentile of nothing is meaningless, and hedging every
         round's first reply would double the fleet's work).
@@ -1099,7 +1062,7 @@ class PimFabric:
         cfg = self.server_config
         return max(
             cfg.hedge_min_s,
-            cfg.hedge_factor * _percentile(durations, cfg.hedge_quantile),
+            cfg.hedge_factor * _percentile(durations, _HEDGE_QUANTILE),
         )
 
     def _hedge_target(
@@ -1177,25 +1140,13 @@ class PimFabric:
     ) -> None:
         """Terminally serve one request on the router's golden path.
 
-        Same bit-exact references the server's host fallback uses
+        The same bit-exact golden path the server's host fallback uses
         (``num_pchs`` of the replica shape fixes the GEMV MAC order).
         Router-side completion costs zero simulated time — it is the
         accounting fallback of last resort, not a modelled host.
         """
         request = handle.request
-        if request.op == "gemv":
-            handle.result = gemv_reference(
-                request.weights, request.a, self.config.num_pchs
-            )
-        elif request.op == "add":
-            handle.result = add_reference(request.a, request.b)
-        elif request.op == "mul":
-            handle.result = mul_reference(request.a, request.b)
-        elif request.op == "relu":
-            handle.result = relu_reference(request.a)
-        else:  # bn: submit() validated the op set already
-            gamma, beta = request.scalars or (1.0, 0.0)
-            handle.result = bn_reference(request.a, gamma, beta)
+        handle.result = golden_reference(request, self.config.num_pchs)
         handle.outcome = "degraded_host"
         handle.shard = -1
         serving.record(
@@ -1255,13 +1206,9 @@ class PimFabric:
                         f"shard {shard} did not acknowledge the chaos spec",
                         shard=shard,
                     )
-                message = link.conn.recv()
-                if link.pending_discards > 0 and message[0] in (
-                    "result", "error",
-                ):
-                    link.pending_discards -= 1
-                    continue
-                break
+                message = self._recv(link)
+                if message is not None:
+                    break
         except (OSError, EOFError, BrokenPipeError) as err:
             raise PimWorkerError(
                 f"shard {shard} died while arming a chaos fault: {err}",
@@ -1272,11 +1219,10 @@ class PimFabric:
                 f"shard {shard} rejected the chaos spec: {message!r}",
                 shard=shard,
             )
-        if self.tracer is not None:
-            self.tracer.event(
-                "chaos:armed", at_ns=0.0, category="chaos", shard=shard,
-                spec=",".join(sorted(spec)),
-            )
+        self._event(
+            "chaos:armed", category="chaos", shard=shard,
+            spec=",".join(sorted(spec)),
+        )
 
     def _quarantine(
         self,
@@ -1306,12 +1252,8 @@ class PimFabric:
             link.conn.close()
         except OSError:
             pass
-        if link.process is not None:
-            self._reap(link)
-        if self.tracer is not None:
-            self.tracer.event(
-                "quarantine:shard", at_ns=0.0, category="fabric", shard=shard
-            )
+        self._reap(link)
+        self._event("quarantine:shard", shard=shard)
 
     # -- trace merging ------------------------------------------------------------
 

@@ -44,6 +44,7 @@ from ..pim.registers import GRF_REG_BYTES, LANES
 from ..pim.isa import GRF_REGS
 from ..pim.assembler import assemble_words
 from ..host.processor import HostSystem
+from .arithmetic import elementwise_reference, mac_partials, reduce_partials
 
 __all__ = [
     "ExecutionReport",
@@ -100,6 +101,15 @@ def _alloc_rows(system: HostSystem, count: int):
         driver = PimDeviceDriver(system.device)
         system.driver = driver  # type: ignore[attr-defined]
     return driver.alloc_rows(count)
+
+
+def _fill_timing(
+    system: HostSystem, report: ExecutionReport, cycles: int, launches: int
+) -> None:
+    """Simulated duration of an invocation: its cycles plus launch overheads."""
+    report.cycles = cycles
+    report.ns = system.cycles_to_ns(cycles) + launches * system.host.kernel_launch_ns
+    report.notes["launches"] = launches
 
 
 def _bank_coords(bank_index: int) -> Tuple[int, int]:
@@ -441,7 +451,28 @@ class GemvKernel:
     def __call__(
         self, x: np.ndarray, simulate_pchs: Optional[int] = None
     ) -> Tuple[np.ndarray, ExecutionReport]:
-        """Run ``y = W @ x`` on the PIM device.
+        """Run ``y = W @ x`` on the PIM device: :meth:`batched` of one input."""
+        x = np.asarray(x, dtype=np.float16)
+        if x.shape != (self.n,):
+            raise ValueError(f"expected input of shape ({self.n},)")
+        ys, report = self.batched(x[np.newaxis], simulate_pchs)
+        report.kernel = f"gemv[{self.m}x{self.n}]"
+        return ys[0], report
+
+    def batched(
+        self, xs: np.ndarray, simulate_pchs: Optional[int] = None
+    ) -> Tuple[np.ndarray, ExecutionReport]:
+        """Run a batch of inputs through the resident operator.
+
+        PIM processes batch elements *sequentially* (the device has no
+        batch dimension), which is exactly why Fig. 10 shows the speedup
+        shrinking with batch size while the host amortises into GEMM.
+        Up to ``max_batch`` inputs share one kernel launch — one SB->AB
+        transition and one CRF broadcast — each writing its partial sums
+        to its own out-row slot; larger batches run in groups of
+        ``max_batch`` (one launch per input at the default of 1).  Only
+        the setup overheads amortise: every output is reduced from its
+        own partial sums by :func:`~repro.stack.arithmetic.reduce_partials`.
 
         ``simulate_pchs`` limits cycle-accurate simulation to the first N
         pseudo-channels (all channels execute identical streams, so the
@@ -449,91 +480,9 @@ class GemvKernel:
         bit-equivalent vectorised model and their results staged so the
         device state matches a full run.
         """
-        self._check_alive()
-        if self._weights is None:
-            raise RuntimeError("load_weights() before invoking the kernel")
-        x = np.asarray(x, dtype=np.float16)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected input of shape ({self.n},)")
-        plan = self.plan
-        k = len(self.channels)
-        nsim_ch = k if simulate_pchs is None else min(simulate_pchs, k)
-        sim_channels = self.channels[:nsim_ch]
-        x_padded = np.zeros(plan.num_slices * plan.n_slice, dtype=np.float16)
-        x_padded[: self.n] = x
-
-        report = ExecutionReport(
-            kernel=f"gemv[{self.m}x{self.n}]",
-            simulated_pchs=self._simulated_slices(nsim_ch),
-            total_pchs=plan.num_slices,
-        )
-        start = self.sys.drain_set(self.channels)
-        self.session.enter_ab(pchs=sim_channels)
-        self.session.program_crf(
-            self.MICROKERNEL.format(reps=plan.chunks - 1), pchs=sim_channels
-        )
-        for s in range(plan.num_slices):
-            if s % k < nsim_ch:
-                self._stream_slice(s, x_padded)
-        self.session.exit_to_sb(pchs=sim_channels)
-        for s in range(plan.num_slices):
-            if s % k >= nsim_ch:
-                self._shortcut_slice(s, x_padded)
-        partials = self._read_partials(nsim_ch)
-        end = self.sys.drain_set(self.channels)
-
-        y = partials.astype(np.float32).sum(axis=(0, 1))[: self.m]
-        self._account_commands(report)
-        self._fill_timing(report, start, end, launches=1)
-        return y, report
-
-    def batched(
-        self,
-        xs: np.ndarray,
-        simulate_pchs: Optional[int] = None,
-        fused: bool = False,
-    ) -> Tuple[np.ndarray, ExecutionReport]:
-        """Run a batch of inputs through the resident operator.
-
-        PIM processes batch elements *sequentially* (the device has no
-        batch dimension), which is exactly why Fig. 10 shows the speedup
-        shrinking with batch size while the host amortises into GEMM.
-        The operator setup (weights, microkernel cache) is shared.
-
-        With ``fused=True`` — the serving engine's batched entry point —
-        the whole batch runs as *one* kernel launch: one SB->AB transition
-        and one CRF broadcast cover up to ``max_batch`` inputs, each batch
-        element writing its partial sums to its own out-row slot (larger
-        batches are processed in groups of ``max_batch``).  The outputs
-        are bit-identical to ``fused=False``; only the setup overheads are
-        amortised.
-        """
         xs = np.asarray(xs, dtype=np.float16)
         if xs.ndim != 2 or xs.shape[1] != self.n:
             raise ValueError(f"expected batch of shape (B, {self.n})")
-        if fused:
-            return self._batched_fused(xs, simulate_pchs)
-        outputs = []
-        merged = ExecutionReport(
-            kernel=f"gemv[{self.m}x{self.n}]xB{xs.shape[0]}",
-            total_pchs=self.plan.num_slices,
-        )
-        for x in xs:
-            y, report = self(x, simulate_pchs=simulate_pchs)
-            outputs.append(y)
-            merged.cycles += report.cycles
-            merged.ns += report.ns
-            merged.column_commands += report.column_commands
-            merged.fences += report.fences
-            merged.pim_instructions += report.pim_instructions
-            merged.pim_flops += report.pim_flops
-            merged.host_bytes += report.host_bytes
-            merged.simulated_pchs = report.simulated_pchs
-        return np.stack(outputs), merged
-
-    def _batched_fused(
-        self, xs: np.ndarray, simulate_pchs: Optional[int]
-    ) -> Tuple[np.ndarray, ExecutionReport]:
         self._check_alive()
         if self._weights is None:
             raise RuntimeError("load_weights() before invoking the kernel")
@@ -542,41 +491,38 @@ class GemvKernel:
         nsim_ch = k if simulate_pchs is None else min(simulate_pchs, k)
         sim_channels = self.channels[:nsim_ch]
         batch = xs.shape[0]
-        merged = ExecutionReport(
+        report = ExecutionReport(
             kernel=f"gemv[{self.m}x{self.n}]xB{batch}",
             simulated_pchs=self._simulated_slices(nsim_ch),
             total_pchs=plan.num_slices,
         )
+        padded = np.zeros((batch, plan.num_slices * plan.n_slice), dtype=np.float16)
+        padded[:, : self.n] = xs
         outputs: List[np.ndarray] = []
         launches = 0
         start = self.sys.drain_set(self.channels)
         for base in range(0, batch, plan.batch_slots):
-            group = xs[base : base + plan.batch_slots]
-            padded = []
-            for x in group:
-                xp = np.zeros(plan.num_slices * plan.n_slice, dtype=np.float16)
-                xp[: self.n] = x
-                padded.append(xp)
+            group = padded[base : base + plan.batch_slots]
             launches += 1
             self.session.enter_ab(pchs=sim_channels)
             self.session.program_crf(
                 self.MICROKERNEL.format(reps=plan.chunks - 1), pchs=sim_channels
             )
-            for slot, xp in enumerate(padded):
+            for slot, xp in enumerate(group):
                 for s in range(plan.num_slices):
                     if s % k < nsim_ch:
                         self._stream_slice(s, xp, slot=slot)
             self.session.exit_to_sb(pchs=sim_channels)
-            for slot, xp in enumerate(padded):
+            for slot, xp in enumerate(group):
                 for s in range(plan.num_slices):
                     if s % k >= nsim_ch:
                         self._shortcut_slice(s, xp, slot=slot)
                 partials = self._read_partials(nsim_ch, slot=slot)
-                outputs.append(partials.astype(np.float32).sum(axis=(0, 1))[: self.m])
+                outputs.append(reduce_partials(partials)[: self.m])
         end = self.sys.drain_set(self.channels)
-        self._account_commands(merged, invocations=batch)
-        self._fill_timing(merged, start, end, launches=launches)
-        return np.stack(outputs), merged
+        self._account_commands(report, invocations=batch)
+        _fill_timing(self.sys, report, end - start, launches)
+        return np.stack(outputs), report
 
     def _stream_slice(self, s: int, x_padded: np.ndarray, slot: int = 0) -> None:
         plan = self.plan
@@ -606,29 +552,22 @@ class GemvKernel:
             mc.drain()
 
     def _shortcut_slice(self, s: int, x_padded: np.ndarray, slot: int = 0) -> None:
-        """Bit-equivalent functional model of one input slice.
+        """Functional model of one input slice (bit-equivalent).
 
-        Reproduces the sequential FP16 MAC order (one MAC per chunk into
-        each sub-accumulator) and pokes the partial sums where the epilogue
-        MOV would have written them.
+        Pokes the slice's FP16 sub-accumulators where the epilogue MOV
+        would have written them.
         """
         plan = self.plan
         pch, pass_ = self._slice_channel(s)
         channel = self.sys.device.pch(pch)
-        w = self._weights
+        dims = slice(s * plan.n_slice, (s + 1) * plan.n_slice)
+        acc = mac_partials(self._weights[:, dims], x_padded[dims])
         for tile in range(plan.tiles):
-            out0 = tile * plan.outputs_per_tile
-            acc = np.zeros((plan.outputs_per_tile, _COL_GROUP), dtype=np.float16)
-            for chunk in range(plan.chunks):
-                dims = s * plan.n_slice + chunk * _COL_GROUP
-                wk = w[out0 : out0 + plan.outputs_per_tile, dims : dims + _COL_GROUP]
-                xk = x_padded[dims : dims + _COL_GROUP]
-                prod = (wk * xk[np.newaxis, :]).astype(np.float16)
-                acc = (acc + prod).astype(np.float16)
             out_row, out_base = plan.out_location(tile, pass_, slot)
             cols = np.arange(out_base, out_base + _COL_GROUP)
             for unit in range(UNITS_PER_PCH):
-                block = np.ascontiguousarray(acc[unit * LANES : (unit + 1) * LANES].T)
+                out0 = tile * plan.outputs_per_tile + unit * LANES
+                block = np.ascontiguousarray(acc[out0 : out0 + LANES].T)
                 channel.banks[2 * unit].poke_columns(
                     out_row, cols, block.view(np.uint8)
                 )
@@ -681,7 +620,7 @@ class GemvKernel:
         k = len(self.channels)
         return sum(1 for s in range(self.plan.num_slices) if s % k < nsim_ch)
 
-    def _account_commands(self, report: ExecutionReport, invocations: int = 1) -> None:
+    def _account_commands(self, report: ExecutionReport, invocations: int) -> None:
         """Fill the command/FLOP/traffic counters (per simulated slice)."""
         plan = self.plan
         scale = report.simulated_pchs * invocations
@@ -698,16 +637,6 @@ class GemvKernel:
             plan.tiles * plan.chunks * _COL_GROUP * GRF_REG_BYTES
             + plan.tiles * units * _COL_GROUP * GRF_REG_BYTES
         ) * scale
-
-    def _fill_timing(
-        self, report: ExecutionReport, start: int, end: int, launches: int = 1
-    ) -> None:
-        report.cycles = end - start
-        report.ns = (
-            self.sys.cycles_to_ns(report.cycles)
-            + launches * self.sys.host.kernel_launch_ns
-        )
-        report.notes["launches"] = launches
 
 
 # ---------------------------------------------------------------------------
@@ -812,11 +741,21 @@ class ElementwisePlan:
     base_row: int
     in_cols: int  # input columns per row (outputs at +in_cols)
 
-    def location(self, seq: int) -> Tuple[int, int]:
-        """(row, column) of block ``seq`` within a unit's stream."""
-        row = self.base_row + seq // self.in_cols
-        col = seq % self.in_cols
-        return row, col
+    def site(self, block: int) -> Tuple[int, int, int, int]:
+        """(channel slot, unit, row, column) of 16-element block ``block``.
+
+        Blocks interleave over channel slots first, then units, then the
+        unit's column stream — the one statement of the operand layout.
+        """
+        slot = block % self.num_pchs
+        rest = block // self.num_pchs
+        seq = rest // UNITS_PER_PCH
+        return (
+            slot,
+            rest % UNITS_PER_PCH,
+            self.base_row + seq // self.in_cols,
+            seq % self.in_cols,
+        )
 
 
 class ElementwiseKernel:
@@ -850,7 +789,6 @@ class ElementwiseKernel:
                 raise ValueError(f"channel {p} out of range")
         self._block = None
         self.plan = self._plan(length)
-        self.srf_scalars: Tuple[float, float] = (1.0, 0.0)  # gamma, beta for BN
         self._released = False
 
     def _plan(self, length: int) -> ElementwisePlan:
@@ -892,34 +830,41 @@ class ElementwiseKernel:
 
     # -- staging -------------------------------------------------------------------
 
-    def _scatter(self, values: np.ndarray, odd: bool) -> None:
-        """Place a padded vector into the even (or odd) banks."""
-        plan = self.plan
-        padded = np.zeros(plan.blocks * LANES, dtype=np.float16)
+    def _padded(self, values: np.ndarray) -> np.ndarray:
+        padded = np.zeros(self.plan.blocks * LANES, dtype=np.float16)
         padded[: self.length] = values
-        blocks = padded.reshape(plan.blocks, LANES)
+        return padded
+
+    def _scatter(
+        self,
+        padded: np.ndarray,
+        odd: bool = False,
+        col_offset: int = 0,
+        first_slot: int = 0,
+    ) -> None:
+        """Poke a padded vector's blocks into the even (or odd) banks.
+
+        Operands go to their block's column, results ``in_cols`` further;
+        ``first_slot`` restricts the store to the later channel slots.
+        """
+        plan = self.plan
+        blocks = padded.reshape(plan.blocks, LANES).view(np.uint8)
         for b in range(plan.blocks):
-            pch = self.channels[b % plan.num_pchs]
-            rest = b // plan.num_pchs
-            unit = rest % UNITS_PER_PCH
-            seq = rest // UNITS_PER_PCH
-            row, col = plan.location(seq)
-            bank_index = 2 * unit + (1 if odd else 0)
-            self.sys.device.pch(pch).banks[bank_index].poke(
-                row, col, blocks[b].view(np.uint8)
-            )
+            slot, unit, row, col = plan.site(b)
+            if slot >= first_slot:
+                self.sys.device.pch(self.channels[slot]).banks[2 * unit + odd].poke(
+                    row, col + col_offset, blocks[b]
+                )
 
     def _gather_result(self) -> np.ndarray:
         plan = self.plan
         out = np.zeros(plan.blocks * LANES, dtype=np.float16)
         blocks = out.reshape(plan.blocks, LANES)
         for b in range(plan.blocks):
-            pch = self.channels[b % plan.num_pchs]
-            rest = b // plan.num_pchs
-            unit = rest % UNITS_PER_PCH
-            seq = rest // UNITS_PER_PCH
-            row, col = plan.location(seq)
-            raw = self.sys.device.pch(pch).banks[2 * unit].peek(row, col + plan.in_cols)
+            slot, unit, row, col = plan.site(b)
+            raw = self.sys.device.pch(self.channels[slot]).banks[2 * unit].peek(
+                row, col + plan.in_cols
+            )
             blocks[b] = raw.view(np.float16)
         return out[: self.length]
 
@@ -932,36 +877,10 @@ class ElementwiseKernel:
         scalars: Optional[Tuple[float, float]] = None,
         simulate_pchs: Optional[int] = None,
     ) -> Tuple[np.ndarray, ExecutionReport]:
-        self._check_alive()
-        a, b = self._validate(a, b)
-        plan = self.plan
-        nsim = plan.num_pchs if simulate_pchs is None else min(simulate_pchs, plan.num_pchs)
-        sim_channels = self.channels[:nsim]
-
-        self._scatter(a, odd=False)
-        if self.op.uses_second_operand:
-            self._scatter(b, odd=True)
-
-        report = ExecutionReport(
-            kernel=f"{self.op.name}[{self.length}]",
-            simulated_pchs=nsim,
-            total_pchs=plan.num_pchs,
-        )
-        start = self.sys.drain_set(self.channels)
-        self.session.enter_ab(pchs=sim_channels)
-        self.session.program_crf(
-            self.op.microkernel.format(reps=plan.groups - 1), pchs=sim_channels
-        )
-        self._program_srf(scalars, sim_channels)
-        for pos in range(nsim):
-            self._stream_pch(pos)
-        self.session.exit_to_sb(pchs=sim_channels)
-        for pos in range(nsim, plan.num_pchs):
-            self._shortcut_pch(pos, a, b, scalars)
-        end = self.sys.drain_set(self.channels)
-        result = self._gather_result()
-        self._fill_report(report, start, end)
-        return result, report
+        """Run one operand set: :meth:`batched` of one item."""
+        results, report = self.batched([(a, b, scalars)], simulate_pchs)
+        report.kernel = f"{self.op.name}[{self.length}]"
+        return results[0], report
 
     def batched(
         self,
@@ -974,6 +893,8 @@ class ElementwiseKernel:
         tuples.  The batch shares one SB->AB transition and one CRF
         broadcast; each element streams its operands through the resident
         layout in turn, so outputs are bit-identical to sequential calls.
+        ``simulate_pchs`` limits cycle-accurate simulation to the first N
+        channel slots; the rest get the bit-equivalent functional result.
         """
         self._check_alive()
         plan = self.plan
@@ -986,7 +907,7 @@ class ElementwiseKernel:
             scalars = item[2] if len(item) > 2 else None
             normalised.append((*self._validate(a, b), scalars))
 
-        merged = ExecutionReport(
+        report = ExecutionReport(
             kernel=f"{self.op.name}[{self.length}]xB{len(normalised)}",
             simulated_pchs=nsim,
             total_pchs=plan.num_pchs,
@@ -999,19 +920,24 @@ class ElementwiseKernel:
         )
         for a, b, scalars in normalised:
             self._program_srf(scalars, sim_channels)
-            self._scatter(a, odd=False)
-            if self.op.uses_second_operand:
+            a = self._padded(a)
+            self._scatter(a)
+            if b is not None:
+                b = self._padded(b)
                 self._scatter(b, odd=True)
             for pos in range(nsim):
                 self._stream_pch(pos)
-            for pos in range(nsim, plan.num_pchs):
-                self._shortcut_pch(pos, a, b, scalars)
-            self.sys.drain_set(sim_channels)
+            if nsim < plan.num_pchs:
+                # Functional model of the non-simulated slots.
+                result = elementwise_reference(self.op.name, a, b, scalars)
+                self._scatter(result, col_offset=plan.in_cols, first_slot=nsim)
+            if nsim:
+                self.sys.drain_set(sim_channels)
             results.append(self._gather_result())
         self.session.exit_to_sb(pchs=sim_channels)
         end = self.sys.drain_set(self.channels)
-        self._fill_report(merged, start, end, invocations=len(normalised), launches=1)
-        return results, merged
+        self._fill_report(report, end - start, invocations=len(normalised))
+        return results, report
 
     def _validate(
         self, a: np.ndarray, b: Optional[np.ndarray]
@@ -1019,12 +945,13 @@ class ElementwiseKernel:
         a = np.asarray(a, dtype=np.float16).reshape(-1)
         if a.size != self.length:
             raise ValueError(f"expected {self.length} elements")
-        if self.op.uses_second_operand:
-            if b is None:
-                raise ValueError(f"{self.op.name} needs a second operand")
-            b = np.asarray(b, dtype=np.float16).reshape(-1)
-            if b.size != self.length:
-                raise ValueError("operand shapes differ")
+        if not self.op.uses_second_operand:
+            return a, None
+        if b is None:
+            raise ValueError(f"{self.op.name} needs a second operand")
+        b = np.asarray(b, dtype=np.float16).reshape(-1)
+        if b.size != self.length:
+            raise ValueError("operand shapes differ")
         return a, b
 
     def _program_srf(self, scalars, sim_channels) -> None:
@@ -1056,66 +983,11 @@ class ElementwiseKernel:
         self.session.set_pim_op_mode(mc, False)
         mc.drain()
 
-    def _shortcut_pch(
-        self,
-        pos: int,
-        a: np.ndarray,
-        b: Optional[np.ndarray],
-        scalars: Optional[Tuple[float, float]],
-    ) -> None:
-        """Functional model for non-simulated channels (bit-equivalent)."""
-        plan = self.plan
-        padded_a = np.zeros(plan.blocks * LANES, dtype=np.float16)
-        padded_a[: self.length] = a
-        if b is not None:
-            padded_b = np.zeros(plan.blocks * LANES, dtype=np.float16)
-            padded_b[: self.length] = b
-        name = self.op.name
-        if name == "add":
-            result = (padded_a + padded_b).astype(np.float16)
-        elif name == "mul":
-            result = (padded_a * padded_b).astype(np.float16)
-        elif name == "relu":
-            from ..common.fp16 import vec_relu
-
-            result = vec_relu(padded_a)
-        elif name == "bn":
-            gamma, beta = scalars if scalars is not None else (1.0, 0.0)
-            gamma16 = np.float16(gamma)
-            beta16 = np.float16(beta)
-            result = ((padded_a * gamma16).astype(np.float16) + beta16).astype(
-                np.float16
-            )
-        else:
-            raise AssertionError(name)
-        blocks = result.reshape(plan.blocks, LANES)
-        pch = self.channels[pos]
-        for block_index in range(plan.blocks):
-            if block_index % plan.num_pchs != pos:
-                continue
-            rest = block_index // plan.num_pchs
-            unit = rest % UNITS_PER_PCH
-            seq = rest // UNITS_PER_PCH
-            row, col = plan.location(seq)
-            self.sys.device.pch(pch).banks[2 * unit].poke(
-                row, col + plan.in_cols, blocks[block_index].view(np.uint8)
-            )
-
     def _fill_report(
-        self,
-        report: ExecutionReport,
-        start: int,
-        end: int,
-        invocations: int = 1,
-        launches: int = 1,
+        self, report: ExecutionReport, cycles: int, invocations: int
     ) -> None:
         plan = self.plan
-        report.cycles = end - start
-        report.ns = (
-            self.sys.cycles_to_ns(report.cycles)
-            + launches * self.sys.host.kernel_launch_ns
-        )
-        report.notes["launches"] = launches
+        _fill_timing(self.sys, report, cycles, launches=1)
         scale = report.simulated_pchs * invocations
         report.column_commands = plan.groups * self.op.commands_per_group * scale
         report.fences = plan.groups * self.op.fences_per_group * scale

@@ -14,7 +14,7 @@ module models that serving layer:
 * **batching** — contiguous same-operator requests queued on a lane are
   fused into one kernel launch: one SB->AB transition, one CRF broadcast,
   and one kernel-launch overhead cover up to ``max_batch`` requests
-  (:meth:`GemvKernel.batched(fused=True) <repro.stack.kernels.GemvKernel.batched>`
+  (:meth:`GemvKernel.batched <repro.stack.kernels.GemvKernel.batched>`
   and :meth:`ElementwiseKernel.batched
   <repro.stack.kernels.ElementwiseKernel.batched>`).  Results are
   bit-identical to sequential calls; only the setup overheads amortise.
@@ -24,7 +24,7 @@ module models that serving layer:
 
 The arrival process is externally supplied (every ``Request`` carries
 its ``arrival_ns``), so offered load is entirely under the caller's control —
-see ``benchmarks/bench_serving.py``.
+see ``python -m benchmarks.e2e`` (``wall_rps``).
 
 **Self-healing** — a batch that hits a fault is not lost (see the "Fault
 tolerance" section of ``docs/ARCHITECTURE.md``).  Uncorrectable ECC
@@ -34,7 +34,7 @@ is healed (kernels rebuilt, failed channels quarantined through the
 driver, surviving channels reset out of any stranded AB-PIM state) and
 the batch retried.  A batch that exhausts its retries — or lands on a
 lane with no channels left — completes on the bit-exact host golden path
-(the ``*_reference`` functions of :mod:`repro.stack.blas`).  Between
+(:func:`repro.stack.arithmetic.golden_reference`).  Between
 batches the server runs one fault-injection epoch (when the system
 carries a :class:`~repro.faults.FaultInjector`) and a background ECC
 scrub every ``scrub_interval`` batches.
@@ -85,13 +85,7 @@ from ..errors import (
     PimProgramError,
 )
 from .api import Request, ServerConfig
-from .blas import (
-    add_reference,
-    bn_reference,
-    gemv_reference,
-    mul_reference,
-    relu_reference,
-)
+from .arithmetic import golden_reference
 from .driver import ChannelSet
 from .kernels import (
     ELEMENTWISE_OPS,
@@ -1148,70 +1142,38 @@ class PimServer:
             ChannelSet(tuple(survivors)) if survivors else None
         )
 
-    def _host_ns(self, batch: List[PimRequest]) -> float:
-        """Simulated duration of a host-fallback batch.
-
-        The host re-reads the operands over the off-chip interface at the
-        workload's achievable bandwidth efficiency (the same model
-        :mod:`repro.host.processor` uses for host baselines) plus one
-        kernel-launch overhead for the batch.
-        """
-        host = self.sys.host
-        head = batch[0]
-        io_bw = self.sys.device.config.io_bandwidth_bytes_per_sec
-        if head.op == "gemv":
-            efficiency = host.gemv_bandwidth_efficiency
-            nbytes = head.weights.size * 2  # weights stream once per batch
-            for member in batch:
-                nbytes += np.asarray(member.a).size * 2  # x in
-                nbytes += head.weights.shape[0] * 4  # fp32 y out
-        else:
-            efficiency = host.add_bandwidth_efficiency
-            operands = 3 if ELEMENTWISE_OPS[head.op].uses_second_operand else 2
-            nbytes = sum(
-                np.asarray(member.a).size * 2 * operands for member in batch
-            )
-        return host.kernel_launch_ns + nbytes / (io_bw * efficiency) * 1e9
-
     def _execute_host(self, batch: List[PimRequest]) -> ExecutionReport:
         """Serve a batch on the host golden path (bit-exact fallback).
 
-        The references in :mod:`repro.stack.blas` reproduce the device's
-        exact arithmetic (FP16 MAC order for GEMV, FP16 rounding for the
-        elementwise ops), so a request completed here is indistinguishable
-        from one served by a healthy device.
+        :func:`~repro.stack.arithmetic.golden_reference` reproduces the
+        device's exact arithmetic, so a request completed here is
+        indistinguishable from one served by a healthy device.  Its
+        simulated duration: the host re-reads the operands over the
+        off-chip interface at the workload's achievable bandwidth
+        efficiency (the same model :mod:`repro.host.processor` uses for
+        host baselines) plus one kernel-launch overhead for the batch.
         """
-        head = batch[0]
         for member in batch:
-            if head.op == "gemv":
-                member.result = gemv_reference(
-                    member.weights, member.a, self.sys.num_pchs
-                )
-            elif head.op == "add":
-                member.result = add_reference(member.a, member.b)
-            elif head.op == "mul":
-                member.result = mul_reference(member.a, member.b)
-            elif head.op == "relu":
-                member.result = relu_reference(member.a)
-            elif head.op == "bn":
-                gamma, beta = member.scalars or (1.0, 0.0)
-                member.result = bn_reference(member.a, gamma, beta)
-            else:  # pragma: no cover - submit() validated the op already
-                raise PimProgramError(f"unknown op {head.op!r}")
-        ns = self._host_ns(batch)
+            member.result = golden_reference(member, self.sys.num_pchs)
+        host = self.sys.host
+        head = batch[0]
         if head.op == "gemv":
+            efficiency = host.gemv_bandwidth_efficiency
+            # Weights stream once per batch; per member x in, fp32 y out.
             host_bytes = head.weights.size * 2 + sum(
                 np.asarray(m.a).size * 2 + head.weights.shape[0] * 4
                 for m in batch
             )
         else:
+            efficiency = host.add_bandwidth_efficiency
             operands = 3 if ELEMENTWISE_OPS[head.op].uses_second_operand else 2
             host_bytes = sum(
                 np.asarray(m.a).size * 2 * operands for m in batch
             )
+        io_bw = self.sys.device.config.io_bandwidth_bytes_per_sec
         return ExecutionReport(
             kernel=f"host-fallback:{head.op}",
-            ns=ns,
+            ns=host.kernel_launch_ns + host_bytes / (io_bw * efficiency) * 1e9,
             host_bytes=int(host_bytes),
             total_pchs=self.sys.num_pchs,
             notes={"launches": 0, "host_fallback": float(len(batch))},
@@ -1239,9 +1201,7 @@ class PimServer:
                     raise
                 lane.gemv_kernels[head.signature] = kernel
             xs = np.stack([np.asarray(r.a, dtype=np.float16) for r in batch])
-            ys, report = kernel.batched(
-                xs, simulate_pchs=self.simulate_pchs, fused=True
-            )
+            ys, report = kernel.batched(xs, simulate_pchs=self.simulate_pchs)
             for request, y in zip(batch, ys):
                 request.result = y
         else:

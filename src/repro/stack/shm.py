@@ -23,7 +23,7 @@ This module supplies the shared-memory alternative behind
   the class docstring for why attach must not touch the tracker).
 * :class:`WeightStore` — the shard-resident weight cache.  Workers keep
   staged GEMV weight arrays keyed by the request's sha1 content digest,
-  LRU-bounded by ``ServerConfig.weight_store_mb``, so a weight matrix
+  LRU-bounded by :data:`WEIGHT_STORE_MB`, so a weight matrix
   crosses the boundary exactly once per (shard, signature) and
   subsequent rounds ship only the 40-byte digest.
 * :class:`WireRequest` + :func:`encode_request`/:func:`decode_request`
@@ -62,6 +62,7 @@ __all__ = [
     "SegmentCache",
     "SHM_PREFIX",
     "ShmArena",
+    "WEIGHT_STORE_MB",
     "WeightStore",
     "WireRequest",
     "as_wire_array",
@@ -83,6 +84,11 @@ INLINE_BYTES = 1024
 #: Default size of one arena segment; oversize writes get a dedicated
 #: segment of exactly their own size instead.
 DEFAULT_SEGMENT_BYTES = 4 << 20
+
+#: Per-worker weight-store budget (MiB): staged GEMV weights are
+#: LRU-cached up to this much per shard, and the router re-ships any
+#: matrix bigger than it every round.
+WEIGHT_STORE_MB = 64.0
 
 
 def as_wire_array(array: np.ndarray) -> np.ndarray:

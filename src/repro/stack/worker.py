@@ -50,6 +50,7 @@ from .api import Request, ServerConfig
 from .profiler import BreakerTransition, ServingProfile
 from .shm import (
     ResultWriter,
+    WEIGHT_STORE_MB,
     SegmentCache,
     WeightStore,
     WireRequest,
@@ -287,7 +288,7 @@ def run_worker(
     segments = writer = store = None
     if server_config.transport == "shm" and transport_spec is not None:
         segments = SegmentCache()
-        store = WeightStore(server_config.weight_store_mb)
+        store = WeightStore(WEIGHT_STORE_MB)
         writer = ResultWriter(
             segments,
             transport_spec["result_segment"],

@@ -165,11 +165,9 @@ SERVER_DEFAULTS = {
     "join_timeout_s": 30.0,
     "max_respawns": 1,
     "hedge": True,
-    "hedge_quantile": 0.95,
     "hedge_factor": 3.0,
     "hedge_min_s": 0.25,
     "transport": "pipe",
-    "weight_store_mb": 64.0,
     "shm_inline_bytes": 1024,
     "journal_dir": None,
     "journal_sync": False,
@@ -183,7 +181,7 @@ class TestConfigSurface:
         system = {f.name for f in fields(SystemConfig)}
         server = {f.name for f in fields(ServerConfig)}
         assert system & server == set()
-        assert (len(system), len(server)) == (16, 29)
+        assert (len(system), len(server)) == (16, 27)
 
     def test_server_defaults_are_concrete_and_pinned(self):
         assert asdict(ServerConfig()) == SERVER_DEFAULTS

@@ -128,9 +128,7 @@ def _run_kernel(name, system, seed):
         if name == "gemv":
             out, report = kernel(rand(72, seed + 1))
         else:
-            out, report = kernel.batched(
-                rand((3, 72), seed + 1), fused=name == "gemv-batched-fused"
-            )
+            out, report = kernel.batched(rand((3, 72), seed + 1))
         return [out], report.cycles
     op = name.split("-")[0]
     length = 3000
@@ -148,7 +146,7 @@ def _run_kernel(name, system, seed):
 
 
 KERNELS = [
-    "gemv", "gemv-batched", "gemv-batched-fused",
+    "gemv", "gemv-batched",
     "add", "mul", "relu", "bn", "add-batched", "relu-batched", "bn-batched",
 ]
 
@@ -224,3 +222,60 @@ class TestEveryAamGroupIsOneBurst:
         monkeypatch.setattr(MemoryController, "enqueue", expanding_enqueue)
         assert run() == bursts
         assert 8 in expanded
+
+
+# -- one launch path: __call__ is the one-item case of batched ------------------
+
+
+def _snapshot(system, report):
+    return (
+        report.cycles, report.ns, report.column_commands, report.activates,
+        report.fences, report.pim_instructions, report.pim_flops,
+        report.host_bytes, report.simulated_pchs, report.total_pchs,
+        report.notes,
+        [dict(mc.channel.cmd_counts) for mc in system.controllers],
+    )
+
+
+@pytest.mark.parametrize("op", ["gemv", "add", "mul", "relu", "bn"])
+@pytest.mark.parametrize("simulate_pchs", [None, 1])
+@pytest.mark.parametrize("ecc", [False, True])
+def test_call_is_batched_of_one_item(op, simulate_pchs, ecc):
+    """``kernel(x)`` and ``kernel.batched([x])`` on twin systems, first and
+    second invocation: same result bytes, cycles, ns, every counter and
+    every channel's ``cmd_counts`` — only ``report.kernel`` tells them
+    apart (``gemv[MxN]`` vs ``gemv[MxN]xB1``)."""
+    runs = []
+    for batched in (False, True):
+        system = PimSystem(SystemConfig(num_pchs=2, num_rows=128, ecc=ecc))
+        if op == "gemv":
+            kernel = GemvKernel(system, 150, 72)
+            kernel.load_weights(rand((150, 72), 11))
+            items = [(rand(72, 12 + i),) for i in range(2)]
+        else:
+            kernel = ElementwiseKernel(system, op, 1000)
+            a, b = rand(1000, 21), rand(1000, 22)
+            scalars = (1.5, -0.25) if op == "bn" else None
+            items = [(a, b, scalars), (b, a, scalars)]
+        seen = []
+        for item in items:
+            if not batched:
+                if op == "gemv":
+                    out, report = kernel(item[0], simulate_pchs=simulate_pchs)
+                else:
+                    out, report = kernel(
+                        item[0], item[1], scalars=item[2],
+                        simulate_pchs=simulate_pchs,
+                    )
+                name = report.kernel + "xB1"
+            elif op == "gemv":
+                outs, report = kernel.batched(
+                    np.stack(item), simulate_pchs=simulate_pchs
+                )
+                out, name = outs[0], report.kernel
+            else:
+                outs, report = kernel.batched([item], simulate_pchs=simulate_pchs)
+                out, name = outs[0], report.kernel
+            seen.append((name, out.tobytes(), _snapshot(system, report)))
+        runs.append(seen)
+    assert runs[0] == runs[1]

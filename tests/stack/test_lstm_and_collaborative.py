@@ -80,6 +80,9 @@ class TestBatchedGemv:
             y, _ = kernel(xs[b], simulate_pchs=1)
             assert np.array_equal(ys[b], y)
         assert merged.kernel.endswith("xB3")
+        # The device has no batch dimension: at the default max_batch=1
+        # the one batched path is one launch per input.
+        assert merged.notes["launches"] == 3
 
     def test_batched_cycles_scale_linearly(self, system):
         from repro.stack.kernels import GemvKernel

@@ -81,14 +81,14 @@ class TestServingBitExact:
             assert np.array_equal(handle.result, want)
 
     def test_fused_gemv_batch_matches_sequential_calls(self):
-        """GemvKernel.batched(fused=True) == one call per input, bitwise."""
+        """GemvKernel.batched over max_batch slots == one call per input, bitwise."""
         system = PimSystem(PLAIN)
         w = rand((64, 96), 0)
         xs = np.stack([rand(96, i + 1) for i in range(5)])
         kernel = GemvKernel(system, 64, 96, max_batch=4)
         kernel.load_weights(w)
         singles = np.stack([kernel(x, simulate_pchs=1)[0] for x in xs])
-        fused, report = kernel.batched(xs, simulate_pchs=1, fused=True)
+        fused, report = kernel.batched(xs, simulate_pchs=1)
         assert np.array_equal(fused, singles)
         # 5 inputs over max_batch=4 slots -> exactly two launches.
         assert report.notes["launches"] == 2
