@@ -14,7 +14,7 @@ from .controller import (
     SchedulerPolicy,
 )
 from .device import DeviceConfig, HbmDevice, PCHS_PER_DEVICE
-from .ecc import EccBank, EccStats, UncorrectableError
+from .ecc import EccBank, EccStats, UncorrectableError, peek_block, poke_block
 from .pseudochannel import BANK_GROUPS, BANKS_PER_GROUP, BANKS_PER_PCH, PseudoChannel
 from .stats import CommandStats, collect_stats
 from .timing import (
@@ -45,6 +45,8 @@ __all__ = [
     "EccBank",
     "EccStats",
     "UncorrectableError",
+    "peek_block",
+    "poke_block",
     "BANK_GROUPS",
     "BANKS_PER_GROUP",
     "BANKS_PER_PCH",

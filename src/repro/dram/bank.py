@@ -101,44 +101,75 @@ class Bank:
             self._rows[row] = array
         return array
 
+    def _run(self, row: int, col0: int, n: int) -> np.ndarray:
+        """The ``n * col_bytes`` stored bytes of columns ``col0 .. col0 + n``
+        of ``row``, as a writable *view* of the row store.
+
+        Every data access resolves its bytes here (or, for an index array,
+        through :meth:`_column_grid`), so this is where a column index is
+        checked — before the row is materialised.
+        """
+        config = self.config
+        size = config.col_bytes
+        stop = (col0 + n) * size
+        if col0 < 0 or n < 0 or stop > config.row_bytes:
+            raise IndexError(
+                f"columns {col0}..{col0 + n - 1} out of range "
+                f"(0..{config.cols_per_row - 1})"
+            )
+        return self._row_array(row)[col0 * size : stop]
+
+    def _column_grid(self, row: int, cols) -> Tuple[np.ndarray, np.ndarray]:
+        """``row`` as a ``(cols_per_row, col_bytes)`` view, plus ``cols`` as a
+        checked index array (a negative index would wrap silently)."""
+        cols = np.asarray(cols, dtype=np.intp)
+        if cols.size and not 0 <= cols.min() <= cols.max() < self.config.cols_per_row:
+            raise IndexError(
+                f"column index out of range (0..{self.config.cols_per_row - 1})"
+            )
+        return self._row_array(row).reshape(-1, self.config.col_bytes), cols
+
     def peek(self, row: int, col: int) -> np.ndarray:
         """Read a column without any state/timing effect (testing/debug)."""
-        start = col * self.config.col_bytes
-        return self._row_array(row)[start : start + self.config.col_bytes].copy()
+        return self._run(row, col, 1).copy()
 
     def poke(self, row: int, col: int, data: np.ndarray) -> None:
         """Write a column directly, bypassing the command path (test setup)."""
         data = np.asarray(data, dtype=np.uint8)
         if data.size != self.config.col_bytes:
             raise ValueError(f"column write must be {self.config.col_bytes} bytes")
-        start = col * self.config.col_bytes
-        self._row_array(row)[start : start + self.config.col_bytes] = data
+        self._run(row, col, 1)[:] = data
 
     def peek_columns(self, row: int, cols: np.ndarray) -> np.ndarray:
-        """Read several columns of one row at once: ``(len(cols), col_bytes)``.
+        """Read arbitrary columns of one row: ``(len(cols), col_bytes)``.
 
-        The bulk counterpart of :meth:`peek` used by the trace-compiled
-        fused executor (:mod:`repro.pim.fused`): one gather replaces a
-        Python-level loop of single-column peeks.  Like :meth:`peek` it has
-        no state or timing effect and returns a fresh copy.
+        The index-array counterpart of :func:`~repro.dram.ecc.peek_block`
+        for column sets that are not one consecutive run.  Like
+        :meth:`peek` it has no state or timing effect and returns a fresh
+        copy (an index-array gather, never a slice).
         """
-        grid = self._row_array(row).reshape(-1, self.config.col_bytes)
-        # An index array (never a slice): the gather is already a copy.
-        return grid[cols if isinstance(cols, np.ndarray) else list(cols)]
+        grid, cols = self._column_grid(row, cols)
+        return grid[cols]
+
+    def _column_block(self, n: int, data: np.ndarray) -> np.ndarray:
+        """``data`` as uint8, checked to be exactly ``n`` whole columns."""
+        data = np.asarray(data, dtype=np.uint8)
+        if data.shape != (n, self.config.col_bytes):
+            raise ValueError(
+                f"expected ({n}, {self.config.col_bytes}) column bytes, "
+                f"got {data.shape}"
+            )
+        return data
 
     def poke_columns(self, row: int, cols: np.ndarray, data: np.ndarray) -> None:
-        """Write several columns of one row at once (bulk :meth:`poke`).
+        """Write arbitrary columns of one row (index-array :meth:`poke`).
 
         ``data`` must be ``(len(cols), col_bytes)`` uint8; duplicate column
         indices are rejected by the caller (the fused compiler splits
         groups with repeated columns), so scatter order never matters.
         """
-        data = np.asarray(data, dtype=np.uint8)
-        if data.ndim != 2 or data.shape[1] != self.config.col_bytes:
-            raise ValueError(f"column writes must be {self.config.col_bytes} bytes each")
-        grid = self._row_array(row).reshape(
-            self.config.cols_per_row, self.config.col_bytes
-        )
+        data = self._column_block(len(cols), data)
+        grid, cols = self._column_grid(row, cols)
         grid[cols] = data
 
     def materialized_rows(self) -> List[int]:

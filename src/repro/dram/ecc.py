@@ -9,12 +9,20 @@ the property the paper highlights as what makes its PIM ECC-ready.
 
 ``inject_error`` flips stored bits without updating the check bits, so
 tests can exercise correction and detection on live kernels.
+
+This module also owns the **block**: :func:`peek_block` /
+:func:`poke_block` move ``(banks, n, col_bytes)`` bytes — ``n`` consecutive
+columns of one row across a list of banks — in one call, with one array
+SEC-DED pass across all of the banks.  Every untimed host<->bank transfer
+(operand staging, result gather, weight load, the fused executor's bank
+operands) is a block; it lives here because it is the one place that
+knows both bank classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +31,7 @@ from ..errors import PimDataError
 from .bank import Bank, BankConfig
 from .timing import TimingParams
 
-__all__ = ["EccBank", "EccStats", "UncorrectableError"]
+__all__ = ["EccBank", "EccStats", "UncorrectableError", "peek_block", "poke_block"]
 
 _WORD_BYTES = 8
 
@@ -72,6 +80,12 @@ class EccBank(Bank):
             # (encode(0) == 0), so a fresh array is consistent.
             self._check[row] = array
         return array
+
+    def _check_run(self, row: int, col0: int, n: int) -> np.ndarray:
+        """The check bytes of columns ``col0 .. col0 + n`` of ``row``, as a
+        writable view (the ECC-array counterpart of ``Bank._run``)."""
+        words_per_col = self.config.col_bytes // _WORD_BYTES
+        return self._check_array(row)[col0 * words_per_col : (col0 + n) * words_per_col]
 
     # -- the protected column path --------------------------------------------
 
@@ -127,13 +141,12 @@ class EccBank(Bank):
         return raw
 
     def poke_columns(self, row: int, cols: np.ndarray, data: np.ndarray) -> None:
-        """Bulk column write: one encode pass covers every written word."""
+        """Index-array column write: one encode pass covers every written word."""
+        data = np.ascontiguousarray(self._column_block(len(cols), data))
         if not self.use_vectorized:
-            data = np.asarray(data, dtype=np.uint8)
             for i, col in enumerate(cols):
                 self.poke(row, int(col), data[i])
             return
-        data = np.ascontiguousarray(data, dtype=np.uint8)
         Bank.poke_columns(self, row, cols, data)
         words = data.view("<u8")  # (len(cols), words_per_col)
         checks = self._check_array(row)
@@ -143,7 +156,7 @@ class EccBank(Bank):
         self.ecc_stats.words_encoded += int(words.size)
 
     def peek_columns(self, row: int, cols: np.ndarray) -> np.ndarray:
-        """Bulk column read: one syndrome pass; dirty columns fall back.
+        """Index-array column read: one syndrome pass; dirty columns fall back.
 
         The fast path checks every gathered word in a single array SEC-DED
         call.  If any word is dirty, the affected *columns* are re-read
@@ -255,3 +268,100 @@ class EccBank(Bank):
         checks = self._check_array(row)
         base = col * self.config.col_bytes // _WORD_BYTES
         checks[base + word] ^= 1 << bit
+
+
+# -- the block: n consecutive columns of one row across a list of banks ----------
+
+
+def _block_kind(banks: Sequence[Bank]) -> Optional[type]:
+    """:class:`Bank` or :class:`EccBank` when every bank is exactly that
+    class (and, for ECC, on the array SEC-DED path); None — a mix, a
+    subclass, the ``use_vectorized = False`` oracle — sends the block down
+    the per-bank column path."""
+    kind = type(banks[0])
+    if kind is Bank:
+        if all(type(bank) is Bank for bank in banks):
+            return Bank
+    elif kind is EccBank:
+        if all(type(bank) is EccBank and bank.use_vectorized for bank in banks):
+            return EccBank
+    return None
+
+
+def peek_block(banks: Sequence[Bank], row: int, col0: int, n: int) -> np.ndarray:
+    """Read columns ``col0 .. col0 + n`` of ``row`` from every bank of
+    ``banks``: a fresh ``(len(banks), n, col_bytes)`` uint8 array.
+
+    The one untimed bank -> host mover.  Each bank's run is a slice *copy*
+    — the result never aliases the row store, so a caller may keep or
+    overwrite it — and for :class:`EccBank` lists the SEC-DED syndrome
+    check of the whole block is one array pass across the banks (each
+    bank's ``words_checked`` advances by ``n * words_per_col``, as
+    column-at-a-time reads would).  A dirty block, or an irregular bank
+    list (see :func:`_block_kind`), is re-read bank by bank in list order
+    through ``peek_columns`` — columns ascending, through the scalar
+    ``peek`` where dirty — which classifies, corrects, scrubs, counts and
+    raises exactly as the per-column path always has.
+
+    It materialises exactly the (bank, row) pairs the column loop would,
+    has no state or timing effect, and raises — :class:`IndexError` for a
+    row or column out of range, :class:`~repro.errors.PimChannelError`
+    for a failed bank — before any bank is read.
+    """
+    runs = [bank._run(row, col0, n) for bank in banks]
+    kind = _block_kind(banks)
+    if kind is not None:
+        out = np.empty((len(banks), n, banks[0].config.col_bytes), dtype=np.uint8)
+        flat = out.reshape(len(banks), -1)
+        for i, run in enumerate(runs):
+            flat[i] = run
+        if kind is Bank:
+            return out
+        words = out.view("<u8").reshape(len(banks), -1)
+        checks = np.empty(words.shape, dtype=np.uint8)
+        for i, bank in enumerate(banks):
+            checks[i] = bank._check_run(row, col0, n)
+        if check_words(words.ravel(), checks.ravel()).all():
+            for bank in banks:
+                bank.ecc_stats.words_checked += words.shape[1]
+            return out
+    cols = np.arange(col0, col0 + n)
+    return np.array([bank.peek_columns(row, cols) for bank in banks])
+
+
+def poke_block(banks: Sequence[Bank], row: int, col0: int, data: np.ndarray) -> None:
+    """Write ``data`` — ``(len(banks), n, col_bytes)`` uint8, any strides —
+    to columns ``col0 .. col0 + n`` of ``row``, one ``(n, col_bytes)`` slab
+    per bank.
+
+    The one untimed host -> bank mover, the mirror of :func:`peek_block`:
+    slice assignment per bank and, for :class:`EccBank` lists, one array
+    encode pass for the whole block (``words_encoded`` advances by ``n *
+    words_per_col`` per bank); an irregular bank list goes bank by bank
+    through ``poke_columns``.  Shape, row and column range and failed
+    banks are all checked *before* any byte of the block lands.
+    """
+    data = np.asarray(data, dtype=np.uint8)
+    col_bytes = banks[0].config.col_bytes
+    if data.ndim != 3 or data.shape[0] != len(banks) or data.shape[2] != col_bytes:
+        raise ValueError(
+            f"expected ({len(banks)}, n, {col_bytes}) block bytes, got {data.shape}"
+        )
+    n = data.shape[1]
+    runs = [bank._run(row, col0, n) for bank in banks]
+    kind = _block_kind(banks)
+    if kind is None:
+        cols = np.arange(col0, col0 + n)
+        for bank, slab in zip(banks, data):
+            bank.poke_columns(row, cols, slab)
+        return
+    flat = data.reshape(len(banks), -1)  # copies once, and only a strided block
+    for run, slab in zip(runs, flat):
+        run[:] = slab
+    if kind is EccBank:
+        codes = encode_words(np.ascontiguousarray(flat).view("<u8")).reshape(
+            len(banks), -1
+        )
+        for bank, code in zip(banks, codes):
+            bank._check_run(row, col0, n)[:] = code
+            bank.ecc_stats.words_encoded += code.size

@@ -21,11 +21,12 @@ interpretation layer by *trace compilation*:
    steps, per-unit stat deltas, and the final sequencer state — is
    stored in a content-keyed LRU :class:`TraceCache`.
 3. **Replay** — later windows with the same content key skip straight to
-   the group steps.  Bank operands are gathered live through
-   ``peek_columns``/``poke_columns`` (so SEC-DED checks, corrections,
-   inline scrubs, and uncorrectable raises happen exactly as on the
-   interpreted path), HOST operands are gathered from the *current*
-   tape, and GRF/SRF operands slice the stacked register state.
+   the group steps.  Bank operands move live as one *block* per group
+   (:func:`~repro.dram.ecc.peek_block` / ``poke_block``: all units' banks,
+   one SEC-DED pass — so checks, corrections, inline scrubs, and
+   uncorrectable raises happen exactly as on the interpreted path), HOST
+   operands are gathered from the *current* tape, and GRF/SRF operands
+   slice the stacked register state.
 
 **Cache keys are content signatures**, not identities: the channel id,
 the uniform sequencer entry state, every CRF word of the program, and
@@ -67,10 +68,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..common.ecc import check_words
 from ..common.fp16 import vec_add, vec_mul, vec_relu
-from ..dram.bank import Bank
-from ..dram.ecc import EccBank
+from ..dram.ecc import peek_block, poke_block
 from .exec_unit import ColumnTrigger, PimExecutionUnit
 from .isa import CRF_ENTRIES, GRF_REGS, Instruction, Opcode, OperandSpace, decode
 from .lockstep import LockstepGroup
@@ -158,8 +157,10 @@ class _GroupStep:
 
     ``reads``/``dst`` are pre-resolved operand plans:
 
-    * ``("bank", space, row, cols)`` — gather/scatter ``cols`` of ``row``
-      on every unit's bank for ``space``;
+    * ``("bank", space, row, cols, col0)`` — gather/scatter ``cols`` of
+      ``row`` on every unit's bank for ``space``; ``col0`` is their first
+      column when they are one ascending run (decided here, at compile
+      time, so replay moves them as a block), else None;
     * ``("host", indices)`` — gather the WR bursts of the current tape,
       counted over its host-carrying commands only;
     * ``("grf", space, indices)`` / ``("srf", space, indices)`` — fancy
@@ -362,41 +363,14 @@ class FusedLockstepGroup(LockstepGroup):
         entry.replays += 1
         self.fused_replays += 1
 
-    @staticmethod
-    def _gather_bank(banks: List[Bank], row: int, cols) -> np.ndarray:
-        """Gather ``cols`` of ``row`` from every unit's bank: ``(units, k, 32)``.
-
-        For vectorized :class:`~repro.dram.ecc.EccBank` banks, the SEC-DED
-        syndrome check of the whole gather runs as *one* array pass across
-        units; only a dirty gather (or a plain/scalar/subclassed bank)
-        falls to the per-bank column path, which classifies, corrects,
-        scrubs, counts, and raises exactly as the interpreted executor.
-        Stats parity: a clean bank's ``words_checked`` advances by the same
-        ``k * words_per_col`` on either path.
-        """
-        if all(type(b) is EccBank and b.use_vectorized for b in banks):
-            raw = np.array([Bank.peek_columns(b, row, cols) for b in banks])
-            words = raw.view("<u8")  # (units, k, words_per_col)
-            config = banks[0].config
-            wpc = config.col_bytes // 8
-            idx = (np.asarray(cols)[:, None] * wpc + np.arange(wpc)).ravel()
-            checks = np.array([b._check_array(row)[idx] for b in banks])
-            if check_words(words.ravel(), checks.ravel()).all():
-                per_bank = words[0].size
-                for b in banks:
-                    b.ecc_stats.words_checked += per_bank
-                return raw
-        return np.array([b.peek_columns(row, cols) for b in banks])
-
     def _exec_group(self, group: _GroupStep, host: Optional[np.ndarray]) -> None:
         units = self.units
         values = []
         for plan in group.reads:
             kind = plan[0]
             if kind == "bank":
-                _, space, row, cols = plan
-                banks = [u._bank(space) for u in units]
-                stacked = self._gather_bank(banks, row, cols)
+                _, space, row, cols, col0 = plan
+                stacked = _peek_group([u._bank(space) for u in units], row, cols, col0)
                 values.append(stacked.view(np.float16))  # (units, k, 16)
             elif kind == "host":
                 # (1, k, 16) broadcast over units
@@ -422,14 +396,14 @@ class FusedLockstepGroup(LockstepGroup):
         if dst[0] == "grf":
             self.stacked.grf(dst[1])[:, dst[2], :] = result
         else:
-            _, space, row, cols = dst
+            _, space, row, cols, col0 = dst
             data = np.ascontiguousarray(
                 np.broadcast_to(result, (len(units), group.k, LANES)),
                 dtype=np.float16,
             )
-            raw = data.view(np.uint8)
-            for i, unit in enumerate(units):
-                unit._bank(space).poke_columns(row, cols, raw[i])
+            _poke_group(
+                [u._bank(space) for u in units], row, cols, col0, data.view(np.uint8)
+            )
 
     # -- compilation -------------------------------------------------------------
 
@@ -497,6 +471,31 @@ class FusedLockstepGroup(LockstepGroup):
             bank_spaces=tuple(spaces),
             reads_host=any(("host",) in s.reads for s in steps),
         )
+
+
+def _peek_group(banks: list, row: int, cols: np.ndarray, col0: Optional[int]) -> np.ndarray:
+    """A group's bank operand from every unit's bank: ``(units, k, 32)``.
+
+    One block when the group's columns are a run from ``col0``; the rare
+    group the compiler could not order into a run (out-of-order columns)
+    gathers bank by bank through the index-array path.  Either way the
+    SEC-DED engine classifies, corrects, scrubs, counts and raises as on
+    the interpreted path.
+    """
+    if col0 is None:
+        return np.array([bank.peek_columns(row, cols) for bank in banks])
+    return peek_block(banks, row, col0, len(cols))
+
+
+def _poke_group(
+    banks: list, row: int, cols: np.ndarray, col0: Optional[int], raw: np.ndarray
+) -> None:
+    """Scatter a group's ``(units, k, 32)`` result (mirror of :func:`_peek_group`)."""
+    if col0 is None:
+        for bank, slab in zip(banks, raw):
+            bank.poke_columns(row, cols, slab)
+    else:
+        poke_block(banks, row, col0, raw)
 
 
 def _pack_signature(
@@ -639,12 +638,17 @@ class _GroupBuilder:
         steps = self.steps
         first = steps[0]
         cols = index_array(s.col for s in steps)
+        # Contiguity is decided here, once per compiled trace: an ascending
+        # run moves as a block on every replay.
+        col0 = first.col if all(
+            s.col == first.col + i for i, s in enumerate(steps)
+        ) else None
         positions = index_array(s.pos for s in steps)
         reads = []
         for j, plan in enumerate(first.reads):
             kind = plan[0]
             if kind == "bank":
-                reads.append(("bank", plan[1], first.row, cols))
+                reads.append(("bank", plan[1], first.row, cols, col0))
             elif kind == "host":
                 reads.append(("host", positions))
             else:  # grf / srf
@@ -652,7 +656,7 @@ class _GroupBuilder:
                     (kind, plan[1], index_array(s.reads[j][2] for s in steps))
                 )
         if first.dst[0] == "bank":
-            dst = ("bank", first.dst[1], first.row, cols)
+            dst = ("bank", first.dst[1], first.row, cols, col0)
         else:
             dst = ("grf", first.dst[1], index_array(s.dst[2] for s in steps))
         return _GroupStep(

@@ -34,10 +34,11 @@ schedule and execute the run as a unit, bit-identically to its 8 commands.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..dram.ecc import peek_block, poke_block
 from ..dram.pseudochannel import BANKS_PER_PCH
 from ..pim.device import UNITS_PER_PCH, PimPseudoChannel
 from ..pim.registers import GRF_REG_BYTES, LANES
@@ -119,6 +120,14 @@ def _bank_coords(bank_index: int) -> Tuple[int, int]:
 def _constant(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _tile_block(values: np.ndarray) -> np.ndarray:
+    """One output tile's ``(128 outputs, n)`` FP16 values as the ``(8 units,
+    n columns, 32 bytes)`` block of the units' banks: unit ``u`` holds
+    outputs ``16 u .. 16 u + 15``, one per lane, value ``j`` in column ``j``."""
+    lanes = values.reshape(UNITS_PER_PCH, LANES, -1).transpose(0, 2, 1)
+    return np.ascontiguousarray(lanes).view(np.uint8)
 
 
 # Write data nothing reads for its content: the WR bursts that trigger a
@@ -429,22 +438,20 @@ class GemvKernel:
         )
         padded[: self.m, : self.n] = w
         self._weights = padded
+        opt = plan.outputs_per_tile
         for s in range(plan.num_slices):
             pch, pass_ = self._slice_channel(s)
-            channel = self.sys.device.pch(pch)
+            banks = self.sys.device.pch(pch).banks[0::2]  # every unit's EVEN bank
             for tile in range(plan.tiles):
-                for chunk in range(plan.chunks):
+                # One block per weight row: the chunks that share it.
+                for chunk in range(0, plan.chunks, plan.chunks_per_row):
                     row, col_base = plan.weight_location(tile, chunk, pass_)
-                    for j in range(_COL_GROUP):
-                        dim = s * plan.n_slice + chunk * _COL_GROUP + j
-                        for unit in range(UNITS_PER_PCH):
-                            out0 = tile * plan.outputs_per_tile + unit * LANES
-                            column = np.ascontiguousarray(
-                                padded[out0 : out0 + LANES, dim]
-                            )
-                            channel.banks[2 * unit].poke(
-                                row, col_base + j, column.view(np.uint8)
-                            )
+                    dim = s * plan.n_slice + chunk * _COL_GROUP
+                    cols = min(plan.chunks_per_row, plan.chunks - chunk) * _COL_GROUP
+                    poke_block(
+                        banks, row, col_base,
+                        _tile_block(padded[tile * opt : (tile + 1) * opt, dim : dim + cols]),
+                    )
 
     # -- invocation ---------------------------------------------------------------
 
@@ -559,18 +566,15 @@ class GemvKernel:
         """
         plan = self.plan
         pch, pass_ = self._slice_channel(s)
-        channel = self.sys.device.pch(pch)
+        banks = self.sys.device.pch(pch).banks[0::2]
         dims = slice(s * plan.n_slice, (s + 1) * plan.n_slice)
         acc = mac_partials(self._weights[:, dims], x_padded[dims])
+        opt = plan.outputs_per_tile
         for tile in range(plan.tiles):
             out_row, out_base = plan.out_location(tile, pass_, slot)
-            cols = np.arange(out_base, out_base + _COL_GROUP)
-            for unit in range(UNITS_PER_PCH):
-                out0 = tile * plan.outputs_per_tile + unit * LANES
-                block = np.ascontiguousarray(acc[out0 : out0 + LANES].T)
-                channel.banks[2 * unit].poke_columns(
-                    out_row, cols, block.view(np.uint8)
-                )
+            poke_block(
+                banks, out_row, out_base, _tile_block(acc[tile * opt : (tile + 1) * opt])
+            )
 
     def _read_partials(self, nsim_ch: int, slot: int = 0) -> np.ndarray:
         """Read partial sums back (timed SB-mode reads on simulated pCHs)."""
@@ -584,7 +588,6 @@ class GemvKernel:
             mc = self.sys.controller(pch)
             timed = pos < nsim_ch
             slices = range(pos, plan.num_slices, k)
-            columns = {}
             if timed:
                 for s in slices:
                     pass_ = s // k
@@ -598,22 +601,25 @@ class GemvKernel:
                                     tag=(s, tile, unit, j),
                                 )
                 columns = mc.drain().read_data
-            channel = self.sys.device.pch(pch)
+            else:
+                banks = self.sys.device.pch(pch).banks[0::2]
             for s in slices:
                 pass_ = s // k
                 for tile in range(plan.tiles):
                     out_row, out_base = plan.out_location(tile, pass_, slot)
                     out0 = tile * plan.outputs_per_tile
-                    cols = np.arange(out_base, out_base + _COL_GROUP)
-                    for unit in range(UNITS_PER_PCH):
-                        lanes = slice(out0 + unit * LANES, out0 + (unit + 1) * LANES)
-                        if timed:
+                    if timed:
+                        for unit in range(UNITS_PER_PCH):
+                            lanes = slice(out0 + unit * LANES, out0 + (unit + 1) * LANES)
                             for j in range(_COL_GROUP):
                                 raw = columns[(s, tile, unit, j)]
                                 partials[s, j, lanes] = raw.view(np.float16)
-                        else:
-                            raw = channel.banks[2 * unit].peek_columns(out_row, cols)
-                            partials[s, :, lanes] = raw.view(np.float16)
+                    else:
+                        # The inverse of _tile_block, one block per tile.
+                        raw = peek_block(banks, out_row, out_base, _COL_GROUP)
+                        partials[s, :, out0 : out0 + plan.outputs_per_tile] = (
+                            raw.view(np.float16).transpose(1, 0, 2).reshape(_COL_GROUP, -1)
+                        )
         return partials
 
     def _simulated_slices(self, nsim_ch: int) -> int:
@@ -741,21 +747,27 @@ class ElementwisePlan:
     base_row: int
     in_cols: int  # input columns per row (outputs at +in_cols)
 
-    def site(self, block: int) -> Tuple[int, int, int, int]:
-        """(channel slot, unit, row, column) of 16-element block ``block``.
+    def layout(self, padded: np.ndarray) -> np.ndarray:
+        """A padded vector's bytes as a ``(seq, unit, slot, 32)`` view.
 
-        Blocks interleave over channel slots first, then units, then the
-        unit's column stream — the one statement of the operand layout.
+        The one statement of the operand layout: 16-element blocks
+        interleave over channel slots first, then units, then the unit's
+        column stream ``seq``, which fills the ``in_cols`` operand columns
+        of one row before moving to the next (:meth:`row_runs`).
         """
-        slot = block % self.num_pchs
-        rest = block // self.num_pchs
-        seq = rest // UNITS_PER_PCH
-        return (
-            slot,
-            rest % UNITS_PER_PCH,
-            self.base_row + seq // self.in_cols,
-            seq % self.in_cols,
+        return padded.view(np.uint8).reshape(
+            self.seq_per_unit, UNITS_PER_PCH, self.num_pchs, GRF_REG_BYTES
         )
+
+    def row_runs(self) -> Iterator[Tuple[int, int, int]]:
+        """``(row, first seq, columns)`` of each bank row of a unit's stream;
+        ``seq`` sits at column ``seq - first seq`` of its row."""
+        for seq in range(0, self.seq_per_unit, self.in_cols):
+            yield (
+                self.base_row + seq // self.in_cols,
+                seq,
+                min(self.in_cols, self.seq_per_unit - seq),
+            )
 
 
 class ElementwiseKernel:
@@ -842,30 +854,32 @@ class ElementwiseKernel:
         col_offset: int = 0,
         first_slot: int = 0,
     ) -> None:
-        """Poke a padded vector's blocks into the even (or odd) banks.
+        """Stage a padded vector into the even (or odd) banks, one block per
+        (channel slot, row).
 
-        Operands go to their block's column, results ``in_cols`` further;
-        ``first_slot`` restricts the store to the later channel slots.
+        Operands start at column 0 of their rows, results ``in_cols``
+        further (``col_offset``); ``first_slot`` restricts the store to the
+        later channel slots.
         """
         plan = self.plan
-        blocks = padded.reshape(plan.blocks, LANES).view(np.uint8)
-        for b in range(plan.blocks):
-            slot, unit, row, col = plan.site(b)
-            if slot >= first_slot:
-                self.sys.device.pch(self.channels[slot]).banks[2 * unit + odd].poke(
-                    row, col + col_offset, blocks[b]
+        view = plan.layout(padded)
+        for slot in range(first_slot, plan.num_pchs):
+            banks = self.sys.device.pch(self.channels[slot]).banks[int(odd) :: 2]
+            for row, seq, n in plan.row_runs():
+                poke_block(
+                    banks, row, col_offset, view[seq : seq + n, :, slot].transpose(1, 0, 2)
                 )
 
     def _gather_result(self) -> np.ndarray:
         plan = self.plan
-        out = np.zeros(plan.blocks * LANES, dtype=np.float16)
-        blocks = out.reshape(plan.blocks, LANES)
-        for b in range(plan.blocks):
-            slot, unit, row, col = plan.site(b)
-            raw = self.sys.device.pch(self.channels[slot]).banks[2 * unit].peek(
-                row, col + plan.in_cols
-            )
-            blocks[b] = raw.view(np.float16)
+        out = np.empty(plan.blocks * LANES, dtype=np.float16)  # every block is read
+        view = plan.layout(out)
+        for slot in range(plan.num_pchs):
+            banks = self.sys.device.pch(self.channels[slot]).banks[0::2]
+            for row, seq, n in plan.row_runs():
+                view[seq : seq + n, :, slot] = peek_block(
+                    banks, row, plan.in_cols, n
+                ).transpose(1, 0, 2)
         return out[: self.length]
 
     # -- invocation -----------------------------------------------------------------

@@ -45,6 +45,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from ..dram.ecc import peek_block
 from ..dram.timing import TimingParams
 from ..errors import PimReplayError
 from ..pim import isa
@@ -506,8 +507,9 @@ class TraceExecution:
             for b, bank in enumerate(pch.banks):
                 for row in bank.materialized_rows():
                     digest.update(f"bank:{index}:{b}:{row}".encode())
-                    for col in range(bank.config.cols_per_row):
-                        digest.update(bank.peek(row, col).tobytes())
+                    digest.update(
+                        peek_block([bank], row, 0, bank.config.cols_per_row).tobytes()
+                    )
             for u, unit in enumerate(pch.units):
                 digest.update(f"unit:{index}:{u}".encode())
                 digest.update(unit.regs.grf_a.tobytes())

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.pim import fused
+from repro.stack import kernels
 from repro.stack.blas import add_reference, gemv_reference
 from repro.stack.kernels import ElementwiseKernel, GemvKernel
 from repro.stack.runtime import PimSystem, SystemConfig
+
+from .staging_reference import peek_block_by_column, poke_block_by_column
 
 
 @pytest.fixture
@@ -84,8 +88,8 @@ class TestGemvExecution:
     @pytest.mark.parametrize("ecc", [False, True])
     def test_sampled_channels_move_partials_eight_columns_at_a_time(self, ecc, monkeypatch):
         """The functional shortcut pokes, and the untimed readback peeks, a
-        tile's 8 partial-sum columns in one bank call; bank bytes, results
-        and the SEC-DED counters equal the column-at-a-time run."""
+        tile's 8 partial-sum columns as one block; bank bytes, results and
+        the SEC-DED counters equal the column-at-a-time run."""
 
         def run():
             system = PimSystem(SystemConfig(num_pchs=4, num_rows=128, ecc=ecc))
@@ -102,20 +106,20 @@ class TestGemvExecution:
             )
 
         bulk = run()
-        bank_cls = type(PimSystem(SystemConfig(num_rows=128, ecc=ecc)).device.pchs[0].banks[0])
         calls = []
 
-        def peek_columns(self, row, cols):
+        def peek_block(banks, row, col0, n):
             calls.append("peek")
-            return np.stack([self.peek(row, int(col)) for col in cols])
+            return peek_block_by_column(banks, row, col0, n)
 
-        def poke_columns(self, row, cols, data):
+        def poke_block(banks, row, col0, data):
             calls.append("poke")
-            for col, column in zip(cols, data):
-                self.poke(row, int(col), column)
+            poke_block_by_column(banks, row, col0, data)
 
-        monkeypatch.setattr(bank_cls, "peek_columns", peek_columns)
-        monkeypatch.setattr(bank_cls, "poke_columns", poke_columns)
+        # Every mover of the run: the kernel's legs and the fused executor's.
+        for module in (kernels, fused):
+            monkeypatch.setattr(module, "peek_block", peek_block)
+            monkeypatch.setattr(module, "poke_block", poke_block)
         assert run() == bulk
         assert {"peek", "poke"} <= set(calls)
 
