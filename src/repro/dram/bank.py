@@ -278,18 +278,46 @@ class Bank:
         self.open_row = None
         self.next_act = max(self.next_act, cycle + self.timing.trp)
 
-    def read(self, row: int, col: int, cycle: int) -> np.ndarray:
+    def read(self, row: int, col: int, cycle: int, ahead: int = 0) -> np.ndarray:
         """Column read; returns the 32-byte burst.
 
         ``row`` must match the open row — the model checks what silicon
         simply assumes, surfacing controller bugs loudly.
+
+        ``ahead`` is :class:`~repro.dram.commands.Command`'s read-ahead:
+        the next ``ahead`` reads of this bank are the following columns,
+        unwritten until then.  When :meth:`_clean_run` can vouch for the
+        whole run the answer is its ``(1 + ahead, col_bytes)`` block and
+        those reads arrive as :meth:`read_fetched`; otherwise — and for a
+        run that leaves the row, which must fail at the column that does —
+        it is the one column, and every later one reads for itself.
         """
         self._check_column(row, cycle, is_write=False)
         t = self.timing
         # Read-to-precharge constraint.
         self.next_pre = max(self.next_pre, cycle + t.trtp)
         self.rd_count += 1
+        if ahead and col + ahead < self.config.cols_per_row:
+            block = self._clean_run(row, col, 1 + ahead)
+            if block is not None:
+                return block
         return self.peek(row, col)
+
+    def read_fetched(self, row: int, cycle: int) -> None:
+        """A column read whose bytes an earlier read-ahead delivered: the
+        row, timing and count effects of :meth:`read`, and no data path."""
+        self.touch_column(row, cycle, is_write=False)
+        self.rd_count += 1
+
+    def _clean_run(self, row: int, col0: int, n: int) -> Optional[np.ndarray]:
+        """Columns ``col0 .. col0 + n`` of ``row`` as a fresh ``(n,
+        col_bytes)`` block, when one pass can stand for ``n`` calls of
+        :meth:`peek`; None when it cannot.  A plain bank's columns are its
+        stored bytes; a subclass has a column path of its own to answer for.
+        """
+        if type(self) is not Bank:
+            return None
+        return self._run(row, col0, n).reshape(n, -1).copy()
 
     def write(self, row: int, col: int, data: np.ndarray, cycle: int) -> None:
         """Column write of a 32-byte burst."""

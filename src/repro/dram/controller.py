@@ -17,18 +17,35 @@ Three scheduling policies are provided:
 * ``shuffle`` — adversarial random order within an epoch window, used by
   tests to show non-AAM microkernels break while AAM ones do not.
 
-The unit of queued work is the **column burst**: ``count`` consecutive
-columns of one (bank, row, direction) as one :class:`Request` — what a PIM
-kernel emits for every fenced 8-command AAM group.  A burst is shorthand
-for its single requests and is scheduled exactly as they would be; the
-controller just does not search for a schedule it can write down.  Alone
-in its fence epoch under an in-order policy, its commands are
-equally-ready row hits of one class — FR-FCFS and FCFS both take them in
-arrival order, ``tCCD_L`` apart — so ``drain`` issues it as one
-:class:`Command` with no reorder window and no pick.  A burst that shares
-its epoch, meets ``shuffle``, or has a refresh fall due inside it is
-expanded in place into single requests and takes the ordinary path.
-Nothing is remembered from one burst to the next, so there is nothing to
+The unit of queued *and scheduled* work is the **run**: ``count``
+consecutive columns of one (bank, row, direction) as one :class:`Request` —
+what a PIM kernel emits for every fenced 8-command AAM group, and what the
+GEMV readback asks of each bank.  A single request is a run of one.  A run
+is shorthand for its single requests and is scheduled exactly as they would
+be:
+
+* The **reorder window** is the head of the queue: the oldest fence epoch's
+  runs, while a budget of ``window`` *bus commands* lasts (a run only
+  partly inside the budget is still in it — its class and row are those of
+  its in-window commands).  Nothing is expanded and nothing is maintained
+  between picks: each pick walks those few entries, asks the channel one
+  first-ready question for the row-hit classes among them, issues the
+  chosen run's next column, and shrinks the run.  An in-order policy takes
+  a run's commands oldest first, so what is left of it is always a run.
+* Alone in its fence epoch under an in-order policy, a run's commands are
+  equally-ready row hits of one class — FR-FCFS and FCFS both take them in
+  arrival order, ``tCCD_L`` apart — so ``drain`` issues it as one
+  :class:`Command` with no window and no pick (``_drain_burst``); when a
+  refresh falls due inside it, the first command goes out there and the
+  rest take the pick path, one refresh check per command.
+* ``shuffle`` draws among single commands, so ``drain`` expands the queue
+  on entry — the one place ``Request.expand`` is called.
+
+A tagged read run answers with the ``(count, 32)`` block of its columns, in
+column order, whichever way it went.  In an epoch that holds no write the
+read of its first column carries the read-ahead of :class:`Command`, so a
+clean run's bytes cross the channel boundary once.  Nothing is remembered
+from one run, or one ``drain``, to the next, so there is nothing to
 invalidate.
 """
 
@@ -37,8 +54,8 @@ from __future__ import annotations
 import enum
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -69,11 +86,12 @@ class Request:
     still two transactions (and ``data`` is an array, which has no scalar
     truth value to compare with).
 
-    ``count > 1`` makes it a *column burst*: ``count`` transactions to
-    columns ``col .. col + count - 1`` of the row, in that order, ``data``
-    a ``(count, 32)`` block — shorthand for the requests :meth:`expand`
-    returns (which share its tag and epoch), and scheduled exactly as they
-    would be.
+    ``count > 1`` makes it a *run* (a column burst): ``count`` transactions
+    to columns ``col .. col + count - 1`` of the row, in that order,
+    ``data`` a ``(count, 32)`` block — shorthand for the requests
+    :meth:`expand` returns (which share its tag and epoch), and scheduled
+    exactly as they would be.  The controller issues a run from its first
+    column on, and :meth:`shrink` keeps it to the columns still to go.
     """
 
     op: MemOp
@@ -85,9 +103,16 @@ class Request:
     tag: Any = None
     epoch: int = 0
     count: int = 1
+    # Scheduling class, ``2 * flat_bank + is_write``: a column command's
+    # earliest issue cycle depends on nothing else of the request.
+    cls: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        bank = self.bg * BANKS_PER_GROUP + self.ba
+        self.cls = 2 * bank + (self.op is MemOp.WRITE)
 
     def expand(self) -> List["Request"]:
-        """The single-command requests this burst stands for."""
+        """The single-command requests this run stands for."""
         if self.count == 1:
             return [self]
         data = self.data
@@ -99,6 +124,13 @@ class Request:
             )
             for index in range(self.count)
         ]
+
+    def shrink(self, done: int = 1) -> None:
+        """Drop the first ``done`` columns: what is left once they issued."""
+        self.col += done
+        self.count -= done
+        if self.data is not None:
+            self.data = self.data[done:]
 
     def __repr__(self) -> str:
         op, col = self.op.value, str(self.col)
@@ -127,6 +159,56 @@ class ScheduleResult:
         return self.command_count[CommandType.RD] + self.command_count[CommandType.WR]
 
 
+class _Drain:
+    """What one ``drain()`` has built so far; none of it outlives the call."""
+
+    __slots__ = ("issue_order", "read_data", "blocks", "fetched", "_checked", "_no_write")
+
+    def __init__(self) -> None:
+        self.issue_order: List[Tuple[int, Request]] = []
+        self.read_data: Dict[Any, np.ndarray] = {}
+        # Tagged read runs under way: the block each one's columns land in
+        # (with the column of its first row), or that it was read ahead.
+        self.blocks: Dict[Request, Tuple[np.ndarray, int]] = {}
+        self.fetched: Set[Request] = set()
+        self._checked: Optional[int] = None
+        self._no_write = False
+
+    def no_write(self, queue: Deque[Request], epoch: int) -> bool:
+        """Whether ``epoch``, at the queue head, held no write when first
+        asked — looked up once per epoch (writes only ever leave)."""
+        if self._checked != epoch:
+            self._checked = epoch
+            self._no_write = True
+            for request in queue:
+                if request.epoch != epoch:
+                    break
+                if request.cls & 1:
+                    self._no_write = False
+                    break
+        return self._no_write
+
+    def land(self, run: Request, data: np.ndarray) -> None:
+        """File what the RD of ``run``'s next column returned under the
+        run's tag: the whole ``(count, 32)`` block when it was read ahead,
+        else the column — a single's result as it is, a run's into its row
+        of the run's block."""
+        if data.ndim == 2:
+            self.read_data[run.tag] = data
+            self.fetched.add(run)
+            return
+        dest = self.blocks.get(run)
+        if dest is None:
+            if run.count == 1:
+                self.read_data[run.tag] = data
+                return
+            block = np.empty((run.count, data.size), dtype=np.uint8)
+            dest = self.blocks[run] = (block, run.col)
+        block, col0 = dest
+        block[run.col - col0] = data
+        self.read_data[run.tag] = block
+
+
 class MemoryController:
     """FR-FCFS controller for one pseudo-channel.
 
@@ -145,6 +227,8 @@ class MemoryController:
         fence_penalty: int = 0,
         refresh: bool = False,
     ):
+        if window < 1:
+            raise ValueError(f"the reorder window holds at least one command, not {window}")
         self.channel = channel
         self.policy = policy
         self.window = window
@@ -226,103 +310,97 @@ class MemoryController:
 
     # -- scheduling ---------------------------------------------------------------
     #
-    # The reorder window holds one entry ``(cls, row, request)`` per request,
-    # ``cls = 2 * flat_bank + is_write``.  A column command's earliest issue
-    # cycle depends only on ``cls`` — never on row, column or data — so a
-    # pick asks the channel once per class, not once per candidate.
+    # The reorder window is not a data structure: ``_window`` walks the
+    # queue head — the oldest epoch's runs while a budget of ``self.window``
+    # bus commands lasts — and each pick looks at those entries afresh.  A
+    # run's commands share one class (``Request.cls``) and one row, and an
+    # in-order policy takes them oldest first, so the commands eligible at
+    # a pick are "the first run of each class" and the run that issued a
+    # column is again a run: no expansion, no splice, and the bus sees the
+    # single requests' commands at the single requests' cycles.  A column
+    # command's earliest issue cycle depends only on its class — never on
+    # row, column or data — so the first-ready choice among the row hits is
+    # one channel query (``first_ready``), and every other timing question
+    # goes through the channel too: the controller never looks into a bank.
     #
-    # A column burst (``Request.count > 1``) is scheduled as the single
-    # requests it stands for.  Where that schedule can be written down —
-    # the burst is alone in its fence epoch and the policy keeps arrival
-    # order — ``_drain_burst`` issues it without a window or a pick;
-    # anywhere else it is expanded into those requests as it enters the
-    # window.  Either way the bus sees the same commands at the same cycles.
+    # Where the schedule can be written down — the run is alone in its
+    # fence epoch and the policy keeps arrival order — ``_drain_burst``
+    # issues it without a window or a pick.  Only ``SHUFFLE``, whose seeded
+    # draws are among single commands, expands runs (at ``drain`` entry).
 
-    def _fill_window(self, window: List[Tuple[int, int, Request]], epoch: int) -> None:
-        """Bring ``window`` up to ``queue[:self.window]`` of ``epoch``."""
+    def _window(self, epoch: int) -> Iterator[Request]:
+        """The runs in the reorder window, oldest first."""
+        budget = self.window
+        for run in self._queue:
+            if run.epoch != epoch:
+                return
+            yield run
+            budget -= run.count
+            if budget <= 0:
+                return
+
+    def _pick(self, epoch: int) -> Tuple[Request, Optional[int]]:
+        """The run whose next column issues next, and that command's
+        earliest cycle when it was worked out and is still current."""
         queue = self._queue
-        position = len(window)
-        while position < self.window and position < len(queue):
-            request = queue[position]
-            if request.epoch != epoch:
-                break
-            if request.count > 1:
-                # Shares the epoch (or the policy shuffles): expanded in
-                # place, its commands compete like any other request.
-                queue.rotate(-position)
-                queue.popleft()
-                queue.extendleft(reversed(request.expand()))
-                queue.rotate(position)
-                request = queue[position]
-            bank = request.bg * BANKS_PER_GROUP + request.ba
-            window.append(
-                (2 * bank + (request.op is MemOp.WRITE), request.row, request)
-            )
-            position += 1
-
-    def _pick(self, window: List[Tuple[int, int, Request]]) -> Tuple[int, Optional[int]]:
-        """Window index of the next request, and its column command's
-        earliest cycle when that was worked out and is still current."""
         if self.policy is SchedulerPolicy.FCFS:
-            return 0, None
+            return queue[0], None
         if self.policy is SchedulerPolicy.SHUFFLE:
-            return self._rng.randrange(len(window)), None
+            size = sum(1 for _ in self._window(epoch))
+            return queue[self._rng.randrange(size)], None
         # FR-FCFS: among row hits, the first *ready* one (earliest legal
         # column issue — this is what lets hits to other bank groups slip in
         # at tCCD_S); with no hits, the oldest request.  Ties go to the
         # older request, so only the first hit of each class can win.
         open_rows = self._open_rows
-        earliest_col = self.channel.earliest_col
-        seen = set()
+        hits: Dict[int, Request] = {}
         misses = []
-        best, bound = 0, None
-        for index, entry in enumerate(window):
-            cls, row, request = entry
-            if open_rows[cls >> 1] != row:
-                misses.append(entry)
-            elif cls not in seen:
-                seen.add(cls)
-                cycle = earliest_col(request.bg, request.ba, cls & 1)
-                if bound is None or cycle < bound:
-                    best, bound = index, cycle
+        for run in self._window(epoch):
+            if open_rows[run.cls >> 1] != run.row:
+                misses.append(run)
+            else:
+                hits.setdefault(run.cls, run)
+        if hits:
+            cls, bound = self.channel.first_ready(hits)
+            best = hits[cls]
+        else:
+            best, bound = queue[0], None
         if misses:
-            cls, _, request = window[best]
             if bound is None:
-                bound = earliest_col(request.bg, request.ba, cls & 1)
+                bound = self.channel.earliest_col(best.bg, best.ba, best.cls & 1)
             # Slack before the picked column: use it on the misses' rows.
             if bound > self._next_ca and self._opportunistic_activate(
-                window, misses, cls >> 1, bound
+                misses, best.cls >> 1, bound, epoch
             ):
                 bound = None  # commands went out since the query
         return best, bound
 
     def _opportunistic_activate(
-        self,
-        window: List[Tuple[int, int, Request]],
-        misses: List[Tuple[int, int, Request]],
-        picked_bank: int,
-        col_cycle: int,
+        self, misses: List[Request], picked_bank: int, col_cycle: int, epoch: int
     ) -> bool:
         """Open other requests' rows while the picked column waits.
 
         Real FR-FCFS controllers interleave ACTs to idle banks with the
         column stream; without this, a multi-bank stream degenerates to one
-        bank at a time.  ``misses`` are the windowed requests whose row is
-        not open, ``col_cycle`` the cycle the picked column goes out;
-        returns whether any command was issued.
+        bank at a time.  ``misses`` are the windowed runs whose row is not
+        open, ``col_cycle`` the cycle the picked column goes out; returns
+        whether any command was issued.
         """
         channel = self.channel
         open_rows = self._open_rows
         touched = {picked_bank}
-        for cls, row, other in misses:
-            bank = cls >> 1
+        for other in misses:
+            bank = other.cls >> 1
             if bank in touched:
                 continue
             shadow = open_rows[bank]
             if shadow is not None:
                 # Conflict: close the stale row early, unless a windowed
                 # request still wants it.
-                if any(c >> 1 == bank and r == shadow for c, r, _ in window):
+                if any(
+                    run.cls >> 1 == bank and run.row == shadow
+                    for run in self._window(epoch)
+                ):
                     continue
                 cycle = max(self._next_ca, channel.earliest_pre(other.bg, other.ba))
                 if cycle >= col_cycle:
@@ -334,9 +412,9 @@ class MemoryController:
                 if cycle >= col_cycle:
                     continue
                 channel.issue(
-                    Command(CommandType.ACT, other.bg, other.ba, row=row), cycle
+                    Command(CommandType.ACT, other.bg, other.ba, row=other.row), cycle
                 )
-                open_rows[bank] = row
+                open_rows[bank] = other.row
                 self.row_misses += 1
             self._next_ca = cycle + 1
             touched.add(bank)
@@ -372,13 +450,50 @@ class MemoryController:
         self.row_misses += 1
         return False
 
-    def _drain_burst(
-        self,
-        burst: Request,
-        issue_order: List[Tuple[int, Request]],
-        read_data: Dict[Any, np.ndarray],
-    ) -> None:
-        """Issue the column burst at the queue head, alone in its epoch.
+    def _issue_column(self, run: Request, bound: Optional[int], out: _Drain) -> None:
+        """Issue the next column of ``run``, whose row is open, and take it
+        off the queue (``bound`` as for :meth:`_issue`).
+
+        A tagged read run fills one ``(count, 32)`` block.  The RD of the
+        first column it issues in this drain asks the device for the rest
+        of the run as well, when no write still queued in the epoch could
+        slip in between: answered with the block, the run's later RDs go
+        out ``fetched`` — a command each, no bytes; answered with the one
+        column, every column reads for itself at its own cycle.  When the
+        channel raises, the run is still queued from that column on.
+        """
+        bg, ba, row, col, tag = run.bg, run.ba, run.row, run.col, run.tag
+        if run.cls & 1:
+            data = run.data
+            if data is not None and data.ndim == 2:
+                data = data[0]
+            cmd = Command(CommandType.WR, bg, ba, row=row, col=col, data=data, tag=tag)
+            self._issue(cmd, bound)
+        elif tag is None:
+            self._issue(Command(CommandType.RD, bg, ba, row=row, col=col), bound)
+        elif run in out.fetched:
+            cmd = Command(CommandType.RD, bg, ba, row=row, col=col, tag=tag, fetched=True)
+            self._issue(cmd, bound)
+        else:
+            ahead = 0
+            if (
+                run.count > 1
+                and run not in out.blocks
+                and out.no_write(self._queue, run.epoch)
+            ):
+                ahead = run.count - 1
+            cmd = Command(CommandType.RD, bg, ba, row=row, col=col, tag=tag, ahead=ahead)
+            data = self._issue(cmd, bound)
+            if data is not None:  # None: an AB-PIM trigger, nothing reaches the I/O
+                out.land(run, data)
+        out.issue_order.append((self._cycle, run))
+        if run.count == 1:
+            self._queue.remove(run)
+        else:
+            run.shrink()
+
+    def _drain_burst(self, burst: Request, out: _Drain) -> None:
+        """Issue the run at the queue head, alone in its epoch.
 
         Its commands are equally-ready requests of one (bank, row,
         direction) class, so FR-FCFS and FCFS both take them in arrival
@@ -389,27 +504,26 @@ class MemoryController:
         command at the first one's cycle.  Only a refresh can fall between
         two of them: when the run's second-to-last command would issue at
         or past ``_next_refresh``, just the first command is issued here
-        and the rest re-enter the queue as single requests.
+        and what is left of the run takes the pick path.
 
         When the channel raises part way, the controller is left as the
         per-command loop leaves it: clocks at the last command that
-        completed, hits tallied up to the one that raised, and the burst —
+        completed, hits tallied up to the one that raised, and the run —
         still queued — shrunk to the commands from that one on.
         """
-        queue = self._queue
         if self.refresh and self._cycle >= self._next_refresh:
             self._do_refresh()
         bg, ba = burst.bg, burst.ba
-        is_write = burst.op is MemOp.WRITE
+        is_write = burst.cls & 1
         self._open(bg, ba, burst.row)
         channel = self.channel
-        first = max(self._next_ca, channel.earliest_col(bg, ba, is_write))
+        bound = channel.earliest_col(bg, ba, is_write)
+        first = max(self._next_ca, bound)
         step = channel.timing.tccd_l
         count = burst.count
         if self.refresh and first + (count - 2) * step >= self._next_refresh:
-            queue.popleft()
-            queue.extendleft(reversed(burst.expand()))
-            burst, count = queue[0], 1
+            self._issue_column(burst, bound, out)
+            return
         kind = CommandType.WR if is_write else CommandType.RD
         cmd = Command(
             kind, bg, ba, row=burst.row, col=burst.col, data=burst.data,
@@ -426,77 +540,63 @@ class MemoryController:
                 self._cycle = first + (done - 1) * step
                 self._next_ca = self._cycle + 1
                 self.row_hits += done
-                burst.col += done
-                burst.count -= done
-                if burst.data is not None:
-                    burst.data = burst.data[done:]
+                burst.shrink(done)
             raise
         self._cycle = last = first + (count - 1) * step
         self._next_ca = last + 1
         self.row_hits += count - 1
         if not is_write and burst.tag is not None and data is not None:
-            read_data[burst.tag] = data
-        issue_order.extend([(cycle, burst) for cycle in range(first, last + 1, step)])
-        queue.popleft()
+            out.read_data[burst.tag] = data
+        out.issue_order.extend([(cycle, burst) for cycle in range(first, last + 1, step)])
+        self._queue.popleft()
+
+    def _expand_queue(self, out: _Drain) -> None:
+        """Turn every queued run into its single requests (``SHUFFLE``'s
+        seeded draws are among single commands); the singles of a tagged
+        read run land in the rows of one block."""
+        runs = list(self._queue)
+        self._queue.clear()
+        col_bytes = self.channel.bank_config.col_bytes
+        for run in runs:
+            singles = run.expand()
+            self._queue.extend(singles)
+            if run.count > 1 and run.tag is not None and run.op is MemOp.READ:
+                dest = (np.empty((run.count, col_bytes), dtype=np.uint8), run.col)
+                for single in singles:
+                    out.blocks[single] = dest
 
     def drain(self) -> ScheduleResult:
         """Simulate until the queue is empty; return the schedule outcome."""
-        issue_order: List[Tuple[int, Request]] = []
-        read_data: Dict[Any, np.ndarray] = {}
+        out = _Drain()
         start_counts = dict(self.channel.cmd_counts)
         start_hits, start_misses = self.row_hits, self.row_misses
         entry_cycle = self._cycle
         queue = self._queue
-        in_order = self.policy is not SchedulerPolicy.SHUFFLE
-        # Entries for queue[:len(window)]: the oldest epoch's requests, up
-        # to the reorder window, kept current as requests leave and enter.
-        window: List[Tuple[int, int, Request]] = []
+        if self.policy is SchedulerPolicy.SHUFFLE:
+            self._expand_queue(out)
         epoch: Optional[int] = None
         while queue:
-            if not window:
-                head = queue[0]
-                if epoch is not None and head.epoch != epoch:
+            head = queue[0]
+            if head.epoch != epoch:
+                if epoch is not None:
                     # Crossing a fence: the barrier stalls the request stream.
                     self._next_ca += self.fence_penalty
                 epoch = head.epoch
-                if (
-                    head.count > 1
-                    and in_order
-                    and (len(queue) == 1 or queue[1].epoch != epoch)
-                ):
-                    self._drain_burst(head, issue_order, read_data)
+                if head.count > 1 and (len(queue) == 1 or queue[1].epoch != epoch):
+                    self._drain_burst(head, out)
                     continue
-                self._fill_window(window, epoch)
             if self.refresh and self._cycle >= self._next_refresh:
                 self._do_refresh()
-            index, bound = self._pick(window)
-            cls, row, request = window[index]
-            if not self._open(request.bg, request.ba, row):
+            run, bound = self._pick(epoch)
+            if not self._open(run.bg, run.ba, run.row):
                 bound = None  # commands went out since the pick's query
-            is_write = cls & 1
-            data = self._issue(
-                Command(
-                    CommandType.WR if is_write else CommandType.RD,
-                    request.bg,
-                    request.ba,
-                    row=row,
-                    col=request.col,
-                    data=request.data,
-                    tag=request.tag,
-                ),
-                bound,
-            )
-            if not is_write and request.tag is not None and data is not None:
-                read_data[request.tag] = data
-            issue_order.append((self._cycle, request))
-            del queue[index]
-            del window[index]
-            self._fill_window(window, epoch)
+            self._issue_column(run, bound, out)
         self.busy_cycles += self._cycle - entry_cycle
         counts = {
             ct: self.channel.cmd_counts[ct] - start_counts.get(ct, 0)
             for ct in CommandType
         }
+        issue_order = out.issue_order
         if self.tracer is not None and issue_order:
             self.tracer.record_cycles(
                 "drain",
@@ -510,7 +610,7 @@ class MemoryController:
         return ScheduleResult(
             cycles=self._cycle,
             issue_order=issue_order,
-            read_data=read_data,
+            read_data=out.read_data,
             command_count=counts,
             row_hits=self.row_hits - start_hits,
             row_misses=self.row_misses - start_misses,

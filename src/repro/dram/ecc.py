@@ -140,6 +140,26 @@ class EccBank(Bank):
                     )
         return raw
 
+    def _clean_run(self, row: int, col0: int, n: int) -> Optional[np.ndarray]:
+        """The run's block only when one array SEC-DED pass finds every
+        word of it clean.  A dirty word sends every column through
+        :meth:`peek` at its own command, which classifies, corrects,
+        scrubs, counts and raises there; so does the per-word oracle.
+        ``words_checked`` advances as the columns issue — this one's words
+        here, the rest in :meth:`read_fetched`."""
+        if type(self) is not EccBank or not self.use_vectorized:
+            return None
+        raw = self._run(row, col0, n).copy()
+        if not check_words(raw.view("<u8"), self._check_run(row, col0, n)).all():
+            return None
+        self.ecc_stats.words_checked += self.config.col_bytes // _WORD_BYTES
+        return raw.reshape(n, -1)
+
+    def read_fetched(self, row: int, cycle: int) -> None:
+        """A fetched read still counts its column's words as checked."""
+        super().read_fetched(row, cycle)
+        self.ecc_stats.words_checked += self.config.col_bytes // _WORD_BYTES
+
     def poke_columns(self, row: int, cols: np.ndarray, data: np.ndarray) -> None:
         """Index-array column write: one encode pass covers every written word."""
         data = np.ascontiguousarray(self._column_block(len(cols), data))

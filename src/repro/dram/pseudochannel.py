@@ -13,7 +13,7 @@ boundary — is identical in both.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Type
+from typing import Deque, Iterable, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -147,6 +147,35 @@ class PseudoChannel:
             self._col_bus_bound(bg, is_write),
         )
 
+    def first_ready(self, classes: Iterable[int]) -> Tuple[int, int]:
+        """The FR-FCFS first-ready choice: of the column-command classes
+        ``classes`` (``2 * flat_bank + is_write``, oldest first) the one
+        that may issue earliest — ties to the older — and that cycle.
+
+        One query for what would be an :meth:`earliest_col` per class: the
+        shared-bus bound depends only on the direction and on whether the
+        bank group is the last column's, so it is worked out once for each
+        of those, and the banks' own bounds are read in place.
+        """
+        banks = self._banks
+        last_bg = self._last_col_bg
+        bus: List[Optional[int]] = [None] * 4
+        best = cycle = -1
+        for cls in classes:
+            is_write = cls & 1
+            bg = cls // (2 * BANKS_PER_GROUP)
+            slot = is_write + 2 * (bg == last_bg)
+            bound = bus[slot]
+            if bound is None:
+                bound = bus[slot] = self._col_bus_bound(bg, is_write)
+            bank = banks[cls >> 1]
+            own = bank.next_wr if is_write else bank.next_rd
+            if own > bound:
+                bound = own
+            if best < 0 or bound < cycle:
+                best, cycle = cls, bound
+        return best, cycle
+
     def earliest_issue(self, cmd: Command) -> int:
         """Earliest legal issue cycle for ``cmd`` (bank + shared bounds)."""
         kind = cmd.cmd
@@ -188,7 +217,10 @@ class PseudoChannel:
             elif kind is CommandType.PRE:
                 bank.precharge(cycle)
             elif kind is CommandType.RD:
-                data = bank.read(cmd.row, cmd.col, cycle)
+                if cmd.fetched:
+                    bank.read_fetched(cmd.row, cycle)
+                else:
+                    data = bank.read(cmd.row, cmd.col, cycle, cmd.ahead)
                 self._record_col(cmd.bg, cycle, is_write=False)
             else:
                 if cmd.data is None:
@@ -210,13 +242,15 @@ class PseudoChannel:
         mode, and each still goes through the ordinary per-command checks.
         When one raises, the commands before it (and whatever of it the
         per-command path commits) have landed, exactly as if they had been
-        issued one by one.  Returns the last command's read data.
+        issued one by one.  Returns the ``(count, col_bytes)`` block of the
+        commands' read data, in column order.
         """
         step = self.timing.tccd_l
-        data = None
-        for index in range(cmd.count):
-            data = self.issue(cmd.single(index), cycle + index * step)
-        return data
+        columns = [
+            self.issue(cmd.single(index), cycle + index * step)
+            for index in range(cmd.count)
+        ]
+        return None if columns[0] is None else np.stack(columns)
 
     def _refresh_banks(self, cycle: int) -> None:
         """REF: every bank's next ACT waits out tRFC."""

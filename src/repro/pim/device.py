@@ -17,19 +17,25 @@ commands — a trigger burst is *one* update of the shared all-bank state
 and one entry on the exec group's tape (``_issue_burst``); in every other
 situation the channel loops its ordinary single-command ``issue``, so a
 burst can never do anything its commands would not.
+
+A RD's read-ahead (``Command.ahead``) is a matter between the controller
+and one bank's data path: an SB-mode read of a bank row hands it to the
+bank, and everything decoded ahead of the banks or broadcast to all of
+them — register rows, AB and AB-PIM columns — answers with the one column
+(or, in AB-PIM, nothing), as it always has.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..dram.bank import Bank, BankConfig, TimingViolation
 from ..dram.commands import Command, CommandType
 from ..dram.device import DeviceConfig, HbmDevice
-from ..dram.pseudochannel import BANKS_PER_PCH, PseudoChannel
+from ..dram.pseudochannel import BANKS_PER_GROUP, BANKS_PER_PCH, PseudoChannel
 from ..dram.timing import TimingParams
 from .exec_unit import ColumnTrigger, PimExecutionUnit
 from .lockstep import LockstepGroup
@@ -132,6 +138,18 @@ class PimPseudoChannel(PseudoChannel):
         if not self.mode_ctrl.all_bank:
             return super().earliest_col(bg, ba, is_write)
         return self._all_bank_col_bound(bg, is_write)
+
+    def first_ready(self, classes: Iterable[int]) -> Tuple[int, int]:
+        """First-ready choice; in the all-bank modes every class waits for
+        every bank, so only the bus history tells them apart."""
+        if not self.mode_ctrl.all_bank:
+            return super().first_ready(classes)
+        bounds = {
+            cls: self._all_bank_col_bound(cls // (2 * BANKS_PER_GROUP), cls & 1)
+            for cls in classes
+        }
+        best = min(bounds, key=bounds.__getitem__)  # the first of equals: the older
+        return best, bounds[best]
 
     def _all_bank_col_bound(self, bg: int, is_write: bool) -> int:
         bound = max(

@@ -577,7 +577,12 @@ class GemvKernel:
             )
 
     def _read_partials(self, nsim_ch: int, slot: int = 0) -> np.ndarray:
-        """Read partial sums back (timed SB-mode reads on simulated pCHs)."""
+        """Read partial sums back (timed SB-mode reads on simulated pCHs).
+
+        One row run per unit and tile — the 8 ``GRF_B`` columns its even
+        bank holds — as one queued request; the controller reorders the
+        runs' commands across banks and returns each run's block.
+        """
         plan = self.plan
         k = len(self.channels)
         partials = np.zeros(
@@ -590,36 +595,30 @@ class GemvKernel:
             slices = range(pos, plan.num_slices, k)
             if timed:
                 for s in slices:
-                    pass_ = s // k
                     for tile in range(plan.tiles):
-                        out_row, out_base = plan.out_location(tile, pass_, slot)
+                        out_row, out_base = plan.out_location(tile, s // k, slot)
                         for unit in range(UNITS_PER_PCH):
-                            bg, ba = _bank_coords(2 * unit)
-                            for j in range(_COL_GROUP):
-                                mc.read(
-                                    bg, ba, out_row, out_base + j,
-                                    tag=(s, tile, unit, j),
-                                )
-                columns = mc.drain().read_data
+                            mc.read(
+                                *_bank_coords(2 * unit), out_row, out_base,
+                                tag=(s, tile, unit), count=_COL_GROUP,
+                            )
+                runs = mc.drain().read_data
             else:
                 banks = self.sys.device.pch(pch).banks[0::2]
             for s in slices:
-                pass_ = s // k
                 for tile in range(plan.tiles):
-                    out_row, out_base = plan.out_location(tile, pass_, slot)
-                    out0 = tile * plan.outputs_per_tile
                     if timed:
-                        for unit in range(UNITS_PER_PCH):
-                            lanes = slice(out0 + unit * LANES, out0 + (unit + 1) * LANES)
-                            for j in range(_COL_GROUP):
-                                raw = columns[(s, tile, unit, j)]
-                                partials[s, j, lanes] = raw.view(np.float16)
-                    else:
-                        # The inverse of _tile_block, one block per tile.
-                        raw = peek_block(banks, out_row, out_base, _COL_GROUP)
-                        partials[s, :, out0 : out0 + plan.outputs_per_tile] = (
-                            raw.view(np.float16).transpose(1, 0, 2).reshape(_COL_GROUP, -1)
+                        raw = np.stack(
+                            [runs[(s, tile, unit)] for unit in range(UNITS_PER_PCH)]
                         )
+                    else:
+                        out_row, out_base = plan.out_location(tile, s // k, slot)
+                        raw = peek_block(banks, out_row, out_base, _COL_GROUP)
+                    # The inverse of _tile_block, one block per tile.
+                    out0 = tile * plan.outputs_per_tile
+                    partials[s, :, out0 : out0 + plan.outputs_per_tile] = (
+                        raw.view(np.float16).transpose(1, 0, 2).reshape(_COL_GROUP, -1)
+                    )
         return partials
 
     def _simulated_slices(self, nsim_ch: int) -> int:

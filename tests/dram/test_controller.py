@@ -188,6 +188,13 @@ class TestWindow:
         assert order == [0, 1, 2]
 
 
+    def test_a_window_of_no_commands_is_rejected(self):
+        """``window=0`` used to die inside ``drain()`` with an IndexError,
+        the request still queued."""
+        with pytest.raises(ValueError, match="at least one command"):
+            make_controller(window=0)
+
+
 class TestHelpers:
     def test_closed_page_access(self):
         mc, ch = make_controller()
@@ -275,8 +282,10 @@ class TestColumnBursts:
         assert np.diff(cycles).tolist() == [HBM2_1GHZ.tccd_l] * 7
         assert result.cycles == cycles[-1]
         assert ch.bank(1, 2).rd_count == 8
-        # The commands share the tag: the last one's data is what is kept.
-        assert np.array_equal(result.read_data["burst"], _data(7))
+        # One tag, one block: the run's columns in column order.
+        assert np.array_equal(
+            result.read_data["burst"], np.repeat(np.arange(8, dtype=np.uint8), 32).reshape(8, 32)
+        )
 
     def test_a_write_burst_lands_one_row_of_its_block_per_column(self):
         mc, ch = make_controller()

@@ -1,20 +1,23 @@
-"""Differential oracle: the incremental scheduler vs the per-candidate one.
+"""Differential oracle: the run-window scheduler vs the per-candidate one.
 
-``repro.dram.controller.MemoryController`` schedules incrementally (one
-timing query per (bank, op) class per pick, an epoch window kept current
-as requests leave and enter, O(1) channel-wide bounds).  The controller it
-replaced lives on as ``reference_controller.ReferenceController``.  Both
-are driven through the same random request streams on twin channels and
-must agree on everything observable: issue cycles and order, read data,
-command counts, row hit/miss tallies, busy cycles, refreshes, and every
-bank's final timing state.
+``repro.dram.controller.MemoryController`` schedules *runs*: the reorder
+window is the queue head while a budget of bus commands lasts, a pick asks
+the channel one first-ready question, the picked run issues its next column
+and shrinks, and a clean read run's bytes cross at its first column.  The
+controller it replaced lives on as
+``reference_controller.ReferenceController``.  Both are driven through the
+same random request streams on twin channels and must agree on everything
+observable: issue cycles and order, read data, command counts, row hit/miss
+tallies, busy cycles, refreshes, every bank's final timing state, the
+stored bytes and — on ECC channels — every bank's SEC-DED counters.
 
-The streams also carry *column bursts* (``Request.count > 1``): the
-production controller is handed the burst, the reference its expansion
-into single requests, and the same agreement is required — whether the
-burst took the closed-form path (alone in its fence epoch), was expanded
-in place (sharing an epoch, ``SHUFFLE``, a refresh falling due inside
-it), or raised part way.
+The production controller is handed each run (``Request.count > 1``) as
+one request, the reference its expansion into single requests tagged per
+column, so the ``(cycle, request, column)`` order of every run and every
+row of its ``(count, 32)`` block are compared — whether the run took the
+closed-form path (alone in its fence epoch), the run window (sharing an
+epoch), ``SHUFFLE``'s expansion, had a refresh fall due inside it, met a
+flipped bit, or raised part way.
 """
 
 from dataclasses import replace
@@ -24,9 +27,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram.bank import BankConfig
+from repro.dram.bank import Bank, BankConfig
 from repro.dram.commands import CommandType
 from repro.dram.controller import MemOp, MemoryController, Request, SchedulerPolicy
+from repro.dram.ecc import EccBank, UncorrectableError
 from repro.dram.pseudochannel import PseudoChannel
 from repro.dram.timing import HBM2_1GHZ
 from repro.pim.assembler import assemble_words
@@ -43,15 +47,24 @@ TIMING = replace(HBM2_1GHZ, trefi=150, trfc=40)
 MODES = ("plain", "sb", "ab", "ab-pim")
 
 
-def make_channel(mode, fused=False):
+def make_channel(mode, fused=False, ecc=False, timing=TIMING):
     """A fresh channel of the kind ``mode`` names (still in SB mode), its
-    exec group the eager interpreter or (``fused``) the deferring one."""
+    exec group the eager interpreter or (``fused``) the deferring one, its
+    banks plain or SEC-DED protected.  Every column of the rows the streams
+    address holds bytes of its own, so a read's data names its column."""
     config = BankConfig(num_rows=NUM_ROWS)
+    bank_cls = EccBank if ecc else Bank
     if mode == "plain":
-        return PseudoChannel(TIMING, config)
-    channel = PimPseudoChannel(TIMING, config)
-    if fused:
-        channel.lockstep = FusedLockstepGroup(channel.units)
+        channel = PseudoChannel(timing, config, bank_cls=bank_cls)
+    else:
+        channel = PimPseudoChannel(timing, config, bank_cls=bank_cls)
+        if fused:
+            channel.lockstep = FusedLockstepGroup(channel.units)
+    cols = np.arange(config.cols_per_row)
+    for index, bank in enumerate(channel.banks):
+        for row in range(4):
+            fill = (7 * index + 5 * row + 3 * cols[:, None] + np.arange(32)) % 251
+            bank.poke_columns(row, cols, fill.astype(np.uint8))
     return channel
 
 
@@ -79,9 +92,15 @@ def enter_mode(mc, mode, program=NOP_PROGRAM):
 
 
 def bank_state(channel):
-    """Every bank's timing bounds and row-buffer state."""
+    """Every bank's timing bounds, row-buffer state, stored bytes and (ECC
+    banks) SEC-DED counters."""
     return [
-        (b.next_act, b.next_pre, b.next_rd, b.next_wr, b.open_row, b.state)
+        (
+            b.next_act, b.next_pre, b.next_rd, b.next_wr, b.open_row, b.state,
+            (b.rd_count, b.wr_count),
+            {row: array.tobytes() for row, array in b._rows.items()},
+            vars(b.ecc_stats).copy() if isinstance(b, EccBank) else None,
+        )
         for b in channel.banks
     ]
 
@@ -89,13 +108,17 @@ def bank_state(channel):
 class Side:
     """One controller on its own channel, fed the shared op stream.
 
-    Requests are tagged with their stream position; the production
-    controller takes a burst as one request, the reference as the single
-    requests it stands for (which share the tag).
+    Requests are tagged with their stream position.  The production
+    controller takes a run as one request; the reference takes the single
+    requests it stands for, each tagged ``(position, column)``.
     """
 
-    def __init__(self, controller_cls, mode, fused=False, program=NOP_PROGRAM, **kwargs):
-        self.mc = controller_cls(make_channel(mode, fused), **kwargs)
+    def __init__(
+        self, controller_cls, mode, fused=False, program=NOP_PROGRAM, ecc=False,
+        timing=TIMING, **kwargs,
+    ):
+        self.reference = controller_cls is ReferenceController
+        self.mc = controller_cls(make_channel(mode, fused, ecc, timing), **kwargs)
         enter_mode(self.mc, mode, program)
 
     def enqueue(self, position, op, bg, ba, row, col, value, count=1):
@@ -106,12 +129,21 @@ class Side:
             data = np.repeat(data[:, None], 32, axis=1)
             if count == 1:
                 data = data[0]
-        request = Request(op, bg, ba, row, col, data=data, tag=position, count=count)
-        if count > 1 and isinstance(self.mc, ReferenceController):
-            for single in request.expand():
-                self.mc.enqueue(single)
-        else:
-            self.mc.enqueue(request)
+        if not self.reference:
+            self.mc.enqueue(
+                Request(op, bg, ba, row, col, data=data, tag=position, count=count)
+            )
+            return
+        if data is not None and count == 1:
+            data = data[None]
+        for index in range(count):
+            self.mc.enqueue(
+                Request(
+                    op, bg, ba, row, col + index,
+                    data=None if data is None else data[index],
+                    tag=(position, col + index),
+                )
+            )
 
     def state(self):
         """Controller and device state, as left by a drain or a raise."""
@@ -125,14 +157,37 @@ class Side:
         )
 
     def drain(self):
-        """Drain and return everything the two sides must agree on."""
+        """Drain and return everything the two sides must agree on, issue
+        order and read data spelled per (position, column)."""
+        # The production side's queue as the drain finds it: each run's
+        # next column (advanced below as its commands are met) and shape.
+        next_col = {id(req): req.col for req in self.mc._queue}
+        shape = {req.tag: (req.col, req.count) for req in self.mc._queue}
         try:
             result = self.mc.drain()
         except Exception as exc:  # compared, not swallowed
             return ("raised", type(exc), str(exc), self.state())
+        order, data = [], {}
+        if self.reference:
+            order = [(cycle, *req.tag) for cycle, req in result.issue_order]
+            data = {tag: column.tobytes() for tag, column in result.read_data.items()}
+        else:
+            for cycle, req in result.issue_order:
+                col = next_col.get(id(req))
+                if col is None:
+                    col = req.col  # a single SHUFFLE made of a run
+                else:
+                    next_col[id(req)] = col + 1
+                order.append((cycle, req.tag, col))
+            for tag, block in result.read_data.items():
+                col0, count = shape[tag]
+                # A run answers with its block, a single with its column.
+                assert block.shape == ((count, 32) if count > 1 else (32,))
+                for index, column in enumerate(block.reshape(-1, 32)):
+                    data[(tag, col0 + index)] = column.tobytes()
         return (
-            [(cycle, req.tag) for cycle, req in result.issue_order],
-            {tag: data.tobytes() for tag, data in result.read_data.items()},
+            order,
+            data,
             result.command_count,
             (result.row_hits, result.row_misses, result.cycles),
             self.state(),
@@ -184,14 +239,31 @@ POLICY = st.one_of(
 
 
 def run_both(
-    mode, policy, seed, refresh, fence_penalty, window, stream, ab_bank, fused=False
+    mode, policy, seed, refresh, fence_penalty, window, stream, ab_bank, fused=False,
+    ecc=False, faults=(), timing=TIMING,
 ):
+    """Feed ``stream`` to both controllers, comparing at every drain.
+
+    ``faults`` are applied to both channels before the stream: ``("flip",
+    bank, row, col, bit)`` flips one stored data bit of an ECC bank,
+    ``("dead", bank)`` hard-fails a bank.  A drain that raises is an
+    outcome like any other — compared, and followed by the rest of the
+    stream with the unissued requests still queued on both sides.
+    """
     kwargs = dict(
         policy=policy, seed=seed, refresh=refresh,
-        fence_penalty=fence_penalty, window=window, fused=fused,
+        fence_penalty=fence_penalty, window=window, fused=fused, ecc=ecc,
+        timing=timing,
     )
     new = Side(MemoryController, mode, **kwargs)
     ref = Side(ReferenceController, mode, **kwargs)
+    for side in (new, ref):
+        # Flips first: a dead bank's cells are out of reach.
+        for kind, bank, *where in sorted(faults, key=lambda fault: fault[0] == "dead"):
+            if kind == "flip":
+                side.mc.channel.banks[bank].inject_error(*where)
+            else:
+                side.mc.channel.banks[bank].fail(0)
     # Row 3 of the pool is a register row (GRF): column accesses there take
     # the register path of the PIM channel, in every mode (a burst of up to
     # 20 columns wraps around its 16 registers).
@@ -246,6 +318,71 @@ def test_incremental_scheduler_matches_reference(
             assert a.regs.grf_a.tobytes() == b.regs.grf_a.tobytes()  # NaN-safe
 
 
+# Damage, aimed at what the stream touches: (kind, which request, which of
+# its columns, which bit).  Single-bit flips mostly; two flips in one word
+# (an uncorrectable error) and a dead bank now and then.
+FAULTS = st.lists(
+    st.tuples(
+        st.sampled_from(["flip", "flip", "flip", "double", "dead"]),
+        st.integers(0, 69), st.integers(0, 19), st.integers(0, 254),
+    ),
+    max_size=6,
+)
+# Reads only (and long epochs of them): what the read-ahead serves.  The
+# full STREAM, writes and all, is drawn as often.
+READ_STREAM = st.lists(
+    st.one_of(
+        REQUEST.map(lambda r: (MemOp.READ, *r[1:])),
+        BURST.map(lambda b: (MemOp.READ, *b[1:])),
+        BURST.map(lambda b: (MemOp.READ, *b[1:])),
+        st.just("fence"), st.just("drain"),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(MODES),
+    policy=st.sampled_from([SchedulerPolicy.FRFCFS, SchedulerPolicy.FCFS]),
+    refresh=st.booleans(),
+    window=st.sampled_from([1, 4, 16]),
+    stream=st.one_of(STREAM, READ_STREAM),
+    faults=FAULTS,
+    ab_bank=st.integers(0, 15),
+    fused=st.booleans(),
+)
+def test_runs_over_flipped_bits_and_dead_banks_match_reference(
+    mode, policy, refresh, window, stream, faults, ab_bank, fused
+):
+    """ECC channels with seeded damage: a run over a single-bit error is
+    corrected, scrubbed inline and counted (``corrected``,
+    ``words_checked``) as its single reads are; a double-bit error or a
+    dead bank inside a run raises the same error after the same commands,
+    leaving the same controller, banks, bytes and SEC-DED counters — and
+    the drains after it, the shrunk run still queued, agree again.
+    (In-order policies: ``SHUFFLE`` turns every run into single requests
+    before any of this can tell them apart.)"""
+    requests = [element for element in stream if isinstance(element, tuple)]
+    damage = []
+    for kind, which, column, bit in faults if requests else ():
+        _, bank, row, col, _, *count = requests[which % len(requests)]
+        if mode in ("ab", "ab-pim"):
+            bank = ab_bank
+        if kind == "dead":
+            damage.append(("dead", bank))
+        elif row < 3:  # a bank row, not the register row
+            where = (bank, row, col + column % (count[0] if count else 1))
+            damage.append(("flip", *where, bit))
+            if kind == "double":
+                damage.append(("flip", *where, bit ^ 1))  # same 64-bit word
+    run_both(
+        mode, policy, None, refresh, 7, window, stream, ab_bank, fused,
+        ecc=True, faults=damage,
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     policy=POLICY,
@@ -276,7 +413,7 @@ def test_fixed_stream_crosses_refreshes_and_reorders():
         "sb", SchedulerPolicy.FRFCFS, None, True, 7, 16, stream, 0
     )
     assert new.mc.refresh_count >= 2
-    order = [position for _, position in outcomes[-1][0]]
+    order = [position for _, position, _ in outcomes[-1][0]]
     assert sorted(order) == list(range(60)) and order != list(range(60))
     assert outcomes[-1][2][CommandType.REF] == new.mc.refresh_count
 
@@ -324,26 +461,29 @@ def test_long_seeded_streams_match(seed):
 
 
 def burst_paths(monkeypatch):
-    """Count how the production controller and device serve bursts."""
+    """Count how the production controller and device serve runs:
+    ``closed-form`` / ``straddle`` — ``_drain_burst`` issued the whole run /
+    only its first command; ``picks`` — commands that went through the
+    window; ``expanded`` — runs ``Request.expand`` turned into singles;
+    ``one-update`` — AB-PIM trigger runs taken as one state update."""
     taken = {"closed-form": 0, "straddle": 0, "expanded": 0, "one-update": 0, "picks": 0}
     drain_burst = MemoryController._drain_burst
-    fill_window = MemoryController._fill_window
+    expand = Request.expand
     pick = MemoryController._pick
     issue_burst = PimPseudoChannel._issue_burst
 
-    def counted_drain_burst(self, burst, issue_order, read_data):
+    def counted_drain_burst(self, burst, out):
         queued = len(self._queue)
-        drain_burst(self, burst, issue_order, read_data)
+        drain_burst(self, burst, out)
         taken["closed-form" if len(self._queue) < queued else "straddle"] += 1
 
-    def counted_fill_window(self, window, epoch):
-        queued = len(self._queue)
-        fill_window(self, window, epoch)
-        taken["expanded"] += len(self._queue) > queued
+    def counted_expand(self):
+        taken["expanded"] += self.count > 1
+        return expand(self)
 
-    def counted_pick(self, window):
+    def counted_pick(self, epoch):
         taken["picks"] += 1
-        return pick(self, window)
+        return pick(self, epoch)
 
     def counted_issue_burst(self, cmd, cycle):
         triggered = self.pim_triggered_columns
@@ -358,9 +498,9 @@ def burst_paths(monkeypatch):
                 taken["one-update"] += 1
 
     monkeypatch.setattr(MemoryController, "_drain_burst", counted_drain_burst)
-    monkeypatch.setattr(MemoryController, "_fill_window", counted_fill_window)
     monkeypatch.setattr(MemoryController, "_pick", counted_pick)
     monkeypatch.setattr(PimPseudoChannel, "_issue_burst", counted_issue_burst)
+    monkeypatch.setattr(Request, "expand", counted_expand)
     return taken
 
 
@@ -383,7 +523,7 @@ def test_a_burst_alone_in_its_epoch_is_one_queue_entry_one_issue_and_no_pick(
         "closed-form": 6, "straddle": 0, "expanded": 0, "one-update": 6,
         "picks": 2,  # entering AB-PIM: the CRF and the PIM_OP_MODE write
     }
-    assert [tag for _, tag in outcomes[-1][0]] == [
+    assert [position for _, position, _ in outcomes[-1][0]] == [
         2 * group + 1 for group in range(6) for _ in range(8)
     ]
     assert outcomes[-1][2][CommandType.ACT] == 2  # rows 0 and 1, opened once each
@@ -394,18 +534,20 @@ def test_a_burst_alone_in_its_epoch_is_one_queue_entry_one_issue_and_no_pick(
 @pytest.mark.parametrize(
     "case, kwargs, stream, expect",
     [
-        # Two requests in the burst's epoch: its commands compete in the window.
+        # Two requests in the run's epoch: it stays one queue entry, and its
+        # commands compete in the window one pick each (1 + 8 + 1).
         (
             "shares an epoch", {},
             [(MemOp.READ, 0, 0, 1, 0), (MemOp.READ, 4, 1, 0, 0, 8), (MemOp.READ, 0, 0, 2, 0)],
-            {"expanded": 1, "closed-form": 0},
+            {"expanded": 0, "closed-form": 0, "picks": 10},
         ),
+        # The one place a run is expanded: SHUFFLE draws among single commands.
         ("shuffle", {"policy": SchedulerPolicy.SHUFFLE, "seed": 5},
          ["fence", (MemOp.READ, 0, 0, 0, 0, 8), "fence"],
-         {"expanded": 1, "closed-form": 0}),
+         {"expanded": 1, "closed-form": 0, "picks": 8}),
         ("closed row, then a conflicting row, longer than the window", {"window": 4},
          ["fence", (MemOp.WRITE, 5, 0, 0, 3, 20), "fence", (MemOp.READ, 5, 1, 2, 0, 20)],
-         {"closed-form": 2, "expanded": 0}),
+         {"closed-form": 2, "expanded": 0, "picks": 0}),
     ],
 )
 @pytest.mark.parametrize("mode", MODES)
@@ -419,6 +561,8 @@ def test_each_burst_path_matches_the_reference(
     )
     options.update(kwargs)
     run_both(mode, stream=stream, **options)  # asserts the two sides agree
+    if mode == "ab-pim":
+        taken["picks"] -= 2  # entering AB-PIM: the CRF and the PIM_OP_MODE write
     assert {name: taken[name] for name in expect} == expect, case
 
 
@@ -426,7 +570,8 @@ def test_each_burst_path_matches_the_reference(
 def test_a_burst_a_refresh_falls_due_inside_goes_one_by_one(monkeypatch, mode):
     """tREFI = 150 and runs of 8 columns (28 cycles): most fit between
     two refreshes, some do not — and then only their first command is
-    issued by the burst path."""
+    issued by the burst path; the run stays one shrinking queue entry and
+    its other seven commands take the pick path, one refresh check each."""
     taken = burst_paths(monkeypatch)
     stream = ["fence", (MemOp.READ, 0, 0, 0, 0, 8)] * 12
     new, _, _ = run_both(
@@ -435,6 +580,8 @@ def test_a_burst_a_refresh_falls_due_inside_goes_one_by_one(monkeypatch, mode):
     assert new.mc.refresh_count >= 2
     assert taken["closed-form"] >= 1 and taken["straddle"] >= 1
     assert taken["closed-form"] + taken["straddle"] == 12
+    assert taken["expanded"] == 0
+    assert taken["picks"] - (2 if mode == "ab-pim" else 0) == 7 * taken["straddle"]
 
 
 @pytest.mark.parametrize("failing", [0, 3, 7])
@@ -480,3 +627,98 @@ def test_a_register_row_burst_raises_mid_run_like_its_single_commands():
     got, want = sides[0].drain(), sides[1].drain()
     assert got[:2] == ("raised", ValueError) and got == want
     assert sides[0].mc.pending == 3
+
+
+# -- runs in the window: their data, one case at a time ---------------------------
+
+
+@pytest.mark.parametrize(
+    "case, kwargs, stream",
+    [
+        ("alone in its epoch", {}, ["fence", (MemOp.READ, 6, 1, 2, 0, 8), "fence"]),
+        ("sharing an epoch", {},
+         [(MemOp.READ, 6, 1, 0, 0), (MemOp.READ, 6, 1, 2, 0, 8), (MemOp.READ, 9, 1, 8, 0, 8)]),
+        ("shuffle", {"policy": SchedulerPolicy.SHUFFLE, "seed": 5},
+         [(MemOp.READ, 6, 1, 2, 0, 8), (MemOp.READ, 6, 1, 0, 0)]),
+        ("straddling a refresh", {"refresh": True},
+         ["fence", (MemOp.READ, 6, 1, 2, 0, 8)] * 12),
+    ],
+)
+@pytest.mark.parametrize("mode", ["plain", "sb", "ab"])
+def test_a_tagged_read_run_answers_with_its_block(mode, case, kwargs, stream):
+    """``read(..., tag=t, count=8)`` used to leave column 7 alone under
+    ``t`` — the closed form returned the last command's data, the expanded
+    singles overwrote one tag.  It is the ``(8, 32)`` block, in column
+    order, whichever way the run went."""
+    options = dict(
+        policy=SchedulerPolicy.FRFCFS, seed=None, refresh=False, fence_penalty=7,
+        window=16, ab_bank=6,
+    )
+    options.update(kwargs)
+    new, _, outcomes = run_both(mode, stream=stream, **options)
+    stored = new.mc.channel.banks[6].peek_columns(1, np.arange(2, 10))
+    runs = [
+        position for position, element in enumerate(stream)
+        if len(element) == 6 and element[1] == 6
+    ]
+    for position in runs:
+        got = b"".join(outcomes[-1][1][(position, col)] for col in range(2, 10))
+        assert got == stored.tobytes(), case
+
+
+def test_a_write_slipping_into_a_runs_epoch_is_seen_by_the_columns_after_it():
+    """With tRTW below tCCD_L a write to another bank group beats the
+    run's next read, and the write behind it — to a column the run has yet
+    to read — follows at tCCD_S: R0, W, W(col 6), R1 .. R7.  The run must
+    not have taken column 6 with its first read."""
+    timing = replace(TIMING, trtw=2)
+    stream = [
+        (MemOp.READ, 0, 0, 0, 0), (MemOp.READ, 4, 0, 0, 0), "fence",
+        (MemOp.READ, 0, 0, 0, 0, 8), (MemOp.WRITE, 4, 0, 1, 200), (MemOp.WRITE, 0, 0, 6, 99),
+    ]
+    new, _, outcomes = run_both(
+        "sb", SchedulerPolicy.FRFCFS, None, False, 0, 16, stream, 0, timing=timing
+    )
+    order = [(position, col) for _, position, col in outcomes[-1][0]]
+    assert order[2:6] == [(3, 0), (4, 1), (5, 6), (3, 1)]
+    assert outcomes[-1][1][(3, 6)] == bytes([99]) * 32
+
+
+@pytest.mark.parametrize(
+    "damage, error, issued",
+    [
+        # One flipped bit under column 3: corrected and scrubbed by that read.
+        ([("flip", 2, 1, 3, 17)], None, 17),
+        # Two in one word of column 5: the run raises there, five reads in.
+        ([("flip", 2, 1, 3, 17), ("flip", 2, 1, 5, 64), ("flip", 2, 1, 5, 65)],
+         UncorrectableError, None),
+        # A dead bank raises at the run's first column.
+        ([("dead", 2)], PimChannelError, None),
+    ],
+)
+@pytest.mark.parametrize("policy", [SchedulerPolicy.FRFCFS, SchedulerPolicy.FCFS])
+def test_damage_inside_a_windowed_run_is_met_at_the_same_command(
+    damage, error, issued, policy
+):
+    """Two runs and a single share an epoch on an ECC channel, one run
+    over damaged cells: same corrections, inline scrub and
+    ``words_checked``; on an uncorrectable word or a dead bank the same
+    exception text and the same controller, banks, bytes and counters
+    after the raise (``run_both`` compares ``state()``) — and after a
+    second ``drain()`` of what was left queued."""
+    stream = [
+        (MemOp.READ, 9, 1, 0, 0, 8), (MemOp.READ, 2, 1, 0, 0, 8), (MemOp.READ, 9, 1, 9, 0),
+        "drain", "drain",
+    ]
+    new, _, outcomes = run_both(
+        "sb", policy, None, False, 7, 16, stream, 0, ecc=True, faults=damage
+    )
+    stats = new.mc.channel.banks[2].ecc_stats
+    if error is None:
+        assert len(outcomes[0][0]) == issued and not outcomes[1][0]
+        assert (stats.corrected, stats.words_checked) == (1, 8 * 4)
+        assert new.mc.channel.banks[9].ecc_stats.words_checked == 9 * 4
+    else:
+        assert [outcome[:2] for outcome in outcomes[:2]] == [("raised", error)] * 2
+        assert outcomes[0][2] == outcomes[1][2]
+        assert new.mc.pending > 0

@@ -143,12 +143,12 @@ class Twins:
         def action(channel):
             if count == 1 or channel is self.new:
                 return channel.issue(cmd, cycle)
-            result = None
-            for index in range(count):
-                result = channel.issue(
-                    cmd.single(index), cycle + index * HBM2_1GHZ.tccd_l
-                )
-            return result
+            columns = [
+                channel.issue(cmd.single(index), cycle + index * HBM2_1GHZ.tccd_l)
+                for index in range(count)
+            ]
+            # A read burst answers with the block of its columns.
+            return None if columns[0] is None else np.stack(columns)
 
         outcome = self.both(action)
         if outcome[0] == "raised" and outcome[2] == BAD_ENTRY:

@@ -152,7 +152,8 @@ KERNELS = [
 
 
 class TestEveryAamGroupIsOneBurst:
-    """What the closed-form schedule of the controller rests on."""
+    """What the closed-form schedule of the controller rests on — and, for
+    the readback, what the run window is handed."""
 
     @pytest.mark.parametrize("name", KERNELS)
     @pytest.mark.parametrize("pchs", [1, 2])
@@ -211,17 +212,73 @@ class TestEveryAamGroupIsOneBurst:
             return [out.tobytes() for out in outs], cycles, counts, tallies
 
         bursts = run()
-        enqueue = MemoryController.enqueue
+        enqueue, drain = MemoryController.enqueue, MemoryController.drain
         expanded = []
+        blocks = {}  # controller -> tag -> count, of the tagged runs it was fed
 
         def expanding_enqueue(self, request):
             expanded.append(request.count)
-            for single in request.expand():
+            for index, single in enumerate(request.expand()):
+                if request.count > 1 and request.tag is not None:
+                    blocks.setdefault(self, {})[request.tag] = request.count
+                    single.tag = (request.tag, index)
                 enqueue(self, single)
 
+        def regrouping_drain(self):
+            """The singles' columns, handed back as the run's block."""
+            result = drain(self)
+            for tag, count in blocks.pop(self, {}).items():
+                result.read_data[tag] = np.stack(
+                    [result.read_data.pop((tag, index)) for index in range(count)]
+                )
+            return result
+
         monkeypatch.setattr(MemoryController, "enqueue", expanding_enqueue)
+        monkeypatch.setattr(MemoryController, "drain", regrouping_drain)
         assert run() == bursts
         assert 8 in expanded
+
+
+    @pytest.mark.parametrize(
+        "shape, channels",
+        [((128, 512), None), ((200, 96), None), ((128, 512), (1, 3))],
+        ids=["128x512", "200x96", "128x512-lane-1,3-of-4"],
+    )
+    @pytest.mark.parametrize("ecc", [False, True])
+    def test_the_readback_is_one_run_per_unit_and_tile(
+        self, shape, channels, ecc, monkeypatch
+    ):
+        """``_read_partials`` enqueues ``slices x tiles x 8`` requests of
+        ``count == 8`` — no single reads, and ``Request.expand`` never
+        called — and the timed readback returns the partial sums the
+        untimed one (one ``peek_block`` per tile) does, bit for bit."""
+        from repro.dram.controller import MemoryController, Request
+        from repro.pim.device import UNITS_PER_PCH
+
+        m, n = shape
+        system = PimSystem(SystemConfig(num_pchs=4, num_rows=256, ecc=ecc))
+        kernel = GemvKernel(system, m, n, channels=channels)
+        kernel.load_weights(rand(shape, 1))
+        kernel(rand(n, 2))  # leaves every slice's partial sums in the banks
+        enqueue = MemoryController.enqueue
+        counts = []
+
+        def recording_enqueue(self, request):
+            counts.append(request.count)
+            enqueue(self, request)
+
+        def no_expansion(self):
+            raise AssertionError(f"{self!r} was expanded")
+
+        monkeypatch.setattr(MemoryController, "enqueue", recording_enqueue)
+        monkeypatch.setattr(Request, "expand", no_expansion)
+        timed = kernel._read_partials(len(kernel.channels))
+        plan = kernel.plan
+        assert counts == [8] * (plan.num_slices * plan.tiles * UNITS_PER_PCH)
+        counts.clear()
+        untimed = kernel._read_partials(0)
+        assert not counts
+        assert timed.any() and timed.tobytes() == untimed.tobytes()
 
 
 # -- one launch path: __call__ is the one-item case of batched ------------------
