@@ -340,6 +340,18 @@ def _overload_smoke(config, server_config, w, trace_path=None) -> int:
     return _print_checks(checks)
 
 
+def _kill_busiest(fabric) -> None:
+    """One-shot post-dispatch hook: SIGKILL the shard this round's
+    placement loaded most — by cost in column commands, the router's one
+    definition of load (first such shard on a tie)."""
+    cost = fabric._round_cost
+    victim = max(
+        (s for s in fabric.alive_shards() if cost.get(s)), key=cost.get
+    )
+    fabric.kill_worker(victim)
+    fabric._post_dispatch_hook = None
+
+
 def _fabric_smoke(config, server_config, args) -> int:
     """Sharded-fabric smoke: scale-out throughput and kill conservation.
 
@@ -349,10 +361,13 @@ def _fabric_smoke(config, server_config, args) -> int:
     *simulated* throughput (the device model's req/s; wall-clock is
     reported but not gated — CI containers may have a single core).
     With ``--min-speedup`` the run fails unless the sharded fabric beats
-    the 1-worker baseline by at least that factor.  With
-    ``--kill-worker`` the busiest shard is SIGKILLed after dispatch and
-    the run asserts conservation: every request exactly one terminal
-    outcome, bit-exact results, the dead shard quarantined.  With
+    the 1-worker baseline by at least that factor; without
+    ``--kill-worker`` it also fails unless the per-shard placed cost
+    (column commands) stays within 1.25x of its mean.  With
+    ``--kill-worker`` the busiest shard — by that cost — is SIGKILLed
+    after dispatch and the run asserts conservation: every request
+    exactly one terminal outcome, bit-exact results, the dead shard
+    quarantined.  With
     ``--transport shm`` the smoke additionally serves the workload
     through both transports and asserts the shm run is bit-exact vs the
     pipe oracle (results, outcomes, profile render), that no ``/dev/shm``
@@ -408,16 +423,6 @@ def _fabric_smoke(config, server_config, args) -> int:
         ) as fabric:
             handles, profile = [], ServingProfile()
             if kill:
-                def _kill_busiest(fab):
-                    alive = [
-                        s for s in fab.alive_shards()
-                        if fab._round_assignment.get(s)
-                    ]
-                    victim = max(
-                        alive, key=lambda s: len(fab._round_assignment[s])
-                    )
-                    fab.kill_worker(victim)
-                    fab._post_dispatch_hook = None
                 fabric._post_dispatch_hook = _kill_busiest
             t0 = time.perf_counter()
             for start in range(0, len(items), chunk):
@@ -476,6 +481,9 @@ def _fabric_smoke(config, server_config, args) -> int:
         shards_used = {h.shard for h in handles}
         checks["all shards served work"] = shards_used == set(
             range(args.workers)
+        )
+        checks["shard cost max/mean <= 1.25"] = (
+            profile.shard_cost_imbalance() <= 1.25
         )
     if args.min_speedup is not None:
         checks[f"simulated speedup >= {args.min_speedup:g}x"] = (

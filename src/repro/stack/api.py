@@ -208,8 +208,9 @@ class ServerConfig:
     # -- straggler hedging: when a shard's round reply takes longer than
     #    hedge_factor x the 95th percentile of the round's completed reply
     #    times (never less than hedge_min_s), the router re-dispatches
-    #    the group to the least-loaded idle survivor and takes the first
-    #    reply; the loser is cancelled (its reply discarded). --
+    #    the group to the idle survivor carrying the least placed cost
+    #    this round (column commands — fabric.request_cost) and takes the
+    #    first reply; the loser is cancelled (its reply discarded). --
     hedge: bool = True
     hedge_factor: float = 3.0
     hedge_min_s: float = 0.25

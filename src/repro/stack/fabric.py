@@ -13,9 +13,15 @@ merged accounting.
 * **placement** — requests are routed by *signature* on a consistent-hash
   ring (virtual nodes per shard), so same-signature requests land on the
   same shard and reuse its staged weights/kernels, and a quarantined
-  shard only re-homes its own arc of the ring.  A group that would push
-  its home shard past the round's fair share falls back to the
-  least-loaded shard instead.
+  shard only re-homes its own arc of the ring.  Load is *cost*, not
+  count: the column commands a request will put on the bus
+  (:func:`request_cost`, plan arithmetic over its operand shape — a GEMV
+  64x96 is 120, an add[1024] 24).  A group that would push its home
+  shard past the round's fair share of that cost falls back to the
+  least-loaded shard instead, and the hedge target is picked by the
+  same number.  Each shard's round goes out in submission order, so the
+  worker sees the interleaved stream the client sent
+  (:func:`place_round`).
 * **failure handling** — the quarantine + breaker discipline of the
   channel tier, lifted to shards, plus a *lifecycle manager* that brings
   capacity back.  Each shard slot walks the state machine ``serving →
@@ -78,6 +84,7 @@ import numpy as np
 from ..errors import PimProgramError, PimWorkerError
 from .api import Request, ServerConfig
 from .arithmetic import golden_reference
+from .kernels import column_cost
 from .profiler import Profiler, RequestStats, ServingProfile, _percentile
 from .runtime import SystemConfig
 from .shm import (
@@ -92,7 +99,7 @@ from .shm import (
 )
 from .worker import run_worker
 
-__all__ = ["FabricHandle", "PimFabric"]
+__all__ = ["FabricHandle", "PimFabric", "place_round", "request_cost"]
 
 #: Completed-reply quantile the straggler-hedge threshold is built from.
 _HEDGE_QUANTILE = 0.95
@@ -171,6 +178,71 @@ class _HashRing:
         point = self._hash(repr(key))
         i = bisect.bisect_right(self._points, point) % len(self._points)
         return self._owners[i]
+
+
+def request_cost(
+    request: Request, config: SystemConfig, server_config: ServerConfig
+) -> int:
+    """The load ``request`` is to a shard: its column commands on one stream.
+
+    :func:`~repro.stack.kernels.column_cost` of the request's operand
+    shape under the geometry every worker is built with — GEMV slices
+    over the device's ``num_pchs``, elementwise blocks over the channel
+    slots of one serving lane.  A pure function of shapes and config:
+    known before launch and identical in every replay, which a timer or a
+    reply-derived statistic would not be.
+    """
+    if request.op == "gemv":
+        return column_cost("gemv", np.shape(request.weights), config.num_pchs)
+    slots = max(1, config.num_pchs // server_config.lanes)
+    return column_cost(request.op, (int(np.size(request.a)),), slots)
+
+
+def place_round(
+    handles: List[FabricHandle],
+    cost: Callable[[Request], int],
+    alive: List[int],
+    ring: _HashRing,
+) -> Tuple[Dict[int, List[FabricHandle]], Dict[int, int], int]:
+    """Place one round on the ``alive`` shards, balancing ``cost``.
+
+    Returns ``(assignment, load, fair)``: each used shard's handles in
+    submission (``request_id``) order, every alive shard's placed cost,
+    and the fair share ``ceil(total cost / alive)``.
+
+    Same-signature requests stay together (they batch and reuse the
+    shard's staged weights); each group's home is its signature's ring
+    owner, unless that would push the shard past the fair share — then
+    the group falls back to the least-loaded shard.  Groups are placed
+    costliest-first so the fallback has room to even out hash skew (round
+    makespan is the *max* over shards).  Ties break on ``repr(signature)``
+    and ``(load, shard)``, so the result is a pure function of the
+    round's requests and the alive set — no dict or arrival order leaks
+    into it.
+
+    A shard's list is in submission order, not group order, because the
+    worker's server binds signatures to lanes round-robin as it first
+    sees them: the interleaved stream the client sent spreads a shard's
+    launches over its lanes, a group-sorted one stacks them.
+    """
+    groups: Dict[Tuple, List[FabricHandle]] = {}
+    weight: Dict[Tuple, int] = {}
+    for handle in handles:
+        signature = handle.request.signature
+        groups.setdefault(signature, []).append(handle)
+        weight[signature] = weight.get(signature, 0) + cost(handle.request)
+    fair = max(1, math.ceil(sum(weight.values()) / len(alive)))
+    load = {shard: 0 for shard in alive}
+    assignment: Dict[int, List[FabricHandle]] = {s: [] for s in alive}
+    for signature in sorted(groups, key=lambda sig: (-weight[sig], repr(sig))):
+        shard = ring.lookup(signature)
+        if load[shard] + weight[signature] > fair:
+            shard = min(alive, key=lambda s: (load[s], s))
+        assignment[shard].extend(groups[signature])
+        load[shard] += weight[signature]
+    for items in assignment.values():
+        items.sort(key=lambda handle: handle.request_id)
+    return {s: items for s, items in assignment.items() if items}, load, fair
 
 
 @dataclass
@@ -323,8 +395,11 @@ class PimFabric:
         # the most adversarial deterministic instant (work genuinely
         # in flight on the doomed worker).
         self._post_dispatch_hook: Optional[Callable[["PimFabric"], None]] = None
-        #: The in-flight round's shard -> handles map (for hooks/tests).
+        #: The in-flight round's shard -> handles map (for hooks/tests),
+        #: and every alive shard's placed cost in column commands — the
+        #: one definition of "loaded" the router compares shards by.
         self._round_assignment: Dict[int, List[FabricHandle]] = {}
+        self._round_cost: Dict[int, int] = {}
         # Shards dispatched this round whose reply is not yet resolved.
         self._in_flight: set = set()
         # Replies collected early by drain(), keyed by shard.
@@ -628,34 +703,33 @@ class PimFabric:
     # -- placement ----------------------------------------------------------------
 
     def _place(
-        self, handles: List[FabricHandle]
+        self, handles: List[FabricHandle], serving: ServingProfile
     ) -> Dict[int, List[FabricHandle]]:
         """Assign each handle to an alive shard for this round.
 
-        Same-signature requests stay together (they batch and reuse the
-        shard's staged weights); each group's home is its signature's
-        ring owner, unless that would push the shard past the fair share
-        — then the group falls back to the least-loaded shard.  Groups
-        are placed largest-first so the fallback has room to even out
-        hash skew (round makespan is the *max* over shards).
+        :func:`place_round` under :func:`request_cost`: groups stay
+        whole on their ring owner unless that overfills the fair share,
+        costliest first, all in column commands; each shard's list is in
+        submission order.  The per-shard cost is kept on the round (the
+        hedge target and failure-injection hooks read it), added to the
+        session profile, and emitted as a ``place:round`` instant.
         """
-        alive = self.alive_shards()
-        groups: Dict[Tuple, List[FabricHandle]] = {}
-        for handle in handles:
-            groups.setdefault(handle.request.signature, []).append(handle)
-        fair = max(1, math.ceil(len(handles) / len(alive)))
-        load = {shard: 0 for shard in alive}
-        assignment: Dict[int, List[FabricHandle]] = {s: [] for s in alive}
-        ordered = sorted(
-            groups.items(), key=lambda kv: (-len(kv[1]), repr(kv[0]))
+        assignment, load, fair = place_round(
+            handles,
+            lambda request: request_cost(
+                request, self.config, self.server_config
+            ),
+            self.alive_shards(),
+            self._ring,
         )
-        for signature, group in ordered:
-            shard = self._ring.lookup(signature)
-            if load[shard] + len(group) > fair:
-                shard = min(alive, key=lambda s: (load[s], s))
-            assignment[shard].extend(group)
-            load[shard] += len(group)
-        return {s: items for s, items in assignment.items() if items}
+        self._round_cost = load
+        for shard, cost in load.items():
+            serving.shard_cost[shard] = serving.shard_cost.get(shard, 0) + cost
+        self._event(
+            "place:round", fair=fair,
+            cost=",".join(f"{s}:{c}" for s, c in sorted(load.items())),
+        )
+        return assignment
 
     # -- wire protocol ------------------------------------------------------------
 
@@ -830,7 +904,7 @@ class PimFabric:
                 # replies are materialised the moment they arrive — so
                 # the operand arena reuses the same pages each round.
                 self._arena.reset()
-            assignment = self._place(todo)
+            assignment = self._place(todo, serving)
             failed_shards: List[int] = []
             for shard, items in assignment.items():
                 if not self._dispatch(self._workers[shard], items):
@@ -1016,9 +1090,7 @@ class PimFabric:
                     and elapsed > threshold
                     and origin not in hedged
                 ):
-                    target = self._hedge_target(
-                        assignment, waiting, hedge_of
-                    )
+                    target = self._hedge_target(waiting, hedge_of)
                     if target is None:
                         continue
                     # Re-encode for the hedge target: under shm the
@@ -1066,16 +1138,13 @@ class PimFabric:
         )
 
     def _hedge_target(
-        self,
-        assignment: Dict[int, List[FabricHandle]],
-        waiting: Dict[int, float],
-        hedge_of: Dict[int, int],
+        self, waiting: Dict[int, float], hedge_of: Dict[int, int]
     ) -> Optional[int]:
         """The least-loaded idle survivor to hedge onto (None when none).
 
         Idle means alive, not waiting on its own group, not already
         hedging, and with no stale cancelled reply queued; least-loaded
-        prefers the shard that served the smallest group this round.
+        prefers the shard placement gave the least cost this round.
         """
         candidates = [
             s
@@ -1086,7 +1155,7 @@ class PimFabric:
         ]
         if not candidates:
             return None
-        return min(candidates, key=lambda s: (len(assignment.get(s, [])), s))
+        return min(candidates, key=lambda s: (self._round_cost.get(s, 0), s))
 
     def _next_wakeup(
         self,

@@ -53,6 +53,8 @@ __all__ = [
     "GemvKernel",
     "ElementwiseKernel",
     "ELEMENTWISE_OPS",
+    "column_commands",
+    "column_cost",
 ]
 
 _COL_GROUP = GRF_REGS  # 8 columns per AAM window / fence interval
@@ -249,6 +251,62 @@ class PimSession:
 
 
 # ---------------------------------------------------------------------------
+# Command counts: plan arithmetic, reachable without a device
+# ---------------------------------------------------------------------------
+#
+# A *stream* is the command sequence of one share of an operand: one
+# input-dimension slice of a GEMV (a channel runs ``passes`` of them back
+# to back), one channel slot of an elementwise vector.  ``streams`` below
+# is how many the operand is spread over — the layout's slice count for
+# GEMV, the executing lane's channel count for elementwise.
+
+
+def _gemv_shape(m: int, n: int, num_slices: int) -> Tuple[int, int]:
+    """``(tiles, chunks)``: output tiles of 128 and 8-column input chunks
+    of one padded slice of an ``m x n`` GEMV over ``num_slices`` slices."""
+    n_slice = -(-n // num_slices)
+    return -(-m // (UNITS_PER_PCH * LANES)), -(-n_slice // _COL_GROUP)
+
+
+def _elementwise_groups(length: int, slots: int) -> int:
+    """8-column groups per unit stream of a ``length`` vector whose
+    16-element blocks interleave over ``slots`` channel slots."""
+    blocks = -(-length // LANES)
+    seq = -(-blocks // (slots * UNITS_PER_PCH))
+    return -(-seq // _COL_GROUP)
+
+
+def column_commands(op: str, shape: Tuple[int, ...], streams: int) -> int:
+    """Column commands one invocation of ``op`` triggers on one stream.
+
+    The count every :class:`ExecutionReport` carries (there scaled by the
+    simulated streams and the batch), as a pure function of the operand
+    ``shape`` — ``(m, n)`` for ``"gemv"``, ``(length,)`` for an
+    elementwise operator — so the fabric router can price a request it
+    will never launch.  GEMV: per tile, a WR and an RD burst per chunk
+    plus the partial-sum WR burst; elementwise: the microkernel's bursts
+    per 8-column group.
+    """
+    if op == "gemv":
+        tiles, chunks = _gemv_shape(*shape, streams)
+        return tiles * (chunks * 2 * _COL_GROUP + _COL_GROUP)
+    (length,) = shape
+    return _elementwise_groups(length, streams) * ELEMENTWISE_OPS[op].commands_per_group
+
+
+def column_cost(op: str, shape: Tuple[int, ...], streams: int) -> int:
+    """:func:`column_commands` plus the SB-mode readback reads that follow
+    a GEMV (8 partial-sum columns of every unit, per tile): everything
+    one invocation puts on a stream's column bus, the fabric's unit of
+    load."""
+    cost = column_commands(op, shape, streams)
+    if op == "gemv":
+        tiles, _ = _gemv_shape(*shape, streams)
+        cost += tiles * UNITS_PER_PCH * _COL_GROUP
+    return cost
+
+
+# ---------------------------------------------------------------------------
 # GEMV
 # ---------------------------------------------------------------------------
 
@@ -375,10 +433,8 @@ class GemvKernel:
         num_slices = self.layout_pchs
         cols_per_row = self.sys.device.config.bank_config.cols_per_row
         chunks_per_row = cols_per_row // _COL_GROUP
-        n_slice = -(-n // num_slices)
-        n_slice = -(-n_slice // _COL_GROUP) * _COL_GROUP
-        chunks = n_slice // _COL_GROUP
-        tiles = -(-m // (UNITS_PER_PCH * LANES))
+        tiles, chunks = _gemv_shape(m, n, num_slices)
+        n_slice = chunks * _COL_GROUP
         rows_per_tile = -(-chunks // chunks_per_row)
         passes = -(-num_slices // len(self.channels))
         weight_rows = passes * tiles * rows_per_tile
@@ -629,7 +685,7 @@ class GemvKernel:
         """Fill the command/FLOP/traffic counters (per simulated slice)."""
         plan = self.plan
         scale = report.simulated_pchs * invocations
-        per_slice_cols = plan.tiles * (plan.chunks * 2 * _COL_GROUP + _COL_GROUP)
+        per_slice_cols = column_commands("gemv", (plan.m, plan.n), plan.num_slices)
         report.column_commands = per_slice_cols * scale
         report.fences = plan.tiles * (plan.chunks * 2 + 3) * scale
         units = UNITS_PER_PCH
@@ -807,12 +863,9 @@ class ElementwiseKernel:
         cols_per_row = self.sys.device.config.bank_config.cols_per_row
         in_cols = cols_per_row // 2  # half the row for inputs, half for results
         stride = num_pchs * UNITS_PER_PCH
-        blocks = -(-length // LANES)
-        blocks = -(-blocks // stride) * stride
-        seq = blocks // stride
-        seq = -(-seq // _COL_GROUP) * _COL_GROUP
+        groups = _elementwise_groups(length, num_pchs)
+        seq = groups * _COL_GROUP
         blocks = seq * stride
-        groups = seq // _COL_GROUP
         rows = -(-seq // in_cols)
         block = _alloc_rows(self.sys, rows)
         self._block = block
@@ -1002,7 +1055,9 @@ class ElementwiseKernel:
         plan = self.plan
         _fill_timing(self.sys, report, cycles, launches=1)
         scale = report.simulated_pchs * invocations
-        report.column_commands = plan.groups * self.op.commands_per_group * scale
+        report.column_commands = (
+            column_commands(self.op.name, (plan.length,), plan.num_pchs) * scale
+        )
         report.fences = plan.groups * self.op.fences_per_group * scale
         report.pim_instructions = (
             plan.groups * self.op.instructions_per_group * UNITS_PER_PCH * scale

@@ -207,6 +207,10 @@ class ServingProfile:
     # survivors or the host golden path.
     quarantined_shards: List[int] = field(default_factory=list)
     replays: int = 0
+    # shard slot -> column commands the router's placement gave it (see
+    # repro.stack.fabric.request_cost), summed over rounds; a replayed
+    # round counts again on the shards that re-serve it.
+    shard_cost: Dict[int, int] = field(default_factory=dict)
     # -- fabric self-healing (see docs/ARCHITECTURE.md, "Fabric
     #    resilience & chaos") --
     # shard slot -> times its worker was respawned after dying/wedging.
@@ -305,6 +309,8 @@ class ServingProfile:
         self.quarantined_channels.extend(other.quarantined_channels)
         self.quarantined_shards.extend(other.quarantined_shards)
         self.replays += other.replays
+        for shard, cost in other.shard_cost.items():
+            self.shard_cost[shard] = self.shard_cost.get(shard, 0) + cost
         for shard, count in other.respawns.items():
             self.respawns[shard] = self.respawns.get(shard, 0) + count
         self.hedges += other.hedges
@@ -483,6 +489,13 @@ class ServingProfile:
             for p, busy in sorted(self.channel_busy_cycles.items())
         }
 
+    def shard_cost_imbalance(self) -> float:
+        """Max over mean of the per-shard placed cost (1.0 = even, and
+        for a session no router placed)."""
+        costs = self.shard_cost.values()
+        total = sum(costs)
+        return max(costs) * len(costs) / total if total else 1.0
+
     def render(self) -> List[str]:
         """A text table summarising the serving session."""
         lines = [
@@ -528,6 +541,12 @@ class ServingProfile:
                     f"  prio {priority:>3d} p50/p95      : "
                     f"{pcts[0.5] / 1000:.1f} / {pcts[0.95] / 1000:.1f} us"
                 )
+        if self.shard_cost:
+            costs = self.shard_cost.values()
+            lines.append(
+                f"  shard cost (col cmds)  : max {max(costs):,d} / "
+                f"mean {sum(costs) / len(costs):,.1f}"
+            )
         if self.quarantined_shards or self.replays:
             shards = (
                 ",".join(str(s) for s in sorted(set(self.quarantined_shards)))

@@ -20,6 +20,7 @@ from repro.stack import (
     SystemConfig,
     gemv_reference,
 )
+from repro.stack.fabric import request_cost
 
 CONFIG = SystemConfig(num_pchs=2, num_rows=256, simulate_pchs=1)
 # Pin the pre-self-healing semantics for the conservation tests: a killed
@@ -180,6 +181,21 @@ class TestFabricTraceMerge:
         fabric, handles = self.run_traced()
         doc = chrome_trace(fabric.tracer)
         assert validate_chrome_trace(doc) == []
+        # Placement is in the trace as a number: one instant per round
+        # with every shard's cost in column commands and the fair share.
+        (placed,) = [e for e in fabric.tracer.events if e.name == "place:round"]
+        cost = {
+            int(shard): int(commands)
+            for shard, commands in (
+                pair.split(":") for pair in placed.attrs["cost"].split(",")
+            )
+        }
+        total = sum(
+            request_cost(h.request, CONFIG, fabric.server_config)
+            for h in handles
+        )
+        assert set(cost) == {0, 1, 2} and sum(cost.values()) == total
+        assert placed.attrs["fair"] == -(-total // 3)
 
     def test_one_process_row_per_shard(self):
         fabric, handles = self.run_traced()

@@ -130,7 +130,17 @@ class TestServingProfileEdgeCases:
         assert profile.outcomes() == {}
         assert profile.channel_occupancy() == {}
         assert profile.turnaround_percentiles_by_priority() == {}
-        assert isinstance(profile.render(), list)
+        assert profile.shard_cost_imbalance() == 1.0
+        assert not any("shard cost" in line for line in profile.render())
+
+    def test_shard_cost_renders_max_and_mean_for_fabric_runs(self):
+        profile = ServingProfile(shard_cost={0: 576, 1: 544, 2: 0})
+        assert profile.shard_cost_imbalance() == 576 * 3 / 1120
+        assert (
+            "  shard cost (col cmds)  : max 576 / mean 373.3"
+            in profile.render()
+        )
+        assert ServingProfile(shard_cost={0: 0}).shard_cost_imbalance() == 1.0
 
     def test_zero_makespan_profile_reports_zero_rates(self):
         # Every request shed at t=0: terminal requests exist but the
@@ -350,6 +360,7 @@ def _random_profile(draw_seed: int, shard: int) -> ServingProfile:
     if rng.integers(0, 2):
         profile.quarantined_shards.append(shard)
         profile.quarantined_channels.append(int(rng.integers(0, 8)))
+    profile.shard_cost[int(rng.integers(0, 3))] = int(rng.integers(0, 2000))
     return profile
 
 
@@ -389,6 +400,10 @@ class TestMergeAlgebra:
         assert forward.quarantined_channels == permuted.quarantined_channels
         assert forward.channel_busy_cycles == permuted.channel_busy_cycles
         assert forward.replays == permuted.replays
+        assert forward.shard_cost == permuted.shard_cost
+        assert sum(forward.shard_cost.values()) == sum(
+            sum(p.shard_cost.values()) for p in profiles
+        )
 
     @given(seeds=st.lists(st.integers(0, 2**16), min_size=3, max_size=4))
     @settings(max_examples=15, deadline=None)
