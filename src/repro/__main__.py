@@ -1114,7 +1114,12 @@ def _replay_journal(args) -> int:
         h.request_id for h in report.handles if h.outcome is None
     ]
     if args.export_trace is not None:
-        ops = requests_to_trace([h.request for h in report.handles])
+        # The streams request_cost prices: GEMV slices over the device,
+        # elementwise slots over one serving lane.
+        pchs, lanes = report.config.num_pchs, report.server_config.lanes
+        ops = requests_to_trace(
+            [h.request for h in report.handles], pchs, max(1, pchs // lanes)
+        )
         with open(args.export_trace, "w", encoding="utf-8") as handle:
             handle.write(emit_trace(ops))
         print(

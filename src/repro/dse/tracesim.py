@@ -8,8 +8,9 @@ processor is not modelled.  This module provides the same capability:
 * :class:`TraceReplayer`, which replays a trace in order against any
   :class:`~repro.dram.timing.TimingParams` at the earliest legal cycles —
   no controller, no fences, no host: the pure DRAM-side upper bound;
-* generators that emit the kernel command streams of the baseline and each
-  Fig. 14 variant.
+* generators that emit a kernel's command program
+  (:mod:`repro.pim.stream` — what the kernels enqueue) as such a trace,
+  rewritten as each Fig. 14 variant rewrites it.
 
 Lock-step (AB-mode) streams address a single bank: per-bank and
 same-bank-group constraints then coincide with the all-bank broadcast
@@ -27,6 +28,7 @@ from ..dram.bank import BankConfig
 from ..dram.commands import Command, CommandType
 from ..dram.pseudochannel import PseudoChannel
 from ..dram.timing import TimingParams
+from ..pim import stream
 from .variants import PimVariant, VARIANTS
 
 __all__ = [
@@ -115,98 +117,55 @@ class TraceReplayer:
 # ---------------------------------------------------------------------------
 
 
-def gemv_trace(
-    m: int,
-    n: int,
-    num_pchs: int,
-    variant: Optional[PimVariant] = None,
-    cols_per_row: int = 32,
-) -> List[TraceCommand]:
-    """The AB-PIM GEMV command stream of one pseudo-channel.
-
-    Baseline: per 8-dim chunk, 8 staging WRs + 8 MAC RDs; SRW merges them
-    into 8 combined slots (emitted as RDs — the WR data rides along);
-    2x halves the tile count.
-    """
-    variant = variant or VARIANTS["PIM-HBM"]
-    n_slice = -(-(-(-n // num_pchs)) // 8) * 8
-    chunks = n_slice // 8
-    tiles = -(-m // 128)
-    if variant.lanes_scale > 1:
-        tiles = -(-tiles // int(variant.lanes_scale))
-    chunks_per_row = cols_per_row // 8
-    out: List[TraceCommand] = []
-    for tile in range(tiles):
-        open_row = None
-        for chunk in range(chunks):
-            row = tile * -(-chunks // chunks_per_row) + chunk // chunks_per_row
-            col_base = (chunk % chunks_per_row) * 8
-            if open_row != row:
-                if open_row is not None:
-                    out.append(TraceCommand("PRE"))
-                out.append(TraceCommand("ACT", row=row))
-                open_row = row
-            if variant.gemv_chunk_commands >= 16:
-                for j in range(8):
-                    out.append(TraceCommand("WR", row=row, col=col_base + j))
-                for j in range(8):
-                    out.append(TraceCommand("RD", row=row, col=col_base + j))
-            else:  # SRW: one combined RD+WR slot per column
-                for j in range(8):
-                    out.append(TraceCommand("RD", row=row, col=col_base + j))
-        out.append(TraceCommand("PRE"))
-        out_row = tiles * -(-chunks // chunks_per_row) + tile // chunks_per_row
-        out.append(TraceCommand("ACT", row=out_row))
-        for j in range(8):
-            out.append(TraceCommand("WR", row=out_row, col=(tile % chunks_per_row) * 8 + j))
-        out.append(TraceCommand("PRE"))
-    return out
-
-
-def elementwise_trace(
-    elements: int,
-    num_pchs: int,
-    commands_per_group: int = 24,
-    lanes_scale: float = 1.0,
-    cols_per_row: int = 32,
-) -> List[TraceCommand]:
-    """The AB-PIM elementwise stream of one pseudo-channel.
-
-    24 commands per 8-column group (FILL RDs, op RDs, MOV WRs) in the
-    baseline; 16 with 2BA (no FILL); element throughput scales with the
-    variant's lane count.
-    """
-    per_group = int(num_pchs * 8 * 8 * 16 * lanes_scale)
-    groups = -(-elements // per_group)
-    in_cols = cols_per_row // 2
-    groups_per_row = in_cols // 8
+def _program_trace(program: stream.Program) -> List[TraceCommand]:
+    """A program's column commands, with the PRE / ACT pair each row
+    change needs and the closing PRE."""
     out: List[TraceCommand] = []
     open_row = None
-    for g in range(groups):
-        row = g // groups_per_row
-        col_base = (g % groups_per_row) * 8
-        if open_row != row:
+    for run in program:
+        if open_row != run.row:
             if open_row is not None:
                 out.append(TraceCommand("PRE"))
-            out.append(TraceCommand("ACT", row=row))
-            open_row = row
-        read_phases = (commands_per_group - 8) // 8
-        for _ in range(read_phases):
-            for j in range(8):
-                out.append(TraceCommand("RD", row=row, col=col_base + j))
-        for j in range(8):
-            out.append(TraceCommand("WR", row=row, col=in_cols + col_base + j))
+            out.append(TraceCommand("ACT", row=run.row))
+            open_row = run.row
+        kind = "WR" if run.write else "RD"
+        out.extend(
+            TraceCommand(kind, row=run.row, col=run.col + j) for j in range(run.count)
+        )
     if open_row is not None:
         out.append(TraceCommand("PRE"))
     return out
+
+
+def gemv_trace(
+    m: int, n: int, num_pchs: int, variant: Optional[PimVariant] = None
+) -> List[TraceCommand]:
+    """The AB-PIM GEMV command stream of one pseudo-channel: every tile's
+    program of one input slice, as the variant rewrites it (SRW's combined
+    slots are emitted as RDs — the WR data rides along)."""
+    variant = variant or VARIANTS["PIM-HBM"]
+    tiles, chunks = stream.gemv_shape(m, n, num_pchs, variant.lanes_scale)
+    program = sum(stream.gemv_slice(tiles, chunks), ())
+    return _program_trace(variant.rewrite(program))
+
+
+def elementwise_trace(
+    elements: int, num_pchs: int, op: str = "add", variant: Optional[PimVariant] = None
+) -> List[TraceCommand]:
+    """The AB-PIM stream of one channel slot of elementwise operator
+    ``op``, as the variant rewrites it; element throughput scales with
+    the variant's lane count."""
+    variant = variant or VARIANTS["PIM-HBM"]
+    groups = stream.elementwise_groups(elements, num_pchs, variant.lanes_scale)
+    program = stream.elementwise_stream(op, groups)
+    return _program_trace(variant.rewrite(program))
 
 
 def replay_variant_gemv(
     variant_name: str, m: int, n: int, num_pchs: int, timing: TimingParams
 ) -> int:
     """Upper-bound cycles of one variant's GEMV stream (one channel)."""
-    variant = VARIANTS[variant_name]
-    trace = gemv_trace(m, n, num_pchs, variant)
+    trace = gemv_trace(m, n, num_pchs, VARIANTS[variant_name])
     return TraceReplayer(timing).replay(trace)
 
 
@@ -215,10 +174,7 @@ def replay_variant_elementwise(
     bn: bool = False,
 ) -> int:
     """Upper-bound cycles of one variant's elementwise stream."""
-    variant = VARIANTS[variant_name]
-    commands, _ = variant.bn_group if bn else variant.add_group
     trace = elementwise_trace(
-        elements, num_pchs, commands_per_group=commands,
-        lanes_scale=variant.lanes_scale,
+        elements, num_pchs, "bn" if bn else "add", VARIANTS[variant_name]
     )
     return TraceReplayer(timing).replay(trace)

@@ -3,20 +3,21 @@
 The paper evaluates three enhanced PIM microarchitectures that could not be
 built in silicon, using a modified DRAMSim2; it stresses the results are
 *theoretical upper bounds* that are close to reality only for very
-memory-bound kernels.  We model each variant by how it changes the kernel
-command streams:
+memory-bound kernels.  Each variant is stated as what it does to a kernel's
+command program (:mod:`repro.pim.stream`); the trace generators
+(``tracesim``) and the analytic model below read the rewritten program:
 
 * **2x** — twice the PIM resources: one execution unit per bank (16/pCH)
   and doubled register files.  Every data command feeds twice the lanes, so
-  the command-stream portion of a kernel halves (fences halve with it: the
-  AAM window covers twice the work).  Cost: +24% die area (paper).
+  a GEMV has half the tiles and a group twice the elements (fences halve
+  with them: the AAM window covers twice the work).  Cost: +24% die area.
 * **2BA** — one instruction reads EVEN_BANK and ODD_BANK together.  ADD/MUL
-  lose their FILL phase (24 -> 16 commands per group); GEMV and BN are
+  lose their FILL run (24 -> 16 commands per group); GEMV and BN are
   unchanged.  Cost: +60% device power (paper).
 * **SRW** — a simultaneous column RD + WR: the MAC can take one operand
   from the write datapath and one from the bank, removing GEMV's staging
-  WRs (16 -> 8 commands per chunk, one fence); elementwise kernels can
-  overlap the MOV write-out with the next group's reads.
+  WR run and its fence (16 -> 8 commands per chunk, one fence); elementwise
+  kernels can overlap the MOV write-out with the next group's reads.
 
 Fixed costs (setup, mode transitions, row switches, readback, launches) do
 not scale, which is what keeps measured gains below the raw 2x bounds.
@@ -25,28 +26,43 @@ not scale, which is what keeps measured gains below the raw 2x bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from typing import Callable, Dict
 
 from ..apps.microbench import ADD_SIZES, BN_SIZES, GEMV_SIZES
 from ..common.units import geomean
 from ..perf.latency import PIM_HBM, PROC_HBM, LatencyModel, SystemPerf
+from ..pim.stream import Program
 
 __all__ = ["PimVariant", "VARIANTS", "VariantLatencyModel", "dse_speedups"]
 
 
+def _drop_staging(program: Program) -> Program:
+    """SRW: the x chunk rides on the MAC's own column command, so the WR
+    runs that staged it (and their fences) are gone."""
+    return tuple(run for run in program if not (run.write and run.operand >= 0))
+
+
+def _drop_fill(program: Program) -> Program:
+    """2BA: an RD run followed by an RD run of the same columns is the
+    FILL ahead of a two-operand op; reading both banks at once needs only
+    the second."""
+    return tuple(
+        run
+        for run, after in zip(program, program[1:] + (None,))
+        if run.write or after is None or after[:3] != run[:3]  # (write, row, col)
+    )
+
+
 @dataclass(frozen=True)
 class PimVariant:
-    """Command-stream parameters of one PIM microarchitecture variant."""
+    """What one PIM microarchitecture variant does to a command program."""
 
     name: str
-    # GEMV: commands per 8-dim chunk and fences per chunk.
-    gemv_chunk_commands: int = 16
-    gemv_chunk_fences: int = 2
+    # The program a kernel's baseline program becomes on this device
+    # (``tuple``: the same one).
+    rewrite: Callable[[Program], Program] = tuple
     # Work per data command relative to the baseline (2x doubles it).
-    lanes_scale: float = 1.0
-    # Elementwise (commands, fences) per 8-column group.
-    add_group: Tuple[int, int] = (24, 3)
-    bn_group: Tuple[int, int] = (16, 2)
+    lanes_scale: int = 1
     # Elementwise bus-turnaround padding (2BA's single read phase halves it).
     turnaround_cycles: int = 20
     # Reported implementation costs (paper, Section VII-D).
@@ -58,19 +74,18 @@ VARIANTS: Dict[str, PimVariant] = {
     "PIM-HBM": PimVariant("PIM-HBM"),
     "PIM-HBM-2x": PimVariant(
         "PIM-HBM-2x",
-        lanes_scale=2.0,
+        lanes_scale=2,
         die_area_increase=0.24,
     ),
     "PIM-HBM-2BA": PimVariant(
         "PIM-HBM-2BA",
-        add_group=(16, 2),
+        rewrite=_drop_fill,
         turnaround_cycles=10,
         power_increase=0.60,
     ),
     "PIM-HBM-SRW": PimVariant(
         "PIM-HBM-SRW",
-        gemv_chunk_commands=8,
-        gemv_chunk_fences=1,
+        rewrite=_drop_staging,
         # AAM ordering still forces the fence cadence in the elementwise
         # kernels, so SRW's benefit is confined to GEMV's staging writes.
     ),
@@ -78,62 +93,11 @@ VARIANTS: Dict[str, PimVariant] = {
 
 
 class VariantLatencyModel(LatencyModel):
-    """The PIM latency model with a variant's command-stream parameters."""
+    """The PIM latency model pricing a variant's rewritten programs."""
 
     def __init__(self, system: SystemPerf, variant: PimVariant):
-        super().__init__(system)
-        self.variant = variant
-
-    # GEMV: the chunk loop changes; fixed per-tile costs stay.
-
-    def pim_gemv_cycles(self, m: int, n: int, include_setup: bool = True) -> int:
-        """Per-pCH GEMV cycles under this variant's command stream."""
-        cal = self.cal
-        t = self.sys
-        v = self.variant
-        tiles, chunks = self._gemv_shape(m, n)
-        # 2x units double the outputs per tile: half the tiles.
-        tiles = -(-tiles // int(v.lanes_scale)) if v.lanes_scale > 1 else tiles
-        chunks_per_row = t.cols_per_row // 8
-        fence = cal.fence_cycles
-        per_tile = (
-            (8 * t.tccd_l + fence)
-            + (2 * fence + 2 * t.tccd_l)
-            + chunks * (v.gemv_chunk_commands * t.tccd_l + v.gemv_chunk_fences * fence)
-            + (8 * t.tccd_l + fence)
-            + -(-chunks // chunks_per_row) * cal.row_switch_cycles
-        )
-        readback = tiles * 8 * 8 * t.tccd_s * int(v.lanes_scale)
-        cycles = tiles * per_tile + readback
-        if include_setup:
-            cycles += cal.pim_setup_cycles
-        return cycles
-
-    def pim_elementwise_cycles(
-        self, elements: int, commands_per_group: int, fences_per_group: int,
-        include_setup: bool = True,
-    ) -> int:
-        """Elementwise cycles with the variant's group shape substituted."""
-        if (commands_per_group, fences_per_group) == (24, 3):
-            commands_per_group, fences_per_group = self.variant.add_group
-        elif (commands_per_group, fences_per_group) == (16, 2):
-            commands_per_group, fences_per_group = self.variant.bn_group
-        per_group_elems = int(
-            self.sys.num_pchs * 8 * 8 * 16 * self.variant.lanes_scale
-        )
-        cal = self.cal
-        t = self.sys
-        groups = -(-elements // per_group_elems)
-        per_group = (
-            commands_per_group * t.tccd_l
-            + fences_per_group * cal.fence_cycles
-            + self.variant.turnaround_cycles
-        )
-        groups_per_row = (t.cols_per_row // 2) // 8
-        cycles = groups * per_group + (groups // groups_per_row) * cal.row_switch_cycles
-        if include_setup:
-            cycles += cal.pim_setup_cycles
-        return cycles
+        cal = replace(system.cal, turnaround_cycles=variant.turnaround_cycles)
+        super().__init__(replace(system, cal=cal), variant.lanes_scale, variant.rewrite)
 
 
 def dse_speedups(

@@ -66,6 +66,9 @@ class RecoveryReport:
     #: restored entries) — what a caller resuming a half-served workload
     #: merges into its own running totals without double counting.
     replay_profile: ServingProfile = field(default_factory=ServingProfile)
+    #: The geometry the journaled requests were served under.
+    config: SystemConfig = field(default_factory=SystemConfig)
+    server_config: ServerConfig = field(default_factory=ServerConfig)
 
     def outcomes(self) -> Dict[str, int]:
         """Terminal outcome histogram over the recovered handles."""
@@ -262,4 +265,6 @@ def recover(
         deduped=deduped,
         trace_rids=trace_rids,
         replay_profile=replay_profile,
+        config=config,
+        server_config=server_config,
     )

@@ -31,6 +31,7 @@ from typing import Dict, List, Tuple
 
 from ..apps.layers import Add, Bn, Conv, Fc, HostWork, Layer, Lstm
 from ..apps.models import AppModel
+from ..pim import stream
 from .latency import PIM_HBM, PROC_HBM, LatencyModel, SystemPerf
 
 __all__ = [
@@ -171,8 +172,8 @@ class EnergyModel:
         if self.sys.kind == "pim":
             t = lat.pim_gemv(m, n, batch)
             # Fraction of cycles the AB-PIM datapath is actively streaming.
-            tiles, chunks = lat._gemv_shape(m, n)
-            busy = tiles * (2 * chunks + 1) * 8 * self.sys.tccd_l
+            tiles, chunks = stream.gemv_shape(m, n, self.sys.num_pchs)
+            busy = tiles * stream.columns(stream.gemv_tile(chunks)) * self.sys.tccd_l
             util = busy * self.sys.tck_ns / max(t.ns, 1.0)
             power = self._proc_power(0.0, "pim") + self._mem_power(util, True)
             return PowerPhase(f"gemv{m}x{n}", 0.0, t.ns, power)

@@ -8,11 +8,12 @@ Two sides are modelled:
   substitution* for the commercial host's BLAS behaviour (we cannot run the
   vendor library): the paper itself attributes GEMV's 11.2x to the host
   kernel "not optimized to fully utilize the off-chip memory bandwidth".
-* **PIM (PIM-HBM)** — an analytic mirror of the command streams the
-  functional simulator executes: column commands at the tCCD_L cadence,
-  a fence (thread-group barrier) after every 8-command AAM window, row
-  switches, mode transitions, and partial-sum readback.  Tests check the
-  analytic cycle counts against the cycle-accurate simulator.
+* **PIM (PIM-HBM)** — an analytic pricing of the command programs the
+  functional simulator executes (:mod:`repro.pim.stream`): the counts
+  (tiles, chunks, groups, columns and fences per tile or group) are read
+  off the programs the kernels enqueue; the costs (tCCD_L cadence, the
+  calibrated fence, row switches, mode transitions, readback) are this
+  model's own.  Tests check it against the cycle-accurate simulator.
 
 All calibrated constants live in :class:`Calibration` with their paper
 anchors; EXPERIMENTS.md records model-vs-paper for every reported number.
@@ -20,19 +21,16 @@ anchors; EXPERIMENTS.md records model-vs-paper for every reported number.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 from ..apps.layers import Add, Bn, Conv, Embedding, Fc, HostWork, Layer, Lstm
 from ..apps.models import AppModel
+from ..pim.device import UNITS_PER_PCH
+from ..pim.isa import GRF_REGS
+from ..pim import stream
 
 __all__ = ["Calibration", "SystemPerf", "LatencyModel", "PROC_HBM", "PIM_HBM"]
-
-_COL = 8  # AAM window: commands per fence
-_LANES = 16
-_UNITS = 8
-_TILE_OUT = _UNITS * _LANES  # 128 outputs per tile per pCH
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,7 @@ class SystemPerf:
     @property
     def onchip_bw(self) -> float:
         """PIM compute bandwidth (4x off-chip: 8 banks at tCCD_L)."""
-        return self.num_pchs * _UNITS * self.col_bytes / (
+        return self.num_pchs * UNITS_PER_PCH * self.col_bytes / (
             self.tccd_l * self.tck_ns * 1e-9
         )
 
@@ -147,9 +145,14 @@ class KernelTime:
 class LatencyModel:
     """Kernel and application times for one platform."""
 
-    def __init__(self, system: SystemPerf):
+    def __init__(self, system: SystemPerf, lanes_scale: int = 1, rewrite=tuple):
         self.sys = system
         self.cal = system.cal
+        # Fig. 14's variants: execution resources relative to PIM-HBM
+        # (``stream.gemv_shape``'s ``scale``), and what the modelled device
+        # does to a kernel's command program (``tuple``: nothing).
+        self.lanes_scale = lanes_scale
+        self._rewrite = rewrite
 
     # -- host kernels -----------------------------------------------------------
 
@@ -179,76 +182,69 @@ class LatencyModel:
 
     # -- PIM kernels -------------------------------------------------------------
 
-    def _gemv_shape(self, m: int, n: int) -> Tuple[int, int]:
-        """(tiles, chunks) of the GEMV layout on this system."""
-        n_slice = -(-n // self.sys.num_pchs)
-        n_slice = -(-n_slice // _COL) * _COL
-        chunks = n_slice // _COL
-        tiles = -(-m // _TILE_OUT)
-        return tiles, chunks
-
-    def pim_gemv_cycles(self, m: int, n: int, include_setup: bool = True) -> int:
+    def pim_gemv_cycles(self, m: int, n: int) -> int:
         """Per-pCH cycle count of one PIM GEMV invocation."""
         cal = self.cal
         t = self.sys
-        tiles, chunks = self._gemv_shape(m, n)
-        chunks_per_row = t.cols_per_row // _COL
+        tiles, chunks = stream.gemv_shape(m, n, t.num_pchs, self.lanes_scale)
+        chunks_per_row = t.cols_per_row // GRF_REGS
+        tile = self._rewrite(stream.gemv_tile(chunks, chunks_per_row))
         fence = cal.fence_cycles
         per_tile = (
-            (_COL * t.tccd_l + fence)  # zero GRF_B
+            (GRF_REGS * t.tccd_l + fence)  # zero GRF_B
             + (2 * fence + 2 * t.tccd_l)  # PIM_OP_MODE on/off
-            + chunks * (2 * _COL * t.tccd_l + 2 * fence)  # stage + MAC
-            + (_COL * t.tccd_l + fence)  # partial-sum epilogue
+            # stage + MAC per chunk, partial-sum epilogue
+            + stream.columns(tile) * t.tccd_l + stream.fences(tile) * fence
             + -(-chunks // chunks_per_row) * cal.row_switch_cycles
         )
-        readback = tiles * _UNITS * _COL * t.tccd_s
-        cycles = tiles * per_tile + readback
-        if include_setup:
-            cycles += cal.pim_setup_cycles
-        return cycles
+        readback = tiles * UNITS_PER_PCH * self.lanes_scale * GRF_REGS * t.tccd_s
+        return tiles * per_tile + readback + cal.pim_setup_cycles
 
     def pim_gemv(self, m: int, n: int, batch: int = 1, launches: int = 1) -> KernelTime:
-        """PIM GEMV time from the analytic command-stream mirror."""
+        """PIM GEMV time from the analytic pricing of its program."""
         cycles = self.pim_gemv_cycles(m, n) * batch
-        tiles, chunks = self._gemv_shape(m, n)
+        tiles, chunks = stream.gemv_shape(m, n, self.sys.num_pchs)
+        # A tile's own fences plus the GRF_B clear's and the mode writes' two.
         fence_ns = (
-            tiles * (2 * chunks + 4) * self.cal.fence_cycles * batch * self.sys.tck_ns
+            tiles * (stream.fences(stream.gemv_tile(chunks)) + 3)
+            * self.cal.fence_cycles * batch * self.sys.tck_ns
         )
         launch_ns = launches * self.cal.kernel_launch_ns
         ns = cycles * self.sys.tck_ns + launch_ns
         return KernelTime(ns, launch_ns, fence_ns, cycles * self.sys.tck_ns, 0.0)
 
     def pim_elementwise_cycles(
-        self, elements: int, commands_per_group: int, fences_per_group: int,
-        include_setup: bool = True,
+        self, elements: int, group_commands: int, group_fences: int
     ) -> int:
-        """Per-pCH cycles of one elementwise kernel invocation."""
+        """Per-pCH cycles of one elementwise kernel invocation whose
+        8-column group holds that many column commands and fences."""
         cal = self.cal
         t = self.sys
-        per_group_elems = self.sys.num_pchs * _UNITS * _COL * _LANES
-        groups = -(-elements // per_group_elems)
+        groups = stream.elementwise_groups(elements, t.num_pchs, self.lanes_scale)
         per_group = (
-            commands_per_group * t.tccd_l
-            + fences_per_group * cal.fence_cycles
+            group_commands * t.tccd_l
+            + group_fences * cal.fence_cycles
             + cal.turnaround_cycles
         )
-        groups_per_row = (t.cols_per_row // 2) // _COL
-        cycles = groups * per_group + (groups // groups_per_row) * cal.row_switch_cycles
-        if include_setup:
-            cycles += cal.pim_setup_cycles
-        return cycles
+        groups_per_row = (t.cols_per_row // 2) // GRF_REGS
+        switches = (groups // groups_per_row) * cal.row_switch_cycles
+        return groups * per_group + switches + cal.pim_setup_cycles
+
+    def _pim_elementwise(self, op: str, elements: int, batch: int) -> KernelTime:
+        group = self._rewrite(stream.elementwise_stream(op, 1))
+        cycles = batch * self.pim_elementwise_cycles(
+            elements, stream.columns(group), stream.fences(group)
+        )
+        ns = cycles * self.sys.tck_ns + self.cal.kernel_launch_ns
+        return KernelTime(ns, self.cal.kernel_launch_ns, 0.0, cycles * self.sys.tck_ns, 0.0)
 
     def pim_add(self, elements: int, batch: int = 1) -> KernelTime:
-        """PIM elementwise ADD time (24 commands + 3 fences per group)."""
-        cycles = self.pim_elementwise_cycles(elements, 24, 3) * batch
-        ns = cycles * self.sys.tck_ns + self.cal.kernel_launch_ns
-        return KernelTime(ns, self.cal.kernel_launch_ns, 0.0, cycles * self.sys.tck_ns, 0.0)
+        """PIM elementwise ADD time (FILL, ADD and MOV bursts per group)."""
+        return self._pim_elementwise("add", elements, batch)
 
     def pim_bn(self, elements: int, batch: int = 1) -> KernelTime:
-        """PIM batch-norm time (16 commands + 2 fences per group)."""
-        cycles = self.pim_elementwise_cycles(elements, 16, 2) * batch
-        ns = cycles * self.sys.tck_ns + self.cal.kernel_launch_ns
-        return KernelTime(ns, self.cal.kernel_launch_ns, 0.0, cycles * self.sys.tck_ns, 0.0)
+        """PIM batch-norm time (MAD and MOV bursts per group)."""
+        return self._pim_elementwise("bn", elements, batch)
 
     # -- layer dispatch -------------------------------------------------------------
 

@@ -11,24 +11,21 @@ documented in DESIGN.md):
 * **GEMV** ``y = W @ x`` — outputs are tiled across units and lanes
   (8 units x 16 lanes = 128 outputs per tile per pCH); the input dimension
   is sliced across pseudo-channels and swept in chunks of 8.  Weights live
-  in each unit's EVEN bank, one 16-lane output group per 32-byte column.
-  Per chunk the host WRs the 8 replicated x values (triggering
-  ``MOV GRF_A[A] <- HOST``) and then RDs the 8 weight columns (triggering
-  ``MAC GRF_B[A] += EVEN_BANK * GRF_A[A]``) — the 50% staging commands the
-  SRW variant of Fig. 14 eliminates.  Partial sums are written back with a
-  ``MOV EVEN_BANK[A] <- GRF_B[A]`` epilogue and reduced by the host
+  in each unit's EVEN bank, one 16-lane output group per 32-byte column;
+  partial sums go back to the EVEN bank and are reduced by the host
   (8 sub-accumulators per lane, one slice per pCH).
 * **Elementwise** (ADD/MUL/ReLU/BN) — operand A in EVEN banks, operand B at
   the same (row, col) of ODD banks, results at column+16 of EVEN banks, so
   one lock-step address stream feeds both operands and the output.
 
-Every 8-command run is followed by a fence: address-aligned mode can absorb
-reordering only within the 8-register GRF window (Section IV-C / VII-B).
-Each such run — 8 columns of one row in one direction — is enqueued as one
-*column burst* (``mc.read(..., count=8)`` / ``mc.write(..., block,
-count=8)`` with one ``(8, 32)`` data block), so every fence epoch of a PIM
-window holds exactly one request; the controller and the device then
-schedule and execute the run as a unit, bit-identically to its 8 commands.
+The command stream over these layouts is plan data: each plan's *program*
+(:mod:`repro.pim.stream`), runs of 8 columns of one row in one direction,
+each followed by a fence — address-aligned mode can absorb reordering only
+within the 8-register GRF window (Section IV-C / VII-B).  ``_enqueue``
+queues every run as one *column burst* (``mc.read(..., count=8)`` /
+``mc.write(..., block, count=8)``), so every fence epoch of a PIM window
+holds exactly one request; the controller and the device then schedule and
+execute the run as a unit, bit-identically to its 8 commands.
 """
 
 from __future__ import annotations
@@ -39,11 +36,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..dram.ecc import peek_block, poke_block
-from ..dram.pseudochannel import BANKS_PER_PCH
+from ..pim import stream
 from ..pim.device import UNITS_PER_PCH, PimPseudoChannel
+from ..pim.modes import PimMemoryMap
 from ..pim.registers import GRF_REG_BYTES, LANES
 from ..pim.isa import GRF_REGS
-from ..pim.assembler import assemble_words
 from ..host.processor import HostSystem
 from .arithmetic import elementwise_reference, mac_partials, reduce_partials
 
@@ -115,10 +112,6 @@ def _fill_timing(
     report.notes["launches"] = launches
 
 
-def _bank_coords(bank_index: int) -> Tuple[int, int]:
-    return bank_index // 4, bank_index % 4
-
-
 def _constant(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -132,14 +125,38 @@ def _tile_block(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(lanes).view(np.uint8)
 
 
-# Write data nothing reads for its content: the WR bursts that trigger a
-# GRF -> bank MOV, and the all-zero GRF_B image.  One read-only block per
-# 8-column burst, shared by every kernel.
-_ZERO_BLOCK = _constant(np.zeros((_COL_GROUP, GRF_REG_BYTES), dtype=np.uint8))
-_PIM_OP_MODE = tuple(
-    _constant(np.array([value] + [0] * (GRF_REG_BYTES - 1), dtype=np.uint8))
-    for value in (0, 1)
+# The read-only operand blocks every launch shares, at the end of its block
+# list where a program's ``MODE_ON`` / ``MODE_OFF`` / ``ZEROS`` operands
+# (-3, -2, -1) index them: the PIM_OP_MODE register values, and one
+# 8-column burst of write data nothing reads for its content.
+_CONSTANT_BLOCKS = (
+    _constant(np.array([1] + [0] * (GRF_REG_BYTES - 1), dtype=np.uint8)),
+    _constant(np.zeros(GRF_REG_BYTES, dtype=np.uint8)),
+    _constant(np.zeros((_COL_GROUP, GRF_REG_BYTES), dtype=np.uint8)),
 )
+
+
+def _enqueue(mc, program: stream.Program, blocks: Sequence[np.ndarray]) -> None:
+    """Queue ``program`` on one controller, run by run, and drain it; the
+    WR runs index ``blocks``: staged chunks first, ``_CONSTANT_BLOCKS`` last."""
+    for write, row, col, count, fence, operand, barrier in program:
+        if barrier:
+            mc.fence()
+        if write:
+            mc.write(0, 0, row, col, blocks[operand], count=count)
+        else:
+            mc.read(0, 0, row, col, count=count)
+        if fence:
+            mc.fence()
+    mc.drain()
+
+
+def _count_program(report: ExecutionReport, program: stream.Program, times: int) -> None:
+    """Counters of ``times`` executions of ``program``: the columns (one
+    instruction per unit each) its AB-PIM runs trigger, and all its fences."""
+    report.column_commands = stream.columns(stream.triggers(program)) * times
+    report.fences = stream.fences(program) * times
+    report.pim_instructions = report.column_commands * UNITS_PER_PCH
 
 
 class PimSession:
@@ -156,19 +173,8 @@ class PimSession:
             raise TypeError("PimSession requires a PIM-HBM device")
         self.map = channel.memory_map
 
-    def _ids(self, pchs: ChannelSelector = None) -> List[int]:
-        resolve = getattr(self.sys, "resolve_pchs", None)
-        if resolve is not None:
-            return resolve(pchs)
-        count = len(self.sys.controllers)
-        if pchs is None:
-            return list(range(count))
-        if isinstance(pchs, int):
-            return list(range(min(pchs, count)))
-        return list(pchs)
-
     def _each(self, pchs: ChannelSelector = None):
-        return [self.sys.controllers[i] for i in self._ids(pchs)]
+        return [self.sys.controllers[i] for i in self.sys.resolve_pchs(pchs)]
 
     # -- mode transitions ------------------------------------------------------
 
@@ -185,15 +191,6 @@ class PimSession:
             mc.drain()
             mc.precharge_all()
             mc.closed_page_access(0, 0, self.map.sbmr_row)
-
-    def set_pim_op_mode(self, mc, enable: bool) -> None:
-        """Queue the PIM_OP_MODE register write on one controller."""
-        mc.fence()
-        mc.write(
-            0, 0, self.map.conf_row, self.map.PIM_OP_MODE_COL,
-            _PIM_OP_MODE[bool(enable)],
-        )
-        mc.fence()
 
     # -- register programming ----------------------------------------------------
 
@@ -217,7 +214,7 @@ class PimSession:
         words = cache.get(source)
         image = np.array(words, dtype="<u4").view(np.uint8)
         cols = len(image) // GRF_REG_BYTES
-        for index in self._ids(pchs):
+        for index in self.sys.resolve_pchs(pchs):
             mc = self.sys.controllers[index]
             if loaded.get(index) == source:
                 continue  # the CRF already holds this microkernel
@@ -226,11 +223,6 @@ class PimSession:
                 mc.write(0, 0, self.map.crf_row, col, chunk)
             mc.fence()
             loaded[index] = source
-
-    def zero_grf_b(self, mc) -> None:
-        """Clear the 8 GRF_B accumulators via register-mapped writes."""
-        mc.write(0, 0, self.map.grf_row, GRF_REGS, _ZERO_BLOCK, count=GRF_REGS)
-        mc.fence()
 
     def write_srf(
         self,
@@ -251,7 +243,7 @@ class PimSession:
 
 
 # ---------------------------------------------------------------------------
-# Command counts: plan arithmetic, reachable without a device
+# Command counts: the program of a shape, reachable without a device
 # ---------------------------------------------------------------------------
 #
 # A *stream* is the command sequence of one share of an operand: one
@@ -260,20 +252,8 @@ class PimSession:
 # is how many the operand is spread over — the layout's slice count for
 # GEMV, the executing lane's channel count for elementwise.
 
-
-def _gemv_shape(m: int, n: int, num_slices: int) -> Tuple[int, int]:
-    """``(tiles, chunks)``: output tiles of 128 and 8-column input chunks
-    of one padded slice of an ``m x n`` GEMV over ``num_slices`` slices."""
-    n_slice = -(-n // num_slices)
-    return -(-m // (UNITS_PER_PCH * LANES)), -(-n_slice // _COL_GROUP)
-
-
-def _elementwise_groups(length: int, slots: int) -> int:
-    """8-column groups per unit stream of a ``length`` vector whose
-    16-element blocks interleave over ``slots`` channel slots."""
-    blocks = -(-length // LANES)
-    seq = -(-blocks // (slots * UNITS_PER_PCH))
-    return -(-seq // _COL_GROUP)
+# SB-mode reads that fetch one tile's partial sums: 8 columns of every unit.
+_READBACK_COLUMNS = UNITS_PER_PCH * _COL_GROUP
 
 
 def column_commands(op: str, shape: Tuple[int, ...], streams: int) -> int:
@@ -283,15 +263,15 @@ def column_commands(op: str, shape: Tuple[int, ...], streams: int) -> int:
     simulated streams and the batch), as a pure function of the operand
     ``shape`` — ``(m, n)`` for ``"gemv"``, ``(length,)`` for an
     elementwise operator — so the fabric router can price a request it
-    will never launch.  GEMV: per tile, a WR and an RD burst per chunk
-    plus the partial-sum WR burst; elementwise: the microkernel's bursts
-    per 8-column group.
+    will never launch: the columns of one tile's (one group's) program,
+    times the tiles (groups) of the shape.
     """
     if op == "gemv":
-        tiles, chunks = _gemv_shape(*shape, streams)
-        return tiles * (chunks * 2 * _COL_GROUP + _COL_GROUP)
+        tiles, chunks = stream.gemv_shape(*shape, streams)
+        return tiles * stream.columns(stream.gemv_tile(chunks))
     (length,) = shape
-    return _elementwise_groups(length, streams) * ELEMENTWISE_OPS[op].commands_per_group
+    group = stream.elementwise_stream(op, 1)
+    return stream.elementwise_groups(length, streams) * stream.columns(group)
 
 
 def column_cost(op: str, shape: Tuple[int, ...], streams: int) -> int:
@@ -301,8 +281,7 @@ def column_cost(op: str, shape: Tuple[int, ...], streams: int) -> int:
     load."""
     cost = column_commands(op, shape, streams)
     if op == "gemv":
-        tiles, _ = _gemv_shape(*shape, streams)
-        cost += tiles * UNITS_PER_PCH * _COL_GROUP
+        cost += stream.gemv_shape(*shape, streams)[0] * _READBACK_COLUMNS
     return cost
 
 
@@ -335,11 +314,7 @@ class GemvPlan:
     batch_slots: int  # independent partial-sum areas for fused batching
     weight_base_row: int
     out_base_row: int
-
-    @property
-    def num_pchs(self) -> int:
-        """Historical alias: slices coincided with channels before lanes."""
-        return self.num_slices
+    registers: PimMemoryMap
 
     @property
     def outputs_per_tile(self) -> int:
@@ -375,8 +350,52 @@ class GemvPlan:
         col_base = (tile % tiles_per_row) * _COL_GROUP
         return row, col_base
 
+    def program(self, tile: int, pass_: int = 0, slot: int = 0) -> stream.Program:
+        """What one (slice, tile) puts on its channel's bus: the GRF_B
+        clear, then the tile's chunk sweep and partial-sum write-out in
+        AB-PIM mode.  Every (slice, tile) has this shape; only the rows
+        differ."""
+        weight_row, _ = self.weight_location(tile, 0, pass_)
+        body = stream.gemv_tile(
+            self.chunks, self.chunks_per_row, weight_row,
+            *self.out_location(tile, pass_, slot),
+        )
+        return stream.kernel_program(body, self.registers, clear_grf_b=True)
 
-class GemvKernel:
+
+class _ResidentKernel:
+    """What the operators share: a channel set to run on, and rows held
+    from the driver (``_plan`` sets ``_block``) until :meth:`release`."""
+
+    def __init__(self, system: HostSystem, channels: Optional[Sequence[int]]):
+        self.sys = system
+        self.session = PimSession(system)
+        if channels is None:
+            channels = range(system.num_pchs)
+        self.channels: Tuple[int, ...] = tuple(channels)
+        if not self.channels:
+            raise ValueError(f"{type(self).__name__} needs at least one channel")
+        for p in self.channels:
+            if not 0 <= p < system.num_pchs:
+                raise ValueError(f"channel {p} out of range")
+        self._block = None  # RowSetRange
+        self._released = False
+
+    def release(self) -> None:
+        """Return the kernel's rows to the driver (cache eviction)."""
+        if self._released:
+            return
+        self._released = True
+        driver = getattr(self.sys, "driver", None)
+        if driver is not None and self._block is not None:
+            driver.free(self._block)
+
+    def _check_alive(self) -> None:
+        if self._released:
+            raise RuntimeError("kernel was evicted; its rows were reclaimed")
+
+
+class GemvKernel(_ResidentKernel):
     """A resident GEMV operator: weights staged once, invoked per input.
 
     This mirrors the PIM memory manager's behaviour (Section V-A): the
@@ -405,18 +424,9 @@ class GemvKernel:
         layout_pchs: Optional[int] = None,
         max_batch: int = 1,
     ):
-        self.sys = system
-        self.session = PimSession(system)
+        super().__init__(system, channels)
         self.m = m
         self.n = n
-        if channels is None:
-            channels = range(system.num_pchs)
-        self.channels: Tuple[int, ...] = tuple(channels)
-        if not self.channels:
-            raise ValueError("GemvKernel needs at least one channel")
-        for p in self.channels:
-            if not 0 <= p < system.num_pchs:
-                raise ValueError(f"channel {p} out of range")
         # The layout slice count fixes the FP16 accumulation grouping, so
         # results are independent of which (and how many) channels execute
         # the kernel; it defaults to the whole device's channel count.
@@ -424,16 +434,14 @@ class GemvKernel:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.max_batch = max_batch
-        self._block = None  # RowSetRange, set by _plan via the driver
         self.plan = self._plan(m, n)
         self._weights: Optional[np.ndarray] = None  # padded, fp16
-        self._released = False
 
     def _plan(self, m: int, n: int) -> GemvPlan:
         num_slices = self.layout_pchs
         cols_per_row = self.sys.device.config.bank_config.cols_per_row
         chunks_per_row = cols_per_row // _COL_GROUP
-        tiles, chunks = _gemv_shape(m, n, num_slices)
+        tiles, chunks = stream.gemv_shape(m, n, num_slices)
         n_slice = chunks * _COL_GROUP
         rows_per_tile = -(-chunks // chunks_per_row)
         passes = -(-num_slices // len(self.channels))
@@ -455,25 +463,13 @@ class GemvKernel:
             batch_slots=self.max_batch,
             weight_base_row=block.start,
             out_base_row=block.start + weight_rows,
+            registers=self.session.map,
         )
 
     def _slice_channel(self, s: int) -> Tuple[int, int]:
         """(channel index, pass) executing slice ``s``."""
         k = len(self.channels)
         return self.channels[s % k], s // k
-
-    def release(self) -> None:
-        """Return the kernel's rows to the driver (cache eviction)."""
-        if self._released:
-            return
-        self._released = True
-        driver = getattr(self.sys, "driver", None)
-        if driver is not None and self._block is not None:
-            driver.free(self._block)
-
-    def _check_alive(self) -> None:
-        if self._released:
-            raise RuntimeError("kernel was evicted; its rows were reclaimed")
 
     # -- staging ------------------------------------------------------------------
 
@@ -556,7 +552,7 @@ class GemvKernel:
         batch = xs.shape[0]
         report = ExecutionReport(
             kernel=f"gemv[{self.m}x{self.n}]xB{batch}",
-            simulated_pchs=self._simulated_slices(nsim_ch),
+            simulated_pchs=sum(s % k < nsim_ch for s in range(plan.num_slices)),
             total_pchs=plan.num_slices,
         )
         padded = np.zeros((batch, plan.num_slices * plan.n_slice), dtype=np.float16)
@@ -599,20 +595,9 @@ class GemvKernel:
             .view(np.uint8)
             .reshape(plan.chunks, _COL_GROUP, GRF_REG_BYTES)
         )
+        blocks = (*staged, *_CONSTANT_BLOCKS)
         for tile in range(plan.tiles):
-            self.session.zero_grf_b(mc)
-            self.session.set_pim_op_mode(mc, True)
-            for chunk in range(plan.chunks):
-                row, col_base = plan.weight_location(tile, chunk, pass_)
-                mc.write(0, 0, row, col_base, staged[chunk], count=_COL_GROUP)
-                mc.fence()
-                mc.read(0, 0, row, col_base, count=_COL_GROUP)
-                mc.fence()
-            out_row, out_base = plan.out_location(tile, pass_, slot)
-            mc.write(0, 0, out_row, out_base, _ZERO_BLOCK, count=_COL_GROUP)
-            mc.fence()
-            self.session.set_pim_op_mode(mc, False)
-            mc.drain()
+            _enqueue(mc, plan.program(tile, pass_, slot), blocks)
 
     def _shortcut_slice(self, s: int, x_padded: np.ndarray, slot: int = 0) -> None:
         """Functional model of one input slice (bit-equivalent).
@@ -655,7 +640,7 @@ class GemvKernel:
                         out_row, out_base = plan.out_location(tile, s // k, slot)
                         for unit in range(UNITS_PER_PCH):
                             mc.read(
-                                *_bank_coords(2 * unit), out_row, out_base,
+                                *divmod(2 * unit, 4), out_row, out_base,  # (bg, ba)
                                 tag=(s, tile, unit), count=_COL_GROUP,
                             )
                 runs = mc.drain().read_data
@@ -677,27 +662,19 @@ class GemvKernel:
                     )
         return partials
 
-    def _simulated_slices(self, nsim_ch: int) -> int:
-        k = len(self.channels)
-        return sum(1 for s in range(self.plan.num_slices) if s % k < nsim_ch)
-
     def _account_commands(self, report: ExecutionReport, invocations: int) -> None:
-        """Fill the command/FLOP/traffic counters (per simulated slice)."""
+        """Fill the command/FLOP/traffic counters: one tile's program,
+        times the tiles of every simulated slice."""
         plan = self.plan
-        scale = report.simulated_pchs * invocations
-        per_slice_cols = column_commands("gemv", (plan.m, plan.n), plan.num_slices)
-        report.column_commands = per_slice_cols * scale
-        report.fences = plan.tiles * (plan.chunks * 2 + 3) * scale
-        units = UNITS_PER_PCH
-        report.pim_instructions = per_slice_cols * units * scale
-        report.pim_flops = (
-            plan.tiles * plan.chunks * _COL_GROUP * units * LANES * 2
-        ) * scale
+        program = plan.program(0)
+        times = plan.tiles * report.simulated_pchs * invocations
+        _count_program(report, program, times)
+        body = stream.triggers(program)
+        macs = stream.columns(run for run in body if not run.write)
+        report.pim_flops = macs * UNITS_PER_PCH * LANES * 2 * times
         # Off-chip traffic: the staged x bursts plus partial-sum readback.
-        report.host_bytes = (
-            plan.tiles * plan.chunks * _COL_GROUP * GRF_REG_BYTES
-            + plan.tiles * units * _COL_GROUP * GRF_REG_BYTES
-        ) * scale
+        staged = stream.columns(run for run in body if run.operand >= 0)
+        report.host_bytes = (staged + _READBACK_COLUMNS) * GRF_REG_BYTES * times
 
 
 # ---------------------------------------------------------------------------
@@ -712,83 +689,31 @@ class ElementwiseOp:
     name: str
     microkernel: str
     uses_second_operand: bool
-    commands_per_group: int  # column commands per 8-column group
-    fences_per_group: int
-    instructions_per_group: int
     flops_per_element: int
 
 
+def _group_microkernel(*group: str) -> str:
+    """CRF source of an elementwise operator: each instruction of ``group``
+    for the 8 columns of an AAM window, the group once per ``{reps}`` + 1."""
+    windows = "".join(f"{instr}\nJUMP -1, 7\n" for instr in group)
+    return f"{windows}JUMP -{2 * len(group)}, {{reps}}\nEXIT\n"
+
+
+_FILL = "FILL GRF_A[A], EVEN_BANK"  # operand A (8 RDs)
+_MOV_OUT = "MOV EVEN_BANK[A], GRF_B[A]"  # result (8 WRs)
+# Operator -> (its group's instructions, whether one reads operand B — at the
+# same address of the ODD bank — and its FLOPs per element).
+_GROUPS = {
+    "add": ((_FILL, "ADD GRF_B[A], GRF_A[A], ODD_BANK", _MOV_OUT), True, 1),
+    "mul": ((_FILL, "MUL GRF_B[A], GRF_A[A], ODD_BANK", _MOV_OUT), True, 1),
+    "relu": ((_FILL, "MOV(RELU) EVEN_BANK[A], GRF_A[A]"), False, 0),
+    # Inference batch-norm folded to y = gamma' * x + beta'
+    # (Section II-A); scalars broadcast from SRF_M / SRF_A.
+    "bn": (("MAD GRF_B[A], EVEN_BANK, SRF_M[A], SRF_A[A]", _MOV_OUT), False, 2),
+}
 ELEMENTWISE_OPS: Dict[str, ElementwiseOp] = {
-    "add": ElementwiseOp(
-        name="add",
-        microkernel="""
-        FILL GRF_A[A], EVEN_BANK       ; operand A (8 RDs)
-        JUMP -1, 7
-        ADD  GRF_B[A], GRF_A[A], ODD_BANK  ; operand B (8 RDs)
-        JUMP -1, 7
-        MOV  EVEN_BANK[A], GRF_B[A]    ; result (8 WRs)
-        JUMP -1, 7
-        JUMP -6, {reps}
-        EXIT
-        """,
-        uses_second_operand=True,
-        commands_per_group=24,
-        fences_per_group=3,
-        instructions_per_group=24,
-        flops_per_element=1,
-    ),
-    "mul": ElementwiseOp(
-        name="mul",
-        microkernel="""
-        FILL GRF_A[A], EVEN_BANK
-        JUMP -1, 7
-        MUL  GRF_B[A], GRF_A[A], ODD_BANK
-        JUMP -1, 7
-        MOV  EVEN_BANK[A], GRF_B[A]
-        JUMP -1, 7
-        JUMP -6, {reps}
-        EXIT
-        """,
-        uses_second_operand=True,
-        commands_per_group=24,
-        fences_per_group=3,
-        instructions_per_group=24,
-        flops_per_element=1,
-    ),
-    "relu": ElementwiseOp(
-        name="relu",
-        microkernel="""
-        FILL GRF_A[A], EVEN_BANK
-        JUMP -1, 7
-        MOV(RELU) EVEN_BANK[A], GRF_A[A]
-        JUMP -1, 7
-        JUMP -4, {reps}
-        EXIT
-        """,
-        uses_second_operand=False,
-        commands_per_group=16,
-        fences_per_group=2,
-        instructions_per_group=16,
-        flops_per_element=0,
-    ),
-    "bn": ElementwiseOp(
-        name="bn",
-        # Inference batch-norm folded to y = gamma' * x + beta'
-        # (Section II-A); scalars broadcast from SRF_M / SRF_A.
-        microkernel="""
-        MAD  GRF_B[A], EVEN_BANK, SRF_M[A], SRF_A[A]
-        JUMP -1, 7
-        MOV  EVEN_BANK[A], GRF_B[A]
-        JUMP -1, 7
-        JUMP -4, {reps}
-        EXIT
-        """,
-        uses_second_operand=False,
-        commands_per_group=16,
-        fences_per_group=2,
-        instructions_per_group=16,
-        flops_per_element=2,
-    ),
+    name: ElementwiseOp(name, _group_microkernel(*group), second, flops)
+    for name, (group, second, flops) in _GROUPS.items()
 }
 
 
@@ -801,6 +726,7 @@ class ElementwisePlan:
     groups: int  # 8-column groups per unit stream
     base_row: int
     in_cols: int  # input columns per row (outputs at +in_cols)
+    registers: PimMemoryMap
 
     def layout(self, padded: np.ndarray) -> np.ndarray:
         """A padded vector's bytes as a ``(seq, unit, slot, 32)`` view.
@@ -824,8 +750,15 @@ class ElementwisePlan:
                 min(self.in_cols, self.seq_per_unit - seq),
             )
 
+    def program(self, op: str) -> stream.Program:
+        """What operator ``op`` puts on the bus of each channel slot: its
+        bursts over every 8-column group of the unit stream, in AB-PIM
+        mode."""
+        body = stream.elementwise_stream(op, self.groups, self.in_cols, self.base_row)
+        return stream.kernel_program(body, self.registers)
 
-class ElementwiseKernel:
+
+class ElementwiseKernel(_ResidentKernel):
     """Elementwise vector operator over the PIM region.
 
     ``channels`` binds the operator to a subset of pseudo-channels (a
@@ -842,28 +775,17 @@ class ElementwiseKernel:
     ):
         if op not in ELEMENTWISE_OPS:
             raise ValueError(f"unknown elementwise op {op!r}")
-        self.sys = system
-        self.session = PimSession(system)
+        super().__init__(system, channels)
         self.op = ELEMENTWISE_OPS[op]
         self.length = length
-        if channels is None:
-            channels = range(system.num_pchs)
-        self.channels: Tuple[int, ...] = tuple(channels)
-        if not self.channels:
-            raise ValueError("ElementwiseKernel needs at least one channel")
-        for p in self.channels:
-            if not 0 <= p < system.num_pchs:
-                raise ValueError(f"channel {p} out of range")
-        self._block = None
         self.plan = self._plan(length)
-        self._released = False
 
     def _plan(self, length: int) -> ElementwisePlan:
         num_pchs = len(self.channels)
         cols_per_row = self.sys.device.config.bank_config.cols_per_row
         in_cols = cols_per_row // 2  # half the row for inputs, half for results
         stride = num_pchs * UNITS_PER_PCH
-        groups = _elementwise_groups(length, num_pchs)
+        groups = stream.elementwise_groups(length, num_pchs)
         seq = groups * _COL_GROUP
         blocks = seq * stride
         rows = -(-seq // in_cols)
@@ -877,20 +799,8 @@ class ElementwiseKernel:
             groups=groups,
             base_row=block.start,
             in_cols=in_cols,
+            registers=self.session.map,
         )
-
-    def release(self) -> None:
-        """Return the kernel's rows to the driver (cache eviction)."""
-        if self._released:
-            return
-        self._released = True
-        driver = getattr(self.sys, "driver", None)
-        if driver is not None and self._block is not None:
-            driver.free(self._block)
-
-    def _check_alive(self) -> None:
-        if self._released:
-            raise RuntimeError("kernel was evicted; its rows were reclaimed")
 
     # -- staging -------------------------------------------------------------------
 
@@ -979,6 +889,7 @@ class ElementwiseKernel:
             total_pchs=plan.num_pchs,
         )
         results: List[np.ndarray] = []
+        program = plan.program(self.op.name)
         start = self.sys.drain_set(self.channels)
         self.session.enter_ab(pchs=sim_channels)
         self.session.program_crf(
@@ -991,8 +902,8 @@ class ElementwiseKernel:
             if b is not None:
                 b = self._padded(b)
                 self._scatter(b, odd=True)
-            for pos in range(nsim):
-                self._stream_pch(pos)
+            for pch in sim_channels:
+                _enqueue(self.sys.controller(pch), program, _CONSTANT_BLOCKS)
             if nsim < plan.num_pchs:
                 # Functional model of the non-simulated slots.
                 result = elementwise_reference(self.op.name, a, b, scalars)
@@ -1002,7 +913,12 @@ class ElementwiseKernel:
             results.append(self._gather_result())
         self.session.exit_to_sb(pchs=sim_channels)
         end = self.sys.drain_set(self.channels)
-        self._fill_report(report, end - start, invocations=len(normalised))
+        _fill_timing(self.sys, report, end - start, launches=1)
+        times = nsim * len(normalised)
+        _count_program(report, program, times)
+        written = stream.columns(run for run in stream.triggers(program) if run.write)
+        # One element per lane of a result column; host_bytes stays 0.
+        report.pim_flops = written * LANES * UNITS_PER_PCH * self.op.flops_per_element * times
         return results, report
 
     def _validate(
@@ -1028,40 +944,3 @@ class ElementwiseKernel:
                 add_scalars=np.full(_COL_GROUP, beta, dtype=np.float16),
                 pchs=sim_channels,
             )
-
-    def _stream_pch(self, pos: int) -> None:
-        plan = self.plan
-        mc = self.sys.controller(self.channels[pos])
-        self.session.set_pim_op_mode(mc, True)
-        groups_per_row = plan.in_cols // _COL_GROUP
-        for g in range(plan.groups):
-            row = plan.base_row + g // groups_per_row
-            col_base = (g % groups_per_row) * _COL_GROUP
-            mc.read(0, 0, row, col_base, count=_COL_GROUP)
-            mc.fence()
-            if self.op.uses_second_operand:
-                mc.read(0, 0, row, col_base, count=_COL_GROUP)
-                mc.fence()
-            mc.write(
-                0, 0, row, plan.in_cols + col_base, _ZERO_BLOCK, count=_COL_GROUP
-            )
-            mc.fence()
-        self.session.set_pim_op_mode(mc, False)
-        mc.drain()
-
-    def _fill_report(
-        self, report: ExecutionReport, cycles: int, invocations: int
-    ) -> None:
-        plan = self.plan
-        _fill_timing(self.sys, report, cycles, launches=1)
-        scale = report.simulated_pchs * invocations
-        report.column_commands = (
-            column_commands(self.op.name, (plan.length,), plan.num_pchs) * scale
-        )
-        report.fences = plan.groups * self.op.fences_per_group * scale
-        report.pim_instructions = (
-            plan.groups * self.op.instructions_per_group * UNITS_PER_PCH * scale
-        )
-        elements = plan.groups * _COL_GROUP * LANES * UNITS_PER_PCH
-        report.pim_flops = elements * self.op.flops_per_element * scale
-        report.host_bytes = 0  # operands and results stay in memory

@@ -17,7 +17,8 @@ Line forms accepted (comments start ``#``, blank lines are skipped)::
     R/W MEM [ch] [bank] [row]   direct bank-row access
     AB W                  enter all-bank mode
     PIM <OP> [DST] [SRC0] [SRC1]   one PIM instruction; operands are
-                          ``GRF,k`` / ``BANK,k`` / ``SRF,k`` tokens
+                          ``GRF,k`` / ``BANK,k`` / ``SRF,k`` tokens, or
+                          ``HOST,0`` for the burst of a triggering WR
     PIM NOP|JUMP|EXIT     sequencer control (no architectural effect)
     AiM WR_SBK [gpr] [ch_mask] [bank] [row]
     AiM WR_GB  [opsize] [gpr] [ch_mask]
@@ -48,10 +49,12 @@ import numpy as np
 from ..dram.ecc import peek_block
 from ..dram.timing import TimingParams
 from ..errors import PimReplayError
-from ..pim import isa
+from ..pim import isa, stream
+from ..pim.assembler import assemble
 from ..pim.device import PimPseudoChannel
 from ..pim.exec_unit import ColumnTrigger
 from ..pim.isa import Operand, OperandSpace
+from ..stack.kernels import ELEMENTWISE_OPS, GemvKernel
 
 __all__ = [
     "PhysicalAddress",
@@ -117,7 +120,7 @@ class PhysicalAddress:
 
 
 #: PIM operand spaces a trace may name, and the mnemonics of each class.
-_PIM_SPACES = ("GRF", "BANK", "SRF")
+_PIM_SPACES = ("GRF", "BANK", "SRF", "HOST")
 _PIM_COMPUTE = ("ADD", "MUL", "MAC", "MAD")
 _PIM_MOVE = ("MOV", "FILL")
 _PIM_CONTROL = ("NOP", "JUMP", "EXIT")
@@ -276,8 +279,11 @@ def _map_operand(
     ``GRF,k`` maps to GRF_A (k < 8) or GRF_B (k - 8); ``BANK,k`` maps to
     the even/odd bank of the pair by parity; ``SRF,k`` maps to the
     adder-side SRF_A for ADD and the multiplier-side SRF_M elsewhere
-    (the Table II legality split of the device ISA).
+    (the Table II legality split of the device ISA); ``HOST,0`` is the
+    data burst of the WR that triggers the instruction.
     """
+    if space == "HOST":
+        return Operand(OperandSpace.HOST, 0)
     if space == "GRF":
         if 0 <= index < isa.GRF_REGS:
             return Operand(OperandSpace.GRF_A, index)
@@ -459,10 +465,12 @@ class TraceExecution:
         unit.regs.crf[0] = isa.encode(instr)
         unit.regs.crf[1] = isa.encode(isa.exit_())
         unit.start()
+        host = instr.src0.space is OperandSpace.HOST
         trig = ColumnTrigger(
-            is_write=instr.dst.space.is_bank,
+            is_write=instr.dst.space.is_bank or host,
             row=self._row,
             col=self._col,
+            host_data=self._synth() if host else None,
         )
         unit.trigger(trig)
         self.pim_instructions += 1
@@ -536,56 +544,65 @@ def execute_trace(
 # -- our requests in their ISA ----------------------------------------------------
 
 
-def requests_to_trace(requests: Iterable[Any]) -> List[TraceOp]:
-    """Emit a recorded request stream as HBM-PIMulator trace operations.
+def _pim_op(instr: isa.Instruction, col: int) -> TraceOp:
+    """The instruction a column command to ``col`` triggers, as a ``PIM``
+    line: GRF_A / GRF_B are registers 0-7 / 8-15 of the dialect's one GRF
+    space, the bank pair is ``BANK,0`` / ``BANK,1``, and an address-aligned
+    register index is the column's low bits."""
 
-    This is a *load-vector* translation, not a cycle transcript: each
-    request becomes the staging writes plus the PIM instruction pattern
-    its operator class issues on the device (GEMV: weight rows + MAC per
-    column chunk; elementwise: operand stage + one ALU op), deterministic
-    in the request's position and shapes, so the emitted trace exercises
-    the same device paths with the same command mix.
+    def token(operand: Operand) -> Tuple[str, int]:
+        space = operand.space
+        if space.is_bank:
+            return "BANK", int(space is OperandSpace.ODD_BANK)
+        if space is OperandSpace.HOST:
+            return "HOST", 0
+        index = col % isa.GRF_REGS if instr.aam else operand.index
+        if space.is_srf:
+            return "SRF", index
+        return "GRF", index + isa.GRF_REGS * (space is OperandSpace.GRF_B)
+
+    # MAC's accumulator and MAD's addend (src2) are implied by the dialect.
+    operands = (instr.dst, instr.src0, instr.src1)[: 2 if instr.opcode.is_move else 3]
+    return TraceOp(
+        "PIM", mnemonic=instr.opcode.name, operands=tuple(token(o) for o in operands)
+    )
+
+
+def requests_to_trace(
+    requests: Iterable[Any], slices: int = 1, slots: int = 1
+) -> List[TraceOp]:
+    """Emit a request stream as the trace of its kernels' command programs.
+
+    Each request becomes the program its kernel enqueues
+    (:mod:`repro.pim.stream`) on every stream it is spread over — a GEMV
+    over ``slices`` input slices, an elementwise vector over ``slots``
+    channel slots, each opened by ``AB W`` — with one ``PIM`` line per
+    triggering column command: the microkernel instruction that column
+    triggers, walked beside the program.
     """
     ops: List[TraceOp] = []
     for rid, request in enumerate(requests):
-        op_name = getattr(request, "op", "gemv")
-        a = getattr(request, "a", None)
-        weights = getattr(request, "weights", None)
         ops.append(TraceOp("CFR", rw="W", args=(0, rid % 256)))
-        if op_name == "gemv" and weights is not None:
-            chunks = min(8, max(1, (weights.shape[1] + 15) // 16))
-            for c in range(chunks):
-                row = (rid * 8 + c) % 8192
-                ops.append(TraceOp("MEM", rw="W", args=(rid % 4, c % 4, row)))
-                pa = PhysicalAddress(
-                    rank=0, channel=rid % 4, bankgroup=c % 4 // 2,
-                    bank=c % 2, row=row, column=c % 32,
-                ).encode()
-                ops.append(TraceOp("SB", rw="R", args=(pa,)))
-                ops.append(
-                    TraceOp(
-                        "PIM", mnemonic="MAC",
-                        operands=(("GRF", 0), ("BANK", c % 4), ("SRF", 0)),
-                    )
+        if request.op == "gemv":
+            tiles, chunks = stream.gemv_shape(*np.shape(request.weights), slices)
+            windows = stream.gemv_slice(tiles, chunks)  # one microkernel run per tile
+            source = GemvKernel.MICROKERNEL.format(reps=chunks - 1)
+            streams = slices
+        else:
+            groups = stream.elementwise_groups(int(np.size(request.a)), slots)
+            windows = [stream.elementwise_stream(request.op, groups)]
+            source = ELEMENTWISE_OPS[request.op].microkernel.format(reps=groups - 1)
+            streams = slots
+        microkernel = assemble(source)
+        pim = [TraceOp("AB", rw="W")]
+        for window in windows:
+            instructions = stream.triggered_instructions(microkernel)
+            for run in window:
+                pim.extend(
+                    _pim_op(next(instructions), col)
+                    for col in range(run.col, run.col + run.count)
                 )
-            ops.append(TraceOp("GPR", rw="R", args=(rid % 16,)))
-            continue
-        size = int(np.asarray(a).size) if a is not None else 16
-        chunks = min(4, max(1, (size + 15) // 16))
-        mnemonic = {"add": "ADD", "mul": "MUL", "bn": "MAD"}.get(op_name, "MOV")
-        ops.append(TraceOp("GPR", rw="W", args=(rid % 16,)))
-        for c in range(chunks):
-            row = (rid * 4 + c) % 8192
-            pa = PhysicalAddress(
-                rank=0, channel=rid % 4, bankgroup=0, bank=c % 4 // 2,
-                row=row, column=c % 32,
-            ).encode()
-            ops.append(TraceOp("SB", rw="R", args=(pa,)))
-            if mnemonic == "MOV":
-                operands = (("GRF", c % 8), ("BANK", c % 2))
-            else:
-                operands = (("GRF", c % 8), ("BANK", c % 2), ("SRF", c % 8))
-            ops.append(TraceOp("PIM", mnemonic=mnemonic, operands=operands))
+        ops.extend(pim * streams)
     return ops
 
 

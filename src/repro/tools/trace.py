@@ -29,7 +29,8 @@ __all__ = ["TraceRecord", "CommandTrace", "trace_channel"]
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One command observed on the CA bus."""
+    """One command observed on the CA bus — or one column burst: ``count``
+    commands to consecutive columns from ``col``, ``tCCD_L`` apart."""
 
     cycle: int
     command: str
@@ -37,6 +38,7 @@ class TraceRecord:
     row: int
     col: int
     mode: str
+    count: int = 1
 
     def __str__(self) -> str:
         return f"{self.cycle:8d}  {self.mode:12s}  {self.command}"
@@ -53,16 +55,16 @@ class CommandTrace:
         return [str(r) for r in self.records]
 
     def counts(self) -> Dict[CommandType, int]:
-        """Command counts by type."""
+        """Command counts by type (a burst counts each of its columns)."""
         out: Dict[CommandType, int] = {}
         for record in self.records:
-            out[record.cmd_type] = out.get(record.cmd_type, 0) + 1
+            out[record.cmd_type] = out.get(record.cmd_type, 0) + record.count
         return out
 
     def columns_in_mode(self, mode: str) -> int:
         """Column commands observed while the device was in ``mode``."""
         return sum(
-            1
+            r.count
             for r in self.records
             if r.cmd_type.is_column and r.mode == mode
         )
@@ -87,7 +89,7 @@ class CommandTrace:
             if self.records
             else "empty"
         )
-        return f"{len(self.records)} commands ({counts}); {span}; " \
+        return f"{sum(self.counts().values())} commands ({counts}); {span}; " \
                f"modes {' -> '.join(self.mode_transitions())}"
 
     def filter(self, cmd_type: CommandType) -> List[TraceRecord]:
@@ -109,17 +111,14 @@ def trace_channel(channel: Any) -> Iterator[CommandTrace]:
 
     def recording_issue(cmd: Command, cycle: int):
         mode = getattr(getattr(channel, "mode", None), "value", "dram")
+        seen = len(trace.records)
         result = original_issue(cmd, cycle)
-        trace.records.append(
-            TraceRecord(
-                cycle=cycle,
-                command=repr(cmd),
-                cmd_type=cmd.cmd,
-                row=cmd.row,
-                col=cmd.col,
-                mode=mode,
+        # A burst the device serves command by command comes back through
+        # this hook once per column: those records are the burst.
+        if len(trace.records) == seen:
+            trace.records.append(
+                TraceRecord(cycle, repr(cmd), cmd.cmd, cmd.row, cmd.col, mode, cmd.count)
             )
-        )
         return result
 
     channel.issue = recording_issue

@@ -5,6 +5,7 @@ import pytest
 from repro.apps.microbench import ADD_SIZES, GEMV_SIZES
 from repro.dse.variants import VARIANTS, VariantLatencyModel, dse_speedups
 from repro.perf.latency import PIM_HBM
+from repro.pim.stream import columns, elementwise_stream, fences, gemv_tile
 
 
 @pytest.fixture(scope="module")
@@ -31,13 +32,20 @@ class TestVariantDefinitions:
         assert VARIANTS["PIM-HBM-2BA"].power_increase == 0.60
 
     def test_srw_halves_gemv_commands(self):
-        srw = VARIANTS["PIM-HBM-SRW"]
-        assert srw.gemv_chunk_commands == 8
-        assert VARIANTS["PIM-HBM"].gemv_chunk_commands == 16
+        def chunk_commands(variant):  # what one more chunk adds to a tile
+            rewrite = VARIANTS[variant].rewrite
+            return columns(rewrite(gemv_tile(2))) - columns(rewrite(gemv_tile(1)))
+
+        assert chunk_commands("PIM-HBM-SRW") == 8
+        assert chunk_commands("PIM-HBM") == 16
 
     def test_2ba_removes_fill_phase(self):
-        assert VARIANTS["PIM-HBM-2BA"].add_group == (16, 2)
-        assert VARIANTS["PIM-HBM"].add_group == (24, 3)
+        def add_group(variant):
+            group = VARIANTS[variant].rewrite(elementwise_stream("add", 1))
+            return columns(group), fences(group)
+
+        assert add_group("PIM-HBM-2BA") == (16, 2)
+        assert add_group("PIM-HBM") == (24, 3)
 
 
 class TestFig14Shapes:

@@ -108,6 +108,12 @@ class TestReplayCli:
                     b=(rng.standard_normal(32) * 0.25).astype(np.float16),
                     arrival_ns=float(i * 1000), trace_id=f"cli-{i}",
                 ))
+            server.submit(Request(
+                "gemv",
+                weights=(rng.standard_normal((64, 96)) * 0.25).astype(np.float16),
+                a=(rng.standard_normal(96) * 0.25).astype(np.float16),
+                arrival_ns=4000.0, trace_id="cli-gemv",
+            ))
             server.run()
         exported = tmp_path / "exported.trace"
         rc, out = self._run(
@@ -116,6 +122,17 @@ class TestReplayCli:
         )
         assert rc == 0, out
         assert "every journaled request has exactly one terminal" in out
+        # The export is the kernels' command stream: one PIM line per
+        # triggering column command, on every stream (2 channels, 1 lane).
+        from repro.stack.kernels import column_commands
+
+        pim_lines = sum(
+            line.startswith("PIM") for line in exported.read_text().splitlines()
+        )
+        assert pim_lines == 2 * (
+            4 * column_commands("add", (32,), 2)
+            + column_commands("gemv", (64, 96), 2)
+        )
         # The exported trace-ISA stream executes and round-trips.
         rc2, out2 = self._run("replay", "--trace", str(exported))
         assert rc2 == 0, out2

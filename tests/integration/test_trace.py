@@ -27,6 +27,28 @@ class TestTracer:
         assert counts[CommandType.WR] > 0
         assert counts[CommandType.ACT] > 0
 
+    @pytest.mark.parametrize("op", ["gemv", "add"])
+    def test_counts_are_the_bus_counts(self, op):
+        """A burst is its columns, whether the device takes it as one
+        state update (AB-PIM) or command by command (register rows, the
+        SB-mode readback) — so the trace counts what the channel counts."""
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
+        blas = PimBlas(system)
+        channel = system.device.pch(0)
+        before = dict(channel.cmd_counts)
+        with trace_channel(channel) as trace:
+            if op == "gemv":
+                blas.gemv(rand((128, 128), 9), rand(128, 10))
+            else:
+                blas.add(rand(3000, 9), rand(3000, 10))
+        delta = {
+            kind: count - before[kind]
+            for kind, count in channel.cmd_counts.items()
+            if count != before[kind]
+        }
+        assert trace.counts() == delta
+        assert any(record.count == 8 for record in trace.records)
+
     def test_mode_transition_sequence(self):
         system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
         blas = PimBlas(system)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.pim import fused
+from repro.pim.assembler import assemble
+from repro.pim.isa import OperandSpace
+from repro.pim.stream import triggered_instructions, triggers
 from repro.stack import kernels
 from repro.stack.blas import add_reference, gemv_reference
 from repro.stack.kernels import ElementwiseKernel, GemvKernel
@@ -161,6 +164,73 @@ class TestGemvExecution:
         expected = plan.tiles * (plan.chunks * 16 + 8) * 2  # both pCHs
         assert report.column_commands == expected
         assert report.pim_flops == 2 * 128 * plan.n_slice * 2  # padded dims
+
+
+class TestReportCountsTheProgram:
+    """``ExecutionReport.fences`` is whatever the program holds: for a
+    resident invocation (nothing left to program) the fences the simulated
+    controllers were handed."""
+
+    @staticmethod
+    def fence_counts(system):
+        return sum(mc.fence_count for mc in system.controllers)
+
+    @pytest.mark.parametrize("simulate_pchs", [None, 1])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_gemv_fences(self, system, simulate_pchs, batch):
+        kernel = GemvKernel(system, 200, 96)
+        kernel.load_weights(rand((200, 96), 40))
+        kernel(rand(96, 41), simulate_pchs=simulate_pchs)
+        before = self.fence_counts(system)
+        _, report = kernel.batched(rand((batch, 96), 42), simulate_pchs=simulate_pchs)
+        assert report.fences == self.fence_counts(system) - before > 0
+
+    @pytest.mark.parametrize("simulate_pchs", [None, 1])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("op", ["add", "mul", "relu"])
+    def test_elementwise_fences(self, system, op, simulate_pchs, batch):
+        kernel = ElementwiseKernel(system, op, 3000)
+        item = (rand(3000, 43), rand(3000, 44))
+        kernel.batched([item], simulate_pchs)
+        before = self.fence_counts(system)
+        _, report = kernel.batched([item] * batch, simulate_pchs)
+        assert report.fences == self.fence_counts(system) - before > 0
+
+
+class TestRunDirectionFollowsTheIsa:
+    """Each column command of a program triggers the next instruction of
+    the microkernel; the execution unit demands an RD of an instruction
+    with a bank-sourced operand and a WR of one with a ``HOST`` source or a
+    bank destination.  A microkernel edit that forgets the program fails
+    here instead of as a ``PimProgramError`` mid-serve."""
+
+    @staticmethod
+    def check(source, program):
+        instructions = triggered_instructions(assemble(source))
+        for run in triggers(program):
+            assert run.count == 8  # one ``JUMP -1, 7`` loop per run
+            loop = [next(instructions) for _ in range(run.count)]
+            instr = loop[0]
+            assert all(other is instr for other in loop)
+            sources = (instr.src0.space, instr.src1.space, instr.src2.space)
+            needs_write = instr.dst.space.is_bank or OperandSpace.HOST in sources
+            needs_read = any(space.is_bank for space in sources)
+            assert needs_write != needs_read
+            assert run.write == needs_write, (instr, run)
+        assert next(instructions, None) is None  # the program ends at EXIT
+
+    def test_gemv(self, system):
+        plan = GemvKernel(system, 200, 200).plan
+        assert plan.chunks > plan.chunks_per_row  # a row switch inside the tile
+        source = GemvKernel.MICROKERNEL.format(reps=plan.chunks - 1)
+        for tile in range(plan.tiles):
+            self.check(source, plan.program(tile))
+
+    @pytest.mark.parametrize("op", sorted(kernels.ELEMENTWISE_OPS))
+    def test_elementwise(self, system, op):
+        plan = ElementwiseKernel(system, op, 5000).plan
+        source = kernels.ELEMENTWISE_OPS[op].microkernel.format(reps=plan.groups - 1)
+        self.check(source, plan.program(op))
 
 
 class TestElementwiseExecution:
