@@ -308,7 +308,9 @@ def _block_kind(banks: Sequence[Bank]) -> Optional[type]:
     return None
 
 
-def peek_block(banks: Sequence[Bank], row: int, col0: int, n: int) -> np.ndarray:
+def peek_block(
+    banks: Sequence[Bank], row: int, col0: int, n: int, group: int = 0
+) -> np.ndarray:
     """Read columns ``col0 .. col0 + n`` of ``row`` from every bank of
     ``banks``: a fresh ``(len(banks), n, col_bytes)`` uint8 array.
 
@@ -321,7 +323,11 @@ def peek_block(banks: Sequence[Bank], row: int, col0: int, n: int) -> np.ndarray
     list (see :func:`_block_kind`), is re-read bank by bank in list order
     through ``peek_columns`` — columns ascending, through the scalar
     ``peek`` where dirty — which classifies, corrects, scrubs, counts and
-    raises exactly as the per-column path always has.
+    raises exactly as the per-column path always has.  ``group`` walks that
+    re-read ``group`` columns at a time (all banks, then the next columns):
+    a caller that merged several of its reads into this block names the
+    width they had, so the first uncorrectable word met — the exception —
+    is the one the separate reads would have met.
 
     It materialises exactly the (bank, row) pairs the column loop would,
     has no state or timing effect, and raises — :class:`IndexError` for a
@@ -346,7 +352,15 @@ def peek_block(banks: Sequence[Bank], row: int, col0: int, n: int) -> np.ndarray
                 bank.ecc_stats.words_checked += words.shape[1]
             return out
     cols = np.arange(col0, col0 + n)
-    return np.array([bank.peek_columns(row, cols) for bank in banks])
+    if not 0 < group < n:
+        return np.array([bank.peek_columns(row, cols) for bank in banks])
+    return np.concatenate(
+        [
+            np.array([bank.peek_columns(row, cols[g : g + group]) for bank in banks])
+            for g in range(0, n, group)
+        ],
+        axis=1,
+    )
 
 
 def poke_block(banks: Sequence[Bank], row: int, col0: int, data: np.ndarray) -> None:

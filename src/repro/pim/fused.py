@@ -15,18 +15,35 @@ interpretation layer by *trace compilation*:
    register-mapped access, mode transition, or channel reset.
 2. **Compile** — at the window boundary the tape is resolved once
    against the (verified-uniform) CRF program: the sequencer is
-   simulated, every trigger is bound to its instruction, and runs of
-   hazard-free same-instruction triggers are fused into single stacked
-   ``(units, k, 16)``-lane NumPy group steps.  The compiled trace — group
-   steps, per-unit stat deltas, and the final sequencer state — is
+   simulated, every trigger is bound to its instruction, and the bound
+   steps become a small *dataflow program* (:func:`_schedule`).  Every
+   register operand is resolved to its producer — the register's value at
+   window entry, a HOST burst, or the value an earlier step computed — so
+   ``GRF`` / ``SRF`` names are renamed away: reusing a register (WAR, WAW)
+   orders nothing, a plain MOV / FILL *is* its source and costs no op,
+   and each register's last value is stored once, when the replay ends.
+   MAC / MAD split into the hardware's two stages, MULT then ADD, so a
+   product waits for its multiplicands only.  Every op gets the level
+   ``1 + max(level of its producers)`` and the ops of one level and one
+   kind are a single stacked ``(units, k, 16)``-lane NumPy call: a GEMV
+   tile of 16 chunks is one multiply over 128 columns and a chain of 16
+   eight-wide adds, found by the levels, not matched by shape.  **Bank
+   locations are never renamed**: storage outlives the window and a read
+   can meet a stored fault, so any two accesses to one (bank space, row,
+   column) of which one is a write keep tape order.  The compiled trace —
+   fetches, ops, per-unit stat deltas, and the final sequencer state — is
    stored in a content-keyed LRU :class:`TraceCache`.
 3. **Replay** — later windows with the same content key skip straight to
-   the group steps.  Bank operands move live as one *block* per group
-   (:func:`~repro.dram.ecc.peek_block` / ``poke_block``: all units' banks,
-   one SEC-DED pass — so checks, corrections, inline scrubs, and
-   uncorrectable raises happen exactly as on the interpreted path), HOST
-   operands are gathered from the *current* tape, and GRF/SRF operands
-   slice the stacked register state.
+   the program.  First the *fetches*: every bank read of a location the
+   window has not written, in tape order, consecutive ascending columns of
+   one row under one instruction merged into one *block*
+   (:func:`~repro.dram.ecc.peek_block`: all units' banks, one SEC-DED pass
+   per weight row — each word is still read once, so checks, corrections
+   and inline scrubs count exactly as on the interpreted path).  Then the
+   levelled ops over one value pool — HOST operands gathered from the
+   *current* tape, entry registers copied from the stacked register state
+   — with bank writes as blocks (``poke_block``) at their level, and last
+   the register file stores.
 
 **Cache keys are content signatures**, not identities: the channel id,
 the uniform sequencer entry state, every CRF word of the program, and
@@ -51,12 +68,18 @@ does not:
 * a hard-failed bank -> interpreted (the lock-step refusal), raising
   :class:`~repro.errors.PimChannelError` exactly as before.
 
-The one observable difference is exception *ordering* inside a group:
-an uncorrectable ECC word aborts the whole group step before any unit's
-writes land, where the interpreter leaves earlier triggers fully
-executed.  This extends the documented lock-step caveat (see
-:mod:`repro.pim.lockstep`): both states are post-error garbage the
-self-healing layer discards before retrying.
+The one observable difference is exception *ordering* inside a window:
+an uncorrectable ECC word is met among the fetches, so it aborts the
+whole window before any register or bank write of it lands (inline
+corrections of the fetches already made stay), where the interpreter
+leaves earlier triggers fully executed.  The raise still comes from the
+same ``flush_pending`` — the same simulated cycle — and a merged block
+that turns out dirty is re-read at the width of the reads it merged (8
+columns under AAM, else one; all banks, then the next columns), so the
+first uncorrectable word met is the one those reads would have met in
+tape order.  This extends the documented
+lock-step caveat (see :mod:`repro.pim.lockstep`): both states are
+post-error garbage the self-healing layer discards before retrying.
 """
 
 from __future__ import annotations
@@ -64,7 +87,8 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import count, groupby
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -104,7 +128,7 @@ class TraceCache:
     """
 
     def __init__(self, limit: int = 128):
-        self.limit = max(1, int(limit))
+        self.limit = limit
         self._entries: "OrderedDict[tuple, CompiledTrace]" = OrderedDict()
         self.stats = TraceCacheStats()
 
@@ -151,35 +175,68 @@ class TraceCache:
 # -- compiled representation -----------------------------------------------------
 
 
-@dataclass
-class _GroupStep:
-    """One fused run of hazard-free same-instruction triggers.
+#: Pool slots ``_REG_BASE[space] + index`` hold the registers' values at
+#: window entry, so the rename table starts as the identity.
+_REG_BASE = {
+    space: i * GRF_REGS
+    for i, space in enumerate(
+        (OperandSpace.GRF_A, OperandSpace.GRF_B, OperandSpace.SRF_M, OperandSpace.SRF_A)
+    )
+}
+_ENTRY_SLOTS = len(_REG_BASE) * GRF_REGS
+#: Op kinds, in the order one level executes them: a level's bank reads
+#: come before its bank writes.
+_KINDS = ("load", "mul", "add", "relu", "store")
 
-    ``reads``/``dst`` are pre-resolved operand plans:
+#: Pool slots of one operand: a slice when they are an ascending run.
+_Slots = Union[slice, np.ndarray]
 
-    * ``("bank", space, row, cols, col0)`` — gather/scatter ``cols`` of
-      ``row`` on every unit's bank for ``space``; ``col0`` is their first
-      column when they are one ascending run (decided here, at compile
-      time, so replay moves them as a block), else None;
-    * ``("host", indices)`` — gather the WR bursts of the current tape,
-      counted over its host-carrying commands only;
-    * ``("grf", space, indices)`` / ``("srf", space, indices)`` — fancy
-      slices of the stacked register state.
+
+@dataclass(frozen=True)
+class _Op:
+    """One stacked NumPy step of a compiled trace: every micro-op of one
+    kind at one dataflow level (``load`` / ``store``: one run of one row).
+
+    ``out`` / ``a`` / ``b`` are slots of the replay's value pool —
+    ``(units, slots, 16)`` FP16 — so ``mul`` / ``add`` / ``relu`` read
+    ``pool[:, a]`` (and ``pool[:, b]``) and write ``pool[:, out]``; a
+    ``store`` writes ``pool[:, a]`` to the bank.  ``bank`` is ``(space,
+    row, cols, col0, width)``: ``col0`` is the first column when ``cols``
+    are one ascending run (decided here, at compile time, so replay moves
+    them as a block) else None, and ``width`` is how many columns a dirty
+    block is re-read at a time (see :func:`~repro.dram.ecc.peek_block`).
     """
 
-    opcode: Opcode
-    relu: bool
-    k: int
-    reads: Tuple[tuple, ...]
-    dst: tuple
+    kind: str
+    level: int
+    out: Optional[slice] = None
+    a: Optional[_Slots] = None
+    b: Optional[_Slots] = None
+    bank: Optional[tuple] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledTrace:
-    """One compiled (CRF program x command-stream signature) pair."""
+    """One compiled (CRF program x command-stream signature) pair.
+
+    Replay fills a value pool from ``entry_regs`` and ``host``, runs
+    ``fetches`` and then ``ops`` in order, and ends with ``puts``.
+    """
 
     poisoned: bool
-    groups: Tuple[_GroupStep, ...] = ()
+    #: The window's bank reads of locations it has not written, in tape
+    #: order: every read that can meet a stored fault, ahead of any write.
+    fetches: Tuple[_Op, ...] = ()
+    #: The levelled ops (a ``load`` here re-reads a column the window wrote).
+    ops: Tuple[_Op, ...] = ()
+    #: Register halves whose window-entry values are read.
+    entry_regs: Tuple[OperandSpace, ...] = ()
+    #: ``(slots, rows)``: the tape's HOST bursts (counted over its
+    #: host-carrying commands) that are read, or None.
+    host: Optional[Tuple[slice, _Slots]] = None
+    #: ``(space, registers, slots)``: each written GRF half's last values.
+    puts: Tuple[Tuple[OperandSpace, np.ndarray, _Slots], ...] = ()
+    slots: int = _ENTRY_SLOTS
     #: Uniform per-unit deltas: (triggers, instructions, flops,
     #: bank_reads, bank_writes, ignored_after_exit).
     stat_deltas: Tuple[int, int, int, int, int, int] = (0, 0, 0, 0, 0, 0)
@@ -188,9 +245,6 @@ class CompiledTrace:
     end_state: tuple = (0, True, 0, ())
     #: Bank operand spaces touched (re-checked for failures per replay).
     bank_spaces: Tuple[OperandSpace, ...] = ()
-    #: Whether any group gathers HOST operands from the tape.
-    reads_host: bool = False
-    replays: int = 0
 
 
 @dataclass
@@ -208,13 +262,7 @@ class _Step:
     flops: int
     bank_reads: int
     bank_writes: int
-    reg_reads: frozenset
-    reg_writes: frozenset
     bank_spaces: frozenset
-
-    @property
-    def has_bank(self) -> bool:
-        return bool(self.bank_spaces)
 
 
 _FLOPS = {
@@ -336,8 +384,15 @@ class FusedLockstepGroup(LockstepGroup):
         self._replay(entry, tape)
 
     def _replay(self, entry: CompiledTrace, tape: List[ColumnTrigger]) -> None:
-        host = None
-        if entry.reads_host:
+        units = self.units
+        stacked = self.stacked
+        pool = np.empty((len(units), entry.slots, LANES), dtype=np.float16)
+        for space in entry.entry_regs:
+            base = _REG_BASE[space]
+            pool[:, base : base + GRF_REGS] = (
+                stacked.grf(space) if space.is_grf else stacked.srf(space)[:, :, None]
+            )
+        if entry.host is not None:
             # Every WR burst of the tape, one row per command: a burst
             # entry brings its ``(count, 32)`` block as the kernel built it.
             host = np.concatenate([
@@ -345,13 +400,28 @@ class FusedLockstepGroup(LockstepGroup):
                 for trig in tape
                 if trig.host_data is not None
             ])
-        for group in entry.groups:
-            self._exec_group(group, host)
+            out, rows = entry.host
+            pool[:, out] = host[rows].view(np.float16)  # broadcast over units
+        banks = {space: [u._bank(space) for u in units] for space in entry.bank_spaces}
+        for op in entry.fetches + entry.ops:
+            kind = op.kind
+            if kind == "load":
+                pool[:, op.out] = _peek_run(banks, op.bank).view(np.float16)
+            elif kind == "mul":
+                pool[:, op.out] = vec_mul(pool[:, op.a], pool[:, op.b])
+            elif kind == "add":
+                pool[:, op.out] = vec_add(pool[:, op.a], pool[:, op.b])
+            elif kind == "relu":
+                pool[:, op.out] = vec_relu(pool[:, op.a])
+            else:  # store
+                _poke_run(banks, op.bank, np.ascontiguousarray(pool[:, op.a]).view(np.uint8))
+        for space, regs, src in entry.puts:
+            stacked.grf(space)[:, regs] = pool[:, src]
         end = entry.end_state
-        for unit in self.units:
+        for unit in units:
             unit.install_sequencer_state(*end)
         dt, di, df, dbr, dbw, dig = entry.stat_deltas
-        for unit in self.units:
+        for unit in units:
             stats = unit.stats
             stats.triggers += dt
             stats.instructions += di
@@ -360,50 +430,7 @@ class FusedLockstepGroup(LockstepGroup):
             stats.bank_writes += dbw
             stats.ignored_after_exit += dig
         self.batched_triggers += entry.batched_triggers
-        entry.replays += 1
         self.fused_replays += 1
-
-    def _exec_group(self, group: _GroupStep, host: Optional[np.ndarray]) -> None:
-        units = self.units
-        values = []
-        for plan in group.reads:
-            kind = plan[0]
-            if kind == "bank":
-                _, space, row, cols, col0 = plan
-                stacked = _peek_group([u._bank(space) for u in units], row, cols, col0)
-                values.append(stacked.view(np.float16))  # (units, k, 16)
-            elif kind == "host":
-                # (1, k, 16) broadcast over units
-                values.append(host[plan[1]].view(np.float16)[None])
-            elif kind == "grf":
-                values.append(self.stacked.grf(plan[1])[:, plan[2], :])
-            else:  # srf: (units, k, 1) broadcast over lanes
-                values.append(self.stacked.srf(plan[1])[:, plan[2]][:, :, None])
-        op = group.opcode
-        if op is Opcode.MOV or op is Opcode.FILL:
-            result = values[0]
-            if group.relu:
-                result = vec_relu(result)
-        elif op is Opcode.MUL:
-            result = vec_mul(values[0], values[1])
-        elif op is Opcode.ADD:
-            result = vec_add(values[0], values[1])
-        elif op is Opcode.MAC:
-            result = vec_add(values[2], vec_mul(values[0], values[1]))
-        else:  # MAD
-            result = vec_add(vec_mul(values[0], values[1]), values[2])
-        dst = group.dst
-        if dst[0] == "grf":
-            self.stacked.grf(dst[1])[:, dst[2], :] = result
-        else:
-            _, space, row, cols, col0 = dst
-            data = np.ascontiguousarray(
-                np.broadcast_to(result, (len(units), group.k, LANES)),
-                dtype=np.float16,
-            )
-            _poke_group(
-                [u._bank(space) for u in units], row, cols, col0, data.view(np.uint8)
-            )
 
     # -- compilation -------------------------------------------------------------
 
@@ -462,40 +489,39 @@ class FusedLockstepGroup(LockstepGroup):
         spaces = frozenset().union(*(s.bank_spaces for s in steps)) if steps else frozenset()
         return CompiledTrace(
             poisoned=False,
-            groups=tuple(_fuse_steps(steps)),
+            **_schedule(steps),
             stat_deltas=(
                 triggers, instructions, flops, bank_reads, bank_writes, ignored,
             ),
             batched_triggers=triggers,
             end_state=(ppc, exited, nop_remaining, tuple(sorted(jump.items()))),
             bank_spaces=tuple(spaces),
-            reads_host=any(("host",) in s.reads for s in steps),
         )
 
 
-def _peek_group(banks: list, row: int, cols: np.ndarray, col0: Optional[int]) -> np.ndarray:
-    """A group's bank operand from every unit's bank: ``(units, k, 32)``.
+def _peek_run(banks: Dict[OperandSpace, list], bank: tuple) -> np.ndarray:
+    """One run of bank columns from every unit's bank: ``(units, k, 32)``.
 
-    One block when the group's columns are a run from ``col0``; the rare
-    group the compiler could not order into a run (out-of-order columns)
-    gathers bank by bank through the index-array path.  Either way the
-    SEC-DED engine classifies, corrects, scrubs, counts and raises as on
-    the interpreted path.
+    One block when the columns are a run from ``col0``; a run the compiler
+    could not order (descending or gapped columns) gathers bank by bank
+    through the index-array path.  Either way the SEC-DED engine
+    classifies, corrects, scrubs, counts and raises as on the interpreted
+    path.
     """
+    space, row, cols, col0, width = bank
     if col0 is None:
-        return np.array([bank.peek_columns(row, cols) for bank in banks])
-    return peek_block(banks, row, col0, len(cols))
+        return np.array([b.peek_columns(row, cols) for b in banks[space]])
+    return peek_block(banks[space], row, col0, len(cols), width)
 
 
-def _poke_group(
-    banks: list, row: int, cols: np.ndarray, col0: Optional[int], raw: np.ndarray
-) -> None:
-    """Scatter a group's ``(units, k, 32)`` result (mirror of :func:`_peek_group`)."""
+def _poke_run(banks: Dict[OperandSpace, list], bank: tuple, raw: np.ndarray) -> None:
+    """Scatter a ``(units, k, 32)`` result (mirror of :func:`_peek_run`)."""
+    space, row, cols, col0, _ = bank
     if col0 is None:
-        for bank, slab in zip(banks, raw):
-            bank.poke_columns(row, cols, slab)
+        for b, slab in zip(banks[space], raw):
+            b.poke_columns(row, cols, slab)
     else:
-        poke_block(banks, row, col0, raw)
+        poke_block(banks[space], row, col0, raw)
 
 
 def _pack_signature(
@@ -554,7 +580,6 @@ def _plan_step(
     else:
         return None
     reads: List[tuple] = []
-    reg_reads = set()
     bank_spaces = set()
     bank_read_count = 0
     for operand in operands:
@@ -571,11 +596,9 @@ def _plan_step(
             reads.append(("host",))
         elif space.is_grf or space.is_srf:
             index = col % GRF_REGS if instr.aam else operand.index
-            reg_reads.add((space, index))
             reads.append(("grf" if space.is_grf else "srf", space, index))
         else:
             return None
-    reg_writes = set()
     if dst.space.is_bank:
         if not is_write:
             return None
@@ -584,7 +607,6 @@ def _plan_step(
         bank_write_count = 1
     elif dst.space.is_grf:
         index = col % GRF_REGS if instr.aam else dst.index
-        reg_writes.add((dst.space, index))
         dst_plan = ("grf", dst.space, index)
         bank_write_count = 0
     else:
@@ -601,91 +623,145 @@ def _plan_step(
         flops=_FLOPS[op],
         bank_reads=bank_read_count,
         bank_writes=bank_write_count,
-        reg_reads=frozenset(reg_reads),
-        reg_writes=frozenset(reg_writes),
         bank_spaces=frozenset(bank_spaces),
     )
 
 
-class _GroupBuilder:
-    """Accumulates consecutive steps that may execute as one array op."""
+def _slots(slots: List[int]) -> _Slots:
+    """``slots`` as a pool index: a slice when they ascend by one."""
+    first = slots[0]
+    if slots == list(range(first, first + len(slots))):
+        return slice(first, first + len(slots))
+    return np.array(slots)
 
-    def __init__(self, step: _Step):
-        self.steps = [step]
-        self.word = step.word
-        self.row = step.row
-        self.cols = {step.col}
-        self.reg_writes = set(step.reg_writes)
 
-    def accepts(self, step: _Step) -> bool:
-        if step.word != self.word:
-            return False
-        if step.has_bank and (step.row != self.row or step.col in self.cols):
-            return False
-        # Vectorized execution reads every step's operands before any
-        # write lands, so a step may not read — or rewrite — a register
-        # an earlier step of the group writes (sequential semantics).
-        if step.reg_reads & self.reg_writes or step.reg_writes & self.reg_writes:
-            return False
-        return True
+class _MicroOp(NamedTuple):
+    """One operation on values, before levelling stacks it with its peers."""
 
-    def add(self, step: _Step) -> None:
-        self.steps.append(step)
-        self.cols.add(step.col)
-        self.reg_writes |= step.reg_writes
+    kind: str
+    a: Optional[int]  # operand value ids
+    b: Optional[int]
+    step: _Step
+    where: Optional[tuple]  # load / store: (space, row, col)
+    #: What it stacks with: ``(level, kind rank)``, and for a load / store
+    #: the one row of one bank space under one instruction it may run with.
+    run: tuple
 
-    def finish(self, index_array) -> _GroupStep:
-        steps = self.steps
-        first = steps[0]
-        cols = index_array(s.col for s in steps)
-        # Contiguity is decided here, once per compiled trace: an ascending
-        # run moves as a block on every replay.
-        col0 = first.col if all(
-            s.col == first.col + i for i, s in enumerate(steps)
-        ) else None
-        positions = index_array(s.pos for s in steps)
-        reads = []
-        for j, plan in enumerate(first.reads):
-            kind = plan[0]
-            if kind == "bank":
-                reads.append(("bank", plan[1], first.row, cols, col0))
-            elif kind == "host":
-                reads.append(("host", positions))
-            else:  # grf / srf
-                reads.append(
-                    (kind, plan[1], index_array(s.reads[j][2] for s in steps))
-                )
-        if first.dst[0] == "bank":
-            dst = ("bank", first.dst[1], first.row, cols, col0)
-        else:
-            dst = ("grf", first.dst[1], index_array(s.dst[2] for s in steps))
-        return _GroupStep(
-            opcode=first.instr.opcode,
-            relu=first.instr.relu,
-            k=len(steps),
-            reads=tuple(reads),
-            dst=dst,
+
+def _schedule(steps: List[_Step]) -> dict:
+    """The bound steps as a levelled dataflow program: the ``fetches`` /
+    ``ops`` / ``entry_regs`` / ``host`` / ``puts`` / ``slots`` of a
+    :class:`CompiledTrace`.
+
+    Every operand is resolved to the *value* that produces it, so register
+    names vanish: a plain MOV / FILL is its source, MAC / MAD are a ``mul``
+    and an ``add``, and a micro-op's level is one more than its producers'.
+    Bank locations are not renamed: a read is levelled after the last
+    write to its (space, row, column), a write after every earlier access.
+    """
+    # Value ids index ``level``.  Those below ``_ENTRY_SLOTS`` are the
+    # registers' entry values — level 0, like the HOST bursts.
+    level: List[int] = [0] * _ENTRY_SLOTS
+    micro: Dict[int, _MicroOp] = {}  # value id -> what computes it
+    host_ids: Dict[int, int] = {}  # tape host row -> value id
+    renamed: Dict[tuple, int] = {}  # (space, register) -> value id
+    entry_regs = set()
+    written: Dict[tuple, int] = {}  # bank location -> level of its last store
+    touched: Dict[tuple, int] = {}  # ... -> highest level of any access
+
+    def emit(kind, step, a=None, b=None, where=None, after=0) -> int:
+        run = (
+            1 + max(after, 0 if a is None else level[a], 0 if b is None else level[b]),
+            _KINDS.index(kind),
         )
+        if where is not None:
+            run += (where[:2], step.word)
+        micro[len(level)] = _MicroOp(kind, a, b, step, where, run)
+        level.append(run[0])
+        return len(level) - 1
 
-
-def _fuse_steps(steps: List[_Step]) -> List[_GroupStep]:
-    """Fuse bound steps into maximal hazard-free group steps."""
-    builders: List[_GroupBuilder] = []
     for step in steps:
-        if builders and builders[-1].accepts(step):
-            builders[-1].add(step)
+        values = []
+        for plan in step.reads:
+            if plan[0] == "bank":
+                where = (plan[1], step.row, step.col)
+                value = emit("load", step, where=where, after=written.get(where, 0))
+                touched[where] = max(touched.get(where, 0), level[value])
+            elif plan[0] == "host":
+                value = host_ids.get(step.pos)
+                if value is None:
+                    value = host_ids[step.pos] = len(level)
+                    level.append(0)
+            else:
+                value = renamed.get(plan[1:])
+                if value is None:
+                    value = _REG_BASE[plan[1]] + plan[2]
+                    entry_regs.add(plan[1])
+            values.append(value)
+        op = step.instr.opcode
+        if op is Opcode.MOV or op is Opcode.FILL:
+            result = emit("relu", step, values[0]) if step.instr.relu else values[0]
+        elif op is Opcode.MUL:
+            result = emit("mul", step, values[0], values[1])
+        elif op is Opcode.ADD:
+            result = emit("add", step, values[0], values[1])
+        elif op is Opcode.MAC:
+            result = emit("add", step, values[2], emit("mul", step, values[0], values[1]))
+        else:  # MAD
+            result = emit("add", step, emit("mul", step, values[0], values[1]), values[2])
+        if step.dst[0] == "grf":
+            renamed[step.dst[1:]] = result
         else:
-            builders.append(_GroupBuilder(step))
-    # A trace's groups repeat a handful of index patterns (columns 0..7,
-    # registers 0..7): one read-only array per distinct pattern.
-    pool: Dict[tuple, np.ndarray] = {}
+            where = (step.dst[1], step.row, step.col)
+            store = emit("store", step, result, where=where, after=touched.get(where, 0))
+            written[where] = touched[where] = level[store]
 
-    def index_array(values) -> np.ndarray:
-        key = tuple(values)
-        indices = pool.get(key)
-        if indices is None:
-            indices = pool[key] = np.array(key)
-            indices.setflags(write=False)
-        return indices
+    # Execution order: by level, a level's kinds in ``_KINDS`` order, tape
+    # order within a kind.  Slots follow it — entry registers, HOST rows in
+    # first-use order, then the micro-ops' values — so a stacked op writes
+    # a slice and mostly reads slices.
+    order = sorted(micro, key=lambda value: micro[value].run[:2])
+    valued = [value for value in order if micro[value].kind != "store"]
+    base = _ENTRY_SLOTS + len(host_ids)
+    slot = dict(zip(host_ids.values(), count(_ENTRY_SLOTS)))
+    slot.update(zip(valued, count(base)))
 
-    return [b.finish(index_array) for b in builders]
+    def at(values: List[int]) -> _Slots:
+        return _slots([v if v < _ENTRY_SLOTS else slot[v] for v in values])
+
+    ops: List[_Op] = []
+    for key, run in groupby(order, key=lambda value: micro[value].run):
+        run = list(run)
+        members = [micro[value] for value in run]
+        kind, _, _, step, where, _ = members[0]
+        bank = None
+        if where is not None:
+            cols = [member.where[2] for member in members]
+            ascending = cols == list(range(cols[0], cols[0] + len(cols)))
+            bank = (
+                *where[:2], np.array(cols), cols[0] if ascending else None,
+                GRF_REGS if step.instr.aam else 1,
+            )
+        ops.append(_Op(
+            kind=kind,
+            level=key[0],
+            out=None if kind == "store" else at(run),
+            a=None if kind == "load" else at([member.a for member in members]),
+            b=at([member.b for member in members]) if kind in ("mul", "add") else None,
+            bank=bank,
+        ))
+    # Level-1 loads sort first: the reads of what the window has not written.
+    fetches = sum(op.kind == "load" and op.level == 1 for op in ops)
+    puts = []
+    for space in (OperandSpace.GRF_A, OperandSpace.GRF_B):
+        regs = sorted(reg for s, reg in renamed if s is space)
+        if regs:
+            puts.append((space, np.array(regs), at([renamed[space, r] for r in regs])))
+    return dict(
+        fetches=tuple(ops[:fetches]),
+        ops=tuple(ops[fetches:]),
+        entry_regs=tuple(space for space in _REG_BASE if space in entry_regs),
+        host=(slice(_ENTRY_SLOTS, base), _slots(list(host_ids))) if host_ids else None,
+        puts=tuple(puts),
+        slots=base + len(valued),
+    )

@@ -51,12 +51,12 @@ def mac_partials(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     ``n`` is a multiple of 8 (slices are padded); column ``j`` of the
     result is what ``GRF_B[j]`` holds after the slice's last chunk.
     """
+    # The MULT stage depends on its operands only, so every chunk's product
+    # is one multiply ahead of the ADD chain (as the device replays it).
+    prod = (w * x).astype(np.float16)
     acc = np.zeros((w.shape[0], GRF_REGS), dtype=np.float16)
     for base in range(0, w.shape[1], GRF_REGS):
-        prod = (w[:, base : base + GRF_REGS] * x[base : base + GRF_REGS]).astype(
-            np.float16
-        )
-        acc = (acc + prod).astype(np.float16)
+        acc = (acc + prod[:, base : base + GRF_REGS]).astype(np.float16)
     return acc
 
 

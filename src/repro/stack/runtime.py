@@ -91,6 +91,10 @@ class SystemConfig:
                 f"unknown exec_mode {self.exec_mode!r}: expected "
                 '"lockstep", "scalar" or "fused"'
             )
+        if self.trace_cache_size < 1:
+            raise ValueError(
+                f"the trace cache holds at least one trace, not {self.trace_cache_size}"
+            )
 
     @property
     def execution_mode(self) -> str:

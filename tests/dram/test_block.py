@@ -94,9 +94,13 @@ class TestBlockEqualsColumnLoop:
             min_size=1,
             max_size=2,
         ),
+        # The width a dirty block is re-read at (0: the whole block): what a
+        # caller that merged ``group``-column reads into one block passes.
+        group=st.integers(0, COLS),
     )
-    def test_dirty_blocks_correct_scrub_and_raise_alike(self, kinds, run, seed, flips):
+    def test_dirty_blocks_correct_scrub_and_raise_alike(self, kinds, run, seed, flips, group):
         col0, n = run
+        step = group if 0 < group < n else n
         sides = [[_bank(kind) for kind in kinds] for _ in range(2)]
         data = np.random.default_rng(seed).integers(
             0, 256, (len(kinds), n, CONFIG.col_bytes), dtype=np.uint8
@@ -111,12 +115,21 @@ class TestBlockEqualsColumnLoop:
 
         def read(mover, banks):
             try:
-                return mover(banks, 1, col0, n).tobytes()
+                return mover(banks).tobytes()
             except UncorrectableError as exc:
                 return str(exc)
 
-        outcome = read(peek_block, sides[0])
-        assert outcome == read(peek_block_by_column, sides[1])
+        outcome = read(lambda banks: peek_block(banks, 1, col0, n, group), sides[0])
+        assert outcome == read(
+            lambda banks: np.concatenate(
+                [
+                    peek_block_by_column(banks, 1, col0 + g, min(step, n - g))
+                    for g in range(0, n, step)
+                ],
+                axis=1,
+            ),
+            sides[1],
+        )
         raised = isinstance(outcome, str)
         for block_bank, loop_bank in zip(*sides):
             # The inline scrub repaired the same cells on both sides.

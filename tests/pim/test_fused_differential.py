@@ -18,11 +18,12 @@ self-healing layer discards.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dram.bank import Bank
-from repro.dram.ecc import EccBank
+from repro.dram.ecc import EccBank, UncorrectableError
 from repro.pim.fused import FusedLockstepGroup, TraceCache
 from repro.pim.lockstep import LockstepGroup
 
@@ -38,9 +39,15 @@ from tests.pim.test_lockstep import (
 )
 
 
-def _build_fused(seed: int, bank_cls=Bank) -> FusedLockstepGroup:
-    base = _build_group(seed, enabled=True, bank_cls=bank_cls)
+def _build_fused(seed: int, bank_cls=Bank, cols: int = 8) -> FusedLockstepGroup:
+    base = _build_group(seed, enabled=True, bank_cls=bank_cls, cols=cols)
     return FusedLockstepGroup(base.units)
+
+
+def _compiled(group: FusedLockstepGroup):
+    """The one compiled trace in ``group``'s cache."""
+    (key,) = group.cache.keys()
+    return group.cache.get(key)
 
 
 def _run_window(group, triggers):
@@ -57,11 +64,13 @@ def _run_window(group, triggers):
         return (type(exc).__name__, str(exc))
 
 
-def _assert_threeway(source, triggers, seed=0, bank_cls=Bank, mutate=None):
+def _assert_threeway(source, triggers, seed=0, bank_cls=Bank, mutate=None, cols=8):
+    """Run one window three ways; returns the fused group (for its plan)
+    and the common outcome."""
     groups = {
-        "scalar": _build_group(seed, enabled=False, bank_cls=bank_cls),
-        "lockstep": _build_group(seed, enabled=True, bank_cls=bank_cls),
-        "fused": _build_fused(seed, bank_cls=bank_cls),
+        "scalar": _build_group(seed, enabled=False, bank_cls=bank_cls, cols=cols),
+        "lockstep": _build_group(seed, enabled=True, bank_cls=bank_cls, cols=cols),
+        "fused": _build_fused(seed, bank_cls=bank_cls, cols=cols),
     }
     outcomes = {}
     for name, group in groups.items():
@@ -70,11 +79,11 @@ def _assert_threeway(source, triggers, seed=0, bank_cls=Bank, mutate=None):
             mutate(group)
         outcomes[name] = _run_window(group, triggers)
     assert outcomes["scalar"] == outcomes["lockstep"] == outcomes["fused"]
-    if outcomes["scalar"] is not None:
-        return  # post-error state is documented as unspecified
-    snap = _snapshot(groups["scalar"])
-    assert _snapshot(groups["lockstep"]) == snap, "lockstep diverged from scalar"
-    assert _snapshot(groups["fused"]) == snap, "fused diverged from scalar"
+    if outcomes["scalar"] is None:  # post-error state is documented as unspecified
+        snap = _snapshot(groups["scalar"])
+        assert _snapshot(groups["lockstep"]) == snap, "lockstep diverged from scalar"
+        assert _snapshot(groups["fused"]) == snap, "fused diverged from scalar"
+    return groups["fused"], outcomes["fused"]
 
 
 # -- hand-written windows covering each structural feature ----------------------
@@ -217,6 +226,244 @@ class TestFusedDesync:
             group.units[2]._nop_remaining = 1
 
         _assert_threeway(source, [_rd(0, 0)] * 4, mutate=mutate)
+
+
+# -- the levelled replay: dependences, not hazards, order a window ---------------
+
+GEMV = (
+    "MOV GRF_A[A], HOST\n"
+    "JUMP -1, 7\n"
+    "MAC GRF_B[A], EVEN_BANK, GRF_A[A]\n"
+    "JUMP -1, 7\n"
+    "JUMP -4, {reps}\n"
+    "MOV EVEN_BANK[A], GRF_B[A]\n"
+    "JUMP -1, 7\n"
+    "EXIT"
+)
+OUT_ROW = 3
+
+
+def _gemv_window(chunks):
+    """The GEMV kernel's window: per chunk 8 HOST bursts and 8 weight
+    columns (32 to a row, rows 0..), then the write-out to ``OUT_ROW``."""
+    triggers = []
+    for chunk in range(chunks):
+        triggers += [_wr(0, j, value=0.25 * (chunk - j)) for j in range(8)]
+        triggers += [_rd(chunk // 4, 8 * (chunk % 4) + j) for j in range(8)]
+    return triggers + [_wr(OUT_ROW, j) for j in range(8)]
+
+
+def _kinds(entry):
+    return [op.kind for op in entry.ops]
+
+
+def _width(op):
+    return op.out.stop - op.out.start
+
+
+@pytest.mark.parametrize("bank_cls", [Bank, EccBank])
+class TestLevelledReplay:
+    """Each case runs three ways, then pins the shape the compiler found."""
+
+    def test_mac_chain_of_16_chunks_over_4_weight_rows(self, bank_cls):
+        group, _ = _assert_threeway(
+            GEMV.format(reps=15), _gemv_window(16), seed=1, bank_cls=bank_cls, cols=32
+        )
+        entry = _compiled(group)
+        # One block per weight row; the 128 MOVs are nobody's op.
+        assert [(op.bank[1], op.bank[3], len(op.bank[2])) for op in entry.fetches] == [
+            (row, 0, 32) for row in range(4)
+        ]
+        assert _kinds(entry) == ["mul"] + ["add"] * 16 + ["store"]
+        assert [_width(op) for op in entry.ops[:-1]] == [128] + [8] * 16
+        assert [op.level for op in entry.ops] == list(range(2, 20))
+        assert sorted(space.name for space, _, _ in entry.puts) == ["GRF_A", "GRF_B"]
+
+    def test_fixed_register_mac_is_a_chain_of_depth_8_width_1(self, bank_cls):
+        source = "MAC GRF_B[0], EVEN_BANK, SRF_M[0]\nJUMP -1, 7\nEXIT"
+        group, _ = _assert_threeway(source, [_rd(0, c) for c in range(8)], bank_cls=bank_cls)
+        entry = _compiled(group)
+        assert _kinds(entry) == ["mul"] + ["add"] * 8
+        assert [_width(op) for op in entry.ops] == [8] + [1] * 8
+        # Non-AAM reads were single-column groups: a dirty block re-reads so.
+        assert [op.bank[3:] for op in entry.fetches] == [(0, 1)]
+
+    def test_register_reuse_orders_nothing_next_to_a_true_chain(self, bank_cls):
+        # GRF_A[0] is rewritten between the two ADDs (WAW, and WAR against
+        # the first ADD's read); only GRF_B[2] carries data from one to the other.
+        source = (
+            "MOV GRF_A[0], GRF_B[1]\n"
+            "ADD GRF_B[2], GRF_A[0], GRF_B[2]\n"
+            "MOV GRF_A[0], GRF_B[3]\n"
+            "ADD GRF_B[2], GRF_A[0], GRF_B[2]\n"
+            "MUL GRF_B[4], GRF_A[0], GRF_B[5]\n"
+            "EXIT"
+        )
+        group, _ = _assert_threeway(source, [_rd(0, 0)] * 5, seed=2, bank_cls=bank_cls)
+        ops = _compiled(group).ops
+        assert [(op.kind, op.level) for op in ops] == [("mul", 1), ("add", 1), ("add", 2)]
+
+    def test_register_written_twice_keeps_the_second_value(self, bank_cls):
+        source = "MOV GRF_A[0], GRF_B[1]\nMOV GRF_A[0], GRF_B[2]\nEXIT"
+        group, _ = _assert_threeway(source, [_rd(0, 0)] * 2, seed=3, bank_cls=bank_cls)
+        entry = _compiled(group)
+        assert entry.ops == () and entry.fetches == ()
+        ((space, regs, _),) = entry.puts
+        assert (space.name, list(regs)) == ("GRF_A", [0])
+        unit = group.units[0]
+        assert unit.regs.grf_a[0].tobytes() == unit.regs.grf_b[2].tobytes()
+
+    def test_register_read_before_the_window_writes_it(self, bank_cls):
+        source = (
+            "ADD GRF_B[0], GRF_A[0], GRF_A[1]\n"
+            "MOV GRF_A[0], GRF_B[5]\n"
+            "ADD GRF_B[1], GRF_A[0], GRF_A[1]\n"
+            "EXIT"
+        )
+        _assert_threeway(source, [_rd(0, 0)] * 3, seed=4, bank_cls=bank_cls)
+
+    @pytest.mark.parametrize(
+        "source, triggers, kinds",
+        [
+            (  # written, then read: the read follows the store, not the fetches
+                "MOV EVEN_BANK, GRF_A[1]\nFILL GRF_B[2], EVEN_BANK\nEXIT",
+                [_wr(1, 3), _rd(1, 3)],
+                ["store", "load"],
+            ),
+            (  # read, then written: the fetch sees the old column
+                "FILL GRF_B[2], EVEN_BANK\nMOV EVEN_BANK, GRF_A[1]\nEXIT",
+                [_rd(1, 3), _wr(1, 3)],
+                ["store"],
+            ),
+            (  # written twice: two stores, in tape order
+                "MOV EVEN_BANK, GRF_A[1]\nMOV EVEN_BANK, GRF_A[2]\nEXIT",
+                [_wr(1, 3), _wr(1, 3)],
+                ["store", "store"],
+            ),
+            (  # written, read back, combined and written again
+                "MOV EVEN_BANK, GRF_A[1]\n"
+                "ADD GRF_B[2], EVEN_BANK, GRF_A[3]\n"
+                "MOV EVEN_BANK, GRF_B[2]\nEXIT",
+                [_wr(1, 3), _rd(1, 3), _wr(1, 3)],
+                ["store", "load", "add", "store"],
+            ),
+        ],
+    )
+    def test_bank_locations_keep_tape_order(self, bank_cls, source, triggers, kinds):
+        group, _ = _assert_threeway(source, triggers, seed=5, bank_cls=bank_cls)
+        ops = _compiled(group).ops
+        assert [op.kind for op in ops] == kinds
+        assert [op.level for op in ops] == sorted(op.level for op in ops)
+        assert len({op.level for op in ops}) == len(ops)
+
+    def test_batch_norm_mad_with_both_scalar_files(self, bank_cls):
+        source = (
+            "MAD GRF_B[A], EVEN_BANK, SRF_M[A], SRF_A[A]\n"
+            "JUMP -1, 7\n"
+            "MOV EVEN_BANK[A], GRF_B[A]\n"
+            "JUMP -1, 7\n"
+            "EXIT"
+        )
+        triggers = [_rd(1, c) for c in range(8)] + [_wr(2, c) for c in range(8)]
+        group, _ = _assert_threeway(source, triggers, seed=6, bank_cls=bank_cls)
+        assert _kinds(_compiled(group)) == ["mul", "add", "store"]
+
+    def test_mov_relu_is_a_producer(self, bank_cls):
+        source = (
+            "MOV(RELU) GRF_A[A], EVEN_BANK\n"
+            "JUMP -1, 7\n"
+            "ADD GRF_B[A], GRF_A[A], ODD_BANK\n"
+            "JUMP -1, 7\n"
+            "MOV(RELU) ODD_BANK[A], GRF_B[A]\n"
+            "JUMP -1, 7\n"
+            "EXIT"
+        )
+        triggers = (
+            [_rd(1, c) for c in range(8)]
+            + [_rd(2, c) for c in range(8)]
+            + [_wr(3, c) for c in range(8)]
+        )
+        group, _ = _assert_threeway(source, triggers, seed=7, bank_cls=bank_cls)
+        assert _kinds(_compiled(group)) == ["relu", "add", "relu", "store"]
+
+    def test_a_split_at_every_trigger_is_invisible(self, bank_cls):
+        source, triggers = GEMV.format(reps=1), _gemv_window(2)
+        whole = _build_fused(8, bank_cls=bank_cls, cols=16)
+        _program(whole, source)
+        assert _run_window(whole, triggers) is None
+        for split in range(1, len(triggers)):
+            parts = _build_fused(8, bank_cls=bank_cls, cols=16)
+            _program(parts, source)
+            assert _run_window(parts, triggers[:split]) is None
+            assert _run_window(parts, triggers[split:]) is None
+            assert _snapshot(parts) == _snapshot(whole), f"split at {split}"
+
+
+class TestLevelledReplayUnderFaults:
+    """Merged weight rows meet stored faults as the separate reads did."""
+
+    def test_correctable_words_in_one_weight_row_count_alike(self):
+        def mutate(group):
+            group.units[2].even_bank.inject_error(0, 19, bit=7)
+            group.units[5].even_bank.inject_error(0, 3, bit=130)
+            group.units[5].even_bank.inject_check_error(1, 30, word=1, bit=2)
+
+        _, outcome = _assert_threeway(
+            GEMV.format(reps=7), _gemv_window(8), seed=9, bank_cls=EccBank,
+            mutate=mutate, cols=32,
+        )
+        assert outcome is None  # ... and the snapshots held every EccStats counter
+
+    @pytest.mark.parametrize("bad_unit, bad_col, good_unit, good_col", [
+        (5, 3, 2, 19),  # the uncorrectable word in the row's first chunk
+        (2, 19, 5, 3),  # ... behind a correctable one
+        (6, 21, 1, 17),  # both in one chunk, the correctable one in a lower bank
+    ])
+    def test_first_exception_is_identical(self, bad_unit, bad_col, good_unit, good_col):
+        def mutate(group):
+            group.units[good_unit].even_bank.inject_error(0, good_col, bit=7)
+            for bit in (64, 69):  # two flips in one word
+                group.units[bad_unit].even_bank.inject_error(0, bad_col, bit=bit)
+
+        _, outcome = _assert_threeway(
+            GEMV.format(reps=7), _gemv_window(8), seed=9, bank_cls=EccBank,
+            mutate=mutate, cols=32,
+        )
+        assert outcome == (
+            "UncorrectableError", f"double-bit error at row 0 col {bad_col} word 1"
+        )
+
+    def test_uncorrectable_word_aborts_the_window_before_any_write(self):
+        """ROADMAP 6(d): the raise comes at the window's flush, and GRF_B
+        and the out row are what they were at window entry — although the
+        bad word belongs to the *last* chunk."""
+        group = _build_fused(10, bank_cls=EccBank, cols=32)
+        _program(group, GEMV.format(reps=15))
+        for bit in (3, 11):
+            group.units[4].even_bank.inject_error(3, 31, bit=bit)
+
+        def state():
+            return [
+                (
+                    unit.regs.grf_a.tobytes(),
+                    unit.regs.grf_b.tobytes(),
+                    unit.even_bank._row_array(OUT_ROW).tobytes(),
+                    unit.even_bank.ecc_stats.words_encoded,
+                )
+                for unit in group.units
+            ]
+
+        triggers = _gemv_window(16)
+        # The kernel's own layout: the write-out shares the last weight row.
+        assert triggers[-9].row == OUT_ROW and triggers[-1].row == OUT_ROW
+        before = state()
+        for trig in triggers:
+            group.trigger_all(trig)  # buffered: nothing can raise here
+        assert state() == before
+        with pytest.raises(UncorrectableError, match="row 3 col 31 word 0"):
+            group.flush_pending()
+        assert state() == before
+        assert group.fused_replays == 0 and group.fused_fallbacks == 0
 
 
 # -- randomized three-way differential (hypothesis) -----------------------------
@@ -432,3 +679,53 @@ class TestEndToEndThreeWay:
 
         with pytest.raises(ValueError, match="exec_mode"):
             SystemConfig(exec_mode="warp")
+
+
+# -- the counts the replay's cost rests on, made by the compiler -----------------
+
+
+class TestCompiledPlanCounts:
+    """What a resident operator's window compiles to on one pCH of
+    ``SystemConfig(simulate_pchs=1)``.  PR 23 replayed the GEMV slice-tile
+    as 33 hazard groups (16 MOV, 16 MAC, the write-out), add as 3 and relu
+    as 2."""
+
+    @staticmethod
+    def _traces(run):
+        from collections import Counter
+
+        from repro.stack.blas import PimBlas
+        from repro.stack.runtime import PimSystem, SystemConfig
+
+        system = PimSystem(SystemConfig(simulate_pchs=1))
+        run(PimBlas(system), np.random.default_rng(23))
+        cache = system._trace_cache
+        entries = [cache.get(key) for key in cache.keys()]
+        assert entries and not any(entry.poisoned for entry in entries)
+        return [
+            (Counter(op.kind for op in entry.ops), len(entry.fetches), entry)
+            for entry in entries
+        ]
+
+    def test_gemv_128x512_slice_tile(self):
+        def run(blas, rng):
+            w = (rng.standard_normal((128, 512)) * 0.25).astype(np.float16)
+            blas.gemv(w, (rng.standard_normal(512) * 0.25).astype(np.float16))
+
+        for kinds, fetches, entry in self._traces(run):
+            assert entry.stat_deltas[0] == 264  # 128 MOVs, 128 MACs, 8 write-outs
+            assert kinds == {"mul": 1, "add": 16, "store": 1}  # the MOVs: no op
+            assert 1 <= fetches <= 4  # one block per weight row
+            assert len(entry.puts) == 2
+
+    def test_elementwise_windows_are_no_longer_than_their_groups_were(self):
+        def add(blas, rng):
+            a = (rng.standard_normal(4096) * 0.25).astype(np.float16)
+            blas.add(a, a)
+
+        def relu(blas, rng):
+            blas.relu((rng.standard_normal(2048) * 0.25).astype(np.float16))
+
+        for run, groups_before in ((add, 3), (relu, 2)):
+            for kinds, _, _ in self._traces(run):
+                assert sum(kinds.values()) <= groups_before

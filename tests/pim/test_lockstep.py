@@ -26,8 +26,9 @@ NUM_ROWS = 8
 DATA_ROWS = 4  # rows 0..3 hold operand data; register rows are not modelled
 
 
-def _build_group(seed: int, enabled: bool, bank_cls=Bank) -> LockstepGroup:
-    """A seeded group: random bank rows, random GRF/SRF, shared layout."""
+def _build_group(seed: int, enabled: bool, bank_cls=Bank, cols: int = 8) -> LockstepGroup:
+    """A seeded group: random bank rows (their first ``cols`` columns),
+    random GRF/SRF, shared layout."""
     rng = np.random.default_rng(seed)
     cfg = BankConfig(num_rows=NUM_ROWS)
     units = []
@@ -36,7 +37,6 @@ def _build_group(seed: int, enabled: bool, bank_cls=Bank) -> LockstepGroup:
         odd = bank_cls(cfg, HBM2_1GHZ)
         units.append(PimExecutionUnit(u, even, odd))
     group = LockstepGroup(units, enabled=enabled)
-    cols = 8  # triggers only ever address columns 0..7
     for unit in units:
         for bank in (unit.even_bank, unit.odd_bank):
             for row in range(DATA_ROWS):

@@ -132,6 +132,17 @@ class TestSystemKnob:
         assert system._trace_cache.limit == 4
         assert system.driver.trace_cache is system._trace_cache
 
+    def test_a_cache_of_no_traces_is_refused(self):
+        """0 used to become 1 silently; ``MemoryController(window=0)`` raises."""
+        import pytest
+
+        from repro.stack.runtime import SystemConfig
+
+        for size in (0, -3):
+            with pytest.raises(ValueError, match="at least one trace"):
+                SystemConfig(trace_cache_size=size)
+        assert SystemConfig(trace_cache_size=1).trace_cache_size == 1
+
     def test_default_builds_fused_groups_and_one_cache(self):
         from repro.stack.runtime import PimSystem, SystemConfig
 

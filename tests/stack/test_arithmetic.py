@@ -199,6 +199,22 @@ class TestOneReduction:
         assert acc.shape == (1, 8) and acc.dtype == np.float16
         assert acc[0, 0] == np.float16(prod + prod)
         assert not acc[0, 1:].any()
+        # Special operands, bit for bit against the chunk-at-a-time loop.
+        tiny = np.float16(6e-8)  # the smallest subnormal
+        w = np.array(
+            [[np.inf, -np.inf, np.nan, tiny, -tiny, 65504.0, 0.0, -0.0] * 3], np.float16
+        )
+        x = np.array(
+            [0.0, np.inf, 1.0, tiny, 0.5, 2.0, np.nan, -1.0] * 2
+            + [1.0, 1.0, 1.0, 4096.0, 1.0, -1.0, 1.0, 1.0],
+            np.float16,
+        )
+        with np.errstate(all="ignore"):
+            want = np.zeros((1, 8), dtype=np.float16)
+            for base in range(0, 24, 8):
+                chunk = (w[:, base : base + 8] * x[base : base + 8]).astype(np.float16)
+                want = (want + chunk).astype(np.float16)
+            assert mac_partials(w, x).tobytes() == want.tobytes()
 
 
 class TestElementwiseShortcut:

@@ -111,7 +111,7 @@ class TestGemvExecution:
         bulk = run()
         calls = []
 
-        def peek_block(banks, row, col0, n):
+        def peek_block(banks, row, col0, n, group=0):  # clean banks: no dirty walk
             calls.append("peek")
             return peek_block_by_column(banks, row, col0, n)
 
