@@ -35,9 +35,10 @@ be:
 * Alone in its fence epoch under an in-order policy, a run's commands are
   equally-ready row hits of one class — FR-FCFS and FCFS both take them in
   arrival order, ``tCCD_L`` apart — so ``drain`` issues it as one
-  :class:`Command` with no window and no pick (``_drain_burst``); when a
+  :class:`Command` with no window and no pick (``_lone_run``); when a
   refresh falls due inside it, the first command goes out there and the
-  rest take the pick path, one refresh check per command.
+  rest take the pick path, one refresh check per command.  Each run of a
+  PIM kernel's program (``drain(program, blocks)``) is one, not queued.
 * ``shuffle`` draws among single commands, so ``drain`` expands the queue
   on entry — the one place ``Request.expand`` is called.
 
@@ -55,7 +56,7 @@ import enum
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -76,6 +77,9 @@ class SchedulerPolicy(enum.Enum):
     FRFCFS = "frfcfs"
     FCFS = "fcfs"
     SHUFFLE = "shuffle"
+
+
+_FCFS, _SHUFFLE = SchedulerPolicy.FCFS, SchedulerPolicy.SHUFFLE
 
 
 @dataclass(eq=False)
@@ -282,6 +286,7 @@ class MemoryController:
         ``count > 1`` queues a column burst: reads of ``count`` consecutive
         columns from ``col`` as one queue entry.
         """
+        self._check_run(False, count, None)
         self.enqueue(Request(MemOp.READ, bg, ba, row, col, tag=tag, count=count))
 
     def write(
@@ -290,9 +295,18 @@ class MemoryController:
     ) -> None:
         """Queue a 32-byte write — or, with ``count > 1``, a column burst of
         ``count`` writes from ``col``, ``data`` their ``(count, 32)`` block."""
+        self._check_run(True, count, data)
         self.enqueue(
             Request(MemOp.WRITE, bg, ba, row, col, data=data, tag=tag, count=count)
         )
+
+    def _check_run(self, write: bool, count: int, data: Optional[np.ndarray]) -> None:
+        """Refuse a run the bus could only partly carry."""
+        if count < 1:
+            raise ValueError(f"a run is at least one column, not {count}")
+        shape = (count, self.channel.bank_config.col_bytes)
+        if write and count > 1 and getattr(data, "shape", None) != shape:
+            raise ValueError(f"a write burst of {count} columns needs a {shape} block")
 
     def fence(self) -> None:
         """Commands after a fence never issue before commands preceding it."""
@@ -310,44 +324,47 @@ class MemoryController:
 
     # -- scheduling ---------------------------------------------------------------
     #
-    # The reorder window is not a data structure: ``_window`` walks the
+    # The reorder window is not a data structure: ``_window`` lists the
     # queue head — the oldest epoch's runs while a budget of ``self.window``
-    # bus commands lasts — and each pick looks at those entries afresh.  A
-    # run's commands share one class (``Request.cls``) and one row, and an
-    # in-order policy takes them oldest first, so the commands eligible at
-    # a pick are "the first run of each class" and the run that issued a
-    # column is again a run: no expansion, no splice, and the bus sees the
-    # single requests' commands at the single requests' cycles.  A column
-    # command's earliest issue cycle depends only on its class — never on
-    # row, column or data — so the first-ready choice among the row hits is
-    # one channel query (``first_ready``), and every other timing question
-    # goes through the channel too: the controller never looks into a bank.
+    # bus commands lasts — once per pick.  A run's commands share one class
+    # (``Request.cls``) and one row, and an in-order policy takes them
+    # oldest first, so the commands eligible at a pick are "the first run
+    # of each class" and the run that issued a column is again a run: no
+    # expansion, no splice, and the bus sees the single requests' commands
+    # at the single requests' cycles.  A column command's earliest issue
+    # cycle depends only on its class — never on row, column or data — so
+    # the first-ready choice among the row hits is one channel query
+    # (``first_ready``), and every other timing question goes through the
+    # channel too: the controller never looks into a bank.
     #
     # Where the schedule can be written down — the run is alone in its
-    # fence epoch and the policy keeps arrival order — ``_drain_burst``
-    # issues it without a window or a pick.  Only ``SHUFFLE``, whose seeded
-    # draws are among single commands, expands runs (at ``drain`` entry).
+    # fence epoch and the policy keeps arrival order — ``_lone_run`` issues
+    # it without a window or a pick, off the queue or straight from a
+    # program.  Only ``SHUFFLE``, whose seeded draws are among single
+    # commands, expands runs (at ``drain`` entry).
 
-    def _window(self, epoch: int) -> Iterator[Request]:
+    def _window(self, epoch: int) -> List[Request]:
         """The runs in the reorder window, oldest first."""
+        window = []
         budget = self.window
         for run in self._queue:
             if run.epoch != epoch:
-                return
-            yield run
+                break
+            window.append(run)
             budget -= run.count
             if budget <= 0:
-                return
+                break
+        return window
 
     def _pick(self, epoch: int) -> Tuple[Request, Optional[int]]:
         """The run whose next column issues next, and that command's
         earliest cycle when it was worked out and is still current."""
         queue = self._queue
-        if self.policy is SchedulerPolicy.FCFS:
+        if self.policy is _FCFS:
             return queue[0], None
-        if self.policy is SchedulerPolicy.SHUFFLE:
-            size = sum(1 for _ in self._window(epoch))
-            return queue[self._rng.randrange(size)], None
+        window = self._window(epoch)
+        if self.policy is _SHUFFLE:
+            return queue[self._rng.randrange(len(window))], None
         # FR-FCFS: among row hits, the first *ready* one (earliest legal
         # column issue — this is what lets hits to other bank groups slip in
         # at tCCD_S); with no hits, the oldest request.  Ties go to the
@@ -355,7 +372,7 @@ class MemoryController:
         open_rows = self._open_rows
         hits: Dict[int, Request] = {}
         misses = []
-        for run in self._window(epoch):
+        for run in window:
             if open_rows[run.cls >> 1] != run.row:
                 misses.append(run)
             else:
@@ -370,21 +387,21 @@ class MemoryController:
                 bound = self.channel.earliest_col(best.bg, best.ba, best.cls & 1)
             # Slack before the picked column: use it on the misses' rows.
             if bound > self._next_ca and self._opportunistic_activate(
-                misses, best.cls >> 1, bound, epoch
+                misses, best.cls >> 1, bound, window
             ):
                 bound = None  # commands went out since the query
         return best, bound
 
     def _opportunistic_activate(
-        self, misses: List[Request], picked_bank: int, col_cycle: int, epoch: int
+        self, misses: List[Request], picked_bank: int, col_cycle: int, window: List[Request]
     ) -> bool:
         """Open other requests' rows while the picked column waits.
 
         Real FR-FCFS controllers interleave ACTs to idle banks with the
         column stream; without this, a multi-bank stream degenerates to one
-        bank at a time.  ``misses`` are the windowed runs whose row is not
-        open, ``col_cycle`` the cycle the picked column goes out; returns
-        whether any command was issued.
+        bank at a time.  ``misses`` are the runs of ``window`` whose row is
+        not open, ``col_cycle`` the cycle the picked column goes out;
+        returns whether any command was issued.
         """
         channel = self.channel
         open_rows = self._open_rows
@@ -397,10 +414,7 @@ class MemoryController:
             if shadow is not None:
                 # Conflict: close the stale row early, unless a windowed
                 # request still wants it.
-                if any(
-                    run.cls >> 1 == bank and run.row == shadow
-                    for run in self._window(epoch)
-                ):
+                if any(run.cls >> 1 == bank and run.row == shadow for run in window):
                     continue
                 cycle = max(self._next_ca, channel.earliest_pre(other.bg, other.ba))
                 if cycle >= col_cycle:
@@ -492,63 +506,99 @@ class MemoryController:
         else:
             run.shrink()
 
-    def _drain_burst(self, burst: Request, out: _Drain) -> None:
-        """Issue the run at the queue head, alone in its epoch.
-
-        Its commands are equally-ready requests of one (bank, row,
-        direction) class, so FR-FCFS and FCFS both take them in arrival
-        order: the first pays the refresh check and any PRE/ACT, every
-        later one is a row hit ``tCCD_L`` after its predecessor (the bank
-        bounds do not move on a column command, and ``tCCD_L`` covers the
-        CA slot).  The whole run therefore goes to the channel as one
-        command at the first one's cycle.  Only a refresh can fall between
-        two of them: when the run's second-to-last command would issue at
-        or past ``_next_refresh``, just the first command is issued here
-        and what is left of the run takes the pick path.
-
-        When the channel raises part way, the controller is left as the
-        per-command loop leaves it: clocks at the last command that
-        completed, hits tallied up to the one that raised, and the run —
-        still queued — shrunk to the commands from that one on.
-        """
+    def _lone_run(
+        self, is_write: bool, bg: int, ba: int, row: int, col: int, count: int,
+        data: Optional[np.ndarray], tag: Any, out: _Drain,
+        enqueue: Optional[Callable[[], None]] = None,
+    ) -> bool:
+        """Issue a run alone in its fence epoch — the queue head, or not
+        queued (``enqueue()`` queues it and what follows it); returns
+        whether it went to the channel whole.  FR-FCFS and FCFS both take
+        its equally-ready commands in arrival order: the first pays the
+        refresh check and any PRE/ACT, the rest are row hits ``tCCD_L``
+        apart (a column command moves no bank bound) — one command.  A
+        refresh due before its second-to-last command, or a raise part way,
+        leaves the run at the queue head: a refresh issues its first
+        command off the queue, the rest take the pick path; a raise leaves
+        clocks, hits and the run from that command on as the per-command
+        loop does."""
         if self.refresh and self._cycle >= self._next_refresh:
             self._do_refresh()
-        bg, ba = burst.bg, burst.ba
-        is_write = burst.cls & 1
-        self._open(bg, ba, burst.row)
+        self._open(bg, ba, row)
         channel = self.channel
         bound = channel.earliest_col(bg, ba, is_write)
         first = max(self._next_ca, bound)
         step = channel.timing.tccd_l
-        count = burst.count
-        if self.refresh and first + (count - 2) * step >= self._next_refresh:
-            self._issue_column(burst, bound, out)
-            return
+        if self.refresh and count > 1 and first + (count - 2) * step >= self._next_refresh:
+            if enqueue is not None:
+                enqueue()
+            self._issue_column(self._queue[0], bound, out)
+            return False
         kind = CommandType.WR if is_write else CommandType.RD
-        cmd = Command(
-            kind, bg, ba, row=burst.row, col=burst.col, data=burst.data,
-            tag=burst.tag, count=count,
-        )
+        if count == 1 and data is not None and data.ndim == 2:
+            data = data[0]  # what is left of a write burst
+        cmd = Command(kind, bg, ba, row=row, col=col, data=data, tag=tag, count=count)
         taken = channel.cmd_counts[kind]
         try:
-            data = channel.issue(cmd, first)
+            answer = channel.issue(cmd, first)
         except BaseException:
             # The channel counts a command before its data path can raise:
             # all but the last one it counted ran to completion.
             done = channel.cmd_counts[kind] - taken - 1
+            if enqueue is not None:
+                enqueue()
             if done > 0:
                 self._cycle = first + (done - 1) * step
                 self._next_ca = self._cycle + 1
                 self.row_hits += done
-                burst.shrink(done)
+                self._queue[0].shrink(done)
             raise
         self._cycle = last = first + (count - 1) * step
         self._next_ca = last + 1
         self.row_hits += count - 1
-        if not is_write and burst.tag is not None and data is not None:
-            out.read_data[burst.tag] = data
-        out.issue_order.extend([(cycle, burst) for cycle in range(first, last + 1, step)])
-        self._queue.popleft()
+        if tag is not None and answer is not None:
+            out.read_data[tag] = answer
+        if enqueue is None:  # the queue head: list its commands, dequeue it
+            head = self._queue.popleft()
+            out.issue_order.extend([(cycle, head) for cycle in range(first, last + 1, step)])
+        return True
+
+    def _queue_runs(self, runs: Sequence[tuple], blocks: Sequence[np.ndarray]) -> None:
+        """Queue a program's ``runs`` one request each, fenced as they say."""
+        for write, row, col, count, fence, operand, barrier in runs:
+            if barrier:
+                self.fence()
+            if write:
+                self.write(0, 0, row, col, blocks[operand], count=count)
+            else:
+                self.read(0, 0, row, col, count=count)
+            if fence:
+                self.fence()
+
+    def _program_pass(
+        self, program: Sequence[tuple], blocks: Sequence[np.ndarray], out: _Drain
+    ) -> Optional[int]:
+        """One :meth:`_lone_run` per run of ``program``; returns the epoch of
+        the last command (None: none went out).  From a run that shares its
+        epoch with the next or does not go out whole, the rest of the
+        program is queued and the drain carries on from the queue."""
+        epoch = None
+        for index, (write, row, col, count, fence, operand, barrier) in enumerate(program):
+            if not fence:
+                self._queue_runs(program[index:], blocks)
+                break
+            if epoch is not None:
+                self._next_ca += self.fence_penalty  # crossing a fence
+            epoch = self._epoch + barrier  # the run's epoch, had it been queued
+            if not self._lone_run(
+                write, 0, 0, row, col, count, blocks[operand] if write else None, None,
+                out, lambda: self._queue_runs(program[index:], blocks),
+            ):
+                break
+            if barrier:
+                self.fence()
+            self.fence()
+        return epoch
 
     def _expand_queue(self, out: _Drain) -> None:
         """Turn every queued run into its single requests (``SHUFFLE``'s
@@ -565,16 +615,33 @@ class MemoryController:
                 for single in singles:
                     out.blocks[single] = dest
 
-    def drain(self) -> ScheduleResult:
-        """Simulate until the queue is empty; return the schedule outcome."""
+    def drain(
+        self, program: Sequence[tuple] = (), blocks: Sequence[np.ndarray] = ()
+    ) -> ScheduleResult:
+        """Simulate until the queue is empty; return the schedule outcome.
+
+        ``program``, a :mod:`repro.pim.stream` program to bank (0, 0) whose
+        WR runs carry ``blocks[run.operand]``, means: check it, enqueue every
+        run with its fences, drain.  On an empty queue under an in-order
+        policy its runs are issued unqueued (:meth:`_program_pass`), so
+        ``issue_order`` does not list them."""
         out = _Drain()
-        start_counts = dict(self.channel.cmd_counts)
+        channel = self.channel
+        start_counts = dict(channel.cmd_counts)
         start_hits, start_misses = self.row_hits, self.row_misses
         entry_cycle = self._cycle
         queue = self._queue
-        if self.policy is SchedulerPolicy.SHUFFLE:
-            self._expand_queue(out)
+        in_order = self.policy is not _SHUFFLE
         epoch: Optional[int] = None
+        if program:
+            for write, _, _, count, _, operand, _ in program:
+                self._check_run(write, count, blocks[operand] if write else None)
+            if queue or not in_order:
+                self._queue_runs(program, blocks)
+            else:
+                epoch = self._program_pass(program, blocks, out)
+        if not in_order:
+            self._expand_queue(out)
         while queue:
             head = queue[0]
             if head.epoch != epoch:
@@ -582,8 +649,11 @@ class MemoryController:
                     # Crossing a fence: the barrier stalls the request stream.
                     self._next_ca += self.fence_penalty
                 epoch = head.epoch
-                if head.count > 1 and (len(queue) == 1 or queue[1].epoch != epoch):
-                    self._drain_burst(head, out)
+                if in_order and (len(queue) == 1 or queue[1].epoch != epoch):
+                    self._lone_run(
+                        head.cls & 1, head.bg, head.ba, head.row, head.col, head.count,
+                        head.data, head.tag, out,
+                    )
                     continue
             if self.refresh and self._cycle >= self._next_refresh:
                 self._do_refresh()
@@ -593,23 +663,22 @@ class MemoryController:
             self._issue_column(run, bound, out)
         self.busy_cycles += self._cycle - entry_cycle
         counts = {
-            ct: self.channel.cmd_counts[ct] - start_counts.get(ct, 0)
-            for ct in CommandType
+            ct: channel.cmd_counts[ct] - start_counts.get(ct, 0) for ct in CommandType
         }
-        issue_order = out.issue_order
-        if self.tracer is not None and issue_order:
+        columns = counts[CommandType.RD] + counts[CommandType.WR]
+        if self.tracer is not None and columns:
             self.tracer.record_cycles(
                 "drain",
                 entry_cycle,
                 self._cycle,
                 category="device",
                 channel=self.channel_id,
-                requests=len(issue_order),
+                requests=columns,
                 commands=sum(counts.values()),
             )
         return ScheduleResult(
             cycles=self._cycle,
-            issue_order=issue_order,
+            issue_order=out.issue_order,
             read_data=out.read_data,
             command_count=counts,
             row_hits=self.row_hits - start_hits,

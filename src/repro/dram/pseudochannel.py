@@ -27,6 +27,8 @@ BANK_GROUPS = 4
 BANKS_PER_GROUP = 4
 BANKS_PER_PCH = BANK_GROUPS * BANKS_PER_GROUP
 
+_RD, _WR = CommandType.RD, CommandType.WR
+
 
 class PseudoChannel:
     """One HBM2 pseudo-channel with 16 banks and shared-bus timing."""
@@ -195,10 +197,12 @@ class PseudoChannel:
         """Issue ``cmd`` at ``cycle``; returns read data for RD commands."""
         if cmd.count > 1:
             return self._issue_each(cmd, cycle)
+        kind = cmd.cmd
+        if kind is _RD or kind is _WR:
+            return self._bank_column(cmd, cycle)
         bound = self.earliest_issue(cmd)
         if cycle < bound:
             raise TimingViolation(f"{cmd!r} at {cycle} before bound {bound}")
-        kind = cmd.cmd
         self.cmd_counts[kind] += 1
         if kind is CommandType.PREA:
             for bank in self._banks:
@@ -209,24 +213,36 @@ class PseudoChannel:
             self._refresh_banks(cycle)
             return None
         bank = self._banks[cmd.bg * BANKS_PER_GROUP + cmd.ba]
+        if kind is CommandType.ACT:  # both raise, if at all, before any change
+            bank.activate(cmd.row, cycle)
+            self._record_act(cmd.bg, cycle)
+        else:
+            bank.precharge(cycle)
+        self._absorb(bank)
+        return None
+
+    def _bank_column(self, cmd: Command, cycle: int) -> Optional[np.ndarray]:
+        """A single RD / WR to a bank row: the bound :meth:`earliest_col`
+        gives, the bank's data path, the column history; a RD's data."""
+        is_write = cmd.cmd is _WR
+        bg = cmd.bg
+        bank = self._banks[bg * BANKS_PER_GROUP + cmd.ba]
+        own = bank.next_wr if is_write else bank.next_rd
+        bound = max(own, self._col_bus_bound(bg, is_write))
+        if cycle < bound:
+            raise TimingViolation(f"{cmd!r} at {cycle} before bound {bound}")
+        self.cmd_counts[cmd.cmd] += 1
         data = None
         try:
-            if kind is CommandType.ACT:
-                bank.activate(cmd.row, cycle)
-                self._record_act(cmd.bg, cycle)
-            elif kind is CommandType.PRE:
-                bank.precharge(cycle)
-            elif kind is CommandType.RD:
-                if cmd.fetched:
-                    bank.read_fetched(cmd.row, cycle)
-                else:
-                    data = bank.read(cmd.row, cmd.col, cycle, cmd.ahead)
-                self._record_col(cmd.bg, cycle, is_write=False)
-            else:
+            if is_write:
                 if cmd.data is None:
                     raise ValueError("WR command without data")
                 bank.write(cmd.row, cmd.col, cmd.data, cycle)
-                self._record_col(cmd.bg, cycle, is_write=True)
+            elif cmd.fetched:
+                bank.read_fetched(cmd.row, cycle)
+            else:
+                data = bank.read(cmd.row, cmd.col, cycle, cmd.ahead)
+            self._record_col(bg, cycle, is_write)
         finally:
             # Also when the data path raises (PimChannelError): the bank
             # moved its bounds before touching the row array.

@@ -18,6 +18,9 @@ and one entry on the exec group's tape (``_issue_burst``); in every other
 situation the channel loops its ordinary single-command ``issue``, so a
 burst can never do anything its commands would not.
 
+SB mode is standard DRAM: a RD / WR to a bank row (the GEMV readback)
+goes straight to the bank-column frame of every pseudo-channel.
+
 A RD's read-ahead (``Command.ahead``) is a matter between the controller
 and one bank's data path: an SB-mode read of a bank row hands it to the
 bank, and everything decoded ahead of the banks or broadcast to all of
@@ -44,6 +47,8 @@ from .modes import ModeController, PimMemoryMap, PimMode
 __all__ = ["PimPseudoChannel", "PimHbmDevice", "UNITS_PER_PCH"]
 
 UNITS_PER_PCH = BANKS_PER_PCH // 2  # one unit per bank pair (Table V: 8)
+
+_RD, _WR, _SB = CommandType.RD, CommandType.WR, PimMode.SB
 
 
 class PimPseudoChannel(PseudoChannel):
@@ -122,27 +127,27 @@ class PimPseudoChannel(PseudoChannel):
 
     def earliest_act(self, bg: int, ba: int) -> int:
         """Earliest legal ACT cycle; all-bank modes wait for every bank."""
-        if not self.mode_ctrl.all_bank:
+        if self.mode_ctrl.mode is _SB:
             return super().earliest_act(bg, ba)
         return max(self._max_act, self._act_bus_bound(bg))
 
     def earliest_pre(self, bg: int, ba: int) -> int:
         """Earliest legal PRE cycle; all-bank modes wait for every bank."""
-        if not self.mode_ctrl.all_bank:
+        if self.mode_ctrl.mode is _SB:
             return super().earliest_pre(bg, ba)
         return self._max_pre
 
     def earliest_col(self, bg: int, ba: int, is_write: bool) -> int:
         """Earliest legal RD/WR cycle; all-bank modes wait for every bank
         and serialise columns at tCCD_L."""
-        if not self.mode_ctrl.all_bank:
+        if self.mode_ctrl.mode is _SB:
             return super().earliest_col(bg, ba, is_write)
         return self._all_bank_col_bound(bg, is_write)
 
     def first_ready(self, classes: Iterable[int]) -> Tuple[int, int]:
         """First-ready choice; in the all-bank modes every class waits for
         every bank, so only the bus history tells them apart."""
-        if not self.mode_ctrl.all_bank:
+        if self.mode_ctrl.mode is _SB:
             return super().first_ready(classes)
         bounds = {
             cls: self._all_bank_col_bound(cls // (2 * BANKS_PER_GROUP), cls & 1)
@@ -164,18 +169,21 @@ class PimPseudoChannel(PseudoChannel):
     # -- command execution --------------------------------------------------------
 
     def issue(self, cmd: Command, cycle: int) -> Optional[np.ndarray]:
-        """Dispatch by mode: SB delegates, AB modes broadcast/trigger."""
+        """Dispatch by mode: an SB column to a bank row (which cannot change
+        the mode) is a bank's, the rest of SB delegates, AB broadcasts."""
         if cmd.count > 1:
             return self._issue_burst(cmd, cycle)
-        if self.tracer is None:
-            if not self.mode_ctrl.all_bank:
-                return self._issue_single_bank(cmd, cycle)
-            return self._issue_all_bank(cmd, cycle)
-        before = self.mode_ctrl.mode
-        if not self.mode_ctrl.all_bank:
-            result = self._issue_single_bank(cmd, cycle)
+        if self.mode_ctrl.mode is not _SB:
+            serve = self._issue_all_bank
         else:
-            result = self._issue_all_bank(cmd, cycle)
+            kind = cmd.cmd
+            if (kind is _RD or kind is _WR) and cmd.row not in self._register_rows:
+                return self._bank_column(cmd, cycle)
+            serve = self._issue_single_bank
+        if self.tracer is None:
+            return serve(cmd, cycle)
+        before = self.mode_ctrl.mode
+        result = serve(cmd, cycle)
         after = self.mode_ctrl.mode
         if after is not before:
             self.tracer.event(
@@ -188,10 +196,12 @@ class PimPseudoChannel(PseudoChannel):
         return result
 
     def _issue_single_bank(self, cmd: Command, cycle: int) -> Optional[np.ndarray]:
-        if cmd.cmd is CommandType.ACT:
+        """SB mode but a bank-row column: ACT / PRE (the mode FSM), registers."""
+        kind = cmd.cmd
+        if kind is CommandType.ACT:
             self.mode_ctrl.observe_act(cmd.row)
             return super().issue(cmd, cycle)
-        if cmd.cmd in (CommandType.PRE, CommandType.PREA):
+        if kind is CommandType.PRE or kind is CommandType.PREA:
             result = super().issue(cmd, cycle)
             self.mode_ctrl.observe_pre()
             if self.mode_ctrl.all_bank:
@@ -204,7 +214,7 @@ class PimPseudoChannel(PseudoChannel):
                         "entered AB mode with open rows; precharge all banks first"
                     )
             return result
-        if cmd.cmd.is_column and self.memory_map.is_register_row(cmd.row):
+        if kind.is_column:  # to a register row (``issue`` routes the rest)
             # Register access in SB mode targets the unit of the addressed
             # bank pair (used e.g. to read one unit's GRF_B partial sums).
             super().issue(self._timing_shadow(cmd), cycle)

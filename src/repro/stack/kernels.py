@@ -21,11 +21,11 @@ documented in DESIGN.md):
 The command stream over these layouts is plan data: each plan's *program*
 (:mod:`repro.pim.stream`), runs of 8 columns of one row in one direction,
 each followed by a fence — address-aligned mode can absorb reordering only
-within the 8-register GRF window (Section IV-C / VII-B).  ``_enqueue``
-queues every run as one *column burst* (``mc.read(..., count=8)`` /
-``mc.write(..., block, count=8)``), so every fence epoch of a PIM window
-holds exactly one request; the controller and the device then schedule and
-execute the run as a unit, bit-identically to its 8 commands.
+within the 8-register GRF window (Section IV-C / VII-B).  A kernel hands
+each program to its channel's controller whole (``mc.drain(program,
+blocks)``): every run is one *column burst* alone in its fence epoch, so
+the controller issues it as one command and the device executes it as a
+unit, bit-identically to its 8 commands.
 """
 
 from __future__ import annotations
@@ -134,21 +134,6 @@ _CONSTANT_BLOCKS = (
     _constant(np.zeros(GRF_REG_BYTES, dtype=np.uint8)),
     _constant(np.zeros((_COL_GROUP, GRF_REG_BYTES), dtype=np.uint8)),
 )
-
-
-def _enqueue(mc, program: stream.Program, blocks: Sequence[np.ndarray]) -> None:
-    """Queue ``program`` on one controller, run by run, and drain it; the
-    WR runs index ``blocks``: staged chunks first, ``_CONSTANT_BLOCKS`` last."""
-    for write, row, col, count, fence, operand, barrier in program:
-        if barrier:
-            mc.fence()
-        if write:
-            mc.write(0, 0, row, col, blocks[operand], count=count)
-        else:
-            mc.read(0, 0, row, col, count=count)
-        if fence:
-            mc.fence()
-    mc.drain()
 
 
 def _count_program(report: ExecutionReport, program: stream.Program, times: int) -> None:
@@ -597,7 +582,7 @@ class GemvKernel(_ResidentKernel):
         )
         blocks = (*staged, *_CONSTANT_BLOCKS)
         for tile in range(plan.tiles):
-            _enqueue(mc, plan.program(tile, pass_, slot), blocks)
+            mc.drain(plan.program(tile, pass_, slot), blocks)
 
     def _shortcut_slice(self, s: int, x_padded: np.ndarray, slot: int = 0) -> None:
         """Functional model of one input slice (bit-equivalent).
@@ -903,7 +888,7 @@ class ElementwiseKernel(_ResidentKernel):
                 b = self._padded(b)
                 self._scatter(b, odd=True)
             for pch in sim_channels:
-                _enqueue(self.sys.controller(pch), program, _CONSTANT_BLOCKS)
+                self.sys.controller(pch).drain(program, _CONSTANT_BLOCKS)
             if nsim < plan.num_pchs:
                 # Functional model of the non-simulated slots.
                 result = elementwise_reference(self.op.name, a, b, scalars)

@@ -303,6 +303,49 @@ class TestColumnBursts:
         mc.drain()
         assert mc.pending == 0
 
+    @pytest.mark.parametrize(
+        "queue, error",
+        [
+            # Put one RD on the bus, then died in ``drain`` (IndexError).
+            (lambda mc: mc.read(0, 0, 3, 4, tag="r", count=0), "at least one column"),
+            # The same, ending in ``negative dimensions are not allowed``.
+            (lambda mc: mc.read(0, 0, 3, 4, tag="r", count=-2), "at least one column"),
+            # Landed 4 WRs, then ``Command.single(4)`` raised IndexError, and
+            # the run was shrunk by 3, not 4.
+            (lambda mc: mc.write(0, 0, 3, 0, np.zeros((4, 32), np.uint8), count=8),
+             r"needs a \(8, 32\) block"),
+            (lambda mc: mc.write(0, 0, 3, 0, None, count=2), r"needs a \(2, 32\) block"),
+        ],
+        ids=["read-count-0", "read-count-negative", "short-block", "no-block"],
+    )
+    def test_a_run_the_bus_cannot_carry_is_refused_where_it_is_queued(
+        self, queue, error
+    ):
+        mc, ch = make_controller()
+        with pytest.raises(ValueError, match=error):
+            queue(mc)
+        assert mc.pending == 0 and not any(ch.cmd_counts.values())
+        assert mc.drain().column_commands == 0
+
+    @pytest.mark.parametrize(
+        "run, block",
+        [((False, 3, 0, 0), None), ((True, 3, 0, 8), np.zeros((4, 32), np.uint8))],
+        ids=["no-columns", "short-block"],
+    )
+    def test_a_program_with_such_a_run_is_refused_whole(self, run, block):
+        """Checked before anything of it is queued or issued — also the
+        good runs ahead of the bad one."""
+        from repro.pim.stream import Run
+
+        mc, ch = make_controller()
+        good = Run(True, 2, 0, 8, True, 0)
+        program = (good, Run(*run, True, 1))
+        blocks = (np.zeros((8, 32), np.uint8), block)
+        with pytest.raises(ValueError):
+            mc.drain(program, blocks)
+        assert (mc.pending, mc.fence_count) == (0, 0)
+        assert not any(ch.cmd_counts.values())
+
     def test_reprs_speak_in_bus_commands(self):
         from repro.dram.commands import Command
 

@@ -18,6 +18,11 @@ row of its ``(count, 32)`` block are compared — whether the run took the
 closed-form path (alone in its fence epoch), the run window (sharing an
 epoch), ``SHUFFLE``'s expansion, had a refresh fall due inside it, met a
 flipped bit, or raised part way.
+
+A kernel hands the controller a whole program (``drain(program,
+blocks)``); ``TestTheProgramPassIsTheQueuePath`` holds that equal to the
+program queued run by run (``reference_emitter.enqueue_program``) and to
+the reference fed its single requests.
 """
 
 from dataclasses import replace
@@ -33,12 +38,16 @@ from repro.dram.controller import MemOp, MemoryController, Request, SchedulerPol
 from repro.dram.ecc import EccBank, UncorrectableError
 from repro.dram.pseudochannel import PseudoChannel
 from repro.dram.timing import HBM2_1GHZ
+from repro.obs import Tracer
 from repro.pim.assembler import assemble_words
 from repro.errors import PimChannelError
 from repro.pim.device import PimPseudoChannel
 from repro.pim.fused import FusedLockstepGroup
+from repro.pim.stream import ZEROS, Run
+from repro.tools import trace_channel
 
 from .reference_controller import ReferenceController
+from .reference_emitter import enqueue_program
 
 NUM_ROWS = 64
 # A short refresh interval so random streams of a few dozen requests cross
@@ -105,6 +114,22 @@ def bank_state(channel):
     ]
 
 
+def write_data(value, count):
+    """A write's bytes: a different value per column, so a mixed-up burst
+    shows — a ``(count, 32)`` block, or one column for a single."""
+    column = ((value + np.arange(count)) % 256).astype(np.uint8)
+    data = np.repeat(column[:, None], 32, axis=1)
+    return data[0] if count == 1 else data
+
+
+def stream_rows(mode):
+    """The rows a stream's row index 0..3 names.  Row 3 of the pool is a
+    register row (GRF): column accesses there take the register path of
+    the PIM channel, in every mode (a burst of up to 20 columns wraps
+    around its 16 registers)."""
+    return [0, 1, 2, NUM_ROWS - 5 if mode != "plain" else 3]
+
+
 class Side:
     """One controller on its own channel, fed the shared op stream.
 
@@ -122,13 +147,7 @@ class Side:
         enter_mode(self.mc, mode, program)
 
     def enqueue(self, position, op, bg, ba, row, col, value, count=1):
-        data = None
-        if op is MemOp.WRITE:
-            # A different value per column, so a mixed-up burst shows.
-            data = ((value + np.arange(count)) % 256).astype(np.uint8)
-            data = np.repeat(data[:, None], 32, axis=1)
-            if count == 1:
-                data = data[0]
+        data = write_data(value, count) if op is MemOp.WRITE else None
         if not self.reference:
             self.mc.enqueue(
                 Request(op, bg, ba, row, col, data=data, tag=position, count=count)
@@ -264,10 +283,7 @@ def run_both(
                 side.mc.channel.banks[bank].inject_error(*where)
             else:
                 side.mc.channel.banks[bank].fail(0)
-    # Row 3 of the pool is a register row (GRF): column accesses there take
-    # the register path of the PIM channel, in every mode (a burst of up to
-    # 20 columns wraps around its 16 registers).
-    rows = [0, 1, 2, NUM_ROWS - 5 if mode != "plain" else 3]
+    rows = stream_rows(mode)
     outcomes = []
     for position, element in enumerate(list(stream) + ["drain"]):
         if element == "fence":
@@ -462,20 +478,20 @@ def test_long_seeded_streams_match(seed):
 
 def burst_paths(monkeypatch):
     """Count how the production controller and device serve runs:
-    ``closed-form`` / ``straddle`` — ``_drain_burst`` issued the whole run /
+    ``closed-form`` / ``straddle`` — ``_lone_run`` issued the whole run /
     only its first command; ``picks`` — commands that went through the
     window; ``expanded`` — runs ``Request.expand`` turned into singles;
     ``one-update`` — AB-PIM trigger runs taken as one state update."""
     taken = {"closed-form": 0, "straddle": 0, "expanded": 0, "one-update": 0, "picks": 0}
-    drain_burst = MemoryController._drain_burst
+    lone_run = MemoryController._lone_run
     expand = Request.expand
     pick = MemoryController._pick
     issue_burst = PimPseudoChannel._issue_burst
 
-    def counted_drain_burst(self, burst, out):
-        queued = len(self._queue)
-        drain_burst(self, burst, out)
-        taken["closed-form" if len(self._queue) < queued else "straddle"] += 1
+    def counted_lone_run(self, *args):
+        whole = lone_run(self, *args)
+        taken["closed-form" if whole else "straddle"] += 1
+        return whole
 
     def counted_expand(self):
         taken["expanded"] += self.count > 1
@@ -497,11 +513,18 @@ def burst_paths(monkeypatch):
             if self.pim_triggered_columns - triggered == cmd.count and len(calls) == 1:
                 taken["one-update"] += 1
 
-    monkeypatch.setattr(MemoryController, "_drain_burst", counted_drain_burst)
+    monkeypatch.setattr(MemoryController, "_lone_run", counted_lone_run)
     monkeypatch.setattr(MemoryController, "_pick", counted_pick)
     monkeypatch.setattr(PimPseudoChannel, "_issue_burst", counted_issue_burst)
     monkeypatch.setattr(Request, "expand", counted_expand)
     return taken
+
+
+def entering_ab_pim(policy):
+    """What ``enter_mode`` adds to ``burst_paths``' counts: the CRF and the
+    PIM_OP_MODE write, each alone in its epoch — lone runs under an
+    in-order policy, picks under ``SHUFFLE``."""
+    return "picks" if policy is SchedulerPolicy.SHUFFLE else "closed-form"
 
 
 def test_a_burst_alone_in_its_epoch_is_one_queue_entry_one_issue_and_no_pick(
@@ -520,8 +543,8 @@ def test_a_burst_alone_in_its_epoch_is_one_queue_entry_one_issue_and_no_pick(
         "ab-pim", SchedulerPolicy.FRFCFS, None, False, 7, 16, stream, 0, fused=True
     )
     assert taken == {
-        "closed-form": 6, "straddle": 0, "expanded": 0, "one-update": 6,
-        "picks": 2,  # entering AB-PIM: the CRF and the PIM_OP_MODE write
+        "closed-form": 6 + 2,  # entering AB-PIM: the CRF and PIM_OP_MODE writes
+        "straddle": 0, "expanded": 0, "one-update": 6, "picks": 0,
     }
     assert [position for _, position, _ in outcomes[-1][0]] == [
         2 * group + 1 for group in range(6) for _ in range(8)
@@ -562,7 +585,7 @@ def test_each_burst_path_matches_the_reference(
     options.update(kwargs)
     run_both(mode, stream=stream, **options)  # asserts the two sides agree
     if mode == "ab-pim":
-        taken["picks"] -= 2  # entering AB-PIM: the CRF and the PIM_OP_MODE write
+        taken[entering_ab_pim(options["policy"])] -= 2
     assert {name: taken[name] for name in expect} == expect, case
 
 
@@ -578,10 +601,12 @@ def test_a_burst_a_refresh_falls_due_inside_goes_one_by_one(monkeypatch, mode):
         mode, SchedulerPolicy.FRFCFS, None, True, 7, 16, stream, 0, fused=True
     )
     assert new.mc.refresh_count >= 2
+    if mode == "ab-pim":
+        taken[entering_ab_pim(SchedulerPolicy.FRFCFS)] -= 2
     assert taken["closed-form"] >= 1 and taken["straddle"] >= 1
     assert taken["closed-form"] + taken["straddle"] == 12
     assert taken["expanded"] == 0
-    assert taken["picks"] - (2 if mode == "ab-pim" else 0) == 7 * taken["straddle"]
+    assert taken["picks"] == 7 * taken["straddle"]
 
 
 @pytest.mark.parametrize("failing", [0, 3, 7])
@@ -722,3 +747,227 @@ def test_damage_inside_a_windowed_run_is_met_at_the_same_command(
         assert [outcome[:2] for outcome in outcomes[:2]] == [("raised", error)] * 2
         assert outcomes[0][2] == outcomes[1][2]
         assert new.mc.pending > 0
+
+
+# -- a program handed to drain: the pass is the queue path --------------------------
+
+# One run of a drawn program: direction, row (an index into ``stream_rows``),
+# first column, count, the value its WR block is made of, whether a fence
+# follows it (mostly: the kernels' shape) and whether one precedes it too.
+PROGRAM_RUN = st.tuples(
+    st.booleans(), st.integers(0, 3), st.sampled_from([0, 2, 8]), st.integers(1, 8),
+    st.integers(0, 255), st.sampled_from([True, True, True, False]),
+    st.sampled_from([False, False, True]),
+)
+
+
+def make_program(runs, mode):
+    """Drawn runs as a program of ``repro.pim.stream`` runs and the blocks
+    its WR runs index (one each, made as ``Side.enqueue`` makes data)."""
+    rows = stream_rows(mode)
+    program, blocks = [], []
+    for write, row, col, count, value, fence, barrier in runs:
+        operand = ZEROS
+        if write:
+            operand = len(blocks)
+            blocks.append(write_data(value, count))
+        program.append(Run(write, rows[row], col, count, fence, operand, barrier))
+    return tuple(program), blocks
+
+
+def queue_state(mc):
+    """What is left queued, run by run (the reference queues singles)."""
+    return [
+        (r.op, r.bg, r.ba, r.row, r.col, r.count, r.epoch, r.tag,
+         None if r.data is None else r.data.tobytes())
+        for r in mc._queue
+    ]
+
+
+def three_ways(
+    mode, runs, before=(), fence_before=True, microkernel=NOP_PROGRAM, faults=(),
+    **kwargs,
+):
+    """Hand the program of ``runs`` to ``drain`` (``pass``), to the run-by-run
+    emitter (``queue``) and, expanded into single requests,
+    to the reference controller (``reference``) — each behind the same
+    ``before`` requests (and a fence, with ``fence_before``) on a twin
+    channel with the same ``faults`` — then drain once more.  Returns each
+    side's outcome of both drains: result or exception, every bus command
+    at its cycle (bursts spelled as their columns), the ``drain`` spans,
+    the controller and bank state, the read data of ``before``, and the
+    queue (``None`` for the reference)."""
+    program, blocks = make_program(runs, mode)
+    rows = stream_rows(mode)
+    step = TIMING.tccd_l
+    outcomes = {}
+    for way in ("pass", "queue", "reference"):
+        controller = ReferenceController if way == "reference" else MemoryController
+        side = Side(controller, mode, program=microkernel, **kwargs)
+        for kind, bank, *where in faults:
+            if kind == "flip":
+                side.mc.channel.banks[bank].inject_error(*where)
+            else:
+                side.mc.channel.banks[bank].fail(0)
+        for position, (op, bank, row, col, value) in enumerate(before):
+            bank = bank if mode == "sb" else 0  # all-bank modes: one bank
+            side.enqueue(position, op, bank // 4, bank % 4, rows[row], col, value)
+        if fence_before:
+            side.mc.fence()
+        side.mc.tracer = tracer = Tracer()
+        drains = []
+        for attempt in range(2):
+            with trace_channel(side.mc.channel) as trace:
+                try:
+                    if attempt:
+                        result = side.mc.drain()
+                    elif way == "pass":
+                        result = side.mc.drain(program, blocks)
+                    elif way == "queue":
+                        result = enqueue_program(side.mc, program, blocks)
+                    else:
+                        for index, (write, row, col, count, value, fence, barrier) in (
+                            enumerate(runs, start=len(before))
+                        ):
+                            if barrier:
+                                side.mc.fence()
+                            op = MemOp.WRITE if write else MemOp.READ
+                            side.enqueue(index, op, 0, 0, rows[row], col, value, count)
+                            if fence:
+                                side.mc.fence()
+                        result = side.mc.drain()
+                    # The read data of ``before``, per (position, column).
+                    if way == "reference":
+                        data = {t: d.tobytes() for t, d in result.read_data.items()}
+                        data = {t: d for t, d in data.items() if t[0] < len(before)}
+                    else:
+                        data = {
+                            (t, before[t][3]): d.tobytes()
+                            for t, d in result.read_data.items()
+                        }
+                    outcome = ("ok", data)
+                except Exception as exc:  # compared, not swallowed
+                    outcome = ("raised", type(exc), str(exc))
+            drains.append((
+                outcome,
+                [
+                    (r.cycle + i * step, r.cmd_type, r.row, r.col + i, r.mode)
+                    for r in trace.records for i in range(r.count)
+                ],
+                side.state(),
+                None if way == "reference" else queue_state(side.mc),
+            ))
+        if mode != "sb" and drains[-1][0][0] == "ok":
+            side.mc.channel.lockstep.flush_pending()
+            drains.append([
+                (unit.regs.grf_a.tobytes(), unit.regs.grf_b.tobytes())
+                for unit in side.mc.channel.units
+            ])
+        drains.append([
+            (s.name, s.start_ns, s.end_ns, s.channel, s.attrs) for s in tracer.spans
+        ])
+        outcomes[way] = drains
+    return outcomes
+
+
+def assert_one_outcome(outcomes):
+    """The three ways agree — the two production ways on the queue too."""
+    assert outcomes["pass"] == outcomes["queue"]
+
+    def without_queue(drains):
+        return [d[:3] if isinstance(d, tuple) else d for d in drains]
+
+    assert without_queue(outcomes["pass"]) == without_queue(outcomes["reference"])
+
+
+class TestTheProgramPassIsTheQueuePath:
+    """``drain(program, blocks)`` issues a program's lone runs without
+    queueing them; whatever it meets — a run sharing its epoch, a refresh
+    falling due inside a run, ``SHUFFLE``, a queue that was not empty, a
+    fault — must leave the bus, the clocks, the counters, the banks, the
+    queue and the trace where queueing the program run by run does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mode=st.sampled_from(["sb", "ab", "ab-pim"]),
+        fused=st.booleans(),
+        policy=POLICY,
+        refresh=st.booleans(),
+        fence_penalty=st.sampled_from([0, 45]),
+        window=st.sampled_from([1, 4, 16]),
+        before=st.lists(REQUEST, max_size=5),
+        fence_before=st.booleans(),
+        runs=st.lists(PROGRAM_RUN, min_size=1, max_size=10),
+    )
+    def test_drawn_programs(
+        self, mode, fused, policy, refresh, fence_penalty, window, before,
+        fence_before, runs,
+    ):
+        outcomes = three_ways(
+            mode, runs, before, fence_before, fused=fused, policy=policy[0],
+            seed=policy[1], refresh=refresh, fence_penalty=fence_penalty,
+            window=window,
+        )
+        assert_one_outcome(outcomes)
+        assert outcomes["pass"][0][0][0] == "ok"
+
+    # The kernels' shape: every run fenced, rows 0..2 of bank 0.
+    RUNS = [
+        (True, 0, 0, 8, 5, True, False), (False, 1, 0, 8, 0, True, False),
+        (False, 2, 0, 8, 0, True, False), (True, 2, 8, 8, 9, True, True),
+        (False, 0, 0, 8, 0, True, False),
+    ]
+
+    @pytest.mark.parametrize(
+        "mode, faults, microkernel, error",
+        [
+            # Two flips in one word under column 5 of row 2: the third run
+            # raises at its sixth read (SB: bank 0; AB: the broadcast).
+            ("sb", [("flip", 0, 2, 5, 64), ("flip", 0, 2, 5, 65)], NOP_PROGRAM,
+             UncorrectableError),
+            ("ab", [("flip", 0, 2, 5, 64), ("flip", 0, 2, 5, 65)], NOP_PROGRAM,
+             UncorrectableError),
+            # A dead bank the eager exec unit first reads at trigger 20 —
+            # the fourth column of the third run.
+            ("ab-pim", [("dead", 2)],
+             "NOP\nJUMP -1, 18\nFILL GRF_A[A], EVEN_BANK\nJUMP -1, 7\nEXIT",
+             PimChannelError),
+            # A dead bank in SB mode: the first command of the program.
+            ("sb", [("dead", 0)], NOP_PROGRAM, PimChannelError),
+        ],
+    )
+    @pytest.mark.parametrize("policy", [SchedulerPolicy.FRFCFS, SchedulerPolicy.FCFS])
+    def test_damage_mid_program(self, mode, faults, microkernel, error, policy):
+        """Same exception, type and text, after the same commands; the same
+        runs left queued — and the drain after it agrees again."""
+        outcomes = three_ways(
+            mode, self.RUNS, microkernel=microkernel, faults=faults, ecc=True,
+            policy=policy, fence_penalty=7,
+        )
+        assert_one_outcome(outcomes)
+        first, second = outcomes["pass"][:2]
+        assert first[0][:2] == ("raised", error) and second[0][:2] == ("raised", error)
+        assert first[3], "the rest of the program is queued"
+
+    def test_the_strategy_reaches_every_way_out_of_the_pass(self, monkeypatch):
+        """Fixed programs that leave the pass each way it can be left."""
+        taken = burst_paths(monkeypatch)
+        fenced = [(False, 0, 0, 8, 0, True, False)] * 12
+        # A refresh falls due inside some of twelve 8-column runs.
+        assert_one_outcome(three_ways("sb", fenced, refresh=True, fence_penalty=7))
+        assert taken["straddle"] >= 1 and taken["picks"] == 7 * taken["straddle"]
+        # A run with no fence after it shares its epoch with the next: the
+        # rest of the program is queued.  (Counts are of the two production
+        # ways together.)
+        taken.update(dict.fromkeys(taken, 0))
+        unfenced = [fenced[0], (False, 1, 0, 8, 0, False, False), fenced[0]]
+        assert_one_outcome(three_ways("sb", unfenced, fence_penalty=7))
+        assert (taken["closed-form"], taken["picks"]) == (2 * 1, 2 * 16)
+        # A request queued ahead of the program: all of it is queued — in
+        # the program's first epoch, that run and the request share picks;
+        # behind a fence, each is a lone run off the queue.
+        shared = [(MemOp.READ, 0, 0, 9, 0)]
+        for fence_before, expect in ((False, (2 * 1, 2 * 9)), (True, (2 * 3, 0))):
+            taken.update(dict.fromkeys(taken, 0))
+            assert_one_outcome(three_ways("sb", fenced[:2], shared, fence_before))
+            assert (taken["closed-form"], taken["picks"]) == expect

@@ -13,6 +13,11 @@ Column bursts ride the same streams: the channel under test takes a
 ``Command(count=n)`` at one cycle, the oracle the ``n`` single commands
 ``tCCD_L`` apart, and on top of the above the deferred exec tapes must
 hold the same triggers with the same data.
+
+In SB mode a column to a bank row is one frame of the channel under test
+(``PseudoChannel._bank_column``); the oracle takes it the per-command way
+it was taken before (``Reference`` below), so the SB cases are a
+differential too.
 """
 
 import numpy as np
@@ -82,13 +87,48 @@ def bank_data(channel):
     ]
 
 
+class Reference(ReferencePimPseudoChannel):
+    """The oracle: the 16-bank loop per all-bank command, and an SB column
+    to a bank row taken the way it was before one bank-column method
+    served it — the bound through ``earliest_issue`` (and the mode's
+    ``earliest_col``), then the bank's own read / write."""
+
+    def issue(self, cmd, cycle):
+        kind = cmd.cmd
+        if (
+            cmd.count > 1 or self.mode_ctrl.all_bank or not kind.is_column
+            or self.memory_map.is_register_row(cmd.row)
+        ):
+            return super().issue(cmd, cycle)
+        bound = self.earliest_issue(cmd)
+        if cycle < bound:
+            raise TimingViolation(f"{cmd!r} at {cycle} before bound {bound}")
+        self.cmd_counts[kind] += 1
+        bank = self._banks[cmd.bank_index]
+        data = None
+        try:
+            if kind is CommandType.RD:
+                if cmd.fetched:
+                    bank.read_fetched(cmd.row, cycle)
+                else:
+                    data = bank.read(cmd.row, cmd.col, cycle, cmd.ahead)
+            else:
+                if cmd.data is None:
+                    raise ValueError("WR command without data")
+                bank.write(cmd.row, cmd.col, cmd.data, cycle)
+            self._record_col(cmd.bg, cycle, kind is CommandType.WR)
+        finally:
+            self._absorb(bank)
+        return data
+
+
 class Twins:
     """The channel under test and the oracle, driven in lock-step."""
 
     def __init__(self, bank_cls=None, fused=False):
         config = BankConfig(num_rows=NUM_ROWS)
         self.new = PimPseudoChannel(HBM2_1GHZ, config, bank_cls=bank_cls)
-        self.ref = ReferencePimPseudoChannel(HBM2_1GHZ, config, bank_cls=bank_cls)
+        self.ref = Reference(HBM2_1GHZ, config, bank_cls=bank_cls)
         if fused:  # the deferring exec group: AB-PIM bursts are one update
             for channel in (self.new, self.ref):
                 channel.lockstep = FusedLockstepGroup(channel.units)
@@ -121,17 +161,21 @@ class Twins:
         assert new._max_wr == max(b.next_wr for b in new.banks)
 
     def issue(
-        self, kind, bank=0, row=0, col=0, value=None, early=False, slack=0, count=1
+        self, kind, bank=0, row=0, col=0, value=None, early=False, slack=0, count=1,
+        **read,
     ):
         """Issue one command at its earliest cycle plus ``slack`` — or, with
         ``early``, one cycle too soon.  With ``count > 1`` the channel under
-        test takes a column burst, the oracle its single commands."""
+        test takes a column burst, the oracle its single commands.  ``read``
+        is a RD's ``ahead`` / ``fetched``."""
         data = None
         if value is not None:
             data = np.full(32, value, dtype=np.uint8)
             if count > 1:  # a different burst per column
                 data = (data + np.arange(count, dtype=np.uint8)[:, None]).astype(np.uint8)
-        cmd = Command(kind, bank // 4, bank % 4, row=row, col=col, data=data, count=count)
+        cmd = Command(
+            kind, bank // 4, bank % 4, row=row, col=col, data=data, count=count, **read
+        )
         bound = self.new.earliest_issue(cmd)
         assert bound == self.ref.earliest_issue(cmd)
         if early and bound > 0:
@@ -432,3 +476,116 @@ def test_entering_ab_with_open_rows_still_raises_and_recovers():
     twins.enter_ab()
     twins.issue(CommandType.ACT, row=0)
     twins.observe()
+
+
+# -- SB mode: a column to a bank row is one bank-column frame -----------------------
+
+NO_ROW = ("raised", TimingViolation, "column command to a bank with no open row")
+
+
+@pytest.mark.parametrize("bank_cls", [None, EccBank], ids=["Bank", "EccBank"])
+class TestSingleBankColumn:
+    """In SB mode ``PimPseudoChannel.issue`` hands a RD / WR to a bank row
+    straight to ``PseudoChannel._bank_column`` (bound, bank, column
+    history, channel maxima): every way such a command can go — or fail
+    to — against the oracle, outcome, exception type and text."""
+
+    def test_the_row_must_be_open_and_the_one_addressed(self, bank_cls):
+        twins = Twins(bank_cls=bank_cls)
+        assert twins.issue(CommandType.RD, bank=3, row=1) == NO_ROW
+        assert twins.issue(CommandType.WR, bank=3, row=1, value=4) == NO_ROW
+        twins.issue(CommandType.ACT, bank=3, row=1)
+        assert twins.issue(CommandType.RD, bank=3, row=2, col=5) == (
+            "raised", TimingViolation, "column command to row 2 but row 1 is open"
+        )
+        assert twins.issue(CommandType.WR, bank=3, row=1, col=5, value=4)[0] == "ok"
+        assert twins.issue(CommandType.RD, bank=3, row=1, col=5) == (
+            "ok", bytes([4]) * 32
+        )
+        twins.observe()
+
+    @pytest.mark.parametrize("kind", [CommandType.RD, CommandType.WR])
+    def test_one_cycle_early(self, bank_cls, kind):
+        twins = Twins(bank_cls=bank_cls)
+        twins.issue(CommandType.ACT, bank=6, row=2)
+        twins.issue(CommandType.ACT, bank=7, row=0, slack=9)
+        twins.issue(CommandType.RD, bank=7, row=0)  # the column history to beat
+        bound = twins.new.earliest_col(1, 2, kind is CommandType.WR)
+        outcome = twins.issue(kind, bank=6, row=2, value=2, early=True)
+        assert outcome[:2] == ("raised", TimingViolation)
+        assert outcome[2].endswith(f"at {bound - 1} before bound {bound}")
+        twins.observe()
+
+    def test_a_write_without_data(self, bank_cls):
+        """Counted, then refused — with the bank's bounds and the channel
+        maxima as the oracle leaves them."""
+        twins = Twins(bank_cls=bank_cls)
+        twins.issue(CommandType.ACT, bank=1, row=2)
+        assert twins.issue(CommandType.WR, bank=1, row=2) == (
+            "raised", ValueError, "WR command without data"
+        )
+        assert twins.new.cmd_counts[CommandType.WR] == 1
+        twins.observe()
+
+    def test_a_register_row_is_not_a_bank_column(self, bank_cls):
+        """The GRF row in SB mode: the unit of the addressed bank pair
+        answers, the bank row's timing is still checked and moved."""
+        twins = Twins(bank_cls=bank_cls)
+        grf = twins.map.grf_row
+        assert twins.issue(CommandType.WR, bank=4, row=grf, col=9, value=3) == NO_ROW
+        twins.issue(CommandType.ACT, bank=4, row=grf)
+        assert twins.issue(CommandType.WR, bank=4, row=grf, col=9, value=3)[0] == "ok"
+        assert twins.issue(CommandType.RD, bank=4, row=grf, col=9) == ("ok", bytes([3]) * 32)
+        assert twins.new.units[2].regs.read_grf_column(9).tobytes() == bytes([3]) * 32
+        twins.observe()
+
+    def test_a_failed_bank(self, bank_cls):
+        twins = Twins(bank_cls=bank_cls)
+        twins.issue(CommandType.ACT, bank=5, row=1)
+        for channel in (twins.new, twins.ref):
+            channel.banks[5].fail(0)
+        for kind, value in ((CommandType.RD, None), (CommandType.WR, 8)):
+            assert twins.issue(kind, bank=5, row=1, col=2, value=value) == (
+                "raised", PimChannelError, "data access to a bank of failed channel 0"
+            )
+        twins.observe()
+
+    @pytest.mark.parametrize("damage", [None, "correctable", "uncorrectable"])
+    def test_a_read_ahead_and_its_fetched_reads(self, bank_cls, damage):
+        """A RD with ``ahead=7`` over 8 written columns, then the rest of
+        the run: a clean run answers with its block and the later RDs go
+        ``fetched``; a dirty one answers with its column, and every later
+        RD reads for itself — correcting, or raising, at the word (on a
+        plain bank the flipped bits are simply what is stored)."""
+        twins = Twins(bank_cls=bank_cls)
+        twins.issue(CommandType.ACT, bank=8, row=2)
+        twins.issue(CommandType.WR, bank=8, row=2, col=4, value=10, count=8)
+        # Column 3 of the run (7 of the row); 17 and 18 share a 64-bit word.
+        flips = {"correctable": (17,), "uncorrectable": (17, 18)}.get(damage, ())
+        written = np.repeat(np.arange(10, 18, dtype=np.uint8), 32)
+        stored = written.copy()
+        for bit in flips:
+            stored[3 * 32 + bit // 8] ^= 1 << (bit % 8)
+            for channel in (twins.new, twins.ref):
+                channel.banks[8].flip_bit(2, 7 * 256 + bit)
+        written = written.tobytes()
+        first = twins.issue(CommandType.RD, bank=8, row=2, col=4, ahead=7)
+        if damage is None or bank_cls is None:
+            assert first == ("ok", stored.tobytes())
+            for col in range(5, 12):
+                assert twins.issue(CommandType.RD, bank=8, row=2, col=col, fetched=True) == (
+                    "ok", None
+                )
+        else:
+            assert first == ("ok", written[:32])
+            for col in range(5, 12):
+                outcome = twins.issue(CommandType.RD, bank=8, row=2, col=col)
+                if damage == "uncorrectable" and col == 7:
+                    assert outcome[:2] == ("raised", UncorrectableError)
+                else:
+                    offset = 32 * (col - 4)
+                    assert outcome == ("ok", written[offset : offset + 32])
+        assert twins.new.banks[8].rd_count == 8
+        if bank_cls is EccBank:
+            assert twins.new.banks[8].ecc_stats == twins.ref.banks[8].ecc_stats
+        twins.observe()

@@ -152,55 +152,55 @@ KERNELS = [
 
 
 class TestEveryAamGroupIsOneBurst:
-    """What the closed-form schedule of the controller rests on — and, for
-    the readback, what the run window is handed."""
+    """What the controller's program pass rests on — and, for the
+    readback, what the run window is handed."""
 
     @pytest.mark.parametrize("name", KERNELS)
     @pytest.mark.parametrize("pchs", [1, 2])
     def test_every_epoch_of_a_pim_window_is_exactly_one_burst(
         self, name, pchs, monkeypatch
     ):
-        """Between ``set_pim_op_mode(True)`` and ``(False)`` every fence
-        epoch holds one request: a burst of 8 columns.  So no burst of the
-        ledger's traffic is ever expanded — ``Request.expand`` is not
-        called once."""
+        """In every program a kernel hands ``drain``, each run between
+        the ``PIM_OP_MODE`` writes is a burst of 8 columns with a fence
+        after it — one per epoch, as is the mode-on write before them.  So
+        no burst of the ledger's traffic is ever expanded —
+        ``Request.expand`` is not called once."""
         from repro.dram.controller import MemoryController, Request
 
         system = PimSystem(SystemConfig(num_pchs=pchs, num_rows=128))
         conf_row = system.device.memory_map.conf_row
-        enqueue = MemoryController.enqueue
-        windows = {}  # controller -> epoch -> counts, while PIM_OP_MODE is on
-        closed = []
+        drain = MemoryController.drain
+        windows = []
 
-        def recording_enqueue(self, request):
-            enqueue(self, request)
-            if request.row == conf_row:
-                if request.data[0]:
-                    windows[self] = {}
-                else:
-                    closed.append(windows.pop(self))
-            elif self in windows:
-                windows[self].setdefault(request.epoch, []).append(request.count)
+        def recording_drain(self, program=(), blocks=()):
+            if program:
+                on, off = (i for i, run in enumerate(program) if run.row == conf_row)
+                assert program[on].fence
+                windows.append(program[on + 1 : off])
+            return drain(self, program, blocks)
 
         def no_expansion(self):
             raise AssertionError(f"{self!r} was expanded")
 
-        monkeypatch.setattr(MemoryController, "enqueue", recording_enqueue)
+        monkeypatch.setattr(MemoryController, "drain", recording_drain)
         monkeypatch.setattr(Request, "expand", no_expansion)
         _run_kernel(name, system, seed=3)
-        assert closed and not windows
-        for window in closed:
-            assert window and all(counts == [8] for counts in window.values())
+        assert windows
+        for window in windows:
+            assert window and all(run.count == 8 and run.fence for run in window)
 
     @pytest.mark.parametrize("name", KERNELS)
     @pytest.mark.parametrize("exec_mode", ["fused", "lockstep"])
     def test_results_and_cycles_equal_the_run_with_bursts_expanded(
         self, name, exec_mode, monkeypatch
     ):
-        """The same kernel with every burst turned into its single
-        requests as it is enqueued — the per-command stream the kernels
-        used to emit — gives the same results, cycles and bus counts."""
+        """The same kernel with every program queued by the run-by-run
+        emitter and every run turned into its single requests as it is
+        enqueued — the per-command stream the kernels used to emit — gives
+        the same results, cycles and bus counts."""
         from repro.dram.controller import MemoryController
+
+        from ..dram.reference_emitter import enqueue_program
 
         def run():
             system = PimSystem(
@@ -208,7 +208,10 @@ class TestEveryAamGroupIsOneBurst:
             )
             outs, cycles = _run_kernel(name, system, seed=5)
             counts = [dict(mc.channel.cmd_counts) for mc in system.controllers]
-            tallies = [(mc.row_hits, mc.row_misses, mc.busy_cycles) for mc in system.controllers]
+            tallies = [
+                (mc.row_hits, mc.row_misses, mc.busy_cycles, mc.fence_count)
+                for mc in system.controllers
+            ]
             return [out.tobytes() for out in outs], cycles, counts, tallies
 
         bursts = run()
@@ -224,8 +227,11 @@ class TestEveryAamGroupIsOneBurst:
                     single.tag = (request.tag, index)
                 enqueue(self, single)
 
-        def regrouping_drain(self):
-            """The singles' columns, handed back as the run's block."""
+        def regrouping_drain(self, program=(), operands=()):
+            """A program through the emitter; the singles' columns handed
+            back as the run's block."""
+            if program:
+                return enqueue_program(self, program, operands)
             result = drain(self)
             for tag, count in blocks.pop(self, {}).items():
                 result.read_data[tag] = np.stack(
@@ -237,6 +243,39 @@ class TestEveryAamGroupIsOneBurst:
         monkeypatch.setattr(MemoryController, "drain", regrouping_drain)
         assert run() == bursts
         assert 8 in expanded
+
+    @pytest.mark.parametrize("name", ["gemv", "gemv-batched", "add", "mul", "relu"])
+    def test_no_request_is_built_for_the_compute_leg(self, name, monkeypatch):
+        """On an AB-PIM channel the compute leg is handed to the controller
+        as a program, and with nothing queued ahead of it (the CRF already
+        holds the microkernel) not one of its runs becomes a ``Request``.
+        (A first launch queues the CRF writes ahead of it, ``bn`` its SRF
+        writes: those programs are queued, as the emitter queued them.)"""
+        from repro.dram.controller import MemoryController, Request
+
+        system = PimSystem(SystemConfig(num_pchs=2, num_rows=128))
+        _run_kernel(name, system, seed=7)  # loads the CRF
+        drain, post_init = MemoryController.drain, Request.__post_init__
+        draining = []  # the program of each drain under way
+        handed = []
+        built = []  # per Request: whether a program's drain built it
+
+        def watched_drain(self, program=(), blocks=()):
+            draining.append(program)
+            handed.append(len(program))
+            try:
+                return drain(self, program, blocks)
+            finally:
+                draining.pop()
+
+        def watched_post_init(self):
+            post_init(self)
+            built.append(bool(draining[-1]) if draining else False)
+
+        monkeypatch.setattr(MemoryController, "drain", watched_drain)
+        monkeypatch.setattr(Request, "__post_init__", watched_post_init)
+        _run_kernel(name, system, seed=7)
+        assert any(handed) and not any(built)
 
 
     @pytest.mark.parametrize(
