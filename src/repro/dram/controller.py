@@ -563,15 +563,19 @@ class MemoryController:
             out.issue_order.extend([(cycle, head) for cycle in range(first, last + 1, step)])
         return True
 
-    def _queue_runs(self, runs: Sequence[tuple], blocks: Sequence[np.ndarray]) -> None:
-        """Queue a program's ``runs`` one request each, fenced as they say."""
-        for write, row, col, count, fence, operand, barrier in runs:
+    def _queue_runs(
+        self, program: Sequence[tuple], blocks: Sequence[np.ndarray], start: int = 0
+    ) -> None:
+        """Queue the runs of ``program`` (checked) from ``start`` one request
+        each, fenced as they say, a read tagged with its index in it."""
+        for i in range(start, len(program)):
+            write, row, col, count, fence, operand, barrier, bank = program[i]
             if barrier:
                 self.fence()
-            if write:
-                self.write(0, 0, row, col, blocks[operand], count=count)
-            else:
-                self.read(0, 0, row, col, count=count)
+            bg, ba = divmod(bank, BANKS_PER_GROUP)
+            op = MemOp.WRITE if write else MemOp.READ
+            data, tag = (blocks[operand], None) if write else (None, i)
+            self.enqueue(Request(op, bg, ba, row, col, data, tag, count=count))
             if fence:
                 self.fence()
 
@@ -583,16 +587,17 @@ class MemoryController:
         epoch with the next or does not go out whole, the rest of the
         program is queued and the drain carries on from the queue."""
         epoch = None
-        for index, (write, row, col, count, fence, operand, barrier) in enumerate(program):
+        for i, (write, row, col, count, fence, operand, barrier, bank) in enumerate(program):
             if not fence:
-                self._queue_runs(program[index:], blocks)
+                self._queue_runs(program, blocks, i)
                 break
             if epoch is not None:
                 self._next_ca += self.fence_penalty  # crossing a fence
             epoch = self._epoch + barrier  # the run's epoch, had it been queued
             if not self._lone_run(
-                write, 0, 0, row, col, count, blocks[operand] if write else None, None,
-                out, lambda: self._queue_runs(program[index:], blocks),
+                write, bank // BANKS_PER_GROUP, bank % BANKS_PER_GROUP, row, col, count,
+                blocks[operand] if write else None, None if write else i,
+                out, lambda: self._queue_runs(program, blocks, i),
             ):
                 break
             if barrier:
@@ -620,9 +625,11 @@ class MemoryController:
     ) -> ScheduleResult:
         """Simulate until the queue is empty; return the schedule outcome.
 
-        ``program``, a :mod:`repro.pim.stream` program to bank (0, 0) whose
-        WR runs carry ``blocks[run.operand]``, means: check it, enqueue every
-        run with its fences, drain.  On an empty queue under an in-order
+        ``program``, a :mod:`repro.pim.stream` program each of whose runs
+        names its bank and whose WR runs carry ``blocks[run.operand]``,
+        means: check it, enqueue every run with its fences, drain.  A read
+        run's bytes, when any reach the I/O, are ``read_data[i]`` for its
+        index ``i`` in the program.  On an empty queue under an in-order
         policy its runs are issued unqueued (:meth:`_program_pass`), so
         ``issue_order`` does not list them."""
         out = _Drain()
@@ -634,7 +641,7 @@ class MemoryController:
         in_order = self.policy is not _SHUFFLE
         epoch: Optional[int] = None
         if program:
-            for write, _, _, count, _, operand, _ in program:
+            for write, _, _, count, _, operand, _, _ in program:
                 self._check_run(write, count, blocks[operand] if write else None)
             if queue or not in_order:
                 self._queue_runs(program, blocks)

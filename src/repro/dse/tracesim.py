@@ -10,7 +10,8 @@ processor is not modelled.  This module provides the same capability:
   no controller, no fences, no host: the pure DRAM-side upper bound;
 * generators that emit a kernel's command program
   (:mod:`repro.pim.stream` — what the kernels enqueue) as such a trace,
-  rewritten as each Fig. 14 variant rewrites it.
+  rewritten as each Fig. 14 variant rewrites it — the AB-PIM stream only,
+  on purpose: a GEMV's SB-mode readback (``stream.gemv_readback``) is not.
 
 Lock-step (AB-mode) streams address a single bank: per-bank and
 same-bank-group constraints then coincide with the all-bank broadcast

@@ -42,7 +42,7 @@ import hashlib
 import os
 import pickle
 import struct
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import PimJournalError
 import zlib
@@ -101,8 +101,8 @@ class JournalWriter:
     ``sync=True`` makes every append flush *and* fsync before returning
     (``ServerConfig.journal_sync``) — durable against machine death, not
     just process death, at the cost of one fsync per record.  The writer
-    continues an existing journal (new appends land after the surviving
-    records), so recovery can append its own outcome records to the same
+    continues an existing journal (new appends land after its last intact
+    frame), so recovery can append its own outcome records to the same
     directory and make a second ``recover()`` a no-op.
     """
 
@@ -127,17 +127,21 @@ class JournalWriter:
                 f"cannot create journal directory {journal_dir!r}: {exc}"
             )
         existing = list_segments(journal_dir)
+        intact = 0
         if existing:
             self._index = int(os.path.basename(existing[-1])[len(_PREFIX):-len(_SUFFIX)])
             path = existing[-1]
+            # Appended after, a torn tail would be mid-journal: cut it off.
+            intact = max((end for _, end in _iter_segment(path, final=True)), default=0)
         else:
             self._index = 1
             path = segment_path(journal_dir, self._index)
         try:
             self._file = open(path, "ab")
+            self._file.truncate(intact)
         except OSError as exc:
             raise PimJournalError(f"cannot open segment {path!r}: {exc}")
-        self._size = self._file.tell()
+        self._size = intact
         self.appended = 0
 
     def append(self, record: Dict[str, Any]) -> None:
@@ -233,8 +237,8 @@ class JournalWriter:
         self.close()
 
 
-def _iter_segment(path: str, final: bool) -> Iterator[Dict[str, Any]]:
-    """Yield the records of one segment.
+def _iter_segment(path: str, final: bool) -> Iterator[Tuple[Dict[str, Any], int]]:
+    """Yield each record of one segment with the offset its frame ends at.
 
     ``final`` marks the newest segment: damage at its tail is the
     expected crash wreckage and ends the scan; damage anywhere else
@@ -269,8 +273,8 @@ def _iter_segment(path: str, final: bool) -> Iterator[Dict[str, Any]]:
             if final and offset + header + length == len(data):
                 return
             raise PimJournalError(f"{torn}: unpicklable record ({exc})")
-        yield record
         offset += header + length
+        yield record, offset
 
 
 def iter_records(journal_dir: str) -> Iterator[Dict[str, Any]]:
@@ -281,7 +285,8 @@ def iter_records(journal_dir: str) -> Iterator[Dict[str, Any]]:
     """
     segments = list_segments(journal_dir)
     for i, path in enumerate(segments):
-        yield from _iter_segment(path, final=(i == len(segments) - 1))
+        for record, _ in _iter_segment(path, final=(i == len(segments) - 1)):
+            yield record
 
 
 def read_records(journal_dir: str) -> List[Dict[str, Any]]:

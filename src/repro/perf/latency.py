@@ -197,8 +197,9 @@ class LatencyModel:
             + stream.columns(tile) * t.tccd_l + stream.fences(tile) * fence
             + -(-chunks // chunks_per_row) * cal.row_switch_cycles
         )
-        readback = tiles * UNITS_PER_PCH * self.lanes_scale * GRF_REGS * t.tccd_s
-        return tiles * per_tile + readback + cal.pim_setup_cycles
+        # The SB-mode readback, at tCCD_S; a variant's rewrite leaves it be.
+        readback = stream.columns(stream.gemv_readback(0, 0, self.lanes_scale))
+        return tiles * (per_tile + readback * t.tccd_s) + cal.pim_setup_cycles
 
     def pim_gemv(self, m: int, n: int, batch: int = 1, launches: int = 1) -> KernelTime:
         """PIM GEMV time from the analytic pricing of its program."""

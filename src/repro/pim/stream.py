@@ -2,12 +2,12 @@
 
 The paper's PIM kernel *is* a standard DRAM command stream (Section IV-C /
 VII-B): 8 column commands to consecutive columns of one row, a fence,
-repeat — each column triggering one microkernel instruction.  A *program*
-is that stream as an immutable tuple of :class:`Run`\\ s, built from an
-operator's shape and base rows.  Everything else reads it: the kernels
-enqueue it, their reports and the fabric router count it, Fig. 14's trace
-generators rewrite it per variant, the analytic latency model takes its
-counts from it, and the trace-ISA exporter emits it.
+repeat — each column triggering one microkernel instruction — and SB-mode
+reads bring a GEMV's partial sums back.  A *program* is such a stream as
+an immutable tuple of :class:`Run`\\ s, built from an operator's shape and
+base rows.  Everything else reads it: the kernels enqueue it, their
+reports and the fabric router count it, Fig. 14's trace generators
+rewrite it per variant, the latency model counts it, the exporter emits it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ MODE_ON = -3
 
 class Run(NamedTuple):
     """``count`` column commands of one direction to columns ``col ..
-    col + count - 1`` of ``row``: one controller queue entry, one burst."""
+    col + count - 1`` of ``row`` in ``bank``: one queue entry, one burst."""
 
     write: bool
     row: int
@@ -38,6 +38,7 @@ class Run(NamedTuple):
     fence: bool  # a fence follows: later runs never issue before this one
     operand: int = ZEROS  # WR only: the block on the data bus (see above)
     barrier: bool = False  # a fence precedes it too (a mode-register write)
+    bank: int = 0  # flat bank index; unit u's even bank is 2u (AB modes ignore it)
 
 
 Program = Tuple[Run, ...]
@@ -83,6 +84,16 @@ def gemv_tile(
         runs.append(Run(False, row, col, GRF_REGS, True))
     runs.append(Run(True, out_row, out_col, GRF_REGS, True))
     return tuple(runs)
+
+
+def gemv_readback(out_row: int, out_col: int, scale: int = 1) -> Program:
+    """One tile's partial sums back to the host in SB mode: per unit one
+    unfenced RD run of the 8 ``GRF_B`` columns it wrote to its (even)
+    bank — ``scale`` 2 has a unit per bank; the controller reorders them."""
+    return tuple(
+        Run(False, out_row, out_col, GRF_REGS, False, ZEROS, False, unit * 2 // scale)
+        for unit in range(UNITS_PER_PCH * scale)
+    )
 
 
 def gemv_slice(tiles: int, chunks: int) -> List[Program]:

@@ -25,7 +25,8 @@ within the 8-register GRF window (Section IV-C / VII-B).  A kernel hands
 each program to its channel's controller whole (``mc.drain(program,
 blocks)``): every run is one *column burst* alone in its fence epoch, so
 the controller issues it as one command and the device executes it as a
-unit, bit-identically to its 8 commands.
+unit, bit-identically to its 8 commands.  A GEMV's SB-mode readback is a
+program too, of unfenced runs the controller reorders across banks.
 """
 
 from __future__ import annotations
@@ -237,10 +238,6 @@ class PimSession:
 # is how many the operand is spread over — the layout's slice count for
 # GEMV, the executing lane's channel count for elementwise.
 
-# SB-mode reads that fetch one tile's partial sums: 8 columns of every unit.
-_READBACK_COLUMNS = UNITS_PER_PCH * _COL_GROUP
-
-
 def column_commands(op: str, shape: Tuple[int, ...], streams: int) -> int:
     """Column commands one invocation of ``op`` triggers on one stream.
 
@@ -260,13 +257,13 @@ def column_commands(op: str, shape: Tuple[int, ...], streams: int) -> int:
 
 
 def column_cost(op: str, shape: Tuple[int, ...], streams: int) -> int:
-    """:func:`column_commands` plus the SB-mode readback reads that follow
-    a GEMV (8 partial-sum columns of every unit, per tile): everything
-    one invocation puts on a stream's column bus, the fabric's unit of
-    load."""
+    """:func:`column_commands` plus the columns of a GEMV's readback
+    program per tile: everything one invocation puts on a stream's column
+    bus, the fabric's unit of load."""
     cost = column_commands(op, shape, streams)
     if op == "gemv":
-        cost += stream.gemv_shape(*shape, streams)[0] * _READBACK_COLUMNS
+        tiles = stream.gemv_shape(*shape, streams)[0]
+        cost += tiles * stream.columns(stream.gemv_readback(0, 0))
     return cost
 
 
@@ -605,9 +602,10 @@ class GemvKernel(_ResidentKernel):
     def _read_partials(self, nsim_ch: int, slot: int = 0) -> np.ndarray:
         """Read partial sums back (timed SB-mode reads on simulated pCHs).
 
-        One row run per unit and tile — the 8 ``GRF_B`` columns its even
-        bank holds — as one queued request; the controller reorders the
-        runs' commands across banks and returns each run's block.
+        A simulated channel drains one program: the readback of each of
+        its (slice, tile)s in turn, one run per unit — the controller
+        reorders the runs' commands across banks and returns each run's
+        block.  Elsewhere a tile is one untimed block.
         """
         plan = self.plan
         k = len(self.channels)
@@ -616,35 +614,26 @@ class GemvKernel(_ResidentKernel):
             dtype=np.float16,
         )
         for pos, pch in enumerate(self.channels):
-            mc = self.sys.controller(pch)
-            timed = pos < nsim_ch
-            slices = range(pos, plan.num_slices, k)
-            if timed:
-                for s in slices:
-                    for tile in range(plan.tiles):
-                        out_row, out_base = plan.out_location(tile, s // k, slot)
-                        for unit in range(UNITS_PER_PCH):
-                            mc.read(
-                                *divmod(2 * unit, 4), out_row, out_base,  # (bg, ba)
-                                tag=(s, tile, unit), count=_COL_GROUP,
-                            )
-                runs = mc.drain().read_data
+            where = [
+                (s, tile, plan.out_location(tile, s // k, slot))
+                for s in range(pos, plan.num_slices, k)
+                for tile in range(plan.tiles)
+            ]
+            if pos < nsim_ch and where:  # a channel may hold no slice
+                program = sum((stream.gemv_readback(*out) for *_, out in where), ())
+                runs = self.sys.controller(pch).drain(program).read_data
+                raws = np.stack([runs[i] for i in range(len(program))]).reshape(
+                    len(where), UNITS_PER_PCH, _COL_GROUP, -1
+                )
             else:
                 banks = self.sys.device.pch(pch).banks[0::2]
-            for s in slices:
-                for tile in range(plan.tiles):
-                    if timed:
-                        raw = np.stack(
-                            [runs[(s, tile, unit)] for unit in range(UNITS_PER_PCH)]
-                        )
-                    else:
-                        out_row, out_base = plan.out_location(tile, s // k, slot)
-                        raw = peek_block(banks, out_row, out_base, _COL_GROUP)
-                    # The inverse of _tile_block, one block per tile.
-                    out0 = tile * plan.outputs_per_tile
-                    partials[s, :, out0 : out0 + plan.outputs_per_tile] = (
-                        raw.view(np.float16).transpose(1, 0, 2).reshape(_COL_GROUP, -1)
-                    )
+                raws = (peek_block(banks, *out, _COL_GROUP) for *_, out in where)
+            for (s, tile, _), raw in zip(where, raws):
+                # The inverse of _tile_block, one block per tile.
+                out0 = tile * plan.outputs_per_tile
+                partials[s, :, out0 : out0 + plan.outputs_per_tile] = (
+                    raw.view(np.float16).transpose(1, 0, 2).reshape(_COL_GROUP, -1)
+                )
         return partials
 
     def _account_commands(self, report: ExecutionReport, invocations: int) -> None:
@@ -659,7 +648,8 @@ class GemvKernel(_ResidentKernel):
         report.pim_flops = macs * UNITS_PER_PCH * LANES * 2 * times
         # Off-chip traffic: the staged x bursts plus partial-sum readback.
         staged = stream.columns(run for run in body if run.operand >= 0)
-        report.host_bytes = (staged + _READBACK_COLUMNS) * GRF_REG_BYTES * times
+        readback = stream.columns(stream.gemv_readback(0, 0))
+        report.host_bytes = (staged + readback) * GRF_REG_BYTES * times
 
 
 # ---------------------------------------------------------------------------

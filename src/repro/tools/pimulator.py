@@ -47,6 +47,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..dram.ecc import peek_block
+from ..dram.pseudochannel import BANKS_PER_GROUP
 from ..dram.timing import TimingParams
 from ..errors import PimReplayError
 from ..pim import isa, stream
@@ -411,9 +412,7 @@ class TraceExecution:
     def _execute_one(self, op: TraceOp) -> None:
         if op.kind == "SB":
             pa = op.pa
-            bank = self._bank(
-                pa.channel, pa.bankgroup * 2 + pa.bank
-            )
+            bank = self._bank(pa.channel, pa.bankgroup * BANKS_PER_GROUP + pa.bank)
             row = pa.row % bank.config.num_rows
             col = pa.column % bank.config.cols_per_row
             if op.rw == "W":
@@ -578,16 +577,26 @@ def requests_to_trace(
     over ``slices`` input slices, an elementwise vector over ``slots``
     channel slots, each opened by ``AB W`` — with one ``PIM`` line per
     triggering column command: the microkernel instruction that column
-    triggers, walked beside the program.
+    triggers, walked beside the program.  A GEMV stream then reads each
+    tile's partial sums back (:func:`~repro.pim.stream.gemv_readback`,
+    from where the tile's last run wrote them): one ``SB R`` line per
+    column, channel = the stream's index.
     """
     ops: List[TraceOp] = []
     for rid, request in enumerate(requests):
         ops.append(TraceOp("CFR", rw="W", args=(0, rid % 256)))
+        readback = []  # (bank group, bank, row, column) of each SB read
         if request.op == "gemv":
             tiles, chunks = stream.gemv_shape(*np.shape(request.weights), slices)
             windows = stream.gemv_slice(tiles, chunks)  # one microkernel run per tile
             source = GemvKernel.MICROKERNEL.format(reps=chunks - 1)
             streams = slices
+            readback = [
+                (*divmod(run.bank, BANKS_PER_GROUP), run.row, col)
+                for window in windows
+                for run in stream.gemv_readback(window[-1].row, window[-1].col)
+                for col in range(run.col, run.col + run.count)
+            ]
         else:
             groups = stream.elementwise_groups(int(np.size(request.a)), slots)
             windows = [stream.elementwise_stream(request.op, groups)]
@@ -602,7 +611,12 @@ def requests_to_trace(
                     _pim_op(next(instructions), col)
                     for col in range(run.col, run.col + run.count)
                 )
-        ops.extend(pim * streams)
+        for channel in range(streams):
+            ops.extend(pim)
+            ops.extend(
+                TraceOp("SB", rw="R", args=(PhysicalAddress(0, channel, *at).encode(),))
+                for at in readback
+            )
     return ops
 
 

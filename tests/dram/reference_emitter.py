@@ -13,13 +13,13 @@ loop is the queue path it must equal, command for command.  Nothing under
 def enqueue_program(mc, program, blocks):
     """Queue ``program`` on ``mc`` run by run, then drain; the WR runs
     index ``blocks``.  Returns the drain's result."""
-    for write, row, col, count, fence, operand, barrier in program:
+    for write, row, col, count, fence, operand, barrier, bank in program:
         if barrier:
             mc.fence()
         if write:
-            mc.write(0, 0, row, col, blocks[operand], count=count)
+            mc.write(bank // 4, bank % 4, row, col, blocks[operand], count=count)
         else:
-            mc.read(0, 0, row, col, count=count)
+            mc.read(bank // 4, bank % 4, row, col, count=count)
         if fence:
             mc.fence()
     return mc.drain()

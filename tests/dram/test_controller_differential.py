@@ -22,7 +22,9 @@ flipped bit, or raised part way.
 A kernel hands the controller a whole program (``drain(program,
 blocks)``); ``TestTheProgramPassIsTheQueuePath`` holds that equal to the
 program queued run by run (``reference_emitter.enqueue_program``) and to
-the reference fed its single requests.
+the reference fed its single requests — runs to drawn banks, GEMV
+readback-shaped epochs among them, and each read run's block, which
+``drain`` files under the run's index in the program.
 """
 
 from dataclasses import replace
@@ -43,7 +45,7 @@ from repro.pim.assembler import assemble_words
 from repro.errors import PimChannelError
 from repro.pim.device import PimPseudoChannel
 from repro.pim.fused import FusedLockstepGroup
-from repro.pim.stream import ZEROS, Run
+from repro.pim.stream import ZEROS, Run, gemv_readback
 from repro.tools import trace_channel
 
 from .reference_controller import ReferenceController
@@ -753,12 +755,25 @@ def test_damage_inside_a_windowed_run_is_met_at_the_same_command(
 
 # One run of a drawn program: direction, row (an index into ``stream_rows``),
 # first column, count, the value its WR block is made of, whether a fence
-# follows it (mostly: the kernels' shape) and whether one precedes it too.
+# follows it (mostly: the kernels' shape), whether one precedes it too, and
+# its bank (SB mode only: the all-bank modes address bank 0).
 PROGRAM_RUN = st.tuples(
     st.booleans(), st.integers(0, 3), st.sampled_from([0, 2, 8]), st.integers(1, 8),
     st.integers(0, 255), st.sampled_from([True, True, True, False]),
-    st.sampled_from([False, False, True]),
+    st.sampled_from([False, False, True]), st.integers(0, 15),
 )
+# An epoch shaped like a GEMV tile's readback (``stream.gemv_readback``):
+# 8-column reads of one row and column in every even bank, unfenced.
+READBACK_EPOCH = st.tuples(st.integers(0, 3), st.sampled_from([0, 8])).map(
+    lambda where: [
+        (False, where[0], where[1], 8, 0, False, False, bank)
+        for bank in range(0, 16, 2)
+    ]
+)
+PROGRAM = st.lists(
+    st.one_of(PROGRAM_RUN.map(lambda run: [run]), READBACK_EPOCH),
+    min_size=1, max_size=6,
+).map(lambda parts: [run for part in parts for run in part])
 
 
 def make_program(runs, mode):
@@ -766,19 +781,21 @@ def make_program(runs, mode):
     its WR runs index (one each, made as ``Side.enqueue`` makes data)."""
     rows = stream_rows(mode)
     program, blocks = [], []
-    for write, row, col, count, value, fence, barrier in runs:
+    for write, row, col, count, value, fence, barrier, bank in runs:
         operand = ZEROS
         if write:
             operand = len(blocks)
             blocks.append(write_data(value, count))
-        program.append(Run(write, rows[row], col, count, fence, operand, barrier))
+        bank = bank if mode == "sb" else 0
+        program.append(Run(write, rows[row], col, count, fence, operand, barrier, bank))
     return tuple(program), blocks
 
 
 def queue_state(mc):
-    """What is left queued, run by run (the reference queues singles)."""
+    """What is left queued, run by run (the reference queues singles).  Tags
+    are left out: the emitter queues a program's reads untagged."""
     return [
-        (r.op, r.bg, r.ba, r.row, r.col, r.count, r.epoch, r.tag,
+        (r.op, r.bg, r.ba, r.row, r.col, r.count, r.epoch,
          None if r.data is None else r.data.tobytes())
         for r in mc._queue
     ]
@@ -795,8 +812,10 @@ def three_ways(
     channel with the same ``faults`` — then drain once more.  Returns each
     side's outcome of both drains: result or exception, every bus command
     at its cycle (bursts spelled as their columns), the ``drain`` spans,
-    the controller and bank state, the read data of ``before``, and the
-    queue (``None`` for the reference)."""
+    the controller and bank state, the queue (``None`` for the reference)
+    and the read data per (run, column) — of ``before`` (tagged
+    ``("before", position)``) and, apart, of the program's runs (by index
+    in the program)."""
     program, blocks = make_program(runs, mode)
     rows = stream_rows(mode)
     step = TIMING.tccd_l
@@ -811,12 +830,17 @@ def three_ways(
                 side.mc.channel.banks[bank].fail(0)
         for position, (op, bank, row, col, value) in enumerate(before):
             bank = bank if mode == "sb" else 0  # all-bank modes: one bank
-            side.enqueue(position, op, bank // 4, bank % 4, rows[row], col, value)
+            side.enqueue(
+                ("before", position), op, bank // 4, bank % 4, rows[row], col, value
+            )
         if fence_before:
             side.mc.fence()
         side.mc.tracer = tracer = Tracer()
         drains = []
         for attempt in range(2):
+            # Where each of the program's queued read runs stands: its
+            # block starts there.
+            first_col = {r.tag: r.col for r in side.mc._queue if isinstance(r.tag, int)}
             with trace_channel(side.mc.channel) as trace:
                 try:
                     if attempt:
@@ -826,26 +850,31 @@ def three_ways(
                     elif way == "queue":
                         result = enqueue_program(side.mc, program, blocks)
                     else:
-                        for index, (write, row, col, count, value, fence, barrier) in (
-                            enumerate(runs, start=len(before))
-                        ):
-                            if barrier:
+                        for index, (run, drawn) in enumerate(zip(program, runs)):
+                            if run.barrier:
                                 side.mc.fence()
-                            op = MemOp.WRITE if write else MemOp.READ
-                            side.enqueue(index, op, 0, 0, rows[row], col, value, count)
-                            if fence:
+                            side.enqueue(
+                                index, MemOp.WRITE if run.write else MemOp.READ,
+                                run.bank // 4, run.bank % 4, run.row, run.col,
+                                drawn[4], run.count,
+                            )
+                            if run.fence:
                                 side.mc.fence()
                         result = side.mc.drain()
-                    # The read data of ``before``, per (position, column).
-                    if way == "reference":
-                        data = {t: d.tobytes() for t, d in result.read_data.items()}
-                        data = {t: d for t, d in data.items() if t[0] < len(before)}
-                    else:
-                        data = {
-                            (t, before[t][3]): d.tobytes()
-                            for t, d in result.read_data.items()
-                        }
-                    outcome = ("ok", data)
+                    data = {}
+                    for t, d in result.read_data.items():
+                        if way == "reference":
+                            data[t] = d.tobytes()  # a single's: (run, column)
+                        elif isinstance(t, int):
+                            col = first_col.get(t, program[t].col)
+                            for i, column in enumerate(d.reshape(-1, 32)):
+                                data[(t, col + i)] = column.tobytes()
+                        else:
+                            data[(t, before[t[1]][3])] = d.tobytes()
+                    ran = {t: d for t, d in data.items() if isinstance(t[0], int)}
+                    outcome = (
+                        "ok", {t: d for t, d in data.items() if t not in ran}, ran
+                    )
                 except Exception as exc:  # compared, not swallowed
                     outcome = ("raised", type(exc), str(exc))
             drains.append((
@@ -871,12 +900,20 @@ def three_ways(
 
 
 def assert_one_outcome(outcomes):
-    """The three ways agree — the two production ways on the queue too."""
-    assert outcomes["pass"] == outcomes["queue"]
+    """The three ways agree — the two production ways on the queue too,
+    the pass and the reference on the program's read data too (the
+    emitter queues a program's reads untagged)."""
+
+    def emitted(drains):
+        return [
+            (d[0][:2] if d[0][0] == "ok" else d[0], *d[1:]) if isinstance(d, tuple) else d
+            for d in drains
+        ]
 
     def without_queue(drains):
         return [d[:3] if isinstance(d, tuple) else d for d in drains]
 
+    assert emitted(outcomes["pass"]) == emitted(outcomes["queue"])
     assert without_queue(outcomes["pass"]) == without_queue(outcomes["reference"])
 
 
@@ -897,7 +934,7 @@ class TestTheProgramPassIsTheQueuePath:
         window=st.sampled_from([1, 4, 16]),
         before=st.lists(REQUEST, max_size=5),
         fence_before=st.booleans(),
-        runs=st.lists(PROGRAM_RUN, min_size=1, max_size=10),
+        runs=PROGRAM,
     )
     def test_drawn_programs(
         self, mode, fused, policy, refresh, fence_penalty, window, before,
@@ -913,9 +950,9 @@ class TestTheProgramPassIsTheQueuePath:
 
     # The kernels' shape: every run fenced, rows 0..2 of bank 0.
     RUNS = [
-        (True, 0, 0, 8, 5, True, False), (False, 1, 0, 8, 0, True, False),
-        (False, 2, 0, 8, 0, True, False), (True, 2, 8, 8, 9, True, True),
-        (False, 0, 0, 8, 0, True, False),
+        (True, 0, 0, 8, 5, True, False, 0), (False, 1, 0, 8, 0, True, False, 0),
+        (False, 2, 0, 8, 0, True, False, 0), (True, 2, 8, 8, 9, True, True, 0),
+        (False, 0, 0, 8, 0, True, False, 0),
     ]
 
     @pytest.mark.parametrize(
@@ -949,10 +986,48 @@ class TestTheProgramPassIsTheQueuePath:
         assert first[0][:2] == ("raised", error) and second[0][:2] == ("raised", error)
         assert first[3], "the rest of the program is queued"
 
+    # Two tiles' readback (``stream.gemv_readback``) from row 1 of the pool.
+    READBACK = [
+        (False, 1, run.col, run.count, 0, run.fence, run.barrier, run.bank)
+        for col in (0, 8) for run in gemv_readback(1, col)
+    ]
+
+    @pytest.mark.parametrize(
+        "damage, error",
+        [
+            ([], None),
+            ([("flip", 4, 1, 3, 17)], None),  # corrected inline
+            ([("flip", 4, 1, 5, 64), ("flip", 4, 1, 5, 65)], UncorrectableError),
+            ([("dead", 6)], PimChannelError),
+        ],
+    )
+    @pytest.mark.parametrize("policy", [SchedulerPolicy.FRFCFS, SchedulerPolicy.FCFS])
+    def test_a_readback_program_over_eight_banks(self, damage, error, policy):
+        """The readback's 16 runs share one epoch over the 8 even banks of
+        an ECC channel: each run's block comes back under its index in the
+        program, whichever order its columns went; a fault inside one
+        leaves the same queue and ``pending`` behind on every way."""
+        outcomes = three_ways(
+            "sb", self.READBACK, faults=damage, ecc=True, policy=policy, fence_penalty=7
+        )
+        assert_one_outcome(outcomes)
+        first = outcomes["pass"][0]
+        if error is None:
+            stored = {
+                (index, col): ((7 * bank + 5 + 3 * col + np.arange(32)) % 251)
+                .astype(np.uint8).tobytes()  # make_channel's fill, row 1
+                for index, (_, _, col0, count, *_, bank) in enumerate(self.READBACK)
+                for col in range(col0, col0 + count)
+            }
+            assert first[0] == ("ok", {}, stored)
+        else:
+            assert first[0][:2] == ("raised", error)
+            assert first[3] and first[2][2][2] > 0  # queued runs, pending
+
     def test_the_strategy_reaches_every_way_out_of_the_pass(self, monkeypatch):
         """Fixed programs that leave the pass each way it can be left."""
         taken = burst_paths(monkeypatch)
-        fenced = [(False, 0, 0, 8, 0, True, False)] * 12
+        fenced = [(False, 0, 0, 8, 0, True, False, 0)] * 12
         # A refresh falls due inside some of twelve 8-column runs.
         assert_one_outcome(three_ways("sb", fenced, refresh=True, fence_penalty=7))
         assert taken["straddle"] >= 1 and taken["picks"] == 7 * taken["straddle"]
@@ -960,7 +1035,7 @@ class TestTheProgramPassIsTheQueuePath:
         # rest of the program is queued.  (Counts are of the two production
         # ways together.)
         taken.update(dict.fromkeys(taken, 0))
-        unfenced = [fenced[0], (False, 1, 0, 8, 0, False, False), fenced[0]]
+        unfenced = [fenced[0], (False, 1, 0, 8, 0, False, False, 0), fenced[0]]
         assert_one_outcome(three_ways("sb", unfenced, fence_penalty=7))
         assert (taken["closed-form"], taken["picks"]) == (2 * 1, 2 * 16)
         # A request queued ahead of the program: all of it is queued — in

@@ -6,7 +6,13 @@ the same shapes run on the device, ``trace_channel`` records the bus, and
 the generated trace must equal the recorded AB-PIM stream command for
 command — so the Fig. 14 upper bounds are bounds on the stream the stack
 really serves, and the replayed cycles never exceed the simulated ones.
+The SB-mode reads that bring a GEMV's partial sums back are likewise its
+readback programs (``stream.gemv_readback``), which the replayer leaves
+out.
 """
+
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +27,8 @@ from repro.dse.tracesim import (
     replay_variant_gemv,
 )
 from repro.dse.variants import VARIANTS
-from repro.stack.kernels import ElementwiseKernel, GemvKernel
+from repro.pim.stream import gemv_readback
+from repro.stack.kernels import ElementwiseKernel, GemvKernel, column_commands, column_cost
 from repro.stack.runtime import PimSystem, SystemConfig
 from repro.tools import trace_channel
 
@@ -70,6 +77,48 @@ class TestProgramIsWhatReachesTheBus:
         )
         timing = system.device.pch(0).timing
         assert TraceReplayer(timing).replay(generated) <= report.cycles
+
+    def test_gemv_readback(self):
+        """3 tiles on a lane of channels (1, 3) of 4, two slices each: the
+        SB-mode RDs to the partial-sum rows are the readback programs of
+        the channel's (slice, tile)s, as a multiset — FR-FCFS reorders the
+        runs across banks — and ``column_cost - column_commands`` per
+        slice."""
+        system = PimSystem(SystemConfig(num_pchs=4, num_rows=128))
+        kernel = GemvKernel(system, 300, 200, channels=(1, 3))
+        kernel.load_weights(rand((300, 200), 0))
+        plan = kernel.plan
+        out_rows = {
+            plan.out_location(tile, pass_)[0]
+            for tile in range(plan.tiles) for pass_ in range(plan.passes)
+        }
+        with trace_channel(system.device.pch(1)) as one, trace_channel(
+            system.device.pch(3)
+        ) as three:
+            kernel(rand(200, 1))
+        reads = 0
+        for pos, trace in enumerate((one, three)):
+            seen = Counter(
+                (4 * int(bg) + int(ba), record.row, record.col + j)
+                for record in trace.records
+                if record.mode == "single-bank" and record.cmd_type is CommandType.RD
+                and record.row in out_rows
+                for bg, ba in re.findall(r"bg=(\d+),ba=(\d+)", record.command)
+                for j in range(record.count)
+            )
+            expected = Counter(
+                (run.bank, run.row, run.col + j)
+                for s in range(pos, plan.num_slices, 2)
+                for tile in range(plan.tiles)
+                for run in gemv_readback(*plan.out_location(tile, s // 2))
+                for j in range(run.count)
+            )
+            assert seen == expected
+            reads += sum(seen.values())
+        shape = (300, 200)
+        assert reads == plan.num_slices * (
+            column_cost("gemv", shape, 4) - column_commands("gemv", shape, 4)
+        )
 
     @pytest.mark.parametrize(
         "op, length", [("add", 5000), ("mul", 5000), ("relu", 3000), ("bn", 3000)]

@@ -88,6 +88,27 @@ class TestFig14Shapes:
         assert "BN1" in results["PIM-HBM"]
 
 
+class TestGemvCyclesArePinned:
+    """``pim_gemv_cycles`` of GEMV1..4 per variant: the trigger stream and
+    the readback are both counted off ``repro.pim.stream`` programs, and
+    restating either must not move the modelled cycles (nor, with them,
+    ``pim_gemv`` and ``dse_speedups``)."""
+
+    def test_gemv_cycles(self):
+        assert {
+            name: [
+                VariantLatencyModel(PIM_HBM, variant).pim_gemv_cycles(g.m, g.n)
+                for g in GEMV_SIZES
+            ]
+            for name, variant in VARIANTS.items()
+        } == {
+            "PIM-HBM": [9814, 19478, 68246, 136342],
+            "PIM-HBM-2x": [5494, 10838, 36246, 72342],
+            "PIM-HBM-2BA": [9814, 19478, 68246, 136342],
+            "PIM-HBM-SRW": [6358, 12566, 40598, 81046],
+        }
+
+
 class TestVariantModel:
     def test_2x_halves_gemv_cycles_asymptotically(self):
         base = VariantLatencyModel(PIM_HBM, VARIANTS["PIM-HBM"])

@@ -123,15 +123,19 @@ class TestReplayCli:
         assert rc == 0, out
         assert "every journaled request has exactly one terminal" in out
         # The export is the kernels' command stream: one PIM line per
-        # triggering column command, on every stream (2 channels, 1 lane).
-        from repro.stack.kernels import column_commands
+        # triggering column command, on every stream (2 channels, 1 lane),
+        # and one SB R line per column of a GEMV stream's readback.
+        from repro.stack.kernels import column_commands, column_cost
 
-        pim_lines = sum(
-            line.startswith("PIM") for line in exported.read_text().splitlines()
-        )
+        lines = exported.read_text().splitlines()
+        pim_lines = sum(line.startswith("PIM") for line in lines)
         assert pim_lines == 2 * (
             4 * column_commands("add", (32,), 2)
             + column_commands("gemv", (64, 96), 2)
+        )
+        sb_reads = sum(line.startswith("SB R ") for line in lines)
+        assert sb_reads == 2 * (
+            column_cost("gemv", (64, 96), 2) - column_commands("gemv", (64, 96), 2)
         )
         # The exported trace-ISA stream executes and round-trips.
         rc2, out2 = self._run("replay", "--trace", str(exported))

@@ -8,12 +8,18 @@ records and no outcomes), which is exactly the state a SIGKILLed router
 leaves behind.
 """
 
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos.invariants import golden_reference
 from repro.errors import PimJournalError
 from repro.journal import JournalWriter, read_records, recover
+from repro.journal.wal import list_segments, segment_path
 from repro.stack import (
     PimServer,
     PimSystem,
@@ -21,6 +27,8 @@ from repro.stack import (
     ServerConfig,
     SystemConfig,
 )
+
+from .test_wal import frame_starts
 
 WORKERS = 2
 
@@ -189,3 +197,40 @@ class TestScanErrors:
             r for r in read_records(str(tmp_path)) if r["kind"] == "outcome"
         ]
         assert sorted(r["rid"] for r in outcomes) == [0, 1, 2]
+
+
+@pytest.fixture(scope="module")
+def served_segment(tmp_path_factory):
+    """The one segment of a served three-request session, as bytes."""
+    journal_dir = tmp_path_factory.mktemp("served")
+    _session(journal_dir, _requests(3), crash=False)
+    (segment,) = list_segments(str(journal_dir))
+    with open(segment, "rb") as handle:
+        return handle.read()
+
+
+@given(tear=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=10, deadline=None)
+def test_recovering_a_torn_outcome_twice(served_segment, tear):
+    """The last outcome record torn at any byte: recovery replays its
+    request and journals the outcome after the last intact frame, so a
+    second recovery restores everything, replays nothing and appends
+    nothing."""
+    data = served_segment
+    last = frame_starts(data)[-1]
+    cut = last + 1 + tear % (len(data) - last - 1)
+    journal_dir = tempfile.mkdtemp(prefix="repro-torn-")
+    try:
+        with open(segment_path(journal_dir, 1), "wb") as handle:
+            handle.write(data[:cut])
+        first = recover(journal_dir, workers=WORKERS)
+        records = len(read_records(journal_dir))
+        second = recover(journal_dir, workers=WORKERS)
+        assert (first.replayed, first.restored) == (1, 2)
+        assert (second.replayed, second.restored) == (0, 3)
+        assert len(read_records(journal_dir)) == records
+        for a, b in zip(first.handles, second.handles):
+            assert (a.request_id, a.outcome) == (b.request_id, b.outcome)
+            assert np.array_equal(a.result, b.result)
+    finally:
+        shutil.rmtree(journal_dir, ignore_errors=True)

@@ -158,3 +158,36 @@ def test_iter_records_matches_read_records(tmp_path):
     records = _records(6)
     _write(tmp_path, records, segment_bytes=128)
     assert list(iter_records(str(tmp_path))) == read_records(str(tmp_path))
+
+
+def frame_starts(data):
+    """Offsets of the frames of an intact segment's bytes."""
+    starts, offset = [], 0
+    while offset < len(data):
+        starts.append(offset)
+        offset += 8 + struct.unpack_from("<I", data, offset)[0]
+    return starts
+
+
+@given(count=st.integers(min_value=1, max_value=6))
+@settings(max_examples=10, deadline=None)
+def test_a_reopened_writer_appends_after_the_last_intact_frame(count):
+    """Tear the last frame at every byte: a writer opened on the journal
+    cuts the torn tail off before it appends, so the journal reads back as
+    the intact records plus the new one — appended after the tear, the
+    tear would be mid-journal and every later scan would raise."""
+    journal_dir = tempfile.mkdtemp(prefix="repro-wal-tear-")
+    try:
+        records = _records(count)
+        _write(journal_dir, records)
+        path = segment_path(journal_dir, 1)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        for cut in range(frame_starts(data)[-1] + 1, len(data)):
+            with open(path, "wb") as handle:
+                handle.write(data[:cut])
+            appended = {"kind": "outcome", "rid": cut}
+            _write(journal_dir, [appended])
+            assert read_records(journal_dir) == records[:-1] + [appended]
+    finally:
+        shutil.rmtree(journal_dir, ignore_errors=True)

@@ -173,7 +173,7 @@ class TestEveryAamGroupIsOneBurst:
         windows = []
 
         def recording_drain(self, program=(), blocks=()):
-            if program:
+            if any(run.fence for run in program):  # not the (unfenced) readback
                 on, off = (i for i, run in enumerate(program) if run.row == conf_row)
                 assert program[on].fence
                 windows.append(program[on + 1 : off])
@@ -194,13 +194,11 @@ class TestEveryAamGroupIsOneBurst:
     def test_results_and_cycles_equal_the_run_with_bursts_expanded(
         self, name, exec_mode, monkeypatch
     ):
-        """The same kernel with every program queued by the run-by-run
-        emitter and every run turned into its single requests as it is
-        enqueued — the per-command stream the kernels used to emit — gives
-        the same results, cycles and bus counts."""
+        """The same kernel with every program queued run by run and every
+        run turned into its single requests as it is enqueued — the
+        per-command stream the kernels used to emit — gives the same
+        results, cycles and bus counts."""
         from repro.dram.controller import MemoryController
-
-        from ..dram.reference_emitter import enqueue_program
 
         def run():
             system = PimSystem(
@@ -228,15 +226,15 @@ class TestEveryAamGroupIsOneBurst:
                 enqueue(self, single)
 
         def regrouping_drain(self, program=(), operands=()):
-            """A program through the emitter; the singles' columns handed
-            back as the run's block."""
-            if program:
-                return enqueue_program(self, program, operands)
+            """A program queued run by run, its reads tagged as ``drain``
+            tags them; the singles' columns handed back as the run's block
+            (a trigger run reads nothing back)."""
+            self._queue_runs(program, operands)
             result = drain(self)
             for tag, count in blocks.pop(self, {}).items():
-                result.read_data[tag] = np.stack(
-                    [result.read_data.pop((tag, index)) for index in range(count)]
-                )
+                columns = [result.read_data.pop((tag, i), None) for i in range(count)]
+                if columns[0] is not None:
+                    result.read_data[tag] = np.stack(columns)
             return result
 
         monkeypatch.setattr(MemoryController, "enqueue", expanding_enqueue)
@@ -250,7 +248,9 @@ class TestEveryAamGroupIsOneBurst:
         as a program, and with nothing queued ahead of it (the CRF already
         holds the microkernel) not one of its runs becomes a ``Request``.
         (A first launch queues the CRF writes ahead of it, ``bn`` its SRF
-        writes: those programs are queued, as the emitter queued them.)"""
+        writes: those programs are queued, as the emitter queued them.  The
+        GEMV readback's program is unfenced: FR-FCFS reorders its queued
+        runs across banks.)"""
         from repro.dram.controller import MemoryController, Request
 
         system = PimSystem(SystemConfig(num_pchs=2, num_rows=128))
@@ -270,7 +270,8 @@ class TestEveryAamGroupIsOneBurst:
 
         def watched_post_init(self):
             post_init(self)
-            built.append(bool(draining[-1]) if draining else False)
+            compute_leg = draining and any(run.fence for run in draining[-1])
+            built.append(bool(compute_leg))
 
         monkeypatch.setattr(MemoryController, "drain", watched_drain)
         monkeypatch.setattr(Request, "__post_init__", watched_post_init)
@@ -287,8 +288,9 @@ class TestEveryAamGroupIsOneBurst:
     def test_the_readback_is_one_run_per_unit_and_tile(
         self, shape, channels, ecc, monkeypatch
     ):
-        """``_read_partials`` enqueues ``slices x tiles x 8`` requests of
-        ``count == 8`` — no single reads, and ``Request.expand`` never
+        """``_read_partials`` hands each simulated channel's controller one
+        program: ``slices x tiles x 8`` runs of ``count == 8``, one per
+        unit's even bank — no single reads, and ``Request.expand`` never
         called — and the timed readback returns the partial sums the
         untimed one (one ``peek_block`` per tile) does, bit for bit."""
         from repro.dram.controller import MemoryController, Request
@@ -299,24 +301,27 @@ class TestEveryAamGroupIsOneBurst:
         kernel = GemvKernel(system, m, n, channels=channels)
         kernel.load_weights(rand(shape, 1))
         kernel(rand(n, 2))  # leaves every slice's partial sums in the banks
-        enqueue = MemoryController.enqueue
-        counts = []
+        drain = MemoryController.drain
+        handed = []
 
-        def recording_enqueue(self, request):
-            counts.append(request.count)
-            enqueue(self, request)
+        def recording_drain(self, program=(), blocks=()):
+            handed.extend(program)
+            return drain(self, program, blocks)
 
         def no_expansion(self):
             raise AssertionError(f"{self!r} was expanded")
 
-        monkeypatch.setattr(MemoryController, "enqueue", recording_enqueue)
+        monkeypatch.setattr(MemoryController, "drain", recording_drain)
         monkeypatch.setattr(Request, "expand", no_expansion)
         timed = kernel._read_partials(len(kernel.channels))
         plan = kernel.plan
-        assert counts == [8] * (plan.num_slices * plan.tiles * UNITS_PER_PCH)
-        counts.clear()
+        assert [run.count for run in handed] == [8] * (
+            plan.num_slices * plan.tiles * UNITS_PER_PCH
+        )
+        assert {run.bank for run in handed} == set(range(0, 2 * UNITS_PER_PCH, 2))
+        handed.clear()
         untimed = kernel._read_partials(0)
-        assert not counts
+        assert not handed
         assert timed.any() and timed.tobytes() == untimed.tobytes()
 
 

@@ -68,6 +68,16 @@ class TestGemvExecution:
         assert np.array_equal(y, gemv_reference(w, x, num_pchs=2))
         assert report.cycles > 0
 
+    def test_fewer_slices_than_channels(self):
+        """A layout of 2 slices on 4 channels leaves two channels with no
+        slice, hence nothing to read back."""
+        system = PimSystem(SystemConfig(num_pchs=4, num_rows=128))
+        w, x = rand((128, 64), 5), rand(64, 6)
+        kernel = GemvKernel(system, 128, 64, layout_pchs=2)
+        kernel.load_weights(w)
+        y, _ = kernel(x)
+        assert np.array_equal(y, gemv_reference(w, x, num_pchs=2))
+
     def test_close_to_fp32(self, system):
         w = rand((128, 64), 3)
         x = rand(64, 4)

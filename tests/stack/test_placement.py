@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import _kill_busiest
+from repro.dram.commands import CommandType
 from repro.stack import Request, ServerConfig, SystemConfig
 from repro.stack.fabric import (
     FabricHandle,
@@ -30,6 +31,7 @@ from repro.stack.kernels import (
     column_cost,
 )
 from repro.stack.runtime import PimSystem
+from repro.tools import trace_channel
 
 _OPERAND = np.zeros(8, dtype=np.float16)
 
@@ -185,22 +187,18 @@ class TestRequestCost:
         system = PimSystem(self.CONFIG.replace(num_rows=512))
         kernel = GemvKernel(system, m, n, channels=(0, 1))
         kernel.load_weights(np.zeros((m, n), dtype=np.float16))
-        mc = system.controller(0)
-        readback = []
-        enqueue = mc.enqueue
-
-        def counting(request):
-            if request.tag is not None:
-                readback.append(request.count)
-            enqueue(request)
-
-        mc.enqueue = counting
-        _, report = kernel(np.zeros(n, dtype=np.float16), simulate_pchs=1)
+        with trace_channel(system.device.pch(0)) as trace:
+            _, report = kernel(np.zeros(n, dtype=np.float16), simulate_pchs=1)
+        # The readback: the SB-mode reads of the partial sums.
+        readback = sum(
+            record.count for record in trace.records
+            if record.mode == "single-bank" and record.cmd_type is CommandType.RD
+        )
         streams = report.simulated_pchs  # slices run on the timed channel
         assert streams == 2
         assert report.column_commands == column_commands("gemv", (m, n), 4) * streams
         assert (
-            report.column_commands + sum(readback)
+            report.column_commands + readback
             == column_cost("gemv", (m, n), 4) * streams
         )
 

@@ -6,6 +6,8 @@ The hypothesis properties are the satellite acceptance checks: the
 ``execute(parse(t))`` on ``all_inst.trace``-style inputs.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.errors import PimReplayError
 from repro.stack import Request
+from repro.stack.kernels import column_commands, column_cost
 from repro.tools.pimulator import (
     PA_BITS,
     PhysicalAddress,
@@ -196,3 +199,38 @@ class TestRequestEmission:
         text = emit_trace(ops)
         second = execute_trace(parse_trace(text)).state_digest()
         assert first == second
+
+    def test_a_gemv_stream_reads_its_partial_sums_back(self):
+        """After each GEMV stream's ``PIM`` lines, one ``SB R`` per column
+        of its readback program — ``column_cost - column_commands`` per
+        stream — on the stream's channel, from every unit's even bank."""
+        request = self._requests()[0]
+        shape = np.shape(request.weights)
+        ops = requests_to_trace([request], slices=2)
+        kinds = [op.kind for op in ops]
+        assert [k for i, k in enumerate(kinds) if i == 0 or kinds[i - 1] != k] == [
+            "CFR", "AB", "PIM", "SB", "AB", "PIM", "SB",
+        ]
+        reads = [op.pa for op in ops if op.kind == "SB"]
+        per_stream = column_cost("gemv", shape, 2) - column_commands("gemv", shape, 2)
+        assert all(op.rw == "R" for op in ops if op.kind == "SB")
+        assert [pa.channel for pa in reads] == [0] * per_stream + [1] * per_stream
+        assert {(pa.bankgroup, pa.bank) for pa in reads} == {
+            divmod(2 * unit, 4) for unit in range(8)
+        }
+
+
+class TestSingleBankAddresses:
+    def test_every_bankgroup_and_bank_is_a_bank_of_its_own(self):
+        """An ``SB W`` to each of the 16 (bank group, bank) pairs lands in a
+        different bank: the dialect has 4 banks per group."""
+        reached = []
+        for bankgroup, bank in itertools.product(range(4), repeat=2):
+            pa = PhysicalAddress(bankgroup=bankgroup, bank=bank, row=3).encode()
+            execution = execute_trace([TraceOp("SB", rw="W", args=(pa,))])
+            (hit,) = [
+                index for index, b in enumerate(execution._pch(0).banks)
+                if b.materialized_rows()
+            ]
+            reached.append(hit)
+        assert sorted(reached) == list(range(16))
