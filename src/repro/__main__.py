@@ -636,10 +636,10 @@ def _serve_bench(argv=None) -> int:
              "trees under diff_span_trees, bit-exact results)",
     )
     parser.add_argument(
-        "--exec-mode", default=None, choices=("lockstep", "scalar", "fused"),
+        "--exec-mode", default=None, choices=("scalar", "fused"),
         help="how column triggers execute: the trace-compiled fused "
-             "executor (default), or one of its differential oracles — "
-             "the lock-step SIMD interpreter, the per-unit scalar loop "
+             "executor (default), or its differential oracle, the "
+             "execution units trigger by trigger with per-word SEC-DED "
              "(see docs/ARCHITECTURE.md)",
     )
     args = parser.parse_args(argv or [])

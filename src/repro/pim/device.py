@@ -71,9 +71,8 @@ class PimPseudoChannel(PseudoChannel):
             )
             for u in range(UNITS_PER_PCH)
         ]
-        # The batched lock-step executor over all units; adopts the units'
-        # GRF/SRF into one stacked array, so build it before any register
-        # state is written.
+        # The eager exec group over all units; ``PimSystem`` swaps in the
+        # trace-compiled one (repro.pim.fused) unless exec_mode="scalar".
         self.lockstep = LockstepGroup(self.units)
         self.memory_map = m = PimMemoryMap(self.bank_config.num_rows)
         self._register_rows = frozenset(

@@ -20,7 +20,7 @@ pre-programmed iteration count; NOP consumes ``imm0`` triggers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +37,54 @@ from ..errors import PimProgramError
 from .isa import CRF_ENTRIES, GRF_REGS, Instruction, Opcode, Operand, OperandSpace, decode
 from .registers import GRF_REG_BYTES, LANES, RegisterFiles
 
-__all__ = ["ColumnTrigger", "PimExecutionUnit", "PimProgramError", "UnitStats"]
+__all__ = [
+    "ColumnTrigger", "PimExecutionUnit", "PimProgramError", "UnitStats",
+    "fetch", "resolve_control",
+]
+
+
+def fetch(crf: Sequence[int], ppc: int) -> Instruction:
+    """The instruction at PPC ``ppc``; ``ValueError`` if it does not decode."""
+    if not 0 <= ppc < CRF_ENTRIES:
+        raise PimProgramError(f"PPC {ppc} out of CRF range")
+    return decode(crf[ppc])
+
+
+def resolve_control(
+    crf: Sequence[int], ppc: int, nop_remaining: int, jump: Dict[int, int]
+) -> Tuple[int, bool, int]:
+    """The sequencer's fetch-stage rules, applied from PPC ``ppc`` on.
+
+    A JUMP is zero-cycle: it is taken its pre-programmed number of times
+    (``jump`` holds each slot's remaining count and is updated in place;
+    an exhausted slot falls through and re-arms for a later re-entry),
+    EXIT stops the sequencer, and a NOP met with no cycles pending arms
+    ``max(1, imm0)`` of them.  Returns ``(ppc, exited, nop_remaining)``;
+    raises :class:`PimProgramError` for a PPC outside the CRF or a
+    resolution that does not converge, ``ValueError`` for a word that does
+    not decode.  The execution unit and the fused compiler both resolve
+    through here.
+    """
+    for _ in range(1_000_000):
+        instr = fetch(crf, ppc)
+        op = instr.opcode
+        if op is Opcode.JUMP:
+            remaining = jump.get(ppc)
+            if remaining is None:
+                remaining = instr.imm1
+            if remaining > 0:
+                jump[ppc] = remaining - 1
+                ppc += instr.imm0
+            else:
+                jump.pop(ppc, None)
+                ppc += 1
+            continue
+        if op is Opcode.EXIT:
+            return ppc, True, nop_remaining
+        if op is Opcode.NOP and nop_remaining == 0:
+            nop_remaining = max(1, instr.imm0)
+        return ppc, False, nop_remaining
+    raise PimProgramError("control-flow resolution did not converge")
 
 
 @dataclass(frozen=True)
@@ -145,8 +192,8 @@ class PimExecutionUnit:
         """The architectural sequencer state as a hashable snapshot.
 
         ``(ppc, exited, nop_remaining, sorted jump-slot items)`` — the
-        exact state the lock-step and trace-compiled executors key their
-        uniformity checks and compiled-trace cache entries on.
+        exact state the trace-compiled executor keys its uniformity check
+        and compiled-trace cache entries on.
         """
         return (
             self.ppc,
@@ -164,37 +211,11 @@ class PimExecutionUnit:
         self._nop_remaining = nop_remaining
         self._jump_state = dict(jump_items)
 
-    def _fetch(self) -> Instruction:
-        if not 0 <= self.ppc < CRF_ENTRIES:
-            raise PimProgramError(f"PPC {self.ppc} out of CRF range")
-        return decode(self.regs.crf[self.ppc])
-
     def _resolve_control(self) -> None:
         """Resolve zero-cycle JUMPs (and EXIT) at the fetch stage."""
-        steps = 0
-        while not self.exited:
-            steps += 1
-            if steps > 1_000_000:
-                raise PimProgramError("control-flow resolution did not converge")
-            instr = self._fetch()
-            if instr.opcode is Opcode.JUMP:
-                remaining = self._jump_state.get(self.ppc)
-                if remaining is None:
-                    remaining = instr.imm1
-                if remaining > 0:
-                    self._jump_state[self.ppc] = remaining - 1
-                    self.ppc += instr.imm0
-                else:
-                    # Exhausted: fall through and re-arm for a later re-entry.
-                    self._jump_state.pop(self.ppc, None)
-                    self.ppc += 1
-                continue
-            if instr.opcode is Opcode.EXIT:
-                self.exited = True
-                continue
-            if instr.opcode is Opcode.NOP and self._nop_remaining == 0:
-                self._nop_remaining = max(1, instr.imm0)
-            return
+        self.ppc, self.exited, self._nop_remaining = resolve_control(
+            self.regs.crf, self.ppc, self._nop_remaining, self._jump_state
+        )
 
     # -- execution ------------------------------------------------------------
 
@@ -206,7 +227,7 @@ class PimExecutionUnit:
             # the sequencer (the bank access itself still happened).
             self.stats.ignored_after_exit += 1
             return
-        instr = self._fetch()
+        instr = fetch(self.regs.crf, self.ppc)
         if instr.opcode is Opcode.NOP:
             self._nop_remaining -= 1
             self.stats.instructions += 1

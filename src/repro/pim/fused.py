@@ -4,9 +4,9 @@ The paper's AB-PIM microkernels are *static* programs: once a CRF program
 is broadcast, every execution of it against the same column-command
 pattern performs exactly the same per-command register/bank dataflow —
 only the data (HOST bursts, GRF/SRF/bank contents) differs.  The
-lock-step executor (PR 5) still interprets one CRF instruction per
-column command; :class:`FusedLockstepGroup` removes that last
-interpretation layer by *trace compilation*:
+execution units interpret one CRF instruction per column command, unit
+by unit; :class:`FusedLockstepGroup` removes that interpretation by
+*trace compilation*:
 
 1. **Capture** — within one AB-PIM window (``start_all`` .. ``stop_all``)
    column triggers are buffered instead of interpreted.  Nothing outside
@@ -55,31 +55,32 @@ changes the key — and the fault injector additionally calls
 compiled traces alongside the broadcast cache) so the bounded cache
 never accumulates entries for corrupted or quarantined channels.
 
-Anything irregular falls back to the inherited lock-step interpreter,
-trigger by trigger, which itself falls back to the per-unit scalar
-loop — so the fused path is bit-exact with both oracles by
-construction wherever it engages, and *is* the oracle path wherever it
-does not:
+Anything irregular runs on the execution units themselves, trigger by
+trigger, through the inherited eager loop — so the fused path is
+bit-exact with the units by construction wherever it engages, and *is*
+the units wherever it does not:
 
-* divergent per-unit sequencer state or CRF contents -> interpreted;
+* divergent per-unit sequencer state or CRF contents -> the units;
 * a control word at a trigger fetch, a garbage word, an out-of-range
   PPC, an operand/trigger-kind mismatch -> the tape compiles *poisoned*
-  (cached, so the check is paid once) and replays interpreted;
-* a hard-failed bank -> interpreted (the lock-step refusal), raising
+  (cached, so the check is paid once) and runs on the units, which raise
+  what they always raised;
+* a hard-failed bank -> the units, raising
   :class:`~repro.errors.PimChannelError` exactly as before.
 
 The one observable difference is exception *ordering* inside a window:
 an uncorrectable ECC word is met among the fetches, so it aborts the
 whole window before any register or bank write of it lands (inline
-corrections of the fetches already made stay), where the interpreter
-leaves earlier triggers fully executed.  The raise still comes from the
-same ``flush_pending`` — the same simulated cycle — and a merged block
-that turns out dirty is re-read at the width of the reads it merged (8
+corrections of the fetches already made stay), where the units leave
+earlier triggers fully executed.  The raise still comes from the same
+``flush_pending`` — the same simulated cycle — and a merged block that
+turns out dirty is re-read at the width of the reads it merged (8
 columns under AAM, else one; all banks, then the next columns), so the
 first uncorrectable word met is the one those reads would have met in
-tape order.  This extends the documented
-lock-step caveat (see :mod:`repro.pim.lockstep`): both states are
-post-error garbage the self-healing layer discards before retrying.
+tape order.  Both states are post-error garbage the self-healing layer
+discards before retrying; the retried request's makespan is the one
+simulated number that depends on it
+(``tests/faults/test_exec_path_under_faults.py``).
 """
 
 from __future__ import annotations
@@ -92,12 +93,12 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, 
 
 import numpy as np
 
-from ..common.fp16 import vec_add, vec_mul, vec_relu
+from ..common.fp16 import FP16, vec_add, vec_mul, vec_relu
 from ..dram.ecc import peek_block, poke_block
-from .exec_unit import ColumnTrigger, PimExecutionUnit
-from .isa import CRF_ENTRIES, GRF_REGS, Instruction, Opcode, OperandSpace, decode
+from .exec_unit import ColumnTrigger, PimExecutionUnit, fetch, resolve_control
+from .isa import GRF_REGS, Instruction, Opcode, OperandSpace
 from .lockstep import LockstepGroup
-from .registers import GRF_REG_BYTES, LANES
+from .registers import GRF_REG_BYTES, LANES, StackedRegisterState
 
 __all__ = ["CompiledTrace", "FusedLockstepGroup", "TraceCache", "TraceCacheStats"]
 
@@ -240,7 +241,6 @@ class CompiledTrace:
     #: Uniform per-unit deltas: (triggers, instructions, flops,
     #: bank_reads, bank_writes, ignored_after_exit).
     stat_deltas: Tuple[int, int, int, int, int, int] = (0, 0, 0, 0, 0, 0)
-    batched_triggers: int = 0
     #: Final (ppc, exited, nop_remaining, jump-slot items).
     end_state: tuple = (0, True, 0, ())
     #: Bank operand spaces touched (re-checked for failures per replay).
@@ -281,23 +281,32 @@ class FusedLockstepGroup(LockstepGroup):
     Drop-in for :class:`~repro.pim.lockstep.LockstepGroup`:
     ``trigger_all`` buffers, the window boundaries
     (``start_all``/``stop_all``/``flush_pending``) compile-or-replay the
-    buffered tape, and every irregular case delegates to the inherited
-    interpreter for bit-exact oracle behaviour.
+    buffered tape, and every irregular case runs on the execution units
+    through the inherited eager loop.  A group of one unit, or of units
+    computing a non-FP16 lane format (the bit-accurate softfloat), never
+    defers.
     """
 
     def __init__(
         self,
         units: Sequence[PimExecutionUnit],
-        enabled: bool = True,
         cache: Optional[TraceCache] = None,
         channel_id: int = 0,
     ):
-        super().__init__(units, enabled=enabled)
+        super().__init__(units)
+        self.defers = len(self.units) > 1 and all(
+            u.lane_format is FP16 for u in self.units
+        )
+        # The replay reads and writes every unit's GRF/SRF at once, so the
+        # units' register halves become row views of one stacked array.
+        self.stacked = StackedRegisterState(len(self.units))
+        for i, unit in enumerate(self.units):
+            self.stacked.adopt(i, unit.regs)
         self.cache = cache if cache is not None else TraceCache()
         self.channel_id = channel_id
         self._tape: List[ColumnTrigger] = []
-        # Observability: tapes replayed from compiled traces vs routed
-        # through the inherited interpreter.
+        # Observability: tapes replayed from compiled traces vs run on the
+        # execution units.
         self.fused_replays = 0
         self.fused_fallbacks = 0
 
@@ -319,11 +328,6 @@ class FusedLockstepGroup(LockstepGroup):
         """Discard the buffered tape without executing it (hard reset)."""
         self._tape.clear()
 
-    @property
-    def defers(self) -> bool:
-        """Whether triggers are buffered (and ``trigger_all`` cannot raise)."""
-        return self.enabled and self._fp16_ok
-
     def trigger_all(self, trig: ColumnTrigger) -> None:
         """Buffer one broadcast column command — or one column burst, as a
         single tape entry — for deferred fused execution.
@@ -331,22 +335,25 @@ class FusedLockstepGroup(LockstepGroup):
         Equivalent to the eager ``LockstepGroup.trigger_all`` — the device
         flushes the tape at every point deferred state could be observed.
         """
-        if self.enabled and self._fp16_ok:
+        if self.defers:
             self._tape.append(trig)
             return
         super().trigger_all(trig)
 
     # -- flush: compile or replay ------------------------------------------------
 
+    def _any_failed(self, space: OperandSpace) -> bool:
+        return any(u._bank(space)._failed_channel is not None for u in self.units)
+
     def _interpret(self, tape: List[ColumnTrigger]) -> None:
-        """Route a whole tape through the inherited lock-step interpreter."""
+        """Run a whole tape on the execution units, trigger by trigger."""
         self.fused_fallbacks += 1
         for trig in tape:
             LockstepGroup.trigger_all(self, trig)
 
     def flush_pending(self) -> None:
         """Execute the buffered tape: replay a compiled trace, compile one,
-        or route the triggers through the inherited interpreter."""
+        or run the triggers on the execution units."""
         tape = self._tape
         if not tape:
             return
@@ -369,7 +376,7 @@ class FusedLockstepGroup(LockstepGroup):
             key = (self.channel_id, entry_state, *_pack_signature(crf, tape))
         except OverflowError:
             # A word, row or column beyond the packed widths: nothing the
-            # kernels emit; the interpreter raises whatever it always did.
+            # kernels emit; the units raise whatever they always did.
             self._interpret(tape)
             return
         entry = self.cache.get(key)
@@ -429,7 +436,6 @@ class FusedLockstepGroup(LockstepGroup):
             stats.bank_reads += dbr
             stats.bank_writes += dbw
             stats.ignored_after_exit += dig
-        self.batched_triggers += entry.batched_triggers
         self.fused_replays += 1
 
     # -- compilation -------------------------------------------------------------
@@ -437,55 +443,46 @@ class FusedLockstepGroup(LockstepGroup):
     def _compile(
         self, tape: List[ColumnTrigger], entry_state: tuple
     ) -> CompiledTrace:
+        """Bind the tape to the (uniform) CRF program, stepping the
+        sequencer as :meth:`PimExecutionUnit.trigger` does.  Whatever the
+        units would raise at, or a step the compiler does not lower,
+        compiles the tape poisoned."""
         crf = self.units[0].regs.crf
         ppc, exited, nop_remaining, jump_items = entry_state
         jump: Dict[int, int] = dict(jump_items)
-        poisoned = CompiledTrace(poisoned=True)
         steps: List[_Step] = []
         triggers = instructions = flops = bank_reads = bank_writes = ignored = 0
         hosts = 0  # host-carrying commands so far
-        for is_write, row, col, has_host in _commands(tape):
-            pos = hosts
-            hosts += has_host
-            triggers += 1
-            if exited:
-                # The interpreter requires *every* unit exited for the
-                # stats-only path; uniformity was verified at flush.
-                ignored += 1
-                continue
-            if not 0 <= ppc < CRF_ENTRIES:
-                return poisoned  # the scalar path raises here
-            word = crf[ppc]
-            try:
-                instr = decode(word)
-            except ValueError:
-                return poisoned
-            op = instr.opcode
-            if op is Opcode.NOP:
+        try:
+            for is_write, row, col, has_host in _commands(tape):
+                pos = hosts
+                hosts += has_host
+                triggers += 1
+                if exited:
+                    # Uniformity was verified at flush: every unit ignores it.
+                    ignored += 1
+                    continue
+                instr = fetch(crf, ppc)
                 instructions += 1
-                nop_remaining -= 1
-                if nop_remaining <= 0:
-                    resolved = self._dry_resolve(ppc + 1, 0, jump)
-                    if resolved is None:
-                        return poisoned
-                    ppc, exited, nop_remaining, jump = resolved
-                continue
-            if op is Opcode.JUMP or op is Opcode.EXIT:
-                # A control word at a trigger fetch: the CRF changed under
-                # a resolved sequencer; the scalar path raises.
-                return poisoned
-            resolved = self._dry_resolve(ppc + 1, nop_remaining, jump)
-            if resolved is None:
-                return poisoned
-            step = _plan_step(pos, word, instr, is_write, row, col, has_host)
-            if step is None:
-                return poisoned
-            instructions += 1
-            flops += step.flops
-            bank_reads += step.bank_reads
-            bank_writes += step.bank_writes
-            steps.append(step)
-            ppc, exited, nop_remaining, jump = resolved
+                if instr.opcode is Opcode.NOP:
+                    nop_remaining -= 1
+                    if nop_remaining <= 0:
+                        ppc, exited, nop_remaining = resolve_control(
+                            crf, ppc + 1, nop_remaining, jump
+                        )
+                    continue
+                step = _plan_step(pos, crf[ppc], instr, is_write, row, col, has_host)
+                if step is None:
+                    return CompiledTrace(poisoned=True)
+                flops += step.flops
+                bank_reads += step.bank_reads
+                bank_writes += step.bank_writes
+                steps.append(step)
+                ppc, exited, nop_remaining = resolve_control(
+                    crf, ppc + 1, nop_remaining, jump
+                )
+        except ValueError:  # PimProgramError included
+            return CompiledTrace(poisoned=True)
         spaces = frozenset().union(*(s.bank_spaces for s in steps)) if steps else frozenset()
         return CompiledTrace(
             poisoned=False,
@@ -493,7 +490,6 @@ class FusedLockstepGroup(LockstepGroup):
             stat_deltas=(
                 triggers, instructions, flops, bank_reads, bank_writes, ignored,
             ),
-            batched_triggers=triggers,
             end_state=(ppc, exited, nop_remaining, tuple(sorted(jump.items()))),
             bank_spaces=tuple(spaces),
         )
@@ -564,9 +560,9 @@ def _plan_step(
     col: int,
     has_host: bool,
 ) -> Optional[_Step]:
-    """Bind one trigger to its instruction, mirroring the lock-step
-    refusal conditions: any case ``_execute_batch`` would hand to the
-    scalar loop returns None (the tape compiles poisoned)."""
+    """Bind one trigger to its instruction.  A control word, an operand
+    the trigger cannot supply or a destination it cannot write — what
+    the unit raises at — returns None (the tape compiles poisoned)."""
     op = instr.opcode
     dst = instr.dst
     if op is Opcode.MOV or op is Opcode.FILL:

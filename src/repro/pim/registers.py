@@ -157,17 +157,17 @@ class RegisterFiles:
 class StackedRegisterState:
     """Contiguous ``(units, ...)`` GRF/SRF backing for lock-stepped units.
 
-    The lock-step batch path executes one instruction as a stacked
-    ``(units x 16)``-lane numpy operation, which needs every unit's
-    register halves to live in one contiguous array.  :meth:`adopt`
-    rebinds a unit's :class:`RegisterFiles` arrays to row views of the
-    stacked storage — all per-unit accessors (column writes, fault
-    injection, scalar execution) keep working unchanged on the views,
-    while the batch executor slices all units at once.
+    The fused replay (:mod:`repro.pim.fused`) reads and writes every
+    unit's registers as one stacked ``(units, ...)`` numpy operation,
+    which needs every unit's register halves to live in one contiguous
+    array.  :meth:`adopt` rebinds a unit's :class:`RegisterFiles` arrays
+    to row views of the stacked storage — all per-unit accessors (column
+    writes, fault injection, the unit's own execution) keep working
+    unchanged on the views, while the replay slices all units at once.
 
     The CRF is *not* stacked: it stays a per-unit list so units can
-    diverge (single-bank programming, fault injection), which the batch
-    path detects per fetched word.
+    diverge (single-bank programming, fault injection), which the fused
+    group detects before it compiles a window.
     """
 
     def __init__(self, num_units: int):

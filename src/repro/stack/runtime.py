@@ -71,25 +71,23 @@ class SystemConfig:
     # thread them through every layer.  Off by default — with trace=False
     # the only cost anywhere is one attribute test per hook site.
     trace: bool = False
-    # How column triggers execute, from slowest-and-simplest to fastest:
-    #   "scalar"   — the per-unit loop plus per-word scalar SEC-DED
-    #                everywhere (the historical path; differential oracle).
-    #   "lockstep" — one stacked SIMD op per broadcast column command
-    #                (differential oracle for "fused").
-    #   "fused"    — trace-compile whole AB-PIM trigger windows into
-    #                grouped array ops, cached by content signature
-    #                (repro.pim.fused).  Falls back to lockstep/scalar
-    #                for anything irregular, so all three are bit-exact.
+    # How column triggers execute:
+    #   "fused"  — trace-compile whole AB-PIM trigger windows into
+    #              levelled array ops, cached by content signature
+    #              (repro.pim.fused); anything irregular runs on the
+    #              execution units themselves.
+    #   "scalar" — the execution units, trigger by trigger, plus per-word
+    #              SEC-DED everywhere: the differential oracle.
     # None means "fused": the one production path.
     exec_mode: Optional[str] = None
     # LRU bound of the fused executor's compiled-trace cache.
     trace_cache_size: int = 128
 
     def __post_init__(self) -> None:
-        if self.exec_mode not in (None, "lockstep", "scalar", "fused"):
+        if self.exec_mode not in (None, "scalar", "fused"):
             raise ValueError(
                 f"unknown exec_mode {self.exec_mode!r}: expected "
-                '"lockstep", "scalar" or "fused"'
+                '"fused" or "scalar"'
             )
         if self.trace_cache_size < 1:
             raise ValueError(
@@ -147,11 +145,10 @@ class PimSystem(HostSystem):
             from ..dram.ecc import EccBank
 
             for channel in device.pchs:
-                channel.lockstep.enabled = False
                 for bank in channel.banks:
                     if isinstance(bank, EccBank):
                         bank.use_vectorized = False
-        elif mode == "fused":
+        else:
             from ..pim.fused import FusedLockstepGroup, TraceCache
 
             # One content-keyed cache shared by every channel; the fault

@@ -614,7 +614,7 @@ def test_a_burst_a_refresh_falls_due_inside_goes_one_by_one(monkeypatch, mode):
 @pytest.mark.parametrize("failing", [0, 3, 7])
 @pytest.mark.parametrize("policy", [SchedulerPolicy.FRFCFS, SchedulerPolicy.FCFS])
 def test_a_burst_whose_kth_command_raises_leaves_what_the_loop_leaves(failing, policy):
-    """A dead channel under the eager (``exec_mode="lockstep"``) executor:
+    """A dead channel under the eager (``exec_mode="scalar"``) executor:
     the microkernel idles through ``failing`` triggers, then reads the
     bank.  Controller clocks and tallies, the queue (``pending`` in bus
     commands), the device's counters and every bank must be where the

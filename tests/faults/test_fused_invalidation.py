@@ -7,7 +7,7 @@ eagerly, keeping the bounded cache free of dead programs.  These tests
 drive the public fault paths (:meth:`FaultInjector.corrupt_registers`,
 :meth:`FaultInjector.fail_channel`, driver quarantine) and assert both
 the bookkeeping (``TraceCacheStats.invalidations``) and the end that
-matters: results stay bit-identical to the lock-step oracle under the
+matters: results stay bit-identical to the scalar oracle under the
 same fault sequence, including across a scrub/heal cycle.
 """
 
@@ -65,7 +65,7 @@ class TestCrfUpsetInvalidation:
         out, _ = PimBlas(system).add(a, b)
         assert np.array_equal(out, add_reference(a, b))
 
-    def test_fused_matches_lockstep_under_identical_fault_sequence(self):
+    def test_fused_matches_scalar_under_identical_fault_sequence(self):
         """The differential invariant survives faults: two systems fed the
         same seeded CRF/GRF/SRF upsets produce identical bytes."""
 
@@ -86,7 +86,7 @@ class TestCrfUpsetInvalidation:
                 injector.corrupt_registers()
             return outs, injector.stats.register_faults
 
-        base = run("lockstep")
+        base = run("scalar")
         fused = run("fused")
         assert fused[1] == base[1] > 0  # identical seeded fault sequence
         assert fused[0] == base[0], "fused diverged under register faults"
@@ -118,7 +118,7 @@ class TestScrubHealBitExact:
     def test_fused_bit_exact_across_inject_scrub_heal_cycle(self):
         """Single-bit storage errors land on live rows, the scrubber
         repairs them, and the re-run is bit-exact — identically in fused
-        and lock-step mode (ECC counters included)."""
+        and scalar mode (ECC counters included)."""
 
         def run(mode):
             system = PimSystem(
@@ -146,7 +146,7 @@ class TestScrubHealBitExact:
             ]
             return first, second, ecc
 
-        base = run("lockstep")
+        base = run("scalar")
         fused = run("fused")
         assert fused[0] == base[0]
         assert fused[1] == base[1], "fused diverged after scrub/heal"

@@ -8,7 +8,7 @@ the ledger's shapes — GEMV 128x512, each elementwise operator at 4096, one
 ``lstm_cell`` step and one ``serve-bench``-shaped 8-request wave — as
 literals.  They were recorded from the commit *before* column bursts
 became the unit of command work (PR 15), and are the same under
-``exec_mode="fused"`` and ``"lockstep"``, with and without ECC: none of
+``exec_mode="fused"`` and ``"scalar"``, with and without ECC: none of
 those is allowed to move simulated time.
 
 To re-record after a deliberate timing change::
@@ -142,7 +142,7 @@ def measure(exec_mode, ecc):
 
 
 @pytest.mark.parametrize("ecc", [False, True], ids=["plain", "ecc"])
-@pytest.mark.parametrize("exec_mode", ["fused", "lockstep"])
+@pytest.mark.parametrize("exec_mode", ["fused", "scalar"])
 def test_simulated_cycles_and_bus_counts_match_the_recorded_literals(exec_mode, ecc):
     assert measure(exec_mode, ecc) == GOLDEN
 
@@ -151,6 +151,6 @@ if __name__ == "__main__":
     import pprint
 
     recorded = measure("fused", False)
-    for mode, ecc in (("fused", True), ("lockstep", False), ("lockstep", True)):
+    for mode, ecc in (("fused", True), ("scalar", False), ("scalar", True)):
         assert measure(mode, ecc) == recorded, (mode, ecc)
     pprint.pprint(recorded, sort_dicts=False, width=78)

@@ -4,7 +4,7 @@ else keeps the index-array path.
 Whether a bank run's columns ascend is decided when the trace is compiled
 (``fused._schedule``), never per replay.  Kernels only ever emit ascending
 runs, so the out-of-order case is pinned here: it must compile to the
-index-array plan and stay bit-exact with both interpreters.
+index-array plan and stay bit-exact with the execution units.
 """
 
 import pytest
@@ -14,12 +14,14 @@ from repro.dram.ecc import EccBank
 from repro.pim import fused
 
 from tests.pim.test_fused_differential import (
-    _assert_threeway,
+    _assert_twoway,
     _build_fused,
     _compiled,
+    _program,
+    _rd,
     _run_window,
+    _wr,
 )
-from tests.pim.test_lockstep import _program, _rd, _wr
 
 ELEMENTWISE = (
     "FILL GRF_A[A], EVEN_BANK\n"
@@ -49,7 +51,7 @@ def _window(cols):
 )
 def test_runs_compile_to_blocks_and_the_rest_to_index_arrays(bank_cls, cols, col0, monkeypatch):
     triggers = _window(cols)
-    _assert_threeway(ELEMENTWISE, triggers, seed=3, bank_cls=bank_cls)
+    _assert_twoway(ELEMENTWISE, triggers, seed=3, bank_cls=bank_cls)
 
     group = _build_fused(3, bank_cls=bank_cls)
     _program(group, ELEMENTWISE)
@@ -79,7 +81,7 @@ def test_ascending_runs_of_one_row_merge_into_one_block(bank_cls):
     row starts a new one."""
     source = "MAC GRF_B[A], EVEN_BANK, SRF_M[A]\nJUMP -1, 23\nEXIT"
     triggers = [_rd(0, c) for c in range(16)] + [_rd(1, c) for c in range(8)]
-    _assert_threeway(source, triggers, seed=5, bank_cls=bank_cls, cols=16)
+    _assert_twoway(source, triggers, seed=5, bank_cls=bank_cls, cols=16)
     group = _build_fused(5, bank_cls=bank_cls, cols=16)
     _program(group, source)
     assert _run_window(group, triggers) is None

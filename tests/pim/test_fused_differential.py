@@ -1,20 +1,24 @@
-"""Three-way differential: trace-compiled fused vs lock-step vs scalar.
+"""Differential: the trace-compiled fused executor vs the execution units.
 
 The fused executor (:mod:`repro.pim.fused`) must be *indistinguishable*
-from both always-available oracles — the lock-step interpreter and the
-per-unit scalar loop — wherever results are observable: bit-identical
-register/bank bytes, identical ``UnitStats`` and ECC counters, identical
-profile counters, and identical span trees (``diff_span_trees`` names the
-first divergence on failure), across hand-written and randomized
-microkernels, random shapes and channel subsets, and under injected CRF
-faults and shed overload.
+from the execution units it compiles away — the eager
+:class:`~repro.pim.lockstep.LockstepGroup`, every trigger on every unit
+through ``PimExecutionUnit.trigger`` (``exec_mode="scalar"`` end to end)
+— wherever results are observable: bit-identical register/bank bytes,
+identical ``UnitStats`` and ECC counters, identical profile counters, and
+identical span trees (``diff_span_trees`` names the first divergence on
+failure), across hand-written and randomized microkernels, random shapes
+and channel subsets, and under injected CRF faults and shed overload.
 
 The one deliberate exception is exception *surfacing*: the fused group
-defers triggers within an AB-PIM window, so an error the interpreter
-raises at trigger N surfaces at the window flush instead (documented in
+defers triggers within an AB-PIM window, so an error the units raise at
+trigger N surfaces at the window flush instead (documented in
 :mod:`repro.pim.fused`).  Error-path cases therefore compare the first
 raised exception and stop — both post-error states are garbage the
 self-healing layer discards.
+
+The seeded groups, microkernel sources and hypothesis strategies here
+are shared by ``test_trace_cache.py`` and ``test_fused_blocks.py``.
 """
 
 import numpy as np
@@ -22,26 +26,160 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram.bank import Bank
+from repro.dram.bank import Bank, BankConfig
 from repro.dram.ecc import EccBank, UncorrectableError
-from repro.pim.fused import FusedLockstepGroup, TraceCache
+from repro.dram.timing import HBM2_1GHZ
+from repro.pim.assembler import assemble_words
+from repro.pim.exec_unit import ColumnTrigger, PimExecutionUnit
+from repro.pim.fused import FusedLockstepGroup
 from repro.pim.lockstep import LockstepGroup
+from repro.pim.registers import LANES
 
-from tests.pim.test_lockstep import (
-    NUM_UNITS,
-    _build_group,
-    _microkernel,
-    _program,
-    _rd,
-    _snapshot,
-    _trigger,
-    _wr,
-)
+NUM_UNITS = 8
+NUM_ROWS = 8
+DATA_ROWS = 4  # rows 0..3 hold operand data; register rows are not modelled
+
+
+def _build_group(seed: int, bank_cls=Bank, cols: int = 8) -> LockstepGroup:
+    """A seeded eager group: random bank rows (their first ``cols``
+    columns), random GRF/SRF, shared layout."""
+    rng = np.random.default_rng(seed)
+    cfg = BankConfig(num_rows=NUM_ROWS)
+    units = []
+    for u in range(NUM_UNITS):
+        even = bank_cls(cfg, HBM2_1GHZ)
+        odd = bank_cls(cfg, HBM2_1GHZ)
+        units.append(PimExecutionUnit(u, even, odd))
+    group = LockstepGroup(units)
+    for unit in units:
+        for bank in (unit.even_bank, unit.odd_bank):
+            for row in range(DATA_ROWS):
+                for col in range(cols):
+                    values = rng.standard_normal(LANES).astype(np.float16)
+                    bank.poke(row, col, values.view(np.uint8))
+        for name in ("grf_a", "grf_b", "srf_m", "srf_a"):
+            regs = getattr(unit.regs, name)
+            regs[...] = rng.standard_normal(regs.shape).astype(np.float16)
+    return group
 
 
 def _build_fused(seed: int, bank_cls=Bank, cols: int = 8) -> FusedLockstepGroup:
-    base = _build_group(seed, enabled=True, bank_cls=bank_cls, cols=cols)
+    base = _build_group(seed, bank_cls=bank_cls, cols=cols)
     return FusedLockstepGroup(base.units)
+
+
+def _program(group: LockstepGroup, source: str) -> None:
+    words = assemble_words(source)
+    for unit in group.units:
+        for i, word in enumerate(words):
+            unit.regs.crf[i] = word
+    group.start_all()
+
+
+def _snapshot(group: LockstepGroup):
+    """Everything observable about the group, as comparable bytes/values."""
+    state = []
+    for unit in group.units:
+        banks = []
+        for bank in (unit.even_bank, unit.odd_bank):
+            rows = {
+                row: bank.peek_raw_row(row).tobytes()
+                if hasattr(bank, "peek_raw_row")
+                else bank._row_array(row).tobytes()
+                for row in sorted(bank._rows)
+            }
+            checks = (
+                {r: a.tobytes() for r, a in sorted(bank._check.items())}
+                if isinstance(bank, EccBank)
+                else None
+            )
+            ecc_stats = (
+                vars(bank.ecc_stats).copy() if isinstance(bank, EccBank) else None
+            )
+            banks.append((rows, checks, ecc_stats))
+        state.append(
+            {
+                "banks": banks,
+                "crf": list(unit.regs.crf),
+                "grf_a": unit.regs.grf_a.tobytes(),
+                "grf_b": unit.regs.grf_b.tobytes(),
+                "srf_m": unit.regs.srf_m.tobytes(),
+                "srf_a": unit.regs.srf_a.tobytes(),
+                "ppc": unit.ppc,
+                "exited": unit.exited,
+                "nop": unit._nop_remaining,
+                "jump": dict(unit._jump_state),
+                "stats": vars(unit.stats).copy(),
+            }
+        )
+    return state
+
+
+def _rd(row=0, col=0):
+    return ColumnTrigger(is_write=False, row=row, col=col)
+
+
+def _wr(row=0, col=0, value=1.0):
+    data = np.full(LANES, value, dtype=np.float16).view(np.uint8)
+    return ColumnTrigger(is_write=True, row=row, col=col, host_data=data)
+
+
+# -- randomized microkernels (hypothesis strategies) ------------------------------
+
+_INSTRUCTIONS = (
+    "FILL GRF_A[{i}], EVEN_BANK",
+    "FILL GRF_B[{i}], ODD_BANK",
+    "MOV GRF_A[{i}], GRF_B[{j}]",
+    "MOV(RELU) GRF_B[{i}], GRF_A[{j}]",
+    "MOV GRF_A[A], HOST",
+    "MOV EVEN_BANK, GRF_A[{i}]",
+    "MOV ODD_BANK, GRF_B[{i}]",
+    "MUL GRF_A[{i}], GRF_A[{j}], SRF_M[{k}]",
+    "ADD GRF_B[{i}], GRF_B[{j}], SRF_A[{k}]",
+    "ADD GRF_A[{i}], GRF_A[{j}], GRF_B[{k}]",
+    "MAC GRF_B[A], EVEN_BANK, SRF_M[A]",
+    "MAC GRF_A[{i}], GRF_B[{j}], GRF_A[{k}]",
+    "MAD GRF_A[{i}], ODD_BANK, SRF_M[{j}], SRF_A[{j}]",  # ISA: SRC1# == SRC2#
+    "NOP {n}",
+)
+
+_instr = st.builds(
+    lambda t, i, j, k, n: t.format(i=i, j=j, k=k, n=n),
+    st.sampled_from(_INSTRUCTIONS),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.integers(1, 3),
+)
+
+_jump = st.builds(
+    lambda off, cnt: f"JUMP -{off}, {cnt}",
+    st.integers(1, 3),
+    st.integers(1, 4),
+)
+
+_trigger = st.builds(
+    lambda is_write, row, col, value: (
+        _wr(row, col, value) if is_write else _rd(row, col)
+    ),
+    st.booleans(),
+    st.integers(0, DATA_ROWS - 1),
+    st.integers(0, 7),
+    st.floats(-4, 4, width=16),
+)
+
+
+@st.composite
+def _microkernel(draw):
+    body = draw(st.lists(_instr, min_size=1, max_size=6))
+    # Optionally close with a backward JUMP over the tail of the body.
+    if draw(st.booleans()):
+        jump = draw(_jump)
+        offset = int(jump.split()[1].rstrip(","))  # negative
+        if len(body) + offset >= 0:  # jump target stays inside the body
+            body.append(jump)
+    body.append("EXIT")
+    return "\n".join(body)
 
 
 def _compiled(group: FusedLockstepGroup):
@@ -64,26 +202,21 @@ def _run_window(group, triggers):
         return (type(exc).__name__, str(exc))
 
 
-def _assert_threeway(source, triggers, seed=0, bank_cls=Bank, mutate=None, cols=8):
-    """Run one window three ways; returns the fused group (for its plan)
-    and the common outcome."""
-    groups = {
-        "scalar": _build_group(seed, enabled=False, bank_cls=bank_cls, cols=cols),
-        "lockstep": _build_group(seed, enabled=True, bank_cls=bank_cls, cols=cols),
-        "fused": _build_fused(seed, bank_cls=bank_cls, cols=cols),
-    }
-    outcomes = {}
-    for name, group in groups.items():
+def _assert_twoway(source, triggers, seed=0, bank_cls=Bank, mutate=None, cols=8):
+    """Run one window on the units and fused; returns the fused group (for
+    its plan) and the common outcome."""
+    units = _build_group(seed, bank_cls=bank_cls, cols=cols)
+    fused = _build_fused(seed, bank_cls=bank_cls, cols=cols)
+    outcomes = []
+    for group in (units, fused):
         _program(group, source)
         if mutate is not None:
             mutate(group)
-        outcomes[name] = _run_window(group, triggers)
-    assert outcomes["scalar"] == outcomes["lockstep"] == outcomes["fused"]
-    if outcomes["scalar"] is None:  # post-error state is documented as unspecified
-        snap = _snapshot(groups["scalar"])
-        assert _snapshot(groups["lockstep"]) == snap, "lockstep diverged from scalar"
-        assert _snapshot(groups["fused"]) == snap, "fused diverged from scalar"
-    return groups["fused"], outcomes["fused"]
+        outcomes.append(_run_window(group, triggers))
+    assert outcomes[0] == outcomes[1]
+    if outcomes[0] is None:  # post-error state is documented as unspecified
+        assert _snapshot(fused) == _snapshot(units), "fused diverged from the units"
+    return fused, outcomes[1]
 
 
 # -- hand-written windows covering each structural feature ----------------------
@@ -93,7 +226,7 @@ class TestFusedMicrokernels:
     def test_gemv_style_mac_loop_replays_fused(self):
         source = "MAC GRF_B[A], EVEN_BANK, SRF_M[A]\nJUMP -1, 7\nEXIT"
         triggers = [_rd(row=0, col=c) for c in range(8)]
-        _assert_threeway(source, triggers)
+        _assert_twoway(source, triggers)
 
     def test_grouped_elementwise_chain(self):
         source = (
@@ -110,7 +243,7 @@ class TestFusedMicrokernels:
             + [_rd(2, c) for c in range(8)]
             + [_wr(3, c) for c in range(8)]
         )
-        _assert_threeway(source, triggers)
+        _assert_twoway(source, triggers)
 
     def test_interleaved_stages_self_split(self):
         # The PR 5 elementwise order: FILL/ADD/MOV triples interleave, so
@@ -125,7 +258,7 @@ class TestFusedMicrokernels:
         triggers = []
         for col in range(4):
             triggers += [_rd(1, col), _rd(2, col), _wr(3, col)]
-        _assert_threeway(source, triggers)
+        _assert_twoway(source, triggers)
 
     def test_fixed_register_mac_accumulates_sequentially(self):
         # Non-AAM MAC: every trigger reads and writes GRF_B[0], so the
@@ -133,7 +266,7 @@ class TestFusedMicrokernels:
         # would break sequential FP16 accumulation).
         source = "MAC GRF_B[0], EVEN_BANK, SRF_M[0]\nJUMP -1, 7\nEXIT"
         triggers = [_rd(0, c) for c in range(8)]
-        _assert_threeway(source, triggers)
+        _assert_twoway(source, triggers)
 
     def test_host_broadcast_and_relu(self):
         source = (
@@ -146,22 +279,43 @@ class TestFusedMicrokernels:
         triggers = [_wr(0, c, value=float(c) - 1.5) for c in range(4)] + [
             _rd(0, c) for c in range(4)
         ]
-        _assert_threeway(source, triggers)
+        _assert_twoway(source, triggers)
 
     def test_multi_cycle_nop_inside_window(self):
         source = "NOP 3\nMOV GRF_A[2], GRF_B[3]\nNOP 2\nEXIT"
-        _assert_threeway(source, [_rd(0, 0)] * 7)
+        _assert_twoway(source, [_rd(0, 0)] * 7)
 
     def test_surplus_triggers_after_exit(self):
         source = "MOV GRF_A[0], GRF_B[0]\nEXIT"
-        _assert_threeway(source, [_rd(0, 0)] * 5)
+        _assert_twoway(source, [_rd(0, 0)] * 5)
 
     def test_wrong_trigger_kind_raises_identically(self):
         # WR trigger against a bank-read program: the tape compiles
-        # poisoned and the interpreted fallback raises the scalar loop's
-        # exact PimProgramError.
+        # poisoned and runs on the units, which raise their exact
+        # PimProgramError.
         source = "FILL GRF_A[0], EVEN_BANK\nEXIT"
-        _assert_threeway(source, [_wr(0, 0)])
+        _assert_twoway(source, [_wr(0, 0)])
+
+    def test_elementwise_add_with_bank_writeback(self):
+        source = (
+            "FILL GRF_A[0], EVEN_BANK\n"
+            "ADD GRF_A[1], GRF_A[0], ODD_BANK\n"
+            "MOV EVEN_BANK, GRF_A[1]\n"
+            "EXIT"
+        )
+        _assert_twoway(source, [_rd(0, 0), _rd(1, 1), _wr(2, 2), _rd(0, 0)])
+
+    def test_mad_with_scalar_operands(self):
+        source = (
+            "MAD GRF_B[0], ODD_BANK, SRF_M[4], SRF_A[4]\n"
+            "MUL GRF_B[1], GRF_B[0], GRF_A[5]\n"
+            "EXIT"
+        )
+        _assert_twoway(source, [_rd(1, 3), _rd(0, 0), _rd(0, 0)])
+
+    def test_host_broadcast_write_loop(self):
+        source = "MOV GRF_A[A], HOST\nJUMP -1, 3\nEXIT"
+        _assert_twoway(source, [_wr(0, c, value=float(c + 1)) for c in range(4)])
 
     def test_ecc_banks_identical_counters(self):
         source = (
@@ -172,7 +326,7 @@ class TestFusedMicrokernels:
             "EXIT"
         )
         triggers = [_rd(0, c) for c in range(8)] + [_wr(1, c) for c in range(8)]
-        _assert_threeway(source, triggers, bank_cls=EccBank)
+        _assert_twoway(source, triggers, bank_cls=EccBank)
 
     def test_repeated_windows_hit_the_cache(self):
         group = _build_fused(3)
@@ -200,7 +354,7 @@ class TestFusedDesync:
                 "MOV GRF_A[2], GRF_B[2]"
             )[0]
 
-        _assert_threeway(source, [_rd(0, 0)] * 3, mutate=mutate)
+        _assert_twoway(source, [_rd(0, 0)] * 3, mutate=mutate)
 
     def test_crf_bit_flip_changes_the_cache_key(self):
         source = "MOV GRF_A[0], GRF_B[0]\nEXIT"
@@ -225,7 +379,7 @@ class TestFusedDesync:
         def mutate(group):
             group.units[2]._nop_remaining = 1
 
-        _assert_threeway(source, [_rd(0, 0)] * 4, mutate=mutate)
+        _assert_twoway(source, [_rd(0, 0)] * 4, mutate=mutate)
 
 
 # -- the levelled replay: dependences, not hazards, order a window ---------------
@@ -263,10 +417,11 @@ def _width(op):
 
 @pytest.mark.parametrize("bank_cls", [Bank, EccBank])
 class TestLevelledReplay:
-    """Each case runs three ways, then pins the shape the compiler found."""
+    """Each case runs on the units and fused, then pins the shape the
+    compiler found."""
 
     def test_mac_chain_of_16_chunks_over_4_weight_rows(self, bank_cls):
-        group, _ = _assert_threeway(
+        group, _ = _assert_twoway(
             GEMV.format(reps=15), _gemv_window(16), seed=1, bank_cls=bank_cls, cols=32
         )
         entry = _compiled(group)
@@ -281,7 +436,7 @@ class TestLevelledReplay:
 
     def test_fixed_register_mac_is_a_chain_of_depth_8_width_1(self, bank_cls):
         source = "MAC GRF_B[0], EVEN_BANK, SRF_M[0]\nJUMP -1, 7\nEXIT"
-        group, _ = _assert_threeway(source, [_rd(0, c) for c in range(8)], bank_cls=bank_cls)
+        group, _ = _assert_twoway(source, [_rd(0, c) for c in range(8)], bank_cls=bank_cls)
         entry = _compiled(group)
         assert _kinds(entry) == ["mul"] + ["add"] * 8
         assert [_width(op) for op in entry.ops] == [8] + [1] * 8
@@ -299,13 +454,13 @@ class TestLevelledReplay:
             "MUL GRF_B[4], GRF_A[0], GRF_B[5]\n"
             "EXIT"
         )
-        group, _ = _assert_threeway(source, [_rd(0, 0)] * 5, seed=2, bank_cls=bank_cls)
+        group, _ = _assert_twoway(source, [_rd(0, 0)] * 5, seed=2, bank_cls=bank_cls)
         ops = _compiled(group).ops
         assert [(op.kind, op.level) for op in ops] == [("mul", 1), ("add", 1), ("add", 2)]
 
     def test_register_written_twice_keeps_the_second_value(self, bank_cls):
         source = "MOV GRF_A[0], GRF_B[1]\nMOV GRF_A[0], GRF_B[2]\nEXIT"
-        group, _ = _assert_threeway(source, [_rd(0, 0)] * 2, seed=3, bank_cls=bank_cls)
+        group, _ = _assert_twoway(source, [_rd(0, 0)] * 2, seed=3, bank_cls=bank_cls)
         entry = _compiled(group)
         assert entry.ops == () and entry.fetches == ()
         ((space, regs, _),) = entry.puts
@@ -320,7 +475,7 @@ class TestLevelledReplay:
             "ADD GRF_B[1], GRF_A[0], GRF_A[1]\n"
             "EXIT"
         )
-        _assert_threeway(source, [_rd(0, 0)] * 3, seed=4, bank_cls=bank_cls)
+        _assert_twoway(source, [_rd(0, 0)] * 3, seed=4, bank_cls=bank_cls)
 
     @pytest.mark.parametrize(
         "source, triggers, kinds",
@@ -350,7 +505,7 @@ class TestLevelledReplay:
         ],
     )
     def test_bank_locations_keep_tape_order(self, bank_cls, source, triggers, kinds):
-        group, _ = _assert_threeway(source, triggers, seed=5, bank_cls=bank_cls)
+        group, _ = _assert_twoway(source, triggers, seed=5, bank_cls=bank_cls)
         ops = _compiled(group).ops
         assert [op.kind for op in ops] == kinds
         assert [op.level for op in ops] == sorted(op.level for op in ops)
@@ -365,7 +520,7 @@ class TestLevelledReplay:
             "EXIT"
         )
         triggers = [_rd(1, c) for c in range(8)] + [_wr(2, c) for c in range(8)]
-        group, _ = _assert_threeway(source, triggers, seed=6, bank_cls=bank_cls)
+        group, _ = _assert_twoway(source, triggers, seed=6, bank_cls=bank_cls)
         assert _kinds(_compiled(group)) == ["mul", "add", "store"]
 
     def test_mov_relu_is_a_producer(self, bank_cls):
@@ -383,7 +538,7 @@ class TestLevelledReplay:
             + [_rd(2, c) for c in range(8)]
             + [_wr(3, c) for c in range(8)]
         )
-        group, _ = _assert_threeway(source, triggers, seed=7, bank_cls=bank_cls)
+        group, _ = _assert_twoway(source, triggers, seed=7, bank_cls=bank_cls)
         assert _kinds(_compiled(group)) == ["relu", "add", "relu", "store"]
 
     def test_a_split_at_every_trigger_is_invisible(self, bank_cls):
@@ -408,7 +563,7 @@ class TestLevelledReplayUnderFaults:
             group.units[5].even_bank.inject_error(0, 3, bit=130)
             group.units[5].even_bank.inject_check_error(1, 30, word=1, bit=2)
 
-        _, outcome = _assert_threeway(
+        _, outcome = _assert_twoway(
             GEMV.format(reps=7), _gemv_window(8), seed=9, bank_cls=EccBank,
             mutate=mutate, cols=32,
         )
@@ -425,7 +580,7 @@ class TestLevelledReplayUnderFaults:
             for bit in (64, 69):  # two flips in one word
                 group.units[bad_unit].even_bank.inject_error(0, bad_col, bit=bit)
 
-        _, outcome = _assert_threeway(
+        _, outcome = _assert_twoway(
             GEMV.format(reps=7), _gemv_window(8), seed=9, bank_cls=EccBank,
             mutate=mutate, cols=32,
         )
@@ -466,18 +621,18 @@ class TestLevelledReplayUnderFaults:
         assert group.fused_replays == 0 and group.fused_fallbacks == 0
 
 
-# -- randomized three-way differential (hypothesis) -----------------------------
+# -- randomized two-way differential (hypothesis) -------------------------------
 
 
-class TestRandomizedThreeWay:
+class TestRandomizedTwoWay:
     @settings(max_examples=30, deadline=None)
     @given(
         source=_microkernel(),
         triggers=st.lists(_trigger, min_size=1, max_size=24),
         seed=st.integers(0, 2**16),
     )
-    def test_fused_equals_both_oracles(self, source, triggers, seed):
-        _assert_threeway(source, triggers, seed=seed)
+    def test_fused_equals_the_units(self, source, triggers, seed):
+        _assert_twoway(source, triggers, seed=seed)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -485,8 +640,8 @@ class TestRandomizedThreeWay:
         triggers=st.lists(_trigger, min_size=1, max_size=12),
         seed=st.integers(0, 2**16),
     )
-    def test_fused_equals_both_oracles_ecc(self, source, triggers, seed):
-        _assert_threeway(source, triggers, seed=seed, bank_cls=EccBank)
+    def test_fused_equals_the_units_ecc(self, source, triggers, seed):
+        _assert_twoway(source, triggers, seed=seed, bank_cls=EccBank)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -497,13 +652,13 @@ class TestRandomizedThreeWay:
         entry=st.integers(0, 6),
         bit=st.integers(0, 31),
     )
-    def test_fused_equals_oracles_with_crf_fault(
+    def test_fused_equals_the_units_with_crf_fault(
         self, source, triggers, seed, unit, entry, bit
     ):
         def mutate(group):
             group.units[unit].regs.flip_bit("crf", entry, bit)
 
-        _assert_threeway(source, triggers, seed=seed, mutate=mutate)
+        _assert_twoway(source, triggers, seed=seed, mutate=mutate)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -609,32 +764,22 @@ def _run_op_suite(mode, trace=False):
     return out, unit_stats, ecc_stats, counters, system
 
 
-class TestEndToEndThreeWay:
+class TestEndToEndTwoWay:
     def test_ops_bit_exact_across_modes(self):
-        results = {m: _run_op_suite(m) for m in ("scalar", "lockstep", "fused")}
-        base = results["lockstep"]
-        for mode in ("scalar", "fused"):
-            got = results[mode]
-            assert got[0] == base[0], f"{mode} results diverged"
-            assert got[1] == base[1], f"{mode} unit stats diverged"
-            assert got[2] == base[2], f"{mode} ecc stats diverged"
-        fused_system = results["fused"][4]
-        assert sum(
-            ch.lockstep.fused_replays for ch in fused_system.device.pchs
-        ) > 0
+        base, fused = _run_op_suite("scalar"), _run_op_suite("fused")
+        assert fused[0] == base[0], "fused results diverged"
+        assert fused[1] == base[1], "fused unit stats diverged"
+        assert fused[2] == base[2], "fused ecc stats diverged"
+        assert sum(ch.lockstep.fused_replays for ch in fused[4].device.pchs) > 0
 
     def test_profile_counters_and_span_trees_identical(self):
         from repro.obs.export import diff_span_trees
 
-        base = _run_op_suite("lockstep", trace=True)
+        base = _run_op_suite("scalar", trace=True)
         fused = _run_op_suite("fused", trace=True)
-        scalar = _run_op_suite("scalar", trace=True)
         assert fused[3] == base[3], "fused metrics counters diverged"
-        assert scalar[3] == base[3], "scalar metrics counters diverged"
         diff = diff_span_trees(base[4].tracer, fused[4].tracer)
         assert diff is None, f"fused span tree diverged: {diff}"
-        diff = diff_span_trees(base[4].tracer, scalar[4].tracer)
-        assert diff is None, f"scalar span tree diverged: {diff}"
 
     def test_shed_overload_bit_exact(self):
         """Fused must stay bit-exact when the server sheds load mid-run."""
@@ -666,19 +811,18 @@ class TestEndToEndThreeWay:
             ]
             return outcomes, results, profile.rejected
 
-        base = run("lockstep")
+        base = run("scalar")
         fused = run("fused")
         assert fused[0] == base[0], "outcomes diverged under shed overload"
         assert fused[1] == base[1], "results diverged under shed overload"
         assert base[2] > 0 and fused[2] == base[2]  # shed path engaged
 
-    def test_unknown_exec_mode_rejected(self):
+    @pytest.mark.parametrize("mode", ["warp", "lockstep"])
+    def test_unknown_exec_mode_rejected(self, mode):
         from repro.stack.runtime import SystemConfig
 
-        import pytest
-
-        with pytest.raises(ValueError, match="exec_mode"):
-            SystemConfig(exec_mode="warp")
+        with pytest.raises(ValueError, match='exec_mode .*"fused" or "scalar"'):
+            SystemConfig(exec_mode=mode)
 
 
 # -- the counts the replay's cost rests on, made by the compiler -----------------

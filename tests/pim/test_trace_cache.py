@@ -17,7 +17,7 @@ import numpy as np
 from repro.pim.assembler import assemble_words
 from repro.pim.fused import CompiledTrace, FusedLockstepGroup, TraceCache
 
-from tests.pim.test_lockstep import _build_group, _program, _rd, _snapshot
+from tests.pim.test_fused_differential import _build_group, _program, _rd, _snapshot
 
 GEMV = "MAC GRF_B[A], EVEN_BANK, SRF_M[A]\nJUMP -1, 7\nEXIT"
 FILLER = "FILL GRF_A[A], EVEN_BANK\nJUMP -1, 7\nEXIT"
@@ -25,7 +25,7 @@ MOV = "MOV GRF_A[0], GRF_B[0]\nEXIT"
 
 
 def _fused(seed=0, cache=None):
-    base = _build_group(seed, enabled=True)
+    base = _build_group(seed)
     return FusedLockstepGroup(base.units, cache=cache)
 
 
@@ -61,7 +61,7 @@ class TestLruBound:
         produces bit-exact state — eviction costs a compile, never bits."""
         cache = TraceCache(limit=1)
         fused = _fused(7, cache=cache)
-        oracle = _build_group(7, enabled=True)
+        oracle = _build_group(7)
         triggers = [_rd(0, c) for c in range(8)]
         for source in (GEMV, FILLER, GEMV, FILLER):
             _program(fused, source)
@@ -158,25 +158,22 @@ class TestSystemKnob:
                 assert type(channel.lockstep) is FusedLockstepGroup
                 assert channel.lockstep.cache is system._trace_cache
 
-    def test_non_fused_modes_build_no_cache(self):
-        """The oracles are explicit: neither wires a compiled-trace path."""
+    def test_the_scalar_mode_builds_no_cache(self):
+        """The oracle is explicit: it wires no compiled-trace path."""
         from repro.pim.lockstep import LockstepGroup
         from repro.stack.runtime import PimSystem, SystemConfig
 
-        for mode in ("lockstep", "scalar"):
-            system = PimSystem(
-                SystemConfig(num_pchs=2, num_rows=64, exec_mode=mode)
-            )
-            assert system._trace_cache is None
-            assert system.driver.trace_cache is None
-            for channel in system.device.pchs:
-                assert type(channel.lockstep) is LockstepGroup
+        system = PimSystem(SystemConfig(num_pchs=2, num_rows=64, exec_mode="scalar"))
+        assert system._trace_cache is None
+        assert system.driver.trace_cache is None
+        for channel in system.device.pchs:
+            assert type(channel.lockstep) is LockstepGroup
 
 
 class TestReplicaIndependence:
     def test_fabric_workers_compile_independently_bit_exact(self):
         """Each fabric worker process owns a private cache; a 2-worker
-        fused fabric must match a lock-step fabric handle-for-handle."""
+        fused fabric must match a scalar fabric handle-for-handle."""
         from repro.stack import PimFabric, Request, SystemConfig
         from repro.stack.blas import gemv_reference
 
@@ -206,4 +203,4 @@ class TestReplicaIndependence:
                 assert h.result is not None and np.array_equal(h.result, gold)
             return [(h.outcome, h.result.tobytes()) for h in handles]
 
-        assert run("fused") == run("lockstep")
+        assert run("fused") == run("scalar")

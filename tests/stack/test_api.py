@@ -199,7 +199,7 @@ class TestConfigSurface:
     def test_system_config_pickles_like_server_config(self):
         """Workers receive both by pickle (ServerConfig's round trip is
         ``TestServerConfig.test_frozen_and_picklable``)."""
-        config = SystemConfig(num_pchs=2, ecc=True, exec_mode="lockstep")
+        config = SystemConfig(num_pchs=2, ecc=True, exec_mode="scalar")
         assert pickle.loads(pickle.dumps(config)) == config
 
 

@@ -1,12 +1,12 @@
-"""The default execution path against the ``exec_mode="lockstep"`` oracle.
+"""The default execution path against the ``exec_mode="scalar"`` oracle.
 
 ``SystemConfig()`` now trace-compiles AB-PIM windows and the device
 advances one shared all-bank state per broadcast; both only make the
 simulator faster.  On the four shapes of the end-to-end ledger
 (``benchmarks/e2e``, quick sizes, its own seeded wave generators) the
 default system must produce, wave for wave, the simulated statistics,
-``ExecutionReport``s, command counters and results of the interpreter it
-replaced as the default — byte for byte.
+``ExecutionReport``s, command counters and results of the execution units
+run trigger by trigger with per-word SEC-DED — byte for byte.
 """
 
 import dataclasses
@@ -53,11 +53,11 @@ def run(spec, monkeypatch, **knobs):
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
-def test_default_matches_the_lockstep_oracle(name, monkeypatch):
+def test_default_matches_the_scalar_oracle(name, monkeypatch):
     spec = SPECS[name]
     try:
         default, default_group = run(spec, monkeypatch)
-        oracle, oracle_group = run(spec, monkeypatch, exec_mode="lockstep")
+        oracle, oracle_group = run(spec, monkeypatch, exec_mode="scalar")
     finally:
         stop_children()
     if spec.kind != "fabric":  # the fabric's systems live in its workers

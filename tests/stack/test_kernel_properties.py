@@ -190,7 +190,7 @@ class TestEveryAamGroupIsOneBurst:
             assert window and all(run.count == 8 and run.fence for run in window)
 
     @pytest.mark.parametrize("name", KERNELS)
-    @pytest.mark.parametrize("exec_mode", ["fused", "lockstep"])
+    @pytest.mark.parametrize("exec_mode", ["fused", "scalar"])
     def test_results_and_cycles_equal_the_run_with_bursts_expanded(
         self, name, exec_mode, monkeypatch
     ):
