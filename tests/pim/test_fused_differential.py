@@ -17,6 +17,11 @@ trigger N surfaces at the window flush instead (documented in
 raised exception and stop — both post-error states are garbage the
 self-healing layer discards.
 
+The sequencer rules (``exec_unit.resolve_control``) are shared by the
+units and the compiler: a window they raise at must compile poisoned and
+raise the units' own error.  The eager group's own contract — a burst is
+its singles, a raise stops at the raising unit — is pinned here too.
+
 The seeded groups, microkernel sources and hypothesis strategies here
 are shared by ``test_trace_cache.py`` and ``test_fused_blocks.py``.
 """
@@ -30,7 +35,7 @@ from repro.dram.bank import Bank, BankConfig
 from repro.dram.ecc import EccBank, UncorrectableError
 from repro.dram.timing import HBM2_1GHZ
 from repro.pim.assembler import assemble_words
-from repro.pim.exec_unit import ColumnTrigger, PimExecutionUnit
+from repro.pim.exec_unit import ColumnTrigger, PimExecutionUnit, PimProgramError
 from repro.pim.fused import FusedLockstepGroup
 from repro.pim.lockstep import LockstepGroup
 from repro.pim.registers import LANES
@@ -122,6 +127,13 @@ def _rd(row=0, col=0):
 def _wr(row=0, col=0, value=1.0):
     data = np.full(LANES, value, dtype=np.float16).view(np.uint8)
     return ColumnTrigger(is_write=True, row=row, col=col, host_data=data)
+
+
+def _burst(singles):
+    """Consecutive single triggers of one row as one column burst."""
+    first = singles[0]
+    host = None if first.host_data is None else np.stack([t.host_data for t in singles])
+    return ColumnTrigger(first.is_write, first.row, first.col, host, count=len(singles))
 
 
 # -- randomized microkernels (hypothesis strategies) ------------------------------
@@ -296,6 +308,37 @@ class TestFusedMicrokernels:
         source = "FILL GRF_A[0], EVEN_BANK\nEXIT"
         _assert_twoway(source, [_wr(0, 0)])
 
+    def test_wrong_trigger_kind_after_a_clean_step(self):
+        # The mismatch is the window's second trigger: the units execute
+        # the FILL, then raise at the bank write fed by a RD.
+        source = "FILL GRF_A[0], EVEN_BANK\nMOV EVEN_BANK, GRF_A[0]\nEXIT"
+        _, outcome = _assert_twoway(source, [_rd(0, 0), _rd(1, 1), _rd(0, 0)])
+        assert outcome == (
+            "PimProgramError",
+            "bank-destination requires a column WR trigger (write drivers)",
+        )
+
+    def test_gemv_style_mac_loop(self):
+        # The loop, then a surplus trigger after its EXIT.
+        source = "MAC GRF_B[A], EVEN_BANK, SRF_M[A]\nJUMP -1, 7\nEXIT"
+        triggers = [_rd(row=0, col=c) for c in range(8)] + [_rd(0, 0)]
+        _assert_twoway(source, triggers)
+
+    def test_multi_cycle_nop_and_relu(self):
+        source = "NOP 3\nMOV(RELU) GRF_A[2], GRF_B[3]\nNOP 2\nEXIT"
+        _assert_twoway(source, [_rd(0, 0)] * 7)
+
+    def test_ecc_elementwise_add_counters(self):
+        # Non-AAM: one column per instruction, the sum written to ODD_BANK.
+        source = (
+            "FILL GRF_A[0], EVEN_BANK\n"
+            "ADD GRF_A[1], GRF_A[0], ODD_BANK\n"
+            "MOV ODD_BANK, GRF_A[1]\n"
+            "EXIT"
+        )
+        triggers = [_rd(0, 0), _rd(1, 1), _wr(2, 2), _rd(3, 3)]
+        _assert_twoway(source, triggers, bank_cls=EccBank)
+
     def test_elementwise_add_with_bank_writeback(self):
         source = (
             "FILL GRF_A[0], EVEN_BANK\n"
@@ -380,6 +423,99 @@ class TestFusedDesync:
             group.units[2]._nop_remaining = 1
 
         _assert_twoway(source, [_rd(0, 0)] * 4, mutate=mutate)
+
+    def test_crf_bit_flip_mid_program(self):
+        # One unit's second instruction is upset after AB-PIM entry: the
+        # CRFs differ at flush, so the window runs on the units.
+        source = (
+            "MOV GRF_A[0], GRF_B[0]\n"
+            "MUL GRF_A[1], GRF_A[0], SRF_M[0]\n"
+            "EXIT"
+        )
+
+        def mutate(group):
+            group.units[5].regs.flip_bit("crf", 1, 7)
+
+        fused, _ = _assert_twoway(source, [_rd(0, 0)] * 3, mutate=mutate)
+        assert fused.fused_fallbacks == 1 and len(fused.cache) == 0
+
+
+class TestSequencerRules:
+    """The sequencer rules are one function the units and the compiler
+    both call: a window the rules accept compiles and replays, and one
+    they raise at compiles poisoned and runs on the units, which raise
+    what they always raised."""
+
+    @pytest.mark.parametrize("source, triggers", [
+        ("NOP 0\nMOV GRF_A[0], GRF_B[0]\nEXIT", 3),  # NOP 0 still takes a cycle
+        ("NOP 2\nNOP 0\nNOP 1\nMOV GRF_A[0], GRF_B[0]\nEXIT", 6),  # back to back
+        ("MOV GRF_A[0], GRF_B[0]\nJUMP -1, 0\nNOP 1\nEXIT", 3),  # a loop of none
+    ], ids=["nop-zero", "nops-back-to-back", "jump-zero-iterations"])
+    def test_accepted_windows_replay(self, source, triggers):
+        fused, outcome = _assert_twoway(source, [_rd(0, 0)] * triggers, seed=12)
+        assert outcome is None
+        assert not _compiled(fused).poisoned
+        assert (fused.fused_replays, fused.fused_fallbacks) == (1, 0)
+
+    @pytest.mark.parametrize("source, patch, triggers, error", [
+        (
+            "MOV GRF_A[0], GRF_B[0]\nJUMP -5, 1\nEXIT", None, 2,
+            ("PimProgramError", "PPC -4 out of CRF range"),
+        ),
+        (
+            "\n".join(["NOP"] * 32), None, 33,
+            ("PimProgramError", "PPC 32 out of CRF range"),
+        ),
+        (
+            "MOV GRF_A[0], GRF_B[0]\nEXIT", (1, 0xF000_0000), 2,
+            ("ValueError", "15 is not a valid Opcode"),
+        ),
+        (
+            "MOV GRF_A[0], GRF_B[0]\nJUMP 1, 1\nJUMP -1, 131071\nJUMP -2, 131071\nEXIT",
+            None, 2,
+            ("PimProgramError", "control-flow resolution did not converge"),
+        ),
+    ], ids=["jump-before-the-crf", "ppc-past-the-crf", "undecodable-word", "runaway-jump"])
+    def test_a_raise_compiles_the_window_poisoned(self, source, patch, triggers, error):
+        def mutate(group):  # after AB-PIM entry resolved PPC 0
+            if patch is not None:
+                slot, word = patch
+                for unit in group.units:
+                    unit.regs.crf[slot] = word
+
+        fused, outcome = _assert_twoway(source, [_rd(0, 0)] * triggers, mutate=mutate)
+        assert outcome == error
+        assert _compiled(fused).poisoned
+        assert (fused.fused_replays, fused.fused_fallbacks) == (0, 1)
+
+
+class TestTheUnitsAsAGroup:
+    """The eager group the fused path falls back to, and the contract it
+    shares with the fused group."""
+
+    @pytest.mark.parametrize("build", [_build_group, _build_fused], ids=["units", "fused"])
+    def test_a_burst_runs_as_its_singles(self, build):
+        singles = _gemv_window(1)  # 8 HOST writes, 8 weight reads, 8 write-outs
+        bursts = [_burst(singles[i : i + 8]) for i in range(0, len(singles), 8)]
+        whole, parts = build(13), build(13)
+        for group, tape in ((whole, bursts), (parts, singles)):
+            _program(group, GEMV.format(reps=0))
+            assert _run_window(group, tape) is None
+        assert _snapshot(whole) == _snapshot(parts)
+
+    def test_a_raise_stops_at_the_raising_unit(self):
+        group = _build_group(11)
+        _program(group, "MOV GRF_A[0], HOST\nEXIT")
+        group.units[3].regs.crf[0] = assemble_words("FILL GRF_A[0], EVEN_BANK")[0]
+        before = _snapshot(group)
+        with pytest.raises(PimProgramError, match="bank-sourced operand requires"):
+            group.trigger_all(_wr(0, 0, value=2.0))
+        after = _snapshot(group)
+        for unit in group.units[:3]:  # executed
+            assert unit.exited and (unit.regs.grf_a[0] == np.float16(2.0)).all()
+        assert after[3]["stats"]["triggers"] == 1 and not after[3]["exited"]
+        assert after[3]["grf_a"] == before[3]["grf_a"]
+        assert after[4:] == before[4:]  # never triggered
 
 
 # -- the levelled replay: dependences, not hazards, order a window ---------------
