@@ -409,13 +409,9 @@ def _fabric_smoke(config, server_config, args) -> int:
     segments_before = live_segments()
 
     def serve(workers, kill=False, transport=None, waves=1):
-        # The explicit-transport passes are the pipe-vs-shm differential:
-        # hedging is wall-clock-triggered (hence run-to-run timing
-        # noise), so it is pinned off there — the comparison must
-        # isolate the transport, and both sides get the same pinning.
         sc = (
             server_config if transport is None
-            else server_config.replace(transport=transport, hedge=False)
+            else server_config.replace(transport=transport)
         )
         chunk = max(1, -(-len(items) // waves))
         with PimFabric(

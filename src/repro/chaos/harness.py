@@ -53,8 +53,8 @@ __all__ = ["ChaosReport", "run_chaos"]
 
 #: Arrival width of one request wave on the simulated clock.
 WAVE_NS = 50_000.0
-#: Scripted straggler stall: far past the hedge threshold, well inside
-#: the heartbeat bound, so the round is hedged and the worker survives.
+#: Scripted straggler stall: a stall short of the watchdog; the router
+#: waits it out, and the worker survives with its group.
 SLOW_DELAY_S = 1.5
 #: Scripted wedge stall: past every liveness bound, so the worker is
 #: detected (watchdog or heartbeat), killed, quarantined, and respawned.
@@ -66,10 +66,9 @@ def _chaos_server_config(seed: int, transport: str = "pipe") -> ServerConfig:
 
     Wall-clock bounds are compressed from the production defaults so a
     scripted wedge is detected in seconds, with wide margins between the
-    tiers: normal rounds finish well under ``hedge_min_s``, a ``slow``
-    stall (1.5s) sits far past the hedge threshold but inside the
-    heartbeat bound once hedged, and a ``wedge`` stall (8s) overruns
-    every bound.  The respawn budget is effectively unbounded — the
+    tiers: a ``slow`` stall (1.5s) is short of the 3s watchdog, so the
+    router waits it out, and a ``wedge`` stall (8s) overruns every
+    bound.  The respawn budget is effectively unbounded — the
     harness is testing that healing *works*, not rationing it.
 
     ``transport`` picks the fabric payload path under test; results,
@@ -88,9 +87,6 @@ def _chaos_server_config(seed: int, transport: str = "pipe") -> ServerConfig:
         close_timeout_s=5.0,
         join_timeout_s=10.0,
         max_respawns=16,
-        hedge=True,
-        hedge_factor=4.0,
-        hedge_min_s=0.5,
         transport=transport,
         shm_inline_bytes=0,
     )
@@ -103,8 +99,8 @@ class ChaosReport:
     ``violations`` is the aggregated invariant-checker output (empty
     means the fabric's contract held); the remaining fields are the
     evidence: merged chaos and baseline profiles, the tracers (for span
-    -tree replay comparison), per-kind applied-event log, respawn/hedge
-    counters, and the simulated throughput/latency numbers behind the
+    -tree replay comparison), per-kind applied-event log, respawn and
+    replay counters, and the simulated throughput/latency numbers behind the
     degradation gates.
     """
 
@@ -146,8 +142,7 @@ class ChaosReport:
                 ",".join(f"{s}x{n}" for s, n in sorted(self.respawns.items()))
                 or "-"
             ),
-            f"replays / hedges      : {profile.replays} / {profile.hedges} "
-            f"(won {profile.hedge_wins}, lost {profile.hedge_losses})",
+            f"replays               : {profile.replays}",
             f"recovery throughput   : {self.recovery_rps:,.0f} req/s "
             f"(fault-free {self.baseline_recovery_rps:,.0f})",
             f"alive shards after    : {len(self.alive_after)}/{self.workers}",
@@ -185,9 +180,10 @@ def _wave_requests(
 def _arm_event(fabric: PimFabric, event, seed: int) -> str:
     """Fire one scripted event against the fabric, pre-wave.
 
-    ``kill`` arms a post-dispatch hook (the worker dies with the wave
-    genuinely in flight); the rest arm in-worker faults through the
-    ``("chaos", spec)`` control message.  A target that is dead and out
+    ``kill`` stalls the victim's next serve and arms a post-dispatch
+    hook (the worker dies with the wave genuinely in flight, every run);
+    the rest arm in-worker faults through the ``("chaos", spec)``
+    control message.  A target that is dead and out
     of respawn budget is retargeted to the lowest alive shard so the
     schedule never fizzles.  Returns a log line for the report.
     """
@@ -200,6 +196,14 @@ def _arm_event(fabric: PimFabric, event, seed: int) -> str:
                 return f"{event.kind}@skipped (no alive shard)"
             shard = alive[0]
     if event.kind == "kill":
+        # Stall the victim's next serve past the watchdog first: a worker
+        # fast enough to reply before the hook runs would otherwise be
+        # served, not replayed, and the run would depend on timing.  The
+        # SIGKILL cuts the stall short, so it costs no wall time.
+        fabric.inject_worker_fault(
+            shard, {"seed": seed, "delay_s": WEDGE_DELAY_S, "wedge": True}
+        )
+
         def hook(fab, victim=shard):
             if victim in fab.alive_shards():
                 fab.kill_worker(victim)

@@ -7,7 +7,7 @@ are the fabric's contract under fault:
 
 * **conservation** — every submitted request ends in exactly one
   terminal outcome, appearing exactly once in the merged profile:
-  nothing lost off a dead shard, nothing double-served by a hedge race.
+  nothing lost off a dead shard, nothing double-served by a replay.
 * **bit-exactness** — every completed result equals the host golden
   reference (shards replicate the device, so *which* shard served — or
   whether the host finished the job — must not change a single bit).
@@ -18,7 +18,7 @@ are the fabric's contract under fault:
   shard slot is serving again (respawned workers rejoined the ring).
 * **degradation bounds** — post-recovery simulated throughput within
   20% of the fault-free baseline, and chaos p99 turnaround below 2x the
-  fault-free p99 (the straggler hedge is what keeps the tail in check).
+  fault-free p99.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ def check_conservation(handles, profile: ServingProfile) -> List[str]:
 
     Cross-checks the caller-visible handles against the merged profile:
     every handle must be terminal, and its request id must appear in the
-    profile's per-request stats exactly once — a dead shard, a replay,
-    or a hedge race must neither drop a request nor serve it twice.
+    profile's per-request stats exactly once — a dead shard or a
+    replay must neither drop a request nor serve it twice.
     """
     violations = []
     for handle in handles:

@@ -16,16 +16,17 @@ The eight fault kinds cover the failure tiers the fabric defends:
 ========================  =====================================================
 kind                      what the harness does at the event's wave
 ========================  =====================================================
-``kill``                  SIGKILL the shard's worker *after* dispatch (the
-                          most adversarial instant: work genuinely in flight)
+``kill``                  SIGKILL the shard's worker *after* dispatch, its
+                          serve stalled so the kill lands before any reply
+                          (the most adversarial instant: work in flight)
 ``kill_router``           kill the *router itself* with the wave accepted but
                           unserved — the journal (:mod:`repro.journal`) is the
                           only survivor, and ``recover()`` must turn it back
                           into one bit-exact terminal outcome per request
 ``wedge``                 stall the worker far past the heartbeat/watchdog
                           bounds — detected, killed, quarantined, respawned
-``slow``                  stall the worker into straggler territory — the
-                          router hedges the group to an idle survivor
+``slow``                  stall the worker short of the watchdog — the
+                          router waits it out
 ``fail_channel``          hard-fail one pseudo-channel of the shard's device
                           replica (the in-worker server quarantines it)
 ``bit_flips``             flip N stored data bits on the replica (SEC-DED
@@ -112,9 +113,7 @@ class ChaosSchedule:
         the seed; shards are assigned round-robin over a shuffled slot
         list so the latency kinds (kill/wedge/slow) land on distinct
         shards whenever ``workers`` allows.  The first wave window is
-        always left fault-free: it warms every shard's replica and gives
-        the straggler hedge a completed-reply distribution to threshold
-        against.
+        always left fault-free: it warms every shard's replica.
         """
         for kind in kinds:
             if kind not in KINDS:

@@ -81,7 +81,7 @@ class FaultStats:
     # router's per-descriptor CRC32 check; see repro.stack.shm).
     shm_corruptions: int = 0
     # Serve rounds stalled past the router's reply timeout (wedges) or
-    # delayed long enough to trip the straggler hedge (slowdowns).
+    # delayed short of it, so the router waits them out (slowdowns).
     wedges: int = 0
     slowdowns: int = 0
 

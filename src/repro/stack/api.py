@@ -149,8 +149,8 @@ class ServerConfig:
     Being frozen and picklable, one ``ServerConfig`` configures every
     worker of a :class:`~repro.stack.fabric.PimFabric` identically.  The
     fabric-tier resilience knobs (reply/heartbeat/join timeouts, respawn
-    budget, straggler hedging) live here too: they bound *wall-clock
-    process* behaviour rather than simulated device behaviour.
+    budget) live here too: they bound *wall-clock process* behaviour
+    rather than simulated device behaviour.
     """
 
     lanes: int = 2
@@ -205,15 +205,10 @@ class ServerConfig:
     # How many times one shard slot may be respawned after its worker
     # died or wedged (0 disables self-healing respawn entirely).
     max_respawns: int = 1
-    # -- straggler hedging: when a shard's round reply takes longer than
-    #    hedge_factor x the 95th percentile of the round's completed reply
-    #    times (never less than hedge_min_s), the router re-dispatches
-    #    the group to the idle survivor carrying the least placed cost
-    #    this round (column commands — fabric.request_cost) and takes the
-    #    first reply; the loser is cancelled (its reply discarded). --
-    hedge: bool = True
-    hedge_factor: float = 3.0
-    hedge_min_s: float = 0.25
+    # Straggler hedging is removed: a straggler short of reply_timeout_s
+    # is waited out, so every fabric run replays byte-identically.  The
+    # field stays only for callers that still pass hedge=False.
+    hedge: bool = False
     # -- fabric transport (repro.stack.shm; docs/ARCHITECTURE.md,
     #    "Fabric transport").  "pipe" pickles full request payloads
     #    through the worker pipe — simple, and the always-available
@@ -242,6 +237,14 @@ class ServerConfig:
     #    against machine death, one fsync per record). --
     journal_dir: Optional[str] = None
     journal_sync: bool = False
+
+    def __post_init__(self) -> None:
+        if self.hedge:
+            raise ValueError(
+                "straggler hedging was removed: the fabric waits a "
+                "straggler out under reply_timeout_s (pass hedge=False "
+                "or omit it)"
+            )
 
     def replace(self, **overrides) -> "ServerConfig":
         """A copy with ``overrides`` applied (dataclasses.replace)."""

@@ -18,10 +18,9 @@ merged accounting.
   (:func:`request_cost`, plan arithmetic over its operand shape — a GEMV
   64x96 is 120, an add[1024] 24).  A group that would push its home
   shard past the round's fair share of that cost falls back to the
-  least-loaded shard instead, and the hedge target is picked by the
-  same number.  Each shard's round goes out in submission order, so the
-  worker sees the interleaved stream the client sent
-  (:func:`place_round`).
+  least-loaded shard instead.  Each shard's round goes out in
+  submission order, so the worker sees the interleaved stream the
+  client sent (:func:`place_round`).
 * **failure handling** — the quarantine + breaker discipline of the
   channel tier, lifted to shards, plus a *lifecycle manager* that brings
   capacity back.  Each shard slot walks the state machine ``serving →
@@ -35,11 +34,9 @@ merged accounting.
   slot, rebuilds the device replica, and *rejoins* the ring, restoring
   capacity.  :meth:`drain` is the graceful variant: in-flight groups
   finish, the process is recycled with a handshake, nothing is
-  quarantined or replayed.  Stragglers short of the wedge timeout are
-  *hedged*: past a percentile-based threshold the group is re-dispatched
-  to the least-loaded idle survivor and the first reply wins (replicas
-  are bit-exact, so first == correct); the loser is cancelled and its
-  late reply discarded.  Every submitted request still ends in exactly
+  quarantined or replayed.  A straggler short of the watchdog is waited
+  out, never raced: each group runs on exactly one shard, so every run
+  replays byte-identically.  Every submitted request still ends in exactly
   one terminal :class:`~repro.stack.server.RequestOutcome` — the host
   golden path remains the completion of last resort when no shard is
   left and the respawn budget is spent.
@@ -49,8 +46,8 @@ merged accounting.
   into a global ``shard * num_pchs + local`` space; worker trace spans
   merge into the router's tracer with shard tags, and the Chrome export
   shows one process row per shard (pid = shard, tid = lane).  Respawns
-  (shard-tagged) and hedge dispatches/wins/losses are counted on the
-  profile and emitted as instant trace events.
+  (shard-tagged) are counted on the profile and emitted as instant
+  trace events.
 
 ::
 
@@ -85,7 +82,7 @@ from ..errors import PimProgramError, PimWorkerError
 from .api import Request, ServerConfig
 from .arithmetic import golden_reference
 from .kernels import column_cost
-from .profiler import Profiler, RequestStats, ServingProfile, _percentile
+from .profiler import Profiler, RequestStats, ServingProfile
 from .runtime import SystemConfig
 from .shm import (
     DEFAULT_SEGMENT_BYTES,
@@ -100,9 +97,6 @@ from .shm import (
 from .worker import run_worker
 
 __all__ = ["FabricHandle", "PimFabric", "place_round", "request_cost"]
-
-#: Completed-reply quantile the straggler-hedge threshold is built from.
-_HEDGE_QUANTILE = 0.95
 
 
 class FabricHandle:
@@ -261,10 +255,6 @@ class _WorkerLink:
     #: Respawns this slot has consumed (bounded by max_respawns; a
     #: graceful drain recycle is free).
     generation: int = 0
-    #: Cancelled-hedge replies still queued in the pipe; the router
-    #: discards exactly this many result/error messages before trusting
-    #: the connection again (pipe ordering is FIFO).
-    pending_discards: int = 0
 
 
 class PimFabric:
@@ -277,7 +267,7 @@ class PimFabric:
     :meth:`PimServer.submit <repro.stack.server.PimServer.submit>`.
 
     Every wall-clock bound of the lifecycle manager (reply watchdog,
-    heartbeat, close/join, hedge thresholds) comes from the
+    heartbeat, close/join) comes from the
     :class:`~repro.stack.api.ServerConfig` — nothing is hard-coded, so
     tests run the wedge path in milliseconds and operators tune it for
     their deployment.
@@ -311,12 +301,6 @@ class PimFabric:
             from ..obs import Tracer
 
             self.tracer = Tracer()
-        #: Reply-wait bound per shard round (seconds); a worker silent
-        #: this long is wedged: SIGKILLed, quarantined, and — within the
-        #: respawn budget — respawned.  Mirrors
-        #: ``ServerConfig.reply_timeout_s``; mutate per-instance to tune
-        #: a live fabric.
-        self.reply_timeout_s: float = self.server_config.reply_timeout_s
         #: PimWorkerError log, one entry per quarantined shard (newest last).
         self.worker_errors: List[PimWorkerError] = []
         #: Graceful drain/hot-restart recycles performed (see drain()).
@@ -400,7 +384,7 @@ class PimFabric:
         #: one definition of "loaded" the router compares shards by.
         self._round_assignment: Dict[int, List[FabricHandle]] = {}
         self._round_cost: Dict[int, int] = {}
-        # Shards dispatched this round whose reply is not yet resolved.
+        # Shards dispatched this round, until its replies are collected.
         self._in_flight: set = set()
         # Replies collected early by drain(), keyed by shard.
         self._stashed_replies: Dict[int, Tuple] = {}
@@ -503,23 +487,16 @@ class PimFabric:
         self._workers[shard] = fresh
         return fresh
 
-    def _recv(self, link: _WorkerLink) -> Optional[Tuple]:
-        """Receive one message from ``link``; None when it was the stale
-        reply of a cancelled hedge (discarded, FIFO — see
-        ``_WorkerLink.pending_discards``)."""
-        message = link.conn.recv()
-        if link.pending_discards > 0 and message[0] in ("result", "error"):
-            link.pending_discards -= 1
-            return None
-        return message
-
     def drain(self, shard: int) -> None:
         """Gracefully recycle ``shard``'s worker: a zero-loss hot restart.
 
         If a round is in flight on the shard (drain called from a
         post-dispatch hook), its reply is collected *first* and stashed
         for the round's normal folding — in-flight groups finish,
-        nothing is quarantined or replayed.  The worker is then shut
+        nothing is quarantined or replayed.  A reply that cannot be
+        collected (the worker already died, or stays silent past
+        ``reply_timeout_s``) is stashed as an error instead, so the
+        round replays the group at once.  The worker is then shut
         down with the close handshake, joined, and a fresh device
         replica is spawned into the slot; the shard never leaves the
         ring, so capacity is uninterrupted.  A drain does not spend
@@ -535,23 +512,21 @@ class PimFabric:
         link.state = "draining"
         if shard in self._in_flight and shard not in self._stashed_replies:
             # Finish the in-flight group before recycling the process.
-            while link.conn.poll(self.reply_timeout_s):
-                # Decode eagerly: under shm the reply's descriptors
-                # point into the slot's result segment, which the
-                # replacement worker will rewind at its next serve —
-                # materialise them now, while they are still live.
-                try:
-                    message = self._recv(link)
-                    if message is None:
-                        continue
-                    self._stashed_replies[shard] = (
-                        "ok", self._decode_reply(message, shard)
+            # Decode eagerly: under shm the reply's descriptors point
+            # into the slot's result segment, which the replacement
+            # worker will rewind at its next serve.
+            timeout = self.server_config.reply_timeout_s
+            try:
+                if not link.conn.poll(timeout):
+                    raise PimWorkerError(
+                        f"no reply within reply_timeout_s={timeout:g}s"
                     )
-                except (EOFError, OSError):
-                    pass
-                except PimWorkerError as err:
-                    self._stashed_replies[shard] = ("error", str(err))
-                break
+                stashed = ("ok", self._decode_reply(link.conn.recv(), shard))
+            except (EOFError, OSError):
+                stashed = ("error", "worker died before its reply arrived")
+            except PimWorkerError as err:
+                stashed = ("error", str(err))
+            self._stashed_replies[shard] = stashed
         self._shutdown(link)
         self._respawn(shard, link.generation)
         self.drains += 1
@@ -566,9 +541,7 @@ class PimFabric:
         alive shard is pinged concurrently and must pong within
         ``ServerConfig.heartbeat_timeout_s``.  A silent worker moves
         ``serving -> suspected``, is killed, and is quarantined (the
-        next :meth:`_heal` respawns it within budget).  Stale
-        cancelled-hedge replies queued ahead of the pong are discarded
-        on the way.
+        next :meth:`_heal` respawns it within budget).
         """
         cfg = self.server_config
         failed: List[int] = []
@@ -582,22 +555,14 @@ class PimFabric:
             else:
                 pinged.append(shard)
         for shard in pinged:
-            link = self._workers[shard]
-            deadline = time.monotonic() + cfg.heartbeat_timeout_s
-            ok = False
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not link.conn.poll(remaining):
-                    break
-                try:
-                    message = self._recv(link)
-                except (EOFError, OSError):
-                    break
-                if message is None:
-                    continue
-                if message[0] == "pong":
-                    ok = True
-                break
+            conn = self._workers[shard].conn
+            try:
+                ok = (
+                    conn.poll(cfg.heartbeat_timeout_s)
+                    and conn.recv()[0] == "pong"
+                )
+            except (EOFError, OSError):
+                ok = False
             if not ok:
                 failed.append(shard)
         for shard in failed:
@@ -711,8 +676,8 @@ class PimFabric:
         whole on their ring owner unless that overfills the fair share,
         costliest first, all in column commands; each shard's list is in
         submission order.  The per-shard cost is kept on the round (the
-        hedge target and failure-injection hooks read it), added to the
-        session profile, and emitted as a ``place:round`` instant.
+        failure-injection hooks read it), added to the session profile,
+        and emitted as a ``place:round`` instant.
         """
         assignment, load, fair = place_round(
             handles,
@@ -748,12 +713,12 @@ class PimFabric:
 
         Under the pipe transport the payload is the ``Request`` itself.
         Under shm, each request is encoded against the *target* shard's
-        residency set — which is why dispatch (hedges included) encodes
-        per target rather than reusing a wire built for another shard: a
-        by-digest weight reference is only valid on the shard that
-        staged it.  Staged cacheable weights are optimistically marked
-        resident here; every path that loses the worker (quarantine,
-        drain, respawn) clears the mark again.
+        residency set — which is why a replay encodes per target rather
+        than reusing a wire built for another shard: a by-digest weight
+        reference is only valid on the shard that staged it.  Staged
+        cacheable weights are optimistically marked resident here; every
+        path that loses the worker (quarantine, drain, respawn) clears
+        the mark again.
         """
         if self._arena is None:
             return [(h.request_id, h.request) for h in items]
@@ -809,11 +774,11 @@ class PimFabric:
 
         Under shm the payload's result descriptors are materialised
         *here*, the moment the reply is received — not lazily at fold
-        time — because the worker rewinds its result segment at its next
-        serve round (a hedged or drained slot can be re-dispatched
-        before this round folds).  Weight-store deltas and evicted
-        digests are folded into the router's accounting and residency
-        map on the way.
+        time — so no descriptor outlives its reply: the worker (or a
+        drained slot's replacement) rewinds its result segment at its
+        next serve round.  Weight-store deltas and evicted digests are
+        folded into the router's accounting and residency map on the
+        way.
         """
         kind = message[0]
         if kind != "result":
@@ -878,13 +843,13 @@ class PimFabric:
 
         Each iteration heals dead slots (respawn + ring rejoin),
         heartbeats the survivors, places and dispatches the round, then
-        collects replies under the watchdog/hedging loop; requests off a
-        dead or wedged shard are replayed next iteration on the healed
-        fleet.  Only when no shard is alive *and* the respawn budget is
-        spent does the router complete the remainder on the host golden
-        path.  The returned profile is the order-free merge of every
-        shard's round profile plus the router's own replay / respawn /
-        hedge / quarantine / host accounting.
+        collects replies under the watchdog; requests off a dead or
+        wedged shard are replayed next iteration on the healed fleet.
+        Only when no shard is alive *and* the respawn budget is spent
+        does the router complete the remainder on the host golden path.
+        The returned profile is the order-free merge of every shard's
+        round profile plus the router's own replay / respawn /
+        quarantine / host accounting.
         """
         if self._closed:
             raise PimProgramError("fabric is closed")
@@ -933,250 +898,81 @@ class PimFabric:
     ) -> List[FabricHandle]:
         """Collect one round's replies; returns the handles to replay.
 
-        Replies are multiplexed across every dispatched (and hedged)
-        pipe so the router can watchdog wedged workers
-        (``reply_timeout_s``), hedge stragglers past the percentile
-        threshold, and accept completions in any arrival order — but
-        payloads are *folded* in sorted shard order afterwards, so the
-        merged profile and trace are identical run to run.
+        Every dispatched pipe is awaited under one watchdog deadline,
+        ``reply_timeout_s`` from now, and replies are accepted in any
+        arrival order — but payloads are *folded* in sorted shard order
+        afterwards, so the merged profile and trace are identical run to
+        run.  A straggler short of the deadline is waited out; a shard
+        whose worker died, wedged past it or sent a bad reply is
+        quarantined and its group replayed.
         """
-        cfg = self.server_config
-        now = time.monotonic()
-        # origin shard -> dispatch time of its (or its hedge's) wait.
-        waiting: Dict[int, float] = {}
-        # origin shard -> (serving shard, payload) once resolved.
-        payloads: Dict[int, Tuple[int, Dict[str, Any]]] = {}
+        timeout = self.server_config.reply_timeout_s
+        deadline = time.monotonic() + timeout
+        waiting: set = set()
+        payloads: Dict[int, Dict[str, Any]] = {}
         replay: List[FabricHandle] = []
-        hedge_of: Dict[int, int] = {}   # hedge shard -> origin shard
-        hedged: Dict[int, int] = {}     # origin shard -> hedge shard
-        hedge_start: Dict[int, float] = {}
-        dead_originals: set = set()     # origins alive only through a hedge
-        durations: List[float] = []
 
-        def add_replay(origin: int) -> None:
-            for handle in assignment[origin]:
+        def add_replay(shard: int) -> None:
+            waiting.discard(shard)
+            for handle in assignment[shard]:
                 handle.replays += 1
-            serving.replays += len(assignment[origin])
-            replay.extend(assignment[origin])
-            self._in_flight.discard(origin)
+            serving.replays += len(assignment[shard])
+            replay.extend(assignment[shard])
 
-        def resolve(origin: int, server_shard: int, payload) -> None:
-            payloads[origin] = (server_shard, payload)
-            waiting.pop(origin, None)
-            dead_originals.discard(origin)
-            self._in_flight.discard(origin)
+        def fail(shard: int, reason: str) -> None:
+            self._quarantine(shard, serving, reason=reason)
+            add_replay(shard)
 
-        def fail_origin(origin: int, reason: str) -> None:
-            self._quarantine(origin, serving, reason=reason)
-            waiting.pop(origin, None)
-            if origin in hedged:
-                # A hedge is already racing this group: the round now
-                # rides on it alone (its own watchdog still applies).
-                dead_originals.add(origin)
-            else:
-                add_replay(origin)
-
-        def fail_hedge(hedge: int, reason: str) -> None:
-            origin = hedge_of.pop(hedge)
-            hedged.pop(origin, None)
-            hedge_start.pop(hedge, None)
-            self._quarantine(hedge, serving, reason=reason)
-            if origin in dead_originals:
-                dead_originals.discard(origin)
-                add_replay(origin)
-
-        for origin in failed_shards:
-            self._quarantine(
-                origin, serving, reason="dispatch failed (broken pipe)"
-            )
-            add_replay(origin)
-        for origin in assignment:
-            if origin in failed_shards:
+        for shard in failed_shards:
+            fail(shard, "dispatch failed (broken pipe)")
+        for shard in assignment:
+            if shard in failed_shards:
                 continue
-            stashed = self._stashed_replies.pop(origin, None)
-            if stashed is not None:
+            stashed = self._stashed_replies.pop(shard, None)
+            if stashed is None:
+                waiting.add(shard)
+            elif stashed[0] == "ok":
                 # drain() finished this group before recycling the slot
                 # (the reply was decoded eagerly there — see drain()).
-                kind, value = stashed
-                if kind == "ok":
-                    resolve(origin, origin, value)
-                else:
-                    add_replay(origin)
-                continue
-            waiting[origin] = now
+                payloads[shard] = stashed[1]
+            else:
+                add_replay(shard)
 
-        while waiting or hedge_of:
-            now = time.monotonic()
-            conns = {}
-            for origin in waiting:
-                if origin not in dead_originals:
-                    conns[self._workers[origin].conn] = origin
-            for hedge in hedge_of:
-                conns[self._workers[hedge].conn] = hedge
-            if not conns:
-                break  # pragma: no cover - every path is dead already
-            timeout = self._next_wakeup(
-                now, waiting, hedge_start, durations, hedged
-            )
+        while waiting:
+            conns = {self._workers[shard].conn: shard for shard in waiting}
             ready = multiprocessing.connection.wait(
-                list(conns), timeout=timeout
+                list(conns), timeout=max(0.0, deadline - time.monotonic())
             )
             for conn in ready:
                 shard = conns[conn]
-                link = self._workers[shard]
                 try:
-                    message = self._recv(link)
-                except (EOFError, OSError, ConnectionResetError):
-                    if shard in hedge_of:
-                        fail_hedge(shard, "hedge worker died mid-round")
-                    else:
-                        fail_origin(shard, "worker died mid-round")
-                    continue
-                if message is None:
-                    continue
-                try:
-                    payload = self._decode_reply(message, shard)
+                    payloads[shard] = self._decode_reply(conn.recv(), shard)
+                except (EOFError, OSError):
+                    fail(shard, "worker died mid-round")
                 except PimWorkerError as err:
                     self.kill_worker(shard)
-                    if shard in hedge_of:
-                        fail_hedge(shard, str(err))
-                    else:
-                        fail_origin(shard, str(err))
-                    continue
-                if shard in hedge_of:
-                    origin = hedge_of.pop(shard)
-                    hedged.pop(origin, None)
-                    hedge_start.pop(shard, None)
-                    if origin in waiting or origin in dead_originals:
-                        # First (bit-exact) reply wins: the hedge.
-                        if origin in waiting:
-                            self._workers[origin].pending_discards += 1
-                        resolve(origin, shard, payload)
-                        serving.hedge_wins += 1
-                        self._event("hedge:win", shard=shard, origin=origin)
-                elif shard in waiting:
-                    durations.append(now - waiting[shard])
-                    hedge = hedged.pop(shard, None)
-                    if hedge is not None:
-                        # The original outran its hedge: cancel the
-                        # loser — its late reply is discarded, never
-                        # folded, so the outcome stays exactly-once.
-                        hedge_of.pop(hedge, None)
-                        hedge_start.pop(hedge, None)
-                        self._workers[hedge].pending_discards += 1
-                        serving.hedge_losses += 1
-                        self._event("hedge:loss", shard=hedge, origin=shard)
-                    resolve(shard, shard, payload)
-            now = time.monotonic()
-            threshold = self._hedge_threshold(durations)
-            for origin in list(waiting):
-                if origin in dead_originals:
-                    continue
-                elapsed = now - waiting[origin]
-                if elapsed > self.reply_timeout_s:
-                    # Wedged worker: treat like a crash (and make it one).
-                    link = self._workers[origin]
-                    link.state = "suspected"
-                    self._event("wedge:shard", shard=origin)
-                    self.kill_worker(origin)
-                    fail_origin(
-                        origin,
-                        f"wedged: no reply within reply_timeout_s="
-                        f"{self.reply_timeout_s:g}s",
-                    )
-                elif (
-                    cfg.hedge
-                    and threshold is not None
-                    and elapsed > threshold
-                    and origin not in hedged
-                ):
-                    target = self._hedge_target(waiting, hedge_of)
-                    if target is None:
-                        continue
-                    # Re-encode for the hedge target: under shm the
-                    # origin's wire may carry by-digest weight refs only
-                    # the origin's store can resolve.
-                    if self._dispatch(
-                        self._workers[target], assignment[origin]
-                    ):
-                        hedge_of[target] = origin
-                        hedged[origin] = target
-                        hedge_start[target] = now
-                        serving.hedges += 1
-                        self._event("hedge:dispatch", shard=target, origin=origin)
-            for hedge in list(hedge_of):
-                if now - hedge_start.get(hedge, now) > self.reply_timeout_s:
-                    self.kill_worker(hedge)
-                    fail_hedge(
-                        hedge,
-                        "hedge wedged past reply_timeout_s",
-                    )
-        # Fold in sorted-origin order: merge results must not depend on
+                    fail(shard, str(err))
+                else:
+                    waiting.discard(shard)
+            if ready or time.monotonic() < deadline:
+                continue
+            for shard in sorted(waiting):
+                # Wedged worker: treat like a crash (and make it one).
+                self._workers[shard].state = "suspected"
+                self._event("wedge:shard", shard=shard)
+                self.kill_worker(shard)
+                fail(
+                    shard,
+                    f"wedged: no reply within reply_timeout_s={timeout:g}s",
+                )
+        # Fold in sorted-shard order: merge results must not depend on
         # reply arrival order, or seeded replays would diverge.
-        for origin in sorted(payloads):
-            server_shard, payload = payloads[origin]
+        for shard in sorted(payloads):
             self._fold(
-                self._workers[server_shard], assignment[origin], payload,
+                self._workers[shard], assignment[shard], payloads[shard],
                 serving,
             )
         return replay
-
-    def _hedge_threshold(self, durations: List[float]) -> Optional[float]:
-        """Wall-clock straggler bound from this round's completed replies.
-
-        ``hedge_factor`` times the ``_HEDGE_QUANTILE`` of completed reply
-        times, floored at ``hedge_min_s``; None until a first completion
-        exists (a percentile of nothing is meaningless, and hedging every
-        round's first reply would double the fleet's work).
-        """
-        if not durations:
-            return None
-        cfg = self.server_config
-        return max(
-            cfg.hedge_min_s,
-            cfg.hedge_factor * _percentile(durations, _HEDGE_QUANTILE),
-        )
-
-    def _hedge_target(
-        self, waiting: Dict[int, float], hedge_of: Dict[int, int]
-    ) -> Optional[int]:
-        """The least-loaded idle survivor to hedge onto (None when none).
-
-        Idle means alive, not waiting on its own group, not already
-        hedging, and with no stale cancelled reply queued; least-loaded
-        prefers the shard placement gave the least cost this round.
-        """
-        candidates = [
-            s
-            for s in self.alive_shards()
-            if s not in waiting
-            and s not in hedge_of
-            and self._workers[s].pending_discards == 0
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda s: (self._round_cost.get(s, 0), s))
-
-    def _next_wakeup(
-        self,
-        now: float,
-        waiting: Dict[int, float],
-        hedge_start: Dict[int, float],
-        durations: List[float],
-        hedged: Dict[int, int],
-    ) -> float:
-        """Bounded sleep until the next watchdog/hedge deadline."""
-        soonest = float("inf")
-        threshold = self._hedge_threshold(durations)
-        for origin, started in waiting.items():
-            soonest = min(soonest, started + self.reply_timeout_s)
-            if threshold is not None and origin not in hedged:
-                soonest = min(soonest, started + threshold)
-        for started in hedge_start.values():
-            soonest = min(soonest, started + self.reply_timeout_s)
-        if soonest == float("inf"):
-            return 1.0
-        return min(1.0, max(0.01, soonest - now))
 
     def _fold(
         self,
@@ -1269,15 +1065,12 @@ class PimFabric:
             )
         try:
             link.conn.send(("chaos", dict(spec)))
-            while True:
-                if not link.conn.poll(self.server_config.heartbeat_timeout_s):
-                    raise PimWorkerError(
-                        f"shard {shard} did not acknowledge the chaos spec",
-                        shard=shard,
-                    )
-                message = self._recv(link)
-                if message is not None:
-                    break
+            if not link.conn.poll(self.server_config.heartbeat_timeout_s):
+                raise PimWorkerError(
+                    f"shard {shard} did not acknowledge the chaos spec",
+                    shard=shard,
+                )
+            message = link.conn.recv()
         except (OSError, EOFError, BrokenPipeError) as err:
             raise PimWorkerError(
                 f"shard {shard} died while arming a chaos fault: {err}",

@@ -215,14 +215,6 @@ class ServingProfile:
     #    resilience & chaos") --
     # shard slot -> times its worker was respawned after dying/wedging.
     respawns: Dict[int, int] = field(default_factory=dict)
-    # Straggler hedges the router dispatched, and how the races ended:
-    # a win means the hedge's reply landed first (the origin was
-    # cancelled), a loss means the origin outran its hedge.  An in-
-    # flight hedge whose origin died resolves as neither (the hedge
-    # simply becomes the serving shard).
-    hedges: int = 0
-    hedge_wins: int = 0
-    hedge_losses: int = 0
     # Background-scrub activity between batches.
     scrubs: int = 0
     scrub_corrected: int = 0
@@ -313,9 +305,6 @@ class ServingProfile:
             self.shard_cost[shard] = self.shard_cost.get(shard, 0) + cost
         for shard, count in other.respawns.items():
             self.respawns[shard] = self.respawns.get(shard, 0) + count
-        self.hedges += other.hedges
-        self.hedge_wins += other.hedge_wins
-        self.hedge_losses += other.hedge_losses
         self.scrubs += other.scrubs
         self.scrub_corrected += other.scrub_corrected
         self.scrub_uncorrectable += other.scrub_uncorrectable
@@ -365,9 +354,6 @@ class ServingProfile:
             "serving.replays": self.replays,
             "serving.quarantined.shards": len(self.quarantined_shards),
             "serving.respawns": sum(self.respawns.values()),
-            "serving.hedges": self.hedges,
-            "serving.hedge.wins": self.hedge_wins,
-            "serving.hedge.losses": self.hedge_losses,
             "serving.recovered": self.recovered,
         }
         for name, value in scalars.items():
@@ -559,11 +545,6 @@ class ServingProfile:
                 f"{s}x{n}" for s, n in sorted(self.respawns.items())
             )
             lines.append(f"  shards respawned       : {respawned}")
-        if self.hedges:
-            lines.append(
-                f"  hedges (won/lost)      : {self.hedges} "
-                f"({self.hedge_wins}/{self.hedge_losses})"
-            )
         if (
             self.retries
             or self.fallbacks

@@ -440,7 +440,7 @@ def encode_request(
     residency dedup beats inlining the moment a weight repeats.  The
     caller owns updating the residency map — encoding never mutates it,
     because the same request may be re-encoded for a different shard
-    (hedge dispatches) with different residency.
+    (replays) with different residency.
     """
     weights = None
     if request.weights is not None:

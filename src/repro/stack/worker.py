@@ -174,8 +174,8 @@ class _ChaosState:
 
     def __init__(self):
         #: Wall-clock stall (seconds) applied before the next serve round
-        #: — small values model stragglers (hedge territory), values past
-        #: the router's reply timeout model a wedged process.
+        #: — values short of the router's reply timeout model stragglers
+        #: it waits out, values past it model a wedged process.
         self.delay_s: float = 0.0
         #: Corrupt the next result blob *after* its CRC32 was computed,
         #: modelling in-transit pipe corruption the checksum must catch.

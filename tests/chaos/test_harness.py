@@ -15,9 +15,10 @@ from repro.chaos import ChaosSchedule, run_chaos
 from repro.chaos.invariants import check_capacity, check_conservation
 from repro.stack.profiler import RequestStats, ServingProfile
 
-# Fault kinds with no scripted wall-clock stall: cheap enough to fuzz.
-# kill_router qualifies: the router crash is emulated in-process and its
-# journal recovery replays on the simulated clock.
+# Fault kinds that wait out no wall-clock stall: cheap enough to fuzz.
+# kill qualifies: the stall it arms on its victim is cut short by the
+# SIGKILL.  kill_router qualifies: the router crash is emulated
+# in-process and its journal recovery replays on the simulated clock.
 FAST_KINDS = (
     "kill",
     "kill_router",

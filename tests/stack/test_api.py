@@ -164,9 +164,7 @@ SERVER_DEFAULTS = {
     "close_timeout_s": 10.0,
     "join_timeout_s": 30.0,
     "max_respawns": 1,
-    "hedge": True,
-    "hedge_factor": 3.0,
-    "hedge_min_s": 0.25,
+    "hedge": False,
     "transport": "pipe",
     "shm_inline_bytes": 1024,
     "journal_dir": None,
@@ -181,7 +179,13 @@ class TestConfigSurface:
         system = {f.name for f in fields(SystemConfig)}
         server = {f.name for f in fields(ServerConfig)}
         assert system & server == set()
-        assert (len(system), len(server)) == (16, 27)
+        assert (len(system), len(server)) == (16, 25)
+
+    def test_hedging_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="hedging was removed"):
+            ServerConfig(hedge=True)
+        with pytest.raises(ValueError, match="hedging was removed"):
+            ServerConfig().replace(hedge=True)
 
     def test_server_defaults_are_concrete_and_pinned(self):
         assert asdict(ServerConfig()) == SERVER_DEFAULTS

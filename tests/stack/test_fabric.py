@@ -243,7 +243,8 @@ class TestFabricTraceMerge:
 
 
 class TestSelfHealing:
-    """Tentpole: the lifecycle manager respawns, rejoins, hedges, drains."""
+    """The lifecycle manager respawns, rejoins, waits out stragglers,
+    drains."""
 
     def kill_busiest(self, fabric):
         busiest = max(
@@ -291,10 +292,10 @@ class TestSelfHealing:
         its round replayed, and its slot respawned (fabric watchdog path)."""
         items = gemv_stream(12, 4)
         config = ServerConfig(
-            reply_timeout_s=0.4, hedge=False, heartbeat=False, max_respawns=1
+            reply_timeout_s=0.4, heartbeat=False, max_respawns=1
         )
         with PimFabric(CONFIG, workers=2, server_config=config) as fabric:
-            assert fabric.reply_timeout_s == 0.4
+            assert fabric.server_config.reply_timeout_s == 0.4
             handles = [fabric.submit(r) for r in items]
             fabric.inject_worker_fault(0, {"delay_s": 5.0, "wedge": True})
             profile = fabric.run()
@@ -307,25 +308,32 @@ class TestSelfHealing:
         assert wedge_errors and "reply_timeout_s" in str(wedge_errors[0])
         assert any(e.name == "wedge:shard" for e in (fabric.tracer.events if fabric.tracer else [])) or fabric.tracer is None
 
-    def test_straggler_hedged_to_idle_survivor(self):
-        """A slow (not wedged) shard's group is re-dispatched and the
-        first bit-exact reply wins; the straggler survives un-quarantined."""
+    def test_straggler_short_of_the_watchdog_is_waited_out(self):
+        """A stalled (not wedged) shard keeps its group: the router waits
+        for its reply, and the run is the one an unstalled fabric serves."""
         items = gemv_stream(12, 4)
-        config = ServerConfig(
-            reply_timeout_s=30.0, heartbeat_timeout_s=10.0,
-            hedge=True, hedge_min_s=0.2, hedge_factor=2.0, max_respawns=0,
-        )
-        with PimFabric(CONFIG, workers=2, server_config=config) as fabric:
-            handles = [fabric.submit(r) for r in items]
-            fabric.inject_worker_fault(0, {"delay_s": 1.5})
-            profile = fabric.run()
-            assert fabric.alive_shards() == [0, 1]
+        config = ServerConfig(reply_timeout_s=30.0)
+
+        def serve(stall):
+            with PimFabric(CONFIG, workers=2, server_config=config) as fabric:
+                handles = [fabric.submit(r) for r in items]
+                if stall:
+                    fabric.inject_worker_fault(0, {"delay_s": 1.0})
+                profile = fabric.run()
+                assert fabric.alive_shards() == [0, 1]
+            return handles, profile
+
+        handles, stalled = serve(stall=True)
+        _, fresh = serve(stall=False)
         assert_bit_exact(handles)
-        assert sum(profile.outcomes().values()) == len(handles)
-        assert profile.hedges >= 1
-        assert profile.hedge_wins >= 1
-        assert profile.quarantined_shards == []
-        assert profile.replays == 0
+        assert stalled.quarantined_shards == []
+        assert stalled.replays == 0
+        assert stalled.render() == fresh.render()
+
+        def finishes(profile):
+            return [(r.request_id, r.shard, r.finish_ns) for r in profile.requests]
+
+        assert finishes(stalled) == finishes(fresh)
 
     def test_heartbeat_detects_silent_death_between_rounds(self):
         config = ServerConfig(heartbeat_timeout_s=2.0, max_respawns=1)
@@ -382,6 +390,33 @@ class TestSelfHealing:
         assert profile.replays == 0
         assert profile.quarantined_shards == []
 
+    def test_drain_of_a_dead_in_flight_shard_replays_at_once(self):
+        """Draining a shard whose worker died with its round in flight
+        replays the group at once: the fresh worker in the slot never got
+        the dispatch, so it is neither waited on nor quarantined."""
+        items = gemv_stream(12, 4)
+        config = ServerConfig(hedge=False, reply_timeout_s=2.0)
+
+        def kill_then_drain(fabric):
+            cost = fabric._round_cost
+            victim = max(cost, key=lambda s: (cost[s], -s))
+            self.group = len(fabric._round_assignment[victim])
+            fabric.kill_worker(victim)
+            fabric.drain(victim)
+            fabric._post_dispatch_hook = None
+
+        with PimFabric(CONFIG, workers=2, server_config=config) as fabric:
+            handles = [fabric.submit(r) for r in items]
+            fabric._post_dispatch_hook = kill_then_drain
+            profile = fabric.run()
+            assert fabric.alive_shards() == [0, 1]
+            assert fabric.drains == 1
+        assert_bit_exact(handles)
+        assert fabric.quarantined_shards == ()
+        assert profile.quarantined_shards == []
+        assert profile.replays == self.group
+        assert not any("wedged" in str(e) for e in fabric.worker_errors)
+
     def test_drain_dead_shard_rejected(self):
         config = ServerConfig(max_respawns=0)
         with PimFabric(CONFIG, workers=2, server_config=config) as fabric:
@@ -418,7 +453,7 @@ class TestSelfHealing:
         )
         fabric = PimFabric(CONFIG, workers=1, server_config=config)
         try:
-            assert fabric.reply_timeout_s == 1.25
+            assert fabric.server_config.reply_timeout_s == 1.25
             assert fabric.server_config.close_timeout_s == 2.5
             assert fabric.server_config.join_timeout_s == 3.5
             assert fabric.server_config.heartbeat_timeout_s == 4.5

@@ -54,9 +54,7 @@ def make_wave(index):
 def serve(journal_dir, waves=1, hook=None, **knobs):
     """Serve ``waves`` waves on a fresh 2-worker fabric; returns the
     handles and profile of each wave and the fabric (closed)."""
-    server_config = ServerConfig(
-        hedge=False, journal_dir=str(journal_dir), **knobs
-    )
+    server_config = ServerConfig(journal_dir=str(journal_dir), **knobs)
     served = []
     with PimFabric(CONFIG, workers=2, server_config=server_config) as fabric:
         fabric._post_dispatch_hook = hook

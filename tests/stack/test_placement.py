@@ -225,7 +225,7 @@ class TestRequestCost:
 
 class _StubFabric(PimFabric):
     """A router with shard slots but no processes: enough state for the
-    two places that compare shards by this round's load."""
+    kill smoke's hook, which compares shards by this round's load."""
 
     def __init__(self, round_cost, assignment):
         self._workers = {
@@ -250,14 +250,6 @@ class TestLoadIsCostEverywhere:
     def assignment(self):
         handles = make_round([(0, 120, 1), (1, 8, 8)])
         return {0: handles[:1], 1: handles[1:]}
-
-    def test_hedge_target_is_the_cheapest_idle_shard(self):
-        fabric = _StubFabric(self.COST, self.assignment())
-        # Shard 2 still waits on its own reply; 0 and 1 are idle.  Shard 1
-        # holds more requests but less work.
-        assert fabric._hedge_target({2: 0.0}, {}) == 1
-        assert fabric._hedge_target({1: 0.0, 2: 0.0}, {}) == 0
-        assert fabric._hedge_target({0: 0.0, 1: 0.0, 2: 0.0}, {}) is None
 
     def test_kill_smoke_victim_is_the_costliest_shard(self):
         fabric = _StubFabric(self.COST, self.assignment())

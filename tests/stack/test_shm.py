@@ -34,7 +34,7 @@ from repro.stack.shm import (
 )
 
 CONFIG = SystemConfig(num_pchs=2, num_rows=256, simulate_pchs=1)
-SHM = ServerConfig(transport="shm", hedge=False)
+SHM = ServerConfig(transport="shm")
 
 
 def rand(shape, seed, scale=0.25, dtype=np.float16):
@@ -318,7 +318,7 @@ class TestShmFabric:
 
     def test_bit_exact_vs_pipe_oracle(self):
         items = gemv_stream(24, 4)
-        pipe = ServerConfig(transport="pipe", hedge=False)
+        pipe = ServerConfig(transport="pipe")
         p_handles, p_profile, _ = serve_waves(items, 2, pipe, waves=3)
         s_handles, s_profile, _ = serve_waves(items, 2, SHM, waves=3)
         assert_bit_exact(s_handles)
@@ -331,7 +331,7 @@ class TestShmFabric:
 
     def test_repeated_weights_cut_wire_bytes(self):
         items = gemv_stream(24, 4, shape=(32, 24))  # 1.5 KiB weights
-        pipe = ServerConfig(transport="pipe", hedge=False)
+        pipe = ServerConfig(transport="pipe")
         _, _, p_stats = serve_waves(items, 2, pipe, waves=4)
         handles, _, s_stats = serve_waves(items, 2, SHM, waves=4)
         assert_bit_exact(handles)
