@@ -340,16 +340,24 @@ def _overload_smoke(config, server_config, w, trace_path=None) -> int:
     return _print_checks(checks)
 
 
-def _kill_busiest(fabric) -> None:
-    """One-shot post-dispatch hook: SIGKILL the shard this round's
-    placement loaded most — by cost in column commands, the router's one
-    definition of load (first such shard on a tie)."""
-    cost = fabric._round_cost
-    victim = max(
-        (s for s in fabric.alive_shards() if cost.get(s)), key=cost.get
+def _kill_busiest(fabric) -> int:
+    """Before ``run()``: arm a SIGKILL of the shard the next round's
+    placement will load most — by cost in column commands, the router's
+    one definition of load (first such shard on a tie) — right after that
+    round is dispatched, its serve stalled so it cannot reply first
+    (:func:`~repro.chaos.harness.arm_kill`).  Returns the victim."""
+    from .chaos.harness import arm_kill
+    from .stack.fabric import place_round, request_cost
+
+    _, load, _ = place_round(
+        fabric._pending,
+        lambda request: request_cost(request, fabric.config, fabric.server_config),
+        fabric.alive_shards(),
+        fabric._ring,
     )
-    fabric.kill_worker(victim)
-    fabric._post_dispatch_hook = None
+    victim = max((s for s in load if load[s]), key=load.get)
+    arm_kill(fabric, victim)
+    return victim
 
 
 def _fabric_smoke(config, server_config, args) -> int:
@@ -418,12 +426,12 @@ def _fabric_smoke(config, server_config, args) -> int:
             config, workers=workers, server_config=sc
         ) as fabric:
             handles, profile = [], ServingProfile()
-            if kill:
-                fabric._post_dispatch_hook = _kill_busiest
             t0 = time.perf_counter()
             for start in range(0, len(items), chunk):
                 for request in items[start:start + chunk]:
                     handles.append(fabric.submit(request))
+                if kill and not start:
+                    _kill_busiest(fabric)
                 profile.merge(fabric.run())
             wall_s = time.perf_counter() - t0
             bytes_tx = fabric.bytes_tx

@@ -49,7 +49,7 @@ from .invariants import (
 )
 from .schedule import ChaosSchedule, KINDS
 
-__all__ = ["ChaosReport", "run_chaos"]
+__all__ = ["ChaosReport", "arm_kill", "run_chaos"]
 
 #: Arrival width of one request wave on the simulated clock.
 WAVE_NS = 50_000.0
@@ -177,6 +177,27 @@ def _wave_requests(
     ]
 
 
+def arm_kill(fabric: PimFabric, shard: int, seed: int = 0) -> None:
+    """SIGKILL ``shard``'s worker right after the next dispatch, with its
+    round in flight.
+
+    Its next serve is stalled past the watchdog first: a worker fast
+    enough to reply before the post-dispatch hook runs would otherwise be
+    served, not replayed, and the run would depend on timing.  The
+    SIGKILL cuts the stall short, so it costs no wall time.
+    """
+    fabric.inject_worker_fault(
+        shard, {"seed": seed, "delay_s": WEDGE_DELAY_S, "wedge": True}
+    )
+
+    def hook(fab):
+        if shard in fab.alive_shards():
+            fab.kill_worker(shard)
+        fab._post_dispatch_hook = None
+
+    fabric._post_dispatch_hook = hook
+
+
 def _arm_event(fabric: PimFabric, event, seed: int) -> str:
     """Fire one scripted event against the fabric, pre-wave.
 
@@ -196,20 +217,7 @@ def _arm_event(fabric: PimFabric, event, seed: int) -> str:
                 return f"{event.kind}@skipped (no alive shard)"
             shard = alive[0]
     if event.kind == "kill":
-        # Stall the victim's next serve past the watchdog first: a worker
-        # fast enough to reply before the hook runs would otherwise be
-        # served, not replayed, and the run would depend on timing.  The
-        # SIGKILL cuts the stall short, so it costs no wall time.
-        fabric.inject_worker_fault(
-            shard, {"seed": seed, "delay_s": WEDGE_DELAY_S, "wedge": True}
-        )
-
-        def hook(fab, victim=shard):
-            if victim in fab.alive_shards():
-                fab.kill_worker(victim)
-            fab._post_dispatch_hook = None
-
-        fabric._post_dispatch_hook = hook
+        arm_kill(fabric, shard, seed)
         return f"kill@shard{shard}"
     spec: Dict[str, object] = {"seed": seed}
     if event.kind == "wedge":

@@ -37,24 +37,32 @@ be:
   arrival order, ``tCCD_L`` apart — so ``drain`` issues it as one
   :class:`Command` with no window and no pick (``_lone_run``); when a
   refresh falls due inside it, the first command goes out there and the
-  rest take the pick path, one refresh check per command.  Each run of a
-  PIM kernel's program (``drain(program, blocks)``) is one, not queued.
+  rest take the pick path, one refresh check per command.  Each fenced run
+  of a PIM kernel's program (``drain(program, blocks)``) is one, not queued.
 * ``shuffle`` draws among single commands, so ``drain`` expands the queue
   on entry — the one place ``Request.expand`` is called.
 
 A tagged read run answers with the ``(count, 32)`` block of its columns, in
 column order, whichever way it went.  In an epoch that holds no write the
 read of its first column carries the read-ahead of :class:`Command`, so a
-clean run's bytes cross the channel boundary once.  Nothing is remembered
-from one run, or one ``drain``, to the next, so there is nothing to
-invalidate.
+clean run's bytes cross the channel boundary once.
+
+One thing is remembered from one ``drain`` to the next: the schedule the
+pick path worked out for a program that is one fence epoch of several runs
+(the GEMV readback), drained on an empty queue under an in-order policy.
+It is a function of the program and of the timing state — the channel's
+(:meth:`PseudoChannel.timing_state`) and the controller's clocks and
+open-row shadow — counted from the controller's cycle, and that is its
+key, so there is nothing to invalidate: refresh, faults, ``reset_channel``
+and mode changes either move the key or raise in the channel while the
+schedule is replayed, command by command through ``channel.issue``.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from collections import deque
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -64,6 +72,12 @@ from .commands import Command, CommandType
 from .pseudochannel import BANKS_PER_GROUP, BANKS_PER_PCH, PseudoChannel
 
 __all__ = ["MemOp", "Request", "SchedulerPolicy", "ScheduleResult", "MemoryController"]
+
+_RD, _WR = CommandType.RD, CommandType.WR
+
+# Schedules a controller remembers, least recently used out first: a
+# workload's readbacks meet a handful of timing states, wave after wave.
+_SCHEDULES = 8
 
 
 class MemOp(enum.Enum):
@@ -96,6 +110,10 @@ class Request:
     :meth:`expand` returns (which share its tag and epoch), and scheduled
     exactly as they would be.  The controller issues a run from its first
     column on, and :meth:`shrink` keeps it to the columns still to go.
+
+    ``index`` is the run's position in the program ``drain`` was handed
+    (None: queued by :meth:`MemoryController.enqueue`); a program's runs
+    are never listed in ``ScheduleResult.issue_order``.
     """
 
     op: MemOp
@@ -107,6 +125,7 @@ class Request:
     tag: Any = None
     epoch: int = 0
     count: int = 1
+    index: Optional[int] = None
     # Scheduling class, ``2 * flat_bank + is_write``: a column command's
     # earliest issue cycle depends on nothing else of the request.
     cls: int = field(init=False)
@@ -122,11 +141,11 @@ class Request:
         data = self.data
         return [
             Request(
-                self.op, self.bg, self.ba, self.row, self.col + index,
-                data=None if data is None else data[index],
-                tag=self.tag, epoch=self.epoch,
+                self.op, self.bg, self.ba, self.row, self.col + column,
+                data=None if data is None else data[column],
+                tag=self.tag, epoch=self.epoch, index=self.index,
             )
-            for index in range(self.count)
+            for column in range(self.count)
         ]
 
     def shrink(self, done: int = 1) -> None:
@@ -171,10 +190,11 @@ class _Drain:
     def __init__(self) -> None:
         self.issue_order: List[Tuple[int, Request]] = []
         self.read_data: Dict[Any, np.ndarray] = {}
-        # Tagged read runs under way: the block each one's columns land in
-        # (with the column of its first row), or that it was read ahead.
-        self.blocks: Dict[Request, Tuple[np.ndarray, int]] = {}
-        self.fetched: Set[Request] = set()
+        # Tagged read runs under way — the queued run, or a replayed
+        # program run's index: the block each one's columns land in (with
+        # the column of its first row), or that it was read ahead.
+        self.blocks: Dict[Any, Tuple[np.ndarray, int]] = {}
+        self.fetched: Set[Any] = set()
         self._checked: Optional[int] = None
         self._no_write = False
 
@@ -192,25 +212,58 @@ class _Drain:
                     break
         return self._no_write
 
-    def land(self, run: Request, data: np.ndarray) -> None:
-        """File what the RD of ``run``'s next column returned under the
-        run's tag: the whole ``(count, 32)`` block when it was read ahead,
-        else the column — a single's result as it is, a run's into its row
-        of the run's block."""
+    def land(self, run: Any, tag: Any, col: int, count: int, data: np.ndarray) -> None:
+        """File what the RD of column ``col`` of ``run`` (``count`` columns
+        from it still to read) returned under ``tag``: the whole block when
+        it was read ahead, else the column — a single's result as it is, a
+        run's into its row of the run's block."""
         if data.ndim == 2:
-            self.read_data[run.tag] = data
+            self.read_data[tag] = data
             self.fetched.add(run)
             return
         dest = self.blocks.get(run)
         if dest is None:
-            if run.count == 1:
-                self.read_data[run.tag] = data
+            if count == 1:
+                self.read_data[tag] = data
                 return
-            block = np.empty((run.count, data.size), dtype=np.uint8)
-            dest = self.blocks[run] = (block, run.col)
+            block = np.empty((count, data.size), dtype=np.uint8)
+            dest = self.blocks[run] = (block, col)
         block, col0 = dest
-        block[run.col - col0] = data
-        self.read_data[run.tag] = block
+        block[col - col0] = data
+        self.read_data[tag] = block
+
+
+class _Schedule:
+    """The pick path's schedule of one program from one timing state, its
+    cycles and tallies counted from ``base`` — the controller's ``(row
+    hits, row misses, cycle)`` as the drain found it, kept while recording.
+
+    ``steps`` holds each bus command as ``(kind, bg, ba, row, col, offset,
+    index, ahead)``, ``index`` the program run a column belongs to (None:
+    an ACT or PRE); ``marks[k]`` the controller as command ``k`` found it —
+    what a raise there leaves — and ``end`` as the drain left it (see
+    :meth:`MemoryController._mark`); ``horizon`` the cycle of the last
+    refresh check, i.e. of the column before the last.
+    """
+
+    __slots__ = ("base", "steps", "marks", "end", "horizon")
+
+    def __init__(self, base: Tuple[int, int, int]) -> None:
+        self.base: Optional[Tuple[int, int, int]] = base
+        self.steps: List[tuple] = []
+        self.marks: List[tuple] = []
+        self.end: Optional[tuple] = None
+        self.horizon = 0
+
+    def note(self, cmd: Command, cycle: int, index: Optional[int], mark: tuple) -> None:
+        """Take down ``cmd``, about to go out at ``cycle``."""
+        marks = self.marks
+        if marks and marks[-1][4] == mark[4]:
+            mark = mark[:4] + marks[-1][4:]  # one open-row shadow while it holds
+        marks.append(mark)
+        self.steps.append(
+            (cmd.cmd, cmd.bg, cmd.ba, cmd.row, cmd.col, cycle - self.base[2], index, cmd.ahead)
+        )
 
 
 class MemoryController:
@@ -265,6 +318,10 @@ class MemoryController:
         self._open_rows: List[Optional[int]] = [None] * BANKS_PER_PCH
         self.row_hits = 0
         self.row_misses = 0
+        # Unfenced programs' schedules by program and timing state (see
+        # ``_replay``), and the one the pick path is taking down, if any.
+        self._schedules: "OrderedDict[tuple, _Schedule]" = OrderedDict()
+        self._recording: Optional[_Schedule] = None
         # Observability hook (repro.obs): when a Tracer is attached each
         # non-empty drain records a "drain" span on this channel's
         # timeline.  None (the default) costs one attribute test.
@@ -340,7 +397,12 @@ class MemoryController:
     # Where the schedule can be written down — the run is alone in its
     # fence epoch and the policy keeps arrival order — ``_lone_run`` issues
     # it without a window or a pick, off the queue or straight from a
-    # program.  Only ``SHUFFLE``, whose seeded draws are among single
+    # program.  Where it cannot — several runs of a program in one epoch,
+    # the readback — it is worked out once per timing state: the pick path
+    # runs, ``_put`` takes every command down with the controller's state
+    # as it went out, and the next drain of that program from an equal
+    # state (``_schedule_key``) replays the commands at the same offsets
+    # (``_replay``).  Only ``SHUFFLE``, whose seeded draws are among single
     # commands, expands runs (at ``drain`` entry).
 
     def _window(self, epoch: int) -> List[Request]:
@@ -419,28 +481,39 @@ class MemoryController:
                 cycle = max(self._next_ca, channel.earliest_pre(other.bg, other.ba))
                 if cycle >= col_cycle:
                     continue
-                channel.issue(Command(CommandType.PRE, other.bg, other.ba), cycle)
+                self._put(Command(CommandType.PRE, other.bg, other.ba), cycle)
                 open_rows[bank] = None
             else:
                 cycle = max(self._next_ca, channel.earliest_act(other.bg, other.ba))
                 if cycle >= col_cycle:
                     continue
-                channel.issue(
-                    Command(CommandType.ACT, other.bg, other.ba, row=other.row), cycle
-                )
+                self._put(Command(CommandType.ACT, other.bg, other.ba, row=other.row), cycle)
                 open_rows[bank] = other.row
                 self.row_misses += 1
             self._next_ca = cycle + 1
             touched.add(bank)
         return len(touched) > 1
 
-    def _issue(self, cmd: Command, bound: Optional[int] = None) -> Optional[np.ndarray]:
+    def _put(
+        self, cmd: Command, cycle: int, index: Optional[int] = None
+    ) -> Optional[np.ndarray]:
+        """Put ``cmd`` on the bus at ``cycle``: the controller's one way to
+        the channel, where a schedule being recorded takes it down (with
+        ``index``, the program run of a column)."""
+        recording = self._recording
+        if recording is not None:
+            recording.note(cmd, cycle, index, self._mark(recording.base))
+        return self.channel.issue(cmd, cycle)
+
+    def _issue(
+        self, cmd: Command, bound: Optional[int] = None, index: Optional[int] = None
+    ) -> Optional[np.ndarray]:
         """Issue ``cmd`` at its earliest cycle (``bound``, when the caller
         holds a current answer to ``channel.earliest_issue(cmd)``)."""
         if bound is None:
             bound = self.channel.earliest_issue(cmd)
         cycle = max(self._next_ca, bound)
-        data = self.channel.issue(cmd, cycle)
+        data = self._put(cmd, cycle, index)
         self._next_ca = cycle + 1
         self._cycle = cycle
         return data
@@ -481,26 +554,25 @@ class MemoryController:
             data = run.data
             if data is not None and data.ndim == 2:
                 data = data[0]
-            cmd = Command(CommandType.WR, bg, ba, row=row, col=col, data=data, tag=tag)
-            self._issue(cmd, bound)
-        elif tag is None:
-            self._issue(Command(CommandType.RD, bg, ba, row=row, col=col), bound)
-        elif run in out.fetched:
-            cmd = Command(CommandType.RD, bg, ba, row=row, col=col, tag=tag, fetched=True)
-            self._issue(cmd, bound)
+            cmd = Command(_WR, bg, ba, row=row, col=col, data=data, tag=tag)
+        elif tag is not None and run in out.fetched:
+            cmd = Command(_RD, bg, ba, row=row, col=col, tag=tag, fetched=True)
         else:
             ahead = 0
             if (
-                run.count > 1
+                tag is not None
+                and run.count > 1
                 and run not in out.blocks
                 and out.no_write(self._queue, run.epoch)
             ):
                 ahead = run.count - 1
-            cmd = Command(CommandType.RD, bg, ba, row=row, col=col, tag=tag, ahead=ahead)
-            data = self._issue(cmd, bound)
-            if data is not None:  # None: an AB-PIM trigger, nothing reaches the I/O
-                out.land(run, data)
-        out.issue_order.append((self._cycle, run))
+            cmd = Command(_RD, bg, ba, row=row, col=col, tag=tag, ahead=ahead)
+        data = self._issue(cmd, bound, run.index)
+        # None: a write, a fetched read, an AB-PIM trigger (no I/O).
+        if data is not None and tag is not None:
+            out.land(run, tag, col, run.count, data)
+        if run.index is None:
+            out.issue_order.append((self._cycle, run))
         if run.count == 1:
             self._queue.remove(run)
         else:
@@ -540,7 +612,7 @@ class MemoryController:
         cmd = Command(kind, bg, ba, row=row, col=col, data=data, tag=tag, count=count)
         taken = channel.cmd_counts[kind]
         try:
-            answer = channel.issue(cmd, first)
+            answer = self._put(cmd, first)
         except BaseException:
             # The channel counts a command before its data path can raise:
             # all but the last one it counted ran to completion.
@@ -558,16 +630,18 @@ class MemoryController:
         self.row_hits += count - 1
         if tag is not None and answer is not None:
             out.read_data[tag] = answer
-        if enqueue is None:  # the queue head: list its commands, dequeue it
+        if enqueue is None:  # the queue head: dequeue it, list its commands
             head = self._queue.popleft()
-            out.issue_order.extend([(cycle, head) for cycle in range(first, last + 1, step)])
+            if head.index is None:
+                out.issue_order.extend((cycle, head) for cycle in range(first, last + 1, step))
         return True
 
     def _queue_runs(
         self, program: Sequence[tuple], blocks: Sequence[np.ndarray], start: int = 0
     ) -> None:
         """Queue the runs of ``program`` (checked) from ``start`` one request
-        each, fenced as they say, a read tagged with its index in it."""
+        each, fenced as they say, with its index in it (a read tagged with
+        it too)."""
         for i in range(start, len(program)):
             write, row, col, count, fence, operand, barrier, bank = program[i]
             if barrier:
@@ -575,7 +649,7 @@ class MemoryController:
             bg, ba = divmod(bank, BANKS_PER_GROUP)
             op = MemOp.WRITE if write else MemOp.READ
             data, tag = (blocks[operand], None) if write else (None, i)
-            self.enqueue(Request(op, bg, ba, row, col, data, tag, count=count))
+            self.enqueue(Request(op, bg, ba, row, col, data, tag, count=count, index=i))
             if fence:
                 self.fence()
 
@@ -620,6 +694,94 @@ class MemoryController:
                 for single in singles:
                     out.blocks[single] = dest
 
+    # -- remembered schedules -------------------------------------------------------
+
+    def _schedule_key(self, program: Sequence[tuple]) -> tuple:
+        """What the pick path's schedule of ``program`` depends on, cycles
+        counted from the controller's: the program, the channel's timing
+        state, the CA bus and the open-row shadow.  (The policy and the
+        window are the controller's own for life.)"""
+        origin = self._cycle
+        return (
+            tuple(program),
+            self._next_ca - origin,
+            tuple(self._open_rows),
+            self.channel.timing_state(origin),
+        )
+
+    def _mark(self, base: Tuple[int, int, int]) -> tuple:
+        """The controller's row hits, row misses, cycle and next CA cycle
+        counted from ``base`` (hits, misses, cycle), and its open-row shadow."""
+        hits, misses, origin = base
+        return (
+            self.row_hits - hits, self.row_misses - misses,
+            self._cycle - origin, self._next_ca - origin, tuple(self._open_rows),
+        )
+
+    def _set_mark(self, mark: tuple, base: Tuple[int, int, int]) -> None:
+        """Put the controller where ``mark``, counted from ``base``, says."""
+        hits, misses, origin = base
+        row_hits, row_misses, cycle, next_ca, open_rows = mark
+        self.row_hits, self.row_misses = hits + row_hits, misses + row_misses
+        self._cycle, self._next_ca = origin + cycle, origin + next_ca
+        self._open_rows = list(open_rows)
+
+    def _remember(self, key: tuple, schedule: _Schedule) -> None:
+        """Keep what the pick path just did as the schedule under ``key``."""
+        schedule.end = self._mark(schedule.base)
+        columns = [step[5] for step in schedule.steps if step[6] is not None]
+        schedule.horizon = columns[-2] if len(columns) > 1 else 0
+        schedule.base = None
+        self._schedules[key] = schedule
+        if len(self._schedules) > _SCHEDULES:
+            self._schedules.popitem(last=False)
+
+    def _replay(
+        self, schedule: _Schedule, program: Sequence[tuple],
+        blocks: Sequence[np.ndarray], out: _Drain,
+    ) -> None:
+        """Issue ``program`` as ``schedule`` says, from the controller's
+        cycle: each command through ``channel.issue`` at its offset, a run's
+        reads ``fetched`` once its first read came back as the run's block
+        (the read-ahead as :meth:`_issue_column` runs it).  A raise at
+        command ``k`` leaves what the pick path leaves: the controller as
+        ``marks[k]`` and the program's unissued columns queued as runs."""
+        base = (self.row_hits, self.row_misses, self._cycle)
+        origin = base[2]
+        issue = self.channel.issue
+        fetched = out.fetched
+        k = 0
+        try:
+            for k, (kind, bg, ba, row, col, offset, index, ahead) in enumerate(schedule.steps):
+                if index is None:  # an ACT or a PRE
+                    issue(Command(kind, bg, ba, row=row), origin + offset)
+                elif kind is _WR:
+                    _, _, col0, _, _, operand, _, _ = program[index]
+                    data = blocks[operand]
+                    if data is not None and data.ndim == 2:
+                        data = data[col - col0]
+                    issue(Command(_WR, bg, ba, row=row, col=col, data=data), origin + offset)
+                elif index in fetched:
+                    cmd = Command(_RD, bg, ba, row=row, col=col, tag=index, fetched=True)
+                    issue(cmd, origin + offset)
+                else:
+                    cmd = Command(_RD, bg, ba, row=row, col=col, tag=index, ahead=ahead)
+                    data = issue(cmd, origin + offset)
+                    if data is not None:
+                        _, _, col0, count, *_ = program[index]
+                        out.land(index, index, col, col0 + count - col, data)
+        except BaseException:
+            self._set_mark(schedule.marks[k], base)
+            done = Counter(step[6] for step in schedule.steps[:k] if step[6] is not None)
+            self._queue_runs(program, blocks)
+            for run in list(self._queue):
+                if done[run.index] == run.count:
+                    self._queue.remove(run)
+                elif done[run.index]:
+                    run.shrink(done[run.index])
+            raise
+        self._set_mark(schedule.end, base)
+
     def drain(
         self, program: Sequence[tuple] = (), blocks: Sequence[np.ndarray] = ()
     ) -> ScheduleResult:
@@ -629,9 +791,13 @@ class MemoryController:
         names its bank and whose WR runs carry ``blocks[run.operand]``,
         means: check it, enqueue every run with its fences, drain.  A read
         run's bytes, when any reach the I/O, are ``read_data[i]`` for its
-        index ``i`` in the program.  On an empty queue under an in-order
-        policy its runs are issued unqueued (:meth:`_program_pass`), so
-        ``issue_order`` does not list them."""
+        index ``i`` in the program.  ``issue_order`` never lists a
+        program's runs, whichever way they went.  On an empty queue under
+        an in-order policy they are issued unqueued: a fenced run as a lone
+        run (:meth:`_program_pass`); a program that is one epoch of several
+        runs through the pick path the first time from a timing state, as
+        the schedule remembered from then every later time
+        (:meth:`_replay`) — unless a refresh falls due inside it."""
         out = _Drain()
         channel = self.channel
         start_counts = dict(channel.cmd_counts)
@@ -640,34 +806,54 @@ class MemoryController:
         queue = self._queue
         in_order = self.policy is not _SHUFFLE
         epoch: Optional[int] = None
+        key, refreshes = None, self.refresh_count
         if program:
-            for write, _, _, count, _, operand, _, _ in program:
+            fenced = False
+            for write, _, _, count, fence, operand, barrier, _ in program:
                 self._check_run(write, count, blocks[operand] if write else None)
+                fenced = fenced or fence or barrier
             if queue or not in_order:
                 self._queue_runs(program, blocks)
-            else:
+            elif fenced or len(program) == 1:
                 epoch = self._program_pass(program, blocks, out)
+            else:
+                key = self._schedule_key(program)
+                schedule = self._schedules.get(key)
+                if schedule is not None and (
+                    not self.refresh or self._cycle + schedule.horizon < self._next_refresh
+                ):
+                    self._schedules.move_to_end(key)
+                    self._replay(schedule, program, blocks, out)
+                    key = None
+                else:
+                    self._queue_runs(program, blocks)
+                    self._recording = _Schedule((self.row_hits, self.row_misses, self._cycle))
         if not in_order:
             self._expand_queue(out)
-        while queue:
-            head = queue[0]
-            if head.epoch != epoch:
-                if epoch is not None:
-                    # Crossing a fence: the barrier stalls the request stream.
-                    self._next_ca += self.fence_penalty
-                epoch = head.epoch
-                if in_order and (len(queue) == 1 or queue[1].epoch != epoch):
-                    self._lone_run(
-                        head.cls & 1, head.bg, head.ba, head.row, head.col, head.count,
-                        head.data, head.tag, out,
-                    )
-                    continue
-            if self.refresh and self._cycle >= self._next_refresh:
-                self._do_refresh()
-            run, bound = self._pick(epoch)
-            if not self._open(run.bg, run.ba, run.row):
-                bound = None  # commands went out since the pick's query
-            self._issue_column(run, bound, out)
+        try:
+            while queue:
+                head = queue[0]
+                if head.epoch != epoch:
+                    if epoch is not None:
+                        # Crossing a fence: the barrier stalls the request stream.
+                        self._next_ca += self.fence_penalty
+                    epoch = head.epoch
+                    if in_order and (len(queue) == 1 or queue[1].epoch != epoch):
+                        self._lone_run(
+                            head.cls & 1, head.bg, head.ba, head.row, head.col, head.count,
+                            head.data, head.tag, out,
+                        )
+                        continue
+                if self.refresh and self._cycle >= self._next_refresh:
+                    self._do_refresh()
+                run, bound = self._pick(epoch)
+                if not self._open(run.bg, run.ba, run.row):
+                    bound = None  # commands went out since the pick's query
+                self._issue_column(run, bound, out)
+        finally:
+            recording, self._recording = self._recording, None
+        if key is not None and self.refresh_count == refreshes:
+            self._remember(key, recording)
         self.busy_cycles += self._cycle - entry_cycle
         counts = {
             ct: channel.cmd_counts[ct] - start_counts.get(ct, 0) for ct in CommandType

@@ -178,6 +178,29 @@ class PseudoChannel:
                 best, cycle = cls, bound
         return best, cycle
 
+    def timing_state(self, origin: int) -> tuple:
+        """Everything the legality and the earliest cycle of a command
+        depend on, cycles counted from ``origin``: each bank's open row and
+        ``next_*`` bounds (the channel maxima are theirs), the last
+        column's cycle, bank group and direction, the last ACT's cycle and
+        bank group, and the tFAW window.  From equal states a command
+        stream is legal at the same offsets — what a controller keys a
+        schedule on."""
+        state: List[Optional[int]] = []
+        for bank in self._banks:
+            state += (
+                bank.open_row, bank.next_act - origin, bank.next_pre - origin,
+                bank.next_rd - origin, bank.next_wr - origin,
+            )
+        col, act = self._last_col_cycle, self._last_act_cycle
+        return (
+            tuple(state),
+            None if col is None else col - origin, self._last_col_bg,
+            self._last_col_was_write,
+            None if act is None else act - origin, self._last_act_bg,
+            tuple(cycle - origin for cycle in self._act_window),
+        )
+
     def earliest_issue(self, cmd: Command) -> int:
         """Earliest legal issue cycle for ``cmd`` (bank + shared bounds)."""
         kind = cmd.cmd

@@ -155,6 +155,13 @@ class PimPseudoChannel(PseudoChannel):
         best = min(bounds, key=bounds.__getitem__)  # the first of equals: the older
         return best, bounds[best]
 
+    def timing_state(self, origin: int) -> tuple:
+        """The pseudo-channel's timing state with the deferred all-bank
+        update folded into the banks first (as reading ``banks`` does), plus
+        the mode FSM and the shared all-bank row."""
+        self._sync_banks()
+        return super().timing_state(origin) + self.mode_ctrl.state + (self._ab_row,)
+
     def _all_bank_col_bound(self, bg: int, is_write: bool) -> int:
         bound = max(
             self._max_wr if is_write else self._max_rd,

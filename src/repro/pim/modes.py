@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Tuple
 
 __all__ = ["PimMode", "PimMemoryMap", "ModeController"]
 
@@ -118,6 +119,12 @@ class ModeController:
     @property
     def pim_executing(self) -> bool:
         return self.mode is PimMode.AB_PIM
+
+    @property
+    def state(self) -> Tuple[PimMode, int]:
+        """The whole FSM: the mode, and the row of an armed transition
+        (-1: none armed)."""
+        return self.mode, self._armed_row
 
     def observe_act(self, row: int) -> None:
         """Track an ACT: arms a transition when it hits ABMR/SBMR."""

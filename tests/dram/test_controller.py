@@ -346,6 +346,39 @@ class TestColumnBursts:
         assert (mc.pending, mc.fence_count) == (0, 0)
         assert not any(ch.cmd_counts.values())
 
+    @pytest.mark.parametrize(
+        "way", ["lone runs", "picked", "replayed", "shuffled", "behind a request"]
+    )
+    def test_issue_order_never_lists_a_programs_runs(self, monkeypatch, way):
+        """``issue_order`` lists what ``enqueue`` / ``read`` / ``write``
+        queued, whichever way a program's runs went; their blocks come back
+        under their indices all the same."""
+        from repro.pim.stream import Run, gemv_readback
+
+        replays = []
+        replay = MemoryController._replay
+        monkeypatch.setattr(
+            MemoryController, "_replay",
+            lambda self, *args: (replays.append(1), replay(self, *args))[1],
+        )
+        policy = SchedulerPolicy.SHUFFLE if way == "shuffled" else SchedulerPolicy.FRFCFS
+        mc, _ = make_controller(policy=policy, seed=1)
+        # One epoch of 16 runs, one per bank; a PREA before each drain
+        # renews every bank, so the third drain starts where the second did.
+        program = gemv_readback(3, 0, scale=2)
+        if way == "lone runs":
+            program = tuple(run._replace(fence=True) for run in program)
+        drains = 3 if way == "replayed" else 1
+        for _ in range(drains):
+            mc.precharge_all()
+            if way == "behind a request":
+                mc.read(0, 1, 5, 0, tag="r")
+            result = mc.drain(program)
+        assert len(replays) == (way == "replayed")
+        listed = [req.tag for _, req in result.issue_order]
+        assert listed == (["r"] if way == "behind a request" else [])
+        assert set(result.read_data) - {"r"} == set(range(16))
+
     def test_reprs_speak_in_bus_commands(self):
         from repro.dram.commands import Command
 

@@ -24,14 +24,18 @@ blocks)``); ``TestTheProgramPassIsTheQueuePath`` holds that equal to the
 program queued run by run (``reference_emitter.enqueue_program``) and to
 the reference fed its single requests — runs to drawn banks, GEMV
 readback-shaped epochs among them, and each read run's block, which
-``drain`` files under the run's index in the program.
+``drain`` files under the run's index in the program — also when the
+drain replays a schedule remembered from an equal state.
+``TestARememberedSchedule`` holds a drain from a state that differs in
+one component of the key equal to a controller that never remembers.
 """
 
+import copy
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.dram.bank import Bank, BankConfig
@@ -45,6 +49,7 @@ from repro.pim.assembler import assemble_words
 from repro.errors import PimChannelError
 from repro.pim.device import PimPseudoChannel
 from repro.pim.fused import FusedLockstepGroup
+from repro.pim.modes import PimMode
 from repro.pim.stream import ZEROS, Run, gemv_readback
 from repro.tools import trace_channel
 
@@ -280,11 +285,7 @@ def run_both(
     ref = Side(ReferenceController, mode, **kwargs)
     for side in (new, ref):
         # Flips first: a dead bank's cells are out of reach.
-        for kind, bank, *where in sorted(faults, key=lambda fault: fault[0] == "dead"):
-            if kind == "flip":
-                side.mc.channel.banks[bank].inject_error(*where)
-            else:
-                side.mc.channel.banks[bank].fail(0)
+        inject(side.mc.channel, sorted(faults, key=lambda fault: fault[0] == "dead"))
     rows = stream_rows(mode)
     outcomes = []
     for position, element in enumerate(list(stream) + ["drain"]):
@@ -483,11 +484,16 @@ def burst_paths(monkeypatch):
     ``closed-form`` / ``straddle`` — ``_lone_run`` issued the whole run /
     only its first command; ``picks`` — commands that went through the
     window; ``expanded`` — runs ``Request.expand`` turned into singles;
-    ``one-update`` — AB-PIM trigger runs taken as one state update."""
-    taken = {"closed-form": 0, "straddle": 0, "expanded": 0, "one-update": 0, "picks": 0}
+    ``one-update`` — AB-PIM trigger runs taken as one state update;
+    ``replays`` — programs issued as a remembered schedule."""
+    taken = {
+        "closed-form": 0, "straddle": 0, "expanded": 0, "one-update": 0, "picks": 0,
+        "replays": 0,
+    }
     lone_run = MemoryController._lone_run
     expand = Request.expand
     pick = MemoryController._pick
+    replay = MemoryController._replay
     issue_burst = PimPseudoChannel._issue_burst
 
     def counted_lone_run(self, *args):
@@ -503,6 +509,10 @@ def burst_paths(monkeypatch):
         taken["picks"] += 1
         return pick(self, epoch)
 
+    def counted_replay(self, *args):
+        taken["replays"] += 1
+        return replay(self, *args)
+
     def counted_issue_burst(self, cmd, cycle):
         triggered = self.pim_triggered_columns
         calls = []
@@ -517,6 +527,7 @@ def burst_paths(monkeypatch):
 
     monkeypatch.setattr(MemoryController, "_lone_run", counted_lone_run)
     monkeypatch.setattr(MemoryController, "_pick", counted_pick)
+    monkeypatch.setattr(MemoryController, "_replay", counted_replay)
     monkeypatch.setattr(PimPseudoChannel, "_issue_burst", counted_issue_burst)
     monkeypatch.setattr(Request, "expand", counted_expand)
     return taken
@@ -546,7 +557,7 @@ def test_a_burst_alone_in_its_epoch_is_one_queue_entry_one_issue_and_no_pick(
     )
     assert taken == {
         "closed-form": 6 + 2,  # entering AB-PIM: the CRF and PIM_OP_MODE writes
-        "straddle": 0, "expanded": 0, "one-update": 6, "picks": 0,
+        "straddle": 0, "expanded": 0, "one-update": 6, "picks": 0, "replays": 0,
     }
     assert [position for _, position, _ in outcomes[-1][0]] == [
         2 * group + 1 for group in range(6) for _ in range(8)
@@ -774,6 +785,14 @@ PROGRAM = st.lists(
     st.one_of(PROGRAM_RUN.map(lambda run: [run]), READBACK_EPOCH),
     min_size=1, max_size=6,
 ).map(lambda parts: [run for part in parts for run in part])
+# A program that is one fence epoch of several runs, readbacks or not:
+# what the controller remembers a schedule of.
+EPOCH = st.lists(
+    st.one_of(
+        PROGRAM_RUN.map(lambda run: [run[:5] + (False, False) + run[7:]]), READBACK_EPOCH
+    ),
+    min_size=2, max_size=4,
+).map(lambda parts: [run for part in parts for run in part])
 
 
 def make_program(runs, mode):
@@ -801,21 +820,44 @@ def queue_state(mc):
     ]
 
 
+def remember(mc, program, blocks=()):
+    """Drain ``program`` on ``mc``, then put the controller and its channel
+    back as they were, keeping only the schedule that drain remembered: the
+    next drain of ``program`` starts from an equal timing state."""
+    saved = copy.deepcopy({k: v for k, v in vars(mc).items() if k != "_schedules"})
+    mc.drain(program, blocks)
+    vars(mc).update(saved)
+
+
+def inject(channel, faults):
+    """``("flip", bank, row, col, bit)`` flips one stored data bit of an
+    ECC bank, ``("dead", bank)`` hard-fails a bank."""
+    for kind, bank, *where in faults:
+        if kind == "flip":
+            channel.banks[bank].inject_error(*where)
+        else:
+            channel.banks[bank].fail(0)
+
+
 def three_ways(
     mode, runs, before=(), fence_before=True, microkernel=NOP_PROGRAM, faults=(),
-    **kwargs,
+    hit=False, **kwargs,
 ):
     """Hand the program of ``runs`` to ``drain`` (``pass``), to the run-by-run
     emitter (``queue``) and, expanded into single requests,
     to the reference controller (``reference``) — each behind the same
     ``before`` requests (and a fence, with ``fence_before``) on a twin
-    channel with the same ``faults`` — then drain once more.  Returns each
-    side's outcome of both drains: result or exception, every bus command
-    at its cycle (bursts spelled as their columns), the ``drain`` spans,
-    the controller and bank state, the queue (``None`` for the reference)
-    and the read data per (run, column) — of ``before`` (tagged
-    ``("before", position)``) and, apart, of the program's runs (by index
-    in the program)."""
+    channel with the same ``faults`` — then drain once more.  With ``hit``
+    the pass side first drains the program from the same state, on clean
+    cells, and is put back (``remember``): its drain is then a replay of
+    the schedule it remembered, when the program is one it remembers.
+    Returns each side's outcome of both drains: result or exception, every
+    bus command at its cycle (bursts spelled as their columns), the
+    ``drain`` spans, the controller and bank state, the queue (``None`` for
+    the reference) and the read data per (run, column) — of ``before``
+    (tagged ``("before", position)``) and, apart, of the program's runs (by
+    index in the program).  The pass side's ``issue_order`` must list no
+    run of the program."""
     program, blocks = make_program(runs, mode)
     rows = stream_rows(mode)
     step = TIMING.tccd_l
@@ -823,11 +865,6 @@ def three_ways(
     for way in ("pass", "queue", "reference"):
         controller = ReferenceController if way == "reference" else MemoryController
         side = Side(controller, mode, program=microkernel, **kwargs)
-        for kind, bank, *where in faults:
-            if kind == "flip":
-                side.mc.channel.banks[bank].inject_error(*where)
-            else:
-                side.mc.channel.banks[bank].fail(0)
         for position, (op, bank, row, col, value) in enumerate(before):
             bank = bank if mode == "sb" else 0  # all-bank modes: one bank
             side.enqueue(
@@ -835,12 +872,16 @@ def three_ways(
             )
         if fence_before:
             side.mc.fence()
+        if hit and way == "pass":
+            remember(side.mc, program, blocks)
+        inject(side.mc.channel, faults)
         side.mc.tracer = tracer = Tracer()
         drains = []
         for attempt in range(2):
             # Where each of the program's queued read runs stands: its
             # block starts there.
             first_col = {r.tag: r.col for r in side.mc._queue if isinstance(r.tag, int)}
+            listed = []
             with trace_channel(side.mc.channel) as trace:
                 try:
                     if attempt:
@@ -861,6 +902,7 @@ def three_ways(
                             if run.fence:
                                 side.mc.fence()
                         result = side.mc.drain()
+                    listed = [r for _, r in result.issue_order if r.index is not None]
                     data = {}
                     for t, d in result.read_data.items():
                         if way == "reference":
@@ -877,6 +919,7 @@ def three_ways(
                     )
                 except Exception as exc:  # compared, not swallowed
                     outcome = ("raised", type(exc), str(exc))
+            assert not listed, "issue_order lists a program's run"
             drains.append((
                 outcome,
                 [
@@ -919,12 +962,17 @@ def assert_one_outcome(outcomes):
 
 class TestTheProgramPassIsTheQueuePath:
     """``drain(program, blocks)`` issues a program's lone runs without
-    queueing them; whatever it meets — a run sharing its epoch, a refresh
-    falling due inside a run, ``SHUFFLE``, a queue that was not empty, a
-    fault — must leave the bus, the clocks, the counters, the banks, the
-    queue and the trace where queueing the program run by run does."""
+    queueing them, and replays the remembered schedule of a program that is
+    one epoch of several runs; whatever it meets — a run sharing its epoch,
+    a refresh falling due inside a run, ``SHUFFLE``, a queue that was not
+    empty, a fault, a replay — must leave the bus, the clocks, the
+    counters, the banks, the queue and the trace where queueing the program
+    run by run does."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     @given(
         mode=st.sampled_from(["sb", "ab", "ab-pim"]),
         fused=st.booleans(),
@@ -932,21 +980,35 @@ class TestTheProgramPassIsTheQueuePath:
         refresh=st.booleans(),
         fence_penalty=st.sampled_from([0, 45]),
         window=st.sampled_from([1, 4, 16]),
-        before=st.lists(REQUEST, max_size=5),
+        # Half the time nothing queued ahead: only then is a schedule
+        # remembered, and replayed with ``hit``.
+        before=st.one_of(st.just([]), st.lists(REQUEST, min_size=1, max_size=5)),
         fence_before=st.booleans(),
-        runs=PROGRAM,
+        runs=st.one_of(PROGRAM, EPOCH),
+        hit=st.booleans(),
     )
     def test_drawn_programs(
-        self, mode, fused, policy, refresh, fence_penalty, window, before,
-        fence_before, runs,
+        self, monkeypatch, mode, fused, policy, refresh, fence_penalty, window,
+        before, fence_before, runs, hit,
     ):
-        outcomes = three_ways(
-            mode, runs, before, fence_before, fused=fused, policy=policy[0],
-            seed=policy[1], refresh=refresh, fence_penalty=fence_penalty,
-            window=window,
-        )
+        with monkeypatch.context() as patch:
+            taken = burst_paths(patch)
+            outcomes = three_ways(
+                mode, runs, before, fence_before, fused=fused, policy=policy[0],
+                seed=policy[1], refresh=refresh, fence_penalty=fence_penalty,
+                window=window, hit=hit,
+            )
         assert_one_outcome(outcomes)
         assert outcomes["pass"][0][0][0] == "ok"
+        # A replay exactly where one is due: one epoch of several runs on an
+        # empty queue, in order — unless a refresh fell due inside it.
+        due = (
+            hit and not before and policy[0] is not SchedulerPolicy.SHUFFLE
+            and len(runs) > 1 and not any(run[5] or run[6] for run in runs)
+        )
+        assert taken["replays"] <= due
+        if due and not refresh:
+            assert taken["replays"] == 1
 
     # The kernels' shape: every run fenced, rows 0..2 of bank 0.
     RUNS = [
@@ -1002,14 +1064,22 @@ class TestTheProgramPassIsTheQueuePath:
         ],
     )
     @pytest.mark.parametrize("policy", [SchedulerPolicy.FRFCFS, SchedulerPolicy.FCFS])
-    def test_a_readback_program_over_eight_banks(self, damage, error, policy):
+    @pytest.mark.parametrize("hit", [False, True], ids=["picked", "replayed"])
+    def test_a_readback_program_over_eight_banks(
+        self, monkeypatch, damage, error, policy, hit
+    ):
         """The readback's 16 runs share one epoch over the 8 even banks of
         an ECC channel: each run's block comes back under its index in the
         program, whichever order its columns went; a fault inside one
-        leaves the same queue and ``pending`` behind on every way."""
+        leaves the same queue and ``pending`` behind on every way — also
+        when the fault meets a replay of the schedule the pick path
+        remembered from the same state on clean cells."""
+        taken = burst_paths(monkeypatch)
         outcomes = three_ways(
-            "sb", self.READBACK, faults=damage, ecc=True, policy=policy, fence_penalty=7
+            "sb", self.READBACK, faults=damage, ecc=True, policy=policy, fence_penalty=7,
+            hit=hit,
         )
+        assert taken["replays"] == hit
         assert_one_outcome(outcomes)
         first = outcomes["pass"][0]
         if error is None:
@@ -1046,3 +1116,170 @@ class TestTheProgramPassIsTheQueuePath:
             taken.update(dict.fromkeys(taken, 0))
             assert_one_outcome(three_ways("sb", fenced[:2], shared, fence_before))
             assert (taken["closed-form"], taken["picks"]) == expect
+        # One epoch of several runs drained again from an equal state: a
+        # replay and no pick (the pick path ran on the queue way and when
+        # the pass side remembered it) — in every mode, any window.
+        epoch = self.READBACK[:8]
+        for mode, window in (("sb", 4), ("ab", 16), ("ab-pim", 1)):
+            taken.update(dict.fromkeys(taken, 0))
+            assert_one_outcome(three_ways(mode, epoch, hit=True, window=window))
+            assert (taken["replays"], taken["picks"]) == (1, 2 * 64)
+        # Not when a refresh fell due inside it: nothing was remembered.
+        taken.update(dict.fromkeys(taken, 0))
+        assert_one_outcome(three_ways("sb", self.READBACK, hit=True, refresh=True))
+        assert (taken["replays"], taken["picks"]) == (0, 3 * 128)
+
+
+# -- a remembered schedule: replayed from an equal timing state only ----------------
+
+
+class Forgetful(dict):
+    """Schedules a controller never keeps: each of its drains takes the
+    pick path, the oracle a replay must equal."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def outcome(side, program, blocks=()):
+    """Drain ``program`` on ``side``: the result (read data by index, the
+    cycle) or the exception, every bus command, the controller and bank
+    state, and what is left queued."""
+    with trace_channel(side.mc.channel) as trace:
+        try:
+            result = side.mc.drain(program, blocks)
+            got = ("ok", {i: d.tobytes() for i, d in result.read_data.items()}, result.cycles)
+        except Exception as exc:  # compared, not swallowed
+            got = ("raised", type(exc), str(exc))
+    return got, trace.records, side.state(), queue_state(side.mc)
+
+
+def forgetful(side):
+    """A copy of ``side`` that never replays."""
+    twin = copy.deepcopy(side)
+    twin.mc._schedules = Forgetful()
+    return twin
+
+
+def readback(row, cols=(0, 8)):
+    """The readback of a tile at each of ``cols`` of ``row``, as one program."""
+    return sum((gemv_readback(row, col) for col in cols), ())
+
+
+def assign(obj, **values):
+    """Set attributes of ``obj``; returns None, the base program."""
+    for name, value in values.items():
+        setattr(obj, name, value)
+
+
+def delay_bank(side, bank=2, by=40):
+    """Push one bank's next ACT ``by`` cycles past the controller's cycle."""
+    channel = side.mc.channel
+    channel._banks[bank].next_act = side.mc._cycle + by
+    channel._absorb(channel._banks[bank])
+
+
+class TestARememberedSchedule:
+    """``drain`` replays a schedule only from the timing state it was
+    recorded in, counted from the controller's cycle: a state that differs
+    in one thing the schedule depends on takes the pick path.  The base
+    state: a channel after one readback and a PREA, every bank closed,
+    refresh on (HBM2 tREFI, so none falls due unless moved)."""
+
+    @staticmethod
+    def program(mode, row=1, cols=(0, 8)):
+        """The readback of a tile at each of ``cols`` of ``row`` — in the
+        all-bank modes, where the banks are one, every run to bank 0."""
+        runs = readback(row, cols)
+        return runs if mode == "sb" else tuple(run._replace(bank=0) for run in runs)
+
+    def base(self, mode="sb"):
+        side = Side(MemoryController, mode, timing=HBM2_1GHZ, refresh=True, ecc=True)
+        side.mc.drain(self.program(mode, row=2))
+        side.mc.precharge_all()
+        remember(side.mc, self.program(mode))
+        return side
+
+    # What to change of the base state, as a function of the side; what it
+    # returns, when anything, is the program to drain instead.
+    @pytest.mark.parametrize(
+        "component, mode, perturb",
+        [
+            ("program", "sb", lambda side: readback(1, (16, 24))),
+            ("CA bus", "sb", lambda side: assign(side.mc, _next_ca=side.mc._next_ca + 20)),
+            # The controller believes bank 4 open on row 1: its reads go out
+            # without an ACT, and the bank refuses them.
+            ("open-row shadow", "sb", lambda side: side.mc._open_rows.__setitem__(4, 1)),
+            ("bank bounds", "sb", delay_bank),
+            ("last column", "sb", lambda side: assign(
+                side.mc.channel, _last_col_cycle=side.mc._cycle + 40
+            )),
+            ("last ACT", "sb", lambda side: assign(
+                side.mc.channel, _last_act_cycle=side.mc._cycle + 20
+            )),
+            ("tFAW window", "sb", lambda side: side.mc.channel._act_window.extend(
+                [side.mc._cycle + 10] * 4
+            )),
+            # Every bank closed, no shared row: the all-bank bounds apply,
+            # and the second ACT finds the broadcast row open.
+            ("mode", "sb", lambda side: assign(side.mc.channel.mode_ctrl, mode=PimMode.AB)),
+            # A column bound of the all-bank update the banks have yet to
+            # take (the PREA left the shared state deferred).
+            ("deferred all-bank bounds", "ab", lambda side: (
+                side.mc.channel._raise_col_bounds(side.mc._cycle + 60)
+            )),
+            # The refresh check: the schedule is the same, but a refresh
+            # now falls due inside it.
+            ("refresh", "sb", lambda side: assign(
+                side.mc, _next_refresh=side.mc._cycle + 60
+            )),
+        ],
+        ids=lambda value: value if isinstance(value, str) else "",
+    )
+    def test_a_state_differing_in_one_component_takes_the_pick_path(
+        self, component, mode, perturb
+    ):
+        side = self.base(mode)
+        unperturbed = outcome(forgetful(side), self.program(mode))
+        program = perturb(side) or self.program(mode)
+        want = outcome(forgetful(side), program)
+        assert want != unperturbed, f"the {component} moves the schedule"
+        assert outcome(side, program) == want
+
+    @pytest.mark.parametrize("mode", ["sb", "ab"])
+    def test_an_equal_state_replays(self, monkeypatch, mode):
+        side = self.base(mode)
+        want = outcome(forgetful(side), self.program(mode))
+        taken = burst_paths(monkeypatch)
+        assert outcome(side, self.program(mode)) == want
+        assert (taken["replays"], taken["picks"]) == (1, 0)
+
+    def test_a_repeated_wave_replays_at_later_cycles(self, monkeypatch):
+        """A GEMV's shape, wave after wave on one ECC channel: a PREA, a
+        write run to every bank, each fenced, then the readback of the even
+        banks.  From the second wave on the readback finds the same timing
+        state later on the clock, and replays — over a corrected word, then
+        into an uncorrectable one; a controller that never replays agrees on
+        every drain, raise and leftover queue."""
+        taken = burst_paths(monkeypatch)
+        sides = [Side(MemoryController, "sb", timing=HBM2_1GHZ, ecc=True) for _ in range(2)]
+        sides[1].mc._schedules = Forgetful()
+        writes = tuple(Run(True, 0, 0, 8, True, 0, False, bank) for bank in range(16))
+        blocks = [write_data(17, 8)]
+        damage = {3: [("flip", 4, 1, 3, 17)], 4: [("flip", 6, 1, 9, 64), ("flip", 6, 1, 9, 65)]}
+        origins = []
+        for wave in range(5):
+            for side in sides:
+                side.mc.precharge_all()
+                side.mc.drain(writes, blocks)
+                inject(side.mc.channel, damage.get(wave, ()))
+            origins.append(sides[0].mc.current_cycle)
+            replays = taken["replays"]
+            got, want = (outcome(side, self.program("sb")) for side in sides)
+            assert got == want
+            assert taken["replays"] == replays + (wave > 0)
+            if wave == 4:
+                assert got[0][:2] == ("raised", UncorrectableError)
+                assert outcome(sides[0], ()) == outcome(sides[1], ())
+        assert got[3], "the readback's unissued columns stayed queued"
+        assert len(set(origins)) == len(origins)

@@ -10,6 +10,7 @@ bit-exact result, with the dead shard reported as quarantined.
 import numpy as np
 import pytest
 
+from repro.__main__ import _kill_busiest
 from repro.errors import PimProgramError, PimWorkerError
 from repro.obs.export import SHARD_PID_BASE, chrome_trace, validate_chrome_trace
 from repro.stack import (
@@ -101,32 +102,23 @@ class TestFabricServing:
 class TestWorkerKillConservation:
     """Satellite: SIGKILL one of four workers mid-run; nothing is lost."""
 
-    def kill_busiest(self, fabric):
-        busiest = max(
-            (s for s in fabric.alive_shards() if fabric._round_assignment.get(s)),
-            key=lambda s: len(fabric._round_assignment[s]),
-        )
-        fabric.kill_worker(busiest)
-        fabric._post_dispatch_hook = None
-        self.victim = busiest
-
     def test_every_request_exactly_one_terminal_outcome(self):
         items = gemv_stream(24, 6)
         with PimFabric(CONFIG, workers=4, server_config=NO_RESPAWN) as fabric:
             handles = [fabric.submit(r) for r in items]
-            fabric._post_dispatch_hook = self.kill_busiest
+            victim = _kill_busiest(fabric)
             profile = fabric.run()
         assert all(h.outcome is not None for h in handles)
         assert sum(profile.outcomes().values()) == len(handles)
         assert_bit_exact(handles)
-        assert fabric.quarantined_shards == (self.victim,)
-        assert profile.quarantined_shards == [self.victim]
+        assert fabric.quarantined_shards == (victim,)
+        assert profile.quarantined_shards == [victim]
         assert profile.replays > 0
         assert any(h.replays > 0 for h in handles)
-        assert all(h.shard != self.victim for h in handles)
+        assert all(h.shard != victim for h in handles)
         assert len(fabric.worker_errors) == 1
         assert isinstance(fabric.worker_errors[0], PimWorkerError)
-        assert fabric.worker_errors[0].shard == self.victim
+        assert fabric.worker_errors[0].shard == victim
 
     def test_all_workers_dead_completes_on_host(self):
         items = gemv_stream(6, 2)
@@ -150,7 +142,7 @@ class TestWorkerKillConservation:
         items = gemv_stream(12, 4)
         with PimFabric(CONFIG, workers=3, server_config=NO_RESPAWN) as fabric:
             handles = [fabric.submit(r) for r in items]
-            fabric._post_dispatch_hook = self.kill_busiest
+            _kill_busiest(fabric)
             fabric.run()
             survivors = set(fabric.alive_shards())
         replayed = [h for h in handles if h.replays > 0]
@@ -246,31 +238,22 @@ class TestSelfHealing:
     """The lifecycle manager respawns, rejoins, waits out stragglers,
     drains."""
 
-    def kill_busiest(self, fabric):
-        busiest = max(
-            (s for s in fabric.alive_shards() if fabric._round_assignment.get(s)),
-            key=lambda s: len(fabric._round_assignment[s]),
-        )
-        fabric.kill_worker(busiest)
-        fabric._post_dispatch_hook = None
-        self.victim = busiest
-
     def test_killed_shard_respawns_and_rejoins_ring(self):
         items = gemv_stream(24, 6)
         config = ServerConfig(max_respawns=1)
         with PimFabric(CONFIG, workers=2, server_config=config) as fabric:
             handles = [fabric.submit(r) for r in items]
-            fabric._post_dispatch_hook = self.kill_busiest
+            victim = _kill_busiest(fabric)
             profile = fabric.run()
             # Capacity restored: the victim was respawned into its slot
             # and rejoined the ring within the same run.
             assert fabric.alive_shards() == [0, 1]
-            assert fabric.shard_states()[self.victim] == "rejoined"
+            assert fabric.shard_states()[victim] == "rejoined"
         assert_bit_exact(handles)
         assert sum(profile.outcomes().values()) == len(handles)
-        assert profile.quarantined_shards == [self.victim]
-        assert profile.respawns == {self.victim: 1}
-        assert fabric.respawns == {self.victim: 1}
+        assert profile.quarantined_shards == [victim]
+        assert profile.respawns == {victim: 1}
+        assert fabric.respawns == {victim: 1}
         assert profile.replays > 0
         # Nothing was forced onto the host path: the healed fleet served
         # every replay on-device.
@@ -281,9 +264,9 @@ class TestSelfHealing:
         config = ServerConfig(max_respawns=0)
         with PimFabric(CONFIG, workers=2, server_config=config) as fabric:
             handles = [fabric.submit(r) for r in items]
-            fabric._post_dispatch_hook = self.kill_busiest
+            victim = _kill_busiest(fabric)
             fabric.run()
-            assert self.victim not in fabric.alive_shards()
+            assert victim not in fabric.alive_shards()
             assert fabric.respawns == {}
         assert_bit_exact(handles)
 

@@ -224,35 +224,48 @@ class TestRequestCost:
 
 
 class _StubFabric(PimFabric):
-    """A router with shard slots but no processes: enough state for the
-    kill smoke's hook, which compares shards by this round's load."""
+    """A router with pending requests and shard slots but no processes:
+    enough state for the kill smoke to pick its victim before ``run()``
+    and arm the stall and the post-dispatch hook."""
 
-    def __init__(self, round_cost, assignment):
+    def __init__(self, requests, shards):
+        self.config = SystemConfig(num_pchs=4, num_rows=256, simulate_pchs=1)
+        self.server_config = ServerConfig()
         self._workers = {
-            shard: _WorkerLink(shard=shard, process=None, conn=None)
-            for shard in round_cost
+            shard: _WorkerLink(shard=shard, process=None, conn=None) for shard in shards
         }
-        self._round_cost = dict(round_cost)
-        self._round_assignment = assignment
-        self._post_dispatch_hook = _kill_busiest
-        self.killed = []
+        self._ring = _HashRing(shards)
+        self._pending = [FabricHandle(rid, r) for rid, r in enumerate(requests)]
+        self._post_dispatch_hook = None
+        self.stalled, self.killed = [], []
+
+    def inject_worker_fault(self, shard, spec):
+        self.stalled.append((shard, spec["wedge"]))
 
     def kill_worker(self, shard):
         self.killed.append(shard)
 
 
 class TestLoadIsCostEverywhere:
-    """Count and cost disagree: shard 0 holds one GEMV-sized request,
-    shard 1 eight cheap ones."""
-
-    COST = {0: 120, 1: 8 * 8, 2: 0}
-
-    def assignment(self):
-        handles = make_round([(0, 120, 1), (1, 8, 8)])
-        return {0: handles[:1], 1: handles[1:]}
+    """Count and cost disagree: one GEMV-sized request against eight
+    cheap ones."""
 
     def test_kill_smoke_victim_is_the_costliest_shard(self):
-        fabric = _StubFabric(self.COST, self.assignment())
-        _kill_busiest(fabric)
-        assert fabric.killed == [0]
+        gemv = Request(
+            "gemv", weights=np.zeros((128, 512), np.float16), a=np.zeros(512, np.float16)
+        )
+        cheap = [Request("relu", a=_OPERAND) for _ in range(8)]
+        fabric = _StubFabric([gemv] + cheap, shards=[0, 1, 2])
+        assignment, load, _ = place_round(
+            fabric._pending,
+            lambda request: request_cost(request, fabric.config, fabric.server_config),
+            [0, 1, 2], fabric._ring,
+        )
+        costliest = max(load, key=load.get)
+        assert len(assignment[costliest]) == 1 < max(map(len, assignment.values()))
+        # Picked and stalled before the round is placed; killed after.
+        assert _kill_busiest(fabric) == costliest
+        assert fabric.stalled == [(costliest, True)] and fabric.killed == []
+        fabric._post_dispatch_hook(fabric)
+        assert fabric.killed == [costliest]
         assert fabric._post_dispatch_hook is None
