@@ -20,6 +20,9 @@ Two layers are provided:
 * **Vector helpers** (`vec_mul`, `vec_add`, `vec_mac`, `vec_relu`) used by the
   16-lane SIMD datapath, implemented with numpy float16 for speed.  Property
   tests assert lane-for-lane equivalence with the scalar softfloat.
+* **`round16`**, the same RNE to binary16 done in place on a float32 array,
+  so a long FP16 computation can stay in float32 (where NumPy is fast) and
+  round after every operation instead of converting dtypes.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "vec_mul",
     "vec_mac",
     "vec_relu",
+    "round16",
     "format_vec_add",
     "format_vec_mul",
     "format_vec_mac",
@@ -237,6 +241,50 @@ def vec_relu(a: np.ndarray) -> np.ndarray:
     a = a.astype(np.float16)
     bits = a.view(np.uint16)
     return np.where(bits >> 15 != 0, np.float16(0.0), a).astype(np.float16)
+
+
+_SIGN = np.uint32(0x80000000)
+_EXPONENT = np.uint32(0x7F800000)
+_TO_QUANTUM = np.uint32(13 << 23)  # 2**13: binary32 keeps 13 more fraction bits
+_FP16_EXPONENTS = (np.float32(2.0**-14), np.float32(2.0**15))
+_PAST_FP16 = np.float32(2.0**112)  # 2**16 * 2**112 overflows binary32
+_BACK = np.float32(2.0**-112)
+
+
+def round16(x: np.ndarray) -> np.ndarray:
+    """Round every lane of the float32 array ``x`` to binary16, in place,
+    and return ``x`` — still float32, now holding binary16 values.
+
+    The same rounding as NumPy's float16 ``*`` / ``+`` / ``-`` and as
+    :func:`fp_mul` / :func:`fp_add`: ``round16(f32(a) * f32(b))`` is the
+    binary16 product (exact in binary32) rounded once, and a sum or
+    difference rounded first to binary32 then here is still correctly
+    rounded, because 24 >= 2 * 11 + 2 (Figueroa, "When is double rounding
+    innocuous?", 1995).  Subnormals, signed zeros and overflow to +-inf
+    follow IEEE 754; a NaN stays a NaN (its payload is not kept).
+
+    How: with the sign set aside, ``M = 2**(e + 13)`` for the lane's
+    exponent ``e`` clamped to binary16's normal range ``[-14, 15]``.  Then
+    ``|x| + M`` lands in ``M``'s binade, whose binary32 spacing is
+    binary16's spacing at ``|x|`` (``2**-24`` for every subnormal), so
+    binary32's own round-to-nearest-even does the rounding and ``- M`` is
+    exact.  Scaling by ``2**112`` and back sends exactly the lanes that
+    rounded to ``2**16`` or beyond to infinity.
+    """
+    bits = x.view(np.uint32)
+    sign = bits & _SIGN
+    bits ^= sign
+    magic_bits = bits & _EXPONENT
+    magic = magic_bits.view(np.float32)
+    np.clip(magic, *_FP16_EXPONENTS, out=magic)
+    magic_bits += _TO_QUANTUM
+    with np.errstate(over="ignore"):
+        x += magic
+        x -= magic
+        x *= _PAST_FP16
+    x *= _BACK
+    bits |= sign
+    return x
 
 
 # -- format-generic vector ops (for non-FP16 execution-unit variants) -------

@@ -16,6 +16,12 @@ to the last bit.  This module is the one place that arithmetic is written:
   slice sums in ascending slice order (:func:`reduce_partials`).
 * **Elementwise** — ADD / MUL round once to FP16, ReLU is the sign-bit
   mux of ``MOV(RELU)``, BN is the MAD ``fp16(fp16(a * gamma) + beta)``.
+* **NaN** — a lane that is NaN stays NaN; its payload (and sign) is not
+  part of the contract.  The MAC recurrence computes in float32 rounded
+  by :func:`~repro.common.fp16.round16`, the execution units and the
+  elementwise references in NumPy float16; the two round every finite
+  and infinite result identically but may pick different NaN encodings,
+  so a comparison of results compares NaN lanes by NaN-ness.
 
 It imports neither ``kernels`` nor ``runtime``, so every tier above can
 call it; :func:`golden_reference` is the single ``op -> reference``
@@ -28,7 +34,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..common.fp16 import vec_relu
+from ..common.fp16 import round16, vec_relu
 from ..errors import PimProgramError
 from ..pim.isa import GRF_REGS
 
@@ -46,18 +52,32 @@ __all__ = [
 
 
 def mac_partials(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """FP16 sub-accumulators of one input slice: ``(rows, n) x (n,) -> (rows, 8)``.
+    """FP16 sub-accumulators of input slices: ``(..., rows, n) x (..., n)
+    -> (..., 8, rows)``, leading axes broadcast (slices, batch inputs).
 
-    ``n`` is a multiple of 8 (slices are padded); column ``j`` of the
-    result is what ``GRF_B[j]`` holds after the slice's last chunk.
+    ``n`` is a multiple of 8 (slices are padded); row ``j`` of a slice's
+    result is what ``GRF_B[j]`` holds, for every output, after the
+    slice's last chunk.  ``w`` holds binary16 values (float16 or float32)
+    in any strides; stored input-major — ``w.swapaxes(-1, -2)``
+    C-contiguous, as a resident kernel keeps it — the multiply reads it in
+    order.
     """
+    # Both stages run in float32: a product of two binary16 values is exact
+    # there, and round16 after each stage is the FP16 MULT / ADD rounding.
     # The MULT stage depends on its operands only, so every chunk's product
-    # is one multiply ahead of the ADD chain (as the device replays it).
-    prod = (w * x).astype(np.float16)
-    acc = np.zeros((w.shape[0], GRF_REGS), dtype=np.float16)
-    for base in range(0, w.shape[1], GRF_REGS):
-        acc = (acc + prod[:, base : base + GRF_REGS]).astype(np.float16)
-    return acc
+    # is one multiply ahead of the ADD chain (as the device replays it),
+    # laid out chunk-major so that each ADD step reads one contiguous block.
+    x = np.asarray(x, dtype=np.float32)
+    prod = np.multiply(np.swapaxes(w, -1, -2), x[..., np.newaxis], order="C")
+    round16(prod)
+    *lead, n, rows = prod.shape
+    chunks = prod.reshape(*lead, n // GRF_REGS, GRF_REGS, rows)
+    # GRF_B starts at +0, and +0 + p is p exactly, except that -0 becomes +0.
+    acc = chunks[..., 0, :, :] + np.float32(0.0)
+    for k in range(1, n // GRF_REGS):
+        acc += chunks[..., k, :, :]
+        round16(acc)
+    return acc.astype(np.float16)
 
 
 def reduce_partials(partials: np.ndarray) -> np.ndarray:
@@ -92,11 +112,12 @@ def gemv_reference(
     wp[:, :n] = w
     xp = np.zeros(n_padded, dtype=np.float16)
     xp[:n] = x
-    partials = np.empty((num_pchs, GRF_REGS, m), dtype=np.float16)
-    for s in range(num_pchs):
-        dims = slice(s * n_slice, (s + 1) * n_slice)
-        partials[s] = mac_partials(wp[:, dims], xp[dims]).T
-    return reduce_partials(partials)
+    return reduce_partials(
+        mac_partials(
+            wp.reshape(m, num_pchs, n_slice).swapaxes(0, 1),
+            xp.reshape(num_pchs, n_slice),
+        )
+    )
 
 
 def add_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:

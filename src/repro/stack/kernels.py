@@ -119,11 +119,22 @@ def _constant(array: np.ndarray) -> np.ndarray:
 
 
 def _tile_block(values: np.ndarray) -> np.ndarray:
-    """One output tile's ``(128 outputs, n)`` FP16 values as the ``(8 units,
-    n columns, 32 bytes)`` block of the units' banks: unit ``u`` holds
-    outputs ``16 u .. 16 u + 15``, one per lane, value ``j`` in column ``j``."""
-    lanes = values.reshape(UNITS_PER_PCH, LANES, -1).transpose(0, 2, 1)
-    return np.ascontiguousarray(lanes).view(np.uint8)
+    """``T`` output tiles' ``(n, T x 128 outputs)`` FP16 values as the ``(8
+    units, T x n columns, 32 bytes)`` block of the units' banks: unit ``u``
+    holds outputs ``16 u .. 16 u + 15`` of each tile, one per lane, value
+    ``j`` of tile ``t`` in column ``t n + j``."""
+    n = values.shape[0]
+    lanes = values.reshape(n, -1, UNITS_PER_PCH, LANES).transpose(2, 1, 0, 3)
+    block = np.ascontiguousarray(lanes, dtype=np.float16)
+    return block.reshape(UNITS_PER_PCH, -1, LANES).view(np.uint8)
+
+
+def _tile_values(block: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`_tile_block` for ``n`` = 8, a row of partial
+    sums: ``(8 units, T x 8 columns, 32 bytes)`` -> ``(8, T x 128
+    outputs)`` FP16."""
+    lanes = block.view(np.float16).reshape(UNITS_PER_PCH, -1, _COL_GROUP, LANES)
+    return lanes.transpose(2, 1, 0, 3).reshape(_COL_GROUP, -1)
 
 
 # The read-only operand blocks every launch shares, at the end of its block
@@ -332,6 +343,19 @@ class GemvPlan:
         col_base = (tile % tiles_per_row) * _COL_GROUP
         return row, col_base
 
+    def out_rows(self, pass_: int = 0, slot: int = 0) -> Iterator[Tuple[int, int, slice]]:
+        """``(row, columns, outputs)`` of each partial-sum row of one (pass,
+        slot): the tiles that share it fill its first ``columns``, 8 each,
+        with the partial sums of ``outputs``."""
+        opt = self.outputs_per_tile
+        for tile in range(0, self.tiles, self.chunks_per_row):
+            last = min(tile + self.chunks_per_row, self.tiles)
+            yield (
+                self.out_location(tile, pass_, slot)[0],
+                (last - tile) * _COL_GROUP,
+                slice(tile * opt, last * opt),
+            )
+
     def program(self, tile: int, pass_: int = 0, slot: int = 0) -> stream.Program:
         """What one (slice, tile) puts on its channel's bus: the GRF_B
         clear, then the tile's chunk sweep and partial-sum write-out in
@@ -417,7 +441,9 @@ class GemvKernel(_ResidentKernel):
             raise ValueError("max_batch must be >= 1")
         self.max_batch = max_batch
         self.plan = self._plan(m, n)
-        self._weights: Optional[np.ndarray] = None  # padded, fp16
+        # The functional shortcut's operand: float32, input-major, slice
+        # ``s`` at ``[s // k, s % k]`` for ``k`` channels (zeros past the last).
+        self._weights: Optional[np.ndarray] = None
 
     def _plan(self, m: int, n: int) -> GemvPlan:
         num_slices = self.layout_pchs
@@ -471,7 +497,6 @@ class GemvKernel(_ResidentKernel):
             dtype=np.float16,
         )
         padded[: self.m, : self.n] = w
-        self._weights = padded
         opt = plan.outputs_per_tile
         for s in range(plan.num_slices):
             pch, pass_ = self._slice_channel(s)
@@ -484,8 +509,13 @@ class GemvKernel(_ResidentKernel):
                     cols = min(plan.chunks_per_row, plan.chunks - chunk) * _COL_GROUP
                     poke_block(
                         banks, row, col_base,
-                        _tile_block(padded[tile * opt : (tile + 1) * opt, dim : dim + cols]),
+                        _tile_block(padded[tile * opt : (tile + 1) * opt, dim : dim + cols].T),
                     )
+        slices = np.zeros(
+            (plan.passes * len(self.channels), plan.n_slice, len(padded)), dtype=np.float32
+        )
+        slices[: plan.num_slices] = padded.T.reshape(plan.num_slices, plan.n_slice, -1)
+        self._weights = slices.reshape(plan.passes, len(self.channels), *slices.shape[1:])
 
     # -- invocation ---------------------------------------------------------------
 
@@ -517,9 +547,10 @@ class GemvKernel(_ResidentKernel):
 
         ``simulate_pchs`` limits cycle-accurate simulation to the first N
         pseudo-channels (all channels execute identical streams, so the
-        timing is exact); the remaining slices are computed with the
-        bit-equivalent vectorised model and their results staged so the
-        device state matches a full run.
+        timing is exact); the remaining slices of every input of a launch
+        are computed by one :func:`~repro.stack.arithmetic.mac_partials`
+        and their partial sums poked where the epilogue MOV would have
+        written them, so the device state matches a full run.
         """
         xs = np.asarray(xs, dtype=np.float16)
         if xs.ndim != 2 or xs.shape[1] != self.n:
@@ -537,7 +568,7 @@ class GemvKernel(_ResidentKernel):
             simulated_pchs=sum(s % k < nsim_ch for s in range(plan.num_slices)),
             total_pchs=plan.num_slices,
         )
-        padded = np.zeros((batch, plan.num_slices * plan.n_slice), dtype=np.float16)
+        padded = np.zeros((batch, plan.passes * k * plan.n_slice), dtype=np.float16)
         padded[:, : self.n] = xs
         outputs: List[np.ndarray] = []
         launches = 0
@@ -554,10 +585,15 @@ class GemvKernel(_ResidentKernel):
                     if s % k < nsim_ch:
                         self._stream_slice(s, xp, slot=slot)
             self.session.exit_to_sb(pchs=sim_channels)
-            for slot, xp in enumerate(group):
-                for s in range(plan.num_slices):
-                    if s % k >= nsim_ch:
-                        self._shortcut_slice(s, xp, slot=slot)
+            shortcut = None
+            if nsim_ch < k:  # the functional model of every unsimulated (input, slice)
+                shortcut = mac_partials(
+                    self._weights[:, nsim_ch:].swapaxes(-1, -2),
+                    group.reshape(len(group), plan.passes, k, -1)[:, :, nsim_ch:],
+                )
+            for slot in range(len(group)):
+                if shortcut is not None:
+                    self._poke_partials(shortcut[slot], nsim_ch, slot)
                 partials = self._read_partials(nsim_ch, slot=slot)
                 outputs.append(reduce_partials(partials)[: self.m])
         end = self.sys.drain_set(self.channels)
@@ -581,23 +617,20 @@ class GemvKernel(_ResidentKernel):
         for tile in range(plan.tiles):
             mc.drain(plan.program(tile, pass_, slot), blocks)
 
-    def _shortcut_slice(self, s: int, x_padded: np.ndarray, slot: int = 0) -> None:
-        """Functional model of one input slice (bit-equivalent).
-
-        Pokes the slice's FP16 sub-accumulators where the epilogue MOV
-        would have written them.
-        """
+    def _poke_partials(self, acc: np.ndarray, nsim_ch: int, slot: int) -> None:
+        """Stage one input's shortcut partial sums — ``acc[pass, pos -
+        nsim_ch]`` is slice ``pass * k + pos``'s ``(8, outputs)`` — where
+        the epilogue MOV would have written them, one block per (slice,
+        output row), slices ascending."""
         plan = self.plan
-        pch, pass_ = self._slice_channel(s)
-        banks = self.sys.device.pch(pch).banks[0::2]
-        dims = slice(s * plan.n_slice, (s + 1) * plan.n_slice)
-        acc = mac_partials(self._weights[:, dims], x_padded[dims])
-        opt = plan.outputs_per_tile
-        for tile in range(plan.tiles):
-            out_row, out_base = plan.out_location(tile, pass_, slot)
-            poke_block(
-                banks, out_row, out_base, _tile_block(acc[tile * opt : (tile + 1) * opt])
-            )
+        k = len(self.channels)
+        for s in range(plan.num_slices):
+            pch, pass_ = self._slice_channel(s)
+            if s % k < nsim_ch:
+                continue
+            banks = self.sys.device.pch(pch).banks[0::2]
+            for row, _, outputs in plan.out_rows(pass_, slot):
+                poke_block(banks, row, 0, _tile_block(acc[pass_, s % k - nsim_ch][:, outputs]))
 
     def _read_partials(self, nsim_ch: int, slot: int = 0) -> np.ndarray:
         """Read partial sums back (timed SB-mode reads on simulated pCHs).
@@ -605,7 +638,8 @@ class GemvKernel(_ResidentKernel):
         A simulated channel drains one program: the readback of each of
         its (slice, tile)s in turn, one run per unit — the controller
         reorders the runs' commands across banks and returns each run's
-        block.  Elsewhere a tile is one untimed block.
+        block.  Elsewhere a (slice, output row) is one untimed block, its
+        dirty re-read walked a tile's 8 columns at a time.
         """
         plan = self.plan
         k = len(self.channels)
@@ -614,25 +648,33 @@ class GemvKernel(_ResidentKernel):
             dtype=np.float16,
         )
         for pos, pch in enumerate(self.channels):
-            where = [
-                (s, tile, plan.out_location(tile, s // k, slot))
-                for s in range(pos, plan.num_slices, k)
-                for tile in range(plan.tiles)
-            ]
-            if pos < nsim_ch and where:  # a channel may hold no slice
-                program = sum((stream.gemv_readback(*out) for *_, out in where), ())
-                runs = self.sys.controller(pch).drain(program).read_data
-                raws = np.stack([runs[i] for i in range(len(program))]).reshape(
-                    len(where), UNITS_PER_PCH, _COL_GROUP, -1
-                )
-            else:
+            slices = range(pos, plan.num_slices, k)
+            if pos >= nsim_ch:
                 banks = self.sys.device.pch(pch).banks[0::2]
-                raws = (peek_block(banks, *out, _COL_GROUP) for *_, out in where)
-            for (s, tile, _), raw in zip(where, raws):
-                # The inverse of _tile_block, one block per tile.
-                out0 = tile * plan.outputs_per_tile
-                partials[s, :, out0 : out0 + plan.outputs_per_tile] = (
-                    raw.view(np.float16).transpose(1, 0, 2).reshape(_COL_GROUP, -1)
+                for s in slices:
+                    for row, cols, outputs in plan.out_rows(s // k, slot):
+                        partials[s, :, outputs] = _tile_values(
+                            peek_block(banks, row, 0, cols, group=_COL_GROUP)
+                        )
+                continue
+            if not slices:  # a channel may hold no slice
+                continue
+            program = sum(
+                (
+                    stream.gemv_readback(*plan.out_location(tile, s // k, slot))
+                    for s in slices
+                    for tile in range(plan.tiles)
+                ),
+                (),
+            )
+            runs = self.sys.controller(pch).drain(program).read_data
+            # Run i is unit i % 8's 8 columns of tile (i // 8) % tiles.
+            raws = np.stack([runs[i] for i in range(len(program))]).reshape(
+                len(slices), plan.tiles, UNITS_PER_PCH, _COL_GROUP, -1
+            )
+            for s, raw in zip(slices, raws):
+                partials[s] = _tile_values(
+                    raw.transpose(1, 0, 2, 3).reshape(UNITS_PER_PCH, -1, GRF_REG_BYTES)
                 )
         return partials
 

@@ -18,6 +18,7 @@ from repro.common.fp16 import (
     fp_mac,
     fp_mul,
     fp_relu,
+    round16,
     vec_add,
     vec_mac,
     vec_mul,
@@ -217,6 +218,69 @@ class TestVectorOps:
 
     def test_vec_relu_preserves_dtype(self):
         assert vec_relu(np.zeros(4, dtype=np.float64)).dtype == np.float16
+
+
+# Bit patterns where binary16 arithmetic has edges: signed zeros, the
+# smallest and largest subnormals and the smallest normal, one, the
+# largest finite value (65504) and the operands that carry it to the
+# overflow boundary (65520 = 65504 + 16), infinities and NaNs.
+SPECIAL_BITS = [
+    0x0000, 0x8000, 0x0001, 0x8001, 0x0003, 0x03FF, 0x0400, 0x8400,
+    0x3800, 0x3C00, 0xBC00, 0x3C01, 0x4BFF, 0x4C00, 0x5C00, 0x7BFF,
+    0xFBFF, 0x7C00, 0xFC00, 0x7E00, 0xFE00, 0x7C01,
+]
+operand_bits = st.one_of(st.sampled_from(SPECIAL_BITS), f16_bits)
+
+
+class TestRound16:
+    """``round16`` of a float32 result is the binary16 operation: the gate
+    that lets the MAC recurrence run in float32."""
+
+    @staticmethod
+    def check(op, pairs):
+        a = np.array([p[0] for p in pairs], dtype=np.uint16).view(np.float16)
+        b = np.array([p[1] for p in pairs], dtype=np.uint16).view(np.float16)
+        lanes = np.asarray(op(a.astype(np.float32), b.astype(np.float32)), np.float32)
+        got = round16(lanes).astype(np.float16).view(np.uint16)
+        softfloat = fp_mul if op is np.multiply else fp_add
+        for (x, y), bits in zip(pairs, got):
+            assert _equiv(int(bits), softfloat(FP16, x, y)), (hex(x), hex(y))
+
+    @pytest.mark.parametrize("op", [np.multiply, np.add])
+    def test_every_pair_of_special_operands(self, op):
+        self.check(op, [(a, b) for a in SPECIAL_BITS for b in SPECIAL_BITS])
+
+    @given(st.lists(st.tuples(operand_bits, operand_bits), min_size=1, max_size=64))
+    @settings(max_examples=150)
+    def test_mul_is_softfloat_mul(self, pairs):
+        self.check(np.multiply, pairs)
+
+    @given(st.lists(st.tuples(operand_bits, operand_bits), min_size=1, max_size=64))
+    @settings(max_examples=150)
+    def test_add_is_softfloat_add(self, pairs):
+        self.check(np.add, pairs)
+
+    def test_edges(self):
+        lanes = np.array(
+            [65519.99, 65520.0, -65520.0, 2.0**-25, -2.0**-25, 3 * 2.0**-25, -0.0,
+             np.inf, np.nan, 2.0**115],
+            dtype=np.float32,
+        )
+        got = round16(lanes)
+        assert got is lanes and got.dtype == np.float32
+        assert got[:8].tolist() == [65504.0, np.inf, -np.inf, 0.0, -0.0, 2.0**-23, -0.0, np.inf]
+        assert np.signbit(got[[4, 6]]).all() and not np.signbit(got[3])
+        assert np.isnan(got[8]) and got[9] == np.inf
+
+    @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=64))
+    @settings(max_examples=100)
+    def test_any_float32_rounds_once(self, words):
+        """On any binary32 input — not only a binary16 operation's result —
+        it is one correct rounding (NaN stays NaN)."""
+        lanes = np.array(words, dtype=np.uint32).view(np.float32)
+        got = round16(lanes.copy()).astype(np.float16).view(np.uint16)
+        for value, bits in zip(lanes.tolist(), got):
+            assert _equiv(int(bits), FP16.to_bits(value))
 
 
 def _equiv(a_bits: int, b_bits: int) -> bool:

@@ -196,9 +196,9 @@ class TestOneReduction:
         x[0] = x[8] = 1.001
         acc = mac_partials(w, x)
         prod = np.float16(np.float16(1.001) * np.float16(1.001))
-        assert acc.shape == (1, 8) and acc.dtype == np.float16
+        assert acc.shape == (8, 1) and acc.dtype == np.float16
         assert acc[0, 0] == np.float16(prod + prod)
-        assert not acc[0, 1:].any()
+        assert not acc[1:, 0].any()
         # Special operands, bit for bit against the chunk-at-a-time loop.
         tiny = np.float16(6e-8)  # the smallest subnormal
         w = np.array(
@@ -210,11 +210,61 @@ class TestOneReduction:
             np.float16,
         )
         with np.errstate(all="ignore"):
-            want = np.zeros((1, 8), dtype=np.float16)
-            for base in range(0, 24, 8):
-                chunk = (w[:, base : base + 8] * x[base : base + 8]).astype(np.float16)
-                want = (want + chunk).astype(np.float16)
-            assert mac_partials(w, x).tobytes() == want.tobytes()
+            assert same_lanes(mac_partials(w, x), chunk_loop(w, x))
+
+    @given(
+        slices=st.sampled_from([1, 2, 4, 8]),
+        batch=st.integers(1, 3),
+        rows=st.integers(1, 40),
+        chunks=st.integers(1, 6),
+        kind=st.sampled_from(["gaussian", "x300", "bits"]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_call_over_slices_and_inputs_is_the_float16_loop(
+        self, slices, batch, rows, chunks, kind, seed
+    ):
+        """The float32 pass over every (input, slice) at once equals the
+        float16 chunk-at-a-time loop of each, in either weight layout."""
+        rng = np.random.default_rng(seed)
+        n = chunks * 8
+        if kind == "bits":
+            w = rng.integers(0, 1 << 16, (slices, rows, n), dtype=np.uint16).view(np.float16)
+            x = rng.integers(0, 1 << 16, (batch, slices, n), dtype=np.uint16).view(np.float16)
+        else:
+            scale = 300.0 if kind == "x300" else 1.0
+            w = (rng.standard_normal((slices, rows, n)) * scale).astype(np.float16)
+            x = (rng.standard_normal((batch, slices, n)) * scale).astype(np.float16)
+        input_major = np.ascontiguousarray(w.swapaxes(-1, -2), dtype=np.float32)
+        with np.errstate(all="ignore"):
+            for weights in (w, input_major.swapaxes(-1, -2)):
+                got = mac_partials(weights, x)
+                assert got.shape == (batch, slices, 8, rows)
+                for b in range(batch):
+                    for s in range(slices):
+                        assert same_lanes(got[b, s], chunk_loop(w[s], x[b, s]))
+
+
+def chunk_loop(w, x):
+    """One slice's MAC recurrence the way the execution units compute it,
+    in NumPy float16, one chunk at a time: ``(rows, n) x (n,) -> (8, rows)``."""
+    acc = np.zeros((w.shape[0], 8), dtype=np.float16)
+    for base in range(0, w.shape[1], 8):
+        chunk = (w[:, base : base + 8] * x[base : base + 8]).astype(np.float16)
+        acc = (acc + chunk).astype(np.float16)
+    return acc.T
+
+
+def same_lanes(got, want):
+    """Bit for bit, except that a NaN lane matches any NaN: the contract
+    keeps NaN-ness, not payloads."""
+    nan = np.isnan(want)
+    return (
+        got.shape == want.shape
+        and got.dtype == want.dtype
+        and np.array_equal(np.isnan(got), nan)
+        and np.where(nan, 0, got).tobytes() == np.where(nan, 0, want).tobytes()
+    )
 
 
 class TestElementwiseShortcut:

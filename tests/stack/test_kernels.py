@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dram.ecc import UncorrectableError
 from repro.pim import fused
 from repro.pim.assembler import assemble
 from repro.pim.isa import OperandSpace
@@ -100,15 +101,19 @@ class TestGemvExecution:
 
     @pytest.mark.parametrize("ecc", [False, True])
     def test_sampled_channels_move_partials_eight_columns_at_a_time(self, ecc, monkeypatch):
-        """The functional shortcut pokes, and the untimed readback peeks, a
-        tile's 8 partial-sum columns as one block; bank bytes, results and
-        the SEC-DED counters equal the column-at-a-time run."""
+        """The functional shortcut pokes, and the untimed readback peeks, the
+        partial sums of one (slice, output row) — every tile sharing the
+        row, 8 columns each — as one block, a dirty one re-read 8 columns
+        at a time; bank bytes, results and the SEC-DED counters equal the
+        column-at-a-time run."""
+        partial_sums = []
 
         def run():
             system = PimSystem(SystemConfig(num_pchs=4, num_rows=128, ecc=ecc))
-            w, x = rand((200, 96), 1), rand(96, 2)
-            kernel = GemvKernel(system, 200, 96)
+            w, x = rand((300, 96), 1), rand(96, 2)  # 3 tiles, one output row
+            kernel = GemvKernel(system, 300, 96)
             kernel.load_weights(w)
+            partial_sums.append(kernel.plan.out_base_row)
             y, _ = kernel(x, simulate_pchs=1)
             assert np.array_equal(y, gemv_reference(w, x, num_pchs=4))
             banks = [bank for pch in system.device.pchs for bank in pch.banks]
@@ -121,20 +126,69 @@ class TestGemvExecution:
         bulk = run()
         calls = []
 
-        def peek_block(banks, row, col0, n, group=0):  # clean banks: no dirty walk
-            calls.append("peek")
-            return peek_block_by_column(banks, row, col0, n)
+        def movers(record):
+            def peek_block(banks, row, col0, n, group=0):  # clean banks: no dirty walk
+                if record and row >= partial_sums[-1]:
+                    calls.append(("peek", row, col0, n, group))
+                return peek_block_by_column(banks, row, col0, n)
 
-        def poke_block(banks, row, col0, data):
-            calls.append("poke")
-            poke_block_by_column(banks, row, col0, data)
+            def poke_block(banks, row, col0, data):
+                if record and row >= partial_sums[-1]:
+                    calls.append(("poke", row, col0, data.shape[1], 0))
+                poke_block_by_column(banks, row, col0, data)
+
+            return peek_block, poke_block
 
         # Every mover of the run: the kernel's legs and the fused executor's.
         for module in (kernels, fused):
+            peek_block, poke_block = movers(record=module is kernels)
             monkeypatch.setattr(module, "peek_block", peek_block)
             monkeypatch.setattr(module, "poke_block", poke_block)
         assert run() == bulk
-        assert {"peek", "poke"} <= set(calls)
+        # Three unsimulated slices, each one poke and one peek of 3 x 8 columns.
+        row = partial_sums[-1]
+        assert calls == [("poke", row, 0, 24, 0)] * 3 + [("peek", row, 0, 24, 8)] * 3
+
+    def test_uncorrectable_word_in_a_merged_row_raises_as_per_tile_reads(self, monkeypatch):
+        """A double-bit error in tile 2 of a 4-tile partial-sum row on an
+        unsimulated channel: the merged block raises the exception, and
+        leaves the SEC-DED counters, that one 8-column read per tile did."""
+        real_peek = kernels.peek_block
+        merged = []
+
+        def per_tile_peek(banks, row, col0, n, group=0):
+            return np.concatenate(
+                [real_peek(banks, row, col0 + c, 8) for c in range(0, n, 8)], axis=1
+            )
+
+        def merged_peek(banks, row, col0, n, group=0):
+            merged.append(n)
+            return real_peek(banks, row, col0, n, group)
+
+        def run(peek):
+            system = PimSystem(SystemConfig(num_pchs=4, num_rows=128, ecc=True))
+            kernel = GemvKernel(system, 512, 64)
+            kernel.load_weights(rand((512, 64), 3))
+            row, col = kernel.plan.out_location(2)
+            assert kernel.plan.out_location(3)[0] == row  # one row, 4 tiles
+            read = kernel._read_partials
+
+            def flip_then_read(nsim_ch, slot=0):
+                bank = system.device.pch(3).banks[2 * 5]  # unit 5's even bank
+                for bit in (3, 40):
+                    bank.inject_error(row, col + 4, bit)
+                return read(nsim_ch, slot)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "peek_block", peek)
+                patch.setattr(kernel, "_read_partials", flip_then_read)
+                with pytest.raises(UncorrectableError) as raised:
+                    kernel(rand(64, 4), simulate_pchs=1)
+            banks = [bank for pch in system.device.pchs for bank in pch.banks]
+            return str(raised.value), [bank.ecc_stats for bank in banks]
+
+        assert run(merged_peek) == run(per_tile_peek)
+        assert merged[-1] == 32
 
     def test_repeated_invocations(self, system):
         w = rand((128, 64), 7)
