@@ -12,9 +12,9 @@ respawn, and bounded degradation (post-recovery throughput within 20% of
 fault-free, p99 turnaround below 2x fault-free).
 
 ``python -m repro chaos --seed 7`` is the CLI front end; it runs the
-scenario twice and additionally asserts byte-identical replay (same
-profiles, same span trees) — the determinism property everything else in
-this repository is built on.
+scenario once and prints its report.  Two runs of one seed report the
+same profiles and span trees — the determinism property everything else
+in this repository is built on.
 """
 
 from .harness import ChaosReport, run_chaos

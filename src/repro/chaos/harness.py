@@ -22,7 +22,7 @@ baseline.
 Everything is seeded and the faults are scripted with wide margins
 relative to the harness's wall-clock bounds, so two runs of the same
 seed produce identical profiles and span trees — the replay-determinism
-property the CLI asserts by running every scenario twice.
+property, in one process or in two.
 """
 
 from __future__ import annotations
@@ -73,11 +73,11 @@ def _chaos_server_config(seed: int, transport: str = "pipe") -> ServerConfig:
 
     ``transport`` picks the fabric payload path under test; results,
     profiles, and span trees are bit-exact across transports, so a
-    schedule's report under ``"shm"`` must match its ``"pipe"`` twin —
-    the differential surface the CLI asserts.  Under ``"shm"`` the
-    inline threshold is forced to 0 so the harness's deliberately tiny
-    tensors still cross as CRC-guarded descriptors — otherwise the
-    ``corrupt_shm`` kind would never find a frame to strike.
+    schedule's report under ``"shm"`` must match its ``"pipe"`` twin.
+    Under ``"shm"`` the inline threshold is forced to 0 so the harness's
+    deliberately tiny tensors still cross as CRC-guarded descriptors —
+    otherwise the ``corrupt_shm`` kind would never find a frame to
+    strike.
     """
     return ServerConfig(
         seed=seed,
@@ -364,8 +364,7 @@ def run_chaos(
 
     ``transport`` selects the fabric payload path (``"pipe"`` or
     ``"shm"``); the report's profiles, results, and span trees are
-    bit-exact across transports, which is the differential guarantee the
-    CLI's ``--transport`` flag checks.
+    bit-exact across transports.
     """
     if schedule is None:
         schedule = ChaosSchedule.generate(

@@ -1,9 +1,9 @@
 """The invariant checker of the chaos harness.
 
 Every check returns a list of human-readable violation strings (empty =
-the invariant holds), so the harness and the ``python -m repro chaos``
-CLI can aggregate them and exit nonzero on any failure.  The invariants
-are the fabric's contract under fault:
+the invariant holds), which the harness aggregates into
+:attr:`~repro.chaos.harness.ChaosReport.violations`.  The invariants are
+the fabric's contract under fault:
 
 * **conservation** — every submitted request ends in exactly one
   terminal outcome, appearing exactly once in the merged profile:

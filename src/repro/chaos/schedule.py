@@ -8,8 +8,8 @@ naming a fault kind, a target shard, and a parameter.  Two schedules
 generated from the same seed are equal, and — because every fault the
 events trigger is itself seeded (see :mod:`repro.faults`) — two harness
 runs of the same schedule produce identical serving profiles and span
-trees, which is what lets the ``python -m repro chaos`` gate assert
-byte-identical replay.
+trees, which is what lets two ``python -m repro chaos`` processes print
+byte-identical reports.
 
 The eight fault kinds cover the failure tiers the fabric defends:
 

@@ -25,6 +25,7 @@ directory restores everything and replays nothing.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -115,8 +116,12 @@ def recover(
     record (every journaling server writes one at open), so the common
     call is just ``recover(journal_dir)``.  ``journal_outcomes=True``
     appends the replayed outcomes back to the same journal under their
-    original rids, making a second pass restore-only.
+    original rids, making a second pass restore-only.  A directory that
+    does not exist is a :class:`~repro.errors.PimJournalError`, not an
+    empty journal: nothing was recovered from it.
     """
+    if not os.path.isdir(journal_dir):
+        raise PimJournalError(f"no journal directory at {journal_dir!r}")
     records = read_records(journal_dir)
     meta: Dict[str, Any] = {}
     accepted: List[Dict[str, Any]] = []

@@ -14,8 +14,8 @@ Three output formats cover the usual consumers:
   terminals and ``benchmarks/report.py``.
 
 :func:`validate_chrome_trace` checks an emitted file against the trace
-event schema (the subset Chrome actually requires) — CI's trace-smoke
-job runs it after every ``python -m repro trace``.
+event schema (the subset Chrome actually requires); the end-to-end
+gates run it on the trace of the ``python -m repro trace`` workload.
 """
 
 from __future__ import annotations

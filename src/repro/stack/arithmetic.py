@@ -3,8 +3,8 @@
 PIM-HBM results are *deterministic, bit-exact FP16* (Section V-A over the
 Fig. 7 microkernel), and every tier of the stack — the kernels' functional
 shortcut, the PIM BLAS references, the server's and the fabric's host
-golden paths, the chaos invariants and the CLI smokes — must agree on them
-to the last bit.  This module is the one place that arithmetic is written:
+golden paths, the chaos invariants and the end-to-end gates — must agree
+on them to the last bit.  This module is the one place that arithmetic is written:
 
 * **GEMV** — within one input slice (one pCH's share of the input
   dimension) every output accumulates in 8 FP16 sub-accumulators, one per

@@ -1,8 +1,9 @@
 """The one observable that depends on the exec path: an aborted window's time.
 
-``serve-bench --faults --fault-seed 7 --fault-rate 1e-4 --scrub-interval 0
---fail-channels 2,3`` serves GEMVs on the device over flipped cells, and
-one of its kernels meets an uncorrectable word inside an AB-PIM window.
+The ``serve-bench`` workload under two dead channels (2, 3), bit flips at
+1e-4 (fault seed 7) and no scrubbing serves GEMVs on the device over
+flipped cells, and one of its kernels meets an uncorrectable word inside
+an AB-PIM window.
 The fused executor aborts that window whole, at its flush, before any of
 its register or bank writes lands; the execution units
 (``exec_mode="scalar"``) abort at the trigger that met the word.  Both
@@ -21,7 +22,7 @@ from repro.stack.arithmetic import golden_reference
 
 
 def _serve(**knobs):
-    """The smoke's 24 requests, served under its fault configuration."""
+    """24 requests of the ``serve-bench`` stream under the faults above."""
     config, server_config, rng, w = _serving_setup(7, **knobs)
     config = config.replace(
         ecc=True,

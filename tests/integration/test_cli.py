@@ -42,7 +42,7 @@ class TestCli:
 
 class TestReplayCli:
     """The durability entry points, driven in-process: ``replay
-    --selftest/--trace/--journal`` and ``serve-bench --replay``."""
+    --trace/--journal``."""
 
     def _run(self, *args):
         import io
@@ -54,11 +54,6 @@ class TestReplayCli:
         with redirect_stdout(out):
             rc = main(list(args))
         return rc, out.getvalue()
-
-    def test_replay_selftest(self):
-        rc, out = self._run("replay", "--selftest")
-        assert rc == 0, out
-        assert "[ok] emit/parse/execute round-trip" in out
 
     def test_replay_without_mode_prints_help(self, capsys):
         from repro.__main__ import main
@@ -76,14 +71,16 @@ class TestReplayCli:
         )
         assert rc == 0, out
         assert "state digest" in out
-        assert "[ok] emit/parse/execute round-trip" in out
         # The canonical emission is itself a valid, equivalent trace.
         rc2, out2 = self._run("replay", "--trace", str(emitted))
         assert rc2 == 0, out2
 
-    def test_replay_trace_rejects_malformed_file(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content", [b"SB X 5\n", b"SB R 0x\xff\xfe\n"], ids=["bad-op", "not-utf8"]
+    )
+    def test_replay_trace_rejects_malformed_file(self, tmp_path, content):
         trace = tmp_path / "bad.trace"
-        trace.write_text("SB X 5\n")
+        trace.write_bytes(content)
         rc, out = self._run("replay", "--trace", str(trace))
         assert rc == 1
         assert "replay failed" in out
@@ -121,7 +118,7 @@ class TestReplayCli:
             "--export-trace", str(exported),
         )
         assert rc == 0, out
-        assert "every journaled request has exactly one terminal" in out
+        assert "records scanned" in out
         # The export is the kernels' command stream: one PIM line per
         # triggering column command, on every stream (2 channels, 1 lane),
         # and one SB R line per column of a GEMV stream's readback.
@@ -159,12 +156,6 @@ class TestReplayCli:
         assert rc == 1
         assert "recovery failed" in out
 
-    def test_serve_bench_replay_smoke(self):
-        rc, out = self._run("serve-bench", "--replay", "--seed", "5")
-        assert rc == 0, out
-        assert "[ok] replayed profile identical" in out
-        assert "[ok] replayed results bit-exact" in out
-
 
 class TestTraceCli:
     """The observability entry points: ``trace --out`` and
@@ -178,11 +169,10 @@ class TestTraceCli:
         metrics = tmp_path / "metrics.txt"
         result = run_cli(
             "trace", "--out", str(out), "--spans", str(spans),
-            "--metrics", str(metrics), "--validate", "--requests", "16",
+            "--metrics", str(metrics), "--requests", "16",
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert "drift" in result.stdout
-        assert "[ok] trace validates" in result.stdout
         assert "span timeline" in result.stdout
         obj = json.loads(out.read_text())
         assert any(e.get("ph") == "X" for e in obj["traceEvents"])

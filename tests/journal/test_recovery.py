@@ -181,6 +181,12 @@ class TestScanErrors:
         with pytest.raises(PimJournalError):
             recover(str(tmp_path), workers=WORKERS)
 
+    def test_missing_directory_raises_naming_it(self, tmp_path):
+        missing = tmp_path / "never-journaled"
+        with pytest.raises(PimJournalError, match="never-journaled"):
+            recover(str(missing), workers=WORKERS)
+        assert not missing.exists()
+
     def test_report_renders(self, tmp_path):
         _session(tmp_path, _requests(2), crash=False)
         report = recover(str(tmp_path), workers=WORKERS)

@@ -10,7 +10,7 @@ bit-exact result, with the dead shard reported as quarantined.
 import numpy as np
 import pytest
 
-from repro.__main__ import _kill_busiest
+from repro.chaos.harness import arm_kill
 from repro.errors import PimProgramError, PimWorkerError
 from repro.obs.export import SHARD_PID_BASE, chrome_trace, validate_chrome_trace
 from repro.stack import (
@@ -21,7 +21,7 @@ from repro.stack import (
     SystemConfig,
     gemv_reference,
 )
-from repro.stack.fabric import request_cost
+from repro.stack.fabric import place_round, request_cost
 
 CONFIG = SystemConfig(num_pchs=2, num_rows=256, simulate_pchs=1)
 # Pin the pre-self-healing semantics for the conservation tests: a killed
@@ -46,6 +46,23 @@ def gemv_stream(count, distinct, seed=7):
         )
         for i in range(count)
     ]
+
+
+def kill_busiest(fabric) -> int:
+    """Before ``run()``: arm a SIGKILL of the shard the next round's
+    placement will load most — by cost in column commands, the router's
+    one definition of load (first such shard on a tie) — right after that
+    round is dispatched, its serve stalled so it cannot reply first
+    (:func:`~repro.chaos.harness.arm_kill`).  Returns the victim."""
+    _, load, _ = place_round(
+        fabric._pending,
+        lambda request: request_cost(request, fabric.config, fabric.server_config),
+        fabric.alive_shards(),
+        fabric._ring,
+    )
+    victim = max((s for s in load if load[s]), key=load.get)
+    arm_kill(fabric, victim)
+    return victim
 
 
 def assert_bit_exact(handles):
@@ -106,7 +123,7 @@ class TestWorkerKillConservation:
         items = gemv_stream(24, 6)
         with PimFabric(CONFIG, workers=4, server_config=NO_RESPAWN) as fabric:
             handles = [fabric.submit(r) for r in items]
-            victim = _kill_busiest(fabric)
+            victim = kill_busiest(fabric)
             profile = fabric.run()
         assert all(h.outcome is not None for h in handles)
         assert sum(profile.outcomes().values()) == len(handles)
@@ -142,7 +159,7 @@ class TestWorkerKillConservation:
         items = gemv_stream(12, 4)
         with PimFabric(CONFIG, workers=3, server_config=NO_RESPAWN) as fabric:
             handles = [fabric.submit(r) for r in items]
-            _kill_busiest(fabric)
+            kill_busiest(fabric)
             fabric.run()
             survivors = set(fabric.alive_shards())
         replayed = [h for h in handles if h.replays > 0]
@@ -243,7 +260,7 @@ class TestSelfHealing:
         config = ServerConfig(max_respawns=1)
         with PimFabric(CONFIG, workers=2, server_config=config) as fabric:
             handles = [fabric.submit(r) for r in items]
-            victim = _kill_busiest(fabric)
+            victim = kill_busiest(fabric)
             profile = fabric.run()
             # Capacity restored: the victim was respawned into its slot
             # and rejoined the ring within the same run.
@@ -264,7 +281,7 @@ class TestSelfHealing:
         config = ServerConfig(max_respawns=0)
         with PimFabric(CONFIG, workers=2, server_config=config) as fabric:
             handles = [fabric.submit(r) for r in items]
-            victim = _kill_busiest(fabric)
+            victim = kill_busiest(fabric)
             fabric.run()
             assert victim not in fabric.alive_shards()
             assert fabric.respawns == {}

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.__main__ import _kill_busiest
 from repro.dram.commands import CommandType
 from repro.stack import Request, ServerConfig, SystemConfig
 from repro.stack.fabric import (
@@ -32,6 +31,8 @@ from repro.stack.kernels import (
 )
 from repro.stack.runtime import PimSystem
 from repro.tools import trace_channel
+
+from .test_fabric import kill_busiest
 
 _OPERAND = np.zeros(8, dtype=np.float16)
 
@@ -225,7 +226,7 @@ class TestRequestCost:
 
 class _StubFabric(PimFabric):
     """A router with pending requests and shard slots but no processes:
-    enough state for the kill smoke to pick its victim before ``run()``
+    enough state for ``kill_busiest`` to pick its victim before ``run()``
     and arm the stall and the post-dispatch hook."""
 
     def __init__(self, requests, shards):
@@ -264,7 +265,7 @@ class TestLoadIsCostEverywhere:
         costliest = max(load, key=load.get)
         assert len(assignment[costliest]) == 1 < max(map(len, assignment.values()))
         # Picked and stalled before the round is placed; killed after.
-        assert _kill_busiest(fabric) == costliest
+        assert kill_busiest(fabric) == costliest
         assert fabric.stalled == [(costliest, True)] and fabric.killed == []
         fabric._post_dispatch_hook(fabric)
         assert fabric.killed == [costliest]
