@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -100,8 +101,10 @@ class ChaosReport:
     means the fabric's contract held); the remaining fields are the
     evidence: merged chaos and baseline profiles, the tracers (for span
     -tree replay comparison), per-kind applied-event log, respawn and
-    replay counters, and the simulated throughput/latency numbers behind the
-    degradation gates.
+    replay counters, where the requests were served (``placement``: the
+    serving shard of each request in submission order, -1 the router's
+    host golden path), and the simulated throughput/latency numbers
+    behind the degradation gates.
     """
 
     seed: int
@@ -116,6 +119,7 @@ class ChaosReport:
     violations: List[str] = field(default_factory=list)
     alive_after: List[int] = field(default_factory=list)
     respawns: Dict[int, int] = field(default_factory=dict)
+    placement: List[int] = field(default_factory=list)
     recovery_rps: float = 0.0
     baseline_recovery_rps: float = 0.0
 
@@ -146,6 +150,22 @@ class ChaosReport:
             f"recovery throughput   : {self.recovery_rps:,.0f} req/s "
             f"(fault-free {self.baseline_recovery_rps:,.0f})",
             f"alive shards after    : {len(self.alive_after)}/{self.workers}",
+            f"served per shard      : "
+            + (
+                " ".join(
+                    f"{s}:{n}" for s, n in sorted(Counter(self.placement).items())
+                )
+                or "-"
+            ),
+            f"shard per request     : "
+            + (" ".join(str(s) for s in self.placement) or "-"),
+            f"shard cost (col cmds) : "
+            + (
+                " ".join(
+                    f"{s}:{c:,d}" for s, c in sorted(profile.shard_cost.items())
+                )
+                or "-"
+            ),
         ]
         if self.violations:
             lines.append("violations:")
@@ -415,6 +435,7 @@ def run_chaos(
         applied=applied,
         alive_after=alive_after,
         respawns=respawns,
+        placement=[handle.shard for handle in handles],
         recovery_rps=wave_profiles[-1].throughput_rps(),
         baseline_recovery_rps=(
             base_waves[-1].throughput_rps() if base_waves else 0.0

@@ -76,8 +76,8 @@ class SystemConfig:
     #              levelled array ops, cached by content signature
     #              (repro.pim.fused); anything irregular runs on the
     #              execution units themselves.
-    #   "scalar" — the execution units, trigger by trigger, plus per-word
-    #              SEC-DED everywhere: the differential oracle.
+    #   "scalar" — the execution units, trigger by trigger: the
+    #              differential oracle.
     # None means "fused": the one production path.
     exec_mode: Optional[str] = None
     # LRU bound of the fused executor's compiled-trace cache.
@@ -139,16 +139,8 @@ class PimSystem(HostSystem):
             ecc=config.ecc,
         )
         device = PimHbmDevice(device_config)
-        mode = config.execution_mode
         self._trace_cache = None
-        if mode == "scalar":
-            from ..dram.ecc import EccBank
-
-            for channel in device.pchs:
-                for bank in channel.banks:
-                    if isinstance(bank, EccBank):
-                        bank.use_vectorized = False
-        else:
+        if config.execution_mode == "fused":
             from ..pim.fused import FusedLockstepGroup, TraceCache
 
             # One content-keyed cache shared by every channel; the fault

@@ -77,6 +77,11 @@ class TestHarnessSmoke:
         text = "\n".join(report.render())
         assert "chaos scenario" in text
         assert "violations" in text
+        # Where each request was served, in submission order.
+        assert len(report.placement) == report.requests
+        assert set(report.placement) <= {-1, 0, 1}
+        line = "shard per request     : " + " ".join(map(str, report.placement))
+        assert line in report.render()
 
     def test_explicit_schedule_honoured(self):
         schedule = ChaosSchedule.generate(5, workers=2, kinds=("kill",))

@@ -4,7 +4,8 @@ column-at-a-time loop it replaced, and the column checks that ride with it.
 ``peek_block`` / ``poke_block`` (:mod:`repro.dram.ecc`) are the only
 untimed movers between host arrays and bank storage.  The property here
 drives them and a ``for bank: for col: peek/poke`` reference over twin bank
-lists — plain, ECC, the ``use_vectorized = False`` oracle, and mixes — and
+lists — plain, ECC, the eager ECC oracle (``tests/dram/eager_ecc.py``,
+which has no block fast path of its own), and mixes — and
 requires equal bank bytes, check arrays, SEC-DED counters,
 ``materialized_rows()`` and returned data; with injected errors, equal
 corrections, inline scrubs and raised ``UncorrectableError``.
@@ -22,6 +23,7 @@ from repro.dram.pseudochannel import PseudoChannel
 from repro.dram.timing import HBM2_1GHZ
 from repro.errors import PimChannelError
 
+from tests.dram.eager_ecc import EagerEccBank
 from tests.stack.staging_reference import (
     bank_image,
     peek_block_by_column,
@@ -30,18 +32,15 @@ from tests.stack.staging_reference import (
 
 CONFIG = BankConfig(num_rows=4, row_bytes=256, col_bytes=32)  # 8 columns per row
 COLS = CONFIG.cols_per_row
-KINDS = ("plain", "ecc", "scalar")
+KINDS = ("plain", "ecc", "eager")
 
 
 def _bank(kind):
-    if kind == "plain":
-        return Bank(CONFIG, HBM2_1GHZ)
-    bank = EccBank(CONFIG, HBM2_1GHZ)
-    bank.use_vectorized = kind == "ecc"
-    return bank
+    cls = {"plain": Bank, "ecc": EccBank, "eager": EagerEccBank}[kind]
+    return cls(CONFIG, HBM2_1GHZ)
 
 
-# Uniform lists take the array path; a mix, or the scalar oracle, must fall
+# Uniform lists take the array path; a mix, or the eager oracle, must fall
 # bank by bank to the column path.
 bank_kinds = st.one_of(
     st.sampled_from(KINDS).flatmap(
@@ -81,7 +80,7 @@ class TestBlockEqualsColumnLoop:
 
     @settings(max_examples=120, deadline=None)
     @given(
-        kinds=st.lists(st.sampled_from(("ecc", "scalar")), min_size=1, max_size=4),
+        kinds=st.lists(st.sampled_from(("ecc", "eager")), min_size=1, max_size=4),
         run=runs,
         seed=st.integers(0, 2**31),
         flips=st.lists(
@@ -144,7 +143,7 @@ class TestBlockEqualsColumnLoop:
                 # already counted that bank's clean columns.
                 assert a == b
 
-    @pytest.mark.parametrize("kinds", [("plain",) * 3, ("ecc",) * 3, ("ecc", "plain", "scalar")])
+    @pytest.mark.parametrize("kinds", [("plain",) * 3, ("ecc",) * 3, ("ecc", "plain", "eager")])
     def test_failed_bank_raises_before_any_byte_lands(self, kinds):
         banks = [_bank(kind) for kind in kinds]
         old = np.full((3, 2, CONFIG.col_bytes), 7, dtype=np.uint8)

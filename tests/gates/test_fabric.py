@@ -59,7 +59,11 @@ def test_chaos_prints_the_same_report_under_two_hash_seeds():
     same report and serving profile, so no set or hash order leaks into
     a fault storm.  Fails when ``chaos.harness._wave_requests`` seeds a
     wave with ``hash((seed, "wave", wave))``, which is salted per
-    interpreter."""
+    interpreter; and, through the report's ``shard per request`` line,
+    when the placement ring hashes with the interpreter's salted
+    ``hash()`` (``_HashRing._hash`` returning ``hash(key) &
+    0xFFFFFFFFFFFFFFFF``): every request is served, but on other
+    shards."""
     outputs = []
     for hash_seed in ("1", "2"):
         result = subprocess.run(

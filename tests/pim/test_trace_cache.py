@@ -170,16 +170,6 @@ class TestSystemKnob:
         for channel in system.device.pchs:
             assert type(channel.lockstep) is LockstepGroup
 
-    @pytest.mark.parametrize("mode, vectorized", [("scalar", False), ("fused", True), (None, True)])
-    def test_only_the_scalar_mode_checks_ecc_word_by_word(self, mode, vectorized):
-        from repro.dram.ecc import EccBank
-        from repro.stack.runtime import PimSystem, SystemConfig
-
-        system = PimSystem(SystemConfig(num_pchs=2, num_rows=64, ecc=True, exec_mode=mode))
-        banks = [bank for channel in system.device.pchs for bank in channel.banks]
-        assert banks and all(isinstance(bank, EccBank) for bank in banks)
-        assert {bank.use_vectorized for bank in banks} == {vectorized}
-
 
 class TestReplicaIndependence:
     def test_fabric_workers_compile_independently_bit_exact(self):
