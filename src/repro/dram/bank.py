@@ -319,6 +319,18 @@ class Bank:
             return None
         return self._run(row, col0, n).reshape(n, -1).copy()
 
+    def framed(self, row: int) -> bool:
+        """Whether :meth:`read_block` of ``row`` stands for timed reads of
+        it: a live plain bank (a subclass has a column path of its own)."""
+        return type(self) is Bank and self._failed_channel is None
+
+    def read_block(self, row: int, col0: int, n: int) -> np.ndarray:
+        """What ``n`` timed reads of columns ``col0 ..`` of ``row`` return,
+        as one fresh ``(n, col_bytes)`` block, for a row :meth:`framed`
+        vouches for: the data path of those reads, without their timing
+        and ``rd_count`` (a frame sets those)."""
+        return self._run(row, col0, n).reshape(n, -1).copy()
+
     def write(self, row: int, col: int, data: np.ndarray, cycle: int) -> None:
         """Column write of a 32-byte burst."""
         self._check_column(row, cycle, is_write=True)

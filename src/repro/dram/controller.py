@@ -47,29 +47,39 @@ column order, whichever way it went.  In an epoch that holds no write the
 read of its first column carries the read-ahead of :class:`Command`, so a
 clean run's bytes cross the channel boundary once.
 
-One thing is remembered from one ``drain`` to the next: the schedule the
-pick path worked out for a program that is one fence epoch of several runs
-(the GEMV readback), drained on an empty queue under an in-order policy.
-It is a function of the program and of the timing state — the channel's
-(:meth:`PseudoChannel.timing_state`) and the controller's clocks and
-open-row shadow — counted from the controller's cycle, and that is its
-key, so there is nothing to invalidate: refresh, faults, ``reset_channel``
-and mode changes either move the key or raise in the channel while the
-schedule is replayed, command by command through ``channel.issue``.
+One thing is remembered from one ``drain`` to the next: what the pick
+path did with a program that is one fence epoch of several read runs (the
+GEMV readback), drained on an empty queue under an in-order policy.  Its
+schedule is a function of the program and of the timing state — the
+channel's (:meth:`PseudoChannel.timing_state`) and the controller's clocks
+and open-row shadow — counted from the controller's cycle, and that is its
+key, so refresh, ``reset_channel`` and mode changes move the key and
+there is nothing to invalidate.  So is the channel's end state, and that
+is what is kept: a :class:`~repro.dram.pseudochannel.Frame` — every bank's
+state and bounds, the column and ACT history, the tFAW window, the
+``cmd_counts`` delta, the mode FSM's armed row and each read run's (bank,
+row, columns) — with the controller's hits, misses, clocks and shadow as
+the drain left them.  The next drain from an equal key hands the channel
+the frame (``apply_frame``): one step, each run's bytes one block.  A
+frame is recorded only for SB-mode ACT / PRE / RD commands to bank rows,
+and the channel declines it — nothing changed, the drain takes the pick
+path — unless every read bank is a live ``Bank`` / ``EccBank`` with no
+injection entry on its row: faults are not in the key, and the pick path
+meets them command by command, where they raise.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from collections import Counter, OrderedDict, deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .commands import Command, CommandType
-from .pseudochannel import BANKS_PER_GROUP, BANKS_PER_PCH, PseudoChannel
+from .pseudochannel import BANKS_PER_GROUP, BANKS_PER_PCH, Frame, PseudoChannel
 
 __all__ = ["MemOp", "Request", "SchedulerPolicy", "ScheduleResult", "MemoryController"]
 
@@ -190,9 +200,8 @@ class _Drain:
     def __init__(self) -> None:
         self.issue_order: List[Tuple[int, Request]] = []
         self.read_data: Dict[Any, np.ndarray] = {}
-        # Tagged read runs under way — the queued run, or a replayed
-        # program run's index: the block each one's columns land in (with
-        # the column of its first row), or that it was read ahead.
+        # Tagged read runs under way: the block each one's columns land in
+        # (with the column of its first row), or that it was read ahead.
         self.blocks: Dict[Any, Tuple[np.ndarray, int]] = {}
         self.fetched: Set[Any] = set()
         self._checked: Optional[int] = None
@@ -234,35 +243,33 @@ class _Drain:
 
 
 class _Schedule:
-    """The pick path's schedule of one program from one timing state, its
-    cycles and tallies counted from ``base`` — the controller's ``(row
-    hits, row misses, cycle)`` as the drain found it, kept while recording.
+    """The pick path's schedule of one read-only program from one timing
+    state, counted from ``base`` — the controller's ``(row hits, row
+    misses, cycle)`` as the drain found it, kept while recording.
 
     ``steps`` holds each bus command as ``(kind, bg, ba, row, col, offset,
-    index, ahead)``, ``index`` the program run a column belongs to (None:
-    an ACT or PRE); ``marks[k]`` the controller as command ``k`` found it —
-    what a raise there leaves — and ``end`` as the drain left it (see
-    :meth:`MemoryController._mark`); ``horizon`` the cycle of the last
-    refresh check, i.e. of the column before the last.
+    index)``, ``index`` the program run a column belongs to (None: an ACT
+    or a PRE).  Once remembered, ``frame`` is what the commands did to the
+    channel (:meth:`PseudoChannel.record_frame`), ``reads`` the program
+    index of each of its read runs, ``end`` the controller as the drain
+    left it (see :meth:`MemoryController._mark`) and ``horizon`` the cycle
+    of the last refresh check, i.e. of the column before the last.
     """
 
-    __slots__ = ("base", "steps", "marks", "end", "horizon")
+    __slots__ = ("base", "steps", "frame", "reads", "end", "horizon")
 
     def __init__(self, base: Tuple[int, int, int]) -> None:
-        self.base: Optional[Tuple[int, int, int]] = base
+        self.base = base
         self.steps: List[tuple] = []
-        self.marks: List[tuple] = []
+        self.frame: Optional[Frame] = None
+        self.reads: Tuple[int, ...] = ()
         self.end: Optional[tuple] = None
         self.horizon = 0
 
-    def note(self, cmd: Command, cycle: int, index: Optional[int], mark: tuple) -> None:
+    def note(self, cmd: Command, cycle: int, index: Optional[int]) -> None:
         """Take down ``cmd``, about to go out at ``cycle``."""
-        marks = self.marks
-        if marks and marks[-1][4] == mark[4]:
-            mark = mark[:4] + marks[-1][4:]  # one open-row shadow while it holds
-        marks.append(mark)
         self.steps.append(
-            (cmd.cmd, cmd.bg, cmd.ba, cmd.row, cmd.col, cycle - self.base[2], index, cmd.ahead)
+            (cmd.cmd, cmd.bg, cmd.ba, cmd.row, cmd.col, cycle - self.base[2], index)
         )
 
 
@@ -318,8 +325,8 @@ class MemoryController:
         self._open_rows: List[Optional[int]] = [None] * BANKS_PER_PCH
         self.row_hits = 0
         self.row_misses = 0
-        # Unfenced programs' schedules by program and timing state (see
-        # ``_replay``), and the one the pick path is taking down, if any.
+        # Read-only programs' schedules by program and timing state (see
+        # ``_apply_frame``), and the one the pick path is taking down, if any.
         self._schedules: "OrderedDict[tuple, _Schedule]" = OrderedDict()
         self._recording: Optional[_Schedule] = None
         # Observability hook (repro.obs): when a Tracer is attached each
@@ -399,11 +406,11 @@ class MemoryController:
     # it without a window or a pick, off the queue or straight from a
     # program.  Where it cannot — several runs of a program in one epoch,
     # the readback — it is worked out once per timing state: the pick path
-    # runs, ``_put`` takes every command down with the controller's state
-    # as it went out, and the next drain of that program from an equal
-    # state (``_schedule_key``) replays the commands at the same offsets
-    # (``_replay``).  Only ``SHUFFLE``, whose seeded draws are among single
-    # commands, expands runs (at ``drain`` entry).
+    # runs, ``_put`` takes every command down, the channel records what
+    # they did as a frame, and the next drain of that program from an equal
+    # state (``_schedule_key``) is that frame (``_apply_frame``).  Only
+    # ``SHUFFLE``, whose seeded draws are among single commands, expands
+    # runs (at ``drain`` entry).
 
     def _window(self, epoch: int) -> List[Request]:
         """The runs in the reorder window, oldest first."""
@@ -502,7 +509,7 @@ class MemoryController:
         ``index``, the program run of a column)."""
         recording = self._recording
         if recording is not None:
-            recording.note(cmd, cycle, index, self._mark(recording.base))
+            recording.note(cmd, cycle, index)
         return self.channel.issue(cmd, cycle)
 
     def _issue(
@@ -726,61 +733,47 @@ class MemoryController:
         self._cycle, self._next_ca = origin + cycle, origin + next_ca
         self._open_rows = list(open_rows)
 
-    def _remember(self, key: tuple, schedule: _Schedule) -> None:
-        """Keep what the pick path just did as the schedule under ``key``."""
-        schedule.end = self._mark(schedule.base)
-        columns = [step[5] for step in schedule.steps if step[6] is not None]
+    def _remember(
+        self, key: tuple, schedule: _Schedule, program: Sequence[tuple]
+    ) -> None:
+        """Keep what the pick path just did as the schedule under ``key``,
+        when the channel can take it down as a frame."""
+        base = schedule.base
+        steps = schedule.steps
+        # The read runs in the order their first columns went out, as
+        # ``read_data`` files them.
+        reads = tuple(dict.fromkeys(step[6] for step in steps if step[6] is not None))
+        frame = self.channel.record_frame(
+            [step[:6] for step in steps], base[2],
+            [(bank, row, col, count)
+             for _, row, col, count, _, _, _, bank in (program[i] for i in reads)],
+        )
+        if frame is None:
+            return
+        schedule.frame, schedule.reads = frame, reads
+        schedule.end = self._mark(base)
+        columns = [step[5] for step in steps if step[6] is not None]
         schedule.horizon = columns[-2] if len(columns) > 1 else 0
-        schedule.base = None
+        schedule.steps = []
         self._schedules[key] = schedule
         if len(self._schedules) > _SCHEDULES:
             self._schedules.popitem(last=False)
 
-    def _replay(
-        self, schedule: _Schedule, program: Sequence[tuple],
-        blocks: Sequence[np.ndarray], out: _Drain,
-    ) -> None:
-        """Issue ``program`` as ``schedule`` says, from the controller's
-        cycle: each command through ``channel.issue`` at its offset, a run's
-        reads ``fetched`` once its first read came back as the run's block
-        (the read-ahead as :meth:`_issue_column` runs it).  A raise at
-        command ``k`` leaves what the pick path leaves: the controller as
-        ``marks[k]`` and the program's unissued columns queued as runs."""
+    def _apply_frame(self, schedule: _Schedule, out: _Drain) -> bool:
+        """Issue the program ``schedule`` was recorded from as its frame,
+        from the controller's cycle: the channel's end state in one step,
+        each read run's bytes as one block under its index, the controller
+        where the recorded drain left it.  False, with nothing changed,
+        when the channel declines the frame."""
         base = (self.row_hits, self.row_misses, self._cycle)
-        origin = base[2]
-        issue = self.channel.issue
-        fetched = out.fetched
-        k = 0
-        try:
-            for k, (kind, bg, ba, row, col, offset, index, ahead) in enumerate(schedule.steps):
-                if index is None:  # an ACT or a PRE
-                    issue(Command(kind, bg, ba, row=row), origin + offset)
-                elif kind is _WR:
-                    _, _, col0, _, _, operand, _, _ = program[index]
-                    data = blocks[operand]
-                    if data is not None and data.ndim == 2:
-                        data = data[col - col0]
-                    issue(Command(_WR, bg, ba, row=row, col=col, data=data), origin + offset)
-                elif index in fetched:
-                    cmd = Command(_RD, bg, ba, row=row, col=col, tag=index, fetched=True)
-                    issue(cmd, origin + offset)
-                else:
-                    cmd = Command(_RD, bg, ba, row=row, col=col, tag=index, ahead=ahead)
-                    data = issue(cmd, origin + offset)
-                    if data is not None:
-                        _, _, col0, count, *_ = program[index]
-                        out.land(index, index, col, col0 + count - col, data)
-        except BaseException:
-            self._set_mark(schedule.marks[k], base)
-            done = Counter(step[6] for step in schedule.steps[:k] if step[6] is not None)
-            self._queue_runs(program, blocks)
-            for run in list(self._queue):
-                if done[run.index] == run.count:
-                    self._queue.remove(run)
-                elif done[run.index]:
-                    run.shrink(done[run.index])
-            raise
+        blocks = self.channel.apply_frame(schedule.frame, self._cycle)
+        if blocks is None:
+            return False
+        read_data = out.read_data
+        for index, block in zip(schedule.reads, blocks):
+            read_data[index] = block if len(block) > 1 else block[0]
         self._set_mark(schedule.end, base)
+        return True
 
     def drain(
         self, program: Sequence[tuple] = (), blocks: Sequence[np.ndarray] = ()
@@ -795,9 +788,10 @@ class MemoryController:
         program's runs, whichever way they went.  On an empty queue under
         an in-order policy they are issued unqueued: a fenced run as a lone
         run (:meth:`_program_pass`); a program that is one epoch of several
-        runs through the pick path the first time from a timing state, as
-        the schedule remembered from then every later time
-        (:meth:`_replay`) — unless a refresh falls due inside it."""
+        runs through the pick path, but a read-only one, the first time
+        from a timing state, as the frame remembered from then every later
+        time (:meth:`_apply_frame`) — unless a refresh falls due inside it
+        or the channel declines the frame."""
         out = _Drain()
         channel = self.channel
         start_counts = dict(channel.cmd_counts)
@@ -816,14 +810,15 @@ class MemoryController:
                 self._queue_runs(program, blocks)
             elif fenced or len(program) == 1:
                 epoch = self._program_pass(program, blocks, out)
+            elif any(run[0] for run in program):  # a write: no frame stands for it
+                self._queue_runs(program, blocks)
             else:
                 key = self._schedule_key(program)
                 schedule = self._schedules.get(key)
                 if schedule is not None and (
                     not self.refresh or self._cycle + schedule.horizon < self._next_refresh
-                ):
+                ) and self._apply_frame(schedule, out):
                     self._schedules.move_to_end(key)
-                    self._replay(schedule, program, blocks, out)
                     key = None
                 else:
                     self._queue_runs(program, blocks)
@@ -853,7 +848,7 @@ class MemoryController:
         finally:
             recording, self._recording = self._recording, None
         if key is not None and self.refresh_count == refreshes:
-            self._remember(key, recording)
+            self._remember(key, recording, program)
         self.busy_cycles += self._cycle - entry_cycle
         counts = {
             ct: channel.cmd_counts[ct] - start_counts.get(ct, 0) for ct in CommandType

@@ -178,6 +178,20 @@ class EccBank(Bank):
         self.ecc_stats.words_checked += wpc
         return run.reshape(n, -1).copy()
 
+    def framed(self, row: int) -> bool:
+        """A live bank of this exact class with no injection entry on
+        ``row``: every word there is clean, so its reads decode nothing."""
+        return (
+            type(self) is EccBank
+            and self._failed_channel is None
+            and not self._injected.get(row)
+        )
+
+    def read_block(self, row: int, col0: int, n: int) -> np.ndarray:
+        """The block, and the ``words_checked`` of its ``n`` reads."""
+        self.ecc_stats.words_checked += n * self._words_per_col
+        return super().read_block(row, col0, n)
+
     def read_fetched(self, row: int, cycle: int) -> None:
         """A fetched read still counts its column's words as checked."""
         super().read_fetched(row, cycle)

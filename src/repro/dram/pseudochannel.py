@@ -13,7 +13,7 @@ boundary — is identical in both.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Optional, Tuple, Type
+from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -21,13 +21,37 @@ from .bank import Bank, BankConfig, TimingViolation
 from .commands import Command, CommandType
 from .timing import TimingParams
 
-__all__ = ["PseudoChannel", "BANK_GROUPS", "BANKS_PER_GROUP", "BANKS_PER_PCH"]
+__all__ = ["Frame", "PseudoChannel", "BANK_GROUPS", "BANKS_PER_GROUP", "BANKS_PER_PCH"]
 
 BANK_GROUPS = 4
 BANKS_PER_GROUP = 4
 BANKS_PER_PCH = BANK_GROUPS * BANKS_PER_GROUP
 
-_RD, _WR = CommandType.RD, CommandType.WR
+_RD, _WR, _ACT, _PRE = CommandType.RD, CommandType.WR, CommandType.ACT, CommandType.PRE
+
+
+class Frame(NamedTuple):
+    """What a sequence of ACT, PRE and RD commands did to a pseudo-channel,
+    every cycle counted from its origin (see :meth:`PseudoChannel.record_frame`).
+
+    ``steps`` are the commands, ``(kind, bg, ba, row, col, offset)``;
+    ``banks`` each bank they touched as ``(flat index, state, open_row,
+    next_act, next_pre, next_rd, next_wr, ACTs, RDs)``; ``last_col`` the
+    last column's ``(cycle, bank group, was write)``, ``last_act`` the last
+    ACT's ``(cycle, bank group)``, ``act_window`` the tFAW window;
+    ``counts`` the ``cmd_counts`` delta; ``reads`` each read run's
+    ``(flat bank, row, col0, count)``; ``armed`` the mode FSM's armed row
+    of a PIM channel.
+    """
+
+    steps: Tuple[tuple, ...]
+    banks: Tuple[tuple, ...]
+    last_col: tuple
+    last_act: tuple
+    act_window: Tuple[int, ...]
+    counts: Tuple[Tuple[CommandType, int], ...]
+    reads: Tuple[Tuple[int, int, int, int], ...]
+    armed: Optional[int] = None
 
 
 class PseudoChannel:
@@ -271,6 +295,83 @@ class PseudoChannel:
             # moved its bounds before touching the row array.
             self._absorb(bank)
         return data
+
+    # -- frames -----------------------------------------------------------------
+    #
+    # From equal timing states (``timing_state``) a command sequence is
+    # legal at the same offsets and leaves the channel in the same state,
+    # counted from the origin.  So a sequence issued once command by
+    # command can be taken down as that end state, and the next time it
+    # goes out from an equal state the channel takes the end state in one
+    # step — all but the bytes, which a read run moves as one block.
+
+    def record_frame(
+        self, steps: Sequence[tuple], origin: int,
+        reads: Sequence[Tuple[int, int, int, int]],
+    ) -> Optional[Frame]:
+        """The channel as ``steps`` — ``(kind, bg, ba, row, col, offset)``,
+        just issued from ``origin`` — left it, as a :class:`Frame` whose
+        read runs are ``reads``; None when a step is not an ACT, PRE or RD.
+        """
+        touched: Dict[int, List[int]] = {}
+        counts: Dict[CommandType, int] = {}
+        for kind, bg, ba, _, _, _ in steps:
+            if kind is not _ACT and kind is not _PRE and kind is not _RD:
+                return None
+            tally = touched.setdefault(bg * BANKS_PER_GROUP + ba, [0, 0])
+            tally[0] += kind is _ACT
+            tally[1] += kind is _RD
+            counts[kind] = counts.get(kind, 0) + 1
+        banks = []
+        for index, (acts, rds) in touched.items():
+            bank = self._banks[index]
+            banks.append((
+                index, bank.state, bank.open_row, bank.next_act - origin,
+                bank.next_pre - origin, bank.next_rd - origin, bank.next_wr - origin,
+                acts, rds,
+            ))
+        col, act = self._last_col_cycle, self._last_act_cycle
+        return Frame(
+            tuple(steps), tuple(banks),
+            (None if col is None else col - origin, self._last_col_bg,
+             self._last_col_was_write),
+            (None if act is None else act - origin, self._last_act_bg),
+            tuple(cycle - origin for cycle in self._act_window),
+            tuple(counts.items()), tuple(reads),
+        )
+
+    def apply_frame(self, frame: Frame, origin: int) -> Optional[List[np.ndarray]]:
+        """Take ``frame`` from ``origin``, a cycle the channel's timing
+        state equals the recorded one from; returns each read run's ``(count,
+        col_bytes)`` block.  None, with nothing changed, unless every read
+        bank vouches for its row (:meth:`Bank.framed`): a failed bank, an
+        injected word or a bank class of its own takes the command path."""
+        banks = self._banks
+        for index, row, _, _ in frame.reads:
+            if not banks[index].framed(row):
+                return None
+        for index, state, open_row, act, pre, rd, wr, acts, rds in frame.banks:
+            bank = banks[index]
+            bank.state, bank.open_row = state, open_row
+            bank.next_act, bank.next_pre = origin + act, origin + pre
+            bank.next_rd, bank.next_wr = origin + rd, origin + wr
+            bank.act_count += acts
+            bank.rd_count += rds
+            self._absorb(bank)
+        col, self._last_col_bg, self._last_col_was_write = frame.last_col
+        self._last_col_cycle = None if col is None else origin + col
+        act, self._last_act_bg = frame.last_act
+        self._last_act_cycle = None if act is None else origin + act
+        window = self._act_window
+        window.clear()
+        window.extend(origin + cycle for cycle in frame.act_window)
+        counts = self.cmd_counts
+        for kind, n in frame.counts:
+            counts[kind] += n
+        return [
+            banks[index].read_block(row, col0, count)
+            for index, row, col0, count in frame.reads
+        ]
 
     def _issue_each(self, cmd: Command, cycle: int) -> Optional[np.ndarray]:
         """Serve a column burst as its single commands, ``tCCD_L`` apart.

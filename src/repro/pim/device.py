@@ -31,14 +31,14 @@ them — register rows, AB and AB-PIM columns — answers with the one column
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..dram.bank import Bank, BankConfig, TimingViolation
 from ..dram.commands import Command, CommandType
 from ..dram.device import DeviceConfig, HbmDevice
-from ..dram.pseudochannel import BANKS_PER_GROUP, BANKS_PER_PCH, PseudoChannel
+from ..dram.pseudochannel import BANKS_PER_GROUP, BANKS_PER_PCH, Frame, PseudoChannel
 from ..dram.timing import TimingParams
 from .exec_unit import ColumnTrigger, PimExecutionUnit
 from .lockstep import LockstepGroup
@@ -161,6 +161,26 @@ class PimPseudoChannel(PseudoChannel):
         the mode FSM and the shared all-bank row."""
         self._sync_banks()
         return super().timing_state(origin) + self.mode_ctrl.state + (self._ab_row,)
+
+    def record_frame(
+        self, steps: Sequence[tuple], origin: int,
+        reads: Sequence[Tuple[int, int, int, int]],
+    ) -> Optional[Frame]:
+        """A frame of SB-mode commands to bank rows only — none of which
+        can change the mode — with the mode FSM's armed row; None for
+        anything else."""
+        reserved = self.memory_map.is_reserved
+        if self.mode_ctrl.mode is not _SB or any(reserved(step[3]) for step in steps):
+            return None
+        frame = super().record_frame(steps, origin, reads)
+        return None if frame is None else frame._replace(armed=self.mode_ctrl._armed_row)
+
+    def apply_frame(self, frame: Frame, origin: int) -> Optional[List[np.ndarray]]:
+        """The frame, and the mode FSM's armed row as it left it."""
+        blocks = super().apply_frame(frame, origin)
+        if blocks is not None:
+            self.mode_ctrl._armed_row = frame.armed
+        return blocks
 
     def _all_bank_col_bound(self, bg: int, is_write: bool) -> int:
         bound = max(

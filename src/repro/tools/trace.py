@@ -103,14 +103,20 @@ def trace_channel(channel: Any) -> Iterator[CommandTrace]:
 
     Works on plain :class:`~repro.dram.pseudochannel.PseudoChannel` and on
     :class:`~repro.pim.device.PimPseudoChannel` (where the current PIM mode
-    is attached to each record).
+    is attached to each record).  A frame the channel takes in one step
+    (``apply_frame``) is recorded as the commands it stands for, each at
+    its cycle.
     """
     trace = CommandTrace()
-    had_instance_issue = "issue" in vars(channel)
+    hooked = [name for name in ("issue", "apply_frame") if name in vars(channel)]
     original_issue = channel.issue
+    original_frame = channel.apply_frame
+
+    def mode_now() -> str:
+        return getattr(getattr(channel, "mode", None), "value", "dram")
 
     def recording_issue(cmd: Command, cycle: int):
-        mode = getattr(getattr(channel, "mode", None), "value", "dram")
+        mode = mode_now()
         seen = len(trace.records)
         result = original_issue(cmd, cycle)
         # A burst the device serves command by command comes back through
@@ -121,13 +127,26 @@ def trace_channel(channel: Any) -> Iterator[CommandTrace]:
             )
         return result
 
+    def recording_frame(frame, origin: int):
+        mode = mode_now()  # a frame never changes it
+        blocks = original_frame(frame, origin)
+        if blocks is not None:
+            for kind, bg, ba, row, col, offset in frame.steps:
+                cmd = Command(kind, bg, ba, row=row, col=col)
+                trace.records.append(
+                    TraceRecord(origin + offset, repr(cmd), kind, row, col, mode)
+                )
+        return blocks
+
     channel.issue = recording_issue
+    channel.apply_frame = recording_frame
     try:
         yield trace
     finally:
-        if had_instance_issue:
-            channel.issue = original_issue
-        else:
-            # Remove the shadowing attribute so the class method shows
-            # through again (identity-preserving detach).
-            del channel.issue
+        for name, original in (("issue", original_issue), ("apply_frame", original_frame)):
+            if name in hooked:
+                setattr(channel, name, original)
+            else:
+                # Remove the shadowing attribute so the class method shows
+                # through again (identity-preserving detach).
+                delattr(channel, name)

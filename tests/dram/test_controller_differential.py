@@ -25,9 +25,10 @@ program queued run by run (``reference_emitter.enqueue_program``) and to
 the reference fed its single requests — runs to drawn banks, GEMV
 readback-shaped epochs among them, and each read run's block, which
 ``drain`` files under the run's index in the program — also when the
-drain replays a schedule remembered from an equal state.
+drain is the frame remembered from an equal state.
 ``TestARememberedSchedule`` holds a drain from a state that differs in
-one component of the key equal to a controller that never remembers.
+one component of the key, or over a fault the key leaves out, equal to a
+controller that never remembers.
 """
 
 import copy
@@ -485,15 +486,15 @@ def burst_paths(monkeypatch):
     only its first command; ``picks`` — commands that went through the
     window; ``expanded`` — runs ``Request.expand`` turned into singles;
     ``one-update`` — AB-PIM trigger runs taken as one state update;
-    ``replays`` — programs issued as a remembered schedule."""
+    ``frames`` — programs the channel took as a remembered frame."""
     taken = {
         "closed-form": 0, "straddle": 0, "expanded": 0, "one-update": 0, "picks": 0,
-        "replays": 0,
+        "frames": 0,
     }
     lone_run = MemoryController._lone_run
     expand = Request.expand
     pick = MemoryController._pick
-    replay = MemoryController._replay
+    apply_frame = MemoryController._apply_frame
     issue_burst = PimPseudoChannel._issue_burst
 
     def counted_lone_run(self, *args):
@@ -509,9 +510,10 @@ def burst_paths(monkeypatch):
         taken["picks"] += 1
         return pick(self, epoch)
 
-    def counted_replay(self, *args):
-        taken["replays"] += 1
-        return replay(self, *args)
+    def counted_apply_frame(self, *args):
+        applied = apply_frame(self, *args)
+        taken["frames"] += applied
+        return applied
 
     def counted_issue_burst(self, cmd, cycle):
         triggered = self.pim_triggered_columns
@@ -527,7 +529,7 @@ def burst_paths(monkeypatch):
 
     monkeypatch.setattr(MemoryController, "_lone_run", counted_lone_run)
     monkeypatch.setattr(MemoryController, "_pick", counted_pick)
-    monkeypatch.setattr(MemoryController, "_replay", counted_replay)
+    monkeypatch.setattr(MemoryController, "_apply_frame", counted_apply_frame)
     monkeypatch.setattr(PimPseudoChannel, "_issue_burst", counted_issue_burst)
     monkeypatch.setattr(Request, "expand", counted_expand)
     return taken
@@ -557,7 +559,7 @@ def test_a_burst_alone_in_its_epoch_is_one_queue_entry_one_issue_and_no_pick(
     )
     assert taken == {
         "closed-form": 6 + 2,  # entering AB-PIM: the CRF and PIM_OP_MODE writes
-        "straddle": 0, "expanded": 0, "one-update": 6, "picks": 0, "replays": 0,
+        "straddle": 0, "expanded": 0, "one-update": 6, "picks": 0, "frames": 0,
     }
     assert [position for _, position, _ in outcomes[-1][0]] == [
         2 * group + 1 for group in range(6) for _ in range(8)
@@ -849,8 +851,8 @@ def three_ways(
     ``before`` requests (and a fence, with ``fence_before``) on a twin
     channel with the same ``faults`` — then drain once more.  With ``hit``
     the pass side first drains the program from the same state, on clean
-    cells, and is put back (``remember``): its drain is then a replay of
-    the schedule it remembered, when the program is one it remembers.
+    cells, and is put back (``remember``): its drain is then the frame it
+    remembered, when the program is one it remembers.
     Returns each side's outcome of both drains: result or exception, every
     bus command at its cycle (bursts spelled as their columns), the
     ``drain`` spans, the controller and bank state, the queue (``None`` for
@@ -962,10 +964,10 @@ def assert_one_outcome(outcomes):
 
 class TestTheProgramPassIsTheQueuePath:
     """``drain(program, blocks)`` issues a program's lone runs without
-    queueing them, and replays the remembered schedule of a program that is
-    one epoch of several runs; whatever it meets — a run sharing its epoch,
-    a refresh falling due inside a run, ``SHUFFLE``, a queue that was not
-    empty, a fault, a replay — must leave the bus, the clocks, the
+    queueing them, and takes the remembered frame of a read-only program
+    that is one epoch of several runs; whatever it meets — a run sharing
+    its epoch, a refresh falling due inside a run, ``SHUFFLE``, a queue
+    that was not empty, a fault, a frame — must leave the bus, the clocks, the
     counters, the banks, the queue and the trace where queueing the program
     run by run does."""
 
@@ -981,7 +983,7 @@ class TestTheProgramPassIsTheQueuePath:
         fence_penalty=st.sampled_from([0, 45]),
         window=st.sampled_from([1, 4, 16]),
         # Half the time nothing queued ahead: only then is a schedule
-        # remembered, and replayed with ``hit``.
+        # remembered, and taken as a frame with ``hit``.
         before=st.one_of(st.just([]), st.lists(REQUEST, min_size=1, max_size=5)),
         fence_before=st.booleans(),
         runs=st.one_of(PROGRAM, EPOCH),
@@ -1000,15 +1002,17 @@ class TestTheProgramPassIsTheQueuePath:
             )
         assert_one_outcome(outcomes)
         assert outcomes["pass"][0][0][0] == "ok"
-        # A replay exactly where one is due: one epoch of several runs on an
-        # empty queue, in order — unless a refresh fell due inside it.
+        # A frame exactly where one is due: one epoch of several reads of
+        # bank rows on an empty queue, in order, in SB mode — unless a
+        # refresh fell due inside it.
         due = (
             hit and not before and policy[0] is not SchedulerPolicy.SHUFFLE
-            and len(runs) > 1 and not any(run[5] or run[6] for run in runs)
+            and mode == "sb" and len(runs) > 1
+            and not any(run[0] or run[1] == 3 or run[5] or run[6] for run in runs)
         )
-        assert taken["replays"] <= due
+        assert taken["frames"] <= due
         if due and not refresh:
-            assert taken["replays"] == 1
+            assert taken["frames"] == 1
 
     # The kernels' shape: every run fenced, rows 0..2 of bank 0.
     RUNS = [
@@ -1072,14 +1076,15 @@ class TestTheProgramPassIsTheQueuePath:
         an ECC channel: each run's block comes back under its index in the
         program, whichever order its columns went; a fault inside one
         leaves the same queue and ``pending`` behind on every way — also
-        when the fault meets a replay of the schedule the pick path
-        remembered from the same state on clean cells."""
+        when the pick path remembered a frame from the same state on clean
+        cells, which the fault then declines."""
         taken = burst_paths(monkeypatch)
         outcomes = three_ways(
             "sb", self.READBACK, faults=damage, ecc=True, policy=policy, fence_penalty=7,
             hit=hit,
         )
-        assert taken["replays"] == hit
+        # Damage on a read row or bank declines the frame: the pick path.
+        assert taken["frames"] == (hit and not damage)
         assert_one_outcome(outcomes)
         first = outcomes["pass"][0]
         if error is None:
@@ -1116,26 +1121,27 @@ class TestTheProgramPassIsTheQueuePath:
             taken.update(dict.fromkeys(taken, 0))
             assert_one_outcome(three_ways("sb", fenced[:2], shared, fence_before))
             assert (taken["closed-form"], taken["picks"]) == expect
-        # One epoch of several runs drained again from an equal state: a
-        # replay and no pick (the pick path ran on the queue way and when
-        # the pass side remembered it) — in every mode, any window.
+        # One epoch of several reads drained again from an equal state: a
+        # frame and no pick (the pick path ran on the queue way and when
+        # the pass side remembered it), any window — in SB mode; the
+        # all-bank modes take the pick path every time.
         epoch = self.READBACK[:8]
-        for mode, window in (("sb", 4), ("ab", 16), ("ab-pim", 1)):
+        for mode, window, frames in (("sb", 4, 1), ("ab", 16, 0), ("ab-pim", 1, 0)):
             taken.update(dict.fromkeys(taken, 0))
             assert_one_outcome(three_ways(mode, epoch, hit=True, window=window))
-            assert (taken["replays"], taken["picks"]) == (1, 2 * 64)
+            assert (taken["frames"], taken["picks"]) == (frames, (3 - frames) * 64)
         # Not when a refresh fell due inside it: nothing was remembered.
         taken.update(dict.fromkeys(taken, 0))
         assert_one_outcome(three_ways("sb", self.READBACK, hit=True, refresh=True))
-        assert (taken["replays"], taken["picks"]) == (0, 3 * 128)
+        assert (taken["frames"], taken["picks"]) == (0, 3 * 128)
 
 
-# -- a remembered schedule: replayed from an equal timing state only ----------------
+# -- a remembered schedule: one frame from an equal timing state only ---------------
 
 
 class Forgetful(dict):
     """Schedules a controller never keeps: each of its drains takes the
-    pick path, the oracle a replay must equal."""
+    pick path, the oracle a frame must equal."""
 
     def __setitem__(self, key, value):
         pass
@@ -1155,7 +1161,7 @@ def outcome(side, program, blocks=()):
 
 
 def forgetful(side):
-    """A copy of ``side`` that never replays."""
+    """A copy of ``side`` that never remembers."""
     twin = copy.deepcopy(side)
     twin.mc._schedules = Forgetful()
     return twin
@@ -1180,9 +1186,10 @@ def delay_bank(side, bank=2, by=40):
 
 
 class TestARememberedSchedule:
-    """``drain`` replays a schedule only from the timing state it was
-    recorded in, counted from the controller's cycle: a state that differs
-    in one thing the schedule depends on takes the pick path.  The base
+    """``drain`` takes a remembered frame only from the timing state it
+    was recorded in, counted from the controller's cycle: a state that
+    differs in one thing the schedule depends on, or a fault on what the
+    readback reads, takes the pick path.  The base
     state: a channel after one readback and a PREA, every bank closed,
     refresh on (HBM2 tREFI, so none falls due unless moved)."""
 
@@ -1248,19 +1255,56 @@ class TestARememberedSchedule:
 
     @pytest.mark.parametrize("mode", ["sb", "ab"])
     def test_an_equal_state_replays(self, monkeypatch, mode):
+        """In SB mode the drain is one frame and no pick; an all-bank
+        program is never remembered, so it takes the pick path."""
         side = self.base(mode)
         want = outcome(forgetful(side), self.program(mode))
         taken = burst_paths(monkeypatch)
         assert outcome(side, self.program(mode)) == want
-        assert (taken["replays"], taken["picks"]) == (1, 0)
+        if mode == "sb":
+            assert (taken["frames"], taken["picks"]) == (1, 0)
+        else:
+            assert taken["frames"] == 0 and taken["picks"] > 0
+
+    # Faults are not in the key: the channel declines the frame, and the
+    # pick path meets them where a controller that never remembers does.
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            # Bank 6 is read by the readback: its first RD raises.
+            ("failed bank", lambda bank: bank.fail(0)),
+            # A single-bit flip under column 3 of row 1: corrected inline.
+            ("injected word on a read row", lambda bank: bank.inject_error(1, 3, 17)),
+            # Two flips in one word: the read of column 5 raises.
+            ("two injected bits in a word", lambda bank: (
+                bank.inject_error(1, 5, 64), bank.inject_error(1, 5, 65)
+            )),
+            # A flipped check bit: corrected, the data untouched.
+            ("injected check byte on a read row", lambda bank: (
+                bank.inject_check_error(1, 2, word=1, bit=3)
+            )),
+        ],
+        ids=lambda fault: fault[0],
+    )
+    def test_a_fault_outside_the_key_takes_the_pick_path(self, monkeypatch, fault):
+        _, damage = fault
+        side = self.base()
+        unperturbed = outcome(forgetful(side), self.program("sb"))
+        damage(side.mc.channel.banks[6])
+        want = outcome(forgetful(side), self.program("sb"))
+        assert want != unperturbed
+        taken = burst_paths(monkeypatch)
+        assert outcome(side, self.program("sb")) == want
+        assert taken["frames"] == 0 and taken["picks"] > 0
 
     def test_a_repeated_wave_replays_at_later_cycles(self, monkeypatch):
         """A GEMV's shape, wave after wave on one ECC channel: a PREA, a
         write run to every bank, each fenced, then the readback of the even
         banks.  From the second wave on the readback finds the same timing
-        state later on the clock, and replays — over a corrected word, then
-        into an uncorrectable one; a controller that never replays agrees on
-        every drain, raise and leftover queue."""
+        state later on the clock, and is one frame — until a corrected word
+        and then an uncorrectable one sit on its rows, when the pick path
+        meets them; a controller that never remembers agrees on every
+        drain, raise and leftover queue."""
         taken = burst_paths(monkeypatch)
         sides = [Side(MemoryController, "sb", timing=HBM2_1GHZ, ecc=True) for _ in range(2)]
         sides[1].mc._schedules = Forgetful()
@@ -1274,10 +1318,11 @@ class TestARememberedSchedule:
                 side.mc.drain(writes, blocks)
                 inject(side.mc.channel, damage.get(wave, ()))
             origins.append(sides[0].mc.current_cycle)
-            replays = taken["replays"]
+            frames = taken["frames"]
             got, want = (outcome(side, self.program("sb")) for side in sides)
             assert got == want
-            assert taken["replays"] == replays + (wave > 0)
+            # Waves 3 and 4 leave injection entries on the readback's rows.
+            assert taken["frames"] == frames + (wave in (1, 2))
             if wave == 4:
                 assert got[0][:2] == ("raised", UncorrectableError)
                 assert outcome(sides[0], ()) == outcome(sides[1], ())

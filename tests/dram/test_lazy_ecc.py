@@ -56,6 +56,7 @@ READERS = {
     "repro.dram.bank:Bank.peek_columns",
     "repro.dram.bank:Bank.materialized_rows",
     "repro.dram.bank:Bank._clean_run",
+    "repro.dram.bank:Bank.read_block",
     "repro.dram.ecc:EccBank._dirty",
     "repro.dram.ecc:EccBank._check_array",
     "repro.dram.ecc:EccBank._clean_run",
