@@ -47,25 +47,31 @@ column order, whichever way it went.  In an epoch that holds no write the
 read of its first column carries the read-ahead of :class:`Command`, so a
 clean run's bytes cross the channel boundary once.
 
-One thing is remembered from one ``drain`` to the next: what the pick
-path did with a program that is one fence epoch of several read runs (the
-GEMV readback), drained on an empty queue under an in-order policy.  Its
-schedule is a function of the program and of the timing state — the
+One thing is remembered from one ``drain`` to the next: what the
+controller did with a program drained on an empty queue under an in-order
+policy — a kernel's fenced program (its lone runs) or a program that is
+one fence epoch of several read runs (the GEMV readback's picks).  What
+it did is a function of the program and of the timing state — the
 channel's (:meth:`PseudoChannel.timing_state`) and the controller's clocks
 and open-row shadow — counted from the controller's cycle, and that is its
 key, so refresh, ``reset_channel`` and mode changes move the key and
 there is nothing to invalidate.  So is the channel's end state, and that
-is what is kept: a :class:`~repro.dram.pseudochannel.Frame` — every bank's
-state and bounds, the column and ACT history, the tFAW window, the
-``cmd_counts`` delta, the mode FSM's armed row and each read run's (bank,
-row, columns) — with the controller's hits, misses, clocks and shadow as
-the drain left them.  The next drain from an equal key hands the channel
-the frame (``apply_frame``): one step, each run's bytes one block.  A
-frame is recorded only for SB-mode ACT / PRE / RD commands to bank rows,
-and the channel declines it — nothing changed, the drain takes the pick
-path — unless every read bank is a live ``Bank`` / ``EccBank`` with no
-injection entry on its row: faults are not in the key, and the pick path
-meets them command by command, where they raise.
+is what is kept: a :class:`~repro.dram.pseudochannel.Frame` — the touched
+banks' state and bounds, the column and ACT history, the tFAW window, the
+channel maxima, the ``cmd_counts`` delta, each read run's (bank, row,
+columns) and, on a PIM channel, the mode FSM and what an all-bank program
+did there — with the controller's hits, misses, clocks, fences and shadow
+as the drain left it.  The next drain from an equal key hands the channel
+the frame (``apply_frame``) with its own operand blocks: one step, each
+read run's bytes one block, each kernel program's data events replayed
+against this drain's blocks.  The channel declines a frame — nothing
+changed, the drain takes the lone runs or the picks — where any of it
+could raise: a failed bank, an injection entry on a row the commands
+reach, a bank class of its own, an exec group that interprets.  Faults
+are not in the key; the command path meets them command by command,
+where they raise.  Nor is a refresh due inside the program: a frame is
+taken only when the refresh falls due after the latest cycle any of the
+recorded drain's refresh checks compared (its ``horizon``).
 """
 
 from __future__ import annotations
@@ -86,8 +92,9 @@ __all__ = ["MemOp", "Request", "SchedulerPolicy", "ScheduleResult", "MemoryContr
 _RD, _WR = CommandType.RD, CommandType.WR
 
 # Schedules a controller remembers, least recently used out first: a
-# workload's readbacks meet a handful of timing states, wave after wave.
-_SCHEDULES = 8
+# workload's kernel programs and readbacks meet a few dozen timing states,
+# wave after wave.
+_SCHEDULES = 64
 
 
 class MemOp(enum.Enum):
@@ -243,34 +250,50 @@ class _Drain:
 
 
 class _Schedule:
-    """The pick path's schedule of one read-only program from one timing
-    state, counted from ``base`` — the controller's ``(row hits, row
-    misses, cycle)`` as the drain found it, kept while recording.
+    """What the controller did with one program from one timing state,
+    counted from ``base`` — the controller's ``(row hits, row misses,
+    cycle, fences)`` as the drain found it — kept while recording.
 
-    ``steps`` holds each bus command as ``(kind, bg, ba, row, col, offset,
-    index)``, ``index`` the program run a column belongs to (None: an ACT
-    or a PRE).  Once remembered, ``frame`` is what the commands did to the
-    channel (:meth:`PseudoChannel.record_frame`), ``reads`` the program
-    index of each of its read runs, ``end`` the controller as the drain
-    left it (see :meth:`MemoryController._mark`) and ``horizon`` the cycle
-    of the last refresh check, i.e. of the column before the last.
+    ``steps`` holds each bus command of ``program`` as ``(kind, bg, ba,
+    row, col, offset, count, mode, source)``: ``mode`` the channel's at the
+    command, ``source`` where a write's bytes sit in the drain's blocks,
+    ``(operand, first row)``; ``reads`` the program index of each read
+    run, in the order their first columns went out (as ``read_data``
+    files them); ``entry`` is :meth:`PseudoChannel.frame_entry` as the
+    drain found it, ``horizon`` the latest cycle a refresh check compared.
+    Once remembered, ``frame`` is what the commands did to the channel
+    (:meth:`PseudoChannel.record_frame`) and ``end`` the controller as the
+    drain left it (see :meth:`MemoryController._mark`).
     """
 
-    __slots__ = ("base", "steps", "frame", "reads", "end", "horizon")
+    __slots__ = ("base", "program", "steps", "reads", "entry", "frame", "end", "horizon")
 
-    def __init__(self, base: Tuple[int, int, int]) -> None:
+    def __init__(
+        self, base: Tuple[int, int, int, int], program: Sequence[tuple], entry: Any
+    ) -> None:
         self.base = base
+        self.program = program
         self.steps: List[tuple] = []
+        self.reads: Dict[int, None] = {}
+        self.entry = entry
         self.frame: Optional[Frame] = None
-        self.reads: Tuple[int, ...] = ()
         self.end: Optional[tuple] = None
         self.horizon = 0
 
-    def note(self, cmd: Command, cycle: int, index: Optional[int]) -> None:
-        """Take down ``cmd``, about to go out at ``cycle``."""
-        self.steps.append(
-            (cmd.cmd, cmd.bg, cmd.ba, cmd.row, cmd.col, cycle - self.base[2], index)
-        )
+    def note(self, cmd: Command, cycle: int, index: Optional[int], mode: Any) -> None:
+        """Take down ``cmd``, about to go out at ``cycle`` in ``mode`` —
+        a column of program run ``index``, or an ACT or a PRE (None)."""
+        source = None
+        if index is not None:
+            write, _, col, _, _, operand, _, _ = self.program[index]
+            if write:
+                source = (operand, cmd.col - col)
+            else:
+                self.reads[index] = None
+        self.steps.append((
+            cmd.cmd, cmd.bg, cmd.ba, cmd.row, cmd.col, cycle - self.base[2], cmd.count,
+            mode, source,
+        ))
 
 
 class MemoryController:
@@ -325,8 +348,8 @@ class MemoryController:
         self._open_rows: List[Optional[int]] = [None] * BANKS_PER_PCH
         self.row_hits = 0
         self.row_misses = 0
-        # Read-only programs' schedules by program and timing state (see
-        # ``_apply_frame``), and the one the pick path is taking down, if any.
+        # Programs' schedules by program and timing state (see
+        # ``_apply_frame``), and the one a drain is taking down, if any.
         self._schedules: "OrderedDict[tuple, _Schedule]" = OrderedDict()
         self._recording: Optional[_Schedule] = None
         # Observability hook (repro.obs): when a Tracer is attached each
@@ -405,10 +428,11 @@ class MemoryController:
     # fence epoch and the policy keeps arrival order — ``_lone_run`` issues
     # it without a window or a pick, off the queue or straight from a
     # program.  Where it cannot — several runs of a program in one epoch,
-    # the readback — it is worked out once per timing state: the pick path
-    # runs, ``_put`` takes every command down, the channel records what
-    # they did as a frame, and the next drain of that program from an equal
-    # state (``_schedule_key``) is that frame (``_apply_frame``).  Only
+    # the readback — the pick path works it out.  Either way a program is
+    # issued command by command once per timing state: ``_put`` takes
+    # every command down, the channel records what they did as a frame,
+    # and the next drain of that program from an equal state
+    # (``_schedule_key``) is that frame (``_apply_frame``).  Only
     # ``SHUFFLE``, whose seeded draws are among single commands, expands
     # runs (at ``drain`` entry).
 
@@ -509,8 +533,16 @@ class MemoryController:
         ``index``, the program run of a column)."""
         recording = self._recording
         if recording is not None:
-            recording.note(cmd, cycle, index)
+            recording.note(cmd, cycle, index, self.channel.mode)
         return self.channel.issue(cmd, cycle)
+
+    def _due(self, cycle: int) -> bool:
+        """The refresh check: whether a refresh is due by ``cycle``.  A
+        schedule being recorded takes the cycle down as its horizon."""
+        recording = self._recording
+        if recording is not None:
+            recording.horizon = max(recording.horizon, cycle - recording.base[2])
+        return self.refresh and cycle >= self._next_refresh
 
     def _issue(
         self, cmd: Command, bound: Optional[int] = None, index: Optional[int] = None
@@ -588,7 +620,7 @@ class MemoryController:
     def _lone_run(
         self, is_write: bool, bg: int, ba: int, row: int, col: int, count: int,
         data: Optional[np.ndarray], tag: Any, out: _Drain,
-        enqueue: Optional[Callable[[], None]] = None,
+        enqueue: Optional[Callable[[], None]] = None, index: Optional[int] = None,
     ) -> bool:
         """Issue a run alone in its fence epoch — the queue head, or not
         queued (``enqueue()`` queues it and what follows it); returns
@@ -600,15 +632,15 @@ class MemoryController:
         leaves the run at the queue head: a refresh issues its first
         command off the queue, the rest take the pick path; a raise leaves
         clocks, hits and the run from that command on as the per-command
-        loop does."""
-        if self.refresh and self._cycle >= self._next_refresh:
+        loop does.  ``index``: the program run it is, if any."""
+        if self._due(self._cycle):
             self._do_refresh()
         self._open(bg, ba, row)
         channel = self.channel
         bound = channel.earliest_col(bg, ba, is_write)
         first = max(self._next_ca, bound)
         step = channel.timing.tccd_l
-        if self.refresh and count > 1 and first + (count - 2) * step >= self._next_refresh:
+        if count > 1 and self._due(first + (count - 2) * step):
             if enqueue is not None:
                 enqueue()
             self._issue_column(self._queue[0], bound, out)
@@ -619,7 +651,7 @@ class MemoryController:
         cmd = Command(kind, bg, ba, row=row, col=col, data=data, tag=tag, count=count)
         taken = channel.cmd_counts[kind]
         try:
-            answer = self._put(cmd, first)
+            answer = self._put(cmd, first, index)
         except BaseException:
             # The channel counts a command before its data path can raise:
             # all but the last one it counted ran to completion.
@@ -678,7 +710,7 @@ class MemoryController:
             if not self._lone_run(
                 write, bank // BANKS_PER_GROUP, bank % BANKS_PER_GROUP, row, col, count,
                 blocks[operand] if write else None, None if write else i,
-                out, lambda: self._queue_runs(program, blocks, i),
+                out, lambda: self._queue_runs(program, blocks, i), i,
             ):
                 break
             if barrier:
@@ -716,61 +748,63 @@ class MemoryController:
             self.channel.timing_state(origin),
         )
 
-    def _mark(self, base: Tuple[int, int, int]) -> tuple:
-        """The controller's row hits, row misses, cycle and next CA cycle
-        counted from ``base`` (hits, misses, cycle), and its open-row shadow."""
-        hits, misses, origin = base
+    def _base(self) -> Tuple[int, int, int, int]:
+        """The controller's row hits, row misses, cycle and fences."""
+        return self.row_hits, self.row_misses, self._cycle, self.fence_count
+
+    def _mark(self, base: Tuple[int, int, int, int]) -> tuple:
+        """The controller's row hits, row misses, cycle, next CA cycle and
+        fences counted from ``base`` (see :meth:`_base`), and its open-row
+        shadow."""
+        hits, misses, origin, fences = base
         return (
             self.row_hits - hits, self.row_misses - misses,
-            self._cycle - origin, self._next_ca - origin, tuple(self._open_rows),
+            self._cycle - origin, self._next_ca - origin, self.fence_count - fences,
+            tuple(self._open_rows),
         )
 
-    def _set_mark(self, mark: tuple, base: Tuple[int, int, int]) -> None:
+    def _set_mark(self, mark: tuple, base: Tuple[int, int, int, int]) -> None:
         """Put the controller where ``mark``, counted from ``base``, says."""
-        hits, misses, origin = base
-        row_hits, row_misses, cycle, next_ca, open_rows = mark
+        hits, misses, origin, _ = base
+        row_hits, row_misses, cycle, next_ca, fences, open_rows = mark
         self.row_hits, self.row_misses = hits + row_hits, misses + row_misses
         self._cycle, self._next_ca = origin + cycle, origin + next_ca
+        self._epoch += fences
+        self.fence_count += fences
         self._open_rows = list(open_rows)
 
-    def _remember(
-        self, key: tuple, schedule: _Schedule, program: Sequence[tuple]
-    ) -> None:
-        """Keep what the pick path just did as the schedule under ``key``,
-        when the channel can take it down as a frame."""
-        base = schedule.base
-        steps = schedule.steps
-        # The read runs in the order their first columns went out, as
-        # ``read_data`` files them.
-        reads = tuple(dict.fromkeys(step[6] for step in steps if step[6] is not None))
+    def _remember(self, key: tuple, schedule: _Schedule) -> None:
+        """Keep what the drain just did as the schedule under ``key``, when
+        the channel can take it down as a frame."""
+        base, program = schedule.base, schedule.program
         frame = self.channel.record_frame(
-            [step[:6] for step in steps], base[2],
+            schedule.steps, base[2],
             [(bank, row, col, count)
-             for _, row, col, count, _, _, _, bank in (program[i] for i in reads)],
+             for _, row, col, count, _, _, _, bank in (program[i] for i in schedule.reads)],
+            schedule.entry,
         )
         if frame is None:
             return
-        schedule.frame, schedule.reads = frame, reads
-        schedule.end = self._mark(base)
-        columns = [step[5] for step in steps if step[6] is not None]
-        schedule.horizon = columns[-2] if len(columns) > 1 else 0
-        schedule.steps = []
+        schedule.frame, schedule.end = frame, self._mark(base)
+        schedule.program, schedule.steps, schedule.entry = (), [], None
         self._schedules[key] = schedule
         if len(self._schedules) > _SCHEDULES:
             self._schedules.popitem(last=False)
 
-    def _apply_frame(self, schedule: _Schedule, out: _Drain) -> bool:
+    def _apply_frame(
+        self, schedule: _Schedule, out: _Drain, blocks: Sequence[np.ndarray] = ()
+    ) -> bool:
         """Issue the program ``schedule`` was recorded from as its frame,
-        from the controller's cycle: the channel's end state in one step,
-        each read run's bytes as one block under its index, the controller
-        where the recorded drain left it.  False, with nothing changed,
-        when the channel declines the frame."""
-        base = (self.row_hits, self.row_misses, self._cycle)
-        blocks = self.channel.apply_frame(schedule.frame, self._cycle)
-        if blocks is None:
+        from the controller's cycle, with this drain's ``blocks``: the
+        channel's end state in one step, each read run's bytes as one block
+        under its index, the controller where the recorded drain left it.
+        False, with nothing changed, when the channel declines the frame."""
+        base = self._base()
+        got = self.channel.apply_frame(schedule.frame, self._cycle, blocks)
+        if got is None:
             return False
         read_data = out.read_data
-        for index, block in zip(schedule.reads, blocks):
+        for index, block in zip(schedule.reads, got):
             read_data[index] = block if len(block) > 1 else block[0]
         self._set_mark(schedule.end, base)
         return True
@@ -786,12 +820,12 @@ class MemoryController:
         run's bytes, when any reach the I/O, are ``read_data[i]`` for its
         index ``i`` in the program.  ``issue_order`` never lists a
         program's runs, whichever way they went.  On an empty queue under
-        an in-order policy they are issued unqueued: a fenced run as a lone
-        run (:meth:`_program_pass`); a program that is one epoch of several
-        runs through the pick path, but a read-only one, the first time
-        from a timing state, as the frame remembered from then every later
-        time (:meth:`_apply_frame`) — unless a refresh falls due inside it
-        or the channel declines the frame."""
+        an in-order policy they are issued unqueued the first time from a
+        timing state — a fenced run as a lone run (:meth:`_program_pass`),
+        an epoch of several runs, when none is a write, through the pick
+        path — and as the frame remembered from then every later time
+        (:meth:`_apply_frame`), unless a refresh falls due inside it or the
+        channel declines the frame."""
         out = _Drain()
         channel = self.channel
         start_counts = dict(channel.cmd_counts)
@@ -800,32 +834,35 @@ class MemoryController:
         queue = self._queue
         in_order = self.policy is not _SHUFFLE
         epoch: Optional[int] = None
-        key, refreshes = None, self.refresh_count
+        key, refreshes, passing = None, self.refresh_count, False
         if program:
             fenced = False
             for write, _, _, count, fence, operand, barrier, _ in program:
                 self._check_run(write, count, blocks[operand] if write else None)
                 fenced = fenced or fence or barrier
-            if queue or not in_order:
-                self._queue_runs(program, blocks)
-            elif fenced or len(program) == 1:
-                epoch = self._program_pass(program, blocks, out)
-            elif any(run[0] for run in program):  # a write: no frame stands for it
-                self._queue_runs(program, blocks)
+            lone = fenced or len(program) == 1
+            if queue or not in_order or not lone and any(run[0] for run in program):
+                self._queue_runs(program, blocks)  # no frame stands for an epoch's writes
             else:
                 key = self._schedule_key(program)
                 schedule = self._schedules.get(key)
                 if schedule is not None and (
                     not self.refresh or self._cycle + schedule.horizon < self._next_refresh
-                ) and self._apply_frame(schedule, out):
+                ) and self._apply_frame(schedule, out, blocks):
                     self._schedules.move_to_end(key)
                     key = None
                 else:
-                    self._queue_runs(program, blocks)
-                    self._recording = _Schedule((self.row_hits, self.row_misses, self._cycle))
+                    self._recording = _Schedule(
+                        self._base(), program, channel.frame_entry()
+                    )
+                    passing = lone
+                    if not lone:
+                        self._queue_runs(program, blocks)
         if not in_order:
             self._expand_queue(out)
         try:
+            if passing:
+                epoch = self._program_pass(program, blocks, out)
             while queue:
                 head = queue[0]
                 if head.epoch != epoch:
@@ -836,10 +873,10 @@ class MemoryController:
                     if in_order and (len(queue) == 1 or queue[1].epoch != epoch):
                         self._lone_run(
                             head.cls & 1, head.bg, head.ba, head.row, head.col, head.count,
-                            head.data, head.tag, out,
+                            head.data, head.tag, out, index=head.index,
                         )
                         continue
-                if self.refresh and self._cycle >= self._next_refresh:
+                if self._due(self._cycle):
                     self._do_refresh()
                 run, bound = self._pick(epoch)
                 if not self._open(run.bg, run.ba, run.row):
@@ -848,7 +885,7 @@ class MemoryController:
         finally:
             recording, self._recording = self._recording, None
         if key is not None and self.refresh_count == refreshes:
-            self._remember(key, recording, program)
+            self._remember(key, recording)
         self.busy_cycles += self._cycle - entry_cycle
         counts = {
             ct: channel.cmd_counts[ct] - start_counts.get(ct, 0) for ct in CommandType

@@ -13,7 +13,9 @@ boundary — is identical in both.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Type
+from typing import (
+    Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Type,
+)
 
 import numpy as np
 
@@ -31,17 +33,21 @@ _RD, _WR, _ACT, _PRE = CommandType.RD, CommandType.WR, CommandType.ACT, CommandT
 
 
 class Frame(NamedTuple):
-    """What a sequence of ACT, PRE and RD commands did to a pseudo-channel,
-    every cycle counted from its origin (see :meth:`PseudoChannel.record_frame`).
+    """What a command sequence did to a pseudo-channel, every cycle counted
+    from its origin (see :meth:`PseudoChannel.record_frame`).
 
-    ``steps`` are the commands, ``(kind, bg, ba, row, col, offset)``;
+    ``steps`` are the commands as the bus shows them, ``(kind, bg, ba,
+    row, col, offset, count, mode)`` — a column burst the device serves
+    command by command spelled as its single commands, ``mode`` the
+    device's operation mode at the command (None: a plain channel);
     ``banks`` each bank they touched as ``(flat index, state, open_row,
     next_act, next_pre, next_rd, next_wr, ACTs, RDs)``; ``last_col`` the
     last column's ``(cycle, bank group, was write)``, ``last_act`` the last
-    ACT's ``(cycle, bank group)``, ``act_window`` the tFAW window;
-    ``counts`` the ``cmd_counts`` delta; ``reads`` each read run's
-    ``(flat bank, row, col0, count)``; ``armed`` the mode FSM's armed row
-    of a PIM channel.
+    ACT's ``(cycle, bank group)``, ``act_window`` the tFAW window,
+    ``maxima`` the channel's ``next_act/pre/rd/wr`` maxima; ``counts`` the
+    ``cmd_counts`` delta; ``reads`` each read run's ``(flat bank, row,
+    col0, count)``; ``armed`` the mode FSM's armed row of a PIM channel and
+    ``program`` what an all-bank program did on one beyond that.
     """
 
     steps: Tuple[tuple, ...]
@@ -49,13 +55,19 @@ class Frame(NamedTuple):
     last_col: tuple
     last_act: tuple
     act_window: Tuple[int, ...]
+    maxima: Tuple[int, int, int, int]
     counts: Tuple[Tuple[CommandType, int], ...]
     reads: Tuple[Tuple[int, int, int, int], ...]
     armed: Optional[int] = None
+    program: Any = None
 
 
 class PseudoChannel:
     """One HBM2 pseudo-channel with 16 banks and shared-bus timing."""
+
+    #: The operation mode a frame notes beside each command: a plain
+    #: channel is standard DRAM and has none.
+    mode = None
 
     def __init__(
         self,
@@ -305,23 +317,35 @@ class PseudoChannel:
     # goes out from an equal state the channel takes the end state in one
     # step — all but the bytes, which a read run moves as one block.
 
+    def frame_entry(self) -> Any:
+        """What the channel notes as a command sequence it may take down
+        as a frame starts (:meth:`record_frame`'s ``entry``): nothing on a
+        plain channel."""
+        return None
+
     def record_frame(
         self, steps: Sequence[tuple], origin: int,
-        reads: Sequence[Tuple[int, int, int, int]],
+        reads: Sequence[Tuple[int, int, int, int]], entry: Any = None,
     ) -> Optional[Frame]:
-        """The channel as ``steps`` — ``(kind, bg, ba, row, col, offset)``,
-        just issued from ``origin`` — left it, as a :class:`Frame` whose
-        read runs are ``reads``; None when a step is not an ACT, PRE or RD.
-        """
+        """The channel as ``steps`` — ``(kind, bg, ba, row, col, offset,
+        count, mode, source)``, the commands just issued from ``origin``,
+        ``source`` where a write's bytes came from — left it, as a
+        :class:`Frame` whose read runs are ``reads``; None when a step is
+        not an ACT, PRE or RD.  (``entry``: :meth:`frame_entry` as the
+        commands found it.)"""
         touched: Dict[int, List[int]] = {}
-        counts: Dict[CommandType, int] = {}
-        for kind, bg, ba, _, _, _ in steps:
+        records = []
+        for kind, bg, ba, row, col, offset, count, mode, _ in steps:
             if kind is not _ACT and kind is not _PRE and kind is not _RD:
                 return None
             tally = touched.setdefault(bg * BANKS_PER_GROUP + ba, [0, 0])
             tally[0] += kind is _ACT
-            tally[1] += kind is _RD
-            counts[kind] = counts.get(kind, 0) + 1
+            if kind is _RD:
+                tally[1] += count
+            if count == 1:
+                records.append((kind, bg, ba, row, col, offset, 1, mode))
+            else:
+                records += self._singles(kind, bg, ba, row, col, offset, count, mode)
         banks = []
         for index, (acts, rds) in touched.items():
             bank = self._banks[index]
@@ -330,26 +354,65 @@ class PseudoChannel:
                 bank.next_pre - origin, bank.next_rd - origin, bank.next_wr - origin,
                 acts, rds,
             ))
+        return self._frame(records, origin, tuple(banks), tuple(reads))
+
+    def _singles(
+        self, kind: CommandType, bg: int, ba: int, row: int, col: int, offset: int,
+        count: int, mode: Any,
+    ) -> List[tuple]:
+        """The bus records of a command: a burst as its single commands,
+        ``tCCD_L`` apart, as :meth:`issue` serves it."""
+        step = self.timing.tccd_l
+        return [
+            (kind, bg, ba, row, col + i, offset + i * step, 1, mode) for i in range(count)
+        ]
+
+    def _frame(
+        self, records: List[tuple], origin: int, banks: Tuple[tuple, ...],
+        reads: Tuple[tuple, ...], **device: Any,
+    ) -> Frame:
+        """A :class:`Frame` of the bus ``records`` just issued from
+        ``origin``: the channel's history, window, maxima and counts as
+        they left it."""
+        counts: Dict[CommandType, int] = {}
+        for record in records:
+            counts[record[0]] = counts.get(record[0], 0) + record[6]
         col, act = self._last_col_cycle, self._last_act_cycle
         return Frame(
-            tuple(steps), tuple(banks),
+            tuple(records), banks,
             (None if col is None else col - origin, self._last_col_bg,
              self._last_col_was_write),
             (None if act is None else act - origin, self._last_act_bg),
             tuple(cycle - origin for cycle in self._act_window),
-            tuple(counts.items()), tuple(reads),
+            (self._max_act - origin, self._max_pre - origin,
+             self._max_rd - origin, self._max_wr - origin),
+            tuple(counts.items()), reads, **device,
         )
 
-    def apply_frame(self, frame: Frame, origin: int) -> Optional[List[np.ndarray]]:
+    def apply_frame(
+        self, frame: Frame, origin: int, blocks: Sequence[np.ndarray] = ()
+    ) -> Optional[List[np.ndarray]]:
         """Take ``frame`` from ``origin``, a cycle the channel's timing
         state equals the recorded one from; returns each read run's ``(count,
         col_bytes)`` block.  None, with nothing changed, unless every read
         bank vouches for its row (:meth:`Bank.framed`): a failed bank, an
-        injected word or a bank class of its own takes the command path."""
+        injected word or a bank class of its own takes the command path.
+        (``blocks``: the written bytes of a frame that writes.)"""
         banks = self._banks
         for index, row, _, _ in frame.reads:
             if not banks[index].framed(row):
                 return None
+        self._take(frame, origin)
+        return [
+            banks[index].read_block(row, col0, count)
+            for index, row, col0, count in frame.reads
+        ]
+
+    def _take(self, frame: Frame, origin: int) -> None:
+        """The channel part of ``frame`` from ``origin``: the touched banks,
+        the column and ACT history, the tFAW window, the maxima, the
+        command counts."""
+        banks = self._banks
         for index, state, open_row, act, pre, rd, wr, acts, rds in frame.banks:
             bank = banks[index]
             bank.state, bank.open_row = state, open_row
@@ -357,7 +420,6 @@ class PseudoChannel:
             bank.next_rd, bank.next_wr = origin + rd, origin + wr
             bank.act_count += acts
             bank.rd_count += rds
-            self._absorb(bank)
         col, self._last_col_bg, self._last_col_was_write = frame.last_col
         self._last_col_cycle = None if col is None else origin + col
         act, self._last_act_bg = frame.last_act
@@ -365,13 +427,14 @@ class PseudoChannel:
         window = self._act_window
         window.clear()
         window.extend(origin + cycle for cycle in frame.act_window)
+        act, pre, rd, wr = frame.maxima
+        self._max_act = max(self._max_act, origin + act)
+        self._max_pre = max(self._max_pre, origin + pre)
+        self._max_rd = max(self._max_rd, origin + rd)
+        self._max_wr = max(self._max_wr, origin + wr)
         counts = self.cmd_counts
         for kind, n in frame.counts:
             counts[kind] += n
-        return [
-            banks[index].read_block(row, col0, count)
-            for index, row, col0, count in frame.reads
-        ]
 
     def _issue_each(self, cmd: Command, cycle: int) -> Optional[np.ndarray]:
         """Serve a column burst as its single commands, ``tCCD_L`` apart.

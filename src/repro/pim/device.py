@@ -21,6 +21,17 @@ burst can never do anything its commands would not.
 SB mode is standard DRAM: a RD / WR to a bank row (the GEMV readback)
 goes straight to the bank-column frame of every pseudo-channel.
 
+A command sequence the controller has issued once from a timing state can
+come back as one *channel frame* (``record_frame`` / ``apply_frame``, see
+:mod:`repro.dram.pseudochannel`).  Here that is the readback's SB-mode
+reads, and a kernel's fenced all-bank program: the frame moves the shared
+all-bank state, the mode FSM, ``pim_op_mode`` and the column counters in
+one step and replays the program's data events — register writes,
+PIM_OP_MODE writes as the exec group's ``start_all`` / ``stop_all``,
+trigger runs as one ``trigger_all`` entry each, AB writes — against the
+blocks of the drain that takes it, so the exec group's flush does the
+math as it always does.
+
 A RD's read-ahead (``Command.ahead``) is a matter between the controller
 and one bank's data path: an SB-mode read of a bank row hands it to the
 bank, and everything decoded ahead of the banks or broadcast to all of
@@ -31,7 +42,7 @@ them — register rows, AB and AB-PIM columns — answers with the one column
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +59,31 @@ __all__ = ["PimPseudoChannel", "PimHbmDevice", "UNITS_PER_PCH"]
 
 UNITS_PER_PCH = BANKS_PER_PCH // 2  # one unit per bank pair (Table V: 8)
 
-_RD, _WR, _SB = CommandType.RD, CommandType.WR, PimMode.SB
+_RD, _WR, _SB, _AB_PIM = CommandType.RD, CommandType.WR, PimMode.SB, PimMode.AB_PIM
+
+# The data events of an all-bank program's frame (see ``_record_program``).
+_REGISTER, _MODE, _TRIGGER, _BROADCAST = "register", "mode", "trigger", "broadcast"
+
+
+class _Program(NamedTuple):
+    """What an all-bank program did to a PIM channel beyond the channel
+    part of its frame.  ``rows``: the bank rows its columns reach;
+    ``writes``: each write's ``(source, count, PIM_OP_MODE value or
+    None)``, ``source`` its block's ``(operand, first row)``; ``events``:
+    the data events in bus order; ``transitions``: each mode change as
+    ``(offset, mode)``; ``ab``: the shared all-bank row, bounds
+    (origin-relative, None: not raised), counts and staleness; ``fsm``: the
+    end mode, the transitions made and the last PIM_OP_MODE value written;
+    ``triggered`` / ``broadcast``: the column counters' deltas."""
+
+    rows: Tuple[int, ...]
+    writes: Tuple[tuple, ...]
+    events: Tuple[tuple, ...]
+    transitions: Tuple[Tuple[int, PimMode], ...]
+    ab: tuple
+    fsm: tuple
+    triggered: int
+    broadcast: int
 
 
 class PimPseudoChannel(PseudoChannel):
@@ -158,29 +193,224 @@ class PimPseudoChannel(PseudoChannel):
     def timing_state(self, origin: int) -> tuple:
         """The pseudo-channel's timing state with the deferred all-bank
         update folded into the banks first (as reading ``banks`` does), plus
-        the mode FSM and the shared all-bank row."""
+        the mode FSM, the shared all-bank row and the program the exec
+        group's next windows would run on
+        (:meth:`~repro.pim.lockstep.LockstepGroup.frame_entry`)."""
         self._sync_banks()
-        return super().timing_state(origin) + self.mode_ctrl.state + (self._ab_row,)
+        return super().timing_state(origin) + self.mode_ctrl.state + (
+            self._ab_row, self.lockstep.frame_entry(),
+        )
+
+    # -- frames ---------------------------------------------------------------------
+    #
+    # Two kinds of command sequence are taken down as a frame (see
+    # ``PseudoChannel.record_frame``).  SB-mode ACT / PRE / RD commands to
+    # bank rows — the GEMV readback — change no mode and leave the mode
+    # FSM's armed row.  An all-bank program — a kernel's fenced AB-PIM
+    # program — leaves the 16 banks alone (the shared all-bank state stands
+    # for them) and moves the mode FSM, ``pim_op_mode`` and the column
+    # counters; its data events, in bus order, are what the frame replays
+    # against the blocks of the drain that applies it: each register-row
+    # write through ``_register_access``, each PIM_OP_MODE write as the exec
+    # group's ``flush_pending`` and ``start_all`` / ``stop_all``, each
+    # trigger run as one ``trigger_all`` entry, each AB write run into every
+    # bank.  ``stop_all``'s flush is the production compile-or-replay.
+    #
+    # Such a frame is recorded only on an exec group that defers, holds no
+    # tape and one CRF program on every unit — the key holds that program
+    # (``timing_state``), so each window's trace key is the recorded one —
+    # and only when every window replayed a compiled trace.  It is applied
+    # only where none of it can raise: every bank vouches for every row
+    # the program's columns reach (``Bank.framed``), and every write's
+    # block has the recorded shape and PIM_OP_MODE value.
+
+    def frame_entry(self) -> Any:
+        """The exec group's fallback count, when its windows can be framed
+        (see :meth:`~repro.pim.fused.FusedLockstepGroup.frame_entry`): an
+        all-bank program is taken down only when no window of it fell
+        back to the execution units."""
+        if self.lockstep.frame_entry() is None:
+            return None
+        return self.lockstep.fused_fallbacks
 
     def record_frame(
         self, steps: Sequence[tuple], origin: int,
-        reads: Sequence[Tuple[int, int, int, int]],
+        reads: Sequence[Tuple[int, int, int, int]], entry: Any = None,
     ) -> Optional[Frame]:
         """A frame of SB-mode commands to bank rows only — none of which
-        can change the mode — with the mode FSM's armed row; None for
-        anything else."""
-        reserved = self.memory_map.is_reserved
-        if self.mode_ctrl.mode is not _SB or any(reserved(step[3]) for step in steps):
+        can change the mode — with the mode FSM's armed row, or of an
+        all-bank program (:meth:`_record_program`); None for anything
+        else."""
+        modes = {step[7] for step in steps} | {self.mode_ctrl.mode}
+        if modes == {_SB}:
+            reserved = self.memory_map.first_reserved_row
+            if any(step[3] >= reserved for step in steps):
+                return None
+            frame = super().record_frame(steps, origin, reads)
+            if frame is not None:
+                frame = frame._replace(armed=self.mode_ctrl._armed_row)
+            return frame
+        if _SB in modes or entry is None or entry != self.lockstep.fused_fallbacks:
             return None
-        frame = super().record_frame(steps, origin, reads)
-        return None if frame is None else frame._replace(armed=self.mode_ctrl._armed_row)
+        return self._record_program(steps, origin)
 
-    def apply_frame(self, frame: Frame, origin: int) -> Optional[List[np.ndarray]]:
-        """The frame, and the mode FSM's armed row as it left it."""
-        blocks = super().apply_frame(frame, origin)
-        if blocks is not None:
+    def _record_program(self, steps: Sequence[tuple], origin: int) -> Optional[Frame]:
+        """The frame of an all-bank program just issued from ``origin``,
+        every window of which replayed a compiled trace; None when one of
+        its columns reads bytes out (a register or an AB read), writes the
+        CRF, or flushes triggers it gave the exec group before any
+        ``start_all`` (their trace key holds the sequencer state the
+        program found)."""
+        memory_map = self.memory_map
+        register, conf = self._register_rows, memory_map.conf_row
+        records: List[tuple] = []
+        events: List[tuple] = []
+        writes: List[tuple] = []
+        rows = set()
+        triggered = broadcast = 0
+        pim_op_mode = None
+        started = pending = False
+        end = self.mode_ctrl.mode
+        ends = [step[7] for step in steps[1:]] + [end]
+        for step, after in zip(steps, ends):
+            kind, bg, ba, row, col, offset, count, mode, source = step
+            if not kind.is_column:
+                records.append((kind, bg, ba, row, col, offset, 1, mode))
+                continue
+            is_write = kind is _WR
+            if is_write:
+                writes.append((source, count, None))
+            if row in register:
+                if not is_write or row == memory_map.crf_row:
+                    return None
+                if pending and not started:
+                    return None  # the window's trace key holds the entry state
+                pending = False
+                if row == conf:
+                    pim_op_mode = int(after is _AB_PIM)
+                    writes[-1] = (source, count, pim_op_mode)
+                    change = None if after is mode else after is _AB_PIM
+                    started = started or change is True
+                    events.append((_MODE, change))
+                else:
+                    events.append((_REGISTER, row, col, count, len(writes) - 1))
+            elif mode is _AB_PIM:
+                rows.add(row)
+                triggered += count
+                pending = True
+                write = len(writes) - 1 if is_write else None
+                events.append((_TRIGGER, is_write, row, col, count, write))
+                records.append((kind, bg, ba, row, col, offset, count, mode))
+                continue
+            elif is_write:
+                rows.add(row)
+                broadcast += count
+                events.append((_BROADCAST, row, col, count, len(writes) - 1))
+            else:
+                return None
+            records += self._singles(kind, bg, ba, row, col, offset, count, mode)
+        modes = [record[7] for record in records[1:]] + [end]
+        transitions = [
+            (record[5], after) for record, after in zip(records, modes)
+            if after is not record[7]
+        ]
+        bounds = tuple(
+            bound - origin if bound else None
+            for bound in (self._ab_act, self._ab_pre, self._ab_rd, self._ab_wr)
+        )
+        program = _Program(
+            tuple(sorted(rows)), tuple(writes), tuple(events), tuple(transitions),
+            (self._ab_row, bounds, (self._ab_acts, self._ab_rds, self._ab_wrs),
+             self._ab_stale),
+            (end, len(transitions), pim_op_mode), triggered, broadcast,
+        )
+        return self._frame(
+            records, origin, (), (), armed=self.mode_ctrl._armed_row, program=program
+        )
+
+    def apply_frame(
+        self, frame: Frame, origin: int, blocks: Sequence[np.ndarray] = ()
+    ) -> Optional[List[np.ndarray]]:
+        """The frame, and the mode FSM's armed row as it left it; an
+        all-bank program's frame (:meth:`_apply_program`) returns no
+        block."""
+        if frame.program is None:
+            got = super().apply_frame(frame, origin)
+        else:
+            got = [] if self._apply_program(frame, origin, blocks) else None
+        if got is not None:
             self.mode_ctrl._armed_row = frame.armed
-        return blocks
+        return got
+
+    def _apply_program(
+        self, frame: Frame, origin: int, blocks: Sequence[np.ndarray]
+    ) -> bool:
+        """Take an all-bank program's frame with this drain's ``blocks``:
+        False, with nothing changed, where any of it could raise."""
+        program = frame.program
+        banks = self._banks
+        for row in program.rows:
+            for bank in banks:
+                if not bank.framed(row):
+                    return False
+        data = []
+        width = self.bank_config.col_bytes
+        for (operand, first), count, value in program.writes:
+            block = blocks[operand]
+            if not isinstance(block, np.ndarray):
+                return False
+            if block.ndim == 2:  # what a lone run or a pick leaves of it
+                block = block[first : first + count] if count > 1 else block[first]
+            block = np.ascontiguousarray(block, dtype=np.uint8)
+            if block.shape != ((count, width) if count > 1 else (width,)):
+                return False
+            if value is not None and block[0] & 1 != value:
+                return False
+            data.append(block)
+        # Timing: the channel part, the shared all-bank state, the FSM.
+        self._take(frame, origin)
+        self._ab_row, bounds, counts, self._ab_stale = program.ab
+        self._ab_act, self._ab_pre, self._ab_rd, self._ab_wr = (
+            0 if bound is None else origin + bound for bound in bounds
+        )
+        self._ab_acts, self._ab_rds, self._ab_wrs = counts
+        fsm = self.mode_ctrl
+        fsm.mode, transitions, pim_op_mode = program.fsm
+        fsm.transition_count += transitions
+        if pim_op_mode is not None:
+            self.pim_op_mode = pim_op_mode
+        self.pim_triggered_columns += program.triggered
+        self.ab_broadcast_columns += program.broadcast
+        # Function: the data events in bus order, with this drain's bytes.
+        group = self.lockstep
+        for event in program.events:
+            kind = event[0]
+            if kind is _TRIGGER:
+                _, is_write, row, col, count, write = event
+                group.trigger_all(ColumnTrigger(
+                    is_write, row, col, None if write is None else data[write], count
+                ))
+            elif kind is _MODE:
+                group.flush_pending()
+                if event[1] is True:
+                    group.start_all()
+                elif event[1] is False:
+                    group.stop_all()
+            else:  # a register-row or an AB write, column by column
+                _, row, col, count, write = event
+                columns = data[write] if count > 1 else (data[write],)
+                for i, column in enumerate(columns):
+                    if kind is _REGISTER:
+                        self._register_access(
+                            Command(_WR, row=row, col=col + i, data=column), self.units
+                        )
+                    else:
+                        for bank in banks:
+                            bank.poke(row, col + i, column)
+        if self.tracer is not None:
+            for offset, mode in program.transitions:
+                self._mode_event(mode, origin + offset)
+        return True
 
     def _all_bank_col_bound(self, bg: int, is_write: bool) -> int:
         bound = max(
@@ -212,14 +442,18 @@ class PimPseudoChannel(PseudoChannel):
         result = serve(cmd, cycle)
         after = self.mode_ctrl.mode
         if after is not before:
-            self.tracer.event(
-                f"mode:{after.value}",
-                at_ns=self.tracer.cycles_ns(cycle),
-                category="mode",
-                channel=self.channel_id,
-                cycle=cycle,
-            )
+            self._mode_event(after, cycle)
         return result
+
+    def _mode_event(self, mode: PimMode, cycle: int) -> None:
+        """Tell the tracer the mode FSM entered ``mode`` at ``cycle``."""
+        self.tracer.event(
+            f"mode:{mode.value}",
+            at_ns=self.tracer.cycles_ns(cycle),
+            category="mode",
+            channel=self.channel_id,
+            cycle=cycle,
+        )
 
     def _issue_single_bank(self, cmd: Command, cycle: int) -> Optional[np.ndarray]:
         """SB mode but a bank-row column: ACT / PRE (the mode FSM), registers."""

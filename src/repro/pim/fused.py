@@ -328,6 +328,21 @@ class FusedLockstepGroup(LockstepGroup):
         """Discard the buffered tape without executing it (hard reset)."""
         self._tape.clear()
 
+    def frame_entry(self) -> Optional[Tuple[int, ...]]:
+        """The CRF program every unit holds, when the group defers, has no
+        tape buffered and the units agree on it: then a window's trace key
+        is a function of it and of the triggers since the sequencers were
+        last started, so a channel frame keyed on it meets its recorded
+        trace keys again (``PimPseudoChannel.timing_state``).  None
+        otherwise."""
+        if not self.defers or self._tape:
+            return None
+        crf = self.units[0].regs.crf
+        for unit in self.units[1:]:
+            if unit.regs.crf != crf:
+                return None
+        return tuple(crf)
+
     def trigger_all(self, trig: ColumnTrigger) -> None:
         """Buffer one broadcast column command — or one column burst, as a
         single tape entry — for deferred fused execution.

@@ -20,7 +20,7 @@ and is the oracle the fused path is held bit-exact against.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .exec_unit import ColumnTrigger, PimExecutionUnit
 
@@ -65,6 +65,12 @@ class LockstepGroup:
 
     def abort_pending(self) -> None:
         """Discard any deferred triggers (channel hard-reset path)."""
+
+    def frame_entry(self) -> Optional[Tuple[int, ...]]:
+        """The CRF program a channel frame's windows would run on, when
+        none of its triggers could raise before the window ends: never
+        here, where every trigger executes (and can raise) on its own."""
+        return None
 
     def trigger_all(self, trig: ColumnTrigger) -> None:
         """Execute one broadcast column command — or each single command

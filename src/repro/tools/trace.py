@@ -105,7 +105,8 @@ def trace_channel(channel: Any) -> Iterator[CommandTrace]:
     :class:`~repro.pim.device.PimPseudoChannel` (where the current PIM mode
     is attached to each record).  A frame the channel takes in one step
     (``apply_frame``) is recorded as the commands it stands for, each at
-    its cycle.
+    its cycle and in its mode, a burst the device takes whole as one
+    record.
     """
     trace = CommandTrace()
     hooked = [name for name in ("issue", "apply_frame") if name in vars(channel)]
@@ -127,16 +128,16 @@ def trace_channel(channel: Any) -> Iterator[CommandTrace]:
             )
         return result
 
-    def recording_frame(frame, origin: int):
-        mode = mode_now()  # a frame never changes it
-        blocks = original_frame(frame, origin)
-        if blocks is not None:
-            for kind, bg, ba, row, col, offset in frame.steps:
-                cmd = Command(kind, bg, ba, row=row, col=col)
-                trace.records.append(
-                    TraceRecord(origin + offset, repr(cmd), kind, row, col, mode)
-                )
-        return blocks
+    def recording_frame(frame, origin: int, blocks=()):
+        got = original_frame(frame, origin, blocks)
+        if got is not None:
+            for kind, bg, ba, row, col, offset, count, mode in frame.steps:
+                cmd = Command(kind, bg, ba, row=row, col=col, count=count)
+                trace.records.append(TraceRecord(
+                    origin + offset, repr(cmd), kind, row, col,
+                    getattr(mode, "value", "dram"), count,
+                ))
+        return got
 
     channel.issue = recording_issue
     channel.apply_frame = recording_frame

@@ -2,15 +2,19 @@
 
 ``tests/dram/test_frame_oracle.py`` holds a remembered readback taken as
 one channel frame equal to the pick path of a controller that never
-remembers, over drawn waves, faults, refresh placements and tracing;
-tier-1 runs it on a small budget.  This runs the same property on a
+remembers, over drawn waves, faults, refresh placements and tracing, and
+a remembered fenced kernel program (a GEMV tile's, an elementwise slot's,
+an AB write program's) taken as one frame equal to its lone runs, over
+drawn kernel waves, faults, register upsets, exec modes and tracing;
+tier-1 runs each on a small budget.  This runs the same properties on a
 large one (derandomized, so a run is reproducible):
 
     PYTHONPATH=src python tests/dram/sweep_frame_oracle.py [EXAMPLES]
 
-``EXAMPLES`` defaults to 3,000 (about 75 s on a 2-core box).
-It prints how many drawn cases took 0, 1, 2, ... frames and exits
-non-zero, with hypothesis' minimal failing case, on a mismatch.
+``EXAMPLES`` defaults to 3,000 per property (about 4 minutes in all on a
+2-core box).  It prints, per property, how many drawn cases took 0, 1,
+2, ... frames and exits non-zero, with hypothesis' minimal failing case,
+on a mismatch.
 """
 
 from __future__ import annotations
@@ -24,26 +28,33 @@ from hypothesis import HealthCheck, given, settings
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2]))
 
-from tests.dram.test_frame_oracle import STRATEGIES, frame_vs_pick_path  # noqa: E402
+from tests.dram.test_frame_oracle import (  # noqa: E402
+    PROGRAM_STRATEGIES, STRATEGIES, frame_vs_pick_path, program_frames_vs_lone_path,
+)
 
 
-def main(examples: int) -> int:
+def sweep(name: str, strategies: dict, prop, examples: int) -> None:
     frames = collections.Counter()
 
     @settings(
         max_examples=examples, deadline=None, derandomize=True,
         suppress_health_check=list(HealthCheck),
     )
-    @given(**STRATEGIES)
+    @given(**strategies)
     def check(**draws):
-        frames[frame_vs_pick_path(**draws)] += 1
+        frames[prop(**draws)] += 1
 
     start = time.perf_counter()
     check()
     print(
-        f"{sum(frames.values())} cases, frames taken per case "
+        f"{name}: {sum(frames.values())} cases, frames taken per case "
         f"{dict(sorted(frames.items()))}, {time.perf_counter() - start:.1f} s"
     )
+
+
+def main(examples: int) -> int:
+    sweep("readback", STRATEGIES, frame_vs_pick_path, examples)
+    sweep("kernel programs", PROGRAM_STRATEGIES, program_frames_vs_lone_path, examples)
     return 0
 
 

@@ -497,8 +497,8 @@ def burst_paths(monkeypatch):
     apply_frame = MemoryController._apply_frame
     issue_burst = PimPseudoChannel._issue_burst
 
-    def counted_lone_run(self, *args):
-        whole = lone_run(self, *args)
+    def counted_lone_run(self, *args, **kwargs):
+        whole = lone_run(self, *args, **kwargs)
         taken["closed-form" if whole else "straddle"] += 1
         return whole
 
@@ -797,6 +797,30 @@ EPOCH = st.lists(
 ).map(lambda parts: [run for part in parts for run in part])
 
 
+def frame_due(mode, fused, runs):
+    """Whether the program of drawn ``runs``, drained on an empty queue
+    under an in-order policy, leaves a frame the next drain from an equal
+    state takes: SB-mode reads of bank rows; an all-bank program on a
+    deferring exec group whose columns read no bytes out (AB-PIM RDs
+    trigger, AB and register-row RDs return data) and whose register
+    writes (row 3, the GRF) flush no trigger — none of these programs
+    starts the sequencers.  Never an epoch of several runs with a write
+    in it: those are queued."""
+    writes = any(run[0] for run in runs)
+    if writes and len(runs) > 1 and not any(run[5] or run[6] for run in runs):
+        return False
+    if mode == "sb":
+        return not writes and not any(run[1] == 3 for run in runs)
+    if not fused or any(not run[0] and (run[1] == 3 or mode == "ab") for run in runs):
+        return False
+    triggered = False
+    for run in runs:
+        if run[1] == 3 and triggered:
+            return False
+        triggered = triggered or (mode == "ab-pim" and run[1] != 3)
+    return True
+
+
 def make_program(runs, mode):
     """Drawn runs as a program of ``repro.pim.stream`` runs and the blocks
     its WR runs index (one each, made as ``Side.enqueue`` makes data)."""
@@ -964,8 +988,9 @@ def assert_one_outcome(outcomes):
 
 class TestTheProgramPassIsTheQueuePath:
     """``drain(program, blocks)`` issues a program's lone runs without
-    queueing them, and takes the remembered frame of a read-only program
-    that is one epoch of several runs; whatever it meets — a run sharing
+    queueing them, and takes the frame it remembered from an equal timing
+    state — of fenced runs, or of a read-only epoch of several runs — with
+    this drain's blocks; whatever it meets — a run sharing
     its epoch, a refresh falling due inside a run, ``SHUFFLE``, a queue
     that was not empty, a fault, a frame — must leave the bus, the clocks, the
     counters, the banks, the queue and the trace where queueing the program
@@ -1002,13 +1027,11 @@ class TestTheProgramPassIsTheQueuePath:
             )
         assert_one_outcome(outcomes)
         assert outcomes["pass"][0][0][0] == "ok"
-        # A frame exactly where one is due: one epoch of several reads of
-        # bank rows on an empty queue, in order, in SB mode — unless a
-        # refresh fell due inside it.
+        # The second drain from an equal state is a frame exactly where one
+        # is due — unless a refresh fell due inside it.
         due = (
             hit and not before and policy[0] is not SchedulerPolicy.SHUFFLE
-            and mode == "sb" and len(runs) > 1
-            and not any(run[0] or run[1] == 3 or run[5] or run[6] for run in runs)
+            and frame_due(mode, fused, runs)
         )
         assert taken["frames"] <= due
         if due and not refresh:
@@ -1134,6 +1157,22 @@ class TestTheProgramPassIsTheQueuePath:
         taken.update(dict.fromkeys(taken, 0))
         assert_one_outcome(three_ways("sb", self.READBACK, hit=True, refresh=True))
         assert (taken["frames"], taken["picks"]) == (0, 3 * 128)
+        # A fenced program drained again from an equal state on a
+        # deferring exec group: a frame — the kernels' shape in AB-PIM, a
+        # write to every column of a row in AB — and no lone run; on the
+        # eager group, the lone runs.  (Lone runs of the remembering
+        # drain, the queue way and, in AB-PIM, ``entering_ab_pim``'s
+        # two per production way.)
+        writes = [(True, 1, 0, 8, 3, True, False, 0), (True, 1, 8, 8, 4, True, False, 0)]
+        for mode, runs, fused, frames in (
+            ("ab-pim", self.RUNS, True, 1), ("ab", writes, True, 1),
+            ("ab-pim", self.RUNS, False, 0),
+        ):
+            taken.update(dict.fromkeys(taken, 0))
+            assert_one_outcome(three_ways(mode, runs, hit=True, fused=fused))
+            assert (taken["frames"], taken["closed-form"]) == (
+                frames, (3 - frames) * len(runs) + 2 * 2 * (mode == "ab-pim")
+            )
 
 
 # -- a remembered schedule: one frame from an equal timing state only ---------------

@@ -1,4 +1,4 @@
-"""A remembered readback taken as one channel frame vs the pick path.
+"""A remembered program taken as one channel frame vs the command path.
 
 The controller remembers the pick path's schedule of a read-only program
 that is one fence epoch of several runs (the GEMV readback), keyed by the
@@ -29,18 +29,48 @@ ACT, the tFAW window, the channel maxima, ``cmd_counts``, the armed row,
 ``words_checked`` and the controller's mark, each left as it was.  A
 frame applied over a failed bank or an injection entry is killed by
 ``test_the_strategy_reaches_frames_and_declines``.
+
+The second half does the same for a kernel's fenced program — a GEMV
+tile's, an elementwise slot's, an AB write program's — remembered from
+its lone runs and taken as one frame: drawn kernel waves (CRF loads
+queued ahead, fresh operand blocks every drain, ECC on or off, injections
+on weight and out rows, failed banks, register upsets through the fault
+injector, the fused or the eager exec group, a refresh at the frame's
+horizon, ``tools.trace_channel`` and a ``repro.obs`` tracer on or off),
+compared after every drain on all of the above plus the stacked GRF /
+SRF, the CRF, the sequencers, per-unit stats, the exec group's tape, its
+``TraceCache`` stats and key order and replay / fallback counts, the
+shared all-bank state, ``pim_op_mode``, the column counters and the mode
+events.  One mutant per new component fails the fixed draws of
+``test_the_program_strategy_reaches_frames_and_declines`` and
+``test_a_traced_program_frame_shows_what_its_lone_runs_show`` (CHANGES.md
+lists them): ``_ab_row``, an ``_ab_*`` bound, an ``_ab_*`` count,
+``pim_triggered_columns``, ``ab_broadcast_columns``, the FSM's mode, its
+``transition_count``, ``pim_op_mode``, a dropped or a reordered data
+event, the recorded drain's blocks for this one's, the refresh horizon
+off by one either way, and the controller's mark without its fence
+penalties or its fences.
 """
 
 from contextlib import nullcontext
+from types import SimpleNamespace
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.dram.controller import MemOp, MemoryController, Request, SchedulerPolicy
 from repro.dram.ecc import EccBank
 from repro.dram.timing import HBM2_1GHZ
+from repro.faults.injector import FaultConfig, FaultInjector
+from repro.obs import Tracer
+from repro.pim import stream
+from repro.pim.assembler import assemble_words
 from repro.pim.device import PimPseudoChannel
+from repro.pim.fused import FusedLockstepGroup
+from repro.pim.lockstep import LockstepGroup
 from repro.pim.stream import Run, gemv_readback
+from repro.stack.kernels import ELEMENTWISE_OPS, GemvKernel
 from repro.tools import trace_channel
 
 from .test_controller_differential import Forgetful, Side, write_data
@@ -141,7 +171,8 @@ def snapshot(side):
         ))
     fsm = getattr(channel, "mode_ctrl", None)
     return (
-        (mc.row_hits, mc.row_misses, mc.busy_cycles, mc.refresh_count, mc._next_refresh),
+        (mc.row_hits, mc.row_misses, mc.busy_cycles, mc.refresh_count, mc._next_refresh,
+         mc.fence_count, mc._epoch),
         (mc.current_cycle, mc._next_ca, tuple(mc._open_rows)),
         [(r.op, r.bg, r.ba, r.row, r.col, r.count, r.epoch, r.tag) for r in mc._queue],
         dict(channel.cmd_counts),
@@ -153,10 +184,10 @@ def snapshot(side):
     )
 
 
-def drained(side, program=(), blocks=(), traced=False):
+def drained(side, program=(), blocks=(), traced=False, snap=snapshot):
     """Drain ``program`` on ``side``: the outcome, the trace (when
-    ``traced``) and the snapshot.  A raise resets the channel, as the
-    server's recovery does, after the snapshot is taken."""
+    ``traced``) and the snapshot (``snap``).  A raise resets the channel,
+    as the server's recovery does, after the snapshot is taken."""
     with trace_channel(side.mc.channel) if traced else nullcontext() as trace:
         try:
             result = side.mc.drain(program, blocks)
@@ -165,7 +196,7 @@ def drained(side, program=(), blocks=(), traced=False):
         except Exception as exc:  # compared, not swallowed
             got = ("raised", type(exc), str(exc))
     records = trace.records if traced else None
-    state = snapshot(side)
+    state = snap(side)
     if got[0] == "raised":
         side.mc.reset_channel()
     return got, records, state
@@ -302,3 +333,368 @@ def test_the_strategy_reaches_frames_and_declines():
     ]
     for change, frames in cases:
         assert frame_vs_pick_path(**dict(base, **change)) == frames, change
+
+
+# -- fenced kernel programs: a GEMV tile's or an elementwise slot's AB-PIM
+# program taken as one frame -------------------------------------------------
+#
+# A wave is what a kernel launch puts on one channel: enter AB, load the
+# CRF when the kernel changes (queued, as ``PimSession.program_crf`` does,
+# so the first program behind it drains off the queue), then each drawn
+# kernel's program drained once or twice, each time with fresh operand
+# blocks, an AB-mode write program among them, then leave AB and read
+# every GEMV tile back.  Between waves: data and check-byte injections on
+# the weight and out rows, a failed bank, register upsets through the
+# fault injector (a struck CRF word makes the units disagree); in the
+# exec group the fused executor or (``exec_mode="scalar"``) the eager one.
+
+KERNEL = st.one_of(
+    # ("gemv", chunks, weight row, out row, out column, without PIM_OP_MODE=0)
+    st.tuples(st.just("gemv"), st.integers(1, 6), st.integers(0, 1), st.integers(2, 3),
+              st.sampled_from([0, 8]), st.sampled_from([False, False, False, True])),
+    # (operator, 8-column groups, base row)
+    st.tuples(
+        st.sampled_from(sorted(ELEMENTWISE_OPS)), st.integers(1, 4), st.integers(0, 2)
+    ),
+    # ("ab writes", row, column, count): a fenced AB-mode write run, twice
+    st.tuples(st.just("ab writes"), st.integers(0, 3), st.sampled_from([0, 8]),
+              st.sampled_from([1, 8])),
+)
+# A register upset hits each unit with this probability.
+UPSET = st.tuples(st.just("upset"), st.integers(0, 2**16), st.sampled_from([0.2, 1.0]))
+PROGRAM_FAULT = st.one_of(
+    st.tuples(st.just("data"), st.integers(0, 15), st.integers(0, 3), st.integers(0, 15),
+              st.integers(0, 255)),
+    st.tuples(st.just("check"), st.integers(0, 15), st.integers(0, 3), st.integers(0, 15),
+              st.integers(0, 3), st.integers(0, 7)),
+    st.tuples(st.just("dead"), st.integers(0, 15)),
+    UPSET,
+)
+PROGRAM_STRATEGIES = dict(
+    ecc=st.booleans(),
+    exec_mode=st.sampled_from(["fused", "fused", "fused", "scalar"]),
+    kernels=st.lists(st.tuples(KERNEL, st.integers(1, 2)), min_size=1, max_size=3),
+    faults=st.lists(
+        st.one_of(
+            st.just([]), st.just([]), st.lists(PROGRAM_FAULT, min_size=1, max_size=2)
+        ),
+        min_size=ROUNDS, max_size=ROUNDS,
+    ),
+    fence_penalty=st.sampled_from([0, 7]),
+    refresh=st.one_of(st.none(), st.integers(-2, 2)),
+    traced=st.lists(st.booleans(), min_size=ROUNDS, max_size=ROUNDS),
+    seed=st.integers(0, 2**16),
+)
+
+
+def kernel_program(channel, kernel):
+    """``kernel``'s program on ``channel``, its microkernel (None: runs in
+    AB mode, no CRF) and the number of operand blocks it takes."""
+    memory_map = channel.memory_map
+    if kernel[0] == "gemv":
+        _, chunks, weight_row, out_row, out_col, open_ended = kernel
+        body = stream.gemv_tile(chunks, 4, weight_row, out_row, out_col)
+        program = stream.kernel_program(body, memory_map, clear_grf_b=True)
+        source = GemvKernel.MICROKERNEL.format(reps=chunks - 1)
+        return program[:-1] if open_ended else program, source, chunks
+    if kernel[0] == "ab writes":
+        _, row, col, count = kernel
+        writes = tuple(Run(True, row, col, count, True, operand) for operand in (0, 1))
+        return writes, None, 2
+    op, groups, base_row = kernel
+    program = stream.kernel_program(
+        stream.elementwise_stream(op, groups, 16, base_row), memory_map
+    )
+    return program, ELEMENTWISE_OPS[op].microkernel.format(reps=groups - 1), 0
+
+
+def load_crf(mc, source):
+    """Queue the CRF writes of microkernel ``source``, then a fence, as
+    ``PimSession.program_crf`` does."""
+    words = np.array(assemble_words(source), dtype="<u4").view(np.uint8)
+    for col in range(len(words) // 32):
+        mc.write(0, 0, mc.channel.memory_map.crf_row, col, words[32 * col:32 * col + 32])
+    mc.fence()
+
+
+def operand_blocks(rng, operands):
+    """Fresh operand blocks, then the constants every launch keeps at the
+    end of its list (``stream.MODE_ON``, ``MODE_OFF``, ``ZEROS``)."""
+    on = np.zeros(32, dtype=np.uint8)
+    on[0] = 1
+    blocks = [
+        rng.standard_normal((8, 16)).astype(np.float16).view(np.uint8)
+        for _ in range(operands)
+    ]
+    return blocks + [on, np.zeros(32, dtype=np.uint8), np.zeros((8, 32), dtype=np.uint8)]
+
+
+def exec_snapshot(side):
+    """Everything an exec group and the all-bank state hold: the stacked
+    registers, CRF, sequencers and per-unit stats, the tape, the trace
+    cache's stats and key order, the replay and fallback counts, and the
+    shared all-bank state as the drain left it (before ``snapshot``
+    folds it into the banks)."""
+    channel = side.mc.channel
+    group = channel.lockstep
+    units = [
+        (unit.regs.grf_a.tobytes(), unit.regs.grf_b.tobytes(), unit.regs.srf_m.tobytes(),
+         unit.regs.srf_a.tobytes(), list(unit.regs.crf), unit.sequencer_state(),
+         vars(unit.stats).copy())
+        for unit in channel.units
+    ]
+    fused = None
+    if isinstance(group, FusedLockstepGroup):
+        fused = (
+            [(t.is_write, t.row, t.col, t.count,
+              None if t.host_data is None else t.host_data.tobytes()) for t in group._tape],
+            vars(group.cache.stats).copy(), group.cache.keys(),
+            group.fused_replays, group.fused_fallbacks,
+        )
+    shared = (
+        channel._ab_row, channel._ab_act, channel._ab_pre, channel._ab_rd, channel._ab_wr,
+        channel._ab_acts, channel._ab_rds, channel._ab_wrs, channel._ab_stale,
+        channel.pim_op_mode, channel.pim_triggered_columns, channel.ab_broadcast_columns,
+    )
+    return units, fused, shared
+
+
+def program_drained(side, program=(), blocks=(), traced=False):
+    """``drained``, with the exec group's state and the channel tracer's
+    mode events."""
+    got, records, state = drained(
+        side, program, blocks, traced, lambda side: (exec_snapshot(side), snapshot(side))
+    )
+    tracer = side.mc.channel.tracer
+    return got, records, state, None if tracer is None else list(tracer.events)
+
+
+def program_damage(side, faults):
+    """``damage``, and register upsets through the fault injector."""
+    for fault in faults:
+        if fault[0] != "upset":
+            damage(side, [fault])
+            continue
+        _, seed, rate = fault
+        system = SimpleNamespace(
+            num_pchs=1, device=SimpleNamespace(pch=lambda _: side.mc.channel),
+            _trace_cache=getattr(side.mc.channel.lockstep, "cache", None),
+        )
+        config = FaultConfig(register_fault_rate=rate, seed=seed)
+        FaultInjector(system, config).corrupt_registers()
+
+
+def program_side(ecc, exec_mode, fence_penalty, refresh):
+    side = Side(MemoryController, "sb", fused=exec_mode == "fused", ecc=ecc,
+                timing=HBM2_1GHZ, fence_penalty=fence_penalty, refresh=refresh)
+    if exec_mode == "scalar":
+        side.mc.channel.lockstep = LockstepGroup(side.mc.channel.units)
+    return side
+
+
+def program_frames_vs_lone_path(
+    ecc, exec_mode, kernels, faults, fence_penalty, refresh, traced, seed
+):
+    """The property: a controller that takes remembered frames of fenced
+    kernel programs and one that never remembers agree after every drain
+    — on everything ``snapshot`` compares, the exec groups, the trace and
+    the mode events.  Returns how many frames of a fenced program the
+    first one took.  (Drawn bank bytes as FP16 overflow: both sides
+    compute the same infinities and NaNs.)"""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _program_waves(
+            ecc, exec_mode, kernels, faults, fence_penalty, refresh, traced, seed
+        )
+
+
+def _program_waves(ecc, exec_mode, kernels, faults, fence_penalty, refresh, traced, seed):
+    sides = [
+        program_side(ecc, exec_mode, fence_penalty, refresh is not None) for _ in range(2)
+    ]
+    sides[1].mc._schedules = Forgetful()
+    taken = []
+    take = sides[0].mc._apply_frame
+
+    def counted(schedule, *args):
+        applied = take(schedule, *args)
+        taken.append(applied and schedule.frame.program is not None)
+        return applied
+
+    sides[0].mc._apply_frame = counted
+    loaded = [None, None]
+    for wave_no in range(ROUNDS):
+        rng = np.random.default_rng((seed, wave_no))
+        for side in sides:
+            side.mc.channel.tracer = Tracer() if traced[wave_no] else None
+
+        def both(action):
+            got, want = (action(i, side) for i, side in enumerate(sides))
+            assert got == want, f"wave {wave_no}"
+
+        def enter(i, side):
+            mc = side.mc
+            out = program_drained(side)
+            mc.precharge_all()
+            mc.closed_page_access(0, 0, mc.channel.memory_map.abmr_row)
+            return out
+
+        both(enter)
+        timed = refresh is not None
+        for kernel, times in kernels:
+            program, source, operands = kernel_program(sides[0].mc.channel, kernel)
+            scalars = rng.standard_normal(16).astype(np.float16).view(np.uint8)
+
+            def load(i, side):
+                if source is None or loaded[i] == source:
+                    return None
+                loaded[i] = source
+                mc = side.mc
+                load_crf(mc, source)
+                if kernel[0] == "bn":
+                    for col in (0, 1):
+                        mc.write(0, 0, mc.channel.memory_map.srf_row, col, scalars)
+                    mc.fence()
+                return None
+
+            both(load)
+            for _ in range(times):
+                blocks = operand_blocks(rng, operands)
+                if timed and not sides[0].mc._queue:
+                    # The next refresh ``refresh`` cycles past the frame's
+                    # refresh horizon: a frame only when it is after it.
+                    key = [side.mc._schedule_key(program) for side in sides][0]
+                    schedule = sides[0].mc._schedules.get(key)
+                    if schedule is not None:
+                        timed = False
+                        for side in sides:
+                            side.mc._next_refresh = (
+                                side.mc.current_cycle + schedule.horizon + refresh
+                            )
+                both(lambda i, side: program_drained(
+                    side, program, blocks, traced[wave_no]
+                ))
+
+        def leave(i, side):
+            mc = side.mc
+            out = program_drained(side)
+            mc.precharge_all()
+            mc.closed_page_access(0, 0, mc.channel.memory_map.sbmr_row)
+            return out
+
+        both(leave)
+        for kernel, _ in kernels:
+            if kernel[0] == "gemv":
+                readback = gemv_readback(kernel[3], kernel[4])
+                both(lambda i, side: program_drained(side, readback, (), traced[wave_no]))
+        for side in sides:
+            program_damage(side, faults[wave_no])
+    return taken.count(True)
+
+
+def program_differential(examples):
+    """The program property as a hypothesis test of ``examples`` cases."""
+
+    @settings(
+        max_examples=examples, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(**PROGRAM_STRATEGIES)
+    def check(**draws):
+        program_frames_vs_lone_path(**draws)
+
+    return check
+
+
+PROGRAM_TIER1_EXAMPLES = 12
+
+test_a_program_frame_leaves_what_the_lone_runs_leave = program_differential(
+    PROGRAM_TIER1_EXAMPLES
+)
+
+
+def test_the_program_strategy_reaches_frames_and_declines():
+    """Fixed draws: a GEMV tile and an AB write program, each drained
+    twice a wave on an ECC channel.  From the second wave on they are
+    frames — 11 in all: in the first wave every program's key is new (and
+    the tile's first drain sits behind the CRF load), in the second the
+    tile's first drain follows a new state.  A check byte flipped on the
+    weight row stays and declines every later tile frame; a flipped data
+    word there is corrected and dropped by the first read of it; a failed
+    bank raises; a register upset that strikes the CRF makes the units
+    disagree and the eager exec group never defers — no frame then, of
+    any program; a refresh due at a frame's horizon takes the lone runs,
+    one due a cycle after it does not; a tile that leaves PIM_OP_MODE on
+    flushes its triggers at the next tile's GRF_B clear, before any
+    ``start_all``, so that next tile is never a frame — but one that
+    follows a closed tile is."""
+    base = dict(
+        ecc=True, exec_mode="fused",
+        kernels=[(("gemv", 4, 0, 2, 8, False), 2), (("ab writes", 3, 8, 8), 2)],
+        faults=[[]] * ROUNDS, fence_penalty=7, refresh=None,
+        traced=[False, True, False, True], seed=5,
+    )
+    cases = [
+        ({}, 11),
+        ({"faults": [[("check", 4, 0, 3, 1, 2)], [], [], []]}, 11 - 5),
+        ({"faults": [[("data", 4, 0, 3, 17)], [], [], []]}, 11 - 1),
+        ({"faults": [[], [("dead", 9)], [], []]}, 3),
+        ({"faults": [[("upset", 3, 1.0)], [], [], []]}, 0),
+        ({"exec_mode": "scalar"}, 0),
+        ({"refresh": 0}, 5),
+        ({"refresh": 1}, 7),
+        ({"kernels": [(("gemv", 4, 0, 2, 8, True), 2)]}, 0),
+        # Behind a closed tile the open one starts in AB with no tape: a
+        # frame, left in AB-PIM with PIM_OP_MODE on and its tape pending.
+        ({"kernels": [
+            (("gemv", 4, 0, 2, 8, False), 2), (("gemv", 4, 1, 3, 0, True), 1),
+        ]}, 6),
+    ]
+    for change, frames in cases:
+        assert program_frames_vs_lone_path(**dict(base, **change)) == frames, change
+
+
+def test_a_traced_program_frame_shows_what_its_lone_runs_show():
+    """A GEMV tile drained three times under ``tools.trace_channel`` and a
+    ``repro.obs`` tracer: the third drain starts from the state the second
+    did and is a frame, and both tracers see what they see of the lone runs — the
+    trigger bursts one record each, the GRF_B clear's eight register
+    columns, every ACT and PRE and the mode at each command; a
+    ``mode:all-bank-pim`` and a ``mode:all-bank`` event at the
+    PIM_OP_MODE writes' cycles."""
+    sides = [program_side(False, "fused", 7, False) for _ in range(2)]
+    sides[1].mc._schedules = Forgetful()
+    program, source, operands = kernel_program(
+        sides[0].mc.channel, ("gemv", 4, 0, 2, 8, False)
+    )
+    for side in sides:
+        mc = side.mc
+        mc.precharge_all()
+        mc.closed_page_access(0, 0, mc.channel.memory_map.abmr_row)
+        load_crf(mc, source)
+        mc.drain()
+        mc.channel.tracer = Tracer()
+    rng = np.random.default_rng(3)
+    taken = []
+    take = sides[0].mc._apply_frame
+    sides[0].mc._apply_frame = lambda *args: taken.append(take(*args)) or taken[-1]
+    for _ in range(3):
+        blocks = operand_blocks(rng, operands)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = (
+                program_drained(side, program, blocks, traced=True) for side in sides
+            )
+        assert got == want
+    assert taken == [True]
+    records, events = got[1], got[3]
+    assert [(r.count, r.mode) for r in records if r.cmd_type.is_column and r.count > 1] == [
+        (8, "all-bank-pim")
+    ] * (2 * 4 + 1)
+    grf_row = sides[0].mc.channel.memory_map.grf_row
+    grf_columns = [
+        (r.col, r.count) for r in records if r.row == grf_row and r.cmd_type.is_column
+    ]
+    assert grf_columns == [(col, 1) for col in range(8, 16)]
+    conf_row = sides[0].mc.channel.memory_map.conf_row
+    writes = [r.cycle for r in records if r.row == conf_row and r.cmd_type.is_column]
+    assert [(e.name, e.attrs["cycle"]) for e in events[-2:]] == [
+        ("mode:all-bank-pim", writes[0]), ("mode:all-bank", writes[1]),
+    ]
