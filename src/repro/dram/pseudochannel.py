@@ -323,6 +323,12 @@ class PseudoChannel:
         plain channel."""
         return None
 
+    def prefix_key(self, writes: Sequence[tuple]) -> Optional[tuple]:
+        """Queued ``writes`` — ``(row, col, data)`` each — as the prefix of
+        a program's frame: what of them the frame's key must hold, or None
+        when a frame cannot stand for them — always, on a plain channel."""
+        return None
+
     def record_frame(
         self, steps: Sequence[tuple], origin: int,
         reads: Sequence[Tuple[int, int, int, int]], entry: Any = None,
@@ -390,14 +396,16 @@ class PseudoChannel:
         )
 
     def apply_frame(
-        self, frame: Frame, origin: int, blocks: Sequence[np.ndarray] = ()
+        self, frame: Frame, origin: int, blocks: Sequence[np.ndarray] = (),
+        queued: Sequence[np.ndarray] = (),
     ) -> Optional[List[np.ndarray]]:
         """Take ``frame`` from ``origin``, a cycle the channel's timing
         state equals the recorded one from; returns each read run's ``(count,
         col_bytes)`` block.  None, with nothing changed, unless every read
         bank vouches for its row (:meth:`Bank.framed`): a failed bank, an
         injected word or a bank class of its own takes the command path.
-        (``blocks``: the written bytes of a frame that writes.)"""
+        (``blocks`` and ``queued``: the written bytes of a frame that
+        writes — the program's and its queued prefix's.)"""
         banks = self._banks
         for index, row, _, _ in frame.reads:
             if not banks[index].framed(row):

@@ -13,8 +13,10 @@ large one (derandomized, so a run is reproducible):
 
 ``EXAMPLES`` defaults to 3,000 per property (about 4 minutes in all on a
 2-core box).  It prints, per property, how many drawn cases took 0, 1,
-2, ... frames and exits non-zero, with hypothesis' minimal failing case,
-on a mismatch.
+2, ... frames — for the kernel programs also how many took 0, 1, 2, ...
+frames behind a queued CRF / SRF load — and exits non-zero, with
+hypothesis' minimal failing case, on a mismatch, or when no case took a
+frame behind a load (the sweep would no longer exercise that path).
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ from tests.dram.test_frame_oracle import (  # noqa: E402
 )
 
 
-def sweep(name: str, strategies: dict, prop, examples: int) -> None:
-    frames = collections.Counter()
+def sweep(name: str, strategies: dict, prop, examples: int) -> collections.Counter:
+    """Run ``prop`` over ``examples`` drawn cases; returns how many cases
+    returned each value."""
+    outcomes = collections.Counter()
 
     @settings(
         max_examples=examples, deadline=None, derandomize=True,
@@ -42,19 +46,33 @@ def sweep(name: str, strategies: dict, prop, examples: int) -> None:
     )
     @given(**strategies)
     def check(**draws):
-        frames[prop(**draws)] += 1
+        outcomes[prop(**draws)] += 1
 
     start = time.perf_counter()
     check()
-    print(
-        f"{name}: {sum(frames.values())} cases, frames taken per case "
-        f"{dict(sorted(frames.items()))}, {time.perf_counter() - start:.1f} s"
-    )
+    print(f"{name}: {sum(outcomes.values())} cases, {time.perf_counter() - start:.1f} s")
+    return outcomes
+
+
+def histogram(outcomes: collections.Counter, part=lambda outcome: outcome) -> dict:
+    counts = collections.Counter()
+    for outcome, cases in outcomes.items():
+        counts[part(outcome)] += cases
+    return dict(sorted(counts.items()))
 
 
 def main(examples: int) -> int:
-    sweep("readback", STRATEGIES, frame_vs_pick_path, examples)
-    sweep("kernel programs", PROGRAM_STRATEGIES, program_frames_vs_lone_path, examples)
+    readback = sweep("readback", STRATEGIES, frame_vs_pick_path, examples)
+    print(f"  frames taken per case {histogram(readback)}")
+    programs = sweep(
+        "kernel programs", PROGRAM_STRATEGIES, program_frames_vs_lone_path, examples
+    )
+    print(f"  frames taken per case {histogram(programs, lambda o: o[0])}")
+    behind = histogram(programs, lambda o: o[1])
+    print(f"  frames behind a register load per case {behind}")
+    if not max(behind):
+        print("no case took a frame behind a register load")
+        return 1
     return 0
 
 
