@@ -15,13 +15,15 @@ by the register-mapped read/write path in :mod:`repro.pim.device`.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
 from .isa import CRF_ENTRIES, GRF_REGS, SRF_REGS, OperandSpace
 
-__all__ = ["RegisterFiles", "StackedRegisterState", "LANES", "GRF_REG_BYTES"]
+__all__ = [
+    "RegisterFiles", "StackedRegisterState", "write_column_run", "LANES", "GRF_REG_BYTES",
+]
 
 LANES = 16  # 16 FP16 lanes = 256-bit datapath
 GRF_REG_BYTES = LANES * 2  # one GRF register is one 32-byte column
@@ -152,6 +154,42 @@ class RegisterFiles:
         out = np.zeros(GRF_REG_BYTES, dtype=np.uint8)
         out[: SRF_REGS * 2] = half.view(np.uint8)
         return out
+
+
+def write_column_run(
+    files: Sequence[RegisterFiles], name: str, col: int, columns: np.ndarray
+) -> None:
+    """A run of column writes from ``col`` into register file ``name``
+    (``"crf"``, ``"grf"`` or ``"srf"``) of each of ``files``, left as its
+    columns' ``write_<name>_column`` calls leave them: the run's bytes
+    taken apart once, then one assignment per file where the run is one
+    CRF span or lies in one GRF half, one per SRF half it covers; column
+    by column, each into every file, elsewhere."""
+    raw = np.ascontiguousarray(columns, dtype=np.uint8)
+    count = len(raw)
+    if name == "crf":
+        base = col * 8
+        if 0 <= base and base + 8 * count <= CRF_ENTRIES:
+            words = raw.view("<u4").reshape(-1).tolist()
+            for regs in files:
+                regs.crf[base : base + len(words)] = words
+            return
+    elif name == "grf":
+        if col // GRF_REGS == (col + count - 1) // GRF_REGS < 2:
+            values, first = raw.view(np.float16), col % GRF_REGS
+            for regs in files:
+                half = regs.grf_a if col < GRF_REGS else regs.grf_b
+                half[first : first + count] = values
+            return
+    elif 0 <= col and col + count <= 2:
+        values = raw.view(np.float16)[:, :SRF_REGS]
+        for regs in files:
+            for half, value in zip((regs.srf_m, regs.srf_a)[col : col + count], values):
+                half[:] = value
+        return
+    for i, column in enumerate(raw):
+        for regs in files:
+            getattr(regs, f"write_{name}_column")(col + i, column)
 
 
 class StackedRegisterState:
