@@ -53,17 +53,6 @@ class Command:
     the ``count`` commands :meth:`single` returns — nothing more: ``data``
     is then a ``(count, 32)`` block, one write burst per command, and a
     read burst answers with the ``(count, 32)`` block of its columns.
-
-    ``ahead`` and ``fetched`` spell the *read-ahead* of a row run the
-    controller issues column by column.  ``ahead = n`` on a RD promises
-    that the next ``n`` reads of this bank are the following columns of the
-    row, with no write to them in between: a device that can vouch for all
-    ``1 + n`` columns in one pass may answer with their ``(1 + n, 32)``
-    block instead of the one column.  The controller then issues those
-    reads with ``fetched`` set — commands like any other to the bus, the
-    bank's timing and its counters, whose bytes have already crossed.  A
-    device is free to ignore ``ahead``; it never sees ``fetched`` unless it
-    answered with a block.
     """
 
     cmd: CommandType
@@ -74,8 +63,6 @@ class Command:
     data: Optional[np.ndarray] = None
     tag: Any = field(default=None, compare=False)
     count: int = 1
-    ahead: int = 0
-    fetched: bool = False
 
     def __post_init__(self) -> None:
         if self.cmd is CommandType.WR and self.data is not None:

@@ -32,20 +32,20 @@ be:
   first-ready question for the row-hit classes among them, issues the
   chosen run's next column, and shrinks the run.  An in-order policy takes
   a run's commands oldest first, so what is left of it is always a run.
-* Alone in its fence epoch under an in-order policy, a run's commands are
-  equally-ready row hits of one class — FR-FCFS and FCFS both take them in
-  arrival order, ``tCCD_L`` apart — so ``drain`` issues it as one
-  :class:`Command` with no window and no pick (``_lone_run``); when a
-  refresh falls due inside it, the first command goes out there and the
-  rest take the pick path, one refresh check per command.  Each fenced run
-  of a PIM kernel's program (``drain(program, blocks)``) is one, not queued.
+* **The lone-run rule.**  A run alone in its fence epoch at the queue
+  head, under an in-order policy, is equally-ready row hits of one class —
+  FR-FCFS and FCFS both take them in arrival order, ``tCCD_L`` apart — so
+  ``drain`` issues it as one :class:`Command` with no window and no pick
+  (``_lone_run``).  When a refresh falls due inside it, the first command
+  goes out there and the rest take the pick path, one refresh check per
+  command.  A PIM kernel's program (``drain(program, blocks)``) is queued
+  like any other requests, so each of its fenced runs is one.
 * ``shuffle`` draws among single commands, so ``drain`` expands the queue
   on entry — the one place ``Request.expand`` is called.
 
 A tagged read run answers with the ``(count, 32)`` block of its columns, in
-column order, whichever way it went.  In an epoch that holds no write the
-read of its first column carries the read-ahead of :class:`Command`, so a
-clean run's bytes cross the channel boundary once.
+column order, whichever way it went: a lone run's burst returns it whole,
+and on the pick path each column lands in its row as it issues.
 
 One thing is remembered from one ``drain`` to the next: what the
 controller did with a program drained under an in-order policy on an
@@ -75,8 +75,8 @@ frame (``apply_frame``) with its own operand blocks and queued data: one
 step, each read run's bytes one block, each kernel program's data events
 — its prefix's writes first — replayed against this drain's bytes; the
 queue is emptied and each queued request listed at its recorded cycles.
-The channel declines a frame — nothing changed, the drain takes the lone
-runs, the picks or the queue path — where any of it could raise: a
+The channel declines a frame — nothing changed, the drain takes the
+queue path — where any of it could raise: a
 failed bank, an injection entry on a row the commands reach, a bank
 class of its own, an exec group that interprets.  Faults are not in the
 key; the command path meets them command by command, where they raise.
@@ -91,7 +91,7 @@ import enum
 import random
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -213,41 +213,19 @@ class ScheduleResult:
 class _Drain:
     """What one ``drain()`` has built so far; none of it outlives the call."""
 
-    __slots__ = ("issue_order", "read_data", "blocks", "fetched", "_checked", "_no_write")
+    __slots__ = ("issue_order", "read_data", "blocks")
 
     def __init__(self) -> None:
         self.issue_order: List[Tuple[int, Request]] = []
         self.read_data: Dict[Any, np.ndarray] = {}
-        # Tagged read runs under way: the block each one's columns land in
-        # (with the column of its first row), or that it was read ahead.
+        # Tagged read runs under way: the block each one's columns land in,
+        # with the column of its first row.
         self.blocks: Dict[Any, Tuple[np.ndarray, int]] = {}
-        self.fetched: Set[Any] = set()
-        self._checked: Optional[int] = None
-        self._no_write = False
-
-    def no_write(self, queue: Deque[Request], epoch: int) -> bool:
-        """Whether ``epoch``, at the queue head, held no write when first
-        asked — looked up once per epoch (writes only ever leave)."""
-        if self._checked != epoch:
-            self._checked = epoch
-            self._no_write = True
-            for request in queue:
-                if request.epoch != epoch:
-                    break
-                if request.cls & 1:
-                    self._no_write = False
-                    break
-        return self._no_write
 
     def land(self, run: Any, tag: Any, col: int, count: int, data: np.ndarray) -> None:
         """File what the RD of column ``col`` of ``run`` (``count`` columns
-        from it still to read) returned under ``tag``: the whole block when
-        it was read ahead, else the column — a single's result as it is, a
-        run's into its row of the run's block."""
-        if data.ndim == 2:
-            self.read_data[tag] = data
-            self.fetched.add(run)
-            return
+        from it still to read) returned under ``tag``: a single's result as
+        it is, a run's column into its row of the run's block."""
         dest = self.blocks.get(run)
         if dest is None:
             if count == 1:
@@ -348,6 +326,8 @@ class MemoryController:
     ):
         if window < 1:
             raise ValueError(f"the reorder window holds at least one command, not {window}")
+        if fence_penalty < 0:
+            raise ValueError(f"a fence stalls the CA bus; it cannot rewind it by {-fence_penalty}")
         self.channel = channel
         self.policy = policy
         self.window = window
@@ -393,7 +373,9 @@ class MemoryController:
     # -- queueing -------------------------------------------------------------
 
     def enqueue(self, request: Request) -> None:
-        """Queue a transaction in the current fence epoch."""
+        """Queue a transaction in the current fence epoch (a run is checked
+        first: :meth:`_check_run`)."""
+        self._check_run(request.op is MemOp.WRITE, request.count, request.data)
         request.epoch = self._epoch
         self._queue.append(request)
 
@@ -405,7 +387,6 @@ class MemoryController:
         ``count > 1`` queues a column burst: reads of ``count`` consecutive
         columns from ``col`` as one queue entry.
         """
-        self._check_run(False, count, None)
         self.enqueue(Request(MemOp.READ, bg, ba, row, col, tag=tag, count=count))
 
     def write(
@@ -414,7 +395,6 @@ class MemoryController:
     ) -> None:
         """Queue a 32-byte write — or, with ``count > 1``, a column burst of
         ``count`` writes from ``col``, ``data`` their ``(count, 32)`` block."""
-        self._check_run(True, count, data)
         self.enqueue(
             Request(MemOp.WRITE, bg, ba, row, col, data=data, tag=tag, count=count)
         )
@@ -456,18 +436,17 @@ class MemoryController:
     # (``first_ready``), and every other timing question goes through the
     # channel too: the controller never looks into a bank.
     #
-    # Where the schedule can be written down — the run is alone in its
-    # fence epoch and the policy keeps arrival order — ``_lone_run`` issues
-    # it without a window or a pick, off the queue or straight from a
-    # program.  Where it cannot — several runs of a program in one epoch,
-    # the readback, the register writes queued ahead of a kernel — the
-    # pick path works it out.  Either way a program is issued command by
-    # command once per timing state and prefix: ``_put`` takes every
-    # command down, the channel records what they did as a frame, and the
-    # next drain of that program from an equal state behind an equal
-    # prefix (``_schedule_key``) is that frame (``_apply_frame``).  Only
-    # ``SHUFFLE``, whose seeded draws are among single commands, expands
-    # runs (at ``drain`` entry).
+    # Where the schedule can be written down — the lone-run rule of the
+    # module docstring — ``_lone_run`` issues the queue head without a
+    # window or a pick.  Where it cannot — several runs of a program in
+    # one epoch, the readback, the register writes queued ahead of a
+    # kernel — the pick path works it out.  Either way a program is issued
+    # command by command once per timing state and prefix: ``_put`` takes
+    # every command down, the channel records what they did as a frame,
+    # and the next drain of that program from an equal state behind an
+    # equal prefix (``_schedule_key``) is that frame (``_apply_frame``).
+    # Only ``SHUFFLE``, whose seeded draws are among single commands,
+    # expands runs (at ``drain`` entry).
 
     def _window(self, epoch: int) -> List[Request]:
         """The runs in the reorder window, oldest first."""
@@ -611,36 +590,19 @@ class MemoryController:
 
     def _issue_column(self, run: Request, bound: Optional[int], out: _Drain) -> None:
         """Issue the next column of ``run``, whose row is open, and take it
-        off the queue (``bound`` as for :meth:`_issue`).
-
-        A tagged read run fills one ``(count, 32)`` block.  The RD of the
-        first column it issues in this drain asks the device for the rest
-        of the run as well, when no write still queued in the epoch could
-        slip in between: answered with the block, the run's later RDs go
-        out ``fetched`` — a command each, no bytes; answered with the one
-        column, every column reads for itself at its own cycle.  When the
-        channel raises, the run is still queued from that column on.
-        """
+        off the queue (``bound`` as for :meth:`_issue`).  A tagged read
+        run's columns fill one ``(count, 32)`` block.  When the channel
+        raises, the run is still queued from that column on."""
         bg, ba, row, col, tag = run.bg, run.ba, run.row, run.col, run.tag
         if run.cls & 1:
             data = run.data
             if data is not None and data.ndim == 2:
                 data = data[0]
             cmd = Command(_WR, bg, ba, row=row, col=col, data=data, tag=tag)
-        elif tag is not None and run in out.fetched:
-            cmd = Command(_RD, bg, ba, row=row, col=col, tag=tag, fetched=True)
         else:
-            ahead = 0
-            if (
-                tag is not None
-                and run.count > 1
-                and run not in out.blocks
-                and out.no_write(self._queue, run.epoch)
-            ):
-                ahead = run.count - 1
-            cmd = Command(_RD, bg, ba, row=row, col=col, tag=tag, ahead=ahead)
+            cmd = Command(_RD, bg, ba, row=row, col=col, tag=tag)
         data = self._issue(cmd, bound, run.index)
-        # None: a write, a fetched read, an AB-PIM trigger (no I/O).
+        # None: a write or an AB-PIM trigger (no I/O).
         if data is not None and tag is not None:
             out.land(run, tag, col, run.count, data)
         if run.index is None:
@@ -650,22 +612,17 @@ class MemoryController:
         else:
             run.shrink()
 
-    def _lone_run(
-        self, is_write: bool, bg: int, ba: int, row: int, col: int, count: int,
-        data: Optional[np.ndarray], tag: Any, out: _Drain,
-        enqueue: Optional[Callable[[], None]] = None, index: Optional[int] = None,
-    ) -> bool:
-        """Issue a run alone in its fence epoch — the queue head, or not
-        queued (``enqueue()`` queues it and what follows it); returns
-        whether it went to the channel whole.  FR-FCFS and FCFS both take
-        its equally-ready commands in arrival order: the first pays the
-        refresh check and any PRE/ACT, the rest are row hits ``tCCD_L``
-        apart (a column command moves no bank bound) — one command.  A
-        refresh due before its second-to-last command, or a raise part way,
-        leaves the run at the queue head: a refresh issues its first
-        command off the queue, the rest take the pick path; a raise leaves
-        clocks, hits and the run from that command on as the per-command
-        loop does.  ``index``: the program run it is, if any."""
+    def _lone_run(self, head: Request, out: _Drain) -> bool:
+        """Issue ``head``, the queue head and alone in its fence epoch (the
+        lone-run rule of the module docstring); returns whether it went to
+        the channel whole.  The first command pays the refresh check and
+        any PRE/ACT, the rest are row hits ``tCCD_L`` apart (a column
+        command moves no bank bound) — one command.  A refresh due before
+        its second-to-last command, or a raise part way, leaves the run at
+        the queue head: a refresh issues its first command, the rest take
+        the pick path; a raise leaves clocks, hits and the run from that
+        command on as the per-command loop does."""
+        bg, ba, row, count, is_write = head.bg, head.ba, head.row, head.count, head.cls & 1
         if self._due(self._cycle):
             self._do_refresh()
         self._open(bg, ba, row)
@@ -674,48 +631,42 @@ class MemoryController:
         first = max(self._next_ca, bound)
         step = channel.timing.tccd_l
         if count > 1 and self._due(first + (count - 2) * step):
-            if enqueue is not None:
-                enqueue()
-            self._issue_column(self._queue[0], bound, out)
+            self._issue_column(head, bound, out)
             return False
-        kind = CommandType.WR if is_write else CommandType.RD
+        kind = _WR if is_write else _RD
+        data = head.data
         if count == 1 and data is not None and data.ndim == 2:
             data = data[0]  # what is left of a write burst
-        cmd = Command(kind, bg, ba, row=row, col=col, data=data, tag=tag, count=count)
+        cmd = Command(
+            kind, bg, ba, row=row, col=head.col, data=data, tag=head.tag, count=count
+        )
         taken = channel.cmd_counts[kind]
         try:
-            answer = self._put(cmd, first, index)
+            answer = self._put(cmd, first, head.index)
         except BaseException:
             # The channel counts a command before its data path can raise:
             # all but the last one it counted ran to completion.
             done = channel.cmd_counts[kind] - taken - 1
-            if enqueue is not None:
-                enqueue()
             if done > 0:
                 self._cycle = first + (done - 1) * step
                 self._next_ca = self._cycle + 1
                 self.row_hits += done
-                self._queue[0].shrink(done)
+                head.shrink(done)
             raise
         self._cycle = last = first + (count - 1) * step
         self._next_ca = last + 1
         self.row_hits += count - 1
-        if tag is not None and answer is not None:
-            out.read_data[tag] = answer
-        if enqueue is None:  # the queue head: dequeue it, list its commands
-            head = self._queue.popleft()
-            if head.index is None:
-                out.issue_order.extend((cycle, head) for cycle in range(first, last + 1, step))
+        if head.tag is not None and answer is not None:
+            out.read_data[head.tag] = answer
+        self._queue.popleft()
+        if head.index is None:
+            out.issue_order.extend((cycle, head) for cycle in range(first, last + 1, step))
         return True
 
-    def _queue_runs(
-        self, program: Sequence[tuple], blocks: Sequence[np.ndarray], start: int = 0
-    ) -> None:
-        """Queue the runs of ``program`` (checked) from ``start`` one request
-        each, fenced as they say, with its index in it (a read tagged with
-        it too)."""
-        for i in range(start, len(program)):
-            write, row, col, count, fence, operand, barrier, bank = program[i]
+    def _queue_runs(self, program: Sequence[tuple], blocks: Sequence[np.ndarray]) -> None:
+        """Queue the runs of ``program`` one request each, fenced as they
+        say, with its index in it (a read tagged with it too)."""
+        for i, (write, row, col, count, fence, operand, barrier, bank) in enumerate(program):
             if barrier:
                 self.fence()
             bg, ba = divmod(bank, BANKS_PER_GROUP)
@@ -724,32 +675,6 @@ class MemoryController:
             self.enqueue(Request(op, bg, ba, row, col, data, tag, count=count, index=i))
             if fence:
                 self.fence()
-
-    def _program_pass(
-        self, program: Sequence[tuple], blocks: Sequence[np.ndarray], out: _Drain
-    ) -> Optional[int]:
-        """One :meth:`_lone_run` per run of ``program``; returns the epoch of
-        the last command (None: none went out).  From a run that shares its
-        epoch with the next or does not go out whole, the rest of the
-        program is queued and the drain carries on from the queue."""
-        epoch = None
-        for i, (write, row, col, count, fence, operand, barrier, bank) in enumerate(program):
-            if not fence:
-                self._queue_runs(program, blocks, i)
-                break
-            if epoch is not None:
-                self._next_ca += self.fence_penalty  # crossing a fence
-            epoch = self._epoch + barrier  # the run's epoch, had it been queued
-            if not self._lone_run(
-                write, bank // BANKS_PER_GROUP, bank % BANKS_PER_GROUP, row, col, count,
-                blocks[operand] if write else None, None if write else i,
-                out, lambda: self._queue_runs(program, blocks, i), i,
-            ):
-                break
-            if barrier:
-                self.fence()
-            self.fence()
-        return epoch
 
     def _expand_queue(self, out: _Drain) -> None:
         """Turn every queued run into its single requests (``SHUFFLE``'s
@@ -896,15 +821,13 @@ class MemoryController:
         means: check it, enqueue every run with its fences, drain.  A read
         run's bytes, when any reach the I/O, are ``read_data[i]`` for its
         index ``i`` in the program.  ``issue_order`` never lists a
-        program's runs, whichever way they went.  On an empty queue under
-        an in-order policy they are issued unqueued the first time from a
-        timing state — a fenced run as a lone run (:meth:`_program_pass`),
-        an epoch of several runs, when none is a write, through the pick
-        path — and a fenced program behind a queued prefix
-        (:meth:`_prefix`) drains off the queue after it; every later time
-        from that key it is the frame remembered then
-        (:meth:`_apply_frame`), unless a refresh falls due inside it or the
-        channel declines the frame."""
+        program's runs, whichever way they went.  Under an in-order policy
+        a fenced program (its runs lone runs), or one epoch of several
+        runs none of which is a write (the pick path), on an empty queue
+        or behind a queued prefix (:meth:`_prefix`), drains off the queue
+        the first time from a timing state; every later time from that key
+        it is the frame remembered then (:meth:`_apply_frame`), unless a
+        refresh falls due inside it or the channel declines the frame."""
         out = _Drain()
         channel = self.channel
         start_counts = dict(channel.cmd_counts)
@@ -913,7 +836,7 @@ class MemoryController:
         queue = self._queue
         in_order = self.policy is not _SHUFFLE
         epoch: Optional[int] = None
-        key, refreshes, passing = None, self.refresh_count, False
+        key, refreshes = None, self.refresh_count
         if program:
             fenced = False
             for write, _, _, count, fence, operand, barrier, _ in program:
@@ -935,14 +858,10 @@ class MemoryController:
                     self._recording = _Schedule(
                         self._base(), program, channel.frame_entry(), queue
                     )
-                    passing = lone and not queue
-                    if not passing:
-                        self._queue_runs(program, blocks)
+                    self._queue_runs(program, blocks)
         if not in_order:
             self._expand_queue(out)
         try:
-            if passing:
-                epoch = self._program_pass(program, blocks, out)
             while queue:
                 head = queue[0]
                 if head.epoch != epoch:
@@ -951,10 +870,7 @@ class MemoryController:
                         self._next_ca += self.fence_penalty
                     epoch = head.epoch
                     if in_order and (len(queue) == 1 or queue[1].epoch != epoch):
-                        self._lone_run(
-                            head.cls & 1, head.bg, head.ba, head.row, head.col, head.count,
-                            head.data, head.tag, out, index=head.index,
-                        )
+                        self._lone_run(head, out)
                         continue
                 if self._due(self._cycle):
                     self._do_refresh()

@@ -163,21 +163,6 @@ class EccBank(Bank):
                     )
         return raw
 
-    def _clean_run(self, row: int, col0: int, n: int) -> Optional[np.ndarray]:
-        """The run's block only when no word of it is dirty.  A dirty word
-        sends every column through :meth:`peek` at its own command, which
-        classifies, corrects, scrubs, counts and raises there.
-        ``words_checked`` advances as the columns issue — this one's words
-        here, the rest in :meth:`read_fetched`."""
-        if type(self) is not EccBank:
-            return None
-        run = self._run(row, col0, n)
-        wpc = self._words_per_col
-        if self._dirty(row, col0 * wpc, (col0 + n) * wpc):
-            return None
-        self.ecc_stats.words_checked += wpc
-        return run.reshape(n, -1).copy()
-
     def framed(self, row: int) -> bool:
         """A live bank of this exact class with no injection entry on
         ``row``: every word there is clean, so its reads decode nothing."""
@@ -191,11 +176,6 @@ class EccBank(Bank):
         """The block, and the ``words_checked`` of its ``n`` reads."""
         self.ecc_stats.words_checked += n * self._words_per_col
         return super().read_block(row, col0, n)
-
-    def read_fetched(self, row: int, cycle: int) -> None:
-        """A fetched read still counts its column's words as checked."""
-        super().read_fetched(row, cycle)
-        self.ecc_stats.words_checked += self._words_per_col
 
     def poke_columns(self, row: int, cols: np.ndarray, data: np.ndarray) -> None:
         """Index-array column write: every written word is encoded."""

@@ -297,10 +297,8 @@ class PseudoChannel:
                 if cmd.data is None:
                     raise ValueError("WR command without data")
                 bank.write(cmd.row, cmd.col, cmd.data, cycle)
-            elif cmd.fetched:
-                bank.read_fetched(cmd.row, cycle)
             else:
-                data = bank.read(cmd.row, cmd.col, cycle, cmd.ahead)
+                data = bank.read(cmd.row, cmd.col, cycle)
             self._record_col(bg, cycle, is_write)
         finally:
             # Also when the data path raises (PimChannelError): the bank

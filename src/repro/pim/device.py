@@ -31,12 +31,6 @@ data events — register write runs, PIM_OP_MODE writes as the exec
 group's ``start_all`` / ``stop_all``, trigger runs as one ``trigger_all``
 entry each, AB writes — against the bytes of the drain that takes it, so
 the exec group's flush does the math as it always does.
-
-A RD's read-ahead (``Command.ahead``) is a matter between the controller
-and one bank's data path: an SB-mode read of a bank row hands it to the
-bank, and everything decoded ahead of the banks or broadcast to all of
-them — register rows, AB and AB-PIM columns — answers with the one column
-(or, in AB-PIM, nothing), as it always has.
 """
 
 from __future__ import annotations

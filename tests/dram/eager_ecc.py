@@ -18,7 +18,7 @@ production block is defined as.  Its injection methods keep their old
 unchecked indices; drive it with in-range ones only.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -50,10 +50,6 @@ class EagerEccBank(Bank):
             # (encode(0) == 0), so a fresh array is consistent.
             self._check[row] = array
         return array
-
-    def _check_run(self, row: int, col0: int, n: int) -> np.ndarray:
-        words_per_col = self.config.col_bytes // _WORD_BYTES
-        return self._check_array(row)[col0 * words_per_col : (col0 + n) * words_per_col]
 
     # -- the protected column path --------------------------------------------
 
@@ -93,19 +89,6 @@ class EagerEccBank(Bank):
                         f"double-bit error at row {row} col {col} word {i}"
                     )
         return raw
-
-    def _clean_run(self, row: int, col0: int, n: int) -> Optional[np.ndarray]:
-        if type(self) is not EagerEccBank:
-            return None
-        raw = self._run(row, col0, n).copy()
-        if not check_words(raw.view("<u8"), self._check_run(row, col0, n)).all():
-            return None
-        self.ecc_stats.words_checked += self.config.col_bytes // _WORD_BYTES
-        return raw.reshape(n, -1)
-
-    def read_fetched(self, row: int, cycle: int) -> None:
-        super().read_fetched(row, cycle)
-        self.ecc_stats.words_checked += self.config.col_bytes // _WORD_BYTES
 
     def poke_columns(self, row: int, cols: np.ndarray, data: np.ndarray) -> None:
         data = np.ascontiguousarray(self._column_block(len(cols), data))

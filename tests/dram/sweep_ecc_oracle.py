@@ -6,8 +6,9 @@ every 1- and 2-bit error pattern over the word's 72 stored bits (64 data,
 ``inject_error`` / ``inject_check_error`` into a fresh
 :class:`repro.dram.ecc.EccBank` and a fresh eager oracle
 (``tests/dram/eager_ecc.py``), and the word is then read four ways:
-``peek``, ``peek_block``, a timed read run with read-ahead, and
-``scrub_row``.  Both banks must return the same bytes or raise the same
+``peek``, ``peek_block``, a timed read burst through the channel
+(``PseudoChannel.issue`` of one ``Command(RD, count=3)``, served column
+by column by the bank's timed read) and ``scrub_row``.  Both banks must return the same bytes or raise the same
 exception, and end with the same cells, check bytes and ``EccStats``.
 The tier-1 differential (``tests/dram/test_lazy_ecc.py``) samples the
 same property over whole access streams; this covers every pattern.
@@ -34,7 +35,9 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2]))
 
 from repro.dram.bank import BankConfig  # noqa: E402
+from repro.dram.commands import Command, CommandType  # noqa: E402
 from repro.dram.ecc import EccBank, peek_block  # noqa: E402
+from repro.dram.pseudochannel import PseudoChannel  # noqa: E402
 from repro.dram.timing import HBM2_1GHZ  # noqa: E402
 from repro.errors import PimError  # noqa: E402
 from tests.dram.eager_ecc import EagerEccBank  # noqa: E402
@@ -50,33 +53,23 @@ WORDS = [0, (1 << 64) - 1] + [
 ]
 
 
-def _timed_run(bank):
-    """Columns COL-1 .. COL+1 as the controller reads a tagged run."""
-    bank.activate(ROW, 0)
-    cycle = 100
-    first = bank.read(ROW, COL - 1, cycle, ahead=2)
-    if first.ndim == 2:
-        for _ in range(2):
-            cycle += 10
-            bank.read_fetched(ROW, cycle)
-        return first
-    out = [first]
-    for col in (COL, COL + 1):
-        cycle += 10
-        out.append(bank.read(ROW, col, cycle))
-    return np.stack(out)
+def _timed_run(channel):
+    """Columns COL-1 .. COL+1 of bank 0 as one timed read burst."""
+    channel.issue(Command(CommandType.ACT, row=ROW), 0)
+    return channel.issue(Command(CommandType.RD, row=ROW, col=COL - 1, count=3), 100)
 
 
 READS = {
-    "peek": lambda bank: bank.peek(ROW, COL),
-    "peek_block": lambda bank: peek_block([bank], ROW, COL - 1, 3),
+    "peek": lambda channel: channel.banks[0].peek(ROW, COL),
+    "peek_block": lambda channel: peek_block(channel.banks[:1], ROW, COL - 1, 3),
     "timed": _timed_run,
-    "scrub_row": lambda bank: bank.scrub_row(ROW),
+    "scrub_row": lambda channel: channel.banks[0].scrub_row(ROW),
 }
 
 
 def _outcome(cls, row_bytes, slot, pattern, read):
-    bank = cls(CONFIG, HBM2_1GHZ)
+    channel = PseudoChannel(HBM2_1GHZ, CONFIG, bank_cls=cls)
+    bank = channel.banks[0]
     for col in range(CONFIG.cols_per_row):
         bank.poke(ROW, col, row_bytes[col])
     for bit in pattern:
@@ -85,7 +78,7 @@ def _outcome(cls, row_bytes, slot, pattern, read):
         else:
             bank.inject_check_error(ROW, COL, slot, bit - 64)
     try:
-        result = read(bank)
+        result = read(channel)
         result = result.tobytes() if isinstance(result, np.ndarray) else result
     except PimError as exc:
         result = (type(exc).__name__, str(exc))

@@ -176,6 +176,22 @@ class TestFences:
         mc.fence()
         assert mc.drain().cycles == baseline
 
+    def test_a_negative_fence_penalty_is_rejected(self):
+        """It used to rewind the CA bus at each fence: four fenced reads to
+        four banks put their commands on the bus at cycles 0, 14, 6, 20,
+        so an ACT after a fence went out before the RD ahead of it."""
+        from repro.host.processor import HostConfig
+        from repro.stack import PimSystem, SystemConfig
+
+        with pytest.raises(ValueError, match="cannot rewind"):
+            make_controller(fence_penalty=-1000)
+        for config in (
+            SystemConfig(num_pchs=1, num_rows=64, fence_penalty_cycles=-1),
+            SystemConfig(num_pchs=1, num_rows=64, host=HostConfig(fence_sync_ns=-45.0)),
+        ):
+            with pytest.raises(ValueError, match="cannot rewind"):
+                PimSystem(config)
+
 
 class TestWindow:
     def test_window_limits_lookahead(self):
@@ -315,8 +331,18 @@ class TestColumnBursts:
             (lambda mc: mc.write(0, 0, 3, 0, np.zeros((4, 32), np.uint8), count=8),
              r"needs a \(8, 32\) block"),
             (lambda mc: mc.write(0, 0, 3, 0, None, count=2), r"needs a \(2, 32\) block"),
+            # The public ``enqueue`` skipped the check: one RD went out and
+            # the drain returned its bytes.
+            (lambda mc: mc.enqueue(Request(MemOp.READ, 0, 0, 1, 0, tag="x", count=0)),
+             "at least one column"),
+            (lambda mc: mc.enqueue(
+                Request(MemOp.WRITE, 0, 0, 3, 0, np.zeros((4, 32), np.uint8), count=8)
+            ), r"needs a \(8, 32\) block"),
         ],
-        ids=["read-count-0", "read-count-negative", "short-block", "no-block"],
+        ids=[
+            "read-count-0", "read-count-negative", "short-block", "no-block",
+            "enqueue-count-0", "enqueue-short-block",
+        ],
     )
     def test_a_run_the_bus_cannot_carry_is_refused_where_it_is_queued(
         self, queue, error

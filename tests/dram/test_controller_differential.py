@@ -2,9 +2,8 @@
 
 ``repro.dram.controller.MemoryController`` schedules *runs*: the reorder
 window is the queue head while a budget of bus commands lasts, a pick asks
-the channel one first-ready question, the picked run issues its next column
-and shrinks, and a clean read run's bytes cross at its first column.  The
-controller it replaced lives on as
+the channel one first-ready question, and the picked run issues its next
+column and shrinks.  The controller it replaced lives on as
 ``reference_controller.ReferenceController``.  Both are driven through the
 same random request streams on twin channels and must agree on everything
 observable: issue cycles and order, read data, command counts, row hit/miss
@@ -20,12 +19,12 @@ epoch), ``SHUFFLE``'s expansion, had a refresh fall due inside it, met a
 flipped bit, or raised part way.
 
 A kernel hands the controller a whole program (``drain(program,
-blocks)``); ``TestTheProgramPassIsTheQueuePath`` holds that equal to the
-program queued run by run (``reference_emitter.enqueue_program``) and to
-the reference fed its single requests — runs to drawn banks, GEMV
-readback-shaped epochs among them, and each read run's block, which
-``drain`` files under the run's index in the program — also when the
-drain is the frame remembered from an equal state.
+blocks)``); ``TestAProgramDrainsAsItsSingleRequests`` holds that equal to
+the reference fed the program's single requests — runs to drawn banks,
+GEMV readback-shaped epochs among them, each read run's block, which
+``drain`` files under the run's index in the program, and the queue a
+raise leaves — also when the drain is the frame remembered from an equal
+state.
 ``TestARememberedSchedule`` holds a drain from a state that differs in
 one component of the key, or over a fault the key leaves out, equal to a
 controller that never remembers.
@@ -55,7 +54,6 @@ from repro.pim.stream import ZEROS, Run, gemv_readback
 from repro.tools import trace_channel
 
 from .reference_controller import ReferenceController
-from .reference_emitter import enqueue_program
 
 NUM_ROWS = 64
 # A short refresh interval so random streams of a few dozen requests cross
@@ -348,8 +346,9 @@ FAULTS = st.lists(
     ),
     max_size=6,
 )
-# Reads only (and long epochs of them): what the read-ahead serves.  The
-# full STREAM, writes and all, is drawn as often.
+# Reads only (and long epochs of them): the pick path's read runs, their
+# columns landing in one block.  The full STREAM, writes and all, is drawn
+# as often.
 READ_STREAM = st.lists(
     st.one_of(
         REQUEST.map(lambda r: (MemOp.READ, *r[1:])),
@@ -837,12 +836,12 @@ def make_program(runs, mode):
 
 
 def queue_state(mc):
-    """What is left queued, run by run (the reference queues singles).  Tags
-    are left out: the emitter queues a program's reads untagged."""
+    """What is left queued, one entry per single request: a production run
+    stands for its expansion, the reference queues singles.  Tags are left
+    out: the two tag a program's runs differently."""
     return [
-        (r.op, r.bg, r.ba, r.row, r.col, r.count, r.epoch,
-         None if r.data is None else r.data.tobytes())
-        for r in mc._queue
+        (r.op, r.bg, r.ba, r.row, r.col, r.epoch, None if r.data is None else r.data.tobytes())
+        for run in mc._queue for r in run.expand()
     ]
 
 
@@ -865,30 +864,30 @@ def inject(channel, faults):
             channel.banks[bank].fail(0)
 
 
-def three_ways(
+def two_ways(
     mode, runs, before=(), fence_before=True, microkernel=NOP_PROGRAM, faults=(),
     hit=False, **kwargs,
 ):
-    """Hand the program of ``runs`` to ``drain`` (``pass``), to the run-by-run
-    emitter (``queue``) and, expanded into single requests,
-    to the reference controller (``reference``) — each behind the same
-    ``before`` requests (and a fence, with ``fence_before``) on a twin
-    channel with the same ``faults`` — then drain once more.  With ``hit``
-    the pass side first drains the program from the same state, on clean
-    cells, and is put back (``remember``): its drain is then the frame it
-    remembered, when the program is one it remembers.
+    """Hand the program of ``runs`` to ``drain`` (``drain``) and, expanded
+    into single requests, to the reference controller (``reference``) —
+    each behind the same ``before`` requests (and a fence, with
+    ``fence_before``) on a twin channel with the same ``faults`` — then
+    drain once more.  With ``hit`` the production side first drains the
+    program from the same state, on clean cells, and is put back
+    (``remember``): its drain is then the frame it remembered, when the
+    program is one it remembers.
     Returns each side's outcome of both drains: result or exception, every
     bus command at its cycle (bursts spelled as their columns), the
-    ``drain`` spans, the controller and bank state, the queue (``None`` for
-    the reference) and the read data per (run, column) — of ``before``
-    (tagged ``("before", position)``) and, apart, of the program's runs (by
-    index in the program).  The pass side's ``issue_order`` must list no
+    ``drain`` spans, the controller and bank state, the queue in single
+    requests and the read data per (run, column) — of ``before`` (tagged
+    ``("before", position)``) and, apart, of the program's runs (by index
+    in the program).  The production side's ``issue_order`` must list no
     run of the program."""
     program, blocks = make_program(runs, mode)
     rows = stream_rows(mode)
     step = TIMING.tccd_l
     outcomes = {}
-    for way in ("pass", "queue", "reference"):
+    for way in ("drain", "reference"):
         controller = ReferenceController if way == "reference" else MemoryController
         side = Side(controller, mode, program=microkernel, **kwargs)
         for position, (op, bank, row, col, value) in enumerate(before):
@@ -898,7 +897,7 @@ def three_ways(
             )
         if fence_before:
             side.mc.fence()
-        if hit and way == "pass":
+        if hit and way == "drain":
             remember(side.mc, program, blocks)
         inject(side.mc.channel, faults)
         side.mc.tracer = tracer = Tracer()
@@ -912,10 +911,8 @@ def three_ways(
                 try:
                     if attempt:
                         result = side.mc.drain()
-                    elif way == "pass":
+                    elif way == "drain":
                         result = side.mc.drain(program, blocks)
-                    elif way == "queue":
-                        result = enqueue_program(side.mc, program, blocks)
                     else:
                         for index, (run, drawn) in enumerate(zip(program, runs)):
                             if run.barrier:
@@ -953,7 +950,7 @@ def three_ways(
                     for r in trace.records for i in range(r.count)
                 ],
                 side.state(),
-                None if way == "reference" else queue_state(side.mc),
+                queue_state(side.mc),
             ))
         if mode != "sb" and drains[-1][0][0] == "ok":
             side.mc.channel.lockstep.flush_pending()
@@ -969,32 +966,19 @@ def three_ways(
 
 
 def assert_one_outcome(outcomes):
-    """The three ways agree — the two production ways on the queue too,
-    the pass and the reference on the program's read data too (the
-    emitter queues a program's reads untagged)."""
-
-    def emitted(drains):
-        return [
-            (d[0][:2] if d[0][0] == "ok" else d[0], *d[1:]) if isinstance(d, tuple) else d
-            for d in drains
-        ]
-
-    def without_queue(drains):
-        return [d[:3] if isinstance(d, tuple) else d for d in drains]
-
-    assert emitted(outcomes["pass"]) == emitted(outcomes["queue"])
-    assert without_queue(outcomes["pass"]) == without_queue(outcomes["reference"])
+    """The two ways agree on everything, the queue a raise leaves too."""
+    assert outcomes["drain"] == outcomes["reference"]
 
 
-class TestTheProgramPassIsTheQueuePath:
-    """``drain(program, blocks)`` issues a program's lone runs without
-    queueing them, and takes the frame it remembered from an equal timing
-    state — of fenced runs, or of a read-only epoch of several runs — with
-    this drain's blocks; whatever it meets — a run sharing
-    its epoch, a refresh falling due inside a run, ``SHUFFLE``, a queue
-    that was not empty, a fault, a frame — must leave the bus, the clocks, the
-    counters, the banks, the queue and the trace where queueing the program
-    run by run does."""
+class TestAProgramDrainsAsItsSingleRequests:
+    """``drain(program, blocks)`` queues a program's runs, takes each lone
+    epoch as one lone run, and takes the frame it remembered from an equal
+    timing state — of fenced runs, or of a read-only epoch of several runs
+    — with this drain's blocks; whatever it meets — a run sharing its
+    epoch, a refresh falling due inside a run, ``SHUFFLE``, a queue that
+    was not empty, a fault, a frame — must leave the bus, the clocks, the
+    counters, the banks, the queue and the trace where the reference fed
+    the program's single requests does."""
 
     @settings(
         max_examples=150, deadline=None,
@@ -1020,13 +1004,13 @@ class TestTheProgramPassIsTheQueuePath:
     ):
         with monkeypatch.context() as patch:
             taken = burst_paths(patch)
-            outcomes = three_ways(
+            outcomes = two_ways(
                 mode, runs, before, fence_before, fused=fused, policy=policy[0],
                 seed=policy[1], refresh=refresh, fence_penalty=fence_penalty,
                 window=window, hit=hit,
             )
         assert_one_outcome(outcomes)
-        assert outcomes["pass"][0][0][0] == "ok"
+        assert outcomes["drain"][0][0][0] == "ok"
         # The second drain from an equal state is a frame exactly where one
         # is due — unless a refresh fell due inside it.
         due = (
@@ -1065,13 +1049,13 @@ class TestTheProgramPassIsTheQueuePath:
     @pytest.mark.parametrize("policy", [SchedulerPolicy.FRFCFS, SchedulerPolicy.FCFS])
     def test_damage_mid_program(self, mode, faults, microkernel, error, policy):
         """Same exception, type and text, after the same commands; the same
-        runs left queued — and the drain after it agrees again."""
-        outcomes = three_ways(
+        single requests left queued — and the drain after it agrees again."""
+        outcomes = two_ways(
             mode, self.RUNS, microkernel=microkernel, faults=faults, ecc=True,
             policy=policy, fence_penalty=7,
         )
         assert_one_outcome(outcomes)
-        first, second = outcomes["pass"][:2]
+        first, second = outcomes["drain"][:2]
         assert first[0][:2] == ("raised", error) and second[0][:2] == ("raised", error)
         assert first[3], "the rest of the program is queued"
 
@@ -1098,18 +1082,18 @@ class TestTheProgramPassIsTheQueuePath:
         """The readback's 16 runs share one epoch over the 8 even banks of
         an ECC channel: each run's block comes back under its index in the
         program, whichever order its columns went; a fault inside one
-        leaves the same queue and ``pending`` behind on every way — also
+        leaves the same queue and ``pending`` behind on both ways — also
         when the pick path remembered a frame from the same state on clean
         cells, which the fault then declines."""
         taken = burst_paths(monkeypatch)
-        outcomes = three_ways(
+        outcomes = two_ways(
             "sb", self.READBACK, faults=damage, ecc=True, policy=policy, fence_penalty=7,
             hit=hit,
         )
         # Damage on a read row or bank declines the frame: the pick path.
         assert taken["frames"] == (hit and not damage)
         assert_one_outcome(outcomes)
-        first = outcomes["pass"][0]
+        first = outcomes["drain"][0]
         if error is None:
             stored = {
                 (index, col): ((7 * bank + 5 + 3 * col + np.arange(32)) % 251)
@@ -1122,56 +1106,53 @@ class TestTheProgramPassIsTheQueuePath:
             assert first[0][:2] == ("raised", error)
             assert first[3] and first[2][2][2] > 0  # queued runs, pending
 
-    def test_the_strategy_reaches_every_way_out_of_the_pass(self, monkeypatch):
-        """Fixed programs that leave the pass each way it can be left."""
+    def test_the_strategy_reaches_every_path(self, monkeypatch):
+        """Fixed programs that take each path a program's runs can take."""
         taken = burst_paths(monkeypatch)
         fenced = [(False, 0, 0, 8, 0, True, False, 0)] * 12
         # A refresh falls due inside some of twelve 8-column runs.
-        assert_one_outcome(three_ways("sb", fenced, refresh=True, fence_penalty=7))
+        assert_one_outcome(two_ways("sb", fenced, refresh=True, fence_penalty=7))
         assert taken["straddle"] >= 1 and taken["picks"] == 7 * taken["straddle"]
-        # A run with no fence after it shares its epoch with the next: the
-        # rest of the program is queued.  (Counts are of the two production
-        # ways together.)
+        # A run with no fence after it shares its epoch with the next.
         taken.update(dict.fromkeys(taken, 0))
         unfenced = [fenced[0], (False, 1, 0, 8, 0, False, False, 0), fenced[0]]
-        assert_one_outcome(three_ways("sb", unfenced, fence_penalty=7))
-        assert (taken["closed-form"], taken["picks"]) == (2 * 1, 2 * 16)
-        # A request queued ahead of the program: all of it is queued — in
-        # the program's first epoch, that run and the request share picks;
-        # behind a fence, each is a lone run off the queue.
+        assert_one_outcome(two_ways("sb", unfenced, fence_penalty=7))
+        assert (taken["closed-form"], taken["picks"]) == (1, 16)
+        # A request queued ahead of the program: in the program's first
+        # epoch, that run and the request share picks; behind a fence,
+        # each is a lone run.
         shared = [(MemOp.READ, 0, 0, 9, 0)]
-        for fence_before, expect in ((False, (2 * 1, 2 * 9)), (True, (2 * 3, 0))):
+        for fence_before, expect in ((False, (1, 9)), (True, (3, 0))):
             taken.update(dict.fromkeys(taken, 0))
-            assert_one_outcome(three_ways("sb", fenced[:2], shared, fence_before))
+            assert_one_outcome(two_ways("sb", fenced[:2], shared, fence_before))
             assert (taken["closed-form"], taken["picks"]) == expect
         # One epoch of several reads drained again from an equal state: a
-        # frame and no pick (the pick path ran on the queue way and when
-        # the pass side remembered it), any window — in SB mode; the
-        # all-bank modes take the pick path every time.
+        # frame and no pick (the pick path ran when the production side
+        # remembered it), any window — in SB mode; the all-bank modes take
+        # the pick path every time.
         epoch = self.READBACK[:8]
         for mode, window, frames in (("sb", 4, 1), ("ab", 16, 0), ("ab-pim", 1, 0)):
             taken.update(dict.fromkeys(taken, 0))
-            assert_one_outcome(three_ways(mode, epoch, hit=True, window=window))
-            assert (taken["frames"], taken["picks"]) == (frames, (3 - frames) * 64)
+            assert_one_outcome(two_ways(mode, epoch, hit=True, window=window))
+            assert (taken["frames"], taken["picks"]) == (frames, (2 - frames) * 64)
         # Not when a refresh fell due inside it: nothing was remembered.
         taken.update(dict.fromkeys(taken, 0))
-        assert_one_outcome(three_ways("sb", self.READBACK, hit=True, refresh=True))
-        assert (taken["frames"], taken["picks"]) == (0, 3 * 128)
+        assert_one_outcome(two_ways("sb", self.READBACK, hit=True, refresh=True))
+        assert (taken["frames"], taken["picks"]) == (0, 2 * 128)
         # A fenced program drained again from an equal state on a
         # deferring exec group: a frame — the kernels' shape in AB-PIM, a
         # write to every column of a row in AB — and no lone run; on the
-        # eager group, the lone runs.  (Lone runs of the remembering
-        # drain, the queue way and, in AB-PIM, ``entering_ab_pim``'s
-        # two per production way.)
+        # eager group, the lone runs.  (Lone runs of the remembering drain
+        # and, in AB-PIM, ``entering_ab_pim``'s two.)
         writes = [(True, 1, 0, 8, 3, True, False, 0), (True, 1, 8, 8, 4, True, False, 0)]
         for mode, runs, fused, frames in (
             ("ab-pim", self.RUNS, True, 1), ("ab", writes, True, 1),
             ("ab-pim", self.RUNS, False, 0),
         ):
             taken.update(dict.fromkeys(taken, 0))
-            assert_one_outcome(three_ways(mode, runs, hit=True, fused=fused))
+            assert_one_outcome(two_ways(mode, runs, hit=True, fused=fused))
             assert (taken["frames"], taken["closed-form"]) == (
-                frames, (3 - frames) * len(runs) + 2 * 2 * (mode == "ab-pim")
+                frames, (2 - frames) * len(runs) + 2 * (mode == "ab-pim")
             )
 
 

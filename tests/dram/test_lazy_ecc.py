@@ -55,11 +55,9 @@ READERS = {
     "repro.dram.bank:Bank.peek",
     "repro.dram.bank:Bank.peek_columns",
     "repro.dram.bank:Bank.materialized_rows",
-    "repro.dram.bank:Bank._clean_run",
     "repro.dram.bank:Bank.read_block",
     "repro.dram.ecc:EccBank._dirty",
     "repro.dram.ecc:EccBank._check_array",
-    "repro.dram.ecc:EccBank._clean_run",
     "repro.dram.ecc:EccBank.materialized_rows",
     "repro.dram.ecc:EccBank.inject_check_error",
     "repro.dram.ecc:peek_block",
@@ -203,22 +201,15 @@ class Side:
         self.cycle = 0
 
     def timed_read(self, bank, row, col0, n):
-        """A tagged read run as the controller issues it: the first RD
-        asks for the rest; answered with the block, the others are
-        ``fetched``; answered with one column, each reads for itself."""
+        """A tagged read run as the controller issues it: one timed RD per
+        column, each through the bank's column path."""
         self.cycle += 1000
         bank.precharge(self.cycle)
         self.cycle += 100
         bank.activate(row, self.cycle)
-        self.cycle += 100
-        first = bank.read(row, col0, self.cycle, ahead=n - 1)
-        if first.ndim == 2:
-            for _ in range(n - 1):
-                self.cycle += 10
-                bank.read_fetched(row, self.cycle)
-            return first
-        out = [first]
-        for col in range(col0 + 1, col0 + n):
+        self.cycle += 90
+        out = []
+        for col in range(col0, col0 + n):
             self.cycle += 10
             out.append(bank.read(row, col, self.cycle))
         return np.stack(out)

@@ -108,10 +108,7 @@ class Reference(ReferencePimPseudoChannel):
         data = None
         try:
             if kind is CommandType.RD:
-                if cmd.fetched:
-                    bank.read_fetched(cmd.row, cycle)
-                else:
-                    data = bank.read(cmd.row, cmd.col, cycle, cmd.ahead)
+                data = bank.read(cmd.row, cmd.col, cycle)
             else:
                 if cmd.data is None:
                     raise ValueError("WR command without data")
@@ -162,20 +159,16 @@ class Twins:
 
     def issue(
         self, kind, bank=0, row=0, col=0, value=None, early=False, slack=0, count=1,
-        **read,
     ):
         """Issue one command at its earliest cycle plus ``slack`` — or, with
         ``early``, one cycle too soon.  With ``count > 1`` the channel under
-        test takes a column burst, the oracle its single commands.  ``read``
-        is a RD's ``ahead`` / ``fetched``."""
+        test takes a column burst, the oracle its single commands."""
         data = None
         if value is not None:
             data = np.full(32, value, dtype=np.uint8)
             if count > 1:  # a different burst per column
                 data = (data + np.arange(count, dtype=np.uint8)[:, None]).astype(np.uint8)
-        cmd = Command(
-            kind, bank // 4, bank % 4, row=row, col=col, data=data, count=count, **read
-        )
+        cmd = Command(kind, bank // 4, bank % 4, row=row, col=col, data=data, count=count)
         bound = self.new.earliest_issue(cmd)
         assert bound == self.ref.earliest_issue(cmd)
         if early and bound > 0:
@@ -548,44 +541,4 @@ class TestSingleBankColumn:
             assert twins.issue(kind, bank=5, row=1, col=2, value=value) == (
                 "raised", PimChannelError, "data access to a bank of failed channel 0"
             )
-        twins.observe()
-
-    @pytest.mark.parametrize("damage", [None, "correctable", "uncorrectable"])
-    def test_a_read_ahead_and_its_fetched_reads(self, bank_cls, damage):
-        """A RD with ``ahead=7`` over 8 written columns, then the rest of
-        the run: a clean run answers with its block and the later RDs go
-        ``fetched``; a dirty one answers with its column, and every later
-        RD reads for itself — correcting, or raising, at the word (on a
-        plain bank the flipped bits are simply what is stored)."""
-        twins = Twins(bank_cls=bank_cls)
-        twins.issue(CommandType.ACT, bank=8, row=2)
-        twins.issue(CommandType.WR, bank=8, row=2, col=4, value=10, count=8)
-        # Column 3 of the run (7 of the row); 17 and 18 share a 64-bit word.
-        flips = {"correctable": (17,), "uncorrectable": (17, 18)}.get(damage, ())
-        written = np.repeat(np.arange(10, 18, dtype=np.uint8), 32)
-        stored = written.copy()
-        for bit in flips:
-            stored[3 * 32 + bit // 8] ^= 1 << (bit % 8)
-            for channel in (twins.new, twins.ref):
-                channel.banks[8].flip_bit(2, 7 * 256 + bit)
-        written = written.tobytes()
-        first = twins.issue(CommandType.RD, bank=8, row=2, col=4, ahead=7)
-        if damage is None or bank_cls is None:
-            assert first == ("ok", stored.tobytes())
-            for col in range(5, 12):
-                assert twins.issue(CommandType.RD, bank=8, row=2, col=col, fetched=True) == (
-                    "ok", None
-                )
-        else:
-            assert first == ("ok", written[:32])
-            for col in range(5, 12):
-                outcome = twins.issue(CommandType.RD, bank=8, row=2, col=col)
-                if damage == "uncorrectable" and col == 7:
-                    assert outcome[:2] == ("raised", UncorrectableError)
-                else:
-                    offset = 32 * (col - 4)
-                    assert outcome == ("ok", written[offset : offset + 32])
-        assert twins.new.banks[8].rd_count == 8
-        if bank_cls is EccBank:
-            assert twins.new.banks[8].ecc_stats == twins.ref.banks[8].ecc_stats
         twins.observe()

@@ -152,8 +152,8 @@ KERNELS = [
 
 
 class TestEveryAamGroupIsOneBurst:
-    """What the controller's program pass rests on — and, for the
-    readback, what the run window is handed."""
+    """What the controller's lone runs rest on — and, for the readback,
+    what the run window is handed."""
 
     @pytest.mark.parametrize("name", KERNELS)
     @pytest.mark.parametrize("pchs", [1, 2])
@@ -241,43 +241,6 @@ class TestEveryAamGroupIsOneBurst:
         monkeypatch.setattr(MemoryController, "drain", regrouping_drain)
         assert run() == bursts
         assert 8 in expanded
-
-    @pytest.mark.parametrize("name", ["gemv", "gemv-batched", "add", "mul", "relu"])
-    def test_no_request_is_built_for_the_compute_leg(self, name, monkeypatch):
-        """On an AB-PIM channel the compute leg is handed to the controller
-        as a program, and with nothing queued ahead of it (the CRF already
-        holds the microkernel) not one of its runs becomes a ``Request``.
-        (A first launch queues the CRF writes ahead of it, ``bn`` its SRF
-        writes: those programs are queued, as the emitter queued them.  The
-        GEMV readback's program is unfenced: FR-FCFS reorders its queued
-        runs across banks.)"""
-        from repro.dram.controller import MemoryController, Request
-
-        system = PimSystem(SystemConfig(num_pchs=2, num_rows=128))
-        _run_kernel(name, system, seed=7)  # loads the CRF
-        drain, post_init = MemoryController.drain, Request.__post_init__
-        draining = []  # the program of each drain under way
-        handed = []
-        built = []  # per Request: whether a program's drain built it
-
-        def watched_drain(self, program=(), blocks=()):
-            draining.append(program)
-            handed.append(len(program))
-            try:
-                return drain(self, program, blocks)
-            finally:
-                draining.pop()
-
-        def watched_post_init(self):
-            post_init(self)
-            compute_leg = draining and any(run.fence for run in draining[-1])
-            built.append(bool(compute_leg))
-
-        monkeypatch.setattr(MemoryController, "drain", watched_drain)
-        monkeypatch.setattr(Request, "__post_init__", watched_post_init)
-        _run_kernel(name, system, seed=7)
-        assert any(handed) and not any(built)
-
 
     @pytest.mark.parametrize(
         "shape, channels",
