@@ -542,3 +542,30 @@ class TestSingleBankColumn:
                 "raised", PimChannelError, "data access to a bank of failed channel 0"
             )
         twins.observe()
+
+    @pytest.mark.parametrize("damage", [(), (17,), (17, 18)], ids=["clean", "1-bit", "2-bit"])
+    def test_a_read_run_over_a_flipped_bit(self, bank_cls, damage):
+        """Eight written columns, bits ``damage`` of the fourth flipped (17
+        and 18 share a 64-bit word), read as one RD burst and then as the
+        pick path reads a run, one RD per column: an ECC bank corrects the
+        word or raises at it; a plain bank returns what is stored."""
+        twins = Twins(bank_cls=bank_cls)
+        twins.issue(CommandType.ACT, bank=8, row=2)
+        twins.issue(CommandType.WR, bank=8, row=2, col=4, value=10, count=8)
+        expected = np.repeat(np.arange(10, 18, dtype=np.uint8), 32)
+        for bit in damage:
+            if bank_cls is None:
+                expected[3 * 32 + bit // 8] ^= 1 << (bit % 8)
+            for channel in (twins.new, twins.ref):
+                channel.banks[8].flip_bit(2, 7 * 256 + bit)
+        raises = len(damage) == 2 and bank_cls is EccBank
+        for col, count in [(4, 8)] + [(col, 1) for col in range(4, 12)]:
+            outcome = twins.issue(CommandType.RD, bank=8, row=2, col=col, count=count)
+            if raises and col <= 7 < col + count:
+                assert outcome[:2] == ("raised", UncorrectableError)
+            else:
+                assert outcome == ("ok", expected[32 * (col - 4) :][: 32 * count].tobytes())
+        assert raises or twins.new.banks[8].rd_count == 16
+        if bank_cls is EccBank:
+            assert twins.new.banks[8].ecc_stats == twins.ref.banks[8].ecc_stats
+        twins.observe()
