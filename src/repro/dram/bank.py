@@ -194,17 +194,9 @@ class Bank:
 
     # -- timing queries -------------------------------------------------------
 
-    def earliest_act(self) -> int:
-        """Earliest cycle an ACT may issue (tRC/tRP bound)."""
-        return self.next_act
-
     def earliest_pre(self) -> int:
         """Earliest cycle a PRE may issue (tRAS/tWR/tRTP bound)."""
         return self.next_pre
-
-    def earliest_col(self, is_write: bool) -> int:
-        """Earliest cycle a column command may issue (tRCD bound)."""
-        return self.next_wr if is_write else self.next_rd
 
     # -- command execution ----------------------------------------------------
 
@@ -233,39 +225,6 @@ class Bank:
         self.state = BankState.IDLE
         self.open_row = None
         self.next_act = max(self.next_act, cycle + t.trp)
-
-    def merge_broadcast(
-        self,
-        open_row: Optional[int],
-        bounds: Tuple[int, int, int, int],
-        counts: Tuple[int, int, int],
-    ) -> None:
-        """Materialise a deferred all-bank update into this bank.
-
-        In the all-bank modes one command drives every bank of the
-        pseudo-channel identically, so the channel advances one shared
-        copy of the row-buffer state and applies it here only when
-        per-bank state can be observed.  ``open_row`` is the shared row
-        buffer (None: idle); ``bounds`` are lower bounds on
-        ``(next_act, next_pre, next_rd, next_wr)`` — the per-command
-        updates are all ``max(own, cycle + t)``, so their running maximum
-        is all a bank has to absorb; ``counts`` are the ACT/RD/WR commands
-        broadcast since the last merge.
-        """
-        self.state = BankState.IDLE if open_row is None else BankState.ACTIVE
-        self.open_row = open_row
-        act, pre, rd, wr = bounds
-        if act > self.next_act:
-            self.next_act = act
-        if pre > self.next_pre:
-            self.next_pre = pre
-        if rd > self.next_rd:
-            self.next_rd = rd
-        if wr > self.next_wr:
-            self.next_wr = wr
-        self.act_count += counts[0]
-        self.rd_count += counts[1]
-        self.wr_count += counts[2]
 
     def force_precharge(self, cycle: int) -> None:
         """Close the bank unconditionally (channel-recovery path).

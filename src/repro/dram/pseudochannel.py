@@ -40,10 +40,11 @@ class Frame(NamedTuple):
     row, col, offset, count, mode)`` — a column burst the device serves
     command by command spelled as its single commands, ``mode`` the
     device's operation mode at the command (None: a plain channel);
-    ``banks`` each bank they touched as ``(flat index, state, open_row,
-    next_act, next_pre, next_rd, next_wr, ACTs, RDs)``; ``last_col`` the
-    last column's ``(cycle, bank group, was write)``, ``last_act`` the last
-    ACT's ``(cycle, bank group)``, ``act_window`` the tFAW window,
+    ``banks`` each bank they touched (an all-bank program: every bank) as
+    ``(flat index, state, open_row, next_act, next_pre, next_rd, next_wr,
+    ACTs, RDs, WRs)``; ``last_col`` the last column's ``(cycle, bank
+    group, was write)``, ``last_act`` the last ACT's ``(cycle, bank
+    group)``, ``act_window`` the tFAW window,
     ``maxima`` the channel's ``next_act/pre/rd/wr`` maxima; ``counts`` the
     ``cmd_counts`` delta; ``reads`` each read run's ``(flat bank, row,
     col0, count)``; ``armed`` the mode FSM's armed row of a PIM channel and
@@ -77,7 +78,8 @@ class PseudoChannel:
     ):
         self.timing = timing
         self.bank_config = bank_config or BankConfig()
-        self._banks: List[Bank] = [
+        # The 16 banks, flat (``bg * 4 + ba``).
+        self.banks: List[Bank] = [
             bank_cls(self.bank_config, timing) for _ in range(BANKS_PER_PCH)
         ]
         # Shared-resource history.
@@ -99,17 +101,6 @@ class PseudoChannel:
 
     # -- helpers ------------------------------------------------------------
 
-    @property
-    def banks(self) -> List[Bank]:
-        """The 16 banks, flat (``bg * 4 + ba``).
-
-        The per-bank query point: a subclass that defers bank updates
-        (:class:`repro.pim.device.PimPseudoChannel` in the all-bank modes)
-        brings the banks up to date here; the channel's own command paths
-        use ``_banks``.
-        """
-        return self._banks
-
     def bank(self, bg: int, ba: int) -> Bank:
         """The bank addressed by (bank group, bank)."""
         return self.banks[bg * BANKS_PER_GROUP + ba]
@@ -121,7 +112,7 @@ class PseudoChannel:
         worst-case wait followed by PREA.  Timing legality is not
         re-checked; each bank's next ACT is pushed past ``cycle + tRP``.
         """
-        for bank in self._banks:
+        for bank in self.banks:
             bank.force_precharge(cycle)
             self._absorb(bank)
 
@@ -165,12 +156,12 @@ class PseudoChannel:
 
     def earliest_act(self, bg: int, ba: int) -> int:
         """Earliest legal cycle for an ACT to bank (``bg``, ``ba``)."""
-        bank = self._banks[bg * BANKS_PER_GROUP + ba]
+        bank = self.banks[bg * BANKS_PER_GROUP + ba]
         return max(bank.next_act, self._act_bus_bound(bg))
 
     def earliest_pre(self, bg: int, ba: int) -> int:
         """Earliest legal cycle for a PRE to bank (``bg``, ``ba``)."""
-        return self._banks[bg * BANKS_PER_GROUP + ba].next_pre
+        return self.banks[bg * BANKS_PER_GROUP + ba].next_pre
 
     def earliest_col(self, bg: int, ba: int, is_write: bool) -> int:
         """Earliest legal cycle for a RD/WR to bank (``bg``, ``ba``).
@@ -179,7 +170,7 @@ class PseudoChannel:
         scheduler uses: the bound depends only on the bank and the
         direction, never on the row, column or data of the request.
         """
-        bank = self._banks[bg * BANKS_PER_GROUP + ba]
+        bank = self.banks[bg * BANKS_PER_GROUP + ba]
         return max(
             bank.next_wr if is_write else bank.next_rd,
             self._col_bus_bound(bg, is_write),
@@ -195,7 +186,7 @@ class PseudoChannel:
         bank group is the last column's, so it is worked out once for each
         of those, and the banks' own bounds are read in place.
         """
-        banks = self._banks
+        banks = self.banks
         last_bg = self._last_col_bg
         bus: List[Optional[int]] = [None] * 4
         best = cycle = -1
@@ -223,7 +214,7 @@ class PseudoChannel:
         stream is legal at the same offsets — what a controller keys a
         schedule on."""
         state: List[Optional[int]] = []
-        for bank in self._banks:
+        for bank in self.banks:
             state += (
                 bank.open_row, bank.next_act - origin, bank.next_pre - origin,
                 bank.next_rd - origin, bank.next_wr - origin,
@@ -264,14 +255,14 @@ class PseudoChannel:
             raise TimingViolation(f"{cmd!r} at {cycle} before bound {bound}")
         self.cmd_counts[kind] += 1
         if kind is CommandType.PREA:
-            for bank in self._banks:
+            for bank in self.banks:
                 bank.precharge(cycle)
                 self._absorb(bank)
             return None
         if kind is CommandType.REF:
             self._refresh_banks(cycle)
             return None
-        bank = self._banks[cmd.bg * BANKS_PER_GROUP + cmd.ba]
+        bank = self.banks[cmd.bg * BANKS_PER_GROUP + cmd.ba]
         if kind is CommandType.ACT:  # both raise, if at all, before any change
             bank.activate(cmd.row, cycle)
             self._record_act(cmd.bg, cycle)
@@ -285,7 +276,7 @@ class PseudoChannel:
         gives, the bank's data path, the column history; a RD's data."""
         is_write = cmd.cmd is _WR
         bg = cmd.bg
-        bank = self._banks[bg * BANKS_PER_GROUP + cmd.ba]
+        bank = self.banks[bg * BANKS_PER_GROUP + cmd.ba]
         own = bank.next_wr if is_write else bank.next_rd
         bound = max(own, self._col_bus_bound(bg, is_write))
         if cycle < bound:
@@ -342,7 +333,7 @@ class PseudoChannel:
         for kind, bg, ba, row, col, offset, count, mode, _ in steps:
             if kind is not _ACT and kind is not _PRE and kind is not _RD:
                 return None
-            tally = touched.setdefault(bg * BANKS_PER_GROUP + ba, [0, 0])
+            tally = touched.setdefault(bg * BANKS_PER_GROUP + ba, [0, 0, 0])
             tally[0] += kind is _ACT
             if kind is _RD:
                 tally[1] += count
@@ -350,15 +341,23 @@ class PseudoChannel:
                 records.append((kind, bg, ba, row, col, offset, 1, mode))
             else:
                 records += self._singles(kind, bg, ba, row, col, offset, count, mode)
-        banks = []
-        for index, (acts, rds) in touched.items():
-            bank = self._banks[index]
-            banks.append((
+        banks = self._bank_entries(touched, origin)
+        return self._frame(records, origin, banks, tuple(reads))
+
+    def _bank_entries(
+        self, tallies: Dict[int, Sequence[int]], origin: int
+    ) -> Tuple[tuple, ...]:
+        """Each bank of ``tallies`` — flat index to the ``(ACTs, RDs, WRs)``
+        it took — as a :class:`Frame` records it, cycles from ``origin``."""
+        entries = []
+        for index, (acts, rds, wrs) in tallies.items():
+            bank = self.banks[index]
+            entries.append((
                 index, bank.state, bank.open_row, bank.next_act - origin,
                 bank.next_pre - origin, bank.next_rd - origin, bank.next_wr - origin,
-                acts, rds,
+                acts, rds, wrs,
             ))
-        return self._frame(records, origin, tuple(banks), tuple(reads))
+        return tuple(entries)
 
     def _singles(
         self, kind: CommandType, bg: int, ba: int, row: int, col: int, offset: int,
@@ -404,7 +403,7 @@ class PseudoChannel:
         injected word or a bank class of its own takes the command path.
         (``blocks`` and ``queued``: the written bytes of a frame that
         writes — the program's and its queued prefix's.)"""
-        banks = self._banks
+        banks = self.banks
         for index, row, _, _ in frame.reads:
             if not banks[index].framed(row):
                 return None
@@ -415,17 +414,18 @@ class PseudoChannel:
         ]
 
     def _take(self, frame: Frame, origin: int) -> None:
-        """The channel part of ``frame`` from ``origin``: the touched banks,
+        """The channel part of ``frame`` from ``origin``: the recorded banks,
         the column and ACT history, the tFAW window, the maxima, the
         command counts."""
-        banks = self._banks
-        for index, state, open_row, act, pre, rd, wr, acts, rds in frame.banks:
+        banks = self.banks
+        for index, state, open_row, act, pre, rd, wr, acts, rds, wrs in frame.banks:
             bank = banks[index]
             bank.state, bank.open_row = state, open_row
             bank.next_act, bank.next_pre = origin + act, origin + pre
             bank.next_rd, bank.next_wr = origin + rd, origin + wr
             bank.act_count += acts
             bank.rd_count += rds
+            bank.wr_count += wrs
         col, self._last_col_bg, self._last_col_was_write = frame.last_col
         self._last_col_cycle = None if col is None else origin + col
         act, self._last_act_bg = frame.last_act
@@ -464,7 +464,7 @@ class PseudoChannel:
     def _refresh_banks(self, cycle: int) -> None:
         """REF: every bank's next ACT waits out tRFC."""
         bound = cycle + self.timing.trfc
-        for bank in self._banks:
+        for bank in self.banks:
             bank.next_act = max(bank.next_act, bound)
         self._max_act = max(self._max_act, bound)
 

@@ -10,13 +10,25 @@
 Crucially, the *interface* is unchanged — the same :class:`Command` objects
 a JEDEC controller emits — which is the paper's drop-in-replacement claim.
 
+In the AB and AB-PIM modes one command drives all 16 banks of the
+pseudo-channel in lock-step (``_issue_all_bank``): the channel checks it
+once against its maxima and bus history, then moves every bank through
+that bank's own method — ``activate``, ``precharge``, ``read`` / ``write``,
+or ``touch_column`` for an AB-PIM trigger.  One command is 16 ``Bank``
+updates, so per-bank state is current after every command.  Each bank
+takes the same ``max(own, cycle + t)`` bound update, so folding bank 0
+into the channel maxima keeps them exact; and a bank moves its bounds and
+counts before its bytes, so when bank *k*'s data path raises (a failed
+channel, an uncorrectable word), banks ``0..k`` have taken the command and
+the rest have not.
+
 A :class:`Command` with ``count > 1`` is a column burst: ``count`` column
 commands to consecutive columns of one row, ``tCCD_L`` apart.  In AB-PIM
 mode — where execution latency is deterministic and bound to the column
-commands — a trigger burst is *one* update of the shared all-bank state
-and one entry on the exec group's tape (``_issue_burst``); in every other
-situation the channel loops its ordinary single-command ``issue``, so a
-burst can never do anything its commands would not.
+commands — a trigger burst touches each bank once, at its last command's
+cycle, and is one entry on the exec group's tape (``_issue_burst``); in
+every other situation the channel loops its ordinary single-command
+``issue``, so a burst can never do anything its commands would not.
 
 SB mode is standard DRAM: a RD / WR to a bank row (the GEMV readback)
 goes straight to the bank-column frame of every pseudo-channel.
@@ -25,8 +37,8 @@ A command sequence the controller has issued once from a timing state can
 come back as one *channel frame* (``record_frame`` / ``apply_frame``, see
 :mod:`repro.dram.pseudochannel`).  Here that is the readback's SB-mode
 reads, and a kernel's fenced all-bank program, with the CRF / SRF writes
-queued ahead of it: the frame moves the shared all-bank state, the mode
-FSM, ``pim_op_mode`` and the column counters in one step and replays the
+queued ahead of it: the frame sets every bank, the mode FSM,
+``pim_op_mode`` and the column counters in one step and replays the
 data events — register write runs, PIM_OP_MODE writes as the exec
 group's ``start_all`` / ``stop_all``, trigger runs as one ``trigger_all``
 entry each, AB writes — against the bytes of the drain that takes it, so
@@ -54,7 +66,8 @@ __all__ = ["PimPseudoChannel", "PimHbmDevice", "UNITS_PER_PCH"]
 
 UNITS_PER_PCH = BANKS_PER_PCH // 2  # one unit per bank pair (Table V: 8)
 
-_RD, _WR, _SB, _AB_PIM = CommandType.RD, CommandType.WR, PimMode.SB, PimMode.AB_PIM
+_ACT, _RD, _WR = CommandType.ACT, CommandType.RD, CommandType.WR
+_SB, _AB_PIM = PimMode.SB, PimMode.AB_PIM
 
 # The data events of an all-bank program's frame (see ``_record_program``).
 _REGISTER, _MODE, _TRIGGER, _BROADCAST = "register", "mode", "trigger", "broadcast"
@@ -66,16 +79,14 @@ class _Program(NamedTuple):
     ``writes``: each write's ``(source, count, PIM_OP_MODE value or
     None)``, ``source`` its block's ``(operand, first row)``; ``events``:
     the data events in bus order; ``transitions``: each mode change as
-    ``(offset, mode)``; ``ab``: the shared all-bank row, bounds
-    (origin-relative, None: not raised), counts and staleness; ``fsm``: the
-    end mode, the transitions made and the last PIM_OP_MODE value written;
-    ``triggered`` / ``broadcast``: the column counters' deltas."""
+    ``(offset, mode)``; ``fsm``: the end mode, the transitions made and the
+    last PIM_OP_MODE value written; ``triggered`` / ``broadcast``: the
+    column counters' deltas."""
 
     rows: Tuple[int, ...]
     writes: Tuple[tuple, ...]
     events: Tuple[tuple, ...]
     transitions: Tuple[Tuple[int, PimMode], ...]
-    ab: tuple
     fsm: tuple
     triggered: int
     broadcast: int
@@ -96,7 +107,7 @@ class PimPseudoChannel(PseudoChannel):
         super().__init__(timing, bank_config, bank_cls=bank_cls or Bank)
         self.units: List[PimExecutionUnit] = [
             PimExecutionUnit(
-                u, self._banks[2 * u], self._banks[2 * u + 1],
+                u, self.banks[2 * u], self.banks[2 * u + 1],
                 lane_format=lane_format or FP16,
             )
             for u in range(UNITS_PER_PCH)
@@ -110,16 +121,6 @@ class PimPseudoChannel(PseudoChannel):
             if m.is_register_row(row)
         )
         self.mode_ctrl = ModeController(self.memory_map)
-        # Column-to-precharge distances: tRTP, and write recovery.
-        self._rd_to_pre = timing.trtp
-        self._wr_to_pre = timing.cwl + timing.burst_cycles + timing.twr
-        # The shared all-bank state (see ``_sync_banks``): the row open in
-        # every bank, lower bounds on next_act/pre/rd/wr and ACT/RD/WR
-        # counts the banks have yet to absorb.
-        self._ab_row: Optional[int] = None
-        self._ab_act = self._ab_pre = self._ab_rd = self._ab_wr = 0
-        self._ab_acts = self._ab_rds = self._ab_wrs = 0
-        self._ab_stale = False
         self.pim_op_mode = 0
         # Column commands executed in AB-PIM mode never drive the off-chip
         # I/O PHY; the energy model keys off this counter.
@@ -141,7 +142,6 @@ class PimPseudoChannel(PseudoChannel):
         runtime's microkernel cache tracks what is loaded, and a retried
         kernel reprograms whatever it needs before executing.
         """
-        self._sync_banks()
         super().hard_reset(cycle)
         self.mode_ctrl.reset()
         self.pim_op_mode = 0
@@ -186,14 +186,11 @@ class PimPseudoChannel(PseudoChannel):
         return best, bounds[best]
 
     def timing_state(self, origin: int) -> tuple:
-        """The pseudo-channel's timing state with the deferred all-bank
-        update folded into the banks first (as reading ``banks`` does), plus
-        the mode FSM, the shared all-bank row and the program the exec
-        group's next windows would run on
+        """The pseudo-channel's timing state plus the mode FSM and the
+        program the exec group's next windows would run on
         (:meth:`~repro.pim.lockstep.LockstepGroup.frame_entry`)."""
-        self._sync_banks()
         return super().timing_state(origin) + self.mode_ctrl.state + (
-            self._ab_row, self.lockstep.frame_entry(),
+            self.lockstep.frame_entry(),
         )
 
     # -- frames ---------------------------------------------------------------------
@@ -203,11 +200,10 @@ class PimPseudoChannel(PseudoChannel):
     # bank rows — the GEMV readback — change no mode and leave the mode
     # FSM's armed row.  An all-bank program — a kernel's fenced AB-PIM
     # program, behind the CRF / SRF writes queued ahead of it if any —
-    # leaves the 16 banks alone (the shared all-bank state stands for them)
-    # and moves the mode FSM, ``pim_op_mode`` and the column counters; its
-    # data events, in bus order, are what the frame replays against the
-    # blocks and queued data of the drain that applies it: each
-    # register-row write run as one flush and one write per unit
+    # records all 16 banks and moves the mode FSM, ``pim_op_mode`` and the
+    # column counters; its data events, in bus order, are what the frame
+    # replays against the blocks and queued data of the drain that applies
+    # it: each register-row write run as one flush and one write per unit
     # (``_write_registers``), each PIM_OP_MODE write as the exec group's
     # ``flush_pending`` and ``start_all`` / ``stop_all``, each trigger run
     # as one ``trigger_all`` entry, each AB write run into every bank.
@@ -331,18 +327,17 @@ class PimPseudoChannel(PseudoChannel):
             (record[5], after) for record, after in zip(records, modes)
             if after is not record[7]
         ]
-        bounds = tuple(
-            bound - origin if bound else None
-            for bound in (self._ab_act, self._ab_pre, self._ab_rd, self._ab_wr)
-        )
         program = _Program(
             tuple(sorted(rows)), tuple(writes), tuple(events), tuple(transitions),
-            (self._ab_row, bounds, (self._ab_acts, self._ab_rds, self._ab_wrs),
-             self._ab_stale),
             (end, len(transitions), pim_op_mode), triggered, broadcast,
         )
+        # Every bank took every ACT and every AB write; a trigger counts in
+        # none, and a program with an AB read is not taken down.
+        acts = sum(record[0] is _ACT for record in records)
+        tallies = dict.fromkeys(range(BANKS_PER_PCH), (acts, 0, broadcast))
         return self._frame(
-            records, origin, (), (), armed=self.mode_ctrl._armed_row, program=program
+            records, origin, self._bank_entries(tallies, origin), (),
+            armed=self.mode_ctrl._armed_row, program=program,
         )
 
     def apply_frame(
@@ -368,7 +363,7 @@ class PimPseudoChannel(PseudoChannel):
         and the data of the writes ``queued`` ahead of it: False, with
         nothing changed, where any of it could raise."""
         program = frame.program
-        banks = self._banks
+        banks = self.banks
         for row in program.rows:
             for bank in banks:
                 if not bank.framed(row):
@@ -387,13 +382,8 @@ class PimPseudoChannel(PseudoChannel):
             if value is not None and block[0] & 1 != value:
                 return False
             data.append(block)
-        # Timing: the channel part, the shared all-bank state, the FSM.
+        # Timing: the channel part (every bank), the FSM.
         self._take(frame, origin)
-        self._ab_row, bounds, counts, self._ab_stale = program.ab
-        self._ab_act, self._ab_pre, self._ab_rd, self._ab_wr = (
-            0 if bound is None else origin + bound for bound in bounds
-        )
-        self._ab_acts, self._ab_rds, self._ab_wrs = counts
         fsm = self.mode_ctrl
         fsm.mode, transitions, pim_op_mode = program.fsm
         fsm.transition_count += transitions
@@ -482,15 +472,12 @@ class PimPseudoChannel(PseudoChannel):
         if kind is CommandType.PRE or kind is CommandType.PREA:
             result = super().issue(cmd, cycle)
             self.mode_ctrl.observe_pre()
-            if self.mode_ctrl.all_bank:
-                # The shared all-bank view starts idle.  With rows left
-                # open (a driver bug) it no longer describes the banks;
-                # their row state is undefined until ``hard_reset``.
-                self._ab_row = None
-                if not self.all_banks_idle:
-                    raise RuntimeError(
-                        "entered AB mode with open rows; precharge all banks first"
-                    )
+            if self.mode_ctrl.all_bank and not self.all_banks_idle:
+                # Rows left open (a driver bug): the banks no longer share
+                # one row state, and it is undefined until ``hard_reset``.
+                raise RuntimeError(
+                    "entered AB mode with open rows; precharge all banks first"
+                )
             return result
         if kind.is_column:  # to a register row (``issue`` routes the rest)
             # Register access in SB mode targets the unit of the addressed
@@ -513,28 +500,20 @@ class PimPseudoChannel(PseudoChannel):
         if cycle < bound:
             raise TimingViolation(f"{cmd!r} at {cycle} before bound {bound}")
         self.cmd_counts[kind] += 1
-        t = self.timing
+        if kind is CommandType.REF:
+            self._refresh_banks(cycle)
+            return None
+        banks = self.banks
         if kind is CommandType.ACT:
             self.mode_ctrl.observe_act(cmd.row)
-            if self._ab_row is not None:
-                raise TimingViolation("ACT to a bank with an open row")
-            self._ab_row = cmd.row
-            self._ab_acts += 1
-            self._ab_stale = True
-            self._raise_col_bounds(cycle + t.trcd)
-            self._raise_pre_bound(cycle + t.tras)
-            self._raise_act_bound(cycle + t.trc)
+            for bank in banks:  # an open row raises at bank 0, before any change
+                bank.activate(cmd.row, cycle)
             self._record_act(cmd.bg, cycle)
-        elif kind is CommandType.REF:
-            self._refresh_banks(cycle)
         else:
-            if self._ab_row is not None:  # PRE to idle banks is a NOP
-                self._ab_row = None
-                self._ab_stale = True
-                self._raise_act_bound(cycle + t.trp)
+            for bank in banks:
+                bank.precharge(cycle)
             self.mode_ctrl.observe_pre()
-            if not self.mode_ctrl.all_bank:
-                self._sync_banks()
+        self._absorb(banks[0])
         return None
 
     def _all_bank_column(
@@ -552,17 +531,11 @@ class PimPseudoChannel(PseudoChannel):
             # in a register row).
             self._record_col(cmd.bg, cycle, is_write)
             return self._register_access(cmd, self.units)
-        open_row = self._ab_row
-        if open_row is None:
-            raise TimingViolation("column command to a bank with no open row")
-        if open_row != row:
-            raise TimingViolation(
-                f"column command to row {row} but row {open_row} is open"
-            )
-        pre_bound = cycle + (self._wr_to_pre if is_write else self._rd_to_pre)
+        banks = self.banks
         if self.mode_ctrl.pim_executing:
-            self._ab_stale = True
-            self._raise_pre_bound(pre_bound)
+            for bank in banks:
+                bank.touch_column(row, cycle, is_write)
+            self._absorb(banks[0])
             self._record_col(cmd.bg, cycle, is_write)
             self.pim_triggered_columns += 1
             trig = ColumnTrigger(
@@ -571,51 +544,36 @@ class PimPseudoChannel(PseudoChannel):
             self.lockstep.trigger_all(trig)
             # AB-PIM column commands do not drive data to the external I/O.
             return None
-        # AB (non-PIM): the burst moves through every bank's data path, one
+        # AB (non-PIM): the column moves through every bank's data path, one
         # bank at a time, so SEC-DED checks and failed-channel errors fire
         # per bank.
-        col, data = cmd.col, cmd.data
-        reached = 0
+        col = cmd.col
         try:
-            for bank in self._banks:
-                reached += 1
-                if is_write:
-                    bank.poke(row, col, data)
-                else:
-                    bank.peek(row, col)
-        except BaseException:
-            # A bank's bounds and counts move before its data path runs:
-            # when bank ``reached - 1`` raises, it and the banks before it
-            # have taken the command and the banks after it have not.
-            counts = (0, 0, 1) if is_write else (0, 1, 0)
-            for bank in self._banks[:reached]:
-                bank.merge_broadcast(row, (0, pre_bound, 0, 0), counts)
-            if pre_bound > self._max_pre:
-                self._max_pre = pre_bound
-            raise
-        self._ab_stale = True
-        self._raise_pre_bound(pre_bound)
-        if is_write:
-            self._ab_wrs += 1
-        else:
-            self._ab_rds += 1
+            if is_write:
+                for bank in banks:
+                    bank.write(row, col, cmd.data, cycle)
+            else:
+                for bank in banks:
+                    bank.read(row, col, cycle)
+        finally:
+            self._absorb(banks[0])
         self._record_col(cmd.bg, cycle, is_write)
         self.ab_broadcast_columns += 1
         if is_write:
             return None
         # AB (non-PIM) read: the addressed bank's data reaches the I/O.
-        return self._banks[cmd.bank_index].peek(row, col)
+        return banks[cmd.bank_index].peek(row, col)
 
     def _issue_burst(self, cmd: Command, cycle: int) -> Optional[np.ndarray]:
-        """A column burst; an AB-PIM trigger run is *one* state update.
+        """A column burst; an AB-PIM trigger run is *one* update per bank.
 
         ``count`` triggers to one open row at ``cycle + i * tCCD_L`` move
-        the shared all-bank state exactly as far as the last of them
-        would: the bound and the open row are checked once, the counters
-        advance by ``count``, the precharge bound and the column history
-        come from the last command, and the exec group takes the run as
-        one tape entry.  That holds only while nothing can stop the run
-        half way, so everything else is served command by command
+        every bank exactly as far as the last of them would: the bound and
+        the open row are checked once, each bank is touched at the last
+        command's cycle, the counters advance by ``count``, the column
+        history comes from the last command, and the exec group takes the
+        run as one tape entry.  That holds only while nothing can stop the
+        run half way, so everything else is served command by command
         (``_issue_each``): SB and AB (non-PIM) bursts and register rows,
         whose data path runs per command; an eager exec group, whose
         triggers execute — and can raise — one at a time; and a run whose
@@ -624,21 +582,21 @@ class PimPseudoChannel(PseudoChannel):
         """
         is_write = cmd.cmd is CommandType.WR
         row = cmd.row
+        banks = self.banks
         if not (
             self.mode_ctrl.pim_executing
             and self.lockstep.defers
-            and row == self._ab_row
+            and row == banks[0].open_row
             and row not in self._register_rows
             and cycle >= self._all_bank_col_bound(cmd.bg, is_write)
         ):
             return self._issue_each(cmd, cycle)
         count = cmd.count
         last = cycle + (count - 1) * self.timing.tccd_l
+        for bank in banks:
+            bank.touch_column(row, last, is_write)
+        self._absorb(banks[0])
         self.cmd_counts[cmd.cmd] += count
-        self._ab_stale = True
-        self._raise_pre_bound(
-            last + (self._wr_to_pre if is_write else self._rd_to_pre)
-        )
         self._record_col(cmd.bg, last, is_write)
         self.pim_triggered_columns += count
         self.lockstep.trigger_all(
@@ -648,59 +606,6 @@ class PimPseudoChannel(PseudoChannel):
             )
         )
         return None
-
-    # -- the shared all-bank state ----------------------------------------------------
-    #
-    # Every bank of an all-bank mode holds the same (state, open_row) and
-    # takes the same ``max(own, cycle + t)`` bound update from each
-    # command, so a broadcast checks and advances one shared copy — the
-    # open row, the running maximum of each kind of update, the command
-    # counts — and the 16 ``Bank`` objects are brought up to date only
-    # where per-bank state can be observed: the exit to SB, ``hard_reset``,
-    # and any access through ``banks`` / ``bank()`` (tests, the fault
-    # injector, ``reset_channel``).  The channel maxima are kept current on
-    # every command.  ``tests/pim/reference_device.py`` holds the 16-bank
-    # loop this replaced, as the differential oracle.
-
-    @property
-    def banks(self) -> List[Bank]:
-        if self._ab_stale:
-            self._sync_banks()
-        return self._banks
-
-    def _sync_banks(self) -> None:
-        """Materialise the deferred all-bank update into every bank."""
-        if not self._ab_stale:
-            return
-        self._ab_stale = False
-        bounds = (self._ab_act, self._ab_pre, self._ab_rd, self._ab_wr)
-        counts = (self._ab_acts, self._ab_rds, self._ab_wrs)
-        for bank in self._banks:
-            bank.merge_broadcast(self._ab_row, bounds, counts)
-        self._ab_act = self._ab_pre = self._ab_rd = self._ab_wr = 0
-        self._ab_acts = self._ab_rds = self._ab_wrs = 0
-
-    def _raise_act_bound(self, bound: int) -> None:
-        if bound > self._ab_act:
-            self._ab_act = bound
-        if bound > self._max_act:
-            self._max_act = bound
-
-    def _raise_pre_bound(self, bound: int) -> None:
-        if bound > self._ab_pre:
-            self._ab_pre = bound
-        if bound > self._max_pre:
-            self._max_pre = bound
-
-    def _raise_col_bounds(self, bound: int) -> None:
-        if bound > self._ab_rd:
-            self._ab_rd = bound
-        if bound > self._ab_wr:
-            self._ab_wr = bound
-        if bound > self._max_rd:
-            self._max_rd = bound
-        if bound > self._max_wr:
-            self._max_wr = bound
 
     # -- register-mapped access -----------------------------------------------------
 

@@ -93,6 +93,11 @@ class SystemConfig:
             raise ValueError(
                 f"the trace cache holds at least one trace, not {self.trace_cache_size}"
             )
+        for name in ("gemv_cache_size", "elementwise_cache_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} holds at least one operator, not {getattr(self, name)}"
+                )
 
     @property
     def execution_mode(self) -> str:

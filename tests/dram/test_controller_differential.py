@@ -1201,8 +1201,19 @@ def assign(obj, **values):
 def delay_bank(side, bank=2, by=40):
     """Push one bank's next ACT ``by`` cycles past the controller's cycle."""
     channel = side.mc.channel
-    channel._banks[bank].next_act = side.mc._cycle + by
-    channel._absorb(channel._banks[bank])
+    channel.banks[bank].next_act = side.mc._cycle + by
+    channel._absorb(channel.banks[bank])
+
+
+def delay_columns(side, by):
+    """Raise every bank's next RD and WR to ``by`` cycles past the
+    controller's cycle, as one all-bank command does."""
+    channel = side.mc.channel
+    bound = side.mc._cycle + by
+    for bank in channel.banks:
+        bank.next_rd = max(bank.next_rd, bound)
+        bank.next_wr = max(bank.next_wr, bound)
+    channel._absorb(channel.banks[0])
 
 
 class TestARememberedSchedule:
@@ -1247,14 +1258,11 @@ class TestARememberedSchedule:
             ("tFAW window", "sb", lambda side: side.mc.channel._act_window.extend(
                 [side.mc._cycle + 10] * 4
             )),
-            # Every bank closed, no shared row: the all-bank bounds apply,
-            # and the second ACT finds the broadcast row open.
+            # Every bank closed: the all-bank bounds apply, and the second
+            # ACT finds the broadcast row open.
             ("mode", "sb", lambda side: assign(side.mc.channel.mode_ctrl, mode=PimMode.AB)),
-            # A column bound of the all-bank update the banks have yet to
-            # take (the PREA left the shared state deferred).
-            ("deferred all-bank bounds", "ab", lambda side: (
-                side.mc.channel._raise_col_bounds(side.mc._cycle + 60)
-            )),
+            # Every bank's column bounds, as one all-bank command moves them.
+            ("all-bank column bounds", "ab", lambda side: delay_columns(side, 60)),
             # The refresh check: the schedule is the same, but a refresh
             # now falls due inside it.
             ("refresh", "sb", lambda side: assign(

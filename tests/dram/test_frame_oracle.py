@@ -42,12 +42,14 @@ at the frame's horizon, ``tools.trace_channel`` and a ``repro.obs``
 tracer on or off), compared after every drain on all of the above plus
 each queued request's cycles in ``issue_order``, the stacked GRF / SRF,
 the CRF, the sequencers, per-unit stats, the exec group's tape, its
-``TraceCache`` stats and key order and replay / fallback counts, the
-shared all-bank state, ``pim_op_mode``, the column counters and the mode
-events.  One mutant per new component fails the fixed draws of
+``TraceCache`` stats and key order and replay / fallback counts,
+``pim_op_mode``, the column counters and the mode events.  A program
+frame recorded with no banks (``banks=()``) fails
+``test_a_program_frame_leaves_what_the_lone_runs_leave``.  One mutant per
+other new component fails the fixed draws of
 ``test_the_program_strategy_reaches_frames_and_declines`` and
 ``test_a_traced_program_frame_shows_what_its_lone_runs_show`` (CHANGES.md
-lists them): ``_ab_row``, an ``_ab_*`` bound, an ``_ab_*`` count,
+lists them): ``_take`` without the AB writes' ``wr_count``,
 ``pim_triggered_columns``, ``ab_broadcast_columns``, the FSM's mode, its
 ``transition_count``, ``pim_op_mode``, a dropped or a reordered data
 event, the recorded drain's blocks for this one's, the refresh horizon
@@ -455,11 +457,11 @@ def operand_blocks(rng, operands):
 
 
 def exec_snapshot(side):
-    """Everything an exec group and the all-bank state hold: the stacked
-    registers, CRF, sequencers and per-unit stats, the tape, the trace
-    cache's stats and key order, the replay and fallback counts, and the
-    shared all-bank state as the drain left it (before ``snapshot``
-    folds it into the banks)."""
+    """Everything an exec group holds — the stacked registers, CRF,
+    sequencers and per-unit stats, the tape, the trace cache's stats and
+    key order, the replay and fallback counts — and the PIM channel's
+    ``pim_op_mode`` and column counters (``snapshot`` compares the
+    banks)."""
     channel = side.mc.channel
     group = channel.lockstep
     units = [
@@ -476,12 +478,10 @@ def exec_snapshot(side):
             vars(group.cache.stats).copy(), group.cache.keys(),
             group.fused_replays, group.fused_fallbacks,
         )
-    shared = (
-        channel._ab_row, channel._ab_act, channel._ab_pre, channel._ab_rd, channel._ab_wr,
-        channel._ab_acts, channel._ab_rds, channel._ab_wrs, channel._ab_stale,
+    counters = (
         channel.pim_op_mode, channel.pim_triggered_columns, channel.ab_broadcast_columns,
     )
-    return units, fused, shared
+    return units, fused, counters
 
 
 def program_drained(side, program=(), blocks=(), traced=False):

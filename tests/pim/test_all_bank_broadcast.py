@@ -1,31 +1,22 @@
-"""Differential oracle: one shared all-bank update vs the 16-bank loop.
+"""The all-bank broadcast: one AB / AB-PIM command, 16 ``Bank`` updates.
 
-``PimPseudoChannel`` advances one shared copy of the bank state per AB /
-AB-PIM command and brings the ``Bank`` objects up to date only where
-per-bank state can be observed.  ``ReferencePimPseudoChannel`` is the
-per-bank loop it replaced.  Twin channels take the same random command
-streams — legal and illegal, through every mode — and must agree on
-everything: return data, exception type and text, channel maxima,
-shared-bus history, counters, and (at every observation point) each
-bank's ``(state, open_row, next_act/pre/rd/wr, act/rd/wr_count)``.
+In the all-bank modes ``PimPseudoChannel`` moves every bank through its
+own ``activate`` / ``precharge`` / ``read`` / ``write`` / ``touch_column``
+on each command.  What is left to check is what that loop does not state
+by itself: a trigger burst moves the banks as its single commands do;
+when bank *k*'s data path raises, banks ``0..k`` have taken the command
+and the rest have not; entering AB with open rows raises and recovers;
+and after every command the channel maxima are the banks' maxima.
 
-Column bursts ride the same streams: the channel under test takes a
-``Command(count=n)`` at one cycle, the oracle the ``n`` single commands
-``tCCD_L`` apart, and on top of the above the deferred exec tapes must
-hold the same triggers with the same data.
-
-In SB mode a column to a bank row is one frame of the channel under test
-(``PseudoChannel._bank_column``); the oracle takes it the per-command way
-it was taken before (``Reference`` below), so the SB cases are a
-differential too.
+In SB mode a column to a bank row is one frame of the channel
+(``PseudoChannel._bank_column``); ``Reference`` below takes it the
+per-command way it was taken before, so the SB cases are a differential.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.dram.bank import BankConfig, TimingViolation
+from repro.dram.bank import BankConfig, BankState, TimingViolation
 from repro.dram.commands import Command, CommandType
 from repro.dram.ecc import EccBank, UncorrectableError
 from repro.dram.timing import HBM2_1GHZ
@@ -35,12 +26,10 @@ from repro.pim.device import PimPseudoChannel
 from repro.pim.fused import FusedLockstepGroup
 from repro.pim.modes import PimMode
 
-from .reference_device import ReferencePimPseudoChannel
-
 NUM_ROWS = 64
 BAD_ENTRY = "entered AB mode with open rows; precharge all banks first"
-# Reads the even bank on RD triggers (so a failed bank is felt inside a
-# window), rejects WR triggers, and runs out after eight.
+# Reads the even bank on RD triggers, rejects WR triggers, and runs out
+# after eight.
 PROGRAM = "FILL GRF_A[A], EVEN_BANK\nJUMP -1, 7\nEXIT"
 
 
@@ -55,7 +44,7 @@ def bank_state(channel):
 
 
 def channel_state(channel):
-    """Everything but the banks: read without touching ``banks``."""
+    """Everything but the banks."""
     return (
         channel.mode,
         (channel._max_act, channel._max_pre, channel._max_rd, channel._max_wr),
@@ -83,15 +72,15 @@ def exec_tape(channel):
 def bank_data(channel):
     return [
         {row: bank._rows[row].tobytes() for row in bank.materialized_rows()}
-        for bank in channel._banks
+        for bank in channel.banks
     ]
 
 
-class Reference(ReferencePimPseudoChannel):
-    """The oracle: the 16-bank loop per all-bank command, and an SB column
-    to a bank row taken the way it was before one bank-column method
-    served it — the bound through ``earliest_issue`` (and the mode's
-    ``earliest_col``), then the bank's own read / write."""
+class Reference(PimPseudoChannel):
+    """The SB oracle: a column to a bank row taken the way it was before
+    one bank-column method served it — the bound through
+    ``earliest_issue`` (and the mode's ``earliest_col``), then the bank's
+    own read / write.  Everything else is the channel's own path."""
 
     def issue(self, cmd, cycle):
         kind = cmd.cmd
@@ -104,7 +93,7 @@ class Reference(ReferencePimPseudoChannel):
         if cycle < bound:
             raise TimingViolation(f"{cmd!r} at {cycle} before bound {bound}")
         self.cmd_counts[kind] += 1
-        bank = self._banks[cmd.bank_index]
+        bank = self.banks[cmd.bank_index]
         data = None
         try:
             if kind is CommandType.RD:
@@ -120,14 +109,16 @@ class Reference(ReferencePimPseudoChannel):
 
 
 class Twins:
-    """The channel under test and the oracle, driven in lock-step."""
+    """The channel under test and the oracle, driven in lock-step; with
+    ``oracle=False``, the channel under test alone."""
 
-    def __init__(self, bank_cls=None, fused=False):
+    def __init__(self, bank_cls=None, fused=False, oracle=True):
         config = BankConfig(num_rows=NUM_ROWS)
         self.new = PimPseudoChannel(HBM2_1GHZ, config, bank_cls=bank_cls)
-        self.ref = Reference(HBM2_1GHZ, config, bank_cls=bank_cls)
+        self.ref = Reference(HBM2_1GHZ, config, bank_cls=bank_cls) if oracle else None
+        self.sides = (self.new, self.ref) if oracle else (self.new,)
         if fused:  # the deferring exec group: AB-PIM bursts are one update
-            for channel in (self.new, self.ref):
+            for channel in self.sides:
                 channel.lockstep = FusedLockstepGroup(channel.units)
         self.map = self.new.memory_map
         self.clock = 0
@@ -135,7 +126,7 @@ class Twins:
     def both(self, action):
         """Run ``action(channel)`` on each side; the outcomes must match."""
         outcomes = []
-        for channel in (self.new, self.ref):
+        for channel in self.sides:
             try:
                 result = action(channel)
                 outcomes.append(
@@ -143,14 +134,16 @@ class Twins:
                 )
             except Exception as exc:  # compared, not swallowed
                 outcomes.append(("raised", type(exc), str(exc)))
-        assert outcomes[0] == outcomes[1]
-        assert channel_state(self.new) == channel_state(self.ref)
-        assert exec_tape(self.new) == exec_tape(self.ref)
+        if self.ref is not None:
+            assert outcomes[0] == outcomes[1]
+            assert channel_state(self.new) == channel_state(self.ref)
+            assert exec_tape(self.new) == exec_tape(self.ref)
         return outcomes[0]
 
     def observe(self):
-        assert bank_state(self.new) == bank_state(self.ref)
-        assert bank_data(self.new) == bank_data(self.ref)
+        if self.ref is not None:
+            assert bank_state(self.new) == bank_state(self.ref)
+            assert bank_data(self.new) == bank_data(self.ref)
         new = self.new
         assert new._max_act == max(b.next_act for b in new.banks)
         assert new._max_pre == max(b.next_pre for b in new.banks)
@@ -170,7 +163,7 @@ class Twins:
                 data = (data + np.arange(count, dtype=np.uint8)[:, None]).astype(np.uint8)
         cmd = Command(kind, bank // 4, bank % 4, row=row, col=col, data=data, count=count)
         bound = self.new.earliest_issue(cmd)
-        assert bound == self.ref.earliest_issue(cmd)
+        assert all(side.earliest_issue(cmd) == bound for side in self.sides)
         if early and bound > 0:
             cycle = bound - 1
         else:
@@ -209,7 +202,7 @@ class Twins:
 
     def program(self):
         words = np.array(assemble_words(PROGRAM)[:8], dtype="<u4").view(np.uint8)
-        for channel in (self.new, self.ref):
+        for channel in self.sides:
             for unit in channel.units:
                 unit.regs.write_crf_column(0, words)
 
@@ -225,106 +218,12 @@ class Twins:
         self.both(lambda channel: channel.issue(cmd, self.clock))
 
 
-# Rows: three data rows, every reserved row (mode registers, PIM_CONF,
-# GRF, SRF) by name, and — often, or legal columns would be rare — the row
-# the addressed bank has open.
-ROW = st.sampled_from(
-    [0, 1, 2, "open", "open", "open", "abmr", "sbmr", "conf", "grf", "srf"]
-)
-COMMAND = st.tuples(
-    st.sampled_from(
-        [CommandType.ACT, CommandType.RD, CommandType.WR, CommandType.RD,
-         CommandType.WR, CommandType.PRE, CommandType.PREA, CommandType.REF]
-    ),
-    st.integers(0, 15),  # bank
-    ROW,
-    st.integers(0, 9),  # col (8, 9: out of range for the SRF)
-    st.integers(0, 255),  # write value
-    st.sampled_from([False, False, False, True]),  # one cycle early
-    st.sampled_from([0, 0, 3, 40]),  # slack
-)
-# A column burst: a column command plus a count (2..8, from columns that
-# keep it inside the GRF's 16 and mostly outside the SRF's 2).
-BURST = st.tuples(
-    st.sampled_from([CommandType.RD, CommandType.WR]),
-    st.integers(0, 15),
-    ROW,
-    st.sampled_from([0, 1, 4, 8]),
-    st.integers(0, 255),
-    st.sampled_from([False, False, False, True]),
-    st.sampled_from([0, 0, 3, 40]),
-    st.sampled_from([2, 5, 8]),
-)
-STEP = st.one_of(
-    COMMAND, COMMAND, COMMAND, COMMAND, COMMAND, BURST, BURST,
-    st.sampled_from(
-        ["enter_ab", "enter_ab", "exit_ab", "pim_on", "pim_on", "pim_off",
-         "observe", "observe", "observe", "reset"]
-    ),
-    st.sampled_from(
-        ["enter_ab", "enter_ab", "exit_ab", "pim_on", "pim_on", "pim_off",
-         "observe", "observe", "observe", ("fail", 0), ("fail", 9), ("fail", 15)]
-    ),
-)
-# Where a stream starts: most of the interesting state is two mode
-# transitions and an ACT away from power-up.
-START = st.sampled_from([PimMode.SB, PimMode.AB, PimMode.AB, PimMode.AB_PIM, PimMode.AB_PIM])
-
-
-def resolve_row(twins, row, bank):
-    if isinstance(row, int):
-        return row
-    if row == "open":
-        return twins.ref._banks[bank].open_row or 0
-    return getattr(twins.map, f"{row}_row")
-
-
-@settings(max_examples=300, deadline=None)
-@given(START, st.lists(STEP, min_size=1, max_size=60), st.booleans())
-def test_random_streams_agree_with_the_per_bank_loop(start, steps, fused):
-    twins = Twins(fused=fused)
-    twins.program()
-    # Uneven per-bank bounds and counts before the first broadcast.
-    twins.issue(CommandType.ACT, bank=5, row=1)
-    twins.issue(CommandType.WR, bank=5, row=1, col=2, value=9)
-    twins.issue(CommandType.ACT, bank=9, row=2, slack=7)
-    if start is not PimMode.SB:
-        twins.enter_ab()
-        twins.issue(CommandType.ACT, row=1)
-        if start is PimMode.AB_PIM:
-            twins.set_pim(1)
-    for step in steps:
-        if step == "observe":
-            twins.observe()
-        elif step == "reset":
-            twins.reset()
-        elif step == "enter_ab":
-            twins.enter_ab()
-        elif step == "exit_ab":
-            twins.exit_ab()
-        elif step == "pim_on":
-            twins.set_pim(1)
-        elif step == "pim_off":
-            twins.set_pim(0)
-        elif step[0] == "fail":
-            # Through ``banks``: fault injection is an observation point.
-            for channel in (twins.new, twins.ref):
-                channel.banks[step[1]].fail(0)
-        else:
-            kind, bank, row, col, value, early, slack, *count = step
-            twins.issue(
-                kind, bank, resolve_row(twins, row, bank), col,
-                value if kind is CommandType.WR else None, early, slack, *count,
-            )
-    twins.observe()
-
-
 @pytest.mark.parametrize("fused", [False, True], ids=["eager", "deferring"])
-def test_a_trigger_burst_moves_the_shared_state_as_its_commands_do(fused):
-    """AB-PIM, the kernels' shape: runs of 8 RDs / WRs to the open row.
-    With the deferring exec group the run is one shared-state update and
-    one tape entry; either way nothing observable tells it from 8
-    commands."""
+def test_a_trigger_burst_moves_every_bank_as_its_commands_do(fused):
+    """AB-PIM, the kernels' shape: runs of 8 RDs / WRs to the open row,
+    against the same commands one by one.  With the deferring exec group
+    the run touches each bank once and is one tape entry; either way
+    nothing observable tells it from 8 commands."""
     twins = Twins(fused=fused)
     twins.program()
     twins.enter_ab()
@@ -359,115 +258,114 @@ def test_a_trigger_burst_moves_the_shared_state_as_its_commands_do(fused):
     twins.observe()
 
 
-def test_the_stream_strategy_reaches_every_mode_and_error():
-    """A fixed walk through what the random streams are meant to reach —
-    so a change to the strategy that stops covering a case fails here."""
-    twins = Twins()
+def test_every_bank_takes_each_all_bank_command():
+    """Uneven per-bank history (bank 5 opened and wrote, bank 9 opened
+    later), then in AB mode an ACT, a WR, a RD and a PREA: each moves every
+    bank's bounds by the same ``max(own, cycle + t)`` and counts in every
+    bank; in AB-PIM a trigger moves the precharge bound and counts in
+    none."""
+    t = HBM2_1GHZ
+    twins = Twins(oracle=False)
     twins.program()
-    # Uneven per-bank history before the first broadcast.
     twins.issue(CommandType.ACT, bank=5, row=1)
     twins.issue(CommandType.WR, bank=5, row=1, col=2, value=9)
-    twins.issue(CommandType.ACT, bank=9, row=2)
+    twins.issue(CommandType.ACT, bank=9, row=2, slack=7)
     twins.enter_ab()
-    assert twins.new.mode is PimMode.AB
-    assert twins.issue(CommandType.RD, row=1)[:2] == ("raised", TimingViolation)
-    twins.issue(CommandType.ACT, row=1)
-    assert twins.issue(CommandType.ACT, row=2) == (
-        "raised", TimingViolation, "ACT to a bank with an open row"
-    )
-    assert twins.issue(CommandType.RD, row=2) == (
-        "raised", TimingViolation, "column command to row 2 but row 1 is open"
-    )
-    assert twins.issue(CommandType.RD, row=1, early=True)[:2] == (
-        "raised", TimingViolation
-    )
-    twins.issue(CommandType.WR, row=1, col=3, value=7)
-    assert twins.issue(CommandType.RD, bank=6, row=1, col=3)[0] == "ok"
-    twins.issue(CommandType.WR, row=twins.map.grf_row, col=1, value=3)
-    twins.set_pim(1)
-    assert twins.new.mode is PimMode.AB_PIM
-    for col in range(10):  # eight executed, two ignored after EXIT
-        twins.issue(CommandType.RD, row=1, col=col % 8)
-    twins.issue(CommandType.REF)
-    twins.observe()
-    twins.issue(CommandType.PREA)
-    assert twins.issue(CommandType.WR, row=1, value=1) == (
-        "raised", TimingViolation, "column command to a bank with no open row"
-    )
-    twins.set_pim(0)
-    twins.exit_ab()
-    assert twins.new.mode is PimMode.SB
-    twins.observe()
-    twins.issue(CommandType.ACT, bank=3, row=0)
-    twins.issue(CommandType.RD, bank=3, row=0, col=1)
-    twins.observe()
-
-
-@pytest.mark.parametrize("mode", [PimMode.AB, PimMode.AB_PIM])
-def test_deferred_state_lands_before_a_mid_window_reset(mode):
-    twins = Twins()
-    twins.program()
-    twins.enter_ab()
-    twins.issue(CommandType.ACT, row=2)
-    if mode is PimMode.AB_PIM:
-        twins.set_pim(1)
-    for col in range(4):
-        twins.issue(CommandType.RD, row=2, col=col)
-    twins.reset()
-    assert twins.new.mode is PimMode.SB
-    twins.observe()
-    assert all(bank.open_row is None for bank in twins.new.banks)
+    steps = [
+        ((CommandType.ACT, 0, 1), lambda a, p, r, w, c: (
+            max(a, c + t.trc), max(p, c + t.tras), max(r, c + t.trcd),
+            max(w, c + t.trcd), (1, 0, 0))),
+        ((CommandType.WR, 0, 1, 3, 7), lambda a, p, r, w, c: (
+            a, max(p, c + t.cwl + t.burst_cycles + t.twr), r, w, (0, 0, 1))),
+        ((CommandType.RD, 6, 1, 3), lambda a, p, r, w, c: (
+            a, max(p, c + t.trtp), r, w, (0, 1, 0))),
+        ("pim_on", None),
+        ((CommandType.RD, 0, 1, 4), lambda a, p, r, w, c: (
+            a, max(p, c + t.trtp), r, w, (0, 0, 0))),
+        ("pim_off", None),
+        ((CommandType.PREA,), lambda a, p, r, w, c: (
+            max(a, c + t.trp), p, r, w, (0, 0, 0))),
+    ]
+    for command, moved in steps:
+        if moved is None:
+            twins.set_pim(int(command == "pim_on"))
+            continue
+        before = bank_state(twins.new)
+        assert twins.issue(*command)[0] == "ok"
+        opens = {CommandType.ACT: 1, CommandType.PREA: None}
+        want = []
+        for state, open_row, a, p, r, w, acts, rds, wrs, failed in before:
+            a, p, r, w, (da, dr, dw) = moved(a, p, r, w, twins.clock)
+            open_row = opens.get(command[0], open_row)
+            state = BankState.IDLE if open_row is None else BankState.ACTIVE
+            want.append(
+                (state, open_row, a, p, r, w, acts + da, rds + dr, wrs + dw, failed)
+            )
+        assert bank_state(twins.new) == want, command[0]
+        twins.observe()
 
 
 @pytest.mark.parametrize("failed", [0, 6, 15])
 @pytest.mark.parametrize("kind", [CommandType.RD, CommandType.WR])
-def test_a_failed_bank_unwinds_the_broadcast_where_the_loop_did(failed, kind):
-    twins = Twins()
+def test_a_failed_bank_stops_the_broadcast_after_it(failed, kind):
+    """A bank moves its bounds and counts before its bytes: banks
+    ``0..failed`` have taken the column and the banks after it have not.
+    The channel stays in AB mode and keeps broadcasting."""
+    twins = Twins(oracle=False)
+    channel = twins.new
     twins.enter_ab()
     twins.issue(CommandType.ACT, row=1)
     twins.issue(CommandType.WR, row=1, col=0, value=5)
-    for channel in (twins.new, twins.ref):
-        channel.banks[failed].fail(0)
+    channel.banks[failed].fail(0)
+    before = bank_state(channel)
     outcome = twins.issue(kind, row=1, col=1, value=6 if kind is CommandType.WR else None)
-    assert outcome[:2] == ("raised", PimChannelError)
+    assert outcome == (
+        "raised", PimChannelError, "data access to a bank of failed channel 0"
+    )
+    moved = [now != then for now, then in zip(bank_state(channel), before)]
+    assert moved == [index <= failed for index in range(16)]
+    taken = [b.rd_count + b.wr_count == 2 for b in channel.banks]
+    assert taken == moved
     twins.observe()
-    taken = [b.rd_count + b.wr_count == 2 for b in twins.new.banks]
-    assert taken == [index <= failed for index in range(16)]
-    # Still in AB mode, banks no longer alike: further broadcasts keep
-    # matching the loop.
     twins.issue(CommandType.PREA)
     twins.issue(CommandType.ACT, row=2)
+    assert [b.open_row for b in channel.banks] == [2] * 16
     twins.observe()
 
 
-def test_an_uncorrectable_word_unwinds_the_broadcast_where_the_loop_did():
-    twins = Twins(bank_cls=EccBank)
+def test_an_uncorrectable_word_stops_the_broadcast_after_its_bank():
+    """An AB read over a two-bit word in bank 4: banks 0..4 have read (and
+    decoded) the column, bank 4 raised at the word, banks 5..15 have not."""
+    twins = Twins(bank_cls=EccBank, oracle=False)
+    channel = twins.new
     twins.enter_ab()
     twins.issue(CommandType.ACT, row=1)
     twins.issue(CommandType.WR, row=1, col=0, value=5)
-    for channel in (twins.new, twins.ref):
-        for bit in (3, 17):
-            channel.banks[4].inject_error(1, 0, bit)
+    for bit in (3, 17):
+        channel.banks[4].inject_error(1, 0, bit)
     assert twins.issue(CommandType.RD, row=1, col=0)[:2] == (
         "raised", UncorrectableError
     )
     twins.observe()
-    assert [b.rd_count for b in twins.new.banks] == [1] * 5 + [0] * 11
-    assert [b.ecc_stats for b in twins.new.banks] == [
-        b.ecc_stats for b in twins.ref.banks
-    ]
+    assert [b.rd_count for b in channel.banks] == [1] * 5 + [0] * 11
+    assert [
+        (b.ecc_stats.words_checked, b.ecc_stats.detected_uncorrectable)
+        for b in channel.banks
+    ] == [(4, 0)] * 4 + [(1, 1)] + [(0, 0)] * 11
 
 
 def test_entering_ab_with_open_rows_still_raises_and_recovers():
-    twins = Twins()
+    twins = Twins(oracle=False)
+    channel = twins.new
     twins.issue(CommandType.ACT, bank=7, row=1)
     twins.issue(CommandType.ACT, bank=0, row=twins.map.abmr_row)
-    outcome = twins.issue(CommandType.PRE, bank=0)  # resets both on the error
+    outcome = twins.issue(CommandType.PRE, bank=0)  # resets the channel on the error
     assert outcome == ("raised", RuntimeError, BAD_ENTRY)
-    assert twins.new.mode is PimMode.SB
+    assert channel.mode is PimMode.SB and channel.all_banks_idle
     twins.observe()
     twins.enter_ab()
     twins.issue(CommandType.ACT, row=0)
+    assert [b.open_row for b in channel.banks] == [0] * 16
     twins.observe()
 
 
@@ -535,7 +433,7 @@ class TestSingleBankColumn:
     def test_a_failed_bank(self, bank_cls):
         twins = Twins(bank_cls=bank_cls)
         twins.issue(CommandType.ACT, bank=5, row=1)
-        for channel in (twins.new, twins.ref):
+        for channel in twins.sides:
             channel.banks[5].fail(0)
         for kind, value in ((CommandType.RD, None), (CommandType.WR, 8)):
             assert twins.issue(kind, bank=5, row=1, col=2, value=value) == (
@@ -556,7 +454,7 @@ class TestSingleBankColumn:
         for bit in damage:
             if bank_cls is None:
                 expected[3 * 32 + bit // 8] ^= 1 << (bit % 8)
-            for channel in (twins.new, twins.ref):
+            for channel in twins.sides:
                 channel.banks[8].flip_bit(2, 7 * 256 + bit)
         raises = len(damage) == 2 and bank_cls is EccBank
         for col, count in [(4, 8)] + [(col, 1) for col in range(4, 12)]:

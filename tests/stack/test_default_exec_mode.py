@@ -1,7 +1,6 @@
 """The default execution path against the ``exec_mode="scalar"`` oracle.
 
-``SystemConfig()`` now trace-compiles AB-PIM windows and the device
-advances one shared all-bank state per broadcast; both only make the
+``SystemConfig()`` trace-compiles AB-PIM windows, which only makes the
 simulator faster.  On the four shapes of the end-to-end ledger
 (``benchmarks/e2e``, quick sizes, its own seeded wave generators) the
 default system must produce, wave for wave, the simulated statistics,

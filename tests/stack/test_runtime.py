@@ -78,3 +78,11 @@ class TestOperatorCache:
         # the same answer.
         y2, _ = system.executor.gemv(w, x)
         assert np.array_equal(y, y2)
+
+    @pytest.mark.parametrize("size", [0, -1])
+    @pytest.mark.parametrize("name", ["gemv_cache_size", "elementwise_cache_size"])
+    def test_an_operator_cache_of_no_operators_is_refused(self, name, size):
+        """Refused up front: the first call would evict what it just built."""
+        with pytest.raises(ValueError, match=f"{name} holds at least one operator"):
+            SystemConfig.fast_functional(**{name: size})
+        assert getattr(SystemConfig(**{name: 1}), name) == 1
