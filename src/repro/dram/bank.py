@@ -1,17 +1,27 @@
 """A DRAM bank: cell array, row buffer, and per-bank timing state.
 
 The bank is the unit the PIM architecture deliberately leaves untouched
-(design philosophy (2) in Section III-A): it is a plain state machine with a
-sparse backing store.  Timing legality is enforced here for per-bank
-constraints (tRCD/tRP/tRAS/tRC/tWR/tRTP); shared-resource constraints
+(design philosophy (2) in Section III-A): it is a plain state machine over
+a cell array.  Timing legality is enforced here for per-bank constraints
+(tRCD/tRP/tRAS/tRC/tWR/tRTP); shared-resource constraints
 (tCCD/tRRD/tFAW/bus turnaround) live in the pseudo-channel.
+
+A pseudo-channel's cells are two *half stores*, its even and its odd banks'
+(a PIM unit pairs banks ``2u`` and ``2u + 1``), each ``row -> (8,
+row_bytes)`` uint8: bank ``i``'s row is ``halves[i % 2][row][i // 2]``, and
+:func:`~repro.dram.ecc.peek_block` / ``poke_block`` move a run of one half
+as one slice.  A lone bank owns a store one bank wide.  ``Bank._rows`` holds
+the bank's view of each row it has *materialised* (first touched), so what
+the fault injector and scrubber walk stays per (bank, row).
 """
 
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,21 +53,28 @@ class BankConfig:
     row_bytes: int = 1024
     col_bytes: int = 32
 
+    def __post_init__(self) -> None:
+        col, row = self.col_bytes, self.row_bytes  # whole ECC words, whole columns
+        if self.num_rows < 1 or col < 8 or col % 8 or row < col or row % col:
+            raise ValueError(f"{self}: needs num_rows >= 1, col_bytes a multiple of 8 "
+                             "and row_bytes a multiple of col_bytes")
+
     @property
     def cols_per_row(self) -> int:
         return self.row_bytes // self.col_bytes
 
 
 class Bank:
-    """One DRAM bank with a sparse row store and timing bookkeeping."""
+    """One DRAM bank: a lane of a row store, and timing bookkeeping."""
 
     def __init__(self, config: BankConfig, timing: TimingParams):
         self.config = config
         self.timing = timing
         self.state = BankState.IDLE
         self.open_row: Optional[int] = None
-        # Sparse backing store: rows are materialised on first touch.
+        # Views of the rows this bank materialised in its lane of ``_cells``.
         self._rows: Dict[int, np.ndarray] = {}
+        Bank.share_store([self])
         # Row buffer is a *view* semantics model: reads/writes while a row is
         # open go straight to the row array (restore-on-write DRAM cells).
         # Earliest cycles at which each command class may issue.
@@ -87,6 +104,20 @@ class Bank:
 
     # -- backing store ------------------------------------------------------
 
+    @staticmethod
+    def share_store(banks: Sequence["Bank"]) -> None:
+        """Put fresh ``banks`` on one zero-filled row store, as its lanes."""
+        store = defaultdict(partial(np.zeros, (len(banks), banks[0].config.row_bytes), np.uint8))
+        for lane, bank in enumerate(banks):
+            bank._cells, bank._lane = store, lane
+
+    def __getstate__(self) -> dict:  # a copy rebuilds the views on the copied store
+        return {**self.__dict__, "_rows": list(self._rows)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._rows = {row: self._cells[row][self._lane] for row in state["_rows"]}
+
     def _row_array(self, row: int) -> np.ndarray:
         if self._failed_channel is not None:
             raise PimChannelError(
@@ -97,8 +128,7 @@ class Bank:
             raise IndexError(f"row {row} out of range")
         array = self._rows.get(row)
         if array is None:
-            array = np.zeros(self.config.row_bytes, dtype=np.uint8)
-            self._rows[row] = array
+            array = self._rows[row] = self._cells[row][self._lane]
         return array
 
     def _run(self, row: int, col0: int, n: int) -> np.ndarray:

@@ -307,14 +307,34 @@ class EccBank(Bank):
 # -- the block: n consecutive columns of one row across a list of banks ----------
 
 
-def _block_kind(banks: Sequence[Bank]) -> Optional[type]:
-    """:class:`Bank` or :class:`EccBank` when every bank is exactly that
-    class; None — a mix, a subclass — sends the block down the per-bank
-    column path."""
-    kind = type(banks[0])
-    if kind in (Bank, EccBank) and all(type(bank) is kind for bank in banks):
-        return kind
-    return None
+def _half_slice(banks: Sequence[Bank], row: int, col0: int, n: int) -> Optional[np.ndarray]:
+    """Check a block — the list, the row and column range, then each bank's
+    failure — and materialise each bank's row.  Returns the block as a
+    writable ``(len(banks), n, col_bytes)`` view of a row store when every
+    bank is exactly :class:`Bank` or exactly :class:`EccBank` and ``banks``
+    are consecutive lanes of it in order (see :mod:`repro.dram.bank`); else
+    None, and the block goes bank by bank."""
+    if not banks:
+        raise ValueError("empty bank list")
+    first = banks[0]
+    config, size = first.config, first.config.col_bytes
+    if col0 < 0 or n < 0 or (col0 + n) * size > config.row_bytes:
+        raise IndexError(f"columns {col0}..{col0 + n - 1} out of range")
+    if not 0 <= row < config.num_rows:
+        raise IndexError(f"row {row} out of range")
+    kind, store, lane = type(first), first._cells, first._lane
+    whole = kind is Bank or kind is EccBank
+    for i, bank in enumerate(banks):
+        if bank._failed_channel is not None:
+            bank._row_array(row)  # raises PimChannelError
+        whole = whole and type(bank) is kind and bank._cells is store and bank._lane == lane + i
+    for bank in banks:
+        if row not in bank._rows:
+            bank._row_array(row)
+    if not whole:
+        return None
+    block = store[row][lane : lane + len(banks), col0 * size : (col0 + n) * size]
+    return block.reshape(len(banks), n, size)
 
 
 def peek_block(
@@ -323,42 +343,30 @@ def peek_block(
     """Read columns ``col0 .. col0 + n`` of ``row`` from every bank of
     ``banks``: a fresh ``(len(banks), n, col_bytes)`` uint8 array.
 
-    The one untimed bank -> host mover.  Each bank's run is a slice *copy*
-    — the result never aliases the row store, so a caller may keep or
-    overwrite it — and for :class:`EccBank` lists with no dirty word in
-    the block each bank's ``words_checked`` advances by ``n *
+    The one untimed bank -> host mover, with no state or timing effect.
+    A run of one row store (:func:`_half_slice`) is one slice *copy* — the
+    result never aliases the store — and for :class:`EccBank` runs with no
+    dirty word in the block each bank's ``words_checked`` advances by ``n *
     words_per_col``, as column-at-a-time reads would.  A block holding a
-    dirty word, or an irregular bank list (see :func:`_block_kind`), is
-    re-read bank by bank in list order through ``peek_columns`` —
-    columns ascending, through the scalar ``peek`` where dirty — which
-    classifies, corrects, scrubs, counts and raises exactly as the
-    per-column path always has.  ``group`` walks that re-read ``group``
-    columns at a time (all banks, then the next columns): a caller that
-    merged several of its reads into this block names the width they had,
-    so the first uncorrectable word met — the exception — is the one the
-    separate reads would have met.
-
-    It materialises exactly the (bank, row) pairs the column loop would,
-    has no state or timing effect, and raises — :class:`IndexError` for a
-    row or column out of range, :class:`~repro.errors.PimChannelError`
-    for a failed bank — before any bank is read.
+    dirty word, or any other bank list, is read bank by bank in list order
+    through ``peek_columns`` — columns ascending, through the scalar
+    ``peek`` where dirty — which classifies, corrects, scrubs, counts and
+    raises exactly as the per-column path always has.  ``group`` walks
+    that re-read ``group`` columns at a time (all banks, then the next
+    columns): a caller that merged several of its reads into this block
+    names the width they had, so the first uncorrectable word met — the
+    exception — is the one the separate reads would have met.
     """
-    runs = [bank._run(row, col0, n) for bank in banks]
-    kind = _block_kind(banks)
-    wpc = banks[0].config.col_bytes // _WORD_BYTES
-    if kind is EccBank and any(
-        bank._dirty(row, col0 * wpc, (col0 + n) * wpc) for bank in banks
-    ):
-        kind = None
-    if kind is not None:
-        out = np.empty((len(banks), n, banks[0].config.col_bytes), dtype=np.uint8)
-        flat = out.reshape(len(banks), -1)
-        for i, run in enumerate(runs):
-            flat[i] = run
-        if kind is EccBank:
+    block = _half_slice(banks, row, col0, n)
+    if block is not None and type(banks[0]) is EccBank:
+        wpc = banks[0]._words_per_col
+        if any(bank._dirty(row, col0 * wpc, (col0 + n) * wpc) for bank in banks):
+            block = None
+        else:
             for bank in banks:
                 bank.ecc_stats.words_checked += n * wpc
-        return out
+    if block is not None:
+        return block.copy()
     cols = np.arange(col0, col0 + n)
     if not 0 < group < n:
         return np.array([bank.peek_columns(row, cols) for bank in banks])
@@ -377,12 +385,14 @@ def poke_block(banks: Sequence[Bank], row: int, col0: int, data: np.ndarray) -> 
     per bank.
 
     The one untimed host -> bank mover, the mirror of :func:`peek_block`:
-    slice assignment per bank (for :class:`EccBank` lists, every written
-    word is encoded: ``words_encoded`` advances by ``n * words_per_col``
-    per bank); an irregular bank list goes bank by bank through
-    ``poke_columns``.  Shape, row and column range and failed banks are
-    all checked *before* any byte of the block lands.
+    a run of one row store is one slice assignment (for :class:`EccBank`
+    runs, every written word is encoded: ``words_encoded`` advances by ``n
+    * words_per_col`` per bank); any other bank list goes bank by bank
+    through ``poke_columns``.  The list, shape, row and column range and
+    failed banks are all checked *before* any byte of the block lands.
     """
+    if not banks:
+        raise ValueError("empty bank list")
     data = np.asarray(data, dtype=np.uint8)
     col_bytes = banks[0].config.col_bytes
     if data.ndim != 3 or data.shape[0] != len(banks) or data.shape[2] != col_bytes:
@@ -390,16 +400,14 @@ def poke_block(banks: Sequence[Bank], row: int, col0: int, data: np.ndarray) -> 
             f"expected ({len(banks)}, n, {col_bytes}) block bytes, got {data.shape}"
         )
     n = data.shape[1]
-    runs = [bank._run(row, col0, n) for bank in banks]
-    kind = _block_kind(banks)
-    if kind is None:
+    block = _half_slice(banks, row, col0, n)
+    if block is None:
         cols = np.arange(col0, col0 + n)
         for bank, slab in zip(banks, data):
             bank.poke_columns(row, cols, slab)
         return
-    flat = data.reshape(len(banks), -1)  # copies once, and only a strided block
-    for run, slab in zip(runs, flat):
-        run[:] = slab
-    if kind is EccBank:
+    block[:] = data
+    if type(banks[0]) is EccBank:
+        cols = range(col0, col0 + n)
         for bank in banks:
-            bank._rewritten(row, range(col0, col0 + n))
+            bank._rewritten(row, cols)

@@ -82,6 +82,8 @@ class PseudoChannel:
         self.banks: List[Bank] = [
             bank_cls(self.bank_config, timing) for _ in range(BANKS_PER_PCH)
         ]
+        for half in (self.banks[0::2], self.banks[1::2]):  # the row stores (dram/bank.py)
+            Bank.share_store(half)
         # Shared-resource history.
         self._last_col_cycle: Optional[int] = None
         self._last_col_bg: Optional[int] = None

@@ -5,16 +5,19 @@ every 1- and 2-bit error pattern over the word's 72 stored bits (64 data,
 8 check: 72 + 2,556 = 2,628 patterns) is injected through
 ``inject_error`` / ``inject_check_error`` into a fresh
 :class:`repro.dram.ecc.EccBank` and a fresh eager oracle
-(``tests/dram/eager_ecc.py``), and the word is then read four ways:
-``peek``, ``peek_block``, a timed read burst through the channel
-(``PseudoChannel.issue`` of one ``Command(RD, count=3)``, served column
-by column by the bank's timed read) and ``scrub_row``.  Both banks must return the same bytes or raise the same
-exception, and end with the same cells, check bytes and ``EccStats``.
+(``tests/dram/eager_ecc.py``), and the word is then read five ways:
+``peek``, ``peek_block`` of the one bank, a timed read burst through the
+channel (``PseudoChannel.issue`` of one ``Command(RD, count=3)``, served
+column by column by the bank's timed read), ``scrub_row``, and
+``peek_block`` of the channel's whole even half with the pattern in bank
+2 (the lazy bank's slice path falls back bank by bank from a dirty
+word).  Both banks must return the same bytes or raise the same
+exception, and end with the same cells, check bytes and ``EccStats``;
+every even bank with the same ``EccStats`` and materialised rows.
 The tier-1 differential (``tests/dram/test_lazy_ecc.py``) samples the
 same property over whole access streams; this covers every pattern.
 
-Run it from the repository root (about half a minute on a 2-core
-runner):
+Run it from the repository root (about 40 s on a 2-core runner):
 
     PYTHONPATH=src python tests/dram/sweep_ecc_oracle.py
 
@@ -59,17 +62,22 @@ def _timed_run(channel):
     return channel.issue(Command(CommandType.RD, row=ROW, col=COL - 1, count=3), 100)
 
 
+# name -> (the bank the pattern goes into, the read)
 READS = {
-    "peek": lambda channel: channel.banks[0].peek(ROW, COL),
-    "peek_block": lambda channel: peek_block(channel.banks[:1], ROW, COL - 1, 3),
-    "timed": _timed_run,
-    "scrub_row": lambda channel: channel.banks[0].scrub_row(ROW),
+    "peek": (0, lambda channel: channel.banks[0].peek(ROW, COL)),
+    "peek_block": (0, lambda channel: peek_block(channel.banks[:1], ROW, COL - 1, 3)),
+    "timed": (0, _timed_run),
+    "scrub_row": (0, lambda channel: channel.banks[0].scrub_row(ROW)),
+    "peek_block_half": (
+        2, lambda channel: peek_block(channel.banks[0::2], ROW, COL - 1, 3)
+    ),
 }
 
 
 def _outcome(cls, row_bytes, slot, pattern, read):
     channel = PseudoChannel(HBM2_1GHZ, CONFIG, bank_cls=cls)
-    bank = channel.banks[0]
+    index, read = read
+    bank = channel.banks[index]
     for col in range(CONFIG.cols_per_row):
         bank.poke(ROW, col, row_bytes[col])
     for bit in pattern:
@@ -88,6 +96,7 @@ def _outcome(cls, row_bytes, slot, pattern, read):
         bytes(bank._check_array(ROW)),
         dataclasses.astuple(bank.ecc_stats),
         bank.materialized_rows(),
+        [(vars(b.ecc_stats).copy(), b.materialized_rows()) for b in channel.banks[0::2]],
     )
 
 

@@ -36,6 +36,32 @@ class TestGeometry:
         bank.peek(3, 0)
         assert 3 in bank._rows
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(num_rows=0),
+            dict(num_rows=-1),
+            # 1.5 ECC words per column: a flip in column 0 read back wrong.
+            dict(row_bytes=96, col_bytes=12),
+            dict(row_bytes=96, col_bytes=0),
+            dict(row_bytes=96, col_bytes=-8),
+            dict(row_bytes=100, col_bytes=32),  # 4 bytes no column reads
+            dict(row_bytes=16, col_bytes=32),  # no whole column
+            dict(row_bytes=0, col_bytes=32),
+        ],
+        ids=str,
+    )
+    def test_a_geometry_the_bank_cannot_serve_is_refused(self, fields):
+        with pytest.raises(ValueError):
+            BankConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "fields", [dict(num_rows=1), dict(row_bytes=8, col_bytes=8), dict(row_bytes=96, col_bytes=24)],
+        ids=str,
+    )
+    def test_whole_words_and_whole_columns_are_accepted(self, fields):
+        BankConfig(**fields)
+
 
 class TestStateMachine:
     def test_initially_idle(self, bank):

@@ -5,17 +5,26 @@ column-at-a-time loop it replaced, and the column checks that ride with it.
 untimed movers between host arrays and bank storage.  The property here
 drives them and a ``for bank: for col: peek/poke`` reference over twin bank
 lists — plain, ECC, the eager ECC oracle (``tests/dram/eager_ecc.py``,
-which has no block fast path of its own), and mixes — and
-requires equal bank bytes, check arrays, SEC-DED counters,
-``materialized_rows()`` and returned data; with injected errors, equal
-corrections, inline scrubs and raised ``UncorrectableError``.
+which has no block fast path of its own), and mixes; standalone banks, and
+banks of a pseudo-channel's two half stores laid out as an even half, an
+odd half, a sub-run, one bank, a reversed half, two channels' halves, lanes
+in order across two channels and both halves interleaved — and requires
+equal bank bytes, check arrays, SEC-DED counters, ``materialized_rows()``
+and returned data; with injected errors, equal corrections, inline scrubs
+and raised ``UncorrectableError``.
+A run of one half store moves as one slice, any other list bank by bank:
+:class:`TestLayouts` holds each layout to its path.
 """
+
+import copy
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dram import ecc
 from repro.dram.bank import Bank, BankConfig
 from repro.dram.controller import MemoryController
 from repro.dram.ecc import EccBank, UncorrectableError, peek_block, poke_block
@@ -35,18 +44,58 @@ COLS = CONFIG.cols_per_row
 KINDS = ("plain", "ecc", "eager")
 
 
+CLASSES = {"plain": Bank, "ecc": EccBank, "eager": EagerEccBank}
+
+
 def _bank(kind):
-    cls = {"plain": Bank, "ecc": EccBank, "eager": EagerEccBank}[kind]
-    return cls(CONFIG, HBM2_1GHZ)
+    return CLASSES[kind](CONFIG, HBM2_1GHZ)
 
 
-# Uniform lists take the array path; a mix, or the eager oracle, must fall
-# bank by bank to the column path.
-bank_kinds = st.one_of(
+def _mixed():
+    """A bank factory cycling through the three classes."""
+    classes = itertools.cycle(CLASSES.values())
+    return lambda config, timing: next(classes)(config, timing)
+
+
+# Bank lists drawn from pseudo-channels (``ch``: two of them): name ->
+# (the list, whether it is a run of one half store).
+LAYOUTS = {
+    "even half": (lambda ch: ch[0].banks[0::2], True),
+    "odd half": (lambda ch: ch[0].banks[1::2], True),
+    "sub-run": (lambda ch: ch[0].banks[1::2][2:6], True),
+    "one bank": (lambda ch: ch[0].banks[5:6], True),
+    "reversed half": (lambda ch: ch[0].banks[0::2][::-1], False),
+    "two channels' halves": (lambda ch: ch[0].banks[0::2] + ch[1].banks[0::2], False),
+    # Lanes 0, 1 of one channel's even store, then lanes 2, 3 of another's.
+    "two channels, lanes in order": (lambda ch: ch[0].banks[0:4:2] + ch[1].banks[4:8:2], False),
+    "both halves": (lambda ch: ch[0].banks[2:6], False),
+}
+
+
+def _banks(spec):
+    """A fresh bank list: ``("alone", kinds)`` builds standalone banks,
+    ``("channel", kind, layout)`` lays out two pseudo-channels' banks
+    (kind "mix": each channel's banks cycle through the classes)."""
+    if spec[0] == "alone":
+        return [_bank(kind) for kind in spec[1]]
+    _, kind, layout = spec
+    channels = [
+        PseudoChannel(HBM2_1GHZ, CONFIG, bank_cls=_mixed() if kind == "mix" else CLASSES[kind])
+        for _ in range(2)
+    ]
+    return LAYOUTS[layout][0](channels)
+
+
+# Uniform lists of one half store take the slice path; a mix, the eager
+# oracle or any other list must fall bank by bank to the column path.
+bank_specs = st.one_of(
     st.sampled_from(KINDS).flatmap(
-        lambda kind: st.integers(1, 5).map(lambda count: [kind] * count)
+        lambda kind: st.integers(1, 5).map(lambda count: ("alone", [kind] * count))
     ),
-    st.lists(st.sampled_from(KINDS), min_size=2, max_size=5),
+    st.lists(st.sampled_from(KINDS), min_size=2, max_size=5).map(lambda k: ("alone", k)),
+    st.tuples(
+        st.just("channel"), st.sampled_from(KINDS + ("mix",)), st.sampled_from(sorted(LAYOUTS))
+    ),
 )
 runs = st.integers(1, COLS).flatmap(
     lambda n: st.tuples(st.integers(0, COLS - n), st.just(n))
@@ -60,21 +109,20 @@ ops = st.lists(
 
 class TestBlockEqualsColumnLoop:
     @settings(max_examples=120, deadline=None)
-    @given(kinds=bank_kinds, ops=ops)
-    def test_any_sequence_of_moves(self, kinds, ops):
-        block_side = [_bank(kind) for kind in kinds]
-        loop_side = [_bank(kind) for kind in kinds]
+    @given(spec=bank_specs, ops=ops)
+    def test_any_sequence_of_moves(self, spec, ops):
+        block_side, loop_side = _banks(spec), _banks(spec)
         for is_write, row, (col0, n), seed in ops:
             if is_write:
                 data = np.random.default_rng(seed).integers(
-                    0, 256, (len(kinds), n, CONFIG.col_bytes), dtype=np.uint8
+                    0, 256, (len(block_side), n, CONFIG.col_bytes), dtype=np.uint8
                 )
                 poke_block(block_side, row, col0, data)
                 poke_block_by_column(loop_side, row, col0, data)
             else:
                 got = peek_block(block_side, row, col0, n)
                 assert got.dtype == np.uint8
-                assert got.shape == (len(kinds), n, CONFIG.col_bytes)
+                assert got.shape == (len(block_side), n, CONFIG.col_bytes)
                 assert np.array_equal(got, peek_block_by_column(loop_side, row, col0, n))
             assert [bank_image(b) for b in block_side] == [bank_image(b) for b in loop_side]
 
@@ -157,6 +205,53 @@ class TestBlockEqualsColumnLoop:
             peek_block(banks, 2, 1, 2)
         assert [bank_image(bank) for bank in banks] == before
 
+    @pytest.mark.parametrize("bank_cls", [Bank, EccBank])
+    def test_a_failed_bank_in_a_half_raises_before_any_byte_lands(self, bank_cls):
+        channel = PseudoChannel(HBM2_1GHZ, CONFIG, bank_cls=bank_cls)
+        half = channel.banks[0::2]
+        poke_block(half, 2, 1, np.full((8, 2, CONFIG.col_bytes), 7, dtype=np.uint8))
+        channel.banks[1].poke(2, 0, np.full(CONFIG.col_bytes, 9, dtype=np.uint8))
+        half[3].fail(5)
+
+        def stores():
+            return [
+                {row: cells.tobytes() for row, cells in bank._cells.items()}
+                for bank in channel.banks[:2]
+            ]
+
+        before = stores(), [bank_image(bank) for bank in channel.banks]
+        for row in (2, 3):  # a materialised row and a fresh one
+            with pytest.raises(PimChannelError) as info:
+                poke_block(half, row, 1, np.zeros((8, 2, CONFIG.col_bytes), dtype=np.uint8))
+            assert info.value.channels == (5,)
+            with pytest.raises(PimChannelError):
+                peek_block(half, row, 1, 2)
+        assert (stores(), [bank_image(bank) for bank in channel.banks]) == before
+
+    def test_a_copied_channel_keeps_its_half_stores(self):
+        # Copies of channels and banks (the controller differential suite
+        # deep-copies whole sides) rebuild each bank's views on the copy.
+        channel = PseudoChannel(HBM2_1GHZ, CONFIG, bank_cls=EccBank)
+        data = np.random.default_rng(5).integers(0, 256, (8, 2, 32), dtype=np.uint8)
+        poke_block(channel.banks[0::2], 1, 0, data)
+        twin = copy.deepcopy(channel)
+        poke_block(twin.banks[0::2], 1, 0, data[::-1])
+        assert np.array_equal(twin.banks[2].peek(1, 1), data[-2, 1])
+        assert np.array_equal(channel.banks[2].peek(1, 1), data[1, 1])
+        twin.banks[4].poke(1, 0, data[0, 0])
+        assert np.array_equal(peek_block(twin.banks[0::2], 1, 0, 1)[2, 0], data[0, 0])
+        assert [b.materialized_rows() for b in twin.banks] == [
+            b.materialized_rows() for b in channel.banks
+        ]
+
+    @pytest.mark.parametrize("mover", ["peek", "poke"])
+    def test_an_empty_bank_list_is_a_value_error(self, mover):
+        with pytest.raises(ValueError, match="empty bank list"):
+            if mover == "peek":
+                peek_block([], 0, 0, 1)
+            else:
+                poke_block([], 0, 0, np.zeros((0, 1, CONFIG.col_bytes), dtype=np.uint8))
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_reads_copy_and_never_alias_the_row_store(self, kind):
         banks = [_bank(kind), _bank(kind)]
@@ -176,6 +271,38 @@ class TestBlockEqualsColumnLoop:
             poke_block(strided, 3, 4, view)
             poke_block(copied, 3, 4, np.ascontiguousarray(view))
             assert [bank_image(b) for b in strided] == [bank_image(b) for b in copied]
+
+
+class TestLayouts:
+    def test_each_layout_takes_its_path_and_both_paths_run(self, monkeypatch):
+        """Every layout of channel banks, of every kind, lands and reads
+        like the column loop, through the path its shape calls for."""
+        paths = []
+
+        def spy(*args):
+            block = half_slice(*args)
+            paths.append(block is not None)
+            return block
+
+        half_slice = ecc._half_slice
+        monkeypatch.setattr(ecc, "_half_slice", spy)
+        seen = set()
+        for kind, layout in itertools.product(KINDS + ("mix",), sorted(LAYOUTS)):
+            paths.clear()
+            spec = ("channel", kind, layout)
+            block_side, loop_side = _banks(spec), _banks(spec)
+            data = np.random.default_rng(len(layout)).integers(
+                0, 256, (len(block_side), 3, CONFIG.col_bytes), dtype=np.uint8
+            )
+            poke_block(block_side, 1, 4, data)
+            poke_block_by_column(loop_side, 1, 4, data)
+            got = peek_block(block_side, 1, 3, 4)
+            assert np.array_equal(got, peek_block_by_column(loop_side, 1, 3, 4))
+            assert [bank_image(b) for b in block_side] == [bank_image(b) for b in loop_side]
+            whole = LAYOUTS[layout][1] and kind in ("plain", "ecc")
+            assert paths == [whole, whole], spec
+            seen.add(whole)
+        assert seen == {True, False}
 
 
 # -- the column index is checked, identically on both bank classes -----------------

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.common.ecc import encode_words
 from repro.dram.bank import Bank, BankConfig
 from repro.dram.ecc import EccBank, peek_block, poke_block
+from repro.dram.pseudochannel import PseudoChannel
 from repro.dram.timing import HBM2_1GHZ
 from repro.errors import PimError
 from repro.pim.fused import _peek_run
@@ -31,7 +32,11 @@ from repro.pim.fused import _peek_run
 from tests.dram.eager_ecc import EagerEccBank
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
-STORAGE = frozenset({"_rows", "_row_array", "_run", "_column_grid"})
+# The members that reach bank storage: a bank's row views, its row store,
+# and the functions that hand out writable views of them.
+STORAGE = frozenset(
+    {"_rows", "_cells", "_row_array", "_run", "_column_grid", "_half_slice"}
+)
 
 # Every function in src/repro that reaches bank storage, and what it does
 # there.  "encodes": a write whose words' check bytes are encode(data)
@@ -49,6 +54,9 @@ WRITERS = {
 }
 READERS = {
     "repro.dram.bank:Bank.__init__",
+    "repro.dram.bank:Bank.share_store",
+    "repro.dram.bank:Bank.__getstate__",
+    "repro.dram.bank:Bank.__setstate__",
     "repro.dram.bank:Bank._row_array",
     "repro.dram.bank:Bank._run",
     "repro.dram.bank:Bank._column_grid",
@@ -60,13 +68,15 @@ READERS = {
     "repro.dram.ecc:EccBank._check_array",
     "repro.dram.ecc:EccBank.materialized_rows",
     "repro.dram.ecc:EccBank.inject_check_error",
+    "repro.dram.ecc:_half_slice",
     "repro.dram.ecc:peek_block",
 }
 
 
 def storage_users(root: pathlib.Path, package: str = "repro"):
     """``{"module:qualname"}`` of every function under ``root / package``
-    that names one of the bank storage members."""
+    that names one of the bank storage members (as an attribute or, for
+    the module-level ``_half_slice``, a bare name)."""
     users = set()
     for path in sorted((root / package).rglob("*.py")):
         module = ".".join(path.relative_to(root).with_suffix("").parts)
@@ -77,6 +87,7 @@ def storage_users(root: pathlib.Path, package: str = "repro"):
                     name = prefix + child.name
                     if not isinstance(child, ast.ClassDef) and any(
                         isinstance(n, ast.Attribute) and n.attr in STORAGE
+                        or isinstance(n, ast.Name) and n.id in STORAGE
                         for n in ast.walk(child)
                     ):
                         users.add(f"{module}:{name}")
@@ -97,9 +108,10 @@ def _column(seed):
 
 class TestStorageWriters:
     def test_every_storage_user_is_classified(self):
-        """A new function touching ``_rows`` / ``_row_array`` / ``_run`` /
-        ``_column_grid`` anywhere in the package fails here until it is
-        listed — and, if it writes, shown to encode or inject below."""
+        """A new function touching ``_rows`` / ``_cells`` / ``_row_array`` /
+        ``_run`` / ``_column_grid`` / ``_half_slice`` anywhere in the
+        package fails here until it is listed — and, if it writes, shown to
+        encode or inject below."""
         assert storage_users(SRC) == set(WRITERS) | READERS
 
     def test_a_planted_writer_is_caught(self, tmp_path):
@@ -119,20 +131,29 @@ class TestStorageWriters:
     @pytest.mark.parametrize(
         "write",
         [
-            lambda bank: bank.poke(1, 2, _column(1)),
-            lambda bank: bank.poke_columns(1, np.array([5, 2]), np.stack([_column(2), _column(3)])),
-            lambda bank: poke_block([bank], 1, 1, _column(4).reshape(1, 1, -1).repeat(3, axis=1)),
+            lambda banks: banks[4].poke(1, 2, _column(1)),
+            lambda banks: banks[4].poke_columns(
+                1, np.array([5, 2]), np.stack([_column(2), _column(3)])
+            ),
+            lambda banks: poke_block(
+                banks[4:5], 1, 1, _column(4).reshape(1, 1, -1).repeat(3, axis=1)
+            ),
+            # The slice path over the whole even half store.
+            lambda banks: poke_block(
+                banks[0::2], 1, 1, _column(5).reshape(1, 1, -1).repeat(3, axis=1).repeat(8, axis=0)
+            ),
         ],
-        ids=["poke", "poke_columns", "poke_block"],
+        ids=["poke", "poke_columns", "poke_block", "poke_block_half"],
     )
     def test_encoding_writers_drop_the_entries_they_cover(self, write):
-        bank = EccBank(CONFIG, HBM2_1GHZ)
+        banks = PseudoChannel(HBM2_1GHZ, CONFIG, bank_cls=EccBank).banks
+        bank = banks[4]
         bank.poke(1, 2, _column(0))
         bank.inject_error(1, 2, bit=5)
         bank.inject_check_error(1, 2, word=3, bit=1)
         bank.inject_error(1, 7, bit=9)  # not covered by any of the writes
         before = bank.ecc_stats.words_encoded
-        write(bank)
+        write(banks)
         assert set(bank._injected[1]) == {7 * WPC}
         assert bank.ecc_stats.words_encoded > before
         data = bank._rows[1][2 * CONFIG.col_bytes : 3 * CONFIG.col_bytes].view("<u8")

@@ -93,6 +93,19 @@ class TestElementwiseLegs:
 
 
 @pytest.mark.parametrize("ecc", [False, True], ids=["plain", "ecc"])
+def test_an_odd_scatter_materialises_no_even_bank_row(ecc):
+    """The odd operand is a run of each channel's odd half store: it lands
+    there alone, and no even bank materialises a row."""
+    system = _system(ecc)
+    kernel = ElementwiseKernel(system, "add", 4096)
+    kernel._scatter(kernel._padded(_values(4096, 1)), odd=True)
+    for pch in system.device.pchs:
+        assert all(bank.materialized_rows() == [] for bank in pch.banks[0::2])
+        assert not pch.banks[0]._cells
+        assert all(bank.materialized_rows() for bank in pch.banks[1::2])
+
+
+@pytest.mark.parametrize("ecc", [False, True], ids=["plain", "ecc"])
 @pytest.mark.parametrize(
     "m, n, channels",
     [
