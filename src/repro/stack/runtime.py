@@ -7,9 +7,10 @@ The runtime owns three user-level modules:
   operates on the graph framework's representation.
 * **memory manager** — keeps resident PIM operators (weights stay laid out
   in the PIM region across invocations) and caches generated microkernels.
-  Both operator caches are LRU-bounded so long-running serving sessions
-  don't grow without limit; evicted kernels return their rows to the
-  driver.
+  One LRU-ordered cache holds every resident kernel, the BLAS's and the
+  serving lanes' alike; it is bounded by the device's rows, so a build the
+  driver has no rows for evicts the least recently used kernel, whose rows
+  go back to the driver.
 * **executor** — configures a PIM kernel and invokes it, accounting the
   per-launch overhead.
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from ..dram.bank import BankConfig
 from ..dram.controller import SchedulerPolicy
 from ..dram.device import DeviceConfig
 from ..dram.timing import HBM2_1GHZ, TimingParams
+from ..errors import PimAllocationError
 from ..faults import FaultConfig, FaultInjector
 from ..host.processor import HostConfig, HostSystem
 from ..pim.device import PimHbmDevice
@@ -62,9 +64,6 @@ class SystemConfig:
     # Default per-call sampling: cycle-simulate only the first N channels
     # of a kernel's set (None = all).  Used by PimBlas/PimContext.
     simulate_pchs: Optional[int] = None
-    # LRU bounds of the executor's operator caches.
-    gemv_cache_size: int = 32
-    elementwise_cache_size: int = 64
     # Fault model (see repro.faults): None disables injection entirely.
     faults: Optional[FaultConfig] = None
     # Observability (repro.obs): build a Tracer + MetricsRegistry and
@@ -80,8 +79,6 @@ class SystemConfig:
     #              differential oracle.
     # None means "fused": the one production path.
     exec_mode: Optional[str] = None
-    # LRU bound of the fused executor's compiled-trace cache.
-    trace_cache_size: int = 128
 
     def __post_init__(self) -> None:
         if self.exec_mode not in (None, "scalar", "fused"):
@@ -89,15 +86,6 @@ class SystemConfig:
                 f"unknown exec_mode {self.exec_mode!r}: expected "
                 '"fused" or "scalar"'
             )
-        if self.trace_cache_size < 1:
-            raise ValueError(
-                f"the trace cache holds at least one trace, not {self.trace_cache_size}"
-            )
-        for name in ("gemv_cache_size", "elementwise_cache_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(
-                    f"{name} holds at least one operator, not {getattr(self, name)}"
-                )
 
     @property
     def execution_mode(self) -> str:
@@ -151,7 +139,7 @@ class PimSystem(HostSystem):
             # One content-keyed cache shared by every channel; the fault
             # injector and driver invalidate per channel on CRF upsets
             # and quarantine.
-            self._trace_cache = TraceCache(limit=config.trace_cache_size)
+            self._trace_cache = TraceCache()
             for i, channel in enumerate(device.pchs):
                 channel.lockstep = FusedLockstepGroup(
                     channel.units, cache=self._trace_cache, channel_id=i
@@ -189,90 +177,111 @@ class PimSystem(HostSystem):
                 channel.channel_id = pch
             self.driver.tracer = self.tracer
             self.driver.metrics = self.metrics
-        self.executor = PimExecutor(
-            self,
-            gemv_cache_size=config.gemv_cache_size,
-            elementwise_cache_size=config.elementwise_cache_size,
-        )
+        self.executor = PimExecutor(self)
 
 
 class PimExecutor:
-    """The runtime executor plus memory-manager operator cache.
+    """The runtime executor plus the memory manager's operator cache.
 
-    Both caches are LRU-bounded: a long-running serving session touching
-    many distinct operators evicts the least recently used kernel and
-    returns its rows to the driver instead of growing without limit.
+    One LRU-ordered cache holds every resident kernel, GEMV and
+    elementwise.  It is bounded by the device's rows, not by a count: a
+    build the driver has no rows for evicts the least recently used kernel
+    (its rows go back to the driver) and tries again, and raises only when
+    nothing is left to evict.
     """
 
-    def __init__(
-        self,
-        system: PimSystem,
-        gemv_cache_size: int = 32,
-        elementwise_cache_size: int = 64,
-    ):
+    def __init__(self, system: PimSystem):
         # A proxy, handed on to every kernel the executor builds: the
         # system owns its executor, and a strong reference back would keep
         # a dropped system — banks, weights, compiled traces — alive until
         # a full garbage collection instead of freeing it on the spot.
         self.sys = weakref.proxy(system)
-        self.gemv_cache_size = gemv_cache_size
-        self.elementwise_cache_size = elementwise_cache_size
-        self._gemv_cache: "OrderedDict[Tuple, GemvKernel]" = OrderedDict()
-        self._elementwise_cache: "OrderedDict[Tuple, ElementwiseKernel]" = OrderedDict()
+        self._kernels: "OrderedDict[Tuple, GemvKernel | ElementwiseKernel]" = OrderedDict()
         self.evictions = 0
         self.launch_count = 0
 
     # -- resident operators -----------------------------------------------------
 
-    def _cache_get(self, cache: OrderedDict, key, factory, limit: int):
-        kernel = cache.get(key)
+    def _resident(self, key: Tuple, build):
+        """The kernel under ``key``, built on a miss."""
+        kernel = self._kernels.get(key)
         if kernel is not None:
-            cache.move_to_end(key)
+            self._kernels.move_to_end(key)
             return kernel
-        kernel = factory()
-        cache[key] = kernel
-        metrics = self.sys.metrics
-        if metrics is not None:
-            metrics.counter(
+        while True:
+            try:
+                kernel = build()
+                break
+            except PimAllocationError:
+                if not self._kernels:
+                    raise
+                _, evicted = self._kernels.popitem(last=False)
+                evicted.release()  # rows go back to the driver
+                self.evictions += 1
+                if self.sys.metrics is not None:
+                    self.sys.metrics.counter(
+                        "runtime.cache.evictions", "operator kernels evicted"
+                    ).inc()
+        self._kernels[key] = kernel
+        if self.sys.metrics is not None:
+            self.sys.metrics.counter(
                 "runtime.cache.builds", "operator kernels built"
             ).inc()
-        while len(cache) > limit:
-            _, evicted = cache.popitem(last=False)
-            evicted.release()  # rows go back to the driver
-            self.evictions += 1
-            if metrics is not None:
-                metrics.counter(
-                    "runtime.cache.evictions", "operator kernels evicted"
-                ).inc()
         return kernel
+
+    def release_kernels(self, channels: Iterable[int]) -> None:
+        """Release every resident kernel that runs on any of ``channels``.
+
+        An all-channel kernel counts: its rows on a faulted channel may
+        hold the corruption.  A later call rebuilds from the host copy.
+        """
+        channels = set(channels)
+        doomed = [
+            key for key, kernel in self._kernels.items()
+            if not channels.isdisjoint(kernel.channels)
+        ]
+        for key in doomed:
+            self._kernels.pop(key).release()
 
     def gemv_operator(
         self,
         w: np.ndarray,
         channels: Optional[Sequence[int]] = None,
         max_batch: int = 1,
+        signature: Optional[Tuple] = None,
     ) -> GemvKernel:
-        """A resident GEMV with ``w`` staged; cached by identity and shape.
+        """A resident GEMV with ``w`` staged.
 
         The memory manager keeps operand data "in cache area for later use"
         (Section V-A): repeated inference steps reuse the staged weights.
-        The cached kernel pins a reference to ``w`` so the ``id()`` in the
-        cache key cannot be recycled by a later same-shape allocation while
-        the entry is alive (the kernel itself stages only a padded copy).
+        ``signature`` is a content key of ``w`` (a serving request's);
+        without one the key is ``w``'s identity and shape.  The kernel pins
+        a reference to ``w`` so the ``id()`` in such a key cannot be
+        recycled by a later same-shape allocation while the entry is alive
+        (the kernel itself stages only a padded copy).
         """
         channel_key = None if channels is None else tuple(channels)
-        key = (id(w), w.shape[0], w.shape[1], channel_key, max_batch)
+        weights_key = (
+            (id(w), w.shape[0], w.shape[1]) if signature is None else signature
+        )
 
         def build():
             kernel = GemvKernel(
                 self.sys, w.shape[0], w.shape[1],
                 channels=channels, max_batch=max_batch,
             )
-            kernel.load_weights(w)
+            try:
+                kernel.load_weights(w)
+            except BaseException:
+                # Staging failed (e.g. a dead channel): free the rows
+                # before the fault propagates, or every retry would leak
+                # a fresh allocation.
+                kernel.release()
+                raise
             kernel.source_weights = w
             return kernel
 
-        return self._cache_get(self._gemv_cache, key, build, self.gemv_cache_size)
+        return self._resident(("gemv", weights_key, channel_key, max_batch), build)
 
     def elementwise_operator(
         self,
@@ -290,13 +299,9 @@ class PimExecutor:
         """
         channel_key = None if channels is None else tuple(channels)
         scalar_key = None if scalars is None else tuple(float(s) for s in scalars)
-        key = (op, length, scalar_key, channel_key)
-
-        def build():
-            return ElementwiseKernel(self.sys, op, length, channels=channels)
-
-        return self._cache_get(
-            self._elementwise_cache, key, build, self.elementwise_cache_size
+        return self._resident(
+            (op, length, scalar_key, channel_key),
+            lambda: ElementwiseKernel(self.sys, op, length, channels=channels),
         )
 
     # -- invocations ---------------------------------------------------------------

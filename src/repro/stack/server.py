@@ -87,12 +87,7 @@ from ..errors import (
 from .api import Request, ServerConfig
 from .arithmetic import golden_reference
 from .driver import ChannelSet
-from .kernels import (
-    ELEMENTWISE_OPS,
-    ElementwiseKernel,
-    ExecutionReport,
-    GemvKernel,
-)
+from .kernels import ELEMENTWISE_OPS, ExecutionReport
 from .profiler import Profiler, RequestStats, ServingProfile
 from .runtime import PimSystem
 
@@ -229,11 +224,6 @@ class _Lane:
     channels: Optional[ChannelSet]
     queue: Deque[PimRequest] = field(default_factory=deque)
     ready_ns: float = 0.0
-    # Resident kernels keyed by request signature.
-    gemv_kernels: Dict[Tuple, GemvKernel] = field(default_factory=dict)
-    elementwise_kernels: Dict[Tuple, ElementwiseKernel] = field(
-        default_factory=dict
-    )
     # Submissions bound to this lane that run() has not yet consumed
     # (the quantity "block" admission bounds).
     backlog: int = 0
@@ -260,7 +250,9 @@ class PimServer:
     Lanes lease disjoint channel sets from the device driver; operator
     signatures are bound to lanes round-robin in first-seen order, so two
     independent operators pipeline across channel sets instead of
-    serialising behind a global drain.
+    serialising behind a global drain.  A lane's resident kernels live in
+    the executor's one operator cache (:class:`~repro.stack.runtime.PimExecutor`),
+    keyed on the request signature and the lane's channels.
 
     Configuration is one :class:`~repro.stack.api.ServerConfig` (see the
     module docstring and ``docs/API.md`` for the knobs' semantics).
@@ -360,13 +352,14 @@ class PimServer:
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Release kernel rows and return leased channels to the driver.
+        """Release the executor's kernels on the lanes' channels and return
+        the leased channels to the driver.
 
         Idempotent, and exactly-once even when :meth:`run` raised
         mid-batch: each lane's lease is dropped the moment it is released
         (``lane.channels = None``), and a kernel whose release fails
-        cannot strand the remaining lanes' channels — every lease is
-        returned before the first error (if any) propagates.
+        cannot strand the lanes' channels — every lease is returned
+        before the first error (if any) propagates.
         """
         if self._closed:
             return
@@ -375,17 +368,14 @@ class PimServer:
             self._journal.close()
         driver = self.sys.driver
         first_error: Optional[BaseException] = None
+        try:
+            self.sys.executor.release_kernels(
+                p for lane in self.lanes if lane.channels is not None
+                for p in lane.channels
+            )
+        except PimError as err:
+            first_error = err
         for lane in self.lanes:
-            kernels = list(lane.gemv_kernels.values())
-            kernels.extend(lane.elementwise_kernels.values())
-            lane.gemv_kernels.clear()
-            lane.elementwise_kernels.clear()
-            for kernel in kernels:
-                try:
-                    kernel.release()
-                except PimError as err:
-                    if first_error is None:
-                        first_error = err
             if lane.channels is not None:
                 try:
                     driver.release_channels(lane.channels)
@@ -1099,8 +1089,9 @@ class PimServer:
     ) -> None:
         """Recover a lane after a fault unwound through a kernel.
 
-        1. Release every resident kernel (their rows may hold the
-           corruption; a retry re-stages from the host copy).
+        1. Release every resident kernel of the executor that runs on
+           the lane's channels, all-channel kernels included (their rows
+           may hold the corruption; a retry re-stages from the host copy).
         2. On a channel hard failure, quarantine the named channels
            through the driver (unattributable channel failures retire the
            whole set) and try to backfill the lane from the free pool.
@@ -1111,16 +1102,8 @@ class PimServer:
         (``channels = None``); its traffic completes on the host path.
         """
         driver = self.sys.driver
-        kernels = list(lane.gemv_kernels.values())
-        kernels.extend(lane.elementwise_kernels.values())
-        lane.gemv_kernels.clear()
-        lane.elementwise_kernels.clear()
-        for kernel in kernels:
-            try:
-                kernel.release()
-            except PimError:
-                pass  # rows already reclaimed; nothing else to free
         channels = tuple(lane.channels) if lane.channels is not None else ()
+        self.sys.executor.release_kernels(channels)
         bad = tuple(
             p for p in getattr(error, "channels", ()) if p in channels
         )
@@ -1182,38 +1165,23 @@ class PimServer:
     def _execute(self, lane: _Lane, batch: List[PimRequest]):
         head = batch[0]
         if head.op == "gemv":
-            kernel = lane.gemv_kernels.get(head.signature)
-            if kernel is None:
-                kernel = GemvKernel(
-                    self.sys,
-                    head.weights.shape[0],
-                    head.weights.shape[1],
-                    channels=lane.channels.channels,
-                    max_batch=self.max_batch,
-                )
-                try:
-                    kernel.load_weights(head.weights)
-                except BaseException:
-                    # Staging failed (e.g. a dead channel): free the
-                    # kernel's rows before the fault propagates, or every
-                    # retry would leak a fresh allocation.
-                    kernel.release()
-                    raise
-                lane.gemv_kernels[head.signature] = kernel
+            kernel = self.sys.executor.gemv_operator(
+                head.weights,
+                channels=lane.channels.channels,
+                max_batch=self.max_batch,
+                signature=head.signature,
+            )
             xs = np.stack([np.asarray(r.a, dtype=np.float16) for r in batch])
             ys, report = kernel.batched(xs, simulate_pchs=self.simulate_pchs)
             for request, y in zip(batch, ys):
                 request.result = y
         else:
-            kernel = lane.elementwise_kernels.get(head.signature)
-            if kernel is None:
-                kernel = ElementwiseKernel(
-                    self.sys,
-                    head.op,
-                    int(np.asarray(head.a).size),
-                    channels=lane.channels.channels,
-                )
-                lane.elementwise_kernels[head.signature] = kernel
+            kernel = self.sys.executor.elementwise_operator(
+                head.op,
+                int(np.asarray(head.a).size),
+                scalars=head.scalars,
+                channels=lane.channels.channels,
+            )
             items = [(r.a, r.b, r.scalars) for r in batch]
             results, report = kernel.batched(
                 items, simulate_pchs=self.simulate_pchs

@@ -120,30 +120,6 @@ class TestContentKeys:
 
 
 class TestSystemKnob:
-    def test_trace_cache_size_is_plumbed(self):
-        from repro.stack.runtime import PimSystem, SystemConfig
-
-        system = PimSystem(
-            SystemConfig(
-                num_pchs=2, num_rows=64, exec_mode="fused",
-                trace_cache_size=4,
-            )
-        )
-        assert system._trace_cache is not None
-        assert system._trace_cache.limit == 4
-        assert system.driver.trace_cache is system._trace_cache
-
-    def test_a_cache_of_no_traces_is_refused(self):
-        """0 used to become 1 silently; ``MemoryController(window=0)`` raises."""
-        import pytest
-
-        from repro.stack.runtime import SystemConfig
-
-        for size in (0, -3):
-            with pytest.raises(ValueError, match="at least one trace"):
-                SystemConfig(trace_cache_size=size)
-        assert SystemConfig(trace_cache_size=1).trace_cache_size == 1
-
     def test_default_builds_fused_groups_and_one_cache(self):
         from repro.stack.runtime import PimSystem, SystemConfig
 

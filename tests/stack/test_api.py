@@ -179,7 +179,7 @@ class TestConfigSurface:
         system = {f.name for f in fields(SystemConfig)}
         server = {f.name for f in fields(ServerConfig)}
         assert system & server == set()
-        assert (len(system), len(server)) == (16, 25)
+        assert (len(system), len(server)) == (13, 25)
 
     def test_hedging_is_refused_by_name(self):
         with pytest.raises(ValueError, match="hedging was removed"):

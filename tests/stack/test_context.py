@@ -152,27 +152,27 @@ class TestOperatorCacheBounds:
         assert np.array_equal(y2, ref2)
         assert np.array_equal(y1_again, ref1)
 
-    def test_lru_eviction_returns_rows(self):
-        config = SystemConfig.fast_functional(elementwise_cache_size=2)
-        system = PimSystem(config)
+    def test_row_pressure_evicts_and_returns_rows(self):
+        # 8 rows leave 2 free row sets: room for two one-row operators.
+        system = PimSystem(SystemConfig.fast_functional(num_rows=8))
         executor = system.executor
-        free_before = system.driver.rows_free
         k1 = executor.elementwise_operator("add", 64)
         executor.elementwise_operator("add", 128)
-        executor.elementwise_operator("add", 192)  # evicts k1
+        assert system.driver.rows_free == 0
+        executor.elementwise_operator("add", 192)  # no rows left: evicts k1
         assert executor.evictions == 1
-        assert len(executor._elementwise_cache) == 2
+        assert len(executor._kernels) == 2
         with pytest.raises(RuntimeError):
             k1(rand(64, 0), rand(64, 1))
         # A fresh same-shape operator can be rebuilt and still fits.
         rebuilt = executor.elementwise_operator("add", 64)
         y, _ = rebuilt(rand(64, 0), rand(64, 1), simulate_pchs=1)
         assert y.shape == (64,)
-        assert system.driver.rows_free <= free_before
+        assert executor.evictions == 2
 
     def test_lru_touch_order(self):
-        config = SystemConfig.fast_functional(gemv_cache_size=2)
-        system = PimSystem(config)
+        # 10 rows leave 4 free row sets: room for two two-row GEMVs.
+        system = PimSystem(SystemConfig.fast_functional(num_rows=10))
         executor = system.executor
         w1, w2, w3 = rand((16, 16), 1), rand((16, 16), 2), rand((16, 16), 3)
         k1 = executor.gemv_operator(w1)
@@ -181,6 +181,30 @@ class TestOperatorCacheBounds:
         executor.gemv_operator(w3)  # evicts w2, not w1
         assert executor.gemv_operator(w1) is k1
         assert executor.evictions == 1
+
+    def test_blas_gemv_over_more_matrices_than_the_rows_hold(self):
+        """16 distinct 256x1024 weights: each call evicts the least recent
+        resident matrix once the rows run out, and every result is exact."""
+        system = PimSystem(SystemConfig(simulate_pchs=1))
+        blas = PimBlas(system, simulate_pchs=1)
+        x = rand(1024, 0)
+        weights = [rand((256, 1024), 10 + i) for i in range(16)]
+        for w in weights:
+            y, _ = blas.gemv(w, x)
+            assert np.array_equal(y, gemv_reference(w, x, num_pchs=4))
+        assert system.executor.evictions > 0
+        assert len(system.executor._kernels) == 16 - system.executor.evictions
+
+    def test_an_operator_larger_than_the_device_raises_with_nothing_left(self):
+        from repro.errors import PimAllocationError
+
+        system = PimSystem(SystemConfig.fast_functional(num_rows=10))
+        executor = system.executor
+        executor.elementwise_operator("add", 64)
+        with pytest.raises(PimAllocationError):
+            executor.gemv_operator(rand((512, 512), 4))
+        assert len(executor._kernels) == 0
+        assert system.driver.rows_free == system.driver.rows_total
 
 
 class TestServingProfileMath:

@@ -79,10 +79,18 @@ class TestOperatorCache:
         y2, _ = system.executor.gemv(w, x)
         assert np.array_equal(y, y2)
 
-    @pytest.mark.parametrize("size", [0, -1])
-    @pytest.mark.parametrize("name", ["gemv_cache_size", "elementwise_cache_size"])
-    def test_an_operator_cache_of_no_operators_is_refused(self, name, size):
-        """Refused up front: the first call would evict what it just built."""
-        with pytest.raises(ValueError, match=f"{name} holds at least one operator"):
-            SystemConfig.fast_functional(**{name: size})
-        assert getattr(SystemConfig(**{name: 1}), name) == 1
+    def test_failed_staging_returns_the_kernels_rows(self):
+        """A dead channel fails load_weights; the half-built kernel's rows
+        go back to the driver before the fault propagates."""
+        from repro.errors import PimChannelError
+        from repro.faults import FaultConfig
+
+        system = PimSystem(
+            SystemConfig(simulate_pchs=1, faults=FaultConfig(failed_channels=(0,)))
+        )
+        free = system.driver.rows_free
+        w, x = rand((64, 96), 7), rand(96, 8)
+        for _ in range(3):
+            with pytest.raises(PimChannelError):
+                system.executor.gemv(w, x)
+            assert system.driver.rows_free == free

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.dram.controller import SchedulerPolicy
 from repro.stack.api import Request, ServerConfig
+from repro.stack.arithmetic import golden_reference
 from repro.stack.blas import PimBlas
 from repro.stack.kernels import ElementwiseKernel, GemvKernel
 from repro.stack.runtime import PimSystem, SystemConfig
@@ -27,6 +28,14 @@ HARDENED = PLAIN.replace(refresh=True, ecc=True)
 def rand(shape, seed, scale=0.25):
     rng = np.random.default_rng(seed)
     return (rng.standard_normal(shape) * scale).astype(np.float16)
+
+
+def lane_kernels(system, channels):
+    """The executor's resident kernels that run on ``channels``."""
+    return [
+        kernel for kernel in system.executor._kernels.values()
+        if set(kernel.channels) & set(channels)
+    ]
 
 
 def _mixed_workload(seed=3, count=12):
@@ -201,11 +210,33 @@ class TestServerMechanics:
             assert np.array_equal(second.result, ref.gemv(w2, x2)[0])
             # Distinct contents got distinct resident kernels; a
             # byte-identical resubmission reuses rather than reloads.
-            assert len(server.lanes[0].gemv_kernels) == 2
+            lane_channels = server.lanes[0].channels.channels
+            assert len(lane_kernels(system, lane_channels)) == 2
             third = server.submit(Request("gemv", weights=w2.copy(), a=rand(80, 25)))
             server.run()
-            assert len(server.lanes[0].gemv_kernels) == 2
+            assert len(lane_kernels(system, lane_channels)) == 2
             assert third.result is not None
+
+    def test_more_distinct_weights_than_the_device_holds(self):
+        """Lanes build through the executor's row-bounded cache: a weight
+        matrix the rows cannot hold evicts the least recently used kernel
+        instead of failing the run."""
+        system = PimSystem(SystemConfig(simulate_pchs=1))
+        x = rand(96, 99)
+        weights = [rand((64, 96), 100 + i) for i in range(20)]
+        with PimServer(system, ServerConfig()) as server:
+            handles = [
+                server.submit(Request("gemv", weights=w, a=x)) for w in weights
+            ]
+            server.run()
+        assert system.executor.evictions > 0
+        for w, handle in zip(weights, handles):
+            assert not handle.fallback
+            assert np.array_equal(
+                handle.result, golden_reference(handle, system.num_pchs)
+            )
+        # close() released every lane kernel's rows.
+        assert system.driver.rows_free == system.driver.rows_total
 
     def test_uneven_lane_split_leases_every_channel(self):
         """3 lanes on 4 channels -> 2+1+1, no channel left permanently idle."""
