@@ -59,12 +59,12 @@ def test_optimal_split_functional_check(benchmark):
     from repro.stack.runtime import PimSystem, SystemConfig
 
     def run():
-        system = PimSystem(SystemConfig(num_pchs=2, num_rows=256))
+        system = PimSystem(SystemConfig(num_pchs=2, num_rows=256, simulate_pchs=1))
         m, n = 512, 128
         rng = np.random.default_rng(0)
         w = (rng.standard_normal((m, n)) * 0.1).astype(np.float16)
         x = (rng.standard_normal(n) * 0.1).astype(np.float16)
-        collab = CollaborativeGemv(system, m, n, pim_rows=256, simulate_pchs=1)
+        collab = CollaborativeGemv(system, m, n, pim_rows=256)
         collab.load_weights(w)
         y, report = collab(x)
         gold = w.astype(np.float32) @ x.astype(np.float32)

@@ -14,7 +14,7 @@ against in tests/perf/test_latency.py.
 import numpy as np
 import pytest
 
-from repro.stack.blas import PimBlas, add_reference, gemv_reference
+from repro.stack.blas import add_reference, gemv_reference
 from repro.stack.runtime import PimSystem, SystemConfig
 
 
@@ -28,7 +28,6 @@ def test_gemv1_simulated(benchmark, system):
     rng = np.random.default_rng(0)
     w = (rng.standard_normal((1024, 4096)) * 0.05).astype(np.float16)
     x = (rng.standard_normal(4096) * 0.05).astype(np.float16)
-    blas = PimBlas(system, simulate_pchs=1)
     operator = system.executor.gemv_operator(w)
 
     def run():

@@ -43,10 +43,9 @@ def main():
     print(f"  ops on host: {len(host_report.host_nodes)}, offloaded: 0")
 
     # --- PIM backend: same graph, zero source changes --------------------
-    system = PimSystem(SystemConfig(num_pchs=2, num_rows=256))
+    system = PimSystem(SystemConfig(num_pchs=2, num_rows=256, simulate_pchs=1))
     pim_out, pim_report = GraphExecutor(
-        [logits], backend="pim", system=system, min_elements=128,
-        simulate_pchs=1,
+        [logits], backend="pim", system=system, min_elements=128
     ).run(feed)
     print("\nPIM backend (unmodified graph):")
     print(f"  offloaded ops : {pim_report.offloaded_nodes}")

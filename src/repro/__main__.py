@@ -57,15 +57,14 @@ def _report() -> None:
 def _demo() -> None:
     import numpy as np
 
-    from .stack import PimBlas, PimSystem, SystemConfig
+    from .stack import PimSystem, SystemConfig
 
     print("Building a 4-channel PIM-HBM system...")
     system = PimSystem(SystemConfig(num_pchs=4, num_rows=256))
-    blas = PimBlas(system)
     rng = np.random.default_rng(0)
     w = (rng.standard_normal((512, 256)) * 0.1).astype(np.float16)
     x = (rng.standard_normal(256) * 0.1).astype(np.float16)
-    y, report = blas.gemv(w, x)
+    y, report = system.executor.gemv(w, x)
     gold = w.astype(np.float32) @ x.astype(np.float32)
     print(f"GEMV 512x256 on the simulated device:")
     print(f"  max |err| vs FP32: {np.abs(y - gold).max():.2e}")

@@ -1,9 +1,11 @@
 """The PIM BLAS (Section V-A): the public linear-algebra API.
 
 Users call these functions with ordinary numpy arrays and get numerically
-faithful results computed *by the simulated PIM device* plus an execution
-report.  The BLAS hides everything below it: layouts, microkernels, mode
-transitions, fences.
+faithful results computed *by the simulated PIM device*; every call's
+execution report goes to the BLAS's profiler.  The BLAS hides everything
+below it: layouts, microkernels, mode transitions, fences.  A caller that
+needs the report of one call asks the executor instead
+(``system.executor.gemv`` / ``elementwise`` return ``(result, report)``).
 
 The bit-exact reference models (``gemv_reference`` etc.) live in
 :mod:`repro.stack.arithmetic` and are re-exported here.
@@ -11,7 +13,7 @@ The bit-exact reference models (``gemv_reference`` etc.) live in
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +24,9 @@ from .arithmetic import (
     mul_reference,
     relu_reference,
 )
+from .kernels import ExecutionReport
+from .lstm import lstm_step
+from .profiler import Profiler
 from .runtime import PimSystem
 
 __all__ = [
@@ -37,79 +42,44 @@ __all__ = [
 class PimBlas:
     """PIM BLAS bound to one :class:`PimSystem`.
 
-    ``reports`` selects how execution reports are delivered:
-
-    * ``"attach"`` (default, historical) — every call returns
-      ``(result, ExecutionReport)``;
-    * ``"profile"`` — calls return just the result and the report is fed
-      to ``profiler.record`` (any object with a ``record(report)`` method,
-      typically :class:`repro.stack.profiler.Profiler`).
+    Calls return results only; each :class:`ExecutionReport` is folded
+    into ``profiler`` (a fresh :class:`Profiler` when none is given).
+    Channel sampling follows ``system.config.simulate_pchs``.
     """
 
-    def __init__(
-        self,
-        system: PimSystem,
-        simulate_pchs: Optional[int] = None,
-        reports: str = "attach",
-        profiler=None,
-    ):
-        if reports not in ("attach", "profile"):
-            raise ValueError('reports must be "attach" or "profile"')
-        if reports == "profile" and profiler is None:
-            raise ValueError('reports="profile" needs a profiler sink')
+    def __init__(self, system: PimSystem, profiler: Optional[Profiler] = None):
         self.sys = system
-        self.simulate_pchs = simulate_pchs
-        self.reports = reports
-        self.profiler = profiler
+        self.profiler = profiler if profiler is not None else Profiler()
 
-    def _emit(self, result, report):
-        if self.reports == "profile":
-            self.profiler.record(report)
-            return result
-        return result, report
+    def _recorded(self, outcome: Tuple[np.ndarray, ExecutionReport]) -> np.ndarray:
+        result, report = outcome
+        self.profiler.record(report)
+        return result
 
     # -- level-2 ------------------------------------------------------------------
 
-    def gemv(self, w: np.ndarray, x: np.ndarray):
+    def gemv(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``y = W @ x`` with FP16 PIM MACs, FP32 host reduction."""
-        return self._emit(
-            *self.sys.executor.gemv(w, x, simulate_pchs=self.simulate_pchs)
-        )
+        return self._recorded(self.sys.executor.gemv(w, x))
 
     # -- level-1 ------------------------------------------------------------------
 
-    def add(self, a: np.ndarray, b: np.ndarray):
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise FP16 addition (residual/skip connections)."""
-        return self._emit(
-            *self.sys.executor.elementwise(
-                "add", a, b, simulate_pchs=self.simulate_pchs
-            )
-        )
+        return self._recorded(self.sys.executor.elementwise("add", a, b))
 
-    def mul(self, a: np.ndarray, b: np.ndarray):
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise FP16 multiplication."""
-        return self._emit(
-            *self.sys.executor.elementwise(
-                "mul", a, b, simulate_pchs=self.simulate_pchs
-            )
-        )
+        return self._recorded(self.sys.executor.elementwise("mul", a, b))
 
-    def relu(self, a: np.ndarray):
+    def relu(self, a: np.ndarray) -> np.ndarray:
         """Elementwise ReLU during data movement (MOV with the R flag)."""
-        return self._emit(
-            *self.sys.executor.elementwise(
-                "relu", a, simulate_pchs=self.simulate_pchs
-            )
-        )
+        return self._recorded(self.sys.executor.elementwise("relu", a))
 
-    def bn(self, a: np.ndarray, gamma: float, beta: float):
+    def bn(self, a: np.ndarray, gamma: float, beta: float) -> np.ndarray:
         """Inference batch-norm folded to ``gamma * x + beta`` (MAD)."""
-        return self._emit(
-            *self.sys.executor.elementwise(
-                "bn", a, scalars=(float(gamma), float(beta)),
-                simulate_pchs=self.simulate_pchs,
-            )
-        )
+        scalars = (float(gamma), float(beta))
+        return self._recorded(self.sys.executor.elementwise("bn", a, scalars=scalars))
 
     # -- composite: LSTM cell ------------------------------------------------------
 
@@ -121,43 +91,12 @@ class PimBlas:
         x: np.ndarray,
         h: np.ndarray,
         c: np.ndarray,
-    ):
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """One LSTM step: the GEMVs run on PIM, activations on the host.
 
         The PIM LSTM custom op accelerates the two matrix-vector products
         (the memory-bound part); gate nonlinearities are host work, exactly
-        as in the paper's LSTM custom op.
-        Returns ``(h_next, c_next, [gemv reports])`` — or just
-        ``(h_next, c_next)`` in ``reports="profile"`` mode.
+        as in the paper's LSTM custom op.  Returns ``(h_next, c_next)`` in
+        FP16; the two GEMV reports go to the profiler.
         """
-        hidden = h.shape[0]
-        gates_x, rep_x = self.sys.executor.gemv(
-            w_ih, x, simulate_pchs=self.simulate_pchs
-        )
-        gates_h, rep_h = self.sys.executor.gemv(
-            w_hh, h, simulate_pchs=self.simulate_pchs
-        )
-        gates = gates_x + gates_h + np.asarray(bias, dtype=np.float32)
-        i, f, g, o = (
-            gates[:hidden],
-            gates[hidden : 2 * hidden],
-            gates[2 * hidden : 3 * hidden],
-            gates[3 * hidden :],
-        )
-        i = _sigmoid(i)
-        f = _sigmoid(f)
-        g = np.tanh(g)
-        o = _sigmoid(o)
-        c_next = f * np.asarray(c, dtype=np.float32) + i * g
-        h_next = o * np.tanh(c_next)
-        h_next = h_next.astype(np.float16)
-        c_next = c_next.astype(np.float16)
-        if self.reports == "profile":
-            self.profiler.record(rep_x)
-            self.profiler.record(rep_h)
-            return h_next, c_next
-        return h_next, c_next, [rep_x, rep_h]
-
-
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-v))
+        return lstm_step(self.gemv, w_ih, w_hh, bias, x, h, c)

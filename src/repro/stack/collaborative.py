@@ -90,7 +90,6 @@ class CollaborativeGemv:
         m: int,
         n: int,
         pim_rows: Optional[int] = None,
-        simulate_pchs: Optional[int] = None,
     ):
         self.sys = system
         self.m = m
@@ -102,7 +101,6 @@ class CollaborativeGemv:
         # Snap to tile granularity so the PIM slice fills whole tiles.
         self.pim_rows = min(m, -(-pim_rows // 128) * 128) if pim_rows else 0
         self.host_rows = m - self.pim_rows
-        self.simulate_pchs = simulate_pchs
         self._kernel = (
             GemvKernel(system, self.pim_rows, n) if self.pim_rows else None
         )
@@ -126,7 +124,9 @@ class CollaborativeGemv:
         y = np.zeros(self.m, dtype=np.float32)
         pim_ns = 0.0
         if self._kernel is not None:
-            y_pim, report = self._kernel(x, simulate_pchs=self.simulate_pchs)
+            y_pim, report = self._kernel(
+                x, simulate_pchs=self.sys.config.simulate_pchs
+            )
             y[: self.pim_rows] = y_pim
             pim_ns = report.ns
         host_ns = 0.0

@@ -7,15 +7,14 @@ as a single context-managed object configured by one
     from repro.stack import PimContext, ServerConfig, SystemConfig
 
     with PimContext(SystemConfig.fast_functional()) as ctx:
-        y = ctx.blas.gemv(w, x)           # reports="profile": result only
+        y = ctx.blas.gemv(w, x)           # the report goes to ctx.profiler
         with ctx.server(ServerConfig(lanes=2)) as srv:  # same device
             ...
         print("\\n".join(ctx.report()))
 
-Inside the context the BLAS runs in ``reports="profile"`` mode: calls
-return plain results and every execution report is folded into the
-context's profiler.  Pass ``reports="attach"`` to get
-``(result, report)`` tuples instead.
+The BLAS returns plain results and folds every execution report into the
+context's profiler; ``ctx.system.executor.gemv`` / ``elementwise`` return
+the ``(result, report)`` of one call.
 """
 
 from __future__ import annotations
@@ -34,23 +33,14 @@ __all__ = ["PimContext"]
 class PimContext:
     """The assembled platform: system + driver + BLAS + profiler."""
 
-    def __init__(
-        self,
-        config: Optional[SystemConfig] = None,
-        reports: str = "profile",
-    ):
+    def __init__(self, config: Optional[SystemConfig] = None):
         self.config = config or SystemConfig()
         self.system = PimSystem(self.config)
         # Observability passthrough (None unless config.trace is set).
         self.tracer = self.system.tracer
         self.metrics = self.system.metrics
         self.profiler = Profiler()
-        self.blas = PimBlas(
-            self.system,
-            simulate_pchs=self.config.simulate_pchs,
-            reports=reports,
-            profiler=self.profiler if reports == "profile" else None,
-        )
+        self.blas = PimBlas(self.system, profiler=self.profiler)
         self._servers: List[PimServer] = []
         self._fabrics: List = []
 

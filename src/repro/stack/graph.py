@@ -20,8 +20,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blas import PimBlas
 from .kernels import ExecutionReport
+from .lstm import lstm_reference, lstm_step, sigmoid
 from .runtime import PimSystem
 
 __all__ = [
@@ -45,6 +45,14 @@ PIM_ELIGIBLE_OPS = {
     "lstm": "pim_lstm",
 }
 PIM_CUSTOM_OPS = set(PIM_ELIGIBLE_OPS.values())
+
+# The elementwise custom ops: executor operator name and operand count.
+_ELEMENTWISE = {
+    "pim_add": ("add", 2),
+    "pim_mul": ("mul", 2),
+    "pim_relu": ("relu", 1),
+    "pim_bn": ("bn", 1),
+}
 
 # Below this many elements, offload overhead dominates and the preprocessor
 # leaves the op on the host.
@@ -165,8 +173,8 @@ class GraphExecutor:
     ``backend='host'`` computes everything in numpy (FP16 elementwise /
     FP32 accumulation — the precision a real host kernel would use).
     ``backend='pim'`` applies the preprocessor: every eligible op above the
-    size threshold is dispatched to the PIM BLAS, without any change to the
-    graph the user built.
+    size threshold is dispatched to the system's PIM executor, without any
+    change to the graph the user built.
     """
 
     def __init__(
@@ -174,7 +182,6 @@ class GraphExecutor:
         outputs: Sequence[Node],
         backend: str = "host",
         system: Optional[PimSystem] = None,
-        simulate_pchs: Optional[int] = None,
         min_elements: int = PIM_MIN_ELEMENTS,
     ):
         if backend not in ("host", "pim"):
@@ -183,7 +190,7 @@ class GraphExecutor:
             raise ValueError("the pim backend needs a PimSystem")
         self.outputs = list(outputs)
         self.backend = backend
-        self.blas = PimBlas(system, simulate_pchs=simulate_pchs) if system else None
+        self.system = system
         self.min_elements = min_elements
         self.order = self._toposort(self.outputs)
 
@@ -269,74 +276,49 @@ class GraphExecutor:
         if op == "last":
             return np.asarray(ins[0])[-1]
         if op == "sigmoid":
-            return (1.0 / (1.0 + np.exp(-ins[0].astype(np.float32)))).astype(np.float32)
+            return sigmoid(ins[0].astype(np.float32))
         if op == "tanh":
             return np.tanh(ins[0].astype(np.float32)).astype(np.float32)
         if op in ("lstm", "pim_lstm"):
-            return self._host_lstm(node, ins[0])
+            params = node.params
+            return lstm_reference(
+                params["w_ih"], params["w_hh"], params["bias"], ins[0]
+            ).astype(np.float16)
         raise ValueError(f"unknown op {op!r}")
-
-    def _host_lstm(self, node: Node, x_seq: np.ndarray) -> np.ndarray:
-        w_ih = node.params["w_ih"].astype(np.float32)
-        w_hh = node.params["w_hh"].astype(np.float32)
-        bias = node.params["bias"].astype(np.float32)
-        hidden = w_hh.shape[1]
-        h = np.zeros(hidden, dtype=np.float32)
-        c = np.zeros(hidden, dtype=np.float32)
-        outs = []
-        for x in np.asarray(x_seq, dtype=np.float32):
-            gates = w_ih @ x + w_hh @ h + bias
-            i, f, g, o = np.split(1.0 * gates, 4)
-            i, f, o = _sig(i), _sig(f), _sig(o)
-            g = np.tanh(g)
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            outs.append(h.copy())
-        return np.stack(outs).astype(np.float16)
 
     def _run_pim(
         self, node: Node, ins: List[np.ndarray], report: RunReport
     ) -> np.ndarray:
-        assert self.blas is not None
+        executor = self.system.executor
+
+        def launched(outcome: Tuple[np.ndarray, ExecutionReport]) -> np.ndarray:
+            out, rep = outcome
+            report.pim_reports.append(rep)
+            return out
+
         op = PIM_ELIGIBLE_OPS.get(node.op, node.op)
         if op == "pim_gemv":
-            y, rep = self.blas.gemv(node.params["w"], ins[0].astype(np.float16))
-            report.pim_reports.append(rep)
-            return y
-        if op == "pim_add":
-            out, rep = self.blas.add(ins[0], ins[1])
-            report.pim_reports.append(rep)
-            return out.reshape(np.asarray(ins[0]).shape)
-        if op == "pim_mul":
-            out, rep = self.blas.mul(ins[0], ins[1])
-            report.pim_reports.append(rep)
-            return out.reshape(np.asarray(ins[0]).shape)
-        if op == "pim_relu":
-            out, rep = self.blas.relu(ins[0])
-            report.pim_reports.append(rep)
-            return out.reshape(np.asarray(ins[0]).shape)
-        if op == "pim_bn":
-            out, rep = self.blas.bn(ins[0], node.attrs["gamma"], node.attrs["beta"])
-            report.pim_reports.append(rep)
+            return launched(
+                executor.gemv(node.params["w"], ins[0].astype(np.float16))
+            )
+        if op in _ELEMENTWISE:
+            name, arity = _ELEMENTWISE[op]
+            scalars = None
+            if op == "pim_bn":
+                scalars = (float(node.attrs["gamma"]), float(node.attrs["beta"]))
+            out = launched(
+                executor.elementwise(name, *ins[:arity], scalars=scalars)
+            )
             return out.reshape(np.asarray(ins[0]).shape)
         if op == "pim_lstm":
-            return self._pim_lstm(node, ins[0], report)
+            params = node.params
+            h = c = np.zeros(params["w_hh"].shape[1], dtype=np.float16)
+            outs = []
+            for x in np.asarray(ins[0], dtype=np.float16):
+                h, c = lstm_step(
+                    lambda w, v: launched(executor.gemv(w, v)),
+                    params["w_ih"], params["w_hh"], params["bias"], x, h, c,
+                )
+                outs.append(h)
+            return np.stack(outs)
         raise ValueError(f"cannot offload {node.op!r}")
-
-    def _pim_lstm(self, node: Node, x_seq: np.ndarray, report: RunReport) -> np.ndarray:
-        w_ih = node.params["w_ih"]
-        w_hh = node.params["w_hh"]
-        bias = node.params["bias"]
-        hidden = w_hh.shape[1]
-        h = np.zeros(hidden, dtype=np.float16)
-        c = np.zeros(hidden, dtype=np.float16)
-        outs = []
-        for x in np.asarray(x_seq, dtype=np.float16):
-            h, c, reps = self.blas.lstm_cell(w_ih, w_hh, bias, x, h, c)
-            report.pim_reports.extend(reps)
-            outs.append(h.copy())
-        return np.stack(outs)
-
-
-def _sig(v: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-v))

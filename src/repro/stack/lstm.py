@@ -15,14 +15,62 @@ ReLU), exactly the split the paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .kernels import ExecutionReport, GemvKernel
 from .runtime import PimSystem
 
-__all__ = ["LstmLayerOperator", "LstmStepReport"]
+__all__ = [
+    "LstmLayerOperator", "LstmStepReport",
+    "cell_update", "lstm_reference", "lstm_step", "sigmoid",
+]
+
+
+def sigmoid(v: np.ndarray) -> np.ndarray:
+    """The logistic gate nonlinearity (host work: PIM has only ReLU)."""
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def cell_update(
+    gates: np.ndarray, c: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The host half of one LSTM step: ``(h_next, c_next)``.
+
+    ``gates`` is the (4H,) pre-activation ``gates_x + gates_h + bias`` in
+    the order i, f, g, o; the result keeps the dtype of ``gates`` and
+    ``c`` (every caller passes FP32 and does its own rounding).
+    """
+    i, f, g, o = np.split(gates, 4)
+    c = sigmoid(f) * c + sigmoid(i) * np.tanh(g)
+    return sigmoid(o) * np.tanh(c), c
+
+
+def lstm_step(
+    gemv: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    w_ih: np.ndarray, w_hh: np.ndarray, bias: np.ndarray,
+    x: np.ndarray, h: np.ndarray, c: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One LSTM step with FP16 state: the two GEMVs through ``gemv``
+    (the PIM custom op's memory-bound part), the gates in FP32 on the
+    host, then ``h`` and ``c`` rounded to FP16."""
+    gates = gemv(w_ih, x) + gemv(w_hh, h) + np.asarray(bias, dtype=np.float32)
+    h, c = cell_update(gates, np.asarray(c, dtype=np.float32))
+    return h.astype(np.float16), c.astype(np.float16)
+
+
+def lstm_reference(
+    w_ih: np.ndarray, w_hh: np.ndarray, bias: np.ndarray, x_seq: np.ndarray
+) -> np.ndarray:
+    """FP32 host reference of one LSTM layer over ``x_seq`` (T, D)."""
+    w_ih, w_hh, bias = (np.asarray(a, np.float32) for a in (w_ih, w_hh, bias))
+    h = c = np.zeros(w_hh.shape[1], dtype=np.float32)
+    out = []
+    for x in np.asarray(x_seq, dtype=np.float32):
+        h, c = cell_update(w_ih @ x + w_hh @ h + bias, c)
+        out.append(h)
+    return np.stack(out)
 
 
 @dataclass
@@ -42,17 +90,10 @@ class LstmLayerOperator:
     and a merged execution report.
     """
 
-    def __init__(
-        self,
-        system: PimSystem,
-        input_dim: int,
-        hidden: int,
-        simulate_pchs: Optional[int] = None,
-    ):
+    def __init__(self, system: PimSystem, input_dim: int, hidden: int):
         self.sys = system
         self.input_dim = input_dim
         self.hidden = hidden
-        self.simulate_pchs = simulate_pchs
         self._gemv_x = GemvKernel(system, 4 * hidden, input_dim)
         self._gemv_h = GemvKernel(system, 4 * hidden, hidden)
         self._loaded = False
@@ -92,26 +133,23 @@ class LstmLayerOperator:
         c = (np.zeros(hidden, dtype=np.float32) if c0 is None
              else np.asarray(c0, dtype=np.float32))
 
+        simulate_pchs = self.sys.config.simulate_pchs
         merged = ExecutionReport(
             kernel=f"lstm[{self.input_dim}->{hidden}]x{x_seq.shape[0]}",
             total_pchs=self.sys.num_pchs,
             simulated_pchs=(
-                self.sys.num_pchs if self.simulate_pchs is None
-                else min(self.simulate_pchs, self.sys.num_pchs)
+                self.sys.num_pchs if simulate_pchs is None
+                else min(simulate_pchs, self.sys.num_pchs)
             ),
         )
         steps: List[LstmStepReport] = []
         outputs = []
         for t, x in enumerate(x_seq):
-            gates_x, rep_x = self._gemv_x(x, simulate_pchs=self.simulate_pchs)
-            gates_h, rep_h = self._gemv_h(h, simulate_pchs=self.simulate_pchs)
-            gates = gates_x + gates_h + self.bias
-            i, f, g, o = np.split(gates, 4)
-            i, f, o = _sigmoid(i), _sigmoid(f), _sigmoid(o)
-            g = np.tanh(g)
-            c = f * c + i * g
-            h = (o * np.tanh(c)).astype(np.float16)
-            outputs.append(h.copy())
+            gates_x, rep_x = self._gemv_x(x, simulate_pchs=simulate_pchs)
+            gates_h, rep_h = self._gemv_h(h, simulate_pchs=simulate_pchs)
+            h, c = cell_update(gates_x + gates_h + self.bias, c)
+            h = h.astype(np.float16)
+            outputs.append(h)
             cycles = rep_x.cycles + rep_h.cycles
             merged.cycles += cycles
             merged.ns += rep_x.ns + rep_h.ns
@@ -125,31 +163,3 @@ class LstmLayerOperator:
         # Fused layer = one launch: a single launch overhead, not 2T.
         merged.ns -= (2 * x_seq.shape[0] - 1) * self.sys.host.kernel_launch_ns
         return np.stack(outputs), merged, steps
-
-    def reference(
-        self,
-        w_ih: np.ndarray,
-        w_hh: np.ndarray,
-        bias: np.ndarray,
-        x_seq: np.ndarray,
-    ) -> np.ndarray:
-        """FP32 host reference of the same layer."""
-        w_ih = np.asarray(w_ih, dtype=np.float32)
-        w_hh = np.asarray(w_hh, dtype=np.float32)
-        bias = np.asarray(bias, dtype=np.float32)
-        h = np.zeros(self.hidden, dtype=np.float32)
-        c = np.zeros(self.hidden, dtype=np.float32)
-        out = []
-        for x in np.asarray(x_seq, dtype=np.float32):
-            gates = w_ih @ x + w_hh @ h + bias
-            i, f, g, o = np.split(gates, 4)
-            i, f, o = _sigmoid(i), _sigmoid(f), _sigmoid(o)
-            g = np.tanh(g)
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            out.append(h.copy())
-        return np.stack(out)
-
-
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-v))

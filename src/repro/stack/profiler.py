@@ -571,33 +571,16 @@ class ServingProfile:
 
 
 class Profiler:
-    """Collects execution reports, optionally wrapping a
-    :class:`~repro.stack.blas.PimBlas` (or any object whose methods return
-    ``(result, ExecutionReport)``).
+    """The session's report sink: kernel reports and serving sessions.
 
-    Standalone form (``Profiler()``) is the report sink the
-    ``reports="profile"`` BLAS mode and the serving engine feed through
-    :meth:`record`.
+    :class:`~repro.stack.blas.PimBlas` feeds every call's report through
+    :meth:`record`; the serving engine and the fabric feed each
+    session's :class:`ServingProfile` through :meth:`record_serving`.
     """
 
-    def __init__(self, blas=None):
-        self._blas = blas
+    def __init__(self):
         self.profile = SessionProfile()
         self.serving: Optional[ServingProfile] = None
-
-    def __getattr__(self, name: str):
-        if self._blas is None:
-            raise AttributeError(name)
-        target = getattr(self._blas, name)
-        if not callable(target):
-            return target
-
-        def wrapped(*args, **kwargs):
-            result = target(*args, **kwargs)
-            self._record(result)
-            return result
-
-        return wrapped
 
     def record(self, report: ExecutionReport) -> None:
         """Fold one execution report into the session profile."""
@@ -608,21 +591,8 @@ class Profiler:
         profile.merge(report)
 
     def record_serving(self, serving: "ServingProfile") -> None:
-        """Attach (or merge) a serving session's queueing statistics."""
+        """Fold a serving session's statistics into the profiler's own
+        profile (the caller's ``serving`` is left as it was)."""
         if self.serving is None:
-            self.serving = serving
-            return
+            self.serving = ServingProfile()
         self.serving.merge(serving)
-
-    def _record(self, result) -> None:
-        reports: List[ExecutionReport] = []
-        if isinstance(result, tuple):
-            for item in result:
-                if isinstance(item, ExecutionReport):
-                    reports.append(item)
-                elif isinstance(item, list) and item and isinstance(
-                    item[0], ExecutionReport
-                ):
-                    reports.extend(item)
-        for report in reports:
-            self.record(report)

@@ -61,8 +61,10 @@ class SystemConfig:
     scheduler_seed: Optional[int] = None
     refresh: bool = False
     ecc: bool = False
-    # Default per-call sampling: cycle-simulate only the first N channels
-    # of a kernel's set (None = all).  Used by PimBlas/PimContext.
+    # Per-call sampling: cycle-simulate only the first N channels of a
+    # kernel's set (None = all).  Every operator above the kernels reads
+    # it: the executor (so PimBlas / PimContext), GraphExecutor,
+    # LstmLayerOperator, CollaborativeGemv and PimServer.
     simulate_pchs: Optional[int] = None
     # Fault model (see repro.faults): None disables injection entirely.
     faults: Optional[FaultConfig] = None
@@ -324,9 +326,10 @@ class PimExecutor:
         return result, report
 
     def gemv(
-        self, w: np.ndarray, x: np.ndarray, simulate_pchs: Optional[int] = None
+        self, w: np.ndarray, x: np.ndarray
     ) -> Tuple[np.ndarray, ExecutionReport]:
         """Invoke a (cached) GEMV operator on ``x``."""
+        simulate_pchs = self.sys.config.simulate_pchs
         return self._launch(
             "kernel:gemv",
             lambda: self.gemv_operator(w)(x, simulate_pchs=simulate_pchs),
@@ -338,12 +341,12 @@ class PimExecutor:
         a: np.ndarray,
         b: Optional[np.ndarray] = None,
         scalars: Optional[Tuple[float, float]] = None,
-        simulate_pchs: Optional[int] = None,
     ) -> Tuple[np.ndarray, ExecutionReport]:
         """Invoke a (cached) elementwise operator."""
         kernel = self.elementwise_operator(
             op, int(np.asarray(a).size), scalars=scalars
         )
+        simulate_pchs = self.sys.config.simulate_pchs
         return self._launch(
             f"kernel:{op}",
             lambda: kernel(a, b, scalars=scalars, simulate_pchs=simulate_pchs),

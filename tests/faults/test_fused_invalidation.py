@@ -35,8 +35,7 @@ def _warm(system, seed=5):
     """Run one elementwise op to compile traces; returns (a, b, result)."""
     blas = PimBlas(system)
     a, b = _rand(96, seed), _rand(96, seed + 1)
-    out, _ = blas.add(a, b)
-    return a, b, out
+    return a, b, blas.add(a, b)
 
 
 class TestCrfUpsetInvalidation:
@@ -62,7 +61,7 @@ class TestCrfUpsetInvalidation:
         )
         injector.corrupt_registers()
         assert injector.stats.crf_faults > 0
-        out, _ = PimBlas(system).add(a, b)
+        out = PimBlas(system).add(a, b)
         assert np.array_equal(out, add_reference(a, b))
 
     def test_fused_matches_scalar_under_identical_fault_sequence(self):
@@ -82,7 +81,7 @@ class TestCrfUpsetInvalidation:
             )
             outs = []
             for _ in range(3):
-                outs.append(blas.add(a, b)[0].tobytes())
+                outs.append(blas.add(a, b).tobytes())
                 injector.corrupt_registers()
             return outs, injector.stats.register_faults
 
@@ -128,7 +127,7 @@ class TestScrubHealBitExact:
             )
             blas = PimBlas(system)
             a, b = _rand(96, 21), _rand(96, 22)
-            first = blas.add(a, b)[0].tobytes()
+            first = blas.add(a, b).tobytes()
             # Strike one data bit per live row on every bank (deterministic
             # locations so both modes see the same damage).
             for pch in range(system.num_pchs):
@@ -138,7 +137,7 @@ class TestScrubHealBitExact:
             result = system.driver.scrub()
             assert result.corrected > 0
             assert not result.uncorrectable
-            second = blas.add(a, b)[0].tobytes()
+            second = blas.add(a, b).tobytes()
             ecc = [
                 vars(bk.ecc_stats).copy()
                 for pch in range(system.num_pchs)

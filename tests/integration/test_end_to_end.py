@@ -37,13 +37,13 @@ class TestMlpInference:
         assert np.abs(host_y - pim_y.astype(np.float32)).max() < 3e-3
 
     def test_residual_block(self):
-        system = PimSystem(SystemConfig(num_pchs=2, num_rows=256))
+        system = PimSystem(SystemConfig(num_pchs=2, num_rows=256, simulate_pchs=1))
         x, skip = G.placeholder("x"), G.placeholder("skip")
         out = G.relu(G.add(G.batch_norm(x, 1.1, 0.1), skip))
         feed = {"x": rand(4096, 3), "skip": rand(4096, 4)}
         (host_y,), _ = GraphExecutor([out]).run(feed)
         (pim_y,), report = GraphExecutor(
-            [out], backend="pim", system=system, simulate_pchs=1
+            [out], backend="pim", system=system
         ).run(feed)
         assert report.pim_launches == 3  # bn, add, relu all offloaded
         assert np.array_equal(np.asarray(host_y), np.asarray(pim_y))
@@ -51,7 +51,7 @@ class TestMlpInference:
 
 class TestLstmSequence:
     def test_short_speech_like_sequence(self):
-        system = PimSystem(SystemConfig(num_pchs=2, num_rows=256))
+        system = PimSystem(SystemConfig(num_pchs=2, num_rows=256, simulate_pchs=1))
         T, D, H = 4, 40, 64
         w_ih, w_hh = rand((4 * H, D), 5), rand((4 * H, H), 6)
         bias = rand(4 * H, 7).astype(np.float32)
@@ -60,7 +60,7 @@ class TestLstmSequence:
         feed = {"xs": rand((T, D), 8)}
         (host_h,), _ = GraphExecutor([out]).run(feed)
         (pim_h,), report = GraphExecutor(
-            [out], backend="pim", system=system, min_elements=64, simulate_pchs=1
+            [out], backend="pim", system=system, min_elements=64
         ).run(feed)
         assert report.pim_launches == 2 * T
         drift = np.abs(host_h.astype(np.float32) - pim_h.astype(np.float32)).max()
@@ -79,10 +79,10 @@ class TestDeviceStateDiscipline:
         system = PimSystem(SystemConfig(num_pchs=2, num_rows=256))
         blas = PimBlas(system)
         w = rand((128, 64), 11)
-        gemv_y1, _ = blas.gemv(w, rand(64, 12))
+        gemv_y1 = blas.gemv(w, rand(64, 12))
         a, b = rand(3000, 13), rand(3000, 14)
-        add_out, _ = blas.add(a, b)
-        gemv_y2, _ = blas.gemv(w, rand(64, 12))
+        add_out = blas.add(a, b)
+        gemv_y2 = blas.gemv(w, rand(64, 12))
         assert np.array_equal(gemv_y1, gemv_y2)
         assert np.array_equal(add_out, (a + b).astype(np.float16))
 
@@ -107,9 +107,8 @@ class TestDeviceStateDiscipline:
 class TestScalability:
     def test_four_channel_system(self):
         system = PimSystem(SystemConfig(num_pchs=4, num_rows=128))
-        blas = PimBlas(system)
         w, x = rand((256, 160), 19), rand(160, 20)
-        y, report = blas.gemv(w, x)
+        y, report = system.executor.gemv(w, x)
         gold = w.astype(np.float32) @ x.astype(np.float32)
         assert np.abs(y - gold).max() < 2e-3
         assert report.total_pchs == 4
@@ -118,14 +117,13 @@ class TestScalability:
         system = PimSystem(SystemConfig(num_pchs=3, num_rows=128))
         blas = PimBlas(system)
         w, x = rand((130, 50), 21), rand(50, 22)
-        y, _ = blas.gemv(w, x)
+        y = blas.gemv(w, x)
         gold = w.astype(np.float32) @ x.astype(np.float32)
         assert np.abs(y - gold).max() < 2e-3
 
     def test_wide_vector_spans_rows(self):
         system = PimSystem(SystemConfig(num_pchs=1, num_rows=128))
-        blas = PimBlas(system)
         a, b = rand(50000, 23), rand(50000, 24)
-        out, report = blas.add(a, b)
+        out, report = system.executor.elementwise("add", a, b)
         assert np.array_equal(out, (a + b).astype(np.float16))
         assert report.column_commands > 100

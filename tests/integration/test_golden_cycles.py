@@ -69,51 +69,51 @@ def _entry(cycles, column_commands, system):
     return entry
 
 
+def _profiled(ctx):
+    """The pinned numbers of every BLAS call the context has profiled."""
+    kernels = ctx.profiler.profile.kernels.values()
+    return _entry(
+        sum(k.cycles for k in kernels),
+        sum(k.column_commands for k in kernels),
+        ctx.system,
+    )
+
+
 def measure(exec_mode, ecc):
     """Every pinned shape on fresh systems of one configuration."""
     config = SystemConfig(simulate_pchs=1, exec_mode=exec_mode, ecc=ecc)
     rng = np.random.default_rng(SEED)
     out = {}
 
-    with PimContext(config, reports="attach") as ctx:
+    with PimContext(config) as ctx:
         w, x = _grid(rng, 128, 512), _grid(rng, 512)
-        _, report = ctx.blas.gemv(w, x)
-        out["gemv[128x512]"] = _entry(
-            report.cycles, report.column_commands, ctx.system
-        )
+        ctx.blas.gemv(w, x)
+        out["gemv[128x512]"] = _profiled(ctx)
 
     for op in ("add", "mul", "relu", "bn"):
-        with PimContext(config, reports="attach") as ctx:
+        with PimContext(config) as ctx:
             a = rng.standard_normal(4096).astype(np.float16)
             b = rng.standard_normal(4096).astype(np.float16)
             blas = ctx.blas
             if op == "add":
-                _, report = blas.add(a, b)
+                blas.add(a, b)
             elif op == "mul":
-                _, report = blas.mul(a, b)
+                blas.mul(a, b)
             elif op == "relu":
-                _, report = blas.relu(a)
+                blas.relu(a)
             else:
-                _, report = blas.bn(a, 1.5, 0.25)
-            out[f"{op}[4096]"] = _entry(
-                report.cycles, report.column_commands, ctx.system
-            )
+                blas.bn(a, 1.5, 0.25)
+            out[f"{op}[4096]"] = _profiled(ctx)
 
-    with PimContext(config, reports="attach") as ctx:
+    with PimContext(config) as ctx:
         hidden = 128
         scale = np.float16(0.125)
         w_ih = _grid(rng, 4 * hidden, hidden) * scale
         w_hh = _grid(rng, 4 * hidden, hidden) * scale
         bias = rng.standard_normal(4 * hidden).astype(np.float32)
         zeros = np.zeros(hidden, dtype=np.float16)
-        _, _, reports = ctx.blas.lstm_cell(
-            w_ih, w_hh, bias, _grid(rng, hidden), zeros, zeros
-        )
-        out["lstm_cell[128]"] = _entry(
-            sum(r.cycles for r in reports),
-            sum(r.column_commands for r in reports),
-            ctx.system,
-        )
+        ctx.blas.lstm_cell(w_ih, w_hh, bias, _grid(rng, hidden), zeros, zeros)
+        out["lstm_cell[128]"] = _profiled(ctx)
 
     with PimContext(config) as ctx:
         # The shape ``serve-bench`` offers: GEMV and add alternating,

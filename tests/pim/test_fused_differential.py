@@ -855,22 +855,22 @@ def _run_op_suite(mode, trace=False):
     """gemv/add/mul/relu/bn/lstm_cell across shapes and channel subsets."""
     from repro.stack.blas import PimBlas
 
-    system = _system(mode, trace=trace)
+    # Every channel simulated: the suite compares all units' statistics.
+    system = _system(mode, trace=trace, simulate_pchs=None)
     blas = PimBlas(system)
     rng = np.random.default_rng(99)
     out = []
     for m, n in ((24, 32), (48, 64)):
         w = (rng.standard_normal((m, n)) * 0.25).astype(np.float16)
         x = (rng.standard_normal(n) * 0.25).astype(np.float16)
-        y, _ = blas.gemv(w, x)
-        out.append(y.tobytes())
+        out.append(blas.gemv(w, x).tobytes())
     for length in (96, 192):
         a = (rng.standard_normal(length) * 0.25).astype(np.float16)
         b = (rng.standard_normal(length) * 0.25).astype(np.float16)
-        out.append(blas.add(a, b)[0].tobytes())
-        out.append(blas.mul(a, b)[0].tobytes())
-        out.append(blas.relu(a)[0].tobytes())
-        out.append(blas.bn(a, 1.5, -0.25)[0].tobytes())
+        out.append(blas.add(a, b).tobytes())
+        out.append(blas.mul(a, b).tobytes())
+        out.append(blas.relu(a).tobytes())
+        out.append(blas.bn(a, 1.5, -0.25).tobytes())
     # Channel subsets: the same operator pinned to different channels.
     for channels in ((0,), (1, 2)):
         kern = system.executor.elementwise_operator(
@@ -887,7 +887,7 @@ def _run_op_suite(mode, trace=False):
     xv = (rng.standard_normal(x_dim) * 0.2).astype(np.float16)
     hv = (rng.standard_normal(h_dim) * 0.2).astype(np.float16)
     cv = (rng.standard_normal(h_dim) * 0.2).astype(np.float16)
-    h1, c1 = blas.lstm_cell(w_ih, w_hh, bias, xv, hv, cv)[:2]
+    h1, c1 = blas.lstm_cell(w_ih, w_hh, bias, xv, hv, cv)
     out.append(h1.tobytes())
     out.append(c1.tobytes())
     unit_stats = [
@@ -965,10 +965,10 @@ class TestEndToEndTwoWay:
 
 
 class TestCompiledPlanCounts:
-    """What a resident operator's window compiles to on one pCH of
-    ``SystemConfig(simulate_pchs=1)``.  PR 23 replayed the GEMV slice-tile
-    as 33 hazard groups (16 MOV, 16 MAC, the write-out), add as 3 and relu
-    as 2."""
+    """What a resident operator's window compiles to on each pCH of
+    ``SystemConfig(simulate_pchs=None)`` (every channel simulated).  The
+    hazard-group replay this compiler replaced ran the GEMV slice-tile as
+    33 groups (16 MOV, 16 MAC, the write-out), add as 3 and relu as 2."""
 
     @staticmethod
     def _traces(run):
@@ -977,7 +977,7 @@ class TestCompiledPlanCounts:
         from repro.stack.blas import PimBlas
         from repro.stack.runtime import PimSystem, SystemConfig
 
-        system = PimSystem(SystemConfig(simulate_pchs=1))
+        system = PimSystem(SystemConfig(simulate_pchs=None))
         run(PimBlas(system), np.random.default_rng(23))
         cache = system._trace_cache
         entries = [cache.get(key) for key in cache.keys()]

@@ -92,7 +92,9 @@ def gemv_paths(w, x):
     results["timed"], _ = kernel()(x)
     results["simulate_pchs=0"], _ = kernel()(x, simulate_pchs=0)
     results["batched"] = kernel().batched(np.stack([x, x]), simulate_pchs=1)[0][1]
-    collab = CollaborativeGemv(PimSystem(CONFIG), m, n, pim_rows=m, simulate_pchs=1)
+    collab = CollaborativeGemv(
+        PimSystem(CONFIG.replace(simulate_pchs=1)), m, n, pim_rows=m
+    )
     collab.load_weights(w)
     results["collaborative"], _ = collab(x)
 

@@ -16,12 +16,12 @@ from repro.stack.runtime import PimSystem, SystemConfig
 
 @pytest.fixture(scope="module")
 def system():
-    return PimSystem(SystemConfig(num_pchs=2, num_rows=256))
+    return PimSystem(SystemConfig(num_pchs=2, num_rows=256, simulate_pchs=1))
 
 
 @pytest.fixture(scope="module")
 def blas(system):
-    return PimBlas(system, simulate_pchs=1)
+    return PimBlas(system)
 
 
 def rand(shape, seed, scale=0.1):
@@ -32,19 +32,19 @@ def rand(shape, seed, scale=0.1):
 class TestGemv:
     def test_matches_reference(self, blas, system):
         w, x = rand((192, 80), 0), rand(80, 1)
-        y, report = blas.gemv(w, x)
+        y = blas.gemv(w, x)
         assert np.array_equal(y, gemv_reference(w, x, system.num_pchs))
-        assert report.kernel.startswith("gemv")
+        assert "gemv[192x80]" in blas.profiler.profile.kernels
 
     def test_fp32_accuracy(self, blas):
         w, x = rand((128, 128), 2), rand(128, 3)
-        y, _ = blas.gemv(w, x)
+        y = blas.gemv(w, x)
         gold = w.astype(np.float32) @ x.astype(np.float32)
         assert np.abs(y - gold).max() < 2e-3
 
-    def test_report_has_timing(self, blas):
+    def test_report_has_timing(self, system):
         w, x = rand((128, 64), 4), rand(64, 5)
-        _, report = blas.gemv(w, x)
+        _, report = system.executor.gemv(w, x)
         assert report.ns > 0
         assert report.cycles > 0
         assert report.fences > 0
@@ -53,23 +53,23 @@ class TestGemv:
 class TestElementwise:
     def test_add(self, blas):
         a, b = rand(2000, 6), rand(2000, 7)
-        out, _ = blas.add(a, b)
+        out = blas.add(a, b)
         assert np.array_equal(out, add_reference(a, b))
 
     def test_mul(self, blas):
         a, b = rand(2000, 8), rand(2000, 9)
-        out, _ = blas.mul(a, b)
+        out = blas.mul(a, b)
         assert np.array_equal(out, mul_reference(a, b))
 
     def test_relu(self, blas):
         a = rand(2000, 10, scale=2.0)
-        out, _ = blas.relu(a)
+        out = blas.relu(a)
         assert np.array_equal(out, relu_reference(a))
         assert (out >= 0).all()
 
     def test_bn(self, blas):
         a = rand(2000, 11)
-        out, _ = blas.bn(a, 2.0, 0.5)
+        out = blas.bn(a, 2.0, 0.5)
         assert np.array_equal(out, bn_reference(a, 2.0, 0.5))
 
     def test_shape_mismatch(self, blas):
@@ -86,8 +86,10 @@ class TestLstmCell:
         x = rand(dim, 15)
         h = rand(hidden, 16)
         c = rand(hidden, 17)
-        h2, c2, reports = blas.lstm_cell(w_ih, w_hh, bias, x, h, c)
-        assert len(reports) == 2
+        profile = blas.profiler.profile
+        calls = sum(k.invocations for k in profile.kernels.values())
+        h2, c2 = blas.lstm_cell(w_ih, w_hh, bias, x, h, c)
+        assert sum(k.invocations for k in profile.kernels.values()) == calls + 2
         gates = (
             w_ih.astype(np.float32) @ x.astype(np.float32)
             + w_hh.astype(np.float32) @ h.astype(np.float32)

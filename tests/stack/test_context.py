@@ -1,4 +1,4 @@
-"""The PimContext API surface: config presets, report modes, caches."""
+"""The PimContext API surface: config presets, reports, caches."""
 
 import numpy as np
 import pytest
@@ -38,20 +38,9 @@ class TestSystemConfig:
         assert system.num_pchs == 16
 
 
-class TestReportModes:
-    def test_attach_mode_returns_tuples(self):
+class TestReports:
+    def test_blas_returns_results_and_records(self):
         blas = PimBlas(PimSystem(SystemConfig.fast_functional()))
-        y, report = blas.gemv(rand((32, 48), 0), rand(48, 1))
-        assert report.kernel.startswith("gemv")
-
-    def test_profile_mode_returns_results_and_records(self):
-        profiler = Profiler()
-        blas = PimBlas(
-            PimSystem(SystemConfig.fast_functional()),
-            simulate_pchs=1,
-            reports="profile",
-            profiler=profiler,
-        )
         w, x = rand((32, 48), 0), rand(48, 1)
         y = blas.gemv(w, x)
         assert isinstance(y, np.ndarray)
@@ -63,17 +52,15 @@ class TestReportModes:
             x, np.zeros(8, np.float16), np.zeros(8, np.float16),
         )
         assert h.shape == (8,) and c.shape == (8,)
-        kernels = profiler.profile.kernels
+        kernels = blas.profiler.profile.kernels
         assert any(name.startswith("gemv") for name in kernels)
         assert any(name.startswith("add") for name in kernels)
 
-    def test_profile_mode_requires_sink(self):
-        with pytest.raises(ValueError):
-            PimBlas(PimSystem(SystemConfig.fast_functional()), reports="profile")
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            PimBlas(PimSystem(SystemConfig.fast_functional()), reports="stream")
+    def test_executor_returns_one_calls_report(self):
+        system = PimSystem(SystemConfig.fast_functional())
+        y, report = system.executor.gemv(rand((32, 48), 0), rand(48, 1))
+        assert isinstance(y, np.ndarray)
+        assert report.kernel.startswith("gemv") and report.cycles > 0
 
 
 class TestPimContext:
@@ -123,10 +110,89 @@ class TestPimContext:
         finally:
             gc.enable()
 
-    def test_attach_mode_context(self):
-        ctx = PimContext(SystemConfig.fast_functional(), reports="attach")
-        y, report = ctx.blas.gemv(rand((32, 48), 0), rand(48, 1))
-        assert report.cycles > 0
+    def test_context_blas_records_into_the_context_profiler(self):
+        with PimContext(SystemConfig.fast_functional()) as ctx:
+            ctx.blas.gemv(rand((32, 48), 0), rand(48, 1))
+            assert ctx.blas.profiler is ctx.profiler
+            assert ctx.profiler.profile.kernels["gemv[32x48]"].cycles > 0
+
+    def test_a_served_profile_does_not_grow_with_later_sessions(self):
+        """Each ``server.run()`` hands back its own session's profile; the
+        context's profiler folds every session into a profile it owns."""
+        w = rand((32, 48), 0)
+        with PimContext(SystemConfig.fast_functional()) as ctx:
+            with ctx.server(ServerConfig(lanes=1)) as server:
+                server.submit(Request("gemv", weights=w, a=rand(48, 1)))
+                first = server.run()
+                for i in range(2):
+                    server.submit(Request("gemv", weights=w, a=rand(48, i + 2)))
+                second = server.run()
+            assert (first.num_requests, second.num_requests) == (1, 2)
+            assert ctx.profiler.serving is not first
+            assert ctx.profiler.serving.num_requests == 3
+
+
+SAMPLED = SystemConfig(num_pchs=4, simulate_pchs=1)
+
+
+def _executor_gemv(system):
+    system.executor.gemv(rand((64, 48), 0), rand(48, 1))
+
+
+def _executor_elementwise(system):
+    system.executor.elementwise("add", rand(512, 0), rand(512, 1))
+
+
+def _blas(system):
+    blas = PimBlas(system)
+    blas.gemv(rand((64, 48), 0), rand(48, 1))
+    blas.relu(rand(512, 2))
+
+
+def _graph(system):
+    from repro.stack.graph import GraphBuilder as G, GraphExecutor
+
+    out = G.relu(G.matvec(rand((64, 48), 0), G.placeholder("x")))
+    GraphExecutor([out], backend="pim", system=system, min_elements=1).run(
+        {"x": rand(48, 1)}
+    )
+
+
+def _lstm(system):
+    from repro.stack.lstm import LstmLayerOperator
+
+    op = LstmLayerOperator(system, 32, 16)
+    op.load_weights(rand((64, 32), 0), rand((64, 16), 1), np.zeros(64, np.float32))
+    op(rand((2, 32), 2))
+
+
+def _collaborative(system):
+    from repro.stack.collaborative import CollaborativeGemv
+
+    collab = CollaborativeGemv(system, 256, 48, pim_rows=128)
+    collab.load_weights(rand((256, 48), 0))
+    collab(rand(48, 1))
+
+
+class TestOneSamplingKnob:
+    """``SystemConfig.simulate_pchs`` is the one sampling knob: every front
+    end above the kernels cycle-simulates only the sampled channels."""
+
+    @pytest.mark.parametrize("front_end", [
+        _executor_gemv, _executor_elementwise, _blas, _graph, _lstm,
+        _collaborative,
+    ])
+    def test_front_end_simulates_the_sampled_channel_only(self, front_end):
+        system = PimSystem(SAMPLED)
+        front_end(system)
+        busy = [mc.busy_cycles for mc in system.controllers]
+        assert busy[0] > 0 and busy[1:] == [0, 0, 0]
+
+    def test_context_blas_simulates_the_sampled_channel_only(self):
+        with PimContext(SAMPLED) as ctx:
+            ctx.blas.gemv(rand((64, 48), 0), rand(48, 1))
+            busy = [mc.busy_cycles for mc in ctx.system.controllers]
+        assert busy[0] > 0 and busy[1:] == [0, 0, 0]
 
 
 class TestOperatorCacheBounds:
@@ -141,11 +207,11 @@ class TestOperatorCacheBounds:
 
     def test_bn_results_correct_across_scalar_variants(self):
         system = PimSystem(SystemConfig.fast_functional())
-        blas = PimBlas(system, simulate_pchs=1)
+        blas = PimBlas(system)
         a = rand(96, 0)
-        y1, _ = blas.bn(a, 1.5, 0.5)
-        y2, _ = blas.bn(a, 2.0, -1.0)
-        y1_again, _ = blas.bn(a, 1.5, 0.5)
+        y1 = blas.bn(a, 1.5, 0.5)
+        y2 = blas.bn(a, 2.0, -1.0)
+        y1_again = blas.bn(a, 1.5, 0.5)
         ref1 = ((a * np.float16(1.5)).astype(np.float16) + np.float16(0.5)).astype(np.float16)
         ref2 = ((a * np.float16(2.0)).astype(np.float16) + np.float16(-1.0)).astype(np.float16)
         assert np.array_equal(y1, ref1)
@@ -186,11 +252,11 @@ class TestOperatorCacheBounds:
         """16 distinct 256x1024 weights: each call evicts the least recent
         resident matrix once the rows run out, and every result is exact."""
         system = PimSystem(SystemConfig(simulate_pchs=1))
-        blas = PimBlas(system, simulate_pchs=1)
+        blas = PimBlas(system)
         x = rand(1024, 0)
         weights = [rand((256, 1024), 10 + i) for i in range(16)]
         for w in weights:
-            y, _ = blas.gemv(w, x)
+            y = blas.gemv(w, x)
             assert np.array_equal(y, gemv_reference(w, x, num_pchs=4))
         assert system.executor.evictions > 0
         assert len(system.executor._kernels) == 16 - system.executor.evictions

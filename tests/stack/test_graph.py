@@ -15,7 +15,7 @@ from repro.stack.runtime import PimSystem, SystemConfig
 
 @pytest.fixture(scope="module")
 def system():
-    return PimSystem(SystemConfig(num_pchs=2, num_rows=256))
+    return PimSystem(SystemConfig(num_pchs=2, num_rows=256, simulate_pchs=1))
 
 
 def rand(shape, seed, scale=0.1):
@@ -86,7 +86,7 @@ class TestNativeOffloadPath:
         feed = {"x": rand(128, 5)}
         (host_y,), host_rep = GraphExecutor([out]).run(feed)
         (pim_y,), pim_rep = GraphExecutor(
-            [out], backend="pim", system=system, simulate_pchs=1
+            [out], backend="pim", system=system
         ).run(feed)
         assert host_rep.pim_launches == 0
         assert pim_rep.pim_launches == 1
@@ -109,7 +109,7 @@ class TestNativeOffloadPath:
         feed = {"x": rand(2048, 8), "y": rand(2048, 9)}
         (host_out,), _ = GraphExecutor([out]).run(feed)
         (pim_out,), report = GraphExecutor(
-            [out], backend="pim", system=system, simulate_pchs=1
+            [out], backend="pim", system=system
         ).run(feed)
         assert report.pim_launches == 2
         assert np.array_equal(
@@ -132,7 +132,7 @@ class TestDirectPath:
         out = G.custom("pim_add", x, y)
         feed = {"x": rand(32, 10), "y": rand(32, 11)}  # tiny
         _, report = GraphExecutor(
-            [out], backend="pim", system=system, simulate_pchs=1
+            [out], backend="pim", system=system
         ).run(feed)
         assert report.pim_launches == 1
 
@@ -142,7 +142,7 @@ class TestDirectPath:
         out = G.custom("pim_gemv", x, w=w)
         feed = {"x": rand(64, 13)}
         (y,), report = GraphExecutor(
-            [out], backend="pim", system=system, simulate_pchs=1
+            [out], backend="pim", system=system
         ).run(feed)
         gold = w.astype(np.float32) @ feed["x"].astype(np.float32)
         assert np.abs(y - gold).max() < 1e-3
@@ -165,7 +165,7 @@ class TestSequenceOps:
         out = G.relu(xs)
         feed = {"xs": rand((4, 512), 31)}
         (y,), report = GraphExecutor(
-            [out], backend="pim", system=system, simulate_pchs=1
+            [out], backend="pim", system=system
         ).run(feed)
         assert report.pim_launches == 1
         assert np.asarray(y).shape == (4, 512)
@@ -181,7 +181,7 @@ class TestLstm:
         feed = {"xs": rand((T, D), 17)}
         (host_h,), _ = GraphExecutor([out]).run(feed)
         (pim_h,), report = GraphExecutor(
-            [out], backend="pim", system=system, simulate_pchs=1, min_elements=64
+            [out], backend="pim", system=system, min_elements=64
         ).run(feed)
         assert report.pim_launches == 2 * T  # two GEMVs per step
         assert np.abs(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.stack.collaborative import CollaborativeGemv, optimal_split
-from repro.stack.lstm import LstmLayerOperator
+from repro.stack.lstm import LstmLayerOperator, lstm_reference
 from repro.stack.runtime import PimSystem, SystemConfig
 
 
@@ -15,12 +15,12 @@ def rand(shape, seed, scale=0.1):
 
 @pytest.fixture(scope="module")
 def system():
-    return PimSystem(SystemConfig(num_pchs=2, num_rows=256))
+    return PimSystem(SystemConfig(num_pchs=2, num_rows=256, simulate_pchs=1))
 
 
 class TestLstmLayerOperator:
     def _make(self, system, d=32, h=48, seed=0):
-        op = LstmLayerOperator(system, d, h, simulate_pchs=1)
+        op = LstmLayerOperator(system, d, h)
         w_ih = rand((4 * h, d), seed)
         w_hh = rand((4 * h, h), seed + 1)
         bias = rand(4 * h, seed + 2).astype(np.float32)
@@ -31,7 +31,7 @@ class TestLstmLayerOperator:
         op, w_ih, w_hh, bias = self._make(system)
         xs = rand((5, 32), 10)
         out, report, steps = op(xs)
-        ref = op.reference(w_ih, w_hh, bias, xs)
+        ref = lstm_reference(w_ih, w_hh, bias, xs)
         assert out.shape == (5, 48)
         assert np.abs(out.astype(np.float32) - ref).max() < 1e-2
         assert len(steps) == 5
@@ -108,7 +108,7 @@ class TestCollaborativeGemv:
         m, n = 384, 128
         w = rand((m, n), 60)
         x = rand(n, 61)
-        collab = CollaborativeGemv(system, m, n, pim_rows=128, simulate_pchs=1)
+        collab = CollaborativeGemv(system, m, n, pim_rows=128)
         collab.load_weights(w)
         y, report = collab(x)
         gold = w.astype(np.float32) @ x.astype(np.float32)
@@ -122,7 +122,7 @@ class TestCollaborativeGemv:
         x = rand(n, 63)
         gold = w.astype(np.float32) @ x.astype(np.float32)
         for rows in (0, m):
-            collab = CollaborativeGemv(system, m, n, pim_rows=rows, simulate_pchs=1)
+            collab = CollaborativeGemv(system, m, n, pim_rows=rows)
             collab.load_weights(w)
             y, report = collab(x)
             assert np.abs(y - gold).max() < 2e-3

@@ -23,61 +23,69 @@ def rand(shape, seed, scale=0.1):
 
 
 @pytest.fixture()
-def profiled():
-    system = PimSystem(SystemConfig(num_pchs=1, num_rows=256))
-    return Profiler(PimBlas(system))
+def blas():
+    return PimBlas(PimSystem(SystemConfig(num_pchs=1, num_rows=256)))
 
 
 class TestProfiler:
-    def test_records_gemv_calls(self, profiled):
+    def test_records_gemv_calls(self, blas):
         w = rand((128, 64), 0)
-        profiled.gemv(w, rand(64, 1))
-        profiled.gemv(w, rand(64, 2))
-        profile = profiled.profile.kernels["gemv[128x64]"]
+        blas.gemv(w, rand(64, 1))
+        blas.gemv(w, rand(64, 2))
+        profile = blas.profiler.profile.kernels["gemv[128x64]"]
         assert profile.invocations == 2
         assert profile.cycles > 0
         assert profile.pim_flops > 0
 
-    def test_results_pass_through_unchanged(self, profiled):
+    def test_results_pass_through_unchanged(self, blas):
         w, x = rand((128, 64), 3), rand(64, 4)
-        y, report = profiled.gemv(w, x)
+        y = blas.gemv(w, x)
         gold = w.astype(np.float32) @ x.astype(np.float32)
         assert np.abs(y - gold).max() < 1e-3
-        assert report.cycles > 0
+        assert blas.profiler.profile.kernels["gemv[128x64]"].cycles > 0
 
-    def test_mixed_kernels_profiled_separately(self, profiled):
-        profiled.gemv(rand((128, 64), 5), rand(64, 6))
-        profiled.add(rand(2000, 7), rand(2000, 8))
-        names = set(profiled.profile.kernels)
+    def test_mixed_kernels_profiled_separately(self, blas):
+        blas.gemv(rand((128, 64), 5), rand(64, 6))
+        blas.add(rand(2000, 7), rand(2000, 8))
+        names = set(blas.profiler.profile.kernels)
         assert any(n.startswith("gemv") for n in names)
         assert any(n.startswith("add") for n in names)
 
-    def test_time_share_sums_to_one(self, profiled):
-        profiled.gemv(rand((128, 64), 9), rand(64, 10))
-        profiled.add(rand(2000, 11), rand(2000, 12))
-        shares = profiled.profile.time_share()
+    def test_time_share_sums_to_one(self, blas):
+        blas.gemv(rand((128, 64), 9), rand(64, 10))
+        blas.add(rand(2000, 11), rand(2000, 12))
+        shares = blas.profiler.profile.time_share()
         assert sum(shares.values()) == pytest.approx(1.0)
 
-    def test_lstm_cell_reports_collected(self, profiled):
+    def test_lstm_cell_reports_collected(self, blas):
         h, d = 48, 32
-        profiled.lstm_cell(
+        blas.lstm_cell(
             rand((4 * h, d), 13), rand((4 * h, h), 14),
             rand(4 * h, 15).astype(np.float32),
             rand(d, 16), rand(h, 17), rand(h, 18),
         )
-        total = sum(k.invocations for k in profiled.profile.kernels.values())
-        assert total == 2  # two GEMVs inside the cell
+        kernels = blas.profiler.profile.kernels.values()
+        assert sum(k.invocations for k in kernels) == 2  # two GEMVs inside the cell
 
-    def test_render_table(self, profiled):
-        profiled.gemv(rand((128, 64), 19), rand(64, 20))
-        lines = profiled.profile.render()
+    def test_render_table(self, blas):
+        blas.gemv(rand((128, 64), 19), rand(64, 20))
+        lines = blas.profiler.profile.render()
         assert len(lines) >= 2
         assert "GFLOP/s" in lines[0]
 
-    def test_command_utilisation_bounded(self, profiled):
-        profiled.add(rand(4000, 21), rand(4000, 22))
-        for profile in profiled.profile.kernels.values():
+    def test_command_utilisation_bounded(self, blas):
+        blas.add(rand(4000, 21), rand(4000, 22))
+        for profile in blas.profiler.profile.kernels.values():
             assert 0.0 < profile.command_utilisation() <= 1.0
+
+    def test_blas_shares_a_given_profiler(self):
+        profiler = Profiler()
+        blas = PimBlas(
+            PimSystem(SystemConfig(num_pchs=1, num_rows=256)), profiler=profiler
+        )
+        blas.relu(rand(512, 23))
+        assert blas.profiler is profiler
+        assert profiler.profile.kernels["relu[512]"].invocations == 1
 
 
 class TestProfileDataStructures:
@@ -323,6 +331,19 @@ class TestServingProfileMerge:
         profiler.record_serving(b)
         assert profiler.serving.num_requests == combined.num_requests
         assert profiler.serving.render() == combined.render()
+
+    def test_record_serving_leaves_the_recorded_sessions_alone(self):
+        """The profiler folds sessions into a profile of its own: the
+        first session's profile, handed back to its caller, must not grow
+        when a later session is recorded."""
+        a, b, combined = self.make_pair()
+        a_requests, b_requests = a.num_requests, b.num_requests
+        profiler = Profiler()
+        profiler.record_serving(a)
+        profiler.record_serving(b)
+        assert profiler.serving is not a and profiler.serving is not b
+        assert (a.num_requests, b.num_requests) == (a_requests, b_requests)
+        assert profiler.serving.num_requests == combined.num_requests
 
 
 def _random_profile(draw_seed: int, shard: int) -> ServingProfile:

@@ -58,16 +58,13 @@ def _mixed_workload(seed=3, count=12):
 
 
 def _sequential_results(config, workload):
-    blas = PimBlas(PimSystem(config), simulate_pchs=config.simulate_pchs)
+    blas = PimBlas(PimSystem(config))
     results = []
     for op, kw in workload:
         if op == "gemv":
-            y, _ = blas.gemv(kw["weights"], kw["a"])
-        elif op == "add":
-            y, _ = blas.add(kw["a"], kw["b"])
+            results.append(blas.gemv(kw["weights"], kw["a"]))
         else:
-            y, _ = blas.mul(kw["a"], kw["b"])
-        results.append(y)
+            results.append(getattr(blas, op)(kw["a"], kw["b"]))
     return results
 
 
@@ -128,15 +125,14 @@ class TestServingBitExact:
         """Batched serving clears 1.5x sequential at mean batch >= 4."""
         workload = _mixed_workload(count=16)
         system = PimSystem(PLAIN)
-        blas = PimBlas(PimSystem(PLAIN), simulate_pchs=1)
+        sequential = PimSystem(PLAIN)
+        executor = sequential.executor
         seq_ns = 0.0
         for op, kw in workload:
             if op == "gemv":
-                seq_ns += blas.gemv(kw["weights"], kw["a"])[1].ns
-            elif op == "add":
-                seq_ns += blas.add(kw["a"], kw["b"])[1].ns
+                seq_ns += executor.gemv(kw["weights"], kw["a"])[1].ns
             else:
-                seq_ns += blas.mul(kw["a"], kw["b"])[1].ns
+                seq_ns += executor.elementwise(op, kw["a"], kw["b"])[1].ns
         with PimServer(system, ServerConfig(lanes=2, max_batch=8)) as server:
             for op, kw in workload:
                 server.submit(Request(op, **kw))
@@ -194,20 +190,20 @@ class TestServerMechanics:
         """A second run with different same-shape weights (the old array
         dropped, so its id may be recycled) must use the new weights."""
         system = PimSystem(PLAIN)
-        ref = PimBlas(PimSystem(PLAIN), simulate_pchs=1)
+        ref = PimBlas(PimSystem(PLAIN))
         with PimServer(system, ServerConfig(lanes=1, max_batch=2)) as server:
             w1 = rand((48, 80), 21)
             x1 = rand(80, 22)
             first = server.submit(Request("gemv", weights=w1, a=x1))
             server.run()
-            want1 = ref.gemv(w1, x1)[0]
+            want1 = ref.gemv(w1, x1)
             del w1  # allow id reuse by the next allocation
             w2 = rand((48, 80), 23)
             x2 = rand(80, 24)
             second = server.submit(Request("gemv", weights=w2, a=x2))
             server.run()
             assert np.array_equal(first.result, want1)
-            assert np.array_equal(second.result, ref.gemv(w2, x2)[0])
+            assert np.array_equal(second.result, ref.gemv(w2, x2))
             # Distinct contents got distinct resident kernels; a
             # byte-identical resubmission reuses rather than reloads.
             lane_channels = server.lanes[0].channels.channels

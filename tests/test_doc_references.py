@@ -11,13 +11,17 @@ of them leaves a pointer to nothing.  This walks every backticked
   function or an assignment);
 * ``repro.``-qualified name, imported module by module and looked up
   attribute by attribute;
+* call ``Name(kw=...)`` of a name ``repro.stack`` exports, inline or in a
+  fenced block, each keyword looked up in ``inspect.signature(Name)``;
 
 and fails naming each document and reference that does not resolve.
 """
 
 import ast
 import importlib
+import inspect
 import pathlib
+import pkgutil
 import re
 
 import pytest
@@ -34,6 +38,8 @@ NODE = re.compile(r"([\w./-]+\.py)((?:::\w+)+)")
 NAME = re.compile(r"repro(?:\.\w+)+")
 PATH = re.compile(r"[\w.-]*/[\w./-]*\.[a-z]+")
 BASES = (ROOT, ROOT / "src", ROOT / "src" / "repro")
+CALL = re.compile(r"(?<![\w.])([A-Z]\w*)\(")
+KEYWORD = re.compile(r"(?<!\w)(\w+)\s*=(?!=)")
 
 
 def _spans():
@@ -104,3 +110,83 @@ def test_every_backticked_reference_resolves(kind):
     assert references, f"no backticked {kind} found: the pattern has drifted"
     broken = sorted({ref for ref in references if not _resolves(kind, ref[1])})
     assert not broken, f"{len(broken)} {kind} reference(s) resolve to nothing: {broken}"
+
+
+def _keywords(text, start):
+    """The keyword names at the top level of the argument list that opens
+    just before ``text[start]``."""
+    depth, names = 1, []
+    for i in range(start, len(text)):
+        char = text[i]
+        if char in "([{":
+            depth += 1
+        elif char in ")]}":
+            depth -= 1
+            if depth == 0:
+                break
+        elif depth == 1 and (found := KEYWORD.match(text, i)):
+            names.append(found.group(1))
+    return names
+
+
+def _signatures(name):
+    """The parameter sets a documented ``name`` may mean: every same-named
+    export of a ``repro`` package (``Request`` is the serving request in
+    ``repro.stack`` and the controller's column request in ``repro.dram``).
+    None means some of them take ``**kwargs``."""
+    import repro
+
+    found = []
+    for package in pkgutil.iter_modules(repro.__path__):
+        module = importlib.import_module(f"repro.{package.name}")
+        if name in getattr(module, "__all__", ()):
+            parameters = inspect.signature(getattr(module, name)).parameters
+            if any(p.kind is p.VAR_KEYWORD for p in parameters.values()):
+                return None
+            found.append(set(parameters))
+    return found
+
+
+def _unknown_keywords(text):
+    """``(call, keyword)`` for each keyword ``text`` passes to a
+    ``repro.stack`` export that no same-named export takes."""
+    import repro.stack
+
+    text = re.sub(r"#[^\n]*", "", text)  # comments of fenced code
+    unknown = []
+    for call in CALL.finditer(text):
+        name = call.group(1)
+        if name not in repro.stack.__all__:
+            continue
+        signatures = _signatures(name)
+        if signatures is None:
+            continue
+        unknown.extend(
+            (name, kw) for kw in _keywords(text, call.end())
+            if not any(kw in parameters for parameters in signatures)
+        )
+    return unknown
+
+
+def test_every_documented_call_names_real_parameters():
+    spans = [
+        (document.relative_to(ROOT), match.group(2))
+        for document in DOCUMENTS
+        for match in SPAN.finditer(document.read_text())
+    ]
+    calls = [(doc, span) for doc, span in spans if CALL.search(span)]
+    assert calls, "no backticked call found: the pattern has drifted"
+    broken = sorted(
+        {(str(doc), name, kw) for doc, span in calls
+         for name, kw in _unknown_keywords(span)}
+    )
+    assert not broken, f"documented calls name parameters that do not exist: {broken}"
+
+
+def test_a_deleted_parameter_is_caught():
+    assert _unknown_keywords(
+        "PimBlas(system, mode=\"attach\")\nServerConfig(lanes=2, max_batch=4)"
+    ) == [("PimBlas", "mode")]
+    assert _unknown_keywords(
+        "PimContext(SystemConfig(num_pchs=4), trace=True)  # trace=True"
+    ) == [("PimContext", "trace")]
