@@ -224,19 +224,15 @@ def recover(
                 handle = fabric.submit(record["request"])
                 rid_of[handle.request_id] = record["rid"]
                 fresh.append(handle)
-            served = fabric.run()
+            replay_profile = fabric.run()
         finally:
             fabric.close()
         for handle in fresh:
             handle.request_id = rid_of[handle.request_id]
             handles.append(handle)
         replayed = len(fresh)
-        for stats in served.requests:
-            stats.request_id = rid_of.get(stats.request_id, stats.request_id)
-            stats.recovered = True
-        served.recovered = len(served.requests)
-        replay_profile = served
-        profile.merge(served)
+        replay_profile.relabel(rid_of, recovered=True)
+        profile.merge(replay_profile)
         if replay_tracer is not None:
             for span in replay_tracer.spans[span_base:]:
                 span.attrs["recovered"] = True

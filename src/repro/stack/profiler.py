@@ -14,7 +14,8 @@ occupancy over the session makespan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from .kernels import ExecutionReport
@@ -102,7 +103,7 @@ class SessionProfile:
         return lines
 
 
-@dataclass
+@dataclass(frozen=True)
 class RequestStats:
     """Queueing statistics of one served request.
 
@@ -110,6 +111,9 @@ class RequestStats:
     before dispatch) carry ``start_ns == finish_ns``: their ``wait_ns`` is
     the time they sat queued before being dropped and their ``service_ns``
     is exactly 0 — dropped work must cost zero device time.
+
+    Frozen: profiles share entries, so a rewrite is a copy
+    (:meth:`ServingProfile.relabel`) that no other holder sees.
     """
 
     request_id: int
@@ -152,6 +156,14 @@ class RequestStats:
         return self.finish_ns - self.arrival_ns
 
 
+# The canonical order of a profile's requests (see ServingProfile.merge).
+_request_key = attrgetter("arrival_ns", "finish_ns", "shard", "request_id")
+
+
+def _mean(values: List[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
 def _percentile(values: List[float], q: float) -> float:
     """Nearest-rank percentile of ``values`` at quantile ``q`` in [0, 1].
 
@@ -185,7 +197,13 @@ class BreakerTransition:
 
 @dataclass
 class ServingProfile:
-    """Aggregate statistics of one serving session."""
+    """Aggregate statistics of one serving session.
+
+    Each request is one frozen :class:`RequestStats` in ``requests``, and
+    every per-request count is read from that list.  A profile keeps every
+    request it recorded or merged, so a long-lived one (a context's
+    :class:`Profiler`) grows by one entry per request served.
+    """
 
     requests: List[RequestStats] = field(default_factory=list)
     makespan_ns: float = 0.0
@@ -226,39 +244,40 @@ class ServingProfile:
     faults_injected: int = 0
     # -- overload protection (see docs/ARCHITECTURE.md, "Overload
     #    protection") --
-    # Requests shed at admission because a bounded lane queue was full.
-    rejected: int = 0
-    # Requests dropped at dispatch because their deadline had passed.
-    expired: int = 0
-    # Requests completed on the bit-exact host path for *any* reason
-    # (admission degrade, open circuit breaker, retry exhaustion, dead
-    # lane); ``fallbacks`` remains the fault-driven subset.
-    degraded: int = 0
     # Device retries refused because the server-wide token bucket was dry.
     retry_budget_exhausted: int = 0
-    # -- durability (see docs/ARCHITECTURE.md, "Durability & replay") --
-    # Entries tagged RequestStats.recovered: terminal outcomes restored
-    # or replayed by repro.journal.recover().  Kept as a distinct
-    # counter so recovery sessions never silently inflate goodput.
-    recovered: int = 0
     # Circuit-breaker activity: per-transition log plus quick counters.
     breaker_transitions: List[BreakerTransition] = field(default_factory=list)
     breaker_opens: int = 0
     # Batches served by host because their lane's breaker was open.
     breaker_short_circuits: int = 0
+    # How many leading ``requests`` are in canonical order (see merge).
+    _ordered: int = field(default=0, init=False, repr=False, compare=False)
+
+    # Read-only counts of ``requests``: shed at admission (a bounded lane
+    # queue was full), dropped at dispatch (deadline passed), completed on
+    # the bit-exact host path for *any* reason (``fallbacks`` is the
+    # fault-driven subset), and restored or replayed by
+    # repro.journal.recover() (never goodput; "Durability & replay").
+    rejected = property(lambda self: self.outcomes().get("rejected", 0))
+    expired = property(lambda self: self.outcomes().get("expired", 0))
+    degraded = property(lambda self: self.outcomes().get("degraded_host", 0))
+    recovered = property(lambda self: sum(r.recovered for r in self.requests))
 
     def record(self, stats: RequestStats) -> None:
-        """Fold one terminal request into the session statistics."""
+        """Append one terminal request and extend the makespan."""
         self.requests.append(stats)
         self.makespan_ns = max(self.makespan_ns, stats.finish_ns)
-        if stats.recovered:
-            self.recovered += 1
-        if stats.outcome == "rejected":
-            self.rejected += 1
-        elif stats.outcome == "expired":
-            self.expired += 1
-        elif stats.outcome == "degraded_host":
-            self.degraded += 1
+
+    def relabel(self, rid_of: Dict[int, int], **changes) -> None:
+        """Replace each entry by a copy with its ``request_id`` mapped
+        through ``rid_of`` (an id it lacks stays) and ``changes`` set."""
+        get = rid_of.get
+        self.requests = [
+            replace(r, request_id=get(r.request_id, r.request_id), **changes)
+            for r in self.requests
+        ]
+        self._ordered = 0
 
     def record_breaker(
         self, lane: int, previous: str, state: str, at_ns: float,
@@ -284,14 +303,27 @@ class ServingProfile:
 
         Merging is associative and commutative: the scalar folds are
         sums/maxes, and the three event lists (requests, breaker
-        transitions, quarantined channels/shards) are re-sorted into a
-        canonical total order after every merge, so N shard profiles
-        combined in *any* order — pairwise, left fold, right fold —
-        produce identical counters, percentiles, and transition logs.
-        The fabric relies on this to merge per-shard profiles as workers
-        finish, in whatever order they finish.
+        transitions, quarantined channels/shards) are kept in a canonical
+        total order after every merge, so N shard profiles combined in
+        *any* order — pairwise, left fold, right fold — produce identical
+        counters, percentiles, and transition logs.  The fabric relies on
+        this to merge per-shard profiles as workers finish, in whatever
+        order they finish.
+
+        Only ``other``'s requests (and those :meth:`record` appended since
+        the last merge) are sorted, then merged with the held ones they
+        overlap: none when they start at or after the held tail, as a
+        long-lived profile's sessions do.  The fault logs are re-sorted.
         """
-        self.requests.extend(other.requests)
+        held, ordered = self.requests, self._ordered
+        new = held[ordered:] + other.requests
+        cut = ordered
+        if new:
+            first = min(map(_request_key, new))
+            while cut and _request_key(held[cut - 1]) > first:
+                cut -= 1
+        held[cut:] = sorted(held[cut:ordered] + new, key=_request_key)
+        self._ordered = len(held)
         self.makespan_ns = max(self.makespan_ns, other.makespan_ns)
         self.makespan_cycles += other.makespan_cycles
         self.batches += other.batches
@@ -310,11 +342,7 @@ class ServingProfile:
         self.scrub_uncorrectable += other.scrub_uncorrectable
         self.ecc_corrected += other.ecc_corrected
         self.faults_injected += other.faults_injected
-        self.rejected += other.rejected
-        self.expired += other.expired
-        self.degraded += other.degraded
         self.retry_budget_exhausted += other.retry_budget_exhausted
-        self.recovered += other.recovered
         self.breaker_transitions.extend(other.breaker_transitions)
         self.breaker_opens += other.breaker_opens
         self.breaker_short_circuits += other.breaker_short_circuits
@@ -323,9 +351,6 @@ class ServingProfile:
                 self.channel_busy_cycles.get(p, 0) + busy
             )
         # Canonical total orders make list-carrying merges order-free.
-        self.requests.sort(
-            key=lambda r: (r.arrival_ns, r.finish_ns, r.shard, r.request_id)
-        )
         self.breaker_transitions.sort(
             key=lambda t: (t.at_ns, t.shard, t.lane, t.previous, t.state)
         )
@@ -406,30 +431,22 @@ class ServingProfile:
         if self.makespan_ns <= 0 or not self.requests:
             return 0.0
         good = sum(
-            1
+            r.outcome in ("completed", "degraded_host") and not r.recovered
             for r in self.requests
-            if r.outcome in ("completed", "degraded_host")
-            and not r.recovered
         )
         return good / (self.makespan_ns * 1e-9)
 
     def mean_wait_ns(self) -> float:
         """Average time requests spent queued before dispatch."""
-        if not self.requests:
-            return 0.0
-        return sum(r.wait_ns for r in self.requests) / len(self.requests)
+        return _mean([r.wait_ns for r in self.requests])
 
     def mean_service_ns(self) -> float:
         """Average in-service (dispatch to finish) time."""
-        if not self.requests:
-            return 0.0
-        return sum(r.service_ns for r in self.requests) / len(self.requests)
+        return _mean([r.service_ns for r in self.requests])
 
     def mean_turnaround_ns(self) -> float:
         """Average arrival-to-finish latency."""
-        if not self.requests:
-            return 0.0
-        return sum(r.turnaround_ns for r in self.requests) / len(self.requests)
+        return _mean([r.turnaround_ns for r in self.requests])
 
     def p95_turnaround_ns(self) -> float:
         """95th-percentile arrival-to-finish latency (nearest rank)."""
@@ -576,6 +593,8 @@ class Profiler:
     :class:`~repro.stack.blas.PimBlas` feeds every call's report through
     :meth:`record`; the serving engine and the fabric feed each
     session's :class:`ServingProfile` through :meth:`record_serving`.
+    ``serving`` keeps every request of the profiler's life; folding a
+    session costs that session's size, not the history's.
     """
 
     def __init__(self):

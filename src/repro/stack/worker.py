@@ -43,11 +43,13 @@ from __future__ import annotations
 import pickle
 import time
 import zlib
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import PimError
 from .api import Request, ServerConfig
-from .profiler import BreakerTransition, ServingProfile
+from .profiler import ServingProfile
+from .server import PimServer
 from .shm import (
     ResultWriter,
     WEIGHT_STORE_MB,
@@ -113,18 +115,7 @@ def serve_round(ctx, server, shard: int, items: List[Tuple[int, "Request"]]) -> 
             internal = attrs.get("request_id")
             if internal in rid_of:
                 attrs["request_id"] = rid_of[internal]
-            events.append(
-                type(event)(
-                    name=event.name,
-                    at_ns=event.at_ns,
-                    category=event.category,
-                    parent_id=event.parent_id,
-                    lane=event.lane,
-                    channel=event.channel,
-                    shard=shard,
-                    attrs=attrs,
-                )
-            )
+            events.append(replace(event, shard=shard, attrs=attrs))
         payload["spans"] = list(tracer.spans)
         payload["events"] = events
         # Each round ships and forgets its trace, so span ids restart at
@@ -147,9 +138,7 @@ def _globalise_profile(
     local channel 0 of shard 0), and breaker transitions are stamped with
     the shard.
     """
-    for stats in profile.requests:
-        stats.request_id = rid_of.get(stats.request_id, stats.request_id)
-        stats.shard = shard
+    profile.relabel(rid_of, shard=shard)
     base = shard * num_pchs
     profile.channel_busy_cycles = {
         base + p: busy for p, busy in profile.channel_busy_cycles.items()
@@ -158,14 +147,7 @@ def _globalise_profile(
         base + p for p in profile.quarantined_channels
     ]
     profile.breaker_transitions = [
-        BreakerTransition(
-            lane=t.lane,
-            previous=t.previous,
-            state=t.state,
-            at_ns=t.at_ns,
-            shard=shard,
-        )
-        for t in profile.breaker_transitions
+        replace(t, shard=shard) for t in profile.breaker_transitions
     ]
 
 
@@ -263,11 +245,12 @@ def run_worker(
     """Serve fabric messages over ``conn`` until closed, killed, or EOF.
 
     Builds the shard's platform (one ``PimContext`` over
-    ``system_config``, one ``PimServer`` over ``server_config``), then
-    loops on the protocol described in the module docstring.  Any
-    exception a serve round raises is reported as an ``("error", ...)``
-    reply — the router reacts by quarantining the shard — rather than
-    crashing silently.
+    ``system_config``, one ``PimServer`` over ``server_config`` that
+    records into no profiler: each reply carries its round's own
+    profile, which the router folds), then loops on the protocol
+    described in the module docstring.  Any exception a serve round
+    raises is reported as an ``("error", ...)`` reply — the router reacts
+    by quarantining the shard — rather than crashing silently.
 
     Under ``server_config.transport == "shm"`` the router passes a
     ``transport_spec`` (``{"result_segment": name, "result_bytes": n}``)
@@ -283,7 +266,7 @@ def run_worker(
     from .context import PimContext  # local: fabric->worker->context cycle
 
     ctx = PimContext(system_config)
-    server = ctx.server(server_config)
+    server = PimServer(ctx.system, server_config)
     chaos = _ChaosState()
     segments = writer = store = None
     if server_config.transport == "shm" and transport_spec is not None:
@@ -400,7 +383,7 @@ def run_worker(
             # keeps sole unlink duty (the cleanup invariant).
             segments.close()
         try:
-            ctx.close()
+            server.close()
         except PimError:
             pass
         try:

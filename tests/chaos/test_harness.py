@@ -100,9 +100,8 @@ class TestInvariantCheckers:
         profile = ServingProfile()
         stats = RequestStats(
             request_id=99, op="gemv", arrival_ns=0.0, start_ns=0.0,
-            finish_ns=1.0,
+            finish_ns=1.0, outcome="completed",
         )
-        stats.outcome = "completed"
         profile.requests.append(stats)
         violations = check_conservation([], profile)
         assert any("never submitted" in v for v in violations)

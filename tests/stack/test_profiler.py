@@ -1,5 +1,7 @@
 """Tests for the session profiler."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -446,3 +448,95 @@ class TestMergeAlgebra:
             left.turnaround_percentiles_by_priority()
             == right.turnaround_percentiles_by_priority()
         )
+
+
+class _CountedStats(RequestStats):
+    """A ``RequestStats`` that counts the reads of its arrival time: a
+    fold that reads an entry reads its sort key."""
+
+    reads = 0
+
+    def __getattribute__(self, name):
+        if name == "arrival_ns":
+            _CountedStats.reads += 1
+        return super().__getattribute__(name)
+
+
+def _counted_session(first, count, shard=0):
+    """``count`` completed requests arriving 10 ns apart from ``first``."""
+    profile = ServingProfile()
+    for i in range(first, first + count):
+        profile.record(
+            _CountedStats(
+                request_id=i, op="add", arrival_ns=10.0 * i,
+                start_ns=10.0 * i, finish_ns=10.0 * i + 5.0, shard=shard,
+            )
+        )
+    return profile
+
+
+class TestFoldCost:
+    """Folding a session into a long-lived profile costs the session's
+    size: the profiler of a context that has served for hours must not
+    re-sort its history on every ``server.run()``."""
+
+    HELD, NEW = 10_000, 64
+
+    def _held_profiler(self):
+        profiler = Profiler()
+        profiler.record_serving(_counted_session(0, self.HELD))
+        return profiler
+
+    def test_a_later_session_reads_only_its_own_entries(self):
+        profiler = self._held_profiler()
+        _CountedStats.reads = 0
+        profiler.record_serving(_counted_session(self.HELD, self.NEW))
+        assert profiler.serving.num_requests == self.HELD + self.NEW
+        assert _CountedStats.reads <= 4 * self.NEW
+
+    def test_an_overlapping_session_reads_only_the_overlap(self):
+        """A session (another shard's) that starts before the held tail
+        is merged with the entries it overlaps, into the canonical order."""
+        profiler = self._held_profiler()
+        overlap = _counted_session(self.HELD - self.NEW, self.NEW, shard=1)
+        expected = sorted(
+            profiler.serving.requests + overlap.requests,
+            key=lambda r: (r.arrival_ns, r.finish_ns, r.shard, r.request_id),
+        )
+        _CountedStats.reads = 0
+        profiler.record_serving(overlap)
+        assert _CountedStats.reads <= 8 * self.NEW
+        assert profiler.serving.requests == expected
+
+
+class TestFrozenEntries:
+    def _profile(self):
+        profile = ServingProfile()
+        profile.record(
+            RequestStats(
+                request_id=0, op="add", arrival_ns=0.0, start_ns=0.0,
+                finish_ns=0.0, batch_size=0, outcome="rejected",
+            )
+        )
+        return profile
+
+    def test_a_recorded_entry_cannot_be_assigned(self):
+        profile = self._profile()
+        with pytest.raises(FrozenInstanceError):
+            profile.requests[0].outcome = "completed"
+
+    def test_the_outcome_counts_are_read_from_the_entries(self):
+        profile = self._profile()
+        assert (profile.rejected, profile.expired, profile.degraded) == (1, 0, 0)
+        with pytest.raises(AttributeError):
+            profile.rejected = 0
+
+    def test_relabel_copies_and_leaves_other_holders_alone(self):
+        profile = self._profile()
+        profiler = Profiler()
+        profiler.record_serving(profile)
+        profile.relabel({0: 7}, shard=2, recovered=True)
+        assert [(r.request_id, r.shard) for r in profile.requests] == [(7, 2)]
+        assert profile.recovered == 1
+        held = profiler.serving.requests[0]
+        assert (held.request_id, held.shard, held.recovered) == (0, 0, False)

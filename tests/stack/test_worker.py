@@ -16,6 +16,7 @@ import pytest
 
 from repro.stack import Request, ServerConfig, SystemConfig, gemv_reference
 from repro.stack.context import PimContext
+from repro.stack.profiler import Profiler
 from repro.stack.worker import run_worker, serve_round
 
 
@@ -97,6 +98,18 @@ class TestWorkerProtocol:
             base <= channel < base + CONFIG.num_pchs
             for channel in profile.channel_busy_cycles
         )
+
+    def test_a_round_records_into_no_profiler(self, monkeypatch, worker):
+        """The reply carries the round's profile; folding it into the
+        worker's own profiler as well would be work nothing reads."""
+        calls = []
+        monkeypatch.setattr(
+            Profiler, "record_serving", lambda self, serving: calls.append(1)
+        )
+        w = rand((16, 8), 0)
+        worker.send(wire([(5, Request("gemv", weights=w, a=rand(8, 1)))]))
+        assert recv_payload(worker)["outcomes"] == {5: "completed"}
+        assert calls == []
 
     def test_submit_errors_reported_per_rid(self, worker):
         """A request the shard refuses comes back in submit_errors, not

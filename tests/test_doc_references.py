@@ -1,11 +1,13 @@
 """Documentation cross-references resolve.
 
-README.md, DESIGN.md, ``docs/`` and the verify skill point at files,
-tests and objects in backticks.  A rename or a deletion that forgets one
-of them leaves a pointer to nothing.  This walks every backticked
+README.md, DESIGN.md, ``docs/``, PAPER_MAP.md, EXPERIMENTS.md and the
+verify skill point at files, tests and objects in backticks.  A rename
+or a deletion that forgets one of them leaves a pointer to nothing.
+This walks every backticked
 
-* file path — a span with a ``/`` that ends in a file extension — looked
-  up from the repository root, ``src/`` and ``src/repro/``;
+* file path — a span with a ``/`` that ends in a file extension, or a
+  bare ``bench_*.py`` — looked up from the repository root, ``src/``,
+  ``src/repro/`` and ``benchmarks/``;
 * pytest node id — ``path.py::Name`` or ``path.py::Class::member`` — the
   file found the same way and each name defined in it (a class, a
   function or an assignment);
@@ -13,13 +15,20 @@ of them leaves a pointer to nothing.  This walks every backticked
   attribute by attribute;
 * call ``Name(kw=...)`` of a name ``repro.stack`` exports, inline or in a
   fenced block, each keyword looked up in ``inspect.signature(Name)``;
+* command ``python -m repro <cmd> ...`` or ``python -m benchmarks.e2e
+  ...``, inline or a line of a fenced block, each ``--flag`` looked up in
+  the usage line the command's parser prints for ``-h`` (in process: a
+  command that parses no arguments accepts no flag);
 
 and fails naming each document and reference that does not resolve.
 """
 
 import ast
+import contextlib
+import functools
 import importlib
 import inspect
+import io
 import pathlib
 import pkgutil
 import re
@@ -31,13 +40,17 @@ DOCUMENTS = [
     ROOT / "README.md",
     ROOT / "DESIGN.md",
     *sorted((ROOT / "docs").glob("**/*.md")),
+    ROOT / "PAPER_MAP.md",
+    ROOT / "EXPERIMENTS.md",
     ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
 ]
 SPAN = re.compile(r"(`+)(.+?)\1", re.S)
 NODE = re.compile(r"([\w./-]+\.py)((?:::\w+)+)")
 NAME = re.compile(r"repro(?:\.\w+)+")
-PATH = re.compile(r"[\w.-]*/[\w./-]*\.[a-z]+")
-BASES = (ROOT, ROOT / "src", ROOT / "src" / "repro")
+PATH = re.compile(r"[\w.-]*/[\w./-]*\.[a-z]+|bench_\w+\.py")
+BASES = (ROOT, ROOT / "src", ROOT / "src" / "repro", ROOT / "benchmarks")
+COMMAND = re.compile(r"python3? -m (repro|benchmarks\.e2e)\b(.*)")
+FLAG = re.compile(r"(?<![\w-])--[\w-]+")
 CALL = re.compile(r"(?<![\w.])([A-Z]\w*)\(")
 KEYWORD = re.compile(r"(?<!\w)(\w+)\s*=(?!=)")
 
@@ -190,3 +203,73 @@ def test_a_deleted_parameter_is_caught():
     assert _unknown_keywords(
         "PimContext(SystemConfig(num_pchs=4), trace=True)  # trace=True"
     ) == [("PimContext", "trace")]
+
+
+@functools.lru_cache(maxsize=None)
+def _accepted_flags(program, command):
+    """The flags the usage line of ``program [command] -h`` names; None
+    for a ``command`` the program does not have."""
+    if program == "benchmarks.e2e":
+        from benchmarks.e2e.__main__ import main as handler
+    else:
+        from repro.__main__ import _COMMANDS
+
+        handler = _COMMANDS.get(command)
+        if handler is None:
+            return None
+        if not inspect.signature(handler).parameters:
+            return frozenset()
+    usage = io.StringIO()
+    with contextlib.redirect_stdout(usage), pytest.raises(SystemExit):
+        handler(["-h"])
+    return frozenset(FLAG.findall(usage.getvalue().split("\n\n")[0]))
+
+
+def _unknown_flags(text, fenced=False):
+    """``(command, flag)`` for each flag a documented command line passes
+    that its parser does not accept.  A fenced block holds one command
+    per line (a trailing ``\\`` continues it); an inline span is one."""
+    text = re.sub(r"#[^\n]*", "", text).replace("\\\n", " ")
+    lines = text.split("\n") if fenced else [" ".join(text.split())]
+    unknown = []
+    for line in lines:
+        if not (found := COMMAND.search(line)):
+            continue
+        program, rest = found.groups()
+        words = rest.split()
+        command = words[0] if program == "repro" and words else ""
+        accepted = _accepted_flags(program, command)
+        if accepted is None:  # a placeholder such as ``<cmd>``
+            continue
+        name = f"{program} {command}".strip()
+        unknown.extend(
+            (name, flag) for flag in FLAG.findall(rest) if flag not in accepted
+        )
+    return unknown
+
+
+def test_every_documented_command_line_names_real_flags():
+    lines = [
+        (document.relative_to(ROOT), match.group(1) == "```", match.group(2))
+        for document in DOCUMENTS
+        for match in SPAN.finditer(document.read_text())
+        if COMMAND.search(match.group(2))
+    ]
+    assert lines, "no documented command line found: the pattern has drifted"
+    broken = sorted(
+        {(str(doc), name, flag) for doc, fenced, text in lines
+         for name, flag in _unknown_flags(text, fenced)}
+    )
+    assert not broken, f"documented command lines name flags that do not exist: {broken}"
+
+
+def test_an_invented_flag_is_caught():
+    assert _unknown_flags("python -m repro chaos --seed 7 --shards 2") == [
+        ("repro chaos", "--shards")
+    ]
+    assert _unknown_flags(
+        "python -m repro demo --fast\npython -m repro trace --out t.json"
+        "  # --bogus\nPYTHONPATH=src python -m benchmarks.e2e --workload \\\n"
+        "  gemv_serve --sceonds 8",
+        fenced=True,
+    ) == [("repro demo", "--fast"), ("benchmarks.e2e", "--sceonds")]
