@@ -39,10 +39,9 @@ come back as one *channel frame* (``record_frame`` / ``apply_frame``, see
 reads, and a kernel's fenced all-bank program, with the CRF / SRF writes
 queued ahead of it: the frame sets every bank, the mode FSM,
 ``pim_op_mode`` and the column counters in one step and replays the
-data events — register write runs, PIM_OP_MODE writes as the exec
-group's ``start_all`` / ``stop_all``, trigger runs as one ``trigger_all``
-entry each, AB writes — against the bytes of the drain that takes it, so
-the exec group's flush does the math as it always does.
+data events — register write runs, AB writes, and each AB-PIM window's
+compiled trace, looked up by the trace key it recorded — against the
+bytes of the drain that takes it, then writes the units' state once.
 """
 
 from __future__ import annotations
@@ -58,6 +57,7 @@ from ..dram.device import DeviceConfig, HbmDevice
 from ..dram.pseudochannel import BANKS_PER_GROUP, BANKS_PER_PCH, Frame, PseudoChannel
 from ..dram.timing import TimingParams
 from .exec_unit import ColumnTrigger, PimExecutionUnit
+from .fused import Window
 from .lockstep import LockstepGroup
 from .modes import ModeController, PimMemoryMap, PimMode
 from .registers import write_column_run
@@ -70,7 +70,7 @@ _ACT, _RD, _WR = CommandType.ACT, CommandType.RD, CommandType.WR
 _SB, _AB_PIM = PimMode.SB, PimMode.AB_PIM
 
 # The data events of an all-bank program's frame (see ``_record_program``).
-_REGISTER, _MODE, _TRIGGER, _BROADCAST = "register", "mode", "trigger", "broadcast"
+_REGISTER, _WINDOW, _BROADCAST = "register", "window", "broadcast"
 
 
 class _Program(NamedTuple):
@@ -78,18 +78,30 @@ class _Program(NamedTuple):
     part of its frame.  ``rows``: the bank rows its columns reach;
     ``writes``: each write's ``(source, count, PIM_OP_MODE value or
     None)``, ``source`` its block's ``(operand, first row)``; ``events``:
-    the data events in bus order; ``transitions``: each mode change as
-    ``(offset, mode)``; ``fsm``: the end mode, the transitions made and the
-    last PIM_OP_MODE value written; ``triggered`` / ``broadcast``: the
-    column counters' deltas."""
+    the data events in bus order — register write runs, closed windows,
+    AB write runs; ``open``: the window it leaves open, or None;
+    ``sequencer``: the units' sequencer state it leaves (None: it starts
+    none); ``transitions``: each mode change as ``(offset, mode)``;
+    ``fsm``: the end mode, the transitions made and the last PIM_OP_MODE
+    value written; ``triggered`` / ``broadcast``: the column counters'
+    deltas."""
 
     rows: Tuple[int, ...]
     writes: Tuple[tuple, ...]
     events: Tuple[tuple, ...]
+    open: Optional[Window]
+    sequencer: Optional[tuple]
     transitions: Tuple[Tuple[int, PimMode], ...]
     fsm: tuple
     triggered: int
     broadcast: int
+
+
+def _window(key: Optional[tuple], runs: Sequence[tuple]) -> Window:
+    """A :class:`~repro.pim.fused.Window` of trigger ``runs`` — ``(is_write,
+    row, col, count, write block index or None)`` each — under ``key``."""
+    hosts = tuple(write for _, _, _, _, write in runs if write is not None)
+    return Window(key, hosts, tuple(runs))
 
 
 class PimPseudoChannel(PseudoChannel):
@@ -204,10 +216,20 @@ class PimPseudoChannel(PseudoChannel):
     # column counters; its data events, in bus order, are what the frame
     # replays against the blocks and queued data of the drain that applies
     # it: each register-row write run as one flush and one write per unit
-    # (``_write_registers``), each PIM_OP_MODE write as the exec group's
-    # ``flush_pending`` and ``start_all`` / ``stop_all``, each trigger run
-    # as one ``trigger_all`` entry, each AB write run into every bank.
-    # ``stop_all``'s flush is the production compile-or-replay.
+    # (``_write_registers``), each AB write run into every bank, and each
+    # AB-PIM *window* — the trigger runs between two flushes of the exec
+    # group — as one ``FusedLockstepGroup.replay_window``.  A window
+    # records the trace key its flush used (channel, entry sequencer state,
+    # CRF words, pattern bytes: the cache's own key object, shared), the
+    # write blocks that feed its HOST operand and its trigger pattern.
+    # Taken, it looks that key up in the trace cache and replays the
+    # compiled trace with this drain's blocks — no tape, no key packing,
+    # no uniformity check; on a miss (the trace evicted, or dropped by a
+    # CRF upset or a quarantine) it rebuilds the tape from the pattern and
+    # runs the flush the command path runs, which compiles and puts under
+    # the same key.  The units' sequencer state, the windows' summed stats
+    # and ``fused_replays`` are written once, at the frame's end; the
+    # triggers of a window the program leaves open go on the tape then.
     #
     # Such a frame is recorded only on an exec group that defers, holds no
     # tape and one CRF program on every unit — the key holds that program
@@ -221,13 +243,14 @@ class PimPseudoChannel(PseudoChannel):
     # recorded shape and PIM_OP_MODE value.
 
     def frame_entry(self) -> Any:
-        """The exec group's fallback count, when its windows can be framed
-        (see :meth:`~repro.pim.fused.FusedLockstepGroup.frame_entry`): an
-        all-bank program is taken down only when no window of it fell
-        back to the execution units."""
-        if self.lockstep.frame_entry() is None:
+        """The exec group's fallback and replay counts, when its windows can
+        be framed (see :meth:`~repro.pim.fused.FusedLockstepGroup.frame_entry`):
+        an all-bank program is taken down only when no window of it fell
+        back to the execution units, and its windows are the replays since."""
+        group = self.lockstep
+        if group.frame_entry() is None:
             return None
-        return self.lockstep.fused_fallbacks
+        return group.fused_fallbacks, group.fused_replays
 
     def prefix_key(self, writes: Sequence[tuple]) -> Optional[tuple]:
         """Register-row writes can precede a program's frame — replayed
@@ -261,28 +284,33 @@ class PimPseudoChannel(PseudoChannel):
             if frame is not None:
                 frame = frame._replace(armed=self.mode_ctrl._armed_row)
             return frame
-        if _SB in modes or entry is None or entry != self.lockstep.fused_fallbacks:
+        if _SB in modes or entry is None or entry[0] != self.lockstep.fused_fallbacks:
             return None
-        return self._record_program(steps, origin)
+        return self._record_program(steps, origin, entry[1])
 
-    def _record_program(self, steps: Sequence[tuple], origin: int) -> Optional[Frame]:
+    def _record_program(
+        self, steps: Sequence[tuple], origin: int, replays: int
+    ) -> Optional[Frame]:
         """The frame of an all-bank program just issued from ``origin``,
-        every window of which replayed a compiled trace, behind the
-        register writes queued ahead of it; None when one of its columns
-        reads bytes out (a register or an AB read), writes the CRF with
-        bytes of the program's own blocks (the key holds only a queued
-        write's, :meth:`prefix_key`), or flushes triggers it gave the exec
-        group before any ``start_all`` (their trace key holds the sequencer
-        state the program found)."""
+        every window of which replayed a compiled trace — those since the
+        exec group had ``replays`` — behind the register writes queued
+        ahead of it; None when one of its columns reads bytes out (a
+        register or an AB read), writes the CRF with bytes of the program's
+        own blocks (the key holds only a queued write's, :meth:`prefix_key`),
+        flushes triggers it gave the exec group before any ``start_all``
+        (their trace key holds the sequencer state the program found), or
+        stops the sequencers it did not start."""
         memory_map = self.memory_map
         register, conf = self._register_rows, memory_map.conf_row
+        group = self.lockstep
         records: List[tuple] = []
         events: List[tuple] = []
         writes: List[tuple] = []
+        window: List[tuple] = []  # the trigger runs since the last flush
         rows = set()
         triggered = broadcast = 0
         pim_op_mode = None
-        started = pending = False
+        started = False
         end = self.mode_ctrl.mode
         ends = [step[7] for step in steps[1:]] + [end]
         for step, after in zip(steps, ends):
@@ -296,23 +324,24 @@ class PimPseudoChannel(PseudoChannel):
             if row in register:
                 if not is_write or row == memory_map.crf_row and not source[0]:
                     return None
-                if pending and not started:
-                    return None  # the window's trace key holds the entry state
-                pending = False
+                if window:  # the column flushes the exec group
+                    if not started:
+                        return None
+                    events.append((_WINDOW, tuple(window)))
+                    window = []
                 if row == conf:
                     pim_op_mode = int(after is _AB_PIM)
                     writes[-1] = (source, count, pim_op_mode)
-                    change = None if after is mode else after is _AB_PIM
-                    started = started or change is True
-                    events.append((_MODE, change))
+                    if after is not mode:
+                        if after is not _AB_PIM and not started:
+                            return None  # the sequencers' end state is the entry's
+                        started = True
                 else:
                     events.append((_REGISTER, row, col, count, len(writes) - 1))
             elif mode is _AB_PIM:
                 rows.add(row)
                 triggered += count
-                pending = True
-                write = len(writes) - 1 if is_write else None
-                events.append((_TRIGGER, is_write, row, col, count, write))
+                window.append((is_write, row, col, count, len(writes) - 1 if is_write else None))
                 records.append((kind, bg, ba, row, col, offset, count, mode))
                 continue
             elif is_write:
@@ -322,13 +351,29 @@ class PimPseudoChannel(PseudoChannel):
             else:
                 return None
             records += self._singles(kind, bg, ba, row, col, offset, count, mode)
+        # Each closed window's key is the one its flush just used, in order.
+        logged = group.window_keys
+        closed = sum(event[0] is _WINDOW for event in events)
+        if closed != group.fused_replays - replays or closed > len(logged):
+            return None
+        keys = iter(list(logged)[len(logged) - closed:])
+        events = [
+            (_WINDOW, _window(next(keys), event[1])) if event[0] is _WINDOW else event
+            for event in events
+        ]
+        state = None
+        if started:
+            state = group.units[0].sequencer_state()
+            if any(unit.sequencer_state() != state for unit in group.units):
+                return None
         modes = [record[7] for record in records[1:]] + [end]
         transitions = [
             (record[5], after) for record, after in zip(records, modes)
             if after is not record[7]
         ]
         program = _Program(
-            tuple(sorted(rows)), tuple(writes), tuple(events), tuple(transitions),
+            tuple(sorted(rows)), tuple(writes), tuple(events),
+            _window(None, window) if window else None, state, tuple(transitions),
             (end, len(transitions), pim_op_mode), triggered, broadcast,
         )
         # Every bank took every ACT and every AB write; a trigger counts in
@@ -391,21 +436,13 @@ class PimPseudoChannel(PseudoChannel):
             self.pim_op_mode = pim_op_mode
         self.pim_triggered_columns += program.triggered
         self.ab_broadcast_columns += program.broadcast
-        # Function: the data events in bus order, with this drain's bytes.
+        # Function: the data events in bus order, with this drain's bytes,
+        # then the exec units' state, once.
         group = self.lockstep
         for event in program.events:
             kind = event[0]
-            if kind is _TRIGGER:
-                _, is_write, row, col, count, write = event
-                group.trigger_all(ColumnTrigger(
-                    is_write, row, col, None if write is None else data[write], count
-                ))
-            elif kind is _MODE:
-                group.flush_pending()
-                if event[1] is True:
-                    group.start_all()
-                elif event[1] is False:
-                    group.stop_all()
+            if kind is _WINDOW:
+                group.replay_window(event[1], data)
             elif kind is _REGISTER:
                 _, row, col, count, write = event
                 self._write_registers(row, col, data[write].reshape(count, -1))
@@ -415,6 +452,7 @@ class PimPseudoChannel(PseudoChannel):
                 for i, column in enumerate(columns):
                     for bank in banks:
                         bank.poke(row, col + i, column)
+        group.end_frame(program.sequencer, data, program.open)
         if self.tracer is not None:
             for offset, mode in program.transitions:
                 self._mode_event(mode, origin + offset)

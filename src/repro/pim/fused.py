@@ -43,7 +43,15 @@ by unit; :class:`FusedLockstepGroup` removes that interpretation by
    levelled ops over one value pool — HOST operands gathered from the
    *current* tape, entry registers copied from the stacked register state
    — with bank writes as blocks (``poke_block``) at their level, and last
-   the register file stores.
+   the register file stores.  A channel frame of a kernel program
+   (:mod:`repro.pim.device`) replays its windows without a tape: each
+   :class:`Window` recorded the key its flush used, the write blocks that
+   feed its HOST operand and its trigger pattern, so
+   :meth:`FusedLockstepGroup.replay_window` looks the key up and replays
+   the trace with the applying drain's blocks; a miss rebuilds the tape
+   from the pattern and takes the flush's own compile-and-put under that
+   key.  The units' sequencer state, stats and ``fused_replays`` are then
+   written once per frame (:meth:`FusedLockstepGroup.end_frame`).
 
 **Cache keys are content signatures**, not identities: the channel id,
 the uniform sequencer entry state, every CRF word of the program, and
@@ -86,10 +94,12 @@ simulated number that depends on it
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from itertools import count, groupby
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Deque, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -100,7 +110,13 @@ from .isa import GRF_REGS, Instruction, Opcode, OperandSpace
 from .lockstep import LockstepGroup
 from .registers import GRF_REG_BYTES, LANES, StackedRegisterState
 
-__all__ = ["CompiledTrace", "FusedLockstepGroup", "TraceCache", "TraceCacheStats"]
+__all__ = [
+    "CompiledTrace", "FusedLockstepGroup", "TraceCache", "TraceCacheStats", "Window",
+]
+
+#: How many replayed windows' trace keys a group keeps for a channel frame
+#: to record: a program that closes more windows is not taken down.
+WINDOW_KEYS = 16
 
 
 # -- the compiled-trace cache ---------------------------------------------------
@@ -247,6 +263,26 @@ class CompiledTrace:
     bank_spaces: Tuple[OperandSpace, ...] = ()
 
 
+class Window(NamedTuple):
+    """One AB-PIM window of an all-bank program's channel frame: ``key``,
+    the trace key its flush used when the frame was recorded (None: the
+    frame ends with the window open, its triggers left on the tape);
+    ``hosts``, the indices of the write blocks that feed its HOST operand,
+    in order; ``pattern``, its trigger runs as ``(is_write, row, col,
+    count, write block index or None)``."""
+
+    key: Optional[tuple]
+    hosts: Tuple[int, ...]
+    pattern: Tuple[Tuple[bool, int, int, int, Optional[int]], ...]
+
+    def tape(self, blocks: Sequence[np.ndarray]) -> List[ColumnTrigger]:
+        """The window's tape with the write ``blocks`` of a drain."""
+        return [
+            ColumnTrigger(is_write, row, col, None if write is None else blocks[write], count)
+            for is_write, row, col, count, write in self.pattern
+        ]
+
+
 @dataclass
 class _Step:
     """One trigger bound to its instruction during compilation."""
@@ -309,6 +345,11 @@ class FusedLockstepGroup(LockstepGroup):
         # execution units.
         self.fused_replays = 0
         self.fused_fallbacks = 0
+        # The trace keys of the last windows replayed, oldest first, for a
+        # channel frame to record (``PimPseudoChannel._record_program``).
+        self.window_keys: Deque[tuple] = deque(maxlen=WINDOW_KEYS)
+        # Replays of a frame's windows whose stats the units are owed.
+        self._owed: List[CompiledTrace] = []
 
     # -- window control ---------------------------------------------------------
 
@@ -394,18 +435,87 @@ class FusedLockstepGroup(LockstepGroup):
             # kernels emit; the units raise whatever they always did.
             self._interpret(tape)
             return
-        entry = self.cache.get(key)
+        self._flush(key, self.cache.get(key), tape)
+
+    def _flush(
+        self, key: tuple, entry: Optional[CompiledTrace], tape: List[ColumnTrigger]
+    ) -> None:
+        """Run ``tape``, whose trace key is ``key``, with ``entry`` — the
+        cache's trace under it, None on a miss: compile and put one, then
+        replay it or run the triggers on the units."""
         if entry is None:
-            entry = self._compile(tape, entry_state)
+            entry = self._compile(tape, key[1])
             self.cache.put(key, entry)
         if entry.poisoned or any(
             self._any_failed(space) for space in entry.bank_spaces
         ):
             self._interpret(tape)
             return
-        self._replay(entry, tape)
+        self._replay(entry, [t.host_data for t in tape if t.host_data is not None])
+        self._owed.append(entry)
+        self._settle(entry.end_state)
+        self.window_keys.append(key)
 
-    def _replay(self, entry: CompiledTrace, tape: List[ColumnTrigger]) -> None:
+    # -- a channel frame's windows ----------------------------------------------
+
+    def replay_window(self, window: Window, blocks: Sequence[np.ndarray]) -> None:
+        """One closed window of an all-bank program's frame, with the
+        applying drain's ``blocks``: on a hit under its recorded key, the
+        compiled trace, its sequencer state and stats owed to the units
+        until :meth:`end_frame`; on a miss, what the window's flush does on
+        the command path — the owed state written, the tape rebuilt from
+        the pattern, compiled and put under the same key.  A replay that
+        raises leaves the units as that flush would: at the window's entry
+        state, with the earlier windows' stats."""
+        key = window.key
+        entry = self.cache.get(key)
+        if entry is None:
+            self._settle(key[1])
+            self._flush(key, None, window.tape(blocks))
+            return
+        try:
+            self._replay(entry, [blocks[i] for i in window.hosts])
+        except BaseException:
+            self._settle(key[1])
+            raise
+        self._owed.append(entry)
+
+    def end_frame(
+        self, state: Optional[tuple], blocks: Sequence[np.ndarray],
+        window: Optional[Window] = None,
+    ) -> None:
+        """Close an all-bank program's frame: the stats and replay counts its
+        windows owe, its end sequencer ``state`` (None: it started no
+        window), one write per unit; then the triggers of the ``window`` it
+        leaves open, if any, on the tape, as the command path leaves them."""
+        self._settle(state)
+        if window is not None:
+            self._tape = window.tape(blocks)
+
+    def _settle(self, state: Optional[tuple]) -> None:
+        """Add the stats of the replays owed to every unit, count them, and
+        install sequencer ``state`` (None: leave the sequencers)."""
+        owed = self._owed
+        if owed:
+            dt, di, df, dbr, dbw, dig = map(sum, zip(*(entry.stat_deltas for entry in owed)))
+            for unit in self.units:
+                stats = unit.stats
+                stats.triggers += dt
+                stats.instructions += di
+                stats.flops += df
+                stats.bank_reads += dbr
+                stats.bank_writes += dbw
+                stats.ignored_after_exit += dig
+            self.fused_replays += len(owed)
+            owed.clear()
+        if state is not None:
+            for unit in self.units:
+                unit.install_sequencer_state(*state)
+
+    def _replay(self, entry: CompiledTrace, hosts: List[np.ndarray]) -> None:
+        """The compiled trace's dataflow over the registers and banks, with
+        ``hosts`` — the window's WR bursts in order, a ``(count, 32)``
+        block each — as its HOST operands."""
         units = self.units
         stacked = self.stacked
         pool = np.empty((len(units), entry.slots, LANES), dtype=np.float16)
@@ -415,12 +525,10 @@ class FusedLockstepGroup(LockstepGroup):
                 stacked.grf(space) if space.is_grf else stacked.srf(space)[:, :, None]
             )
         if entry.host is not None:
-            # Every WR burst of the tape, one row per command: a burst
-            # entry brings its ``(count, 32)`` block as the kernel built it.
+            # One row per host-carrying command.
             host = np.concatenate([
-                np.asarray(trig.host_data, dtype=np.uint8).reshape(-1, GRF_REG_BYTES)
-                for trig in tape
-                if trig.host_data is not None
+                np.asarray(block, dtype=np.uint8).reshape(-1, GRF_REG_BYTES)
+                for block in hosts
             ])
             out, rows = entry.host
             pool[:, out] = host[rows].view(np.float16)  # broadcast over units
@@ -439,19 +547,6 @@ class FusedLockstepGroup(LockstepGroup):
                 _poke_run(banks, op.bank, np.ascontiguousarray(pool[:, op.a]).view(np.uint8))
         for space, regs, src in entry.puts:
             stacked.grf(space)[:, regs] = pool[:, src]
-        end = entry.end_state
-        for unit in units:
-            unit.install_sequencer_state(*end)
-        dt, di, df, dbr, dbw, dig = entry.stat_deltas
-        for unit in units:
-            stats = unit.stats
-            stats.triggers += dt
-            stats.instructions += di
-            stats.flops += df
-            stats.bank_reads += dbr
-            stats.bank_writes += dbw
-            stats.ignored_after_exit += dig
-        self.fused_replays += 1
 
     # -- compilation -------------------------------------------------------------
 

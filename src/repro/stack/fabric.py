@@ -73,7 +73,7 @@ import signal
 import time
 import zlib
 from multiprocessing import shared_memory
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -1130,15 +1130,19 @@ class PimFabric:
         if self.tracer is None or not (spans or events):
             return
         base = max(self._merged_ids, self.tracer._next_id - 1)
-        top = base
-        for span in spans:
-            span.span_id += base
-            if span.parent_id is not None:
-                span.parent_id += base
-            top = max(top, span.span_id)
-        for event in events:
-            if event.parent_id is not None:
-                object.__setattr__(event, "parent_id", event.parent_id + base)
+        spans = [
+            replace(
+                span, span_id=span.span_id + base,
+                parent_id=None if span.parent_id is None else span.parent_id + base,
+            )
+            for span in spans
+        ]
+        events = [
+            event if event.parent_id is None
+            else replace(event, parent_id=event.parent_id + base)
+            for event in events
+        ]
+        top = max([base] + [span.span_id for span in spans])
         self.tracer.spans.extend(spans)
         self.tracer.events.extend(events)
         self._merged_ids = top

@@ -32,6 +32,7 @@ program too, of unfenced runs the controller reorders across banks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -148,12 +149,21 @@ _CONSTANT_BLOCKS = (
 )
 
 
-def _count_program(report: ExecutionReport, program: stream.Program, times: int) -> None:
-    """Counters of ``times`` executions of ``program``: the columns (one
-    instruction per unit each) its AB-PIM runs trigger, and all its fences."""
-    report.column_commands = stream.columns(stream.triggers(program)) * times
-    report.fences = stream.fences(program) * times
+def _count_program(
+    report: ExecutionReport, counts: Tuple[int, int], times: int
+) -> None:
+    """Counters of ``times`` executions of a program whose ``counts`` are
+    the columns (one instruction per unit each) its AB-PIM runs trigger
+    and all its fences (:func:`_program_counts`)."""
+    triggered, fences = counts
+    report.column_commands = triggered * times
+    report.fences = fences * times
     report.pim_instructions = report.column_commands * UNITS_PER_PCH
+
+
+def _program_counts(program: stream.Program) -> Tuple[int, int]:
+    """A kernel program's triggered columns and fences."""
+    return stream.columns(stream.triggers(program)), stream.fences(program)
 
 
 class PimSession:
@@ -360,13 +370,55 @@ class GemvPlan:
         """What one (slice, tile) puts on its channel's bus: the GRF_B
         clear, then the tile's chunk sweep and partial-sum write-out in
         AB-PIM mode.  Every (slice, tile) has this shape; only the rows
-        differ."""
-        weight_row, _ = self.weight_location(tile, 0, pass_)
-        body = stream.gemv_tile(
-            self.chunks, self.chunks_per_row, weight_row,
-            *self.out_location(tile, pass_, slot),
+        differ.  Built once per (tile, pass, slot): a program is an
+        immutable tuple, so every call shares it."""
+        key = (tile, pass_, slot)
+        program = self._programs.get(key)
+        if program is None:
+            weight_row, _ = self.weight_location(tile, 0, pass_)
+            body = stream.gemv_tile(
+                self.chunks, self.chunks_per_row, weight_row,
+                *self.out_location(tile, pass_, slot),
+            )
+            program = self._programs[key] = stream.kernel_program(
+                body, self.registers, clear_grf_b=True
+            )
+        return program
+
+    def readback(self, passes: int, slot: int = 0) -> stream.Program:
+        """The SB-mode readback of a channel that runs ``passes`` passes:
+        every tile's partial sums of slot ``slot``, pass after pass, one
+        run per unit each (built once, as :meth:`program`)."""
+        key = ("readback", passes, slot)
+        program = self._programs.get(key)
+        if program is None:
+            program = self._programs[key] = sum(
+                (
+                    stream.gemv_readback(*self.out_location(tile, pass_, slot))
+                    for pass_ in range(passes)
+                    for tile in range(self.tiles)
+                ),
+                (),
+            )
+        return program
+
+    @cached_property
+    def _programs(self) -> Dict[tuple, stream.Program]:
+        return {}
+
+    @cached_property
+    def counts(self) -> Tuple[int, int, int, int]:
+        """A tile program's triggered columns and fences, its MAC (RD)
+        columns, and the columns that carry host bytes: the staged input
+        bursts plus the tile's readback."""
+        program = self.program(0)
+        body = stream.triggers(program)
+        staged = stream.columns(run for run in body if run.operand >= 0)
+        return (
+            *_program_counts(program),
+            stream.columns(run for run in body if not run.write),
+            staged + stream.columns(stream.gemv_readback(0, 0)),
         )
-        return stream.kernel_program(body, self.registers, clear_grf_b=True)
 
 
 class _ResidentKernel:
@@ -659,14 +711,7 @@ class GemvKernel(_ResidentKernel):
                 continue
             if not slices:  # a channel may hold no slice
                 continue
-            program = sum(
-                (
-                    stream.gemv_readback(*plan.out_location(tile, s // k, slot))
-                    for s in slices
-                    for tile in range(plan.tiles)
-                ),
-                (),
-            )
+            program = plan.readback(len(slices), slot)
             runs = self.sys.controller(pch).drain(program).read_data
             # Run i is unit i % 8's 8 columns of tile (i // 8) % tiles.
             raws = np.stack([runs[i] for i in range(len(program))]).reshape(
@@ -681,17 +726,12 @@ class GemvKernel(_ResidentKernel):
     def _account_commands(self, report: ExecutionReport, invocations: int) -> None:
         """Fill the command/FLOP/traffic counters: one tile's program,
         times the tiles of every simulated slice."""
-        plan = self.plan
-        program = plan.program(0)
-        times = plan.tiles * report.simulated_pchs * invocations
-        _count_program(report, program, times)
-        body = stream.triggers(program)
-        macs = stream.columns(run for run in body if not run.write)
+        triggered, fences, macs, host = self.plan.counts
+        times = self.plan.tiles * report.simulated_pchs * invocations
+        _count_program(report, (triggered, fences), times)
         report.pim_flops = macs * UNITS_PER_PCH * LANES * 2 * times
         # Off-chip traffic: the staged x bursts plus partial-sum readback.
-        staged = stream.columns(run for run in body if run.operand >= 0)
-        readback = stream.columns(stream.gemv_readback(0, 0))
-        report.host_bytes = (staged + readback) * GRF_REG_BYTES * times
+        report.host_bytes = host * GRF_REG_BYTES * times
 
 
 # ---------------------------------------------------------------------------
@@ -756,6 +796,11 @@ class ElementwisePlan:
         return padded.view(np.uint8).reshape(
             self.seq_per_unit, UNITS_PER_PCH, self.num_pchs, GRF_REG_BYTES
         )
+
+    def lanes(self, padded: np.ndarray) -> np.ndarray:
+        """A padded vector as the ``(seq, unit, slot, 16)`` FP16 lanes of
+        :meth:`layout`."""
+        return padded.reshape(self.seq_per_unit, UNITS_PER_PCH, self.num_pchs, LANES)
 
     def row_runs(self) -> Iterator[Tuple[int, int, int]]:
         """``(row, first seq, columns)`` of each bank row of a unit's stream;
@@ -906,7 +951,7 @@ class ElementwiseKernel(_ResidentKernel):
             total_pchs=plan.num_pchs,
         )
         results: List[np.ndarray] = []
-        program = plan.program(self.op.name)
+        program, counts, written = self._program
         start = self.sys.drain_set(self.channels)
         self.session.enter_ab(pchs=sim_channels)
         self.session.program_crf(
@@ -922,8 +967,15 @@ class ElementwiseKernel(_ResidentKernel):
             for pch in sim_channels:
                 self.sys.controller(pch).drain(program, _CONSTANT_BLOCKS)
             if nsim < plan.num_pchs:
-                # Functional model of the non-simulated slots.
-                result = elementwise_reference(self.op.name, a, b, scalars)
+                # Functional model of the non-simulated slots: the op is
+                # lane-wise, so only the lanes stored are computed.
+                result = np.empty_like(a)
+                plan.lanes(result)[:, :, nsim:] = elementwise_reference(
+                    self.op.name,
+                    plan.lanes(a)[:, :, nsim:],
+                    None if b is None else plan.lanes(b)[:, :, nsim:],
+                    scalars,
+                )
                 self._scatter(result, col_offset=plan.in_cols, first_slot=nsim)
             if nsim:
                 self.sys.drain_set(sim_channels)
@@ -932,11 +984,18 @@ class ElementwiseKernel(_ResidentKernel):
         end = self.sys.drain_set(self.channels)
         _fill_timing(self.sys, report, end - start, launches=1)
         times = nsim * len(normalised)
-        _count_program(report, program, times)
-        written = stream.columns(run for run in stream.triggers(program) if run.write)
+        _count_program(report, counts, times)
         # One element per lane of a result column; host_bytes stays 0.
         report.pim_flops = written * LANES * UNITS_PER_PCH * self.op.flops_per_element * times
         return results, report
+
+    @cached_property
+    def _program(self) -> Tuple[stream.Program, Tuple[int, int], int]:
+        """The operator's slot program, built once, with its counts
+        (:func:`_program_counts`) and the result columns it writes."""
+        program = self.plan.program(self.op.name)
+        written = stream.columns(run for run in stream.triggers(program) if run.write)
+        return program, _program_counts(program), written
 
     def _validate(
         self, a: np.ndarray, b: Optional[np.ndarray]

@@ -215,9 +215,6 @@ class ServingProfile:
     # -- fault tolerance (see docs/ARCHITECTURE.md, "Fault tolerance") --
     # Batch re-executions after a recoverable fault.
     retries: int = 0
-    # Requests completed on the host golden path after device retries
-    # were exhausted (or the lane died).
-    fallbacks: int = 0
     # Channels the server retired through driver.quarantine_channels().
     quarantined_channels: List[int] = field(default_factory=list)
     # Fabric shards quarantined after their worker process died (see
@@ -256,12 +253,14 @@ class ServingProfile:
 
     # Read-only counts of ``requests``: shed at admission (a bounded lane
     # queue was full), dropped at dispatch (deadline passed), completed on
-    # the bit-exact host path for *any* reason (``fallbacks`` is the
-    # fault-driven subset), and restored or replayed by
-    # repro.journal.recover() (never goodput; "Durability & replay").
+    # the bit-exact host path for *any* reason, of those the fault-driven
+    # ones (device retries exhausted, the lane or every shard dead), and
+    # restored or replayed by repro.journal.recover() (never goodput;
+    # "Durability & replay").
     rejected = property(lambda self: self.outcomes().get("rejected", 0))
     expired = property(lambda self: self.outcomes().get("expired", 0))
     degraded = property(lambda self: self.outcomes().get("degraded_host", 0))
+    fallbacks = property(lambda self: sum(r.fallback for r in self.requests))
     recovered = property(lambda self: sum(r.recovered for r in self.requests))
 
     def record(self, stats: RequestStats) -> None:
@@ -329,7 +328,6 @@ class ServingProfile:
         self.batches += other.batches
         self.launches += other.launches
         self.retries += other.retries
-        self.fallbacks += other.fallbacks
         self.quarantined_channels.extend(other.quarantined_channels)
         self.quarantined_shards.extend(other.quarantined_shards)
         self.replays += other.replays

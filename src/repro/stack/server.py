@@ -1062,7 +1062,6 @@ class PimServer:
                     tracer.clamp_since(mark, attempt_ns, end_ns)
                 return report, penalty_ns, True
         report = self._execute_host(batch)
-        serving.fallbacks += len(batch)
         for member in batch:
             member.fallback = True
         if tracer is not None:

@@ -14,9 +14,11 @@ large one (derandomized, so a run is reproducible):
 ``EXAMPLES`` defaults to 3,000 per property (about 4 minutes in all on a
 2-core box).  It prints, per property, how many drawn cases took 0, 1,
 2, ... frames — for the kernel programs also how many took 0, 1, 2, ...
-frames behind a queued CRF / SRF load — and exits non-zero, with
-hypothesis' minimal failing case, on a mismatch, or when no case took a
-frame behind a load (the sweep would no longer exercise that path).
+frames behind a queued CRF / SRF load, and how many of the frames'
+windows replayed by their recorded trace key and were rebuilt after a
+trace-cache miss — and exits non-zero, with hypothesis' minimal failing
+case, on a mismatch, or when no case took a frame behind a load or no
+case rebuilt a window (the sweep would no longer exercise that path).
 """
 
 from __future__ import annotations
@@ -70,10 +72,17 @@ def main(examples: int) -> int:
     print(f"  frames taken per case {histogram(programs, lambda o: o[0])}")
     behind = histogram(programs, lambda o: o[1])
     print(f"  frames behind a register load per case {behind}")
+    print(f"  windows replayed by recorded key per case {histogram(programs, lambda o: o[2])}")
+    rebuilt = histogram(programs, lambda o: o[3])
+    print(f"  windows rebuilt after a trace-cache miss per case {rebuilt}")
+    failed = 0
     if not max(behind):
         print("no case took a frame behind a register load")
-        return 1
-    return 0
+        failed = 1
+    if not max(rebuilt):
+        print("no case rebuilt a window after a trace-cache miss")
+        failed = 1
+    return failed
 
 
 if __name__ == "__main__":

@@ -60,6 +60,19 @@ a cycle off, the load-to-program fence penalty dropped and the queue left
 full.  ``test_a_frame_is_keyed_on_the_crf_bytes_its_load_writes`` kills a
 key without the loaded CRF bytes, ``test_only_untagged_register_writes_are_a_prefix``
 a queued bank-row write or a tagged read taken as a prefix.
+
+A program frame replays each AB-PIM window by the trace key it recorded
+and writes the units' state once; the drawn faults include the channel's
+compiled traces invalidated, so a later frame's window misses and
+rebuilds its tape, and the drawn kernels include programs of two windows.
+The fixed draws kill: the frame's closing write of stats and sequencer
+state skipped, the recorded end sequencer state dropped, the open
+window's triggers not put back on the tape, ``fused_replays`` not
+counted, a window's HOST blocks out of order, a miss compiled without
+its put, two windows' stats taken from the first alone;
+``test_a_window_that_raises_in_a_frame_leaves_the_units_as_its_flush_does``
+kills a raise that does not first put the units at the window's entry
+state.
 """
 
 from contextlib import nullcontext
@@ -72,10 +85,10 @@ from hypothesis import strategies as st
 from repro.dram.controller import MemOp, MemoryController, Request, SchedulerPolicy
 from repro.dram.ecc import EccBank
 from repro.dram.timing import HBM2_1GHZ
-from repro.errors import PimProgramError
+from repro.errors import PimDataError, PimProgramError
 from repro.faults.injector import FaultConfig, FaultInjector
 from repro.obs import Tracer
-from repro.pim import stream
+from repro.pim import fused, stream
 from repro.pim.assembler import assemble_words
 from repro.pim.device import PimPseudoChannel
 from repro.pim.fused import FusedLockstepGroup
@@ -377,6 +390,12 @@ KERNEL = st.one_of(
     # ("ab writes", row, column, count): a fenced AB-mode write run, twice
     st.tuples(st.just("ab writes"), st.integers(0, 3), st.sampled_from([0, 8]),
               st.sampled_from([1, 8])),
+    # ("two windows", chunks, weight row, out row, out column, split): a
+    # GEMV tile's program with the GRF_B clear also after its first chunk
+    # (a flush inside the AB-PIM window), or followed by the tile's program
+    # to the other 8 out columns
+    st.tuples(st.just("two windows"), st.integers(2, 4), st.integers(0, 1),
+              st.integers(2, 3), st.sampled_from([0, 8]), st.booleans()),
 )
 # A register upset hits each unit with this probability.
 UPSET = st.tuples(st.just("upset"), st.integers(0, 2**16), st.sampled_from([0.2, 1.0]))
@@ -387,6 +406,8 @@ PROGRAM_FAULT = st.one_of(
               st.integers(0, 3), st.integers(0, 7)),
     st.tuples(st.just("dead"), st.integers(0, 15)),
     UPSET,
+    # The channel's compiled traces dropped, as a quarantine drops them.
+    st.just(("invalidate",)),
 )
 PROGRAM_STRATEGIES = dict(
     ecc=st.booleans(),
@@ -416,6 +437,20 @@ def kernel_program(channel, kernel):
         program = stream.kernel_program(body, memory_map, clear_grf_b=True)
         source = GemvKernel.MICROKERNEL.format(reps=chunks - 1)
         return program[:-1] if open_ended else program, source, chunks
+    if kernel[0] == "two windows":
+        _, chunks, weight_row, out_row, out_col, split = kernel
+        source = GemvKernel.MICROKERNEL.format(reps=chunks - 1)
+        tile = stream.gemv_tile(chunks, 4, weight_row, out_row, out_col)
+        if split:
+            clear = Run(True, memory_map.grf_row, 8, 8, True)
+            body = tile[:2] + (clear,) + tile[2:]
+            return stream.kernel_program(body, memory_map), source, chunks
+        other = stream.gemv_tile(chunks, 4, weight_row, out_row, out_col ^ 8)
+        program = sum(
+            (stream.kernel_program(body, memory_map, clear_grf_b=True) for body in (tile, other)),
+            (),
+        )
+        return program, source, chunks
     if kernel[0] == "ab writes":
         _, row, col, count = kernel
         writes = tuple(Run(True, row, col, count, True, operand) for operand in (0, 1))
@@ -495,8 +530,14 @@ def program_drained(side, program=(), blocks=(), traced=False):
 
 
 def program_damage(side, faults):
-    """``damage``, and register upsets through the fault injector."""
+    """``damage``, register upsets through the fault injector and the
+    channel's compiled traces invalidated."""
     for fault in faults:
+        if fault[0] == "invalidate":
+            group = side.mc.channel.lockstep
+            if isinstance(group, FusedLockstepGroup):
+                group.cache.invalidate_channel(group.channel_id)
+            continue
         if fault[0] != "upset":
             damage(side, [fault])
             continue
@@ -524,8 +565,9 @@ def program_frames_vs_lone_path(
     kernel programs and one that never remembers agree after every drain
     — on everything ``snapshot`` compares, the exec groups, the trace and
     the mode events.  Returns how many frames of a fenced program the
-    first one took, and how many of those were behind a queued register
-    load.  With ``reload`` every wave starts with no microkernel loaded,
+    first one took, how many of those were behind a queued register load,
+    and how many of their closed windows replayed by the recorded trace
+    key and were rebuilt after a trace-cache miss.  With ``reload`` every wave starts with no microkernel loaded,
     as a launch after another kernel's does; without it a load carries
     over to later waves, as a microkernel cache hit does, and a CRF struck
     by an upset stays struck.  (Drawn bank bytes as FP16 overflow: both
@@ -554,6 +596,16 @@ def _program_waves(
         return applied
 
     sides[0].mc._apply_frame = counted
+    windows = {"by key": 0, "rebuilt": 0}
+    group = sides[0].mc.channel.lockstep
+    if isinstance(group, FusedLockstepGroup):
+        replay_window = group.replay_window
+
+        def counted_window(window, blocks):
+            windows["by key" if window.key in group.cache._entries else "rebuilt"] += 1
+            return replay_window(window, blocks)
+
+        group.replay_window = counted_window
     loaded = [None, None]
     for wave_no in range(ROUNDS):
         rng = np.random.default_rng((seed, wave_no))
@@ -622,7 +674,7 @@ def _program_waves(
                 both(lambda i, side: program_drained(side, readback, (), traced[wave_no]))
         for side in sides:
             program_damage(side, faults[wave_no])
-    return len(taken), taken.count(True)
+    return len(taken), taken.count(True), windows["by key"], windows["rebuilt"]
 
 
 def program_differential(examples):
@@ -648,48 +700,63 @@ test_a_program_frame_leaves_what_the_lone_runs_leave = program_differential(
 def test_the_program_strategy_reaches_frames_and_declines():
     """Fixed draws: a GEMV tile and an AB write program, each drained
     twice a wave on an ECC channel, as (frames, frames behind a queued
-    register load).  From the second wave on they are frames — 11 in all:
-    in the first wave every program's key is new, in the second the
-    tile's first drain, behind the CRF load, starts from a new entry CRF;
-    in the third and fourth that drain is a frame with its load.  A check
-    byte flipped on the weight row stays and declines every later tile
-    frame; a flipped data word there is corrected and dropped by the
-    first read of it; a failed bank raises; a register upset that strikes
-    the CRF makes the units disagree — the next wave's load finds no
-    frame entry, and repairs the CRF; with the load carried over from the
-    first wave instead (no ``reload``: no tile is behind a load after it),
-    the units disagree for good and no later drain is a frame — and the
-    eager exec group never defers; a refresh due at a frame's horizon
-    takes the queue path, one due a cycle after it does not; a tile that
-    leaves PIM_OP_MODE on flushes its triggers at the next tile's GRF_B
-    clear, before any ``start_all``, so that next tile is never a frame —
-    but one that follows a closed tile is.  Batch-norm behind its SRF loads, fresh
-    scalars every drain, is a frame behind the CRF and SRF loads and
-    behind the SRF load alone."""
+    register load, windows replayed by their recorded key, windows rebuilt
+    after a trace-cache miss).  From the second wave on they are frames —
+    11 in all, of which the 5 tile frames each replay one window: in the
+    first wave every program's key is new, in the second the tile's first
+    drain, behind the CRF load, starts from a new entry CRF; in the third
+    and fourth that drain is a frame with its load.  A check byte flipped
+    on the weight row stays and declines every later tile frame; a
+    flipped data word there is corrected and dropped by the first read of
+    it; a failed bank raises; a register upset that strikes the CRF makes
+    the units disagree — the next wave's load finds no frame entry, and
+    repairs the CRF; with the load carried over from the first wave
+    instead (no ``reload``: no tile is behind a load after it), the units
+    disagree for good and no later drain is a frame — and the eager exec
+    group never defers; a refresh due at a frame's horizon takes the queue
+    path, one due a cycle after it does not; a tile that leaves
+    PIM_OP_MODE on flushes its triggers at the next tile's GRF_B clear,
+    before any ``start_all``, so that next tile is never a frame — but one
+    that follows a closed tile is, its window left open.  Batch-norm
+    behind its SRF loads, fresh scalars every drain, is a frame behind the
+    CRF and SRF loads and behind the SRF load alone.  The channel's traces
+    invalidated between waves: the next frame of each window misses,
+    rebuilds its tape and recompiles under its recorded key.  A program
+    of two windows is a frame that replays both."""
     base = dict(
         ecc=True, exec_mode="fused",
         kernels=[(("gemv", 4, 0, 2, 8, False), 2), (("ab writes", 3, 8, 8), 2)],
         faults=[[]] * ROUNDS, fence_penalty=7, refresh=None,
         traced=[False, True, False, True], reload=True, seed=5,
     )
+    invalidated = [[("invalidate",)]] * (ROUNDS - 1) + [[]]
+    bn = [(("gemv", 4, 0, 2, 8, False), 2), (("bn", 2, 1), 2)]
     cases = [
-        ({}, (11, 2)),
-        ({"faults": [[("check", 4, 0, 3, 1, 2)], [], [], []]}, (11 - 5, 0)),
-        ({"faults": [[("data", 4, 0, 3, 17)], [], [], []]}, (11 - 1, 2)),
-        ({"faults": [[], [("dead", 9)], [], []]}, (3, 0)),
-        ({"faults": [[("upset", 3, 1.0)], [], [], []]}, (10, 1)),
-        ({"reload": False}, (11, 0)),
-        ({"faults": [[("upset", 3, 1.0)], [], [], []], "reload": False}, (0, 0)),
-        ({"exec_mode": "scalar"}, (0, 0)),
-        ({"refresh": 0}, (5, 0)),
-        ({"refresh": 1}, (7, 2)),
-        ({"kernels": [(("gemv", 4, 0, 2, 8, True), 2)]}, (0, 0)),
+        ({}, (11, 2, 5, 0)),
+        ({"faults": [[("check", 4, 0, 3, 1, 2)], [], [], []]}, (11 - 5, 0, 0, 0)),
+        ({"faults": [[("data", 4, 0, 3, 17)], [], [], []]}, (11 - 1, 2, 4, 0)),
+        ({"faults": [[], [("dead", 9)], [], []]}, (3, 0, 1, 0)),
+        ({"faults": [[("upset", 3, 1.0)], [], [], []]}, (10, 1, 4, 0)),
+        ({"reload": False}, (11, 0, 5, 0)),
+        ({"faults": [[("upset", 3, 1.0)], [], [], []], "reload": False}, (0, 0, 0, 0)),
+        ({"exec_mode": "scalar"}, (0, 0, 0, 0)),
+        ({"refresh": 0}, (5, 0, 1, 0)),
+        ({"refresh": 1}, (7, 2, 3, 0)),
+        ({"kernels": [(("gemv", 4, 0, 2, 8, True), 2)]}, (0, 0, 0, 0)),
         # Behind a closed tile the open one starts in AB with no tape: a
         # frame, left in AB-PIM with PIM_OP_MODE on and its tape pending.
         ({"kernels": [
             (("gemv", 4, 0, 2, 8, False), 2), (("gemv", 4, 1, 3, 0, True), 1),
-        ]}, (6, 0)),
-        ({"kernels": [(("gemv", 4, 0, 2, 8, False), 2), (("bn", 2, 1), 2)]}, (11, 8)),
+        ]}, (6, 0, 3, 0)),
+        ({"kernels": bn}, (11, 8, 11, 0)),
+        ({"faults": invalidated, "reload": False}, (11, 0, 3, 2)),
+        ({"faults": invalidated, "kernels": bn}, (11, 8, 6, 5)),
+        # Two windows a frame: split by a GRF_B clear inside the AB-PIM
+        # window (the second's entry state is the first's end), or two
+        # tiles' programs back to back; their stats written once.
+        ({"kernels": [(("two windows", 3, 0, 2, 8, True), 2)]}, (5, 2, 10, 0)),
+        ({"kernels": [(("two windows", 3, 0, 2, 0, False), 2)], "faults": invalidated},
+         (5, 2, 6, 4)),
     ]
     for change, frames in cases:
         assert program_frames_vs_lone_path(**dict(base, **change)) == frames, change
@@ -741,6 +808,48 @@ def test_a_traced_program_frame_shows_what_its_lone_runs_show():
     assert [(e.name, e.attrs["cycle"]) for e in events[-2:]] == [
         ("mode:all-bank-pim", writes[0]), ("mode:all-bank", writes[1]),
     ]
+
+
+def test_a_window_that_raises_in_a_frame_leaves_the_units_as_its_flush_does(monkeypatch):
+    """A GEMV tile drained three times, the third a frame, with the
+    window's first fetch raising on both sides (forced: a frame is taken
+    only over rows with no injection entry, so no stored word can raise
+    in one).  The frame has taken the channel's timing before its events;
+    its units are where the lone runs' flush leaves them — at the
+    window's entry state, no register or stat of the window written, the
+    trace looked up once."""
+    sides = [program_side(False, "fused", 7, False) for _ in range(2)]
+    sides[1].mc._schedules = Forgetful()
+    program, source, operands = kernel_program(
+        sides[0].mc.channel, ("gemv", 4, 0, 2, 8, False)
+    )
+    for side in sides:
+        mc = side.mc
+        mc.precharge_all()
+        mc.closed_page_access(0, 0, mc.channel.memory_map.abmr_row)
+        load_crf(mc, source)
+        mc.drain()
+    windows = []
+    group = sides[0].mc.channel.lockstep
+    replay_window = group.replay_window
+    group.replay_window = lambda *args: windows.append(args) or replay_window(*args)
+    rng = np.random.default_rng(3)
+    for drain_no in range(3):
+        if drain_no == 2:
+            def uncorrectable(banks, bank):
+                raise PimDataError("uncorrectable word")
+
+            monkeypatch.setattr(fused, "_peek_run", uncorrectable)
+        blocks = operand_blocks(rng, operands)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = (
+                drained(side, program, blocks, snap=exec_snapshot) for side in sides
+            )
+        # The units and the exec group; the channel's counters are the
+        # frame's end (its timing is taken first), the lone runs' mid-way.
+        assert got[0] == want[0] and got[2][:2] == want[2][:2], drain_no
+    assert got[0][:2] == ("raised", PimDataError) and len(windows) == 1
+    assert got[2][2] != want[2][2]
 
 
 def test_a_frame_is_keyed_on_the_crf_bytes_its_load_writes():

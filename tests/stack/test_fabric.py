@@ -154,6 +154,8 @@ class TestWorkerKillConservation:
         assert all(h.shard == -1 for h in handles)
         assert sum(profile.outcomes().values()) == len(handles)
         assert sorted(profile.quarantined_shards) == [0, 1]
+        # Each host completion is a fault-driven fallback, read from its entry.
+        assert profile.fallbacks == profile.degraded == len(handles)
 
     def test_replay_lands_on_survivors(self):
         items = gemv_stream(12, 4)
@@ -240,6 +242,25 @@ class TestFabricTraceMerge:
             span.parent_id is None or span.parent_id in known
             for span in fabric.tracer.spans
         )
+
+    def test_a_reply_comes_back_unchanged(self, monkeypatch):
+        """The router merges shifted copies of a reply's spans and
+        (frozen) events: the reply's own objects keep their ids."""
+        merge = PimFabric._merge_trace
+        replies = []
+
+        def spy(self, spans, events):
+            ids = [(s.span_id, s.parent_id) for s in spans], [e.parent_id for e in events]
+            merge(self, spans, events)
+            replies.append((spans, events, ids))
+
+        monkeypatch.setattr(PimFabric, "_merge_trace", spy)
+        fabric, _ = self.run_traced()
+        assert any(e.parent_id is not None for _, events, _ in replies for e in events)
+        for spans, events, ids in replies:
+            assert ([(s.span_id, s.parent_id) for s in spans], [e.parent_id for e in events]) == ids
+        merged = {id(span) for span in fabric.tracer.spans}
+        assert not any(id(span) in merged for spans, _, _ in replies for span in spans)
 
     def test_quarantine_emits_event_and_trace_still_validates(self):
         fabric, handles = self.run_traced(kill=True)

@@ -236,6 +236,7 @@ def _session(
             RequestStats(
                 request_id=i, op="add", arrival_ns=arrival, start_ns=start,
                 finish_ns=finish, priority=priority, outcome=outcome,
+                fallback=outcome == "degraded_host",
             )
         )
     for lane, previous, state, at_ns in breakers:
@@ -272,7 +273,7 @@ class TestServingProfileMerge:
         )
         b = _session(
             self.B_REQUESTS, breakers=self.B_BREAKERS, makespan_cycles=400,
-            busy=[(1, 100), (2, 300)], batches=1, launches=1, fallbacks=2,
+            busy=[(1, 100), (2, 300)], batches=1, launches=1,
             scrubs=1, scrub_uncorrectable=1,
         )
         combined = _session(
@@ -280,7 +281,7 @@ class TestServingProfileMerge:
             breakers=self.A_BREAKERS + self.B_BREAKERS,
             makespan_cycles=1400,
             busy=[(0, 600), (1, 300), (2, 300)],
-            batches=3, launches=4, retries=1, fallbacks=2, scrubs=2,
+            batches=3, launches=4, retries=1, scrubs=2,
             scrub_corrected=2, scrub_uncorrectable=1, ecc_corrected=4,
             faults_injected=5, retry_budget_exhausted=1,
             breaker_short_circuits=1,
@@ -356,17 +357,15 @@ def _random_profile(draw_seed: int, shard: int) -> ServingProfile:
     for i in range(int(rng.integers(1, 6))):
         arrival = float(rng.integers(0, 1000))
         start = arrival + float(rng.integers(0, 100))
+        request_id = int(rng.integers(0, 1000))
+        finish = start + float(rng.integers(0, 400))
+        lane, priority = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+        outcome = outcomes[int(rng.integers(0, len(outcomes)))]
         profile.record(
             RequestStats(
-                request_id=int(rng.integers(0, 1000)),
-                op="gemv",
-                arrival_ns=arrival,
-                start_ns=start,
-                finish_ns=start + float(rng.integers(0, 400)),
-                lane=int(rng.integers(0, 3)),
-                shard=shard,
-                priority=int(rng.integers(0, 3)),
-                outcome=outcomes[int(rng.integers(0, len(outcomes)))],
+                request_id=request_id, op="gemv", arrival_ns=arrival, start_ns=start,
+                finish_ns=finish, lane=lane, shard=shard, priority=priority,
+                outcome=outcome, fallback=outcome == "degraded_host",
             )
         )
     for _ in range(int(rng.integers(0, 3))):
@@ -378,7 +377,6 @@ def _random_profile(draw_seed: int, shard: int) -> ServingProfile:
         rng.integers(1, 400)
     )
     profile.retries = int(rng.integers(0, 4))
-    profile.fallbacks = int(rng.integers(0, 4))
     profile.replays = int(rng.integers(0, 4))
     if rng.integers(0, 2):
         profile.quarantined_shards.append(shard)

@@ -20,7 +20,9 @@ the entry CRF the first wave left, a new key.  The elementwise shape
 meets such new pairings of program and loaded CRF through its second
 wave and is all frames from its third.  At the old bound of eight
 schedules the same traffic misses.  The bound is a module constant, not
-a knob.
+a knob.  A warm frame — of either shape, and of ``PimBlas.lstm_cell``'s
+GEMVs — replays each window by the trace key it recorded: it packs no
+key and builds no trigger.
 """
 
 import dataclasses
@@ -30,6 +32,9 @@ import pytest
 
 from repro.dram import controller as controller_module
 from repro.dram.controller import MemoryController
+from repro.pim import fused
+from repro.pim.device import PimPseudoChannel
+from repro.pim.exec_unit import ColumnTrigger
 from repro.stack import PimContext, Request, ServerConfig, SystemConfig
 from repro.stack.arithmetic import golden_reference
 from repro.stack.server import RequestOutcome
@@ -76,10 +81,11 @@ def eltwise_mix(rng):
     return wave
 
 
-def serve(monkeypatch, mix=gemv_mix, waves=WAVES):
-    """Serve ``waves`` waves of ``mix`` through one ``PimServer``; returns,
-    per wave, each program drain on an empty queue or behind queued writes
-    as (fenced, behind writes, frame)."""
+def serve(monkeypatch, mix=gemv_mix, waves=WAVES, before_wave=lambda wave_no: None):
+    """Serve ``waves`` waves of ``mix`` through one ``PimServer``, calling
+    ``before_wave`` with each wave's number; returns, per wave, each
+    program drain on an empty queue or behind queued writes as (fenced,
+    behind writes, frame)."""
     drains = [[] for _ in range(waves)]
     wave_no = [0]
     drain = MemoryController.drain
@@ -109,6 +115,7 @@ def serve(monkeypatch, mix=gemv_mix, waves=WAVES):
     wave = mix(np.random.default_rng(11))
     try:
         for wave_no[0] in range(waves):
+            before_wave(wave_no[0])
             requests = wave(wave_no[0] * 1e6)
             handles = [server.submit(request) for request in requests]
             server.run()
@@ -153,6 +160,72 @@ def test_eight_schedules_do_not_hold_the_traffic(monkeypatch):
         frame for wave in serve(monkeypatch)[1:] for _, behind, frame in wave if not behind
     ]
     assert later and not all(later)
+
+
+def frame_costs(monkeypatch):
+    """Count the kernel-program frames taken and, inside them, the
+    ``_pack_signature`` calls and the ``ColumnTrigger`` objects built."""
+    costs = {"frames": 0, "signatures": 0, "triggers": 0}
+    inside = [False]
+    pack, init = fused._pack_signature, ColumnTrigger.__init__
+    apply_program = PimPseudoChannel._apply_program
+
+    def counted_pack(*args):
+        costs["signatures"] += inside[0]
+        return pack(*args)
+
+    def counted_init(self, *args, **kwargs):
+        costs["triggers"] += inside[0]
+        init(self, *args, **kwargs)
+
+    def counted_apply_program(self, *args):
+        inside[0] = True
+        try:
+            applied = apply_program(self, *args)
+        finally:
+            inside[0] = False
+        costs["frames"] += applied
+        return applied
+
+    monkeypatch.setattr(fused, "_pack_signature", counted_pack)
+    monkeypatch.setattr(ColumnTrigger, "__init__", counted_init)
+    monkeypatch.setattr(PimPseudoChannel, "_apply_program", counted_apply_program)
+    return costs
+
+
+@pytest.mark.parametrize("mix", [gemv_mix, eltwise_mix])
+def test_a_warm_frame_replays_its_windows_by_their_recorded_keys(monkeypatch, mix):
+    """After two warm-up waves a kernel program's frame looks each window's
+    compiled trace up by the key it recorded: no tape, no key packing."""
+    costs = frame_costs(monkeypatch)
+
+    def warm(wave_no):
+        if wave_no == 2:
+            costs.update(frames=0, signatures=0, triggers=0)
+
+    serve(monkeypatch, mix, waves=3, before_wave=warm)
+    assert costs["frames"] > 0
+    assert (costs["signatures"], costs["triggers"]) == (0, 0)
+
+
+def test_a_warm_lstm_step_replays_its_windows_by_their_recorded_keys(monkeypatch):
+    """The same for ``PimBlas.lstm_cell`` steps, h and c fed forward."""
+    rng = np.random.default_rng(5)
+    hidden = 32
+    w_ih, w_hh = (grid(rng, 4 * hidden, hidden) / 8 for _ in range(2))
+    bias = rng.standard_normal(4 * hidden).astype(np.float32)
+    h = c = np.zeros(hidden, dtype=np.float16)
+    costs = frame_costs(monkeypatch)
+    ctx = PimContext(SystemConfig(simulate_pchs=1))
+    try:
+        for step in range(4):
+            if step == 2:
+                costs.update(frames=0, signatures=0, triggers=0)
+            h, c = ctx.blas.lstm_cell(w_ih, w_hh, bias, grid(rng, hidden), h, c)
+    finally:
+        ctx.close()
+    assert costs["frames"] > 0
+    assert (costs["signatures"], costs["triggers"]) == (0, 0)
 
 
 @pytest.mark.parametrize("config", [SystemConfig, ServerConfig])
