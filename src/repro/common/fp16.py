@@ -246,7 +246,8 @@ def vec_relu(a: np.ndarray) -> np.ndarray:
 _SIGN = np.uint32(0x80000000)
 _EXPONENT = np.uint32(0x7F800000)
 _TO_QUANTUM = np.uint32(13 << 23)  # 2**13: binary32 keeps 13 more fraction bits
-_FP16_EXPONENTS = (np.float32(2.0**-14), np.float32(2.0**15))
+_LOWEST_EXPONENT = np.float32(2.0**-14)  # binary16's normal exponent range
+_HIGHEST_EXPONENT = np.float32(2.0**15)
 _PAST_FP16 = np.float32(2.0**112)  # 2**16 * 2**112 overflows binary32
 _BACK = np.float32(2.0**-112)
 
@@ -261,7 +262,8 @@ def round16(x: np.ndarray) -> np.ndarray:
     difference rounded first to binary32 then here is still correctly
     rounded, because 24 >= 2 * 11 + 2 (Figueroa, "When is double rounding
     innocuous?", 1995).  Subnormals, signed zeros and overflow to +-inf
-    follow IEEE 754; a NaN stays a NaN (its payload is not kept).
+    follow IEEE 754; a NaN stays a NaN (its payload is not kept).  No
+    floating-point warning escapes.
 
     How: with the sign set aside, ``M = 2**(e + 13)`` for the lane's
     exponent ``e`` clamped to binary16's normal range ``[-14, 15]``.  Then
@@ -271,17 +273,26 @@ def round16(x: np.ndarray) -> np.ndarray:
     exact.  Scaling by ``2**112`` and back sends exactly the lanes that
     rounded to ``2**16`` or beyond to infinity.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _round16(x)
+
+
+def _round16(x: np.ndarray) -> np.ndarray:
+    """:func:`round16`'s body, for a caller that already ignores overflow
+    and invalid operations (``np.errstate``) around a loop of rounding
+    steps."""
     bits = x.view(np.uint32)
     sign = bits & _SIGN
     bits ^= sign
     magic_bits = bits & _EXPONENT
     magic = magic_bits.view(np.float32)
-    np.clip(magic, *_FP16_EXPONENTS, out=magic)
+    # Two bare ufuncs: ``np.clip``'s Python wrapper costs as much again.
+    np.maximum(magic, _LOWEST_EXPONENT, out=magic)
+    np.minimum(magic, _HIGHEST_EXPONENT, out=magic)
     magic_bits += _TO_QUANTUM
-    with np.errstate(over="ignore"):
-        x += magic
-        x -= magic
-        x *= _PAST_FP16
+    x += magic
+    x -= magic
+    x *= _PAST_FP16
     x *= _BACK
     bits |= sign
     return x

@@ -64,6 +64,18 @@ class BankConfig:
         return self.row_bytes // self.col_bytes
 
 
+class Verdict:
+    """Whether every bank of a channel vouches for every row
+    (:meth:`Bank.framed_everywhere`), shared by the channel's banks: None
+    until the channel asks, and again after any change to a bank's fault
+    state — a failure, an injection, an injection entry dropped."""
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value: Optional[bool] = None
+
+
 class Bank:
     """One DRAM bank: a lane of a row store, and timing bookkeeping."""
 
@@ -89,6 +101,8 @@ class Bank:
         # Hard-failure flag (fault injection): set to the owning channel's
         # index when the whole pseudo-channel is declared dead.
         self._failed_channel: Optional[int] = None
+        # Its channel's verdict (``PseudoChannel.vouched``); a lone bank's own.
+        self._verdict = Verdict()
 
     # -- fault state --------------------------------------------------------
 
@@ -96,6 +110,7 @@ class Bank:
         """Hard-fail this bank: every subsequent data access raises
         :class:`~repro.errors.PimChannelError` naming ``channel_index``."""
         self._failed_channel = channel_index
+        self._verdict.value = None
 
     @property
     def is_failed(self) -> bool:
@@ -283,6 +298,10 @@ class Bank:
     def framed(self, row: int) -> bool:
         """Whether :meth:`read_block` of ``row`` stands for timed reads of
         it: a live plain bank (a subclass has a column path of its own)."""
+        return type(self) is Bank and self._failed_channel is None
+
+    def framed_everywhere(self) -> bool:
+        """Whether :meth:`framed` holds for every row."""
         return type(self) is Bank and self._failed_channel is None
 
     def read_block(self, row: int, col0: int, n: int) -> np.ndarray:

@@ -101,6 +101,8 @@ from .pseudochannel import BANKS_PER_GROUP, BANKS_PER_PCH, Frame, PseudoChannel
 __all__ = ["MemOp", "Request", "SchedulerPolicy", "ScheduleResult", "MemoryController"]
 
 _RD, _WR = CommandType.RD, CommandType.WR
+# Iterating the enum class runs a generator per call; a tuple does not.
+_COMMAND_TYPES = tuple(CommandType)
 
 # Schedules a controller remembers, least recently used out first: a
 # workload's kernel programs and readbacks meet a few dozen timing states,
@@ -827,7 +829,13 @@ class MemoryController:
         or behind a queued prefix (:meth:`_prefix`), drains off the queue
         the first time from a timing state; every later time from that key
         it is the frame remembered then (:meth:`_apply_frame`), unless a
-        refresh falls due inside it or the channel declines the frame."""
+        refresh falls due inside it or the channel declines the frame.
+        With no program and an empty queue there is nothing to move: the
+        drain returns the full path's result at once."""
+        if not program and not self._queue:
+            return ScheduleResult(
+                self._cycle, [], {}, dict.fromkeys(_COMMAND_TYPES, 0), 0, 0
+            )
         out = _Drain()
         channel = self.channel
         start_counts = dict(channel.cmd_counts)
@@ -884,7 +892,7 @@ class MemoryController:
             self._remember(key, recording, out.issue_order)
         self.busy_cycles += self._cycle - entry_cycle
         counts = {
-            ct: channel.cmd_counts[ct] - start_counts.get(ct, 0) for ct in CommandType
+            ct: channel.cmd_counts[ct] - start_counts.get(ct, 0) for ct in _COMMAND_TYPES
         }
         columns = counts[CommandType.RD] + counts[CommandType.WR]
         if self.tracer is not None and columns:

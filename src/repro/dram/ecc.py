@@ -90,6 +90,7 @@ class EccBank(Bank):
         for word in [w for w in entries if start <= w < stop]:
             if entries[word] == encode(int(words[word])):
                 del entries[word]
+                self._verdict.value = None
             else:
                 dirty = True
         return dirty
@@ -103,6 +104,7 @@ class EccBank(Bank):
             written = set(np.asarray(cols).tolist())
             for word in [w for w in entries if w // wpc in written]:
                 del entries[word]
+                self._verdict.value = None
         self.ecc_stats.words_encoded += len(cols) * wpc
 
     # -- read-only views of the ECC array (tests, snapshots) --------------------
@@ -172,6 +174,14 @@ class EccBank(Bank):
             and not self._injected.get(row)
         )
 
+    def framed_everywhere(self) -> bool:
+        """A live bank of this exact class with no injection entry at all."""
+        return (
+            type(self) is EccBank
+            and self._failed_channel is None
+            and not any(self._injected.values())
+        )
+
     def read_block(self, row: int, col0: int, n: int) -> np.ndarray:
         """The block, and the ``words_checked`` of its ``n`` reads."""
         self.ecc_stats.words_checked += n * self._words_per_col
@@ -235,6 +245,7 @@ class EccBank(Bank):
                 self.ecc_stats.corrected += 1
                 corrected += 1
             del entries[word]
+            self._verdict.value = None
         return (int(words.size), corrected, uncorrectable)
 
     def materialized_rows(self) -> List[int]:
@@ -285,6 +296,7 @@ class EccBank(Bank):
         if word not in entries:
             entries[word] = encode(int(words[word]))
         words[word] ^= np.uint64(1 << bit % _WORD_BITS)
+        self._verdict.value = None
 
     def inject_check_error(self, row: int, col: int, word: int, bit: int) -> None:
         """Flip check bit ``bit`` of word ``word`` of column ``col`` (errors
@@ -302,6 +314,7 @@ class EccBank(Bank):
             data = self._rows.get(row)
             check = 0 if data is None else encode(int(data.view("<u8")[word]))
         entries[word] = check ^ (1 << bit)
+        self._verdict.value = None
 
 
 # -- the block: n consecutive columns of one row across a list of banks ----------

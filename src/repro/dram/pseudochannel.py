@@ -19,7 +19,7 @@ from typing import (
 
 import numpy as np
 
-from .bank import Bank, BankConfig, TimingViolation
+from .bank import Bank, BankConfig, TimingViolation, Verdict
 from .commands import Command, CommandType
 from .timing import TimingParams
 
@@ -84,6 +84,9 @@ class PseudoChannel:
         ]
         for half in (self.banks[0::2], self.banks[1::2]):  # the row stores (dram/bank.py)
             Bank.share_store(half)
+        self._verdict = Verdict()  # see ``vouched``
+        for bank in self.banks:
+            bank._verdict = self._verdict
         # Shared-resource history.
         self._last_col_cycle: Optional[int] = None
         self._last_col_bg: Optional[int] = None
@@ -106,6 +109,17 @@ class PseudoChannel:
     def bank(self, bg: int, ba: int) -> Bank:
         """The bank addressed by (bank group, bank)."""
         return self.banks[bg * BANKS_PER_GROUP + ba]
+
+    def vouched(self) -> bool:
+        """Whether every bank vouches for every row
+        (:meth:`Bank.framed_everywhere`): one verdict for the channel, asked
+        of the banks again only after one's fault state changed.  Where it
+        is False a frame asks each bank for each row it reaches
+        (:meth:`Bank.framed`)."""
+        verdict = self._verdict
+        if verdict.value is None:
+            verdict.value = all(bank.framed_everywhere() for bank in self.banks)
+        return verdict.value
 
     def hard_reset(self, cycle: int) -> None:
         """Force every bank closed (channel-recovery path).
@@ -406,9 +420,10 @@ class PseudoChannel:
         (``blocks`` and ``queued``: the written bytes of a frame that
         writes — the program's and its queued prefix's.)"""
         banks = self.banks
-        for index, row, _, _ in frame.reads:
-            if not banks[index].framed(row):
-                return None
+        if not self.vouched():
+            for index, row, _, _ in frame.reads:
+                if not banks[index].framed(row):
+                    return None
         self._take(frame, origin)
         return [
             banks[index].read_block(row, col0, count)

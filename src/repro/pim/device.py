@@ -239,8 +239,9 @@ class PimPseudoChannel(PseudoChannel):
     # from the program's own blocks are in no key, so a program that
     # writes them is not taken down.  A frame is applied only where none
     # of it can raise: every bank vouches for every row the program's
-    # columns reach (``Bank.framed``), and every write's block has the
-    # recorded shape and PIM_OP_MODE value.
+    # columns reach (``Bank.framed``; once per channel while no bank is
+    # failed, injected or of a class of its own, ``vouched``), and every
+    # write's block has the recorded shape and PIM_OP_MODE value.
 
     def frame_entry(self) -> Any:
         """The exec group's fallback and replay counts, when its windows can
@@ -409,10 +410,11 @@ class PimPseudoChannel(PseudoChannel):
         nothing changed, where any of it could raise."""
         program = frame.program
         banks = self.banks
-        for row in program.rows:
-            for bank in banks:
-                if not bank.framed(row):
-                    return False
+        if not self.vouched():
+            for row in program.rows:
+                for bank in banks:
+                    if not bank.framed(row):
+                        return False
         data = []
         width = self.bank_config.col_bytes
         for (from_queue, operand, first), count, value in program.writes:

@@ -25,12 +25,12 @@ by unit; :class:`FusedLockstepGroup` removes that interpretation by
    MAC / MAD split into the hardware's two stages, MULT then ADD, so a
    product waits for its multiplicands only.  Every op gets the level
    ``1 + max(level of its producers)`` and the ops of one level and one
-   kind are a single stacked ``(units, k, 16)``-lane NumPy call: a GEMV
-   tile of 16 chunks is one multiply over 128 columns and a chain of 16
-   eight-wide adds, found by the levels, not matched by shape.  **Bank
-   locations are never renamed**: storage outlives the window and a read
-   can meet a stored fault, so any two accesses to one (bank space, row,
-   column) of which one is a write keep tape order.  The compiled trace —
+   kind are a single NumPy call over ``k`` consecutive slots of the value
+   pool: a GEMV tile of 16 chunks is one multiply over 128 columns and a
+   chain of 16 eight-wide adds, found by the levels, not matched by shape.
+   **Bank locations are never renamed**: storage outlives the window and
+   a read can meet a stored fault, so any two accesses to one (bank space,
+   row, column) of which one is a write keep tape order.  The compiled trace —
    fetches, ops, per-unit stat deltas, and the final sequencer state — is
    stored in a content-keyed LRU :class:`TraceCache`.
 3. **Replay** — later windows with the same content key skip straight to
@@ -43,10 +43,13 @@ by unit; :class:`FusedLockstepGroup` removes that interpretation by
    levelled ops over one value pool — HOST operands gathered from the
    *current* tape, entry registers copied from the stacked register state
    — with bank writes as blocks (``poke_block``) at their level, and last
-   the register file stores.  A channel frame of a kernel program
-   (:mod:`repro.pim.device`) replays its windows without a tape: each
-   :class:`Window` recorded the key its flush used, the write blocks that
-   feed its HOST operand and its trigger pattern, so
+   the register file stores.  The pool is slot-major, ``(slots, units,
+   16)`` FP16: an op's operands and result are contiguous runs of slots,
+   and it computes in place (``np.add(a, b, out=pool[out])``), the units'
+   own float16 arithmetic without their per-call copies.  A channel frame
+   of a kernel program (:mod:`repro.pim.device`) replays its windows
+   without a tape: each :class:`Window` recorded the key its flush used,
+   the write blocks that feed its HOST operand and its trigger pattern, so
    :meth:`FusedLockstepGroup.replay_window` looks the key up and replays
    the trace with the applying drain's blocks; a miss rebuilds the tape
    from the pattern and takes the flush's own compile-and-put under that
@@ -103,7 +106,7 @@ from typing import (
 
 import numpy as np
 
-from ..common.fp16 import FP16, vec_add, vec_mul, vec_relu
+from ..common.fp16 import FP16
 from ..dram.ecc import peek_block, poke_block
 from .exec_unit import ColumnTrigger, PimExecutionUnit, fetch, resolve_control
 from .isa import GRF_REGS, Instruction, Opcode, OperandSpace
@@ -215,9 +218,9 @@ class _Op:
     kind at one dataflow level (``load`` / ``store``: one run of one row).
 
     ``out`` / ``a`` / ``b`` are slots of the replay's value pool —
-    ``(units, slots, 16)`` FP16 — so ``mul`` / ``add`` / ``relu`` read
-    ``pool[:, a]`` (and ``pool[:, b]``) and write ``pool[:, out]``; a
-    ``store`` writes ``pool[:, a]`` to the bank.  ``bank`` is ``(space,
+    ``(slots, units, 16)`` FP16 — so ``mul`` / ``add`` / ``relu`` read
+    ``pool[a]`` (and ``pool[b]``) and write ``pool[out]`` in place; a
+    ``store`` writes ``pool[a]`` to the bank.  ``bank`` is ``(space,
     row, cols, col0, width)``: ``col0`` is the first column when ``cols``
     are one ascending run (decided here, at compile time, so replay moves
     them as a block) else None, and ``width`` is how many columns a dirty
@@ -515,14 +518,20 @@ class FusedLockstepGroup(LockstepGroup):
     def _replay(self, entry: CompiledTrace, hosts: List[np.ndarray]) -> None:
         """The compiled trace's dataflow over the registers and banks, with
         ``hosts`` — the window's WR bursts in order, a ``(count, 32)``
-        block each — as its HOST operands."""
+        block each — as its HOST operands.
+
+        The value pool is slot-major, ``(slots, units, 16)``: the slots of
+        a stacked op are one contiguous run, and ``mul`` / ``add`` /
+        ``relu`` write theirs in place.  Registers and banks are
+        unit-major, so their values are transposed at the pool's edge."""
         units = self.units
         stacked = self.stacked
-        pool = np.empty((len(units), entry.slots, LANES), dtype=np.float16)
+        pool = np.empty((entry.slots, len(units), LANES), dtype=np.float16)
         for space in entry.entry_regs:
             base = _REG_BASE[space]
-            pool[:, base : base + GRF_REGS] = (
-                stacked.grf(space) if space.is_grf else stacked.srf(space)[:, :, None]
+            pool[base : base + GRF_REGS] = (
+                stacked.grf(space).swapaxes(0, 1) if space.is_grf
+                else stacked.srf(space).T[:, :, None]
             )
         if entry.host is not None:
             # One row per host-carrying command.
@@ -531,22 +540,25 @@ class FusedLockstepGroup(LockstepGroup):
                 for block in hosts
             ])
             out, rows = entry.host
-            pool[:, out] = host[rows].view(np.float16)  # broadcast over units
+            pool[out] = host[rows].view(np.float16)[:, None]  # broadcast over units
         banks = {space: [u._bank(space) for u in units] for space in entry.bank_spaces}
         for op in entry.fetches + entry.ops:
             kind = op.kind
-            if kind == "load":
-                pool[:, op.out] = _peek_run(banks, op.bank).view(np.float16)
+            if kind == "add":
+                np.add(pool[op.a], pool[op.b], out=pool[op.out])
             elif kind == "mul":
-                pool[:, op.out] = vec_mul(pool[:, op.a], pool[:, op.b])
-            elif kind == "add":
-                pool[:, op.out] = vec_add(pool[:, op.a], pool[:, op.b])
+                np.multiply(pool[op.a], pool[op.b], out=pool[op.out])
+            elif kind == "load":
+                pool[op.out] = _peek_run(banks, op.bank).view(np.float16).swapaxes(0, 1)
             elif kind == "relu":
-                pool[:, op.out] = vec_relu(pool[:, op.a])
+                # The sign-bit mux: a lane with its sign set becomes +0.
+                bits = pool[op.a].view(np.int16)
+                np.bitwise_and(bits, ~(bits >> 15), out=pool[op.out].view(np.int16))
             else:  # store
-                _poke_run(banks, op.bank, np.ascontiguousarray(pool[:, op.a]).view(np.uint8))
+                raw = np.ascontiguousarray(pool[op.a].swapaxes(0, 1)).view(np.uint8)
+                _poke_run(banks, op.bank, raw)
         for space, regs, src in entry.puts:
-            stacked.grf(space)[:, regs] = pool[:, src]
+            stacked.grf(space)[:, regs] = pool[src].swapaxes(0, 1)
 
     # -- compilation -------------------------------------------------------------
 

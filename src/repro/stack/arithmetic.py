@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..common.fp16 import round16, vec_relu
+from ..common.fp16 import _round16, vec_relu
 from ..errors import PimProgramError
 from ..pim.isa import GRF_REGS
 
@@ -67,17 +67,20 @@ def mac_partials(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     # The MULT stage depends on its operands only, so every chunk's product
     # is one multiply ahead of the ADD chain (as the device replays it),
     # laid out chunk-major so that each ADD step reads one contiguous block.
+    # One errstate for the call: a rounding step overflows to inf, and
+    # inf * 0 or inf - inf is NaN (the device's result), warning or not.
     x = np.asarray(x, dtype=np.float32)
-    prod = np.multiply(np.swapaxes(w, -1, -2), x[..., np.newaxis], order="C")
-    round16(prod)
-    *lead, n, rows = prod.shape
-    chunks = prod.reshape(*lead, n // GRF_REGS, GRF_REGS, rows)
-    # GRF_B starts at +0, and +0 + p is p exactly, except that -0 becomes +0.
-    acc = chunks[..., 0, :, :] + np.float32(0.0)
-    for k in range(1, n // GRF_REGS):
-        acc += chunks[..., k, :, :]
-        round16(acc)
-    return acc.astype(np.float16)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = np.multiply(np.swapaxes(w, -1, -2), x[..., np.newaxis], order="C")
+        _round16(prod)
+        *lead, n, rows = prod.shape
+        chunks = prod.reshape(*lead, n // GRF_REGS, GRF_REGS, rows)
+        # GRF_B starts at +0, and +0 + p is p exactly, except that -0 becomes +0.
+        acc = chunks[..., 0, :, :] + np.float32(0.0)
+        for k in range(1, n // GRF_REGS):
+            acc += chunks[..., k, :, :]
+            _round16(acc)
+        return acc.astype(np.float16)
 
 
 def reduce_partials(partials: np.ndarray) -> np.ndarray:

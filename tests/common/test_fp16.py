@@ -272,6 +272,18 @@ class TestRound16:
         assert np.signbit(got[[4, 6]]).all() and not np.signbit(got[3])
         assert np.isnan(got[8]) and got[9] == np.inf
 
+    def test_no_warning_escapes(self):
+        """Overflow to infinity, infinities and NaNs, a signaling one
+        included, raise nothing under ``np.errstate(all="raise")``."""
+        lanes = np.array(
+            [65520.0, -(2.0**115), np.inf, -np.inf, np.nan], dtype=np.float32
+        )
+        lanes = np.append(lanes, np.uint32(0x7F800001).view(np.float32))  # signaling
+        with np.errstate(all="raise"):
+            got = round16(lanes)
+        assert got[:4].tolist() == [np.inf, -np.inf, np.inf, -np.inf]
+        assert np.isnan(got[4:]).all()
+
     @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=64))
     @settings(max_examples=100)
     def test_any_float32_rounds_once(self, words):

@@ -14,11 +14,15 @@ large one (derandomized, so a run is reproducible):
 ``EXAMPLES`` defaults to 3,000 per property (about 4 minutes in all on a
 2-core box).  It prints, per property, how many drawn cases took 0, 1,
 2, ... frames — for the kernel programs also how many took 0, 1, 2, ...
-frames behind a queued CRF / SRF load, and how many of the frames'
+frames behind a queued CRF / SRF load, how many of the frames'
 windows replayed by their recorded trace key and were rebuilt after a
-trace-cache miss — and exits non-zero, with hypothesis' minimal failing
-case, on a mismatch, or when no case took a frame behind a load or no
-case rebuilt a window (the sweep would no longer exercise that path).
+trace-cache miss, and how many remembered programs the channel declined
+for a failed bank, a bank class of its own and an injected row — and
+exits non-zero, with hypothesis' minimal failing case, on a mismatch, or
+when no case took a frame behind a load, no case rebuilt a window or no
+case declined for one of those reasons (the sweep would no longer
+exercise that path: the declines are where the channel's one verdict,
+``PseudoChannel.vouched``, says no).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from hypothesis import HealthCheck, given, settings
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2]))
 
 from tests.dram.test_frame_oracle import (  # noqa: E402
-    PROGRAM_STRATEGIES, STRATEGIES, frame_vs_pick_path, program_frames_vs_lone_path,
+    DECLINES, PROGRAM_STRATEGIES, STRATEGIES, frame_vs_pick_path, program_frames_vs_lone_path,
 )
 
 
@@ -76,6 +80,12 @@ def main(examples: int) -> int:
     rebuilt = histogram(programs, lambda o: o[3])
     print(f"  windows rebuilt after a trace-cache miss per case {rebuilt}")
     failed = 0
+    for i, reason in enumerate(DECLINES):
+        declined = histogram(programs, lambda o: o[4][i])
+        print(f"  programs declined for {reason} per case {declined}")
+        if not max(declined):
+            print(f"no case declined a program for {reason}")
+            failed = 1
     if not max(behind):
         print("no case took a frame behind a register load")
         failed = 1

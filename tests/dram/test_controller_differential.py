@@ -38,6 +38,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.dram import controller as controller_module
 from repro.dram.bank import Bank, BankConfig
 from repro.dram.commands import CommandType
 from repro.dram.controller import MemOp, MemoryController, Request, SchedulerPolicy
@@ -62,13 +63,14 @@ TIMING = replace(HBM2_1GHZ, trefi=150, trfc=40)
 MODES = ("plain", "sb", "ab", "ab-pim")
 
 
-def make_channel(mode, fused=False, ecc=False, timing=TIMING):
+def make_channel(mode, fused=False, ecc=False, timing=TIMING, bank_cls=None):
     """A fresh channel of the kind ``mode`` names (still in SB mode), its
     exec group the eager interpreter or (``fused``) the deferring one, its
-    banks plain or SEC-DED protected.  Every column of the rows the streams
-    address holds bytes of its own, so a read's data names its column."""
+    banks plain or SEC-DED protected (or of ``bank_cls``).  Every column of
+    the rows the streams address holds bytes of its own, so a read's data
+    names its column."""
     config = BankConfig(num_rows=NUM_ROWS)
-    bank_cls = EccBank if ecc else Bank
+    bank_cls = bank_cls or (EccBank if ecc else Bank)
     if mode == "plain":
         channel = PseudoChannel(timing, config, bank_cls=bank_cls)
     else:
@@ -146,10 +148,10 @@ class Side:
 
     def __init__(
         self, controller_cls, mode, fused=False, program=NOP_PROGRAM, ecc=False,
-        timing=TIMING, **kwargs,
+        timing=TIMING, bank_cls=None, **kwargs,
     ):
         self.reference = controller_cls is ReferenceController
-        self.mc = controller_cls(make_channel(mode, fused, ecc, timing), **kwargs)
+        self.mc = controller_cls(make_channel(mode, fused, ecc, timing, bank_cls), **kwargs)
         enter_mode(self.mc, mode, program)
 
     def enqueue(self, position, op, bg, ba, row, col, value, count=1):
@@ -435,6 +437,56 @@ def test_fixed_stream_crosses_refreshes_and_reorders():
     order = [position for _, position, _ in outcomes[-1][0]]
     assert sorted(order) == list(range(60)) and order != list(range(60))
     assert outcomes[-1][2][CommandType.REF] == new.mc.refresh_count
+
+
+@pytest.mark.parametrize("policy, seed", [
+    (SchedulerPolicy.FRFCFS, None), (SchedulerPolicy.FCFS, None), (SchedulerPolicy.SHUFFLE, 5),
+])
+def test_an_empty_drain_returns_what_the_full_path_builds(monkeypatch, policy, seed):
+    """A drain with no program and nothing queued returns at once — it
+    builds no drain state — the result the reference controller's full
+    drain returns: the cycle, no issue order or data, zero counts, no hits
+    or misses.  With refresh on and a refresh due it issues none, and a
+    tracer attached records nothing: the controllers agree on busy
+    cycles, refresh count and epoch, and both are as they were."""
+    built = []
+    monkeypatch.setattr(
+        controller_module, "_Drain",
+        lambda make=controller_module._Drain: built.append(None) or make(),
+    )
+    new, ref = (
+        Side(cls, "sb", policy=policy, seed=seed, refresh=True)
+        for cls in (MemoryController, ReferenceController)
+    )
+    tracer = new.mc.tracer = Tracer()
+    stream = [(MemOp.READ, b % 3, b % 2, b % 4, 0) for b in range(24)]
+    stream += ["drain", "drain", "fence", "drain", (MemOp.WRITE, 5, 1, 2, 9), "drain", "due",
+               "drain"]
+    empty = 0
+    for position, element in enumerate(stream):
+        if element == "fence":
+            for side in (new, ref):
+                side.mc.fence()
+        elif element == "due":  # a refresh due at the current cycle
+            for side in (new, ref):
+                side.mc._next_refresh = side.mc.current_cycle
+        elif element == "drain":
+            queued, before = bool(new.mc._queue), len(built)
+            held = (new.mc._epoch, new.mc.busy_cycles, new.mc.refresh_count)
+            records = (len(tracer.spans), len(tracer.events))
+            got, want = new.drain(), ref.drain()
+            assert got == want
+            assert (new.mc._epoch, new.mc.refresh_count) == (ref.mc._epoch, ref.mc.refresh_count)
+            if not queued:
+                empty += 1
+                assert len(built) == before
+                assert (new.mc._epoch, new.mc.busy_cycles, new.mc.refresh_count) == held
+                assert (len(tracer.spans), len(tracer.events)) == records
+        else:
+            op, bank, row, col, value = element
+            for side in (new, ref):
+                side.enqueue(position, op, bank // 4, bank % 4, row, col, value)
+    assert empty == 3 and tracer.spans
 
 
 @pytest.mark.parametrize("seed", range(16))

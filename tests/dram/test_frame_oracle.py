@@ -73,17 +73,29 @@ its put, two windows' stats taken from the first alone;
 ``test_a_window_that_raises_in_a_frame_leaves_the_units_as_its_flush_does``
 kills a raise that does not first put the units at the window's entry
 state.
+
+A frame asks its channel one verdict (``PseudoChannel.vouched``) and each
+bank for each row only where that says no.  The drawn kernel waves add
+banks of a class of their own and scrubbed rows, and the property counts
+the programs declined for each reason in :data:`DECLINES`, which the
+fixed draws pin; ``test_the_channel_verdict_is_every_bank_on_every_row``
+holds the verdict equal to every bank's answer for every row.  Together
+they kill the verdict not reset by a failure, by either injection or by
+an entry dropped by a read, a write or a scrub, a verdict that ignores
+the bank class or the injection entries, and one not shared by the
+channel's banks.
 """
 
 from contextlib import nullcontext
 from types import SimpleNamespace
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.dram.bank import Bank
 from repro.dram.controller import MemOp, MemoryController, Request, SchedulerPolicy
-from repro.dram.ecc import EccBank
+from repro.dram.ecc import EccBank, UncorrectableError
 from repro.dram.timing import HBM2_1GHZ
 from repro.errors import PimDataError, PimProgramError
 from repro.faults.injector import FaultConfig, FaultInjector
@@ -97,7 +109,7 @@ from repro.pim.stream import Run, gemv_readback
 from repro.stack.kernels import ELEMENTWISE_OPS, GemvKernel
 from repro.tools import trace_channel
 
-from .test_controller_differential import Forgetful, Side, write_data
+from .test_controller_differential import Forgetful, Side, make_channel, write_data
 
 ROUNDS = 4
 TIER1_EXAMPLES = 40
@@ -408,9 +420,12 @@ PROGRAM_FAULT = st.one_of(
     UPSET,
     # The channel's compiled traces dropped, as a quarantine drops them.
     st.just(("invalidate",)),
+    # ("scrub", bank, row): an ECC bank's row scrubbed, its entries dropped.
+    st.tuples(st.just("scrub"), st.integers(0, 15), st.integers(0, 3)),
 )
 PROGRAM_STRATEGIES = dict(
     ecc=st.booleans(),
+    own_class=st.sampled_from([False] * 7 + [True]),
     exec_mode=st.sampled_from(["fused", "fused", "fused", "scalar"]),
     kernels=st.lists(st.tuples(KERNEL, st.integers(1, 2)), min_size=1, max_size=3),
     faults=st.lists(
@@ -530,13 +545,19 @@ def program_drained(side, program=(), blocks=(), traced=False):
 
 
 def program_damage(side, faults):
-    """``damage``, register upsets through the fault injector and the
-    channel's compiled traces invalidated."""
+    """``damage``, register upsets through the fault injector, the
+    channel's compiled traces invalidated and a live ECC bank's row
+    scrubbed."""
     for fault in faults:
         if fault[0] == "invalidate":
             group = side.mc.channel.lockstep
             if isinstance(group, FusedLockstepGroup):
                 group.cache.invalidate_channel(group.channel_id)
+            continue
+        if fault[0] == "scrub":
+            bank = side.mc.channel.banks[fault[1]]
+            if isinstance(bank, EccBank) and not bank.is_failed:
+                bank.scrub_row(fault[2])
             continue
         if fault[0] != "upset":
             damage(side, [fault])
@@ -550,42 +571,89 @@ def program_damage(side, faults):
         FaultInjector(system, config).corrupt_registers()
 
 
-def program_side(ecc, exec_mode, fence_penalty, refresh):
+class OwnBank(Bank):
+    """A bank class of its own: no frame is taken over its rows."""
+
+
+class OwnEccBank(EccBank):
+    """An ECC bank class of its own."""
+
+
+#: Why a channel declined a program's frame, checked in this order: a
+#: failed bank, a bank of a class of its own, an injection entry on a row
+#: the program reaches.
+DECLINES = ("a failed bank", "a bank class of its own", "an injected row")
+
+
+def decline(channel, frame):
+    """The index in :data:`DECLINES` of why ``channel`` declined a
+    program's ``frame``, or None (a block of another shape or value)."""
+    banks = channel.banks
+    if any(bank.is_failed for bank in banks):
+        return 0
+    if any(type(bank) not in (Bank, EccBank) for bank in banks):
+        return 1
+    if not all(bank.framed(row) for row in frame.program.rows for bank in banks):
+        return 2
+    return None
+
+
+def program_side(ecc, exec_mode, fence_penalty, refresh, own_class=False):
+    bank_cls = (OwnEccBank if ecc else OwnBank) if own_class else None
     side = Side(MemoryController, "sb", fused=exec_mode == "fused", ecc=ecc,
-                timing=HBM2_1GHZ, fence_penalty=fence_penalty, refresh=refresh)
+                timing=HBM2_1GHZ, fence_penalty=fence_penalty, refresh=refresh,
+                bank_cls=bank_cls)
     if exec_mode == "scalar":
         side.mc.channel.lockstep = LockstepGroup(side.mc.channel.units)
     return side
 
 
 def program_frames_vs_lone_path(
-    ecc, exec_mode, kernels, faults, fence_penalty, refresh, traced, reload, seed
+    ecc, exec_mode, kernels, faults, fence_penalty, refresh, traced, reload, seed,
+    own_class=False,
 ):
     """The property: a controller that takes remembered frames of fenced
     kernel programs and one that never remembers agree after every drain
     — on everything ``snapshot`` compares, the exec groups, the trace and
     the mode events.  Returns how many frames of a fenced program the
     first one took, how many of those were behind a queued register load,
-    and how many of their closed windows replayed by the recorded trace
-    key and were rebuilt after a trace-cache miss.  With ``reload`` every wave starts with no microkernel loaded,
-    as a launch after another kernel's does; without it a load carries
-    over to later waves, as a microkernel cache hit does, and a CRF struck
-    by an upset stays struck.  (Drawn bank bytes as FP16 overflow: both
+    how many of their closed windows replayed by the recorded trace key
+    and were rebuilt after a trace-cache miss, and how many remembered
+    programs its channel declined for each of :data:`DECLINES`.  Its banks
+    are of a class of their own with ``own_class``.  With ``reload`` every
+    wave starts with no microkernel loaded, as a launch after another
+    kernel's does; without it a load carries over to later waves, as a
+    microkernel cache hit does, and a CRF struck by an upset stays struck.  (Drawn bank bytes as FP16 overflow: both
     sides compute the same infinities and NaNs.)"""
     with np.errstate(over="ignore", invalid="ignore"):
         return _program_waves(
-            ecc, exec_mode, kernels, faults, fence_penalty, refresh, traced, reload, seed
+            ecc, exec_mode, kernels, faults, fence_penalty, refresh, traced, reload, seed,
+            own_class,
         )
 
 
 def _program_waves(
-    ecc, exec_mode, kernels, faults, fence_penalty, refresh, traced, reload, seed
+    ecc, exec_mode, kernels, faults, fence_penalty, refresh, traced, reload, seed,
+    own_class,
 ):
     sides = [
-        program_side(ecc, exec_mode, fence_penalty, refresh is not None) for _ in range(2)
+        program_side(ecc, exec_mode, fence_penalty, refresh is not None, own_class)
+        for _ in range(2)
     ]
     sides[1].mc._schedules = Forgetful()
     taken = []
+    declined = [0] * len(DECLINES)
+    channel = sides[0].mc.channel
+    apply_program = channel._apply_program
+
+    def counted_apply_program(frame, *args):
+        applied = apply_program(frame, *args)
+        reason = None if applied else decline(channel, frame)
+        if reason is not None:
+            declined[reason] += 1
+        return applied
+
+    channel._apply_program = counted_apply_program
     take = sides[0].mc._apply_frame
 
     def counted(schedule, *args):
@@ -674,7 +742,9 @@ def _program_waves(
                 both(lambda i, side: program_drained(side, readback, (), traced[wave_no]))
         for side in sides:
             program_damage(side, faults[wave_no])
-    return len(taken), taken.count(True), windows["by key"], windows["rebuilt"]
+    return (
+        len(taken), taken.count(True), windows["by key"], windows["rebuilt"], tuple(declined),
+    )
 
 
 def program_differential(examples):
@@ -722,7 +792,12 @@ def test_the_program_strategy_reaches_frames_and_declines():
     CRF and SRF loads and behind the SRF load alone.  The channel's traces
     invalidated between waves: the next frame of each window misses,
     rebuilds its tape and recompiles under its recorded key.  A program
-    of two windows is a frame that replays both."""
+    of two windows is a frame that replays both.  The fifth count is the
+    declines by :data:`DECLINES` — each one what the banks answer row by
+    row, though the channel asks them once while none is failed, injected
+    or of a class of its own (``PseudoChannel.vouched``): the failed bank
+    declines the 5 remembered programs drained after it, the flipped check
+    byte the 5 later tile frames, until its row is scrubbed."""
     base = dict(
         ecc=True, exec_mode="fused",
         kernels=[(("gemv", 4, 0, 2, 8, False), 2), (("ab writes", 3, 8, 8), 2)],
@@ -730,33 +805,45 @@ def test_the_program_strategy_reaches_frames_and_declines():
         traced=[False, True, False, True], reload=True, seed=5,
     )
     invalidated = [[("invalidate",)]] * (ROUNDS - 1) + [[]]
+    none = (0, 0, 0)  # no decline for any reason
     bn = [(("gemv", 4, 0, 2, 8, False), 2), (("bn", 2, 1), 2)]
     cases = [
-        ({}, (11, 2, 5, 0)),
-        ({"faults": [[("check", 4, 0, 3, 1, 2)], [], [], []]}, (11 - 5, 0, 0, 0)),
-        ({"faults": [[("data", 4, 0, 3, 17)], [], [], []]}, (11 - 1, 2, 4, 0)),
-        ({"faults": [[], [("dead", 9)], [], []]}, (3, 0, 1, 0)),
-        ({"faults": [[("upset", 3, 1.0)], [], [], []]}, (10, 1, 4, 0)),
-        ({"reload": False}, (11, 0, 5, 0)),
-        ({"faults": [[("upset", 3, 1.0)], [], [], []], "reload": False}, (0, 0, 0, 0)),
-        ({"exec_mode": "scalar"}, (0, 0, 0, 0)),
-        ({"refresh": 0}, (5, 0, 1, 0)),
-        ({"refresh": 1}, (7, 2, 3, 0)),
-        ({"kernels": [(("gemv", 4, 0, 2, 8, True), 2)]}, (0, 0, 0, 0)),
+        ({}, (11, 2, 5, 0, none)),
+        ({"faults": [[("check", 4, 0, 3, 1, 2)], [], [], []]}, (11 - 5, 0, 0, 0, (0, 0, 5))),
+        ({"faults": [[("data", 4, 0, 3, 17)], [], [], []]}, (11 - 1, 2, 4, 0, (0, 0, 1))),
+        ({"faults": [[], [("dead", 9)], [], []]}, (3, 0, 1, 0, (5, 0, 0))),
+        ({"faults": [[("upset", 3, 1.0)], [], [], []]}, (10, 1, 4, 0, none)),
+        ({"reload": False}, (11, 0, 5, 0, none)),
+        ({"faults": [[("upset", 3, 1.0)], [], [], []], "reload": False}, (0, 0, 0, 0, none)),
+        ({"exec_mode": "scalar"}, (0, 0, 0, 0, none)),
+        ({"refresh": 0}, (5, 0, 1, 0, none)),
+        ({"refresh": 1}, (7, 2, 3, 0, none)),
+        ({"kernels": [(("gemv", 4, 0, 2, 8, True), 2)]}, (0, 0, 0, 0, none)),
         # Behind a closed tile the open one starts in AB with no tape: a
         # frame, left in AB-PIM with PIM_OP_MODE on and its tape pending.
         ({"kernels": [
             (("gemv", 4, 0, 2, 8, False), 2), (("gemv", 4, 1, 3, 0, True), 1),
-        ]}, (6, 0, 3, 0)),
-        ({"kernels": bn}, (11, 8, 11, 0)),
-        ({"faults": invalidated, "reload": False}, (11, 0, 3, 2)),
-        ({"faults": invalidated, "kernels": bn}, (11, 8, 6, 5)),
+        ]}, (6, 0, 3, 0, none)),
+        ({"kernels": bn}, (11, 8, 11, 0, none)),
+        ({"faults": invalidated, "reload": False}, (11, 0, 3, 2, none)),
+        ({"faults": invalidated, "kernels": bn}, (11, 8, 6, 5, none)),
         # Two windows a frame: split by a GRF_B clear inside the AB-PIM
         # window (the second's entry state is the first's end), or two
         # tiles' programs back to back; their stats written once.
-        ({"kernels": [(("two windows", 3, 0, 2, 8, True), 2)]}, (5, 2, 10, 0)),
+        ({"kernels": [(("two windows", 3, 0, 2, 8, True), 2)]}, (5, 2, 10, 0, none)),
         ({"kernels": [(("two windows", 3, 0, 2, 0, False), 2)], "faults": invalidated},
-         (5, 2, 6, 4)),
+         (5, 2, 6, 4, none)),
+        # Declines, by reason: a row scrubbed clean takes frames again, an
+        # injection on a row no program reaches declines none, and a bank
+        # class of its own declines every remembered program.
+        ({"faults": [[("check", 4, 0, 3, 1, 2)], [("scrub", 4, 0)], [], []]},
+         (11 - 1, 2, 4, 0, (0, 0, 1))),
+        ({"faults": [[("check", 4, 0, 3, 1, 2)], [("scrub", 4, 1)], [], []]},
+         (11 - 5, 0, 0, 0, (0, 0, 5))),
+        ({"faults": [[("check", 4, 1, 3, 1, 2)], [], [], []]}, (11, 2, 5, 0, none)),
+        ({"ecc": False, "faults": [[], [("dead", 9)], [], []]}, (3, 0, 1, 0, (5, 0, 0))),
+        ({"own_class": True}, (0, 0, 0, 0, (0, 11, 0))),
+        ({"own_class": True, "ecc": False}, (0, 0, 0, 0, (0, 11, 0))),
     ]
     for change, frames in cases:
         assert program_frames_vs_lone_path(**dict(base, **change)) == frames, change
@@ -942,3 +1029,67 @@ def test_only_untagged_register_writes_are_a_prefix():
                 got, want = (program_drained(side, program, blocks) for side in sides)
             assert got == want, kind
         assert behind.count(True) == prefixed, kind
+
+
+# One verdict per channel: each step of a drawn sequence changes one
+# bank's fault state or reads / writes through it — (step, bank, row, col),
+# over few enough places that a read, a write or a scrub often meets an
+# injection.
+FAULT_STEP = st.tuples(
+    st.sampled_from(["data", "check", "read", "write", "scrub"] * 2 + ["dead"]),
+    st.integers(0, 3), st.integers(0, 1), st.integers(0, 1),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ecc=st.sampled_from([True, True, False]),
+    own_class=st.sampled_from([False] * 7 + [True]),
+    steps=st.lists(FAULT_STEP, max_size=12),
+)
+@example(ecc=True, own_class=False, steps=[
+    ("data", 5, 1, 2), ("read", 5, 1, 2), ("read", 5, 1, 2),  # corrected, then found clean
+    ("check", 5, 1, 2), ("write", 5, 1, 2),
+    ("data", 5, 2, 0), ("scrub", 5, 2, 0), ("dead", 5, 0, 0),
+])
+def test_the_channel_verdict_is_every_bank_on_every_row(ecc, own_class, steps):
+    """``PseudoChannel.vouched`` — asked once, then kept until a bank's
+    fault state changes — is what every bank answers for every row
+    (``Bank.framed``), after every step: an injection or a failure makes
+    it False, and a read that finds a corrected word clean, a write over
+    an injected word or a scrub that drops the last entry makes it True
+    again."""
+    bank_cls = (OwnEccBank if ecc else OwnBank) if own_class else None
+    channel = make_channel("sb", ecc=ecc, timing=HBM2_1GHZ, bank_cls=bank_cls)
+    rows = range(channel.bank_config.num_rows)
+
+    def answers():
+        return channel.vouched(), all(
+            bank.framed(row) for bank in channel.banks for row in rows
+        )
+
+    assert answers() == (not own_class,) * 2
+    for step, index, row, col in steps:
+        bank = channel.banks[index]
+        if step == "dead":
+            bank.fail(0)
+        elif bank.is_failed:
+            continue
+        elif step == "read":
+            with np.errstate(all="ignore"):
+                try:
+                    bank.peek(row, col)
+                except UncorrectableError:
+                    pass
+        elif step == "write":
+            bank.poke(row, col, write_data(col, 1))
+        elif not isinstance(bank, EccBank):
+            continue
+        elif step == "data":
+            bank.inject_error(row, col, 3)
+        elif step == "check":
+            bank.inject_check_error(row, col, 1, 5)
+        else:
+            bank.scrub_row(row)
+        verdict, every = answers()
+        assert verdict == every, step

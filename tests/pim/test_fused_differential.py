@@ -45,9 +45,30 @@ NUM_ROWS = 8
 DATA_ROWS = 4  # rows 0..3 hold operand data; register rows are not modelled
 
 
-def _build_group(seed: int, bank_cls=Bank, cols: int = 8) -> LockstepGroup:
-    """A seeded eager group: random bank rows (their first ``cols``
-    columns), random GRF/SRF, shared layout."""
+def _normals(rng, shape):
+    return rng.standard_normal(shape).astype(np.float16)
+
+
+# FP16 specials by bit pattern: signed zeros, the smallest and largest
+# subnormals of either sign, the smallest normal, infinities, quiet NaNs of
+# either sign and one with a payload, and magnitudes whose products (300 *
+# 300) or sums (65504 + 65504) pass binary16's largest finite value.
+SPECIALS = np.array(
+    [0x0000, 0x8000, 0x0001, 0x8001, 0x03FF, 0x83FF, 0x0400, 0x7C00, 0xFC00,
+     0x7E00, 0xFE00, 0x7E5A, 0x7BFF, 0xFBFF, 0x5CB0, 0xDCB0],
+    dtype=np.uint16,
+).view(np.float16)
+
+
+def _specials(rng, shape):
+    """Lanes drawn half from :data:`SPECIALS`, half from N(0, 1)."""
+    special = SPECIALS[rng.integers(0, len(SPECIALS), shape)]
+    return np.where(rng.random(shape) < 0.5, special, _normals(rng, shape))
+
+
+def _build_group(seed: int, bank_cls=Bank, cols: int = 8, values=_normals) -> LockstepGroup:
+    """A seeded eager group: bank rows (their first ``cols`` columns) and
+    GRF/SRF drawn by ``values(rng, shape)``, shared layout."""
     rng = np.random.default_rng(seed)
     cfg = BankConfig(num_rows=NUM_ROWS)
     units = []
@@ -60,16 +81,15 @@ def _build_group(seed: int, bank_cls=Bank, cols: int = 8) -> LockstepGroup:
         for bank in (unit.even_bank, unit.odd_bank):
             for row in range(DATA_ROWS):
                 for col in range(cols):
-                    values = rng.standard_normal(LANES).astype(np.float16)
-                    bank.poke(row, col, values.view(np.uint8))
+                    bank.poke(row, col, values(rng, LANES).view(np.uint8))
         for name in ("grf_a", "grf_b", "srf_m", "srf_a"):
             regs = getattr(unit.regs, name)
-            regs[...] = rng.standard_normal(regs.shape).astype(np.float16)
+            regs[...] = values(rng, regs.shape)
     return group
 
 
-def _build_fused(seed: int, bank_cls=Bank, cols: int = 8) -> FusedLockstepGroup:
-    base = _build_group(seed, bank_cls=bank_cls, cols=cols)
+def _build_fused(seed: int, bank_cls=Bank, cols: int = 8, values=_normals) -> FusedLockstepGroup:
+    base = _build_group(seed, bank_cls=bank_cls, cols=cols, values=values)
     return FusedLockstepGroup(base.units)
 
 
@@ -181,6 +201,22 @@ _trigger = st.builds(
 )
 
 
+# A trigger whose HOST burst, if any, is 16 lanes drawn by :func:`_specials`
+# from a seed.
+_special_trigger = st.builds(
+    lambda is_write, row, col, seed: (
+        ColumnTrigger(
+            True, row, col, _specials(np.random.default_rng(seed), LANES).view(np.uint8)
+        )
+        if is_write else _rd(row, col)
+    ),
+    st.booleans(),
+    st.integers(0, DATA_ROWS - 1),
+    st.integers(0, 7),
+    st.integers(0, 2**16),
+)
+
+
 @st.composite
 def _microkernel(draw):
     body = draw(st.lists(_instr, min_size=1, max_size=6))
@@ -214,11 +250,11 @@ def _run_window(group, triggers):
         return (type(exc).__name__, str(exc))
 
 
-def _assert_twoway(source, triggers, seed=0, bank_cls=Bank, mutate=None, cols=8):
+def _assert_twoway(source, triggers, seed=0, bank_cls=Bank, mutate=None, cols=8, values=_normals):
     """Run one window on the units and fused; returns the fused group (for
     its plan) and the common outcome."""
-    units = _build_group(seed, bank_cls=bank_cls, cols=cols)
-    fused = _build_fused(seed, bank_cls=bank_cls, cols=cols)
+    units = _build_group(seed, bank_cls=bank_cls, cols=cols, values=values)
+    fused = _build_fused(seed, bank_cls=bank_cls, cols=cols, values=values)
     outcomes = []
     for group in (units, fused):
         _program(group, source)
@@ -838,6 +874,54 @@ class TestRandomizedTwoWay:
         assert exc_w == exc_p
         if exc_w is None:
             assert _snapshot(whole) == _snapshot(parts)
+
+
+class TestFp16Specials:
+    """Signed zeros, subnormals, infinities, NaNs and operands whose product
+    or sum overflows, in the banks, the registers and the HOST bursts: the
+    replay's bytes are the units' bytes, NaN payloads included (both are
+    NumPy float16 arithmetic).  Overflow and invalid-operation warnings are
+    silenced on both sides alike."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        source=_microkernel(),
+        triggers=st.lists(_special_trigger, min_size=1, max_size=24),
+        seed=st.integers(0, 2**16),
+    )
+    def test_fused_equals_the_units(self, source, triggers, seed):
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_twoway(source, triggers, seed=seed, values=_specials)
+
+    @pytest.mark.parametrize("bank_cls", [Bank, EccBank])
+    def test_a_gemv_window_overflows_alike(self, bank_cls):
+        """A MAC chain of 16 chunks whose HOST operands are 300s and
+        infinities: products and partial sums pass 65504."""
+        triggers = []
+        for chunk in range(16):
+            lanes = np.full(LANES, 300.0 if chunk % 3 else np.inf, dtype=np.float16)
+            lanes[chunk % LANES] = -0.0
+            triggers += [ColumnTrigger(True, 0, j, lanes.view(np.uint8)) for j in range(8)]
+            triggers += [_rd(chunk // 4, 8 * (chunk % 4) + j) for j in range(8)]
+        triggers += [_wr(OUT_ROW, j) for j in range(8)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            group, outcome = _assert_twoway(
+                GEMV.format(reps=15), triggers, seed=9, bank_cls=bank_cls, cols=32,
+                values=_specials,
+            )
+        assert outcome is None and group.fused_replays == 1
+        sums = group.stacked.grf_b
+        assert np.isinf(sums).any() and np.isnan(sums).any()
+
+    def test_relu_of_negative_zero_and_negative_nan_is_positive_zero(self):
+        lanes = np.array([-0.0, -np.nan, np.nan, -np.inf, np.inf, -1e-7] * 3, np.float16)[:LANES]
+        source = "MOV GRF_A[A], HOST\nJUMP -1, 7\nMOV(RELU) GRF_B[A], GRF_A[A]\nJUMP -1, 7\nEXIT"
+        triggers = [ColumnTrigger(True, 0, j, lanes.view(np.uint8)) for j in range(8)]
+        triggers += [_rd(0, j) for j in range(8)]
+        group, _ = _assert_twoway(source, triggers)
+        bits = group.stacked.grf_b.view(np.uint16)
+        want = np.where(lanes.view(np.uint16) >> 15 != 0, 0, lanes.view(np.uint16))
+        assert (bits == want).all()
 
 
 # -- end-to-end: ops x shapes x channel subsets x exec modes --------------------

@@ -247,6 +247,85 @@ class TestOneReduction:
                         assert same_lanes(got[b, s], chunk_loop(w[s], x[b, s]))
 
 
+    def test_overflow_is_inf_and_raises_nothing(self):
+        """Under ``np.errstate(all="raise")`` (as ``np.seterr``): a product
+        past 65504 (300 * 300) and a partial sum past it (two of 256 *
+        255) are +inf, and inf * 0 is NaN; nothing raises."""
+        w = np.zeros((1, 16), dtype=np.float16)
+        x = np.zeros(16, dtype=np.float16)
+        w[0, 0], x[0] = 300.0, 300.0  # GRF_B[0]: one product overflows
+        w[0, [1, 9]], x[[1, 9]] = 256.0, 255.0  # GRF_B[1]: 65280 + 65280
+        w[0, 2], x[2] = np.inf, 0.0  # GRF_B[2]: inf * 0
+        with np.errstate(all="raise"):
+            acc = mac_partials(w, x)
+        assert acc[0, 0] == np.inf and acc[1, 0] == np.inf and np.isnan(acc[2, 0])
+        assert not acc[3:].any()
+
+    @given(
+        rows=st.integers(1, 12),
+        chunks=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_specials_under_raise_keep_the_stepwise_bytes(self, rows, chunks, seed):
+        """On operands that are half FP16 specials — signed zeros,
+        subnormals, infinities, NaNs with payloads, values whose products
+        overflow — nothing raises under ``np.errstate(all="raise")``, and
+        the bytes, NaN payloads included, are those of the recurrence with
+        an ``np.errstate`` and an ``np.clip`` in every rounding step."""
+        rng = np.random.default_rng(seed)
+        n = chunks * 8
+        specials = np.array(
+            [0x0000, 0x8000, 0x0001, 0x83FF, 0x0400, 0x7C00, 0xFC00, 0x7E00, 0xFE5A,
+             0x7BFF, 0x5CB0, 0xDCB0],
+            dtype=np.uint16,
+        ).view(np.float16)
+
+        def draw(shape):
+            normal = rng.standard_normal(shape).astype(np.float16)
+            return np.where(rng.random(shape) < 0.5, rng.choice(specials, shape), normal)
+
+        w, x = draw((2, rows, n)), draw((3, 2, n))
+        weights = np.ascontiguousarray(w.swapaxes(-1, -2), dtype=np.float32).swapaxes(-1, -2)
+        with np.errstate(all="raise"):
+            got = mac_partials(weights, x)
+        with np.errstate(all="ignore"):
+            want = stepwise_mac_partials(weights, x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def clip_round16(x):
+    """``round16`` as one self-contained step: its own ``np.errstate``,
+    the exponent clamped by ``np.clip``."""
+    bits = x.view(np.uint32)
+    sign = bits & np.uint32(0x80000000)
+    bits ^= sign
+    magic_bits = bits & np.uint32(0x7F800000)
+    magic = magic_bits.view(np.float32)
+    np.clip(magic, np.float32(2.0**-14), np.float32(2.0**15), out=magic)
+    magic_bits += np.uint32(13 << 23)
+    with np.errstate(over="ignore"):
+        x += magic
+        x -= magic
+        x *= np.float32(2.0**112)
+    x *= np.float32(2.0**-112)
+    bits |= sign
+    return x
+
+
+def stepwise_mac_partials(w, x):
+    """``mac_partials`` rounding through :func:`clip_round16`, step by step."""
+    x = np.asarray(x, dtype=np.float32)
+    prod = clip_round16(np.multiply(np.swapaxes(w, -1, -2), x[..., np.newaxis], order="C"))
+    *lead, n, rows = prod.shape
+    chunks = prod.reshape(*lead, n // 8, 8, rows)
+    acc = chunks[..., 0, :, :] + np.float32(0.0)
+    for k in range(1, n // 8):
+        acc += chunks[..., k, :, :]
+        clip_round16(acc)
+    return acc.astype(np.float16)
+
+
 def chunk_loop(w, x):
     """One slice's MAC recurrence the way the execution units compute it,
     in NumPy float16, one chunk at a time: ``(rows, n) x (n,) -> (8, rows)``."""

@@ -22,7 +22,8 @@ wave and is all frames from its third.  At the old bound of eight
 schedules the same traffic misses.  The bound is a module constant, not
 a knob.  A warm frame — of either shape, and of ``PimBlas.lstm_cell``'s
 GEMVs — replays each window by the trace key it recorded: it packs no
-key and builds no trigger.
+key and builds no trigger, and it computes in place on a ``(slots,
+units, 16)`` value pool, calling no ``vec_add`` / ``vec_mul``.
 """
 
 import dataclasses
@@ -30,11 +31,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.common import fp16
 from repro.dram import controller as controller_module
 from repro.dram.controller import MemoryController
 from repro.pim import fused
 from repro.pim.device import PimPseudoChannel
 from repro.pim.exec_unit import ColumnTrigger
+from repro.pim.registers import LANES
 from repro.stack import PimContext, Request, ServerConfig, SystemConfig
 from repro.stack.arithmetic import golden_reference
 from repro.stack.server import RequestOutcome
@@ -162,13 +165,34 @@ def test_eight_schedules_do_not_hold_the_traffic(monkeypatch):
     assert later and not all(later)
 
 
+class _Numpy:
+    """``numpy`` as :mod:`repro.pim.fused` sees it, noting the shape of
+    every array ``empty`` makes inside a frame — the replay's value pool."""
+
+    def __init__(self, costs, inside):
+        self._costs, self._inside = costs, inside
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, *args, **kwargs):
+        if self._inside[0]:
+            self._costs["pools"].append(tuple(shape))
+        return np.empty(shape, *args, **kwargs)
+
+
 def frame_costs(monkeypatch):
     """Count the kernel-program frames taken and, inside them, the
-    ``_pack_signature`` calls and the ``ColumnTrigger`` objects built."""
-    costs = {"frames": 0, "signatures": 0, "triggers": 0}
+    ``_pack_signature`` calls, the ``ColumnTrigger`` objects built and the
+    ``fp16.vec_add`` / ``vec_mul`` calls; list, inside them, each replayed
+    trace's ``(slots, units, 16)`` and each value pool's shape."""
+    costs = {
+        "frames": 0, "signatures": 0, "triggers": 0, "vec ops": 0, "pools": [], "traces": [],
+    }
     inside = [False]
     pack, init = fused._pack_signature, ColumnTrigger.__init__
     apply_program = PimPseudoChannel._apply_program
+    replay = fused.FusedLockstepGroup._replay
 
     def counted_pack(*args):
         costs["signatures"] += inside[0]
@@ -177,6 +201,21 @@ def frame_costs(monkeypatch):
     def counted_init(self, *args, **kwargs):
         costs["triggers"] += inside[0]
         init(self, *args, **kwargs)
+
+    def counted_replay(self, entry, hosts):
+        if inside[0]:
+            costs["traces"].append((entry.slots, len(self.units), LANES))
+        return replay(self, entry, hosts)
+
+    for name in ("vec_add", "vec_mul"):
+        def counted_op(*args, op=getattr(fp16, name)):
+            costs["vec ops"] += inside[0]
+            return op(*args)
+
+        monkeypatch.setattr(fp16, name, counted_op)
+        monkeypatch.setattr(fused, name, counted_op, raising=False)
+    monkeypatch.setattr(fused, "np", _Numpy(costs, inside))
+    monkeypatch.setattr(fused.FusedLockstepGroup, "_replay", counted_replay)
 
     def counted_apply_program(self, *args):
         inside[0] = True
@@ -193,19 +232,38 @@ def frame_costs(monkeypatch):
     return costs
 
 
+def uncounted(costs):
+    """Zero every count and list of :func:`frame_costs` (after warm-up)."""
+    for key, value in costs.items():
+        if isinstance(value, list):
+            value.clear()
+        else:
+            costs[key] = 0
+
+
+def assert_in_place_on_a_slot_major_pool(costs):
+    """Every replay inside a frame made one value pool, ``(slots, units,
+    16)``, and no ``vec_add`` / ``vec_mul`` ran."""
+    assert costs["traces"] and costs["pools"] == costs["traces"]
+    assert costs["vec ops"] == 0
+
+
 @pytest.mark.parametrize("mix", [gemv_mix, eltwise_mix])
 def test_a_warm_frame_replays_its_windows_by_their_recorded_keys(monkeypatch, mix):
     """After two warm-up waves a kernel program's frame looks each window's
-    compiled trace up by the key it recorded: no tape, no key packing."""
+    compiled trace up by the key it recorded: no tape, no key packing.  It
+    replays in place on a slot-major value pool, with no ``vec_add`` /
+    ``vec_mul`` call."""
     costs = frame_costs(monkeypatch)
 
     def warm(wave_no):
         if wave_no == 2:
-            costs.update(frames=0, signatures=0, triggers=0)
+            uncounted(costs)
 
     serve(monkeypatch, mix, waves=3, before_wave=warm)
     assert costs["frames"] > 0
     assert (costs["signatures"], costs["triggers"]) == (0, 0)
+    assert_in_place_on_a_slot_major_pool(costs)
 
 
 def test_a_warm_lstm_step_replays_its_windows_by_their_recorded_keys(monkeypatch):
@@ -220,12 +278,13 @@ def test_a_warm_lstm_step_replays_its_windows_by_their_recorded_keys(monkeypatch
     try:
         for step in range(4):
             if step == 2:
-                costs.update(frames=0, signatures=0, triggers=0)
+                uncounted(costs)
             h, c = ctx.blas.lstm_cell(w_ih, w_hh, bias, grid(rng, hidden), h, c)
     finally:
         ctx.close()
     assert costs["frames"] > 0
     assert (costs["signatures"], costs["triggers"]) == (0, 0)
+    assert_in_place_on_a_slot_major_pool(costs)
 
 
 @pytest.mark.parametrize("config", [SystemConfig, ServerConfig])
