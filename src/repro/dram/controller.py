@@ -5,7 +5,8 @@ receives read/write transactions, reorders them for row-buffer locality
 (FR-FCFS [Rixner et al., ISCA 2000]), and emits standard DRAM commands.  It
 has no knowledge of PIM; the only host-visible ordering control is the fence
 (barrier) the programming model in Section V-B uses, modelled as epochs that
-commands never cross.
+commands never cross.  Crossing one stalls the CA bus by ``fence_penalty``
+cycles — except at a *seam* (below), where a drain would have ended.
 
 Three scheduling policies are provided:
 
@@ -40,6 +41,18 @@ be:
   goes out there and the rest take the pick path, one refresh check per
   command.  A PIM kernel's program (``drain(program, blocks)``) is queued
   like any other requests, so each of its fenced runs is one.
+* **Seams.**  A GEMV launch hands a channel one program: its kernel
+  programs joined (:func:`repro.pim.stream.launch`), the first run of each
+  after the first marked ``seam``.  A kernel program ends with a fence, so
+  the epoch boundary before a seamed run is a *seam*, and ``drain``
+  crosses it as it crosses from one drain to the next: no
+  ``fence_penalty``, and the busy cycles of the programs before it are
+  counted there (``drain`` counts the rest when it returns), so one that
+  raises further on has counted what a drain per program would have.
+  The seam rides on the queued :class:`Request`, so the queue path,
+  ``SHUFFLE``'s expansion and a remembered frame all see it, and a
+  launch's cycles are those of one drain per kernel program under every
+  policy, fence penalty and refresh.
 * ``shuffle`` draws among single commands, so ``drain`` expands the queue
   on entry — the one place ``Request.expand`` is called.
 
@@ -49,8 +62,9 @@ and on the pick path each column lands in its row as it issues.
 
 One thing is remembered from one ``drain`` to the next: what the
 controller did with a program drained under an in-order policy on an
-empty queue — a kernel's fenced program (its lone runs) or a program that
-is one fence epoch of several read runs (the GEMV readback's picks) — or
+empty queue — a kernel's fenced program (its lone runs; a GEMV launch's
+every tile program, joined at seams) or a program that is one fence
+epoch of several read runs (the GEMV readback's picks) — or
 a fenced program behind a queue of writes the channel can replay as its
 *prefix* (on a PIM channel the CRF / SRF loads ``PimSession`` queues
 ahead of a kernel: untagged register-row writes, no read, no bank row),
@@ -143,7 +157,9 @@ class Request:
 
     ``index`` is the run's position in the program ``drain`` was handed
     (None: queued by :meth:`MemoryController.enqueue`); a program's runs
-    are never listed in ``ScheduleResult.issue_order``.
+    are never listed in ``ScheduleResult.issue_order``.  ``seam``: the run
+    begins a kernel program of a launch, so the fence crossed into its
+    epoch is a seam (see the module docstring).
     """
 
     op: MemOp
@@ -156,6 +172,7 @@ class Request:
     epoch: int = 0
     count: int = 1
     index: Optional[int] = None
+    seam: bool = False
     # Scheduling class, ``2 * flat_bank + is_write``: a column command's
     # earliest issue cycle depends on nothing else of the request.
     cls: int = field(init=False)
@@ -173,7 +190,7 @@ class Request:
             Request(
                 self.op, self.bg, self.ba, self.row, self.col + column,
                 data=None if data is None else data[column],
-                tag=self.tag, epoch=self.epoch, index=self.index,
+                tag=self.tag, epoch=self.epoch, index=self.index, seam=self.seam,
             )
             for column in range(self.count)
         ]
@@ -295,7 +312,8 @@ class _Schedule:
         ACT or a PRE (None)."""
         source = None
         if index is not None:
-            write, _, col, _, _, operand, _, _ = self.program[index]
+            run = self.program[index]
+            write, col, operand = run[0], run[2], run[5]
             if write:
                 source = (False, operand, cmd.col - col)
             else:
@@ -348,10 +366,10 @@ class MemoryController:
         self.fence_count = 0
         self._rng = random.Random(seed)
         # Cycles this channel spent actively working through its queue,
-        # summed over drains.  A serving lane's occupancy is this against
-        # the session makespan; the gap is time the channel sat idle
-        # waiting for requests (what pipelining across channel sets is
-        # meant to eliminate).
+        # summed over drains (and counted at a launch's seams).  A serving
+        # lane's occupancy is this against the session makespan; the gap is
+        # time the channel sat idle waiting for requests (what pipelining
+        # across channel sets is meant to eliminate).
         self.busy_cycles = 0
         self._queue: Deque[Request] = deque()
         self._epoch = 0
@@ -668,13 +686,17 @@ class MemoryController:
     def _queue_runs(self, program: Sequence[tuple], blocks: Sequence[np.ndarray]) -> None:
         """Queue the runs of ``program`` one request each, fenced as they
         say, with its index in it (a read tagged with it too)."""
-        for i, (write, row, col, count, fence, operand, barrier, bank) in enumerate(program):
+        for i, (write, row, col, count, fence, operand, barrier, bank, seam) in enumerate(
+            program
+        ):
             if barrier:
                 self.fence()
             bg, ba = divmod(bank, BANKS_PER_GROUP)
             op = MemOp.WRITE if write else MemOp.READ
             data, tag = (blocks[operand], None) if write else (None, i)
-            self.enqueue(Request(op, bg, ba, row, col, data, tag, count=count, index=i))
+            self.enqueue(
+                Request(op, bg, ba, row, col, data, tag, count=count, index=i, seam=seam)
+            )
             if fence:
                 self.fence()
 
@@ -767,8 +789,7 @@ class MemoryController:
             return
         frame = self.channel.record_frame(
             schedule.steps, base[2],
-            [(bank, row, col, count)
-             for _, row, col, count, _, _, _, bank in (program[i] for i in schedule.reads)],
+            [(run[7], run[1], run[2], run[3]) for run in (program[i] for i in schedule.reads)],
             schedule.entry,
         )
         if frame is None:
@@ -831,7 +852,9 @@ class MemoryController:
         it is the frame remembered then (:meth:`_apply_frame`), unless a
         refresh falls due inside it or the channel declines the frame.
         With no program and an empty queue there is nothing to move: the
-        drain returns the full path's result at once."""
+        drain returns the full path's result at once.  A seam in the
+        program (a GEMV launch's, see the module docstring) is crossed as
+        the boundary between two drains."""
         if not program and not self._queue:
             return ScheduleResult(
                 self._cycle, [], {}, dict.fromkeys(_COMMAND_TYPES, 0), 0, 0
@@ -840,14 +863,14 @@ class MemoryController:
         channel = self.channel
         start_counts = dict(channel.cmd_counts)
         start_hits, start_misses = self.row_hits, self.row_misses
-        entry_cycle = self._cycle
+        entry_cycle = busy_from = self._cycle
         queue = self._queue
         in_order = self.policy is not _SHUFFLE
         epoch: Optional[int] = None
         key, refreshes = None, self.refresh_count
         if program:
             fenced = False
-            for write, _, _, count, fence, operand, barrier, _ in program:
+            for write, _, _, count, fence, operand, barrier, _, _ in program:
                 self._check_run(write, count, blocks[operand] if write else None)
                 fenced = fenced or fence or barrier
             lone = fenced or len(program) == 1
@@ -873,7 +896,12 @@ class MemoryController:
             while queue:
                 head = queue[0]
                 if head.epoch != epoch:
-                    if epoch is not None:
+                    if head.seam:
+                        # Crossing a seam: where a drain of each kernel
+                        # program of the launch would end and the next begin.
+                        self.busy_cycles += self._cycle - busy_from
+                        busy_from = self._cycle
+                    elif epoch is not None:
                         # Crossing a fence: the barrier stalls the request stream.
                         self._next_ca += self.fence_penalty
                     epoch = head.epoch
@@ -890,7 +918,7 @@ class MemoryController:
             recording, self._recording = self._recording, None
         if key is not None and self.refresh_count == refreshes:
             self._remember(key, recording, out.issue_order)
-        self.busy_cycles += self._cycle - entry_cycle
+        self.busy_cycles += self._cycle - busy_from
         counts = {
             ct: channel.cmd_counts[ct] - start_counts.get(ct, 0) for ct in _COMMAND_TYPES
         }
@@ -936,8 +964,9 @@ class MemoryController:
         self._issue(Command(CommandType.PRE, bg, ba))
         self._open_rows[bg * BANKS_PER_GROUP + ba] = None
 
-    def reset_channel(self) -> None:
-        """Abandon pending work and return the channel to a clean state.
+    def reset_channel(self) -> List[Request]:
+        """Abandon pending work and return the channel to a clean state;
+        returns the queued requests it abandoned.
 
         The self-healing serving layer calls this after a mid-kernel fault
         unwound through :meth:`drain`, which leaves unissued requests
@@ -948,6 +977,7 @@ class MemoryController:
         from scratch), the open-row shadow is cleared, and the CA clock
         advances past every per-bank bound so the next command is legal.
         """
+        abandoned = list(self._queue)
         self._queue.clear()
         self._open_rows = [None] * BANKS_PER_PCH
         bound = self._cycle
@@ -958,6 +988,7 @@ class MemoryController:
         self._cycle = bound
         self._next_ca = max(self._next_ca, bound + 1)
         self.channel.hard_reset(bound)
+        return abandoned
 
     def precharge_all(self) -> None:
         """Issue PREA (used before SB<->AB mode transitions)."""

@@ -13,7 +13,6 @@ from .wal import (
     iter_records,
     list_segments,
     read_records,
-    request_digest,
 )
 from .recovery import RecoveryReport, recover
 
@@ -25,5 +24,4 @@ __all__ = [
     "list_segments",
     "read_records",
     "recover",
-    "request_digest",
 ]

@@ -23,9 +23,11 @@ dropping acknowledged records.
 
 Two record kinds matter to recovery (see :mod:`repro.journal.recovery`):
 
-* ``{"kind": "accepted", "rid", "trace_id", "digest", "request"}`` —
-  appended at admission, before the request is placed.  ``digest`` is a
-  content hash of the pickled frozen :class:`~repro.stack.api.Request`.
+* ``{"kind": "accepted", "rid", "trace_id", "request"}`` — appended at
+  admission, before the request is placed, with the frozen
+  :class:`~repro.stack.api.Request` itself.  (Journals written before
+  carry a ``digest`` too, a sha1 of the pickled request that recovery
+  never read; they recover alike.)
 * ``{"kind": "outcome", "rid", "trace_id", "outcome", "shard",
   "result"}`` — appended when the request reaches a terminal outcome;
   carries the result bytes so recovery can restore terminal requests
@@ -38,7 +40,6 @@ can rebuild a matching fabric without extra arguments.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import struct
@@ -53,7 +54,6 @@ __all__ = [
     "iter_records",
     "list_segments",
     "read_records",
-    "request_digest",
     "segment_path",
 ]
 
@@ -87,12 +87,6 @@ def list_segments(journal_dir: str) -> List[str]:
         for name in sorted(names)
         if name.startswith(_PREFIX) and name.endswith(_SUFFIX)
     ]
-
-
-def request_digest(request: Any) -> str:
-    """Content hash (sha1 hex) of a picklable request object."""
-    blob = pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL)
-    return hashlib.sha1(blob).hexdigest()
 
 
 class JournalWriter:
@@ -187,13 +181,12 @@ class JournalWriter:
         )
 
     def append_accepted(self, rid: int, request: Any) -> None:
-        """Record one admission, content-hashed, before placement."""
+        """Record one admission, before placement."""
         self.append(
             {
                 "kind": "accepted",
                 "rid": int(rid),
                 "trace_id": getattr(request, "trace_id", None),
-                "digest": request_digest(request),
                 "request": request,
             }
         )

@@ -211,25 +211,29 @@ class PimPseudoChannel(PseudoChannel):
     # ``PseudoChannel.record_frame``).  SB-mode ACT / PRE / RD commands to
     # bank rows — the GEMV readback — change no mode and leave the mode
     # FSM's armed row.  An all-bank program — a kernel's fenced AB-PIM
-    # program, behind the CRF / SRF writes queued ahead of it if any —
-    # records all 16 banks and moves the mode FSM, ``pim_op_mode`` and the
-    # column counters; its data events, in bus order, are what the frame
-    # replays against the blocks and queued data of the drain that applies
-    # it: each register-row write run as one flush and one write per unit
-    # (``_write_registers``), each AB write run into every bank, and each
-    # AB-PIM *window* — the trigger runs between two flushes of the exec
-    # group — as one ``FusedLockstepGroup.replay_window``.  A window
-    # records the trace key its flush used (channel, entry sequencer state,
-    # CRF words, pattern bytes: the cache's own key object, shared), the
-    # write blocks that feed its HOST operand and its trigger pattern.
-    # Taken, it looks that key up in the trace cache and replays the
-    # compiled trace with this drain's blocks — no tape, no key packing,
-    # no uniformity check; on a miss (the trace evicted, or dropped by a
-    # CRF upset or a quarantine) it rebuilds the tape from the pattern and
-    # runs the flush the command path runs, which compiles and puts under
-    # the same key.  The units' sequencer state, the windows' summed stats
-    # and ``fused_replays`` are written once, at the frame's end; the
-    # triggers of a window the program leaves open go on the tape then.
+    # program, or a GEMV launch's tile programs joined at seams, behind the
+    # CRF / SRF writes queued ahead of it if any — records all 16 banks and
+    # moves the mode FSM, ``pim_op_mode`` and the column counters; its data
+    # events, in bus order, are what the frame replays against the blocks
+    # and queued data of the drain that applies it: each register-row write
+    # run as one flush and one write per unit (``_write_registers``), each
+    # AB write run into every bank, and each AB-PIM *window* — the trigger
+    # runs between two flushes of the exec group — as one
+    # ``FusedLockstepGroup.replay_window``.  A window records the trace key
+    # its flush used (channel, entry sequencer state, CRF words, pattern
+    # bytes: the cache's own key object, shared), the write blocks that feed
+    # its HOST operand and its trigger pattern: the exec group logs the key
+    # of every window it replays from the recording drain's start
+    # (``frame_entry``) to ``record_frame``, so a launch of any number of
+    # windows is taken down.  Taken, it looks that key up in the trace cache
+    # and replays the compiled trace with this drain's blocks — no tape, no
+    # key packing, no uniformity check; on a miss (the trace evicted, or
+    # dropped by a CRF upset or a quarantine) it rebuilds the tape from the
+    # pattern and runs the flush the command path runs, which compiles and
+    # puts under the same key.  The units' sequencer state, the windows'
+    # summed stats and ``fused_replays`` are written once, at the frame's
+    # end; the triggers of a window the program leaves open go on the tape
+    # then.
     #
     # Such a frame is recorded only on an exec group that defers, holds no
     # tape and one CRF program on every unit — the key holds that program
@@ -244,14 +248,16 @@ class PimPseudoChannel(PseudoChannel):
     # write's block has the recorded shape and PIM_OP_MODE value.
 
     def frame_entry(self) -> Any:
-        """The exec group's fallback and replay counts, when its windows can
-        be framed (see :meth:`~repro.pim.fused.FusedLockstepGroup.frame_entry`):
-        an all-bank program is taken down only when no window of it fell
-        back to the execution units, and its windows are the replays since."""
+        """The exec group's fallback count, when its windows can be framed
+        (see :meth:`~repro.pim.fused.FusedLockstepGroup.frame_entry`): an
+        all-bank program is taken down only when no window of it fell back
+        to the execution units.  From here the group logs the trace key of
+        every window it replays, for :meth:`record_frame` to take."""
         group = self.lockstep
         if group.frame_entry() is None:
             return None
-        return group.fused_fallbacks, group.fused_replays
+        group.window_keys = []
+        return group.fused_fallbacks
 
     def prefix_key(self, writes: Sequence[tuple]) -> Optional[tuple]:
         """Register-row writes can precede a program's frame — replayed
@@ -276,6 +282,9 @@ class PimPseudoChannel(PseudoChannel):
         can change the mode — with the mode FSM's armed row, or of an
         all-bank program (:meth:`_record_program`); None for anything
         else."""
+        logged = None
+        if entry is not None:
+            logged, self.lockstep.window_keys = self.lockstep.window_keys, None
         modes = {step[7] for step in steps} | {self.mode_ctrl.mode}
         if modes == {_SB}:
             reserved = self.memory_map.first_reserved_row
@@ -285,17 +294,17 @@ class PimPseudoChannel(PseudoChannel):
             if frame is not None:
                 frame = frame._replace(armed=self.mode_ctrl._armed_row)
             return frame
-        if _SB in modes or entry is None or entry[0] != self.lockstep.fused_fallbacks:
+        if _SB in modes or entry is None or entry != self.lockstep.fused_fallbacks:
             return None
-        return self._record_program(steps, origin, entry[1])
+        return self._record_program(steps, origin, logged)
 
     def _record_program(
-        self, steps: Sequence[tuple], origin: int, replays: int
+        self, steps: Sequence[tuple], origin: int, logged: Optional[List[tuple]]
     ) -> Optional[Frame]:
         """The frame of an all-bank program just issued from ``origin``,
-        every window of which replayed a compiled trace — those since the
-        exec group had ``replays`` — behind the register writes queued
-        ahead of it; None when one of its columns reads bytes out (a
+        every window of which replayed a compiled trace — the ``logged``
+        trace keys, in order — behind the register writes queued ahead of
+        it; None when one of its columns reads bytes out (a
         register or an AB read), writes the CRF with bytes of the program's
         own blocks (the key holds only a queued write's, :meth:`prefix_key`),
         flushes triggers it gave the exec group before any ``start_all``
@@ -352,12 +361,10 @@ class PimPseudoChannel(PseudoChannel):
             else:
                 return None
             records += self._singles(kind, bg, ba, row, col, offset, count, mode)
-        # Each closed window's key is the one its flush just used, in order.
-        logged = group.window_keys
-        closed = sum(event[0] is _WINDOW for event in events)
-        if closed != group.fused_replays - replays or closed > len(logged):
+        # Each closed window's key is the one its flush used, in order.
+        if logged is None or sum(event[0] is _WINDOW for event in events) != len(logged):
             return None
-        keys = iter(list(logged)[len(logged) - closed:])
+        keys = iter(logged)
         events = [
             (_WINDOW, _window(next(keys), event[1])) if event[0] is _WINDOW else event
             for event in events

@@ -40,9 +40,10 @@ by unit; :class:`FusedLockstepGroup` removes that interpretation by
    (:func:`~repro.dram.ecc.peek_block`: all units' banks, one SEC-DED pass
    per weight row — each word is still read once, so checks, corrections
    and inline scrubs count exactly as on the interpreted path).  Then the
-   levelled ops over one value pool — HOST operands gathered from the
-   *current* tape, entry registers copied from the stacked register state
-   — with bank writes as blocks (``poke_block``) at their level, and last
+   levelled ops over one value pool — HOST operands written from the
+   *current* tape's write blocks, each block's rows straight into their
+   slots, entry registers copied from the stacked register state — with
+   bank writes as blocks (``poke_block``) at their level, and last
    the register file stores.  The pool is slot-major, ``(slots, units,
    16)`` FP16: an op's operands and result are contiguous runs of slots,
    and it computes in place (``np.add(a, b, out=pool[out])``), the units'
@@ -58,13 +59,15 @@ by unit; :class:`FusedLockstepGroup` removes that interpretation by
 
 **Cache keys are content signatures**, not identities: the channel id,
 the uniform sequencer entry state, every CRF word of the program, and
-the per-trigger ``(is_write, row, col, has_host)`` pattern — the last two
-packed into exact ``bytes`` (no digest), a few KB per entry.  A CRF fault
-upset therefore *cannot* replay a stale program — the flipped word
-changes the key — and the fault injector additionally calls
-:meth:`TraceCache.invalidate_channel` (modelling the driver dropping its
-compiled traces alongside the broadcast cache) so the bounded cache
-never accumulates entries for corrupted or quarantined channels.
+the per-trigger ``(is_write, row, col, has_host)`` pattern with where
+each host-carrying burst starts (the HOST operand is compiled block by
+block) — the last two packed into exact ``bytes`` (no digest), a few KB
+per entry.  A CRF fault upset therefore *cannot* replay a stale program —
+the flipped word changes the key — and the fault injector additionally
+calls :meth:`TraceCache.invalidate_channel` (modelling the driver
+dropping its compiled traces alongside the broadcast cache) so the
+bounded cache never accumulates entries for corrupted or quarantined
+channels.
 
 Anything irregular runs on the execution units themselves, trigger by
 trigger, through the inherited eager loop — so the fused path is
@@ -97,12 +100,10 @@ simulated number that depends on it
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import count, groupby
-from typing import (
-    Deque, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
-)
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -111,16 +112,11 @@ from ..dram.ecc import peek_block, poke_block
 from .exec_unit import ColumnTrigger, PimExecutionUnit, fetch, resolve_control
 from .isa import GRF_REGS, Instruction, Opcode, OperandSpace
 from .lockstep import LockstepGroup
-from .registers import GRF_REG_BYTES, LANES, StackedRegisterState
+from .registers import LANES, StackedRegisterState
 
 __all__ = [
     "CompiledTrace", "FusedLockstepGroup", "TraceCache", "TraceCacheStats", "Window",
 ]
-
-#: How many replayed windows' trace keys a group keeps for a channel frame
-#: to record: a program that closes more windows is not taken down.
-WINDOW_KEYS = 16
-
 
 # -- the compiled-trace cache ---------------------------------------------------
 
@@ -251,9 +247,11 @@ class CompiledTrace:
     ops: Tuple[_Op, ...] = ()
     #: Register halves whose window-entry values are read.
     entry_regs: Tuple[OperandSpace, ...] = ()
-    #: ``(slots, rows)``: the tape's HOST bursts (counted over its
-    #: host-carrying commands) that are read, or None.
-    host: Optional[Tuple[slice, _Slots]] = None
+    #: The HOST bursts that are read, per write block, as ``(block, slots,
+    #: rows)``: block ``block`` of the tape's host-carrying entries indexed
+    #: by ``rows`` — its rows as ``(k, 1, 32)`` bytes, or None for a single
+    #: command's ``(32,)`` block — goes to pool ``slots``, every unit.
+    host: Tuple[Tuple[int, _Slots, Optional[tuple]], ...] = ()
     #: ``(space, registers, slots)``: each written GRF half's last values.
     puts: Tuple[Tuple[OperandSpace, np.ndarray, _Slots], ...] = ()
     slots: int = _ENTRY_SLOTS
@@ -290,7 +288,7 @@ class Window(NamedTuple):
 class _Step:
     """One trigger bound to its instruction during compilation."""
 
-    pos: int  # ordinal among the tape's host-carrying commands (HOST gather index)
+    host: Optional[Tuple[int, Optional[int]]]  # where its HOST burst sits (see _commands)
     word: int
     is_write: bool
     row: int
@@ -348,9 +346,12 @@ class FusedLockstepGroup(LockstepGroup):
         # execution units.
         self.fused_replays = 0
         self.fused_fallbacks = 0
-        # The trace keys of the last windows replayed, oldest first, for a
-        # channel frame to record (``PimPseudoChannel._record_program``).
-        self.window_keys: Deque[tuple] = deque(maxlen=WINDOW_KEYS)
+        # The trace keys of the windows replayed since a channel frame's
+        # recording began, oldest first: ``PimPseudoChannel.frame_entry``
+        # starts the log, ``record_frame`` takes it, a hard reset drops it
+        # (a recording that raised or met a refresh leaves it to the next
+        # ``frame_entry``); None while no log is kept.
+        self.window_keys: Optional[List[tuple]] = None
         # Replays of a frame's windows whose stats the units are owed.
         self._owed: List[CompiledTrace] = []
 
@@ -369,8 +370,10 @@ class FusedLockstepGroup(LockstepGroup):
         super().stop_all()
 
     def abort_pending(self) -> None:
-        """Discard the buffered tape without executing it (hard reset)."""
+        """Discard the buffered tape without executing it (hard reset); a
+        recording the reset cut short logs no more window keys."""
         self._tape.clear()
+        self.window_keys = None
 
     def frame_entry(self) -> Optional[Tuple[int, ...]]:
         """The CRF program every unit holds, when the group defers, has no
@@ -457,7 +460,8 @@ class FusedLockstepGroup(LockstepGroup):
         self._replay(entry, [t.host_data for t in tape if t.host_data is not None])
         self._owed.append(entry)
         self._settle(entry.end_state)
-        self.window_keys.append(key)
+        if self.window_keys is not None:
+            self.window_keys.append(key)
 
     # -- a channel frame's windows ----------------------------------------------
 
@@ -518,7 +522,7 @@ class FusedLockstepGroup(LockstepGroup):
     def _replay(self, entry: CompiledTrace, hosts: List[np.ndarray]) -> None:
         """The compiled trace's dataflow over the registers and banks, with
         ``hosts`` — the window's WR bursts in order, a ``(count, 32)``
-        block each — as its HOST operands.
+        block each (``(32,)`` for a single command) — as its HOST operands.
 
         The value pool is slot-major, ``(slots, units, 16)``: the slots of
         a stacked op are one contiguous run, and ``mul`` / ``add`` /
@@ -533,14 +537,11 @@ class FusedLockstepGroup(LockstepGroup):
                 stacked.grf(space).swapaxes(0, 1) if space.is_grf
                 else stacked.srf(space).T[:, :, None]
             )
-        if entry.host is not None:
-            # One row per host-carrying command.
-            host = np.concatenate([
-                np.asarray(block, dtype=np.uint8).reshape(-1, GRF_REG_BYTES)
-                for block in hosts
-            ])
-            out, rows = entry.host
-            pool[out] = host[rows].view(np.float16)[:, None]  # broadcast over units
+        if entry.host:
+            # Each block's rows straight into their slots, over every unit.
+            raw = pool.view(np.uint8)
+            for block, out, rows in entry.host:
+                raw[out] = hosts[block][rows]
         banks = {space: [u._bank(space) for u in units] for space in entry.bank_spaces}
         for op in entry.fetches + entry.ops:
             kind = op.kind
@@ -574,11 +575,8 @@ class FusedLockstepGroup(LockstepGroup):
         jump: Dict[int, int] = dict(jump_items)
         steps: List[_Step] = []
         triggers = instructions = flops = bank_reads = bank_writes = ignored = 0
-        hosts = 0  # host-carrying commands so far
         try:
-            for is_write, row, col, has_host in _commands(tape):
-                pos = hosts
-                hosts += has_host
+            for is_write, row, col, host in _commands(tape):
                 triggers += 1
                 if exited:
                     # Uniformity was verified at flush: every unit ignores it.
@@ -593,7 +591,7 @@ class FusedLockstepGroup(LockstepGroup):
                             crf, ppc + 1, nop_remaining, jump
                         )
                     continue
-                step = _plan_step(pos, crf[ppc], instr, is_write, row, col, has_host)
+                step = _plan_step(host, crf[ppc], instr, is_write, row, col)
                 if step is None:
                     return CompiledTrace(poisoned=True)
                 flops += step.flops
@@ -648,39 +646,52 @@ def _pack_signature(
     """The CRF program and the tape's command pattern as exact ``bytes``.
 
     Every CRF word is packed as a u32; the tape as its rows followed by
-    one ``col << 2 | is_write << 1 | has_host`` word per trigger, i32
-    each — fixed-width fields of a known count, so equal bytes mean equal
-    content.  A burst entry packs as the single triggers it stands for, so
-    the key does not depend on how the commands arrived.  Raises
+    one ``col << 3 | first << 2 | is_write << 1 | has_host`` word per
+    trigger, i32 each — fixed-width fields of a known count, so equal bytes
+    mean equal content.  A burst entry packs as the single triggers it
+    stands for, so the key does not depend on how the commands arrived —
+    but for ``first``, set on the first command of each host-carrying
+    entry: the compiled HOST operand reads block by block.  Raises
     :class:`OverflowError` for a value that does not fit.
     """
     rows: List[int] = []
     words: List[int] = []
     for t in tape:
         count = t.count
-        word = t.col << 2 | t.is_write << 1 | (t.host_data is not None)
+        has_host = t.host_data is not None
+        word = t.col << 3 | t.is_write << 1 | has_host
         rows.extend([t.row] * count)
-        words.extend(range(word, word + 4 * count, 4))  # col + i, same flags
+        words.append(word | has_host << 2)
+        words.extend(range(word + 8, word + 8 * count, 8))  # col + i, same flags
     rows.extend(words)
     return array("I", crf).tobytes(), array("i", rows).tobytes()
 
 
-def _commands(tape: List[ColumnTrigger]) -> Iterator[Tuple[bool, int, int, bool]]:
-    """``(is_write, row, col, has_host)`` of every command of ``tape``."""
+def _commands(
+    tape: List[ColumnTrigger],
+) -> Iterator[Tuple[bool, int, int, Optional[Tuple[int, Optional[int]]]]]:
+    """``(is_write, row, col, host)`` of every command of ``tape``: ``host``
+    where its HOST burst sits — ``(block, row)``, the block counted over the
+    tape's host-carrying entries and ``row`` None for a single command's
+    ``(32,)`` block — or None."""
+    block = 0
     for t in tape:
-        has_host = t.host_data is not None
-        for col in range(t.col, t.col + t.count):
-            yield t.is_write, t.row, col, has_host
+        if t.host_data is None:
+            for col in range(t.col, t.col + t.count):
+                yield t.is_write, t.row, col, None
+            continue
+        for row in range(t.count):
+            yield t.is_write, t.row, t.col + row, (block, row if t.count > 1 else None)
+        block += 1
 
 
 def _plan_step(
-    pos: int,
+    host: Optional[Tuple[int, Optional[int]]],
     word: int,
     instr: Instruction,
     is_write: bool,
     row: int,
     col: int,
-    has_host: bool,
 ) -> Optional[_Step]:
     """Bind one trigger to its instruction.  A control word, an operand
     the trigger cannot supply or a destination it cannot write — what
@@ -709,7 +720,7 @@ def _plan_step(
             bank_spaces.add(space)
             reads.append(("bank", space))
         elif space is OperandSpace.HOST:
-            if not is_write or not has_host:
+            if not is_write or host is None:
                 return None
             reads.append(("host",))
         elif space.is_grf or space.is_srf:
@@ -730,7 +741,7 @@ def _plan_step(
     else:
         return None
     return _Step(
-        pos=pos,
+        host=host,
         word=word,
         is_write=is_write,
         row=row,
@@ -781,7 +792,7 @@ def _schedule(steps: List[_Step]) -> dict:
     # registers' entry values — level 0, like the HOST bursts.
     level: List[int] = [0] * _ENTRY_SLOTS
     micro: Dict[int, _MicroOp] = {}  # value id -> what computes it
-    host_ids: Dict[int, int] = {}  # tape host row -> value id
+    host_ids: Dict[Tuple[int, Optional[int]], int] = {}  # (block, row) -> value id
     renamed: Dict[tuple, int] = {}  # (space, register) -> value id
     entry_regs = set()
     written: Dict[tuple, int] = {}  # bank location -> level of its last store
@@ -806,9 +817,9 @@ def _schedule(steps: List[_Step]) -> dict:
                 value = emit("load", step, where=where, after=written.get(where, 0))
                 touched[where] = max(touched.get(where, 0), level[value])
             elif plan[0] == "host":
-                value = host_ids.get(step.pos)
+                value = host_ids.get(step.host)
                 if value is None:
-                    value = host_ids[step.pos] = len(level)
+                    value = host_ids[step.host] = len(level)
                     level.append(0)
             else:
                 value = renamed.get(plan[1:])
@@ -870,6 +881,11 @@ def _schedule(steps: List[_Step]) -> dict:
         ))
     # Level-1 loads sort first: the reads of what the window has not written.
     fetches = sum(op.kind == "load" and op.level == 1 for op in ops)
+    blocks: Dict[int, Tuple[List[int], List[int]]] = {}
+    for (block, row), value in host_ids.items():
+        slots, rows = blocks.setdefault(block, ([], []))
+        slots.append(slot[value])
+        rows.append(row)
     puts = []
     for space in (OperandSpace.GRF_A, OperandSpace.GRF_B):
         regs = sorted(reg for s, reg in renamed if s is space)
@@ -879,7 +895,10 @@ def _schedule(steps: List[_Step]) -> dict:
         fetches=tuple(ops[:fetches]),
         ops=tuple(ops[fetches:]),
         entry_regs=tuple(space for space in _REG_BASE if space in entry_regs),
-        host=(slice(_ENTRY_SLOTS, base), _slots(list(host_ids))) if host_ids else None,
+        host=tuple(
+            (block, _slots(slots), None if rows == [None] else (_slots(rows), None))
+            for block, (slots, rows) in sorted(blocks.items())
+        ),
         puts=tuple(puts),
         slots=base + len(valued),
     )

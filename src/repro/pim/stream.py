@@ -39,6 +39,7 @@ class Run(NamedTuple):
     operand: int = ZEROS  # WR only: the block on the data bus (see above)
     barrier: bool = False  # a fence precedes it too (a mode-register write)
     bank: int = 0  # flat bank index; unit u's even bank is 2u (AB modes ignore it)
+    seam: bool = False  # it begins a kernel program of a launch (see ``launch``)
 
 
 Program = Tuple[Run, ...]
@@ -142,6 +143,23 @@ def kernel_program(
         for value in (MODE_ON, MODE_OFF)
     )
     return (clear if clear_grf_b else ()) + (mode_on,) + body + (mode_off,)
+
+
+def launch(programs: Iterable[Tuple[Program, int]]) -> Program:
+    """Kernel programs, each with the offset of its operand blocks in one
+    block list, as the one program of a launch: each program's staged
+    operands (``operand >= 0``) moved up by its offset, and each program
+    after the first marked at its first run as beginning at a *seam*.  A
+    kernel program ends with a fence, so a seam is a fence epoch boundary,
+    and a controller crosses it as it crosses from one drain to the next:
+    with no fence penalty (``repro.dram.controller``)."""
+    runs: List[Run] = []
+    for program, offset in programs:
+        for i, run in enumerate(program):
+            if run.operand >= 0:
+                run = run._replace(operand=run.operand + offset)
+            runs.append(run._replace(seam=True) if i == 0 and runs else run)
+    return tuple(runs)
 
 
 # -- readers

@@ -25,8 +25,11 @@ within the 8-register GRF window (Section IV-C / VII-B).  A kernel hands
 each program to its channel's controller whole (``mc.drain(program,
 blocks)``): every run is one *column burst* alone in its fence epoch, so
 the controller issues it as one command and the device executes it as a
-unit, bit-identically to its 8 commands.  A GEMV's SB-mode readback is a
-program too, of unfenced runs the controller reorders across banks.
+unit, bit-identically to its 8 commands.  A GEMV launch hands each
+simulated channel one program, the programs of all its (slot, slice,
+tile)s joined at seams (:meth:`GemvPlan.launch`).  A GEMV's SB-mode
+readback is a program too, of unfenced runs the controller reorders
+across banks.
 """
 
 from __future__ import annotations
@@ -385,6 +388,24 @@ class GemvPlan:
             )
         return program
 
+    def launch(self, passes: int, group: int) -> stream.Program:
+        """What one launch of ``group`` batch slots puts on the bus of a
+        channel that runs ``passes`` passes: the program of each (slot,
+        pass, tile) in that order, as one program joined at seams
+        (:func:`~repro.pim.stream.launch`), slot ``g``'s pass ``p`` staging
+        its chunks from block ``(g * passes + p) * chunks`` of the launch's
+        block list (built once, as :meth:`program`)."""
+        key = ("launch", passes, group)
+        program = self._programs.get(key)
+        if program is None:
+            program = self._programs[key] = stream.launch(
+                (self.program(tile, pass_, slot), (slot * passes + pass_) * self.chunks)
+                for slot in range(group)
+                for pass_ in range(passes)
+                for tile in range(self.tiles)
+            )
+        return program
+
     def readback(self, passes: int, slot: int = 0) -> stream.Program:
         """The SB-mode readback of a channel that runs ``passes`` passes:
         every tile's partial sums of slot ``slot``, pass after pass, one
@@ -597,6 +618,13 @@ class GemvKernel(_ResidentKernel):
         the setup overheads amortise: every output is reduced from its
         own partial sums by :func:`~repro.stack.arithmetic.reduce_partials`.
 
+        A launch is one drain per simulated channel (:meth:`_stream`): the
+        program of every (slot, slice on that channel, tile) in turn,
+        joined at *seams* — fence epoch boundaries the controller crosses
+        with no fence penalty, as it crosses from one drain to the next —
+        so the cycles are those of one drain per program, and from an
+        equal timing state the whole launch is one channel frame.
+
         ``simulate_pchs`` limits cycle-accurate simulation to the first N
         pseudo-channels (all channels execute identical streams, so the
         timing is exact); the remaining slices of every input of a launch
@@ -632,10 +660,8 @@ class GemvKernel(_ResidentKernel):
             self.session.program_crf(
                 self.MICROKERNEL.format(reps=plan.chunks - 1), pchs=sim_channels
             )
-            for slot, xp in enumerate(group):
-                for s in range(plan.num_slices):
-                    if s % k < nsim_ch:
-                        self._stream_slice(s, xp, slot=slot)
+            for pos in range(nsim_ch):
+                self._stream(pos, group)
             self.session.exit_to_sb(pchs=sim_channels)
             shortcut = None
             if nsim_ch < k:  # the functional model of every unsimulated (input, slice)
@@ -653,21 +679,26 @@ class GemvKernel(_ResidentKernel):
         _fill_timing(self.sys, report, end - start, launches)
         return np.stack(outputs), report
 
-    def _stream_slice(self, s: int, x_padded: np.ndarray, slot: int = 0) -> None:
+    def _stream(self, pos: int, group: np.ndarray) -> None:
+        """Drain one launch of the padded inputs ``group`` on the channel
+        at ``pos``: its :meth:`GemvPlan.launch` program, over one block
+        list of every (slot, slice on that channel)'s staged chunks."""
         plan = self.plan
-        pch, pass_ = self._slice_channel(s)
-        mc = self.sys.controller(pch)
+        k = len(self.channels)
+        passes = len(range(pos, plan.num_slices, k))
+        if not passes:  # a channel may hold no slice
+            return
         # Each x value replicated over the 16 lanes, one (8, 32) WR block
-        # per chunk: every fence epoch below is one column burst.
-        x_slice = x_padded[s * plan.n_slice : (s + 1) * plan.n_slice]
+        # per chunk: every fence epoch of the program is one column burst.
+        x = group.reshape(len(group), plan.passes, k, plan.n_slice)[:, :passes, pos]
         staged = (
-            np.repeat(x_slice, LANES)
+            np.repeat(x, LANES, axis=-1)
             .view(np.uint8)
-            .reshape(plan.chunks, _COL_GROUP, GRF_REG_BYTES)
+            .reshape(-1, _COL_GROUP, GRF_REG_BYTES)
         )
-        blocks = (*staged, *_CONSTANT_BLOCKS)
-        for tile in range(plan.tiles):
-            mc.drain(plan.program(tile, pass_, slot), blocks)
+        self.sys.controller(self.channels[pos]).drain(
+            plan.launch(passes, len(group)), (*staged, *_CONSTANT_BLOCKS)
+        )
 
     def _poke_partials(self, acc: np.ndarray, nsim_ch: int, slot: int) -> None:
         """Stage one input's shortcut partial sums — ``acc[pass, pos -

@@ -1095,7 +1095,10 @@ class PimServer:
            through the driver (unattributable channel failures retire the
            whole set) and try to backfill the lane from the free pool.
         3. Reset every surviving channel: abandon queued requests and
-           force the way out of any stranded AB(-PIM) state.
+           force the way out of any stranded AB(-PIM) state.  A channel
+           whose microkernel load was still queued — a launch's later
+           channels queue theirs before the first one streams — is
+           dropped from the microkernel cache, so the retry loads it.
 
         A lane whose last channel is quarantined becomes *dead*
         (``channels = None``); its traffic completes on the host path.
@@ -1118,8 +1121,12 @@ class PimServer:
             if available > 0:
                 leased = driver.alloc_channels(min(deficit, available))
                 survivors.extend(leased.channels)
+        loaded = getattr(self.sys, "_crf_loaded", {})
+        crf_row = self.sys.device.memory_map.crf_row
         for p in survivors:
-            self.sys.controllers[p].reset_channel()
+            abandoned = self.sys.controllers[p].reset_channel()
+            if any(request.row == crf_row for request in abandoned):
+                loaded.pop(p, None)
         lane.channels = (
             ChannelSet(tuple(survivors)) if survivors else None
         )

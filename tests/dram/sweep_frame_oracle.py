@@ -16,13 +16,16 @@ large one (derandomized, so a run is reproducible):
 2, ... frames — for the kernel programs also how many took 0, 1, 2, ...
 frames behind a queued CRF / SRF load, how many of the frames'
 windows replayed by their recorded trace key and were rebuilt after a
-trace-cache miss, and how many remembered programs the channel declined
-for a failed bank, a bank class of its own and an injected row — and
-exits non-zero, with hypothesis' minimal failing case, on a mismatch, or
-when no case took a frame behind a load, no case rebuilt a window or no
-case declined for one of those reasons (the sweep would no longer
-exercise that path: the declines are where the channel's one verdict,
-``PseudoChannel.vouched``, says no).
+trace-cache miss, how many remembered programs the channel declined
+for a failed bank, a bank class of its own and an injected row, and how
+many frames replayed more than one window or crossed a seam (the drawn
+kernels include launches, tile programs joined at seams, drained under
+a fence penalty of 0 or 7) — and exits non-zero, with hypothesis'
+minimal failing case, on a mismatch, or when no case took a frame behind
+a load, no case rebuilt a window, no case declined for one of those
+reasons or no frame took more than one window or crossed a seam (the
+sweep would no longer exercise that path: the declines are where the
+channel's one verdict, ``PseudoChannel.vouched``, says no).
 """
 
 from __future__ import annotations
@@ -86,6 +89,11 @@ def main(examples: int) -> int:
         if not max(declined):
             print(f"no case declined a program for {reason}")
             failed = 1
+    multiple = histogram(programs, lambda o: o[5])
+    print(f"  frames of more than one window or across a seam per case {multiple}")
+    if not max(multiple):
+        print("no frame took more than one window or crossed a seam")
+        failed = 1
     if not max(behind):
         print("no case took a frame behind a register load")
         failed = 1

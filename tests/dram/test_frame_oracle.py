@@ -64,7 +64,10 @@ a queued bank-row write or a tagged read taken as a prefix.
 A program frame replays each AB-PIM window by the trace key it recorded
 and writes the units' state once; the drawn faults include the channel's
 compiled traces invalidated, so a later frame's window misses and
-rebuilds its tape, and the drawn kernels include programs of two windows.
+rebuilds its tape, and the drawn kernels include programs of two windows
+and launches: GEMV tile programs joined at seams (``stream.launch``),
+which the controller crosses with no fence penalty and the frame takes
+down window by window however many there are.
 The fixed draws kill: the frame's closing write of stats and sequencer
 state skipped, the recorded end sequencer state dropped, the open
 window's triggers not put back on the tape, ``fused_replays`` not
@@ -408,6 +411,11 @@ KERNEL = st.one_of(
     # to the other 8 out columns
     st.tuples(st.just("two windows"), st.integers(2, 4), st.integers(0, 1),
               st.integers(2, 3), st.sampled_from([0, 8]), st.booleans()),
+    # ("launch", chunks, weight row, out row, tiles): the programs of that
+    # many GEMV tiles, to out columns 0, 8, ..., joined at seams
+    # (``stream.launch``), each staging its own chunks
+    st.tuples(st.just("launch"), st.integers(1, 3), st.integers(0, 1), st.integers(2, 3),
+              st.integers(2, 3)),
 )
 # A register upset hits each unit with this probability.
 UPSET = st.tuples(st.just("upset"), st.integers(0, 2**16), st.sampled_from([0.2, 1.0]))
@@ -466,6 +474,16 @@ def kernel_program(channel, kernel):
             (),
         )
         return program, source, chunks
+    if kernel[0] == "launch":
+        _, chunks, weight_row, out_row, tiles = kernel
+        program = stream.launch(
+            (stream.kernel_program(
+                stream.gemv_tile(chunks, 4, weight_row, out_row, 8 * tile), memory_map,
+                clear_grf_b=True,
+            ), tile * chunks)
+            for tile in range(tiles)
+        )
+        return program, GemvKernel.MICROKERNEL.format(reps=chunks - 1), tiles * chunks
     if kernel[0] == "ab writes":
         _, row, col, count = kernel
         writes = tuple(Run(True, row, col, count, True, operand) for operand in (0, 1))
@@ -619,7 +637,8 @@ def program_frames_vs_lone_path(
     first one took, how many of those were behind a queued register load,
     how many of their closed windows replayed by the recorded trace key
     and were rebuilt after a trace-cache miss, and how many remembered
-    programs its channel declined for each of :data:`DECLINES`.  Its banks
+    programs its channel declined for each of :data:`DECLINES`, and how
+    many of its frames replayed more than one window or crossed a seam.  Its banks
     are of a class of their own with ``own_class``.  With ``reload`` every
     wave starts with no microkernel loaded, as a launch after another
     kernel's does; without it a load carries over to later waves, as a
@@ -643,6 +662,8 @@ def _program_waves(
     sides[1].mc._schedules = Forgetful()
     taken = []
     declined = [0] * len(DECLINES)
+    seamed = [False]  # whether the program drained now has a seam
+    multiple = [0]  # frames of more than one window or across a seam
     channel = sides[0].mc.channel
     apply_program = channel._apply_program
 
@@ -661,6 +682,8 @@ def _program_waves(
         applied = take(schedule, *args)
         if applied and schedule.frame.program is not None:
             taken.append(prefixed)
+            events = schedule.frame.program.events
+            multiple[0] += seamed[0] or sum(event[0] == "window" for event in events) > 1
         return applied
 
     sides[0].mc._apply_frame = counted
@@ -724,6 +747,7 @@ def _program_waves(
                             side.mc._next_refresh = (
                                 side.mc.current_cycle + schedule.horizon + refresh
                             )
+                seamed[0] = any(run.seam for run in program)
                 both(lambda i, side: program_drained(
                     side, program, blocks, traced[wave_no]
                 ))
@@ -744,6 +768,7 @@ def _program_waves(
             program_damage(side, faults[wave_no])
     return (
         len(taken), taken.count(True), windows["by key"], windows["rebuilt"], tuple(declined),
+        multiple[0],
     )
 
 
@@ -792,7 +817,9 @@ def test_the_program_strategy_reaches_frames_and_declines():
     CRF and SRF loads and behind the SRF load alone.  The channel's traces
     invalidated between waves: the next frame of each window misses,
     rebuilds its tape and recompiles under its recorded key.  A program
-    of two windows is a frame that replays both.  The fifth count is the
+    of two windows is a frame that replays both, a launch of three tile
+    programs joined at seams one that replays all three; the sixth count
+    is such frames, of more than one window or across a seam.  The fifth count is the
     declines by :data:`DECLINES` — each one what the banks answer row by
     row, though the channel asks them once while none is failed, injected
     or of a class of its own (``PseudoChannel.vouched``): the failed bank
@@ -808,42 +835,45 @@ def test_the_program_strategy_reaches_frames_and_declines():
     none = (0, 0, 0)  # no decline for any reason
     bn = [(("gemv", 4, 0, 2, 8, False), 2), (("bn", 2, 1), 2)]
     cases = [
-        ({}, (11, 2, 5, 0, none)),
-        ({"faults": [[("check", 4, 0, 3, 1, 2)], [], [], []]}, (11 - 5, 0, 0, 0, (0, 0, 5))),
-        ({"faults": [[("data", 4, 0, 3, 17)], [], [], []]}, (11 - 1, 2, 4, 0, (0, 0, 1))),
-        ({"faults": [[], [("dead", 9)], [], []]}, (3, 0, 1, 0, (5, 0, 0))),
-        ({"faults": [[("upset", 3, 1.0)], [], [], []]}, (10, 1, 4, 0, none)),
-        ({"reload": False}, (11, 0, 5, 0, none)),
-        ({"faults": [[("upset", 3, 1.0)], [], [], []], "reload": False}, (0, 0, 0, 0, none)),
-        ({"exec_mode": "scalar"}, (0, 0, 0, 0, none)),
-        ({"refresh": 0}, (5, 0, 1, 0, none)),
-        ({"refresh": 1}, (7, 2, 3, 0, none)),
-        ({"kernels": [(("gemv", 4, 0, 2, 8, True), 2)]}, (0, 0, 0, 0, none)),
+        ({}, (11, 2, 5, 0, none, 0)),
+        ({"faults": [[("check", 4, 0, 3, 1, 2)], [], [], []]}, (11 - 5, 0, 0, 0, (0, 0, 5), 0)),
+        ({"faults": [[("data", 4, 0, 3, 17)], [], [], []]}, (11 - 1, 2, 4, 0, (0, 0, 1), 0)),
+        ({"faults": [[], [("dead", 9)], [], []]}, (3, 0, 1, 0, (5, 0, 0), 0)),
+        ({"faults": [[("upset", 3, 1.0)], [], [], []]}, (10, 1, 4, 0, none, 0)),
+        ({"reload": False}, (11, 0, 5, 0, none, 0)),
+        ({"faults": [[("upset", 3, 1.0)], [], [], []], "reload": False}, (0, 0, 0, 0, none, 0)),
+        ({"exec_mode": "scalar"}, (0, 0, 0, 0, none, 0)),
+        ({"refresh": 0}, (5, 0, 1, 0, none, 0)),
+        ({"refresh": 1}, (7, 2, 3, 0, none, 0)),
+        ({"kernels": [(("gemv", 4, 0, 2, 8, True), 2)]}, (0, 0, 0, 0, none, 0)),
         # Behind a closed tile the open one starts in AB with no tape: a
         # frame, left in AB-PIM with PIM_OP_MODE on and its tape pending.
         ({"kernels": [
             (("gemv", 4, 0, 2, 8, False), 2), (("gemv", 4, 1, 3, 0, True), 1),
-        ]}, (6, 0, 3, 0, none)),
-        ({"kernels": bn}, (11, 8, 11, 0, none)),
-        ({"faults": invalidated, "reload": False}, (11, 0, 3, 2, none)),
-        ({"faults": invalidated, "kernels": bn}, (11, 8, 6, 5, none)),
+        ]}, (6, 0, 3, 0, none, 0)),
+        ({"kernels": bn}, (11, 8, 11, 0, none, 0)),
+        ({"faults": invalidated, "reload": False}, (11, 0, 3, 2, none, 0)),
+        ({"faults": invalidated, "kernels": bn}, (11, 8, 6, 5, none, 0)),
         # Two windows a frame: split by a GRF_B clear inside the AB-PIM
         # window (the second's entry state is the first's end), or two
         # tiles' programs back to back; their stats written once.
-        ({"kernels": [(("two windows", 3, 0, 2, 8, True), 2)]}, (5, 2, 10, 0, none)),
+        ({"kernels": [(("two windows", 3, 0, 2, 8, True), 2)]}, (5, 2, 10, 0, none, 5)),
         ({"kernels": [(("two windows", 3, 0, 2, 0, False), 2)], "faults": invalidated},
-         (5, 2, 6, 4, none)),
+         (5, 2, 6, 4, none, 5)),
+        # A launch: three tiles' programs joined at seams, which cost no
+        # fence penalty; a frame replays its three windows.
+        ({"kernels": [(("launch", 2, 0, 2, 3), 2)]}, (5, 2, 15, 0, none, 5)),
         # Declines, by reason: a row scrubbed clean takes frames again, an
         # injection on a row no program reaches declines none, and a bank
         # class of its own declines every remembered program.
         ({"faults": [[("check", 4, 0, 3, 1, 2)], [("scrub", 4, 0)], [], []]},
-         (11 - 1, 2, 4, 0, (0, 0, 1))),
+         (11 - 1, 2, 4, 0, (0, 0, 1), 0)),
         ({"faults": [[("check", 4, 0, 3, 1, 2)], [("scrub", 4, 1)], [], []]},
-         (11 - 5, 0, 0, 0, (0, 0, 5))),
-        ({"faults": [[("check", 4, 1, 3, 1, 2)], [], [], []]}, (11, 2, 5, 0, none)),
-        ({"ecc": False, "faults": [[], [("dead", 9)], [], []]}, (3, 0, 1, 0, (5, 0, 0))),
-        ({"own_class": True}, (0, 0, 0, 0, (0, 11, 0))),
-        ({"own_class": True, "ecc": False}, (0, 0, 0, 0, (0, 11, 0))),
+         (11 - 5, 0, 0, 0, (0, 0, 5), 0)),
+        ({"faults": [[("check", 4, 1, 3, 1, 2)], [], [], []]}, (11, 2, 5, 0, none, 0)),
+        ({"ecc": False, "faults": [[], [("dead", 9)], [], []]}, (3, 0, 1, 0, (5, 0, 0), 0)),
+        ({"own_class": True}, (0, 0, 0, 0, (0, 11, 0), 0)),
+        ({"own_class": True, "ecc": False}, (0, 0, 0, 0, (0, 11, 0), 0)),
     ]
     for change, frames in cases:
         assert program_frames_vs_lone_path(**dict(base, **change)) == frames, change

@@ -8,6 +8,8 @@ records and no outcomes), which is exactly the state a SIGKILLed router
 leaves behind.
 """
 
+import hashlib
+import pickle
 import shutil
 import tempfile
 
@@ -136,6 +138,34 @@ class TestReplay:
         report = recover(str(tmp_path), workers=WORKERS)
         assert len(report.replay_profile.requests) == len(requests)
         assert report.replay_profile.recovered == len(requests)
+
+
+class TestOlderJournals:
+    def test_accepted_records_with_a_digest_still_recover(self, tmp_path):
+        """A journal written while the accepted record also carried
+        ``digest`` — a sha1 of the pickled request, which recovery never
+        read — recovers alike: the request with a journaled outcome is
+        restored, the rest are replayed, all bit-exact."""
+        requests = _requests()
+        num_pchs = _config().num_pchs
+        with JournalWriter(str(tmp_path)) as writer:
+            writer.append_meta(_config(), ServerConfig(lanes=2, max_batch=8))
+            for rid, request in enumerate(requests):
+                blob = pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL)
+                writer.append({
+                    "kind": "accepted", "rid": rid, "trace_id": request.trace_id,
+                    "digest": hashlib.sha1(blob).hexdigest(), "request": request,
+                })
+            writer.append_outcome(
+                0, requests[0].trace_id, "completed", 0,
+                golden_reference(requests[0], num_pchs),
+            )
+        report = recover(str(tmp_path), workers=WORKERS)
+        assert (report.restored, report.replayed) == (1, len(requests) - 1)
+        for handle in report.handles:
+            assert handle.outcome == "completed"
+            want = golden_reference(requests[handle.request_id], num_pchs)
+            assert np.array_equal(handle.result, want)
 
 
 class TestDedupe:

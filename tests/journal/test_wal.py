@@ -23,7 +23,6 @@ from repro.journal.wal import (
     iter_records,
     list_segments,
     read_records,
-    request_digest,
     segment_path,
 )
 
@@ -68,11 +67,6 @@ class TestRoundTrip:
     def test_missing_directory_scans_empty(self, tmp_path):
         assert read_records(str(tmp_path / "nope")) == []
         assert list_segments(str(tmp_path / "nope")) == []
-
-    def test_request_digest_is_content_addressed(self):
-        a = {"op": "gemv", "x": 1}
-        assert request_digest(a) == request_digest({"op": "gemv", "x": 1})
-        assert request_digest(a) != request_digest({"op": "gemv", "x": 2})
 
     def test_unwritable_directory_raises_journal_error(self, tmp_path):
         blocker = tmp_path / "file"

@@ -713,6 +713,39 @@ class TestLevelledReplay:
         group, _ = _assert_twoway(source, triggers, seed=7, bank_cls=bank_cls)
         assert _kinds(_compiled(group)) == ["relu", "add", "relu", "store"]
 
+    def test_host_bursts_land_block_by_block(self, bank_cls):
+        """The HOST operand is compiled per write block: a burst's rows and
+        a single write's column each go straight to their pool slots."""
+        triggers = _gemv_window(4)
+        tape = []
+        for chunk in range(4):
+            writes, reads = triggers[16 * chunk : 16 * chunk + 8], triggers[16 * chunk + 8 : 16 * chunk + 16]
+            tape += ([_burst(writes)] if chunk % 2 == 0 else writes) + [_burst(reads)]
+        tape.append(_burst(triggers[64:]))
+        group, _ = _assert_twoway(GEMV.format(reps=3), tape, seed=2, bank_cls=bank_cls, cols=32)
+        host = _compiled(group).host
+        # Blocks: chunk 0's burst, chunk 1's 8 singles, chunk 2's burst,
+        # chunk 3's singles; the write-out's burst feeds no HOST operand.
+        assert [block for block, _, _ in host] == list(range(18))
+        bursts = [rows for block, _, rows in host if block in (0, 9)]
+        assert bursts == [(slice(0, 8), None)] * 2
+        assert all(rows is None for block, _, rows in host if block not in (0, 9))
+
+    def test_how_the_host_bursts_arrived_is_in_the_key(self, bank_cls):
+        """The same window as bursts and as single commands is two traces —
+        the HOST operand reads block by block — and each replays as the
+        units run it."""
+        triggers = _gemv_window(2)
+        bursts = [_burst(triggers[i : i + 8]) for i in range(0, len(triggers), 8)]
+        fused = _build_fused(4, bank_cls=bank_cls, cols=16)
+        units = _build_group(4, bank_cls=bank_cls, cols=16)
+        for tape in (bursts, triggers, bursts, triggers):
+            for group in (fused, units):
+                _program(group, GEMV.format(reps=1))
+                assert _run_window(group, tape) is None
+            assert _snapshot(fused) == _snapshot(units)
+        assert (len(fused.cache), fused.cache.stats.hits) == (2, 2)
+
     def test_a_split_at_every_trigger_is_invisible(self, bank_cls):
         source, triggers = GEMV.format(reps=1), _gemv_window(2)
         whole = _build_fused(8, bank_cls=bank_cls, cols=16)

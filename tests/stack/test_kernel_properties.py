@@ -161,10 +161,11 @@ class TestEveryAamGroupIsOneBurst:
         self, name, pchs, monkeypatch
     ):
         """In every program a kernel hands ``drain``, each run between
-        the ``PIM_OP_MODE`` writes is a burst of 8 columns with a fence
-        after it — one per epoch, as is the mode-on write before them.  So
-        no burst of the ledger's traffic is ever expanded —
-        ``Request.expand`` is not called once."""
+        a pair of ``PIM_OP_MODE`` writes — a GEMV launch has a pair per
+        (slot, slice, tile) — is a burst of 8 columns with a fence after
+        it — one per epoch, as is the mode-on write before them.  So no
+        burst of the ledger's traffic is ever expanded — ``Request.expand``
+        is not called once."""
         from repro.dram.controller import MemoryController, Request
 
         system = PimSystem(SystemConfig(num_pchs=pchs, num_rows=128))
@@ -174,9 +175,11 @@ class TestEveryAamGroupIsOneBurst:
 
         def recording_drain(self, program=(), blocks=()):
             if any(run.fence for run in program):  # not the (unfenced) readback
-                on, off = (i for i, run in enumerate(program) if run.row == conf_row)
-                assert program[on].fence
-                windows.append(program[on + 1 : off])
+                modes = [i for i, run in enumerate(program) if run.row == conf_row]
+                assert modes and len(modes) % 2 == 0
+                for on, off in zip(modes[::2], modes[1::2]):
+                    assert program[on].fence
+                    windows.append(program[on + 1 : off])
             return drain(self, program, blocks)
 
         def no_expansion(self):

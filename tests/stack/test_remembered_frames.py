@@ -18,9 +18,10 @@ programs and the readbacks alike, and after the second every program
 behind a CRF load is one too: the second wave's first load starts from
 the entry CRF the first wave left, a new key.  The elementwise shape
 meets such new pairings of program and loaded CRF through its second
-wave and is all frames from its third.  At the old bound of eight
-schedules the same traffic misses.  The bound is a module constant, not
-a knob.  A warm frame — of either shape, and of ``PimBlas.lstm_cell``'s
+wave and is all frames from its third.  A GEMV launch is one program
+per simulated channel, so the GEMV shape alone fits in the old bound of
+eight schedules; the two shapes served together do not, and 64 hold
+them.  The bound is a module constant, not a knob.  A warm frame — of either shape, and of ``PimBlas.lstm_cell``'s
 GEMVs — replays each window by the trace key it recorded: it packs no
 key and builds no trigger, and it computes in place on a ``(slots,
 units, 16)`` value pool, calling no ``vec_add`` / ``vec_mul``.
@@ -82,6 +83,12 @@ def eltwise_mix(rng):
         return requests
 
     return wave
+
+
+def gemv_and_eltwise_mix(rng):
+    """A wave of :func:`gemv_mix`, then one of :func:`eltwise_mix`."""
+    gemv, eltwise = gemv_mix(rng), eltwise_mix(rng)
+    return lambda start: gemv(start) + eltwise(start + 6000)
 
 
 def serve(monkeypatch, mix=gemv_mix, waves=WAVES, before_wave=lambda wave_no: None):
@@ -155,13 +162,23 @@ def test_every_eltwise_program_after_two_waves_is_a_frame(monkeypatch):
         assert all(frame for _, _, frame in wave)
 
 
+def empty_queue_frames_after_the_first_wave(monkeypatch, schedules):
+    """Whether each drain of an empty queue after the first wave of the
+    two shapes served together was a frame, at a bound of ``schedules``."""
+    monkeypatch.setattr(controller_module, "_SCHEDULES", schedules)
+    waves = serve(monkeypatch, gemv_and_eltwise_mix)[1:]
+    return [frame for wave in waves for _, behind, frame in wave if not behind]
+
+
+def test_sixty_four_schedules_hold_the_traffic(monkeypatch):
+    later = empty_queue_frames_after_the_first_wave(monkeypatch, 64)
+    assert later and all(later)
+
+
 def test_eight_schedules_do_not_hold_the_traffic(monkeypatch):
     """Counted, as at 64 schedules, on the drains of an empty queue after
     the first wave, which that bound takes as frames every time."""
-    monkeypatch.setattr(controller_module, "_SCHEDULES", 8)
-    later = [
-        frame for wave in serve(monkeypatch)[1:] for _, behind, frame in wave if not behind
-    ]
+    later = empty_queue_frames_after_the_first_wave(monkeypatch, 8)
     assert later and not all(later)
 
 
