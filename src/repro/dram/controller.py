@@ -53,6 +53,17 @@ be:
   ``SHUFFLE``'s expansion and a remembered frame all see it, and a
   launch's cycles are those of one drain per kernel program under every
   policy, fence penalty and refresh.
+* **Transitions and register loads are program runs.**  A launch runs
+  from SB mode back to SB mode (:func:`repro.pim.stream.sb_to_sb`): its
+  mode transitions — PREA, then an ACT and a PRE to the ABMR or the SBMR
+  row — and its CRF / SRF loads — fenced write runs to register rows —
+  are runs of its program like the kernel's.  A transition is a request
+  of no columns in an epoch of its own, and ``drain`` crosses the
+  boundary on either side of it as the boundary between two drains: the
+  segment before it closes (its busy cycles counted, its ``drain`` span
+  traced), the commands go out with no refresh check, no fence, no
+  ``fence_penalty`` and no row hit or miss, and the next segment starts
+  after them, paying no penalty at its first epoch.
 * ``shuffle`` draws among single commands, so ``drain`` expands the queue
   on entry — the one place ``Request.expand`` is called.
 
@@ -62,41 +73,36 @@ and on the pick path each column lands in its row as it issues.
 
 One thing is remembered from one ``drain`` to the next: what the
 controller did with a program drained under an in-order policy on an
-empty queue — a kernel's fenced program (its lone runs; a GEMV launch's
-every tile program, joined at seams) or a program that is one fence
-epoch of several read runs (the GEMV readback's picks) — or
-a fenced program behind a queue of writes the channel can replay as its
-*prefix* (on a PIM channel the CRF / SRF loads ``PimSession`` queues
-ahead of a kernel: untagged register-row writes, no read, no bank row),
-which the queue path drains first.  What it did is a function of the
-program, of the prefix's shape (its runs, their epochs counted from the
-current one, and what the channel's ``prefix_key`` holds of their bytes
-— the CRF's, which decide the program every window runs on) and of the
-timing state — the channel's (:meth:`PseudoChannel.timing_state`) and
-the controller's clocks and open-row shadow — counted from the
-controller's cycle, and that is its key, so refresh, ``reset_channel``
-and mode changes move the key and there is nothing to invalidate.  So is
-the channel's end state, and that is what is kept: a
-:class:`~repro.dram.pseudochannel.Frame` — the touched banks' state and
-bounds, the column and ACT history, the tFAW window, the channel maxima,
-the ``cmd_counts`` delta, each read run's (bank, row, columns) and, on a
-PIM channel, the mode FSM and what an all-bank program did there — with
-the controller's hits, misses, clocks, fences and shadow as the drain
-left it (its fence penalties, the one at the load-to-program crossing
-included), and the cycles the prefix's requests were listed at in
-``issue_order``.  The next drain from an equal key hands the channel the
-frame (``apply_frame``) with its own operand blocks and queued data: one
-step, each read run's bytes one block, each kernel program's data events
-— its prefix's writes first — replayed against this drain's bytes; the
-queue is emptied and each queued request listed at its recorded cycles.
-The channel declines a frame — nothing changed, the drain takes the
-queue path — where any of it could raise: a
-failed bank, an injection entry on a row the commands reach, a bank
-class of its own, an exec group that interprets.  Faults are not in the
-key; the command path meets them command by command, where they raise.
-Nor is a refresh due inside the program: a frame is taken only when the
-refresh falls due after the latest cycle any of the recorded drain's
-refresh checks compared (its ``horizon``).
+empty queue — a kernel's fenced program (its lone runs; a launch's every
+tile program, joined at seams, between its transitions and after its
+register loads) or a program that is one fence epoch of several read runs
+(the GEMV readback's picks).  What it did is a function of the program,
+of the bytes it writes to its *keyed* rows (a PIM plan's CRF row: they
+decide the program every window runs on) and of the timing state — the channel's
+(:meth:`PseudoChannel.timing_state`) and the controller's clocks and
+open-row shadow — counted from the controller's cycle, and that is its
+key, so refresh, ``reset_channel`` and mode changes move the key and
+there is nothing to invalidate.  So is the channel's end state, and that
+is what is kept: a :class:`~repro.dram.pseudochannel.Frame` — the
+touched banks' state and bounds, the column and ACT history, the tFAW
+window, the channel maxima, the ``cmd_counts`` delta, each read run's
+(bank, row, columns) and, on a PIM channel, the mode FSM and what an
+all-bank program did there — with the controller's hits, misses, clocks,
+fences, busy cycles and shadow as the drain left it (its fence penalties
+included), and the drain's segments between transitions.  The next drain
+from an equal key hands the channel the frame (``apply_frame``) with its
+own operand blocks: one step, each read run's bytes one block, each
+kernel program's data events — its register loads' among them —
+replayed against this drain's bytes.  The channel declines a frame —
+nothing changed, the drain takes the queue path — where any of it could
+raise: a failed bank, an injection entry on a row the commands reach, a
+bank class of its own, an exec group that interprets.  Faults are not in
+the key; the command path meets them command by command, where they
+raise.  Nor is a refresh due inside the program: a frame is taken only
+when the refresh falls due after the latest cycle any of the recorded
+drain's refresh checks compared (its ``horizon``).  A
+:class:`CheckedProgram` is checked and hashed once, where a plan builds
+it, so a drain that takes a frame checks only its blocks' shapes.
 """
 
 from __future__ import annotations
@@ -112,7 +118,10 @@ import numpy as np
 from .commands import Command, CommandType
 from .pseudochannel import BANKS_PER_GROUP, BANKS_PER_PCH, Frame, PseudoChannel
 
-__all__ = ["MemOp", "Request", "SchedulerPolicy", "ScheduleResult", "MemoryController"]
+__all__ = [
+    "CheckedProgram", "MemOp", "Request", "SchedulerPolicy", "ScheduleResult",
+    "MemoryController",
+]
 
 _RD, _WR = CommandType.RD, CommandType.WR
 # Iterating the enum class runs a generator per call; a tuple does not.
@@ -183,7 +192,7 @@ class Request:
 
     def expand(self) -> List["Request"]:
         """The single-command requests this run stands for."""
-        if self.count == 1:
+        if self.count <= 1:
             return [self]
         data = self.data
         return [
@@ -232,7 +241,7 @@ class ScheduleResult:
 class _Drain:
     """What one ``drain()`` has built so far; none of it outlives the call."""
 
-    __slots__ = ("issue_order", "read_data", "blocks")
+    __slots__ = ("issue_order", "read_data", "blocks", "segments", "start", "busy_from", "counts")
 
     def __init__(self) -> None:
         self.issue_order: List[Tuple[int, Request]] = []
@@ -240,6 +249,18 @@ class _Drain:
         # Tagged read runs under way: the block each one's columns land in,
         # with the column of its first row.
         self.blocks: Dict[Any, Tuple[np.ndarray, int]] = {}
+        # The drain's segments between mode transitions: each closed one's
+        # ``(first cycle, last cycle, columns, commands)``, and where the
+        # open one started (:meth:`open`).
+        self.segments: List[Tuple[int, int, int, int]] = []
+        self.start = self.busy_from = 0
+        self.counts: Dict[CommandType, int] = {}
+
+    def open(self, cycle: int, counts: Dict[CommandType, int]) -> None:
+        """Start a segment at ``cycle``, the channel's ``cmd_counts`` then
+        ``counts``: busy time runs from there (moved on at a seam)."""
+        self.start = self.busy_from = cycle
+        self.counts = counts
 
     def land(self, run: Any, tag: Any, col: int, count: int, data: np.ndarray) -> None:
         """File what the RD of column ``col`` of ``run`` (``count`` columns
@@ -257,35 +278,87 @@ class _Drain:
         self.read_data[tag] = block
 
 
+class CheckedProgram(tuple):
+    """A program's runs — ``(write, row, col, count, fence, operand,
+    barrier, bank, seam, transition)`` each, a
+    :class:`repro.pim.stream.Run` — checked and hashed once, where it is
+    built: a plan caches it, so every drain of it reuses both.  A run is
+    at least one column, except a mode transition, a read of none; a block
+    feeds bursts of one length.  ``keyed_rows``: the rows whose written
+    bytes decide more than what they store — a PIM channel's CRF row, the
+    program every window runs on — so a remembered schedule's key holds
+    them; the builder names them, the controller knows no PIM row.
+    ``bursts``: each write operand's burst length past one, whose block a
+    drain must hand as ``(count, col_bytes)``; ``keyed``: the operands
+    written to a keyed row; ``framed``: whether a frame can stand for it —
+    fenced (its runs lone runs), one run, or no write (no frame stands for
+    an epoch's writes)."""
+
+    def __new__(
+        cls, runs: Sequence[tuple], keyed_rows: Sequence[int] = ()
+    ) -> "CheckedProgram":
+        self = super().__new__(cls, runs)
+        bursts: Dict[int, int] = {}
+        keyed = set()
+        fenced = writes = False
+        for run in self:
+            write, count, operand = run[0], run[3], run[5]
+            if count < 1 and not (run[9] and not write and count == 0):
+                raise ValueError(f"a run is at least one column, not {count}")
+            if write:
+                writes = True
+                if run[1] in keyed_rows:
+                    keyed.add(operand)
+                if count > 1 and bursts.setdefault(operand, count) != count:
+                    raise ValueError(
+                        f"block {operand} feeds bursts of {bursts[operand]} and {count} columns"
+                    )
+            fenced = fenced or run[4] or run[6]
+        self.bursts = tuple(bursts.items())
+        self.keyed = tuple(sorted(keyed))
+        self.framed = fenced or len(self) == 1 or not writes
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def check(self, blocks: Sequence[np.ndarray], col_bytes: int) -> None:
+        """Refuse ``blocks`` a write burst of the program could only partly
+        carry."""
+        for operand, count in self.bursts:
+            shape = (count, col_bytes)
+            if getattr(blocks[operand], "shape", None) != shape:
+                raise ValueError(f"a write burst of {count} columns needs a {shape} block")
+
+
 class _Schedule:
     """What the controller did with one program from one timing state,
     counted from ``base`` — the controller's ``(row hits, row misses,
-    cycle, fences)`` as the drain found it — kept while recording.
+    cycle, fences, busy cycles)`` as the drain found it — kept while
+    recording.
 
     ``steps`` holds each bus command of ``program`` as ``(kind, bg, ba,
     row, col, offset, count, mode, source)``: ``mode`` the channel's at the
-    command, ``source`` where a write's bytes sit: ``(False, operand,
-    first row)`` in the drain's blocks, or ``(True, j, first row)`` in the
-    data of ``queued[j]``, the ``j``-th of the requests queued ahead of
-    the program (its prefix, see :meth:`MemoryController._prefix`);
-    ``reads`` the program index of each read run, in the order their first
-    columns went out (as ``read_data`` files them); ``entry`` is
+    command, ``source`` where a write's bytes sit — ``(keyed, operand,
+    first row)`` in the drain's blocks, ``keyed`` whether the key holds
+    them; ``reads`` the program index of each read run, in the order their
+    first columns went out (as ``read_data`` files them); ``entry`` is
     :meth:`PseudoChannel.frame_entry` as the drain found it, ``horizon``
     the latest cycle a refresh check compared.  Once remembered, ``frame``
     is what the commands did to the channel
     (:meth:`PseudoChannel.record_frame`), ``end`` the controller as the
-    drain left it (see :meth:`MemoryController._mark`) and ``listed`` the
-    prefix's ``issue_order`` entries as ``(offset, j)``.
+    drain left it (see :meth:`MemoryController._mark`) and ``segments``
+    the drain's segments between mode transitions (see :class:`_Drain`),
+    cycles counted from the base's.
     """
 
     __slots__ = (
-        "base", "program", "steps", "reads", "entry", "frame", "end", "horizon",
-        "queued", "columns", "listed",
+        "base", "program", "steps", "reads", "entry", "frame", "end", "horizon", "segments",
     )
 
     def __init__(
-        self, base: Tuple[int, int, int, int], program: Sequence[tuple], entry: Any,
-        queued: Sequence[Request] = (),
+        self, base: Tuple[int, int, int, int, int], program: CheckedProgram, entry: Any,
     ) -> None:
         self.base = base
         self.program = program
@@ -295,31 +368,20 @@ class _Schedule:
         self.frame: Optional[Frame] = None
         self.end: Optional[tuple] = None
         self.horizon = 0
-        self.queued = list(queued)
-        # Each queued column by (class, row, column): ``(j, first row)``;
-        # None when two queued writes share one (its source is ambiguous).
-        self.columns: Optional[Dict[tuple, Tuple[int, int]]] = {
-            (request.cls, request.row, request.col + first): (j, first)
-            for j, request in enumerate(self.queued) for first in range(request.count)
-        }
-        if len(self.columns) < sum(request.count for request in self.queued):
-            self.columns = None
-        self.listed: Tuple[Tuple[int, int], ...] = ()
+        self.segments: Tuple[Tuple[int, int, int, int], ...] = ()
 
     def note(self, cmd: Command, cycle: int, index: Optional[int], mode: Any) -> None:
         """Take down ``cmd``, about to go out at ``cycle`` in ``mode`` —
-        a column of program run ``index``, of a queued write (None), or an
-        ACT or a PRE (None)."""
+        a column of program run ``index``, or (None) an ACT, a PRE or a
+        PREA."""
         source = None
         if index is not None:
             run = self.program[index]
-            write, col, operand = run[0], run[2], run[5]
-            if write:
-                source = (False, operand, cmd.col - col)
+            if run[0]:
+                operand = run[5]
+                source = (operand in self.program.keyed, operand, cmd.col - run[2])
             else:
                 self.reads[index] = None
-        elif cmd.cmd is _WR and self.columns is not None:
-            source = (True, *self.columns[(2 * cmd.bank_index + 1, cmd.row, cmd.col)])
         self.steps.append((
             cmd.cmd, cmd.bg, cmd.ba, cmd.row, cmd.col, cycle - self.base[2], cmd.count,
             mode, source,
@@ -459,12 +521,12 @@ class MemoryController:
     # Where the schedule can be written down — the lone-run rule of the
     # module docstring — ``_lone_run`` issues the queue head without a
     # window or a pick.  Where it cannot — several runs of a program in
-    # one epoch, the readback, the register writes queued ahead of a
-    # kernel — the pick path works it out.  Either way a program is issued
-    # command by command once per timing state and prefix: ``_put`` takes
-    # every command down, the channel records what they did as a frame,
-    # and the next drain of that program from an equal state behind an
-    # equal prefix (``_schedule_key``) is that frame (``_apply_frame``).
+    # one epoch, the readback — the pick path works it out.  Either way a
+    # program is issued command by command once per timing state and
+    # keyed bytes: ``_put`` takes every command down, the channel records
+    # what they did as a frame, and the next drain of that program from an
+    # equal state with equal keyed bytes (``_schedule_key``) is that frame
+    # (``_apply_frame``).
     # Only ``SHUFFLE``, whose seeded draws are among single commands,
     # expands runs (at ``drain`` entry).
 
@@ -685,13 +747,19 @@ class MemoryController:
 
     def _queue_runs(self, program: Sequence[tuple], blocks: Sequence[np.ndarray]) -> None:
         """Queue the runs of ``program`` one request each, fenced as they
-        say, with its index in it (a read tagged with it too)."""
-        for i, (write, row, col, count, fence, operand, barrier, bank, seam) in enumerate(
-            program
-        ):
+        say, with its index in it (a read tagged with it too).  A mode
+        transition is queued as a request of no columns in an epoch of no
+        fence's, -1: no run shares a reorder window with it."""
+        for i, run in enumerate(program):
+            write, row, col, count, fence, operand, barrier, bank, seam, transition = run
             if barrier:
                 self.fence()
             bg, ba = divmod(bank, BANKS_PER_GROUP)
+            if transition:
+                self._queue.append(
+                    Request(MemOp.READ, bg, ba, row, col, epoch=-1, count=0, index=i)
+                )
+                continue
             op = MemOp.WRITE if write else MemOp.READ
             data, tag = (blocks[operand], None) if write else (None, i)
             self.enqueue(
@@ -717,76 +785,53 @@ class MemoryController:
 
     # -- remembered schedules -------------------------------------------------------
 
-    def _prefix(self) -> Optional[tuple]:
-        """The queue as the prefix of a program drained behind it, or None
-        when it cannot be one: every queued request an untagged write that
-        is no program's run, and the channel able to replay them
-        (:meth:`~repro.dram.pseudochannel.PseudoChannel.prefix_key` — on a
-        PIM channel, register-row writes only).  The key part: each
-        request's class, row, column, count and epoch counted from the
-        current one, and what the channel's key holds of their bytes."""
-        epoch = self._epoch
-        shape = []
-        for request in self._queue:
-            if not request.cls & 1 or request.tag is not None or request.index is not None:
-                return None
-            shape.append((
-                request.cls, request.row, request.col, request.count, request.epoch - epoch,
-            ))
-        held = self.channel.prefix_key(
-            [(request.row, request.col, request.data) for request in self._queue]
-        )
-        return None if held is None else (tuple(shape), held)
-
-    def _schedule_key(self, program: Sequence[tuple], prefix: tuple = ()) -> tuple:
-        """What the schedule of ``program`` behind the queued ``prefix``
-        (see :meth:`_prefix`) depends on, cycles counted from the
-        controller's: the program, the prefix, the channel's timing state,
-        the CA bus and the open-row shadow.  (The policy and the window are
-        the controller's own for life.)"""
+    def _schedule_key(self, program: CheckedProgram, blocks: Sequence[np.ndarray]) -> tuple:
+        """What the schedule of ``program`` depends on, cycles counted from
+        the controller's: the program, the bytes of its keyed runs'
+        blocks, the channel's timing state, the CA bus and the open-row
+        shadow.  (The policy and the window are the controller's own for
+        life.)"""
         origin = self._cycle
         return (
-            tuple(program),
-            prefix,
+            program,
+            tuple(blocks[operand].tobytes() for operand in program.keyed),
             self._next_ca - origin,
             tuple(self._open_rows),
             self.channel.timing_state(origin),
         )
 
-    def _base(self) -> Tuple[int, int, int, int]:
-        """The controller's row hits, row misses, cycle and fences."""
-        return self.row_hits, self.row_misses, self._cycle, self.fence_count
+    def _base(self) -> Tuple[int, int, int, int, int]:
+        """The controller's row hits, row misses, cycle, fences and busy
+        cycles."""
+        return self.row_hits, self.row_misses, self._cycle, self.fence_count, self.busy_cycles
 
-    def _mark(self, base: Tuple[int, int, int, int]) -> tuple:
-        """The controller's row hits, row misses, cycle, next CA cycle and
-        fences counted from ``base`` (see :meth:`_base`), and its open-row
-        shadow."""
-        hits, misses, origin, fences = base
+    def _mark(self, base: Tuple[int, int, int, int, int]) -> tuple:
+        """The controller's row hits, row misses, cycle, next CA cycle,
+        fences and busy cycles counted from ``base`` (see :meth:`_base`),
+        and its open-row shadow."""
+        hits, misses, origin, fences, busy = base
         return (
             self.row_hits - hits, self.row_misses - misses,
             self._cycle - origin, self._next_ca - origin, self.fence_count - fences,
-            tuple(self._open_rows),
+            self.busy_cycles - busy, tuple(self._open_rows),
         )
 
-    def _set_mark(self, mark: tuple, base: Tuple[int, int, int, int]) -> None:
+    def _set_mark(self, mark: tuple, base: Tuple[int, int, int, int, int]) -> None:
         """Put the controller where ``mark``, counted from ``base``, says."""
-        hits, misses, origin, _ = base
-        row_hits, row_misses, cycle, next_ca, fences, open_rows = mark
+        hits, misses, origin, _, _ = base
+        row_hits, row_misses, cycle, next_ca, fences, busy, open_rows = mark
         self.row_hits, self.row_misses = hits + row_hits, misses + row_misses
         self._cycle, self._next_ca = origin + cycle, origin + next_ca
         self._epoch += fences
         self.fence_count += fences
+        self.busy_cycles += busy
         self._open_rows = list(open_rows)
 
-    def _remember(
-        self, key: tuple, schedule: _Schedule, issue_order: List[Tuple[int, Request]]
-    ) -> None:
-        """Keep what the drain just did — its prefix's commands listed in
-        ``issue_order`` — as the schedule under ``key``, when the channel
-        can take it down as a frame."""
-        base, program, queued = schedule.base, schedule.program, schedule.queued
-        if schedule.columns is None:
-            return
+    def _remember(self, key: tuple, schedule: _Schedule, out: _Drain) -> None:
+        """Keep what the drain just did — its segments ``out`` holds — as
+        the schedule under ``key``, when the channel can take it down as a
+        frame."""
+        base, program = schedule.base, schedule.program
         frame = self.channel.record_frame(
             schedule.steps, base[2],
             [(run[7], run[1], run[2], run[3]) for run in (program[i] for i in schedule.reads)],
@@ -795,11 +840,12 @@ class MemoryController:
         if frame is None:
             return
         schedule.frame, schedule.end = frame, self._mark(base)
-        schedule.listed = tuple(
-            (cycle - base[2], queued.index(request)) for cycle, request in issue_order
+        origin = base[2]
+        schedule.segments = tuple(
+            (start - origin, end - origin, columns, commands)
+            for start, end, columns, commands in out.segments
         )
         schedule.program, schedule.steps, schedule.entry = (), [], None
-        schedule.queued, schedule.columns = [], {}
         self._schedules[key] = schedule
         if len(self._schedules) > _SCHEDULES:
             self._schedules.popitem(last=False)
@@ -807,32 +853,45 @@ class MemoryController:
     def _apply_frame(
         self, schedule: _Schedule, out: _Drain, blocks: Sequence[np.ndarray] = ()
     ) -> bool:
-        """Issue the program ``schedule`` was recorded from, behind the
-        queued prefix it was recorded behind, as its frame, from the
-        controller's cycle, with this drain's ``blocks`` and queued data:
-        the channel's end state in one step, each read run's bytes as one
-        block under its index, the queue empty and each queued request
-        listed at its recorded cycles, the controller where the recorded
-        drain left it.  False, with nothing changed, when the channel
-        declines the frame."""
+        """Issue the program ``schedule`` was recorded from as its frame,
+        from the controller's cycle, with this drain's ``blocks``: the
+        channel's end state in one step, each read run's bytes as one
+        block under its index, the drain's segments as recorded, the
+        controller where the recorded drain left it.  False, with nothing
+        changed, when the channel declines the frame."""
         base = self._base()
-        queue = self._queue
-        got = self.channel.apply_frame(
-            schedule.frame, self._cycle, blocks, [request.data for request in queue]
-        )
+        origin = self._cycle
+        got = self.channel.apply_frame(schedule.frame, origin, blocks)
         if got is None:
             return False
         read_data = out.read_data
         for index, block in zip(schedule.reads, got):
             read_data[index] = block if len(block) > 1 else block[0]
-        if queue:
-            queued, origin = list(queue), self._cycle
-            queue.clear()
-            out.issue_order.extend(
-                (origin + offset, queued[j]) for offset, j in schedule.listed
-            )
+        out.segments = [
+            (origin + start, origin + end, columns, commands)
+            for start, end, columns, commands in schedule.segments
+        ]
         self._set_mark(schedule.end, base)
         return True
+
+    def _close_segment(self, out: _Drain) -> None:
+        """End the drain's open segment at the controller's cycle: count
+        its busy cycles and note it (see :class:`_Drain`)."""
+        end = self._cycle
+        self.busy_cycles += end - out.busy_from
+        counts, before = self.channel.cmd_counts, out.counts
+        columns = counts[_RD] - before[_RD] + counts[_WR] - before[_WR]
+        commands = sum(counts.values()) - sum(before.values())
+        out.segments.append((out.start, end, columns, commands))
+
+    def _transition(self, run: Request, out: _Drain) -> None:
+        """Issue the mode transition ``run`` between two segments of the
+        drain (see the module docstring)."""
+        self._close_segment(out)
+        self._queue.popleft()
+        self.precharge_all()
+        self._act_pre(run.bg, run.ba, run.row)
+        out.open(self._cycle, dict(self.channel.cmd_counts))
 
     def drain(
         self, program: Sequence[tuple] = (), blocks: Sequence[np.ndarray] = ()
@@ -841,66 +900,67 @@ class MemoryController:
 
         ``program``, a :mod:`repro.pim.stream` program each of whose runs
         names its bank and whose WR runs carry ``blocks[run.operand]``,
-        means: check it, enqueue every run with its fences, drain.  A read
-        run's bytes, when any reach the I/O, are ``read_data[i]`` for its
-        index ``i`` in the program.  ``issue_order`` never lists a
-        program's runs, whichever way they went.  Under an in-order policy
-        a fenced program (its runs lone runs), or one epoch of several
-        runs none of which is a write (the pick path), on an empty queue
-        or behind a queued prefix (:meth:`_prefix`), drains off the queue
-        the first time from a timing state; every later time from that key
-        it is the frame remembered then (:meth:`_apply_frame`), unless a
-        refresh falls due inside it or the channel declines the frame.
-        With no program and an empty queue there is nothing to move: the
-        drain returns the full path's result at once.  A seam in the
-        program (a GEMV launch's, see the module docstring) is crossed as
-        the boundary between two drains."""
+        means: check the blocks (a :class:`CheckedProgram` was checked and
+        hashed where it was built; any other sequence is checked here),
+        enqueue every run with its fences, drain.  A read run's bytes,
+        when any reach the I/O, are ``read_data[i]`` for its index ``i``
+        in the program.  ``issue_order`` never lists a program's runs,
+        whichever way they went.  Under an in-order policy a fenced
+        program (its runs lone runs), or one epoch of several runs none of
+        which is a write (the pick path), on an empty queue drains off the
+        queue the first time from a timing state; every later time from
+        that key it is the frame remembered then (:meth:`_apply_frame`),
+        unless a refresh falls due inside it or the channel declines the
+        frame.  With no program and an empty queue there is nothing to
+        move: the drain returns the full path's result at once.  A seam
+        and either side of a mode transition (see the module docstring)
+        are crossed as the boundary between two drains."""
         if not program and not self._queue:
             return ScheduleResult(
                 self._cycle, [], {}, dict.fromkeys(_COMMAND_TYPES, 0), 0, 0
             )
-        out = _Drain()
         channel = self.channel
         start_counts = dict(channel.cmd_counts)
+        out = _Drain()
+        out.open(self._cycle, start_counts)
         start_hits, start_misses = self.row_hits, self.row_misses
-        entry_cycle = busy_from = self._cycle
         queue = self._queue
         in_order = self.policy is not _SHUFFLE
-        epoch: Optional[int] = None
         key, refreshes = None, self.refresh_count
+        framed = False
         if program:
-            fenced = False
-            for write, _, _, count, fence, operand, barrier, _, _ in program:
-                self._check_run(write, count, blocks[operand] if write else None)
-                fenced = fenced or fence or barrier
-            lone = fenced or len(program) == 1
-            prefix = () if not queue else self._prefix() if lone and in_order else None
-            if prefix is None or not in_order or not lone and any(run[0] for run in program):
-                self._queue_runs(program, blocks)  # no frame stands for an epoch's writes
+            if type(program) is not CheckedProgram:
+                program = CheckedProgram(program)
+            program.check(blocks, channel.bank_config.col_bytes)
+            if queue or not in_order or not program.framed:
+                self._queue_runs(program, blocks)
             else:
-                key = self._schedule_key(program, prefix)
+                key = self._schedule_key(program, blocks)
                 schedule = self._schedules.get(key)
                 if schedule is not None and (
                     not self.refresh or self._cycle + schedule.horizon < self._next_refresh
                 ) and self._apply_frame(schedule, out, blocks):
                     self._schedules.move_to_end(key)
-                    key = None
+                    key, framed = None, True
                 else:
-                    self._recording = _Schedule(
-                        self._base(), program, channel.frame_entry(), queue
-                    )
+                    self._recording = _Schedule(self._base(), program, channel.frame_entry())
                     self._queue_runs(program, blocks)
         if not in_order:
             self._expand_queue(out)
+        epoch: Optional[int] = None
         try:
             while queue:
                 head = queue[0]
+                if not head.count:
+                    self._transition(head, out)
+                    epoch = None
+                    continue
                 if head.epoch != epoch:
                     if head.seam:
                         # Crossing a seam: where a drain of each kernel
                         # program of the launch would end and the next begin.
-                        self.busy_cycles += self._cycle - busy_from
-                        busy_from = self._cycle
+                        self.busy_cycles += self._cycle - out.busy_from
+                        out.busy_from = self._cycle
                     elif epoch is not None:
                         # Crossing a fence: the barrier stalls the request stream.
                         self._next_ca += self.fence_penalty
@@ -916,28 +976,23 @@ class MemoryController:
                 self._issue_column(run, bound, out)
         finally:
             recording, self._recording = self._recording, None
+        if not framed:  # a frame's segments are the recorded drain's, all closed
+            self._close_segment(out)
         if key is not None and self.refresh_count == refreshes:
-            self._remember(key, recording, out.issue_order)
-        self.busy_cycles += self._cycle - busy_from
-        counts = {
-            ct: channel.cmd_counts[ct] - start_counts.get(ct, 0) for ct in _COMMAND_TYPES
-        }
-        columns = counts[CommandType.RD] + counts[CommandType.WR]
-        if self.tracer is not None and columns:
-            self.tracer.record_cycles(
-                "drain",
-                entry_cycle,
-                self._cycle,
-                category="device",
-                channel=self.channel_id,
-                requests=columns,
-                commands=sum(counts.values()),
-            )
+            self._remember(key, recording, out)
+        counts = channel.cmd_counts
+        if self.tracer is not None:
+            for start, end, columns, commands in out.segments:
+                if columns:  # a segment that put a column on the bus
+                    self.tracer.record_cycles(
+                        "drain", start, end, category="device", channel=self.channel_id,
+                        requests=columns, commands=commands,
+                    )
         return ScheduleResult(
             cycles=self._cycle,
             issue_order=out.issue_order,
             read_data=out.read_data,
-            command_count=counts,
+            command_count={ct: counts[ct] - start_counts[ct] for ct in _COMMAND_TYPES},
             row_hits=self.row_hits - start_hits,
             row_misses=self.row_misses - start_misses,
         )
@@ -960,6 +1015,10 @@ class MemoryController:
         """
         if self._queue:
             raise RuntimeError("drain the request queue before a mode transition")
+        self._act_pre(bg, ba, row)
+
+    def _act_pre(self, bg: int, ba: int, row: int) -> None:
+        """An ACT to ``row`` of bank (``bg``, ``ba``), then its PRE."""
         self._issue(Command(CommandType.ACT, bg, ba, row=row))
         self._issue(Command(CommandType.PRE, bg, ba))
         self._open_rows[bg * BANKS_PER_GROUP + ba] = None

@@ -36,12 +36,13 @@ goes straight to the bank-column frame of every pseudo-channel.
 A command sequence the controller has issued once from a timing state can
 come back as one *channel frame* (``record_frame`` / ``apply_frame``, see
 :mod:`repro.dram.pseudochannel`).  Here that is the readback's SB-mode
-reads, and a kernel's fenced all-bank program, with the CRF / SRF writes
-queued ahead of it: the frame sets every bank, the mode FSM,
-``pim_op_mode`` and the column counters in one step and replays the
-data events — register write runs, AB writes, and each AB-PIM window's
-compiled trace, looked up by the trace key it recorded — against the
-bytes of the drain that takes it, then writes the units' state once.
+reads, and a launch's fenced all-bank program from SB mode back to SB
+mode, its mode transitions and CRF / SRF loads among its runs: the frame
+sets every bank, the mode FSM, ``pim_op_mode`` and the column counters
+in one step and replays the data events — register write runs, AB
+writes, and each AB-PIM window's compiled trace, looked up by the trace
+key it recorded — against the bytes of the drain that takes it, then
+writes the units' state once.
 """
 
 from __future__ import annotations
@@ -211,41 +212,44 @@ class PimPseudoChannel(PseudoChannel):
     # ``PseudoChannel.record_frame``).  SB-mode ACT / PRE / RD commands to
     # bank rows — the GEMV readback — change no mode and leave the mode
     # FSM's armed row.  An all-bank program — a kernel's fenced AB-PIM
-    # program, or a GEMV launch's tile programs joined at seams, behind the
-    # CRF / SRF writes queued ahead of it if any — records all 16 banks and
-    # moves the mode FSM, ``pim_op_mode`` and the column counters; its data
-    # events, in bus order, are what the frame replays against the blocks
-    # and queued data of the drain that applies it: each register-row write
-    # run as one flush and one write per unit (``_write_registers``), each
-    # AB write run into every bank, and each AB-PIM *window* — the trigger
-    # runs between two flushes of the exec group — as one
-    # ``FusedLockstepGroup.replay_window``.  A window records the trace key
-    # its flush used (channel, entry sequencer state, CRF words, pattern
-    # bytes: the cache's own key object, shared), the write blocks that feed
-    # its HOST operand and its trigger pattern: the exec group logs the key
-    # of every window it replays from the recording drain's start
-    # (``frame_entry``) to ``record_frame``, so a launch of any number of
-    # windows is taken down.  Taken, it looks that key up in the trace cache
-    # and replays the compiled trace with this drain's blocks — no tape, no
-    # key packing, no uniformity check; on a miss (the trace evicted, or
-    # dropped by a CRF upset or a quarantine) it rebuilds the tape from the
-    # pattern and runs the flush the command path runs, which compiles and
-    # puts under the same key.  The units' sequencer state, the windows'
-    # summed stats and ``fused_replays`` are written once, at the frame's
-    # end; the triggers of a window the program leaves open go on the tape
-    # then.
+    # program, or a launch from SB mode back to SB mode: its transitions'
+    # SB-mode PREA, ACT and PRE at its ends (the ACT one bank's, the rest
+    # of its commands all banks'), its CRF / SRF loads and its tile
+    # programs joined at seams — records all 16 banks and moves the mode
+    # FSM (its armed row and ``transition_count`` too), ``pim_op_mode``
+    # and the column counters; its data events, in bus order, are what the
+    # frame replays against the blocks of the drain that applies it: each
+    # register-row write run as one flush and one write per unit
+    # (``_write_registers``), each AB write run into every bank, and each
+    # AB-PIM *window* — the trigger runs between two flushes of the exec
+    # group — as one ``FusedLockstepGroup.replay_window``.  A window
+    # records the trace key its flush used (channel, entry sequencer
+    # state, CRF words, pattern bytes: the cache's own key object, shared),
+    # the write blocks that feed its HOST operand and its trigger pattern:
+    # the exec group logs the key of every window it replays from the
+    # recording drain's start (``frame_entry``) to ``record_frame``, so a
+    # launch of any number of windows is taken down.  Taken, it looks that
+    # key up in the trace cache and replays the compiled trace with this
+    # drain's blocks — no tape, no key packing, no uniformity check; on a
+    # miss (the trace evicted, or dropped by a CRF upset or a quarantine)
+    # it rebuilds the tape from the pattern and runs the flush the command
+    # path runs, which compiles and puts under the same key.  The units'
+    # sequencer state, the windows' summed stats and ``fused_replays`` are
+    # written once, at the frame's end; the triggers of a window the
+    # program leaves open go on the tape then.
     #
     # Such a frame is recorded only on an exec group that defers, holds no
     # tape and one CRF program on every unit — the key holds that program
-    # (``timing_state``) and the bytes a queued load writes over it
-    # (``prefix_key``), so each window's trace key is the recorded one —
-    # and only when every window replayed a compiled trace.  CRF bytes
-    # from the program's own blocks are in no key, so a program that
-    # writes them is not taken down.  A frame is applied only where none
-    # of it can raise: every bank vouches for every row the program's
-    # columns reach (``Bank.framed``; once per channel while no bank is
-    # failed, injected or of a class of its own, ``vouched``), and every
-    # write's block has the recorded shape and PIM_OP_MODE value.
+    # (``timing_state``) and the bytes the program's own keyed CRF load
+    # writes over it (``MemoryController._schedule_key``), so each
+    # window's trace key is the recorded one — and only when every window
+    # replayed a compiled trace.  A program that writes the CRF without
+    # the CRF row among its keyed rows is not taken down.  A frame is
+    # applied only where none of it can raise: every bank vouches for
+    # every row the program's columns reach (``Bank.framed``; once per
+    # channel while no bank is failed, injected or of a class of its own,
+    # ``vouched``), and every write's block has the recorded shape and
+    # PIM_OP_MODE value.
 
     def frame_entry(self) -> Any:
         """The exec group's fallback count, when its windows can be framed
@@ -258,21 +262,6 @@ class PimPseudoChannel(PseudoChannel):
             return None
         group.window_keys = []
         return group.fused_fallbacks
-
-    def prefix_key(self, writes: Sequence[tuple]) -> Optional[tuple]:
-        """Register-row writes can precede a program's frame — replayed
-        through the register path with the applying drain's bytes — and
-        the key holds the bytes each writes into the CRF: they decide the
-        program every window of the frame runs on, so its trace keys.
-        None when any write is to a bank row or carries no array."""
-        crf_row = self.memory_map.crf_row
-        held = []
-        for row, col, data in writes:
-            if row not in self._register_rows or not isinstance(data, np.ndarray):
-                return None
-            if row == crf_row:
-                held.append((col, np.ascontiguousarray(data, dtype=np.uint8).tobytes()))
-        return tuple(held)
 
     def record_frame(
         self, steps: Sequence[tuple], origin: int,
@@ -294,7 +283,7 @@ class PimPseudoChannel(PseudoChannel):
             if frame is not None:
                 frame = frame._replace(armed=self.mode_ctrl._armed_row)
             return frame
-        if _SB in modes or entry is None or entry != self.lockstep.fused_fallbacks:
+        if entry is None or entry != self.lockstep.fused_fallbacks:
             return None
         return self._record_program(steps, origin, logged)
 
@@ -303,13 +292,15 @@ class PimPseudoChannel(PseudoChannel):
     ) -> Optional[Frame]:
         """The frame of an all-bank program just issued from ``origin``,
         every window of which replayed a compiled trace — the ``logged``
-        trace keys, in order — behind the register writes queued ahead of
-        it; None when one of its columns reads bytes out (a
-        register or an AB read), writes the CRF with bytes of the program's
-        own blocks (the key holds only a queued write's, :meth:`prefix_key`),
-        flushes triggers it gave the exec group before any ``start_all``
-        (their trace key holds the sequencer state the program found), or
-        stops the sequencers it did not start."""
+        trace keys, in order — from SB mode back to SB mode if it enters
+        and leaves there: SB-mode PREA, ACT and PRE commands (a mode
+        transition's) at its ends; None when one of its columns goes out
+        in SB mode, reads bytes out (a register or an AB read), writes the
+        CRF with bytes the key does not hold (a write to a keyed row's,
+        see ``repro.dram.controller.CheckedProgram``), flushes triggers it
+        gave the exec group before any ``start_all`` (their trace key
+        holds the sequencer state the program found), or stops the
+        sequencers it did not start."""
         memory_map = self.memory_map
         register, conf = self._register_rows, memory_map.conf_row
         group = self.lockstep
@@ -318,6 +309,7 @@ class PimPseudoChannel(PseudoChannel):
         writes: List[tuple] = []
         window: List[tuple] = []  # the trigger runs since the last flush
         rows = set()
+        acts = [0] * BANKS_PER_PCH
         triggered = broadcast = 0
         pim_op_mode = None
         started = False
@@ -326,8 +318,15 @@ class PimPseudoChannel(PseudoChannel):
         for step, after in zip(steps, ends):
             kind, bg, ba, row, col, offset, count, mode, source = step
             if not kind.is_column:
+                if kind is _ACT:
+                    if mode is _SB:  # one bank's
+                        acts[bg * BANKS_PER_GROUP + ba] += 1
+                    else:
+                        acts = [n + 1 for n in acts]
                 records.append((kind, bg, ba, row, col, offset, 1, mode))
                 continue
+            if mode is _SB:
+                return None
             is_write = kind is _WR
             if is_write:
                 writes.append((source, count, None))
@@ -384,10 +383,10 @@ class PimPseudoChannel(PseudoChannel):
             _window(None, window) if window else None, state, tuple(transitions),
             (end, len(transitions), pim_op_mode), triggered, broadcast,
         )
-        # Every bank took every ACT and every AB write; a trigger counts in
-        # none, and a program with an AB read is not taken down.
-        acts = sum(record[0] is _ACT for record in records)
-        tallies = dict.fromkeys(range(BANKS_PER_PCH), (acts, 0, broadcast))
+        # Every bank took every all-bank ACT and every AB write, an SB-mode
+        # ACT its own bank alone; a trigger counts in none, and a program
+        # with an AB read is not taken down.
+        tallies = {index: (n, 0, broadcast) for index, n in enumerate(acts)}
         return self._frame(
             records, origin, self._bank_entries(tallies, origin), (),
             armed=self.mode_ctrl._armed_row, program=program,
@@ -395,7 +394,6 @@ class PimPseudoChannel(PseudoChannel):
 
     def apply_frame(
         self, frame: Frame, origin: int, blocks: Sequence[np.ndarray] = (),
-        queued: Sequence[np.ndarray] = (),
     ) -> Optional[List[np.ndarray]]:
         """The frame, and the mode FSM's armed row as it left it; an
         all-bank program's frame (:meth:`_apply_program`) returns no
@@ -403,18 +401,16 @@ class PimPseudoChannel(PseudoChannel):
         if frame.program is None:
             got = super().apply_frame(frame, origin)
         else:
-            got = [] if self._apply_program(frame, origin, blocks, queued) else None
+            got = [] if self._apply_program(frame, origin, blocks) else None
         if got is not None:
             self.mode_ctrl._armed_row = frame.armed
         return got
 
     def _apply_program(
         self, frame: Frame, origin: int, blocks: Sequence[np.ndarray],
-        queued: Sequence[np.ndarray],
     ) -> bool:
-        """Take an all-bank program's frame with this drain's ``blocks``
-        and the data of the writes ``queued`` ahead of it: False, with
-        nothing changed, where any of it could raise."""
+        """Take an all-bank program's frame with this drain's ``blocks``:
+        False, with nothing changed, where any of it could raise."""
         program = frame.program
         banks = self.banks
         if not self.vouched():
@@ -424,8 +420,8 @@ class PimPseudoChannel(PseudoChannel):
                         return False
         data = []
         width = self.bank_config.col_bytes
-        for (from_queue, operand, first), count, value in program.writes:
-            block = queued[operand] if from_queue else blocks[operand]
+        for (_, operand, first), count, value in program.writes:
+            block = blocks[operand]
             if not isinstance(block, np.ndarray):
                 return False
             if block.ndim == 2:  # what a lone run or a pick leaves of it

@@ -2,8 +2,10 @@
 
 The paper's PIM kernel *is* a standard DRAM command stream (Section IV-C /
 VII-B): 8 column commands to consecutive columns of one row, a fence,
-repeat — each column triggering one microkernel instruction — and SB-mode
-reads bring a GEMV's partial sums back.  A *program* is such a stream as
+repeat — each column triggering one microkernel instruction — between
+the mode transitions and register loads a launch starts and ends with
+(:func:`sb_to_sb`), and SB-mode reads bring a GEMV's partial sums back.
+A *program* is such a stream as
 an immutable tuple of :class:`Run`\\ s, built from an operator's shape and
 base rows.  Everything else reads it: the kernels enqueue it, their
 reports and the fabric router count it, Fig. 14's trace generators
@@ -21,15 +23,18 @@ from .registers import LANES
 
 # What rides on a WR run, as an index into the operand blocks of a launch:
 # ``k >= 0`` is chunk ``k`` of the staged input vector, the negative ones
-# the constants every launch keeps at the end of its block list.
+# the blocks every launch keeps at the end of its block list.
 ZEROS = -1  # content nothing reads: a GRF -> bank MOV trigger, the GRF_B clear
 MODE_OFF = -2  # the two values of the PIM_OP_MODE register
 MODE_ON = -3
+CRF = -4  # the launch's microkernel image, a column per 8 instructions
+SRF = -5  # the launch's SRF_M and SRF_A columns
 
 
 class Run(NamedTuple):
     """``count`` column commands of one direction to columns ``col ..
-    col + count - 1`` of ``row`` in ``bank``: one queue entry, one burst."""
+    col + count - 1`` of ``row`` in ``bank``: one queue entry, one burst.
+    With ``transition``, a *mode transition* of no columns (:func:`transition`)."""
 
     write: bool
     row: int
@@ -40,6 +45,7 @@ class Run(NamedTuple):
     barrier: bool = False  # a fence precedes it too (a mode-register write)
     bank: int = 0  # flat bank index; unit u's even bank is 2u (AB modes ignore it)
     seam: bool = False  # it begins a kernel program of a launch (see ``launch``)
+    transition: bool = False  # PREA, then ACT + PRE to ``row`` of ``bank``
 
 
 Program = Tuple[Run, ...]
@@ -145,6 +151,35 @@ def kernel_program(
     return (clear if clear_grf_b else ()) + (mode_on,) + body + (mode_off,)
 
 
+def transition(row: int) -> Run:
+    """The mode transition a PREA, then an ACT and a PRE to ``row`` — the
+    ABMR or the SBMR row — make (Section III-B): no column, no fence.  A
+    controller crosses it as it crosses from one drain to the next
+    (``repro.dram.controller``)."""
+    return Run(False, row, 0, 0, False, transition=True)
+
+
+def sb_to_sb(
+    body: Program, registers: PimMemoryMap, enter: bool = True, leave: bool = True,
+    crf: int = 0, srf: bool = False,
+) -> Program:
+    """``body`` as a launch runs it from SB mode back to SB mode: the
+    transition into AB mode (``enter``), the ``crf`` columns of block
+    :data:`CRF` into the CRF — they decide the program every window runs
+    on, so a plan checks the program with the CRF row keyed
+    (``repro.dram.controller.CheckedProgram``) — and block :data:`SRF`
+    into SRF_M and SRF_A (``srf``), each a fenced register-row write run,
+    then ``body`` and the transition back (``leave``).  A launch that
+    spans several drains enters in its first and leaves in its last."""
+    head: Tuple[Run, ...] = (transition(registers.abmr_row),) if enter else ()
+    if crf:
+        head += (Run(True, registers.crf_row, 0, crf, True, CRF),)
+    if srf:
+        head += (Run(True, registers.srf_row, 0, 2, True, SRF),)
+    tail = (transition(registers.sbmr_row),) if leave else ()
+    return head + tuple(body) + tail
+
+
 def launch(programs: Iterable[Tuple[Program, int]]) -> Program:
     """Kernel programs, each with the offset of its operand blocks in one
     block list, as the one program of a launch: each program's staged
@@ -174,7 +209,7 @@ def triggers(program: Program) -> Program:
 
 
 def columns(program: Iterable[Run]) -> int:
-    """Column commands the runs put on the bus."""
+    """Column commands the runs put on the bus (a transition puts none)."""
     return sum(run.count for run in program)
 
 

@@ -46,7 +46,6 @@ from .kernels import (
     ElementwiseKernel,
     ExecutionReport,
     GemvKernel,
-    PimSession,
 )
 from .collaborative import CollaborativeGemv, CollaborativeReport, optimal_split
 from .lstm import LstmLayerOperator, LstmStepReport
@@ -87,7 +86,6 @@ __all__ = [
     "ElementwiseKernel",
     "ExecutionReport",
     "GemvKernel",
-    "PimSession",
     "CollaborativeGemv",
     "CollaborativeReport",
     "optimal_split",

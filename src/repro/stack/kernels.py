@@ -25,21 +25,28 @@ within the 8-register GRF window (Section IV-C / VII-B).  A kernel hands
 each program to its channel's controller whole (``mc.drain(program,
 blocks)``): every run is one *column burst* alone in its fence epoch, so
 the controller issues it as one command and the device executes it as a
-unit, bit-identically to its 8 commands.  A GEMV launch hands each
-simulated channel one program, the programs of all its (slot, slice,
-tile)s joined at seams (:meth:`GemvPlan.launch`).  A GEMV's SB-mode
-readback is a program too, of unfenced runs the controller reorders
-across banks.
+unit, bit-identically to its 8 commands.  A launch is one standard
+command stream from SB mode back to SB mode (:func:`~repro.pim.stream.sb_to_sb`):
+the mode transitions and the CRF / SRF loads are runs of the program it
+hands a channel, fed from the launch's block list.  A GEMV launch hands
+each simulated channel one such program, the programs of all its (slot,
+slice, tile)s joined at seams (:meth:`GemvPlan.launch`); an elementwise
+batch enters and loads with its first item's program and leaves after
+the last item's (:meth:`ElementwisePlan.launch`).  Each is built,
+checked and hashed once (a :class:`~repro.dram.controller.CheckedProgram`).
+A GEMV's SB-mode readback is a program too, of unfenced runs the
+controller reorders across banks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..dram.controller import CheckedProgram
 from ..dram.ecc import peek_block, poke_block
 from ..pim import stream
 from ..pim.device import UNITS_PER_PCH, PimPseudoChannel
@@ -51,7 +58,6 @@ from .arithmetic import elementwise_reference, mac_partials, reduce_partials
 
 __all__ = [
     "ExecutionReport",
-    "PimSession",
     "GemvKernel",
     "ElementwiseKernel",
     "ELEMENTWISE_OPS",
@@ -61,10 +67,12 @@ __all__ = [
 
 _COL_GROUP = GRF_REGS  # 8 columns per AAM window / fence interval
 
-# A channel selector: None = all channels, int = the first N (the
-# historical ``simulate_pchs`` convention), or an explicit sequence of
-# channel indices (a serving lane's channel set).
-ChannelSelector = Union[None, int, Sequence[int]]
+
+def _checked(runs: Sequence[stream.Run], registers: PimMemoryMap) -> CheckedProgram:
+    """A launch's ``runs`` checked and hashed once, the bytes its CRF load
+    writes in a remembered schedule's key: they decide the program every
+    window runs on."""
+    return CheckedProgram(runs, keyed_rows=(registers.crf_row,))
 
 
 @dataclass
@@ -75,7 +83,6 @@ class ExecutionReport:
     cycles: int = 0
     ns: float = 0.0
     column_commands: int = 0
-    activates: int = 0
     fences: int = 0
     pim_instructions: int = 0
     pim_flops: int = 0
@@ -169,87 +176,40 @@ def _program_counts(program: stream.Program) -> Tuple[int, int]:
     return stream.columns(stream.triggers(program)), stream.fences(program)
 
 
-class PimSession:
-    """Mode transitions and register programming over standard commands.
+def _launch_blocks(crf: np.ndarray, srf: Optional[np.ndarray] = None) -> tuple:
+    """The blocks every launch keeps at the end of its block list, where a
+    program's ``SRF`` / ``CRF`` / ``MODE_ON`` / ``MODE_OFF`` / ``ZEROS``
+    operands (-5 .. -1) index them: the launch's SRF and CRF images (an
+    SRF load's two columns, or any block where the launch loads none),
+    then :data:`_CONSTANT_BLOCKS`."""
+    return (_CONSTANT_BLOCKS[2] if srf is None else srf, crf, *_CONSTANT_BLOCKS)
 
-    All methods run through the memory controllers, so their cost lands in
-    the same cycle accounting as the data phases.
-    """
 
-    def __init__(self, system: HostSystem):
-        self.sys = system
-        channel = system.device.pch(0)
-        if not isinstance(channel, PimPseudoChannel):
-            raise TypeError("PimSession requires a PIM-HBM device")
-        self.map = channel.memory_map
-
-    def _each(self, pchs: ChannelSelector = None):
-        return [self.sys.controllers[i] for i in self.sys.resolve_pchs(pchs)]
-
-    # -- mode transitions ------------------------------------------------------
-
-    def enter_ab(self, pchs: ChannelSelector = None) -> None:
-        """PREA + (ACT, PRE) to the ABMR row on the selected channels."""
-        for mc in self._each(pchs):
-            mc.drain()
-            mc.precharge_all()
-            mc.closed_page_access(0, 0, self.map.abmr_row)
-
-    def exit_to_sb(self, pchs: ChannelSelector = None) -> None:
-        """PREA + (ACT, PRE) to the SBMR row: back to standard DRAM."""
-        for mc in self._each(pchs):
-            mc.drain()
-            mc.precharge_all()
-            mc.closed_page_access(0, 0, self.map.sbmr_row)
-
-    # -- register programming ----------------------------------------------------
-
-    def program_crf(self, source: str, pchs: ChannelSelector = None) -> None:
-        """Assemble and broadcast a microkernel into every unit's CRF.
-
-        The memory manager caches microkernel code (Section V-A): when a
-        channel already holds this exact program, the register writes are
-        skipped entirely.
-        """
+def _crf_image(system: HostSystem, source: str) -> Tuple[np.ndarray, Dict[int, str]]:
+    """The CRF image of microkernel ``source`` from the system's
+    microkernel cache (the memory manager's, Section V-A), and the
+    microkernel each channel's CRF holds: a launch loads the CRF only on a
+    channel that does not hold its own, and notes it there (the serving
+    layer's heal and the fault injector's CRF upset drop a channel's
+    entry)."""
+    cache = getattr(system, "_microkernel_cache", None)
+    if cache is None:
         from .memory import MicrokernelCache
 
-        cache = getattr(self.sys, "_microkernel_cache", None)
-        if cache is None:
-            cache = MicrokernelCache()
-            self.sys._microkernel_cache = cache  # type: ignore[attr-defined]
-        loaded = getattr(self.sys, "_crf_loaded", None)
-        if loaded is None:
-            loaded = {}
-            self.sys._crf_loaded = loaded  # type: ignore[attr-defined]
-        words = cache.get(source)
-        image = np.array(words, dtype="<u4").view(np.uint8)
-        cols = len(image) // GRF_REG_BYTES
-        for index in self.sys.resolve_pchs(pchs):
-            mc = self.sys.controllers[index]
-            if loaded.get(index) == source:
-                continue  # the CRF already holds this microkernel
-            for col in range(cols):
-                chunk = image[col * GRF_REG_BYTES : (col + 1) * GRF_REG_BYTES]
-                mc.write(0, 0, self.map.crf_row, col, chunk)
-            mc.fence()
-            loaded[index] = source
+        cache = system._microkernel_cache = MicrokernelCache()  # type: ignore[attr-defined]
+    loaded = getattr(system, "_crf_loaded", None)
+    if loaded is None:
+        loaded = system._crf_loaded = {}  # type: ignore[attr-defined]
+    return cache.image(source), loaded
 
-    def write_srf(
-        self,
-        mul_scalars: Optional[np.ndarray] = None,
-        add_scalars: Optional[np.ndarray] = None,
-        pchs: ChannelSelector = None,
-    ) -> None:
-        """Program SRF_M / SRF_A (each 8 FP16 scalars, zero-padded)."""
-        for mc in self._each(pchs):
-            for col, values in ((0, mul_scalars), (1, add_scalars)):
-                if values is None:
-                    continue
-                payload = np.zeros(GRF_REG_BYTES, dtype=np.uint8)
-                scalars = np.asarray(values, dtype=np.float16)
-                payload[: scalars.size * 2] = scalars.view(np.uint8)
-                mc.write(0, 0, self.map.srf_row, col, payload)
-            mc.fence()
+
+def _crf_load(loaded: Dict[int, str], channel: int, source: str, image: np.ndarray) -> int:
+    """The columns a launch of ``source`` loads into ``channel``'s CRF:
+    none when it holds ``source``, else the image's, noted as held."""
+    if loaded.get(channel) == source:
+        return 0
+    loaded[channel] = source
+    return len(image)
 
 
 # ---------------------------------------------------------------------------
@@ -388,39 +348,45 @@ class GemvPlan:
             )
         return program
 
-    def launch(self, passes: int, group: int) -> stream.Program:
+    def launch(self, passes: int, group: int, crf: int = 0) -> CheckedProgram:
         """What one launch of ``group`` batch slots puts on the bus of a
-        channel that runs ``passes`` passes: the program of each (slot,
-        pass, tile) in that order, as one program joined at seams
-        (:func:`~repro.pim.stream.launch`), slot ``g``'s pass ``p`` staging
-        its chunks from block ``(g * passes + p) * chunks`` of the launch's
-        block list (built once, as :meth:`program`)."""
-        key = ("launch", passes, group)
+        channel that runs ``passes`` passes, from SB mode back to SB mode
+        (:func:`~repro.pim.stream.sb_to_sb`, loading ``crf`` columns of
+        microkernel first): the program of each (slot, pass, tile) in that
+        order, joined at seams (:func:`~repro.pim.stream.launch`), slot
+        ``g``'s pass ``p`` staging its chunks from block ``(g * passes +
+        p) * chunks`` of the launch's block list (built, checked and
+        hashed once, as :meth:`program`)."""
+        key = ("launch", passes, group, crf)
         program = self._programs.get(key)
         if program is None:
-            program = self._programs[key] = stream.launch(
+            body = stream.launch(
                 (self.program(tile, pass_, slot), (slot * passes + pass_) * self.chunks)
                 for slot in range(group)
                 for pass_ in range(passes)
                 for tile in range(self.tiles)
             )
+            program = self._programs[key] = _checked(
+                stream.sb_to_sb(body, self.registers, crf=crf), self.registers
+            )
         return program
 
-    def readback(self, passes: int, slot: int = 0) -> stream.Program:
+    def readback(self, passes: int, slot: int = 0) -> CheckedProgram:
         """The SB-mode readback of a channel that runs ``passes`` passes:
         every tile's partial sums of slot ``slot``, pass after pass, one
-        run per unit each (built once, as :meth:`program`)."""
+        run per unit each (built, checked and hashed once, as
+        :meth:`launch`)."""
         key = ("readback", passes, slot)
         program = self._programs.get(key)
         if program is None:
-            program = self._programs[key] = sum(
+            program = self._programs[key] = CheckedProgram(sum(
                 (
                     stream.gemv_readback(*self.out_location(tile, pass_, slot))
                     for pass_ in range(passes)
                     for tile in range(self.tiles)
                 ),
                 (),
-            )
+            ))
         return program
 
     @cached_property
@@ -448,7 +414,10 @@ class _ResidentKernel:
 
     def __init__(self, system: HostSystem, channels: Optional[Sequence[int]]):
         self.sys = system
-        self.session = PimSession(system)
+        channel = system.device.pch(0)
+        if not isinstance(channel, PimPseudoChannel):
+            raise TypeError(f"{type(self).__name__} requires a PIM-HBM device")
+        self.registers = channel.memory_map
         if channels is None:
             channels = range(system.num_pchs)
         self.channels: Tuple[int, ...] = tuple(channels)
@@ -544,7 +513,7 @@ class GemvKernel(_ResidentKernel):
             batch_slots=self.max_batch,
             weight_base_row=block.start,
             out_base_row=block.start + weight_rows,
-            registers=self.session.map,
+            registers=self.registers,
         )
 
     def _slice_channel(self, s: int) -> Tuple[int, int]:
@@ -618,12 +587,15 @@ class GemvKernel(_ResidentKernel):
         the setup overheads amortise: every output is reduced from its
         own partial sums by :func:`~repro.stack.arithmetic.reduce_partials`.
 
-        A launch is one drain per simulated channel (:meth:`_stream`): the
-        program of every (slot, slice on that channel, tile) in turn,
-        joined at *seams* — fence epoch boundaries the controller crosses
-        with no fence penalty, as it crosses from one drain to the next —
-        so the cycles are those of one drain per program, and from an
-        equal timing state the whole launch is one channel frame.
+        A launch is one drain per simulated channel (:meth:`_stream`),
+        from SB mode back to SB mode: the transition into AB mode, the CRF
+        load where the channel does not hold the microkernel, the program
+        of every (slot, slice on that channel, tile) in turn, joined at
+        *seams* — fence epoch boundaries the controller crosses with no
+        fence penalty, as it crosses from one drain to the next — and the
+        transition back, crossed as drain boundaries too.  So the cycles
+        are those of the transitions and of one drain per program, and
+        from an equal timing state the whole launch is one channel frame.
 
         ``simulate_pchs`` limits cycle-accurate simulation to the first N
         pseudo-channels (all channels execute identical streams, so the
@@ -652,17 +624,15 @@ class GemvKernel(_ResidentKernel):
         padded[:, : self.n] = xs
         outputs: List[np.ndarray] = []
         launches = 0
+        source = self.MICROKERNEL.format(reps=plan.chunks - 1)
         start = self.sys.drain_set(self.channels)
         for base in range(0, batch, plan.batch_slots):
             group = padded[base : base + plan.batch_slots]
             launches += 1
-            self.session.enter_ab(pchs=sim_channels)
-            self.session.program_crf(
-                self.MICROKERNEL.format(reps=plan.chunks - 1), pchs=sim_channels
-            )
+            image, loaded = _crf_image(self.sys, source)
             for pos in range(nsim_ch):
-                self._stream(pos, group)
-            self.session.exit_to_sb(pchs=sim_channels)
+                crf = _crf_load(loaded, self.channels[pos], source, image)
+                self._stream(pos, group, crf, image)
             shortcut = None
             if nsim_ch < k:  # the functional model of every unsimulated (input, slice)
                 shortcut = mac_partials(
@@ -679,15 +649,15 @@ class GemvKernel(_ResidentKernel):
         _fill_timing(self.sys, report, end - start, launches)
         return np.stack(outputs), report
 
-    def _stream(self, pos: int, group: np.ndarray) -> None:
+    def _stream(self, pos: int, group: np.ndarray, crf: int, image: np.ndarray) -> None:
         """Drain one launch of the padded inputs ``group`` on the channel
-        at ``pos``: its :meth:`GemvPlan.launch` program, over one block
-        list of every (slot, slice on that channel)'s staged chunks."""
+        at ``pos``, loading ``crf`` columns of the CRF ``image``: its
+        :meth:`GemvPlan.launch` program, over one block list of every
+        (slot, slice on that channel)'s staged chunks (a channel may hold
+        no slice: it enters, loads and leaves)."""
         plan = self.plan
         k = len(self.channels)
         passes = len(range(pos, plan.num_slices, k))
-        if not passes:  # a channel may hold no slice
-            return
         # Each x value replicated over the 16 lanes, one (8, 32) WR block
         # per chunk: every fence epoch of the program is one column burst.
         x = group.reshape(len(group), plan.passes, k, plan.n_slice)[:, :passes, pos]
@@ -697,7 +667,7 @@ class GemvKernel(_ResidentKernel):
             .reshape(-1, _COL_GROUP, GRF_REG_BYTES)
         )
         self.sys.controller(self.channels[pos]).drain(
-            plan.launch(passes, len(group)), (*staged, *_CONSTANT_BLOCKS)
+            plan.launch(passes, len(group), crf), (*staged, *_launch_blocks(image))
         )
 
     def _poke_partials(self, acc: np.ndarray, nsim_ch: int, slot: int) -> None:
@@ -850,6 +820,30 @@ class ElementwisePlan:
         body = stream.elementwise_stream(op, self.groups, self.in_cols, self.base_row)
         return stream.kernel_program(body, self.registers)
 
+    def launch(self, op: str, first: bool, crf: int = 0, srf: bool = False) -> CheckedProgram:
+        """What one item of a batch of ``op`` puts on the bus of a channel
+        slot: :meth:`program`, after the transition into AB mode and the
+        ``crf`` columns of CRF load in the ``first`` item and after an
+        SRF load with ``srf`` (:func:`~repro.pim.stream.sb_to_sb`; built,
+        checked and hashed once per variant)."""
+        key = (op, first, crf, srf)
+        program = self._programs.get(key)
+        if program is None:
+            program = self._programs[key] = _checked(stream.sb_to_sb(
+                self.program(op), self.registers, first, False, crf, srf
+            ), self.registers)
+        return program
+
+    @cached_property
+    def leave(self) -> CheckedProgram:
+        """The transition back to SB mode that ends a batch, after the
+        host's barrier over the slots' last items."""
+        return _checked(stream.sb_to_sb((), self.registers, enter=False), self.registers)
+
+    @cached_property
+    def _programs(self) -> Dict[tuple, CheckedProgram]:
+        return {}
+
 
 class ElementwiseKernel(_ResidentKernel):
     """Elementwise vector operator over the PIM region.
@@ -892,7 +886,7 @@ class ElementwiseKernel(_ResidentKernel):
             groups=groups,
             base_row=block.start,
             in_cols=in_cols,
-            registers=self.session.map,
+            registers=self.registers,
         )
 
     # -- staging -------------------------------------------------------------------
@@ -982,21 +976,23 @@ class ElementwiseKernel(_ResidentKernel):
             total_pchs=plan.num_pchs,
         )
         results: List[np.ndarray] = []
-        program, counts, written = self._program
+        op = self.op.name
+        _, counts, written = self._program
+        source = self.op.microkernel.format(reps=plan.groups - 1)
+        image, loaded = _crf_image(self.sys, source)
         start = self.sys.drain_set(self.channels)
-        self.session.enter_ab(pchs=sim_channels)
-        self.session.program_crf(
-            self.op.microkernel.format(reps=plan.groups - 1), pchs=sim_channels
-        )
-        for a, b, scalars in normalised:
-            self._program_srf(scalars, sim_channels)
+        for item, (a, b, scalars) in enumerate(normalised):
+            srf = self._srf(scalars)
+            blocks = _launch_blocks(image, srf)
             a = self._padded(a)
             self._scatter(a)
             if b is not None:
                 b = self._padded(b)
                 self._scatter(b, odd=True)
             for pch in sim_channels:
-                self.sys.controller(pch).drain(program, _CONSTANT_BLOCKS)
+                crf = _crf_load(loaded, pch, source, image) if item == 0 else 0
+                program = plan.launch(op, item == 0, crf, srf is not None)
+                self.sys.controller(pch).drain(program, blocks)
             if nsim < plan.num_pchs:
                 # Functional model of the non-simulated slots: the op is
                 # lane-wise, so only the lanes stored are computed.
@@ -1011,7 +1007,8 @@ class ElementwiseKernel(_ResidentKernel):
             if nsim:
                 self.sys.drain_set(sim_channels)
             results.append(self._gather_result())
-        self.session.exit_to_sb(pchs=sim_channels)
+        for pch in sim_channels if normalised else ():
+            self.sys.controller(pch).drain(plan.leave)
         end = self.sys.drain_set(self.channels)
         _fill_timing(self.sys, report, end - start, launches=1)
         times = nsim * len(normalised)
@@ -1043,11 +1040,14 @@ class ElementwiseKernel(_ResidentKernel):
             raise ValueError("operand shapes differ")
         return a, b
 
-    def _program_srf(self, scalars, sim_channels) -> None:
-        if self.op.name == "bn" and scalars is not None:
-            gamma, beta = scalars
-            self.session.write_srf(
-                mul_scalars=np.full(_COL_GROUP, gamma, dtype=np.float16),
-                add_scalars=np.full(_COL_GROUP, beta, dtype=np.float16),
-                pchs=sim_channels,
-            )
+    def _srf(self, scalars: Optional[Tuple[float, float]]) -> Optional[np.ndarray]:
+        """Batch-norm's SRF load of ``scalars`` — SRF_M and SRF_A, 8 FP16
+        copies each, zero-padded — as its ``(2, 32)`` block; None for any
+        other operator or no scalars."""
+        if self.op.name != "bn" or scalars is None:
+            return None
+        block = np.zeros((2, GRF_REG_BYTES), dtype=np.uint8)
+        block[:, : 2 * _COL_GROUP] = (
+            np.array(scalars, dtype=np.float16).repeat(_COL_GROUP).view(np.uint8).reshape(2, -1)
+        )
+        return block

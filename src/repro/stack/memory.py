@@ -46,6 +46,7 @@ class MicrokernelCache:
 
     def __init__(self) -> None:
         self._images: Dict[str, List[int]] = {}
+        self._blocks: Dict[str, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
 
@@ -59,6 +60,14 @@ class MicrokernelCache:
         else:
             self.hits += 1
         return words
+
+    def image(self, source: str) -> np.ndarray:
+        """:meth:`get`'s words as the ``(columns, 32)`` bytes a CRF load
+        writes, column ``c`` holding CRF entries ``8c .. 8c + 7``."""
+        words = self.get(source)
+        if source not in self._blocks:
+            self._blocks[source] = np.array(words, dtype="<u4").view(np.uint8).reshape(-1, 32)
+        return self._blocks[source]
 
     def __len__(self) -> int:
         return len(self._images)

@@ -1096,9 +1096,10 @@ class PimServer:
            whole set) and try to backfill the lane from the free pool.
         3. Reset every surviving channel: abandon queued requests and
            force the way out of any stranded AB(-PIM) state.  A channel
-           whose microkernel load was still queued — a launch's later
-           channels queue theirs before the first one streams — is
-           dropped from the microkernel cache, so the retry loads it.
+           whose own launch program was abandoned before its CRF-load run
+           was issued (a launch notes the microkernel held just before
+           that channel's drain) is dropped from the microkernel cache,
+           so the retry loads it.
 
         A lane whose last channel is quarantined becomes *dead*
         (``channels = None``); its traffic completes on the host path.

@@ -128,8 +128,8 @@ def trace_channel(channel: Any) -> Iterator[CommandTrace]:
             )
         return result
 
-    def recording_frame(frame, origin: int, blocks=(), queued=()):
-        got = original_frame(frame, origin, blocks, queued)
+    def recording_frame(frame, origin: int, blocks=()):
+        got = original_frame(frame, origin, blocks)
         if got is not None:
             for kind, bg, ba, row, col, offset, count, mode in frame.steps:
                 cmd = Command(kind, bg, ba, row=row, col=col, count=count)

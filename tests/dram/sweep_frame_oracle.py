@@ -4,8 +4,9 @@
 one channel frame equal to the pick path of a controller that never
 remembers, over drawn waves, faults, refresh placements and tracing, and
 a remembered fenced kernel program (a GEMV tile's, an elementwise slot's,
-an AB write program's) taken as one frame equal to its lone runs, over
-drawn kernel waves, faults, register upsets, exec modes and tracing;
+an AB write program's, carrying the register loads and mode transitions
+of a launch) taken as one frame equal to its lone runs, over drawn
+kernel waves, faults, register upsets, exec modes and tracing;
 tier-1 runs each on a small budget.  This runs the same properties on a
 large one (derandomized, so a run is reproducible):
 
@@ -14,17 +15,18 @@ large one (derandomized, so a run is reproducible):
 ``EXAMPLES`` defaults to 3,000 per property (about 4 minutes in all on a
 2-core box).  It prints, per property, how many drawn cases took 0, 1,
 2, ... frames — for the kernel programs also how many took 0, 1, 2, ...
-frames behind a queued CRF / SRF load, how many of the frames'
-windows replayed by their recorded trace key and were rebuilt after a
+frames carrying a CRF / SRF load, how many of the frames' windows
+replayed by their recorded trace key and were rebuilt after a
 trace-cache miss, how many remembered programs the channel declined
-for a failed bank, a bank class of its own and an injected row, and how
+for a failed bank, a bank class of its own and an injected row, how
 many frames replayed more than one window or crossed a seam (the drawn
 kernels include launches, tile programs joined at seams, drained under
-a fence penalty of 0 or 7) — and exits non-zero, with hypothesis'
-minimal failing case, on a mismatch, or when no case took a frame behind
-a load, no case rebuilt a window, no case declined for one of those
-reasons or no frame took more than one window or crossed a seam (the
-sweep would no longer exercise that path: the declines are where the
+a fence penalty of 0 or 7) and how many crossed a mode transition — and
+exits non-zero, with hypothesis' minimal failing case, on a mismatch, or
+when no case took a frame carrying a load, no case rebuilt a window, no
+case declined for one of those reasons, no frame took more than one
+window or crossed a seam or no frame crossed a transition (the sweep
+would no longer exercise that path: the declines are where the
 channel's one verdict, ``PseudoChannel.vouched``, says no).
 """
 
@@ -77,8 +79,8 @@ def main(examples: int) -> int:
         "kernel programs", PROGRAM_STRATEGIES, program_frames_vs_lone_path, examples
     )
     print(f"  frames taken per case {histogram(programs, lambda o: o[0])}")
-    behind = histogram(programs, lambda o: o[1])
-    print(f"  frames behind a register load per case {behind}")
+    loading = histogram(programs, lambda o: o[1])
+    print(f"  frames carrying a register load per case {loading}")
     print(f"  windows replayed by recorded key per case {histogram(programs, lambda o: o[2])}")
     rebuilt = histogram(programs, lambda o: o[3])
     print(f"  windows rebuilt after a trace-cache miss per case {rebuilt}")
@@ -94,8 +96,13 @@ def main(examples: int) -> int:
     if not max(multiple):
         print("no frame took more than one window or crossed a seam")
         failed = 1
-    if not max(behind):
-        print("no case took a frame behind a register load")
+    crossing = histogram(programs, lambda o: o[6])
+    print(f"  frames across a mode transition per case {crossing}")
+    if not max(crossing):
+        print("no frame crossed a mode transition")
+        failed = 1
+    if not max(loading):
+        print("no case took a frame carrying a register load")
         failed = 1
     if not max(rebuilt):
         print("no case rebuilt a window after a trace-cache miss")

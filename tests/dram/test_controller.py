@@ -5,7 +5,9 @@ import pytest
 
 from repro.dram.bank import BankConfig
 from repro.dram.commands import CommandType
-from repro.dram.controller import MemOp, MemoryController, Request, SchedulerPolicy
+from repro.dram.controller import (
+    CheckedProgram, MemOp, MemoryController, Request, SchedulerPolicy,
+)
 from repro.dram.pseudochannel import PseudoChannel
 from repro.dram.timing import HBM2_1GHZ
 
@@ -371,6 +373,33 @@ class TestColumnBursts:
             mc.drain(program, blocks)
         assert (mc.pending, mc.fence_count) == (0, 0)
         assert not any(ch.cmd_counts.values())
+
+    def test_a_checked_program_checks_its_blocks_on_every_drain(self):
+        """A ``CheckedProgram`` is checked and hashed once, where it is
+        built — a write run of no columns, or a read run of none that is
+        no transition, or a block feeding bursts of two lengths, is refused
+        there — and drained again and again its blocks are still checked
+        each time: one of the wrong shape raises before any run is queued
+        or any command issued."""
+        from repro.pim.stream import Run
+
+        good = Run(True, 2, 0, 8, True, 0)
+        for bad in (
+            Run(True, 3, 0, 0, True, 1), Run(False, 3, 0, 0, True),
+            Run(True, 3, 0, 4, True, 0),
+        ):
+            with pytest.raises(ValueError):
+                CheckedProgram((good, bad))
+        program = CheckedProgram((good, Run(True, 3, 0, 4, True, 1)))
+        assert hash(program) == hash(tuple(program)) and program == tuple(program)
+        mc, ch = make_controller()
+        blocks = [np.zeros((8, 32), np.uint8), np.zeros((4, 32), np.uint8)]
+        mc.drain(program, blocks)
+        counts, fences = dict(ch.cmd_counts), mc.fence_count
+        blocks[1] = np.zeros((3, 32), np.uint8)
+        with pytest.raises(ValueError, match=r"needs a \(4, 32\) block"):
+            mc.drain(program, blocks)
+        assert (mc.pending, mc.fence_count, dict(ch.cmd_counts)) == (0, fences, counts)
 
     @pytest.mark.parametrize(
         "way", ["lone runs", "picked", "replayed", "shuffled", "behind a request"]

@@ -30,36 +30,42 @@ ACT, the tFAW window, the channel maxima, ``cmd_counts``, the armed row,
 frame applied over a failed bank or an injection entry is killed by
 ``test_the_strategy_reaches_frames_and_declines``.
 
-The second half does the same for a kernel's fenced program — a GEMV
-tile's, an elementwise slot's, an AB write program's — remembered from
-its lone runs, or from the queue path behind the CRF / SRF writes queued
-ahead of it, and taken as one frame: drawn kernel waves (CRF and SRF
-loads queued ahead, each wave's microkernels loaded afresh or kept from
-the wave before, fresh operand blocks and scalars every drain, ECC on
-or off, injections on weight and out rows, failed banks, register upsets
-through the fault injector, the fused or the eager exec group, a refresh
-at the frame's horizon, ``tools.trace_channel`` and a ``repro.obs``
-tracer on or off), compared after every drain on all of the above plus
-each queued request's cycles in ``issue_order``, the stacked GRF / SRF,
-the CRF, the sequencers, per-unit stats, the exec group's tape, its
-``TraceCache`` stats and key order and replay / fallback counts,
-``pim_op_mode``, the column counters and the mode events.  A program
-frame recorded with no banks (``banks=()``) fails
-``test_a_program_frame_leaves_what_the_lone_runs_leave``.  One mutant per
-other new component fails the fixed draws of
+The second half does the same for a launch's fenced program — a GEMV
+tile's, an elementwise slot's, an AB write program's, carrying the CRF /
+SRF loads and the mode transitions a launch carries — remembered from its
+lone runs and taken as one frame: drawn kernel waves (each wave's
+microkernels loaded afresh or kept from the wave before, fresh operand
+blocks and scalars every drain, the transition into AB mode on the
+wave's first program or drained alone and the one back on its last or
+alone, ECC on or off, injections on weight and out rows, failed banks,
+register upsets through the fault injector, the fused or the eager exec
+group, a refresh at the frame's horizon, ``tools.trace_channel`` and a
+``repro.obs`` tracer on or off), compared after every drain on all of
+the above plus the stacked GRF / SRF, the CRF, the sequencers, per-unit
+stats, the exec group's tape, its ``TraceCache`` stats and key order and
+replay / fallback counts, ``pim_op_mode``, the column counters, the mode
+events and the ``drain`` spans.  A program frame recorded with no banks
+(``banks=()``) fails ``test_a_program_frame_leaves_what_the_lone_runs_leave``.
+One mutant per other new component fails the fixed draws of
 ``test_the_program_strategy_reaches_frames_and_declines`` and
 ``test_a_traced_program_frame_shows_what_its_lone_runs_show`` (CHANGES.md
 lists them): ``_take`` without the AB writes' ``wr_count``,
 ``pim_triggered_columns``, ``ab_broadcast_columns``, the FSM's mode, its
 ``transition_count``, ``pim_op_mode``, a dropped or a reordered data
 event, the recorded drain's blocks for this one's, the refresh horizon
-off by one either way, and the controller's mark without its fence
-penalties or its fences; behind a register load, the recorded drain's
-SRF bytes for this one's, the queued requests' ``issue_order`` dropped or
-a cycle off, the load-to-program fence penalty dropped and the queue left
-full.  ``test_a_frame_is_keyed_on_the_crf_bytes_its_load_writes`` kills a
-key without the loaded CRF bytes, ``test_only_untagged_register_writes_are_a_prefix``
-a queued bank-row write or a tagged read taken as a prefix.
+off by one either way, the controller's mark without its fence penalties
+or its fences; carrying a register load, the recorded drain's SRF bytes
+for this one's; across a transition, a frame that drops the armed row,
+the transitions' ``transition_count``, the single-bank ACT's own tally
+or the segments' busy cycles.
+``test_a_frame_crosses_its_transitions_as_drain_boundaries`` pins where
+the ``drain`` span, the busy cycles and the mode events of a launch's
+frame fall; ``test_a_frame_is_keyed_on_the_crf_bytes_its_load_writes``
+kills a key without the loaded CRF bytes,
+``test_only_a_keyed_crf_load_is_framed`` a CRF load whose bytes are in no
+key taken down as a frame.  A transition charging a fence penalty or
+counting busy cycles on the command path fails the reference comparison
+of ``tests/stack/test_sb_to_sb.py``.
 
 A program frame replays each AB-PIM window by the trace key it recorded
 and writes the units' state once; the drawn faults include the channel's
@@ -97,7 +103,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.dram.bank import Bank
-from repro.dram.controller import MemOp, MemoryController, Request, SchedulerPolicy
+from repro.dram.commands import CommandType
+from repro.dram.controller import (
+    CheckedProgram, MemOp, MemoryController, Request, SchedulerPolicy,
+)
 from repro.dram.ecc import EccBank, UncorrectableError
 from repro.dram.timing import HBM2_1GHZ
 from repro.errors import PimDataError, PimProgramError
@@ -378,21 +387,22 @@ def test_the_strategy_reaches_frames_and_declines():
         assert frame_vs_pick_path(**dict(base, **change)) == frames, change
 
 
-# -- fenced kernel programs: a GEMV tile's or an elementwise slot's AB-PIM
-# program taken as one frame -------------------------------------------------
+# -- fenced kernel programs: a launch's program from SB mode back to SB mode,
+# a GEMV tile's or an elementwise slot's AB-PIM program among them, taken as
+# one frame ---------------------------------------------------------------
 #
-# A wave is what a kernel launch puts on one channel: enter AB, load the
-# CRF of each drawn kernel whose microkernel the CRF does not hold —
-# every wave starts with none, as a launch after another kernel's does
-# (queued, as ``PimSession.program_crf`` does, so the first program
-# behind it drains behind the load) — and batch-norm's SRF before each of
-# its drains, with fresh scalars (``PimSession.write_srf``), then each
-# drawn kernel's program drained once or twice, each time with fresh
-# operand blocks, an AB-mode write program among them, then leave AB and
-# read every GEMV tile back.  Between waves: data and check-byte injections on
-# the weight and out rows, a failed bank, register upsets through the
-# fault injector (a struck CRF word makes the units disagree); in the
-# exec group the fused executor or (``exec_mode="scalar"``) the eager one.
+# A wave is what kernel launches put on one channel: each drawn kernel's
+# program drained once or twice, each time with fresh operand blocks, an
+# AB-mode write program among them — each carrying, as a launch does, the
+# CRF load of its microkernel where the CRF does not hold it (every wave
+# starts with none, as a launch after another kernel's does) and
+# batch-norm's SRF load with fresh scalars — the wave's first program the
+# transition into AB mode and its last the transition back, or each
+# transition drawn as a program of its own; then every GEMV tile read
+# back.  Between waves: data and check-byte injections on the weight and
+# out rows, a failed bank, register upsets through the fault injector (a
+# struck CRF word makes the units disagree); in the exec group the fused
+# executor or (``exec_mode="scalar"``) the eager one.
 
 KERNEL = st.one_of(
     # ("gemv", chunks, weight row, out row, out column, without PIM_OP_MODE=0)
@@ -447,6 +457,13 @@ PROGRAM_STRATEGIES = dict(
     traced=st.lists(st.booleans(), min_size=ROUNDS, max_size=ROUNDS),
     reload=st.booleans(),
     seed=st.integers(0, 2**16),
+    # Whether the transition into AB mode rides on the wave's first
+    # program (or is drained alone), and the one back on its last.
+    entry=st.booleans(),
+    leave=st.booleans(),
+    # Whether each wave starts with a read of the SBMR row, which leaves
+    # the mode FSM armed at the entry.
+    armed=st.sampled_from([False, False, False, True]),
 )
 
 
@@ -495,33 +512,39 @@ def kernel_program(channel, kernel):
     return program, ELEMENTWISE_OPS[op].microkernel.format(reps=groups - 1), 0
 
 
-def load_crf(mc, source):
-    """Queue the CRF writes of microkernel ``source``, then a fence, as
-    ``PimSession.program_crf`` does."""
-    words = np.array(assemble_words(source), dtype="<u4").view(np.uint8)
-    for col in range(len(words) // 32):
-        mc.write(0, 0, mc.channel.memory_map.crf_row, col, words[32 * col:32 * col + 32])
-    mc.fence()
+def crf_image(source):
+    """The CRF bytes of microkernel ``source``, a ``(4, 32)`` block."""
+    return np.array(assemble_words(source), dtype="<u4").view(np.uint8).reshape(-1, 32)
 
 
-def load_srf(mc, scalars):
-    """Queue SRF_M and SRF_A — the two rows of ``scalars`` — then a fence,
-    as ``PimSession.write_srf`` does."""
-    for col in (0, 1):
-        mc.write(0, 0, mc.channel.memory_map.srf_row, col, scalars[col])
-    mc.fence()
+def launched(channel, body, enter=False, leave=False, source=None, srf=False, keyed=True):
+    """``body`` as a launch drains it (``stream.sb_to_sb``): entering and
+    leaving AB mode as drawn, loading the CRF with ``source``'s image
+    (its bytes keyed as production keys them, or not) and the SRF with
+    ``srf``."""
+    memory_map = channel.memory_map
+    program = stream.sb_to_sb(body, memory_map, enter, leave, 0 if source is None else 4, srf)
+    return CheckedProgram(program, keyed_rows=(memory_map.crf_row,) if keyed else ())
 
 
-def operand_blocks(rng, operands):
-    """Fresh operand blocks, then the constants every launch keeps at the
-    end of its list (``stream.MODE_ON``, ``MODE_OFF``, ``ZEROS``)."""
+def operand_blocks(rng, operands, source=None, scalars=None):
+    """Fresh operand blocks, then the blocks every launch keeps at the end
+    of its list (``stream.SRF``, ``CRF``, ``MODE_ON``, ``MODE_OFF``,
+    ``ZEROS``): ``scalars`` (two SRF columns), ``source``'s CRF image."""
     on = np.zeros(32, dtype=np.uint8)
     on[0] = 1
     blocks = [
         rng.standard_normal((8, 16)).astype(np.float16).view(np.uint8)
         for _ in range(operands)
     ]
-    return blocks + [on, np.zeros(32, dtype=np.uint8), np.zeros((8, 32), dtype=np.uint8)]
+    srf = np.zeros((2, 32), dtype=np.uint8) if scalars is None else scalars
+    crf = np.zeros((4, 32), dtype=np.uint8) if source is None else crf_image(source)
+    return blocks + [srf, crf, on, np.zeros(32, dtype=np.uint8), np.zeros((8, 32), dtype=np.uint8)]
+
+
+def fresh_scalars(rng):
+    """Batch-norm's SRF columns: 16 fresh FP16 values each."""
+    return rng.standard_normal((2, 16)).astype(np.float16).view(np.uint8)
 
 
 def exec_snapshot(side):
@@ -554,12 +577,15 @@ def exec_snapshot(side):
 
 def program_drained(side, program=(), blocks=(), traced=False):
     """``drained``, with the exec group's state and the channel tracer's
-    mode events."""
+    mode events and the controller's drain spans."""
     got, records, state = drained(
         side, program, blocks, traced, lambda side: (exec_snapshot(side), snapshot(side))
     )
     tracer = side.mc.channel.tracer
-    return got, records, state, None if tracer is None else list(tracer.events)
+    if tracer is None:
+        return got, records, state, None, None
+    spans = [(s.name, s.start_ns, s.end_ns, dict(s.attrs)) for s in tracer.spans]
+    return got, records, state, list(tracer.events), spans
 
 
 def program_damage(side, faults):
@@ -621,39 +647,53 @@ def program_side(ecc, exec_mode, fence_penalty, refresh, own_class=False):
     side = Side(MemoryController, "sb", fused=exec_mode == "fused", ecc=ecc,
                 timing=HBM2_1GHZ, fence_penalty=fence_penalty, refresh=refresh,
                 bank_cls=bank_cls)
+    side.mc.channel.tracer = None
     if exec_mode == "scalar":
         side.mc.channel.lockstep = LockstepGroup(side.mc.channel.units)
     return side
 
 
+def trace_sides(sides, traced):
+    """A fresh ``repro.obs`` tracer on both the channel and the controller
+    of each side, or none."""
+    for side in sides:
+        tracer = Tracer() if traced else None
+        side.mc.channel.tracer = side.mc.tracer = tracer
+
+
 def program_frames_vs_lone_path(
     ecc, exec_mode, kernels, faults, fence_penalty, refresh, traced, reload, seed,
-    own_class=False,
+    own_class=False, entry=True, leave=True, armed=False,
 ):
     """The property: a controller that takes remembered frames of fenced
     kernel programs and one that never remembers agree after every drain
-    — on everything ``snapshot`` compares, the exec groups, the trace and
-    the mode events.  Returns how many frames of a fenced program the
-    first one took, how many of those were behind a queued register load,
-    how many of their closed windows replayed by the recorded trace key
-    and were rebuilt after a trace-cache miss, and how many remembered
-    programs its channel declined for each of :data:`DECLINES`, and how
-    many of its frames replayed more than one window or crossed a seam.  Its banks
-    are of a class of their own with ``own_class``.  With ``reload`` every
-    wave starts with no microkernel loaded, as a launch after another
-    kernel's does; without it a load carries over to later waves, as a
-    microkernel cache hit does, and a CRF struck by an upset stays struck.  (Drawn bank bytes as FP16 overflow: both
-    sides compute the same infinities and NaNs.)"""
+    — on everything ``snapshot`` compares, the exec groups, the trace,
+    the mode events and the drain spans.  Returns how many frames of a
+    fenced program the first one took, how many of those carried a
+    register load, how many of their closed windows replayed by the
+    recorded trace key and were rebuilt after a trace-cache miss, how many
+    remembered programs its channel declined for each of
+    :data:`DECLINES`, how many of its frames replayed more than one window
+    or crossed a seam, and how many crossed a mode transition.  Its banks
+    are of a class of their own with ``own_class``.  With ``reload``
+    every wave starts with no microkernel loaded, as a launch after
+    another kernel's does; without it a load carries over to later waves,
+    as a microkernel cache hit does, and a CRF struck by an upset stays
+    struck.  ``entry`` / ``leave``: the transitions ride on the wave's
+    first / last program, else each is a program of its own; with
+    ``armed`` a read of the SBMR row arms the FSM first.  (Drawn bank
+    bytes as FP16 overflow: both sides compute the same infinities and
+    NaNs.)"""
     with np.errstate(over="ignore", invalid="ignore"):
         return _program_waves(
             ecc, exec_mode, kernels, faults, fence_penalty, refresh, traced, reload, seed,
-            own_class,
+            own_class, entry, leave, armed,
         )
 
 
 def _program_waves(
     ecc, exec_mode, kernels, faults, fence_penalty, refresh, traced, reload, seed,
-    own_class,
+    own_class, entry, leave, armed,
 ):
     sides = [
         program_side(ecc, exec_mode, fence_penalty, refresh is not None, own_class)
@@ -662,8 +702,9 @@ def _program_waves(
     sides[1].mc._schedules = Forgetful()
     taken = []
     declined = [0] * len(DECLINES)
-    seamed = [False]  # whether the program drained now has a seam
+    drawn = {"seam": False, "load": False, "transition": False}  # of the program drained now
     multiple = [0]  # frames of more than one window or across a seam
+    crossing = [0]  # frames across a mode transition
     channel = sides[0].mc.channel
     apply_program = channel._apply_program
 
@@ -678,12 +719,12 @@ def _program_waves(
     take = sides[0].mc._apply_frame
 
     def counted(schedule, *args):
-        prefixed = bool(sides[0].mc._queue)
         applied = take(schedule, *args)
         if applied and schedule.frame.program is not None:
-            taken.append(prefixed)
+            taken.append(drawn["load"])
             events = schedule.frame.program.events
-            multiple[0] += seamed[0] or sum(event[0] == "window" for event in events) > 1
+            multiple[0] += drawn["seam"] or sum(event[0] == "window" for event in events) > 1
+            crossing[0] += drawn["transition"]
         return applied
 
     sides[0].mc._apply_frame = counted
@@ -697,78 +738,69 @@ def _program_waves(
             return replay_window(window, blocks)
 
         group.replay_window = counted_window
-    loaded = [None, None]
+    loaded = None
+    memory_map = channel.memory_map
+    alone = {
+        row: CheckedProgram((stream.transition(row),))
+        for row in (memory_map.abmr_row, memory_map.sbmr_row)
+    }
     for wave_no in range(ROUNDS):
         rng = np.random.default_rng((seed, wave_no))
         if reload:
-            loaded = [None, None]
-        for side in sides:
-            side.mc.channel.tracer = Tracer() if traced[wave_no] else None
+            loaded = None
+        trace_sides(sides, traced[wave_no])
+        timed = refresh is not None
 
-        def both(action):
-            got, want = (action(i, side) for i, side in enumerate(sides))
+        def both(program, blocks=()):
+            got, want = (
+                program_drained(side, program, blocks, traced[wave_no]) for side in sides
+            )
             assert got == want, f"wave {wave_no}"
 
-        def enter(i, side):
-            mc = side.mc
-            out = program_drained(side)
-            mc.precharge_all()
-            mc.closed_page_access(0, 0, mc.channel.memory_map.abmr_row)
-            return out
-
-        both(enter)
-        timed = refresh is not None
-        for kernel, times in kernels:
-            program, source, operands = kernel_program(sides[0].mc.channel, kernel)
-
-            def load(i, side):
-                if source is not None and loaded[i] != source:
-                    loaded[i] = source
-                    load_crf(side.mc, source)
-
-            both(load)
-            for _ in range(times):
-                if kernel[0] == "bn":
-                    scalars = rng.standard_normal((2, 16)).astype(np.float16).view(np.uint8)
+        if armed:
+            both(CheckedProgram((Run(False, memory_map.sbmr_row, 0, 1, False, bank=5),)))
+        if not entry:
+            drawn.update(seam=False, load=False, transition=True)
+            both(alone[memory_map.abmr_row])
+        drains = [
+            (kernel, *kernel_program(channel, kernel))
+            for kernel, times in kernels for _ in range(times)
+        ]
+        for index, (kernel, body, source, operands) in enumerate(drains):
+            load = source is not None and loaded != source
+            loaded = source if load else loaded
+            scalars = fresh_scalars(rng) if kernel[0] == "bn" else None
+            program = launched(
+                channel, body, entry and index == 0, leave and index == len(drains) - 1,
+                source if load else None, scalars is not None,
+            )
+            blocks = operand_blocks(rng, operands, source, scalars)
+            if timed:
+                # The next refresh ``refresh`` cycles past the frame's
+                # refresh horizon: a frame only when it is after it.
+                schedule = sides[0].mc._schedules.get(sides[0].mc._schedule_key(program, blocks))
+                if schedule is not None:
+                    timed = False
                     for side in sides:
-                        load_srf(side.mc, scalars)
-                blocks = operand_blocks(rng, operands)
-                if timed:
-                    # The next refresh ``refresh`` cycles past the frame's
-                    # refresh horizon: a frame only when it is after it.
-                    key = [
-                        side.mc._schedule_key(program, side.mc._prefix() if side.mc._queue else ())
-                        for side in sides
-                    ][0]
-                    schedule = sides[0].mc._schedules.get(key)
-                    if schedule is not None:
-                        timed = False
-                        for side in sides:
-                            side.mc._next_refresh = (
-                                side.mc.current_cycle + schedule.horizon + refresh
-                            )
-                seamed[0] = any(run.seam for run in program)
-                both(lambda i, side: program_drained(
-                    side, program, blocks, traced[wave_no]
-                ))
-
-        def leave(i, side):
-            mc = side.mc
-            out = program_drained(side)
-            mc.precharge_all()
-            mc.closed_page_access(0, 0, mc.channel.memory_map.sbmr_row)
-            return out
-
-        both(leave)
+                        side.mc._next_refresh = (
+                            side.mc.current_cycle + schedule.horizon + refresh
+                        )
+            drawn.update(
+                seam=any(run.seam for run in program), load=load or scalars is not None,
+                transition=any(run.transition for run in program),
+            )
+            both(program, blocks)
+        if not leave:
+            drawn.update(seam=False, load=False, transition=True)
+            both(alone[memory_map.sbmr_row])
         for kernel, _ in kernels:
             if kernel[0] == "gemv":
-                readback = gemv_readback(kernel[3], kernel[4])
-                both(lambda i, side: program_drained(side, readback, (), traced[wave_no]))
+                both(gemv_readback(kernel[3], kernel[4]))
         for side in sides:
             program_damage(side, faults[wave_no])
     return (
         len(taken), taken.count(True), windows["by key"], windows["rebuilt"], tuple(declined),
-        multiple[0],
+        multiple[0], crossing[0],
     )
 
 
@@ -794,37 +826,41 @@ test_a_program_frame_leaves_what_the_lone_runs_leave = program_differential(
 
 def test_the_program_strategy_reaches_frames_and_declines():
     """Fixed draws: a GEMV tile and an AB write program, each drained
-    twice a wave on an ECC channel, as (frames, frames behind a queued
-    register load, windows replayed by their recorded key, windows rebuilt
-    after a trace-cache miss).  From the second wave on they are frames —
-    11 in all, of which the 5 tile frames each replay one window: in the
-    first wave every program's key is new, in the second the tile's first
-    drain, behind the CRF load, starts from a new entry CRF; in the third
-    and fourth that drain is a frame with its load.  A check byte flipped
-    on the weight row stays and declines every later tile frame; a
-    flipped data word there is corrected and dropped by the first read of
-    it; a failed bank raises; a register upset that strikes the CRF makes
-    the units disagree — the next wave's load finds no frame entry, and
-    repairs the CRF; with the load carried over from the first wave
-    instead (no ``reload``: no tile is behind a load after it), the units
-    disagree for good and no later drain is a frame — and the eager exec
-    group never defers; a refresh due at a frame's horizon takes the queue
-    path, one due a cycle after it does not; a tile that leaves
-    PIM_OP_MODE on flushes its triggers at the next tile's GRF_B clear,
-    before any ``start_all``, so that next tile is never a frame — but one
-    that follows a closed tile is, its window left open.  Batch-norm
-    behind its SRF loads, fresh scalars every drain, is a frame behind the
-    CRF and SRF loads and behind the SRF load alone.  The channel's traces
-    invalidated between waves: the next frame of each window misses,
-    rebuilds its tape and recompiles under its recorded key.  A program
-    of two windows is a frame that replays both, a launch of three tile
-    programs joined at seams one that replays all three; the sixth count
-    is such frames, of more than one window or across a seam.  The fifth count is the
-    declines by :data:`DECLINES` — each one what the banks answer row by
-    row, though the channel asks them once while none is failed, injected
-    or of a class of its own (``PseudoChannel.vouched``): the failed bank
-    declines the 5 remembered programs drained after it, the flipped check
-    byte the 5 later tile frames, until its row is scrubbed."""
+    twice a wave on an ECC channel, the wave's first program entering AB
+    mode and loading the CRF and its last leaving, as (frames, frames
+    carrying a register load, windows replayed by their recorded key,
+    windows rebuilt after a trace-cache miss, declines, frames of more
+    than one window or across a seam, frames across a transition).  From
+    the second wave on they are frames — 11 in all, of which the 5 tile
+    frames each replay one window: in the first wave every program's key
+    is new, in the second the first program, with its entry and load,
+    starts from a new entry CRF; in the third and fourth it is a frame
+    with them — and each wave's first and last frame cross a transition.
+    A check byte flipped on the weight row stays and declines every
+    later tile frame; a flipped data word there is corrected and dropped
+    by the first read of it; a failed bank raises; a register upset that
+    strikes the CRF makes the units disagree — the next wave's load finds
+    no frame entry, and repairs the CRF; with the load carried over from
+    the first wave instead (no ``reload``: no tile carries a load after
+    it), the units disagree for good and no later drain is a frame — and
+    the eager exec group never defers; a refresh due at a frame's horizon
+    takes the queue path, one due a cycle after it does not; a tile that
+    leaves PIM_OP_MODE on flushes its triggers at the next tile's GRF_B
+    clear, before any ``start_all``, so that next tile is never a frame —
+    but one that follows a closed tile is, its window left open.
+    Batch-norm carrying its SRF load, fresh scalars every drain, is a
+    frame with the CRF and SRF loads and with the SRF load alone.  The
+    channel's traces invalidated between waves: the next frame of each
+    window misses, rebuilds its tape and recompiles under its recorded
+    key.  A program of two windows is a frame that replays both, a launch
+    of three tile programs joined at seams one that replays all three.
+    The transitions drained as programs of their own are frames too, and
+    cross nothing else.  The fifth count is the declines by
+    :data:`DECLINES` — each one what the banks answer row by row, though
+    the channel asks them once while none is failed, injected or of a
+    class of its own (``PseudoChannel.vouched``): the failed bank
+    declines the programs drained after it, the flipped check byte the
+    later tile frames, until its row is scrubbed."""
     base = dict(
         ecc=True, exec_mode="fused",
         kernels=[(("gemv", 4, 0, 2, 8, False), 2), (("ab writes", 3, 8, 8), 2)],
@@ -835,45 +871,58 @@ def test_the_program_strategy_reaches_frames_and_declines():
     none = (0, 0, 0)  # no decline for any reason
     bn = [(("gemv", 4, 0, 2, 8, False), 2), (("bn", 2, 1), 2)]
     cases = [
-        ({}, (11, 2, 5, 0, none, 0)),
-        ({"faults": [[("check", 4, 0, 3, 1, 2)], [], [], []]}, (11 - 5, 0, 0, 0, (0, 0, 5), 0)),
-        ({"faults": [[("data", 4, 0, 3, 17)], [], [], []]}, (11 - 1, 2, 4, 0, (0, 0, 1), 0)),
-        ({"faults": [[], [("dead", 9)], [], []]}, (3, 0, 1, 0, (5, 0, 0), 0)),
-        ({"faults": [[("upset", 3, 1.0)], [], [], []]}, (10, 1, 4, 0, none, 0)),
-        ({"reload": False}, (11, 0, 5, 0, none, 0)),
-        ({"faults": [[("upset", 3, 1.0)], [], [], []], "reload": False}, (0, 0, 0, 0, none, 0)),
-        ({"exec_mode": "scalar"}, (0, 0, 0, 0, none, 0)),
-        ({"refresh": 0}, (5, 0, 1, 0, none, 0)),
-        ({"refresh": 1}, (7, 2, 3, 0, none, 0)),
-        ({"kernels": [(("gemv", 4, 0, 2, 8, True), 2)]}, (0, 0, 0, 0, none, 0)),
+        ({}, (11, 2, 5, 0, none, 0, 5)),
+        ({"faults": [[("check", 4, 0, 3, 1, 2)], [], [], []]}, (11 - 5, 0, 0, 0, (0, 0, 5), 0, 3)),
+        ({"faults": [[("data", 4, 0, 3, 17)], [], [], []]}, (11 - 1, 2, 4, 0, (0, 0, 1), 0, 5)),
+        ({"faults": [[], [("dead", 9)], [], []]}, (3, 0, 1, 0, (5, 0, 0), 0, 1)),
+        ({"faults": [[("upset", 3, 1.0)], [], [], []]}, (10, 1, 4, 0, none, 0, 4)),
+        ({"reload": False}, (11, 0, 5, 0, none, 0, 5)),
+        ({"faults": [[("upset", 3, 1.0)], [], [], []], "reload": False},
+         (0, 0, 0, 0, none, 0, 0)),
+        ({"exec_mode": "scalar"}, (0, 0, 0, 0, none, 0, 0)),
+        ({"refresh": 0}, (5, 0, 1, 0, none, 0, 2)),
+        ({"refresh": 1}, (7, 2, 3, 0, none, 0, 4)),
+        ({"kernels": [(("gemv", 4, 0, 2, 8, True), 2)]}, (0, 0, 0, 0, none, 0, 0)),
         # Behind a closed tile the open one starts in AB with no tape: a
-        # frame, left in AB-PIM with PIM_OP_MODE on and its tape pending.
+        # frame, left in AB-PIM with PIM_OP_MODE on and its tape pending
+        # until the exit's PREA flushes it.
         ({"kernels": [
             (("gemv", 4, 0, 2, 8, False), 2), (("gemv", 4, 1, 3, 0, True), 1),
-        ]}, (6, 0, 3, 0, none, 0)),
-        ({"kernels": bn}, (11, 8, 11, 0, none, 0)),
-        ({"faults": invalidated, "reload": False}, (11, 0, 3, 2, none, 0)),
-        ({"faults": invalidated, "kernels": bn}, (11, 8, 6, 5, none, 0)),
+        ]}, (6, 0, 3, 0, none, 0, 3)),
+        ({"kernels": bn}, (11, 8, 11, 0, none, 0, 5)),
+        ({"faults": invalidated, "reload": False}, (11, 0, 3, 2, none, 0, 5)),
+        ({"faults": invalidated, "kernels": bn}, (11, 8, 6, 5, none, 0, 5)),
         # Two windows a frame: split by a GRF_B clear inside the AB-PIM
         # window (the second's entry state is the first's end), or two
         # tiles' programs back to back; their stats written once.
-        ({"kernels": [(("two windows", 3, 0, 2, 8, True), 2)]}, (5, 2, 10, 0, none, 5)),
+        ({"kernels": [(("two windows", 3, 0, 2, 8, True), 2)]}, (5, 2, 10, 0, none, 5, 5)),
         ({"kernels": [(("two windows", 3, 0, 2, 0, False), 2)], "faults": invalidated},
-         (5, 2, 6, 4, none, 5)),
+         (5, 2, 6, 4, none, 5, 5)),
         # A launch: three tiles' programs joined at seams, which cost no
         # fence penalty; a frame replays its three windows.
-        ({"kernels": [(("launch", 2, 0, 2, 3), 2)]}, (5, 2, 15, 0, none, 5)),
+        ({"kernels": [(("launch", 2, 0, 2, 3), 2)]}, (5, 2, 15, 0, none, 5, 5)),
         # Declines, by reason: a row scrubbed clean takes frames again, an
         # injection on a row no program reaches declines none, and a bank
         # class of its own declines every remembered program.
         ({"faults": [[("check", 4, 0, 3, 1, 2)], [("scrub", 4, 0)], [], []]},
-         (11 - 1, 2, 4, 0, (0, 0, 1), 0)),
+         (11 - 1, 2, 4, 0, (0, 0, 1), 0, 5)),
         ({"faults": [[("check", 4, 0, 3, 1, 2)], [("scrub", 4, 1)], [], []]},
-         (11 - 5, 0, 0, 0, (0, 0, 5), 0)),
-        ({"faults": [[("check", 4, 1, 3, 1, 2)], [], [], []]}, (11, 2, 5, 0, none, 0)),
-        ({"ecc": False, "faults": [[], [("dead", 9)], [], []]}, (3, 0, 1, 0, (5, 0, 0), 0)),
-        ({"own_class": True}, (0, 0, 0, 0, (0, 11, 0), 0)),
-        ({"own_class": True, "ecc": False}, (0, 0, 0, 0, (0, 11, 0), 0)),
+         (11 - 5, 0, 0, 0, (0, 0, 5), 0, 3)),
+        ({"faults": [[("check", 4, 1, 3, 1, 2)], [], [], []]}, (11, 2, 5, 0, none, 0, 5)),
+        ({"ecc": False, "faults": [[], [("dead", 9)], [], []]}, (3, 0, 1, 0, (5, 0, 0), 0, 1)),
+        ({"own_class": True}, (0, 0, 0, 0, (0, 11, 0), 0, 0)),
+        ({"own_class": True, "ecc": False}, (0, 0, 0, 0, (0, 11, 0), 0, 0)),
+        # Each transition a program of its own, and a frame: the entry from
+        # the third wave (the second's starts from a new state), the exit
+        # from the second; the programs between them as before.
+        ({"entry": False}, (11 + 2, 2, 5, 0, none, 0, 2 + 3)),
+        ({"leave": False}, (11 + 3, 2, 5, 0, none, 0, 2 + 3)),
+        ({"entry": False, "leave": False}, (11 + 5, 2, 5, 0, none, 0, 2 + 3)),
+        ({"entry": False, "leave": False, "kernels": bn}, (11 + 5, 8, 11, 0, none, 0, 2 + 3)),
+        # Each wave entered with the FSM armed by a read of the SBMR row
+        # (the entry's PREA disarms it): the same frames, from armed states.
+        ({"armed": True}, (11, 2, 5, 0, none, 0, 5)),
+        ({"armed": True, "entry": False}, (11 + 2, 2, 5, 0, none, 0, 2 + 3)),
     ]
     for change, frames in cases:
         assert program_frames_vs_lone_path(**dict(base, **change)) == frames, change
@@ -881,25 +930,22 @@ def test_the_program_strategy_reaches_frames_and_declines():
 
 def test_a_traced_program_frame_shows_what_its_lone_runs_show():
     """A GEMV tile drained three times under ``tools.trace_channel`` and a
-    ``repro.obs`` tracer: the third drain starts from the state the second
-    did and is a frame, and both tracers see what they see of the lone runs — the
+    ``repro.obs`` tracer, after a program that enters AB mode and loads
+    the CRF: the third drain starts from the state the second did and is a
+    frame, and both tracers see what they see of the lone runs — the
     trigger bursts one record each, the GRF_B clear's eight register
     columns, every ACT and PRE and the mode at each command; a
     ``mode:all-bank-pim`` and a ``mode:all-bank`` event at the
-    PIM_OP_MODE writes' cycles."""
+    PIM_OP_MODE writes' cycles, a ``drain`` span per drain."""
     sides = [program_side(False, "fused", 7, False) for _ in range(2)]
     sides[1].mc._schedules = Forgetful()
-    program, source, operands = kernel_program(
-        sides[0].mc.channel, ("gemv", 4, 0, 2, 8, False)
-    )
-    for side in sides:
-        mc = side.mc
-        mc.precharge_all()
-        mc.closed_page_access(0, 0, mc.channel.memory_map.abmr_row)
-        load_crf(mc, source)
-        mc.drain()
-        mc.channel.tracer = Tracer()
+    channel = sides[0].mc.channel
+    program, source, operands = kernel_program(channel, ("gemv", 4, 0, 2, 8, False))
     rng = np.random.default_rng(3)
+    setup = launched(channel, (), enter=True, source=source)
+    for side in sides:
+        drained(side, setup, operand_blocks(rng, 0, source))
+    trace_sides(sides, True)
     taken = []
     take = sides[0].mc._apply_frame
     sides[0].mc._apply_frame = lambda *args: taken.append(take(*args)) or taken[-1]
@@ -911,20 +957,63 @@ def test_a_traced_program_frame_shows_what_its_lone_runs_show():
             )
         assert got == want
     assert taken == [True]
-    records, events = got[1], got[3]
+    records, events, spans = got[1], got[3], got[4]
     assert [(r.count, r.mode) for r in records if r.cmd_type.is_column and r.count > 1] == [
         (8, "all-bank-pim")
     ] * (2 * 4 + 1)
-    grf_row = sides[0].mc.channel.memory_map.grf_row
+    grf_row = channel.memory_map.grf_row
     grf_columns = [
         (r.col, r.count) for r in records if r.row == grf_row and r.cmd_type.is_column
     ]
     assert grf_columns == [(col, 1) for col in range(8, 16)]
-    conf_row = sides[0].mc.channel.memory_map.conf_row
+    conf_row = channel.memory_map.conf_row
     writes = [r.cycle for r in records if r.row == conf_row and r.cmd_type.is_column]
     assert [(e.name, e.attrs["cycle"]) for e in events[-2:]] == [
         ("mode:all-bank-pim", writes[0]), ("mode:all-bank", writes[1]),
     ]
+    assert [name for name, *_ in spans] == ["drain"] * 3
+
+
+def test_a_frame_crosses_its_transitions_as_drain_boundaries():
+    """A tile's launch — entry, CRF load, the tile, exit — drained three
+    times, the third a frame, traced: its one ``drain`` span runs from the
+    entry's last command to the exit's first, counting neither transition's
+    commands, its busy cycles the span's, its mode events the four mode
+    changes at their commands' cycles, and the channel's FSM back in SB
+    mode with two transitions more each time and no row armed."""
+    sides = [program_side(False, "fused", 7, False) for _ in range(2)]
+    sides[1].mc._schedules = Forgetful()
+    channel = sides[0].mc.channel
+    body, source, operands = kernel_program(channel, ("gemv", 2, 0, 2, 8, False))
+    program = launched(channel, body, enter=True, leave=True, source=source)
+    taken = []
+    take = sides[0].mc._apply_frame
+    sides[0].mc._apply_frame = lambda *args: taken.append(take(*args)) or taken[-1]
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        trace_sides(sides, True)
+        blocks = operand_blocks(rng, operands, source)
+        busy = sides[0].mc.busy_cycles
+        fsm = channel.mode_ctrl
+        transitions = fsm.transition_count
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = (
+                program_drained(side, program, blocks, traced=True) for side in sides
+            )
+        assert got == want
+        records, events, spans = got[1], got[3], got[4]
+        (name, start, end, attrs), = spans
+        first_pre = next(r for r in records if r.cmd_type is CommandType.PRE)
+        exit_at = max(i for i, r in enumerate(records) if r.cmd_type is CommandType.PREA)
+        assert (start, end) == (first_pre.cycle, records[exit_at - 1].cycle)
+        assert attrs["commands"] == sum(r.count for r in records) - 6
+        assert sides[0].mc.busy_cycles - busy == end - start
+        assert [e.name for e in events] == [
+            "mode:all-bank", "mode:all-bank-pim", "mode:all-bank", "mode:single-bank",
+        ]
+        assert (fsm.mode.value, fsm._armed_row) == ("single-bank", -1)
+        assert fsm.transition_count - transitions == 4
+    assert taken == [True]
 
 
 def test_a_window_that_raises_in_a_frame_leaves_the_units_as_its_flush_does(monkeypatch):
@@ -937,20 +1026,16 @@ def test_a_window_that_raises_in_a_frame_leaves_the_units_as_its_flush_does(monk
     trace looked up once."""
     sides = [program_side(False, "fused", 7, False) for _ in range(2)]
     sides[1].mc._schedules = Forgetful()
-    program, source, operands = kernel_program(
-        sides[0].mc.channel, ("gemv", 4, 0, 2, 8, False)
-    )
+    channel = sides[0].mc.channel
+    program, source, operands = kernel_program(channel, ("gemv", 4, 0, 2, 8, False))
+    rng = np.random.default_rng(3)
+    setup = launched(channel, (), enter=True, source=source)
     for side in sides:
-        mc = side.mc
-        mc.precharge_all()
-        mc.closed_page_access(0, 0, mc.channel.memory_map.abmr_row)
-        load_crf(mc, source)
-        mc.drain()
+        drained(side, setup, operand_blocks(rng, 0, source))
     windows = []
-    group = sides[0].mc.channel.lockstep
+    group = channel.lockstep
     replay_window = group.replay_window
     group.replay_window = lambda *args: windows.append(args) or replay_window(*args)
-    rng = np.random.default_rng(3)
     for drain_no in range(3):
         if drain_no == 2:
             def uncorrectable(banks, bank):
@@ -970,14 +1055,15 @@ def test_a_window_that_raises_in_a_frame_leaves_the_units_as_its_flush_does(monk
 
 
 def test_a_frame_is_keyed_on_the_crf_bytes_its_load_writes():
-    """One relu program drained behind the CRF load of its own microkernel
-    three waves running, then behind the load of GEMV's, from the same
-    entry CRF (add's, loaded and run first each wave) and timing state.
-    The loaded bytes decide the program the windows run on: add is a
-    frame from the second wave on and relu in the third; behind GEMV's
-    bytes relu is a new key — GEMV's first instruction takes a host
-    operand, relu's first trigger reads a bank — and raises at the
-    window's flush on the queue path, as it does on the forgetful side."""
+    """Each wave: add's launch — entering AB mode and loading add's CRF —
+    then a relu program carrying the load of its own microkernel three
+    waves running, then of GEMV's, from the same entry CRF (add's) and
+    timing state, and the exit.  The loaded bytes decide the program the
+    windows run on: add is a frame from the second wave on and relu in
+    the third; with GEMV's bytes relu is a new key — GEMV's first
+    instruction takes a host operand, relu's first trigger reads a bank
+    — and raises at the window's flush on the queue path, as it does on
+    the forgetful side."""
     sides = [program_side(False, "fused", 7, False) for _ in range(2)]
     sides[1].mc._schedules = Forgetful()
     frames = []
@@ -987,78 +1073,58 @@ def test_a_frame_is_keyed_on_the_crf_bytes_its_load_writes():
     add, add_source, _ = kernel_program(channel, ("add", 1, 0))
     relu, relu_source, _ = kernel_program(channel, ("relu", 1, 1))
     gemv_source = GemvKernel.MICROKERNEL.format(reps=0)
+    leave = CheckedProgram((stream.transition(channel.memory_map.sbmr_row),))
     rng = np.random.default_rng(7)
     for source in (relu_source, relu_source, relu_source, gemv_source):
-        blocks = operand_blocks(rng, 0)
         outcomes = []
         for side in sides:
-            mc = side.mc
-            drained(side)
-            mc.precharge_all()
-            mc.closed_page_access(0, 0, mc.channel.memory_map.abmr_row)
-            load_crf(mc, add_source)
             with np.errstate(over="ignore", invalid="ignore"):
-                outcome = [program_drained(side, add, blocks)]
-                load_crf(mc, source)
-                outcome.append(program_drained(side, relu, blocks))
-            mc.precharge_all()
-            mc.closed_page_access(0, 0, mc.channel.memory_map.sbmr_row)
+                outcome = [program_drained(
+                    side, launched(channel, add, enter=True, source=add_source),
+                    operand_blocks(rng, 0, add_source),
+                )]
+                outcome.append(program_drained(
+                    side, launched(channel, relu, source=source),
+                    operand_blocks(rng, 0, source),
+                ))
+            taken = len(frames)
+            drained(side, leave)
+            del frames[taken:]  # the exit's own frames are not counted
             outcomes.append(outcome)
         assert outcomes[0] == outcomes[1], source
     assert outcomes[0][1][0][:2] == ("raised", PimProgramError)
     assert frames == [True] * 4  # add's in waves 2-4, relu's in wave 3
 
 
-def test_only_untagged_register_writes_are_a_prefix():
-    """Queued ahead of an elementwise program, wave after wave: an SRF
-    write is its frame's prefix; a bank-row write, a tagged register read
-    and a tagged register write are no prefix (``_prefix`` is None), so
-    the program drains off the queue every time — no frame behind them —
-    with the same outcome as on the forgetful side."""
-    def queue(mc, kind):
-        memory_map = mc.channel.memory_map
-        if kind == "srf":
-            mc.write(0, 0, memory_map.srf_row, 0, write_data(3, 1))
-        elif kind == "bank row":
-            mc.write(1, 2, 3, 0, write_data(4, 1))
-        elif kind == "tagged read":
-            mc.read(0, 0, memory_map.srf_row, 1, tag="srf")
-        else:
-            mc.write(0, 0, memory_map.grf_row, 0, write_data(5, 1), tag="grf")
-        mc.fence()
-
-    for kind, prefixed in (
-        ("srf", 2), ("bank row", 0), ("tagged read", 0), ("tagged write", 0),
-    ):
+def test_only_a_keyed_crf_load_is_framed():
+    """Batch-norm programs drained four times after the entry and its CRF
+    load: carrying its SRF load (fresh scalars each time), or its SRF and
+    CRF loads, it is a frame from the third drain (the first two start
+    from new states); carrying a CRF load whose bytes the key does not
+    hold (checked with no keyed rows), never — with the same outcome as on the
+    forgetful side every time."""
+    for kind, framed in (("srf", ROUNDS - 2), ("crf", ROUNDS - 2), ("unkeyed crf", 0)):
         sides = [program_side(True, "fused", 7, False) for _ in range(2)]
         sides[1].mc._schedules = Forgetful()
-        behind = []
+        taken = []
         take = sides[0].mc._apply_frame
-
-        def counted(*args, mc=sides[0].mc):
-            queued = bool(mc._queue)
-            applied = take(*args)
-            behind.append(applied and queued)
-            return applied
-
-        sides[0].mc._apply_frame = counted
-        program, source, _ = kernel_program(sides[0].mc.channel, ("bn", 1, 0))
+        sides[0].mc._apply_frame = lambda *args: taken.append(take(*args)) or taken[-1]
+        channel = sides[0].mc.channel
+        body, source, _ = kernel_program(channel, ("bn", 1, 0))
         rng = np.random.default_rng(11)
+        setup = launched(channel, (), enter=True, source=source)
         for side in sides:
-            mc = side.mc
-            mc.precharge_all()
-            mc.closed_page_access(0, 0, mc.channel.memory_map.abmr_row)
-            load_crf(mc, source)
-            drained(side)
+            drained(side, setup, operand_blocks(rng, 0, source))
+        crf = None if kind == "srf" else source
+        program = launched(channel, body, source=crf, srf=True, keyed=kind != "unkeyed crf")
         for _ in range(ROUNDS):
-            blocks = operand_blocks(rng, 0)
-            for side in sides:
-                queue(side.mc, kind)
-                assert (side.mc._prefix() is None) is (not prefixed), kind
+            blocks = operand_blocks(rng, 0, source, fresh_scalars(rng))
             with np.errstate(over="ignore", invalid="ignore"):
                 got, want = (program_drained(side, program, blocks) for side in sides)
             assert got == want, kind
-        assert behind.count(True) == prefixed, kind
+        assert taken.count(True) == framed, kind
+
+
 
 
 # One verdict per channel: each step of a drawn sequence changes one

@@ -296,7 +296,7 @@ class TestEveryAamGroupIsOneBurst:
 
 def _snapshot(system, report):
     return (
-        report.cycles, report.ns, report.column_commands, report.activates,
+        report.cycles, report.ns, report.column_commands,
         report.fences, report.pim_instructions, report.pim_flops,
         report.host_bytes, report.simulated_pchs, report.total_pchs,
         report.notes,

@@ -1,15 +1,18 @@
 """A GEMV launch is one program per simulated channel.
 
 ``GemvKernel.batched`` hands each simulated channel's controller one
-program per launch (``GemvPlan.launch``): the tile program of every
-(batch slot, slice on that channel, tile) in the order a drain per tile
-program took them, joined at *seams*.  A seam is a fence epoch boundary
-the controller crosses as it crosses from one drain to the next — with no
-fence penalty, and with the busy cycles of the program before it counted
-— so the launch must simulate exactly as those drains did.  Here the
+program per launch (``GemvPlan.launch``): between its mode transitions
+and after its CRF load, the tile program of every (batch slot, slice on
+that channel, tile) in the order a drain per tile program took them,
+joined at *seams*.  A seam is a fence epoch boundary the controller
+crosses as it crosses from one drain to the next — with no fence
+penalty, and with the busy cycles of the program before it counted — so
+the launch must simulate exactly as those drains did.  Here the
 reference is kept: :func:`per_tile_launches` puts the drain per (slot,
-slice, tile) back, in its channel-interleaved order, and every case runs
-on twin systems, one per path.
+slice, tile) back, in its channel-interleaved order, between transitions
+issued command by command and behind queued CRF loads
+(:mod:`tests.stack.sb_to_sb_reference`), and every case runs on twin
+systems, one per path.
 
 Equal here: results, report cycles, and each controller's busy cycles,
 fence count, row hits and misses, command counts, clocks, epochs and
@@ -24,53 +27,23 @@ window key since the recording drain began.
 import numpy as np
 import pytest
 
-from repro.dram.controller import MemoryController, SchedulerPolicy
+from repro.dram.controller import CheckedProgram, MemoryController, SchedulerPolicy
 from repro.pim.device import PimPseudoChannel
-from repro.pim.registers import GRF_REG_BYTES, LANES
 from repro.stack import PimSystem, Request, ServerConfig, SystemConfig
-from repro.stack import kernels
 from repro.stack.blas import gemv_reference
 from repro.stack.kernels import GemvKernel
 from repro.stack.server import PimServer, RequestOutcome
+
+from .sb_to_sb_reference import session_launches, tile_stream
 
 
 def rand(shape, seed):
     return (np.random.default_rng(seed).standard_normal(shape) * 0.25).astype(np.float16)
 
 
-def per_tile_stream(self, pos, group):
-    """The launch as a drain per (slot, slice, tile): run whole at the first
-    channel's call, slot by slot, each slot's slices across the simulated
-    channels, each slice tile by tile."""
-    if pos:
-        return
-    plan = self.plan
-    k = len(self.channels)
-    for slot, xp in enumerate(group):
-        for s in range(plan.num_slices):
-            if s % k >= self._simulated:
-                continue
-            pch, pass_ = self._slice_channel(s)
-            x_slice = xp[s * plan.n_slice : (s + 1) * plan.n_slice]
-            staged = (
-                np.repeat(x_slice, LANES).view(np.uint8).reshape(plan.chunks, 8, GRF_REG_BYTES)
-            )
-            blocks = (*staged, *kernels._CONSTANT_BLOCKS)
-            for tile in range(plan.tiles):
-                self.sys.controller(pch).drain(plan.program(tile, pass_, slot), blocks)
-
-
 def per_tile_launches(monkeypatch):
     """Make every GEMV launch drain per tile program (the reference)."""
-    batched = GemvKernel.batched
-
-    def noting_batched(self, xs, simulate_pchs=None):
-        k = len(self.channels)
-        self._simulated = k if simulate_pchs is None else min(simulate_pchs, k)
-        return batched(self, xs, simulate_pchs)
-
-    monkeypatch.setattr(GemvKernel, "batched", noting_batched)
-    monkeypatch.setattr(GemvKernel, "_stream", per_tile_stream)
+    session_launches(monkeypatch, tile_stream)
 
 
 def state(system):
@@ -153,7 +126,8 @@ def test_every_group_size_simulates_as_its_tile_programs(batch, monkeypatch):
 
 def test_a_launch_is_one_drain_per_simulated_channel(monkeypatch):
     """No GEMV tile program is drained on its own: a launch of 3 inputs
-    over 2 passes and 2 tiles is one fenced program per channel."""
+    over 2 passes and 2 tiles is one fenced program per channel, with its
+    two mode transitions and its CRF load."""
     drained = []
     drain = MemoryController.drain
 
@@ -170,7 +144,7 @@ def test_a_launch_is_one_drain_per_simulated_channel(monkeypatch):
     plan = kernel.plan
     assert (plan.passes, plan.tiles) == (2, 2)
     tile = len(plan.program(0))
-    assert sorted(runs for _, runs in drained) == [3 * 2 * 2 * tile] * 2
+    assert sorted(runs for _, runs in drained) == [3 * 2 * 2 * tile + 3] * 2
     assert {mc for mc, _ in drained} == {system.controller(1), system.controller(2)}
 
 
@@ -185,9 +159,10 @@ def test_a_seam_costs_no_fence_penalty():
         kernel.load_weights(rand((200, 96), 1))
         plan = kernel.plan
         if not seams:
-            program = plan.launch(plan.passes, 2)
-            plan._programs[("launch", plan.passes, 2)] = tuple(
-                run._replace(seam=False) for run in program
+            program = plan.launch(plan.passes, 2, 4)
+            plan._programs[("launch", plan.passes, 2, 4)] = CheckedProgram(
+                (run._replace(seam=False) for run in program),
+                keyed_rows=(plan.registers.crf_row,),
             )
         kernel.batched(rand((2, 96), 2))
         busy.append(system.controller(0).busy_cycles)
@@ -278,12 +253,11 @@ def test_a_launch_of_more_than_sixteen_windows_is_one_frame(monkeypatch):
     assert all(applied for applied, _ in frames)
 
 
-def test_a_retry_reloads_a_microkernel_whose_queued_load_was_abandoned():
+def test_a_retry_loads_the_microkernel_of_a_launch_that_never_started():
     """With both channels of the lane simulated, the first one fails before
-    the second has drained anything: the second's CRF load is still queued
-    when the heal resets it, so the retry must load it again, not trust
-    the microkernel cache (a CRF left as it was raised ``PimProgramError``
-    out of the server)."""
+    the second's launch has begun: its CRF still holds what it held, so
+    the retry must load it, not trust the microkernel record (a CRF left
+    as it was raised ``PimProgramError`` out of the server)."""
     results, stats, _, quarantined = serve_with_a_failure(300, simulate_pchs=None)
     assert quarantined == [0] and max(retries for retries, _ in stats) == 1
     w, xs = rand((300, 200), 1), [rand(200, 10 + i) for i in range(6)]

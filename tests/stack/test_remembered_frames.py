@@ -1,27 +1,27 @@
 """A serving workload's programs fit the controller's remembered frames.
 
 The memory controller remembers what it did with a program from one
-timing state — behind the CRF / SRF writes queued ahead of it, if any —
-least recently used out first, and takes that as one channel frame the
-next time the program drains from an equal state
-(``repro.dram.controller``).  A GEMV tile's fenced AB-PIM program, an
-elementwise slot's and a GEMV readback repeat under a few dozen timing
+timing state, least recently used out first, and takes that as one
+channel frame the next time the program drains from an equal state
+(``repro.dram.controller``).  A GEMV launch's program from SB mode back
+to SB mode, an elementwise item's, the transition that ends an
+elementwise batch and a GEMV readback repeat under a few dozen timing
 states wave after wave, so the remembered set must hold a workload's
 programs, not one launch's.  Here the ``gemv_serve`` shape — four
 resident 128 x 512 GEMV operators served round robin — with an
 elementwise mix, and the ``eltwise_serve`` shape — add, mul, relu and
-batch-norm round robin over two lengths, each kernel's first program
-behind its CRF load and every batch-norm program behind its SRF load —
-run on one simulated channel.  In the GEMV shape, after the first wave
-every program drained on an empty queue is a frame, the fenced kernel
-programs and the readbacks alike, and after the second every program
-behind a CRF load is one too: the second wave's first load starts from
-the entry CRF the first wave left, a new key.  The elementwise shape
-meets such new pairings of program and loaded CRF through its second
-wave and is all frames from its third.  A GEMV launch is one program
-per simulated channel, so the GEMV shape alone fits in the old bound of
-eight schedules; the two shapes served together do not, and 64 hold
-them.  The bound is a module constant, not a knob.  A warm frame — of either shape, and of ``PimBlas.lstm_cell``'s
+batch-norm round robin over two lengths, each kernel's first item
+loading its CRF and every batch-norm item its SRF — run on one simulated
+channel.  In the GEMV shape, after the first wave every program that
+loads no register is a frame, the launches, the readbacks and the
+transitions alike, and after the second every program that loads the
+CRF is one too: the second wave's first load starts from the entry CRF
+the first wave left, a new key.  The elementwise shape meets such new
+pairings of program and loaded CRF through its second wave and is all
+frames from its third.  A GEMV launch is one program per simulated
+channel, so the GEMV shape alone fits in the old bound of eight
+schedules; the two shapes served together do not, and 64 hold them.
+The bound is a module constant, not a knob.  A warm frame — of either shape, and of ``PimBlas.lstm_cell``'s
 GEMVs — replays each window by the trace key it recorded: it packs no
 key and builds no trigger, and it computes in place on a ``(slots,
 units, 16)`` value pool, calling no ``vec_add`` / ``vec_mul``.
@@ -94,8 +94,9 @@ def gemv_and_eltwise_mix(rng):
 def serve(monkeypatch, mix=gemv_mix, waves=WAVES, before_wave=lambda wave_no: None):
     """Serve ``waves`` waves of ``mix`` through one ``PimServer``, calling
     ``before_wave`` with each wave's number; returns, per wave, each
-    program drain on an empty queue or behind queued writes as (fenced,
-    behind writes, frame)."""
+    program drain as (kind, loads a register, frame): kind ``"kernel"``
+    for a fenced program, ``"readback"`` for an unfenced one,
+    ``"transition"`` for a transition alone."""
     drains = [[] for _ in range(waves)]
     wave_no = [0]
     drain = MemoryController.drain
@@ -107,15 +108,20 @@ def serve(monkeypatch, mix=gemv_mix, waves=WAVES, before_wave=lambda wave_no: No
         return applied
 
     def counted_drain(self, program=(), blocks=()):
-        behind = bool(self._queue)
-        keyed = bool(program) and all(
-            request.op is controller_module.MemOp.WRITE for request in self._queue
-        )
         self._took_frame = False
         result = drain(self, program, blocks)
-        if keyed:
-            fenced = any(run.fence or run.barrier for run in program)
-            drains[wave_no[0]].append((fenced, behind, self._took_frame))
+        if program:
+            registers = self.channel.memory_map
+            loads = any(
+                run.write and run.row in (registers.crf_row, registers.srf_row)
+                for run in program
+            )
+            kind = (
+                "transition" if all(run.transition for run in program)
+                else "kernel" if any(run.fence or run.barrier for run in program)
+                else "readback"
+            )
+            drains[wave_no[0]].append((kind, loads, self._took_frame))
         return result
 
     monkeypatch.setattr(MemoryController, "drain", counted_drain)
@@ -142,43 +148,43 @@ def test_every_program_after_the_first_wave_is_a_frame(monkeypatch):
     first, *later = serve(monkeypatch)
     assert not all(frame for _, _, frame in first)  # new timing states
     for wave in later:
-        fenced = [frame for is_fenced, behind, frame in wave if is_fenced and not behind]
-        readbacks = [frame for is_fenced, behind, frame in wave if not is_fenced and not behind]
-        assert fenced and readbacks
-        assert all(fenced) and all(readbacks)
+        for kind in ("kernel", "readback", "transition"):
+            frames = [frame for is_kind, loads, frame in wave if is_kind == kind and not loads]
+            assert frames and all(frames), kind
     for wave in later[1:]:
-        behind = [frame for _, is_behind, frame in wave if is_behind]
-        assert behind and all(behind)
+        loading = [frame for _, loads, frame in wave if loads]
+        assert loading and all(loading)
 
 
 def test_every_eltwise_program_after_two_waves_is_a_frame(monkeypatch):
-    """Behind the CRF load of each new operator and behind batch-norm's
-    SRF load, as on an empty queue."""
+    """The items that load the CRF of each new operator or batch-norm's
+    SRF, as the rest."""
     first, _, *later = serve(monkeypatch, eltwise_mix)
     assert not all(frame for _, _, frame in first)
     for wave in later:
-        behind = [frame for _, is_behind, frame in wave if is_behind]
-        assert len(behind) > len(wave) // 2
+        loading = [frame for _, loads, frame in wave if loads]
+        assert len(loading) > len(wave) // 4
         assert all(frame for _, _, frame in wave)
 
 
-def empty_queue_frames_after_the_first_wave(monkeypatch, schedules):
-    """Whether each drain of an empty queue after the first wave of the
-    two shapes served together was a frame, at a bound of ``schedules``."""
+def frames_after_the_first_wave(monkeypatch, schedules):
+    """Whether each drain that loads no register after the first wave of
+    the two shapes served together was a frame, at a bound of
+    ``schedules``."""
     monkeypatch.setattr(controller_module, "_SCHEDULES", schedules)
     waves = serve(monkeypatch, gemv_and_eltwise_mix)[1:]
-    return [frame for wave in waves for _, behind, frame in wave if not behind]
+    return [frame for wave in waves for _, loads, frame in wave if not loads]
 
 
 def test_sixty_four_schedules_hold_the_traffic(monkeypatch):
-    later = empty_queue_frames_after_the_first_wave(monkeypatch, 64)
+    later = frames_after_the_first_wave(monkeypatch, 64)
     assert later and all(later)
 
 
 def test_eight_schedules_do_not_hold_the_traffic(monkeypatch):
-    """Counted, as at 64 schedules, on the drains of an empty queue after
-    the first wave, which that bound takes as frames every time."""
-    later = empty_queue_frames_after_the_first_wave(monkeypatch, 8)
+    """Counted, as at 64 schedules, on the drains that load no register
+    after the first wave, which that bound takes as frames every time."""
+    later = frames_after_the_first_wave(monkeypatch, 8)
     assert later and not all(later)
 
 
