@@ -23,15 +23,23 @@ from repro.perf.macunits import PAPER_TABLE1, TABLE1_SPECS, MacUnitModel
 from repro.perf.specs import PimDeviceSpec, PimUnitSpec
 
 
+def table1_values():
+    """Table I's model columns: each format's (area, energy), normalised
+    to INT16 with a 48-bit accumulator."""
+    table = MacUnitModel().normalised_table()
+    return {
+        spec.name: (table[spec.name]["area"], table[spec.name]["energy"])
+        for spec in TABLE1_SPECS
+    }
+
+
 def table1():
     print("## Table I — MAC units (20nm DRAM, normalised to INT16/48)")
-    model = MacUnitModel()
-    table = model.normalised_table()
     print(f"{'format':28s}{'area':>7s}{'paper':>7s}{'energy':>8s}{'paper':>7s}")
-    for spec in TABLE1_SPECS:
-        row, paper = table[spec.name], PAPER_TABLE1[spec.name]
-        print(f"{spec.name:28s}{row['area']:7.2f}{paper['area']:7.2f}"
-              f"{row['energy']:8.2f}{paper['energy']:7.2f}")
+    for name, (area, energy) in table1_values().items():
+        paper = PAPER_TABLE1[name]
+        print(f"{name:28s}{area:7.2f}{paper['area']:7.2f}"
+              f"{energy:8.2f}{paper['energy']:7.2f}")
 
 
 def tables45():
@@ -42,27 +50,35 @@ def tables45():
         print(f"  [V]  {key}: {value}")
 
 
+def fig10_values():
+    """Fig. 10: PIM-HBM's speedup over HBM at batch 1, 2 and 4, per
+    microbenchmark and application."""
+    host, pim = LatencyModel(PROC_HBM), LatencyModel(PIM_HBM)
+    values = {}
+    for g in GEMV_SIZES:
+        values[g.name] = tuple(
+            host.host_gemv(g.m, g.n, b).ns / pim.pim_gemv(g.m, g.n, b).ns for b in (1, 2, 4)
+        )
+    for a in ADD_SIZES:
+        values[a.name] = tuple(
+            host.host_stream(a.n, 3, b).ns / pim.pim_add(a.n, b).ns for b in (1, 2, 4)
+        )
+    for app in ALL_APPS:
+        values[app.name] = tuple(
+            host.app_time(app, b)["total"] / pim.app_time(app, b)["total"] for b in (1, 2, 4)
+        )
+    return values
+
+
 def fig10():
     host, pim = LatencyModel(PROC_HBM), LatencyModel(PIM_HBM)
     print("\n## Fig. 10 — relative performance (PIM-HBM over HBM), B1/B2/B4")
     paper = {"GEMV1": "11.2/3.2/<1", "ADD1": "1.6/-/-", "DS2": "3.5/1.6/<1",
              "RNN-T": "-/1.9/-", "GNMT": "1.5/<1/<1", "AlexNet": "1.4/<1/<1",
              "ResNet-50": "1.0/1.0/1.0"}
-    for g in GEMV_SIZES:
-        r = [host.host_gemv(g.m, g.n, b).ns / pim.pim_gemv(g.m, g.n, b).ns
-             for b in (1, 2, 4)]
-        print(f"  {g.name:10s} {r[0]:5.2f} {r[1]:5.2f} {r[2]:5.2f}"
-              f"   (paper {paper.get(g.name, '-')})")
-    for a in ADD_SIZES:
-        r = [host.host_stream(a.n, 3, b).ns / pim.pim_add(a.n, b).ns
-             for b in (1, 2, 4)]
-        print(f"  {a.name:10s} {r[0]:5.2f} {r[1]:5.2f} {r[2]:5.2f}"
-              f"   (paper {paper.get(a.name, '-')})")
-    for app in ALL_APPS:
-        r = [host.app_time(app, b)["total"] / pim.app_time(app, b)["total"]
-             for b in (1, 2, 4)]
-        print(f"  {app.name:10s} {r[0]:5.2f} {r[1]:5.2f} {r[2]:5.2f}"
-              f"   (paper {paper.get(app.name, '-')})")
+    for name, r in fig10_values().items():
+        print(f"  {name:10s} {r[0]:5.2f} {r[1]:5.2f} {r[2]:5.2f}"
+              f"   (paper {paper.get(name, '-')})")
     print("\n  Fig. 10 batch-1 bars (| marks parity with HBM):")
     bars = {}
     for g in GEMV_SIZES[:1]:
@@ -100,32 +116,27 @@ def fig11():
           f"buffer-die gating saves {dev.gated_buffer_saving:.0%} (paper ~10%)")
 
 
-def fig12():
+def fig12_values():
+    """Fig. 12: PIM-HBM's energy efficiency over PROC-HBM and over
+    PROC-HBMx4, per workload."""
     hbm, pim = EnergyModel(PROC_HBM), EnergyModel(PIM_HBM)
     x4 = EnergyModel(PROC_HBM, bandwidth_scale=4.0)
-    print("\n## Fig. 12 — energy efficiency of PIM-HBM")
-    rows = {
-        "GEMV1": (
-            hbm.kernel_energy_j(hbm.gemv_phase(1024, 4096)),
-            pim.kernel_energy_j(pim.gemv_phase(1024, 4096)),
-            x4.kernel_energy_j(x4.gemv_phase(1024, 4096)),
-            "8.25 / ~1x-of-HBM",
-        ),
-        "ADD1": (
-            hbm.kernel_energy_j(hbm.add_phase(2**21)),
-            pim.kernel_energy_j(pim.add_phase(2**21)),
-            x4.kernel_energy_j(x4.add_phase(2**21)),
-            "1.4 / -",
-        ),
+    energies = {
+        "GEMV1": [m.kernel_energy_j(m.gemv_phase(1024, 4096)) for m in (hbm, pim, x4)],
+        "ADD1": [m.kernel_energy_j(m.add_phase(2**21)) for m in (hbm, pim, x4)],
     }
-    for app, paper in ((DS2, "3.2 / 2.8"), (GNMT, "1.38 / 1.1"), (ALEXNET, "1.5 / 1.3")):
-        rows[app.name] = (
-            hbm.app_energy_j(app)[0], pim.app_energy_j(app)[0],
-            x4.app_energy_j(app)[0], paper,
-        )
-    for name, (eh, ep, e4, paper) in rows.items():
-        print(f"  {name:8s} vs PROC-HBM {eh / ep:5.2f}, vs PROC-HBMx4 {e4 / ep:5.2f}"
-              f"   (paper {paper})")
+    for app in (DS2, GNMT, ALEXNET):
+        energies[app.name] = [m.app_energy_j(app)[0] for m in (hbm, pim, x4)]
+    return {name: (eh / ep, e4 / ep) for name, (eh, ep, e4) in energies.items()}
+
+
+def fig12():
+    print("\n## Fig. 12 — energy efficiency of PIM-HBM")
+    paper = {"GEMV1": "8.25 / ~1x-of-HBM", "ADD1": "1.4 / -", "DS2": "3.2 / 2.8",
+             "GNMT": "1.38 / 1.1", "AlexNet": "1.5 / 1.3"}
+    for name, (vs_hbm, vs_x4) in fig12_values().items():
+        print(f"  {name:8s} vs PROC-HBM {vs_hbm:5.2f}, vs PROC-HBMx4 {vs_x4:5.2f}"
+              f"   (paper {paper[name]})")
 
 
 def fig13():

@@ -19,6 +19,8 @@ the fabric's contract under fault:
 * **degradation bounds** — post-recovery simulated throughput within
   20% of the fault-free baseline, and chaos p99 turnaround below 2x the
   fault-free p99.
+* **no state outlives a fault** — a quarantined channel's controller
+  holds no queued request: the heal abandoned what the fault left there.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "check_conservation",
     "check_degradation",
     "check_dropped_spans",
+    "check_quarantined_queues",
     "check_trace",
     "golden_reference",
 ]
@@ -132,6 +135,15 @@ def check_dropped_spans(tracer, profile: ServingProfile) -> List[str]:
                 f"dropped request {rid} produced device span {span.name!r}"
             )
     return violations
+
+
+def check_quarantined_queues(system) -> List[str]:
+    """No request stays queued on a quarantined channel of ``system``."""
+    return [
+        f"quarantined channel {p} still queues {len(system.controllers[p]._queue)} requests"
+        for p in system.driver.channels_quarantined
+        if system.controllers[p]._queue
+    ]
 
 
 def check_capacity(alive_shards: List[int], workers: int) -> List[str]:

@@ -1032,12 +1032,12 @@ class MemoryController:
         queued and may leave the channel stranded in AB(-PIM) mode with
         open rows.  The recovery models the driver's sequence — wait out
         the worst-case bank bound, PREA, force SB mode — without moving
-        data: queued requests are dropped (their kernel is being retried
-        from scratch), the open-row shadow is cleared, and the CA clock
-        advances past every per-bank bound so the next command is legal.
+        data: queued requests are dropped with their fences
+        (:meth:`abandon`; their kernel is being retried from scratch), the
+        open-row shadow is cleared, and the CA clock advances past every
+        per-bank bound so the next command is legal.
         """
-        abandoned = list(self._queue)
-        self._queue.clear()
+        abandoned = self.abandon()
         self._open_rows = [None] * BANKS_PER_PCH
         bound = self._cycle
         for bank in self.channel.banks:
@@ -1047,6 +1047,22 @@ class MemoryController:
         self._cycle = bound
         self._next_ca = max(self._next_ca, bound + 1)
         self.channel.hard_reset(bound)
+        return abandoned
+
+    def abandon(self) -> List[Request]:
+        """Drop every queued request and return them, taking back the
+        fences counted behind them: the epoch and the fence count go back
+        to the epoch of the oldest queued column request, so what a drain
+        that raised left queued — the rest of its program — is as though
+        it had never been queued.  (A mode transition's request carries
+        no epoch of its own.)"""
+        abandoned = list(self._queue)
+        self._queue.clear()
+        taken = self._epoch - min(
+            (request.epoch for request in abandoned if request.count), default=self._epoch
+        )
+        self._epoch -= taken
+        self.fence_count -= taken
         return abandoned
 
     def precharge_all(self) -> None:

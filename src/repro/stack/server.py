@@ -1093,7 +1093,9 @@ class PimServer:
            may hold the corruption; a retry re-stages from the host copy).
         2. On a channel hard failure, quarantine the named channels
            through the driver (unattributable channel failures retire the
-           whole set) and try to backfill the lane from the free pool.
+           whole set), abandon what their controllers hold queued — with
+           the fences counted for it — and try to backfill the lane from
+           the free pool.
         3. Reset every surviving channel: abandon queued requests and
            force the way out of any stranded AB(-PIM) state.  A channel
            whose own launch program was abandoned before its CRF-load run
@@ -1115,6 +1117,8 @@ class PimServer:
         if bad:
             driver.quarantine_channels(bad)
             serving.quarantined_channels.extend(bad)
+            for p in bad:
+                self.sys.controllers[p].abandon()
         survivors = [p for p in channels if p not in bad]
         deficit = len(channels) - len(survivors)
         if deficit > 0:

@@ -64,8 +64,8 @@ frame fall; ``test_a_frame_is_keyed_on_the_crf_bytes_its_load_writes``
 kills a key without the loaded CRF bytes,
 ``test_only_a_keyed_crf_load_is_framed`` a CRF load whose bytes are in no
 key taken down as a frame.  A transition charging a fence penalty or
-counting busy cycles on the command path fails the reference comparison
-of ``tests/stack/test_sb_to_sb.py``.
+counting busy cycles on the command path fails the recorded launch
+corpus of ``tests/stack/test_launch.py``.
 
 A program frame replays each AB-PIM window by the trace key it recorded
 and writes the units' state once; the drawn faults include the channel's
