@@ -19,118 +19,64 @@ Three scheduling policies are provided:
   tests to show non-AAM microkernels break while AAM ones do not.
 
 The unit of queued *and scheduled* work is the **run**: ``count``
-consecutive columns of one (bank, row, direction) as one :class:`Request` —
-what a PIM kernel emits for every fenced 8-command AAM group, and what the
-GEMV readback asks of each bank.  A single request is a run of one.  A run
-is shorthand for its single requests and is scheduled exactly as they would
-be:
+consecutive columns of one (bank, row, direction) as one :class:`Request`
+— what a PIM kernel emits for every fenced 8-command AAM group, and what
+the GEMV readback asks of each bank.  A single request is a run of one,
+and a run is scheduled exactly as its single requests would be:
 
-* The **reorder window** is the head of the queue: the oldest fence epoch's
-  runs, while a budget of ``window`` *bus commands* lasts (a run only
-  partly inside the budget is still in it — its class and row are those of
-  its in-window commands).  Nothing is expanded and nothing is maintained
-  between picks: each pick walks those few entries, asks the channel one
-  first-ready question for the row-hit classes among them, issues the
-  chosen run's next column, and shrinks the run.  An in-order policy takes
-  a run's commands oldest first, so what is left of it is always a run.
+* The **reorder window** is the queue head: the oldest fence epoch's runs
+  while a budget of ``window`` *bus commands* lasts.  Each pick walks
+  those few entries, asks the channel one first-ready question for the
+  row-hit classes among them (a column's earliest cycle depends only on
+  its class, ``Request.cls``), issues the chosen run's next column and
+  shrinks the run, which stays a run under an in-order policy.
 * **The lone-run rule.**  A run alone in its fence epoch at the queue
-  head, under an in-order policy, is equally-ready row hits of one class —
-  FR-FCFS and FCFS both take them in arrival order, ``tCCD_L`` apart — so
-  ``drain`` issues it as one :class:`Command` with no window and no pick
-  (``_lone_run``).  When a refresh falls due inside it, the first command
-  goes out there and the rest take the pick path, one refresh check per
-  command.  A PIM kernel's program (``drain(program, blocks)``) is queued
-  like any other requests, so each of its fenced runs is one.
-* **Seams.**  A GEMV launch hands a channel one program: its kernel
+  head, under an in-order policy, is equally-ready row hits of one class,
+  taken in arrival order ``tCCD_L`` apart, so ``_lone_run`` issues it as
+  one :class:`Command` with no window and no pick.  A PIM kernel's
+  program is queued like any other requests, so each fenced run is one.
+* **Seams.**  A GEMV launch hands a channel one program, its kernel
   programs joined (:func:`repro.pim.stream.launch`), the first run of each
-  after the first marked ``seam``.  A kernel program ends with a fence, so
-  the epoch boundary before a seamed run is a *seam*, and ``drain``
-  crosses it as it crosses from one drain to the next: no
-  ``fence_penalty``, and the busy cycles of the programs before it are
-  counted there (``drain`` counts the rest when it returns), so one that
-  raises further on has counted what a drain per program would have.
-  The seam rides on the queued :class:`Request`, so the queue path,
-  ``SHUFFLE``'s expansion and a remembered frame all see it, and a
-  launch's cycles are those of one drain per kernel program under every
-  policy, fence penalty and refresh.
-* **Transitions and register loads are program runs.**  A launch runs
-  from SB mode back to SB mode (:func:`repro.pim.stream.sb_to_sb`): its
-  mode transitions — PREA, then an ACT and a PRE to the ABMR or the SBMR
-  row — and its CRF / SRF loads — fenced write runs to register rows —
-  are runs of its program like the kernel's.  A transition is a request
-  of no columns in an epoch of its own, and ``drain`` crosses the
-  boundary on either side of it as the boundary between two drains: the
-  segment before it closes (its busy cycles counted, its ``drain`` span
-  traced), the commands go out with no refresh check, no fence, no
-  ``fence_penalty`` and no row hit or miss, and the next segment starts
-  after them, paying no penalty at its first epoch.
+  after the first marked ``seam``.  ``drain`` crosses the fence before a
+  seamed run as it crosses from one drain to the next: no
+  ``fence_penalty``, and the busy cycles before it counted there, as a
+  drain per program would have.
+* **Transitions and register loads are program runs**
+  (:func:`repro.pim.stream.sb_to_sb`).  A mode transition — PREA, then an
+  ACT and a PRE to the ABMR or the SBMR row — is a request of no columns
+  in an epoch of its own, and ``drain`` crosses either side of it as the
+  boundary between two drains: the segment before it closes (its busy
+  cycles counted, its ``drain`` span traced), its commands go out with no
+  refresh check, no fence penalty and no row hit or miss, and the next
+  segment pays no penalty at its first epoch.
 * ``shuffle`` draws among single commands, so ``drain`` expands the queue
   on entry — the one place ``Request.expand`` is called.
 
-A tagged read run answers with the ``(count, 32)`` block of its columns, in
-column order, whichever way it went: a lone run's burst returns it whole,
-and on the pick path each column lands in its row as it issues.
-
-One thing is remembered from one ``drain`` to the next: what the
-controller did with a program drained under an in-order policy on an
-empty queue — a kernel's fenced program (its lone runs; a launch's every
-tile program, joined at seams, between its transitions and after its
-register loads) or a program that is one fence epoch of several read runs
-(the GEMV readback's picks).  What it did is a function of the program,
-of the bytes it writes to its *keyed* rows (a PIM plan's CRF row: they
-decide the program every window runs on) and of the timing state — the channel's
-(:meth:`PseudoChannel.timing_state`) and the controller's clocks and
-open-row shadow — counted from the controller's cycle, and that is its
-key, so refresh, ``reset_channel`` and mode changes move the key and
-there is nothing to invalidate.  So is the channel's end state, and that
-is what is kept: a :class:`~repro.dram.pseudochannel.Frame` — the
-touched banks' state and bounds, the column and ACT history, the tFAW
-window, the channel maxima, the ``cmd_counts`` delta, each read run's
-(bank, row, columns) and, on a PIM channel, the mode FSM and what an
-all-bank program did there — with the controller's hits, misses, clocks,
-fences, busy cycles and shadow as the drain left it (its fence penalties
-included), and the drain's segments between transitions.  The next drain
-from an equal key hands the channel the frame (``apply_frame``) with its
-own operand blocks: one step, each read run's bytes one block, each
-kernel program's data events — its register loads' among them —
-replayed against this drain's bytes.  The channel declines a frame —
-nothing changed, the drain takes the queue path — where any of it could
-raise: a failed bank, an injection entry on a row the commands reach, a
-bank class of its own, an exec group that interprets.  Faults are not in
-the key; the command path meets them command by command, where they
-raise.  Nor is a refresh due inside the program: a frame is taken only
-when the refresh falls due after the latest cycle any of the recorded
-drain's refresh checks compared (its ``horizon``).  A
-:class:`CheckedProgram` is checked and hashed once, where a plan builds
-it, so a drain that takes a frame checks only its blocks' shapes.
+A tagged read run answers with the ``(count, 32)`` block of its columns.
+When a program drains as one channel frame instead — what the
+controller did with it last time from an equal timing state — is
+:mod:`repro.dram.frames`' to say, in its table of paths.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .commands import Command, CommandType
-from .pseudochannel import BANKS_PER_GROUP, BANKS_PER_PCH, Frame, PseudoChannel
+from .frames import CheckedProgram, FrameCache
+from .pseudochannel import BANKS_PER_GROUP, BANKS_PER_PCH, PseudoChannel
 
-__all__ = [
-    "CheckedProgram", "MemOp", "Request", "SchedulerPolicy", "ScheduleResult",
-    "MemoryController",
-]
+__all__ = ["MemOp", "Request", "SchedulerPolicy", "ScheduleResult", "MemoryController"]
 
 _RD, _WR = CommandType.RD, CommandType.WR
 # Iterating the enum class runs a generator per call; a tuple does not.
 _COMMAND_TYPES = tuple(CommandType)
-
-# Schedules a controller remembers, least recently used out first: a
-# workload's kernel programs and readbacks meet a few dozen timing states,
-# wave after wave.
-_SCHEDULES = 64
 
 
 class MemOp(enum.Enum):
@@ -151,24 +97,17 @@ _FCFS, _SHUFFLE = SchedulerPolicy.FCFS, SchedulerPolicy.SHUFFLE
 
 @dataclass(eq=False)
 class Request:
-    """One 32-byte read or write transaction to a decoded DRAM address.
+    """One 32-byte read or write transaction to a decoded DRAM address;
+    requests compare by identity (two transactions to one address are two).
 
-    Requests compare by identity: two transactions to the same address are
-    still two transactions (and ``data`` is an array, which has no scalar
-    truth value to compare with).
-
-    ``count > 1`` makes it a *run* (a column burst): ``count`` transactions
-    to columns ``col .. col + count - 1`` of the row, in that order,
-    ``data`` a ``(count, 32)`` block — shorthand for the requests
-    :meth:`expand` returns (which share its tag and epoch), and scheduled
-    exactly as they would be.  The controller issues a run from its first
-    column on, and :meth:`shrink` keeps it to the columns still to go.
-
-    ``index`` is the run's position in the program ``drain`` was handed
-    (None: queued by :meth:`MemoryController.enqueue`); a program's runs
-    are never listed in ``ScheduleResult.issue_order``.  ``seam``: the run
-    begins a kernel program of a launch, so the fence crossed into its
-    epoch is a seam (see the module docstring).
+    ``count > 1`` makes it a *run*: ``count`` transactions to columns
+    ``col ..`` of the row, in order, ``data`` a ``(count, 32)`` block —
+    shorthand for the requests :meth:`expand` returns, issued from its
+    first column on, :meth:`shrink` keeping it to the columns still to go.
+    ``index``: the run's position in the program ``drain`` was handed
+    (None: queued by :meth:`MemoryController.enqueue`; only those are
+    listed in ``ScheduleResult.issue_order``).  ``seam``: the run begins a
+    kernel program of a launch (see the module docstring).
     """
 
     op: MemOp
@@ -241,7 +180,9 @@ class ScheduleResult:
 class _Drain:
     """What one ``drain()`` has built so far; none of it outlives the call."""
 
-    __slots__ = ("issue_order", "read_data", "blocks", "segments", "start", "busy_from", "counts")
+    __slots__ = (
+        "issue_order", "read_data", "blocks", "segments", "start", "busy_from", "counts", "seam",
+    )
 
     def __init__(self) -> None:
         self.issue_order: List[Tuple[int, Request]] = []
@@ -255,12 +196,15 @@ class _Drain:
         self.segments: List[Tuple[int, int, int, int]] = []
         self.start = self.busy_from = 0
         self.counts: Dict[CommandType, int] = {}
+        self.seam: Optional[Dict[CommandType, int]] = None
 
     def open(self, cycle: int, counts: Dict[CommandType, int]) -> None:
         """Start a segment at ``cycle``, the channel's ``cmd_counts`` then
-        ``counts``: busy time runs from there (moved on at a seam)."""
+        ``counts``: busy time runs from there (moved on at a seam, to
+        ``busy_from``, the channel's ``cmd_counts`` then ``seam``)."""
         self.start = self.busy_from = cycle
         self.counts = counts
+        self.seam = None
 
     def land(self, run: Any, tag: Any, col: int, count: int, data: np.ndarray) -> None:
         """File what the RD of column ``col`` of ``run`` (``count`` columns
@@ -276,116 +220,6 @@ class _Drain:
         block, col0 = dest
         block[col - col0] = data
         self.read_data[tag] = block
-
-
-class CheckedProgram(tuple):
-    """A program's runs — ``(write, row, col, count, fence, operand,
-    barrier, bank, seam, transition)`` each, a
-    :class:`repro.pim.stream.Run` — checked and hashed once, where it is
-    built: a plan caches it, so every drain of it reuses both.  A run is
-    at least one column, except a mode transition, a read of none; a block
-    feeds bursts of one length.  ``keyed_rows``: the rows whose written
-    bytes decide more than what they store — a PIM channel's CRF row, the
-    program every window runs on — so a remembered schedule's key holds
-    them; the builder names them, the controller knows no PIM row.
-    ``bursts``: each write operand's burst length past one, whose block a
-    drain must hand as ``(count, col_bytes)``; ``keyed``: the operands
-    written to a keyed row; ``framed``: whether a frame can stand for it —
-    fenced (its runs lone runs), one run, or no write (no frame stands for
-    an epoch's writes)."""
-
-    def __new__(
-        cls, runs: Sequence[tuple], keyed_rows: Sequence[int] = ()
-    ) -> "CheckedProgram":
-        self = super().__new__(cls, runs)
-        bursts: Dict[int, int] = {}
-        keyed = set()
-        fenced = writes = False
-        for run in self:
-            write, count, operand = run[0], run[3], run[5]
-            if count < 1 and not (run[9] and not write and count == 0):
-                raise ValueError(f"a run is at least one column, not {count}")
-            if write:
-                writes = True
-                if run[1] in keyed_rows:
-                    keyed.add(operand)
-                if count > 1 and bursts.setdefault(operand, count) != count:
-                    raise ValueError(
-                        f"block {operand} feeds bursts of {bursts[operand]} and {count} columns"
-                    )
-            fenced = fenced or run[4] or run[6]
-        self.bursts = tuple(bursts.items())
-        self.keyed = tuple(sorted(keyed))
-        self.framed = fenced or len(self) == 1 or not writes
-        self._hash = tuple.__hash__(self)
-        return self
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def check(self, blocks: Sequence[np.ndarray], col_bytes: int) -> None:
-        """Refuse ``blocks`` a write burst of the program could only partly
-        carry."""
-        for operand, count in self.bursts:
-            shape = (count, col_bytes)
-            if getattr(blocks[operand], "shape", None) != shape:
-                raise ValueError(f"a write burst of {count} columns needs a {shape} block")
-
-
-class _Schedule:
-    """What the controller did with one program from one timing state,
-    counted from ``base`` — the controller's ``(row hits, row misses,
-    cycle, fences, busy cycles)`` as the drain found it — kept while
-    recording.
-
-    ``steps`` holds each bus command of ``program`` as ``(kind, bg, ba,
-    row, col, offset, count, mode, source)``: ``mode`` the channel's at the
-    command, ``source`` where a write's bytes sit — ``(keyed, operand,
-    first row)`` in the drain's blocks, ``keyed`` whether the key holds
-    them; ``reads`` the program index of each read run, in the order their
-    first columns went out (as ``read_data`` files them); ``entry`` is
-    :meth:`PseudoChannel.frame_entry` as the drain found it, ``horizon``
-    the latest cycle a refresh check compared.  Once remembered, ``frame``
-    is what the commands did to the channel
-    (:meth:`PseudoChannel.record_frame`), ``end`` the controller as the
-    drain left it (see :meth:`MemoryController._mark`) and ``segments``
-    the drain's segments between mode transitions (see :class:`_Drain`),
-    cycles counted from the base's.
-    """
-
-    __slots__ = (
-        "base", "program", "steps", "reads", "entry", "frame", "end", "horizon", "segments",
-    )
-
-    def __init__(
-        self, base: Tuple[int, int, int, int, int], program: CheckedProgram, entry: Any,
-    ) -> None:
-        self.base = base
-        self.program = program
-        self.steps: List[tuple] = []
-        self.reads: Dict[int, None] = {}
-        self.entry = entry
-        self.frame: Optional[Frame] = None
-        self.end: Optional[tuple] = None
-        self.horizon = 0
-        self.segments: Tuple[Tuple[int, int, int, int], ...] = ()
-
-    def note(self, cmd: Command, cycle: int, index: Optional[int], mode: Any) -> None:
-        """Take down ``cmd``, about to go out at ``cycle`` in ``mode`` —
-        a column of program run ``index``, or (None) an ACT, a PRE or a
-        PREA."""
-        source = None
-        if index is not None:
-            run = self.program[index]
-            if run[0]:
-                operand = run[5]
-                source = (operand in self.program.keyed, operand, cmd.col - run[2])
-            else:
-                self.reads[index] = None
-        self.steps.append((
-            cmd.cmd, cmd.bg, cmd.ba, cmd.row, cmd.col, cycle - self.base[2], cmd.count,
-            mode, source,
-        ))
 
 
 class MemoryController:
@@ -442,13 +276,12 @@ class MemoryController:
         self._open_rows: List[Optional[int]] = [None] * BANKS_PER_PCH
         self.row_hits = 0
         self.row_misses = 0
-        # Programs' schedules by program and timing state (see
-        # ``_apply_frame``), and the one a drain is taking down, if any.
-        self._schedules: "OrderedDict[tuple, _Schedule]" = OrderedDict()
-        self._recording: Optional[_Schedule] = None
-        # Observability hook (repro.obs): when a Tracer is attached each
-        # non-empty drain records a "drain" span on this channel's
-        # timeline.  None (the default) costs one attribute test.
+        # What the controller remembers of its drains (repro.dram.frames),
+        # and the recorder of the drain taking one down, if any.
+        self.frames = FrameCache()
+        self._recording = None
+        # repro.obs hook: a Tracer records a "drain" span per segment that
+        # put a column on the bus.  None (the default) costs one test.
         self.tracer = None
         self.channel_id = 0
 
@@ -464,11 +297,8 @@ class MemoryController:
     def read(
         self, bg: int, ba: int, row: int, col: int, tag: Any = None, count: int = 1
     ) -> None:
-        """Queue a 32-byte read; the result is keyed by ``tag`` in drain().
-
-        ``count > 1`` queues a column burst: reads of ``count`` consecutive
-        columns from ``col`` as one queue entry.
-        """
+        """Queue a 32-byte read — or a burst of ``count`` from ``col`` as
+        one entry; the result is keyed by ``tag`` in drain()."""
         self.enqueue(Request(MemOp.READ, bg, ba, row, col, tag=tag, count=count))
 
     def write(
@@ -505,30 +335,10 @@ class MemoryController:
 
     # -- scheduling ---------------------------------------------------------------
     #
-    # The reorder window is not a data structure: ``_window`` lists the
-    # queue head — the oldest epoch's runs while a budget of ``self.window``
-    # bus commands lasts — once per pick.  A run's commands share one class
-    # (``Request.cls``) and one row, and an in-order policy takes them
-    # oldest first, so the commands eligible at a pick are "the first run
-    # of each class" and the run that issued a column is again a run: no
-    # expansion, no splice, and the bus sees the single requests' commands
-    # at the single requests' cycles.  A column command's earliest issue
-    # cycle depends only on its class — never on row, column or data — so
-    # the first-ready choice among the row hits is one channel query
-    # (``first_ready``), and every other timing question goes through the
-    # channel too: the controller never looks into a bank.
-    #
-    # Where the schedule can be written down — the lone-run rule of the
-    # module docstring — ``_lone_run`` issues the queue head without a
-    # window or a pick.  Where it cannot — several runs of a program in
-    # one epoch, the readback — the pick path works it out.  Either way a
-    # program is issued command by command once per timing state and
-    # keyed bytes: ``_put`` takes every command down, the channel records
-    # what they did as a frame, and the next drain of that program from an
-    # equal state with equal keyed bytes (``_schedule_key``) is that frame
-    # (``_apply_frame``).
-    # Only ``SHUFFLE``, whose seeded draws are among single commands,
-    # expands runs (at ``drain`` entry).
+    # The reorder window, the lone-run rule and ``SHUFFLE``'s expansion are
+    # the module docstring's.  ``_put`` is the one way to the channel and
+    # ``_due`` the one refresh check; both tell a drain's recorder, if it
+    # has one, what went out and what was compared (repro.dram.frames).
 
     def _window(self, epoch: int) -> List[Request]:
         """The runs in the reorder window, oldest first."""
@@ -582,14 +392,11 @@ class MemoryController:
     def _opportunistic_activate(
         self, misses: List[Request], picked_bank: int, col_cycle: int, window: List[Request]
     ) -> bool:
-        """Open other requests' rows while the picked column waits.
-
-        Real FR-FCFS controllers interleave ACTs to idle banks with the
-        column stream; without this, a multi-bank stream degenerates to one
-        bank at a time.  ``misses`` are the runs of ``window`` whose row is
-        not open, ``col_cycle`` the cycle the picked column goes out;
-        returns whether any command was issued.
-        """
+        """Open other requests' rows while the picked column waits, as real
+        FR-FCFS controllers interleave ACTs with the column stream.
+        ``misses`` are the runs of ``window`` whose row is not open,
+        ``col_cycle`` the picked column's cycle; returns whether any command
+        was issued."""
         channel = self.channel
         open_rows = self._open_rows
         touched = {picked_bank}
@@ -623,7 +430,7 @@ class MemoryController:
         self, cmd: Command, cycle: int, index: Optional[int] = None
     ) -> Optional[np.ndarray]:
         """Put ``cmd`` on the bus at ``cycle``: the controller's one way to
-        the channel, where a schedule being recorded takes it down (with
+        the channel, where a drain being recorded takes it down (with
         ``index``, the program run of a column)."""
         recording = self._recording
         if recording is not None:
@@ -632,10 +439,10 @@ class MemoryController:
 
     def _due(self, cycle: int) -> bool:
         """The refresh check: whether a refresh is due by ``cycle``.  A
-        schedule being recorded takes the cycle down as its horizon."""
+        drain being recorded takes the cycle down as its horizon."""
         recording = self._recording
-        if recording is not None:
-            recording.horizon = max(recording.horizon, cycle - recording.base[2])
+        if recording is not None and cycle > recording.horizon:
+            recording.horizon = cycle
         return self.refresh and cycle >= self._next_refresh
 
     def _issue(
@@ -695,15 +502,12 @@ class MemoryController:
             run.shrink()
 
     def _lone_run(self, head: Request, out: _Drain) -> bool:
-        """Issue ``head``, the queue head and alone in its fence epoch (the
-        lone-run rule of the module docstring); returns whether it went to
-        the channel whole.  The first command pays the refresh check and
-        any PRE/ACT, the rest are row hits ``tCCD_L`` apart (a column
-        command moves no bank bound) — one command.  A refresh due before
-        its second-to-last command, or a raise part way, leaves the run at
-        the queue head: a refresh issues its first command, the rest take
-        the pick path; a raise leaves clocks, hits and the run from that
-        command on as the per-command loop does."""
+        """Issue ``head``, the queue head and alone in its fence epoch, as
+        one command (the lone-run rule); returns whether it went whole.  A
+        refresh due before its second-to-last command issues the first
+        only, the rest taking the pick path; a raise part way leaves
+        clocks, hits and the run from that command on as the per-command
+        loop does."""
         bg, ba, row, count, is_write = head.bg, head.ba, head.row, head.count, head.cls & 1
         if self._due(self._cycle):
             self._do_refresh()
@@ -783,106 +587,54 @@ class MemoryController:
                 for single in singles:
                     out.blocks[single] = dest
 
-    # -- remembered schedules -------------------------------------------------------
+    # -- what a frame sees of the controller ----------------------------------------
 
-    def _schedule_key(self, program: CheckedProgram, blocks: Sequence[np.ndarray]) -> tuple:
-        """What the schedule of ``program`` depends on, cycles counted from
-        the controller's: the program, the bytes of its keyed runs'
-        blocks, the channel's timing state, the CA bus and the open-row
-        shadow.  (The policy and the window are the controller's own for
-        life.)"""
-        origin = self._cycle
-        return (
-            program,
-            tuple(blocks[operand].tobytes() for operand in program.keyed),
-            self._next_ca - origin,
-            tuple(self._open_rows),
-            self.channel.timing_state(origin),
-        )
+    def snapshot(self) -> tuple:
+        """The controller's cycle, row hits, row misses, fences and busy
+        cycles, then its CA bus counted from its cycle and its open-row
+        shadow: the last two are what a frame's key holds of it."""
+        cycle = self._cycle
+        return (cycle, self.row_hits, self.row_misses, self.fence_count, self.busy_cycles,
+                self._next_ca - cycle, tuple(self._open_rows))
 
-    def _base(self) -> Tuple[int, int, int, int, int]:
-        """The controller's row hits, row misses, cycle, fences and busy
-        cycles."""
-        return self.row_hits, self.row_misses, self._cycle, self.fence_count, self.busy_cycles
+    def restore(self, start: tuple, end: tuple) -> None:
+        """Move the controller, from its cycle, as a drain moved it from
+        snapshot ``start`` to ``end`` (its fences crossed included)."""
+        cycle, hits, misses, fences, busy, _, _ = start
+        self._cycle += end[0] - cycle
+        self._next_ca = self._cycle + end[5]
+        self.row_hits += end[1] - hits
+        self.row_misses += end[2] - misses
+        self._epoch += end[3] - fences
+        self.fence_count += end[3] - fences
+        self.busy_cycles += end[4] - busy
+        self._open_rows = list(end[6])
 
-    def _mark(self, base: Tuple[int, int, int, int, int]) -> tuple:
-        """The controller's row hits, row misses, cycle, next CA cycle,
-        fences and busy cycles counted from ``base`` (see :meth:`_base`),
-        and its open-row shadow."""
-        hits, misses, origin, fences, busy = base
-        return (
-            self.row_hits - hits, self.row_misses - misses,
-            self._cycle - origin, self._next_ca - origin, self.fence_count - fences,
-            self.busy_cycles - busy, tuple(self._open_rows),
-        )
+    # -- segments -------------------------------------------------------------------
 
-    def _set_mark(self, mark: tuple, base: Tuple[int, int, int, int, int]) -> None:
-        """Put the controller where ``mark``, counted from ``base``, says."""
-        hits, misses, origin, _, _ = base
-        row_hits, row_misses, cycle, next_ca, fences, busy, open_rows = mark
-        self.row_hits, self.row_misses = hits + row_hits, misses + row_misses
-        self._cycle, self._next_ca = origin + cycle, origin + next_ca
-        self._epoch += fences
-        self.fence_count += fences
-        self.busy_cycles += busy
-        self._open_rows = list(open_rows)
+    def _segment(self, out: _Drain, end: int, counts: Dict[CommandType, int]) -> tuple:
+        """The open segment of ``out`` up to cycle ``end``, the channel's
+        ``cmd_counts`` then ``counts``, traced."""
+        before = out.counts
+        segment = (out.start, end, counts[_RD] - before[_RD] + counts[_WR] - before[_WR],
+                   sum(counts.values()) - sum(before.values()))
+        self._trace(*segment)
+        return segment
 
-    def _remember(self, key: tuple, schedule: _Schedule, out: _Drain) -> None:
-        """Keep what the drain just did — its segments ``out`` holds — as
-        the schedule under ``key``, when the channel can take it down as a
-        frame."""
-        base, program = schedule.base, schedule.program
-        frame = self.channel.record_frame(
-            schedule.steps, base[2],
-            [(run[7], run[1], run[2], run[3]) for run in (program[i] for i in schedule.reads)],
-            schedule.entry,
-        )
-        if frame is None:
-            return
-        schedule.frame, schedule.end = frame, self._mark(base)
-        origin = base[2]
-        schedule.segments = tuple(
-            (start - origin, end - origin, columns, commands)
-            for start, end, columns, commands in out.segments
-        )
-        schedule.program, schedule.steps, schedule.entry = (), [], None
-        self._schedules[key] = schedule
-        if len(self._schedules) > _SCHEDULES:
-            self._schedules.popitem(last=False)
-
-    def _apply_frame(
-        self, schedule: _Schedule, out: _Drain, blocks: Sequence[np.ndarray] = ()
-    ) -> bool:
-        """Issue the program ``schedule`` was recorded from as its frame,
-        from the controller's cycle, with this drain's ``blocks``: the
-        channel's end state in one step, each read run's bytes as one
-        block under its index, the drain's segments as recorded, the
-        controller where the recorded drain left it.  False, with nothing
-        changed, when the channel declines the frame."""
-        base = self._base()
-        origin = self._cycle
-        got = self.channel.apply_frame(schedule.frame, origin, blocks)
-        if got is None:
-            return False
-        read_data = out.read_data
-        for index, block in zip(schedule.reads, got):
-            read_data[index] = block if len(block) > 1 else block[0]
-        out.segments = [
-            (origin + start, origin + end, columns, commands)
-            for start, end, columns, commands in schedule.segments
-        ]
-        self._set_mark(schedule.end, base)
-        return True
+    def _trace(self, start: int, end: int, columns: int, commands: int) -> None:
+        """A segment that put a column on the bus, as a ``drain`` span."""
+        if columns and self.tracer is not None:
+            self.tracer.record_cycles(
+                "drain", start, end, category="device", channel=self.channel_id,
+                requests=columns, commands=commands,
+            )
 
     def _close_segment(self, out: _Drain) -> None:
         """End the drain's open segment at the controller's cycle: count
-        its busy cycles and note it (see :class:`_Drain`)."""
-        end = self._cycle
-        self.busy_cycles += end - out.busy_from
-        counts, before = self.channel.cmd_counts, out.counts
-        columns = counts[_RD] - before[_RD] + counts[_WR] - before[_WR]
-        commands = sum(counts.values()) - sum(before.values())
-        out.segments.append((out.start, end, columns, commands))
+        its busy cycles, note it (see :class:`_Drain`) and trace it."""
+        self.busy_cycles += self._cycle - out.busy_from
+        out.segments.append(self._segment(out, self._cycle, self.channel.cmd_counts))
+        out.seam = None
 
     def _transition(self, run: Request, out: _Drain) -> None:
         """Issue the mode transition ``run`` between two segments of the
@@ -898,23 +650,17 @@ class MemoryController:
     ) -> ScheduleResult:
         """Simulate until the queue is empty; return the schedule outcome.
 
-        ``program``, a :mod:`repro.pim.stream` program each of whose runs
-        names its bank and whose WR runs carry ``blocks[run.operand]``,
-        means: check the blocks (a :class:`CheckedProgram` was checked and
-        hashed where it was built; any other sequence is checked here),
-        enqueue every run with its fences, drain.  A read run's bytes,
-        when any reach the I/O, are ``read_data[i]`` for its index ``i``
-        in the program.  ``issue_order`` never lists a program's runs,
-        whichever way they went.  Under an in-order policy a fenced
-        program (its runs lone runs), or one epoch of several runs none of
-        which is a write (the pick path), on an empty queue drains off the
-        queue the first time from a timing state; every later time from
-        that key it is the frame remembered then (:meth:`_apply_frame`),
-        unless a refresh falls due inside it or the channel declines the
-        frame.  With no program and an empty queue there is nothing to
-        move: the drain returns the full path's result at once.  A seam
-        and either side of a mode transition (see the module docstring)
-        are crossed as the boundary between two drains."""
+        ``program``, a :mod:`repro.pim.stream` program whose WR runs carry
+        ``blocks[run.operand]``, means: check the blocks (a
+        :class:`CheckedProgram` was checked where it was built; any other
+        sequence is checked here), then take the frame
+        :mod:`repro.dram.frames` remembers for it, or enqueue every run
+        with its fences and drain.  A read run's bytes are ``read_data[i]``
+        for its index ``i`` in the program; ``issue_order`` never lists a
+        program's runs.  With no program and an empty queue the drain
+        returns at once.  Each segment between mode transitions is traced
+        as it closes; a drain that raises traces its open segment up to
+        its last seam."""
         if not program and not self._queue:
             return ScheduleResult(
                 self._cycle, [], {}, dict.fromkeys(_COMMAND_TYPES, 0), 0, 0
@@ -926,25 +672,15 @@ class MemoryController:
         start_hits, start_misses = self.row_hits, self.row_misses
         queue = self._queue
         in_order = self.policy is not _SHUFFLE
-        key, refreshes = None, self.refresh_count
-        framed = False
+        taken = False
         if program:
             if type(program) is not CheckedProgram:
                 program = CheckedProgram(program)
             program.check(blocks, channel.bank_config.col_bytes)
-            if queue or not in_order or not program.framed:
+            if queue or not in_order or not self.frames.take(self, program, blocks, out):
                 self._queue_runs(program, blocks)
             else:
-                key = self._schedule_key(program, blocks)
-                schedule = self._schedules.get(key)
-                if schedule is not None and (
-                    not self.refresh or self._cycle + schedule.horizon < self._next_refresh
-                ) and self._apply_frame(schedule, out, blocks):
-                    self._schedules.move_to_end(key)
-                    key, framed = None, True
-                else:
-                    self._recording = _Schedule(self._base(), program, channel.frame_entry())
-                    self._queue_runs(program, blocks)
+                taken = True
         if not in_order:
             self._expand_queue(out)
         epoch: Optional[int] = None
@@ -961,6 +697,7 @@ class MemoryController:
                         # program of the launch would end and the next begin.
                         self.busy_cycles += self._cycle - out.busy_from
                         out.busy_from = self._cycle
+                        out.seam = dict(channel.cmd_counts)
                     elif epoch is not None:
                         # Crossing a fence: the barrier stalls the request stream.
                         self._next_ca += self.fence_penalty
@@ -974,20 +711,21 @@ class MemoryController:
                 if not self._open(run.bg, run.ba, run.row):
                     bound = None  # commands went out since the pick's query
                 self._issue_column(run, bound, out)
+        except BaseException:
+            if out.seam is not None:  # the open segment's kernel programs that ended
+                self._segment(out, out.busy_from, out.seam)
+            raise
         finally:
             recording, self._recording = self._recording, None
-        if not framed:  # a frame's segments are the recorded drain's, all closed
+        if taken:  # a frame's segments are the recorded drain's, all closed
+            if self.tracer is not None:
+                for segment in out.segments:
+                    self._trace(*segment)
+        else:
             self._close_segment(out)
-        if key is not None and self.refresh_count == refreshes:
-            self._remember(key, recording, out)
+        if recording is not None:
+            self.frames.offer(self, recording, out.segments)
         counts = channel.cmd_counts
-        if self.tracer is not None:
-            for start, end, columns, commands in out.segments:
-                if columns:  # a segment that put a column on the bus
-                    self.tracer.record_cycles(
-                        "drain", start, end, category="device", channel=self.channel_id,
-                        requests=columns, commands=commands,
-                    )
         return ScheduleResult(
             cycles=self._cycle,
             issue_order=out.issue_order,
@@ -1005,14 +743,9 @@ class MemoryController:
         self.refresh_count += 1
 
     def closed_page_access(self, bg: int, ba: int, row: int) -> None:
-        """An ACT+PRE pair to ``row``, as produced by an uncacheable access
-        with closed-page semantics.
-
-        This is the PIM mode-transition sequence (Section III-B): the driver
-        maps ABMR/SBMR into an uncacheable region, so a single load/store
-        reaches DRAM as exactly this command pair.  The queue must be
-        drained first — transitions are ordered by a fence in the kernel.
-        """
+        """An ACT+PRE pair to ``row``: an uncacheable access with
+        closed-page semantics, the PIM mode transition (Section III-B),
+        issued on a drained queue."""
         if self._queue:
             raise RuntimeError("drain the request queue before a mode transition")
         self._act_pre(bg, ba, row)
@@ -1024,19 +757,10 @@ class MemoryController:
         self._open_rows[bg * BANKS_PER_GROUP + ba] = None
 
     def reset_channel(self) -> List[Request]:
-        """Abandon pending work and return the channel to a clean state;
-        returns the queued requests it abandoned.
-
-        The self-healing serving layer calls this after a mid-kernel fault
-        unwound through :meth:`drain`, which leaves unissued requests
-        queued and may leave the channel stranded in AB(-PIM) mode with
-        open rows.  The recovery models the driver's sequence — wait out
-        the worst-case bank bound, PREA, force SB mode — without moving
-        data: queued requests are dropped with their fences
-        (:meth:`abandon`; their kernel is being retried from scratch), the
-        open-row shadow is cleared, and the CA clock advances past every
-        per-bank bound so the next command is legal.
-        """
+        """Abandon pending work (:meth:`abandon`, returned) and return the
+        channel to a clean state after a fault unwound through :meth:`drain`:
+        the device driver's wait past every bank bound, PREA and forced SB mode,
+        without moving data, the open-row shadow cleared."""
         abandoned = self.abandon()
         self._open_rows = [None] * BANKS_PER_PCH
         bound = self._cycle

@@ -208,48 +208,24 @@ class PimPseudoChannel(PseudoChannel):
 
     # -- frames ---------------------------------------------------------------------
     #
-    # Two kinds of command sequence are taken down as a frame (see
-    # ``PseudoChannel.record_frame``).  SB-mode ACT / PRE / RD commands to
-    # bank rows — the GEMV readback — change no mode and leave the mode
-    # FSM's armed row.  An all-bank program — a kernel's fenced AB-PIM
-    # program, or a launch from SB mode back to SB mode: its transitions'
-    # SB-mode PREA, ACT and PRE at its ends (the ACT one bank's, the rest
-    # of its commands all banks'), its CRF / SRF loads and its tile
-    # programs joined at seams — records all 16 banks and moves the mode
-    # FSM (its armed row and ``transition_count`` too), ``pim_op_mode``
-    # and the column counters; its data events, in bus order, are what the
-    # frame replays against the blocks of the drain that applies it: each
-    # register-row write run as one flush and one write per unit
-    # (``_write_registers``), each AB write run into every bank, and each
-    # AB-PIM *window* — the trigger runs between two flushes of the exec
-    # group — as one ``FusedLockstepGroup.replay_window``.  A window
-    # records the trace key its flush used (channel, entry sequencer
-    # state, CRF words, pattern bytes: the cache's own key object, shared),
-    # the write blocks that feed its HOST operand and its trigger pattern:
-    # the exec group logs the key of every window it replays from the
-    # recording drain's start (``frame_entry``) to ``record_frame``, so a
-    # launch of any number of windows is taken down.  Taken, it looks that
-    # key up in the trace cache and replays the compiled trace with this
-    # drain's blocks — no tape, no key packing, no uniformity check; on a
-    # miss (the trace evicted, or dropped by a CRF upset or a quarantine)
-    # it rebuilds the tape from the pattern and runs the flush the command
-    # path runs, which compiles and puts under the same key.  The units'
-    # sequencer state, the windows' summed stats and ``fused_replays`` are
-    # written once, at the frame's end; the triggers of a window the
-    # program leaves open go on the tape then.
-    #
-    # Such a frame is recorded only on an exec group that defers, holds no
-    # tape and one CRF program on every unit — the key holds that program
-    # (``timing_state``) and the bytes the program's own keyed CRF load
-    # writes over it (``MemoryController._schedule_key``), so each
-    # window's trace key is the recorded one — and only when every window
-    # replayed a compiled trace.  A program that writes the CRF without
-    # the CRF row among its keyed rows is not taken down.  A frame is
-    # applied only where none of it can raise: every bank vouches for
-    # every row the program's columns reach (``Bank.framed``; once per
-    # channel while no bank is failed, injected or of a class of its own,
-    # ``vouched``), and every write's block has the recorded shape and
-    # PIM_OP_MODE value.
+    # When a drain is taken down or taken as a frame is ``repro.dram.frames``'
+    # table.  Besides SB-mode ACT / PRE / RD commands to bank rows (with the
+    # mode FSM's armed row), a PIM channel takes down an all-bank program —
+    # a kernel's fenced AB-PIM program, or a launch from SB mode back to SB
+    # mode with its transitions, CRF / SRF loads and tile programs joined at
+    # seams — on an exec group that defers, holds no tape and one CRF program
+    # on every unit, when every window replayed a compiled trace.  Such a
+    # frame records all 16 banks, the mode FSM (armed row and
+    # ``transition_count``), ``pim_op_mode`` and the column counters, and
+    # its data events in bus order: each register-row write run (one flush
+    # and one write per unit, ``_write_registers``), each AB write run, and
+    # each AB-PIM *window* — the trigger runs between two flushes — with the
+    # trace key its flush used, the write blocks feeding its HOST operand and
+    # its trigger pattern.  Taken, it replays the events against the drain's
+    # blocks: a window looks its key up (``FusedLockstepGroup.replay_window``;
+    # a miss rebuilds the tape from the pattern and compiles under the same
+    # key), and the units' sequencer state, stats and ``fused_replays`` are
+    # written once, at the frame's end.
 
     def frame_entry(self) -> Any:
         """The exec group's fallback count, when its windows can be framed
@@ -297,7 +273,7 @@ class PimPseudoChannel(PseudoChannel):
         transition's) at its ends; None when one of its columns goes out
         in SB mode, reads bytes out (a register or an AB read), writes the
         CRF with bytes the key does not hold (a write to a keyed row's,
-        see ``repro.dram.controller.CheckedProgram``), flushes triggers it
+        see ``repro.dram.frames.CheckedProgram``), flushes triggers it
         gave the exec group before any ``start_all`` (their trace key
         holds the sequencer state the program found), or stops the
         sequencers it did not start."""

@@ -167,7 +167,7 @@ def sb_to_sb(
     transition into AB mode (``enter``), the ``crf`` columns of block
     :data:`CRF` into the CRF — they decide the program every window runs
     on, so a plan checks the program with the CRF row keyed
-    (``repro.dram.controller.CheckedProgram``) — and block :data:`SRF`
+    (``repro.dram.frames.CheckedProgram``) — and block :data:`SRF`
     into SRF_M and SRF_A (``srf``), each a fenced register-row write run,
     then ``body`` and the transition back (``leave``).  A launch that
     spans several drains enters in its first and leaves in its last."""

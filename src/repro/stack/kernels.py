@@ -33,7 +33,7 @@ each simulated channel one such program, the programs of all its (slot,
 slice, tile)s joined at seams (:meth:`GemvPlan.launch`); an elementwise
 batch enters and loads with its first item's program and leaves after
 the last item's (:meth:`ElementwisePlan.launch`).  Each is built,
-checked and hashed once (a :class:`~repro.dram.controller.CheckedProgram`).
+checked and hashed once (a :class:`~repro.dram.frames.CheckedProgram`).
 A GEMV's SB-mode readback is a program too, of unfenced runs the
 controller reorders across banks.
 """
@@ -46,7 +46,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..dram.controller import CheckedProgram
+from ..dram.frames import CheckedProgram
 from ..dram.ecc import peek_block, poke_block
 from ..pim import stream
 from ..pim.device import UNITS_PER_PCH, PimPseudoChannel

@@ -5,11 +5,12 @@ import pytest
 
 from repro.dram.bank import BankConfig
 from repro.dram.commands import CommandType
-from repro.dram.controller import (
-    CheckedProgram, MemOp, MemoryController, Request, SchedulerPolicy,
-)
+from repro.dram.controller import MemOp, MemoryController, Request, SchedulerPolicy
+from repro.dram.frames import CheckedProgram
 from repro.dram.pseudochannel import PseudoChannel
 from repro.dram.timing import HBM2_1GHZ
+
+from .frame_seam import frames_taken
 
 
 def make_controller(**kwargs):
@@ -410,12 +411,7 @@ class TestColumnBursts:
         under their indices all the same."""
         from repro.pim.stream import Run, gemv_readback
 
-        frames = []
-        apply_frame = MemoryController._apply_frame
-        monkeypatch.setattr(
-            MemoryController, "_apply_frame",
-            lambda self, *args: frames.append(apply_frame(self, *args)) or frames[-1],
-        )
+        frames = frames_taken(monkeypatch)
         policy = SchedulerPolicy.SHUFFLE if way == "shuffled" else SchedulerPolicy.FRFCFS
         mc, _ = make_controller(policy=policy, seed=1)
         # One epoch of 16 runs, one per bank; a PREA before each drain
@@ -429,7 +425,7 @@ class TestColumnBursts:
             if way == "behind a request":
                 mc.read(0, 1, 5, 0, tag="r")
             result = mc.drain(program)
-        assert frames == [True] * (way == "replayed")
+        assert len(frames) == (way == "replayed")
         listed = [req.tag for _, req in result.issue_order]
         assert listed == (["r"] if way == "behind a request" else [])
         assert set(result.read_data) - {"r"} == set(range(16))

@@ -27,7 +27,11 @@ raise leaves — also when the drain is the frame remembered from an equal
 state.
 ``TestARememberedSchedule`` holds a drain from a state that differs in
 one component of the key, or over a fault the key leaves out, equal to a
-controller that never remembers.
+controller whose frame cache keeps nothing.
+
+The four hypothesis properties run here on a small budget;
+``tests/dram/sweep_controller_differential.py`` (CI job ``frame-oracle``)
+runs them on a large one.
 """
 
 import copy
@@ -54,6 +58,7 @@ from repro.pim.modes import PimMode
 from repro.pim.stream import ZEROS, Run, gemv_readback
 from repro.tools import trace_channel
 
+from .frame_seam import Forgetful, frames_taken
 from .reference_controller import ReferenceController
 
 NUM_ROWS = 64
@@ -313,8 +318,23 @@ def run_both(
     return new, ref, outcomes
 
 
-@settings(max_examples=250, deadline=None)
-@given(
+def budgeted(strategies, examples, prop):
+    """``prop`` as a hypothesis test of ``examples`` cases drawn from
+    ``strategies``: tier-1 runs each property of this file on a small
+    budget, ``tests/dram/sweep_controller_differential.py`` on its large
+    one."""
+
+    @settings(
+        max_examples=examples, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(**strategies)
+    def check(**draws):
+        prop(**draws)
+
+    return check
+
+
+SCHEDULER_DRAWS = dict(
     mode=st.sampled_from(MODES),
     policy=POLICY,
     refresh=st.booleans(),
@@ -324,7 +344,9 @@ def run_both(
     ab_bank=st.integers(0, 15),
     fused=st.booleans(),
 )
-def test_incremental_scheduler_matches_reference(
+
+
+def scheduler_matches_reference(
     mode, policy, refresh, fence_penalty, window, stream, ab_bank, fused
 ):
     new, ref, outcomes = run_both(
@@ -336,6 +358,11 @@ def test_incremental_scheduler_matches_reference(
         assert new.mc.channel.mode is ref.mc.channel.mode
         for a, b in zip(new.mc.channel.units, ref.mc.channel.units):
             assert a.regs.grf_a.tobytes() == b.regs.grf_a.tobytes()  # NaN-safe
+
+
+test_incremental_scheduler_matches_reference = budgeted(
+    SCHEDULER_DRAWS, 50, scheduler_matches_reference
+)
 
 
 # Damage, aimed at what the stream touches: (kind, which request, which of
@@ -363,8 +390,7 @@ READ_STREAM = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(
+DAMAGE_DRAWS = dict(
     mode=st.sampled_from(MODES),
     policy=st.sampled_from([SchedulerPolicy.FRFCFS, SchedulerPolicy.FCFS]),
     refresh=st.booleans(),
@@ -374,7 +400,9 @@ READ_STREAM = st.lists(
     ab_bank=st.integers(0, 15),
     fused=st.booleans(),
 )
-def test_runs_over_flipped_bits_and_dead_banks_match_reference(
+
+
+def runs_over_damage_match_reference(
     mode, policy, refresh, window, stream, faults, ab_bank, fused
 ):
     """ECC channels with seeded damage: a run over a single-bit error is
@@ -404,13 +432,18 @@ def test_runs_over_flipped_bits_and_dead_banks_match_reference(
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+test_runs_over_flipped_bits_and_dead_banks_match_reference = budgeted(
+    DAMAGE_DRAWS, 30, runs_over_damage_match_reference
+)
+
+ILLEGAL_DRAWS = dict(
     policy=POLICY,
     window=st.sampled_from([1, 4, 16]),
     stream=st.lists(st.one_of(REQUEST, REQUEST, BURST), min_size=2, max_size=30),
 )
-def test_illegal_all_bank_streams_fail_identically(policy, window, stream):
+
+
+def illegal_streams_fail_identically(policy, window, stream):
     """AB-mode requests that spread over banks make the controller ACT a
     bank the broadcast already opened; both schedulers must hit the same
     TimingViolation at the same point and leave the same controller and
@@ -424,6 +457,11 @@ def test_illegal_all_bank_streams_fail_identically(policy, window, stream):
         for side in sides:
             side.enqueue(position, op, bank // 4, bank % 4, row, col, value, *count)
     assert sides[0].drain() == sides[1].drain()
+
+
+test_illegal_all_bank_streams_fail_identically = budgeted(
+    ILLEGAL_DRAWS, 15, illegal_streams_fail_identically
+)
 
 
 def test_fixed_stream_crosses_refreshes_and_reorders():
@@ -537,15 +575,14 @@ def burst_paths(monkeypatch):
     only its first command; ``picks`` — commands that went through the
     window; ``expanded`` — runs ``Request.expand`` turned into singles;
     ``one-update`` — AB-PIM trigger runs taken as one state update;
-    ``frames`` — programs the channel took as a remembered frame."""
+    ``frames`` — the frames taken (:func:`frame_seam.frames_taken`)."""
     taken = {
         "closed-form": 0, "straddle": 0, "expanded": 0, "one-update": 0, "picks": 0,
-        "frames": 0,
+        "frames": frames_taken(monkeypatch),
     }
     lone_run = MemoryController._lone_run
     expand = Request.expand
     pick = MemoryController._pick
-    apply_frame = MemoryController._apply_frame
     issue_burst = PimPseudoChannel._issue_burst
 
     def counted_lone_run(self, *args, **kwargs):
@@ -561,11 +598,6 @@ def burst_paths(monkeypatch):
         taken["picks"] += 1
         return pick(self, epoch)
 
-    def counted_apply_frame(self, *args):
-        applied = apply_frame(self, *args)
-        taken["frames"] += applied
-        return applied
-
     def counted_issue_burst(self, cmd, cycle):
         triggered = self.pim_triggered_columns
         calls = []
@@ -580,10 +612,18 @@ def burst_paths(monkeypatch):
 
     monkeypatch.setattr(MemoryController, "_lone_run", counted_lone_run)
     monkeypatch.setattr(MemoryController, "_pick", counted_pick)
-    monkeypatch.setattr(MemoryController, "_apply_frame", counted_apply_frame)
     monkeypatch.setattr(PimPseudoChannel, "_issue_burst", counted_issue_burst)
     monkeypatch.setattr(Request, "expand", counted_expand)
     return taken
+
+
+def reset(taken):
+    """Zero ``burst_paths``' counts."""
+    for path, count in taken.items():
+        if isinstance(count, list):
+            count.clear()
+        else:
+            taken[path] = 0
 
 
 def entering_ab_pim(policy):
@@ -610,7 +650,7 @@ def test_a_burst_alone_in_its_epoch_is_one_queue_entry_one_issue_and_no_pick(
     )
     assert taken == {
         "closed-form": 6 + 2,  # entering AB-PIM: the CRF and PIM_OP_MODE writes
-        "straddle": 0, "expanded": 0, "one-update": 6, "picks": 0, "frames": 0,
+        "straddle": 0, "expanded": 0, "one-update": 6, "picks": 0, "frames": [],
     }
     assert [position for _, position, _ in outcomes[-1][0]] == [
         2 * group + 1 for group in range(6) for _ in range(8)
@@ -898,12 +938,12 @@ def queue_state(mc):
 
 
 def remember(mc, program, blocks=()):
-    """Drain ``program`` on ``mc``, then put the controller and its channel
-    back as they were, keeping only the schedule that drain remembered: the
-    next drain of ``program`` starts from an equal timing state."""
-    saved = copy.deepcopy({k: v for k, v in vars(mc).items() if k != "_schedules"})
-    mc.drain(program, blocks)
-    vars(mc).update(saved)
+    """Drain ``program`` on a copy of ``mc`` and its channel, and hand
+    ``mc`` the copy's frame cache: the next drain of ``program`` on ``mc``
+    starts from the timing state that drain remembered."""
+    twin = copy.deepcopy(mc)
+    twin.drain(program, blocks)
+    mc.frames = twin.frames
 
 
 def inject(channel, faults):
@@ -1022,6 +1062,47 @@ def assert_one_outcome(outcomes):
     assert outcomes["drain"] == outcomes["reference"]
 
 
+PROGRAM_DRAWS = dict(
+    mode=st.sampled_from(["sb", "ab", "ab-pim"]),
+    fused=st.booleans(),
+    policy=POLICY,
+    refresh=st.booleans(),
+    fence_penalty=st.sampled_from([0, 45]),
+    window=st.sampled_from([1, 4, 16]),
+    # Half the time nothing queued ahead: only then is a schedule
+    # remembered, and taken as a frame with ``hit``.
+    before=st.one_of(st.just([]), st.lists(REQUEST, min_size=1, max_size=5)),
+    fence_before=st.booleans(),
+    runs=st.one_of(PROGRAM, EPOCH),
+    hit=st.booleans(),
+)
+
+
+def program_drains_as_reference(
+    mode, fused, policy, refresh, fence_penalty, window, before, fence_before, runs, hit,
+):
+    """A drawn program drained (twice, with ``hit``) as the reference
+    drains its single requests; a frame exactly where one is due."""
+    with pytest.MonkeyPatch.context() as patch:
+        taken = burst_paths(patch)
+        outcomes = two_ways(
+            mode, runs, before, fence_before, fused=fused, policy=policy[0],
+            seed=policy[1], refresh=refresh, fence_penalty=fence_penalty,
+            window=window, hit=hit,
+        )
+    assert_one_outcome(outcomes)
+    assert outcomes["drain"][0][0][0] == "ok"
+    # The second drain from an equal state is a frame exactly where one
+    # is due — unless a refresh fell due inside it.
+    due = (
+        hit and not before and policy[0] is not SchedulerPolicy.SHUFFLE
+        and frame_due(mode, fused, runs)
+    )
+    assert len(taken["frames"]) <= due
+    if due and not refresh:
+        assert len(taken["frames"]) == 1
+
+
 class TestAProgramDrainsAsItsSingleRequests:
     """``drain(program, blocks)`` queues a program's runs, takes each lone
     epoch as one lone run, and takes the frame it remembered from an equal
@@ -1032,46 +1113,7 @@ class TestAProgramDrainsAsItsSingleRequests:
     counters, the banks, the queue and the trace where the reference fed
     the program's single requests does."""
 
-    @settings(
-        max_examples=150, deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(
-        mode=st.sampled_from(["sb", "ab", "ab-pim"]),
-        fused=st.booleans(),
-        policy=POLICY,
-        refresh=st.booleans(),
-        fence_penalty=st.sampled_from([0, 45]),
-        window=st.sampled_from([1, 4, 16]),
-        # Half the time nothing queued ahead: only then is a schedule
-        # remembered, and taken as a frame with ``hit``.
-        before=st.one_of(st.just([]), st.lists(REQUEST, min_size=1, max_size=5)),
-        fence_before=st.booleans(),
-        runs=st.one_of(PROGRAM, EPOCH),
-        hit=st.booleans(),
-    )
-    def test_drawn_programs(
-        self, monkeypatch, mode, fused, policy, refresh, fence_penalty, window,
-        before, fence_before, runs, hit,
-    ):
-        with monkeypatch.context() as patch:
-            taken = burst_paths(patch)
-            outcomes = two_ways(
-                mode, runs, before, fence_before, fused=fused, policy=policy[0],
-                seed=policy[1], refresh=refresh, fence_penalty=fence_penalty,
-                window=window, hit=hit,
-            )
-        assert_one_outcome(outcomes)
-        assert outcomes["drain"][0][0][0] == "ok"
-        # The second drain from an equal state is a frame exactly where one
-        # is due — unless a refresh fell due inside it.
-        due = (
-            hit and not before and policy[0] is not SchedulerPolicy.SHUFFLE
-            and frame_due(mode, fused, runs)
-        )
-        assert taken["frames"] <= due
-        if due and not refresh:
-            assert taken["frames"] == 1
+    test_drawn_programs = staticmethod(budgeted(PROGRAM_DRAWS, 30, program_drains_as_reference))
 
     # The kernels' shape: every run fenced, rows 0..2 of bank 0.
     RUNS = [
@@ -1143,7 +1185,7 @@ class TestAProgramDrainsAsItsSingleRequests:
             hit=hit,
         )
         # Damage on a read row or bank declines the frame: the pick path.
-        assert taken["frames"] == (hit and not damage)
+        assert len(taken["frames"]) == (hit and not damage)
         assert_one_outcome(outcomes)
         first = outcomes["drain"][0]
         if error is None:
@@ -1166,7 +1208,7 @@ class TestAProgramDrainsAsItsSingleRequests:
         assert_one_outcome(two_ways("sb", fenced, refresh=True, fence_penalty=7))
         assert taken["straddle"] >= 1 and taken["picks"] == 7 * taken["straddle"]
         # A run with no fence after it shares its epoch with the next.
-        taken.update(dict.fromkeys(taken, 0))
+        reset(taken)
         unfenced = [fenced[0], (False, 1, 0, 8, 0, False, False, 0), fenced[0]]
         assert_one_outcome(two_ways("sb", unfenced, fence_penalty=7))
         assert (taken["closed-form"], taken["picks"]) == (1, 16)
@@ -1175,7 +1217,7 @@ class TestAProgramDrainsAsItsSingleRequests:
         # each is a lone run.
         shared = [(MemOp.READ, 0, 0, 9, 0)]
         for fence_before, expect in ((False, (1, 9)), (True, (3, 0))):
-            taken.update(dict.fromkeys(taken, 0))
+            reset(taken)
             assert_one_outcome(two_ways("sb", fenced[:2], shared, fence_before))
             assert (taken["closed-form"], taken["picks"]) == expect
         # One epoch of several reads drained again from an equal state: a
@@ -1184,13 +1226,13 @@ class TestAProgramDrainsAsItsSingleRequests:
         # the pick path every time.
         epoch = self.READBACK[:8]
         for mode, window, frames in (("sb", 4, 1), ("ab", 16, 0), ("ab-pim", 1, 0)):
-            taken.update(dict.fromkeys(taken, 0))
+            reset(taken)
             assert_one_outcome(two_ways(mode, epoch, hit=True, window=window))
-            assert (taken["frames"], taken["picks"]) == (frames, (2 - frames) * 64)
+            assert (len(taken["frames"]), taken["picks"]) == (frames, (2 - frames) * 64)
         # Not when a refresh fell due inside it: nothing was remembered.
-        taken.update(dict.fromkeys(taken, 0))
+        reset(taken)
         assert_one_outcome(two_ways("sb", self.READBACK, hit=True, refresh=True))
-        assert (taken["frames"], taken["picks"]) == (0, 2 * 128)
+        assert (len(taken["frames"]), taken["picks"]) == (0, 2 * 128)
         # A fenced program drained again from an equal state on a
         # deferring exec group: a frame — the kernels' shape in AB-PIM, a
         # write to every column of a row in AB — and no lone run; on the
@@ -1201,22 +1243,14 @@ class TestAProgramDrainsAsItsSingleRequests:
             ("ab-pim", self.RUNS, True, 1), ("ab", writes, True, 1),
             ("ab-pim", self.RUNS, False, 0),
         ):
-            taken.update(dict.fromkeys(taken, 0))
+            reset(taken)
             assert_one_outcome(two_ways(mode, runs, hit=True, fused=fused))
-            assert (taken["frames"], taken["closed-form"]) == (
+            assert (len(taken["frames"]), taken["closed-form"]) == (
                 frames, (2 - frames) * len(runs) + 2 * (mode == "ab-pim")
             )
 
 
 # -- a remembered schedule: one frame from an equal timing state only ---------------
-
-
-class Forgetful(dict):
-    """Schedules a controller never keeps: each of its drains takes the
-    pick path, the oracle a frame must equal."""
-
-    def __setitem__(self, key, value):
-        pass
 
 
 def outcome(side, program, blocks=()):
@@ -1235,7 +1269,7 @@ def outcome(side, program, blocks=()):
 def forgetful(side):
     """A copy of ``side`` that never remembers."""
     twin = copy.deepcopy(side)
-    twin.mc._schedules = Forgetful()
+    twin.mc.frames = Forgetful()
     return twin
 
 
@@ -1342,9 +1376,9 @@ class TestARememberedSchedule:
         taken = burst_paths(monkeypatch)
         assert outcome(side, self.program(mode)) == want
         if mode == "sb":
-            assert (taken["frames"], taken["picks"]) == (1, 0)
+            assert (len(taken["frames"]), taken["picks"]) == (1, 0)
         else:
-            assert taken["frames"] == 0 and taken["picks"] > 0
+            assert len(taken["frames"]) == 0 and taken["picks"] > 0
 
     # Faults are not in the key: the channel declines the frame, and the
     # pick path meets them where a controller that never remembers does.
@@ -1375,7 +1409,7 @@ class TestARememberedSchedule:
         assert want != unperturbed
         taken = burst_paths(monkeypatch)
         assert outcome(side, self.program("sb")) == want
-        assert taken["frames"] == 0 and taken["picks"] > 0
+        assert len(taken["frames"]) == 0 and taken["picks"] > 0
 
     def test_a_repeated_wave_replays_at_later_cycles(self, monkeypatch):
         """A GEMV's shape, wave after wave on one ECC channel: a PREA, a
@@ -1387,7 +1421,7 @@ class TestARememberedSchedule:
         drain, raise and leftover queue."""
         taken = burst_paths(monkeypatch)
         sides = [Side(MemoryController, "sb", timing=HBM2_1GHZ, ecc=True) for _ in range(2)]
-        sides[1].mc._schedules = Forgetful()
+        sides[1].mc.frames = Forgetful()
         writes = tuple(Run(True, 0, 0, 8, True, 0, False, bank) for bank in range(16))
         blocks = [write_data(17, 8)]
         damage = {3: [("flip", 4, 1, 3, 17)], 4: [("flip", 6, 1, 9, 64), ("flip", 6, 1, 9, 65)]}
@@ -1398,11 +1432,11 @@ class TestARememberedSchedule:
                 side.mc.drain(writes, blocks)
                 inject(side.mc.channel, damage.get(wave, ()))
             origins.append(sides[0].mc.current_cycle)
-            frames = taken["frames"]
+            frames = len(taken["frames"])
             got, want = (outcome(side, self.program("sb")) for side in sides)
             assert got == want
             # Waves 3 and 4 leave injection entries on the readback's rows.
-            assert taken["frames"] == frames + (wave in (1, 2))
+            assert len(taken["frames"]) == frames + (wave in (1, 2))
             if wave == 4:
                 assert got[0][:2] == ("raised", UncorrectableError)
                 assert outcome(sides[0], ()) == outcome(sides[1], ())

@@ -5,8 +5,8 @@ that is one fence epoch of several runs (the GEMV readback), keyed by the
 timing state it started from; the next drain from an equal state hands
 the channel the recorded end state (``PseudoChannel.apply_frame``) and
 moves each read run's bytes as one block.  The oracle is the pick path
-itself: a twin controller whose schedules are ``Forgetful`` drains every
-program command by command.
+itself: a twin controller whose frame cache is ``Forgetful``
+(``tests/dram/frame_seam.py``) drains every program command by command.
 
 Both are driven through the same drawn streams — queued requests,
 fences, PREA, write runs to every bank, an all-bank write excursion, a
@@ -26,7 +26,7 @@ Tier-1 runs a small example budget; ``tests/dram/sweep_frame_oracle.py``
 component of the frame has a one-line mutant the tier-1 budget kills: a
 bank bound, the open row, the per-bank counts, the last column, the last
 ACT, the tFAW window, the channel maxima, ``cmd_counts``, the armed row,
-``words_checked`` and the controller's mark, each left as it was.  A
+``words_checked`` and the controller's end snapshot, each left as it was.  A
 frame applied over a failed bank or an injection entry is killed by
 ``test_the_strategy_reaches_frames_and_declines``.
 
@@ -53,7 +53,7 @@ lists them): ``_take`` without the AB writes' ``wr_count``,
 ``pim_triggered_columns``, ``ab_broadcast_columns``, the FSM's mode, its
 ``transition_count``, ``pim_op_mode``, a dropped or a reordered data
 event, the recorded drain's blocks for this one's, the refresh horizon
-off by one either way, the controller's mark without its fence penalties
+off by one either way, the controller's end snapshot without its fence penalties
 or its fences; carrying a register load, the recorded drain's SRF bytes
 for this one's; across a transition, a frame that drops the armed row,
 the transitions' ``transition_count``, the single-bank ACT's own tally
@@ -99,14 +99,14 @@ from contextlib import nullcontext
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.dram.bank import Bank
 from repro.dram.commands import CommandType
-from repro.dram.controller import (
-    CheckedProgram, MemOp, MemoryController, Request, SchedulerPolicy,
-)
+from repro.dram.controller import MemOp, MemoryController, Request, SchedulerPolicy
+from repro.dram.frames import CheckedProgram
 from repro.dram.ecc import EccBank, UncorrectableError
 from repro.dram.timing import HBM2_1GHZ
 from repro.errors import PimDataError, PimProgramError
@@ -121,7 +121,8 @@ from repro.pim.stream import Run, gemv_readback
 from repro.stack.kernels import ELEMENTWISE_OPS, GemvKernel
 from repro.tools import trace_channel
 
-from .test_controller_differential import Forgetful, Side, make_channel, write_data
+from .frame_seam import Forgetful, frames_taken, remembered, remembered_for
+from .test_controller_differential import Side, make_channel, write_data
 
 ROUNDS = 4
 TIER1_EXAMPLES = 40
@@ -310,15 +311,22 @@ def frame_vs_pick_path(
     """The property: a controller that takes remembered frames and one
     that never remembers agree after every drain.  Returns how many frames
     the first one took."""
+    with pytest.MonkeyPatch.context() as patch:
+        return _readback_waves(
+            patch, mode, ecc, policy, window, prefix, wave, readback, faults, refresh, traced
+        )
+
+
+def _readback_waves(
+    patch, mode, ecc, policy, window, prefix, wave, readback, faults, refresh, traced
+):
     sides = [
         Side(MemoryController, mode, ecc=ecc, timing=HBM2_1GHZ, policy=policy,
              window=window, refresh=refresh is not None)
         for _ in range(2)
     ]
-    sides[1].mc._schedules = Forgetful()
-    frames = []
-    take = sides[0].mc._apply_frame
-    sides[0].mc._apply_frame = lambda *args: frames.append(take(*args)) or frames[-1]
+    sides[1].mc.frames = Forgetful()
+    frames = frames_taken(patch, sides[0].mc.frames)
     for element in prefix:
         got, want = (step(side, element) for side in sides)
         assert got == want, element
@@ -328,16 +336,16 @@ def frame_vs_pick_path(
             assert got == want, element
         for side in sides:
             damage(side, faults[wave_no])
-        remembered = list(sides[0].mc._schedules.values())
-        if refresh is not None and remembered:
+        kept = remembered(sides[0].mc)
+        if refresh is not None and kept:
             # The next refresh ``refresh`` cycles past the remembered
             # schedule's last refresh check: a frame only when it is after.
-            due = remembered[-1].horizon + refresh
+            due = kept[-1].horizon + refresh
             for side in sides:
                 side.mc._next_refresh = side.mc.current_cycle + due
         got, want = (drained(side, readback, traced=traced[wave_no]) for side in sides)
         assert got == want, f"readback of wave {wave_no}"
-    return frames.count(True)
+    return len(frames)
 
 
 def differential(examples):
@@ -684,22 +692,23 @@ def program_frames_vs_lone_path(
     ``armed`` a read of the SBMR row arms the FSM first.  (Drawn bank
     bytes as FP16 overflow: both sides compute the same infinities and
     NaNs.)"""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
         return _program_waves(
-            ecc, exec_mode, kernels, faults, fence_penalty, refresh, traced, reload, seed,
-            own_class, entry, leave, armed,
+            patch, ecc, exec_mode, kernels, faults, fence_penalty, refresh, traced, reload,
+            seed, own_class, entry, leave, armed,
         )
 
 
 def _program_waves(
-    ecc, exec_mode, kernels, faults, fence_penalty, refresh, traced, reload, seed,
+    patch, ecc, exec_mode, kernels, faults, fence_penalty, refresh, traced, reload, seed,
     own_class, entry, leave, armed,
 ):
     sides = [
         program_side(ecc, exec_mode, fence_penalty, refresh is not None, own_class)
         for _ in range(2)
     ]
-    sides[1].mc._schedules = Forgetful()
+    sides[1].mc.frames = Forgetful()
+    frames = frames_taken(patch, sides[0].mc.frames)
     taken = []
     declined = [0] * len(DECLINES)
     drawn = {"seam": False, "load": False, "transition": False}  # of the program drained now
@@ -716,18 +725,6 @@ def _program_waves(
         return applied
 
     channel._apply_program = counted_apply_program
-    take = sides[0].mc._apply_frame
-
-    def counted(schedule, *args):
-        applied = take(schedule, *args)
-        if applied and schedule.frame.program is not None:
-            taken.append(drawn["load"])
-            events = schedule.frame.program.events
-            multiple[0] += drawn["seam"] or sum(event[0] == "window" for event in events) > 1
-            crossing[0] += drawn["transition"]
-        return applied
-
-    sides[0].mc._apply_frame = counted
     windows = {"by key": 0, "rebuilt": 0}
     group = sides[0].mc.channel.lockstep
     if isinstance(group, FusedLockstepGroup):
@@ -756,6 +753,13 @@ def _program_waves(
                 program_drained(side, program, blocks, traced[wave_no]) for side in sides
             )
             assert got == want, f"wave {wave_no}"
+            for frame in frames:
+                if frame.program is not None:
+                    taken.append(drawn["load"])
+                    events = frame.program.events
+                    multiple[0] += drawn["seam"] or sum(e[0] == "window" for e in events) > 1
+                    crossing[0] += drawn["transition"]
+            frames.clear()
 
         if armed:
             both(CheckedProgram((Run(False, memory_map.sbmr_row, 0, 1, False, bank=5),)))
@@ -778,7 +782,7 @@ def _program_waves(
             if timed:
                 # The next refresh ``refresh`` cycles past the frame's
                 # refresh horizon: a frame only when it is after it.
-                schedule = sides[0].mc._schedules.get(sides[0].mc._schedule_key(program, blocks))
+                schedule = remembered_for(sides[0].mc, program, blocks)
                 if schedule is not None:
                     timed = False
                     for side in sides:
@@ -928,7 +932,7 @@ def test_the_program_strategy_reaches_frames_and_declines():
         assert program_frames_vs_lone_path(**dict(base, **change)) == frames, change
 
 
-def test_a_traced_program_frame_shows_what_its_lone_runs_show():
+def test_a_traced_program_frame_shows_what_its_lone_runs_show(monkeypatch):
     """A GEMV tile drained three times under ``tools.trace_channel`` and a
     ``repro.obs`` tracer, after a program that enters AB mode and loads
     the CRF: the third drain starts from the state the second did and is a
@@ -938,7 +942,7 @@ def test_a_traced_program_frame_shows_what_its_lone_runs_show():
     ``mode:all-bank-pim`` and a ``mode:all-bank`` event at the
     PIM_OP_MODE writes' cycles, a ``drain`` span per drain."""
     sides = [program_side(False, "fused", 7, False) for _ in range(2)]
-    sides[1].mc._schedules = Forgetful()
+    sides[1].mc.frames = Forgetful()
     channel = sides[0].mc.channel
     program, source, operands = kernel_program(channel, ("gemv", 4, 0, 2, 8, False))
     rng = np.random.default_rng(3)
@@ -946,9 +950,7 @@ def test_a_traced_program_frame_shows_what_its_lone_runs_show():
     for side in sides:
         drained(side, setup, operand_blocks(rng, 0, source))
     trace_sides(sides, True)
-    taken = []
-    take = sides[0].mc._apply_frame
-    sides[0].mc._apply_frame = lambda *args: taken.append(take(*args)) or taken[-1]
+    taken = frames_taken(monkeypatch, sides[0].mc.frames)
     for _ in range(3):
         blocks = operand_blocks(rng, operands)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -956,7 +958,7 @@ def test_a_traced_program_frame_shows_what_its_lone_runs_show():
                 program_drained(side, program, blocks, traced=True) for side in sides
             )
         assert got == want
-    assert taken == [True]
+    assert len(taken) == 1
     records, events, spans = got[1], got[3], got[4]
     assert [(r.count, r.mode) for r in records if r.cmd_type.is_column and r.count > 1] == [
         (8, "all-bank-pim")
@@ -974,7 +976,7 @@ def test_a_traced_program_frame_shows_what_its_lone_runs_show():
     assert [name for name, *_ in spans] == ["drain"] * 3
 
 
-def test_a_frame_crosses_its_transitions_as_drain_boundaries():
+def test_a_frame_crosses_its_transitions_as_drain_boundaries(monkeypatch):
     """A tile's launch — entry, CRF load, the tile, exit — drained three
     times, the third a frame, traced: its one ``drain`` span runs from the
     entry's last command to the exit's first, counting neither transition's
@@ -982,13 +984,11 @@ def test_a_frame_crosses_its_transitions_as_drain_boundaries():
     changes at their commands' cycles, and the channel's FSM back in SB
     mode with two transitions more each time and no row armed."""
     sides = [program_side(False, "fused", 7, False) for _ in range(2)]
-    sides[1].mc._schedules = Forgetful()
+    sides[1].mc.frames = Forgetful()
     channel = sides[0].mc.channel
     body, source, operands = kernel_program(channel, ("gemv", 2, 0, 2, 8, False))
     program = launched(channel, body, enter=True, leave=True, source=source)
-    taken = []
-    take = sides[0].mc._apply_frame
-    sides[0].mc._apply_frame = lambda *args: taken.append(take(*args)) or taken[-1]
+    taken = frames_taken(monkeypatch, sides[0].mc.frames)
     rng = np.random.default_rng(9)
     for _ in range(3):
         trace_sides(sides, True)
@@ -1013,7 +1013,7 @@ def test_a_frame_crosses_its_transitions_as_drain_boundaries():
         ]
         assert (fsm.mode.value, fsm._armed_row) == ("single-bank", -1)
         assert fsm.transition_count - transitions == 4
-    assert taken == [True]
+    assert len(taken) == 1
 
 
 def test_a_window_that_raises_in_a_frame_leaves_the_units_as_its_flush_does(monkeypatch):
@@ -1025,7 +1025,7 @@ def test_a_window_that_raises_in_a_frame_leaves_the_units_as_its_flush_does(monk
     window's entry state, no register or stat of the window written, the
     trace looked up once."""
     sides = [program_side(False, "fused", 7, False) for _ in range(2)]
-    sides[1].mc._schedules = Forgetful()
+    sides[1].mc.frames = Forgetful()
     channel = sides[0].mc.channel
     program, source, operands = kernel_program(channel, ("gemv", 4, 0, 2, 8, False))
     rng = np.random.default_rng(3)
@@ -1054,7 +1054,7 @@ def test_a_window_that_raises_in_a_frame_leaves_the_units_as_its_flush_does(monk
     assert got[2][2] != want[2][2]
 
 
-def test_a_frame_is_keyed_on_the_crf_bytes_its_load_writes():
+def test_a_frame_is_keyed_on_the_crf_bytes_its_load_writes(monkeypatch):
     """Each wave: add's launch — entering AB mode and loading add's CRF —
     then a relu program carrying the load of its own microkernel three
     waves running, then of GEMV's, from the same entry CRF (add's) and
@@ -1065,10 +1065,8 @@ def test_a_frame_is_keyed_on_the_crf_bytes_its_load_writes():
     — and raises at the window's flush on the queue path, as it does on
     the forgetful side."""
     sides = [program_side(False, "fused", 7, False) for _ in range(2)]
-    sides[1].mc._schedules = Forgetful()
-    frames = []
-    take = sides[0].mc._apply_frame
-    sides[0].mc._apply_frame = lambda *args: frames.append(take(*args)) or frames[-1]
+    sides[1].mc.frames = Forgetful()
+    frames = frames_taken(monkeypatch, sides[0].mc.frames)
     channel = sides[0].mc.channel
     add, add_source, _ = kernel_program(channel, ("add", 1, 0))
     relu, relu_source, _ = kernel_program(channel, ("relu", 1, 1))
@@ -1093,10 +1091,10 @@ def test_a_frame_is_keyed_on_the_crf_bytes_its_load_writes():
             outcomes.append(outcome)
         assert outcomes[0] == outcomes[1], source
     assert outcomes[0][1][0][:2] == ("raised", PimProgramError)
-    assert frames == [True] * 4  # add's in waves 2-4, relu's in wave 3
+    assert len(frames) == 4  # add's in waves 2-4, relu's in wave 3
 
 
-def test_only_a_keyed_crf_load_is_framed():
+def test_only_a_keyed_crf_load_is_framed(monkeypatch):
     """Batch-norm programs drained four times after the entry and its CRF
     load: carrying its SRF load (fresh scalars each time), or its SRF and
     CRF loads, it is a frame from the third drain (the first two start
@@ -1105,10 +1103,8 @@ def test_only_a_keyed_crf_load_is_framed():
     forgetful side every time."""
     for kind, framed in (("srf", ROUNDS - 2), ("crf", ROUNDS - 2), ("unkeyed crf", 0)):
         sides = [program_side(True, "fused", 7, False) for _ in range(2)]
-        sides[1].mc._schedules = Forgetful()
-        taken = []
-        take = sides[0].mc._apply_frame
-        sides[0].mc._apply_frame = lambda *args: taken.append(take(*args)) or taken[-1]
+        sides[1].mc.frames = Forgetful()
+        taken = frames_taken(monkeypatch, sides[0].mc.frames)
         channel = sides[0].mc.channel
         body, source, _ = kernel_program(channel, ("bn", 1, 0))
         rng = np.random.default_rng(11)
@@ -1122,7 +1118,7 @@ def test_only_a_keyed_crf_load_is_framed():
             with np.errstate(over="ignore", invalid="ignore"):
                 got, want = (program_drained(side, program, blocks) for side in sides)
             assert got == want, kind
-        assert taken.count(True) == framed, kind
+        assert len(taken) == framed, kind
 
 
 

@@ -123,7 +123,8 @@ def _fold_drains(tracer, mark: Optional[Tuple[int, int]], channel: int) -> None:
 
 def _gemv_launch(self, pos: int, group: np.ndarray, source: str) -> None:
     """One launch of ``group`` on the channel at ``pos``: enter, load the
-    CRF, a drain per (slot, slice on the channel, tile) program, leave."""
+    CRF, a drain per (slot, slice on the channel, tile) program, leave.
+    The launch's drain spans fold into one, also when a drain raises."""
     plan = self.plan
     k = len(self.channels)
     index = self.channels[pos]
@@ -133,17 +134,21 @@ def _gemv_launch(self, pos: int, group: np.ndarray, source: str) -> None:
     _load_crf(self.sys, index, source)
     tracer = mc.tracer
     mark = None if tracer is None else (len(tracer.spans), tracer._next_id)
-    for slot, xp in enumerate(group):
-        for s in range(pos, plan.num_slices, k):
-            x_slice = xp[s * plan.n_slice : (s + 1) * plan.n_slice]
-            staged = (
-                np.repeat(x_slice, LANES).view(np.uint8).reshape(plan.chunks, 8, GRF_REG_BYTES)
-            )
-            blocks = (*staged, *kernels._CONSTANT_BLOCKS)
-            for tile in range(plan.tiles):
-                mc.drain(plan.program(tile, s // k, slot), blocks)
-    mc.drain()  # a channel that holds no slice still loads its CRF
-    _fold_drains(tracer, mark, index)
+    try:
+        for slot, xp in enumerate(group):
+            for s in range(pos, plan.num_slices, k):
+                x_slice = xp[s * plan.n_slice : (s + 1) * plan.n_slice]
+                staged = (
+                    np.repeat(x_slice, LANES).view(np.uint8)
+                    .reshape(plan.chunks, 8, GRF_REG_BYTES)
+                )
+                blocks = (*staged, *kernels._CONSTANT_BLOCKS)
+                for tile in range(plan.tiles):
+                    mc.drain(plan.program(tile, s // k, slot), blocks)
+        mc.drain()  # a channel that holds no slice still loads its CRF
+    finally:
+        # A tile program that raises records no span; those before it do.
+        _fold_drains(tracer, mark, index)
     _transition(mc, memory_map.sbmr_row)
 
 
@@ -309,21 +314,20 @@ CHANNEL_FIELDS = {
 }
 
 
-def _record(system, spans: bool = True, **call: Any) -> Dict[str, Any]:
+def _record(system, **call: Any) -> Dict[str, Any]:
     """The fields ``call`` names, then every channel's (a list over the
-    channels each) and, when the system traces, its mode events — a list
-    over the channels — and, with ``spans``, its spans."""
+    channels each) and, when the system traces, its spans and its mode
+    events, a list over the channels."""
     record = dict(call)
     for name, field in CHANNEL_FIELDS.items():
         record[name] = [field(mc) for mc in system.controllers]
     tracer = system.tracer
-    if tracer is not None and spans:
+    if tracer is not None:
         record["spans"] = [
             (s.span_id, s.parent_id, s.name, s.category, s.start_ns, s.end_ns, s.channel,
              dict(s.attrs))
             for s in tracer.spans
         ]
-    if tracer is not None:
         record["mode_events"] = [
             [(e.name, e.at_ns, dict(e.attrs))
              for e in tracer.events if e.category == "mode" and e.channel == index]
@@ -478,11 +482,8 @@ def serve_with_a_failure(op, after, simulate_pchs) -> List[Dict[str, Any]]:
     assert profile.quarantined_channels == [0]
     assert max(r.retries for r in profile.requests) == 1
     assert not check_quarantined_queues(system)
-    # No spans: a launch program that raises records no drain span, where
-    # the reference's drains of the tile programs before the fault do.
     return [_record(
         system,
-        spans=False,
         results=[h.result.tobytes() for h in handles],
         retries=[r.retries for r in profile.requests],
         turnarounds=[r.finish_ns - r.arrival_ns for r in profile.requests],

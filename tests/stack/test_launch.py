@@ -26,12 +26,14 @@ import json
 import numpy as np
 import pytest
 
-from repro.dram.controller import CheckedProgram, MemoryController
+from repro.dram.controller import MemoryController
+from repro.dram.frames import CheckedProgram
 from repro.stack import PimContext, PimSystem, Request, ServerConfig, SystemConfig
 from repro.stack.blas import gemv_reference
 from repro.stack.kernels import GemvKernel
 from repro.stack.server import RequestOutcome
 
+from ..dram.frame_seam import frames_taken
 from ..reference.launch import (
     BASE, GOLDEN, SCENARIOS, digests, first_difference, rand, reference_launches,
     serve_with_a_failure,
@@ -128,15 +130,6 @@ def test_a_launch_of_more_than_sixteen_windows_is_one_frame(monkeypatch):
     """256 x 256 weights on a two-channel lane, eight inputs a launch:
     each channel's launch closes 32 windows, and after a warm-up launch
     it is one channel frame."""
-    frames = []
-    apply_frame = MemoryController._apply_frame
-
-    def counted_apply_frame(self, schedule, out, blocks=()):
-        program = schedule.frame.program
-        windows = 0 if program is None else sum(e[0] == "window" for e in program.events)
-        frames.append((apply_frame(self, schedule, out, blocks), windows))
-        return frames[-1][0]
-
     system = PimSystem(SystemConfig(num_pchs=4, num_rows=256))
     kernel = GemvKernel(system, 256, 256, channels=(0, 1), max_batch=8)
     kernel.load_weights(rand((256, 256), 1))
@@ -145,11 +138,14 @@ def test_a_launch_of_more_than_sixteen_windows_is_one_frame(monkeypatch):
     xs = rand((8, 256), 2)
     want = kernel.batched(xs)[0]
     kernel.batched(xs)
-    monkeypatch.setattr(MemoryController, "_apply_frame", counted_apply_frame)
+    frames = frames_taken(monkeypatch)
     got = kernel.batched(xs)[0]
     assert np.array_equal(got, want)
-    assert [windows for _, windows in frames if windows] == [8 * plan.passes * plan.tiles] * 2
-    assert all(applied for applied, _ in frames)
+    windows = [
+        sum(event[0] == "window" for event in frame.program.events)
+        for frame in frames if frame.program is not None
+    ]
+    assert [count for count in windows if count] == [8 * plan.passes * plan.tiles] * 2
 
 
 def test_a_retry_loads_the_microkernel_of_a_launch_that_never_started():

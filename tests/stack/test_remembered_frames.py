@@ -3,7 +3,7 @@
 The memory controller remembers what it did with a program from one
 timing state, least recently used out first, and takes that as one
 channel frame the next time the program drains from an equal state
-(``repro.dram.controller``).  A GEMV launch's program from SB mode back
+(``repro.dram.frames``).  A GEMV launch's program from SB mode back
 to SB mode, an elementwise item's, the transition that ends an
 elementwise batch and a GEMV readback repeat under a few dozen timing
 states wave after wave, so the remembered set must hold a workload's
@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 from repro.common import fp16
-from repro.dram import controller as controller_module
+from repro.dram import frames as frames_module
 from repro.dram.controller import MemoryController
 from repro.pim import fused
 from repro.pim.device import PimPseudoChannel
@@ -42,6 +42,8 @@ from repro.pim.registers import LANES
 from repro.stack import PimContext, Request, ServerConfig, SystemConfig
 from repro.stack.arithmetic import golden_reference
 from repro.stack.server import RequestOutcome
+
+from ..dram.frame_seam import frames_taken
 
 WAVES = 4
 
@@ -100,15 +102,10 @@ def serve(monkeypatch, mix=gemv_mix, waves=WAVES, before_wave=lambda wave_no: No
     drains = [[] for _ in range(waves)]
     wave_no = [0]
     drain = MemoryController.drain
-    apply_frame = MemoryController._apply_frame
-
-    def counted_apply_frame(self, *args):
-        applied = apply_frame(self, *args)
-        self._took_frame = applied
-        return applied
+    frames = frames_taken(monkeypatch)
 
     def counted_drain(self, program=(), blocks=()):
-        self._took_frame = False
+        taken = len(frames)
         result = drain(self, program, blocks)
         if program:
             registers = self.channel.memory_map
@@ -121,11 +118,10 @@ def serve(monkeypatch, mix=gemv_mix, waves=WAVES, before_wave=lambda wave_no: No
                 else "kernel" if any(run.fence or run.barrier for run in program)
                 else "readback"
             )
-            drains[wave_no[0]].append((kind, loads, self._took_frame))
+            drains[wave_no[0]].append((kind, loads, len(frames) > taken))
         return result
 
     monkeypatch.setattr(MemoryController, "drain", counted_drain)
-    monkeypatch.setattr(MemoryController, "_apply_frame", counted_apply_frame)
     ctx = PimContext(SystemConfig(simulate_pchs=1))
     server = ctx.server(ServerConfig())
     wave = mix(np.random.default_rng(11))
@@ -171,7 +167,7 @@ def frames_after_the_first_wave(monkeypatch, schedules):
     """Whether each drain that loads no register after the first wave of
     the two shapes served together was a frame, at a bound of
     ``schedules``."""
-    monkeypatch.setattr(controller_module, "_SCHEDULES", schedules)
+    monkeypatch.setattr(frames_module, "_SCHEDULES", schedules)
     waves = serve(monkeypatch, gemv_and_eltwise_mix)[1:]
     return [frame for wave in waves for _, loads, frame in wave if not loads]
 
@@ -312,7 +308,7 @@ def test_a_warm_lstm_step_replays_its_windows_by_their_recorded_keys(monkeypatch
 
 @pytest.mark.parametrize("config", [SystemConfig, ServerConfig])
 def test_the_bound_is_a_module_constant_not_a_knob(config):
-    assert controller_module._SCHEDULES == 64
+    assert frames_module._SCHEDULES == 64
     names = [field.name for field in dataclasses.fields(config)]
     assert not [
         name for name in names if any(word in name for word in ("schedules", "frame", "remember"))
