@@ -16,10 +16,8 @@ import numpy as np
 
 from repro.common.fp16 import BF16, FP16, decode_format, encode_format
 from repro.dram.bank import BankConfig
-from repro.dram.device import DeviceConfig
 from repro.dram.ecc import EccBank
 from repro.dram.timing import DRAM_FAMILIES, HBM2_1GHZ
-from repro.pim.device import PimHbmDevice
 from repro.stack import (
     CollaborativeGemv,
     GemvKernel,
@@ -36,20 +34,7 @@ def rand(shape, seed, scale=0.15):
 
 def ecc_demo():
     print("== 1. On-die ECC protecting a live GEMV ==")
-    from repro.host.processor import HostSystem
-    from repro.stack.driver import PimDeviceDriver
-    from repro.stack.runtime import PimExecutor
-
-    class EccSystem(PimSystem):
-        def __init__(self):
-            device = PimHbmDevice(
-                DeviceConfig(num_pchs=1, bank_config=BankConfig(num_rows=128), ecc=True)
-            )
-            HostSystem.__init__(self, device)
-            self.driver = PimDeviceDriver(device)
-            self.executor = PimExecutor(self)
-
-    system = EccSystem()
+    system = PimSystem(SystemConfig(num_pchs=1, num_rows=128, ecc=True))
     w, x = rand((128, 64), 0), rand(64, 1)
     kernel = GemvKernel(system, 128, 64)
     kernel.load_weights(w)

@@ -233,7 +233,7 @@ def _write_trace(system, path) -> None:
     """Dump one traced system's spans as a Chrome trace file."""
     from .obs import write_chrome_trace
 
-    tracer = getattr(system, "tracer", None)
+    tracer = system.tracer
     if tracer is None:
         return
     write_chrome_trace(tracer, path)

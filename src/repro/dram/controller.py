@@ -756,12 +756,12 @@ class MemoryController:
         self._issue(Command(CommandType.PRE, bg, ba))
         self._open_rows[bg * BANKS_PER_GROUP + ba] = None
 
-    def reset_channel(self) -> List[Request]:
-        """Abandon pending work (:meth:`abandon`, returned) and return the
-        channel to a clean state after a fault unwound through :meth:`drain`:
-        the device driver's wait past every bank bound, PREA and forced SB mode,
-        without moving data, the open-row shadow cleared."""
-        abandoned = self.abandon()
+    def reset_channel(self) -> None:
+        """Abandon pending work (:meth:`abandon`) and return the channel to
+        a clean state after a fault unwound through :meth:`drain`: the
+        device driver's wait past every bank bound, PREA and forced SB mode,
+        without moving data or registers, the open-row shadow cleared."""
+        self.abandon()
         self._open_rows = [None] * BANKS_PER_PCH
         bound = self._cycle
         for bank in self.channel.banks:
@@ -771,23 +771,20 @@ class MemoryController:
         self._cycle = bound
         self._next_ca = max(self._next_ca, bound + 1)
         self.channel.hard_reset(bound)
-        return abandoned
 
-    def abandon(self) -> List[Request]:
-        """Drop every queued request and return them, taking back the
-        fences counted behind them: the epoch and the fence count go back
-        to the epoch of the oldest queued column request, so what a drain
-        that raised left queued — the rest of its program — is as though
-        it had never been queued.  (A mode transition's request carries
-        no epoch of its own.)"""
-        abandoned = list(self._queue)
-        self._queue.clear()
+    def abandon(self) -> None:
+        """Drop every queued request, taking back the fences counted
+        behind them: the epoch and the fence count go back to the epoch of
+        the oldest queued column request, so what a drain that raised left
+        queued — the rest of its program — is as though it had never been
+        queued.  (A mode transition's request carries no epoch of its
+        own.)"""
         taken = self._epoch - min(
-            (request.epoch for request in abandoned if request.count), default=self._epoch
+            (request.epoch for request in self._queue if request.count), default=self._epoch
         )
+        self._queue.clear()
         self._epoch -= taken
         self.fence_count -= taken
-        return abandoned
 
     def precharge_all(self) -> None:
         """Issue PREA (used before SB<->AB mode transitions)."""

@@ -13,9 +13,9 @@ Three fault classes are modelled:
   probability.  With :class:`~repro.dram.ecc.EccBank` banks these are the
   events SEC-DED corrects (single) or detects (double).
 * **register faults** — a GRF/SRF/CRF word of one execution unit is
-  corrupted.  CRF corruption also invalidates the runtime's
-  microkernel-broadcast cache, modelling the driver re-broadcasting the
-  program after detecting an instruction-buffer upset.
+  corrupted.  The next launch on a channel whose CRF was struck loads the
+  program again: a launch loads the CRF wherever a unit's differs from
+  the microkernel's image.
 * **channel hard failure** — every bank of a pseudo-channel starts
   raising :class:`~repro.errors.PimChannelError` on data access,
   modelling a dead channel the serving layer must quarantine.
@@ -139,13 +139,12 @@ class FaultInjector:
 
         Content-keyed caching already makes stale-program replay
         impossible (a flipped CRF word changes the key); this models the
-        driver additionally dropping the channel's compiled traces with
-        its broadcast cache, keeping the bounded cache free of entries
-        for programs that will never run again.
+        driver additionally dropping the channel's compiled traces,
+        keeping the bounded cache free of entries for programs that will
+        never run again.
         """
-        cache = getattr(self.sys, "_trace_cache", None)
-        if cache is not None:
-            cache.invalidate_channel(pch)
+        if self.sys._trace_cache is not None:
+            self.sys._trace_cache.invalidate_channel(pch)
 
     def is_failed(self, pch: int) -> bool:
         """Whether channel ``pch`` has been hard-failed."""
@@ -162,10 +161,7 @@ class FaultInjector:
         return self.stats.total - before
 
     def _allocated_rows(self) -> List[int]:
-        driver = getattr(self.sys, "driver", None)
-        if driver is None:
-            return []
-        return sorted(driver.allocated_rows())
+        return sorted(self.sys.driver.allocated_rows())
 
     def inject_storage_faults(self) -> int:
         """Flip stored data/check bits of allocated rows; returns count.
@@ -269,10 +265,9 @@ class FaultInjector:
     def corrupt_registers(self) -> int:
         """Corrupt one register word per struck execution unit.
 
-        A CRF upset additionally invalidates the runtime's per-channel
-        microkernel cache (``system._crf_loaded``): the driver detects the
-        instruction-buffer corruption and re-broadcasts the program before
-        the next launch, so a corrupted kernel never executes silently.
+        A corrupted kernel never executes silently: the next launch on the
+        channel loads the CRF, since a launch loads it wherever a unit's
+        CRF differs from the microkernel's image.
         """
         rate = self.config.register_fault_rate
         if rate <= 0.0:
@@ -290,9 +285,6 @@ class FaultInjector:
                     index = int(self.rng.integers(0, len(regs.crf)))
                     bit = int(self.rng.integers(0, 32))
                     regs.flip_bit("crf", index, bit)
-                    loaded = getattr(self.sys, "_crf_loaded", None)
-                    if loaded is not None:
-                        loaded.pop(pch, None)
                     self._invalidate_traces(pch)
                     self.stats.crf_faults += 1
                 elif kind == "grf":

@@ -151,9 +151,9 @@ class PimPseudoChannel(PseudoChannel):
     def hard_reset(self, cycle: int) -> None:
         """Channel recovery: close banks, force SB mode, stop the units.
 
-        Register contents (CRF/GRF/SRF) are deliberately preserved — the
-        runtime's microkernel cache tracks what is loaded, and a retried
-        kernel reprograms whatever it needs before executing.
+        Register contents (CRF/GRF/SRF) are deliberately preserved — a
+        retried kernel loads the CRF where a unit's differs from its
+        microkernel and reprograms whatever else it needs before executing.
         """
         super().hard_reset(cycle)
         self.mode_ctrl.reset()

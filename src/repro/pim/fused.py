@@ -65,9 +65,8 @@ block) — the last two packed into exact ``bytes`` (no digest), a few KB
 per entry.  A CRF fault upset therefore *cannot* replay a stale program —
 the flipped word changes the key — and the fault injector additionally
 calls :meth:`TraceCache.invalidate_channel` (modelling the driver
-dropping its compiled traces alongside the broadcast cache) so the
-bounded cache never accumulates entries for corrupted or quarantined
-channels.
+dropping its compiled traces) so the bounded cache never accumulates
+entries for corrupted or quarantined channels.
 
 Anything irregular runs on the execution units themselves, trigger by
 trigger, through the inherited eager loop — so the fused path is

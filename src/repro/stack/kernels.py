@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,8 +53,10 @@ from ..pim.device import UNITS_PER_PCH, PimPseudoChannel
 from ..pim.modes import PimMemoryMap
 from ..pim.registers import GRF_REG_BYTES, LANES
 from ..pim.isa import GRF_REGS
-from ..host.processor import HostSystem
 from .arithmetic import elementwise_reference, mac_partials, reduce_partials
+
+if TYPE_CHECKING:
+    from .runtime import PimSystem
 
 __all__ = [
     "ExecutionReport",
@@ -98,25 +100,18 @@ class ExecutionReport:
         return self.total_pchs / self.simulated_pchs
 
 
-def _alloc_rows(system: HostSystem, count: int):
+def _alloc_rows(system: PimSystem, count: int):
     """Allocate row sets through the system's PIM device driver.
 
     Kernels never hard-code placements: physically contiguous row sets come
     from the driver (Section V-A), which also keeps the register-mapped
-    region off limits.  Systems without a driver (bare test rigs) fall back
-    to a per-system bump allocator with the same semantics.
+    region off limits.
     """
-    driver = getattr(system, "driver", None)
-    if driver is None:
-        from .driver import PimDeviceDriver
-
-        driver = PimDeviceDriver(system.device)
-        system.driver = driver  # type: ignore[attr-defined]
-    return driver.alloc_rows(count)
+    return system.driver.alloc_rows(count)
 
 
 def _fill_timing(
-    system: HostSystem, report: ExecutionReport, cycles: int, launches: int
+    system: PimSystem, report: ExecutionReport, cycles: int, launches: int
 ) -> None:
     """Simulated duration of an invocation: its cycles plus launch overheads."""
     report.cycles = cycles
@@ -185,31 +180,16 @@ def _launch_blocks(crf: np.ndarray, srf: Optional[np.ndarray] = None) -> tuple:
     return (_CONSTANT_BLOCKS[2] if srf is None else srf, crf, *_CONSTANT_BLOCKS)
 
 
-def _crf_image(system: HostSystem, source: str) -> Tuple[np.ndarray, Dict[int, str]]:
-    """The CRF image of microkernel ``source`` from the system's
-    microkernel cache (the memory manager's, Section V-A), and the
-    microkernel each channel's CRF holds: a launch loads the CRF only on a
-    channel that does not hold its own, and notes it there (the serving
-    layer's heal and the fault injector's CRF upset drop a channel's
-    entry)."""
-    cache = getattr(system, "_microkernel_cache", None)
-    if cache is None:
-        from .memory import MicrokernelCache
-
-        cache = system._microkernel_cache = MicrokernelCache()  # type: ignore[attr-defined]
-    loaded = getattr(system, "_crf_loaded", None)
-    if loaded is None:
-        loaded = system._crf_loaded = {}  # type: ignore[attr-defined]
-    return cache.image(source), loaded
-
-
-def _crf_load(loaded: Dict[int, str], channel: int, source: str, image: np.ndarray) -> int:
-    """The columns a launch of ``source`` loads into ``channel``'s CRF:
-    none when it holds ``source``, else the image's, noted as held."""
-    if loaded.get(channel) == source:
+def _crf_load(system: PimSystem, channel: int, source: str) -> int:
+    """The columns a launch of microkernel ``source`` loads into
+    ``channel``'s CRF: its image's where some unit's CRF differs from the
+    microkernel's words (the memory manager's cache, Section V-A), none
+    where every unit holds them.  The words fill the whole CRF, so after a
+    load every unit holds them."""
+    words = system.microkernels.get(source)
+    if all(unit.regs.crf == words for unit in system.device.pch(channel).units):
         return 0
-    loaded[channel] = source
-    return len(image)
+    return len(system.microkernels.image(source))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +392,7 @@ class _ResidentKernel:
     """What the operators share: a channel set to run on, and rows held
     from the driver (``_plan`` sets ``_block``) until :meth:`release`."""
 
-    def __init__(self, system: HostSystem, channels: Optional[Sequence[int]]):
+    def __init__(self, system: PimSystem, channels: Optional[Sequence[int]]):
         self.sys = system
         channel = system.device.pch(0)
         if not isinstance(channel, PimPseudoChannel):
@@ -434,9 +414,8 @@ class _ResidentKernel:
         if self._released:
             return
         self._released = True
-        driver = getattr(self.sys, "driver", None)
-        if driver is not None and self._block is not None:
-            driver.free(self._block)
+        if self._block is not None:
+            self.sys.driver.free(self._block)
 
     def _check_alive(self) -> None:
         if self._released:
@@ -465,7 +444,7 @@ class GemvKernel(_ResidentKernel):
 
     def __init__(
         self,
-        system: HostSystem,
+        system: PimSystem,
         m: int,
         n: int,
         channels: Optional[Sequence[int]] = None,
@@ -589,7 +568,7 @@ class GemvKernel(_ResidentKernel):
 
         A launch is one drain per simulated channel (:meth:`_stream`),
         from SB mode back to SB mode: the transition into AB mode, the CRF
-        load where the channel does not hold the microkernel, the program
+        load where a unit's CRF differs from the microkernel, the program
         of every (slot, slice on that channel, tile) in turn, joined at
         *seams* — fence epoch boundaries the controller crosses with no
         fence penalty, as it crosses from one drain to the next — and the
@@ -613,7 +592,6 @@ class GemvKernel(_ResidentKernel):
         plan = self.plan
         k = len(self.channels)
         nsim_ch = k if simulate_pchs is None else min(simulate_pchs, k)
-        sim_channels = self.channels[:nsim_ch]
         batch = xs.shape[0]
         report = ExecutionReport(
             kernel=f"gemv[{self.m}x{self.n}]xB{batch}",
@@ -625,13 +603,13 @@ class GemvKernel(_ResidentKernel):
         outputs: List[np.ndarray] = []
         launches = 0
         source = self.MICROKERNEL.format(reps=plan.chunks - 1)
+        image = self.sys.microkernels.image(source)
         start = self.sys.drain_set(self.channels)
         for base in range(0, batch, plan.batch_slots):
             group = padded[base : base + plan.batch_slots]
             launches += 1
-            image, loaded = _crf_image(self.sys, source)
             for pos in range(nsim_ch):
-                crf = _crf_load(loaded, self.channels[pos], source, image)
+                crf = _crf_load(self.sys, self.channels[pos], source)
                 self._stream(pos, group, crf, image)
             shortcut = None
             if nsim_ch < k:  # the functional model of every unsimulated (input, slice)
@@ -855,7 +833,7 @@ class ElementwiseKernel(_ResidentKernel):
 
     def __init__(
         self,
-        system: HostSystem,
+        system: PimSystem,
         op: str,
         length: int,
         channels: Optional[Sequence[int]] = None,
@@ -979,7 +957,7 @@ class ElementwiseKernel(_ResidentKernel):
         op = self.op.name
         _, counts, written = self._program
         source = self.op.microkernel.format(reps=plan.groups - 1)
-        image, loaded = _crf_image(self.sys, source)
+        image = self.sys.microkernels.image(source)
         start = self.sys.drain_set(self.channels)
         for item, (a, b, scalars) in enumerate(normalised):
             srf = self._srf(scalars)
@@ -990,7 +968,7 @@ class ElementwiseKernel(_ResidentKernel):
                 b = self._padded(b)
                 self._scatter(b, odd=True)
             for pch in sim_channels:
-                crf = _crf_load(loaded, pch, source, image) if item == 0 else 0
+                crf = _crf_load(self.sys, pch, source) if item == 0 else 0
                 program = plan.launch(op, item == 0, crf, srf is not None)
                 self.sys.controller(pch).drain(program, blocks)
             if nsim < plan.num_pchs:

@@ -39,9 +39,10 @@ __all__ = [
 class MicrokernelCache:
     """Caches assembled CRF images by source text.
 
-    The runtime consults this before programming the CRF; a hit means the
-    device already holds the microkernel and the register writes can be
-    skipped entirely (the PIM memory manager's "cache area").
+    The runtime consults this before programming the CRF (the PIM memory
+    manager's "cache area"); a hit means the source needs no assembling.
+    Whether a launch writes the CRF at all is the device's answer: it
+    loads where some unit's CRF differs from the image.
     """
 
     def __init__(self) -> None:

@@ -40,6 +40,7 @@ from ..host.processor import HostConfig, HostSystem
 from ..pim.device import PimHbmDevice
 from .driver import PimDeviceDriver
 from .kernels import ElementwiseKernel, ExecutionReport, GemvKernel
+from .memory import MicrokernelCache
 
 __all__ = ["SystemConfig", "PimSystem", "PimExecutor"]
 
@@ -156,6 +157,8 @@ class PimSystem(HostSystem):
         )
         self.driver = PimDeviceDriver(device)
         self.driver.trace_cache = self._trace_cache
+        # The memory manager's microkernel cache: CRF images by source.
+        self.microkernels = MicrokernelCache()
         # An active fault model attaches a seeded injector; channels listed
         # in faults.failed_channels are dead before the first access.
         self.fault_injector: Optional[FaultInjector] = None

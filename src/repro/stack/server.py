@@ -267,9 +267,9 @@ class PimServer:
         *,
         profiler: Optional[Profiler] = None,
     ):
-        driver = getattr(system, "driver", None)
-        if driver is None:
-            raise TypeError("PimServer needs a PimSystem with a device driver")
+        if not isinstance(system, PimSystem):
+            raise TypeError("PimServer needs a PimSystem")
+        driver = system.driver
         config = config or ServerConfig()
         if config.lanes < 1:
             raise ValueError("need at least one lane")
@@ -310,13 +310,13 @@ class PimServer:
         self.breaker_cooldown_ns = float(config.breaker_cooldown_ns)
         self._rng = np.random.default_rng(config.seed)
         self._retry_tokens = self.retry_budget
-        self.injector = getattr(system, "fault_injector", None)
+        self.injector = system.fault_injector
         self.profiler = profiler
         # Observability (repro.obs): both hooks come from the system
         # (SystemConfig.trace builds them) and default to None — every
         # hook site below costs one attribute test when disabled.
-        self.tracer = getattr(system, "tracer", None)
-        self.metrics = getattr(system, "metrics", None)
+        self.tracer = system.tracer
+        self.metrics = system.metrics
         # When lanes does not divide the free channel count, spread the
         # remainder over the first lanes so no channel sits permanently
         # idle (3 lanes on 4 channels -> 2+1+1, not 1+1+1 with one dark).
@@ -1097,11 +1097,10 @@ class PimServer:
            the fences counted for it — and try to backfill the lane from
            the free pool.
         3. Reset every surviving channel: abandon queued requests and
-           force the way out of any stranded AB(-PIM) state.  A channel
-           whose own launch program was abandoned before its CRF-load run
-           was issued (a launch notes the microkernel held just before
-           that channel's drain) is dropped from the microkernel cache,
-           so the retry loads it.
+           force the way out of any stranded AB(-PIM) state.  The CRF
+           keeps what it holds: a retry loads it where a unit's CRF
+           differs from the microkernel's image, so a launch abandoned
+           before its CRF-load run was issued loads it again.
 
         A lane whose last channel is quarantined becomes *dead*
         (``channels = None``); its traffic completes on the host path.
@@ -1126,12 +1125,8 @@ class PimServer:
             if available > 0:
                 leased = driver.alloc_channels(min(deficit, available))
                 survivors.extend(leased.channels)
-        loaded = getattr(self.sys, "_crf_loaded", {})
-        crf_row = self.sys.device.memory_map.crf_row
         for p in survivors:
-            abandoned = self.sys.controllers[p].reset_channel()
-            if any(request.row == crf_row for request in abandoned):
-                loaded.pop(p, None)
+            self.sys.controllers[p].reset_channel()
         lane.channels = (
             ChannelSet(tuple(survivors)) if survivors else None
         )

@@ -147,24 +147,9 @@ class TestEccPimDevice:
         host accesses, so on-die ECC protects a live PIM kernel."""
         from repro.stack.blas import gemv_reference
         from repro.stack.kernels import GemvKernel
-        from repro.stack.runtime import PimSystem
-        from repro.dram.bank import BankConfig as BC
-        from repro.dram.device import DeviceConfig as DC
-        from repro.host.processor import HostSystem
+        from repro.stack.runtime import PimSystem, SystemConfig
 
-        class EccPimSystem(PimSystem):
-            def __init__(self):
-                from repro.stack.driver import PimDeviceDriver
-                from repro.stack.runtime import PimExecutor
-
-                device = PimHbmDevice(
-                    DC(num_pchs=1, bank_config=BC(num_rows=128), ecc=True)
-                )
-                HostSystem.__init__(self, device)
-                self.driver = PimDeviceDriver(device)
-                self.executor = PimExecutor(self)
-
-        system = EccPimSystem()
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=128, ecc=True))
         rng = np.random.default_rng(0)
         w = (rng.standard_normal((128, 64)) * 0.2).astype(np.float16)
         x = (rng.standard_normal(64) * 0.2).astype(np.float16)

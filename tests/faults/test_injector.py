@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.dram.commands import CommandType
 from repro.errors import PimChannelError
 from repro.faults import FaultConfig, FaultInjector
-from repro.stack import PimSystem, SystemConfig
+from repro.stack import GemvKernel, PimSystem, SystemConfig, gemv_reference
 
 CONFIG = SystemConfig(num_pchs=2, num_rows=64, ecc=True)
 
@@ -166,20 +167,42 @@ class TestRegisterFaults:
         assert injector.stats.epochs == 1
 
     def test_crf_upset_invalidates_broadcast_cache(self):
+        """After an epoch that struck a channel's CRF, the next GEMV there
+        loads the CRF again — the 4 column writes a warm call leaves out —
+        and its result stays bit-exact; an unstruck channel loads none."""
         system = make_system()
-        # Pretend every channel already holds a broadcast microkernel.
-        system._crf_loaded = {p: "kernel" for p in range(system.num_pchs)}
+        rng = np.random.default_rng(5)
+        w = (rng.standard_normal((128, 64)) * 0.1).astype(np.float16)
+        x = (rng.standard_normal(64) * 0.1).astype(np.float16)
+        kernel = GemvKernel(system, 128, 64)
+        kernel.load_weights(w)
+        channels = [system.device.pch(p) for p in range(system.num_pchs)]
+
+        def writes_of_a_call():
+            before = [pch.cmd_counts[CommandType.WR] for pch in channels]
+            y, _ = kernel(x)
+            assert np.array_equal(y, gemv_reference(w, x, num_pchs=system.num_pchs))
+            return [pch.cmd_counts[CommandType.WR] - b for pch, b in zip(channels, before)]
+
+        def crfs():
+            return [[list(unit.regs.crf) for unit in pch.units] for pch in channels]
+
+        writes_of_a_call()  # cold: every channel loads its CRF
+        warm = writes_of_a_call()
         injector = FaultInjector(
             system, FaultConfig(register_fault_rate=1.0, seed=0)
         )
         # With rate 1.0 every unit is struck each epoch; a third of the
         # strikes land in the CRF, so a few epochs guarantee one.
         for _ in range(8):
+            held = crfs()
             injector.tick()
-            if injector.stats.crf_faults:
+            struck = [now != then for now, then in zip(crfs(), held)]
+            if any(struck):
                 break
-        assert injector.stats.crf_faults > 0
-        assert len(system._crf_loaded) < system.num_pchs
+        assert injector.stats.crf_faults > 0 and any(struck)
+        after = writes_of_a_call()
+        assert [a - b for a, b in zip(after, warm)] == [4 * s for s in struck]
 
 
 class TestTransportCorruption:

@@ -3,8 +3,8 @@
 The reference is the launch as a plain SB-mode session issues it, channel
 by channel and command by command (Section III-B): PREA, then an ACT and
 a PRE to the ABMR row into AB mode; the microkernel's CRF writes queued,
-one request per column, then a fence, where the channel's CRF does not
-hold it, and batch-norm's scalars queued into SRF_M and SRF_A the same
+one request per column, then a fence, where a unit's CRF does not hold
+it, and batch-norm's scalars queued into SRF_M and SRF_A the same
 way; a drain per GEMV tile program — per (batch slot, slice on the
 channel, tile) — or per elementwise item; and PREA, then an ACT and a PRE
 to the SBMR row back to SB mode.  :func:`reference_launches` swaps it in
@@ -65,7 +65,6 @@ from repro.stack.arithmetic import elementwise_reference, mac_partials, reduce_p
 from repro.stack.kernels import (
     ELEMENTWISE_OPS, ElementwiseKernel, ExecutionReport, GemvKernel,
 )
-from repro.stack.memory import MicrokernelCache
 from repro.stack.server import PimServer, RequestOutcome
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden" / "launch_scenarios.json"
@@ -90,14 +89,12 @@ def _load(mc, row: int, block: np.ndarray) -> None:
 
 
 def _load_crf(system, index: int, source: str) -> None:
-    """Load microkernel ``source`` into channel ``index``'s CRF unless it
-    holds it; note it held."""
-    if not hasattr(system, "_microkernel_cache"):
-        system._microkernel_cache, system._crf_loaded = MicrokernelCache(), {}
-    if system._crf_loaded.get(index) != source:
-        image = system._microkernel_cache.image(source)
+    """Load microkernel ``source`` into channel ``index``'s CRF where some
+    unit's CRF differs from its words."""
+    words = system.microkernels.get(source)
+    if any(unit.regs.crf != words for unit in system.device.pch(index).units):
+        image = system.microkernels.image(source)
         _load(system.controllers[index], system.device.memory_map.crf_row, image)
-        system._crf_loaded[index] = source
 
 
 def _fold_drains(tracer, mark: Optional[Tuple[int, int]], channel: int) -> None:
