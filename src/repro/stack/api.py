@@ -7,9 +7,9 @@ Two frozen dataclasses are the one way in:
   (priority, deadline, trace id) in one immutable value that can cross a
   process boundary unchanged — the property the sharded fabric
   (:mod:`repro.stack.fabric`) depends on.
-* :class:`ServerConfig` — every serving knob (lanes, batching, retry
-  budget, breaker, admission policy, ...) in one place, each with its
-  concrete default.  Platform knobs (device shape, ECC, exec mode,
+* :class:`ServerConfig` — every serving knob (lanes, batching, queue
+  bound, admission policy, ...) in one place, each with its concrete
+  default.  Platform knobs (device shape, ECC, exec mode,
   ``simulate_pchs`` sampling) live on
   :class:`~repro.stack.runtime.SystemConfig`; no knob lives on both.
 """
@@ -144,18 +144,21 @@ class Request:
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Every serving-engine knob in one immutable, picklable value.
+    """Every serving-engine knob a caller sets, in one immutable,
+    picklable value.
 
     Being frozen and picklable, one ``ServerConfig`` configures every
     worker of a :class:`~repro.stack.fabric.PimFabric` identically.  The
     fabric-tier resilience knobs (reply/heartbeat/join timeouts, respawn
     budget) live here too: they bound *wall-clock process* behaviour
-    rather than simulated device behaviour.
+    rather than simulated device behaviour.  The retry, aging, backoff
+    and circuit-breaker tuning is not configurable: it is the module
+    constants of :mod:`repro.stack.server` (``MAX_RETRIES`` ...
+    ``BREAKER_COOLDOWN_NS``).
     """
 
     lanes: int = 2
     max_batch: int = 8
-    max_retries: int = 2
     # Background ECC scrub cadence: run driver.scrub() every N batches
     # (0 disables scrubbing).
     scrub_interval: int = 0
@@ -167,24 +170,6 @@ class ServerConfig:
     # producer); "shed" — the request is dropped with outcome "rejected";
     # "degrade" — it completes immediately on the bit-exact host path.
     admission: str = "block"
-    # Simulated-time quantum after which a waiting request gains one
-    # effective priority level (anti-starvation aging; 0 disables).
-    aging_ns: float = 50_000.0
-    # Server-wide retry token bucket: capacity, and tokens returned per
-    # successful device batch.  Each fault retry spends one token; a dry
-    # bucket routes the batch straight to the host path so a flapping
-    # channel cannot amplify load.
-    retry_budget: float = 8.0
-    retry_refill: float = 0.5
-    # Deterministic exponential backoff before each retry:
-    # base * 2^attempt, jittered by up to +/- backoff_jitter (seeded).
-    backoff_base_ns: float = 2_000.0
-    backoff_jitter: float = 0.5
-    # Per-lane circuit breaker: open after N consecutive device batch
-    # failures (0 disables), stay open for the cooldown, then half-open
-    # probe one batch on the device.
-    breaker_threshold: int = 3
-    breaker_cooldown_ns: float = 100_000.0
     # Seed of the server's (non-fault) randomness, i.e. retry jitter.
     seed: int = 0
     # -- fabric resilience (PimFabric; docs/ARCHITECTURE.md, "Fabric
@@ -194,10 +179,9 @@ class ServerConfig:
     # How long the router waits for one shard's round reply before
     # declaring the worker wedged (SIGKILL + quarantine + replay).
     reply_timeout_s: float = 600.0
-    # Reply bound of the between-rounds heartbeat ping.
+    # The router pings every alive worker between rounds; this bounds
+    # each pong.
     heartbeat_timeout_s: float = 30.0
-    # Whether the router pings every alive worker between rounds.
-    heartbeat: bool = True
     # Close-handshake reply bound and process-join bound used when the
     # fabric shuts a worker down (gracefully or after a kill).
     close_timeout_s: float = 10.0

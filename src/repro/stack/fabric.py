@@ -24,8 +24,9 @@ merged accounting.
 * **failure handling** — the quarantine + breaker discipline of the
   channel tier, lifted to shards, plus a *lifecycle manager* that brings
   capacity back.  Each shard slot walks the state machine ``serving →
-  suspected → quarantined → respawning → rejoined`` (see
-  ``docs/ARCHITECTURE.md``, "Fabric resilience & chaos"): a worker that
+  suspected → quarantined → respawning → rejoined``, and ends
+  ``closed`` after :meth:`close` (see ``docs/ARCHITECTURE.md``, "Fabric
+  resilience & chaos"): a worker that
   dies (SIGKILL, crash, broken pipe), misses a between-rounds heartbeat,
   wedges past the configurable ``ServerConfig.reply_timeout_s``
   watchdog, or ships a payload that fails its CRC32 check is
@@ -239,6 +240,10 @@ def place_round(
     return {s: items for s, items in assignment.items() if items}, load, fair
 
 
+#: Lifecycle states of a slot whose worker takes no work.
+_DOWN_STATES = ("quarantined", "respawning", "closed")
+
+
 @dataclass
 class _WorkerLink:
     """The router's bookkeeping for one shard slot's worker process."""
@@ -246,15 +251,20 @@ class _WorkerLink:
     shard: int
     process: Any
     conn: Any
-    alive: bool = True
     #: Requests this shard has terminally served across rounds.
     served: int = 0
     #: Lifecycle state of the slot: serving -> suspected -> quarantined
-    #: -> respawning -> rejoined (drain adds a "draining" detour).
+    #: -> respawning -> rejoined (drain adds a "draining" detour), and
+    #: "closed" once close() has reaped the worker.
     state: str = "serving"
     #: Respawns this slot has consumed (bounded by max_respawns; a
     #: graceful drain recycle is free).
     generation: int = 0
+
+    @property
+    def alive(self) -> bool:
+        """Whether the slot's worker takes work (derived from ``state``)."""
+        return self.state not in _DOWN_STATES
 
 
 class PimFabric:
@@ -425,7 +435,7 @@ class PimFabric:
             self._journal.close()
         for link in self._workers.values():
             self._shutdown(link)
-            link.alive = False
+            link.state = "closed"
         self._close_shm()
 
     def _close_shm(self) -> None:
@@ -858,10 +868,9 @@ class PimFabric:
         self._pending = []
         while todo:
             self._heal(serving)
-            if self.server_config.heartbeat:
-                if self.heartbeat(serving):
-                    # Heartbeat quarantined someone: heal before placing.
-                    self._heal(serving)
+            if self.heartbeat(serving):
+                # Heartbeat quarantined someone: heal before placing.
+                self._heal(serving)
             if not self.alive_shards():
                 break
             if self._arena is not None:
@@ -1096,7 +1105,6 @@ class PimFabric:
         link = self._workers[shard]
         if not link.alive:
             return
-        link.alive = False
         link.state = "quarantined"
         self._ring.remove(shard)
         # The worker (and its weight store) is gone; any digest the

@@ -243,9 +243,8 @@ class ServingProfile:
     #    protection") --
     # Device retries refused because the server-wide token bucket was dry.
     retry_budget_exhausted: int = 0
-    # Circuit-breaker activity: per-transition log plus quick counters.
+    # Circuit-breaker activity: one entry per state change.
     breaker_transitions: List[BreakerTransition] = field(default_factory=list)
-    breaker_opens: int = 0
     # Batches served by host because their lane's breaker was open.
     breaker_short_circuits: int = 0
     # How many leading ``requests`` are in canonical order (see merge).
@@ -262,6 +261,10 @@ class ServingProfile:
     degraded = property(lambda self: self.outcomes().get("degraded_host", 0))
     fallbacks = property(lambda self: sum(r.fallback for r in self.requests))
     recovered = property(lambda self: sum(r.recovered for r in self.requests))
+    # Read-only count of ``breaker_transitions`` into the open state.
+    breaker_opens = property(
+        lambda self: sum(t.state == "open" for t in self.breaker_transitions)
+    )
 
     def record(self, stats: RequestStats) -> None:
         """Append one terminal request and extend the makespan."""
@@ -286,8 +289,6 @@ class ServingProfile:
         self.breaker_transitions.append(
             BreakerTransition(lane, previous, state, at_ns, shard=shard)
         )
-        if state == "open":
-            self.breaker_opens += 1
 
     def merge(self, other: "ServingProfile") -> "ServingProfile":
         """Fold ``other`` into this profile; returns ``self``.
@@ -342,7 +343,6 @@ class ServingProfile:
         self.faults_injected += other.faults_injected
         self.retry_budget_exhausted += other.retry_budget_exhausted
         self.breaker_transitions.extend(other.breaker_transitions)
-        self.breaker_opens += other.breaker_opens
         self.breaker_short_circuits += other.breaker_short_circuits
         for p, busy in other.channel_busy_cycles.items():
             self.channel_busy_cycles[p] = (

@@ -53,16 +53,19 @@ the server never grows backlog silently (see "Overload protection" in
   priority=...)``.  A request whose deadline passes before its batch
   dispatches is dropped *before* it consumes any device cycles
   (``expired``); higher ``priority`` dispatches first, and waiting
-  requests gain one effective level per ``aging_ns`` of simulated time so
-  low-priority work is never starved.
+  requests gain one effective level per :data:`AGING_NS` of simulated
+  time so low-priority work is never starved.
 * *retry budget* — device retries draw from one seeded token bucket per
-  server (``retry_budget`` capacity, ``retry_refill`` per successful
-  batch) with deterministic exponential backoff plus jitter, so a
-  flapping channel cannot amplify offered load into a retry storm.
+  server (:data:`RETRY_BUDGET` capacity, :data:`RETRY_REFILL` per
+  successful batch) with deterministic exponential backoff plus jitter,
+  so a flapping channel cannot amplify offered load into a retry storm.
 * *circuit breakers* — per lane: ``closed`` → ``open`` after
-  ``breaker_threshold`` consecutive device batch failures (batches route
-  straight to the host path while open) → ``half_open`` probe after
-  ``breaker_cooldown_ns`` → ``closed`` on a successful probe.
+  :data:`BREAKER_THRESHOLD` consecutive device batch failures (batches
+  route straight to the host path while open) → ``half_open`` probe
+  after :data:`BREAKER_COOLDOWN_NS` → ``closed`` on a successful probe.
+
+The retry, aging, backoff and breaker tuning are the module constants
+below, not :class:`ServerConfig` fields: no caller needs another value.
 
 Every submitted request ends in exactly one terminal
 :class:`RequestOutcome`; dropped work costs zero device time.
@@ -95,6 +98,22 @@ __all__ = ["PimRequest", "PimServer", "Request", "RequestOutcome", "ServerConfig
 
 #: Valid ``admission`` policies for a bounded lane queue.
 ADMISSION_POLICIES = ("block", "shed", "degrade")
+#: Device retries per batch before the host fallback.
+MAX_RETRIES = 2
+#: Simulated waiting time that earns a request one effective priority level.
+AGING_NS = 50_000.0
+#: Capacity of the server-wide retry token bucket (one token per retry).
+RETRY_BUDGET = 8.0
+#: Tokens earned back per successful device batch.
+RETRY_REFILL = 0.5
+#: First-retry backoff; it doubles per attempt.
+BACKOFF_BASE_NS = 2_000.0
+#: +/- fraction of seeded jitter on each backoff.
+BACKOFF_JITTER = 0.5
+#: Consecutive device batch failures that open a lane's circuit breaker.
+BREAKER_THRESHOLD = 3
+#: Simulated time an open breaker short-circuits to the host path.
+BREAKER_COOLDOWN_NS = 100_000.0
 
 
 def _trace_attrs(request: "PimRequest") -> Dict[str, str]:
@@ -281,8 +300,6 @@ class PimServer:
             )
         if config.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if config.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         if config.admission not in ADMISSION_POLICIES:
             raise PimProgramError(
                 f"admission must be one of {ADMISSION_POLICIES}, "
@@ -291,25 +308,8 @@ class PimServer:
         self.sys = system
         #: The serving configuration of this server.
         self.server_config = config
-        lanes = config.lanes
-        self.max_batch = config.max_batch
-        self.max_retries = config.max_retries
-        self.simulate_pchs = system.config.simulate_pchs
-        self.scrub_interval = config.scrub_interval
-        queue_depth = config.queue_depth
-        if queue_depth is not None and queue_depth <= 0:
-            queue_depth = None  # 0 means unbounded, like None
-        self.queue_depth = queue_depth
-        self.admission = config.admission
-        self.aging_ns = float(config.aging_ns)
-        self.retry_budget = float(config.retry_budget)
-        self.retry_refill = float(config.retry_refill)
-        self.backoff_base_ns = float(config.backoff_base_ns)
-        self.backoff_jitter = float(config.backoff_jitter)
-        self.breaker_threshold = int(config.breaker_threshold)
-        self.breaker_cooldown_ns = float(config.breaker_cooldown_ns)
         self._rng = np.random.default_rng(config.seed)
-        self._retry_tokens = self.retry_budget
+        self._retry_tokens = RETRY_BUDGET
         self.injector = system.fault_injector
         self.profiler = profiler
         # Observability (repro.obs): both hooks come from the system
@@ -327,7 +327,7 @@ class PimServer:
                     per_lane + (1 if i < extra else 0)
                 ),
             )
-            for i in range(lanes)
+            for i in range(config.lanes)
         ]
         self._affinity: Dict[Tuple, int] = {}
         self._next_lane = 0
@@ -437,13 +437,12 @@ class PimServer:
         )
         lane = self._lane_for(request.signature)
         if (
-            self.queue_depth is not None
-            and self.admission == "block"
-            and lane.backlog >= self.queue_depth
+            self.server_config.admission == "block"
+            and self._queue_full(lane.backlog)
         ):
             raise PimOverloadError(
-                f"lane {lane.index} queue full "
-                f"({lane.backlog}/{self.queue_depth}); back off and "
+                f"lane {lane.index} queue full ({lane.backlog}/"
+                f"{self.server_config.queue_depth}); back off and "
                 f"resubmit after run()",
                 lane=lane.index,
             )
@@ -477,6 +476,12 @@ class PimServer:
             self._next_lane += 1
             self._affinity[signature] = lane_index
         return self.lanes[lane_index]
+
+    def _queue_full(self, waiting: int) -> bool:
+        """Whether a lane holding ``waiting`` requests is at its bound
+        (``queue_depth`` of ``None`` or ``0`` is unbounded)."""
+        depth = self.server_config.queue_depth
+        return depth is not None and 0 < depth <= waiting
 
     # -- execution ----------------------------------------------------------------
 
@@ -589,15 +594,12 @@ class PimServer:
                 request.arrival_ns, serving,
             )
             return
-        if (
-            self.queue_depth is not None
-            and len(admitted) >= self.queue_depth
-            and self.admission in ("shed", "degrade")
-        ):
-            if self.admission == "shed":
+        admission = self.server_config.admission
+        if admission != "block" and self._queue_full(len(admitted)):
+            if admission == "shed":
                 request.error = PimOverloadError(
                     f"lane {lane.index} queue full at arrival "
-                    f"({self.queue_depth} waiting)",
+                    f"({self.server_config.queue_depth} waiting)",
                     lane=lane.index,
                 )
                 self._drop(
@@ -687,10 +689,8 @@ class PimServer:
             )
 
     def _effective_priority(self, request: PimRequest, now_ns: float) -> float:
-        """Priority plus aging: one level per ``aging_ns`` of waiting."""
-        if self.aging_ns <= 0:
-            return float(request.priority)
-        return request.priority + (now_ns - request.arrival_ns) / self.aging_ns
+        """Priority plus aging: one level per :data:`AGING_NS` of waiting."""
+        return request.priority + (now_ns - request.arrival_ns) / AGING_NS
 
     def _dispatch(
         self,
@@ -735,7 +735,7 @@ class PimServer:
         )
         batch = [head]
         for candidate in eligible:
-            if len(batch) >= self.max_batch:
+            if len(batch) >= self.server_config.max_batch:
                 break
             if candidate is head:
                 continue
@@ -845,7 +845,7 @@ class PimServer:
         serving: ServingProfile,
     ) -> None:
         """Update the lane's breaker with one batch's device verdict."""
-        if self.breaker_threshold <= 0 or lane.channels is None:
+        if lane.channels is None:
             return
         if device_ok:
             lane.breaker_failures = 0
@@ -856,13 +856,13 @@ class PimServer:
         if lane.breaker_state == "half_open":
             # The probe failed: re-open and restart the cooldown.
             self._breaker_transition(lane, "open", finish_ns, serving)
-            lane.breaker_open_until_ns = finish_ns + self.breaker_cooldown_ns
+            lane.breaker_open_until_ns = finish_ns + BREAKER_COOLDOWN_NS
         elif (
             lane.breaker_state == "closed"
-            and lane.breaker_failures >= self.breaker_threshold
+            and lane.breaker_failures >= BREAKER_THRESHOLD
         ):
             self._breaker_transition(lane, "open", finish_ns, serving)
-            lane.breaker_open_until_ns = finish_ns + self.breaker_cooldown_ns
+            lane.breaker_open_until_ns = finish_ns + BREAKER_COOLDOWN_NS
 
     def _execute_protected(
         self,
@@ -879,11 +879,7 @@ class PimServer:
         Returns ``(report, penalty_ns, device_ok)``.
         """
         attempts: Optional[int] = None
-        if (
-            self.breaker_threshold > 0
-            and lane.channels is not None
-            and lane.breaker_state == "open"
-        ):
+        if lane.channels is not None and lane.breaker_state == "open":
             if t0 < lane.breaker_open_until_ns:
                 serving.breaker_short_circuits += 1
                 report = self._execute_host(batch)
@@ -937,10 +933,11 @@ class PimServer:
                 self.tracer.event(
                     "faults", category="fault", injected=injected
                 )
-        if self.scrub_interval <= 0:
+        interval = self.server_config.scrub_interval
+        if interval <= 0:
             return
         self._batches_since_scrub += 1
-        if self._batches_since_scrub < self.scrub_interval:
+        if self._batches_since_scrub < interval:
             return
         self._batches_since_scrub = 0
         result = self.sys.driver.scrub()
@@ -952,15 +949,11 @@ class PimServer:
         """Deterministic exponential backoff with seeded jitter.
 
         ``attempt`` counts from 1; the delay doubles per attempt and is
-        jittered by up to ±``backoff_jitter`` of itself, drawn from the
-        server's seeded generator so runs replay byte-identically.
+        jittered by up to ±:data:`BACKOFF_JITTER` of itself, drawn from
+        the server's seeded generator so runs replay byte-identically.
         """
-        backoff = self.backoff_base_ns * (2.0 ** (attempt - 1))
-        if self.backoff_jitter > 0.0:
-            backoff *= 1.0 + self.backoff_jitter * (
-                2.0 * float(self._rng.random()) - 1.0
-            )
-        return backoff
+        jitter = BACKOFF_JITTER * (2.0 * float(self._rng.random()) - 1.0)
+        return BACKOFF_BASE_NS * (2.0 ** (attempt - 1)) * (1.0 + jitter)
 
     def _execute_resilient(
         self,
@@ -984,7 +977,7 @@ class PimServer:
         serving clock, used only to place trace spans.
         """
         if attempts_allowed is None:
-            attempts_allowed = self.max_retries + 1
+            attempts_allowed = MAX_RETRIES + 1
         tracer = self.tracer
         failures = 0
         penalty_ns = 0.0
@@ -1054,7 +1047,7 @@ class PimServer:
             else:
                 # A successful device batch earns back part of a token.
                 self._retry_tokens = min(
-                    self.retry_budget, self._retry_tokens + self.retry_refill
+                    RETRY_BUDGET, self._retry_tokens + RETRY_REFILL
                 )
                 if tracer is not None:
                     end_ns = attempt_ns + report.ns
@@ -1174,11 +1167,13 @@ class PimServer:
             kernel = self.sys.executor.gemv_operator(
                 head.weights,
                 channels=lane.channels.channels,
-                max_batch=self.max_batch,
+                max_batch=self.server_config.max_batch,
                 signature=head.signature,
             )
             xs = np.stack([np.asarray(r.a, dtype=np.float16) for r in batch])
-            ys, report = kernel.batched(xs, simulate_pchs=self.simulate_pchs)
+            ys, report = kernel.batched(
+                xs, simulate_pchs=self.sys.config.simulate_pchs
+            )
             for request, y in zip(batch, ys):
                 request.result = y
         else:
@@ -1190,7 +1185,7 @@ class PimServer:
             )
             items = [(r.a, r.b, r.scalars) for r in batch]
             results, report = kernel.batched(
-                items, simulate_pchs=self.simulate_pchs
+                items, simulate_pchs=self.sys.config.simulate_pchs
             )
             for request, result in zip(batch, results):
                 request.result = result

@@ -37,8 +37,8 @@ def test_overload_goodput_stays_within_10_percent_of_baseline():
     """Twice the saturation load on an 8-deep shedding queue sheds work
     and keeps goodput within 10% of an unbounded server at saturation:
     no congestion collapse.  Fails when admission sheds at a depth of one
-    (``len(admitted) >= 1`` for ``>= self.queue_depth`` in
-    ``PimServer._admit``): batches shrink and goodput drops by half."""
+    (``0 < 1 <= waiting`` for ``0 < depth <= waiting`` in
+    ``PimServer._queue_full``): batches shrink and goodput drops by half."""
     config, server_config, _, w = _serving_setup(SEED)
     _, _, baseline = serve(
         config, server_config,

@@ -229,7 +229,7 @@ class TestServingDifferential:
         system = PimSystem(config)
         handles = []
         with PimServer(
-            system, ServerConfig(lanes=2, max_batch=4, max_retries=1)
+            system, ServerConfig(lanes=2, max_batch=4)
         ) as server:
             for i in range(12):
                 if i % 2 == 0:

@@ -146,21 +146,12 @@ class TestServerConfig:
 SERVER_DEFAULTS = {
     "lanes": 2,
     "max_batch": 8,
-    "max_retries": 2,
     "scrub_interval": 0,
     "queue_depth": None,
     "admission": "block",
-    "aging_ns": 50_000.0,
-    "retry_budget": 8.0,
-    "retry_refill": 0.5,
-    "backoff_base_ns": 2_000.0,
-    "backoff_jitter": 0.5,
-    "breaker_threshold": 3,
-    "breaker_cooldown_ns": 100_000.0,
     "seed": 0,
     "reply_timeout_s": 600.0,
     "heartbeat_timeout_s": 30.0,
-    "heartbeat": True,
     "close_timeout_s": 10.0,
     "join_timeout_s": 30.0,
     "max_respawns": 1,
@@ -179,7 +170,7 @@ class TestConfigSurface:
         system = {f.name for f in fields(SystemConfig)}
         server = {f.name for f in fields(ServerConfig)}
         assert system & server == set()
-        assert (len(system), len(server)) == (13, 25)
+        assert (len(system), len(server)) == (13, 16)
 
     def test_hedging_is_refused_by_name(self):
         with pytest.raises(ValueError, match="hedging was removed"):
@@ -196,9 +187,18 @@ class TestConfigSurface:
         with PimServer(system, config) as server:
             assert server.server_config is config
             assert len(server.lanes) == 1
-            assert (server.queue_depth, server.admission) == (3, "shed")
-            # Channel sampling is a platform knob: read from the system.
-            assert server.simulate_pchs == 1
+            handles = [
+                server.submit(Request("add", a=rand(256, i), b=rand(256, 9 + i)))
+                for i in range(6)
+            ]
+            profile = server.run()
+        # A 3-deep shedding queue keeps the first three simultaneous
+        # arrivals and sheds the rest.
+        outcomes = [h.outcome.value for h in handles]
+        assert outcomes == ["completed"] * 3 + ["rejected"] * 3
+        assert profile.rejected == 3
+        # Channel sampling is a platform knob: read from the system.
+        assert handles[0].report.simulated_pchs == 1
 
     def test_system_config_pickles_like_server_config(self):
         """Workers receive both by pickle (ServerConfig's round trip is

@@ -14,12 +14,18 @@ from hypothesis import strategies as st
 
 from repro.errors import PimDataError, PimOverloadError, PimProgramError
 from repro.faults import FaultConfig
+from repro.stack import server as server_module
 from repro.stack.api import Request, ServerConfig
 from repro.stack.blas import add_reference, gemv_reference, mul_reference
 from repro.stack.context import PimContext
 from repro.stack.runtime import PimSystem, SystemConfig
 from repro.stack.server import (
     ADMISSION_POLICIES,
+    BACKOFF_BASE_NS,
+    BACKOFF_JITTER,
+    BREAKER_COOLDOWN_NS,
+    BREAKER_THRESHOLD,
+    MAX_RETRIES,
     PimServer,
     RequestOutcome,
 )
@@ -227,31 +233,32 @@ class TestPriorities:
 
     def test_higher_priority_dispatches_first(self):
         system = PimSystem(PLAIN)
-        with PimServer(
-            system, ServerConfig(lanes=1, max_batch=1, aging_ns=0.0)
-        ) as server:
+        with PimServer(system, ServerConfig(lanes=1, max_batch=1)) as server:
             low, high = self._two_class_workload(server)
             server.run()
-        # With aging disabled, strict priority: every high-priority
-        # request starts before the low-priority one.
+        # All arrive together, so aging credits every request alike:
+        # strict priority, every high-priority request starts before the
+        # low-priority one.
         assert all(h.start_ns < low.start_ns for h in high)
         assert low.outcome is RequestOutcome.COMPLETED
 
-    def test_aging_prevents_starvation(self):
+    def test_aging_prevents_starvation(self, monkeypatch):
         """An old low-priority request out-ranks a fresh high-priority one.
 
         Aging credits *waiting time*, so it only helps a request that
         arrived earlier than its competitors: one priority-0 add lands at
         t=50ns into a continuous priority-3 stream arriving every 100ns.
-        With a 10ns aging quantum its 50ns+ head start is worth more than
-        the 3-level priority gap, so it dispatches second instead of
-        dead last (the ``aging_ns=0`` control).
+        With a 10ns aging quantum (``AGING_NS`` patched) its 50ns+ head
+        start is worth more than the 3-level priority gap, so it
+        dispatches second instead of dead last.  The control runs the
+        default quantum, under which the stream drains long before the
+        low request could earn 3 levels: strict priority starves it.
         """
 
-        def serve(aging_ns):
+        def serve():
             system = PimSystem(PLAIN)
             with PimServer(
-                system, ServerConfig(lanes=1, max_batch=1, aging_ns=aging_ns)
+                system, ServerConfig(lanes=1, max_batch=1)
             ) as server:
                 low = server.submit(Request(
                     "add",
@@ -273,24 +280,29 @@ class TestPriorities:
                 server.run()
             return low, high
 
-        low, high = serve(aging_ns=10.0)
+        starved, high = serve()
+        # Control: at the default quantum the stream starves it, and the
+        # whole stream runs in less than the waiting that 3 levels take.
+        assert all(h.start_ns < starved.start_ns for h in high)
+        assert starved.start_ns - starved.arrival_ns < 3 * server_module.AGING_NS
+        monkeypatch.setattr(server_module, "AGING_NS", 10.0)
+        low, high = serve()
         assert low.outcome is RequestOutcome.COMPLETED
         # Priority still wins before the low request has aged: the
         # already-running high batch is never preempted...
         assert high[0].start_ns < low.start_ns
         # ...but the aged request then jumps the rest of the stream.
         assert all(h.start_ns > low.start_ns for h in high[1:])
-        # Control: with aging off, the continuous stream starves it.
-        starved, high = serve(aging_ns=0.0)
-        assert all(h.start_ns < starved.start_ns for h in high)
         assert starved.start_ns > low.start_ns
 
-    def test_equal_priorities_reduce_to_fifo(self):
-        """Order (and results) match the historical FIFO server exactly."""
-        def serve(**knobs):
+    def test_equal_priorities_reduce_to_fifo(self, monkeypatch):
+        """Order (and results) match the historical FIFO server exactly,
+        whatever the aging quantum (an infinite one never ages)."""
+        def serve(aging_ns=server_module.AGING_NS):
+            monkeypatch.setattr(server_module, "AGING_NS", aging_ns)
             system = PimSystem(PLAIN)
             with PimServer(
-                system, ServerConfig(lanes=2, max_batch=4, **knobs)
+                system, ServerConfig(lanes=2, max_batch=4)
             ) as server:
                 w = rand((48, 80), 2)
                 handles = [
@@ -305,19 +317,19 @@ class TestPriorities:
                 server.run()
             return [(h.start_ns, h.finish_ns, h.batch_size) for h in handles]
 
-        assert serve() == serve(aging_ns=123.0) == serve(aging_ns=0.0)
+        assert serve() == serve(aging_ns=123.0) == serve(aging_ns=float("inf"))
 
 
 class TestRetryBudget:
-    def test_exhausted_budget_falls_back_instead_of_retrying(self):
+    def test_exhausted_budget_falls_back_instead_of_retrying(self, monkeypatch):
+        monkeypatch.setattr(server_module, "RETRY_BUDGET", 0.0)
+        monkeypatch.setattr(server_module, "RETRY_REFILL", 0.0)
         config = PLAIN.replace(
             ecc=True,
             faults=FaultConfig(failed_channels=(0,), seed=11),
         )
         system = PimSystem(config)
-        server_config = ServerConfig(
-            lanes=2, max_batch=4, retry_budget=0.0, retry_refill=0.0
-        )
+        server_config = ServerConfig(lanes=2, max_batch=4)
         with PimServer(system, server_config) as server:
             w = rand((48, 80), 2)
             handles = [
@@ -337,25 +349,24 @@ class TestRetryBudget:
     def test_backoff_is_exponential_and_seed_deterministic(self):
         def delays(seed):
             system = PimSystem(PLAIN)
-            config = ServerConfig(
-                seed=seed, backoff_base_ns=1000.0, backoff_jitter=0.5
-            )
-            with PimServer(system, config) as server:
+            with PimServer(system, ServerConfig(seed=seed)) as server:
                 return [server._backoff_ns(k) for k in (1, 2, 3)]
 
         a, b, c = delays(7), delays(7), delays(8)
         assert a == b  # same seed replays byte-identically
         assert a != c  # jitter actually depends on the seed
-        # Jitter is bounded: each delay within +-50% of the 2^k ladder.
+        # Jitter is bounded: each delay within +-BACKOFF_JITTER of the
+        # 2^k ladder.
         for k, delay in enumerate(a, start=1):
-            nominal = 1000.0 * 2.0 ** (k - 1)
-            assert 0.5 * nominal <= delay <= 1.5 * nominal
+            nominal = BACKOFF_BASE_NS * 2.0 ** (k - 1)
+            assert (1 - BACKOFF_JITTER) * nominal <= delay
+            assert delay <= (1 + BACKOFF_JITTER) * nominal
 
-    def test_zero_jitter_is_a_pure_exponential_ladder(self):
+    def test_zero_jitter_is_a_pure_exponential_ladder(self, monkeypatch):
+        monkeypatch.setattr(server_module, "BACKOFF_BASE_NS", 500.0)
+        monkeypatch.setattr(server_module, "BACKOFF_JITTER", 0.0)
         system = PimSystem(PLAIN)
-        with PimServer(
-            system, ServerConfig(backoff_base_ns=500.0, backoff_jitter=0.0)
-        ) as server:
+        with PimServer(system, ServerConfig()) as server:
             assert [server._backoff_ns(k) for k in (1, 2, 3)] == [
                 500.0,
                 1000.0,
@@ -378,23 +389,44 @@ class _FlakyDevice:
         return self._original(lane, batch)
 
 
+def test_a_failing_batch_is_retried_max_retries_times():
+    """A batch the device keeps failing takes ``MAX_RETRIES + 1``
+    attempts, then completes bit-exactly on the host path."""
+    server = PimServer(PimSystem(PLAIN), ServerConfig(lanes=1, max_batch=1))
+    flaky = _FlakyDevice(server)
+    server._execute = flaky
+    with server:
+        a, b = rand(128, 0), rand(128, 100)
+        handle = server.submit(Request("add", a=a, b=b))
+        profile = server.run()
+    assert flaky.device_calls == MAX_RETRIES + 1
+    assert profile.retries == MAX_RETRIES
+    assert handle.outcome is RequestOutcome.DEGRADED_HOST
+    assert np.array_equal(handle.result, add_reference(a, b))
+
+
 class TestCircuitBreaker:
-    def _server(self, **knobs):
+    """The breaker at its default threshold and cooldown.  Retries are
+    patched off (``MAX_RETRIES = 0``) so each request is one device
+    batch failure."""
+
+    @pytest.fixture(autouse=True)
+    def _no_retries(self, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_RETRIES", 0)
+
+    def _server(self):
         system = PimSystem(PLAIN)
-        server = PimServer(
-            system,
-            ServerConfig(
-                lanes=1,
-                max_batch=1,
-                max_retries=0,
-                breaker_threshold=2,
-                breaker_cooldown_ns=1e6,
-                **knobs,
-            ),
-        )
+        server = PimServer(system, ServerConfig(lanes=1, max_batch=1))
         flaky = _FlakyDevice(server)
         server._execute = flaky
         return server, flaky
+
+    def _open(self, server):
+        """Fail ``BREAKER_THRESHOLD`` batches in a row; the last opens it."""
+        for seed in range(BREAKER_THRESHOLD - 1):
+            self._one(server, seed=seed)
+            assert server.lanes[0].breaker_state == "closed"
+        return self._one(server, seed=BREAKER_THRESHOLD - 1)
 
     def _one(self, server, arrival_ns=0.0, seed=0):
         a, b = rand(128, seed), rand(128, seed + 100)
@@ -405,35 +437,36 @@ class TestCircuitBreaker:
     def test_opens_after_consecutive_failures(self):
         server, _ = self._server()
         with server:
-            _, p1 = self._one(server, seed=0)
-            assert server.lanes[0].breaker_state == "closed"
-            _, p2 = self._one(server, seed=1)
+            handle, profile = self._open(server)
             assert server.lanes[0].breaker_state == "open"
-        assert p2.breaker_opens == 1
-        states = [(t.previous, t.state) for t in p2.breaker_transitions]
+            # It stays open for the cooldown from the failed batch's end.
+            assert server.lanes[0].breaker_open_until_ns == (
+                handle.finish_ns + BREAKER_COOLDOWN_NS
+            )
+        assert profile.breaker_opens == 1
+        states = [(t.previous, t.state) for t in profile.breaker_transitions]
         assert states == [("closed", "open")]
 
     def test_open_breaker_short_circuits_to_host(self):
         server, flaky = self._server()
+        seed = BREAKER_THRESHOLD
         with server:
-            self._one(server, seed=0)
-            self._one(server, seed=1)  # breaker opens
+            self._open(server)
             calls_before = flaky.device_calls
-            handle, profile = self._one(server, seed=2)
+            handle, profile = self._one(server, seed=seed)
         # Inside the cooldown the device is never touched.
         assert flaky.device_calls == calls_before
         assert profile.breaker_short_circuits == 1
         assert handle.outcome is RequestOutcome.DEGRADED_HOST
-        a, b = rand(128, 2), rand(128, 102)
+        a, b = rand(128, seed), rand(128, seed + 100)
         assert np.array_equal(handle.result, add_reference(a, b))
 
     def test_failed_probe_reopens(self):
         server, flaky = self._server()
         with server:
-            self._one(server, seed=0)
-            self._one(server, seed=1)  # open
+            self._open(server)
             probe_at = server.lanes[0].breaker_open_until_ns + 1.0
-            _, profile = self._one(server, arrival_ns=probe_at, seed=2)
+            _, profile = self._one(server, arrival_ns=probe_at, seed=9)
         states = [(t.previous, t.state) for t in profile.breaker_transitions]
         assert states == [("open", "half_open"), ("half_open", "open")]
         assert server.lanes[0].breaker_state == "open"
@@ -441,32 +474,14 @@ class TestCircuitBreaker:
     def test_successful_probe_closes(self):
         server, flaky = self._server()
         with server:
-            self._one(server, seed=0)
-            self._one(server, seed=1)  # open
+            self._open(server)
             flaky.failing = False  # the device recovered
             probe_at = server.lanes[0].breaker_open_until_ns + 1.0
-            handle, profile = self._one(server, arrival_ns=probe_at, seed=2)
+            handle, profile = self._one(server, arrival_ns=probe_at, seed=9)
         states = [(t.previous, t.state) for t in profile.breaker_transitions]
         assert states == [("open", "half_open"), ("half_open", "closed")]
         assert server.lanes[0].breaker_state == "closed"
         assert handle.outcome is RequestOutcome.COMPLETED
-
-    def test_threshold_zero_disables_the_breaker(self):
-        system = PimSystem(PLAIN)
-        server = PimServer(
-            system,
-            ServerConfig(
-                lanes=1, max_batch=1, max_retries=0, breaker_threshold=0
-            ),
-        )
-        flaky = _FlakyDevice(server)
-        server._execute = flaky
-        with server:
-            for i in range(5):
-                handle, profile = self._one(server, seed=i)
-                assert handle.outcome is RequestOutcome.DEGRADED_HOST
-            assert server.lanes[0].breaker_state == "closed"
-            assert profile.breaker_transitions == []
 
 
 class TestDroppedWorkCostsNothing:

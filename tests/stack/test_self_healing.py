@@ -86,7 +86,7 @@ class TestAcceptance:
         )
         system = PimSystem(config)
         with PimServer(
-            system, ServerConfig(lanes=2, max_batch=4, max_retries=1)
+            system, ServerConfig(lanes=2, max_batch=4)
         ) as server:
             pairs = _submit_mixed(server, rand((48, 80), 3))
             profile = server.run()
