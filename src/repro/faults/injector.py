@@ -129,22 +129,8 @@ class FaultInjector:
             )
         for bank in self.sys.device.pch(pch).banks:
             bank.fail(pch)
-        self._invalidate_traces(pch)
         if pch not in self.stats.channels_failed:
             self.stats.channels_failed.append(pch)
-
-    def _invalidate_traces(self, pch: int) -> None:
-        """Drop a channel's compiled traces (exec_mode="fused") on faults
-        that could otherwise pair a cached dataflow with corrupted state.
-
-        Content-keyed caching already makes stale-program replay
-        impossible (a flipped CRF word changes the key); this models the
-        driver additionally dropping the channel's compiled traces,
-        keeping the bounded cache free of entries for programs that will
-        never run again.
-        """
-        if self.sys._trace_cache is not None:
-            self.sys._trace_cache.invalidate_channel(pch)
 
     def is_failed(self, pch: int) -> bool:
         """Whether channel ``pch`` has been hard-failed."""
@@ -285,7 +271,6 @@ class FaultInjector:
                     index = int(self.rng.integers(0, len(regs.crf)))
                     bit = int(self.rng.integers(0, 32))
                     regs.flip_bit("crf", index, bit)
-                    self._invalidate_traces(pch)
                     self.stats.crf_faults += 1
                 elif kind == "grf":
                     half = ("grf_a", "grf_b")[int(self.rng.integers(0, 2))]

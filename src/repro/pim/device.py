@@ -98,13 +98,6 @@ class _Program(NamedTuple):
     broadcast: int
 
 
-def _window(key: Optional[tuple], runs: Sequence[tuple]) -> Window:
-    """A :class:`~repro.pim.fused.Window` of trigger ``runs`` — ``(is_write,
-    row, col, count, write block index or None)`` each — under ``key``."""
-    hosts = tuple(write for _, _, _, _, write in runs if write is not None)
-    return Window(key, hosts, tuple(runs))
-
-
 class PimPseudoChannel(PseudoChannel):
     """A pseudo-channel of the PIM-HBM die."""
 
@@ -341,7 +334,7 @@ class PimPseudoChannel(PseudoChannel):
             return None
         keys = iter(logged)
         events = [
-            (_WINDOW, _window(next(keys), event[1])) if event[0] is _WINDOW else event
+            (_WINDOW, Window.of(next(keys), event[1])) if event[0] is _WINDOW else event
             for event in events
         ]
         state = None
@@ -356,7 +349,7 @@ class PimPseudoChannel(PseudoChannel):
         ]
         program = _Program(
             tuple(sorted(rows)), tuple(writes), tuple(events),
-            _window(None, window) if window else None, state, tuple(transitions),
+            Window.of(None, window) if window else None, state, tuple(transitions),
             (end, len(transitions), pim_op_mode), triggered, broadcast,
         )
         # Every bank took every all-bank ACT and every AB write, an SB-mode

@@ -50,23 +50,29 @@ by unit; :class:`FusedLockstepGroup` removes that interpretation by
    own float16 arithmetic without their per-call copies.  A channel frame
    of a kernel program (:mod:`repro.pim.device`) replays its windows
    without a tape: each :class:`Window` recorded the key its flush used,
-   the write blocks that feed its HOST operand and its trigger pattern, so
-   :meth:`FusedLockstepGroup.replay_window` looks the key up and replays
-   the trace with the applying drain's blocks; a miss rebuilds the tape
-   from the pattern and takes the flush's own compile-and-put under that
-   key.  The units' sequencer state, stats and ``fused_replays`` are then
-   written once per frame (:meth:`FusedLockstepGroup.end_frame`).
+   the write blocks that feed its HOST operand, its rows and its trigger
+   pattern, so :meth:`FusedLockstepGroup.replay_window` looks the key up
+   and replays the trace at those rows with the applying drain's blocks;
+   a miss rebuilds the tape from the pattern and takes the flush's own
+   compile-and-put under that key.  The units' sequencer state, stats and
+   ``fused_replays`` are then written once per frame
+   (:meth:`FusedLockstepGroup.end_frame`).
 
-**Cache keys are content signatures**, not identities: the channel id,
-the uniform sequencer entry state, every CRF word of the program, and
-the per-trigger ``(is_write, row, col, has_host)`` pattern with where
-each host-carrying burst starts (the HOST operand is compiled block by
-block) — the last two packed into exact ``bytes`` (no digest), a few KB
-per entry.  A CRF fault upset therefore *cannot* replay a stale program —
-the flipped word changes the key — and the fault injector additionally
-calls :meth:`TraceCache.invalidate_channel` (modelling the driver
-dropping its compiled traces) so the bounded cache never accumulates
-entries for corrupted or quarantined channels.
+**Cache keys are content signatures**, not identities or places: the
+uniform sequencer entry state, every CRF word of the program, and the
+window's per-trigger ``(is_write, row, col, has_host)`` pattern with
+where each host-carrying burst starts (the HOST operand is compiled block
+by block) — the last two packed into exact ``bytes`` (no digest), a few KB
+per entry.  In the pattern each bank row is renamed to the index of its
+first use in the window, and the replay is handed the window's real rows
+as a table (``rows``): the compiler uses a row only through equality (bank
+locations' order, fetch merging, the runs a load / store stacks), which
+the renaming keeps, so one trace serves a kernel shape at any weight rows
+on any channel, and the cache grows with the distinct shapes, not with
+the operands.  A CRF fault upset therefore *cannot* replay a stale
+program — the flipped word changes the key — and nothing is dropped on a
+fault: the entries of a corrupted or quarantined channel age out of the
+bounded LRU.
 
 Anything irregular runs on the execution units themselves, trigger by
 trigger, through the inherited eager loop — so the fused path is
@@ -129,17 +135,17 @@ class TraceCacheStats:
     compiles: int = 0
     poisoned: int = 0
     evictions: int = 0
-    invalidations: int = 0
 
 
 class TraceCache:
     """A content-keyed, LRU-bounded store of compiled trigger tapes.
 
-    Keys are ``(channel_id, entry_state, crf_words, tape_signature)`` —
-    pure content, so a mutated program or a different command pattern can
-    never hit a stale entry.  One cache is shared by every channel of a
-    system (``PimSystem._trace_cache``); :meth:`invalidate_channel` drops
-    one channel's entries on CRF fault upsets and channel quarantine.
+    Keys are ``(entry_state, crf_words, pattern)`` — pure content, the
+    pattern's rows renamed by first use (see the module docstring), so a
+    mutated program or a different command pattern can never hit a stale
+    entry, and one trace serves its shape at any rows.  One cache is
+    shared by every channel of a system (``PimSystem._trace_cache``);
+    nothing is dropped but by the LRU bound.
     """
 
     def __init__(self, limit: int = 128):
@@ -174,18 +180,6 @@ class TraceCache:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
 
-    def invalidate_channel(self, channel_id: int) -> int:
-        """Drop every compiled trace of one channel; returns the count."""
-        doomed = [key for key in self._entries if key[0] == channel_id]
-        for key in doomed:
-            del self._entries[key]
-        self.stats.invalidations += len(doomed)
-        return len(doomed)
-
-    def clear(self) -> None:
-        """Drop every entry (the stats survive)."""
-        self._entries.clear()
-
 
 # -- compiled representation -----------------------------------------------------
 
@@ -216,7 +210,8 @@ class _Op:
     ``(slots, units, 16)`` FP16 — so ``mul`` / ``add`` / ``relu`` read
     ``pool[a]`` (and ``pool[b]``) and write ``pool[out]`` in place; a
     ``store`` writes ``pool[a]`` to the bank.  ``bank`` is ``(space,
-    row, cols, col0, width)``: ``col0`` is the first column when ``cols``
+    row, cols, col0, width)``: ``row`` is an index into the replayed
+    window's row table, ``col0`` is the first column when ``cols``
     are one ascending run (decided here, at compile time, so replay moves
     them as a block) else None, and ``width`` is how many columns a dirty
     block is re-read at a time (see :func:`~repro.dram.ecc.peek_block`).
@@ -268,12 +263,23 @@ class Window(NamedTuple):
     the trace key its flush used when the frame was recorded (None: the
     frame ends with the window open, its triggers left on the tape);
     ``hosts``, the indices of the write blocks that feed its HOST operand,
-    in order; ``pattern``, its trigger runs as ``(is_write, row, col,
-    count, write block index or None)``."""
+    in order; ``rows``, its bank rows in first-use order, the row table
+    its trace replays at; ``pattern``, its trigger runs as ``(is_write,
+    row, col, count, write block index or None)``."""
 
     key: Optional[tuple]
     hosts: Tuple[int, ...]
+    rows: Tuple[int, ...]
     pattern: Tuple[Tuple[bool, int, int, int, Optional[int]], ...]
+
+    @classmethod
+    def of(cls, key: Optional[tuple], runs: Sequence[tuple]) -> "Window":
+        """The window of trigger ``runs`` under ``key``: its rows in
+        first-use order are the row table :func:`_pack_signature` derives
+        from its tape."""
+        hosts = tuple(write for _, _, _, _, write in runs if write is not None)
+        rows = tuple(dict.fromkeys(row for _, row, _, _, _ in runs))
+        return cls(key, hosts, rows, tuple(runs))
 
     def tape(self, blocks: Sequence[np.ndarray]) -> List[ColumnTrigger]:
         """The window's tape with the write ``blocks`` of a drain."""
@@ -327,7 +333,6 @@ class FusedLockstepGroup(LockstepGroup):
         self,
         units: Sequence[PimExecutionUnit],
         cache: Optional[TraceCache] = None,
-        channel_id: int = 0,
     ):
         super().__init__(units)
         self.defers = len(self.units) > 1 and all(
@@ -339,7 +344,6 @@ class FusedLockstepGroup(LockstepGroup):
         for i, unit in enumerate(self.units):
             self.stacked.adopt(i, unit.regs)
         self.cache = cache if cache is not None else TraceCache()
-        self.channel_id = channel_id
         self._tape: List[ColumnTrigger] = []
         # Observability: tapes replayed from compiled traces vs run on the
         # execution units.
@@ -434,29 +438,31 @@ class FusedLockstepGroup(LockstepGroup):
                 self._interpret(tape)
                 return
         try:
-            key = (self.channel_id, entry_state, *_pack_signature(crf, tape))
+            words, pattern, rows = _pack_signature(crf, tape)
         except OverflowError:
-            # A word, row or column beyond the packed widths: nothing the
+            # A word or column beyond the packed widths: nothing the
             # kernels emit; the units raise whatever they always did.
             self._interpret(tape)
             return
-        self._flush(key, self.cache.get(key), tape)
+        key = (entry_state, words, pattern)
+        self._flush(key, rows, self.cache.get(key), tape)
 
     def _flush(
-        self, key: tuple, entry: Optional[CompiledTrace], tape: List[ColumnTrigger]
+        self, key: tuple, rows: Tuple[int, ...], entry: Optional[CompiledTrace],
+        tape: List[ColumnTrigger],
     ) -> None:
-        """Run ``tape``, whose trace key is ``key``, with ``entry`` — the
-        cache's trace under it, None on a miss: compile and put one, then
-        replay it or run the triggers on the units."""
+        """Run ``tape``, whose trace key is ``key`` and row table ``rows``,
+        with ``entry`` — the cache's trace under it, None on a miss: compile
+        and put one, then replay it or run the triggers on the units."""
         if entry is None:
-            entry = self._compile(tape, key[1])
+            entry = self._compile(tape, key[0], rows)
             self.cache.put(key, entry)
         if entry.poisoned or any(
             self._any_failed(space) for space in entry.bank_spaces
         ):
             self._interpret(tape)
             return
-        self._replay(entry, [t.host_data for t in tape if t.host_data is not None])
+        self._replay(entry, [t.host_data for t in tape if t.host_data is not None], rows)
         self._owed.append(entry)
         self._settle(entry.end_state)
         if self.window_keys is not None:
@@ -467,22 +473,22 @@ class FusedLockstepGroup(LockstepGroup):
     def replay_window(self, window: Window, blocks: Sequence[np.ndarray]) -> None:
         """One closed window of an all-bank program's frame, with the
         applying drain's ``blocks``: on a hit under its recorded key, the
-        compiled trace, its sequencer state and stats owed to the units
-        until :meth:`end_frame`; on a miss, what the window's flush does on
-        the command path — the owed state written, the tape rebuilt from
-        the pattern, compiled and put under the same key.  A replay that
-        raises leaves the units as that flush would: at the window's entry
-        state, with the earlier windows' stats."""
+        compiled trace at the window's rows, its sequencer state and stats
+        owed to the units until :meth:`end_frame`; on a miss, what the
+        window's flush does on the command path — the owed state written,
+        the tape rebuilt from the pattern, compiled and put under the same
+        key.  A replay that raises leaves the units as that flush would: at
+        the window's entry state, with the earlier windows' stats."""
         key = window.key
         entry = self.cache.get(key)
         if entry is None:
-            self._settle(key[1])
-            self._flush(key, None, window.tape(blocks))
+            self._settle(key[0])
+            self._flush(key, window.rows, None, window.tape(blocks))
             return
         try:
-            self._replay(entry, [blocks[i] for i in window.hosts])
+            self._replay(entry, [blocks[i] for i in window.hosts], window.rows)
         except BaseException:
-            self._settle(key[1])
+            self._settle(key[0])
             raise
         self._owed.append(entry)
 
@@ -518,10 +524,13 @@ class FusedLockstepGroup(LockstepGroup):
             for unit in self.units:
                 unit.install_sequencer_state(*state)
 
-    def _replay(self, entry: CompiledTrace, hosts: List[np.ndarray]) -> None:
+    def _replay(
+        self, entry: CompiledTrace, hosts: List[np.ndarray], rows: Tuple[int, ...]
+    ) -> None:
         """The compiled trace's dataflow over the registers and banks, with
         ``hosts`` — the window's WR bursts in order, a ``(count, 32)``
-        block each (``(32,)`` for a single command) — as its HOST operands.
+        block each (``(32,)`` for a single command) — as its HOST operands
+        and ``rows`` as its row table.
 
         The value pool is slot-major, ``(slots, units, 16)``: the slots of
         a stacked op are one contiguous run, and ``mul`` / ``add`` /
@@ -539,8 +548,8 @@ class FusedLockstepGroup(LockstepGroup):
         if entry.host:
             # Each block's rows straight into their slots, over every unit.
             raw = pool.view(np.uint8)
-            for block, out, rows in entry.host:
-                raw[out] = hosts[block][rows]
+            for block, out, index in entry.host:
+                raw[out] = hosts[block][index]
         banks = {space: [u._bank(space) for u in units] for space in entry.bank_spaces}
         for op in entry.fetches + entry.ops:
             kind = op.kind
@@ -549,33 +558,34 @@ class FusedLockstepGroup(LockstepGroup):
             elif kind == "mul":
                 np.multiply(pool[op.a], pool[op.b], out=pool[op.out])
             elif kind == "load":
-                pool[op.out] = _peek_run(banks, op.bank).view(np.float16).swapaxes(0, 1)
+                pool[op.out] = _peek_run(banks, op.bank, rows).view(np.float16).swapaxes(0, 1)
             elif kind == "relu":
                 # The sign-bit mux: a lane with its sign set becomes +0.
                 bits = pool[op.a].view(np.int16)
                 np.bitwise_and(bits, ~(bits >> 15), out=pool[op.out].view(np.int16))
             else:  # store
                 raw = np.ascontiguousarray(pool[op.a].swapaxes(0, 1)).view(np.uint8)
-                _poke_run(banks, op.bank, raw)
+                _poke_run(banks, op.bank, rows, raw)
         for space, regs, src in entry.puts:
             stacked.grf(space)[:, regs] = pool[src].swapaxes(0, 1)
 
     # -- compilation -------------------------------------------------------------
 
     def _compile(
-        self, tape: List[ColumnTrigger], entry_state: tuple
+        self, tape: List[ColumnTrigger], entry_state: tuple, rows: Tuple[int, ...]
     ) -> CompiledTrace:
         """Bind the tape to the (uniform) CRF program, stepping the
-        sequencer as :meth:`PimExecutionUnit.trigger` does.  Whatever the
-        units would raise at, or a step the compiler does not lower,
-        compiles the tape poisoned."""
+        sequencer as :meth:`PimExecutionUnit.trigger` does, each bank row
+        renamed to its index in ``rows``.  Whatever the units would raise
+        at, or a step the compiler does not lower, compiles the tape
+        poisoned."""
         crf = self.units[0].regs.crf
         ppc, exited, nop_remaining, jump_items = entry_state
         jump: Dict[int, int] = dict(jump_items)
         steps: List[_Step] = []
         triggers = instructions = flops = bank_reads = bank_writes = ignored = 0
         try:
-            for is_write, row, col, host in _commands(tape):
+            for is_write, row, col, host in _commands(tape, rows):
                 triggers += 1
                 if exited:
                     # Uniformity was verified at flush: every unit ignores it.
@@ -614,8 +624,11 @@ class FusedLockstepGroup(LockstepGroup):
         )
 
 
-def _peek_run(banks: Dict[OperandSpace, list], bank: tuple) -> np.ndarray:
-    """One run of bank columns from every unit's bank: ``(units, k, 32)``.
+def _peek_run(
+    banks: Dict[OperandSpace, list], bank: tuple, rows: Tuple[int, ...]
+) -> np.ndarray:
+    """One run of bank columns from every unit's bank at row
+    ``rows[bank[1]]``: ``(units, k, 32)``.
 
     One block when the columns are a run from ``col0``; a run the compiler
     could not order (descending or gapped columns) gathers bank by bank
@@ -624,14 +637,18 @@ def _peek_run(banks: Dict[OperandSpace, list], bank: tuple) -> np.ndarray:
     path.
     """
     space, row, cols, col0, width = bank
+    row = rows[row]
     if col0 is None:
         return np.array([b.peek_columns(row, cols) for b in banks[space]])
     return peek_block(banks[space], row, col0, len(cols), width)
 
 
-def _poke_run(banks: Dict[OperandSpace, list], bank: tuple, raw: np.ndarray) -> None:
+def _poke_run(
+    banks: Dict[OperandSpace, list], bank: tuple, rows: Tuple[int, ...], raw: np.ndarray
+) -> None:
     """Scatter a ``(units, k, 32)`` result (mirror of :func:`_peek_run`)."""
     space, row, cols, col0, _ = bank
+    row = rows[row]
     if col0 is None:
         for b, slab in zip(banks[space], raw):
             b.poke_columns(row, cols, slab)
@@ -641,46 +658,52 @@ def _poke_run(banks: Dict[OperandSpace, list], bank: tuple, raw: np.ndarray) -> 
 
 def _pack_signature(
     crf: Sequence[int], tape: List[ColumnTrigger]
-) -> Tuple[bytes, bytes]:
-    """The CRF program and the tape's command pattern as exact ``bytes``.
+) -> Tuple[bytes, bytes, Tuple[int, ...]]:
+    """The CRF program and the tape's command pattern as exact ``bytes``,
+    and the tape's row table: its bank rows in first-use order.
 
-    Every CRF word is packed as a u32; the tape as its rows followed by
-    one ``col << 3 | first << 2 | is_write << 1 | has_host`` word per
-    trigger, i32 each — fixed-width fields of a known count, so equal bytes
-    mean equal content.  A burst entry packs as the single triggers it
-    stands for, so the key does not depend on how the commands arrived —
-    but for ``first``, set on the first command of each host-carrying
-    entry: the compiled HOST operand reads block by block.  Raises
+    Every CRF word is packed as a u32; the tape as its rows, each renamed
+    to its index in the table, followed by one ``col << 3 | first << 2 |
+    is_write << 1 | has_host`` word per trigger, i32 each — fixed-width
+    fields of a known count, so equal bytes mean equal content up to where
+    the rows are.  A burst entry packs as the single triggers it stands
+    for, so the key does not depend on how the commands arrived — but for
+    ``first``, set on the first command of each host-carrying entry: the
+    compiled HOST operand reads block by block.  Raises
     :class:`OverflowError` for a value that does not fit.
     """
+    table: Dict[int, int] = {}
     rows: List[int] = []
     words: List[int] = []
     for t in tape:
         count = t.count
         has_host = t.host_data is not None
         word = t.col << 3 | t.is_write << 1 | has_host
-        rows.extend([t.row] * count)
+        rows.extend([table.setdefault(t.row, len(table))] * count)
         words.append(word | has_host << 2)
         words.extend(range(word + 8, word + 8 * count, 8))  # col + i, same flags
     rows.extend(words)
-    return array("I", crf).tobytes(), array("i", rows).tobytes()
+    return array("I", crf).tobytes(), array("i", rows).tobytes(), tuple(table)
 
 
 def _commands(
-    tape: List[ColumnTrigger],
+    tape: List[ColumnTrigger], rows: Tuple[int, ...],
 ) -> Iterator[Tuple[bool, int, int, Optional[Tuple[int, Optional[int]]]]]:
-    """``(is_write, row, col, host)`` of every command of ``tape``: ``host``
-    where its HOST burst sits — ``(block, row)``, the block counted over the
-    tape's host-carrying entries and ``row`` None for a single command's
-    ``(32,)`` block — or None."""
+    """``(is_write, row, col, host)`` of every command of ``tape``: ``row``
+    its index in the row table ``rows``, ``host`` where its HOST burst sits
+    — ``(block, row)``, the block counted over the tape's host-carrying
+    entries and ``row`` None for a single command's ``(32,)`` block — or
+    None."""
+    index = {row: i for i, row in enumerate(rows)}
     block = 0
     for t in tape:
+        row = index[t.row]
         if t.host_data is None:
             for col in range(t.col, t.col + t.count):
-                yield t.is_write, t.row, col, None
+                yield t.is_write, row, col, None
             continue
-        for row in range(t.count):
-            yield t.is_write, t.row, t.col + row, (block, row if t.count > 1 else None)
+        for i in range(t.count):
+            yield t.is_write, row, t.col + i, (block, i if t.count > 1 else None)
         block += 1
 
 

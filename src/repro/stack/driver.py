@@ -101,8 +101,9 @@ class PimDeviceDriver:
         self._leased_channels: set = set()
         # Channels retired after a hard failure: never offered again.
         self._quarantined_channels: set = set()
-        # Set by PimSystem when exec_mode="fused": compiled traces of a
-        # quarantined channel are dropped alongside its lease.
+        # Set by PimSystem when exec_mode="fused": the system's compiled
+        # traces, read by observers (they are keyed by content, so no
+        # lease or quarantine touches them).
         self.trace_cache = None
         self.uncacheable = True  # the whole region bypasses the cache
         # Observability hooks (repro.obs): scrub passes and quarantine
@@ -262,9 +263,6 @@ class PimDeviceDriver:
                 )
         self._leased_channels.difference_update(channels)
         self._quarantined_channels.update(channels)
-        if self.trace_cache is not None:
-            for p in channels:
-                self.trace_cache.invalidate_channel(p)
         if self.tracer is not None:
             for p in channels:
                 self.tracer.event("quarantine", category="driver", channel=p)

@@ -139,14 +139,11 @@ class PimSystem(HostSystem):
         if config.execution_mode == "fused":
             from ..pim.fused import FusedLockstepGroup, TraceCache
 
-            # One content-keyed cache shared by every channel; the fault
-            # injector and driver invalidate per channel on CRF upsets
-            # and quarantine.
+            # One content-keyed cache shared by every channel: a trace is
+            # keyed by what it computes, not by its channel or rows.
             self._trace_cache = TraceCache()
-            for i, channel in enumerate(device.pchs):
-                channel.lockstep = FusedLockstepGroup(
-                    channel.units, cache=self._trace_cache, channel_id=i
-                )
+            for channel in device.pchs:
+                channel.lockstep = FusedLockstepGroup(channel.units, cache=self._trace_cache)
         super().__init__(
             device,
             host=config.host,

@@ -69,7 +69,7 @@ corpus of ``tests/stack/test_launch.py``.
 
 A program frame replays each AB-PIM window by the trace key it recorded
 and writes the units' state once; the drawn faults include the channel's
-compiled traces invalidated, so a later frame's window misses and
+compiled traces evicted, so a later frame's window misses and
 rebuilds its tape, and the drawn kernels include programs of two windows
 and launches: GEMV tile programs joined at seams (``stream.launch``),
 which the controller crosses with no fence penalty and the frame takes
@@ -444,8 +444,8 @@ PROGRAM_FAULT = st.one_of(
               st.integers(0, 3), st.integers(0, 7)),
     st.tuples(st.just("dead"), st.integers(0, 15)),
     UPSET,
-    # The channel's compiled traces dropped, as a quarantine drops them.
-    st.just(("invalidate",)),
+    # The channel's compiled traces evicted, as a full cache evicts them.
+    st.just(("evict",)),
     # ("scrub", bank, row): an ECC bank's row scrubbed, its entries dropped.
     st.tuples(st.just("scrub"), st.integers(0, 15), st.integers(0, 3)),
 )
@@ -598,13 +598,13 @@ def program_drained(side, program=(), blocks=(), traced=False):
 
 def program_damage(side, faults):
     """``damage``, register upsets through the fault injector, the
-    channel's compiled traces invalidated and a live ECC bank's row
+    channel's compiled traces evicted and a live ECC bank's row
     scrubbed."""
     for fault in faults:
-        if fault[0] == "invalidate":
+        if fault[0] == "evict":
             group = side.mc.channel.lockstep
             if isinstance(group, FusedLockstepGroup):
-                group.cache.invalidate_channel(group.channel_id)
+                group.cache._entries.clear()
             continue
         if fault[0] == "scrub":
             bank = side.mc.channel.banks[fault[1]]
@@ -617,7 +617,6 @@ def program_damage(side, faults):
         _, seed, rate = fault
         system = SimpleNamespace(
             num_pchs=1, device=SimpleNamespace(pch=lambda _: side.mc.channel),
-            _trace_cache=getattr(side.mc.channel.lockstep, "cache", None),
         )
         config = FaultConfig(register_fault_rate=rate, seed=seed)
         FaultInjector(system, config).corrupt_registers()
@@ -854,9 +853,11 @@ def test_the_program_strategy_reaches_frames_and_declines():
     but one that follows a closed tile is, its window left open.
     Batch-norm carrying its SRF load, fresh scalars every drain, is a
     frame with the CRF and SRF loads and with the SRF load alone.  The
-    channel's traces invalidated between waves: the next frame of each
+    channel's traces evicted between waves: the next frame of each
     window misses, rebuilds its tape and recompiles under its recorded
-    key.  A program of two windows is a frame that replays both, a launch
+    key.  Two GEMV tiles at other rows with one row-equality pattern share
+    a trace key, and each tile's frames replay it at the tile's own rows.
+    A program of two windows is a frame that replays both, a launch
     of three tile programs joined at seams one that replays all three.
     The transitions drained as programs of their own are frames too, and
     cross nothing else.  The fifth count is the declines by
@@ -871,7 +872,7 @@ def test_the_program_strategy_reaches_frames_and_declines():
         faults=[[]] * ROUNDS, fence_penalty=7, refresh=None,
         traced=[False, True, False, True], reload=True, seed=5,
     )
-    invalidated = [[("invalidate",)]] * (ROUNDS - 1) + [[]]
+    evicted = [[("evict",)]] * (ROUNDS - 1) + [[]]
     none = (0, 0, 0)  # no decline for any reason
     bn = [(("gemv", 4, 0, 2, 8, False), 2), (("bn", 2, 1), 2)]
     cases = [
@@ -894,13 +895,18 @@ def test_the_program_strategy_reaches_frames_and_declines():
             (("gemv", 4, 0, 2, 8, False), 2), (("gemv", 4, 1, 3, 0, True), 1),
         ]}, (6, 0, 3, 0, none, 0, 3)),
         ({"kernels": bn}, (11, 8, 11, 0, none, 0, 5)),
-        ({"faults": invalidated, "reload": False}, (11, 0, 3, 2, none, 0, 5)),
-        ({"faults": invalidated, "kernels": bn}, (11, 8, 6, 5, none, 0, 5)),
+        # Two tiles at other rows with one row-equality pattern, each
+        # weight row above its out row (first use is not row order): one
+        # trace key, which each tile's frames replay at their own rows.
+        ({"kernels": [(("gemv", 4, 3, 2, 8, False), 2), (("gemv", 4, 1, 0, 8, False), 2)]},
+         (11, 2, 11, 0, none, 0, 5)),
+        ({"faults": evicted, "reload": False}, (11, 0, 3, 2, none, 0, 5)),
+        ({"faults": evicted, "kernels": bn}, (11, 8, 6, 5, none, 0, 5)),
         # Two windows a frame: split by a GRF_B clear inside the AB-PIM
         # window (the second's entry state is the first's end), or two
         # tiles' programs back to back; their stats written once.
         ({"kernels": [(("two windows", 3, 0, 2, 8, True), 2)]}, (5, 2, 10, 0, none, 5, 5)),
-        ({"kernels": [(("two windows", 3, 0, 2, 0, False), 2)], "faults": invalidated},
+        ({"kernels": [(("two windows", 3, 0, 2, 0, False), 2)], "faults": evicted},
          (5, 2, 6, 4, none, 5, 5)),
         # A launch: three tiles' programs joined at seams, which cost no
         # fence penalty; a frame replays its three windows.
@@ -1038,7 +1044,7 @@ def test_a_window_that_raises_in_a_frame_leaves_the_units_as_its_flush_does(monk
     group.replay_window = lambda *args: windows.append(args) or replay_window(*args)
     for drain_no in range(3):
         if drain_no == 2:
-            def uncorrectable(banks, bank):
+            def uncorrectable(banks, bank, rows):
                 raise PimDataError("uncorrectable word")
 
             monkeypatch.setattr(fused, "_peek_run", uncorrectable)

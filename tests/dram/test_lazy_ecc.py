@@ -266,8 +266,8 @@ class Side:
             # (unordered columns) the per-bank index-array path.
             row, (col0, n), cs, width = args
             if width == 0:
-                return _peek_run({0: banks}, (0, row, cs, None, 0))
-            return _peek_run({0: banks}, (0, row, list(range(col0, col0 + n)), col0, width))
+                return _peek_run({0: banks}, (0, 0, cs, None, 0), (row,))
+            return _peek_run({0: banks}, (0, 0, list(range(col0, col0 + n)), col0, width), (row,))
         if kind == "inject_error":
             b, row, col, word, bits = args
             for bit in bits:

@@ -1,28 +1,32 @@
 """Fault x fused-executor interactions: no stale compiled-trace replay.
 
-The compiled-trace cache is content-keyed (CRF words and sequencer entry
-state are *in* the key), so a corrupted program can never silently replay
-a stale trace — but faults additionally invalidate a channel's entries
-eagerly, keeping the bounded cache free of dead programs.  These tests
-drive the public fault paths (:meth:`FaultInjector.corrupt_registers`,
-:meth:`FaultInjector.fail_channel`, driver quarantine) and assert both
-the bookkeeping (``TraceCacheStats.invalidations``) and the end that
-matters: results stay bit-identical to the scalar oracle under the
-same fault sequence, including across a scrub/heal cycle.
+The compiled-trace cache is content-keyed (sequencer entry state, every
+CRF word and the window's pattern are *in* the key), so a corrupted
+program can never replay a stale trace, and no fault drops an entry: a
+trace holds no channel and no row, so the entries a faulty channel used
+serve the healthy ones, and the LRU bound keeps the cache small.  These
+tests drive the public fault paths (:meth:`FaultInjector.corrupt_registers`,
+:meth:`FaultInjector.fail_channel`, driver quarantine) and assert the end
+that matters: the cache keeps its entries, the next launch after the
+fault hits where the program is the one compiled, and results, raises
+included, stay bit-identical to the scalar oracle under the same fault
+sequence, including across a scrub/heal cycle.  The miss a CRF upset
+causes before its reload is pinned at the exec group, where the upset
+program can run
+(``tests/pim/test_trace_cache.py::TestContentKeys::test_a_crf_upset_misses_and_its_reload_hits``).
 """
 
 import numpy as np
 
+from repro.errors import PimChannelError
 from repro.faults import FaultConfig, FaultInjector
 from repro.stack.blas import PimBlas, add_reference
 from repro.stack.runtime import PimSystem, SystemConfig
 
 
-def _fused_system(**overrides):
+def _system(mode="fused", **overrides):
     return PimSystem(
-        SystemConfig(
-            num_pchs=2, num_rows=128, ecc=True, exec_mode="fused", **overrides
-        )
+        SystemConfig(num_pchs=2, num_rows=128, ecc=True, exec_mode=mode, **overrides)
     )
 
 
@@ -38,23 +42,34 @@ def _warm(system, seed=5):
     return a, b, blas.add(a, b)
 
 
-class TestCrfUpsetInvalidation:
-    def test_crf_fault_drops_compiled_traces(self):
-        system = _fused_system()
-        _warm(system)
-        cache = system._trace_cache
-        assert len(cache) > 0
-        injector = FaultInjector(
-            system, FaultConfig(register_fault_rate=1.0, seed=2)
-        )
-        injector.corrupt_registers()
-        assert injector.stats.crf_faults > 0  # seed 2 strikes a CRF
-        assert cache.stats.invalidations > 0
+class TestCrfUpset:
+    def test_the_reload_after_a_crf_upset_hits(self):
+        """A CRF upset drops nothing; the next launch loads the CRF again
+        and replays the traces compiled before it — bit-identical to the
+        scalar oracle under the same seeded upsets."""
+
+        def run(mode):
+            system = _system(mode)
+            a, b, _ = _warm(system)
+            cache = system._trace_cache
+            before = None if cache is None else (cache.keys(), cache.stats.compiles)
+            injector = FaultInjector(system, FaultConfig(register_fault_rate=1.0, seed=2))
+            injector.corrupt_registers()
+            assert injector.stats.crf_faults > 0  # seed 2 strikes a CRF
+            if cache is not None:
+                assert (cache.keys(), cache.stats.compiles) == before
+            hits = None if cache is None else cache.stats.hits
+            out = PimBlas(system).add(a, b)
+            if cache is not None:
+                assert cache.stats.compiles == before[1] and cache.stats.hits > hits
+            return out.tobytes()
+
+        assert run("fused") == run("scalar")
 
     def test_no_stale_replay_after_crf_upset(self):
         """After a CRF upset the driver re-broadcasts; the next run must
         compile the fresh program, never replay the corrupted window."""
-        system = _fused_system()
+        system = _system()
         a, b, _ = _warm(system)
         injector = FaultInjector(
             system, FaultConfig(register_fault_rate=1.0, seed=2)
@@ -69,11 +84,7 @@ class TestCrfUpsetInvalidation:
         same seeded CRF/GRF/SRF upsets produce identical bytes."""
 
         def run(mode):
-            system = PimSystem(
-                SystemConfig(
-                    num_pchs=2, num_rows=128, ecc=True, exec_mode=mode
-                )
-            )
+            system = _system(mode)
             blas = PimBlas(system)
             a, b = _rand(96, 31), _rand(96, 32)
             injector = FaultInjector(
@@ -91,26 +102,43 @@ class TestCrfUpsetInvalidation:
         assert fused[0] == base[0], "fused diverged under register faults"
 
 
-class TestChannelFailureInvalidation:
-    def test_fail_channel_drops_only_that_channels_traces(self):
-        system = _fused_system()
-        _warm(system)
-        cache = system._trace_cache
-        assert {key[0] for key in cache.keys()} == {0, 1}
-        injector = FaultInjector(system, FaultConfig())
-        injector.fail_channel(1)
-        assert cache.stats.invalidations > 0
-        assert {key[0] for key in cache.keys()} == {0}
+class TestChannelFailure:
+    def test_a_failed_channel_raises_as_the_units_do(self):
+        """Failing channel 1 drops no trace, and the traces both channels
+        replayed never run there again: the launch raises what the scalar
+        oracle raises."""
 
-    def test_driver_quarantine_invalidates(self):
-        system = _fused_system()
-        _warm(system)
+        def run(mode):
+            system = _system(mode)
+            a, b, _ = _warm(system)
+            cache = system._trace_cache
+            keys = None if cache is None else cache.keys()
+            group = system.device.pch(1).lockstep
+            replays = getattr(group, "fused_replays", None)
+            FaultInjector(system, FaultConfig()).fail_channel(1)
+            try:
+                PimBlas(system).add(a, b)
+            except PimChannelError as exc:
+                raised = str(exc)
+            else:
+                raised = None
+            if cache is not None:
+                assert cache.keys() == keys and group.fused_replays == replays
+            return raised
+
+        raised = run("fused")
+        assert raised is not None and raised == run("scalar")
+
+    def test_quarantine_leaves_the_traces(self):
+        system = _system()
+        a, b, _ = _warm(system)
         cache = system._trace_cache
-        before = cache.stats.invalidations
+        keys, compiles = cache.keys(), cache.stats.compiles
         lease = system.driver.alloc_channels(1)
         system.driver.quarantine_channels(tuple(lease))
-        assert cache.stats.invalidations > before
-        assert all(key[0] not in tuple(lease) for key in cache.keys())
+        assert cache.keys() == keys
+        assert np.array_equal(PimBlas(system).add(a, b), add_reference(a, b))
+        assert cache.stats.compiles == compiles
 
 
 class TestScrubHealBitExact:
@@ -120,11 +148,7 @@ class TestScrubHealBitExact:
         and scalar mode (ECC counters included)."""
 
         def run(mode):
-            system = PimSystem(
-                SystemConfig(
-                    num_pchs=2, num_rows=128, ecc=True, exec_mode=mode
-                )
-            )
+            system = _system(mode)
             blas = PimBlas(system)
             a, b = _rand(96, 21), _rand(96, 22)
             first = blas.add(a, b).tobytes()

@@ -221,10 +221,10 @@ def frame_costs(monkeypatch):
         costs["triggers"] += inside[0]
         init(self, *args, **kwargs)
 
-    def counted_replay(self, entry, hosts):
+    def counted_replay(self, entry, hosts, rows):
         if inside[0]:
             costs["traces"].append((entry.slots, len(self.units), LANES))
-        return replay(self, entry, hosts)
+        return replay(self, entry, hosts, rows)
 
     for name in ("vec_add", "vec_mul"):
         def counted_op(*args, op=getattr(fp16, name)):
