@@ -53,9 +53,9 @@ and a run is scheduled exactly as its single requests would be:
   on entry — the one place ``Request.expand`` is called.
 
 A tagged read run answers with the ``(count, 32)`` block of its columns.
-When a program drains as one channel frame instead — what the
-controller did with it last time from an equal timing state — is
-:mod:`repro.dram.frames`' to say, in its table of paths.
+When a program drains as one channel frame instead — what a controller
+of the system did with a program of its shape from an equal timing
+state — is :mod:`repro.dram.frames`' to say, in its table of paths.
 """
 
 from __future__ import annotations
@@ -239,6 +239,7 @@ class MemoryController:
         start_cycle: int = 0,
         fence_penalty: int = 0,
         refresh: bool = False,
+        frames: Optional[FrameCache] = None,
     ):
         if window < 1:
             raise ValueError(f"the reorder window holds at least one command, not {window}")
@@ -276,9 +277,10 @@ class MemoryController:
         self._open_rows: List[Optional[int]] = [None] * BANKS_PER_PCH
         self.row_hits = 0
         self.row_misses = 0
-        # What the controller remembers of its drains (repro.dram.frames),
+        # What the controller remembers of its drains (repro.dram.frames):
+        # its own table, or the one the controllers of its system share;
         # and the recorder of the drain taking one down, if any.
-        self.frames = FrameCache()
+        self.frames = FrameCache() if frames is None else frames
         self._recording = None
         # repro.obs hook: a Tracer records a "drain" span per segment that
         # put a column on the bus.  None (the default) costs one test.

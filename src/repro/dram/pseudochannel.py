@@ -34,7 +34,10 @@ _RD, _WR, _ACT, _PRE = CommandType.RD, CommandType.WR, CommandType.ACT, CommandT
 
 class Frame(NamedTuple):
     """What a command sequence did to a pseudo-channel, every cycle counted
-    from its origin (see :meth:`PseudoChannel.record_frame`).
+    from its origin (see :meth:`PseudoChannel.record_frame`).  As
+    remembered, every plain row is an index into the row table of the
+    drain that takes it (:mod:`repro.dram.frames`); :meth:`at` puts the
+    rows back.
 
     ``steps`` are the commands as the bus shows them, ``(kind, bg, ba,
     row, col, offset, count, mode)`` — a column burst the device serves
@@ -62,6 +65,27 @@ class Frame(NamedTuple):
     armed: Optional[int] = None
     program: Any = None
 
+    def at(self, rows: Sequence[int], reserved: int) -> "Frame":
+        """The frame at a drain's row table ``rows`` (index to row): every
+        plain row it holds — an index, below ``reserved``, the channel's
+        ``first_reserved_row`` — put back; a reserved row, -1 (no row) and
+        None stay.  A PRE, a PREA and a REF step carry no row."""
+
+        def place(row: Optional[int]) -> Optional[int]:
+            return row if row is None or row < 0 or row >= reserved else rows[row]
+
+        return self._replace(
+            steps=tuple(
+                (kind, bg, ba, place(row) if kind is _ACT or kind.is_column else row,
+                 col, offset, count, mode)
+                for kind, bg, ba, row, col, offset, count, mode in self.steps
+            ),
+            banks=tuple((bank[0], bank[1], place(bank[2])) + bank[3:] for bank in self.banks),
+            reads=tuple((index, place(row), col0, count) for index, row, col0, count in self.reads),
+            armed=place(self.armed),
+            program=None if self.program is None else self.program.at(place),
+        )
+
 
 class PseudoChannel:
     """One HBM2 pseudo-channel with 16 banks and shared-bus timing."""
@@ -78,6 +102,9 @@ class PseudoChannel:
     ):
         self.timing = timing
         self.bank_config = bank_config or BankConfig()
+        # Rows from here up are addresses of their own, which a frame keeps
+        # literal (repro.dram.frames); a plain channel has none.
+        self.first_reserved_row = self.bank_config.num_rows
         # The 16 banks, flat (``bg * 4 + ba``).
         self.banks: List[Bank] = [
             bank_cls(self.bank_config, timing) for _ in range(BANKS_PER_PCH)
@@ -221,18 +248,23 @@ class PseudoChannel:
                 best, cycle = cls, bound
         return best, cycle
 
-    def timing_state(self, origin: int) -> tuple:
+    def timing_state(self, origin: int, rows: Dict[int, int]) -> tuple:
         """Everything the legality and the earliest cycle of a command
-        depend on, cycles counted from ``origin``: each bank's open row and
-        ``next_*`` bounds (the channel maxima are theirs), the last
-        column's cycle, bank group and direction, the last ACT's cycle and
-        bank group, and the tFAW window.  From equal states a command
-        stream is legal at the same offsets — what a controller keys a
-        schedule on."""
+        depend on, cycles counted from ``origin``: each bank's open row —
+        a plain one renamed by the row table ``rows`` (row to index,
+        extended in first-use order) — and ``next_*`` bounds (the channel
+        maxima are theirs), the last column's cycle, bank group and
+        direction, the last ACT's cycle and bank group, and the tFAW
+        window.  From equal states a command stream is legal at the same
+        offsets — what a controller keys a schedule on."""
+        reserved = self.first_reserved_row
         state: List[Optional[int]] = []
         for bank in self.banks:
+            row = bank.open_row
+            if row is not None and row < reserved:
+                row = rows.setdefault(row, len(rows))
             state += (
-                bank.open_row, bank.next_act - origin, bank.next_pre - origin,
+                row, bank.next_act - origin, bank.next_pre - origin,
                 bank.next_rd - origin, bank.next_wr - origin,
             )
         col, act = self._last_col_cycle, self._last_act_cycle
@@ -320,7 +352,11 @@ class PseudoChannel:
     # counted from the origin.  So a sequence issued once command by
     # command can be taken down as that end state, and the next time it
     # goes out from an equal state the channel takes the end state in one
-    # step — all but the bytes, which a read run moves as one block.
+    # step — all but the bytes, which a read run moves as one block.  A
+    # plain row enters a frame only through equality, so the frame holds
+    # it as an index into the recording drain's row table, and a drain
+    # takes it put back at its own rows (``Frame.at``): a frame stands for
+    # its sequence at any rows of the same equality pattern.
 
     def frame_entry(self) -> Any:
         """What the channel notes as a command sequence it may take down
@@ -330,10 +366,11 @@ class PseudoChannel:
 
     def record_frame(
         self, steps: Sequence[tuple], origin: int,
-        reads: Sequence[Tuple[int, int, int, int]], entry: Any = None,
+        reads: Sequence[Tuple[int, int, int, int]], entry: Any, rows: Dict[int, int],
     ) -> Optional[Frame]:
         """The channel as ``steps`` — ``(kind, bg, ba, row, col, offset,
         count, mode, source)``, the commands just issued from ``origin``,
+        their plain rows renamed by the row table ``rows`` (row to index),
         ``source`` where a write's bytes came from — left it, as a
         :class:`Frame` whose read runs are ``reads``; None when a step is
         not an ACT, PRE or RD.  (``entry``: :meth:`frame_entry` as the
@@ -351,19 +388,25 @@ class PseudoChannel:
                 records.append((kind, bg, ba, row, col, offset, 1, mode))
             else:
                 records += self._singles(kind, bg, ba, row, col, offset, count, mode)
-        banks = self._bank_entries(touched, origin)
-        return self._frame(records, origin, banks, tuple(reads))
+        return self._frame(
+            records, origin, self._bank_entries(touched, origin, rows), tuple(reads)
+        )
 
     def _bank_entries(
-        self, tallies: Dict[int, Sequence[int]], origin: int
+        self, tallies: Dict[int, Sequence[int]], origin: int, rows: Dict[int, int],
     ) -> Tuple[tuple, ...]:
         """Each bank of ``tallies`` — flat index to the ``(ACTs, RDs, WRs)``
-        it took — as a :class:`Frame` records it, cycles from ``origin``."""
+        it took — as a :class:`Frame` records it, cycles from ``origin``,
+        a plain open row renamed by ``rows``."""
+        reserved = self.first_reserved_row
         entries = []
         for index, (acts, rds, wrs) in tallies.items():
             bank = self.banks[index]
+            open_row = bank.open_row
+            if open_row is not None and open_row < reserved:
+                open_row = rows[open_row]
             entries.append((
-                index, bank.state, bank.open_row, bank.next_act - origin,
+                index, bank.state, open_row, bank.next_act - origin,
                 bank.next_pre - origin, bank.next_rd - origin, bank.next_wr - origin,
                 acts, rds, wrs,
             ))
@@ -405,12 +448,13 @@ class PseudoChannel:
     def apply_frame(
         self, frame: Frame, origin: int, blocks: Sequence[np.ndarray] = (),
     ) -> Optional[List[np.ndarray]]:
-        """Take ``frame`` from ``origin``, a cycle the channel's timing
-        state equals the recorded one from; returns each read run's ``(count,
-        col_bytes)`` block.  None, with nothing changed, unless every read
-        bank vouches for its row (:meth:`Bank.framed`): a failed bank, an
-        injected word or a bank class of its own takes the command path.
-        (``blocks``: the written bytes of a frame that writes.)"""
+        """Take ``frame``, put back at this drain's rows (:meth:`Frame.at`),
+        from ``origin``, a cycle the channel's timing state equals the
+        recorded one from; returns each read run's ``(count, col_bytes)``
+        block.  None, with nothing changed, unless every read bank vouches
+        for its row (:meth:`Bank.framed`): a failed bank, an injected word
+        or a bank class of its own takes the command path.  (``blocks``:
+        the written bytes of a frame that writes.)"""
         banks = self.banks
         if not self.vouched():
             for index, row, _, _ in frame.reads:

@@ -23,6 +23,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..dram.controller import MemoryController, SchedulerPolicy
 from ..dram.device import HbmDevice
+from ..dram.frames import FrameCache
 from .cache import CacheConfig
 
 __all__ = ["HostConfig", "ThreadGroup", "HostSystem"]
@@ -79,8 +80,9 @@ class HostSystem:
 
     Owns one :class:`MemoryController` per pseudo-channel (channels are
     controlled independently — the property that lets PIM sidestep
-    interleaving, Section VIII) and accounts elapsed time as the max over
-    channels plus host-side overheads.
+    interleaving, Section VIII) and the one frame table they share
+    (``frames``, a :class:`~repro.dram.frames.FrameCache`), and accounts
+    elapsed time as the max over channels plus host-side overheads.
     """
 
     def __init__(
@@ -98,6 +100,9 @@ class HostSystem:
             fence_penalty_cycles = round(
                 self.host.fence_sync_ns / device.config.timing.tck_ns
             )
+        # One frame table for the device's controllers: a frame is keyed by
+        # what a drain does, not by its channel or rows (repro.dram.frames).
+        self.frames = FrameCache()
         self.controllers: List[MemoryController] = [
             MemoryController(
                 device.pch(i),
@@ -105,6 +110,7 @@ class HostSystem:
                 fence_penalty=fence_penalty_cycles,
                 seed=None if scheduler_seed is None else scheduler_seed + i,
                 refresh=refresh,
+                frames=self.frames,
             )
             for i in range(len(device))
         ]

@@ -48,7 +48,7 @@ writes the units' state once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,7 +76,8 @@ _REGISTER, _WINDOW, _BROADCAST = "register", "window", "broadcast"
 
 class _Program(NamedTuple):
     """What an all-bank program did to a PIM channel beyond the channel
-    part of its frame.  ``rows``: the bank rows its columns reach;
+    part of its frame, its plain rows as the frame names them (:meth:`at`
+    puts them back).  ``rows``: the bank rows its columns reach;
     ``writes``: each write's ``(source, count, PIM_OP_MODE value or
     None)``, ``source`` its block's ``(operand, first row)``; ``events``:
     the data events in bus order — register write runs, closed windows,
@@ -96,6 +97,19 @@ class _Program(NamedTuple):
     fsm: tuple
     triggered: int
     broadcast: int
+
+    def at(self, place: Callable[[int], int]) -> "_Program":
+        """The program with each of its rows put where ``place`` puts it
+        (a register row, reserved, stays)."""
+        return self._replace(
+            rows=tuple(map(place, self.rows)),
+            events=tuple(
+                (_WINDOW, event[1].at(place)) if event[0] is _WINDOW
+                else (event[0], place(event[1])) + event[2:]
+                for event in self.events
+            ),
+            open=None if self.open is None else self.open.at(place),
+        )
 
 
 class PimPseudoChannel(PseudoChannel):
@@ -122,6 +136,7 @@ class PimPseudoChannel(PseudoChannel):
         # trace-compiled one (repro.pim.fused) unless exec_mode="scalar".
         self.lockstep = LockstepGroup(self.units)
         self.memory_map = m = PimMemoryMap(self.bank_config.num_rows)
+        self.first_reserved_row = m.first_reserved_row
         self._register_rows = frozenset(
             row for row in range(m.first_reserved_row, m.num_rows)
             if m.is_register_row(row)
@@ -191,11 +206,12 @@ class PimPseudoChannel(PseudoChannel):
         best = min(bounds, key=bounds.__getitem__)  # the first of equals: the older
         return best, bounds[best]
 
-    def timing_state(self, origin: int) -> tuple:
-        """The pseudo-channel's timing state plus the mode FSM and the
-        program the exec group's next windows would run on
+    def timing_state(self, origin: int, rows: Dict[int, int]) -> tuple:
+        """The pseudo-channel's timing state plus the mode FSM (its armed
+        row a reserved one or none) and the program the exec group's next
+        windows would run on
         (:meth:`~repro.pim.lockstep.LockstepGroup.frame_entry`)."""
-        return super().timing_state(origin) + self.mode_ctrl.state + (
+        return super().timing_state(origin, rows) + self.mode_ctrl.state + (
             self.lockstep.frame_entry(),
         )
 
@@ -218,7 +234,10 @@ class PimPseudoChannel(PseudoChannel):
     # blocks: a window looks its key up (``FusedLockstepGroup.replay_window``;
     # a miss rebuilds the tape from the pattern and compiles under the same
     # key), and the units' sequencer state, stats and ``fused_replays`` are
-    # written once, at the frame's end.
+    # written once, at the frame's end.  Its plain rows — the AB writes,
+    # the windows' and those the banks are left open on — are indices into
+    # the row table of the drain that takes it, put back (``Frame.at``)
+    # before it is applied.
 
     def frame_entry(self) -> Any:
         """The exec group's fallback count, when its windows can be framed
@@ -234,7 +253,7 @@ class PimPseudoChannel(PseudoChannel):
 
     def record_frame(
         self, steps: Sequence[tuple], origin: int,
-        reads: Sequence[Tuple[int, int, int, int]], entry: Any = None,
+        reads: Sequence[Tuple[int, int, int, int]], entry: Any, rows: Dict[int, int],
     ) -> Optional[Frame]:
         """A frame of SB-mode commands to bank rows only — none of which
         can change the mode — with the mode FSM's armed row, or of an
@@ -245,19 +264,20 @@ class PimPseudoChannel(PseudoChannel):
             logged, self.lockstep.window_keys = self.lockstep.window_keys, None
         modes = {step[7] for step in steps} | {self.mode_ctrl.mode}
         if modes == {_SB}:
-            reserved = self.memory_map.first_reserved_row
+            reserved = self.first_reserved_row
             if any(step[3] >= reserved for step in steps):
                 return None
-            frame = super().record_frame(steps, origin, reads)
+            frame = super().record_frame(steps, origin, reads, None, rows)
             if frame is not None:
                 frame = frame._replace(armed=self.mode_ctrl._armed_row)
             return frame
         if entry is None or entry != self.lockstep.fused_fallbacks:
             return None
-        return self._record_program(steps, origin, logged)
+        return self._record_program(steps, origin, logged, rows)
 
     def _record_program(
-        self, steps: Sequence[tuple], origin: int, logged: Optional[List[tuple]]
+        self, steps: Sequence[tuple], origin: int, logged: Optional[List[tuple]],
+        rows: Dict[int, int],
     ) -> Optional[Frame]:
         """The frame of an all-bank program just issued from ``origin``,
         every window of which replayed a compiled trace — the ``logged``
@@ -277,7 +297,7 @@ class PimPseudoChannel(PseudoChannel):
         events: List[tuple] = []
         writes: List[tuple] = []
         window: List[tuple] = []  # the trigger runs since the last flush
-        rows = set()
+        reached = set()
         acts = [0] * BANKS_PER_PCH
         triggered = broadcast = 0
         pim_op_mode = None
@@ -317,13 +337,13 @@ class PimPseudoChannel(PseudoChannel):
                 else:
                     events.append((_REGISTER, row, col, count, len(writes) - 1))
             elif mode is _AB_PIM:
-                rows.add(row)
+                reached.add(row)
                 triggered += count
                 window.append((is_write, row, col, count, len(writes) - 1 if is_write else None))
                 records.append((kind, bg, ba, row, col, offset, count, mode))
                 continue
             elif is_write:
-                rows.add(row)
+                reached.add(row)
                 broadcast += count
                 events.append((_BROADCAST, row, col, count, len(writes) - 1))
             else:
@@ -348,7 +368,7 @@ class PimPseudoChannel(PseudoChannel):
             if after is not record[7]
         ]
         program = _Program(
-            tuple(sorted(rows)), tuple(writes), tuple(events),
+            tuple(sorted(reached)), tuple(writes), tuple(events),
             Window.of(None, window) if window else None, state, tuple(transitions),
             (end, len(transitions), pim_op_mode), triggered, broadcast,
         )
@@ -357,7 +377,7 @@ class PimPseudoChannel(PseudoChannel):
         # with an AB read is not taken down.
         tallies = {index: (n, 0, broadcast) for index, n in enumerate(acts)}
         return self._frame(
-            records, origin, self._bank_entries(tallies, origin), (),
+            records, origin, self._bank_entries(tallies, origin, rows), (),
             armed=self.mode_ctrl._armed_row, program=program,
         )
 

@@ -108,7 +108,9 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import count, groupby
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -264,8 +266,10 @@ class Window(NamedTuple):
     frame ends with the window open, its triggers left on the tape);
     ``hosts``, the indices of the write blocks that feed its HOST operand,
     in order; ``rows``, its bank rows in first-use order, the row table
-    its trace replays at; ``pattern``, its trigger runs as ``(is_write,
-    row, col, count, write block index or None)``."""
+    its trace replays at (a frame keeps them as its own row table names
+    them, and puts them back with :meth:`at`); ``pattern``, its trigger
+    runs as ``(is_write, row, col, count, write block index or None)``,
+    ``row`` an index into ``rows``."""
 
     key: Optional[tuple]
     hosts: Tuple[int, ...]
@@ -278,13 +282,24 @@ class Window(NamedTuple):
         first-use order are the row table :func:`_pack_signature` derives
         from its tape."""
         hosts = tuple(write for _, _, _, _, write in runs if write is not None)
-        rows = tuple(dict.fromkeys(row for _, row, _, _, _ in runs))
-        return cls(key, hosts, rows, tuple(runs))
+        table: Dict[int, int] = {}
+        pattern = tuple(
+            (is_write, table.setdefault(row, len(table)), col, count, write)
+            for is_write, row, col, count, write in runs
+        )
+        return cls(key, hosts, tuple(table), pattern)
+
+    def at(self, place: Callable[[int], int]) -> "Window":
+        """The window with each of its rows put where ``place`` puts it."""
+        return Window(self.key, self.hosts, tuple(map(place, self.rows)), self.pattern)
 
     def tape(self, blocks: Sequence[np.ndarray]) -> List[ColumnTrigger]:
         """The window's tape with the write ``blocks`` of a drain."""
+        rows = self.rows
         return [
-            ColumnTrigger(is_write, row, col, None if write is None else blocks[write], count)
+            ColumnTrigger(
+                is_write, rows[row], col, None if write is None else blocks[write], count
+            )
             for is_write, row, col, count, write in self.pattern
         ]
 

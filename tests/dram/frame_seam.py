@@ -46,4 +46,5 @@ def remembered(mc):
 def remembered_for(mc, program, blocks=()):
     """What ``mc``'s cache holds for draining ``program`` with ``blocks``
     from where ``mc`` stands, or None."""
-    return mc.frames._entries.get(FrameCache.key(program, blocks, mc.channel, mc.snapshot()))
+    key, _ = FrameCache.key(program, blocks, mc.channel, mc.snapshot())
+    return mc.frames._entries.get(key)

@@ -106,7 +106,7 @@ from hypothesis import strategies as st
 from repro.dram.bank import Bank
 from repro.dram.commands import CommandType
 from repro.dram.controller import MemOp, MemoryController, Request, SchedulerPolicy
-from repro.dram.frames import CheckedProgram
+from repro.dram.frames import CheckedProgram, FrameCache
 from repro.dram.ecc import EccBank, UncorrectableError
 from repro.dram.timing import HBM2_1GHZ
 from repro.errors import PimDataError, PimProgramError
@@ -197,6 +197,12 @@ STRATEGIES = dict(
 
 
 def row_of(side, index):
+    """The row index ``index`` names on ``side``: its ``rows`` entry where
+    a relocation placed the side (``placements``), else itself — 3 the
+    SBMR row of a PIM channel."""
+    rows = getattr(side, "rows", None)
+    if rows is not None:
+        return rows[index]
     channel = side.mc.channel
     if index == 3 and isinstance(channel, PimPseudoChannel):
         return channel.memory_map.sbmr_row
@@ -273,17 +279,18 @@ def step(side, element):
     if kind == "prea":
         mc.precharge_all()
         return None
-    row = element[1]
+    index = element[1]
+    row = row_of(side, index)
     if kind == "bank writes" or not isinstance(mc.channel, PimPseudoChannel):
         writes = tuple(Run(True, row, 0, 8, True, 0, False, bank) for bank in range(16))
-        return drained(side, writes, [write_data(31 * row + 5, 8)])
+        return drained(side, writes, [write_data(31 * index + 5, 8)])
     # An all-bank write excursion: enter AB (behind what is queued), one
     # broadcast write, leave.
     memory_map = mc.channel.memory_map
     before = drained(side)
     mc.precharge_all()
     mc.closed_page_access(0, 0, memory_map.abmr_row)
-    mc.write(0, 0, row, 4, write_data(row + 90, 2), count=2)
+    mc.write(0, 0, row, 4, write_data(index + 90, 2), count=2)
     during = drained(side)
     mc.precharge_all()
     mc.closed_page_access(0, 0, memory_map.sbmr_row)
@@ -897,9 +904,11 @@ def test_the_program_strategy_reaches_frames_and_declines():
         ({"kernels": bn}, (11, 8, 11, 0, none, 0, 5)),
         # Two tiles at other rows with one row-equality pattern, each
         # weight row above its out row (first use is not row order): one
-        # trace key, which each tile's frames replay at their own rows.
+        # trace key, which each tile's frames replay at their own rows,
+        # and one shape, so the second tile's first drain of the first
+        # wave takes the frame the first tile's second drain recorded.
         ({"kernels": [(("gemv", 4, 3, 2, 8, False), 2), (("gemv", 4, 1, 0, 8, False), 2)]},
-         (11, 2, 11, 0, none, 0, 5)),
+         (11 + 1, 2, 11 + 1, 0, none, 0, 5)),
         ({"faults": evicted, "reload": False}, (11, 0, 3, 2, none, 0, 5)),
         ({"faults": evicted, "kernels": bn}, (11, 8, 6, 5, none, 0, 5)),
         # Two windows a frame: split by a GRF_B clear inside the AB-PIM
@@ -1127,6 +1136,241 @@ def test_only_a_keyed_crf_load_is_framed(monkeypatch):
         assert len(taken) == framed, kind
 
 
+# -- a frame at other rows and on another channel ------------------------------
+#
+# The controllers of a system share one frame table, its keys naming every
+# plain row by its index of first use: a frame recorded at rows R on one
+# channel is taken at rows R' on another.  Two twin pairs of channels — the
+# two of one side sharing a table, the two of the other each ``Forgetful``
+# — take the same *placements*: each puts a wave (the readback's drawn
+# elements, then the readback) or a kernel's launch from SB mode back to
+# SB mode (a GEMV tile's read back after it) on one channel, at its row
+# indices or at the drawn rows ``moved`` (a plain row, or a reserved one
+# where the draw lands there), with drawn faults on the rows it reaches.
+
+#: The row indices a placement names.
+INDICES = 8
+
+RELOCATED_STRATEGIES = dict(
+    mode=st.sampled_from(["plain", "sb", "kernel"]),
+    ecc=st.booleans(),
+    wave=WAVE,
+    readback=READBACK,
+    kernel=KERNEL.filter(lambda kernel: kernel[0] not in ("two windows", "launch")),
+    moved=st.lists(st.integers(0, 63), min_size=INDICES, max_size=INDICES, unique=True),
+    placements=st.lists(st.tuples(st.integers(0, 1), st.booleans()), min_size=3, max_size=3),
+    faults=st.lists(
+        st.one_of(st.just([]), st.just([]), st.lists(FAULT, min_size=1, max_size=2)),
+        min_size=3, max_size=3,
+    ),
+    traced=st.booleans(),
+)
+
+
+class Tagged(FrameCache):
+    """A shared frame table that notes the controller and the row table
+    each entry was recorded at, and, for every drain that finds an entry,
+    whether it took it, at other rows and on another controller."""
+
+    __slots__ = ("origins", "found")
+
+    def __init__(self):
+        super().__init__()
+        self.origins = {}
+        self.found = []
+
+    def take(self, mc, program, blocks, out):
+        if not program.framed:
+            return False
+        key, rows = self.key(program, blocks, mc.channel, mc.snapshot())
+        origin = self.origins.get(key) if key in self._entries else None
+        taken = FrameCache.take(self, mc, program, blocks, out)
+        if origin is not None:
+            self.found.append((taken, tuple(rows) != origin[1], mc is not origin[0]))
+        return taken
+
+    def offer(self, mc, recorder, segments):
+        recorded = self.stats.recorded
+        FrameCache.offer(self, mc, recorder, segments)
+        if self.stats.recorded > recorded:
+            self.origins[recorder.key] = (mc, tuple(recorder.rows))
+
+
+def fill(channel, rows):
+    """Bytes of their own in every column of ``rows`` of every bank, as
+    ``make_channel`` fills rows 0..3."""
+    cols = np.arange(channel.bank_config.cols_per_row)
+    for index, bank in enumerate(channel.banks):
+        for row in rows:
+            data = (7 * index + 5 * row + 3 * cols[:, None] + np.arange(32)) % 251
+            bank.poke_columns(row, cols, data.astype(np.uint8))
+
+
+def placed(program, rows, reserved):
+    """``program``, its row indices (those below ``reserved``) at ``rows``."""
+    return tuple(run._replace(row=rows[run.row]) if run.row < reserved else run
+                 for run in program)
+
+
+def relocated_vs_command_path(mode, ecc, wave, readback, kernel, moved, placements, faults,
+                              traced):
+    """The property: two controllers sharing a frame table and two that
+    never remember, on twin channels, agree after every drain of every
+    placement — on everything ``snapshot`` compares (with the exec groups
+    of PIM channels), the read bytes, the trace and the ``drain`` spans.
+    Returns how many frames the shared table gave, how many of them at
+    other rows than they were recorded at, how many on another channel
+    and how many entries found at other rows the channel declined."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _placements(mode, ecc, wave, readback, kernel, moved, placements, faults, traced)
+
+
+def _placements(mode, ecc, wave, readback, kernel, moved, placements, faults, traced):
+    table = Tagged()
+    if mode == "kernel":
+        pairs = [[program_side(ecc, "fused", 7, False) for _ in range(2)] for _ in range(2)]
+    else:
+        pairs = [[Side(MemoryController, mode, ecc=ecc, timing=HBM2_1GHZ) for _ in range(2)]
+                 for _ in range(2)]
+    channel = pairs[0][0].mc.channel
+    reserved = channel.first_reserved_row
+    home = [row_of(pairs[0][0], index) for index in range(INDICES)]
+    if mode == "kernel":
+        home = list(range(INDICES))
+    for pair in pairs:
+        pair[0].mc.frames, pair[1].mc.frames = table, Forgetful()
+        for side in pair:
+            fill(side.mc.channel, [row for row in set(home + moved) if row < reserved])
+            side.mc.tracer = side.mc.channel.tracer = Tracer()
+    if mode == "kernel":
+        body, source, operands = kernel_program(channel, kernel)
+        scalars = kernel[0] == "bn"
+    for placement_no, (channel_no, elsewhere) in enumerate(placements):
+        rows = moved if elsewhere else home
+        twins = pairs[channel_no]
+        for side in twins:
+            side.rows = rows
+
+        def both(program, blocks=()):
+            got, want = (
+                drained(side, program, blocks, traced, program_snapshot) for side in twins
+            )
+            assert got == want, f"placement {placement_no}"
+
+        def program_snapshot(side):
+            tracer = side.mc.tracer
+            spans = [(s.name, s.start_ns, s.end_ns, dict(s.attrs)) for s in tracer.spans]
+            state = snapshot(side)
+            if mode == "kernel":
+                state = (exec_snapshot(side), state)
+            return state, spans, list(tracer.events)
+
+        if mode != "kernel":
+            for element in wave:
+                got, want = (step(side, element) for side in twins)
+                assert got == want, element
+        for side in twins:
+            damage(side, [
+                fault if fault[0] == "dead" else fault[:2] + (rows[fault[2]],) + fault[3:]
+                for fault in faults[placement_no]
+            ])
+        if mode != "kernel":
+            both(placed(readback, rows, reserved))
+            continue
+        rng = np.random.default_rng((placement_no, 7))
+        fresh = fresh_scalars(rng) if scalars else None
+        program = launched(
+            channel, placed(body, rows, reserved), True, True, source, scalars,
+        )
+        both(program, operand_blocks(rng, operands, source, fresh))
+        if kernel[0] == "gemv":
+            both(placed(gemv_readback(kernel[3], kernel[4]), rows, reserved))
+    found = table.found
+    return (
+        sum(taken for taken, _, _ in found),
+        sum(taken and moved_rows for taken, moved_rows, _ in found),
+        sum(taken and across for taken, _, across in found),
+        sum(not taken and moved_rows for taken, moved_rows, _ in found),
+    )
+
+
+def relocated_differential(examples):
+    """The relocation property as a hypothesis test of ``examples`` cases."""
+
+    @settings(
+        max_examples=examples, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(**RELOCATED_STRATEGIES)
+    def check(**draws):
+        relocated_vs_command_path(**draws)
+
+    return check
+
+
+test_a_moved_frame_leaves_what_the_command_path_leaves = relocated_differential(15)
+
+
+def test_the_relocation_strategy_reaches_moved_frames_and_declines():
+    """Fixed draws, as (frames, at other rows, on another channel, found
+    at other rows and declined).  A GEMV tile's readback after a PREA and
+    a write run to every bank, recorded at the row indices on the first
+    channel, is a frame at the moved rows on the second, then on the
+    first — with the open-row shadow and the banks' open rows on the
+    moved rows, two rows read, or two indices swapped; with the FSM left
+    armed by a read of the SBMR row (index 3, kept there), which a
+    readback of row hits leaves armed.  Moved onto the SBMR row the
+    readback is no frame, also where nothing else of the timing state
+    moved there: a reserved row is its own.  A check byte
+    flipped on a moved row declines the frame there (the second channel
+    records its own, which the first then takes at the same rows), a
+    failed bank declines it on the first channel.  A kernel's launch from
+    SB mode back to SB mode — a GEMV tile with its readback, an
+    elementwise slot, batch-norm carrying its SRF load, an AB write
+    program — is a frame on the fresh second channel at the moved rows;
+    back on the first, at the moved rows and then at its own, the GEMV
+    tile's launch records from the CRF its first load left and is then a
+    frame, its readback a frame each time.  A check byte flipped on the
+    GEMV tile's moved weight row on the second channel declines its
+    launch frame there: the verdict asks the banks about the drain's own
+    rows, not the frame's indices."""
+    moved = [40, 41, 42, 43, 44, 45, 46, 47]
+    sbmr = 62
+    base = dict(
+        mode="sb", ecc=True, wave=[("prea",), ("bank writes", 1)],
+        readback=gemv_readback(1, 0), kernel=None, moved=moved,
+        placements=[(0, False), (1, True), (0, True)], faults=[[]] * 3, traced=True,
+    )
+    armed = [("prea",), ("bank writes", 1), ("queue", MemOp.READ, 1, 3, 0, 0, 1), ("drain",)]
+    launches = [(0, False), (1, True), (0, True), (0, False)]
+    cases = [
+        ({}, (2, 2, 1, 0)),
+        ({"mode": "plain"}, (2, 2, 1, 0)),
+        ({"ecc": False, "traced": False}, (2, 2, 1, 0)),
+        ({"wave": [("prea",), ("bank writes", 1), ("bank writes", 2)]}, (2, 2, 1, 0)),
+        ({"readback": gemv_readback(2, 0) + gemv_readback(1, 8),
+          "wave": [("prea",), ("bank writes", 2), ("bank writes", 1)]}, (2, 2, 1, 0)),
+        ({"moved": [1, 0] + list(range(2, 8)),
+          "readback": gemv_readback(1, 0) + gemv_readback(0, 8),
+          "wave": [("prea",), ("bank writes", 0), ("bank writes", 1)]}, (2, 2, 1, 0)),
+        ({"wave": armed, "moved": moved[:3] + [sbmr] + moved[4:]}, (2, 2, 1, 0)),
+        ({"moved": [40, sbmr] + moved[2:]}, (0, 0, 0, 0)),
+        ({"moved": [40, sbmr] + moved[2:], "wave": [("prea",), ("bank writes", 2)]},
+         (0, 0, 0, 0)),
+        ({"faults": [[], [("check", 4, 1, 3, 1, 2)], []]}, (1, 0, 1, 1)),
+        ({"faults": [[], [], [("dead", 6)]]}, (1, 1, 1, 1)),
+        ({"mode": "kernel", "kernel": ("gemv", 4, 0, 2, 8, False), "placements": launches},
+         (5, 4, 2, 0)),
+        ({"mode": "kernel", "kernel": ("gemv", 4, 0, 2, 8, False), "placements": launches,
+          "faults": [[], [("check", 4, 0, 1, 1, 2)], [], []]}, (4, 3, 1, 1)),
+        ({"mode": "kernel", "kernel": ("add", 2, 0), "placements": launches}, (2, 2, 1, 0)),
+        ({"mode": "kernel", "kernel": ("bn", 2, 1), "placements": launches}, (2, 2, 1, 0)),
+        ({"mode": "kernel", "kernel": ("ab writes", 1, 8, 8), "placements": launches},
+         (1, 1, 1, 0)),
+    ]
+    for change, counts in cases:
+        draws = dict(base, **change)
+        draws["faults"] = (draws["faults"] + [[]])[: len(draws["placements"])]
+        assert relocated_vs_command_path(**draws) == counts, change
 
 
 # One verdict per channel: each step of a drawn sequence changes one

@@ -442,8 +442,16 @@ def serve_with_a_failure(op, after, simulate_pchs) -> List[Dict[str, Any]]:
     system = PimSystem(BASE.replace(simulate_pchs=simulate_pchs, refresh=False))
     failing = system.device.pch(0)
     abmr_row = failing.memory_map.abmr_row
-    issue = PimPseudoChannel.issue
+    issue, apply_frame = PimPseudoChannel.issue, PimPseudoChannel.apply_frame
     columns = [0]
+
+    def unframed(self, *args):
+        # The failure is met at a command, and a frame the other lane
+        # recorded issues none: the failing channel takes no frame before
+        # it fails.
+        if self is failing and not self.banks[0].is_failed:
+            return None
+        return apply_frame(self, *args)
 
     def failing_issue(self, cmd, cycle):
         if self is failing and not self.banks[0].is_failed:
@@ -462,6 +470,7 @@ def serve_with_a_failure(op, after, simulate_pchs) -> List[Dict[str, Any]]:
     server = PimServer(system, ServerConfig(lanes=2, max_batch=4))
     try:
         PimPseudoChannel.issue = failing_issue
+        PimPseudoChannel.apply_frame = unframed
         if op == "gemv":
             requests = [Request("gemv", weights=w, a=rand(200, 10 + i)) for i in range(6)]
         else:
@@ -473,7 +482,7 @@ def serve_with_a_failure(op, after, simulate_pchs) -> List[Dict[str, Any]]:
         handles = [server.submit(request) for request in requests]
         profile = server.run()
     finally:
-        PimPseudoChannel.issue = issue
+        PimPseudoChannel.issue, PimPseudoChannel.apply_frame = issue, apply_frame
         server.close()
     assert all(h.outcome is RequestOutcome.COMPLETED for h in handles)
     assert profile.quarantined_channels == [0]

@@ -1,9 +1,10 @@
-"""A serving workload's programs fit the controller's remembered frames.
+"""A serving workload's programs fit the system's remembered frames.
 
-The memory controller remembers what it did with a program from one
-timing state, least recently used out first, and takes that as one
-channel frame the next time the program drains from an equal state
-(``repro.dram.frames``).  A GEMV launch's program from SB mode back
+The memory controllers of a system share one table of what they did
+with a program from one timing state, least recently used out first, and
+take that as one channel frame the next time a program of its shape
+drains from an equal state, at any rows and on any of the system's
+channels (``repro.dram.frames``).  A GEMV launch's program from SB mode back
 to SB mode, an elementwise item's, the transition that ends an
 elementwise batch and a GEMV readback repeat under a few dozen timing
 states wave after wave, so the remembered set must hold a workload's
@@ -12,16 +13,19 @@ resident 128 x 512 GEMV operators served round robin — with an
 elementwise mix, and the ``eltwise_serve`` shape — add, mul, relu and
 batch-norm round robin over two lengths, each kernel's first item
 loading its CRF and every batch-norm item its SRF — run on one simulated
-channel.  In the GEMV shape, after the first wave every program that
+channel per lane.  In the GEMV shape, after the first wave every program that
 loads no register is a frame, the launches, the readbacks and the
 transitions alike, and after the second every program that loads the
 CRF is one too: the second wave's first load starts from the entry CRF
 the first wave left, a new key.  The elementwise shape meets such new
 pairings of program and loaded CRF through its second wave and is all
-frames from its third.  A GEMV launch is one program per simulated
-channel, so the GEMV shape alone fits in the old bound of eight
-schedules; the two shapes served together do not, and 64 hold them.
-The bound is a module constant, not a knob.  A warm frame — of either shape, and of ``PimBlas.lstm_cell``'s
+frames from its third.  The two shapes served together need 24 entries
+of the shared table: 23 do not hold them, and 64 do.  The bound is a
+module constant, not a knob.  A fresh system records a frame per shape
+and timing state, not per operator, row or lane: ``gemv_serve``'s first
+wave records 5 (12 when each controller kept a table of its own keyed on
+literal rows), ``lstm_blas``'s 3 (5), and a second GEMV operator of one
+shape, on the other lane, takes its first launch and readback as frames.  A warm frame — of either shape, and of ``PimBlas.lstm_cell``'s
 GEMVs — replays each window by the trace key it recorded: it packs no
 key and builds no trigger, and it computes in place on a ``(slots,
 units, 16)`` value pool, calling no ``vec_add`` / ``vec_mul``.
@@ -177,11 +181,92 @@ def test_sixty_four_schedules_hold_the_traffic(monkeypatch):
     assert later and all(later)
 
 
-def test_eight_schedules_do_not_hold_the_traffic(monkeypatch):
+def test_twenty_three_schedules_do_not_hold_the_traffic(monkeypatch):
     """Counted, as at 64 schedules, on the drains that load no register
-    after the first wave, which that bound takes as frames every time."""
-    later = frames_after_the_first_wave(monkeypatch, 8)
+    after the first wave, which that bound takes as frames every time (and
+    so does a bound of 24)."""
+    later = frames_after_the_first_wave(monkeypatch, 23)
     assert later and not all(later)
+
+
+def gemv_serve_wave(rng):
+    """``gemv_serve``'s first wave: four resident 128 x 512 operators round
+    robin, eight requests."""
+    weights = [grid(rng, 128, 512) for _ in range(4)]
+    return [
+        Request("gemv", weights=weights[i % 4], a=grid(rng, 512), arrival_ns=500.0 * i)
+        for i in range(8)
+    ]
+
+
+def served(ctx, server, requests):
+    """Serve ``requests`` through ``server`` on ``ctx``, each result the
+    golden reference."""
+    handles = [server.submit(request) for request in requests]
+    server.run()
+    for request, handle in zip(requests, handles):
+        assert np.array_equal(handle.result, golden_reference(request, ctx.system.num_pchs))
+
+
+def test_a_fresh_gemv_serve_system_records_a_frame_per_shape():
+    """Five: the two lanes' simulated channels meet the same shapes, and a
+    launch or readback is the same shape at any operator's rows."""
+    with PimContext(SystemConfig(simulate_pchs=1)) as ctx:
+        served(ctx, ctx.server(ServerConfig()), gemv_serve_wave(np.random.default_rng(11)))
+        stats = ctx.system.frames.stats
+        assert all(mc.frames is ctx.system.frames for mc in ctx.system.controllers)
+    assert stats.recorded <= 6
+    assert stats.taken > 0
+
+
+def test_a_fresh_lstm_blas_system_records_a_frame_per_shape():
+    """``lstm_blas``'s first wave: four ``PimBlas.lstm_cell`` steps, hidden
+    128, h and c fed forward."""
+    rng = np.random.default_rng(11)
+    hidden = 128
+    w_ih, w_hh = (grid(rng, 4 * hidden, hidden) * np.float16(0.125) for _ in range(2))
+    bias = rng.standard_normal(4 * hidden).astype(np.float32)
+    h = c = np.zeros(hidden, dtype=np.float16)
+    with PimContext(SystemConfig(simulate_pchs=1)) as ctx:
+        for _ in range(4):
+            h, c = ctx.blas.lstm_cell(w_ih, w_hh, bias, grid(rng, hidden), h, c)
+        stats = ctx.system.frames.stats
+    assert stats.recorded <= 3
+
+
+def test_a_second_operator_of_one_shape_takes_its_twins_frames_on_the_other_lane(
+    monkeypatch,
+):
+    """Two 128 x 512 GEMV operators, one request each, the second served
+    after the first: it lands on the other lane, and its first launch and
+    its readback drain as the frames the first one's recorded."""
+    drains = []
+    drain = MemoryController.drain
+
+    def logged_drain(self, program=(), blocks=()):
+        taken = self.frames.stats.taken
+        result = drain(self, program, blocks)
+        if program:
+            fenced = any(run.fence or run.barrier for run in program)
+            drains.append((self, fenced, self.frames.stats.taken > taken))
+        return result
+
+    monkeypatch.setattr(MemoryController, "drain", logged_drain)
+    rng = np.random.default_rng(1)
+    weights = [grid(rng, 128, 512) for _ in range(2)]
+    with PimContext(SystemConfig(simulate_pchs=1)) as ctx:
+        server = ctx.server(ServerConfig())
+        per_request = []
+        for i in range(2):
+            served(ctx, server, [Request("gemv", weights=weights[i], a=grid(rng, 512))])
+            per_request.append(drains[:])
+            drains.clear()
+        stats = ctx.system.frames.stats
+    (first, _, _), _ = per_request[0]
+    (other, launch, launch_frame), (same, readback, readback_frame) = per_request[1]
+    assert other is same and other is not first
+    assert (launch, launch_frame, readback, readback_frame) == (True, True, False, True)
+    assert (stats.recorded, stats.taken) == (2, 2)
 
 
 class _Numpy:
