@@ -49,6 +49,15 @@ merged accounting.
   shows one process row per shard (pid = shard, tid = lane).  Respawns
   (shard-tagged) are counted on the profile and emitted as instant
   trace events.
+* **scheduling** — every worker process (first spawn, respawn, drain
+  recycle: all go through ``PimFabric._spawn``) runs under
+  ``os.SCHED_BATCH``, which never preempts on wakeup.  The router puts
+  a round on every shard's pipe before any woken worker takes its core,
+  so the shards of a round compute at once instead of the first one
+  stalling the router's dispatch to the next.  Best-effort: where the
+  policy is missing or refused the worker keeps the default; nice
+  level, affinity and the router's own policy are left alone
+  (``docs/ARCHITECTURE.md``, "Sharded serving").
 
 ::
 
@@ -415,6 +424,10 @@ class PimFabric:
         )
         process.start()
         child.close()
+        try:
+            os.sched_setscheduler(process.pid, os.SCHED_BATCH, os.sched_param(0))
+        except (AttributeError, OSError):
+            pass  # the worker keeps the default policy
         # A fresh process has an empty weight store, whatever the router
         # believed about its predecessor in this slot.
         self._resident.pop(shard, None)

@@ -41,7 +41,7 @@ controller reorders across banks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -220,10 +220,12 @@ def column_commands(op: str, shape: Tuple[int, ...], streams: int) -> int:
     return stream.elementwise_groups(length, streams) * stream.columns(group)
 
 
+@lru_cache(maxsize=256)
 def column_cost(op: str, shape: Tuple[int, ...], streams: int) -> int:
     """:func:`column_commands` plus the columns of a GEMV's readback
     program per tile: everything one invocation puts on a stream's column
-    bus, the fabric's unit of load."""
+    bus, the fabric's unit of load.  Memoised: a pure function of its
+    arguments, which the router prices every request of a round by."""
     cost = column_commands(op, shape, streams)
     if op == "gemv":
         tiles = stream.gemv_shape(*shape, streams)[0]

@@ -7,12 +7,15 @@ submitted request must still end in exactly one terminal outcome with a
 bit-exact result, with the dead shard reported as quarantined.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.chaos.harness import arm_kill
 from repro.errors import PimProgramError, PimWorkerError
 from repro.obs.export import SHARD_PID_BASE, chrome_trace, validate_chrome_trace
+from repro.pim import stream
 from repro.stack import (
     PimContext,
     PimFabric,
@@ -21,7 +24,9 @@ from repro.stack import (
     SystemConfig,
     gemv_reference,
 )
+from repro.stack.arithmetic import golden_reference
 from repro.stack.fabric import place_round, request_cost
+from repro.stack.kernels import column_commands, column_cost
 
 CONFIG = SystemConfig(num_pchs=2, num_rows=256, simulate_pchs=1)
 # Pin the pre-self-healing semantics for the conservation tests: a killed
@@ -493,3 +498,127 @@ class TestSelfHealing:
             assert fabric.server_config.heartbeat_timeout_s == 4.5
         finally:
             fabric.close()
+
+
+def mixed_round():
+    """A round of every operator kind the fabric ledger serves, ``g g a
+    r`` twice: GEMVs over two weight matrices, adds and relus."""
+    weights = [rand((16, 8), 2000 + k) for k in range(2)]
+    requests = []
+    for i in range(8):
+        if i % 4 < 2:
+            requests.append(Request("gemv", weights=weights[i % 2], a=rand(8, i)))
+        elif i % 4 == 2:
+            requests.append(Request("add", a=rand(256, 100 + i), b=rand(256, 200 + i)))
+        else:
+            requests.append(Request("relu", a=rand(512, 100 + i)))
+    return requests
+
+
+def policies(fabric):
+    return {
+        shard: os.sched_getscheduler(link.process.pid)
+        for shard, link in fabric._workers.items()
+    }
+
+
+class TestWorkerScheduling:
+    """Workers run under ``SCHED_BATCH`` so a woken worker never preempts
+    the router mid-dispatch; the policy is best-effort."""
+
+    @pytest.mark.skipif(
+        not hasattr(os, "SCHED_BATCH"), reason="no SCHED_BATCH on this platform"
+    )
+    def test_every_worker_process_runs_under_sched_batch(self):
+        batch = {0: os.SCHED_BATCH, 1: os.SCHED_BATCH}
+        config = ServerConfig(heartbeat_timeout_s=2.0, max_respawns=1)
+        with PimFabric(CONFIG, workers=2, server_config=config) as fabric:
+            assert policies(fabric) == batch
+            pids = {s: link.process.pid for s, link in fabric._workers.items()}
+            fabric.kill_worker(0)
+            handles = [fabric.submit(r) for r in gemv_stream(8, 2)]
+            fabric.run()
+            assert fabric.respawns == {0: 1}
+            assert fabric._workers[0].process.pid != pids[0]
+            assert policies(fabric) == batch
+            fabric.drain(1)
+            assert fabric._workers[1].process.pid != pids[1]
+            assert policies(fabric) == batch
+        assert_bit_exact(handles)
+
+    @pytest.mark.parametrize("cause", ["refused", "missing"])
+    def test_a_refused_or_missing_policy_still_serves(self, monkeypatch, cause):
+        if cause == "refused":
+            def refuse(*args):
+                raise PermissionError("operation not permitted")
+
+            monkeypatch.setattr(os, "sched_setscheduler", refuse, raising=False)
+        else:
+            monkeypatch.delattr(os, "SCHED_BATCH", raising=False)
+        requests = mixed_round()
+        with PimFabric(CONFIG, workers=2) as fabric:
+            handles = [fabric.submit(r) for r in requests]
+            profile = fabric.run()
+            if hasattr(os, "sched_getscheduler"):
+                # Each worker keeps the policy it inherited.
+                assert set(policies(fabric).values()) == {os.sched_getscheduler(0)}
+        assert sum(profile.outcomes().values()) == len(requests)
+        assert {h.shard for h in handles} == {0, 1}
+        for handle in handles:
+            assert handle.outcome == "completed"
+            assert np.array_equal(
+                handle.result, golden_reference(handle.request, CONFIG.num_pchs)
+            )
+
+
+def uncached_cost(op, shape, streams):
+    """Column commands plus a GEMV's readback columns, computed afresh."""
+    cost = column_commands(op, shape, streams)
+    if op == "gemv":
+        tiles = stream.gemv_shape(*shape, streams)[0]
+        cost += tiles * stream.columns(stream.gemv_readback(0, 0))
+    return cost
+
+
+class TestRequestCostMemo:
+    """``column_cost`` is memoised; a remembered price equals a fresh one
+    for every shape the placement tests and the ledger's workloads
+    price."""
+
+    @staticmethod
+    def shapes():
+        from benchmarks.e2e.workloads import SPECS, make_wave
+
+        zeros = lambda *shape: np.zeros(shape, dtype=np.float16)
+        requests = [
+            Request("gemv", weights=zeros(m, n), a=zeros(n))
+            for m, n in [(64, 96), (128, 512), (200, 96)]
+        ] + [
+            Request(op, a=zeros(length), b=zeros(length) if op in ("add", "mul") else None,
+                    scalars=(1.5, 0.25) if op == "bn" else None)
+            for op in ("add", "mul", "relu", "bn")
+            for length in (1024, 2048, 4096)
+        ]
+        for name in ("gemv_serve", "eltwise_serve", "fabric_hardened"):
+            requests += make_wave(SPECS[name], 11, 0).requests
+        hidden = len(make_wave(SPECS["lstm_blas"], 11, 0).inputs[0])
+        requests.append(
+            Request("gemv", weights=zeros(4 * hidden, hidden), a=zeros(hidden))
+        )
+        return requests
+
+    @pytest.mark.parametrize("lanes", [1, 2, 4])
+    @pytest.mark.parametrize("num_pchs", [2, 4])
+    def test_remembered_price_equals_a_fresh_one(self, lanes, num_pchs):
+        config = SystemConfig(num_pchs=num_pchs, num_rows=256, simulate_pchs=1)
+        server = ServerConfig(lanes=lanes)
+        for request in self.shapes():
+            if request.op == "gemv":
+                shape, streams = np.shape(request.weights), num_pchs
+            else:
+                shape, streams = (np.size(request.a),), max(1, num_pchs // lanes)
+            want = uncached_cost(request.op, shape, streams)
+            assert request_cost(request, config, server) == want
+            hits = column_cost.cache_info().hits
+            assert request_cost(request, config, server) == want
+            assert column_cost.cache_info().hits == hits + 1
