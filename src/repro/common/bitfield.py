@@ -1,9 +1,7 @@
-"""Bit-field packing helpers for instruction and address encodings.
+"""Bit-field packing helpers for instruction encodings.
 
 The PIM ISA (Table III) packs opcode, operand-space selectors and register
-indices into 32-bit words; the physical address map (Fig. 15(a)) slices a
-byte address into channel / pseudo-channel / bank / row / column fields.
-Both are expressed as :class:`BitField` layouts.
+indices into 32-bit words, expressed as :class:`BitField` layouts.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from .controller import (
 from .device import DeviceConfig, HbmDevice, PCHS_PER_DEVICE
 from .ecc import EccBank, EccStats, UncorrectableError, peek_block, poke_block
 from .pseudochannel import BANK_GROUPS, BANKS_PER_GROUP, BANKS_PER_PCH, PseudoChannel
-from .stats import CommandStats, collect_stats
 from .timing import (
     DDR4_3200,
     DRAM_FAMILIES,
@@ -51,8 +50,6 @@ __all__ = [
     "BANKS_PER_GROUP",
     "BANKS_PER_PCH",
     "PseudoChannel",
-    "CommandStats",
-    "collect_stats",
     "HBM2_1GHZ",
     "HBM2_1P2GHZ",
     "DDR4_3200",

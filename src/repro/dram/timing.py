@@ -78,15 +78,6 @@ class TimingParams:
         return replace(self, tck_ns=1.0 / freq_ghz)
 
     @property
-    def column_cadence_ab(self) -> int:
-        """Column-command cadence in AB mode.
-
-        In all-bank mode every column command hits every bank group, so the
-        same-bank-group constraint tCCD_L governs (Section III-B).
-        """
-        return self.tccd_l
-
-    @property
     def ab_bandwidth_factor(self) -> float:
         """On-chip bandwidth gain of AB mode over the off-chip interface.
 

@@ -1,10 +1,8 @@
-"""Host processor substrate: address map, LLC, kernels, thread groups."""
+"""Host processor substrate: LLC, kernels, thread groups."""
 
 from .cache import Cache, CacheConfig, CacheStats, simulate_gemv_batch
 from .kernels import HostKernelResult, HostKernels
-from .memmap import AddressMap, DramAddress
 from .processor import HostConfig, HostSystem, ThreadGroup
-from .writecombine import WriteCombineStats, WriteCombiningBuffer
 
 __all__ = [
     "Cache",
@@ -13,11 +11,7 @@ __all__ = [
     "simulate_gemv_batch",
     "HostKernelResult",
     "HostKernels",
-    "AddressMap",
-    "DramAddress",
     "HostConfig",
     "HostSystem",
     "ThreadGroup",
-    "WriteCombineStats",
-    "WriteCombiningBuffer",
 ]

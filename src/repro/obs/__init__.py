@@ -19,8 +19,6 @@ from .export import (
     write_span_jsonl,
     render_timeline,
     validate_chrome_trace,
-    span_tree_lines,
-    diff_span_trees,
 )
 
 __all__ = [
@@ -39,6 +37,4 @@ __all__ = [
     "write_span_jsonl",
     "render_timeline",
     "validate_chrome_trace",
-    "span_tree_lines",
-    "diff_span_trees",
 ]

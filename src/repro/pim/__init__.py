@@ -17,7 +17,6 @@ from .isa import (
     legal_move_combinations,
 )
 from .modes import ModeController, PimMemoryMap, PimMode
-from .pipeline import STAGES, PipelineModel, stages_for
 from .registers import GRF_REG_BYTES, LANES, RegisterFiles
 
 __all__ = [
@@ -43,9 +42,6 @@ __all__ = [
     "encode",
     "legal_compute_combinations",
     "legal_move_combinations",
-    "STAGES",
-    "PipelineModel",
-    "stages_for",
     "ModeController",
     "PimMemoryMap",
     "PimMode",

@@ -34,13 +34,7 @@ from .driver import (
     RowSetRange,
     ScrubResult,
 )
-from .memory import (
-    MicrokernelCache,
-    PimLayout,
-    aligned_size,
-    chunk_locations,
-    pad_vector,
-)
+from .memory import MicrokernelCache
 from .kernels import (
     ELEMENTWISE_OPS,
     ElementwiseKernel,
@@ -48,7 +42,6 @@ from .kernels import (
     GemvKernel,
 )
 from .collaborative import CollaborativeGemv, CollaborativeReport, optimal_split
-from .lstm import LstmLayerOperator, LstmStepReport
 from .profiler import (
     BreakerTransition,
     KernelProfile,
@@ -89,8 +82,6 @@ __all__ = [
     "CollaborativeGemv",
     "CollaborativeReport",
     "optimal_split",
-    "LstmLayerOperator",
-    "LstmStepReport",
     "BreakerTransition",
     "KernelProfile",
     "Profiler",
@@ -110,10 +101,6 @@ __all__ = [
     "FabricHandle",
     "PimFabric",
     "MicrokernelCache",
-    "PimLayout",
-    "aligned_size",
-    "chunk_locations",
-    "pad_vector",
     "PIM_CUSTOM_OPS",
     "PIM_ELIGIBLE_OPS",
     "GraphBuilder",

@@ -7,7 +7,7 @@ orange "native execution path" of Fig. 6).  Power users can instead call
 **PIM custom ops** explicitly (the "PIM-direct execution path" of Fig. 7).
 
 Supported generic ops: ``matvec`` (dense matrix x vector), ``add``, ``mul``,
-``relu``, ``batch_norm``, ``lstm``, ``sigmoid``, ``tanh``.  Custom ops:
+``relu``, ``batch_norm``, ``lstm`` and the host-only ``last``.  Custom ops:
 ``pim_gemv``, ``pim_add``, ``pim_mul``, ``pim_relu``, ``pim_bn``,
 ``pim_lstm`` — the six custom TF operations of Section V-A.
 """
@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .kernels import ExecutionReport
-from .lstm import lstm_reference, lstm_step, sigmoid
+from .lstm import lstm_reference, lstm_step
 from .runtime import PimSystem
 
 __all__ = [
@@ -111,14 +111,6 @@ class GraphBuilder:
     def last(x: Node, name: str = "") -> Node:
         """Select the last time step of a sequence (host-only op)."""
         return Node("last", [x], name=name)
-
-    @staticmethod
-    def sigmoid(x: Node, name: str = "") -> Node:
-        return Node("sigmoid", [x], name=name)
-
-    @staticmethod
-    def tanh(x: Node, name: str = "") -> Node:
-        return Node("tanh", [x], name=name)
 
     @staticmethod
     def lstm(
@@ -275,10 +267,6 @@ class GraphExecutor:
             return ((x * gamma).astype(np.float16) + beta).astype(np.float16)
         if op == "last":
             return np.asarray(ins[0])[-1]
-        if op == "sigmoid":
-            return sigmoid(ins[0].astype(np.float32))
-        if op == "tanh":
-            return np.tanh(ins[0].astype(np.float32)).astype(np.float32)
         if op in ("lstm", "pim_lstm"):
             params = node.params
             return lstm_reference(

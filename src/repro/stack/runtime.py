@@ -65,7 +65,7 @@ class SystemConfig:
     # Per-call sampling: cycle-simulate only the first N channels of a
     # kernel's set (None = all).  Every operator above the kernels reads
     # it: the executor (so PimBlas / PimContext), GraphExecutor,
-    # LstmLayerOperator, CollaborativeGemv and PimServer.
+    # CollaborativeGemv and PimServer.
     simulate_pchs: Optional[int] = None
     # Fault model (see repro.faults): None disables injection entirely.
     faults: Optional[FaultConfig] = None

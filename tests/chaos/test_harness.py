@@ -45,8 +45,9 @@ class TestHarnessSmoke:
         trees — with the corrupt_shm kind striking a real frame.  The
         schedule includes kill_router, so the run also proves recovery
         re-creates the shm plumbing without leaking a segment."""
-        from repro.obs.export import diff_span_trees
         from repro.stack.shm import live_segments
+
+        from ..reference.span_trees import diff_span_trees
 
         segments_before = live_segments()
         runs = {

@@ -1,16 +1,8 @@
-"""Tests for device assembly and statistics aggregation."""
+"""Tests for device assembly."""
 
 import pytest
 
-from repro.dram import (
-    BankConfig,
-    CommandStats,
-    CommandType,
-    DeviceConfig,
-    HbmDevice,
-    MemoryController,
-    collect_stats,
-)
+from repro.dram import BankConfig, DeviceConfig, HbmDevice
 from repro.dram.timing import HBM2_1GHZ, HBM2_1P2GHZ
 
 
@@ -41,26 +33,3 @@ class TestDevice:
         assert len(device) == 2
         assert device.pch(0) is not device.pch(1)
 
-
-class TestStats:
-    def test_collect_stats_sums_channels(self):
-        device = HbmDevice(DeviceConfig(num_pchs=2, bank_config=BankConfig(num_rows=16)))
-        for i in range(2):
-            mc = MemoryController(device.pch(i))
-            mc.read(0, 0, 0, 0)
-            mc.drain()
-        stats = collect_stats(device.pchs)
-        assert stats.activates == 2
-        assert stats.reads == 2
-        assert stats.bytes_transferred == 2 * 32
-
-    def test_add_accumulates(self):
-        a = CommandStats()
-        a.counts[CommandType.RD] = 3
-        b = CommandStats()
-        b.counts[CommandType.RD] = 4
-        b.counts[CommandType.WR] = 1
-        a.add(b)
-        assert a.reads == 7
-        assert a.writes == 1
-        assert a.column_commands == 8

@@ -157,9 +157,6 @@ class TestTimingParams:
         # 8 operating banks at tCCD_L vs 1 at tCCD_S -> x4 (Table V).
         assert HBM2_1GHZ.ab_bandwidth_factor == 4.0
 
-    def test_ab_column_cadence(self):
-        assert HBM2_1GHZ.column_cadence_ab == HBM2_1GHZ.tccd_l
-
     def test_custom_tccd_changes_factor(self):
         slow = TimingParams(tccd_s=2, tccd_l=8)
         assert slow.ab_bandwidth_factor == 2.0

@@ -15,7 +15,8 @@ import numpy as np
 
 from repro.errors import PimJournalError
 from repro.journal import JournalWriter, read_records, recover
-from repro.obs import diff_span_trees
+
+from tests.reference.span_trees import diff_span_trees
 
 
 def accepted_on_disk(journal):

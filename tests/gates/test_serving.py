@@ -16,10 +16,11 @@ from repro.dram.bank import Bank
 from repro.dram.ecc import EccBank
 from repro.faults import FaultConfig
 from repro.journal import read_records
-from repro.obs import diff_span_trees, validate_chrome_trace, write_chrome_trace
+from repro.obs import validate_chrome_trace, write_chrome_trace
 from repro.stack import PimServer, PimSystem
 
 from tests.dram.eager_ecc import EagerEccBank
+from tests.reference.span_trees import diff_span_trees
 
 SEED = 7
 

@@ -5,6 +5,10 @@ import sys
 
 import pytest
 
+from ..golden.outputs import digest, recorded
+
+GOLDEN = recorded()
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -14,26 +18,33 @@ def run_cli(*args):
 
 
 class TestCli:
+    """Each command prints what ``tests/golden/outputs.json`` recorded
+    (re-derived by ``tests/golden/outputs.py``)."""
+
     def test_demo(self):
         result = run_cli("demo")
         assert result.returncode == 0
         assert "DRAM cycles" in result.stdout
+        assert digest(result.stdout) == GOLDEN["demo"]["stdout"]
 
     def test_specs(self):
         result = run_cli("specs")
         assert result.returncode == 0
         assert "9.6 GFLOPs" in result.stdout
+        assert digest(result.stdout) == GOLDEN["specs"]["stdout"]
 
     def test_trace(self):
         result = run_cli("trace")
         assert result.returncode == 0
         assert "all-bank-pim" in result.stdout
+        assert digest(result.stdout) == GOLDEN["trace"]["stdout"]
 
     def test_report(self):
         result = run_cli("report")
         assert result.returncode == 0
         assert "Table I" in result.stdout
         assert "Fig. 14" in result.stdout
+        assert digest(result.stdout) == GOLDEN["report"]["stdout"]
 
     def test_unknown_command(self):
         result = run_cli("frobnicate")

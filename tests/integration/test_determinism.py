@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultConfig
-from repro.obs import diff_span_trees
 from repro.stack.api import Request, ServerConfig
 from repro.stack.runtime import PimSystem, SystemConfig
 from repro.stack.server import PimServer
+
+from ..reference.span_trees import diff_span_trees
 
 
 def rand(shape, seed, scale=0.25):

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from repro.perf.latency import PIM_HBM, LatencyModel
+from repro.stack.blas import PimBlas
 from repro.stack.kernels import ElementwiseKernel, GemvKernel
-from repro.stack.lstm import LstmLayerOperator
 from repro.stack.runtime import PimSystem, SystemConfig
 
 
@@ -64,17 +64,21 @@ class TestElementwiseAgreement:
 
 
 class TestLstmAgreement:
-    def test_fused_layer_tracks_two_gemvs_per_step(self):
+    def test_lstm_steps_track_two_gemvs_per_step(self):
         system = PimSystem(
             SystemConfig(num_pchs=2, num_rows=256, fence_penalty_cycles=22)
         )
+        blas = PimBlas(system)
         d, h, steps = 64, 64, 3
-        op = LstmLayerOperator(system, d, h)
-        op.load_weights(rand((4 * h, d), 6), rand((4 * h, h), 7),
-                        rand(4 * h, 8).astype(np.float32))
-        _, report, _ = op(rand((steps, d), 9))
+        w_ih, w_hh = rand((4 * h, d), 6), rand((4 * h, h), 7)
+        bias = rand(4 * h, 8).astype(np.float32)
+        state = (np.zeros(h, np.float16), np.zeros(h, np.float16))
+        for x in rand((steps, d), 9):
+            state = blas.lstm_cell(w_ih, w_hh, bias, x, *state)
+        kernels = blas.profiler.profile.kernels.values()
+        assert sum(k.invocations for k in kernels) == 2 * steps
         model = _analytic(2)
         analytic = steps * (
             model.pim_gemv_cycles(4 * h, d) + model.pim_gemv_cycles(4 * h, h)
         )
-        assert analytic == pytest.approx(report.cycles, rel=0.35)
+        assert analytic == pytest.approx(sum(k.cycles for k in kernels), rel=0.35)

@@ -7,14 +7,14 @@ import pytest
 from repro.obs import (
     Tracer,
     chrome_trace,
-    diff_span_trees,
     render_timeline,
-    span_tree_lines,
     validate_chrome_trace,
     write_chrome_trace,
     write_span_jsonl,
 )
 from repro.obs.export import SERVING_PID
+
+from ..reference.span_trees import diff_span_trees, span_tree_lines
 
 
 def small_trace():

@@ -1026,7 +1026,7 @@ class TestEndToEndTwoWay:
         assert sum(ch.lockstep.fused_replays for ch in fused[4].device.pchs) > 0
 
     def test_profile_counters_and_span_trees_identical(self):
-        from repro.obs.export import diff_span_trees
+        from ..reference.span_trees import diff_span_trees
 
         base = _run_op_suite("scalar", trace=True)
         fused = _run_op_suite("fused", trace=True)

@@ -159,11 +159,11 @@ def _graph(system):
 
 
 def _lstm(system):
-    from repro.stack.lstm import LstmLayerOperator
-
-    op = LstmLayerOperator(system, 32, 16)
-    op.load_weights(rand((64, 32), 0), rand((64, 16), 1), np.zeros(64, np.float32))
-    op(rand((2, 32), 2))
+    blas = PimBlas(system)
+    w_ih, w_hh = rand((64, 32), 0), rand((64, 16), 1)
+    h = c = np.zeros(16, np.float16)
+    for x in rand((2, 32), 2):
+        h, c = blas.lstm_cell(w_ih, w_hh, np.zeros(64, np.float32), x, h, c)
 
 
 def _collaborative(system):

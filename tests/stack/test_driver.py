@@ -24,6 +24,27 @@ class TestReservation:
     def test_region_is_uncacheable(self, driver):
         assert driver.uncacheable
 
+    def test_every_store_in_the_region_is_a_bus_command(self):
+        """Uncacheable and not write-combined: two stores to one column are
+        two WRs, and a load after them is a RD that returns the last."""
+        import numpy as np
+
+        from repro.dram.commands import CommandType
+        from repro.stack.runtime import PimSystem, SystemConfig
+
+        system = PimSystem(SystemConfig(num_pchs=1, num_rows=64))
+        row = system.driver.alloc_rows(1).start
+        controller = system.controllers[0]
+        counts = system.device.pch(0).cmd_counts
+        before = dict(counts)
+        for value in (1, 2):
+            controller.write(0, 0, row, 5, np.full(32, value, np.uint8))
+        controller.read(0, 0, row, 5, tag="load")
+        result = controller.drain()
+        assert counts[CommandType.WR] - before[CommandType.WR] == 2
+        assert counts[CommandType.RD] - before[CommandType.RD] == 1
+        assert (result.read_data["load"] == 2).all()
+
     def test_check_row(self, driver):
         driver.check_row(0)
         driver.check_row(57)
@@ -73,6 +94,52 @@ class TestAllocation:
         assert sorted(driver.allocated_rows()) == [0, 1, 2, 3, 4]
         driver.free(a)
         assert sorted(driver.allocated_rows()) == [3, 4]
+
+
+class TestFreeList:
+    """Rows an evicted operator gives back (``free``) are reused first-fit
+    before the bump cursor moves."""
+
+    def test_free_coalesces_neighbours(self, driver):
+        a, b = driver.alloc_rows(3), driver.alloc_rows(2)
+        driver.alloc_rows(4)
+        driver.free(a)
+        driver.free(b)
+        block = driver.alloc_rows(5)
+        assert (block.start, block.stop) == (0, 5)
+
+    def test_a_block_at_the_cursor_returns_to_it(self, driver):
+        a, b = driver.alloc_rows(3), driver.alloc_rows(2)
+        driver.free(b)
+        assert driver.rows_free == driver.rows_total - 3
+        driver.free(a)
+        assert driver.rows_free == driver.rows_total
+        block = driver.alloc_rows(driver.rows_total)
+        assert (block.start, block.stop) == (0, driver.rows_total)
+
+    def test_first_fit_splits_a_larger_block(self, driver):
+        a = driver.alloc_rows(6)
+        driver.alloc_rows(1)
+        driver.free(a)
+        assert (driver.alloc_rows(2).start, driver.alloc_rows(4).start) == (0, 2)
+        assert driver.alloc_rows(1).start == 7
+
+    def test_double_free_rejected(self, driver):
+        a = driver.alloc_rows(2)
+        driver.alloc_rows(1)
+        driver.free(a)
+        with pytest.raises(PimAllocationError):
+            driver.free(a)
+
+    def test_reclaimed_rows_count_toward_capacity(self, driver):
+        driver.alloc_rows(20)
+        middle = driver.alloc_rows(8)
+        driver.alloc_rows(driver.rows_free)
+        driver.free(middle)
+        assert driver.rows_free == 8
+        with pytest.raises(PimAllocationError):
+            driver.alloc_rows(9)
+        assert driver.alloc_rows(8) == middle
 
 
 class TestQuarantine:

@@ -1,10 +1,12 @@
-"""Tests for the fused LSTM operator and collaborative GEMV (Section VIII)."""
+"""Tests for the LSTM step, batched GEMV and the collaborative GEMV
+(Section VIII)."""
 
 import numpy as np
 import pytest
 
+from repro.stack.blas import PimBlas
 from repro.stack.collaborative import CollaborativeGemv, optimal_split
-from repro.stack.lstm import LstmLayerOperator, lstm_reference
+from repro.stack.lstm import lstm_reference, lstm_step
 from repro.stack.runtime import PimSystem, SystemConfig
 
 
@@ -18,53 +20,97 @@ def system():
     return PimSystem(SystemConfig(num_pchs=2, num_rows=256, simulate_pchs=1))
 
 
-class TestLstmLayerOperator:
-    def _make(self, system, d=32, h=48, seed=0):
-        op = LstmLayerOperator(system, d, h)
-        w_ih = rand((4 * h, d), seed)
-        w_hh = rand((4 * h, h), seed + 1)
-        bias = rand(4 * h, seed + 2).astype(np.float32)
-        op.load_weights(w_ih, w_hh, bias)
-        return op, w_ih, w_hh, bias
+def fp32_layer(w_ih, w_hh, bias, xs):
+    """One LSTM layer in FP32, gates in the order i, f, g, o."""
+    w_ih, w_hh = w_ih.astype(np.float32), w_hh.astype(np.float32)
+    h = c = np.zeros(w_hh.shape[1], np.float32)
+    sig = lambda v: 1 / (1 + np.exp(-v))
+    out = []
+    for x in xs.astype(np.float32):
+        i, f, g, o = np.split(w_ih @ x + w_hh @ h + bias, 4)
+        c = sig(f) * c + sig(i) * np.tanh(g)
+        h = sig(o) * np.tanh(c)
+        out.append(h)
+    return np.stack(out)
 
-    def test_matches_fp32_reference(self, system):
-        op, w_ih, w_hh, bias = self._make(system)
-        xs = rand((5, 32), 10)
-        out, report, steps = op(xs)
-        ref = lstm_reference(w_ih, w_hh, bias, xs)
-        assert out.shape == (5, 48)
+
+class TestLstmSteps:
+    """A layer run step by step through ``PimBlas.lstm_cell``: two PIM
+    GEMVs and the host's gate math per step, state carried in FP16."""
+
+    def _weights(self, d, h, seed):
+        return (
+            rand((4 * h, d), seed),
+            rand((4 * h, h), seed + 1),
+            rand(4 * h, seed + 2).astype(np.float32),
+        )
+
+    def _layer(self, blas, weights, xs, h0=None):
+        hidden = weights[1].shape[1]
+        h = np.zeros(hidden, np.float16) if h0 is None else h0
+        c = np.zeros(hidden, np.float16)
+        out = []
+        for x in xs:
+            h, c = blas.lstm_cell(*weights, x, h, c)
+            out.append(h)
+        return np.stack(out)
+
+    @pytest.mark.parametrize("d, h", [(32, 48), (64, 64), (128, 32)])
+    def test_layer_matches_fp32_reference(self, system, d, h):
+        weights = self._weights(d, h, d + h)
+        xs = rand((5, d), 10)
+        out = self._layer(PimBlas(system), weights, xs)
+        assert out.shape == (5, h) and out.dtype == np.float16
+        ref = fp32_layer(*weights, xs)
         assert np.abs(out.astype(np.float32) - ref).max() < 1e-2
-        assert len(steps) == 5
-        assert report.pim_flops > 0
+        assert np.allclose(lstm_reference(*weights, xs), ref, atol=1e-6)
 
-    def test_single_launch_accounting(self, system):
-        """The fused layer charges one kernel launch, not 2T."""
-        op, *_ = self._make(system, seed=20)
-        xs = rand((4, 32), 21)
-        _, report, _ = op(xs)
-        raw_launches_ns = 2 * 4 * system.host.kernel_launch_ns
-        assert report.ns < report.cycles * system.tck_ns + raw_launches_ns
+    def test_each_step_is_two_gemv_launches(self, system):
+        blas = PimBlas(system)
+        self._layer(blas, self._weights(32, 48, 20), rand((4, 32), 21))
+        kernels = blas.profiler.profile.kernels
+        # W_ih (192x32) and W_hh (192x48): one launch each, every step.
+        assert sorted(kernels) == ["gemv[192x32]", "gemv[192x48]"]
+        for profile in kernels.values():
+            assert profile.invocations == 4
+            launches_ns = 4 * system.host.kernel_launch_ns
+            assert profile.ns == pytest.approx(profile.cycles * system.tck_ns + launches_ns)
 
     def test_initial_state(self, system):
-        op, w_ih, w_hh, bias = self._make(system, seed=30)
+        weights = self._weights(32, 48, 30)
         xs = rand((2, 32), 31)
-        h0 = rand(48, 32)
-        out_with, _, _ = op(xs, h0=h0)
-        out_without, _, _ = op(xs)
-        assert not np.array_equal(out_with, out_without)
+        blas = PimBlas(system)
+        with_h0 = self._layer(blas, weights, xs, h0=rand(48, 32))
+        without = self._layer(blas, weights, xs)
+        assert not np.array_equal(with_h0, without)
+        assert np.array_equal(without, self._layer(blas, weights, xs))
 
     def test_shape_validation(self, system):
-        op = LstmLayerOperator(system, 32, 48)
-        with pytest.raises(RuntimeError):
-            op(rand((2, 32), 0))
+        w_ih, w_hh, bias = self._weights(32, 48, 0)
+        blas = PimBlas(system)
+        h = c = np.zeros(48, np.float16)
         with pytest.raises(ValueError):
-            op.load_weights(rand((10, 10), 0), rand((10, 10), 1), rand(10, 2))
+            blas.lstm_cell(w_ih, w_hh, bias, rand(33, 1), h, c)
+        with pytest.raises(ValueError):
+            blas.lstm_cell(w_ih, w_hh, bias[:-1], rand(32, 1), h, c)
 
     def test_step_reports_are_uniform(self, system):
-        op, *_ = self._make(system, seed=40)
-        _, _, steps = op(rand((3, 32), 41))
-        commands = {s.column_commands for s in steps}
-        assert len(commands) == 1  # identical work per step
+        """Every step puts the same work on the device: the same two
+        reports, whatever the state."""
+        w_ih, w_hh, bias = self._weights(32, 48, 40)
+        reports = []
+
+        def gemv(w, x):
+            y, report = system.executor.gemv(w, x)
+            reports.append(report)
+            return y
+
+        h = c = np.zeros(48, np.float16)
+        for x in rand((3, 32), 41):
+            h, c = lstm_step(gemv, w_ih, w_hh, bias, x, h, c)
+        assert len(reports) == 6
+        assert len({(r.column_commands, r.fences) for r in reports[0::2]}) == 1
+        assert len({(r.column_commands, r.fences) for r in reports[1::2]}) == 1
 
 
 class TestBatchedGemv:

@@ -273,3 +273,47 @@ def test_an_invented_flag_is_caught():
         "  gemv_serve --sceonds 8",
         fenced=True,
     ) == [("repro demo", "--fast"), ("benchmarks.e2e", "--sceonds")]
+
+
+TEST_FILE = re.compile(r"(?:[\w.-]+/)*(?:test|bench)_\w+\.py")
+
+
+def _untested_rows(text):
+    """The claims of the table rows of ``text`` whose last cell names no
+    backticked test or bench file, or node id in one, that resolves."""
+    lines = text.splitlines()
+    rule = re.compile(r"\|(\s*:?-+:?\s*\|)+")
+    untested = []
+    for line, below in zip(lines, lines[1:] + [""]):
+        if not line.startswith("|") or rule.fullmatch(line) or rule.fullmatch(below):
+            continue  # not a table row, a rule, or a header
+        cells = line.strip().strip("|").split("|")
+        spans = [match.group(2) for match in SPAN.finditer(cells[-1])]
+        if not any(
+            TEST_FILE.fullmatch(span.split("::")[0])
+            and _resolves("node" if "::" in span else "path", span)
+            for span in spans
+        ):
+            untested.append(cells[0].strip())
+    return untested
+
+
+def test_every_paper_map_row_names_a_test():
+    text = (ROOT / "PAPER_MAP.md").read_text()
+    assert text.count("\n|") > 50, "no PAPER_MAP table found: the pattern has drifted"
+    assert not _untested_rows(text), (
+        f"PAPER_MAP rows name no resolving test or bench: {_untested_rows(text)}"
+    )
+
+
+def test_a_row_without_a_test_is_caught():
+    table = (
+        "| claim | code | tests |\n|---|---|---|\n"
+        "| kept | `repro/pim/isa.py` | `tests/pim/test_isa.py` |\n"
+        "| empty | `repro/pim/isa.py` | |\n"
+        "| gone | `repro/pim/isa.py` | `tests/pim/test_gone.py` |\n"
+        "| code only | `repro/pim/isa.py` | `repro/pim/isa.py` |\n"
+        "| node | x | `tests/pim/test_device.py::TestAllBankBroadcast` |\n"
+        "| bench | x | `bench_fig14_dse.py` |\n"
+    )
+    assert _untested_rows(table) == ["empty", "gone", "code only"]
